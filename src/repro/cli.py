@@ -319,7 +319,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.policy != "block":
             print("serve: --wal-dir requires --policy block", file=sys.stderr)
             return 2
-        if args.mode in ("process", "process-shm"):
+        if args.mode != "inline":
             print(
                 f"serve: --wal-dir is not supported with --mode {args.mode}",
                 file=sys.stderr,
@@ -578,7 +578,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_racecheck(args: argparse.Namespace) -> int:
-    """Drive the threaded pipeline under the dynamic race witness.
+    """Drive the inline pipeline under the dynamic race witness.
+
+    The writer is this thread; two reader threads hammer the snapshot
+    surface.  Lock-order and ``@guarded`` barrier checks are
+    acquisition-order checks, so one writer thread witnesses them all.
 
     The environment variable must be set *before* the runtime modules are
     imported (the ``@guarded`` write barriers install at class-definition
@@ -603,7 +607,7 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     pipeline = EventPipeline(
         num_shards=args.shards,
         batch_size=args.batch_size,
-        mode="thread",
+        mode="inline",
         metrics=metrics,
         tracer=tracer,
     )
@@ -615,7 +619,7 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
         )
     )
     print(
-        f"racecheck: {args.events} events on {args.shards} thread shard(s) "
+        f"racecheck: {args.events} events on {args.shards} inline shard(s) "
         f"with 2 concurrent snapshot readers (REPRO_RACECHECK=1)"
     )
 
@@ -748,7 +752,7 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--mode",
-        choices=["inline", "thread", "process", "process-shm"],
+        choices=["inline", "process-shm"],
         default="inline",
     )
     parser.add_argument("--policy", choices=["block", "drop-oldest", "reject"], default="block")
@@ -998,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     racecheck = sub.add_parser(
         "racecheck",
-        help="dynamic race witness: drive the threaded pipeline with "
+        help="dynamic race witness: drive the inline pipeline with "
         "concurrent metric/trace readers under REPRO_RACECHECK=1 and "
         "report the observed lock-order DAG",
     )

@@ -2,7 +2,7 @@
 
 The shm transport's shard workers each run their own
 :class:`~repro.runtime.metrics.MetricsRegistry` and
-:class:`~repro.obs.tracing.RingTracer` (PR 10) — instruments are
+:class:`~repro.obs.tracing.RingTracer` — instruments are
 process-local by construction, so nothing here shares memory.  Instead
 the worker periodically *ships a delta*: spans closed since the last
 ship, counter increments, gauge absolutes, and bucket-wise histogram
@@ -14,8 +14,9 @@ the exported Chrome trace show one unified view.
 Naming on merge: worker metric names that already embed their shard
 (``obs/shard/3/band/headroom``) merge verbatim — they are globally
 unique by construction.  Names that do not (``runtime/hotspot_promotions``,
-``worker/e2e/ingest_to_apply_us``) gain a ``shard<N>/`` prefix so two
-workers never collide on one parent instrument.
+``worker/e2e/ingest_to_apply_us``) gain a ``shard/<N>/`` prefix — the
+namespace the pipeline's own per-shard instruments use — so two workers
+never collide on one parent instrument.
 
 Deltas, not absolutes, for counters and histograms: the parent may also
 increment the same merged name (it never does today, but addition makes
@@ -42,11 +43,11 @@ def merged_metric_name(name: str, shard: int) -> str:
     """The parent-registry name for a worker metric.
 
     Names already scoped to the shard (any ``shard/<N>/`` path component)
-    pass through unchanged; everything else gains a ``shard<N>/`` prefix.
+    pass through unchanged; everything else gains a ``shard/<N>/`` prefix.
     """
     if f"/shard/{shard}/" in f"/{name}":
         return name
-    return f"shard{shard}/{name}"
+    return f"shard/{shard}/{name}"
 
 
 class TelemetryCollector:
@@ -164,4 +165,4 @@ def merge_telemetry(
             max_value=hist.max_value,
             buckets=hist.buckets,
         )
-    registry.gauge(f"shard{shard}/obs/spans_dropped").set(payload.spans_dropped)
+    registry.gauge(f"shard/{shard}/obs/spans_dropped").set(payload.spans_dropped)

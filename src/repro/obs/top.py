@@ -41,7 +41,6 @@ CLEAR_SCREEN = "\x1b[2J\x1b[H"
 
 _SHARD_PATTERNS = (
     re.compile(r"^shard/(\d+)/"),
-    re.compile(r"^shard(\d+)/"),
     re.compile(r"^obs/shard/(\d+)/"),
     re.compile(r"^transport/ring/(\d+)/"),
 )
@@ -206,9 +205,9 @@ def render_dashboard(
             events = _counter(metrics, f"shard/{index}/events")
             e2e_cell = _e2e_cell(metrics, f"shard/{index}/e2e_us")
             # Worker-side apply lag (merged over the shm telemetry path);
-            # inline/thread modes have no worker registry, hence "-".
+            # inline mode has no worker registry, hence "-".
             lag_cell = _e2e_cell(
-                metrics, f"shard{index}/worker/e2e/ingest_to_apply_us"
+                metrics, f"shard/{index}/worker/e2e/ingest_to_apply_us"
             )
             ring_rq = _gauge(metrics, f"transport/ring/{index}/request_bytes")
             ring_rs = _gauge(metrics, f"transport/ring/{index}/response_bytes")

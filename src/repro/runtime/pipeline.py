@@ -13,13 +13,12 @@
    insert+delete pairs coalesce away before dispatch (batch-atomic
    visibility; see ``batching.py``).
 3. **execution** — each batch fans out to one task per affected shard.
-   ``mode="inline"`` runs shards sequentially on the caller's thread
-   (deterministic, zero overhead — the right choice for replay/benchmarks
-   on CPython), ``mode="thread"`` uses a worker-per-shard
-   ``ThreadPoolExecutor``, ``mode="process"`` pins each shard to its own
-   single-worker ``ProcessPoolExecutor`` so shard state lives in a
-   dedicated process (opt-in: real parallelism, but events and queries are
-   pickled across the boundary).
+   ``mode="inline"`` (the default) runs shards sequentially on the
+   caller's thread: deterministic, zero overhead, and the only mode the
+   durable checkpointer can reach into.  ``mode="process-shm"`` pins each
+   shard to a persistent worker process behind a pair of shared-memory
+   rings (:mod:`repro.runtime.transport`) — real parallelism on CPython,
+   with batches and deltas crossing the boundary as columnar frames.
 4. **merge** — per-shard deltas are merged by sequence number into one
    per-event result dict, deterministically (sorted rows), then dispatched
    to subscription callbacks in arrival order.
@@ -34,7 +33,6 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (durability → runtime)
@@ -80,9 +78,8 @@ class _Backend(Protocol):
     """What the pipeline needs from an execution backend.
 
     ``ingest_ns`` parallels each shard's entry list with submitter-side
-    monotonic ingest timestamps; backends that cannot use them (inline,
-    thread, pickle-process) simply ignore the argument — the pipeline
-    measures end-to-end latency itself on the emission side.
+    monotonic ingest timestamps; the inline backend ignores it — the
+    pipeline measures end-to-end latency itself on the emission side.
     """
 
     def subscribe(self, indices: Sequence[int], query: Any) -> None: ...
@@ -94,6 +91,8 @@ class _Backend(Protocol):
         shard_entries: Dict[int, List[ShardEntry]],
         ingest_ns: Optional[Dict[int, List[int]]] = None,
     ) -> ShardBatchResults: ...
+
+    def sample_hotspots(self) -> List[HeadroomSample]: ...
 
     def close(self) -> None: ...
 
@@ -131,138 +130,22 @@ class _InlineBackend:
             for index, entries in shard_entries.items()
         }
 
+    def sample_hotspots(self) -> List[HeadroomSample]:
+        samples: List[HeadroomSample] = []
+        for shard in self.shards:
+            samples.extend(shard.sample_telemetry())
+        return samples
+
     def close(self) -> None:
         pass
-
-
-class _ThreadBackend(_InlineBackend):
-    """Worker-per-shard thread pool (default).
-
-    On CPython, threads interleave rather than truly parallelize the pure-
-    Python probe work, but shard batches overlap any releasing operations
-    and the structure matches what a free-threaded build exploits fully.
-    """
-
-    def __init__(self, shards: List[Shard], tracer: Tracer = NULL_TRACER):
-        super().__init__(shards, tracer)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(shards)), thread_name_prefix="repro-shard"
-        )
-
-    def apply_shard_batches(
-        self,
-        shard_entries: Dict[int, List[ShardEntry]],
-        ingest_ns: Optional[Dict[int, List[int]]] = None,
-    ) -> ShardBatchResults:
-        futures = {
-            index: self._pool.submit(self._timed_apply, index, entries)
-            for index, entries in shard_entries.items()
-        }
-        return {index: future.result() for index, future in futures.items()}
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# Process-mode worker state: one Shard per worker process, pinned by using
-# single-worker pools (ProcessPoolExecutor does not route tasks by key).
-# Queries unpickle to fresh objects on every call and the engine tracks
-# them by identity, so the worker keeps its own qid -> object registry and
-# unsubscribes by qid.
-_WORKER_SHARD: Optional[Shard] = None
-_WORKER_QUERIES: Dict[int, Any] = {}
-
-
-def _process_init(index: int, alpha: Optional[float], epsilon: float) -> None:
-    global _WORKER_SHARD
-    _WORKER_SHARD = Shard(index, alpha=alpha, epsilon=epsilon)
-    _WORKER_QUERIES.clear()
-
-
-def _process_subscribe(query: Any) -> bool:
-    assert _WORKER_SHARD is not None, "worker process not initialized"
-    _WORKER_QUERIES[query.qid] = query
-    _WORKER_SHARD.subscribe(query)
-    return True
-
-
-def _process_unsubscribe(qid: int) -> bool:
-    assert _WORKER_SHARD is not None, "worker process not initialized"
-    _WORKER_SHARD.unsubscribe(_WORKER_QUERIES.pop(qid))
-    return True
-
-
-def _process_apply(entries: List[ShardEntry]) -> Tuple[float, List[Tuple[int, Delta]]]:
-    assert _WORKER_SHARD is not None, "worker process not initialized"
-    start = time.perf_counter()
-    out: List[Tuple[int, Delta]] = []
-    for seq, deltas in _WORKER_SHARD.apply_batch(entries):
-        out.append((seq, {query.qid: rows for query, rows in deltas.items()}))
-    return time.perf_counter() - start, out
-
-
-class _ProcessBackend:
-    """Shard state pinned to dedicated worker processes.
-
-    Queries and events cross the boundary by pickling; returned deltas are
-    keyed by qid and resolved back to the caller's query objects.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        alpha: Optional[float],
-        epsilon: float,
-        resolve_query: Callable[[int], Any],
-    ):
-        self._resolve = resolve_query
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1, initializer=_process_init, initargs=(i, alpha, epsilon)
-            )
-            for i in range(num_shards)
-        ]
-
-    def subscribe(self, indices: Sequence[int], query: Any) -> None:
-        for index in indices:
-            self._pools[index].submit(_process_subscribe, query).result()
-
-    def unsubscribe(self, indices: Sequence[int], query: Any) -> None:
-        for index in indices:
-            self._pools[index].submit(_process_unsubscribe, query.qid).result()
-
-    def apply_shard_batches(
-        self,
-        shard_entries: Dict[int, List[ShardEntry]],
-        ingest_ns: Optional[Dict[int, List[int]]] = None,
-    ) -> ShardBatchResults:
-        futures = {
-            index: self._pools[index].submit(_process_apply, entries)
-            for index, entries in shard_entries.items()
-        }
-        out: ShardBatchResults = {}
-        for index, future in futures.items():
-            elapsed, results = future.result()
-            out[index] = (
-                elapsed,
-                [
-                    (seq, {self._resolve(qid): rows for qid, rows in deltas.items()})
-                    for seq, deltas in results
-                ],
-            )
-        return out
-
-    def close(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=True)
 
 
 class _ProcessShmBackend:
     """Shard state pinned to worker processes behind shared-memory rings.
 
-    The pickle-free process data plane (``docs/RUNTIME.md``): one
-    persistent worker per shard, each owning a request ring and a response
-    ring (:mod:`repro.runtime.transport`).  Batches cross the boundary as
+    The process data plane (``docs/RUNTIME.md``): one persistent worker
+    per shard, each owning a request ring and a response ring
+    (:mod:`repro.runtime.transport`).  Batches cross the boundary as
     columnar frames, results come back as row tables plus
     (seq, qid, sign, row-ref) tuples resolved to the caller's query
     objects; subscribe/unsubscribe travel as control frames with ACKs.
@@ -273,10 +156,10 @@ class _ProcessShmBackend:
     after a worker crash (shutdown frame → join with timeout → kill →
     unlink).
 
-    Telemetry (PR 10): every ``telemetry_every``-th batch roundtrip sets
-    the BATCH telemetry flag, so each worker follows its RESULT with one
+    Telemetry: every ``telemetry_every``-th batch roundtrip sets the
+    BATCH telemetry flag, so each worker follows its RESULT with one
     TELEMETRY frame — spans since the last ship plus metric deltas —
-    which merges into the parent registry (``shard<N>/`` prefixes for
+    which merges into the parent registry (``shard/<N>/`` prefixes for
     unscoped names) and, when the parent tracer records, into one unified
     trace with per-process lanes.  ``drain_telemetry()`` forces a ship
     via empty flagged batches (used by the reporting interval and on
@@ -501,6 +384,13 @@ class _ProcessShmBackend:
                 )
             self._merge_telemetry_frame(index)
 
+    def sample_hotspots(self) -> List[HeadroomSample]:
+        """Shard state lives in the workers, so there are no samples to
+        return — but each worker samples its own headroom before shipping,
+        so draining leaves the merged ``obs/shard/...`` gauges fresh."""
+        self.drain_telemetry()
+        return []
+
     def close(self) -> None:
         """Stop workers and unlink every segment.  Idempotent; tolerates
         workers that already crashed or never started."""
@@ -556,7 +446,7 @@ class EventPipeline:
         max_delay: Optional[float] = None,
         queue_capacity: int = 1024,
         backpressure: BackpressurePolicy | str = BackpressurePolicy.BLOCK,
-        mode: str = "thread",
+        mode: str = "inline",
         coalesce: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         durability: Optional["DurabilityManager"] = None,
@@ -567,12 +457,12 @@ class EventPipeline:
         if durability is not None:
             # Log-before-apply assumes every logged event is eventually
             # applied; drop-oldest/reject would let the WAL diverge from
-            # shard state.  Process mode keeps shard state out of reach of
-            # the checkpointer.
+            # shard state.  Worker processes keep shard state out of reach
+            # of the checkpointer.
             if BackpressurePolicy(backpressure) is not BackpressurePolicy.BLOCK:
                 raise ValueError("durability requires the 'block' backpressure policy")
-            if mode in ("process", "process-shm"):
-                raise ValueError("durability is not supported in process mode")
+            if mode != "inline":
+                raise ValueError("durability is not supported in process-shm mode")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.router = ShardRouter(num_shards, domain_lo=domain_lo, domain_hi=domain_hi)
@@ -609,26 +499,10 @@ class EventPipeline:
                  for i in range(num_shards)],
                 tracer,
             )
-        elif mode == "thread":
-            self._backend = _ThreadBackend(
-                [Shard(i, alpha=per_shard_alpha, epsilon=epsilon, metrics=self.metrics,
-                       tracer=tracer)
-                 for i in range(num_shards)],
-                tracer,
-            )
-        elif mode == "process":
-            # Worker shards live in other processes, so per-shard spans and
-            # hotspot telemetry stay off in process mode; only the caller-side
-            # "batch" span and pipeline counters are recorded.
-            self._backend = _ProcessBackend(
-                num_shards, per_shard_alpha, epsilon, self._queries.__getitem__
-            )
         elif mode == "process-shm":
-            # Same process-isolation model, pickle-free data plane: batches
-            # and deltas cross worker boundaries as columnar shared-memory
-            # frames (repro.runtime.transport).  Caller-side transport
-            # metrics and the transport.roundtrip span are recorded here;
-            # per-shard spans/telemetry stay off as in process mode.
+            # Shard spans and hotspot telemetry are recorded in the workers
+            # and merged back over TELEMETRY frames; caller-side transport
+            # metrics and the transport.roundtrip span are recorded here.
             self._backend = _ProcessShmBackend(
                 num_shards,
                 per_shard_alpha,
@@ -638,9 +512,7 @@ class EventPipeline:
                 tracer,
             )
         else:
-            raise ValueError(
-                f"unknown mode {mode!r} (inline|thread|process|process-shm)"
-            )
+            raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
 
     # -- subscriptions (barrier semantics) -----------------------------------
 
@@ -863,10 +735,10 @@ class EventPipeline:
 
     @property
     def shards(self) -> List[Shard]:
-        """The in-process shard list (inline/thread backends; the durable
+        """The in-process shard list (inline backend; the durable
         checkpointer snapshots these directly)."""
         if not isinstance(self._backend, _InlineBackend):
-            raise RuntimeError("shard state is not in-process in process mode")
+            raise RuntimeError("shard state is not in-process in process-shm mode")
         return self._backend.shards
 
     def sample_hotspots(self) -> List[HeadroomSample]:
@@ -874,31 +746,26 @@ class EventPipeline:
 
         Each sample recomputes that plane's tau by a full sweep, so this
         belongs on the reporting interval, not the event path.  Returns
-        ``[]`` in process mode — shard state lives elsewhere — but in
-        ``process-shm`` mode it still drains worker telemetry first, so
-        the registry's merged ``obs/shard/...`` gauges (each worker
-        samples its own headroom before shipping) are fresh when the
-        caller snapshots.  Also ``[]`` when the hotspot tracker is
-        disabled (``alpha=None``).
+        ``[]`` in ``process-shm`` mode (the workers' samples arrive as
+        merged ``obs/shard/...`` gauges instead) and when the hotspot
+        tracker is disabled (``alpha=None``).
         """
-        if isinstance(self._backend, _ProcessShmBackend):
-            self._backend.drain_telemetry()
-            return []
-        if not isinstance(self._backend, _InlineBackend):
-            return []
-        samples: List[HeadroomSample] = []
-        for shard in self._backend.shards:
-            samples.extend(shard.sample_telemetry())
-        return samples
+        return self._backend.sample_hotspots()
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self.drain()
-        if self.durability is not None:
-            self.durability.sync()
-            self.durability.close()
-        self._backend.close()
+        """Drain, then release durability and the backend — also when the
+        drain raises (a dead worker), so no segment or process leaks."""
+        try:
+            self.drain()
+        finally:
+            try:
+                if self.durability is not None:
+                    self.durability.sync()
+                    self.durability.close()
+            finally:
+                self._backend.close()
 
     def __enter__(self) -> "EventPipeline":
         return self

@@ -1,9 +1,10 @@
 """Zero-copy shared-memory transport for the process data plane.
 
-``mode="process"`` pays pickle both ways on every batch: each
-:class:`~repro.engine.events.DataEvent` and every qid-keyed delta dict is
-serialized through the ``ProcessPoolExecutor`` pipe.  This package replaces
-that boundary with a pickle-free data plane:
+Shard workers are separate processes, so every batch and every delta
+crosses a process boundary.  Pickling them would serialize one object per
+:class:`~repro.engine.events.DataEvent` and per qid-keyed delta dict, and
+execute code on load; this package moves them as flat columnar frames over
+shared memory instead:
 
 * :mod:`repro.runtime.transport.shm` — a fixed-capacity SPSC ring buffer
   over :mod:`multiprocessing.shared_memory` with CRC32-framed records,
@@ -18,11 +19,11 @@ that boundary with a pickle-free data plane:
   loop: drain the request ring, apply, answer on the response ring, exit
   on a shutdown frame.
 
-Since frame version 2 the BATCH frame also carries per-entry monotonic
-ingest timestamps plus the parent's trace context, and a telemetry-flagged
-batch is answered with RESULT **then** one TELEMETRY frame — worker span
-batches and metric deltas the pipeline merges back into the parent
-registry and trace (see :mod:`repro.obs.remote`).
+The BATCH frame also carries per-entry monotonic ingest timestamps plus
+the parent's trace context, and a telemetry-flagged batch is answered
+with RESULT **then** one TELEMETRY frame — worker span batches and metric
+deltas the pipeline merges back into the parent registry and trace (see
+:mod:`repro.obs.remote`).
 
 The pipeline side lives in :class:`repro.runtime.pipeline.EventPipeline`
 (``mode="process-shm"``).

@@ -8,11 +8,11 @@ per shard — so worker-side ring sends can use a short deadline: a full
 response ring means the pipeline stopped consuming, and dying loudly beats
 blocking forever.
 
-Queries unpickle— *decode* — to fresh objects on every control frame and
-the engine tracks subscriptions by identity, so the worker keeps its own
-qid → object registry, exactly like the pickle-based process backend.
+Queries decode to fresh objects on every control frame and the engine
+tracks subscriptions by identity, so the worker keeps its own qid → object
+registry and unsubscribes by qid.
 
-Observability (PR 10): the worker runs its *own*
+Observability: the worker runs its *own*
 :class:`~repro.obs.tracing.RingTracer` and
 :class:`~repro.runtime.metrics.MetricsRegistry` — the shard wires its
 hotspot telemetry and fastpath spans into them exactly as the inline

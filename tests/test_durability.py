@@ -531,8 +531,8 @@ class TestPipelineDurability:
 
     def test_rejects_process_mode(self, tmp_path):
         manager = DurabilityManager(tmp_path, fsync="never")
-        with pytest.raises(ValueError, match="process"):
-            EventPipeline(mode="process", durability=manager)
+        with pytest.raises(ValueError, match="process-shm"):
+            EventPipeline(mode="process-shm", durability=manager)
 
     def test_metrics_are_registered(self, tmp_path):
         metrics = MetricsRegistry()

@@ -12,10 +12,10 @@ from repro.runtime.transport.frames import HistogramDelta, TelemetryPayload
 class TestMergedMetricName:
     def test_unscoped_names_gain_shard_prefix(self):
         assert merged_metric_name("runtime/hotspot_promotions", 3) == (
-            "shard3/runtime/hotspot_promotions"
+            "shard/3/runtime/hotspot_promotions"
         )
         assert merged_metric_name("worker/e2e/ingest_to_apply_us", 0) == (
-            "shard0/worker/e2e/ingest_to_apply_us"
+            "shard/0/worker/e2e/ingest_to_apply_us"
         )
 
     def test_shard_scoped_names_pass_through(self):
@@ -27,7 +27,7 @@ class TestMergedMetricName:
     def test_other_shards_number_still_prefixes(self):
         # A name scoped to a DIFFERENT shard is not this worker's scope.
         assert merged_metric_name("obs/shard/1/band/headroom", 2) == (
-            "shard2/obs/shard/1/band/headroom"
+            "shard/2/obs/shard/1/band/headroom"
         )
 
 
@@ -106,10 +106,10 @@ class TestMergeTelemetry:
         )
         merge_telemetry(parent_registry, parent_tracer, payload)
         snap = parent_registry.snapshot()
-        assert snap["counters"]["shard1/runtime/hotspot_promotions"] == 4
+        assert snap["counters"]["shard/1/runtime/hotspot_promotions"] == 4
         assert snap["gauges"]["obs/shard/1/band/headroom"] == 55.0
-        assert snap["gauges"]["shard1/obs/spans_dropped"] == 3
-        merged = snap["histograms"]["shard1/worker/e2e/ingest_to_apply_us"]
+        assert snap["gauges"]["shard/1/obs/spans_dropped"] == 3
+        merged = snap["histograms"]["shard/1/worker/e2e/ingest_to_apply_us"]
         assert merged["count"] == 2
         assert merged["sum"] == 12.0
         assert merged["min"] == 4.0 and merged["max"] == 8.0
@@ -131,9 +131,9 @@ class TestMergeTelemetry:
         merge_telemetry(registry, None, delta)
         merge_telemetry(registry, None, delta)
         snap = registry.snapshot()
-        assert snap["counters"]["shard0/runtime/x"] == 2
-        assert snap["histograms"]["shard0/h"]["count"] == 2
-        assert snap["histograms"]["shard0/h"]["sum"] == 6.0
+        assert snap["counters"]["shard/0/runtime/x"] == 2
+        assert snap["histograms"]["shard/0/h"]["count"] == 2
+        assert snap["histograms"]["shard/0/h"]["sum"] == 6.0
 
     def test_none_tracer_drops_spans_but_merges_metrics(self):
         registry = MetricsRegistry()
@@ -143,7 +143,7 @@ class TestMergeTelemetry:
             counters={"c": 1},
         )
         merge_telemetry(registry, None, payload)
-        assert registry.snapshot()["counters"]["shard0/c"] == 1
+        assert registry.snapshot()["counters"]["shard/0/c"] == 1
 
     def test_collect_then_merge_roundtrip_preserves_quantile_shape(self):
         worker_registry = MetricsRegistry()
@@ -154,7 +154,7 @@ class TestMergeTelemetry:
         parent = MetricsRegistry()
         merge_telemetry(parent, None, collector.collect())
         merged = parent.snapshot()["histograms"][
-            "shard2/worker/e2e/ingest_to_apply_us"
+            "shard/2/worker/e2e/ingest_to_apply_us"
         ]
         original = worker_registry.snapshot()["histograms"][
             "worker/e2e/ingest_to_apply_us"

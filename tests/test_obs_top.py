@@ -28,7 +28,7 @@ def make_registry():
     for value in (50, 120, 300, 900, 2_500):
         m.histogram("pipeline/e2e_us").observe(float(value))
     m.histogram("shard/0/e2e_us").observe(100.0)
-    m.histogram("shard1/worker/e2e/ingest_to_apply_us").observe(80.0)
+    m.histogram("shard/1/worker/e2e/ingest_to_apply_us").observe(80.0)
     m.counter("shard/0/events").inc(600)
     m.gauge("transport/ring/0/request_bytes").set(0.0)
     m.gauge("transport/ring/0/response_bytes").set(12.0)
@@ -39,8 +39,8 @@ def make_registry():
 class TestShardDiscovery:
     def test_finds_every_prefix_style(self):
         metrics = make_registry().snapshot()
-        # shard/0/... (parent), shard1/... (merged worker), obs/shard/0/...
-        # and transport/ring/0/... all count.
+        # shard/<N>/... (parent or merged worker), obs/shard/0/... and
+        # transport/ring/0/... all count.
         assert shard_indices(metrics) == [0, 1]
 
     def test_empty_metrics(self):

@@ -15,6 +15,8 @@ The transport's contract (``docs/RUNTIME.md``) in test form:
   backend on a mixed insert/delete/subscribe stream.
 """
 
+import contextlib
+import re
 import struct
 import threading
 import time
@@ -214,9 +216,17 @@ class TestPipelineLifecycle:
             with pytest.raises(FileNotFoundError):
                 ShmRing.attach(name)
 
-    def test_worker_killed_mid_run_fails_fast_and_closes_clean(self):
+    @pytest.mark.parametrize("pending", [0, 3])
+    def test_worker_killed_mid_run_fails_fast_and_closes_clean(self, pending):
+        # With events still pending, close() has a drain to fail: it must
+        # re-raise and still release every worker and segment.
         pipe = EventPipeline(num_shards=2, batch_size=8, mode="process-shm")
         names = _segment_names(pipe)
+        close_outcome = (
+            pytest.raises(TransportError, match="worker exited")
+            if pending
+            else contextlib.nullcontext()
+        )
         try:
             pipe.subscribe(BandJoinQuery(Interval(0.0, 100.0), qid=1))
             pipe.run([_r_insert(i, float(i), float(i) + 5.0) for i in range(16)])
@@ -225,8 +235,12 @@ class TestPipelineLifecycle:
             victim.join(timeout=5.0)
             with pytest.raises(TransportError, match="worker exited"):
                 pipe.run([_r_insert(100 + i, 1.0, 2.0) for i in range(16)])
+            for i in range(pending):
+                pipe.submit(_r_insert(200 + i, 1.0, 2.0))
+            assert pipe.pending == pending
         finally:
-            pipe.close()
+            with close_outcome:
+                pipe.close()
         for worker in _workers(pipe):
             assert not worker.is_alive()
         for name in names:
@@ -310,10 +324,16 @@ class TestCrossProcessTelemetry:
         assert snapshot["histograms"]["pipeline/e2e_us"]["count"] == 200
         for shard in (0, 1):
             merged = snapshot["histograms"].get(
-                f"shard{shard}/worker/e2e/ingest_to_apply_us"
+                f"shard/{shard}/worker/e2e/ingest_to_apply_us"
             )
             assert merged is not None and merged["count"] > 0
             assert snapshot["histograms"][f"shard/{shard}/e2e_us"]["count"] > 0
+        # One shard namespace: nothing merges under the prefix-less form.
+        assert not any(
+            re.match(r"shard\d+/", name)
+            for section in snapshot.values()
+            for name in section
+        )
 
     def test_inline_mode_unchanged_by_telemetry_wiring(self):
         from repro.runtime.metrics import MetricsRegistry
@@ -329,9 +349,9 @@ class TestCrossProcessTelemetry:
             pipe.close()
         snapshot = registry.snapshot()
         assert snapshot["histograms"]["pipeline/e2e_us"]["count"] == 50
-        # No worker registries inline — nothing merged under shardN/.
+        # No worker registries inline — nothing merged under shard/<N>/worker/.
         assert not any(
-            name.startswith("shard0/worker/") for name in snapshot["histograms"]
+            name.startswith("shard/0/worker/") for name in snapshot["histograms"]
         )
 
 
