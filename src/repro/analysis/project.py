@@ -144,10 +144,11 @@ LOCK_FACTORY_NAMES: FrozenSet[str] = frozenset(
 #: another thread of control (RA202 escape analysis).
 THREAD_SPAWN_CALLEES: FrozenSet[str] = frozenset({"Thread", "Process", "Timer"})
 
-#: RA004 — methods returning cached, shared snapshots.  Their return values
-#: are reused across calls (``StabbingSetIndex.group_table`` until a
-#: partition callback invalidates it, ``BPlusTree.flat_snapshot`` until the
-#: tree mutates), so callers mutating them corrupt every later reader.
+#: RA004 — methods whose return values are shared across calls:
+#: ``StabbingSetIndex.group_table`` hands out a cache (until a partition
+#: callback invalidates it) and ``BPlusTree.flat_snapshot`` the tree's live
+#: key/value mirror, which the tree itself keeps patching in place.  A
+#: caller mutating either corrupts every later reader.
 SNAPSHOT_METHODS: FrozenSet[str] = frozenset({"group_table", "flat_snapshot"})
 
 #: RA005 — modules allowed to compare ``.lo``/``.hi`` with ``==``/``!=``,

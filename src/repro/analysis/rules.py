@@ -438,8 +438,9 @@ class SnapshotImmutabilityRule(Rule):
     name = "snapshot-immutability"
     severity = Severity.ERROR
     description = (
-        "values returned by group_table()/flat_snapshot() are shared caches; "
-        "mutating them (append/sort/item assignment/...) corrupts later readers"
+        "group_table() returns a shared cache and flat_snapshot() the tree's "
+        "live key/value index; mutating either (append/sort/item assignment/"
+        "...) corrupts every later reader"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -486,7 +487,8 @@ class SnapshotImmutabilityRule(Rule):
                         self,
                         node,
                         f".{node.func.attr}() mutates a shared snapshot returned by "
-                        "group_table()/flat_snapshot(); copy it first",
+                        "group_table()/flat_snapshot() (a cache, resp. the tree's "
+                        "live index); copy it first",
                     )
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.ctx, (ast.Store, ast.Del)
@@ -496,7 +498,8 @@ class SnapshotImmutabilityRule(Rule):
                         self,
                         node,
                         "item assignment into a shared snapshot returned by "
-                        "group_table()/flat_snapshot(); copy it first",
+                        "group_table()/flat_snapshot() (a cache, resp. the tree's "
+                        "live index); copy it first",
                     )
 
     @staticmethod

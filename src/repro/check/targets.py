@@ -495,6 +495,11 @@ class FastpathTarget(FuzzTarget):
         pending, self._pending = self._pending, []
         self.flushes += 1
         deltas = self.batched.apply_batch([entry[0] for entry in pending])
+        # The batch probe reads each join-key tree's flat mirror; holding it
+        # to the leaf chain here fuzzes its in-place insert/remove upkeep.
+        for shard in self.batched.shards:
+            shard.table_r.by_b.check_invariants()
+            shard.table_s_band.by_b.check_invariants()
         for (event, label, got_reference, want), delta in zip(pending, deltas):
             got_batched = normalize_deltas(delta)
             if want is None:

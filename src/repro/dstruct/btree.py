@@ -25,6 +25,7 @@ Design notes
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Any, Generic, Iterator, List, Optional, Set, Tuple, TypeVar
 
 V = TypeVar("V")
@@ -206,8 +207,7 @@ class BPlusTree(Generic[V]):
         "_size",
         "probe_count",
         "scan_steps",
-        "mutation_count",
-        "_flat_cache",
+        "_mirror",
     )
 
     def __init__(self, order: int = DEFAULT_ORDER):
@@ -219,8 +219,9 @@ class BPlusTree(Generic[V]):
         self._size = 0
         self.probe_count = 0
         self.scan_steps = 0
-        self.mutation_count = 0
-        self._flat_cache: Optional[Tuple[int, List[Any], List[V]]] = None
+        # The flat (key column, value list) mirror of the leaf chain; None
+        # until flat_snapshot() first asks for it.
+        self._mirror: Optional[Tuple[array[float], List[V]]] = None
 
     # -- lookup ------------------------------------------------------------
 
@@ -315,30 +316,37 @@ class BPlusTree(Generic[V]):
     def items(self) -> Iterator[Tuple[Any, V]]:
         return self.irange()
 
-    def flat_snapshot(self) -> Tuple[List[Any], List[V]]:
-        """Parallel (keys, values) lists of every entry in key order.
+    def flat_snapshot(self) -> Tuple[array[float], List[V]]:
+        """The tree's flat mirror: a sorted ``array('d')`` key column and the
+        parallel value list, every entry in leaf-chain order.
 
-        Built by one walk of the leaf chain and cached until the next
-        structural update (``mutation_count`` tags the version), so a batch
-        of probes pays the O(n) flattening once.  The batch fast path runs
-        ``searchsorted``/``bisect`` directly on the flat key column instead
-        of descending the tree per probe.  Callers must not mutate the
-        returned lists.
+        Materialised by one walk of the leaf chain on the first call; from
+        then on :meth:`insert` and :meth:`remove` patch it in place, so
+        every later call returns the *same two objects*, always current, in
+        O(1).  A tree that is never asked holds no mirror and pays one
+        ``is None`` test per write.  The batch fast path runs
+        ``searchsorted``/``bisect`` directly on the key column instead of
+        descending the tree per probe.
+
+        Float keys only (composite-key trees cannot be mirrored).  This is
+        the live index, not a copy: callers must not mutate either object,
+        and must drop any buffer view of the key column (``np.frombuffer``,
+        ``memoryview``) before the next write --- an ``array`` cannot resize
+        while its buffer is exported.
         """
-        cache = self._flat_cache
-        if cache is not None and cache[0] == self.mutation_count:
-            return cache[1], cache[2]
-        keys: List[Any] = []
-        values: List[V] = []
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[0]
-        while node is not None:
-            keys.extend(node.keys)
-            values.extend(node.values)
-            node = node.next
-        self._flat_cache = (self.mutation_count, keys, values)
-        return keys, values
+        mirror = self._mirror
+        if mirror is None:
+            keys: array[float] = array("d")
+            values: List[V] = []
+            node = self._root
+            while isinstance(node, _Internal):
+                node = node.children[0]
+            while node is not None:
+                keys.extend(node.keys)
+                values.extend(node.values)
+                node = node.next
+            mirror = self._mirror = (keys, values)
+        return mirror
 
     # -- insertion -----------------------------------------------------------
 
@@ -351,7 +359,19 @@ class BPlusTree(Generic[V]):
             new_root.children = [self._root, right]
             self._root = new_root
         self._size += 1
-        self.mutation_count += 1
+        mirror = self._mirror
+        if mirror is not None:
+            # bisect_right: after every equal key, where the tree put it.
+            keys, values = mirror
+            try:
+                slot = bisect.bisect_right(keys, key)
+                keys.insert(slot, key)
+            except BaseException:
+                # Non-float key or a still-exported buffer: the tree holds
+                # the entry, so drop the mirror rather than leave it stale.
+                self._mirror = None
+                raise
+            values.insert(slot, value)
 
     def _insert(self, node: Any, key: Any, value: V) -> Optional[Tuple[Any, Any]]:
         if isinstance(node, _Leaf):
@@ -410,7 +430,20 @@ class BPlusTree(Generic[V]):
         if isinstance(self._root, _Internal) and len(self._root.children) == 1:
             self._root = self._root.children[0]
         self._size -= 1
-        self.mutation_count += 1
+        mirror = self._mirror
+        if mirror is not None:
+            # The tree chose the entry (``is`` before ``==``, leaf by leaf);
+            # the mirror drops that same object from the run of equal keys.
+            keys, values = mirror
+            try:
+                slot = bisect.bisect_left(keys, key)
+                while values[slot] is not removed:
+                    slot += 1
+                del keys[slot]
+            except BaseException:
+                self._mirror = None  # as in insert: never leave it stale
+                raise
+            del values[slot]
         return removed  # type: ignore[return-value]
 
     def _remove(self, node: Any, key: Any, value: Optional[V]) -> Any:
@@ -555,6 +588,13 @@ class BPlusTree(Generic[V]):
         assert chain == leaves, "leaf chain disagrees with tree order"
         total = sum(len(leaf.keys) for leaf in leaves)
         assert total == self._size, f"size mismatch: {total} != {self._size}"
+        if self._mirror is not None:
+            keys, values = self._mirror
+            assert list(keys) == [k for leaf in leaves for k in leaf.keys], "mirror key column is stale"
+            # Same objects in the same order, not merely equal ones.
+            assert [id(v) for v in values] == [id(v) for leaf in leaves for v in leaf.values], (
+                "mirror value column is stale"
+            )
 
 
 class _Missing:

@@ -401,16 +401,8 @@ class Shard:
         self, entries: Sequence[ShardEntry]
     ) -> List[Tuple[int, Delta]]:
         rows = [entry[1].row for entry in entries]
-        band_batch = getattr(self.band, "process_r_batch", None)
-        if band_batch is not None:
-            band_parts = band_batch(rows)
-        else:
-            band_parts = [self.band.process_r(row) for row in rows]
-        select_batch = getattr(self.select, "process_r_batch", None)
-        if select_batch is not None:
-            select_parts = select_batch(rows)
-        else:
-            select_parts = [self.select.process_r(row) for row in rows]
+        band_parts = self.band.process_r_batch(rows)
+        select_parts = self.select.process_r_batch(rows)
         out: List[Tuple[int, Delta]] = []
         for entry, band_d, select_d in zip(entries, band_parts, select_parts):
             deltas: Delta = dict(band_d)
@@ -434,20 +426,11 @@ class Shard:
         self, entries: Sequence[ShardEntry]
     ) -> List[Tuple[int, Delta]]:
         rows = [entry[1].row for entry in entries]
-        band_batch = getattr(self.band, "process_s_batch", None)
-        if band_batch is not None:
-            band_parts = band_batch(rows)
-        else:
-            band_parts = [self.band.process_s(row) for row in rows]
+        band_parts = self.band.process_s_batch(rows)
         select_parts: List[Delta] = [{} for _ in rows]
         probe_idx = [k for k, entry in enumerate(entries) if entry[2]]
         if probe_idx:
-            probe_rows = [rows[k] for k in probe_idx]
-            select_batch = getattr(self.select, "process_s_batch", None)
-            if select_batch is not None:
-                probed = select_batch(probe_rows)
-            else:
-                probed = [self.select.process_s(row) for row in probe_rows]
+            probed = self.select.process_s_batch([rows[k] for k in probe_idx])
             for k, part in zip(probe_idx, probed):
                 select_parts[k] = part
         out: List[Tuple[int, Delta]] = []

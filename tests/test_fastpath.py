@@ -137,6 +137,44 @@ class TestBandBatch:
         ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(60)]
         assert_batches_match(strategy.process_s_batch, strategy.process_s, ss)
 
+    @pytest.mark.skipif(KERNEL != "numpy", reason="only numpy exports array buffers")
+    def test_probe_leaves_no_exported_buffer_behind(self):
+        """The numpy kernel reads a tree's key column through a zero-copy
+        ``frombuffer`` view, and an ``array`` with a live export refuses to
+        resize (``BufferError``).  Interleave probes with every kind of
+        write to the key columns and to the groups' endpoint columns."""
+        rng = random.Random(5)
+        table_s, table_r = make_tables(rng, n_s=200, n_r=200)
+        strategy = BJSSI(table_s, table_r)
+        queries = band_queries(rng, 200)
+        for query in queries:
+            strategy.add_query(query)
+
+        def probe():
+            rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(23)]
+            ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(23)]
+            assert strategy.process_r_batch(rs) == [strategy.process_r(r) for r in rs]
+            assert strategy.process_s_batch(ss) == [strategy.process_s(s) for s in ss]
+            return rs, ss
+
+        rs, ss = probe()
+        for r, s in zip(rs, ss):  # insert into both probed key columns
+            table_r.insert(r)
+            table_s.insert(s)
+        probe()
+        for r, s in zip(rs[::2], ss[::2]):  # ... and delete from them
+            table_r.delete(r)
+            table_s.delete(s)
+        probe()
+        for query in queries[::2]:  # shrink, then grow, the endpoint columns
+            strategy.remove_query(query)
+        probe()
+        for query in band_queries(rng, 50):
+            strategy.add_query(query)
+        probe()
+        table_r.by_b.check_invariants()
+        table_s.by_b.check_invariants()
+
     def test_result_order_is_preserved(self, kernel):
         """Batched result lists must keep the per-event enumeration order
         (ascending join key), not just the same set of rows."""
