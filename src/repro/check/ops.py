@@ -7,7 +7,7 @@ of two domains:
   drives the stabbing-partition maintainers and the hotspot tracker;
 * the **engine domain** — insert/delete R and S rows, subscribe/unsubscribe
   band and select-join queries — drives the micro-batcher, the sharded
-  system and the unsharded reference.
+  pipeline and the unsharded reference.
 
 :func:`generate_ops` produces a deterministic sequence per seed, reusing
 the :mod:`repro.workload` generators (Table 1 distributions, anchored

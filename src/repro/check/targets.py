@@ -18,7 +18,7 @@ import random
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.check import ops as op_mod
 from repro.check.ops import ENGINE_KINDS, INTERVAL_KINDS, Op
@@ -35,13 +35,14 @@ from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.multidim import Box, DynamicBoxPartition
 from repro.core.refined_partition import RefinedStabbingPartition
-from repro.engine.events import DataEvent, EventKind
+from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_events
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
 from repro.runtime.batching import BatchEntry, MicroBatcher
+from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import normalize_deltas
-from repro.runtime.sharding import ShardedContinuousQuerySystem
+from repro.runtime.sharding import Shard
 
 
 class FuzzTarget:
@@ -204,6 +205,103 @@ class TrackerTarget(FuzzTarget):
 
 # -- engine-domain targets ---------------------------------------------------
 
+EngineEvent = Union[DataEvent, QueryEvent]
+Deltas = Dict[int, Tuple[int, ...]]  # normalized: qid -> sorted row ids
+
+_ROW_OPS = {
+    op_mod.INSERT_R: (EventKind.INSERT, "R"),
+    op_mod.DELETE_R: (EventKind.DELETE, "R"),
+    op_mod.INSERT_S: (EventKind.INSERT, "S"),
+    op_mod.DELETE_S: (EventKind.DELETE, "S"),
+}
+
+
+class _EngineOps:
+    """The one engine-op → event translation every engine-domain target
+    shares.  It owns the objects an op ``key`` stands for: a delete or an
+    unsubscribe hands back the row or query its insert created."""
+
+    def __init__(self) -> None:
+        self._rows: Dict[Tuple[str, int], Any] = {}
+        self._queries: Dict[int, Any] = {}
+
+    def event(self, op: Op) -> EngineEvent:
+        key, values = op.key, op.values
+        if op.kind in _ROW_OPS:
+            kind, relation = _ROW_OPS[op.kind]
+            if kind is EventKind.DELETE:
+                return DataEvent(kind, relation, self._rows.pop((relation, key)))
+            row: Any = (
+                RTuple(key, values[0], values[1])
+                if relation == "R"
+                else STuple(key, values[0], values[1])
+            )
+            self._rows[relation, key] = row
+            return DataEvent(kind, relation, row)
+        if op.kind == op_mod.UNSUB:
+            return QueryEvent(EventKind.DELETE, self._queries.pop(key))
+        query: Any
+        if op.kind == op_mod.SUB_BAND:
+            query = BandJoinQuery(Interval(values[0], values[1]), qid=key)
+        elif op.kind == op_mod.SUB_SELECT:
+            query = SelectJoinQuery(
+                Interval(values[0], values[1]),
+                Interval(values[2], values[3]),
+                qid=key,
+            )
+        else:
+            raise ValueError(f"not an engine op: {op.kind}")
+        self._queries[key] = query
+        return QueryEvent(EventKind.INSERT, query)
+
+
+def _label(op: Op) -> str:
+    return f"{op.kind} #{op.key}"
+
+
+def _oracle_deltas(model: ModelState, event: DataEvent) -> Deltas:
+    """What the nested-loop oracle expects ``event`` to produce (the runner
+    has already applied the op to the model; deletes produce nothing)."""
+    if event.kind is EventKind.DELETE:
+        return {}
+    row = event.row
+    if event.relation == "R":
+        return model.oracle_r_insert_deltas(row.a, row.b)
+    return model.oracle_s_insert_deltas(row.b, row.c)
+
+
+def _apply_reference(
+    reference: ContinuousQuerySystem, event: EngineEvent
+) -> Deltas:
+    """Apply one event to the unsharded reference; its normalized deltas."""
+    if isinstance(event, QueryEvent):
+        if event.kind is EventKind.INSERT:
+            reference.subscribe(event.query)
+        else:
+            reference.unsubscribe(event.query)
+        return {}
+    got: Deltas = {}
+    replay_data_events(
+        [event], reference, on_result=lambda _, d: got.update(normalize_deltas(d))
+    )
+    return got
+
+
+def _run_one(
+    name: str, pipeline: EventPipeline, event: EngineEvent, label: str
+) -> Deltas:
+    """Push one event through ``pipeline`` and drain it; the normalized
+    deltas of that event (a query event is a barrier and produces none)."""
+    results = pipeline.run([event])
+    expected = 1 if isinstance(event, DataEvent) else 0
+    expect(
+        len(results) == expected,
+        name,
+        f"{label}: the pipeline reported {len(results)} applied event(s), "
+        f"expected {expected}",
+    )
+    return normalize_deltas(results[0][2]) if results else {}
+
 
 class BatcherTarget(FuzzTarget):
     """Feeds row events through a :class:`MicroBatcher`, draining whenever
@@ -211,39 +309,23 @@ class BatcherTarget(FuzzTarget):
     the naive pair-cancellation model."""
 
     name = "batcher"
-    kinds = frozenset(
-        {op_mod.INSERT_R, op_mod.DELETE_R, op_mod.INSERT_S, op_mod.DELETE_S}
-    )
+    kinds = frozenset(_ROW_OPS)
 
     def __init__(self, max_batch: int = 16) -> None:
         self.batcher = MicroBatcher(max_batch)
+        self._ops = _EngineOps()
         self._seq = 0
         # Shadow of the pending queue: (seq, relation, row_id, kind).
         self._shadow: List[Tuple[Any, ...]] = []
-        self._rows: Dict[Tuple[Any, ...], object] = {}
 
     def apply(self, op: Op, model: ModelState) -> None:
-        if op.kind == op_mod.INSERT_R:
-            row = RTuple(op.key, op.values[0], op.values[1])
-            self._rows[("R", op.key)] = row
-            self._enqueue(DataEvent(EventKind.INSERT, "R", row), op.key)
-        elif op.kind == op_mod.DELETE_R:
-            row = self._rows.pop(("R", op.key))
-            self._enqueue(DataEvent(EventKind.DELETE, "R", row), op.key)
-        elif op.kind == op_mod.INSERT_S:
-            row = STuple(op.key, op.values[0], op.values[1])
-            self._rows[("S", op.key)] = row
-            self._enqueue(DataEvent(EventKind.INSERT, "S", row), op.key)
-        elif op.kind == op_mod.DELETE_S:
-            row = self._rows.pop(("S", op.key))
-            self._enqueue(DataEvent(EventKind.DELETE, "S", row), op.key)
-
-    def _enqueue(self, event: DataEvent, row_id: int) -> None:
+        event = self._ops.event(op)
+        assert isinstance(event, DataEvent)
         seq = self._seq
         self._seq += 1
         self.batcher.add(BatchEntry(seq, event))
         kind = "insert" if event.kind is EventKind.INSERT else "delete"
-        self._shadow.append((seq, event.relation, row_id, kind))
+        self._shadow.append((seq, event.relation, op.key, kind))
         if self.batcher.is_due:
             self._drain_once()
 
@@ -276,9 +358,34 @@ class BatcherTarget(FuzzTarget):
             self._drain_once()
 
 
+def _expect_replicas(name: str, shards: List[Shard], model: ModelState) -> None:
+    """Every shard's band plane holds full replicas of both tables."""
+    n_r, n_s = len(model.r_rows), len(model.s_rows)
+    for shard in shards:
+        expect(
+            len(shard.table_r) == n_r and len(shard.table_s_band) == n_s,
+            name,
+            f"shard {shard.index} replicas hold {len(shard.table_r)}R/"
+            f"{len(shard.table_s_band)}S, model {n_r}R/{n_s}S",
+        )
+
+
+def _expect_reference_tables(
+    name: str, reference: ContinuousQuerySystem, model: ModelState
+) -> None:
+    n_r, n_s = len(model.r_rows), len(model.s_rows)
+    expect(
+        len(reference.table_r) == n_r and len(reference.table_s) == n_s,
+        name,
+        f"reference tables hold {len(reference.table_r)}R/"
+        f"{len(reference.table_s)}S, model {n_r}R/{n_s}S",
+    )
+
+
 class EngineTarget(FuzzTarget):
-    """Runs every engine op through the sharded system *and* the unsharded
-    reference, comparing per-insert deltas between the two and against the
+    """Runs every engine op through a per-event sharded pipeline
+    (``batch_size=1``: each event is its own batch) *and* the unsharded
+    reference, comparing per-event deltas between the two and against the
     model's nested-loop oracle."""
 
     name = "sharded"
@@ -290,60 +397,20 @@ class EngineTarget(FuzzTarget):
         alpha: Optional[float] = 0.2,
         epsilon: float = 1.0,
     ) -> None:
-        self.sharded = ShardedContinuousQuerySystem(
-            num_shards=num_shards, alpha=alpha, epsilon=epsilon
+        self.sharded = EventPipeline(
+            num_shards=num_shards, alpha=alpha, epsilon=epsilon, batch_size=1
         )
         self.reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
-        self._r_rows: Dict[int, RTuple] = {}
-        self._s_rows: Dict[int, STuple] = {}
-        self._queries: Dict[int, object] = {}
+        self._ops = _EngineOps()
 
     def apply(self, op: Op, model: ModelState) -> None:
-        kind, key = op.kind, op.key
-        if kind == op_mod.INSERT_R:
-            row = RTuple(key, op.values[0], op.values[1])
-            self._r_rows[key] = row
-            got_sharded = normalize_deltas(self.sharded.insert_r_row(row))
-            got_reference = normalize_deltas(self.reference.insert_r_row(row))
-            want = model.oracle_r_insert_deltas(row.a, row.b)
+        event, label = self._ops.event(op), _label(op)
+        got_reference = _apply_reference(self.reference, event)
+        got_sharded = _run_one(self.name, self.sharded, event, label)
+        if isinstance(event, DataEvent):
             check_delta_equivalence(
-                self.name, f"insert_r #{key}", got_sharded, got_reference, want
+                self.name, label, got_sharded, got_reference, _oracle_deltas(model, event)
             )
-        elif kind == op_mod.INSERT_S:
-            row = STuple(key, op.values[0], op.values[1])
-            self._s_rows[key] = row
-            got_sharded = normalize_deltas(self.sharded.insert_s_row(row))
-            got_reference = normalize_deltas(self.reference.insert_s_row(row))
-            want = model.oracle_s_insert_deltas(row.b, row.c)
-            check_delta_equivalence(
-                self.name, f"insert_s #{key}", got_sharded, got_reference, want
-            )
-        elif kind == op_mod.DELETE_R:
-            row = self._r_rows.pop(key)
-            self.sharded.delete_r(row)
-            self.reference.delete_r(row)
-        elif kind == op_mod.DELETE_S:
-            row = self._s_rows.pop(key)
-            self.sharded.delete_s(row)
-            self.reference.delete_s(row)
-        elif kind == op_mod.SUB_BAND:
-            query = BandJoinQuery(Interval(op.values[0], op.values[1]), qid=key)
-            self._queries[key] = query
-            self.sharded.subscribe(query)
-            self.reference.subscribe(query)
-        elif kind == op_mod.SUB_SELECT:
-            query = SelectJoinQuery(
-                Interval(op.values[0], op.values[1]),
-                Interval(op.values[2], op.values[3]),
-                qid=key,
-            )
-            self._queries[key] = query
-            self.sharded.subscribe(query)
-            self.reference.subscribe(query)
-        elif kind == op_mod.UNSUB:
-            query = self._queries.pop(key)
-            self.sharded.unsubscribe(query)
-            self.reference.unsubscribe(query)
 
     def check(self, model: ModelState) -> None:
         n_queries = model.subscription_count()
@@ -356,44 +423,26 @@ class EngineTarget(FuzzTarget):
         expect(
             self.sharded.subscription_count == n_queries,
             self.name,
-            f"sharded system holds {self.sharded.subscription_count} "
+            f"sharded pipeline holds {self.sharded.subscription_count} "
             f"subscription(s), model {n_queries}",
         )
-        n_r, n_s = len(model.r_rows), len(model.s_rows)
-        expect(
-            len(self.reference.table_r) == n_r and len(self.reference.table_s) == n_s,
-            self.name,
-            f"reference tables hold {len(self.reference.table_r)}R/"
-            f"{len(self.reference.table_s)}S, model {n_r}R/{n_s}S",
-        )
-        for shard in self.sharded.shards:
-            expect(
-                len(shard.table_r) == n_r,
-                self.name,
-                f"shard {shard.index} R replica holds {len(shard.table_r)} "
-                f"rows, model {n_r}",
-            )
-            expect(
-                len(shard.table_s_band) == n_s,
-                self.name,
-                f"shard {shard.index} S band replica holds "
-                f"{len(shard.table_s_band)} rows, model {n_s}",
-            )
+        _expect_reference_tables(self.name, self.reference, model)
+        _expect_replicas(self.name, self.sharded.shards, model)
         select_total = sum(len(s.table_s_select) for s in self.sharded.shards)
         expect(
-            select_total == n_s,
+            select_total == len(model.s_rows),
             self.name,
             f"S select partition holds {select_total} rows fleet-wide, "
-            f"model {n_s} (slices must be disjoint and exhaustive)",
+            f"model {len(model.s_rows)} (slices must be disjoint and exhaustive)",
         )
 
 
 class FastpathTarget(FuzzTarget):
     """Exercises the columnar batch fast path: data events are deferred into
-    a pending buffer and flushed through
-    :meth:`ShardedContinuousQuerySystem.apply_batch`, whose per-event deltas
-    must match both the per-event reference system and the model's
-    nested-loop oracle.
+    a pending buffer and flushed through a batching pipeline
+    (``batch_size=max_batch``, coalescing off so every event reports a
+    delta), whose per-event deltas must match both the per-event reference
+    system and the model's nested-loop oracle.
 
     Oracle deltas are captured *at op arrival* (the runner applies the op to
     the model first, so the oracle sees exactly the state the batched system
@@ -411,141 +460,73 @@ class FastpathTarget(FuzzTarget):
         epsilon: float = 1.0,
         max_batch: int = 24,
     ) -> None:
-        self.batched = ShardedContinuousQuerySystem(
-            num_shards=num_shards, alpha=alpha, epsilon=epsilon
+        self.batched = EventPipeline(
+            num_shards=num_shards,
+            alpha=alpha,
+            epsilon=epsilon,
+            batch_size=max_batch,
+            coalesce=False,
         )
         self.reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
-        self.max_batch = max_batch
-        self.flushes = 0
-        # Pending (event, label, reference delta, oracle delta); delta
-        # entries are None for deletes, which produce no results.
-        self._pending: List[Tuple[Any, ...]] = []
-        self._r_rows: Dict[int, RTuple] = {}
-        self._s_rows: Dict[int, STuple] = {}
-        self._queries: Dict[int, object] = {}
+        self._ops = _EngineOps()
+        # Pending (event, label, reference deltas, oracle deltas).
+        self._pending: List[Tuple[DataEvent, str, Deltas, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
-        kind, key = op.kind, op.key
-        if kind == op_mod.INSERT_R:
-            row = RTuple(key, op.values[0], op.values[1])
-            self._r_rows[key] = row
-            got_reference = normalize_deltas(self.reference.insert_r_row(row))
-            want = model.oracle_r_insert_deltas(row.a, row.b)
-            self._defer(
-                DataEvent(EventKind.INSERT, "R", row),
-                f"insert_r #{key}",
-                got_reference,
-                want,
-            )
-        elif kind == op_mod.INSERT_S:
-            row = STuple(key, op.values[0], op.values[1])
-            self._s_rows[key] = row
-            got_reference = normalize_deltas(self.reference.insert_s_row(row))
-            want = model.oracle_s_insert_deltas(row.b, row.c)
-            self._defer(
-                DataEvent(EventKind.INSERT, "S", row),
-                f"insert_s #{key}",
-                got_reference,
-                want,
-            )
-        elif kind == op_mod.DELETE_R:
-            row = self._r_rows.pop(key)
-            self.reference.delete_r(row)
-            self._defer(DataEvent(EventKind.DELETE, "R", row), f"delete_r #{key}", None, None)
-        elif kind == op_mod.DELETE_S:
-            row = self._s_rows.pop(key)
-            self.reference.delete_s(row)
-            self._defer(DataEvent(EventKind.DELETE, "S", row), f"delete_s #{key}", None, None)
-        elif kind == op_mod.SUB_BAND:
+        event = self._ops.event(op)
+        got_reference = _apply_reference(self.reference, event)
+        if isinstance(event, QueryEvent):
             self.flush()
-            query = BandJoinQuery(Interval(op.values[0], op.values[1]), qid=key)
-            self._queries[key] = query
-            self.batched.subscribe(query)
-            self.reference.subscribe(query)
-        elif kind == op_mod.SUB_SELECT:
-            self.flush()
-            query = SelectJoinQuery(
-                Interval(op.values[0], op.values[1]),
-                Interval(op.values[2], op.values[3]),
-                qid=key,
-            )
-            self._queries[key] = query
-            self.batched.subscribe(query)
-            self.reference.subscribe(query)
-        elif kind == op_mod.UNSUB:
-            self.flush()
-            query = self._queries.pop(key)
-            self.batched.unsubscribe(query)
-            self.reference.unsubscribe(query)
-
-    def _defer(
-        self,
-        event: DataEvent,
-        label: str,
-        got_reference: Optional[Dict[int, Tuple[int, ...]]],
-        want: Optional[Dict[int, Tuple[int, ...]]],
-    ) -> None:
-        self._pending.append((event, label, got_reference, want))
-        if len(self._pending) >= self.max_batch:
+            self.batched.run([event])
+            return
+        self._pending.append(
+            (event, _label(op), got_reference, _oracle_deltas(model, event))
+        )
+        if len(self._pending) >= self.batched.batch_size:
             self.flush()
 
     def flush(self) -> None:
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        self.flushes += 1
-        deltas = self.batched.apply_batch([entry[0] for entry in pending])
+        results = self.batched.run([entry[0] for entry in pending])
         # The batch probe reads each join-key tree's flat mirror; holding it
         # to the leaf chain here fuzzes its in-place insert/remove upkeep.
         for shard in self.batched.shards:
             shard.table_r.by_b.check_invariants()
             shard.table_s_band.by_b.check_invariants()
-        for (event, label, got_reference, want), delta in zip(pending, deltas):
-            got_batched = normalize_deltas(delta)
-            if want is None:
-                expect(
-                    not got_batched,
-                    self.name,
-                    f"{label}: delete produced results {got_batched}",
-                )
-                continue
+        expect(
+            len(results) == len(pending),
+            self.name,
+            f"the pipeline applied {len(results)} of {len(pending)} event(s)",
+        )
+        for (_, label, got_reference, want), result in zip(pending, results):
             check_delta_equivalence(
-                self.name, label, got_batched, got_reference, want
+                self.name, label, normalize_deltas(result[2]), got_reference, want
             )
 
     def check(self, model: ModelState) -> None:
         self.flush()
-        n_r, n_s = len(model.r_rows), len(model.s_rows)
-        expect(
-            len(self.reference.table_r) == n_r and len(self.reference.table_s) == n_s,
-            self.name,
-            f"reference tables hold {len(self.reference.table_r)}R/"
-            f"{len(self.reference.table_s)}S, model {n_r}R/{n_s}S",
-        )
-        for shard in self.batched.shards:
-            expect(
-                len(shard.table_r) == n_r and len(shard.table_s_band) == n_s,
-                self.name,
-                f"shard {shard.index} replicas hold {len(shard.table_r)}R/"
-                f"{len(shard.table_s_band)}S after flush, model {n_r}R/{n_s}S",
-            )
+        _expect_reference_tables(self.name, self.reference, model)
+        _expect_replicas(self.name, self.batched.shards, model)
 
 
 class DurabilityTarget(FuzzTarget):
     """Crash-injects the durability subsystem and checks exact recovery.
 
-    Engine ops drive a WAL-logged :class:`ShardedContinuousQuerySystem`
-    (``fsync="never"`` — the fuzzer simulates the crash by copying files, so
-    real fsyncs would only slow it down) while a journal records every op
-    with the normalized delta the live system produced.  Because each engine
-    op logs exactly one WAL record, journal index == WAL sequence number.
+    Engine ops drive a WAL-logged per-event pipeline (``batch_size=1``;
+    ``fsync="never"`` — the fuzzer simulates the crash by copying files, so
+    real fsyncs would only slow it down) while a journal records every
+    event with the normalized delta the live pipeline produced.  Because
+    each engine op logs exactly one WAL record, journal index == WAL
+    sequence number.
 
     Every ``check`` round simulates a crash: flush OS buffers, copy the
     durability directory aside, truncate the newest WAL segment at a random
     byte offset (possibly mid-record, possibly mid-header), recover a fresh
-    system from the copy, then re-apply the journal suffix the truncation
+    pipeline from the copy, then re-apply the journal suffix the truncation
     lost.  The recovered run's deltas must be identical to what the
-    uninterrupted system produced, and its final state must match the
+    uninterrupted pipeline produced, and its final state must match the
     model's — any divergence means recovery lost, duplicated, or reordered
     an event.
     """
@@ -568,99 +549,27 @@ class DurabilityTarget(FuzzTarget):
         self.manager = DurabilityManager(
             self._wal_dir, fsync="never", checkpoint_every=checkpoint_every
         )
-        self.system = ShardedContinuousQuerySystem(
+        self.pipeline = EventPipeline(
             num_shards=num_shards,
             alpha=alpha,
             epsilon=epsilon,
+            batch_size=1,
             durability=self.manager,
         )
-        self.manager.attach(self.system)
+        self.manager.attach(self.pipeline)
         self._rng = random.Random(crash_seed)
-        self._num_shards = num_shards
-        self._alpha = alpha
-        self._epsilon = epsilon
-        # One entry per engine op: (kind, payload, normalized live delta).
-        self._journal: List[Tuple[Any, ...]] = []
-        self._r_rows: Dict[int, RTuple] = {}
-        self._s_rows: Dict[int, STuple] = {}
-        self._queries: Dict[int, object] = {}
-        self.crashes_simulated = 0
+        self._ops = _EngineOps()
+        # One entry per engine op: (event, label, normalized live deltas).
+        self._journal: List[Tuple[EngineEvent, str, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
-        kind, key = op.kind, op.key
-        if kind == op_mod.INSERT_R:
-            row = RTuple(key, op.values[0], op.values[1])
-            self._r_rows[key] = row
-            got = normalize_deltas(self.system.insert_r_row(row))
-            want = model.oracle_r_insert_deltas(row.a, row.b)
-            check_delta_equivalence(self.name, f"insert_r #{key}", got, got, want)
-            self._journal.append((kind, row, got))
-        elif kind == op_mod.INSERT_S:
-            row = STuple(key, op.values[0], op.values[1])
-            self._s_rows[key] = row
-            got = normalize_deltas(self.system.insert_s_row(row))
-            want = model.oracle_s_insert_deltas(row.b, row.c)
-            check_delta_equivalence(self.name, f"insert_s #{key}", got, got, want)
-            self._journal.append((kind, row, got))
-        elif kind == op_mod.DELETE_R:
-            row = self._r_rows.pop(key)
-            self.system.delete_r(row)
-            self._journal.append((kind, row, None))
-        elif kind == op_mod.DELETE_S:
-            row = self._s_rows.pop(key)
-            self.system.delete_s(row)
-            self._journal.append((kind, row, None))
-        elif kind == op_mod.SUB_BAND:
-            query = BandJoinQuery(Interval(op.values[0], op.values[1]), qid=key)
-            self._queries[key] = query
-            self.system.subscribe(query)
-            self._journal.append((kind, query, None))
-        elif kind == op_mod.SUB_SELECT:
-            query = SelectJoinQuery(
-                Interval(op.values[0], op.values[1]),
-                Interval(op.values[2], op.values[3]),
-                qid=key,
+        event, label = self._ops.event(op), _label(op)
+        got = _run_one(self.name, self.pipeline, event, label)
+        if isinstance(event, DataEvent):
+            check_delta_equivalence(
+                self.name, label, got, got, _oracle_deltas(model, event)
             )
-            self._queries[key] = query
-            self.system.subscribe(query)
-            self._journal.append((kind, query, None))
-        elif kind == op_mod.UNSUB:
-            query = self._queries.pop(key)
-            self.system.unsubscribe(query)
-            self._journal.append((kind, query, None))
-
-    # -- crash simulation ----------------------------------------------------
-
-    def _replay_entry(
-        self, system: Any, entry: Tuple[Any, ...], index: int
-    ) -> None:
-        kind, payload, recorded = entry
-        if kind == op_mod.INSERT_R:
-            got = normalize_deltas(system.insert_r_row(payload))
-            expect(
-                got == recorded,
-                self.name,
-                f"recovered replay of journal[{index}] (insert_r "
-                f"#{payload.rid}) produced {got}, uninterrupted run "
-                f"produced {recorded}",
-            )
-        elif kind == op_mod.INSERT_S:
-            got = normalize_deltas(system.insert_s_row(payload))
-            expect(
-                got == recorded,
-                self.name,
-                f"recovered replay of journal[{index}] (insert_s "
-                f"#{payload.sid}) produced {got}, uninterrupted run "
-                f"produced {recorded}",
-            )
-        elif kind == op_mod.DELETE_R:
-            system.delete_r(payload)
-        elif kind == op_mod.DELETE_S:
-            system.delete_s(payload)
-        elif kind in (op_mod.SUB_BAND, op_mod.SUB_SELECT):
-            system.subscribe(payload)
-        elif kind == op_mod.UNSUB:
-            system.unsubscribe(payload)
+        self._journal.append((event, label, got))
 
     def check(self, model: ModelState) -> None:
         from repro.durability import recover_system
@@ -684,12 +593,12 @@ class DurabilityTarget(FuzzTarget):
             cut = self._rng.randrange(size + 1)
             with open(segments[-1], "r+b") as handle:
                 handle.truncate(cut)
-        self.crashes_simulated += 1
+        # WAL-only recovery has no manifest to read the configuration from.
         recovered, report = recover_system(
             crash_dir,
-            num_shards=self._num_shards,
-            alpha=self._alpha,
-            epsilon=self._epsilon,
+            num_shards=self.pipeline.router.num_shards,
+            alpha=self.pipeline.alpha,
+            epsilon=self.pipeline.epsilon,
         )
         expect(
             report.next_seq <= len(self._journal),
@@ -698,16 +607,15 @@ class DurabilityTarget(FuzzTarget):
             f"but only {len(self._journal)} op(s) were ever logged",
         )
         for index in range(report.next_seq, len(self._journal)):
-            self._replay_entry(recovered, self._journal[index], index)
-        n_r, n_s = len(model.r_rows), len(model.s_rows)
-        expect(
-            len(recovered.shards[0].table_r) == n_r
-            and len(recovered.shards[0].table_s_band) == n_s,
-            self.name,
-            f"after crash-recovery + replay the tables hold "
-            f"{len(recovered.shards[0].table_r)}R/"
-            f"{len(recovered.shards[0].table_s_band)}S, model {n_r}R/{n_s}S",
-        )
+            event, label, recorded = self._journal[index]
+            got = _run_one(self.name, recovered, event, label)
+            expect(
+                got == recorded,
+                self.name,
+                f"recovered replay of journal[{index}] ({label}) produced "
+                f"{got}, uninterrupted run produced {recorded}",
+            )
+        _expect_replicas(self.name, recovered.shards, model)
         expect(
             recovered.subscription_count == model.subscription_count(),
             self.name,
@@ -744,8 +652,6 @@ class TransportTarget(FuzzTarget):
         epsilon: float = 1.0,
         batch_size: int = 8,
     ) -> None:
-        from repro.runtime.pipeline import EventPipeline
-
         self._pipes = {
             mode: EventPipeline(
                 num_shards=num_shards,
@@ -757,57 +663,18 @@ class TransportTarget(FuzzTarget):
             )
             for mode in ("process-shm", "inline")
         }
-        self._pending: List[Tuple[Any, ...]] = []  # (event, label)
-        self._r_rows: Dict[int, RTuple] = {}
-        self._s_rows: Dict[int, STuple] = {}
-        self._queries: Dict[int, object] = {}
+        self._ops = _EngineOps()
+        self._pending: List[Tuple[DataEvent, str]] = []
         self._closed = False
 
     def apply(self, op: Op, model: ModelState) -> None:
-        kind, key = op.kind, op.key
-        if kind == op_mod.INSERT_R:
-            row = RTuple(key, op.values[0], op.values[1])
-            self._r_rows[key] = row
-            self._pending.append(
-                (DataEvent(EventKind.INSERT, "R", row), f"insert_r #{key}")
-            )
-        elif kind == op_mod.INSERT_S:
-            row = STuple(key, op.values[0], op.values[1])
-            self._s_rows[key] = row
-            self._pending.append(
-                (DataEvent(EventKind.INSERT, "S", row), f"insert_s #{key}")
-            )
-        elif kind == op_mod.DELETE_R:
-            row = self._r_rows.pop(key)
-            self._pending.append(
-                (DataEvent(EventKind.DELETE, "R", row), f"delete_r #{key}")
-            )
-        elif kind == op_mod.DELETE_S:
-            row = self._s_rows.pop(key)
-            self._pending.append(
-                (DataEvent(EventKind.DELETE, "S", row), f"delete_s #{key}")
-            )
-        elif kind == op_mod.SUB_BAND:
-            self._flush()
-            query = BandJoinQuery(Interval(op.values[0], op.values[1]), qid=key)
-            self._queries[key] = query
-            for pipe in self._pipes.values():
-                pipe.subscribe(query)
-        elif kind == op_mod.SUB_SELECT:
-            self._flush()
-            query = SelectJoinQuery(
-                Interval(op.values[0], op.values[1]),
-                Interval(op.values[2], op.values[3]),
-                qid=key,
-            )
-            self._queries[key] = query
-            for pipe in self._pipes.values():
-                pipe.subscribe(query)
-        elif kind == op_mod.UNSUB:
-            self._flush()
-            query = self._queries.pop(key)
-            for pipe in self._pipes.values():
-                pipe.unsubscribe(query)
+        event = self._ops.event(op)
+        if isinstance(event, DataEvent):
+            self._pending.append((event, _label(op)))
+            return
+        self._flush()
+        for pipe in self._pipes.values():
+            pipe.run([event])
 
     def _flush(self) -> None:
         if not self._pending:
@@ -824,11 +691,9 @@ class TransportTarget(FuzzTarget):
             f"process-shm applied {len(shm_run)} event(s), inline "
             f"{len(inline_run)}, submitted {len(pending)}",
         )
-        for (_, label), (_, _, shm_delta), (_, _, inline_delta) in zip(
-            pending, shm_run, inline_run
-        ):
-            got = normalize_deltas(shm_delta)
-            want = normalize_deltas(inline_delta)
+        for (_, label), shm, inline in zip(pending, shm_run, inline_run):
+            got = normalize_deltas(shm[2])
+            want = normalize_deltas(inline[2])
             expect(
                 got == want,
                 self.name,

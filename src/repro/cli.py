@@ -27,7 +27,7 @@ Self-contained utilities that do not require the repository checkout:
 * ``top``       — a refreshing terminal dashboard over the same sources:
   throughput, end-to-end latency quantiles, hotspot churn, and a per-shard
   table (events, e2e/lag p95, ring occupancy, headroom);
-* ``recover``   — rebuild a sharded system from a WAL directory (newest
+* ``recover``   — rebuild an inline pipeline from a WAL directory (newest
   valid checkpoint + sequence-deduped WAL replay) and report what was
   restored;
 * ``bench``     — run the batched-throughput benchmark (columnar batch fast
@@ -532,7 +532,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.durability import DurabilityError, recover_system
 
     try:
-        system, report = recover_system(
+        pipeline, report = recover_system(
             Path(args.wal_dir),
             num_shards=args.shards,
             alpha=args.alpha,
@@ -544,12 +544,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(report.summary())
     for name in report.skipped_checkpoints:
         print(f"  skipped invalid checkpoint: {name}", file=sys.stderr)
-    shard0 = system.shards[0]
+    shard0 = pipeline.shards[0]
     print(
         f"recovered state: {len(shard0.table_r)} R row(s), "
         f"{len(shard0.table_s_band)} S row(s), "
-        f"{system.subscription_count} subscription(s) "
-        f"across {len(system.shards)} shard(s)"
+        f"{pipeline.subscription_count} subscription(s) "
+        f"across {len(pipeline.shards)} shard(s)"
     )
     return 0
 
@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser(
         "recover",
-        help="rebuild a sharded system from a WAL directory and report the "
+        help="rebuild an inline pipeline from a WAL directory and report the "
         "restored state (checkpoint + sequence-deduped WAL replay)",
     )
     recover.add_argument(

@@ -1,10 +1,9 @@
 """repro.durability: event-sourced durability for the sharded runtime.
 
-The subsystem gives :class:`~repro.runtime.pipeline.EventPipeline` and
-:class:`~repro.runtime.sharding.ShardedContinuousQuerySystem` a crash
-story: every submitted event is logged to a segmented, CRC-framed
-write-ahead log *before* it is applied (:mod:`repro.durability.wal`,
-:mod:`repro.durability.codec`), periodic per-shard checkpoints bound the
+The subsystem gives :class:`~repro.runtime.pipeline.EventPipeline` — the
+one host of shard state — a crash story: every accepted event is logged to
+a segmented, CRC-framed write-ahead log *before* it is applied
+(:mod:`repro.durability.wal`, :mod:`repro.durability.codec`), periodic per-shard checkpoints bound the
 replay tail (:mod:`repro.durability.checkpoint`), and recovery restores
 the newest valid checkpoint plus a sequence-deduped WAL replay, tolerating
 the torn final record a crash leaves behind

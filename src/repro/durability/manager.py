@@ -1,12 +1,16 @@
 """`DurabilityManager`: the runtime's one handle on the durability stack.
 
-Wiring contract (both :class:`~repro.runtime.pipeline.EventPipeline` and
-:class:`~repro.runtime.sharding.ShardedContinuousQuerySystem` accept a
-manager at construction):
+Wiring contract (the host is an inline
+:class:`~repro.runtime.pipeline.EventPipeline`, which accepts a manager at
+construction):
 
 * **log-before-apply** — the host calls :meth:`log_event` for every
-  submitted event *before* any shard sees it, so the WAL is always a
+  accepted event *before* any shard sees it, so the WAL is always a
   superset of applied state and replaying it can only move state forward;
+* **validate-then-log** — a subscription change is logged only once the
+  host has accepted it (no duplicate qid, a supported query type, a known
+  qid to cancel): a rejected change raises to its caller and leaves no
+  record, because a record recovery cannot re-apply poisons the log;
 * **sync at batch boundaries** — the host calls :meth:`sync` before
   applying a drained micro-batch, which is what the ``batch`` fsync
   policy means: every event a shard has applied is already durable;
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.durability.checkpoint import prune_checkpoints, write_checkpoint
 from repro.durability.codec import DurabilityError, encode_event
@@ -41,6 +45,9 @@ from repro.durability.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.runtime.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard (runtime → durability.codec)
+    from repro.runtime.pipeline import EventPipeline
 
 __all__ = ["DurabilityManager"]
 
@@ -78,7 +85,7 @@ class DurabilityManager:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def attach(self, target: Any) -> RecoveryReport:
+    def attach(self, target: EventPipeline) -> RecoveryReport:
         """Recover existing durable state into ``target`` (which must be
         fresh), then open the WAL for append at the recovered sequence."""
         if self._wal is not None:
@@ -168,7 +175,7 @@ class DurabilityManager:
             and self._events_since_checkpoint >= self.checkpoint_every
         )
 
-    def checkpoint(self, source: Any) -> Path:
+    def checkpoint(self, source: EventPipeline) -> Path:
         """Snapshot ``source``'s state, publish it atomically, and prune
         WAL segments and checkpoints it supersedes.
 
@@ -181,9 +188,7 @@ class DurabilityManager:
             raise DurabilityError("checkpoint before attach()")
         with self.tracer.span("checkpoint"):
             start = time.perf_counter()
-            drain = getattr(source, "drain", None)
-            if drain is not None:
-                drain()
+            source.drain()
             self._wal.sync()
             next_seq = self._wal.next_seq
             path = write_checkpoint(
@@ -200,12 +205,7 @@ class DurabilityManager:
             self._checkpoint_seconds.observe(elapsed)
             return path
 
-    def maybe_checkpoint(self, source: Any) -> Optional[Path]:
-        if self.checkpoint_due:
-            return self.checkpoint(source)
-        return None
-
-    def _shard_payloads(self, source: Any) -> List[bytes]:
+    def _shard_payloads(self, source: EventPipeline) -> List[bytes]:
         """Partition live state into per-shard snapshot payloads.
 
         Shard 0's band plane holds full replicas of both tables, so it is
@@ -231,12 +231,12 @@ class DurabilityManager:
         return [b"".join(chunk) for chunk in chunks]
 
     @staticmethod
-    def _config_of(source: Any) -> Dict[str, Any]:
+    def _config_of(source: EventPipeline) -> Dict[str, Any]:
         router = source.router
         return {
             "num_shards": router.num_shards,
-            "alpha": getattr(source, "alpha", None),
-            "epsilon": getattr(source, "epsilon", 1.0),
+            "alpha": source.alpha,
+            "epsilon": source.epsilon,
             "domain_lo": router.domain_lo,
             "domain_hi": router.domain_hi,
         }

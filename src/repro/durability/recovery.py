@@ -1,7 +1,9 @@
 """Crash recovery: newest valid checkpoint + sequence-deduped WAL replay.
 
 The recovery invariant this module delivers: after ``recover_into`` a
-fresh system holds *exactly* the state of the crashed run up to its last
+fresh :class:`~repro.runtime.pipeline.EventPipeline` (the one host of
+shard state, so the one recovery target) holds *exactly* the state of the
+crashed run up to its last
 durable WAL record, and every delta it produces from then on is
 byte-identical to what an uninterrupted run would have produced.  The
 argument rests on two properties of the engine:
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.durability.codec import (
     DecodedRecord,
@@ -38,7 +40,9 @@ from repro.durability.codec import (
 )
 from repro.durability.checkpoint import load_latest_checkpoint
 from repro.durability.wal import read_wal
-from repro.engine.events import QueryEvent
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard (runtime → durability.codec)
+    from repro.runtime.pipeline import EventPipeline
 
 __all__ = ["RecoveryError", "RecoveryReport", "apply_record", "recover_into", "recover_system"]
 
@@ -78,14 +82,12 @@ class RecoveryReport:
         )
 
 
-def apply_record(target: Any, record: DecodedRecord) -> None:
-    """Apply one decoded record to a system or pipeline.
+def apply_record(target: EventPipeline, record: DecodedRecord) -> None:
+    """Apply one decoded record to a pipeline.
 
-    Targets expose either the pipeline surface (``submit`` accepts data and
-    subscription events alike) or the synchronous system surface
-    (``apply``/``subscribe``/``unsubscribe``); both resolve ``Unsubscribe``
-    through ``query_by_id`` since the original query object died with the
-    old process.
+    ``submit`` takes data and subscribe events alike; an ``Unsubscribe``
+    carries only a qid (the original query object died with the old
+    process), so it is resolved through ``query_by_id`` first.
     """
     if isinstance(record, Unsubscribe):
         try:
@@ -95,18 +97,11 @@ def apply_record(target: Any, record: DecodedRecord) -> None:
                 f"unsubscribe of unknown query id {record.qid} during replay"
             ) from exc
         target.unsubscribe(query)
-        return
-    submit = getattr(target, "submit", None)
-    if submit is not None:
-        submit(record)
-        return
-    if isinstance(record, QueryEvent):
-        target.subscribe(record.query)
     else:
-        target.apply(record)
+        target.submit(record)
 
 
-def recover_into(target: Any, directory: Path) -> RecoveryReport:
+def recover_into(target: EventPipeline, directory: Path) -> RecoveryReport:
     """Restore ``directory``'s durable state into a *fresh* ``target``.
 
     Phase 1 applies the newest valid checkpoint (all rows before any
@@ -137,9 +132,7 @@ def recover_into(target: Any, directory: Path) -> RecoveryReport:
             continue
         apply_record(target, decode_record(wal_record.payload))
         report.replayed_events += 1
-    drain = getattr(target, "drain", None)
-    if drain is not None:
-        drain()
+    target.drain()
     report.next_seq = max(replay_from, scan.next_seq)
     return report
 
@@ -152,23 +145,22 @@ def recover_system(
     epsilon: float = 1.0,
     domain_lo: Optional[float] = None,
     domain_hi: Optional[float] = None,
-) -> Tuple[Any, RecoveryReport]:
-    """Build a :class:`ShardedContinuousQuerySystem` from durable state.
+) -> Tuple[EventPipeline, RecoveryReport]:
+    """Build an inline :class:`~repro.runtime.pipeline.EventPipeline` from
+    durable state.
 
     Construction parameters come from the checkpoint manifest's recorded
     config when one exists (the snapshot partitioning assumes the same
     routing), falling back to the keyword defaults for WAL-only
-    recovery.  Returns ``(system, report)``.
+    recovery.  Returns ``(pipeline, report)``; the pipeline has no
+    durability manager, so nothing it is fed afterwards is logged.
     """
-    from repro.runtime.sharding import (
-        DOMAIN_HI,
-        DOMAIN_LO,
-        ShardedContinuousQuerySystem,
-    )
+    from repro.runtime.pipeline import EventPipeline
+    from repro.runtime.sharding import DOMAIN_HI, DOMAIN_LO
 
     loaded, __ = load_latest_checkpoint(Path(directory))
     config: Dict[str, Any] = loaded.config if loaded is not None else {}
-    system = ShardedContinuousQuerySystem(
+    pipeline = EventPipeline(
         num_shards=int(config.get("num_shards", num_shards)),
         alpha=config.get("alpha", alpha),
         epsilon=float(config.get("epsilon", epsilon)),
@@ -179,5 +171,5 @@ def recover_system(
             config.get("domain_hi", DOMAIN_HI if domain_hi is None else domain_hi)
         ),
     )
-    report = recover_into(system, directory)
-    return system, report
+    report = recover_into(pipeline, directory)
+    return pipeline, report

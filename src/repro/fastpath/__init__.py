@@ -6,9 +6,10 @@ group dictionary, re-derives each stabbing point, and allocates a fresh
 ``Interval`` per affected query.  This package amortizes that overhead over
 a micro-batch:
 
-* :mod:`repro.fastpath.kernels` — batched ``searchsorted`` over the
-  columnar endpoint arrays, backed by numpy when it is importable and by a
-  pure-Python ``bisect`` loop otherwise (selected once at import time);
+* :mod:`repro.fastpath.kernels` — the one numpy handle: the probes run
+  ``searchsorted`` over the columnar endpoint arrays when numpy is
+  importable and pure-Python ``bisect`` loops otherwise (selected once at
+  import time);
 * :mod:`repro.fastpath.band` — the sort-merge batch probe for band joins:
   arrivals are sorted once by join key, then merged against every SSI
   group in a single pass over the dense group table;
@@ -21,7 +22,7 @@ enumerated, and the same floating-point expressions produce the bounds
 (``repro fuzz --targets fastpath`` checks this differentially).
 """
 
-from repro.fastpath.kernels import KERNEL, MIN_VECTOR, count_le, get_numpy
+from repro.fastpath.kernels import KERNEL, MIN_VECTOR, get_numpy
 from repro.fastpath.band import batch_probe_band_r, batch_probe_band_s
 from repro.fastpath.select import batch_probe_select_r, batch_probe_select_s
 
@@ -32,7 +33,6 @@ from repro.fastpath.select import batch_probe_select_r, batch_probe_select_s
 __all__ = [
     "KERNEL",
     "MIN_VECTOR",
-    "count_le",
     "get_numpy",
     "batch_probe_band_r",
     "batch_probe_band_s",

@@ -1,11 +1,12 @@
-"""Batched array kernels with an optional numpy backend.
+"""Kernel selection for the batch probes: numpy when importable, else
+pure Python.
 
 The batch probes reduce each group's STEP-1 scan to "how many leading
 entries of a sorted endpoint column are <= bound", evaluated for a whole
-micro-batch of bounds at once.  With numpy available that is a single
-vectorized ``searchsorted`` over the group's ``array('d')`` column (zero
-copy via the buffer protocol); without it, a ``bisect`` loop gives the
-same counts.
+micro-batch of bounds at once.  With numpy available the probes
+(:mod:`repro.fastpath.band`) run that as vectorized ``searchsorted`` calls
+over ``array('d')`` columns (zero copy via the buffer protocol); without
+it, ``bisect`` loops over the same columns give the same counts.
 
 The backend is selected once at import time.  ``REPRO_FASTPATH_KERNEL``
 forces a choice: ``numpy`` (fall back silently if numpy is missing, since
@@ -21,10 +22,9 @@ the backend stays a one-module decision.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
-__all__ = ["KERNEL", "MIN_VECTOR", "count_le", "get_numpy"]
+__all__ = ["KERNEL", "MIN_VECTOR", "get_numpy"]
 
 _np: Optional[Any] = None
 _choice = os.environ.get("REPRO_FASTPATH_KERNEL", "auto").strip().lower()
@@ -49,20 +49,3 @@ def get_numpy() -> Optional[Any]:
     fallback by patching this module's ``_np`` alone.
     """
     return _np
-
-
-def count_le(keys: Sequence[float], bounds: Sequence[float]) -> List[int]:
-    """For each bound, the number of leading entries of sorted ``keys``
-    that are <= that bound (i.e. ``bisect_right`` per bound).
-
-    ``keys`` is typically a group's ``array('d')`` endpoint column; the
-    result indexes a prefix of the parallel query list.
-    """
-    if _np is not None and len(bounds) >= MIN_VECTOR and len(keys):
-        counts: List[int] = _np.searchsorted(
-            _np.frombuffer(keys, dtype=_np.float64),
-            _np.asarray(bounds, dtype=_np.float64),
-            side="right",
-        ).tolist()
-        return counts
-    return [bisect_right(keys, bound) for bound in bounds]

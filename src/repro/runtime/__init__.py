@@ -29,7 +29,6 @@ from repro.runtime.sharding import (
     Shard,
     ShardRange,
     ShardRouter,
-    ShardedContinuousQuerySystem,
     merge_deltas,
     scaled_alpha,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "Shard",
     "ShardRange",
     "ShardRouter",
-    "ShardedContinuousQuerySystem",
     "StreamProfile",
     "generate_mixed_stream",
     "merge_deltas",

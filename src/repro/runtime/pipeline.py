@@ -1,6 +1,7 @@
 """The event-processing pipeline: bounded ingress, micro-batches, workers.
 
-``EventPipeline`` stacks the runtime layers on top of the sharded system:
+``EventPipeline`` is the one host of :class:`~repro.runtime.sharding.Shard`\\ s;
+it stacks the runtime layers on top of them:
 
 1. **ingress** — submitted :class:`~repro.engine.events.DataEvent`\\ s queue
    in a bounded :class:`~repro.runtime.batching.MicroBatcher`.  When the
@@ -524,6 +525,7 @@ class EventPipeline:
         if query.qid in self._placements:
             raise ValueError(f"duplicate query id {query.qid}")
         indices = self.router.shards_for_query(query)
+        self._log(QueryEvent(EventKind.INSERT, query))
         self._backend.subscribe(indices, query)
         self._placements[query.qid] = indices
         self._queries[query.qid] = query
@@ -537,9 +539,10 @@ class EventPipeline:
         # Resolve by qid: after recovery the registered instance is a decoded
         # copy, and the engine indexes subscriptions by object identity.
         query = self._queries.get(query.qid, query)
-        indices = self._placements.pop(query.qid)
+        indices = self._placements[query.qid]
+        self._log(QueryEvent(EventKind.DELETE, query))
         self._backend.unsubscribe(indices, query)
-        self._queries.pop(query.qid)
+        del self._placements[query.qid], self._queries[query.qid]
         self.router.note_query(query, indices, -1)
         self._callbacks.pop(query.qid, None)
 
@@ -555,9 +558,6 @@ class EventPipeline:
     def submit(self, event: object) -> bool:
         """Enqueue one event.  Returns False iff the event was rejected by
         the ``reject`` backpressure policy."""
-        if self.durability is not None and not self.durability.replaying:
-            # Log-before-apply: the WAL sees the event before any shard.
-            self.durability.log_event(event)
         if isinstance(event, QueryEvent):
             self.metrics.counter("pipeline/query_events").inc()
             if event.kind is EventKind.INSERT:
@@ -568,6 +568,7 @@ class EventPipeline:
             return True
         if not isinstance(event, DataEvent):
             raise TypeError(f"unsupported event type: {type(event).__name__}")
+        self._log(event)
         seq = self._seq
         self._seq += 1
         self.metrics.counter("pipeline/events_submitted").inc()
@@ -611,6 +612,13 @@ class EventPipeline:
             self.flush()
         self._maybe_checkpoint()
         return True
+
+    def _log(self, event: object) -> None:
+        """Log-before-apply: the WAL sees an accepted event before any
+        shard does, and never sees a rejected subscription change.  (The
+        manager ignores the call while recovery replays into this pipeline.)"""
+        if self.durability is not None:
+            self.durability.log_event(event)
 
     def _maybe_checkpoint(self) -> None:
         if self.durability is not None and self.durability.checkpoint_due:

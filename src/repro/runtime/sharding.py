@@ -26,25 +26,25 @@ attributes:
 
 Every routing decision is **static**: it depends only on the coordinates of
 the row or query, never on the current subscription set.  That invariant is
-what makes the sharded system exactly equivalent to the unsharded
+what makes the sharded pipeline exactly equivalent to the unsharded
 :class:`~repro.engine.system.ContinuousQuerySystem` — a row is stored by
 the same rule that later routes its deletion, and a query subscribed
 mid-stream finds all prior state already in its shards.
+
+This module is the router and the shard, nothing that drives them:
+:class:`~repro.runtime.pipeline.EventPipeline` is the one owner of
+placements, and its backends make every :meth:`Shard.apply_batch` call.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (durability → runtime)
-    from repro.durability.manager import DurabilityManager
-
-from repro.engine.events import DataEvent, EventKind, QueryEvent
+from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
-from repro.engine.table import RTuple, STuple, TableR, TableS
+from repro.engine.table import STuple, TableR, TableS
 from repro.operators.band_join import BJSSI
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
@@ -470,192 +470,3 @@ def merge_deltas(parts: Sequence[Delta]) -> Delta:
     for query, rows in merged.items():
         rows.sort(key=_row_sort_key)
     return merged
-
-
-class ShardedContinuousQuerySystem:
-    """Drop-in sharded counterpart of
-    :class:`~repro.engine.system.ContinuousQuerySystem`.
-
-    Applies every event synchronously across its shards (the
-    :class:`~repro.runtime.pipeline.EventPipeline` adds batching, queues
-    and parallel workers on top).  Exposes the same subscription/update
-    API and counters, and produces identical per-event result deltas.
-    """
-
-    def __init__(
-        self,
-        *,
-        num_shards: int = 4,
-        alpha: Optional[float] = 0.01,
-        epsilon: float = 1.0,
-        domain_lo: float = DOMAIN_LO,
-        domain_hi: float = DOMAIN_HI,
-        metrics: Optional[MetricsRegistry] = None,
-        durability: Optional["DurabilityManager"] = None,
-        tracer: Tracer = NULL_TRACER,
-    ):
-        self.router = ShardRouter(
-            num_shards, domain_lo=domain_lo, domain_hi=domain_hi
-        )
-        self.alpha = alpha
-        self.epsilon = epsilon
-        self.durability = durability
-        self.tracer = tracer
-        per_shard_alpha = scaled_alpha(alpha, num_shards)
-        self.shards = [
-            Shard(i, alpha=per_shard_alpha, epsilon=epsilon, metrics=metrics,
-                  tracer=tracer)
-            for i in range(num_shards)
-        ]
-        self._placements: Dict[int, List[int]] = {}
-        self._callbacks: Dict[int, ResultCallback] = {}
-        self._queries: Dict[int, Any] = {}
-        self._r_ids = itertools.count()
-        self._s_ids = itertools.count()
-        self.events_processed = 0
-        self.results_produced = 0
-
-    # -- subscriptions -------------------------------------------------------
-
-    def subscribe(self, query: Any, on_results: Optional[ResultCallback] = None) -> Any:
-        indices = self.router.shards_for_query(query)
-        if query.qid in self._placements:
-            raise ValueError(f"duplicate query id {query.qid}")
-        self._log(QueryEvent(EventKind.INSERT, query))
-        for index in indices:
-            self.shards[index].subscribe(query)
-        self._placements[query.qid] = indices
-        self._queries[query.qid] = query
-        self.router.note_query(query, indices, +1)
-        if on_results is not None:
-            self._callbacks[query.qid] = on_results
-        return query
-
-    def unsubscribe(self, query: Any) -> None:
-        # Resolve by qid: after recovery the registered instance is a decoded
-        # copy, and the engine indexes subscriptions by object identity.
-        query = self._queries.get(query.qid, query)
-        self._log(QueryEvent(EventKind.DELETE, query))
-        indices = self._placements.pop(query.qid)
-        self._queries.pop(query.qid)
-        for index in indices:
-            self.shards[index].unsubscribe(query)
-        self.router.note_query(query, indices, -1)
-        self._callbacks.pop(query.qid, None)
-
-    @property
-    def subscription_count(self) -> int:
-        return len(self._placements)
-
-    def query_by_id(self, qid: int) -> Any:
-        return self._queries[qid]
-
-    # -- durability hooks ----------------------------------------------------
-
-    def _log(self, event: object) -> None:
-        """Log-before-apply when a durability manager is wired in (no-op
-        while recovery replays the WAL back into this system)."""
-        if self.durability is not None and not self.durability.replaying:
-            self.durability.log_event(event)
-
-    def _after_apply(self) -> None:
-        if self.durability is not None and not self.durability.replaying:
-            if self.durability.checkpoint_due:
-                self.durability.checkpoint(self)
-
-    # -- event application ---------------------------------------------------
-
-    def apply(self, event: DataEvent) -> Delta:
-        """Route one data event through every affected shard and merge the
-        per-shard deltas."""
-        self._log(event)
-        route = self.router.route_event(event)
-        self.router.note_event(route)
-        parts: List[Delta] = []
-        for index in route.shards:
-            select_probe, select_state = route.flags(index, event.relation)
-            parts.append(
-                self.shards[index].apply(
-                    event, select_probe=select_probe, select_state=select_state
-                )
-            )
-        deltas = merge_deltas(parts)
-        self._dispatch(event.row, deltas)
-        self._after_apply()
-        return deltas
-
-    def apply_batch(self, events: Sequence[DataEvent]) -> List[Delta]:
-        """Route a micro-batch through every affected shard's batch fast
-        path and merge the per-shard deltas per event, in arrival order.
-
-        Delta-identical to calling :meth:`apply` per event: each shard
-        receives its entries in sequence order, so run segmentation inside
-        :meth:`Shard.apply_batch` sees the same event interleaving the
-        per-event path would.
-        """
-        with self.tracer.span("batch", events=len(events)):
-            return self._apply_batch(events)
-
-    def _apply_batch(self, events: Sequence[DataEvent]) -> List[Delta]:
-        per_shard: List[List[ShardEntry]] = [
-            [] for _ in self.shards
-        ]
-        for event in events:
-            self._log(event)
-        if self.durability is not None and not self.durability.replaying:
-            self.durability.sync()
-        for seq, event in enumerate(events):
-            route = self.router.route_event(event)
-            self.router.note_event(route)
-            for index in route.shards:
-                select_probe, select_state = route.flags(index, event.relation)
-                per_shard[index].append((seq, event, select_probe, select_state))
-        parts_by_seq: List[List[Delta]] = [[] for _ in events]
-        for index, entries in enumerate(per_shard):
-            if not entries:
-                continue
-            for seq, deltas in self.shards[index].apply_batch(entries):
-                parts_by_seq[seq].append(deltas)
-        out: List[Delta] = []
-        for event, parts in zip(events, parts_by_seq):
-            deltas = merge_deltas(parts)
-            self._dispatch(event.row, deltas)
-            out.append(deltas)
-        self._after_apply()
-        return out
-
-    def sample_hotspots(self) -> List[HeadroomSample]:
-        """Refresh and return every shard plane's I2 headroom sample (full
-        tau sweep per plane — reporting-interval cost, not per-event)."""
-        samples: List[HeadroomSample] = []
-        for shard in self.shards:
-            samples.extend(shard.sample_telemetry())
-        return samples
-
-    # Facade-compatible convenience constructors around ``apply``.
-
-    def insert_r(self, a: float, b: float) -> Delta:
-        return self.insert_r_row(RTuple(next(self._r_ids), a, b))
-
-    def insert_s(self, b: float, c: float) -> Delta:
-        return self.insert_s_row(STuple(next(self._s_ids), b, c))
-
-    def insert_r_row(self, row: RTuple) -> Delta:
-        return self.apply(DataEvent(EventKind.INSERT, "R", row))
-
-    def insert_s_row(self, row: STuple) -> Delta:
-        return self.apply(DataEvent(EventKind.INSERT, "S", row))
-
-    def delete_r(self, row: RTuple) -> None:
-        self.apply(DataEvent(EventKind.DELETE, "R", row))
-
-    def delete_s(self, row: STuple) -> None:
-        self.apply(DataEvent(EventKind.DELETE, "S", row))
-
-    def _dispatch(self, row: Any, deltas: Delta) -> None:
-        self.events_processed += 1
-        for query, matches in deltas.items():
-            self.results_produced += len(matches)
-            callback = self._callbacks.get(query.qid)
-            if callback is not None:
-                callback(query, row, matches)

@@ -7,6 +7,7 @@ uninterrupted reference run over the same deterministic stream.
 """
 
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +39,6 @@ from repro.runtime.replay import (
     generate_mixed_stream,
     normalize_deltas,
 )
-from repro.runtime.sharding import ShardedContinuousQuerySystem
 
 
 def r_insert(rid, a, b):
@@ -324,43 +324,112 @@ class TestCheckpoint:
 # -- recovery -----------------------------------------------------------------
 
 
-def run_ops(system):
-    """A small scripted history; returns the expected final counts."""
-    band = BandJoinQuery(Interval(-2.0, 2.0), qid=100)
-    select = SelectJoinQuery(Interval(0.0, 50.0), Interval(0.0, 50.0), qid=101)
-    system.subscribe(band)
-    system.subscribe(select)
-    system.insert_r_row(RTuple(1, 10.0, 5.0))
-    system.insert_s_row(STuple(1, 6.0, 20.0))
-    system.insert_s_row(STuple(2, 30.0, 40.0))
-    system.delete_s(STuple(2, 30.0, 40.0))
-    system.unsubscribe(band)
-    return {"r": 1, "s": 1, "subs": 1}
+BAND = BandJoinQuery(Interval(-2.0, 2.0), qid=100)
+SELECT = SelectJoinQuery(Interval(0.0, 50.0), Interval(0.0, 50.0), qid=101)
+
+# A small scripted history and the final counts it must leave behind.
+OPS = [
+    QueryEvent(EventKind.INSERT, BAND),
+    QueryEvent(EventKind.INSERT, SELECT),
+    r_insert(1, 10.0, 5.0),
+    s_insert(1, 6.0, 20.0),
+    s_insert(2, 30.0, 40.0),
+    DataEvent(EventKind.DELETE, "S", STuple(2, 30.0, 40.0)),
+    QueryEvent(EventKind.DELETE, BAND),
+]
+WANT = {"r": 1, "s": 1, "subs": 1}
+
+
+def durable_per_event_pipeline(directory, **kwargs):
+    """An attached durable pipeline applying each event as its own batch."""
+    metrics = kwargs.pop("metrics", None)
+    manager = DurabilityManager(directory, fsync="never", metrics=metrics)
+    pipeline = EventPipeline(batch_size=1, durability=manager, **kwargs)
+    report = manager.attach(pipeline)
+    return manager, pipeline, report
+
+
+def state_of(pipeline):
+    shard0 = pipeline.shards[0]
+    return {
+        "r": len(shard0.table_r),
+        "s": len(shard0.table_s_band),
+        "subs": pipeline.subscription_count,
+    }
+
+
+def rejected_duplicate_subscribe(pipeline):
+    with pytest.raises(ValueError, match="duplicate query id 101"):
+        pipeline.submit(
+            QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0, 1), qid=101))
+        )
+
+
+def rejected_unknown_unsubscribe(pipeline):
+    with pytest.raises(KeyError):
+        pipeline.submit(
+            QueryEvent(EventKind.DELETE, BandJoinQuery(Interval(0, 1), qid=9))
+        )
+
+
+def rejected_unsupported_query(pipeline):
+    with pytest.raises(TypeError, match="unsupported query type"):
+        pipeline.submit(QueryEvent(EventKind.INSERT, SimpleNamespace(qid=5)))
 
 
 class TestRecovery:
     def test_wal_only_recovery(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        system = ShardedContinuousQuerySystem(num_shards=2, durability=manager)
-        manager.attach(system)
-        want = run_ops(system)
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.run(OPS)
         manager.close()
 
         recovered, report = recover_system(tmp_path, num_shards=2)
         assert report.checkpoint_seq is None
         assert report.replayed_events == 7
         assert report.next_seq == 7
-        assert len(recovered.shards[0].table_r) == want["r"]
-        assert len(recovered.shards[0].table_s_band) == want["s"]
-        assert recovered.subscription_count == want["subs"]
+        assert state_of(recovered) == WANT
+
+    @pytest.mark.parametrize(
+        "rejected",
+        [
+            rejected_duplicate_subscribe,
+            rejected_unknown_unsubscribe,
+            rejected_unsupported_query,
+        ],
+    )
+    def test_rejected_subscription_change_leaves_no_record(self, tmp_path, rejected):
+        """Validate-then-log: a change the pipeline refuses must not reach
+        the WAL, where it would make every later recovery raise."""
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.run(OPS)
+        rejected(pipeline)
+        assert manager.next_seq == 7
+        manager.close()
+
+        recovered, report = recover_system(tmp_path, num_shards=2)
+        assert report.replayed_events == 7
+        assert state_of(recovered) == WANT
+        assert type(recovered.query_by_id(101)) is SelectJoinQuery
+
+    def test_direct_subscribe_is_logged_once(self, tmp_path):
+        """``subscribe``/``unsubscribe`` log themselves, so a change made
+        without going through ``submit`` is recovered too."""
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.subscribe(BAND)
+        pipeline.subscribe(SELECT)
+        pipeline.unsubscribe(BAND)
+        assert manager.next_seq == 3
+        manager.close()
+
+        recovered, __ = recover_system(tmp_path, num_shards=2)
+        assert recovered.subscription_count == 1
+        assert type(recovered.query_by_id(101)) is SelectJoinQuery
 
     def test_checkpoint_plus_tail_with_seq_dedupe(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        system = ShardedContinuousQuerySystem(num_shards=2, durability=manager)
-        manager.attach(system)
-        run_ops(system)
-        manager.checkpoint(system)  # covers seqs [0, 7)
-        system.insert_r_row(RTuple(2, 11.0, 6.0))  # seq 7, in the WAL tail
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.run(OPS)
+        manager.checkpoint(pipeline)  # covers seqs [0, 7)
+        pipeline.run([r_insert(2, 11.0, 6.0)])  # seq 7, in the WAL tail
         manager.close()
 
         # The active segment still holds seqs 0..7, so it overlaps the
@@ -376,13 +445,11 @@ class TestRecovery:
         assert recovered.subscription_count == 1
 
     def test_recovered_config_comes_from_manifest(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        system = ShardedContinuousQuerySystem(
-            num_shards=3, alpha=0.05, epsilon=2.0, durability=manager
+        manager, pipeline, __ = durable_per_event_pipeline(
+            tmp_path, num_shards=3, alpha=0.05, epsilon=2.0
         )
-        manager.attach(system)
-        run_ops(system)
-        manager.checkpoint(system)
+        pipeline.run(OPS)
+        manager.checkpoint(pipeline)
         manager.close()
 
         recovered, __ = recover_system(tmp_path, num_shards=7)  # kwarg ignored
@@ -400,24 +467,22 @@ class TestRecovery:
                 )
             )
         with pytest.raises(RecoveryError, match="unknown query id 77"):
-            recover_into(ShardedContinuousQuerySystem(num_shards=2), tmp_path)
+            recover_into(EventPipeline(num_shards=2), tmp_path)
 
     def test_attach_recovers_then_resumes_logging(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        system = ShardedContinuousQuerySystem(num_shards=2, durability=manager)
-        manager.attach(system)
-        run_ops(system)
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.run(OPS)
         manager.close()
 
         metrics = MetricsRegistry()
-        manager2 = DurabilityManager(tmp_path, fsync="never", metrics=metrics)
-        system2 = ShardedContinuousQuerySystem(num_shards=2, durability=manager2)
-        report = manager2.attach(system2)
+        manager2, pipeline2, report = durable_per_event_pipeline(
+            tmp_path, num_shards=2, metrics=metrics
+        )
         assert report.next_seq == 7
         assert metrics.counter("durability/recovered_events_total").value == 7
         # Replay was not re-logged; fresh activity continues the sequence.
         assert manager2.next_seq == 7
-        system2.insert_r_row(RTuple(9, 1.0, 2.0))
+        pipeline2.run([r_insert(9, 1.0, 2.0)])
         assert manager2.next_seq == 8
         manager2.close()
 

@@ -12,7 +12,7 @@ from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import TableR, TableS
-from repro.fastpath import KERNEL, count_le
+from repro.fastpath import KERNEL
 from repro.fastpath import kernels as kernel_mod
 from repro.operators.band_join import BJSSI
 from repro.operators.hotspot_processor import (
@@ -20,7 +20,7 @@ from repro.operators.hotspot_processor import (
     HotspotSelectJoinProcessor,
 )
 from repro.operators.select_join import SJSSI
-from repro.runtime.sharding import ShardedContinuousQuerySystem
+from repro.runtime.pipeline import EventPipeline
 
 BATCH_SIZES = (1, 2, 7, 8, 23, 120)
 
@@ -81,21 +81,6 @@ def assert_batches_match(process_batch, process_one, rows):
 class TestKernels:
     def test_kernel_selection(self):
         assert KERNEL in ("numpy", "python")
-
-    def test_count_le_matches_bisect(self, kernel):
-        from array import array
-        from bisect import bisect_right
-
-        rng = random.Random(0)
-        keys = array("d", sorted(rng.uniform(0, 10) for __ in range(50)))
-        bounds = [rng.uniform(-1, 11) for __ in range(20)] + [keys[3], keys[10]]
-        assert count_le(keys, bounds) == [bisect_right(keys, b) for b in bounds]
-
-    def test_count_le_empty(self, kernel):
-        from array import array
-
-        assert count_le(array("d"), [1.0, 2.0]) == [0, 0]
-        assert count_le(array("d", [1.0]), []) == []
 
 
 class TestBandBatch:
@@ -280,9 +265,13 @@ class TestShardedBatch:
         return events
 
     @pytest.mark.parametrize("alpha", [0.05, None])
-    def test_apply_batch_matches_per_event_system(self, kernel, alpha):
+    def test_batched_pipeline_matches_per_event_system(self, kernel, alpha):
         rng = random.Random(6)
-        batched = ShardedContinuousQuerySystem(num_shards=3, alpha=alpha)
+        # coalesce=False: every event reports a delta, so the batched run
+        # lines up with the per-event reference one to one.
+        batched = EventPipeline(
+            num_shards=3, alpha=alpha, batch_size=37, coalesce=False
+        )
         reference = ContinuousQuerySystem(alpha=alpha)
         for query in band_queries(rng, 60) + select_queries(rng, 60):
             batched.subscribe(query)
@@ -301,21 +290,20 @@ class TestShardedBatch:
                 else:
                     reference.delete_s(event.row)
                 want.append({})
-        got = []
-        for start in range(0, len(events), 37):
-            for delta in batched.apply_batch(events[start : start + 37]):
-                got.append(ordered_view(delta))
+        got = [ordered_view(delta) for __, ___, delta in batched.run(events)]
         assert got == want
+        batches = batched.metrics.counter("pipeline/batches").value
+        assert batches == -(-len(events) // 37)  # really batched, not per event
 
-    def test_apply_batch_empty_and_singleton(self, kernel):
-        system = ShardedContinuousQuerySystem(num_shards=2, alpha=0.1)
-        assert system.apply_batch([]) == []
-        system.subscribe(BandJoinQuery(Interval(-5, 5)))
+    def test_empty_batch_and_singleton(self, kernel):
+        pipeline = EventPipeline(num_shards=2, alpha=0.1, batch_size=37)
+        assert pipeline.flush() == []
+        assert pipeline.run([]) == []
+        pipeline.subscribe(BandJoinQuery(Interval(-5, 5)))
         from repro.engine.table import STuple
 
-        row = STuple(0, 3.0, 3.0)
-        [delta] = system.apply_batch([DataEvent(EventKind.INSERT, "S", row)])
-        assert delta == {}  # no R rows yet, so no results
+        event = DataEvent(EventKind.INSERT, "S", STuple(0, 3.0, 3.0))
+        assert pipeline.run([event]) == [(0, event, {})]  # no R rows yet
 
 
 class TestFastpathFuzzTarget:

@@ -1,19 +1,17 @@
-"""Tests for the runtime's shard router and sharded facade."""
+"""Tests for the runtime's shard router and for the sharded pipeline driven
+one event per batch (the unsharded system's per-event counterpart)."""
 
 import random
 
 import pytest
 
 from repro.core.intervals import Interval
+from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
-from repro.runtime.sharding import (
-    ShardRouter,
-    ShardedContinuousQuerySystem,
-    merge_deltas,
-    scaled_alpha,
-)
+from repro.runtime.pipeline import EventPipeline
+from repro.runtime.sharding import ShardRouter, merge_deltas, scaled_alpha
 
 
 def select_query(lo, hi, a_lo=0.0, a_hi=10_000.0):
@@ -117,13 +115,24 @@ def test_merge_deltas_is_order_independent():
     assert [row.sid for row in merge_deltas([a, b])[q]] == [1, 2]
 
 
-class TestShardedFacadeEquivalence:
+def per_event_pipeline(**kwargs):
+    """The sharded host driven one event per batch: ``run([event])`` is
+    then the sharded counterpart of the unsharded system's row-level API."""
+    return EventPipeline(batch_size=1, **kwargs)
+
+
+def apply(pipeline, kind, relation, row):
+    [(__, ___, deltas)] = pipeline.run([DataEvent(kind, relation, row)])
+    return deltas
+
+
+class TestShardedPipeline:
     @pytest.mark.parametrize("num_shards", [1, 5])
     @pytest.mark.parametrize("alpha", [None, 0.05])
     def test_matches_unsharded_system(self, num_shards, alpha):
         rng = random.Random(42)
         plain = ContinuousQuerySystem(alpha=alpha)
-        sharded = ShardedContinuousQuerySystem(
+        sharded = per_event_pipeline(
             num_shards=num_shards, alpha=alpha, domain_lo=0.0, domain_hi=1000.0
         )
         for qid in range(60):
@@ -153,46 +162,54 @@ class TestShardedFacadeEquivalence:
             if roll < 0.15 and live_r:
                 row = live_r.pop(rng.randrange(len(live_r)))
                 plain.delete_r(row)
-                sharded.delete_r(row)
+                assert apply(sharded, EventKind.DELETE, "R", row) == {}
             elif roll < 0.3 and live_s:
                 row = live_s.pop(rng.randrange(len(live_s)))
                 plain.delete_s(row)
-                sharded.delete_s(row)
+                assert apply(sharded, EventKind.DELETE, "S", row) == {}
             elif roll < 0.65:
                 row = RTuple(step, rng.uniform(0, 1000), rng.uniform(0, 1000))
                 live_r.append(row)
-                assert norm(plain.insert_r_row(row)) == norm(sharded.insert_r_row(row))
+                assert norm(plain.insert_r_row(row)) == norm(
+                    apply(sharded, EventKind.INSERT, "R", row)
+                )
             else:
                 row = STuple(step, rng.uniform(0, 1000), rng.uniform(0, 1000))
                 live_s.append(row)
-                assert norm(plain.insert_s_row(row)) == norm(sharded.insert_s_row(row))
-        assert sharded.events_processed == plain.events_processed == 250
+                assert norm(plain.insert_s_row(row)) == norm(
+                    apply(sharded, EventKind.INSERT, "S", row)
+                )
+        applied = sharded.metrics.counter("pipeline/events_applied").value
+        assert applied == plain.events_processed == 250
 
     def test_mid_stream_subscribe_sees_prior_state(self):
-        sharded = ShardedContinuousQuerySystem(
+        sharded = per_event_pipeline(
             num_shards=4, alpha=None, domain_lo=0.0, domain_hi=100.0
         )
-        sharded.insert_s(b=10.0, c=50.0)
-        sharded.insert_s(b=10.0, c=75.0)
+        # Two S rows in different C-slices, installed before the query exists.
+        apply(sharded, EventKind.INSERT, "S", STuple(0, 10.0, 50.0))
+        apply(sharded, EventKind.INSERT, "S", STuple(1, 10.0, 75.0))
         query = sharded.subscribe(select_query(0.0, 100.0, 0.0, 100.0))
-        deltas = sharded.insert_r(a=5.0, b=10.0)
+        deltas = apply(sharded, EventKind.INSERT, "R", RTuple(0, 5.0, 10.0))
         assert len(deltas[query]) == 2  # both pre-subscribe S rows join
 
     def test_unsubscribe_removes_from_all_shards(self):
-        sharded = ShardedContinuousQuerySystem(
+        sharded = per_event_pipeline(
             num_shards=4, alpha=None, domain_lo=0.0, domain_hi=100.0
         )
         query = sharded.subscribe(select_query(0.0, 100.0, 0.0, 100.0))
         assert sharded.subscription_count == 1
+        assert all(shard.query_count == 1 for shard in sharded.shards)
         sharded.unsubscribe(query)
         assert sharded.subscription_count == 0
         assert all(shard.query_count == 0 for shard in sharded.shards)
-        sharded.insert_s(b=1.0, c=50.0)
-        assert sharded.insert_r(a=1.0, b=1.0) == {}
+        apply(sharded, EventKind.INSERT, "S", STuple(0, 1.0, 50.0))
+        assert apply(sharded, EventKind.INSERT, "R", RTuple(0, 1.0, 1.0)) == {}
 
-    def test_deletions_count_as_processed_events(self):
-        sharded = ShardedContinuousQuerySystem(num_shards=2, alpha=None)
-        sharded.insert_r(a=1.0, b=2.0)
-        row = next(iter(sharded.shards[0].table_r))
-        sharded.delete_r(row)
-        assert sharded.events_processed == 2
+    def test_deletions_count_as_applied_events(self):
+        sharded = per_event_pipeline(num_shards=2, alpha=None)
+        row = RTuple(0, 1.0, 2.0)
+        apply(sharded, EventKind.INSERT, "R", row)
+        apply(sharded, EventKind.DELETE, "R", row)
+        assert sharded.metrics.counter("pipeline/events_applied").value == 2
+        assert all(len(shard.table_r) == 0 for shard in sharded.shards)
