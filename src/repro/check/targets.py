@@ -42,7 +42,7 @@ from repro.engine.table import RTuple, STuple
 from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import normalize_deltas
-from repro.runtime.sharding import Shard
+from repro.runtime.sharding import ShardGroup
 
 
 class FuzzTarget:
@@ -358,16 +358,29 @@ class BatcherTarget(FuzzTarget):
             self._drain_once()
 
 
-def _expect_replicas(name: str, shards: List[Shard], model: ModelState) -> None:
-    """Every shard's band plane holds full replicas of both tables."""
+def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
+    """The group holds each relation once, at the model's size; every
+    shard reads those very objects; the shards' select slices partition S."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
-    for shard in shards:
+    expect(
+        len(group.table_r) == n_r and len(group.table_s) == n_s,
+        name,
+        f"the table set holds {len(group.table_r)}R/{len(group.table_s)}S, "
+        f"model {n_r}R/{n_s}S",
+    )
+    for shard in group.shards:
         expect(
-            len(shard.table_r) == n_r and len(shard.table_s_band) == n_s,
+            shard.table_r is group.table_r and shard.table_s_band is group.table_s,
             name,
-            f"shard {shard.index} replicas hold {len(shard.table_r)}R/"
-            f"{len(shard.table_s_band)}S, model {n_r}R/{n_s}S",
+            f"shard {shard.index} reads tables other than the group's one set",
         )
+    select_total = sum(len(shard.table_s_select) for shard in group.shards)
+    expect(
+        select_total == n_s,
+        name,
+        f"S select partition holds {select_total} rows fleet-wide, "
+        f"model {n_s} (slices must be disjoint and exhaustive)",
+    )
 
 
 def _expect_reference_tables(
@@ -427,14 +440,7 @@ class EngineTarget(FuzzTarget):
             f"subscription(s), model {n_queries}",
         )
         _expect_reference_tables(self.name, self.reference, model)
-        _expect_replicas(self.name, self.sharded.shards, model)
-        select_total = sum(len(s.table_s_select) for s in self.sharded.shards)
-        expect(
-            select_total == len(model.s_rows),
-            self.name,
-            f"S select partition holds {select_total} rows fleet-wide, "
-            f"model {len(model.s_rows)} (slices must be disjoint and exhaustive)",
-        )
+        _expect_table_set(self.name, self.sharded.shard_group, model)
 
 
 class FastpathTarget(FuzzTarget):
@@ -492,9 +498,9 @@ class FastpathTarget(FuzzTarget):
         results = self.batched.run([entry[0] for entry in pending])
         # The batch probe reads each join-key tree's flat mirror; holding it
         # to the leaf chain here fuzzes its in-place insert/remove upkeep.
-        for shard in self.batched.shards:
-            shard.table_r.by_b.check_invariants()
-            shard.table_s_band.by_b.check_invariants()
+        tables = self.batched.shard_group
+        tables.table_r.by_b.check_invariants()
+        tables.table_s.by_b.check_invariants()
         expect(
             len(results) == len(pending),
             self.name,
@@ -508,7 +514,7 @@ class FastpathTarget(FuzzTarget):
     def check(self, model: ModelState) -> None:
         self.flush()
         _expect_reference_tables(self.name, self.reference, model)
-        _expect_replicas(self.name, self.batched.shards, model)
+        _expect_table_set(self.name, self.batched.shard_group, model)
 
 
 class DurabilityTarget(FuzzTarget):
@@ -615,7 +621,7 @@ class DurabilityTarget(FuzzTarget):
                 f"recovered replay of journal[{index}] ({label}) produced "
                 f"{got}, uninterrupted run produced {recorded}",
             )
-        _expect_replicas(self.name, recovered.shards, model)
+        _expect_table_set(self.name, recovered.shard_group, model)
         expect(
             recovered.subscription_count == model.subscription_count(),
             self.name,

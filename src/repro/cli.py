@@ -544,12 +544,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(report.summary())
     for name in report.skipped_checkpoints:
         print(f"  skipped invalid checkpoint: {name}", file=sys.stderr)
-    shard0 = pipeline.shards[0]
+    tables = pipeline.shard_group
     print(
-        f"recovered state: {len(shard0.table_r)} R row(s), "
-        f"{len(shard0.table_s_band)} S row(s), "
+        f"recovered state: {len(tables.table_r)} R row(s), "
+        f"{len(tables.table_s)} S row(s), "
         f"{pipeline.subscription_count} subscription(s) "
-        f"across {len(pipeline.shards)} shard(s)"
+        f"across {len(tables.shards)} shard(s)"
     )
     return 0
 

@@ -208,20 +208,19 @@ class DurabilityManager:
     def _shard_payloads(self, source: EventPipeline) -> List[bytes]:
         """Partition live state into per-shard snapshot payloads.
 
-        Shard 0's band plane holds full replicas of both tables, so it is
-        the authoritative row set; the payload partition follows the
-        router's value split (R by ``B``, S by ``C``, queries by first
-        placement shard) purely to bound per-file size — restore unions
-        all files, so the split never has to match a future shard count.
+        The host's one table set is the row set; the payload partition
+        follows the router's value split (R by ``B``, S by ``C``, queries
+        by first placement shard) purely to bound per-file size — restore
+        unions all files, so the split never has to match a future shard
+        count.
         """
         router = source.router
-        shards = source.shards
+        tables = source.shard_group
         chunks: List[List[bytes]] = [[] for _ in range(router.num_shards)]
-        authoritative = shards[0]
-        for row in sorted(authoritative.table_r, key=lambda r: r.rid):
+        for row in sorted(tables.table_r, key=lambda r: r.rid):
             record = encode_event(DataEvent(EventKind.INSERT, "R", row))
             chunks[router.shard_for_value(row.b)].append(record)
-        for row in sorted(authoritative.table_s_band, key=lambda s: s.sid):
+        for row in sorted(tables.table_s, key=lambda s: s.sid):
             record = encode_event(DataEvent(EventKind.INSERT, "S", row))
             chunks[router.shard_for_value(row.c)].append(record)
         for qid in sorted(source._queries):

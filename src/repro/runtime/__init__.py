@@ -27,6 +27,7 @@ from repro.runtime.replay import (
 from repro.runtime.sharding import (
     EventRoute,
     Shard,
+    ShardGroup,
     ShardRange,
     ShardRouter,
     merge_deltas,
@@ -47,6 +48,7 @@ __all__ = [
     "MicroBatcher",
     "ReplayReport",
     "Shard",
+    "ShardGroup",
     "ShardRange",
     "ShardRouter",
     "StreamProfile",

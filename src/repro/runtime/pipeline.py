@@ -13,13 +13,15 @@ it stacks the runtime layers on top of them:
    the oldest pending event exceeds ``max_delay`` seconds.  Pending
    insert+delete pairs coalesce away before dispatch (batch-atomic
    visibility; see ``batching.py``).
-3. **execution** — each batch fans out to one task per affected shard.
-   ``mode="inline"`` (the default) runs shards sequentially on the
-   caller's thread: deterministic, zero overhead, and the only mode the
-   durable checkpointer can reach into.  ``mode="process-shm"`` pins each
-   shard to a persistent worker process behind a pair of shared-memory
-   rings (:mod:`repro.runtime.transport`) — real parallelism on CPython,
-   with batches and deltas crossing the boundary as columnar frames.
+3. **execution** — every data event reaches every shard (each holds a
+   partition of the queries).  ``mode="inline"`` (the default) steps all K
+   shards through the batch on the caller's thread, over one shared table
+   set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic, zero
+   overhead, and the only mode the durable checkpointer can reach into.
+   ``mode="process-shm"`` pins each shard — a group of one — to a
+   persistent worker process behind a pair of shared-memory rings
+   (:mod:`repro.runtime.transport`) — real parallelism on CPython, with
+   batches and deltas crossing the boundary as columnar frames.
 4. **merge** — per-shard deltas are merged by sequence number into one
    per-event result dict, deterministically (sorted rows), then dispatched
    to subscription callbacks in arrival order.
@@ -47,21 +49,20 @@ from repro.obs.hotspot_telemetry import HeadroomSample
 from repro.obs.remote import merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
 from repro.runtime.batching import BatchEntry, MicroBatcher, _row_key
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import MetricsRegistry, bucket_index
 from repro.runtime.sharding import (
     DOMAIN_HI,
     DOMAIN_LO,
     Delta,
     ResultCallback,
     Shard,
+    ShardBatchResults,
     ShardEntry,
+    ShardGroup,
     ShardRouter,
     scaled_alpha,
     merge_deltas,
 )
-
-# Per-shard batch outcome: elapsed seconds plus (seq, deltas) pairs.
-ShardBatchResults = Dict[int, Tuple[float, List[Tuple[int, Delta]]]]
 
 
 class BackpressurePolicy(str, enum.Enum):
@@ -99,41 +100,29 @@ class _Backend(Protocol):
 
 
 class _InlineBackend:
-    """Shards applied sequentially on the calling thread."""
+    """One :class:`ShardGroup` over all K shards, on the calling thread."""
 
-    def __init__(self, shards: List[Shard], tracer: Tracer = NULL_TRACER):
-        self.shards = shards
-        self.tracer = tracer
+    def __init__(self, group: ShardGroup):
+        self.group = group
 
     def subscribe(self, indices: Sequence[int], query: Any) -> None:
         for index in indices:
-            self.shards[index].subscribe(query)
+            self.group.shards[index].subscribe(query)
 
     def unsubscribe(self, indices: Sequence[int], query: Any) -> None:
         for index in indices:
-            self.shards[index].unsubscribe(query)
-
-    def _timed_apply(
-        self, index: int, entries: List[ShardEntry]
-    ) -> Tuple[float, List[Tuple[int, Delta]]]:
-        with self.tracer.span("shard.apply", shard=index, events=len(entries)):
-            start = time.perf_counter()
-            results = self.shards[index].apply_batch(entries)
-            return time.perf_counter() - start, results
+            self.group.shards[index].unsubscribe(query)
 
     def apply_shard_batches(
         self,
         shard_entries: Dict[int, List[ShardEntry]],
         ingest_ns: Optional[Dict[int, List[int]]] = None,
     ) -> ShardBatchResults:
-        return {
-            index: self._timed_apply(index, entries)
-            for index, entries in shard_entries.items()
-        }
+        return self.group.apply_batch(shard_entries)
 
     def sample_hotspots(self) -> List[HeadroomSample]:
         samples: List[HeadroomSample] = []
-        for shard in self.shards:
+        for shard in self.group.shards:
             samples.extend(shard.sample_telemetry())
         return samples
 
@@ -426,6 +415,22 @@ class _ProcessShmBackend:
 # -- the pipeline ------------------------------------------------------------
 
 
+def _histogram_delta(values: List[float]) -> Dict[str, Any]:
+    """Non-empty ``values`` as :meth:`Histogram.merge_delta` arguments —
+    what that many ``observe`` calls would have recorded."""
+    buckets: Dict[int, int] = {}
+    for value in values:
+        index = bucket_index(value)
+        buckets[index] = buckets.get(index, 0) + 1
+    return {
+        "count": len(values),
+        "total": sum(values),
+        "min_value": min(values),
+        "max_value": max(values),
+        "buckets": list(buckets.items()),
+    }
+
+
 class EventPipeline:
     """Sharded, micro-batched event processing with backpressure.
 
@@ -495,10 +500,8 @@ class EventPipeline:
         self._backend: _Backend
         if mode == "inline":
             self._backend = _InlineBackend(
-                [Shard(i, alpha=per_shard_alpha, epsilon=epsilon, metrics=self.metrics,
-                       tracer=tracer)
-                 for i in range(num_shards)],
-                tracer,
+                ShardGroup(range(num_shards), alpha=per_shard_alpha, epsilon=epsilon,
+                           metrics=self.metrics, tracer=tracer)
             )
         elif mode == "process-shm":
             # Shard spans and hotspot telemetry are recorded in the workers
@@ -659,19 +662,23 @@ class EventPipeline:
             # about to apply is already on media (fsync policy permitting).
             self.durability.sync()
         self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
-        shard_entries: Dict[int, List[ShardEntry]] = {}
-        shard_ingest: Dict[int, List[int]] = {}
-        shards_by_seq: Dict[int, List[int]] = {}
+        router = self.router
+        shard_entries: Dict[int, List[ShardEntry]] = {
+            index: [] for index in range(router.num_shards)
+        }
         for entry in batch:
-            route = self.router.route_event(entry.event)
-            self.router.note_event(route)
-            shards_by_seq[entry.seq] = list(route.shards)
+            event = entry.event
+            route = router.route_event(event)
+            router.note_event(route)
             for index in route.shards:
-                select_probe, select_state = route.flags(index, entry.event.relation)
-                shard_entries.setdefault(index, []).append(
-                    (entry.seq, entry.event, select_probe, select_state)
+                select_probe, select_state = route.flags(index, event.relation)
+                shard_entries[index].append(
+                    (entry.seq, event, select_probe, select_state)
                 )
-                shard_ingest.setdefault(index, []).append(entry.ingest_ns)
+        # Every data event reaches every shard: one ingest column serves all.
+        shard_ingest = dict.fromkeys(
+            shard_entries, [entry.ingest_ns for entry in batch]
+        )
         by_seq: Dict[int, List[Delta]] = {entry.seq: [] for entry in batch}
         for index, (elapsed, results) in sorted(
             self._backend.apply_shard_batches(shard_entries, shard_ingest).items()
@@ -683,28 +690,29 @@ class EventPipeline:
             for seq, deltas in results:
                 by_seq[seq].append(deltas)
         out: List[Tuple[int, DataEvent, Delta]] = []
-        results_counter = self.metrics.counter("pipeline/results_produced")
-        e2e_global = self.metrics.histogram("pipeline/e2e_us")
-        e2e_by_shard: Dict[int, Any] = {}
+        callbacks = self._callbacks
+        result_rows = 0
+        e2e_us: List[float] = []
         for entry in batch:
             merged = merge_deltas(by_seq[entry.seq])
             for query, matches in merged.items():
-                results_counter.inc(len(matches))
-                callback = self._callbacks.get(query.qid)
+                result_rows += len(matches)
+                callback = callbacks.get(query.qid)
                 if callback is not None:
                     callback(query, entry.event.row, matches)
             # End-to-end latency: ingress stamp → delta emission (now,
-            # after this event's callbacks ran).  Per shard and global.
+            # after this event's callbacks ran).
             if entry.ingest_ns:
-                e2e_us = (time.perf_counter_ns() - entry.ingest_ns) / 1_000.0
-                e2e_global.observe(e2e_us)
-                for index in shards_by_seq.get(entry.seq, ()):
-                    hist = e2e_by_shard.get(index)
-                    if hist is None:
-                        hist = self.metrics.histogram(f"shard/{index}/e2e_us")
-                        e2e_by_shard[index] = hist
-                    hist.observe(e2e_us)
+                e2e_us.append((time.perf_counter_ns() - entry.ingest_ns) / 1_000.0)
             out.append((entry.seq, entry.event, merged))
+        self.metrics.counter("pipeline/results_produced").inc(result_rows)
+        if e2e_us:
+            # One fold per batch, globally and per shard: an event's latency
+            # is the same number on every shard it was routed to — all of them.
+            e2e = _histogram_delta(e2e_us)
+            self.metrics.histogram("pipeline/e2e_us").merge_delta(**e2e)
+            for index in shard_entries:
+                self.metrics.histogram(f"shard/{index}/e2e_us").merge_delta(**e2e)
         self.metrics.counter("pipeline/events_applied").inc(len(batch))
         self.metrics.counter("pipeline/batches").inc()
         self.metrics.histogram("pipeline/batch_size").observe(len(batch))
@@ -742,12 +750,16 @@ class EventPipeline:
         return collected
 
     @property
-    def shards(self) -> List[Shard]:
-        """The in-process shard list (inline backend; the durable
-        checkpointer snapshots these directly)."""
+    def shard_group(self) -> ShardGroup:
+        """The in-process table set and its shards (inline backend; the
+        durable checkpointer snapshots the tables directly)."""
         if not isinstance(self._backend, _InlineBackend):
             raise RuntimeError("shard state is not in-process in process-shm mode")
-        return self._backend.shards
+        return self._backend.group
+
+    @property
+    def shards(self) -> List[Shard]:
+        return self.shard_group.shards
 
     def sample_hotspots(self) -> List[HeadroomSample]:
         """Refresh and return every shard plane's I2 headroom sample.

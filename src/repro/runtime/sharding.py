@@ -1,45 +1,54 @@
 """Domain sharding for the continuous-query runtime.
 
-The runtime splits subscriptions across ``K`` shards on two *planes*, one
-per query template, because the two templates constrain different
-attributes:
+The runtime splits the **subscriptions** across ``K`` shards; the base
+relations are not split, and not copied either: a process holds one
+``TableR`` and one ``TableS`` (:class:`ShardGroup`), written once per data
+event, and every shard's processors probe those same two objects.  A shard
+is a partition of the queries — the paper's hotspot groups are the heavy
+side, so they are what gets partitioned.  Queries are placed on two
+*planes*, one per query template, because the two templates constrain
+different attributes:
 
 * **select plane** — :class:`~repro.engine.queries.SelectJoinQuery`
   subscriptions are routed by their ``rangeC`` selection over the value
-  domain, to *every* shard their range overlaps.  S-rows are partitioned
-  by ``S.C`` (each row lives in exactly one shard), R-rows are replicated.
-  An incoming S-tuple therefore probes a **single** shard — the unsharded
-  processors scan all select queries per S-arrival, so this is where
-  sharding buys real per-event work reduction, not just parallelism.
-  An incoming R-tuple probes every shard, and because the S partition is
-  disjoint, the per-shard deltas for a query spanning several shards are
-  disjoint partial results whose union equals the unsharded delta.
+  domain, to *every* shard their range overlaps.  Each shard also keeps a
+  C-slice of S (``table_s_select``: an S row lives in exactly one slice)
+  for its select processor.  An incoming S-tuple therefore probes the
+  select queries of a **single** shard — the unsharded processors scan all
+  select queries per S-arrival, so this is where sharding buys real
+  per-event work reduction.  An incoming R-tuple probes every shard, and
+  because the slices are disjoint, the per-shard deltas for a query
+  spanning several shards are disjoint partial results whose union equals
+  the unsharded delta.
 
 * **band plane** — :class:`~repro.engine.queries.BandJoinQuery`
   subscriptions are routed by band midpoint over the *difference* domain
   (``S.B - R.B``) to exactly one shard.  A band match depends on the
   difference of two join keys, so no single-attribute partition of the
-  base tables can localize it: band shards keep full table replicas and
-  every data event reaches every shard.  Sharding here divides the
-  per-event probe work (each shard owns a slice of the bands and its own
-  hotspot tracker) across workers.
+  base tables can localize it: every data event reaches every shard, and
+  each shard probes the full shared tables for its slice of the bands
+  (with its own hotspot tracker).
 
 Every routing decision is **static**: it depends only on the coordinates of
 the row or query, never on the current subscription set.  That invariant is
 what makes the sharded pipeline exactly equivalent to the unsharded
 :class:`~repro.engine.system.ContinuousQuerySystem` — a row is stored by
 the same rule that later routes its deletion, and a query subscribed
-mid-stream finds all prior state already in its shards.
+mid-stream finds all prior state already in the tables it reads.
 
-This module is the router and the shard, nothing that drives them:
-:class:`~repro.runtime.pipeline.EventPipeline` is the one owner of
-placements, and its backends make every :meth:`Shard.apply_batch` call.
+This module is the router, the shard and the table-set owner, nothing that
+drives them: :class:`~repro.runtime.pipeline.EventPipeline` is the one
+owner of placements, and its backends make every
+:meth:`ShardGroup.apply_batch` call — in ``inline`` mode on one group of
+all K shards, in a ``process-shm`` worker on a group of one.
 """
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind
@@ -62,6 +71,8 @@ DOMAIN_HI = 10_000.0
 # the shard boundary: queries and rows flow through the runtime opaquely.
 Delta = Dict[Any, List[Any]]
 ShardEntry = Tuple[int, DataEvent, bool, bool]
+# Per-shard batch outcome: probe seconds plus (seq, deltas) pairs.
+ShardBatchResults = Dict[int, Tuple[float, List[Tuple[int, Delta]]]]
 ResultCallback = Callable[[Any, Any, List[Any]], None]
 
 
@@ -99,9 +110,8 @@ class EventRoute:
     """Where a data event goes.
 
     ``select_shard`` is the single shard whose C-slice owns the row (only
-    set for S events); every shard in ``shards`` applies the event to its
-    band plane, and R events additionally probe/store on every select
-    plane.
+    set for S events); every shard in ``shards`` probes the event on its
+    band plane, and R events additionally probe every select plane.
     """
 
     shards: Tuple[int, ...]
@@ -151,6 +161,10 @@ class ShardRouter:
         self.band_queries_per_shard = [0] * num_shards
         self.events_per_shard = [0] * num_shards
         self.select_probes_per_shard = [0] * num_shards
+        # Routes are static, so all K+1 of them are built here, not per event.
+        everywhere = tuple(range(num_shards))
+        self._r_route = EventRoute(everywhere, None)
+        self._s_routes = [EventRoute(everywhere, i) for i in range(num_shards)]
 
     # -- routing domains -----------------------------------------------------
 
@@ -178,8 +192,8 @@ class ShardRouter:
 
         Select-joins go to every shard their ``rangeC`` overlaps (their
         partial results partition along the S-row C-partition); band joins
-        go to the single shard containing their band midpoint (band shards
-        hold full replicas, so multi-registration would duplicate deltas).
+        go to the single shard containing their band midpoint (every shard
+        probes the full tables, so multi-registration would duplicate deltas).
         """
         if isinstance(query, SelectJoinQuery):
             lo = self.shard_for_value(query.range_c.lo)
@@ -198,10 +212,9 @@ class ShardRouter:
         localized) and, for R events, every select plane; S events probe
         and store on exactly one select plane — the shard owning ``row.c``.
         """
-        everywhere = tuple(range(self.num_shards))
         if event.relation == "S":
-            return EventRoute(everywhere, self.shard_for_value(event.row.c))
-        return EventRoute(everywhere, None)
+            return self._s_routes[self.shard_for_value(event.row.c)]
+        return self._r_route
 
     # -- stats ---------------------------------------------------------------
 
@@ -244,16 +257,22 @@ class ShardRouter:
 
 
 class Shard:
-    """One shard's processors and table state.
+    """One partition of the queries over tables it is handed and never
+    writes.
 
-    Holds a band-join processor over full table replicas and a select-join
-    processor over the C-partitioned S slice; ``table_r`` is shared by both
-    planes (R is replicated everywhere either way).
+    Holds a band-join and a select-join processor (each with its own
+    tracker when ``alpha`` is set).  ``table_r`` and ``table_s_band`` are
+    the process's shared relations — the :class:`ShardGroup` that built
+    this shard is their one writer; ``table_s_select`` is the shard's own
+    C-slice of S, which only its select processor reads and only
+    :meth:`apply`/:meth:`apply_batch` write.
     """
 
     def __init__(
         self,
         index: int,
+        table_r: TableR,
+        table_s_band: TableS,
         *,
         alpha: Optional[float] = 0.01,
         epsilon: float = 1.0,
@@ -262,8 +281,8 @@ class Shard:
     ):
         self.index = index
         self.tracer = tracer
-        self.table_r = TableR()
-        self.table_s_band = TableS()
+        self.table_r = table_r
+        self.table_s_band = table_s_band
         self.table_s_select = TableS()
         self.band: Any
         self.select: Any
@@ -317,138 +336,164 @@ class Shard:
     def apply(
         self, event: DataEvent, *, select_probe: bool = True, select_state: bool = True
     ) -> Delta:
-        """Apply one data event: probe (insertions), then install/remove
-        state.  ``select_probe``/``select_state`` gate the select plane for
-        S events routed to other shards' C-slices."""
+        """This shard's part of one data event: probe an insertion against
+        the shared tables, and keep the shard's own C-slice.  The shared
+        tables are the group's to write (after every shard has probed).
+        ``select_probe``/``select_state`` gate the select plane for S
+        events routed to other shards' C-slices."""
         row = event.row
         deltas: Delta = {}
-        if event.kind is EventKind.INSERT:
-            if event.relation == "R":
-                deltas.update(self.band.process_r(row))
-                deltas.update(self.select.process_r(row))
-                self.table_r.insert(row)
-            else:
-                deltas.update(self.band.process_s(row))
-                if select_probe:
-                    deltas.update(self.select.process_s(row))
-                self.table_s_band.insert(row)
-                if select_state:
-                    self.table_s_select.insert(row)
+        if event.kind is not EventKind.INSERT:
+            if select_state and event.relation == "S":
+                self.table_s_select.delete(row)
+        elif event.relation == "R":
+            deltas.update(self.band.process_r(row))
+            deltas.update(self.select.process_r(row))
         else:
-            if event.relation == "R":
-                self.table_r.delete(row)
-            else:
-                self.table_s_band.delete(row)
-                if select_state:
-                    self.table_s_select.delete(row)
+            deltas.update(self.band.process_s(row))
+            if select_probe:
+                deltas.update(self.select.process_s(row))
+            if select_state:
+                self.table_s_select.insert(row)
         return deltas
 
     def apply_batch(
         self, entries: Sequence[ShardEntry]
     ) -> List[Tuple[int, Delta]]:
-        """Apply ``(seq, event, select_probe, select_state)`` entries in
-        order, returning per-event deltas tagged with their sequence
-        numbers (the pipeline merges them across shards by seq).
+        """:meth:`apply` for one run of same-relation INSERT entries
+        ``(seq, event, select_probe, select_state)`` through the
+        operators' batch fast path, returning per-event deltas tagged with
+        their sequence numbers.
 
-        Runs of consecutive same-relation INSERTs take the operators'
-        batch fast path: an R-arrival probe reads only S-side state and
-        vice versa, so every row in such a run sees exactly the table state
-        the per-event path would have shown it, and the run can be probed
-        in one pass before its rows are installed.  Deletes (no deltas,
-        table mutations) and relation switches are run boundaries applied
-        singly.
+        An R-arrival probe reads only S-side state and vice versa, and the
+        group installs the run's rows only after every shard has probed
+        it, so each row sees exactly the table state the per-event path
+        would have shown it.  The select plane is probed only for the rows
+        whose ``select_probe`` flag is set (rows of this shard's C-slice).
         """
-        out: List[Tuple[int, Delta]] = []
+        rows = [entry[1].row for entry in entries]
+        relation = entries[0][1].relation
+        with self.tracer.span(
+            "fastpath.run", shard=self.index, relation=relation, rows=len(rows)
+        ):
+            if relation == "R":
+                band_parts = self.band.process_r_batch(rows)
+                select_parts = self.select.process_r_batch(rows)
+            else:
+                band_parts = self.band.process_s_batch(rows)
+                select_parts = [{} for _ in rows]
+                probe_idx = [k for k, entry in enumerate(entries) if entry[2]]
+                if probe_idx:
+                    probed = self.select.process_s_batch([rows[k] for k in probe_idx])
+                    for k, part in zip(probe_idx, probed):
+                        select_parts[k] = part
+                for entry in entries:
+                    if entry[3]:
+                        self.table_s_select.insert(entry[1].row)
+            out: List[Tuple[int, Delta]] = []
+            for entry, band_d, select_d in zip(entries, band_parts, select_parts):
+                deltas: Delta = dict(band_d)
+                deltas.update(select_d)
+                out.append((entry[0], deltas))
+            return out
+
+
+class ShardGroup:
+    """The one table set of a process and the shards that read it.
+
+    R and (band-plane) S are held **once**: every shard's processors probe
+    the same ``table_r``/``table_s`` and this class is their only writer.
+    ``mode="inline"`` builds one group over all K shards; a
+    ``process-shm`` worker builds the same group over its one shard.
+    """
+
+    def __init__(
+        self,
+        indices: Sequence[int],
+        *,
+        alpha: Optional[float] = 0.01,
+        epsilon: float = 1.0,
+        metrics: Optional[MetricsRegistry] = None,
+        tracer: Tracer = NULL_TRACER,
+    ):
+        self.tracer = tracer
+        self.table_r = TableR()
+        self.table_s = TableS()
+        self.shards = [
+            Shard(index, self.table_r, self.table_s, alpha=alpha, epsilon=epsilon,
+                  metrics=metrics, tracer=tracer)
+            for index in indices
+        ]
+
+    def apply_batch(
+        self, shard_entries: Dict[int, List[ShardEntry]]
+    ) -> ShardBatchResults:
+        """Apply one batch — ``shard_entries[i]`` is shard ``i``'s view of
+        it — and return per shard its probe seconds and the ``(seq,
+        deltas)`` of the insertions, in order.
+
+        Every data event reaches every shard, so the views differ only in
+        their select flags and the batch is segmented **once**: maximal
+        runs of consecutive same-relation INSERTs, with deletes and
+        relation switches as boundaries.  Run by run, every shard probes
+        the run against the still-unchanged tables (a run of one through
+        :meth:`Shard.apply`, longer ones through :meth:`Shard.apply_batch`),
+        then the run's rows are installed a single time — so run k+1 sees
+        run k exactly as per-event application would.
+        """
+        lanes = [(shard, shard_entries[shard.index]) for shard in self.shards]
+        seconds = [0.0] * len(lanes)
+        results: List[List[Tuple[int, Delta]]] = [[] for _ in lanes]
+        lead = lanes[0][1]
+        # ``shard.apply`` spans show how the shards of one table set
+        # interleave; a lone shard's probes are simply its ``batch`` (or
+        # ``worker.batch``) span, and a worker ships every span it records.
+        span = self.tracer.span if len(lanes) > 1 else NULL_TRACER.span
+        clock = time.perf_counter
+        n = len(lead)
         i = 0
-        n = len(entries)
         while i < n:
-            seq, event, select_probe, select_state = entries[i]
+            event = lead[i][1]
             if event.kind is not EventKind.INSERT:
-                out.append(
-                    (seq, self.apply(event, select_probe=select_probe, select_state=select_state))
-                )
+                if event.relation == "R":
+                    self.table_r.delete(event.row)
+                else:
+                    self.table_s.delete(event.row)
+                    for shard, entries in lanes:
+                        if entries[i][3]:  # select_state: the owning C-slice
+                            shard.apply(event)
                 i += 1
                 continue
             relation = event.relation
             j = i + 1
             while j < n:
-                nxt = entries[j][1]
+                nxt = lead[j][1]
                 if nxt.kind is not EventKind.INSERT or nxt.relation != relation:
                     break
                 j += 1
-            if j - i == 1:
-                out.append(
-                    (seq, self.apply(event, select_probe=select_probe, select_state=select_state))
-                )
-            elif relation == "R":
-                out.extend(self._apply_r_insert_run(entries[i:j]))
-            else:
-                out.extend(self._apply_s_insert_run(entries[i:j]))
+            for k, (shard, entries) in enumerate(lanes):
+                with span("shard.apply", shard=shard.index, events=j - i):
+                    start = clock()
+                    if j - i == 1:
+                        seq, __, select_probe, select_state = entries[i]
+                        results[k].append((seq, shard.apply(
+                            event, select_probe=select_probe, select_state=select_state
+                        )))
+                    else:
+                        results[k].extend(shard.apply_batch(entries[i:j]))
+                    seconds[k] += clock() - start
+            install = self.table_r.insert if relation == "R" else self.table_s.insert
+            for entry in lead[i:j]:
+                install(entry[1].row)
             i = j
-        return out
-
-    def _apply_r_insert_run(
-        self, entries: Sequence[ShardEntry]
-    ) -> List[Tuple[int, Delta]]:
-        """Probe a run of R-inserts against the (unchanging) S state in one
-        batch, then install the rows in arrival order."""
-        with self.tracer.span(
-            "fastpath.run", shard=self.index, relation="R", rows=len(entries)
-        ):
-            return self._r_insert_run(entries)
-
-    def _r_insert_run(
-        self, entries: Sequence[ShardEntry]
-    ) -> List[Tuple[int, Delta]]:
-        rows = [entry[1].row for entry in entries]
-        band_parts = self.band.process_r_batch(rows)
-        select_parts = self.select.process_r_batch(rows)
-        out: List[Tuple[int, Delta]] = []
-        for entry, band_d, select_d in zip(entries, band_parts, select_parts):
-            deltas: Delta = dict(band_d)
-            deltas.update(select_d)
-            self.table_r.insert(entry[1].row)
-            out.append((entry[0], deltas))
-        return out
-
-    def _apply_s_insert_run(
-        self, entries: Sequence[ShardEntry]
-    ) -> List[Tuple[int, Delta]]:
-        """Symmetric run application for S-inserts; the select plane is
-        probed only for the rows whose ``select_probe`` flag is set (rows
-        owned by this shard's C-slice)."""
-        with self.tracer.span(
-            "fastpath.run", shard=self.index, relation="S", rows=len(entries)
-        ):
-            return self._s_insert_run(entries)
-
-    def _s_insert_run(
-        self, entries: Sequence[ShardEntry]
-    ) -> List[Tuple[int, Delta]]:
-        rows = [entry[1].row for entry in entries]
-        band_parts = self.band.process_s_batch(rows)
-        select_parts: List[Delta] = [{} for _ in rows]
-        probe_idx = [k for k, entry in enumerate(entries) if entry[2]]
-        if probe_idx:
-            probed = self.select.process_s_batch([rows[k] for k in probe_idx])
-            for k, part in zip(probe_idx, probed):
-                select_parts[k] = part
-        out: List[Tuple[int, Delta]] = []
-        for k, (seq, event, __, select_state) in enumerate(entries):
-            deltas: Delta = dict(band_parts[k])
-            deltas.update(select_parts[k])
-            row = event.row
-            self.table_s_band.insert(row)
-            if select_state:
-                self.table_s_select.insert(row)
-            out.append((seq, deltas))
-        return out
+        return {
+            shard.index: (seconds[k], results[k])
+            for k, (shard, __) in enumerate(lanes)
+        }
 
 
-def _row_sort_key(row: Any) -> Tuple[float, float, int]:
-    if isinstance(row, STuple):
-        return (row.b, row.c, row.sid)
-    return (row.b, row.a, row.rid)
+_S_ROW_ORDER = attrgetter("b", "c", "sid")
+_R_ROW_ORDER = attrgetter("b", "a", "rid")
 
 
 def merge_deltas(parts: Sequence[Delta]) -> Delta:
@@ -456,7 +501,8 @@ def merge_deltas(parts: Sequence[Delta]) -> Delta:
 
     Partial match lists for the same query (a select-join spanning several
     C-slices) are concatenated and sorted by row coordinates, so the merged
-    result is independent of shard evaluation order.
+    result is independent of shard evaluation order.  One event's matches
+    are all rows of the *other* relation, so the order is chosen per list.
     """
     merged: Delta = {}
     for part in parts:
@@ -464,9 +510,12 @@ def merge_deltas(parts: Sequence[Delta]) -> Delta:
             if not rows:
                 continue
             if query in merged:
-                merged[query] = merged[query] + list(rows)
+                merged[query].extend(rows)
             else:
                 merged[query] = list(rows)
-    for query, rows in merged.items():
-        rows.sort(key=_row_sort_key)
+    for rows in merged.values():
+        if len(rows) > 1:
+            rows.sort(
+                key=_S_ROW_ORDER if isinstance(rows[0], STuple) else _R_ROW_ORDER
+            )
     return merged

@@ -1,7 +1,8 @@
 """The persistent shard-worker loop for ``mode="process-shm"``.
 
-One worker process owns one :class:`~repro.runtime.sharding.Shard` and a
-pair of rings: it blocks on the *request* ring, applies whatever arrives,
+One worker process owns one :class:`~repro.runtime.sharding.ShardGroup`
+— the same table-set owner the inline backend builds, over one shard — and
+a pair of rings: it blocks on the *request* ring, applies whatever arrives,
 and answers on the *response* ring.  The protocol is strictly
 request/response — the pipeline never has more than one frame in flight
 per shard — so worker-side ring sends can use a short deadline: a full
@@ -45,7 +46,7 @@ from repro.engine.events import QueryEvent
 from repro.obs.remote import TelemetryCollector
 from repro.obs.tracing import RingTracer
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.sharding import Shard
+from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames
 from repro.runtime.transport.shm import ShmRing, TransportError
 
@@ -61,20 +62,21 @@ _WORKER_TRACE_CAPACITY = 16_384
 
 
 def _apply_batch(
-    shard: Shard,
+    group: ShardGroup,
     batch: frames.DecodedBatch,
     tracer: RingTracer,
     registry: MetricsRegistry,
 ) -> Tuple[float, frames.SeqResults]:
     tracer.adopt_trace_id(batch.trace_id)
     tracer.set_remote_parent(batch.parent_span_id)
+    (shard,) = group.shards
+    index = shard.index
     start_ns = time.perf_counter_ns()
-    with tracer.span(
-        "worker.batch", shard=shard.index, events=len(batch.entries)
-    ):
+    with tracer.span("worker.batch", shard=index, events=len(batch.entries)):
+        __, applied = group.apply_batch({index: batch.entries})[index]
         results: frames.SeqResults = [
             (seq, {query.qid: rows for query, rows in deltas.items()})
-            for seq, deltas in shard.apply_batch(batch.entries)
+            for seq, deltas in applied
         ]
     end_ns = time.perf_counter_ns()
     if batch.ingest_ns:
@@ -86,7 +88,7 @@ def _apply_batch(
 
 
 def _handle(
-    shard: Shard,
+    group: ShardGroup,
     queries: Dict[int, Any],
     frame_type: int,
     body: Any,
@@ -94,9 +96,10 @@ def _handle(
     registry: MetricsRegistry,
 ) -> bytes:
     if frame_type == frames.FRAME_BATCH:
-        elapsed, results = _apply_batch(shard, body, tracer, registry)
+        elapsed, results = _apply_batch(group, body, tracer, registry)
         return frames.encode_result_frame(elapsed, results)
     if frame_type == frames.FRAME_CONTROL:
+        (shard,) = group.shards
         if isinstance(body, Unsubscribe):
             shard.unsubscribe(queries.pop(body.qid))
         elif isinstance(body, QueryEvent):
@@ -130,8 +133,8 @@ def shard_worker_main(
     responses = ShmRing.attach(response_ring, doorbell=response_doorbell)
     registry = MetricsRegistry()
     tracer = RingTracer(capacity=_WORKER_TRACE_CAPACITY)
-    shard = Shard(index, alpha=alpha, epsilon=epsilon, metrics=registry,
-                  tracer=tracer)
+    group = ShardGroup([index], alpha=alpha, epsilon=epsilon, metrics=registry,
+                       tracer=tracer)
     collector = TelemetryCollector(index, registry, tracer)
     queries: Dict[int, Any] = {}
     try:
@@ -155,7 +158,7 @@ def shard_worker_main(
                 break
             try:
                 response = _handle(
-                    shard, queries, frame_type, body, tracer, registry
+                    group, queries, frame_type, body, tracer, registry
                 )
             except Exception as exc:  # surfaced to the pipeline, not lost
                 response = frames.encode_error_frame(
@@ -171,7 +174,7 @@ def shard_worker_main(
                 and isinstance(body, frames.DecodedBatch)
                 and body.want_telemetry
             ):
-                shard.sample_telemetry()  # refresh headroom gauges
+                group.shards[0].sample_telemetry()  # refresh headroom gauges
                 responses.send(
                     frames.encode_telemetry_frame(collector.collect()),
                     timeout=_RESPONSE_TIMEOUT,

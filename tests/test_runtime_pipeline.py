@@ -289,6 +289,25 @@ class TestMetrics:
             text = pipeline.metrics.render()
             assert "pipeline/events_applied" in text
 
+    def test_shard_e2e_histograms_fold_the_same_latencies(self):
+        """Per batch the latencies fold once into ``pipeline/e2e_us`` and
+        every ``shard/<i>/e2e_us``: same counts, same buckets."""
+        with EventPipeline(
+            num_shards=3, alpha=None, batch_size=4, mode="inline"
+        ) as pipeline:
+            pipeline.subscribe(wide_select())
+            pipeline.run([s_insert(i, c=3_000.0 * i) for i in range(4)]
+                         + [r_insert(i) for i in range(6)])
+            histograms = pipeline.metrics.snapshot()["histograms"]
+            whole = histograms["pipeline/e2e_us"]
+            assert whole["count"] == 10 and whole["min"] <= whole["max"]
+            assert sum(n for __, n in whole["buckets"]) == 10
+            for index, routed in enumerate(pipeline.router.events_per_shard):
+                shard = histograms[f"shard/{index}/e2e_us"]
+                assert shard["count"] == routed == 10
+                assert shard["buckets"] == whole["buckets"]
+                assert shard["sum"] == pytest.approx(whole["sum"])
+
     def test_hotspot_promotions_counted(self):
         metrics = MetricsRegistry()
         with EventPipeline(

@@ -9,7 +9,7 @@ from repro.core.intervals import Interval
 from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
-from repro.engine.table import RTuple, STuple
+from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardRouter, merge_deltas, scaled_alpha
 
@@ -126,6 +126,14 @@ def apply(pipeline, kind, relation, row):
     return deltas
 
 
+def norm(deltas):
+    return sorted(
+        (sorted(r.sid if isinstance(r, STuple) else r.rid for r in rows))
+        for rows in deltas.values()
+        if rows
+    )
+
+
 class TestShardedPipeline:
     @pytest.mark.parametrize("num_shards", [1, 5])
     @pytest.mark.parametrize("alpha", [None, 0.05])
@@ -148,13 +156,6 @@ class TestShardedPipeline:
             q1, q2 = make(), make()
             plain.subscribe(q1)
             sharded.subscribe(q2)
-
-        def norm(deltas):
-            return sorted(
-                (sorted(r.sid if isinstance(r, STuple) else r.rid for r in rows))
-                for rows in deltas.values()
-                if rows
-            )
 
         live_r, live_s = [], []
         for step in range(250):
@@ -213,3 +214,74 @@ class TestShardedPipeline:
         apply(sharded, EventKind.DELETE, "R", row)
         assert sharded.metrics.counter("pipeline/events_applied").value == 2
         assert all(len(shard.table_r) == 0 for shard in sharded.shards)
+
+
+class TestOneTableSet:
+    """R and band-plane S exist once per process, whatever K is."""
+
+    def test_runs_in_one_batch_see_each_other_like_per_event(self):
+        """R-run, S-run, delete, R-run inside one 64-event batch: the S-run
+        must see the first R-run's rows, the last R-run the S-run's rows
+        minus the deleted one — delta for delta the unsharded engine."""
+        plain = ContinuousQuerySystem(alpha=None)
+        sharded = EventPipeline(
+            num_shards=4, alpha=None, batch_size=64, coalesce=False,
+            domain_lo=0.0, domain_hi=100.0,
+        )
+        for system in (plain, sharded):
+            system.subscribe(BandJoinQuery(Interval(-1.0, 1.0)))
+            system.subscribe(BandJoinQuery(Interval(40.0, 60.0)))
+            system.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 4 slices
+            system.subscribe(select_query(30.0, 45.0, 0.0, 50.0))
+        r_rows = [RTuple(i, 10.0 * i, 10.0 + i) for i in range(6)]
+        s_rows = [STuple(i, 10.0 + i, 20.0 * i) for i in range(5)]
+        events = (
+            [DataEvent(EventKind.INSERT, "R", row) for row in r_rows[:3]]
+            + [DataEvent(EventKind.INSERT, "S", row) for row in s_rows]
+            + [DataEvent(EventKind.DELETE, "S", s_rows[1])]
+            + [DataEvent(EventKind.INSERT, "R", row) for row in r_rows[3:]]
+        )
+        want = []
+        for event in events:
+            if event.kind is EventKind.DELETE:
+                plain.delete_s(event.row)
+                want.append([])
+            elif event.relation == "R":
+                want.append(norm(plain.insert_r_row(event.row)))
+            else:
+                want.append(norm(plain.insert_s_row(event.row)))
+        got = [norm(deltas) for __, ___, deltas in sharded.run(events)]
+        assert sharded.metrics.counter("pipeline/batches").value == 1
+        assert got == want
+        assert any(want[3:8]) and any(want[9:])  # later runs did match earlier rows
+
+    def test_a_data_event_writes_each_table_once(self, monkeypatch):
+        """One TableR write per R event; two TableS writes per S event (the
+        shared table and the owning C-slice) — not K and K+1."""
+        writes = {}
+        for cls in (TableR, TableS):
+            for op in ("insert", "delete"):
+                def counted(self, row, _inner=getattr(cls, op), _key=(cls.__name__, op)):
+                    writes[_key] = writes.get(_key, 0) + 1
+                    return _inner(self, row)
+                monkeypatch.setattr(cls, op, counted)
+        sharded = EventPipeline(num_shards=4, alpha=None, batch_size=8)
+        r_rows = [RTuple(i, 1.0, 2.0 + i) for i in range(5)]
+        s_rows = [STuple(i, 2.0 + i, 2_500.0 * i) for i in range(4)]
+        sharded.run(
+            [DataEvent(EventKind.INSERT, "R", row) for row in r_rows]
+            + [DataEvent(EventKind.INSERT, "S", row) for row in s_rows]
+        )
+        sharded.run(
+            [DataEvent(EventKind.DELETE, "R", r_rows[0])]
+            + [DataEvent(EventKind.DELETE, "S", row) for row in s_rows[:3]]
+        )
+        assert writes == {
+            ("TableR", "insert"): 5, ("TableS", "insert"): 8,
+            ("TableR", "delete"): 1, ("TableS", "delete"): 6,
+        }
+        group = sharded.shard_group
+        assert all(shard.table_r is group.table_r for shard in group.shards)
+        assert all(shard.table_s_band is group.table_s for shard in group.shards)
+        assert (len(group.table_r), len(group.table_s)) == (4, 1)
+        assert sum(len(shard.table_s_select) for shard in group.shards) == 1
