@@ -1,10 +1,10 @@
 """Extension benchmark: range-subscription matching, SSI group processing
-vs the classic stabbing indexes (interval tree, interval skip list).
+vs the classic stabbing index (an interval tree).
 
 On clustered subscriptions the SSI index answers events in O(tau + k) ---
 whole groups reported through the common-intersection fast path --- and
-should clearly beat both classic O(log n + k) structures; on scattered
-subscriptions it degrades toward them.
+should clearly beat the classic O(log n + k) structure; on scattered
+subscriptions it degrades toward it.
 """
 
 import random
@@ -13,7 +13,6 @@ from repro.bench.harness import Series, measure_throughput, print_figure
 from repro.core.intervals import Interval
 from repro.operators.range_select import (
     HotspotRangeIndex,
-    IntervalSkipListRangeIndex,
     IntervalTreeRangeIndex,
     RangeSubscription,
     SSIRangeIndex,
@@ -46,14 +45,13 @@ def test_ext_range_subscription_matching(benchmark):
 
     series = {
         name: Series(name)
-        for name in ("ITREE", "ISLIST", "SSI", "HOTSPOT", "SSI groups")
+        for name in ("ITREE", "SSI", "HOTSPOT", "SSI groups")
     }
     ssi_clustered = None
     for clustered in (0.2, 0.6, 1.0):
         subscriptions = make_subscriptions(clustered, seed=int(clustered * 100))
         indexes = {
             "ITREE": IntervalTreeRangeIndex(),
-            "ISLIST": IntervalSkipListRangeIndex(),
             "SSI": SSIRangeIndex(),
             "HOTSPOT": HotspotRangeIndex(alpha=0.005),
         }
@@ -74,13 +72,11 @@ def test_ext_range_subscription_matching(benchmark):
 
     # Fully clustered: SSI's O(tau + k) wins clearly.
     assert series["SSI"].y_at(100) > 1.5 * series["ITREE"].y_at(100)
-    assert series["SSI"].y_at(100) > 1.5 * series["ISLIST"].y_at(100)
     # The group count is what drives it: far below the subscription count.
     assert series["SSI groups"].y_at(100) <= 2 * CLUSTERS
-    # The classic indexes are indifferent to clusteredness.
-    for name in ("ITREE", "ISLIST"):
-        ys = series[name].ys
-        assert max(ys) < 4.0 * min(ys)
+    # The classic index is indifferent to clusteredness.
+    ys = series["ITREE"].ys
+    assert max(ys) < 4.0 * min(ys)
     # Pure SSI loses badly on scattered subscriptions (tau ~ n); the
     # hotspot-filtered index stays competitive at both ends.
     assert series["SSI"].y_at(20) < 0.25 * series["ITREE"].y_at(20)

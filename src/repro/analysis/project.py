@@ -186,7 +186,6 @@ HOTPATH_MODULES: FrozenSet[str] = frozenset(
         "repro/dstruct/treap.py",
         "repro/dstruct/sorted_list.py",
         "repro/dstruct/interval_tree.py",
-        "repro/dstruct/interval_skip_list.py",
         "repro/dstruct/rtree.py",
         "repro/fastpath/kernels.py",
         "repro/fastpath/band.py",

@@ -39,6 +39,7 @@ from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_ev
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
+from repro.operators.hotspot_processor import HotspotSelectJoinProcessor
 from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import normalize_deltas
@@ -501,6 +502,11 @@ class FastpathTarget(FuzzTarget):
         tables = self.batched.shard_group
         tables.table_r.by_b.check_invariants()
         tables.table_s.by_b.check_invariants()
+        # Likewise the select probe's endpoint columns against the
+        # subscriptions they mirror (hotspot processors only: alpha is set).
+        for shard in self.batched.shards:
+            if isinstance(shard.select, HotspotSelectJoinProcessor):
+                shard.select.validate()
         expect(
             len(results) == len(pending),
             self.name,

@@ -56,7 +56,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("subsystems:")
     for name, what in [
         ("repro.core", "stabbing partitions, dynamic maintenance, hotspot tracking, SSI"),
-        ("repro.dstruct", "B+ tree, R-tree, interval tree, interval skip list, treap"),
+        ("repro.dstruct", "B+ tree, R-tree, interval tree, treap"),
         ("repro.engine", "relations, query model, ContinuousQuerySystem facade"),
         ("repro.operators", "BJ-*/SJ-* strategies, hotspot processing, extensions"),
         ("repro.histogram", "EQW-HIST, SSI-HIST, OPTIMAL"),

@@ -174,6 +174,33 @@ class Cursor(Generic[V]):
         self._tree.scan_steps += len(out) + 1
         return out
 
+    def collect_prefix(self, prefix: Any) -> Tuple[array[float], List[V]]:
+        """Composite-key walk: every entry at and after this position while
+        key == (prefix, x), as the sorted ``array('d')`` column of the x and
+        the parallel value list (leaf order, so equal keys keep insertion
+        order).  The select batch probe takes this once per distinct join
+        key and answers every per-query range scan by bisecting the column
+        and slicing the list."""
+        seconds: array[float] = array("d")
+        out: List[V] = []
+        leaf, slot = self._leaf, self._slot
+        while leaf is not None:
+            keys = leaf.keys
+            n = len(keys)
+            end = n
+            if keys[n - 1][0] != prefix or keys[slot][0] != prefix:
+                end = slot  # the run ends inside this leaf
+                while end < n and keys[end][0] == prefix:
+                    end += 1
+            seconds.extend([key[1] for key in keys[slot:end]])
+            out.extend(leaf.values[slot:end])
+            if end < n:
+                break
+            leaf = leaf.next
+            slot = 0
+        self._tree.scan_steps += len(out) + 1
+        return seconds, out
+
     def collect_backward_prefix_ge(self, prefix: Any, bound: Any) -> List[V]:
         """Composite-key walk backwards: values while key == (prefix, c)
         with c >= bound, returned in ascending key order."""

@@ -10,16 +10,14 @@ far simpler implementation and is what we use.
 
 The treap is generic: nodes carry an arbitrary ``value`` and are ordered by a
 ``key`` that is fixed at insertion time.  An optional *aggregate* combines
-values bottom-up; the interval-intersection aggregate used by the refined
-algorithm lives in :class:`IntervalTreap` below.
+values bottom-up; the refined algorithm supplies the interval-intersection
+aggregate (``repro.core.refined_partition``).
 """
 
 from __future__ import annotations
 
 import random
 from typing import Any, Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
-
-from repro.core.intervals import Interval
 
 V = TypeVar("V")
 
@@ -235,41 +233,3 @@ class Treap(Generic[V]):
         clone._lift = self._lift
         clone._combine = self._combine
         return clone
-
-
-def _intersect_aggs(a: Optional[Interval], b: Optional[Interval]) -> Optional[Interval]:
-    if a is None or b is None:
-        return None
-    return a.intersect(b)
-
-
-class IntervalTreap(Treap[Interval]):
-    """Treap of intervals keyed by left endpoint, augmented with the common
-    intersection of each subtree.
-
-    This is the per-group structure of the Appendix B refined algorithm: the
-    root aggregate is the group's common intersection, and splitting at a left
-    endpoint ``x`` peels off exactly the member intervals whose left endpoints
-    lie at or before ``x``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, rng: Optional[random.Random] = None):
-        super().__init__(aggregate=(lambda iv: iv, _intersect_aggs), rng=rng)
-
-    def add(self, interval: Interval) -> None:
-        self.insert(interval.lo, interval)
-
-    def discard(self, interval: Interval) -> None:
-        """Remove one occurrence of ``interval``; KeyError if absent."""
-        self.remove(interval.lo, match=lambda iv: iv == interval)
-
-    @property
-    def common_intersection(self) -> Optional[Interval]:
-        """Common intersection of all member intervals (None iff empty or disjoint)."""
-        return self.aggregate
-
-    def split_left_of(self, x: float) -> "IntervalTreap":
-        """Split off intervals whose left endpoint is <= ``x``."""
-        return self.split(x, after_equal=True)  # type: ignore[return-value]

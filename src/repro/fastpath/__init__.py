@@ -13,8 +13,10 @@ a micro-batch:
 * :mod:`repro.fastpath.band` — the sort-merge batch probe for band joins:
   arrivals are sorted once by join key, then merged against every SSI
   group in a single pass over the dense group table;
-* :mod:`repro.fastpath.select` — the batched per-group probe for
-  equality-joins-with-selections (composite-index probe + R-tree stabs).
+* :mod:`repro.fastpath.select` — the columnar batch probe for
+  equality-joins-with-selections: one composite-index walk per join key,
+  then the stabbing groups (R-tree stabs, results by slice) and the
+  ungrouped queries' endpoint columns (``SelectColumns``).
 
 Every batch probe is **delta-identical** to running the per-event probe
 once per tuple: the same queries are affected, the same result rows are

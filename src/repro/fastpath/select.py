@@ -1,19 +1,110 @@
-"""Batched SJ-SSI probe (Section 3.2) over the dense group table.
+"""Columnar batch probe for equality joins with selections (Section 3.2).
 
-The select-join probe has no columnar STEP-1 scan to vectorize (affected
-queries come from at most two R-tree stabs), so the batch win here is
-amortizing per-group dispatch: the micro-batch is sorted once by join key,
-the dense group table is walked once, and per (group, row) the leftward
-composite-index cursor is hoisted once instead of cloned per affected
-query.  The probe logic — composite B-tree ``surrounding``, q1/q2
-straddle tests, R-tree stabs, outward leaf walks — matches the per-event
-``probe_select_group_r``/``probe_select_group_s`` expression for
-expression, so batched deltas are identical.
+One kernel serves every select-join batch entry point --- the SJ-SSI group
+probe on both sides, S arrivals at the hotspot processor, and the scattered
+remainder of its R arrivals --- with the roles of the columns swapped
+(``r_side``), not with separate code paths.  For a run of arriving rows it
+
+* walks the composite index **once per distinct join key** of the run
+  (``cursor_ge((b,))`` + :meth:`~repro.dstruct.btree.Cursor.collect_prefix`):
+  the joining rows in leaf order and the sorted ``array('d')`` column of
+  their second key component.  The walk is made when a probe first needs
+  the key --- a row no query selects never causes one --- and a key
+  nothing joins with costs one descent;
+* probes the **stabbing groups** (``points``/``rtrees``, the dense group
+  table): ``surrounding((b, p_j))`` is ``bisect_left`` of the point in that
+  column --- for all groups at once under numpy --- the q1/q2 straddle
+  tests and the at most two R-tree stabs per (group, row) are the per-event
+  ``probe_select_group_r``/``_s`` expression for expression, and the
+  outward leaf walks are one slice of the joined list, bounded by the same
+  pred/succ position the cursors start from;
+* probes the **endpoint columns** of a query population that has no groups
+  (:class:`SelectColumns`): the closed-interval selection test of all
+  queries against the whole run is one ``(rows x queries)`` comparison,
+  and each surviving pair becomes one ``searchsorted`` pair on the joined
+  column and a slice of the joined list --- the rows, in the order,
+  ``cursor_ge((b, lo)).collect_forward_prefix_le(b, hi)`` yields per event.
+
+numpy views of the columns (``np.frombuffer``) live in locals only: an
+``array`` cannot resize while its buffer is exported, and the columns are
+appended to and swap-removed from on every subscription change.  The
+pure-Python kernel bisects the same columns; so does a population of fewer
+than ``MIN_VECTOR`` queries, where numpy dispatch costs more than the loop
+it replaces.
+
+Batched deltas are identical to the per-event probes' as dicts --- the same
+queries, each with the same rows in the same order.  The insertion order of
+the queries inside one event's delta is not part of the contract.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.fastpath.kernels import MIN_VECTOR, get_numpy
+
+
+class SelectColumns:
+    """Endpoint columns of a select-join population, for the batch probe.
+
+    ``sel_*`` bound the attribute of the *arriving* row the query selects
+    on, ``rng_*`` the second component of the composite index the results
+    are enumerated from; ``queries`` is the parallel query list.  Appended
+    to and swap-removed from in O(1), so the columns are always current ---
+    there is nothing to rebuild and no dirty flag.
+    """
+
+    __slots__ = ("sel_lo", "sel_hi", "rng_lo", "rng_hi", "queries", "_slot")
+
+    def __init__(self) -> None:
+        self.sel_lo: array[float] = array("d")
+        self.sel_hi: array[float] = array("d")
+        self.rng_lo: array[float] = array("d")
+        self.rng_hi: array[float] = array("d")
+        self.queries: List[Any] = []
+        self._slot: Dict[int, int] = {}  # id(query) -> position
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def add(self, query: Any, sel: Any, rng: Any) -> None:
+        """Append ``query`` with selection interval ``sel`` and enumeration
+        interval ``rng``."""
+        assert id(query) not in self._slot, "query is already in the columns"
+        self._slot[id(query)] = len(self.queries)
+        self.queries.append(query)
+        self.sel_lo.append(sel.lo)
+        self.sel_hi.append(sel.hi)
+        self.rng_lo.append(rng.lo)
+        self.rng_hi.append(rng.hi)
+
+    def remove(self, query: Any) -> None:
+        """Swap-remove ``query``: the last entry takes its slot."""
+        slot = self._slot.pop(id(query))
+        last = self.queries.pop()
+        moved = last is not query
+        if moved:
+            self.queries[slot] = last
+            self._slot[id(last)] = slot
+        for column in (self.sel_lo, self.sel_hi, self.rng_lo, self.rng_hi):
+            value = column.pop()
+            if moved:
+                column[slot] = value
+
+    def check(self, expected: Any, sel_of: Any, rng_of: Any) -> None:
+        """Assert the columns hold exactly the queries of ``expected``, each
+        at the slot the position map names, with its current endpoints."""
+        queries = self.queries
+        assert {id(q) for q in queries} == {id(q) for q in expected}, "column population drifted"
+        assert len(queries) == len(self._slot) == len(self.sel_lo), "column lengths differ"
+        assert len(queries) == len(self.sel_hi) == len(self.rng_lo) == len(self.rng_hi)
+        for slot, query in enumerate(queries):
+            assert self._slot[id(query)] == slot, "position map drifted"
+            sel, rng = sel_of(query), rng_of(query)
+            assert (self.sel_lo[slot], self.sel_hi[slot]) == (sel.lo, sel.hi)
+            assert (self.rng_lo[slot], self.rng_hi[slot]) == (rng.lo, rng.hi)
 
 
 def batch_probe_select_r(
@@ -22,48 +113,18 @@ def batch_probe_select_r(
     points: Sequence[float],
     rtrees: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
+    columns: Optional[SelectColumns] = None,
 ) -> None:
-    """Probe a batch of R-tuples against every rangeC group.
+    """Probe a batch of R-tuples against S(B, C).
 
-    ``results`` is a parallel list of per-row dicts, updated in place.  All
-    rows are probed against the same S(B, C) state, so this is only valid
-    for a run of R-inserts with no interleaved S-change.
+    ``points``/``rtrees`` is the dense table of the rangeC stabbing groups;
+    ``columns`` an ungrouped population selecting on ``rangeA`` (``sel``)
+    and enumerating by ``rangeC`` (``rng``).  ``results`` is a parallel
+    list of per-row dicts, updated in place.  All rows are probed against
+    the same S(B, C) state, so this is only valid for a run of R-inserts
+    with no interleaved S-change.
     """
-    if not rows or not points:
-        return
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].b, rows[i].a))
-    for point, rtree in zip(points, rtrees):
-        for i in order:
-            row = rows[i]
-            b = row.b
-            pred, succ = by_bc.surrounding((b, point))
-            q1 = pred.value if pred.valid and pred.key[0] == b else None
-            q2 = succ.value if succ.valid and succ.key[0] == b else None
-            if q1 is None and q2 is None:
-                continue  # nothing joins with this row near the point
-            affected: Dict[Any, Any] = {}
-            if q1 is not None:
-                for __, query in rtree.stab(q1.c, row.a):
-                    affected[query.qid] = query
-            if q2 is not None and (q1 is None or q2.c != q1.c):
-                for __, query in rtree.stab(q2.c, row.a):
-                    affected.setdefault(query.qid, query)
-            if not affected:
-                continue
-            if succ.valid:
-                left = succ.clone()
-                left.retreat()
-            else:
-                left = pred
-            left_valid = left.valid
-            res = results[i]
-            for query in affected.values():
-                range_c = query.range_c
-                hits = left.collect_backward_prefix_ge(b, range_c.lo) if left_valid else []
-                if succ.valid:
-                    hits.extend(succ.collect_forward_prefix_le(b, range_c.hi))
-                assert hits, "affected select-join produced no result"
-                res[query] = hits
+    _batch_probe(by_bc, rows, points, rtrees, results, columns, r_side=True)
 
 
 def batch_probe_select_s(
@@ -72,40 +133,155 @@ def batch_probe_select_s(
     points: Sequence[float],
     rtrees: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
+    columns: Optional[SelectColumns] = None,
 ) -> None:
-    """Symmetric batch probe for S-tuples against R(B, A) (SSI on rangeA)."""
-    if not rows or not points:
+    """Symmetric batch probe for S-tuples against R(B, A): groups are on
+    rangeA, ``columns`` select on ``rangeC`` and enumerate by ``rangeA``."""
+    _batch_probe(by_ba, rows, points, rtrees, results, columns, r_side=False)
+
+
+def _batch_probe(
+    index: Any,
+    rows: Sequence[Any],
+    points: Sequence[float],
+    rtrees: Sequence[Any],
+    results: List[Dict[Any, List[Any]]],
+    columns: Optional[SelectColumns],
+    *,
+    r_side: bool,
+) -> None:
+    if not rows or not (points or columns):
         return
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].b, rows[i].c))
-    for point, rtree in zip(points, rtrees):
-        for i in order:
-            row = rows[i]
-            b = row.b
-            pred, succ = by_ba.surrounding((b, point))
-            q1 = pred.value if pred.valid and pred.key[0] == b else None
-            q2 = succ.value if succ.valid and succ.key[0] == b else None
-            if q1 is None and q2 is None:
-                continue
-            affected: Dict[Any, Any] = {}
-            if q1 is not None:
-                for __, query in rtree.stab(row.c, q1.a):
-                    affected[query.qid] = query
-            if q2 is not None and (q1 is None or q2.a != q1.a):
-                for __, query in rtree.stab(row.c, q2.a):
-                    affected.setdefault(query.qid, query)
-            if not affected:
-                continue
-            if succ.valid:
-                left = succ.clone()
-                left.retreat()
-            else:
-                left = pred
-            left_valid = left.valid
-            res = results[i]
-            for query in affected.values():
-                range_a = query.range_a
-                hits = left.collect_backward_prefix_ge(b, range_a.lo) if left_valid else []
-                if succ.valid:
-                    hits.extend(succ.collect_forward_prefix_le(b, range_a.hi))
-                assert hits, "affected select-join produced no result"
-                res[query] = hits
+    joined = _JoinedRows(index)
+    # The selection attribute of the arriving rows.
+    xs = [row.a for row in rows] if r_side else [row.c for row in rows]
+    if points:
+        _probe_groups(joined, rows, xs, points, rtrees, results, r_side)
+    if columns:
+        _probe_columns(joined, rows, xs, columns, results)
+
+
+class _JoinedRows(Dict[float, Optional[Tuple[Any, List[Any]]]]):
+    """Join key -> (second-component column, joined rows in leaf order), or
+    ``None`` when nothing joins: one walk of the composite index per
+    distinct key of the run, made when a probe first asks for the key."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: Any) -> None:
+        self._index = index
+
+    def __missing__(self, b: float) -> Optional[Tuple[Any, List[Any]]]:
+        cur = self._index.cursor_ge((b,))
+        run = cur.collect_prefix(b) if cur.valid else None
+        if run is not None and not run[1]:
+            run = None
+        self[b] = run
+        return run
+
+
+def _probe_groups(
+    joined: _JoinedRows,
+    rows: Sequence[Any],
+    xs: List[float],
+    points: Sequence[float],
+    rtrees: Sequence[Any],
+    results: List[Dict[Any, List[Any]]],
+    r_side: bool,
+) -> None:
+    """SJ-SSI group probes of the run against the dense group table."""
+    by_key: Dict[float, List[int]] = {}
+    for i, row in enumerate(rows):
+        by_key.setdefault(row.b, []).append(i)
+    _np = get_numpy()
+    pts = _np.array(points) if _np is not None and len(points) >= MIN_VECTOR else None
+    for b, idx in by_key.items():
+        run = joined[b]
+        if run is None:
+            continue  # nothing joins with these rows
+        seconds, hits_of_key = run
+        n = len(seconds)
+        # succ = the first joined entry at or after the stabbing point, pred
+        # the one before: the cursor pair of ``surrounding((b, p_j))``.
+        if pts is not None:
+            succs = _np.searchsorted(_np.frombuffer(seconds), pts, side="left").tolist()
+        else:
+            succs = [bisect_left(seconds, point) for point in points]
+        for succ, rtree in zip(succs, rtrees):
+            y1 = seconds[succ - 1] if succ else None
+            y2 = seconds[succ] if succ < n and (not succ or seconds[succ] != y1) else None
+            stab = rtree.stab
+            for i in idx:
+                x = xs[i]
+                affected: Dict[Any, Any] = {}
+                if y1 is not None:
+                    for __, query in stab(y1, x) if r_side else stab(x, y1):
+                        affected[query.qid] = query
+                if y2 is not None:
+                    for __, query in stab(y2, x) if r_side else stab(x, y2):
+                        affected.setdefault(query.qid, query)
+                if not affected:
+                    continue
+                res = results[i]
+                for query in affected.values():
+                    rng = query.range_c if r_side else query.range_a
+                    # The outward walks: back from pred while >= lo, on
+                    # from succ while <= hi.
+                    hits = hits_of_key[
+                        bisect_left(seconds, rng.lo, 0, succ) : bisect_right(seconds, rng.hi, succ)
+                    ]
+                    assert hits, "affected select-join produced no result"
+                    res[query] = hits
+
+
+def _probe_columns(
+    joined: _JoinedRows,
+    rows: Sequence[Any],
+    xs: List[float],
+    columns: SelectColumns,
+    results: List[Dict[Any, List[Any]]],
+) -> None:
+    """SelectFirst over endpoint columns: select, then enumerate by slice.
+    Only the join keys of rows that pass some selection are walked."""
+    queries = columns.queries
+    _np = get_numpy()
+    if _np is None or len(queries) < MIN_VECTOR:
+        for sel_lo, sel_hi, rng_lo, rng_hi, query in zip(
+            columns.sel_lo, columns.sel_hi, columns.rng_lo, columns.rng_hi, queries
+        ):
+            for i, x in enumerate(xs):
+                if sel_lo <= x <= sel_hi:
+                    run = joined[rows[i].b]
+                    if run is not None:
+                        seconds, hits_of_key = run
+                        start = bisect_left(seconds, rng_lo)
+                        end = bisect_right(seconds, rng_hi, start)
+                        if end > start:
+                            results[i][query] = hits_of_key[start:end]
+        return
+    # These views export the columns' buffers: they and everything sliced
+    # from them must die with this frame (fancy indexing copies).
+    xv = _np.array(xs)[:, None]
+    selected = (_np.frombuffer(columns.sel_lo) <= xv) & (xv <= _np.frombuffer(columns.sel_hi))
+    jv, qv = _np.nonzero(selected)  # (row, query) pairs, row-major
+    if not len(jv):
+        return
+    lo_v = _np.frombuffer(columns.rng_lo)[qv]
+    hi_v = _np.frombuffer(columns.rng_hi)[qv]
+    cuts = _np.searchsorted(jv, _np.arange(len(xs) + 1), side="left").tolist()
+    ql = qv.tolist()
+    for i, c0 in enumerate(cuts[:-1]):
+        c1 = cuts[i + 1]
+        if c0 == c1:
+            continue
+        run = joined[rows[i].b]
+        if run is None:
+            continue
+        col = _np.frombuffer(run[0])
+        hits_of_key = run[1]
+        starts = _np.searchsorted(col, lo_v[c0:c1], side="left").tolist()
+        ends = _np.searchsorted(col, hi_v[c0:c1], side="right").tolist()
+        res = results[i]
+        for q, start, end in zip(ql[c0:c1], starts, ends):
+            if end > start:
+                res[queries[q]] = hits_of_key[start:end]

@@ -30,7 +30,6 @@ from repro.operators.multi_attribute import (
 )
 from repro.operators.range_select import (
     HotspotRangeIndex,
-    IntervalSkipListRangeIndex,
     IntervalTreeRangeIndex,
     RangeSubscription,
     ScanRangeIndex,
@@ -59,7 +58,6 @@ __all__ = [
     "HotspotBandJoinProcessor",
     "HotspotRangeIndex",
     "HotspotSelectJoinProcessor",
-    "IntervalSkipListRangeIndex",
     "IntervalTreeRangeIndex",
     "RTreeBoxIndex",
     "RangeSubscription",

@@ -28,9 +28,11 @@ from repro.engine.queries import (
     BandJoinQuery,
     SelectJoinQuery,
     band_interval,
+    range_a_interval,
     range_c_interval,
 )
 from repro.engine.table import RTuple, STuple, TableR, TableS
+from repro.fastpath import select as select_probe
 from repro.operators.band_join import (
     BandResults,
     _BandGroupIndex,
@@ -67,6 +69,11 @@ class HotspotSelectJoinProcessor:
         # Scattered side: SJ-SelectFirst structures over scattered queries.
         self._scattered: Dict[int, SelectJoinQuery] = {}
         self._scattered_a: IntervalTree[SelectJoinQuery] = IntervalTree()
+        # Endpoint columns for the batch probe: every query for S arrivals
+        # (select on rangeC, enumerate R by rangeA), the scattered ones for
+        # R arrivals (select on rangeA, enumerate S by rangeC).
+        self._columns_s = select_probe.SelectColumns()
+        self._columns_r = select_probe.SelectColumns()
         self.tracker: HotspotTracker[SelectJoinQuery] = HotspotTracker(
             alpha=alpha, epsilon=epsilon, interval_of=range_c_interval
         )
@@ -96,11 +103,13 @@ class HotspotSelectJoinProcessor:
         if id(query) not in self._scattered:
             self._scattered[id(query)] = query
             self._scattered_a.insert(query.range_a, query)
+            self._columns_r.add(query, query.range_a, query.range_c)
 
     def _drop_scattered(self, query: SelectJoinQuery) -> None:
         if id(query) in self._scattered:
             del self._scattered[id(query)]
             self._scattered_a.remove(query.range_a, query)
+            self._columns_r.remove(query)
 
     # -- query maintenance -------------------------------------------------------
 
@@ -108,12 +117,14 @@ class HotspotSelectJoinProcessor:
         if query.qid in self._queries:
             raise ValueError(f"duplicate query id {query.qid}")
         self._queries[query.qid] = query
+        self._columns_s.add(query, query.range_c, query.range_a)
         self.tracker.insert(query)
         if not self.tracker.is_hotspot_item(query):
             self._add_scattered(query)
 
     def remove_query(self, query: SelectJoinQuery) -> None:
         del self._queries[query.qid]
+        self._columns_s.remove(query)
         self._drop_scattered(query)
         self.tracker.delete(query)
 
@@ -158,45 +169,27 @@ class HotspotSelectJoinProcessor:
         return results
 
     def process_r_batch(self, rs: Sequence[RTuple]) -> List[SelectResults]:
-        """Batch fast path: the hotspot groups take the batched SSI probe;
-        the scattered remainder runs SJ-SelectFirst with per-query state
-        hoisted out of the row loop.  Delta-identical to per-event
-        :meth:`process_r` against unchanged tables."""
-        from repro.fastpath.select import batch_probe_select_r
-
+        """Batch fast path: one columnar probe covers the hotspot groups
+        (batched SSI probe) and the scattered remainder (SJ-SelectFirst
+        over its endpoint columns), sharing one index walk per join key.
+        Delta-identical to per-event :meth:`process_r` against unchanged
+        tables."""
         results: List[SelectResults] = [{} for _ in rs]
         groups = self.tracker.hotspot_groups
-        if groups:
-            points = [group.stabbing_point for group in groups]
-            rtrees = [self._hot_rtrees[id(group)] for group in groups]
-            batch_probe_select_r(self.table_s.by_bc, rs, points, rtrees, results)
-        by_bc = self.table_s.by_bc
-        for i, r in enumerate(rs):
-            res = results[i]
-            for __, query in self._scattered_a.iter_stab(r.a):
-                cur = by_bc.cursor_ge((r.b, query.range_c.lo))
-                hits = cur.collect_forward_prefix_le(r.b, query.range_c.hi) if cur.valid else []
-                if hits:
-                    res[query] = hits
+        points = [group.stabbing_point for group in groups]
+        rtrees = [self._hot_rtrees[id(group)] for group in groups]
+        select_probe.batch_probe_select_r(
+            self.table_s.by_bc, rs, points, rtrees, results, self._columns_r
+        )
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RSelectResults]:
-        """Batch S-arrival processing: queries outer, rows inner, so the
-        per-query range checks and attribute lookups are paid once per
-        batch instead of once per tuple."""
+        """Batch S-arrival processing: the same probe with no groups (the
+        tracker is keyed on rangeC) and every query in the columns."""
         results: List[RSelectResults] = [{} for _ in ss]
-        by_ba = self.table_r.by_ba
-        for query in self._queries.values():
-            range_c = query.range_c
-            a_lo = query.range_a.lo
-            a_hi = query.range_a.hi
-            for i, s in enumerate(ss):
-                if not range_c.contains(s.c):
-                    continue
-                cur = by_ba.cursor_ge((s.b, a_lo))
-                hits = cur.collect_forward_prefix_le(s.b, a_hi) if cur.valid else []
-                if hits:
-                    results[i][query] = hits
+        select_probe.batch_probe_select_s(
+            self.table_r.by_ba, ss, (), (), results, self._columns_s
+        )
         return results
 
     def validate(self) -> None:
@@ -208,6 +201,8 @@ class HotspotSelectJoinProcessor:
         assert set(self._hot_rtrees) == {id(g) for g in self.tracker.hotspot_groups}
         for group in self.tracker.hotspot_groups:
             assert len(self._hot_rtrees[id(group)]) == group.size
+        self._columns_s.check(self._queries.values(), range_c_interval, range_a_interval)
+        self._columns_r.check(self._scattered.values(), range_a_interval, range_c_interval)
 
 
 class TraditionalSelectJoinProcessor:

@@ -1,8 +1,8 @@
 """Group processing of pure range-selection subscriptions.
 
 The introduction's motivating case: continuous queries of the form
-``sigma_{a_i <= A <= b_i} R`` are classically indexed as intervals (interval
-tree / interval skip list), answering each incoming value with one stabbing
+``sigma_{a_i <= A <= b_i} R`` are classically indexed as intervals (an interval
+tree), answering each incoming value with one stabbing
 query in O(log n + k).  The SSI view does strictly better on clustered
 subscriptions: maintain a stabbing partition of the ranges, and for an
 incoming value x decide *per group* with stabbing point p and common
@@ -119,28 +119,6 @@ class IntervalTreeRangeIndex(RangeIndexBase):
 
     def match(self, x: float) -> List[RangeSubscription]:
         return [s for __, s in self._tree.iter_stab(x)]
-
-
-class IntervalSkipListRangeIndex(RangeIndexBase):
-    """The other classic approach the paper names: one stabbing query on a
-    Hanson-style interval skip list."""
-
-    name = "ISLIST"
-
-    def __init__(self) -> None:
-        super().__init__()
-        from repro.dstruct.interval_skip_list import IntervalSkipList
-
-        self._list: "IntervalSkipList[RangeSubscription]" = IntervalSkipList()
-
-    def _index(self, subscription: RangeSubscription) -> None:
-        self._list.insert(subscription.range, subscription)
-
-    def _unindex(self, subscription: RangeSubscription) -> None:
-        self._list.remove(subscription.range, subscription)
-
-    def match(self, x: float) -> List[RangeSubscription]:
-        return [s for __, s in self._list.stab(x)]
 
 
 class _RangeGroup:

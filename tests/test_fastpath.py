@@ -221,6 +221,176 @@ class TestHotspotBatch:
         assert_batches_match(processor.process_s_batch, processor.process_s, ss)
 
 
+def hot_and_scattered(table_s, table_r, *, alpha=0.1, hot=12, scattered=12):
+    """A processor with one hotspot on rangeC = [40, 60] and a scattered
+    remainder of disjoint rangeC, every rangeA = [20, 50] or wider."""
+    processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=alpha)
+    for k in range(hot):
+        processor.add_query(SelectJoinQuery(Interval(20, 50 + k), Interval(40 - k, 60 + k)))
+    for k in range(scattered):
+        processor.add_query(SelectJoinQuery(Interval(20 - k, 50), Interval(100 + 10 * k, 105 + 10 * k)))
+    assert processor.tracker.hotspot_groups and processor._scattered, "want both probe paths live"
+    return processor
+
+
+def assert_runs_match(processor, rs, ss):
+    processor.validate()
+    assert processor.process_r_batch(rs) == [processor.process_r(r) for r in rs]
+    assert processor.process_s_batch(ss) == [processor.process_s(s) for s in ss]
+
+
+class TestSelectColumnProbe:
+    """The columnar select probe on ``HotspotSelectJoinProcessor``: S
+    arrivals (every query is a candidate) and R arrivals (hotspot groups +
+    scattered columns) against per-event processing."""
+
+    def test_several_rows_of_one_join_key(self, kernel):
+        table_s, table_r = TableS(), TableR()
+        for b in (1.0, 2.0, 3.0):
+            for k in range(12):
+                table_s.add(b, 35.0 + 7 * k)  # C spans the hotspot and the scattered ranges
+                table_r.add(15.0 + 3 * k, b)
+        processor = hot_and_scattered(table_s, table_r)
+        rs = [table_r.new_row(a, b) for a, b in ((25, 1.0), (30, 2.0), (45, 1.0), (10, 1.0), (49, 2.0))]
+        ss = [table_s.new_row(b, c) for b, c in ((1.0, 50), (2.0, 102), (1.0, 41), (1.0, 300), (2.0, 50))]
+        assert_runs_match(processor, rs, ss)
+        assert any(processor.process_r_batch(rs)) and any(processor.process_s_batch(ss))
+
+    def test_closed_on_both_ends(self, kernel):
+        table_s, table_r = TableS(), TableR()
+        query = SelectJoinQuery(Interval(20, 50), Interval(100, 105))
+        # Joined rows whose second key component sits exactly on, and just
+        # outside, the enumeration range's endpoints.
+        for c in (99.5, 100.0, 102.0, 105.0, 105.5):
+            table_s.add(7.0, c)
+        for a in (19.5, 20.0, 30.0, 50.0, 50.5):
+            table_r.add(a, 7.0)
+        # Scattered under the scalar branch, under the vector branch, and in
+        # a hotspot group (the decoy keeps any group short of alpha = 1).
+        for alpha, extra, hot in ((1.0, 0, False), (1.0, 10, False), (0.05, 10, True)):
+            processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=alpha)
+            processor.add_query(SelectJoinQuery(Interval(20, 50), Interval(500, 505)))
+            processor.add_query(query)
+            for k in range(extra):
+                processor.add_query(SelectJoinQuery(Interval(20, 50), Interval(100, 105)))
+            assert processor.tracker.is_hotspot_item(query) == hot
+            assert (len(processor._columns_s) >= kernel_mod.MIN_VECTOR) == bool(extra)
+            rs = [table_r.new_row(a, 7.0) for a in (19.5, 20.0, 50.0, 50.5)]
+            ss = [table_s.new_row(7.0, c) for c in (99.5, 100.0, 105.0, 105.5)]
+            assert_runs_match(processor, rs, ss)
+            r_deltas = processor.process_r_batch(rs)
+            s_deltas = processor.process_s_batch(ss)
+            assert [query in d for d in r_deltas] == [False, True, True, False]
+            assert [query in d for d in s_deltas] == [False, True, True, False]
+            assert [s.c for s in r_deltas[1][query]] == [100.0, 102.0, 105.0]
+            assert [r.a for r in s_deltas[2][query]] == [20.0, 30.0, 50.0]
+
+    def test_empty_tables_and_keys_without_joining_rows(self, kernel):
+        table_s, table_r = TableS(), TableR()
+        processor = hot_and_scattered(table_s, table_r)
+        rs = [table_r.new_row(30, 1.0), table_r.new_row(30, 2.0)]
+        ss = [table_s.new_row(1.0, 50), table_s.new_row(2.0, 102)]
+        assert processor.process_r_batch(rs) == [{}, {}]
+        assert processor.process_s_batch(ss) == [{}, {}]
+        # Key 1.0 joins, key 2.0 falls between index entries, 9.0 past them.
+        for b in (1.0, 3.0):
+            table_s.add(b, 50.0)
+            table_s.add(b, 102.0)
+            table_r.add(30.0, b)
+        rs = [table_r.new_row(30, b) for b in (2.0, 1.0, 9.0, 0.0)]
+        ss = [table_s.new_row(b, c) for b in (2.0, 1.0, 9.0, 0.0) for c in (50, 102)]
+        assert_runs_match(processor, rs, ss)
+        assert [bool(d) for d in processor.process_r_batch(rs)] == [False, True, False, False]
+
+    def test_duplicate_composite_keys_keep_leaf_order(self, kernel):
+        table_s, table_r = TableS(), TableR()
+        for __ in range(5):  # equal (b, c) / (b, a): leaf order is insertion order
+            table_s.add(1.0, 50.0)
+            table_s.add(1.0, 102.0)
+            table_r.add(30.0, 1.0)
+            table_s.add(1.0, 45.0)
+            table_r.add(25.0, 1.0)
+        processor = hot_and_scattered(table_s, table_r)
+        rs = [table_r.new_row(30, 1.0), table_r.new_row(25, 1.0)]
+        ss = [table_s.new_row(1.0, 50), table_s.new_row(1.0, 102)]
+        assert_runs_match(processor, rs, ss)
+        (delta,) = processor.process_s_batch(ss[:1])
+        for rows in delta.values():
+            by_a = [r.a for r in rows]
+            assert by_a == sorted(by_a)
+            for a in set(by_a):  # within one key, ascending surrogate id
+                rids = [r.rid for r in rows if r.a == a]
+                assert rids == sorted(rids)
+
+    def test_population_crossing_min_vector(self, kernel):
+        rng = random.Random(8)
+        table_s, table_r = make_tables(rng, 200, 200)
+        for row in list(table_s)[:50]:
+            table_r.add(rng.uniform(0, 100), row.b)  # shared join keys
+        for row in list(table_r)[:50]:
+            table_s.add(row.b, rng.uniform(0, 100))
+        keys = [row.b for row in table_r]
+        rs = [table_r.new_row(rng.uniform(0, 100), rng.choice(keys)) for __ in range(30)]
+        ss = [table_s.new_row(rng.choice(keys), rng.uniform(0, 100)) for __ in range(30)]
+        # Four disjoint rangeC clusters and alpha = 1: no group ever holds
+        # every query, so the whole population stays in the scattered columns.
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=1.0)
+        limit = kernel_mod.MIN_VECTOR
+        pool = [
+            SelectJoinQuery(Interval(a, a + 60), Interval(25 * (k % 4), 25 * (k % 4) + 20))
+            for k, a in enumerate(rng.uniform(0, 40) for __ in range(2 * limit))
+        ]
+        live = []
+        sizes = []
+        for target in (3, limit - 1, limit, 2 * limit, limit - 1, 2, limit + 1, 0):
+            while len(live) < target:
+                live.append(pool.pop())
+                processor.add_query(live[-1])
+            while len(live) > target:
+                pool.append(live.pop(rng.randrange(len(live))))
+                processor.remove_query(pool[-1])
+            assert len(processor._columns_s) == len(processor._columns_r) == target
+            sizes.append(target)
+            assert_runs_match(processor, rs, ss)
+        assert min(sizes) < limit <= max(sizes)
+
+    def test_columns_follow_subscriptions_promotions_and_demotions(self, kernel):
+        rng = random.Random(9)
+        table_s, table_r = make_tables(rng, 120, 120)
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.15)
+        rs = [table_r.new_row(rng.uniform(0, 100), row.b) for row in list(table_s)[:6]]
+        ss = [table_s.new_row(row.b, rng.uniform(0, 100)) for row in list(table_r)[:6]]
+
+        def check():
+            ids = lambda queries: sorted(id(q) for q in queries)
+            assert ids(processor._columns_s.queries) == ids(processor._queries.values())
+            assert ids(processor._columns_r.queries) == ids(processor._scattered.values())
+            assert_runs_match(processor, rs, ss)
+
+        live = []
+        for step in range(160):
+            # Clustered subscriptions arrive in waves and leave again, so
+            # groups are promoted and later demoted around a scattered base.
+            if step % 40 < 25 or not live:
+                if rng.random() < 0.7:
+                    c = 50 + rng.uniform(-2, 2)
+                else:
+                    c = rng.uniform(0, 90)
+                a = rng.uniform(0, 60)
+                live.append(SelectJoinQuery(Interval(a, a + 40), Interval(c - 3, c + 3)))
+                processor.add_query(live[-1])
+            else:
+                clustered = [q for q in live if processor.tracker.is_hotspot_item(q)]
+                victim = rng.choice(clustered or live)
+                live.remove(victim)
+                processor.remove_query(victim)
+            check()
+        tracker = processor.tracker
+        assert tracker.moves_out_of_scattered and tracker.moves_into_scattered, (
+            "the stream must promote and demote"
+        )
+
+
 def ordered_view(deltas):
     """qid -> row ids in result order: unlike ``normalize_deltas`` this keeps
     the enumeration order, so it also catches ordering regressions."""

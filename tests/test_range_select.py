@@ -1,4 +1,4 @@
-"""Tests for the range-subscription indexes: all four implementations
+"""Tests for the range-subscription indexes: all implementations
 agree with brute force; the SSI index exploits the common-box fast path."""
 
 import random
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.intervals import Interval
 from repro.operators.range_select import (
     HotspotRangeIndex,
-    IntervalSkipListRangeIndex,
     IntervalTreeRangeIndex,
     RangeSubscription,
     ScanRangeIndex,
@@ -20,7 +19,6 @@ from repro.operators.range_select import (
 INDEX_CLASSES = [
     ScanRangeIndex,
     IntervalTreeRangeIndex,
-    IntervalSkipListRangeIndex,
     SSIRangeIndex,
     HotspotRangeIndex,
 ]

@@ -4,7 +4,7 @@ Each machine drives a structure through arbitrary interleaved operation
 sequences while checking it against a trivial model after every step ---
 the strongest guard against ordering-dependent bugs in the dynamic
 structures (B+ tree rebalancing, partition reconstruction, hotspot
-promote/demote, skip-list mark repair).
+promote/demote).
 """
 
 import random
@@ -25,7 +25,6 @@ from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.refined_partition import RefinedStabbingPartition
 from repro.core.stabbing import stabbing_number
 from repro.dstruct.btree import BPlusTree
-from repro.dstruct.interval_skip_list import IntervalSkipList
 from repro.dstruct.interval_tree import IntervalTree
 
 KEYS = st.integers(0, 40)
@@ -73,12 +72,11 @@ class BPlusTreeMachine(RuleBasedStateMachine):
 
 
 class StabbingIndexMachine(RuleBasedStateMachine):
-    """Interval tree and interval skip list vs a list model, in lockstep."""
+    """Interval tree vs a list model."""
 
     def __init__(self):
         super().__init__()
         self.tree = IntervalTree(rng=random.Random(1))
-        self.skip = IntervalSkipList(rng=random.Random(2))
         self.model = []  # (interval, token)
         self.counter = 0
 
@@ -88,7 +86,6 @@ class StabbingIndexMachine(RuleBasedStateMachine):
         token = self.counter
         self.counter += 1
         self.tree.insert(interval, token)
-        self.skip.insert(interval, token)
         self.model.append((interval, token))
 
     @precondition(lambda self: self.model)
@@ -98,18 +95,15 @@ class StabbingIndexMachine(RuleBasedStateMachine):
             data.draw(st.integers(0, len(self.model) - 1))
         )
         self.tree.remove(interval, token)
-        self.skip.remove(interval, token)
 
     @rule(x=st.integers(-25, 40))
     def stab(self, x):
         want = sorted(t for iv, t in self.model if iv.contains(float(x)))
         assert sorted(t for __, t in self.tree.stab(float(x))) == want
-        assert sorted(t for __, t in self.skip.stab(float(x))) == want
 
     @invariant()
     def sizes_agree(self):
         assert len(self.tree) == len(self.model)
-        assert len(self.skip) == len(self.model)
 
 
 class LazyPartitionMachine(RuleBasedStateMachine):

@@ -1,5 +1,5 @@
-"""Tests for the treap (split/join balanced BST) and its interval
-aggregation --- the per-group structure of the Appendix B algorithm."""
+"""Tests for the treap (split/join balanced BST with bottom-up aggregates)
+--- the per-group structure of the Appendix B algorithm."""
 
 import random
 
@@ -7,10 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval, common_intersection
-from repro.dstruct.treap import IntervalTreap, Treap
-
-from conftest import int_interval_strategy
+from repro.dstruct.treap import Treap
 
 
 def make_treap(seed=1, **kwargs):
@@ -150,45 +147,3 @@ class TestAggregate:
         right = [v for v in values if v > split_key]
         assert prefix.aggregate == (sum(left) if left else None)
         assert t.aggregate == (sum(right) if right else None)
-
-
-class TestIntervalTreap:
-    def test_common_intersection(self):
-        t = IntervalTreap(rng=random.Random(1))
-        t.add(Interval(0, 10))
-        t.add(Interval(2, 8))
-        assert t.common_intersection == Interval(2, 8)
-        t.add(Interval(5, 20))
-        assert t.common_intersection == Interval(5, 8)
-
-    def test_disjoint_members_give_none(self):
-        t = IntervalTreap(rng=random.Random(1))
-        t.add(Interval(0, 1))
-        t.add(Interval(5, 6))
-        assert t.common_intersection is None
-
-    def test_discard(self):
-        t = IntervalTreap(rng=random.Random(1))
-        a, b = Interval(0, 10), Interval(2, 4)
-        t.add(a)
-        t.add(b)
-        t.discard(b)
-        assert t.common_intersection == Interval(0, 10)
-        with pytest.raises(KeyError):
-            t.discard(Interval(99, 100))
-
-    def test_split_left_of(self):
-        t = IntervalTreap(rng=random.Random(1))
-        for interval in [Interval(0, 10), Interval(3, 12), Interval(7, 20)]:
-            t.add(interval)
-        prefix = t.split_left_of(5)
-        assert sorted(iv.lo for iv in prefix) == [0, 3]
-        assert [iv.lo for iv in t] == [7]
-
-    @given(st.lists(int_interval_strategy(), min_size=1, max_size=40))
-    @settings(max_examples=80)
-    def test_aggregate_matches_common_intersection(self, intervals):
-        t = IntervalTreap(rng=random.Random(5))
-        for interval in intervals:
-            t.add(interval)
-        assert t.common_intersection == common_intersection(intervals)
