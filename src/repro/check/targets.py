@@ -39,7 +39,6 @@ from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_ev
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
-from repro.operators.hotspot_processor import HotspotSelectJoinProcessor
 from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import normalize_deltas
@@ -360,8 +359,9 @@ class BatcherTarget(FuzzTarget):
 
 
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
-    """The group holds each relation once, at the model's size; every
-    shard reads those very objects; the shards' select slices partition S."""
+    """The group holds each relation once, at the model's size; every shard
+    reads those very objects and its select processor validates; the
+    shards' select slices partition S."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -375,6 +375,7 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
             name,
             f"shard {shard.index} reads tables other than the group's one set",
         )
+        shard.select.validate()
     select_total = sum(len(shard.table_s_select) for shard in group.shards)
     expect(
         select_total == n_s,
@@ -502,11 +503,6 @@ class FastpathTarget(FuzzTarget):
         tables = self.batched.shard_group
         tables.table_r.by_b.check_invariants()
         tables.table_s.by_b.check_invariants()
-        # Likewise the select probe's endpoint columns against the
-        # subscriptions they mirror (hotspot processors only: alpha is set).
-        for shard in self.batched.shards:
-            if isinstance(shard.select, HotspotSelectJoinProcessor):
-                shard.select.validate()
         expect(
             len(results) == len(pending),
             self.name,

@@ -195,7 +195,7 @@ class HotspotTracker(Generic[T]):
     def _promote_one(self) -> bool:
         threshold = self._alpha * self._n
         candidate: Optional[StabbingGroupView[T]] = None
-        for group in self._scattered.groups:
+        for group in self._scattered.iter_groups():
             if group.size >= threshold:
                 candidate = group
                 break

@@ -77,9 +77,6 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
     def groups(self) -> List[DynamicGroup[T]]:
         return list(self._groups)
 
-    def __len__(self) -> int:
-        return len(self._groups)
-
     def group_of(self, item: T) -> DynamicGroup[T]:
         return self._group_of[id(item)]
 

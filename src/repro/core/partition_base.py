@@ -13,7 +13,7 @@ queries may carry equal ranges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterable, Iterator, List, Optional, Protocol, TypeVar
+from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Protocol, TypeVar
 
 from repro.core.intervals import Interval, endpoints_equal
 from repro.core.stabbing import identity_interval
@@ -80,10 +80,12 @@ class DynamicGroup(Generic[T]):
     implementation" the paper recommends for the insertion refinement.
     """
 
-    __slots__ = ("_items", "_los", "_his", "_interval_of", "_max_lo", "_min_hi")
+    __slots__ = ("_items", "size", "_los", "_his", "_interval_of", "_max_lo", "_min_hi")
 
     def __init__(self, interval_of: Callable[[T], Interval]):
         self._items: Dict[int, T] = {}
+        # len(_items) as a plain attribute: the tracker reads it per update.
+        self.size = 0
         self._los: SortedKeyList[float] = SortedKeyList()
         self._his: SortedKeyList[float] = SortedKeyList()
         self._interval_of = interval_of
@@ -99,6 +101,7 @@ class DynamicGroup(Generic[T]):
             raise ValueError("item already present in group")
         interval = self._interval_of(item)
         self._items[key] = item
+        self.size += 1
         self._los.add(interval.lo)
         self._his.add(interval.hi)
         if interval.lo > self._max_lo:
@@ -109,6 +112,7 @@ class DynamicGroup(Generic[T]):
     def remove(self, item: T) -> None:
         interval = self._interval_of(item)
         del self._items[id(item)]
+        self.size -= 1
         self._los.remove(interval.lo)
         self._his.remove(interval.hi)
         if not self._items:
@@ -132,10 +136,6 @@ class DynamicGroup(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._items.values())
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
 
     @property
     def items(self) -> List[T]:
@@ -168,6 +168,8 @@ class DynamicStabbingPartitionBase(Generic[T]):
     """Common state and listener plumbing for both maintenance strategies."""
 
     __slots__ = ("_interval_of", "_listeners", "reconstruction_count", "update_count")
+
+    _groups: List[Any]  # the live groups, owned by the maintainer
 
     def __init__(self, interval_of: Callable[[T], Interval] = identity_interval):
         self._interval_of = interval_of
@@ -228,13 +230,18 @@ class DynamicStabbingPartitionBase(Generic[T]):
     def groups(self) -> Iterable[StabbingGroupView[T]]:
         raise NotImplementedError
 
+    def iter_groups(self) -> Iterator[StabbingGroupView[T]]:
+        """The groups without the copy ``groups`` makes; the partition must
+        not be updated while the iterator is in use."""
+        return iter(self._groups)
+
     @property
     def interval_of(self) -> Callable[[T], Interval]:
         return self._interval_of
 
     def __len__(self) -> int:
         """Number of groups currently maintained (|P|)."""
-        raise NotImplementedError
+        return len(self._groups)
 
     def total_items(self) -> int:
         return sum(group.size for group in self.groups)

@@ -128,9 +128,6 @@ class RefinedStabbingPartition(DynamicStabbingPartitionBase[T]):
     def groups(self) -> List[RefinedGroup[T]]:
         return list(self._groups)
 
-    def __len__(self) -> int:
-        return len(self._groups)
-
     def group_of(self, item: T) -> RefinedGroup[T]:
         return self._group_of[id(item)]
 

@@ -4,7 +4,7 @@ An SSI derives one interval per continuous query, maintains a stabbing
 partition of those intervals, and attaches a *per-group data structure* to
 every group: "SSI is completely agnostic about the underlying data structure
 used" --- a pair of sorted endpoint sequences for band joins (Section 3.1),
-an R-tree of query rectangles for select-joins (Section 3.2).
+the members' endpoint columns for select-joins (Section 3.2).
 
 This class supplies the agnostic plumbing: it listens to a dynamic stabbing
 partition and keeps exactly one user-built structure per live group, adding

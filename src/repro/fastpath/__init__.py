@@ -15,8 +15,8 @@ a micro-batch:
   group in a single pass over the dense group table;
 * :mod:`repro.fastpath.select` — the columnar batch probe for
   equality-joins-with-selections: one composite-index walk per join key,
-  then the stabbing groups (R-tree stabs, results by slice) and the
-  ungrouped queries' endpoint columns (``SelectColumns``).
+  then the stabbing groups and the ungrouped queries, both kept as
+  endpoint columns (``SelectColumns``), results by slice.
 
 Every batch probe is **delta-identical** to running the per-event probe
 once per tuple: the same queries are affected, the same result rows are

@@ -3,7 +3,7 @@
 One kernel serves every select-join batch entry point --- the SJ-SSI group
 probe on both sides, S arrivals at the hotspot processor, and the scattered
 remainder of its R arrivals --- with the roles of the columns swapped
-(``r_side``), not with separate code paths.  For a run of arriving rows it
+(``sel``/``rng``), not separate code paths.  For a run of arriving rows it
 
 * walks the composite index **once per distinct join key** of the run
   (``cursor_ge((b,))`` + :meth:`~repro.dstruct.btree.Cursor.collect_prefix`):
@@ -11,15 +11,15 @@ remainder of its R arrivals --- with the roles of the columns swapped
   their second key component.  The walk is made when a probe first needs
   the key --- a row no query selects never causes one --- and a key
   nothing joins with costs one descent;
-* probes the **stabbing groups** (``points``/``rtrees``, the dense group
-  table): ``surrounding((b, p_j))`` is ``bisect_left`` of the point in that
-  column --- for all groups at once under numpy --- the q1/q2 straddle
-  tests and the at most two R-tree stabs per (group, row) are the per-event
-  ``probe_select_group_r``/``_s`` expression for expression, and the
+* probes the **stabbing groups** (``points``/``groups``, the dense group
+  table; a group is the :class:`SelectColumns` of its members):
+  ``surrounding((b, p_j))`` is ``bisect_left`` of the point in that column
+  --- for all groups at once under numpy --- :func:`stab_group` is the
+  member test the per-event ``probe_select_group`` runs too, and the
   outward leaf walks are one slice of the joined list, bounded by the same
   pred/succ position the cursors start from;
 * probes the **endpoint columns** of a query population that has no groups
-  (:class:`SelectColumns`): the closed-interval selection test of all
+  (also a :class:`SelectColumns`): the closed-interval selection test of all
   queries against the whole run is one ``(rows x queries)`` comparison,
   and each surviving pair becomes one ``searchsorted`` pair on the joined
   column and a slice of the joined list --- the rows, in the order,
@@ -41,28 +41,34 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from math import inf, nan
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.fastpath.kernels import MIN_VECTOR, get_numpy
 
 
 class SelectColumns:
-    """Endpoint columns of a select-join population, for the batch probe.
+    """Endpoint columns of a select-join population: a stabbing group's
+    members, or the queries that have no group.
 
     ``sel_*`` bound the attribute of the *arriving* row the query selects
     on, ``rng_*`` the second component of the composite index the results
     are enumerated from; ``queries`` is the parallel query list.  Appended
     to and swap-removed from in O(1), so the columns are always current ---
-    there is nothing to rebuild and no dirty flag.
+    there is nothing to rebuild and no dirty flag.  ``rng_min``/``rng_max``
+    is the extent ``[min(rng_lo), max(rng_hi)]`` :func:`stab_group` rejects
+    against before it reads a column.
     """
 
-    __slots__ = ("sel_lo", "sel_hi", "rng_lo", "rng_hi", "queries", "_slot")
+    __slots__ = ("sel_lo", "sel_hi", "rng_lo", "rng_hi", "rng_min", "rng_max", "queries", "_slot")
 
     def __init__(self) -> None:
         self.sel_lo: array[float] = array("d")
         self.sel_hi: array[float] = array("d")
         self.rng_lo: array[float] = array("d")
         self.rng_hi: array[float] = array("d")
+        self.rng_min = inf
+        self.rng_max = -inf
         self.queries: List[Any] = []
         self._slot: Dict[int, int] = {}  # id(query) -> position
 
@@ -79,10 +85,16 @@ class SelectColumns:
         self.sel_hi.append(sel.hi)
         self.rng_lo.append(rng.lo)
         self.rng_hi.append(rng.hi)
+        if rng.lo < self.rng_min:
+            self.rng_min = rng.lo
+        if rng.hi > self.rng_max:
+            self.rng_max = rng.hi
 
     def remove(self, query: Any) -> None:
-        """Swap-remove ``query``: the last entry takes its slot."""
+        """Swap-remove ``query``: the last entry takes its slot.  The extent
+        is recomputed only when the departing member held an extreme."""
         slot = self._slot.pop(id(query))
+        lo, hi = self.rng_lo[slot], self.rng_hi[slot]
         last = self.queries.pop()
         moved = last is not query
         if moved:
@@ -92,10 +104,15 @@ class SelectColumns:
             value = column.pop()
             if moved:
                 column[slot] = value
+        if lo <= self.rng_min:
+            self.rng_min = min(self.rng_lo, default=inf)
+        if hi >= self.rng_max:
+            self.rng_max = max(self.rng_hi, default=-inf)
 
     def check(self, expected: Any, sel_of: Any, rng_of: Any) -> None:
         """Assert the columns hold exactly the queries of ``expected``, each
-        at the slot the position map names, with its current endpoints."""
+        at the slot the position map names, with its current endpoints, and
+        that the kept extent is the recomputed one."""
         queries = self.queries
         assert {id(q) for q in queries} == {id(q) for q in expected}, "column population drifted"
         assert len(queries) == len(self._slot) == len(self.sel_lo), "column lengths differ"
@@ -105,58 +122,59 @@ class SelectColumns:
             sel, rng = sel_of(query), rng_of(query)
             assert (self.sel_lo[slot], self.sel_hi[slot]) == (sel.lo, sel.hi)
             assert (self.rng_lo[slot], self.rng_hi[slot]) == (rng.lo, rng.hi)
+        extent = (min(self.rng_lo, default=inf), max(self.rng_hi, default=-inf))
+        assert (self.rng_min, self.rng_max) == extent, "kept extent drifted"
 
 
 def batch_probe_select_r(
     by_bc: Any,
     rows: Sequence[Any],
     points: Sequence[float],
-    rtrees: Sequence[Any],
+    groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns] = None,
 ) -> None:
     """Probe a batch of R-tuples against S(B, C).
 
-    ``points``/``rtrees`` is the dense table of the rangeC stabbing groups;
-    ``columns`` an ungrouped population selecting on ``rangeA`` (``sel``)
-    and enumerating by ``rangeC`` (``rng``).  ``results`` is a parallel
-    list of per-row dicts, updated in place.  All rows are probed against
-    the same S(B, C) state, so this is only valid for a run of R-inserts
-    with no interleaved S-change.
+    ``points``/``groups`` is the dense table of the rangeC stabbing groups;
+    they and ``columns``, an ungrouped population, select on ``rangeA``
+    (``sel``) and enumerate by ``rangeC`` (``rng``).  ``results`` is a
+    parallel list of per-row dicts, updated in place.  All rows are probed
+    against the same S(B, C) state, so this is only valid for a run of
+    R-inserts with no interleaved S-change.
     """
-    _batch_probe(by_bc, rows, points, rtrees, results, columns, r_side=True)
+    _batch_probe(by_bc, rows, [row.a for row in rows], points, groups, results, columns)
 
 
 def batch_probe_select_s(
     by_ba: Any,
     rows: Sequence[Any],
     points: Sequence[float],
-    rtrees: Sequence[Any],
+    groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns] = None,
 ) -> None:
     """Symmetric batch probe for S-tuples against R(B, A): groups are on
-    rangeA, ``columns`` select on ``rangeC`` and enumerate by ``rangeA``."""
-    _batch_probe(by_ba, rows, points, rtrees, results, columns, r_side=False)
+    rangeA; they and ``columns`` select on ``rangeC`` and enumerate by
+    ``rangeA``."""
+    _batch_probe(by_ba, rows, [row.c for row in rows], points, groups, results, columns)
 
 
 def _batch_probe(
     index: Any,
     rows: Sequence[Any],
+    xs: List[float],
     points: Sequence[float],
-    rtrees: Sequence[Any],
+    groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns],
-    *,
-    r_side: bool,
 ) -> None:
+    """``xs`` is the selection attribute of the arriving rows."""
     if not rows or not (points or columns):
         return
     joined = _JoinedRows(index)
-    # The selection attribute of the arriving rows.
-    xs = [row.a for row in rows] if r_side else [row.c for row in rows]
     if points:
-        _probe_groups(joined, rows, xs, points, rtrees, results, r_side)
+        _probe_groups(joined, rows, xs, points, groups, results)
     if columns:
         _probe_columns(joined, rows, xs, columns, results)
 
@@ -180,14 +198,44 @@ class _JoinedRows(Dict[float, Optional[Tuple[Any, List[Any]]]]):
         return run
 
 
+def stab_group(
+    group: SelectColumns, xs: Sequence[float], y1: float, y2: float
+) -> List[List[int]]:
+    """The SJ-SSI member test, for the per-event and the batch probes alike.
+
+    ``y1 < p <= y2`` are the second components of the joined entries next
+    to the group's stabbing point ``p``; a missing neighbour is NaN, which
+    every comparison below is false for.  Every member's ``rng`` contains
+    ``p``, so it contains ``y1`` iff ``rng_lo <= y1`` and ``y2`` iff
+    ``y2 <= rng_hi``.  Returns, per ``x``, the slots of the members with
+    ``x`` in their ``sel`` and a neighbour in their ``rng`` (no lists at
+    all when the group's extent rules every member out).
+    """
+    # Neither neighbour inside the group's extent: no member contains one.
+    if not (y1 >= group.rng_min or y2 <= group.rng_max):
+        return []
+    _np = get_numpy()
+    if _np is None or len(group) < MIN_VECTOR:
+        sel_lo, sel_hi = group.sel_lo, group.sel_hi
+        near = [
+            slot
+            for slot, (rng_lo, rng_hi) in enumerate(zip(group.rng_lo, group.rng_hi))
+            if rng_lo <= y1 or y2 <= rng_hi
+        ]
+        return [[slot for slot in near if sel_lo[slot] <= x <= sel_hi[slot]] for x in xs]
+    # These views export the columns' buffers and must die with this frame.
+    near = (_np.frombuffer(group.rng_lo) <= y1) | (y2 <= _np.frombuffer(group.rng_hi))
+    sel_lo, sel_hi = _np.frombuffer(group.sel_lo), _np.frombuffer(group.sel_hi)
+    return [(near & (sel_lo <= x) & (x <= sel_hi)).nonzero()[0].tolist() for x in xs]
+
+
 def _probe_groups(
     joined: _JoinedRows,
     rows: Sequence[Any],
     xs: List[float],
     points: Sequence[float],
-    rtrees: Sequence[Any],
+    groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
-    r_side: bool,
 ) -> None:
     """SJ-SSI group probes of the run against the dense group table."""
     by_key: Dict[float, List[int]] = {}
@@ -201,37 +249,25 @@ def _probe_groups(
             continue  # nothing joins with these rows
         seconds, hits_of_key = run
         n = len(seconds)
+        xs_of_key = [xs[i] for i in idx]
         # succ = the first joined entry at or after the stabbing point, pred
         # the one before: the cursor pair of ``surrounding((b, p_j))``.
         if pts is not None:
             succs = _np.searchsorted(_np.frombuffer(seconds), pts, side="left").tolist()
         else:
             succs = [bisect_left(seconds, point) for point in points]
-        for succ, rtree in zip(succs, rtrees):
-            y1 = seconds[succ - 1] if succ else None
-            y2 = seconds[succ] if succ < n and (not succ or seconds[succ] != y1) else None
-            stab = rtree.stab
-            for i in idx:
-                x = xs[i]
-                affected: Dict[Any, Any] = {}
-                if y1 is not None:
-                    for __, query in stab(y1, x) if r_side else stab(x, y1):
-                        affected[query.qid] = query
-                if y2 is not None:
-                    for __, query in stab(y2, x) if r_side else stab(x, y2):
-                        affected.setdefault(query.qid, query)
-                if not affected:
-                    continue
+        for succ, group in zip(succs, groups):
+            y1 = seconds[succ - 1] if succ else nan
+            y2 = seconds[succ] if succ < n else nan
+            for i, slots in zip(idx, stab_group(group, xs_of_key, y1, y2)):
                 res = results[i]
-                for query in affected.values():
-                    rng = query.range_c if r_side else query.range_a
+                for slot in slots:
                     # The outward walks: back from pred while >= lo, on
                     # from succ while <= hi.
-                    hits = hits_of_key[
-                        bisect_left(seconds, rng.lo, 0, succ) : bisect_right(seconds, rng.hi, succ)
-                    ]
+                    start = bisect_left(seconds, group.rng_lo[slot], 0, succ)
+                    hits = hits_of_key[start : bisect_right(seconds, group.rng_hi[slot], succ)]
                     assert hits, "affected select-join produced no result"
-                    res[query] = hits
+                    res[group.queries[slot]] = hits
 
 
 def _probe_columns(

@@ -11,9 +11,9 @@ HotspotTracker` over the query ranges and
   (SJ-SelectFirst for select-joins, a per-query window scan for band joins),
 
 exactly the TRADITIONAL vs HOTSPOT-BASED comparison of Figure 9.  The
-per-hotspot index structures (an R-tree of query rectangles, or the two
-endpoint orders for band joins) are built on promotion and dropped on
-demotion via the tracker's listener callbacks.
+per-hotspot index structures (the members' endpoint columns for
+select-joins, the two endpoint orders for band joins) are built on
+promotion and dropped on demotion via the tracker's listener callbacks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.partition_base import DynamicGroup
 from repro.dstruct.interval_tree import IntervalTree
-from repro.dstruct.rtree import RTree
 from repro.engine.queries import (
     BandJoinQuery,
     SelectJoinQuery,
@@ -41,7 +40,7 @@ from repro.operators.band_join import (
 from repro.operators.select_join import (
     RSelectResults,
     SelectResults,
-    probe_select_group_r,
+    probe_select_group,
 )
 
 
@@ -58,14 +57,12 @@ class HotspotSelectJoinProcessor:
         *,
         alpha: float,
         epsilon: float = 1.0,
-        rtree_fanout: int = 16,
     ):
         self.table_s = table_s
         self.table_r = table_r if table_r is not None else TableR()
-        self._fanout = rtree_fanout
         self._queries: Dict[int, SelectJoinQuery] = {}
-        # Hotspot side: one R-tree of query rectangles per hotspot group.
-        self._hot_rtrees: Dict[int, RTree] = {}
+        # Hotspot side: each hotspot group's members, laid out as _columns_r.
+        self._hot_columns: Dict[int, select_probe.SelectColumns] = {}
         # Scattered side: SJ-SelectFirst structures over scattered queries.
         self._scattered: Dict[int, SelectJoinQuery] = {}
         self._scattered_a: IntervalTree[SelectJoinQuery] = IntervalTree()
@@ -82,22 +79,21 @@ class HotspotSelectJoinProcessor:
     # -- tracker listener callbacks ------------------------------------------
 
     def on_promoted(self, group: DynamicGroup[SelectJoinQuery]) -> None:
-        rtree: RTree[SelectJoinQuery] = RTree(self._fanout)
+        columns = self._hot_columns[id(group)] = select_probe.SelectColumns()
         for query in group:
-            rtree.insert(query.rect, query)
+            columns.add(query, query.range_a, query.range_c)
             self._drop_scattered(query)
-        self._hot_rtrees[id(group)] = rtree
 
     def on_demoted(self, group: DynamicGroup[SelectJoinQuery]) -> None:
-        del self._hot_rtrees[id(group)]
+        del self._hot_columns[id(group)]
         for query in group:
             self._add_scattered(query)
 
     def on_hot_item_added(self, group: DynamicGroup[SelectJoinQuery], query: SelectJoinQuery) -> None:
-        self._hot_rtrees[id(group)].insert(query.rect, query)
+        self._hot_columns[id(group)].add(query, query.range_a, query.range_c)
 
     def on_hot_item_removed(self, group: DynamicGroup[SelectJoinQuery], query: SelectJoinQuery) -> None:
-        self._hot_rtrees[id(group)].remove(query.rect, query)
+        self._hot_columns[id(group)].remove(query)
 
     def _add_scattered(self, query: SelectJoinQuery) -> None:
         if id(query) not in self._scattered:
@@ -142,9 +138,9 @@ class HotspotSelectJoinProcessor:
         results: SelectResults = {}
         # Hotspot queries: SSI group probes, one per hotspot.
         for group in self.tracker.hotspot_groups:
-            probe_select_group_r(
-                self.table_s.by_bc, r, group.stabbing_point,
-                self._hot_rtrees[id(group)], results,
+            probe_select_group(
+                self.table_s.by_bc, r.b, r.a, group.stabbing_point,
+                self._hot_columns[id(group)], results,
             )
         # Scattered queries: SJ-SelectFirst.
         for __, query in self._scattered_a.iter_stab(r.a):
@@ -177,9 +173,9 @@ class HotspotSelectJoinProcessor:
         results: List[SelectResults] = [{} for _ in rs]
         groups = self.tracker.hotspot_groups
         points = [group.stabbing_point for group in groups]
-        rtrees = [self._hot_rtrees[id(group)] for group in groups]
+        columns = [self._hot_columns[id(group)] for group in groups]
         select_probe.batch_probe_select_r(
-            self.table_s.by_bc, rs, points, rtrees, results, self._columns_r
+            self.table_s.by_bc, rs, points, columns, results, self._columns_r
         )
         return results
 
@@ -198,9 +194,9 @@ class HotspotSelectJoinProcessor:
         hot = {id(q) for g in self.tracker.hotspot_groups for q in g}
         assert hot.isdisjoint(self._scattered.keys())
         assert len(hot) + len(self._scattered) == len(self._queries)
-        assert set(self._hot_rtrees) == {id(g) for g in self.tracker.hotspot_groups}
+        assert set(self._hot_columns) == {id(g) for g in self.tracker.hotspot_groups}
         for group in self.tracker.hotspot_groups:
-            assert len(self._hot_rtrees[id(group)]) == group.size
+            self._hot_columns[id(group)].check(group, range_a_interval, range_c_interval)
         self._columns_s.check(self._queries.values(), range_c_interval, range_a_interval)
         self._columns_r.check(self._scattered.values(), range_a_interval, range_c_interval)
 

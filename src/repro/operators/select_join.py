@@ -16,7 +16,8 @@ n' queries passing the R.A selection, g(n) = 2D stabbing cost, k = output):
 * :class:`SJSelectFirst` — find queries passing the R.A selection first,
   then one composite-index scan per candidate: O(log n + n' log m + k).
 * :class:`SJSSI`         — the paper's contribution: per stabbing group one
-  composite B-tree probe plus at most two R-tree stabs:
+  composite B-tree probe plus one test of the group's members at the two
+  join result points next to its stabbing point:
   O(tau (log m + g(n)) + k).
 
 All strategies support the symmetric arrival of S-tuples; SJ-SSI keeps the
@@ -26,6 +27,7 @@ All strategies support the symmetric arrival of S-tuples; SJ-SSI keeps the
 from __future__ import annotations
 
 import bisect
+from math import nan
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.lazy_partition import LazyStabbingPartition
@@ -36,6 +38,7 @@ from repro.dstruct.interval_tree import IntervalTree
 from repro.dstruct.rtree import RTree
 from repro.engine.queries import SelectJoinQuery, range_a_interval, range_c_interval
 from repro.engine.table import RTuple, STuple, TableR, TableS
+from repro.fastpath import select as select_probe
 
 SelectResults = Dict[SelectJoinQuery, List[STuple]]
 RSelectResults = Dict[SelectJoinQuery, List[RTuple]]
@@ -213,14 +216,11 @@ class SJSelectFirst(SelectJoinStrategy):
 
 
 class SJSSI(SelectJoinStrategy):
-    """SJ-SSI: SSIs on the selection ranges, R-trees per stabbing group.
+    """SJ-SSI: SSIs on the selection ranges, endpoint columns per group.
 
-    For the R-side, the SSI partitions queries by their rangeC projections.
-    Processing r probes the composite B-tree on S(B, C) once per group at
-    (r.b, p_j), locating the joining tuples q1/q2 whose C values straddle
-    the stabbing point; at most two R-tree stabs at the corresponding join
-    result points identify exactly the affected queries, and results are
-    enumerated by walking the composite-index leaves outward.
+    The R-side SSI partitions queries by their rangeC projections, the
+    S-side one by rangeA; an arrival runs :func:`probe_select_group` once
+    per group of the other side's SSI.
     """
 
     name = "SJ-SSI"
@@ -233,32 +233,17 @@ class SJSSI(SelectJoinStrategy):
         partition_c: Optional[DynamicStabbingPartitionBase[SelectJoinQuery]] = None,
         partition_a: Optional[DynamicStabbingPartitionBase[SelectJoinQuery]] = None,
         epsilon: float = 1.0,
-        rtree_fanout: int = 16,
         symmetric: bool = True,
     ):
         super().__init__(table_s, table_r)
-        self._fanout = rtree_fanout
         if partition_c is None:
             partition_c = LazyStabbingPartition(epsilon=epsilon, interval_of=range_c_interval)
-        self._ssi_c: StabbingSetIndex[SelectJoinQuery, RTree] = StabbingSetIndex(
-            partition_c,
-            make_structure=self._make_rtree,
-            add_item=lambda rt, q: rt.insert(q.rect, q),
-            remove_item=lambda rt, q: rt.remove(q.rect, q),
-        )
-        self._ssi_a: Optional[StabbingSetIndex[SelectJoinQuery, RTree]] = None
+        self._ssi_c = _columns_ssi(partition_c, range_a_interval, range_c_interval)
+        self._ssi_a: Optional[StabbingSetIndex[SelectJoinQuery, select_probe.SelectColumns]] = None
         if symmetric:
             if partition_a is None:
                 partition_a = LazyStabbingPartition(epsilon=epsilon, interval_of=range_a_interval)
-            self._ssi_a = StabbingSetIndex(
-                partition_a,
-                make_structure=self._make_rtree,
-                add_item=lambda rt, q: rt.insert(q.rect, q),
-                remove_item=lambda rt, q: rt.remove(q.rect, q),
-            )
-
-    def _make_rtree(self) -> RTree:
-        return RTree(self._fanout)
+            self._ssi_a = _columns_ssi(partition_a, range_c_interval, range_a_interval)
 
     @property
     def ssi(self) -> StabbingSetIndex:
@@ -280,113 +265,96 @@ class SJSSI(SelectJoinStrategy):
 
     def process_r(self, r: RTuple) -> SelectResults:
         results: SelectResults = {}
-        for point, rtree in self._ssi_c.groups():
-            probe_select_group_r(self.table_s.by_bc, r, point, rtree, results)
+        for point, columns in self._ssi_c.groups():
+            probe_select_group(self.table_s.by_bc, r.b, r.a, point, columns, results)
         return results
 
     def process_s(self, s: STuple) -> RSelectResults:
         if self._ssi_a is None:
             raise RuntimeError("symmetric processing disabled for this SJSSI")
         results: RSelectResults = {}
-        for point, rtree in self._ssi_a.groups():
-            probe_select_group_s(self.table_r.by_ba, s, point, rtree, results)
+        for point, columns in self._ssi_a.groups():
+            probe_select_group(self.table_r.by_ba, s.b, s.c, point, columns, results)
         return results
 
     def process_r_batch(self, rs: Sequence[RTuple]) -> List[SelectResults]:
         """Batch fast path: probe a run of R-tuples against the current S
         state in one pass over the rangeC group table.  Delta-identical to
         calling :meth:`process_r` per tuple (against unchanged tables)."""
-        from repro.fastpath.select import batch_probe_select_r
-
         results: List[SelectResults] = [{} for _ in rs]
-        points, rtrees = self._ssi_c.group_table()
-        batch_probe_select_r(self.table_s.by_bc, rs, points, rtrees, results)
+        points, groups = self._ssi_c.group_table()
+        select_probe.batch_probe_select_r(self.table_s.by_bc, rs, points, groups, results)
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RSelectResults]:
         """Symmetric batch fast path for a run of S-tuples."""
         if self._ssi_a is None:
             raise RuntimeError("symmetric processing disabled for this SJSSI")
-        from repro.fastpath.select import batch_probe_select_s
-
         results: List[RSelectResults] = [{} for _ in ss]
-        points, rtrees = self._ssi_a.group_table()
-        batch_probe_select_s(self.table_r.by_ba, ss, points, rtrees, results)
+        points, groups = self._ssi_a.group_table()
+        select_probe.batch_probe_select_s(self.table_r.by_ba, ss, points, groups, results)
         return results
 
+    def validate(self) -> None:
+        """Check every group's columns against its members (tests, fuzz)."""
+        for ssi, sel_of, rng_of in (
+            (self._ssi_c, range_a_interval, range_c_interval),
+            (self._ssi_a, range_c_interval, range_a_interval),
+        ):
+            if ssi is not None:
+                ssi.partition.validate()
+                for group in ssi.partition.groups:
+                    ssi.structure_of(group).check(group, sel_of, rng_of)
 
-def probe_select_group_r(
-    by_bc: BPlusTree,
-    r: RTuple,
+
+def _columns_ssi(
+    partition: DynamicStabbingPartitionBase[SelectJoinQuery], sel_of, rng_of
+) -> StabbingSetIndex[SelectJoinQuery, select_probe.SelectColumns]:
+    """An SSI whose groups keep their members' endpoint columns."""
+    return StabbingSetIndex(
+        partition,
+        make_structure=select_probe.SelectColumns,
+        add_item=lambda columns, q: columns.add(q, sel_of(q), rng_of(q)),
+        remove_item=select_probe.SelectColumns.remove,
+    )
+
+
+def probe_select_group(
+    index: BPlusTree,
+    b: float,
+    x: float,
     point: float,
-    rtree: RTree,
-    results: SelectResults,
+    columns: select_probe.SelectColumns,
+    results: Dict[SelectJoinQuery, List],
 ) -> None:
-    """The SJ-SSI per-group probe for an incoming R-tuple.
+    """The SJ-SSI per-group probe for an incoming tuple with join key ``b``
+    and selection attribute ``x`` (r.a against S(B, C), s.c against R(B, A)).
 
-    One composite B-tree lookup at (r.b, point) locates the joining tuples
-    q1/q2 whose C values straddle the stabbing point, then at most two
-    R-tree stabs at the corresponding join result points yield exactly the
-    affected queries; merged hits go into ``results``.  Shared between
-    :class:`SJSSI` (applied to every group) and the hotspot-based processor
-    (applied to hotspot groups only).
+    One composite B-tree lookup at (b, point) locates the joining tuples
+    q1/q2 whose second components straddle the stabbing point, then one
+    test of the group's endpoint columns at the corresponding join result
+    points yields exactly the affected queries, whose hits go into
+    ``results``.  Shared between :class:`SJSSI` (applied to every group)
+    and the hotspot-based processor (applied to hotspot groups only).
     """
-    pred, succ = by_bc.surrounding((r.b, point))
-    q1 = pred.value if pred.valid and pred.key[0] == r.b else None
-    q2 = succ.value if succ.valid and succ.key[0] == r.b else None
-    if q1 is None and q2 is None:
-        return  # nothing joins with r near this stabbing point
-    affected: Dict[int, SelectJoinQuery] = {}
-    if q1 is not None:
-        for __, query in rtree.stab(q1.c, r.a):
-            affected[query.qid] = query
-    if q2 is not None and (q1 is None or q2.c != q1.c):
-        for __, query in rtree.stab(q2.c, r.a):
-            affected.setdefault(query.qid, query)
-    for query in affected.values():
-        hits = _enumerate_outward(pred, succ, r.b, query.range_c.lo, query.range_c.hi)
-        assert hits, "affected select-join produced no result"
-        results[query] = hits
-
-
-def probe_select_group_s(
-    by_ba: BPlusTree,
-    s: STuple,
-    point: float,
-    rtree: RTree,
-    results: RSelectResults,
-) -> None:
-    """Symmetric per-group probe for an incoming S-tuple (SSI on rangeA)."""
-    pred, succ = by_ba.surrounding((s.b, point))
-    q1 = pred.value if pred.valid and pred.key[0] == s.b else None
-    q2 = succ.value if succ.valid and succ.key[0] == s.b else None
-    if q1 is None and q2 is None:
-        return
-    affected: Dict[int, SelectJoinQuery] = {}
-    if q1 is not None:
-        for __, query in rtree.stab(s.c, q1.a):
-            affected[query.qid] = query
-    if q2 is not None and (q1 is None or q2.a != q1.a):
-        for __, query in rtree.stab(s.c, q2.a):
-            affected.setdefault(query.qid, query)
-    for query in affected.values():
-        hits = _enumerate_outward(pred, succ, s.b, query.range_a.lo, query.range_a.hi)
-        assert hits, "affected select-join produced no result"
-        results[query] = hits
+    pred, succ = index.surrounding((b, point))
+    # NaN where no tuple with this join key lies on that side of the point.
+    y1 = pred.key[1] if pred.valid and pred.key[0] == b else nan
+    y2 = succ.key[1] if succ.valid and succ.key[0] == b else nan
+    for slots in select_probe.stab_group(columns, (x,), y1, y2):
+        for slot in slots:
+            hits = _enumerate_outward(pred, succ, b, columns.rng_lo[slot], columns.rng_hi[slot])
+            assert hits, "affected select-join produced no result"
+            results[columns.queries[slot]] = hits
 
 
 def _enumerate_outward(pred: Cursor, succ: Cursor, b: float, lo: float, hi: float) -> List:
-    """Walk the composite-index leaves outward from the probe position,
-    collecting entries with matching join key and second component in
-    [lo, hi]; stops at "a different S.B value or a value outside the query
-    range".  Touches only contributing entries plus one terminator per
-    direction."""
-    if succ.valid:
-        left = succ.clone()
-        left.retreat()
-    else:
-        left = pred
-    hits = left.collect_backward_prefix_ge(b, lo) if left.valid else []
+    """Walk the composite-index leaves outward from the adjacent cursor pair
+    of ``surrounding``, collecting entries with matching join key and second
+    component in [lo, hi]; stops at "a different S.B value or a value
+    outside the query range".  Touches only contributing entries plus one
+    terminator per direction, and moves neither cursor."""
+    hits = pred.collect_backward_prefix_ge(b, lo) if pred.valid else []
     if succ.valid:
         hits.extend(succ.collect_forward_prefix_le(b, hi))
     return hits

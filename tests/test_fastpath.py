@@ -234,9 +234,28 @@ def hot_and_scattered(table_s, table_r, *, alpha=0.1, hot=12, scattered=12):
 
 
 def assert_runs_match(processor, rs, ss):
+    """Batched deltas == the per-event probes' == the brute-force oracle's."""
     processor.validate()
-    assert processor.process_r_batch(rs) == [processor.process_r(r) for r in rs]
-    assert processor.process_s_batch(ss) == [processor.process_s(s) for s in ss]
+    r_deltas, s_deltas = processor.process_r_batch(rs), processor.process_s_batch(ss)
+    assert r_deltas == [processor.process_r(r) for r in rs]
+    assert s_deltas == [processor.process_s(s) for s in ss]
+    queries = list(processor._queries.values())
+    for r, delta in zip(rs, r_deltas):
+        want = {
+            q: sorted(s.sid for s in processor.table_s if s.b == r.b and q.range_c.contains(s.c))
+            for q in queries
+            if q.range_a.contains(r.a)
+        }
+        got = {q: sorted(s.sid for s in hits) for q, hits in delta.items()}
+        assert got == {q: sids for q, sids in want.items() if sids}
+    for s, delta in zip(ss, s_deltas):
+        want = {
+            q: sorted(r.rid for r in processor.table_r if r.b == s.b and q.range_a.contains(r.a))
+            for q in queries
+            if q.range_c.contains(s.c)
+        }
+        got = {q: sorted(r.rid for r in hits) for q, hits in delta.items()}
+        assert got == {q: rids for q, rids in want.items() if rids}
 
 
 class TestSelectColumnProbe:
@@ -353,6 +372,155 @@ class TestSelectColumnProbe:
             sizes.append(target)
             assert_runs_match(processor, rs, ss)
         assert min(sizes) < limit <= max(sizes)
+
+    @pytest.mark.parametrize("hot", [kernel_mod.MIN_VECTOR - 3, kernel_mod.MIN_VECTOR + 4])
+    def test_group_neighbours_and_selection_on_closed_endpoints(self, kernel, hot):
+        """A group on rangeC = [40 - k, 60 + k] (stabbing point 60, extent
+        [40 - edge, 60 + edge]) against join keys whose only neighbours of
+        the point sit exactly on a member's, or the extent's, endpoint."""
+        edge, mid = hot - 1, hot // 2
+        neighbours = {
+            1.0: (40 - mid,),  # y1 == rng_lo of member `mid`, no y2
+            2.0: (60 + mid,),  # y2 == rng_hi of member `mid`, no y1
+            3.0: (40 - mid, 60 + mid),
+            4.0: (60.0,),  # y2 is the stabbing point itself
+            5.0: (40 - edge,),  # y1 == the extent's low end: one member
+            6.0: (60 + edge,),  # y2 == the extent's high end: one member
+            7.0: (10.0, 60 + edge),  # y1 outside the extent, y2 on its end
+            8.0: (40 - edge, 95.0),  # ... and the other way round
+            9.0: (10.0, 95.0),  # both outside: the pre-reject
+            10.0: (39.5 - edge, 60.5 + edge),  # both just outside
+        }
+        table_s, table_r = TableS(), TableR()
+        for b, cs in neighbours.items():
+            for c in cs:
+                table_s.add(b, c)
+            for a in (20.0, 35.0, 50.0 + edge):
+                table_r.add(a, b)
+        # rangeA = [20, 50 + k]: x on the shared low end, on the widest
+        # member's high end, and just outside either.
+        rs = [table_r.new_row(a, b) for b in neighbours for a in (19.5, 20.0, 50.0, 50.0 + edge, 50.5 + edge)]
+        ss = [table_s.new_row(b, c) for b in neighbours for c in (40.0 - edge, 60.0, 60.0 + edge, 105.0)]
+        pure_ssi = SJSSI(table_s, table_r)
+        for k in range(hot):
+            pure_ssi.add_query(SelectJoinQuery(Interval(20, 50 + k), Interval(40 - k, 60 + k)))
+        for strategy in (hot_and_scattered(table_s, table_r, hot=hot), pure_ssi):
+            assert_runs_match(strategy, rs, ss)
+            hits = {r.b: len(delta) for r, delta in zip(rs, strategy.process_r_batch(rs)) if r.a == 20.0}
+            assert hits == {
+                1.0: hot - mid, 2.0: hot - mid, 3.0: hot - mid, 4.0: hot, 5.0: 1,
+                6.0: 1, 7.0: 1, 8.0: 1, 9.0: 0, 10.0: 0,
+            }  # fmt: skip
+
+    def test_duplicate_neighbours_are_reported_once(self, kernel):
+        """q1.c == q2.c cannot happen around a point, but runs of equal C
+        next to it and on it can: every affected query gets each joining
+        row once, in leaf order."""
+        table_s, table_r = TableS(), TableR()
+        for b, cs in ((1.0, (59, 59, 59, 60, 60)), (2.0, (60, 60)), (3.0, (59, 59)), (4.0, (60, 60, 59))):
+            for c in cs:
+                table_s.add(b, float(c))
+            table_r.add(30.0, b)
+        processor = hot_and_scattered(table_s, table_r)
+        rs = [table_r.new_row(30, b) for b in (1.0, 2.0, 3.0, 4.0)]
+        ss = [table_s.new_row(b, 60.0) for b in (1.0, 4.0)]
+        assert_runs_match(processor, rs, ss)
+        for delta, count in zip(processor.process_r_batch(rs), (5, 2, 2, 3)):
+            assert len(delta) == 12  # every hotspot member, no scattered one
+            for hits in delta.values():
+                assert len(hits) == len({s.sid for s in hits}) == count
+                assert [s.c for s in hits] == sorted(s.c for s in hits)
+
+    def test_extent_follows_swap_removes_and_refills(self, kernel):
+        table_s, table_r = TableS(), TableR()
+        for c in (20.0, 30.5, 69.5, 80.0):
+            table_s.add(1.0, c)
+            table_r.add(30.0, 1.0)
+        processor = hot_and_scattered(table_s, table_r)
+        (group,) = processor.tracker.hotspot_groups
+        columns = processor._hot_columns[id(group)]
+        rs = [table_r.new_row(30, 1.0)]
+        ss = [table_s.new_row(1.0, 50.0)]
+        narrow, *__, wide, widest = columns.queries  # rangeC [40, 60] ... [30, 70], [29, 71]
+        assert (columns.rng_min, columns.rng_max) == (29, 71)
+        assert set(processor.process_r_batch(rs)[0]) == {wide, widest}  # c = 30.5 and 69.5
+        # A member that never held an extreme leaves the extent alone (and
+        # hands its slot, the first, to the widest member).
+        processor.remove_query(narrow)
+        assert (columns.rng_min, columns.rng_max) == (29, 71) and columns.queries[0] is widest
+        assert_runs_match(processor, rs, ss)
+        # Both extremes leave from the middle of the columns.
+        processor.remove_query(widest)
+        assert (columns.rng_min, columns.rng_max) == (30, 70) and columns.queries[0] is wide
+        assert_runs_match(processor, rs, ss)
+        assert set(processor.process_r_batch(rs)[0]) == {wide}
+        processor.remove_query(wide)
+        assert (columns.rng_min, columns.rng_max) == (31, 69)
+        assert_runs_match(processor, rs, ss)
+        assert processor.process_r_batch(rs) == [{}]
+        # Empty the columns and refill them: the extent starts over.
+        for query in list(columns.queries):
+            columns.remove(query)
+        assert (len(columns), columns.rng_min, columns.rng_max) == (0, float("inf"), float("-inf"))
+        columns.add(narrow, narrow.range_a, narrow.range_c)
+        assert (columns.rng_min, columns.rng_max) == (40, 60)
+
+    def test_group_crossing_min_vector(self, kernel):
+        rng = random.Random(10)
+        table_s, table_r = make_tables(rng, 200, 200)
+        keys = [row.b for row in list(table_s)[:40]]
+        for b in keys:
+            table_s.add(b, rng.uniform(30, 70))
+        rs = [table_r.new_row(rng.uniform(15, 65), rng.choice(keys)) for __ in range(40)]
+        ss = [table_s.new_row(row.b, rng.uniform(30, 70)) for row in list(table_r)[:10]]
+        limit = kernel_mod.MIN_VECTOR
+        processor = hot_and_scattered(table_s, table_r, hot=limit - 2, scattered=20)
+        (group,) = processor.tracker.hotspot_groups
+        columns = processor._hot_columns[id(group)]
+        extra = []
+        for target in (limit - 1, limit, limit + 3, limit - 1, limit - 2, limit + 1):
+            while len(columns) < target:
+                c = rng.uniform(45, 50)
+                a = rng.uniform(10, 40)
+                extra.append(SelectJoinQuery(Interval(a, a + 20), Interval(c - 12, c + 12)))
+                processor.add_query(extra[-1])
+            while len(columns) > target:
+                processor.remove_query(extra.pop(rng.randrange(len(extra))))
+            assert processor.tracker.hotspot_groups == [group] and len(columns) == target
+            assert_runs_match(processor, rs, ss)
+            assert any(q in delta for delta in processor.process_r_batch(rs) for q in columns.queries)
+
+    def test_promotion_demotion_promotion_of_the_same_queries(self, kernel):
+        rng = random.Random(11)
+        table_s, table_r = make_tables(rng, 150, 150)
+        keys = [row.b for row in list(table_s)[:30]]
+        for b in keys:
+            table_s.add(b, rng.uniform(40, 60))
+        rs = [table_r.new_row(rng.uniform(20, 50), rng.choice(keys)) for __ in range(30)]
+        ss = [table_s.new_row(row.b, rng.uniform(40, 60)) for row in list(table_r)[:10]]
+        processor = hot_and_scattered(table_s, table_r, alpha=0.2, hot=6, scattered=4)
+        tracker = processor.tracker
+        cluster = [q for q in processor._queries.values() if tracker.is_hotspot_item(q)]
+        assert len(cluster) == 6 and tracker.moves_into_scattered == 0
+        promoted = tracker.moves_out_of_scattered
+        assert_runs_match(processor, rs, ss)
+        hot_deltas = processor.process_r_batch(rs)
+        # 60 more scattered queries: the cluster falls under (alpha / 2) n.
+        crowd = [SelectJoinQuery(Interval(0, 90), Interval(300 + 10 * k, 305 + 10 * k)) for k in range(60)]
+        for query in crowd:
+            processor.add_query(query)
+        assert not processor._hot_columns and tracker.moves_into_scattered == 6
+        assert all(id(q) in processor._scattered for q in cluster)
+        assert_runs_match(processor, rs, ss)
+        assert processor.process_r_batch(rs) == hot_deltas
+        # ... and back over alpha n once the crowd has left.
+        for query in crowd:
+            processor.remove_query(query)
+        assert tracker.moves_out_of_scattered == promoted + 6
+        (group,) = tracker.hotspot_groups
+        assert sorted(map(id, processor._hot_columns[id(group)].queries)) == sorted(map(id, cluster))
+        assert_runs_match(processor, rs, ss)
+        assert processor.process_r_batch(rs) == hot_deltas
 
     def test_columns_follow_subscriptions_promotions_and_demotions(self, kernel):
         rng = random.Random(9)
