@@ -25,7 +25,6 @@ from repro.runtime.replay import (
     run_replay,
 )
 from repro.runtime.sharding import (
-    EventRoute,
     Shard,
     ShardGroup,
     ShardRange,
@@ -40,7 +39,6 @@ __all__ = [
     "BatchStats",
     "Counter",
     "EventPipeline",
-    "EventRoute",
     "Gauge",
     "Histogram",
     "HotspotMetricsListener",

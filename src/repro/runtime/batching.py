@@ -11,6 +11,10 @@ preserved for everything that is actually applied.
 
 A delete whose insert already flushed in an earlier batch is *not*
 cancelled — it must reach the shards to remove installed state.
+
+The batcher knows nothing of shards: an entry is a sequence number, an
+event and its ingest stamp, and the pipeline routes the survivors when the
+batch flushes.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ def _row_key(event: DataEvent) -> Tuple[str, int]:
 
 @dataclass(slots=True)
 class BatchEntry:
-    """One pending event, tagged with its global sequence number and the
-    select-plane routing flags the router computed at submission.
+    """One pending event, tagged with its global sequence number (routing
+    happens at flush, once per event, not here).
 
     ``ingest_ns`` is the submitter's ``perf_counter_ns`` reading at
     ingress (0 = unknown) — the anchor for end-to-end latency, carried
@@ -41,8 +45,6 @@ class BatchEntry:
 
     seq: int
     event: DataEvent
-    select_probe: bool = True
-    select_state: bool = True
     ingest_ns: int = 0
 
 
@@ -85,9 +87,6 @@ class MicroBatcher:
     @property
     def is_due(self) -> bool:
         return len(self._pending) >= self.max_batch
-
-    def peek_oldest(self) -> Optional[BatchEntry]:
-        return self._pending[0] if self._pending else None
 
     def drop_oldest(self) -> Optional[BatchEntry]:
         """Evict the oldest pending entry (drop-oldest backpressure)."""

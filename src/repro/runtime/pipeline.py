@@ -14,14 +14,18 @@ it stacks the runtime layers on top of them:
    insert+delete pairs coalesce away before dispatch (batch-atomic
    visibility; see ``batching.py``).
 3. **execution** — every data event reaches every shard (each holds a
-   partition of the queries).  ``mode="inline"`` (the default) steps all K
+   partition of the queries), so a flush routes each event once
+   (:meth:`~repro.runtime.sharding.ShardRouter.route_event` → its
+   select-plane owner) and hands the backend one ``(seq, event, owner)``
+   list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
    shards through the batch on the caller's thread, over one shared table
    set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic, zero
    overhead, and the only mode the durable checkpointer can reach into.
    ``mode="process-shm"`` pins each shard — a group of one — to a
    persistent worker process behind a pair of shared-memory rings
    (:mod:`repro.runtime.transport`) — real parallelism on CPython, with
-   batches and deltas crossing the boundary as columnar frames.
+   batches and deltas crossing the boundary as columnar frames; a batch
+   is encoded once and the same frame goes to every worker.
 4. **merge** — per-shard deltas are merged by sequence number into one
    per-event result dict, deterministically (sorted rows), then dispatched
    to subscription callbacks in arrival order.
@@ -79,19 +83,17 @@ class BackpressurePolicy(str, enum.Enum):
 class _Backend(Protocol):
     """What the pipeline needs from an execution backend.
 
-    ``ingest_ns`` parallels each shard's entry list with submitter-side
-    monotonic ingest timestamps; the inline backend ignores it — the
-    pipeline measures end-to-end latency itself on the emission side.
+    ``ingest_ns`` parallels the entry list with submitter-side monotonic
+    ingest timestamps; the inline backend ignores it — the pipeline
+    measures end-to-end latency itself on the emission side.
     """
 
     def subscribe(self, indices: Sequence[int], query: Any) -> None: ...
 
     def unsubscribe(self, indices: Sequence[int], query: Any) -> None: ...
 
-    def apply_shard_batches(
-        self,
-        shard_entries: Dict[int, List[ShardEntry]],
-        ingest_ns: Optional[Dict[int, List[int]]] = None,
+    def apply_batch(
+        self, entries: List[ShardEntry], ingest_ns: List[int]
     ) -> ShardBatchResults: ...
 
     def sample_hotspots(self) -> List[HeadroomSample]: ...
@@ -113,12 +115,10 @@ class _InlineBackend:
         for index in indices:
             self.group.shards[index].unsubscribe(query)
 
-    def apply_shard_batches(
-        self,
-        shard_entries: Dict[int, List[ShardEntry]],
-        ingest_ns: Optional[Dict[int, List[int]]] = None,
+    def apply_batch(
+        self, entries: List[ShardEntry], ingest_ns: List[int]
     ) -> ShardBatchResults:
-        return self.group.apply_batch(shard_entries)
+        return self.group.apply_batch(entries)
 
     def sample_hotspots(self) -> List[HeadroomSample]:
         samples: List[HeadroomSample] = []
@@ -148,10 +148,11 @@ class _ProcessShmBackend:
 
     Telemetry: every ``telemetry_every``-th batch roundtrip sets the
     BATCH telemetry flag, so each worker follows its RESULT with one
-    TELEMETRY frame — spans since the last ship plus metric deltas —
-    which merges into the parent registry (``shard/<N>/`` prefixes for
-    unscoped names) and, when the parent tracer records, into one unified
-    trace with per-process lanes.  ``drain_telemetry()`` forces a ship
+    TELEMETRY frame — metric deltas, which merge into the parent registry
+    (``shard/<N>/`` prefixes for unscoped names), plus, when the parent
+    tracer records (the BATCH trace id is nonzero — a worker records no
+    spans otherwise), the spans since the last ship, which merge into one
+    unified trace with per-process lanes.  ``drain_telemetry()`` forces a ship
     via empty flagged batches (used by the reporting interval and on
     close, so the final stats include the workers' last increments).
     """
@@ -274,40 +275,34 @@ class _ProcessShmBackend:
             body,
         )
 
-    def apply_shard_batches(
-        self,
-        shard_entries: Dict[int, List[ShardEntry]],
-        ingest_ns: Optional[Dict[int, List[int]]] = None,
+    def apply_batch(
+        self, entries: List[ShardEntry], ingest_ns: List[int]
     ) -> ShardBatchResults:
         out: ShardBatchResults = {}
         self._round += 1
         want_telemetry = self._round % self.telemetry_every == 0
         trace_id = getattr(self.tracer, "trace_id", 0)
-        with self.tracer.span(
-            "transport.roundtrip", shards=len(shard_entries)
-        ) as roundtrip:
-            parent_span_id = getattr(roundtrip, "span_id", 0)
+        shards = range(len(self._workers))
+        with self.tracer.span("transport.roundtrip", shards=len(shards)) as roundtrip:
             start = time.perf_counter()
-            payloads = {
-                index: _frames.encode_batch_frame(
-                    entries,
-                    ingest_ns=ingest_ns.get(index) if ingest_ns else None,
-                    trace_id=trace_id,
-                    parent_span_id=parent_span_id,
-                    want_telemetry=want_telemetry,
-                )
-                for index, entries in shard_entries.items()
-            }
+            # Every worker reads the same batch: one frame, K rings.
+            payload = _frames.encode_batch_frame(
+                entries,
+                ingest_ns=ingest_ns,
+                trace_id=trace_id,
+                parent_span_id=getattr(roundtrip, "span_id", 0),
+                want_telemetry=want_telemetry,
+            )
             self.metrics.histogram("transport/encode_us").observe(
                 (time.perf_counter() - start) * 1e6
             )
             # Dispatch everything before collecting anything: one frame in
             # flight per shard, all shards in flight at once.
-            for index, payload in payloads.items():
+            for index in shards:
                 self._send(index, payload)
             bytes_in = self.metrics.counter("transport/bytes_in")
             decode_us = self.metrics.histogram("transport/decode_us")
-            for index in payloads:
+            for index in shards:
                 raw = self._await_raw(index)
                 bytes_in.inc(len(raw))
                 self.metrics.gauge(f"transport/ring/{index}/response_bytes").set(
@@ -662,31 +657,20 @@ class EventPipeline:
             # about to apply is already on media (fsync policy permitting).
             self.durability.sync()
         self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
-        router = self.router
-        shard_entries: Dict[int, List[ShardEntry]] = {
-            index: [] for index in range(router.num_shards)
-        }
+        route, note = self.router.route_event, self.router.note_event
+        entries: List[ShardEntry] = []
         for entry in batch:
-            event = entry.event
-            route = router.route_event(event)
-            router.note_event(route)
-            for index in route.shards:
-                select_probe, select_state = route.flags(index, event.relation)
-                shard_entries[index].append(
-                    (entry.seq, event, select_probe, select_state)
-                )
-        # Every data event reaches every shard: one ingest column serves all.
-        shard_ingest = dict.fromkeys(
-            shard_entries, [entry.ingest_ns for entry in batch]
-        )
+            owner = route(entry.event)
+            note(owner)
+            entries.append((entry.seq, entry.event, owner))
         by_seq: Dict[int, List[Delta]] = {entry.seq: [] for entry in batch}
-        for index, (elapsed, results) in sorted(
-            self._backend.apply_shard_batches(shard_entries, shard_ingest).items()
-        ):
+        applied = self._backend.apply_batch(
+            entries, [entry.ingest_ns for entry in batch]
+        )
+        for index, (elapsed, results) in sorted(applied.items()):
             self.metrics.histogram(f"shard/{index}/batch_us").observe(elapsed * 1e6)
-            self.metrics.counter(f"shard/{index}/events").inc(
-                len(shard_entries[index])
-            )
+            # Every data event reaches every shard.
+            self.metrics.counter(f"shard/{index}/events").inc(len(batch))
             for seq, deltas in results:
                 by_seq[seq].append(deltas)
         out: List[Tuple[int, DataEvent, Delta]] = []
@@ -711,7 +695,7 @@ class EventPipeline:
             # is the same number on every shard it was routed to — all of them.
             e2e = _histogram_delta(e2e_us)
             self.metrics.histogram("pipeline/e2e_us").merge_delta(**e2e)
-            for index in shard_entries:
+            for index in applied:
                 self.metrics.histogram(f"shard/{index}/e2e_us").merge_delta(**e2e)
         self.metrics.counter("pipeline/events_applied").inc(len(batch))
         self.metrics.counter("pipeline/batches").inc()

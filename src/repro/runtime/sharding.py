@@ -29,6 +29,14 @@ different attributes:
   each shard probes the full shared tables for its slice of the bands
   (with its own hotspot tracker).
 
+A batch has **one view**: every data event reaches every shard, so routing
+an event is one integer — :meth:`ShardRouter.route_event` names the
+select-plane *owner* of an S row (-1 for an R row) — and a batch is one
+list of ``(seq, event, owner)`` entries (:data:`ShardEntry`) that every
+shard reads, in this process or, as one frame, in a worker.  The router is
+the only place that knows the placement policy; a shard decides "my
+C-slice?" as ``owner == self.index``.
+
 Every routing decision is **static**: it depends only on the coordinates of
 the row or query, never on the current subscription set.  That invariant is
 what makes the sharded pipeline exactly equivalent to the unsharded
@@ -70,7 +78,9 @@ DOMAIN_HI = 10_000.0
 # The operator layer (repro.operators / repro.engine) is typed ``Any`` at
 # the shard boundary: queries and rows flow through the runtime opaquely.
 Delta = Dict[Any, List[Any]]
-ShardEntry = Tuple[int, DataEvent, bool, bool]
+# One event of a batch: (seq, event, owner) — ``owner`` is the select-plane
+# shard of an S row (:meth:`ShardRouter.route_event`), -1 for an R row.
+ShardEntry = Tuple[int, DataEvent, int]
 # Per-shard batch outcome: probe seconds plus (seq, deltas) pairs.
 ShardBatchResults = Dict[int, Tuple[float, List[Tuple[int, Delta]]]]
 ResultCallback = Callable[[Any, Any, List[Any]], None]
@@ -103,26 +113,6 @@ class ShardRange:
     index: int
     lo: float
     hi: float
-
-
-@dataclass(frozen=True, slots=True)
-class EventRoute:
-    """Where a data event goes.
-
-    ``select_shard`` is the single shard whose C-slice owns the row (only
-    set for S events); every shard in ``shards`` probes the event on its
-    band plane, and R events additionally probe every select plane.
-    """
-
-    shards: Tuple[int, ...]
-    select_shard: Optional[int]
-
-    def flags(self, index: int, relation: str) -> Tuple[bool, bool]:
-        """(select_probe, select_state) for shard ``index``."""
-        if relation == "R":
-            return True, True
-        owns = self.select_shard == index
-        return owns, owns
 
 
 class ShardRouter:
@@ -159,12 +149,8 @@ class ShardRouter:
         # Rebalancing stats: query placements and event routing per shard.
         self.select_queries_per_shard = [0] * num_shards
         self.band_queries_per_shard = [0] * num_shards
-        self.events_per_shard = [0] * num_shards
+        self.events = 0
         self.select_probes_per_shard = [0] * num_shards
-        # Routes are static, so all K+1 of them are built here, not per event.
-        everywhere = tuple(range(num_shards))
-        self._r_route = EventRoute(everywhere, None)
-        self._s_routes = [EventRoute(everywhere, i) for i in range(num_shards)]
 
     # -- routing domains -----------------------------------------------------
 
@@ -205,16 +191,17 @@ class ShardRouter:
 
     # -- event routing -------------------------------------------------------
 
-    def route_event(self, event: DataEvent) -> EventRoute:
-        """The shards an event can affect (probing and/or state).
+    def route_event(self, event: DataEvent) -> int:
+        """The select-plane owner of a data event, -1 for an R event.
 
-        Data events reach every shard's band plane (band matches cannot be
-        localized) and, for R events, every select plane; S events probe
-        and store on exactly one select plane — the shard owning ``row.c``.
+        Every data event reaches every shard's band plane (band matches
+        cannot be localized) and, for R events, every select plane; an S
+        event probes and is stored on exactly one select plane — the shard
+        owning ``row.c``, which is the whole routing decision.
         """
         if event.relation == "S":
-            return self._s_routes[self.shard_for_value(event.row.c)]
-        return self._r_route
+            return self.shard_for_value(event.row.c)
+        return -1
 
     # -- stats ---------------------------------------------------------------
 
@@ -227,11 +214,15 @@ class ShardRouter:
         for index in indices:
             counts[index] += delta
 
-    def note_event(self, route: EventRoute) -> None:
-        for index in route.shards:
-            self.events_per_shard[index] += 1
-        if route.select_shard is not None:
-            self.select_probes_per_shard[route.select_shard] += 1
+    def note_event(self, owner: int) -> None:
+        self.events += 1
+        if owner >= 0:
+            self.select_probes_per_shard[owner] += 1
+
+    @property
+    def events_per_shard(self) -> List[int]:
+        """Every data event reaches every shard."""
+        return [self.events] * self.num_shards
 
     @staticmethod
     def _imbalance(loads: Sequence[int]) -> float:
@@ -248,7 +239,7 @@ class ShardRouter:
             "num_shards": self.num_shards,
             "select_queries_per_shard": list(self.select_queries_per_shard),
             "band_queries_per_shard": list(self.band_queries_per_shard),
-            "events_per_shard": list(self.events_per_shard),
+            "events_per_shard": self.events_per_shard,
             "select_probes_per_shard": list(self.select_probes_per_shard),
             "select_query_imbalance": self._imbalance(self.select_queries_per_shard),
             "band_query_imbalance": self._imbalance(self.band_queries_per_shard),
@@ -333,48 +324,47 @@ class Shard:
 
     # -- event application ---------------------------------------------------
 
-    def apply(
-        self, event: DataEvent, *, select_probe: bool = True, select_state: bool = True
-    ) -> Delta:
+    def apply(self, event: DataEvent, owner: int) -> Delta:
         """This shard's part of one data event: probe an insertion against
         the shared tables, and keep the shard's own C-slice.  The shared
         tables are the group's to write (after every shard has probed).
-        ``select_probe``/``select_state`` gate the select plane for S
-        events routed to other shards' C-slices."""
+        ``owner`` is the event's select-plane shard
+        (:meth:`ShardRouter.route_event`): an S row is probed against and
+        kept in the C-slice of that one shard only."""
         row = event.row
         deltas: Delta = {}
         if event.kind is not EventKind.INSERT:
-            if select_state and event.relation == "S":
+            if owner == self.index:
                 self.table_s_select.delete(row)
         elif event.relation == "R":
             deltas.update(self.band.process_r(row))
             deltas.update(self.select.process_r(row))
         else:
             deltas.update(self.band.process_s(row))
-            if select_probe:
+            if owner == self.index:
                 deltas.update(self.select.process_s(row))
-            if select_state:
                 self.table_s_select.insert(row)
         return deltas
 
     def apply_batch(
-        self, entries: Sequence[ShardEntry]
+        self, entries: Sequence[ShardEntry], rows: Sequence[Any]
     ) -> List[Tuple[int, Delta]]:
         """:meth:`apply` for one run of same-relation INSERT entries
-        ``(seq, event, select_probe, select_state)`` through the
-        operators' batch fast path, returning per-event deltas tagged with
-        their sequence numbers.
+        ``(seq, event, owner)`` — ``rows`` are their rows, extracted once
+        by the group for all shards — through the operators' batch fast
+        path, returning per-event deltas tagged with their sequence
+        numbers.
 
         An R-arrival probe reads only S-side state and vice versa, and the
         group installs the run's rows only after every shard has probed
         it, so each row sees exactly the table state the per-event path
-        would have shown it.  The select plane is probed only for the rows
-        whose ``select_probe`` flag is set (rows of this shard's C-slice).
+        would have shown it.  The select plane is probed only for the S
+        rows this shard owns (rows of its C-slice).
         """
-        rows = [entry[1].row for entry in entries]
         relation = entries[0][1].relation
+        index = self.index
         with self.tracer.span(
-            "fastpath.run", shard=self.index, relation=relation, rows=len(rows)
+            "fastpath.run", shard=index, relation=relation, rows=len(rows)
         ):
             if relation == "R":
                 band_parts = self.band.process_r_batch(rows)
@@ -382,14 +372,13 @@ class Shard:
             else:
                 band_parts = self.band.process_s_batch(rows)
                 select_parts = [{} for _ in rows]
-                probe_idx = [k for k, entry in enumerate(entries) if entry[2]]
-                if probe_idx:
-                    probed = self.select.process_s_batch([rows[k] for k in probe_idx])
-                    for k, part in zip(probe_idx, probed):
+                mine = [k for k, entry in enumerate(entries) if entry[2] == index]
+                if mine:
+                    own_rows = [rows[k] for k in mine]
+                    for k, part in zip(mine, self.select.process_s_batch(own_rows)):
                         select_parts[k] = part
-                for entry in entries:
-                    if entry[3]:
-                        self.table_s_select.insert(entry[1].row)
+                    for row in own_rows:
+                        self.table_s_select.insert(row)
             out: List[Tuple[int, Delta]] = []
             for entry, band_d, select_d in zip(entries, band_parts, select_parts):
                 deltas: Delta = dict(band_d)
@@ -424,71 +413,65 @@ class ShardGroup:
                   metrics=metrics, tracer=tracer)
             for index in indices
         ]
+        self._by_index = {shard.index: shard for shard in self.shards}
 
-    def apply_batch(
-        self, shard_entries: Dict[int, List[ShardEntry]]
-    ) -> ShardBatchResults:
-        """Apply one batch — ``shard_entries[i]`` is shard ``i``'s view of
-        it — and return per shard its probe seconds and the ``(seq,
-        deltas)`` of the insertions, in order.
+    def apply_batch(self, entries: Sequence[ShardEntry]) -> ShardBatchResults:
+        """Apply one batch of ``(seq, event, owner)`` entries and return
+        per shard its probe seconds and the ``(seq, deltas)`` of the
+        insertions, in order.
 
-        Every data event reaches every shard, so the views differ only in
-        their select flags and the batch is segmented **once**: maximal
-        runs of consecutive same-relation INSERTs, with deletes and
-        relation switches as boundaries.  Run by run, every shard probes
-        the run against the still-unchanged tables (a run of one through
-        :meth:`Shard.apply`, longer ones through :meth:`Shard.apply_batch`),
-        then the run's rows are installed a single time — so run k+1 sees
-        run k exactly as per-event application would.
+        Every data event reaches every shard, so there is one entry list
+        and it is segmented **once**: maximal runs of consecutive
+        same-relation INSERTs, with deletes and relation switches as
+        boundaries.  Run by run, every shard probes the run against the
+        still-unchanged tables (a run of one through :meth:`Shard.apply`,
+        longer ones through :meth:`Shard.apply_batch`), then the run's
+        rows are installed a single time — so run k+1 sees run k exactly
+        as per-event application would.  A delete touches the shared table
+        and, for an S row, the C-slice of its owner if that shard is here.
         """
-        lanes = [(shard, shard_entries[shard.index]) for shard in self.shards]
-        seconds = [0.0] * len(lanes)
-        results: List[List[Tuple[int, Delta]]] = [[] for _ in lanes]
-        lead = lanes[0][1]
-        # ``shard.apply`` spans show how the shards of one table set
-        # interleave; a lone shard's probes are simply its ``batch`` (or
-        # ``worker.batch``) span, and a worker ships every span it records.
-        span = self.tracer.span if len(lanes) > 1 else NULL_TRACER.span
+        shards = self.shards
+        seconds = [0.0] * len(shards)
+        results: List[List[Tuple[int, Delta]]] = [[] for _ in shards]
+        span = self.tracer.span
         clock = time.perf_counter
-        n = len(lead)
+        n = len(entries)
         i = 0
         while i < n:
-            event = lead[i][1]
+            seq, event, owner = entries[i]
             if event.kind is not EventKind.INSERT:
                 if event.relation == "R":
                     self.table_r.delete(event.row)
                 else:
                     self.table_s.delete(event.row)
-                    for shard, entries in lanes:
-                        if entries[i][3]:  # select_state: the owning C-slice
-                            shard.apply(event)
+                    shard = self._by_index.get(owner)
+                    if shard is not None:
+                        shard.apply(event, owner)
                 i += 1
                 continue
             relation = event.relation
             j = i + 1
             while j < n:
-                nxt = lead[j][1]
+                nxt = entries[j][1]
                 if nxt.kind is not EventKind.INSERT or nxt.relation != relation:
                     break
                 j += 1
-            for k, (shard, entries) in enumerate(lanes):
+            run = entries[i:j]
+            rows = [entry[1].row for entry in run]
+            for k, shard in enumerate(shards):
                 with span("shard.apply", shard=shard.index, events=j - i):
                     start = clock()
                     if j - i == 1:
-                        seq, __, select_probe, select_state = entries[i]
-                        results[k].append((seq, shard.apply(
-                            event, select_probe=select_probe, select_state=select_state
-                        )))
+                        results[k].append((seq, shard.apply(event, owner)))
                     else:
-                        results[k].extend(shard.apply_batch(entries[i:j]))
+                        results[k].extend(shard.apply_batch(run, rows))
                     seconds[k] += clock() - start
             install = self.table_r.insert if relation == "R" else self.table_s.insert
-            for entry in lead[i:j]:
-                install(entry[1].row)
+            for row in rows:
+                install(row)
             i = j
         return {
-            shard.index: (seconds[k], results[k])
-            for k, (shard, __) in enumerate(lanes)
+            shard.index: (seconds[k], results[k]) for k, shard in enumerate(shards)
         }
 
 

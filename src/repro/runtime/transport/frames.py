@@ -17,7 +17,7 @@ Every frame starts ``[u8 frame_type][u8 version]``.  Frame types::
     6  ERROR      utf-8 message — worker-side exception report
     7  TELEMETRY  worker span batch + metric deltas (return path)
 
-**BATCH** (version 2) — a trace-context header
+**BATCH** (version 3) — a trace-context header
 ``[u8 flags][u64 trace_id][u64 parent_span_id]`` then ``u32 n_entries``
 and *segments*.  ``flags`` bit0 requests a TELEMETRY frame after the
 RESULT; ``trace_id``/``parent_span_id`` propagate the parent's trace so
@@ -30,7 +30,11 @@ into maximal runs of the same (kind, relation); each run is one segment
     x       <{n}d    a (R) or b (S)
     y       <{n}d    b (R) or c (S)
     ingest  <{n}q    parent-side perf_counter_ns at ingest (0 = unknown)
-    flags   {n}B     bit0 = select_probe, bit1 = select_state
+    owner   <{n}h    select-plane shard of an S row, -1 for an R row
+
+The frame says nothing about its recipient — ``owner`` is the router's
+one decision per event and each shard compares it with its own index —
+so a batch is encoded once and the same bytes go to every worker.
 
 The ingest column carries CLOCK_MONOTONIC readings, which share an
 origin across processes on one host — the worker subtracts them from its
@@ -126,7 +130,7 @@ __all__ = [
     "decode_frame",
 ]
 
-FRAME_VERSION = 2
+FRAME_VERSION = 3
 
 FRAME_BATCH = 1
 FRAME_RESULT = 2
@@ -152,6 +156,7 @@ _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
 _ROW = struct.Struct("<Bqdd")  # row-table record: tag, id, x, y
 _BATCH_CTX = struct.Struct("<BQQ")  # flags, trace_id, parent_span_id
+_ENTRY_BYTES = 5 * 8 + 2  # one BATCH entry over the six segment columns
 _TELE_CTX = struct.Struct("<QIQI")  # pid, shard, trace_id, spans_dropped
 _TELE_SPAN = struct.Struct("<qqQQQQ")  # ts, dur, tid, span_id, parent_id, trace_id
 _TELE_HIST = struct.Struct("<QdddI")  # count, sum, min, max, n_buckets
@@ -169,6 +174,15 @@ SeqResults = List[Tuple[int, QidDeltas]]
 
 class FrameError(TransportError):
     """A frame does not match the wire format."""
+
+
+#: Segment tag -> (kind, relation, row type) of every entry in the segment.
+_SEGMENTS = {
+    _SEG_INSERT_R: (EventKind.INSERT, "R", RTuple),
+    _SEG_INSERT_S: (EventKind.INSERT, "S", STuple),
+    _SEG_DELETE_R: (EventKind.DELETE, "R", RTuple),
+    _SEG_DELETE_S: (EventKind.DELETE, "S", STuple),
+}
 
 
 def _seg_tag(event: DataEvent) -> int:
@@ -234,19 +248,14 @@ def encode_batch_frame(
             ids = [entry[1].row.sid for entry in run]
             xs = [entry[1].row.b for entry in run]
             ys = [entry[1].row.c for entry in run]
-        ingest = (
-            list(ingest_ns[i:j]) if ingest_ns is not None else [0] * n
-        )
-        flags = bytes(
-            (1 if entry[2] else 0) | (2 if entry[3] else 0) for entry in run
-        )
+        ingest = ingest_ns[i:j] if ingest_ns is not None else [0] * n
         parts.append(_SEG.pack(tag, n))
         parts.append(struct.pack(f"<{n}q", *seqs))
         parts.append(struct.pack(f"<{n}q", *ids))
         parts.append(struct.pack(f"<{n}d", *xs))
         parts.append(struct.pack(f"<{n}d", *ys))
         parts.append(struct.pack(f"<{n}q", *ingest))
-        parts.append(flags)
+        parts.append(struct.pack(f"<{n}h", *[entry[2] for entry in run]))
         i = j
     return b"".join(parts)
 
@@ -267,8 +276,16 @@ def decode_batch_frame(payload: bytes) -> DecodedBatch:
             raise FrameError("truncated batch segment header")
         tag, n = _SEG.unpack_from(payload, offset)
         offset += _SEG.size
-        need = 2 * 8 * n + 2 * 8 * n + 8 * n + n
-        if offset + need > len(payload):
+        segment = _SEGMENTS.get(tag)
+        if segment is None:
+            raise FrameError(f"unknown batch segment tag {tag}")
+        kind, relation, row_type = segment
+        if not 0 < n <= n_entries - len(entries):
+            raise FrameError(
+                f"batch segment of {n} entries with {n_entries - len(entries)} "
+                f"of the header's {n_entries} left"
+            )
+        if offset + _ENTRY_BYTES * n > len(payload):
             raise FrameError(f"truncated batch segment (tag {tag}, n {n})")
         seqs = struct.unpack_from(f"<{n}q", payload, offset)
         offset += 8 * n
@@ -278,35 +295,19 @@ def decode_batch_frame(payload: bytes) -> DecodedBatch:
         offset += 8 * n
         ys = struct.unpack_from(f"<{n}d", payload, offset)
         offset += 8 * n
-        ingest = struct.unpack_from(f"<{n}q", payload, offset)
+        ingest_all.extend(struct.unpack_from(f"<{n}q", payload, offset))
         offset += 8 * n
-        flags = payload[offset : offset + n]
-        offset += n
-        ingest_all.extend(ingest)
-        if tag in (_SEG_INSERT_R, _SEG_DELETE_R):
-            kind = EventKind.INSERT if tag == _SEG_INSERT_R else EventKind.DELETE
-            for k in range(n):
-                entries.append(
-                    (
-                        seqs[k],
-                        DataEvent(kind, "R", RTuple(ids[k], xs[k], ys[k])),
-                        bool(flags[k] & 1),
-                        bool(flags[k] & 2),
-                    )
-                )
-        elif tag in (_SEG_INSERT_S, _SEG_DELETE_S):
-            kind = EventKind.INSERT if tag == _SEG_INSERT_S else EventKind.DELETE
-            for k in range(n):
-                entries.append(
-                    (
-                        seqs[k],
-                        DataEvent(kind, "S", STuple(ids[k], xs[k], ys[k])),
-                        bool(flags[k] & 1),
-                        bool(flags[k] & 2),
-                    )
-                )
-        else:
-            raise FrameError(f"unknown batch segment tag {tag}")
+        owners = struct.unpack_from(f"<{n}h", payload, offset)
+        offset += 2 * n
+        if (owners.count(-1) != n) if relation == "R" else (min(owners) < 0):
+            raise FrameError(
+                f"batch segment (tag {tag}): owner must be -1 for an R row "
+                "and a shard index for an S row"
+            )
+        for seq, row_id, x, y, owner in zip(seqs, ids, xs, ys, owners):
+            entries.append(
+                (seq, DataEvent(kind, relation, row_type(row_id, x, y)), owner)
+            )
     if offset != len(payload):
         raise FrameError(
             f"{len(payload) - offset} trailing byte(s) after batch segments"
@@ -385,6 +386,8 @@ def encode_result_frame(elapsed: float, results: SeqResults) -> bytes:
 def decode_result_frame(payload: bytes) -> Tuple[float, SeqResults]:
     """Decode a RESULT frame body back into ``(elapsed, results)``."""
     offset = _HDR.size
+    if offset + _F64.size + _U32.size > len(payload):
+        raise FrameError("truncated result header")
     (elapsed,) = _F64.unpack_from(payload, offset)
     offset += _F64.size
     (n_rows,) = _U32.unpack_from(payload, offset)
@@ -402,6 +405,8 @@ def decode_result_frame(payload: bytes) -> Tuple[float, SeqResults]:
         else:
             raise FrameError(f"unknown result row tag {tag}")
     offset += n_rows * _ROW.size
+    if offset + _U32.size > len(payload):
+        raise FrameError("truncated result group count")
     (g,) = _U32.unpack_from(payload, offset)
     offset += _U32.size
     if offset + g * (8 + 8 + 1 + 4) + _U32.size > len(payload):

@@ -19,12 +19,16 @@ Observability: the worker runs its *own*
 hotspot telemetry and fastpath spans into them exactly as the inline
 backend would.  Each BATCH frame carries the parent's trace id and the
 open roundtrip span id; the worker adopts both so its spans join the
-parent's trace, and it observes per-entry ingest-to-apply latency from
-the batch's monotonic ingest timestamps (CLOCK_MONOTONIC is shared
-across processes on one host).  When a BATCH requests telemetry (flag
-bit0), the worker follows its response with one TELEMETRY frame — deltas
-collected by :class:`~repro.obs.remote.TelemetryCollector` — preserving
-the one-request/one-logical-response protocol (the pipeline reads RESULT
+parent's trace, and a zero trace id — an untraced parent, which would
+drop the spans on arrival — switches span recording off until a traced
+BATCH comes (:class:`_BatchTracer`), so tracing costs a worker nothing
+unless someone reads it.  Metrics are always kept: the worker observes
+per-entry ingest-to-apply latency from the batch's monotonic ingest
+timestamps (CLOCK_MONOTONIC is shared across processes on one host).
+When a BATCH requests telemetry (flag bit0), the worker follows its
+response with one TELEMETRY frame — deltas collected by
+:class:`~repro.obs.remote.TelemetryCollector` — preserving the
+one-request/one-logical-response protocol (the pipeline reads RESULT
 then TELEMETRY).  The telemetry follow-up is sent even when the batch
 itself failed, so both sides stay frame-aligned.
 
@@ -44,7 +48,7 @@ if TYPE_CHECKING:
 from repro.durability.codec import Unsubscribe
 from repro.engine.events import QueryEvent
 from repro.obs.remote import TelemetryCollector
-from repro.obs.tracing import RingTracer
+from repro.obs.tracing import NULL_TRACER, RingTracer
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames
@@ -61,19 +65,37 @@ _RESPONSE_TIMEOUT = 30.0
 _WORKER_TRACE_CAPACITY = 16_384
 
 
+class _BatchTracer:
+    """The tracer a worker's shards hold: ``span`` records into ``ring``
+    while the last BATCH carried a trace id and is inert otherwise."""
+
+    __slots__ = ("ring", "span")
+
+    def __init__(self, ring: RingTracer) -> None:
+        self.ring = ring
+        self.span = NULL_TRACER.span
+
+    def join(self, batch: frames.DecodedBatch) -> None:
+        if batch.trace_id:
+            self.ring.adopt_trace_id(batch.trace_id)
+            self.ring.set_remote_parent(batch.parent_span_id)
+            self.span = self.ring.span
+        else:
+            self.span = NULL_TRACER.span
+
+
 def _apply_batch(
     group: ShardGroup,
     batch: frames.DecodedBatch,
-    tracer: RingTracer,
+    tracer: _BatchTracer,
     registry: MetricsRegistry,
 ) -> Tuple[float, frames.SeqResults]:
-    tracer.adopt_trace_id(batch.trace_id)
-    tracer.set_remote_parent(batch.parent_span_id)
+    tracer.join(batch)
     (shard,) = group.shards
     index = shard.index
     start_ns = time.perf_counter_ns()
     with tracer.span("worker.batch", shard=index, events=len(batch.entries)):
-        __, applied = group.apply_batch({index: batch.entries})[index]
+        __, applied = group.apply_batch(batch.entries)[index]
         results: frames.SeqResults = [
             (seq, {query.qid: rows for query, rows in deltas.items()})
             for seq, deltas in applied
@@ -92,7 +114,7 @@ def _handle(
     queries: Dict[int, Any],
     frame_type: int,
     body: Any,
-    tracer: RingTracer,
+    tracer: _BatchTracer,
     registry: MetricsRegistry,
 ) -> bytes:
     if frame_type == frames.FRAME_BATCH:
@@ -132,10 +154,10 @@ def shard_worker_main(
     requests = ShmRing.attach(request_ring, doorbell=request_doorbell)
     responses = ShmRing.attach(response_ring, doorbell=response_doorbell)
     registry = MetricsRegistry()
-    tracer = RingTracer(capacity=_WORKER_TRACE_CAPACITY)
+    tracer = _BatchTracer(RingTracer(capacity=_WORKER_TRACE_CAPACITY))
     group = ShardGroup([index], alpha=alpha, epsilon=epsilon, metrics=registry,
                        tracer=tracer)
-    collector = TelemetryCollector(index, registry, tracer)
+    collector = TelemetryCollector(index, registry, tracer.ring)
     queries: Dict[int, Any] = {}
     try:
         while True:

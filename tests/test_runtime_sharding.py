@@ -72,20 +72,30 @@ class TestShardRouter:
             if query.range_c.contains(c):
                 assert router.shard_for_value(c) in router.shards_for_query(query)
 
-    def test_route_event_flags(self):
-        from repro.engine.events import DataEvent, EventKind
-
+    def test_route_event_owner_at_a_slice_boundary(self):
+        """A boundary value belongs to the slice above it — the same side
+        a query ending exactly there is placed on."""
         router = ShardRouter(3, domain_lo=0.0, domain_hi=300.0)
-        s_event = DataEvent(EventKind.INSERT, "S", STuple(0, 5.0, 150.0))
-        route = router.route_event(s_event)
-        assert route.shards == (0, 1, 2)
-        assert route.select_shard == 1
-        assert route.flags(1, "S") == (True, True)
-        assert route.flags(0, "S") == (False, False)
+        for c, owner in [(99.999, 0), (100.0, 1), (150.0, 1), (200.0, 2)]:
+            event = DataEvent(EventKind.INSERT, "S", STuple(0, 5.0, c))
+            assert router.route_event(event) == owner
+            assert owner in router.shards_for_query(select_query(c - 1.0, c))
         r_event = DataEvent(EventKind.INSERT, "R", RTuple(0, 5.0, 150.0))
-        route = router.route_event(r_event)
-        assert route.select_shard is None
-        assert route.flags(2, "R") == (True, True)
+        assert router.route_event(r_event) == -1
+
+    @pytest.mark.parametrize("c, owner", [(-5.0, 0), (1e9, 2)])
+    def test_route_event_owner_outside_the_domain(self, c, owner):
+        """Out-of-domain rows clamp to the edge shards, and the delete of
+        a row names the owner its insert did."""
+        router = ShardRouter(3, domain_lo=0.0, domain_hi=300.0)
+        row = STuple(7, 5.0, c)
+        insert = DataEvent(EventKind.INSERT, "S", row)
+        delete = DataEvent(EventKind.DELETE, "S", row)
+        assert router.route_event(insert) == owner
+        router.note_event(owner)
+        assert router.route_event(delete) == owner
+        assert router.stats()["select_probes_per_shard"][owner] == 1
+        assert router.stats()["events_per_shard"] == [1, 1, 1]
 
     def test_unsupported_query_type(self):
         router = ShardRouter(2)

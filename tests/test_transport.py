@@ -335,6 +335,44 @@ class TestCrossProcessTelemetry:
             for name in section
         )
 
+    def test_untraced_parent_gets_metrics_but_no_spans(self, monkeypatch):
+        """A worker records spans only for a BATCH that carries a trace
+        id; its metric deltas ship on every telemetry round regardless."""
+        from repro.runtime import pipeline as pipeline_mod
+        from repro.runtime.metrics import MetricsRegistry
+
+        payloads = []
+
+        def recording_merge(registry, tracer, payload, **kwargs):
+            payloads.append(payload)
+            merge_telemetry(registry, tracer, payload, **kwargs)
+
+        merge_telemetry = pipeline_mod.merge_telemetry
+        monkeypatch.setattr(pipeline_mod, "merge_telemetry", recording_merge)
+        registry = MetricsRegistry()
+        pipe = EventPipeline(
+            num_shards=2, alpha=0.2, batch_size=8, mode="process-shm", metrics=registry
+        )
+        try:
+            # Near-identical bands: one dominant stabbing group, promoted
+            # by the tracker of the shard that owns midpoint ~0.
+            for i in range(30):
+                pipe.subscribe(BandJoinQuery(Interval(-1.0 - 0.01 * i, 1.0)))
+            for i in range(200):
+                pipe.submit(_r_insert(i, float(i % 50), 1.0))
+            pipe.drain()
+            pipe.sample_hotspots()  # drains pending worker telemetry
+        finally:
+            pipe.close()
+        assert {payload.shard for payload in payloads} == {0, 1}
+        assert all(payload.spans == [] for payload in payloads)
+        assert all(payload.spans_dropped == 0 for payload in payloads)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["shard/1/runtime/hotspot_promotions"] >= 1
+        for shard in (0, 1):
+            merged = snapshot["histograms"][f"shard/{shard}/worker/e2e/ingest_to_apply_us"]
+            assert merged["count"] == 200
+
     def test_inline_mode_unchanged_by_telemetry_wiring(self):
         from repro.runtime.metrics import MetricsRegistry
 
@@ -369,3 +407,41 @@ class TestReplayEquivalence:
         )
         report = run_replay(stream, num_shards=2, batch_size=32, mode="process-shm")
         assert report.equivalent, report.summary()
+
+    def test_every_worker_reads_the_one_frame_of_a_batch(self, monkeypatch):
+        """One ``encode_batch_frame`` call per roundtrip, the same bytes on
+        all K request rings — and the deltas still equal the unsharded
+        ``ContinuousQuerySystem``'s."""
+        from repro.runtime import pipeline as pipeline_mod
+
+        encoded, sent = [], []
+        encode = frames.encode_batch_frame
+        send = pipeline_mod._ProcessShmBackend._send
+
+        def recording_encode(*args, **kwargs):
+            encoded.append(encode(*args, **kwargs))
+            return encoded[-1]
+
+        def recording_send(backend, index, payload):
+            if payload[0] == frames.FRAME_BATCH:
+                sent.append((index, payload))
+            send(backend, index, payload)
+
+        monkeypatch.setattr(frames, "encode_batch_frame", recording_encode)
+        monkeypatch.setattr(pipeline_mod._ProcessShmBackend, "_send", recording_send)
+        stream = generate_mixed_stream(
+            StreamProfile(
+                n_events=600,
+                n_initial_queries=30,
+                query_event_fraction=0.03,
+                delete_fraction=0.25,
+                churn=0.0,
+                seed=5,
+            )
+        )
+        report = run_replay(stream, num_shards=3, batch_size=16, mode="process-shm")
+        assert report.equivalent, report.summary()
+        assert len(encoded) > 600 // 16
+        assert sent == [
+            (index, payload) for payload in encoded for index in range(3)
+        ]

@@ -4,19 +4,21 @@ The wire contract under test:
 
 * BATCH frames round-trip arbitrary insert/delete interleavings over both
   relations exactly — sequence numbers, row payloads (including NaN and
-  ±inf coordinates), and the per-entry probe/state flags;
+  ±inf coordinates), and the per-entry select-plane owner;
 * RESULT frames round-trip ``(seq, {qid: rows})`` deltas against the
   frame's own deduplicated row table, with the documented normalization
   that *empty* deltas are elided on encode;
 * ``encode → decode → encode`` is a fixed point, which is how NaN-bearing
   payloads are compared (bytes are exact where ``==`` on floats is not);
 * every lifecycle frame survives ``decode_frame`` dispatch, and corrupted
-  headers fail as :class:`FrameError`, never as silent misdecodes.
+  headers, truncated frames and inconsistent BATCH segments fail as
+  :class:`FrameError`, never as another exception or a silent misdecode.
 """
 
 import math
+import struct
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -34,7 +36,8 @@ i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 @st.composite
 def shard_entries(draw, min_size=0, max_size=40):
-    """Arbitrary interleavings of R/S inserts and deletes."""
+    """Arbitrary interleavings of R/S inserts and deletes; an S row names
+    its select-plane owner, an R row has none (-1)."""
     out = []
     for _ in range(draw(st.integers(min_size, max_size))):
         relation = draw(st.sampled_from(["R", "S"]))
@@ -42,14 +45,8 @@ def shard_entries(draw, min_size=0, max_size=40):
         x, y = draw(coords), draw(coords)
         row_id = draw(i64)
         row = RTuple(row_id, x, y) if relation == "R" else STuple(row_id, x, y)
-        out.append(
-            (
-                draw(i64),
-                DataEvent(kind, relation, row),
-                draw(st.booleans()),
-                draw(st.booleans()),
-            )
-        )
+        owner = -1 if relation == "R" else draw(st.integers(0, 2**15 - 1))
+        out.append((draw(i64), DataEvent(kind, relation, row), owner))
     return out
 
 
@@ -77,8 +74,8 @@ def _entries_equal(got, want):
     """Structural equality that treats NaN as equal to itself."""
     if len(got) != len(want):
         return False
-    for (g_seq, g_ev, g_p, g_s), (w_seq, w_ev, w_p, w_s) in zip(got, want):
-        if (g_seq, g_p, g_s) != (w_seq, w_p, w_s):
+    for (g_seq, g_ev, g_owner), (w_seq, w_ev, w_owner) in zip(got, want):
+        if (g_seq, g_owner) != (w_seq, w_owner):
             return False
         if g_ev.kind is not w_ev.kind or g_ev.relation != w_ev.relation:
             return False
@@ -152,14 +149,37 @@ class TestBatchFrameRoundTrip:
         assert _entries_equal(decoded.entries, entries)
 
     def test_ingest_length_must_match_entries(self):
-        entry = (
-            0,
-            DataEvent(EventKind.INSERT, "R", RTuple(1, 0.0, 0.0)),
-            False,
-            False,
-        )
+        entry = (0, DataEvent(EventKind.INSERT, "R", RTuple(1, 0.0, 0.0)), -1)
         with pytest.raises(frames.FrameError, match="parallel"):
             frames.encode_batch_frame([entry], ingest_ns=[1, 2])
+
+    def test_segments_must_add_up_to_the_header_count(self):
+        """The header's entry count is checked against the segments, not
+        used as a stop condition: a segment may not overshoot it, and an
+        empty segment is not a segment."""
+        n_entries_at = 2 + struct.calcsize("<BQQ")
+        segments_at = n_entries_at + 4
+        five = [
+            (seq, DataEvent(EventKind.INSERT, "R", RTuple(seq, 0.0, 0.0)), -1)
+            for seq in range(5)
+        ]
+        payload = bytearray(frames.encode_batch_frame(five))
+        struct.pack_into("<I", payload, n_entries_at, 1)
+        with pytest.raises(frames.FrameError, match="segment of 5"):
+            frames.decode_frame(bytes(payload))
+        payload = frames.encode_batch_frame(five[:1])
+        empty_segment = struct.pack("<BI", 1, 0)
+        with pytest.raises(frames.FrameError, match="segment of 0"):
+            frames.decode_frame(
+                payload[:segments_at] + empty_segment + payload[segments_at:]
+            )
+
+    def test_owner_must_fit_the_relation(self):
+        r_row = DataEvent(EventKind.INSERT, "R", RTuple(1, 0.0, 0.0))
+        s_row = DataEvent(EventKind.INSERT, "S", STuple(1, 0.0, 0.0))
+        for entry in [(0, r_row, 0), (0, s_row, -1)]:
+            with pytest.raises(frames.FrameError, match="owner"):
+                frames.decode_frame(frames.encode_batch_frame([entry]))
 
 
 class TestResultFrameRoundTrip:
@@ -354,3 +374,30 @@ class TestTelemetryFrameRoundTrip:
         assert decoded.counters == {}
         assert decoded.gauges == {}
         assert decoded.histograms == {}
+
+
+_shared_row = RTuple(1, 2.0, 3.0)
+
+encoded_frames = st.one_of(
+    shard_entries(max_size=6).map(frames.encode_batch_frame),
+    seq_results().map(lambda results: frames.encode_result_frame(0.5, results)),
+    telemetry_payloads().map(frames.encode_telemetry_frame),
+)
+
+
+class TestTruncation:
+    @settings(max_examples=60, deadline=None)
+    @given(encoded_frames)
+    @example(
+        frames.encode_result_frame(
+            0.5, [(0, {7: [_shared_row]}), (1, {8: [_shared_row, STuple(2, 0.0, 1.0)]})]
+        )
+    )
+    def test_every_proper_prefix_raises_frame_error(self, payload):
+        """A frame cut short anywhere is a ``FrameError`` — the one
+        exception the transport's error handling catches — never a
+        ``struct.error`` or a shorter valid frame."""
+        frames.decode_frame(payload)
+        for cut in range(len(payload)):
+            with pytest.raises(frames.FrameError):
+                frames.decode_frame(payload[:cut])
