@@ -17,7 +17,11 @@ The package implements the paper's full stack from scratch:
 * ``repro.bench`` — the throughput/maintenance measurement harness used by
   the figure-reproduction benchmarks;
 * ``repro.runtime`` — the sharded, micro-batched event-processing runtime
-  (shard routing, backpressure, metrics, deterministic replay).
+  (shard routing, backpressure, metrics, deterministic replay);
+* ``repro.durability`` — write-ahead log, checkpoints and crash recovery
+  for that runtime;
+* ``repro.wire`` — the one binary record/row/reader layer under both
+  (``durability → runtime → wire``, never back).
 """
 
 from repro.core import (

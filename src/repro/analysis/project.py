@@ -47,6 +47,8 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     # process-shm backend silently diverges from the inline reference the
     # replay driver and the "transport" fuzz target compare it against.
     "repro/runtime/transport/",
+    # The wire layer under both: the bytes of a WAL record and of a frame.
+    "repro/wire.py",
 )
 
 #: RA001 carve-out — modules inside :data:`DETERMINISM_SCOPE` that may read
@@ -197,6 +199,8 @@ HOTPATH_MODULES: FrozenSet[str] = frozenset(
         # ring send/recv run per frame, the codec touches every row.
         "repro/runtime/transport/shm.py",
         "repro/runtime/transport/frames.py",
+        # One Reader per decoded frame, WAL segment and record.
+        "repro/wire.py",
     }
 )
 

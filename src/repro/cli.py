@@ -64,6 +64,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.fastpath", "columnar batch probes: flat snapshots, vectorized sort-merge kernels"),
         ("repro.runtime", "sharded micro-batched pipeline: routing, backpressure, metrics, replay"),
         ("repro.check", "differential fuzzing: brute-force oracles, invariant probes, shrinking"),
+        ("repro.wire", "the one binary layer under WAL records and shard frames: record table, rows, bounds-checked reader"),
         ("repro.durability", "write-ahead log, checkpoints, crash recovery (serve --wal-dir, recover)"),
         ("repro.obs", "tracing spans, Prometheus/JSONL export, cross-process telemetry merge, dashboards (serve --trace-out, stats, top)"),
         ("repro.analysis", _analysis_summary()),

@@ -3,8 +3,8 @@
 The subsystem gives :class:`~repro.runtime.pipeline.EventPipeline` — the
 one host of shard state — a crash story: every accepted event is logged to
 a segmented, CRC-framed write-ahead log *before* it is applied
-(:mod:`repro.durability.wal`, :mod:`repro.durability.codec`), periodic per-shard checkpoints bound the
-replay tail (:mod:`repro.durability.checkpoint`), and recovery restores
+(:mod:`repro.durability.wal`, records in the shared :mod:`repro.wire`
+format), periodic per-shard checkpoints bound the replay tail (:mod:`repro.durability.checkpoint`), and recovery restores
 the newest valid checkpoint plus a sequence-deduped WAL replay, tolerating
 the torn final record a crash leaves behind
 (:mod:`repro.durability.recovery`).  :class:`DurabilityManager` is the
@@ -16,7 +16,7 @@ checkpoint manifest metadata.  Entry points: ``repro serve --wal-dir`` and
 ``repro recover``.
 """
 
-from repro.durability.codec import (
+from repro.wire import (
     CODEC_VERSION,
     CodecError,
     DurabilityError,

@@ -45,13 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.durability.codec import (
-    CODEC_VERSION,
-    DurabilityError,
-    DecodedRecord,
-    decode_stream,
-)
 from repro.engine.events import DataEvent
+from repro.wire import CODEC_VERSION, DecodedRecord, DurabilityError, decode_stream
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -23,8 +23,9 @@ construction):
 
 Metrics (registered under ``durability/``): ``wal_append_seconds``
 (histogram), ``wal_fsync_total`` (counter, incremented by the WAL),
-``checkpoint_duration_seconds`` (histogram), ``checkpoints_total`` and
-``recovered_events_total`` (counters).
+``checkpoint_duration_seconds`` (histogram), ``checkpoints_total``,
+``recovered_events_total`` and ``wal_torn_tail_total`` (counters; the last
+counts attaches that recovered across a torn final record).
 
 A manager must be :meth:`attach`\\ ed before logging: attach recovers any
 existing durable state into the host (with logging suppressed, so replay
@@ -36,18 +37,16 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.durability.checkpoint import prune_checkpoints, write_checkpoint
-from repro.durability.codec import DurabilityError, encode_event
 from repro.durability.recovery import RecoveryReport, recover_into
 from repro.durability.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.runtime.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (runtime → durability.codec)
-    from repro.runtime.pipeline import EventPipeline
+from repro.runtime.pipeline import EventPipeline
+from repro.wire import DurabilityError, encode_event
 
 __all__ = ["DurabilityManager"]
 
@@ -98,6 +97,8 @@ class DurabilityManager:
         self.metrics.counter("durability/recovered_events_total").inc(
             report.recovered_events
         )
+        if report.torn_tail:
+            self.metrics.counter("durability/wal_torn_tail_total").inc()
         self._wal = WriteAheadLog(
             self.directory,
             start_seq=report.next_seq,

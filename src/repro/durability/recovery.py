@@ -30,19 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.durability.codec import (
-    DecodedRecord,
-    DurabilityError,
-    Unsubscribe,
-    decode_record,
-)
 from repro.durability.checkpoint import load_latest_checkpoint
 from repro.durability.wal import read_wal
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (runtime → durability.codec)
-    from repro.runtime.pipeline import EventPipeline
+from repro.runtime.pipeline import EventPipeline
+from repro.runtime.sharding import DOMAIN_HI, DOMAIN_LO
+from repro.wire import DecodedRecord, DurabilityError, Unsubscribe, decode_record
 
 __all__ = ["RecoveryError", "RecoveryReport", "apply_record", "recover_into", "recover_system"]
 
@@ -155,9 +149,6 @@ def recover_system(
     recovery.  Returns ``(pipeline, report)``; the pipeline has no
     durability manager, so nothing it is fed afterwards is logged.
     """
-    from repro.runtime.pipeline import EventPipeline
-    from repro.runtime.sharding import DOMAIN_HI, DOMAIN_LO
-
     loaded, __ = load_latest_checkpoint(Path(directory))
     config: Dict[str, Any] = loaded.config if loaded is not None else {}
     pipeline = EventPipeline(

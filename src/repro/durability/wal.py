@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.durability.codec import CODEC_VERSION, DurabilityError
 from repro.runtime.metrics import MetricsRegistry
+from repro.wire import CODEC_VERSION, DurabilityError, Reader
 
 __all__ = [
     "WAL_MAGIC",
@@ -74,6 +74,11 @@ _SEQ = struct.Struct("<Q")
 
 class WalCorruptionError(DurabilityError):
     """The log contains damage that truncation alone cannot explain."""
+
+
+class _Truncated(WalCorruptionError):
+    """A segment ends inside its header or a frame: a torn tail if it is
+    the last segment, corruption anywhere else."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,65 +117,48 @@ def _read_segment(
 ) -> Optional[int]:
     """Append ``path``'s valid records to ``result``; returns the highest
     seq seen (for cross-segment monotonicity checking)."""
-    data = path.read_bytes()
-    if not data:
+    reader = Reader(path.read_bytes(), _Truncated)
+    if not reader.size:
         return last_seq  # empty segment: a crash between create and write
-    if len(data) < _HEADER.size:
-        if is_last:
-            result.torn_tail = True
-            return last_seq
-        raise WalCorruptionError(f"{path.name}: truncated header in non-final segment")
-    magic, version, codec_version, first_seq = _HEADER.unpack_from(data, 0)
-    if magic != WAL_MAGIC:
-        raise WalCorruptionError(f"{path.name}: bad magic {magic!r}")
-    if version != WAL_VERSION:
-        raise WalCorruptionError(f"{path.name}: unsupported WAL version {version}")
-    if codec_version != CODEC_VERSION:
-        raise WalCorruptionError(
-            f"{path.name}: codec version {codec_version}, expected {CODEC_VERSION}"
-        )
-    offset = _HEADER.size
-    total = len(data)
-    while offset < total:
-        if offset + _FRAME.size > total:
-            if is_last:
-                result.torn_tail = True
-                return last_seq
+    try:
+        magic, version, codec_version, first_seq = reader.unpack(_HEADER, "header")
+        if magic != WAL_MAGIC:
+            raise WalCorruptionError(f"{path.name}: bad magic {magic!r}")
+        if version != WAL_VERSION:
+            raise WalCorruptionError(f"{path.name}: unsupported WAL version {version}")
+        if codec_version != CODEC_VERSION:
             raise WalCorruptionError(
-                f"{path.name}: truncated frame header at offset {offset} "
-                "in non-final segment"
+                f"{path.name}: codec version {codec_version}, expected {CODEC_VERSION}"
             )
-        payload_len, crc, seq = _FRAME.unpack_from(data, offset)
-        if payload_len > MAX_PAYLOAD:
+        while reader.remaining:
+            offset = reader.offset
+            payload_len, crc, seq = reader.unpack(_FRAME, "frame header")
+            if payload_len > MAX_PAYLOAD:
+                raise WalCorruptionError(
+                    f"{path.name}: implausible payload length {payload_len} "
+                    f"at offset {offset}"
+                )
+            payload = reader.take(payload_len, "payload")
+            if _crc(seq, payload) != crc:
+                raise WalCorruptionError(
+                    f"{path.name}: CRC mismatch for seq {seq} at offset {offset}"
+                )
+            if last_seq is not None and seq <= last_seq:
+                raise WalCorruptionError(
+                    f"{path.name}: sequence regression {last_seq} -> {seq}"
+                )
+            if seq < first_seq:
+                raise WalCorruptionError(
+                    f"{path.name}: seq {seq} below segment first_seq {first_seq}"
+                )
+            result.records.append(WalRecord(seq, payload))
+            last_seq = seq
+    except _Truncated as exc:
+        if not is_last:
             raise WalCorruptionError(
-                f"{path.name}: implausible payload length {payload_len} "
-                f"at offset {offset}"
-            )
-        body_start = offset + _FRAME.size
-        if body_start + payload_len > total:
-            if is_last:
-                result.torn_tail = True
-                return last_seq
-            raise WalCorruptionError(
-                f"{path.name}: truncated payload at offset {offset} "
-                "in non-final segment"
-            )
-        payload = data[body_start : body_start + payload_len]
-        if _crc(seq, payload) != crc:
-            raise WalCorruptionError(
-                f"{path.name}: CRC mismatch for seq {seq} at offset {offset}"
-            )
-        if last_seq is not None and seq <= last_seq:
-            raise WalCorruptionError(
-                f"{path.name}: sequence regression {last_seq} -> {seq}"
-            )
-        if seq < first_seq:
-            raise WalCorruptionError(
-                f"{path.name}: seq {seq} below segment first_seq {first_seq}"
-            )
-        result.records.append(WalRecord(seq, payload))
-        last_seq = seq
-        offset = body_start + payload_len
+                f"{path.name}: {exc} in non-final segment"
+            ) from None
+        result.torn_tail = True
     return last_seq
 
 

@@ -139,7 +139,8 @@ def _e2e_cell(metrics: Dict[str, Any], name: str) -> str:
 def render_dashboard(
     record: Dict[str, Any], previous: Optional[Dict[str, Any]] = None
 ) -> str:
-    """One dashboard frame: throughput, e2e latency, churn, shard table."""
+    """One dashboard frame: throughput, e2e latency, churn, faults, shard
+    table."""
     metrics: Dict[str, Any] = record.get("metrics", {})
     elapsed = _elapsed_seconds(record, previous)
     prev_metrics: Dict[str, Any] = (previous or {}).get("metrics", {})
@@ -192,6 +193,14 @@ def render_dashboard(
     lines.append(
         f"hotspot churn: {promotions:,} promotions  {demotions:,} demotions"
         f"   rate {_fmt(churn_rate)}/s"
+    )
+
+    # Parent-side and worker-side (``shard/<i>/``) frame errors sum here.
+    lines.append(
+        f"faults: frame errors {_sum_counters(metrics, 'transport/frame_errors', ''):,}"
+        f"   ring timeouts {_counter(metrics, 'transport/ring_timeouts'):,}"
+        f"   torn WAL tails {_counter(metrics, 'durability/wal_torn_tail_total'):,}"
+        f"   dropped events {_counter(metrics, 'pipeline/events_dropped'):,}"
     )
 
     indices = shard_indices(metrics)

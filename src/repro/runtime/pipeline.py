@@ -42,7 +42,7 @@ import multiprocessing
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (durability → runtime)
+if TYPE_CHECKING:  # pragma: no cover — type only: runtime never imports durability
     from repro.durability.manager import DurabilityManager
 
 from repro.engine.events import DataEvent, EventKind, QueryEvent
@@ -228,21 +228,37 @@ class _ProcessShmBackend:
                     f"(exitcode {self._workers[index].exitcode}) mid-request"
                 )
             if time.monotonic() >= deadline:
+                self.metrics.counter("transport/ring_timeouts").inc()
                 raise RingTimeoutError(
                     f"no response from shard {index} within {self._timeout:.1f}s"
                 )
 
-    def _expect_ack(self, index: int) -> None:
-        frame_type, body = _frames.decode_frame(self._await_raw(index))
-        if frame_type == _frames.FRAME_ERROR:
-            raise TransportError(str(body))
-        if frame_type != _frames.FRAME_ACK:
+    def _decode(self, index: int, raw: bytes, expected: int) -> Any:
+        """The body of a response frame of type ``expected``.  A response
+        that is not a valid frame, or is the worker's ERROR report, counts
+        in ``transport/frame_errors`` on its way up."""
+        try:
+            frame_type, body = _frames.decode_frame(raw)
+            if frame_type == _frames.FRAME_ERROR:
+                raise TransportError(str(body))
+        except TransportError:  # FrameError is one
+            self.metrics.counter("transport/frame_errors").inc()
+            raise
+        if frame_type != expected:
             raise TransportError(
-                f"shard {index}: expected ACK, got frame type {frame_type}"
+                f"shard {index}: expected frame type {expected}, got {frame_type}"
             )
+        return body
+
+    def _expect_ack(self, index: int) -> None:
+        self._decode(index, self._await_raw(index), _frames.FRAME_ACK)
 
     def _send(self, index: int, payload: bytes) -> None:
-        self._requests[index].send(payload, timeout=self._timeout)
+        try:
+            self._requests[index].send(payload, timeout=self._timeout)
+        except RingTimeoutError:
+            self.metrics.counter("transport/ring_timeouts").inc()
+            raise
         self.metrics.counter("transport/bytes_out").inc(len(payload))
         self.metrics.gauge(f"transport/ring/{index}/request_bytes").set(
             self._requests[index].occupancy()
@@ -264,15 +280,10 @@ class _ProcessShmBackend:
 
     def _merge_telemetry_frame(self, index: int) -> None:
         """Read one TELEMETRY frame from a shard and fold it in."""
-        frame_type, body = _frames.decode_frame(self._await_raw(index))
-        if frame_type != _frames.FRAME_TELEMETRY:
-            raise TransportError(
-                f"shard {index}: expected TELEMETRY, got frame type {frame_type}"
-            )
         merge_telemetry(
             self.metrics,
             self.tracer if isinstance(self.tracer, RingTracer) else None,
-            body,
+            self._decode(index, self._await_raw(index), _frames.FRAME_TELEMETRY),
         )
 
     def apply_batch(
@@ -309,9 +320,9 @@ class _ProcessShmBackend:
                     self._responses[index].occupancy()
                 )
                 start = time.perf_counter()
-                frame_type, body = _frames.decode_frame(raw)
-                decode_us.observe((time.perf_counter() - start) * 1e6)
-                if frame_type == _frames.FRAME_ERROR:
+                try:
+                    elapsed, results = self._decode(index, raw, _frames.FRAME_RESULT)
+                except TransportError:
                     # The worker sends its telemetry follow-up even after a
                     # failed batch (frame alignment) — consume it so the
                     # ring stays consistent for whoever catches this.
@@ -320,12 +331,8 @@ class _ProcessShmBackend:
                             self._merge_telemetry_frame(index)
                         except TransportError:
                             pass
-                    raise TransportError(str(body))
-                if frame_type != _frames.FRAME_RESULT:
-                    raise TransportError(
-                        f"shard {index}: expected RESULT, got frame type {frame_type}"
-                    )
-                elapsed, results = body
+                    raise
+                decode_us.observe((time.perf_counter() - start) * 1e6)
                 out[index] = (
                     elapsed,
                     [
@@ -360,13 +367,7 @@ class _ProcessShmBackend:
         for index in live:
             self._send(index, payload)
         for index in live:
-            frame_type, body = _frames.decode_frame(self._await_raw(index))
-            if frame_type == _frames.FRAME_ERROR:
-                raise TransportError(str(body))
-            if frame_type != _frames.FRAME_RESULT:
-                raise TransportError(
-                    f"shard {index}: expected RESULT, got frame type {frame_type}"
-                )
+            self._decode(index, self._await_raw(index), _frames.FRAME_RESULT)
             self._merge_telemetry_frame(index)
 
     def sample_hotspots(self) -> List[HeadroomSample]:

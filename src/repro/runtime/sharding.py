@@ -324,35 +324,21 @@ class Shard:
 
     # -- event application ---------------------------------------------------
 
-    def apply(self, event: DataEvent, owner: int) -> Delta:
-        """This shard's part of one data event: probe an insertion against
-        the shared tables, and keep the shard's own C-slice.  The shared
-        tables are the group's to write (after every shard has probed).
-        ``owner`` is the event's select-plane shard
-        (:meth:`ShardRouter.route_event`): an S row is probed against and
-        kept in the C-slice of that one shard only."""
-        row = event.row
-        deltas: Delta = {}
-        if event.kind is not EventKind.INSERT:
-            if owner == self.index:
-                self.table_s_select.delete(row)
-        elif event.relation == "R":
-            deltas.update(self.band.process_r(row))
-            deltas.update(self.select.process_r(row))
-        else:
-            deltas.update(self.band.process_s(row))
-            if owner == self.index:
-                deltas.update(self.select.process_s(row))
-                self.table_s_select.insert(row)
-        return deltas
+    def apply(self, event: DataEvent) -> None:
+        """This shard's part of an S delete it owns (the event's
+        select-plane shard, :meth:`ShardRouter.route_event`, is this one):
+        drop the row from its C-slice.  The shared tables are the group's
+        to write; insertions come through :meth:`apply_batch`."""
+        self.table_s_select.delete(event.row)
 
     def apply_batch(
         self, entries: Sequence[ShardEntry], rows: Sequence[Any]
     ) -> List[Tuple[int, Delta]]:
-        """:meth:`apply` for one run of same-relation INSERT entries
+        """This shard's part of one run of same-relation INSERT entries
         ``(seq, event, owner)`` — ``rows`` are their rows, extracted once
-        by the group for all shards — through the operators' batch fast
-        path, returning per-event deltas tagged with their sequence
+        by the group for all shards: probe them against the shared tables
+        through the operators' batch fast path and keep the shard's own
+        C-slice, returning per-event deltas tagged with their sequence
         numbers.
 
         An R-arrival probe reads only S-side state and vice versa, and the
@@ -366,25 +352,22 @@ class Shard:
         with self.tracer.span(
             "fastpath.run", shard=index, relation=relation, rows=len(rows)
         ):
+            # Both planes answer with a fresh dict per row and a query
+            # lives on one plane, so the select part folds into the band's.
             if relation == "R":
-                band_parts = self.band.process_r_batch(rows)
-                select_parts = self.select.process_r_batch(rows)
+                parts = self.band.process_r_batch(rows)
+                for deltas, select_d in zip(parts, self.select.process_r_batch(rows)):
+                    deltas.update(select_d)
             else:
-                band_parts = self.band.process_s_batch(rows)
-                select_parts = [{} for _ in rows]
+                parts = self.band.process_s_batch(rows)
                 mine = [k for k, entry in enumerate(entries) if entry[2] == index]
                 if mine:
                     own_rows = [rows[k] for k in mine]
-                    for k, part in zip(mine, self.select.process_s_batch(own_rows)):
-                        select_parts[k] = part
+                    for k, select_d in zip(mine, self.select.process_s_batch(own_rows)):
+                        parts[k].update(select_d)
                     for row in own_rows:
                         self.table_s_select.insert(row)
-            out: List[Tuple[int, Delta]] = []
-            for entry, band_d, select_d in zip(entries, band_parts, select_parts):
-                deltas: Delta = dict(band_d)
-                deltas.update(select_d)
-                out.append((entry[0], deltas))
-            return out
+            return [(entry[0], deltas) for entry, deltas in zip(entries, parts)]
 
 
 class ShardGroup:
@@ -424,11 +407,11 @@ class ShardGroup:
         and it is segmented **once**: maximal runs of consecutive
         same-relation INSERTs, with deletes and relation switches as
         boundaries.  Run by run, every shard probes the run against the
-        still-unchanged tables (a run of one through :meth:`Shard.apply`,
-        longer ones through :meth:`Shard.apply_batch`), then the run's
-        rows are installed a single time — so run k+1 sees run k exactly
-        as per-event application would.  A delete touches the shared table
-        and, for an S row, the C-slice of its owner if that shard is here.
+        still-unchanged tables (:meth:`Shard.apply_batch`, a run of one
+        included), then the run's rows are installed a single time — so
+        run k+1 sees run k exactly as per-event application would.  A
+        delete touches the shared table and, for an S row, the C-slice of
+        its owner if that shard is here.
         """
         shards = self.shards
         seconds = [0.0] * len(shards)
@@ -438,7 +421,7 @@ class ShardGroup:
         n = len(entries)
         i = 0
         while i < n:
-            seq, event, owner = entries[i]
+            __, event, owner = entries[i]
             if event.kind is not EventKind.INSERT:
                 if event.relation == "R":
                     self.table_r.delete(event.row)
@@ -446,7 +429,7 @@ class ShardGroup:
                     self.table_s.delete(event.row)
                     shard = self._by_index.get(owner)
                     if shard is not None:
-                        shard.apply(event, owner)
+                        shard.apply(event)
                 i += 1
                 continue
             relation = event.relation
@@ -461,10 +444,7 @@ class ShardGroup:
             for k, shard in enumerate(shards):
                 with span("shard.apply", shard=shard.index, events=j - i):
                     start = clock()
-                    if j - i == 1:
-                        results[k].append((seq, shard.apply(event, owner)))
-                    else:
-                        results[k].extend(shard.apply_batch(run, rows))
+                    results[k].extend(shard.apply_batch(run, rows))
                     seconds[k] += clock() - start
             install = self.table_r.insert if relation == "R" else self.table_s.insert
             for row in rows:

@@ -11,7 +11,7 @@ shared memory instead:
   ring-full backpressure (block with deadline) and idempotent
   teardown/unlink semantics.
 * :mod:`repro.runtime.transport.frames` — a versioned columnar frame
-  codec in the tagged-binary style of :mod:`repro.durability.codec`:
+  codec over the rows, records and reader of :mod:`repro.wire`:
   insert runs travel as flat id/float arrays, deletes as compact
   per-entry records, result deltas as (seq, qid, sign, row-ref) tuples
   resolved against the frame's own row table.
@@ -37,10 +37,7 @@ from repro.runtime.transport.frames import (
     FrameError,
     HistogramDelta,
     TelemetryPayload,
-    decode_batch_frame,
     decode_frame,
-    decode_result_frame,
-    decode_telemetry_frame,
     encode_batch_frame,
     encode_control_frame,
     encode_result_frame,
@@ -65,10 +62,7 @@ __all__ = [
     "ShmRing",
     "TelemetryPayload",
     "TransportError",
-    "decode_batch_frame",
     "decode_frame",
-    "decode_result_frame",
-    "decode_telemetry_frame",
     "encode_batch_frame",
     "encode_control_frame",
     "encode_result_frame",

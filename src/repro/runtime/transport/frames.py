@@ -1,17 +1,19 @@
 """Versioned columnar frame codec for the shard data plane.
 
-Same philosophy as :mod:`repro.durability.codec` (tagged little-endian
-``struct`` layouts, no pickle: pickle executes code on load, changes shape
-across refactors, and cannot be validated byte-by-byte) — but framed for
-*throughput* rather than durability: a micro-batch crosses the process
-boundary as a handful of flat arrays instead of one pickled object per
-event.
+Built on :mod:`repro.wire` — its row primitive, its record table (a
+CONTROL body is one such record; layouts in ``docs/DURABILITY.md``
+§ Codec) and its bounds-checked :class:`~repro.wire.Reader`, constructed
+here with :class:`FrameError` — but framed for *throughput* rather than
+durability: a micro-batch crosses the process boundary as a handful of
+flat arrays instead of one object per event.  :func:`decode_frame` is the
+one way in: bytes that are not a valid frame raise :class:`FrameError`
+and nothing else.
 
 Every frame starts ``[u8 frame_type][u8 version]``.  Frame types::
 
     1  BATCH      trace context + ordered shard entries, columnar (below)
     2  RESULT     elapsed + row table + (seq, qid, sign, row-ref) deltas
-    3  CONTROL    one durability-codec record (SUB band/select, UNSUB)
+    3  CONTROL    one wire record (SUB band/select, UNSUB)
     4  ACK        empty body — control acknowledged
     5  SHUTDOWN   empty body — worker drains and exits
     6  ERROR      utf-8 message — worker-side exception report
@@ -93,14 +95,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.durability.codec import decode_record, encode_event
 from repro.engine.events import DataEvent, EventKind
-from repro.engine.table import RTuple, STuple
 from repro.obs.tracing import SpanRecord
 from repro.runtime.sharding import ShardEntry
 from repro.runtime.transport.shm import TransportError
+from repro.wire import ROW, ROW_FIELDS, ROW_TYPES, Reader, encode_event, read_record
 
 __all__ = [
     "FRAME_VERSION",
@@ -118,15 +119,12 @@ __all__ = [
     "HistogramDelta",
     "TelemetryPayload",
     "encode_batch_frame",
-    "decode_batch_frame",
     "encode_result_frame",
-    "decode_result_frame",
     "encode_control_frame",
     "encode_ack_frame",
     "encode_shutdown_frame",
     "encode_error_frame",
     "encode_telemetry_frame",
-    "decode_telemetry_frame",
     "decode_frame",
 ]
 
@@ -154,16 +152,19 @@ _U16 = struct.Struct("<H")
 _SEG = struct.Struct("<BI")
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
-_ROW = struct.Struct("<Bqdd")  # row-table record: tag, id, x, y
 _BATCH_CTX = struct.Struct("<BQQ")  # flags, trace_id, parent_span_id
-_ENTRY_BYTES = 5 * 8 + 2  # one BATCH entry over the six segment columns
 _TELE_CTX = struct.Struct("<QIQI")  # pid, shard, trace_id, spans_dropped
 _TELE_SPAN = struct.Struct("<qqQQQQ")  # ts, dur, tid, span_id, parent_id, trace_id
 _TELE_HIST = struct.Struct("<QdddI")  # count, sum, min, max, n_buckets
 _TELE_BUCKET = struct.Struct("<HQ")  # bucket index, count delta
 
-_ROW_TAG_R = 1
-_ROW_TAG_S = 2
+#: RESULT row-table tag -> relation of the row under it, and row type ->
+#: (tag, row fields).
+_ROW_RELATIONS = {1: "R", 2: "S"}
+_ROW_TAGS = {
+    ROW_TYPES[relation]: (tag, ROW_FIELDS[relation])
+    for tag, relation in _ROW_RELATIONS.items()
+}
 
 #: Per-query delta rows keyed by qid (the worker side of
 #: :data:`repro.runtime.sharding.Delta`, which keys by query object).
@@ -176,12 +177,12 @@ class FrameError(TransportError):
     """A frame does not match the wire format."""
 
 
-#: Segment tag -> (kind, relation, row type) of every entry in the segment.
+#: Segment tag -> (kind, relation) of every entry in the segment.
 _SEGMENTS = {
-    _SEG_INSERT_R: (EventKind.INSERT, "R", RTuple),
-    _SEG_INSERT_S: (EventKind.INSERT, "S", STuple),
-    _SEG_DELETE_R: (EventKind.DELETE, "R", RTuple),
-    _SEG_DELETE_S: (EventKind.DELETE, "S", STuple),
+    _SEG_INSERT_R: (EventKind.INSERT, "R"),
+    _SEG_INSERT_S: (EventKind.INSERT, "S"),
+    _SEG_DELETE_R: (EventKind.DELETE, "R"),
+    _SEG_DELETE_S: (EventKind.DELETE, "S"),
 }
 
 
@@ -240,14 +241,8 @@ def encode_batch_frame(
         n = j - i
         run = entries[i:j]
         seqs = [entry[0] for entry in run]
-        if tag in (_SEG_INSERT_R, _SEG_DELETE_R):
-            ids = [entry[1].row.rid for entry in run]
-            xs = [entry[1].row.a for entry in run]
-            ys = [entry[1].row.b for entry in run]
-        else:
-            ids = [entry[1].row.sid for entry in run]
-            xs = [entry[1].row.b for entry in run]
-            ys = [entry[1].row.c for entry in run]
+        fields = ROW_FIELDS[run[0][1].relation]
+        ids, xs, ys = zip(*[fields(entry[1].row) for entry in run])
         ingest = ingest_ns[i:j] if ingest_ns is not None else [0] * n
         parts.append(_SEG.pack(tag, n))
         parts.append(struct.pack(f"<{n}q", *seqs))
@@ -260,58 +255,39 @@ def encode_batch_frame(
     return b"".join(parts)
 
 
-def decode_batch_frame(payload: bytes) -> DecodedBatch:
-    """Decode a BATCH frame body back into entries + trace context."""
-    offset = _HDR.size
-    if offset + _BATCH_CTX.size + _U32.size > len(payload):
-        raise FrameError("truncated batch context header")
-    flags_byte, trace_id, parent_span_id = _BATCH_CTX.unpack_from(payload, offset)
-    offset += _BATCH_CTX.size
-    (n_entries,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
+def _read_batch(reader: Reader) -> DecodedBatch:
+    flags_byte, trace_id, parent_span_id = reader.unpack(
+        _BATCH_CTX, "batch context header"
+    )
+    (n_entries,) = reader.unpack(_U32, "batch entry count")
     entries: List[ShardEntry] = []
     ingest_all: List[int] = []
     while len(entries) < n_entries:
-        if offset + _SEG.size > len(payload):
-            raise FrameError("truncated batch segment header")
-        tag, n = _SEG.unpack_from(payload, offset)
-        offset += _SEG.size
+        tag, n = reader.unpack(_SEG, "batch segment header")
         segment = _SEGMENTS.get(tag)
         if segment is None:
             raise FrameError(f"unknown batch segment tag {tag}")
-        kind, relation, row_type = segment
+        kind, relation = segment
         if not 0 < n <= n_entries - len(entries):
             raise FrameError(
                 f"batch segment of {n} entries with {n_entries - len(entries)} "
                 f"of the header's {n_entries} left"
             )
-        if offset + _ENTRY_BYTES * n > len(payload):
-            raise FrameError(f"truncated batch segment (tag {tag}, n {n})")
-        seqs = struct.unpack_from(f"<{n}q", payload, offset)
-        offset += 8 * n
-        ids = struct.unpack_from(f"<{n}q", payload, offset)
-        offset += 8 * n
-        xs = struct.unpack_from(f"<{n}d", payload, offset)
-        offset += 8 * n
-        ys = struct.unpack_from(f"<{n}d", payload, offset)
-        offset += 8 * n
-        ingest_all.extend(struct.unpack_from(f"<{n}q", payload, offset))
-        offset += 8 * n
-        owners = struct.unpack_from(f"<{n}h", payload, offset)
-        offset += 2 * n
+        flat = reader.columns(f"{n}q{n}q{n}d{n}d{n}q{n}h", "batch segment columns")
+        ingest_all.extend(flat[4 * n : 5 * n])
+        owners = flat[5 * n :]
         if (owners.count(-1) != n) if relation == "R" else (min(owners) < 0):
             raise FrameError(
                 f"batch segment (tag {tag}): owner must be -1 for an R row "
                 "and a shard index for an S row"
             )
-        for seq, row_id, x, y, owner in zip(seqs, ids, xs, ys, owners):
+        row_type = ROW_TYPES[relation]
+        for seq, row_id, x, y, owner in zip(
+            flat, flat[n:], flat[2 * n :], flat[3 * n :], owners
+        ):
             entries.append(
                 (seq, DataEvent(kind, relation, row_type(row_id, x, y)), owner)
             )
-    if offset != len(payload):
-        raise FrameError(
-            f"{len(payload) - offset} trailing byte(s) after batch segments"
-        )
     return DecodedBatch(
         entries=entries,
         ingest_ns=tuple(ingest_all),
@@ -352,18 +328,14 @@ def encode_result_frame(elapsed: float, results: SeqResults) -> bytes:
                 if index is None:
                     index = len(row_records)
                     row_index[key] = index
-                    if isinstance(row, RTuple):
-                        row_records.append(
-                            _ROW.pack(_ROW_TAG_R, row.rid, row.a, row.b)
-                        )
-                    elif isinstance(row, STuple):
-                        row_records.append(
-                            _ROW.pack(_ROW_TAG_S, row.sid, row.b, row.c)
-                        )
-                    else:
+                    tagged = _ROW_TAGS.get(type(row))
+                    if tagged is None:
                         raise FrameError(
                             f"unsupported result row type: {type(row).__name__}"
                         )
+                    tag, fields = tagged
+                    row_id, x, y = fields(row)
+                    row_records.append(ROW.pack(tag, row_id, x, y))
                 refs.append(index)
     g = len(seqs)
     return b"".join(
@@ -383,47 +355,23 @@ def encode_result_frame(elapsed: float, results: SeqResults) -> bytes:
     )
 
 
-def decode_result_frame(payload: bytes) -> Tuple[float, SeqResults]:
-    """Decode a RESULT frame body back into ``(elapsed, results)``."""
-    offset = _HDR.size
-    if offset + _F64.size + _U32.size > len(payload):
-        raise FrameError("truncated result header")
-    (elapsed,) = _F64.unpack_from(payload, offset)
-    offset += _F64.size
-    (n_rows,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    if offset + n_rows * _ROW.size > len(payload):
-        raise FrameError("truncated result row table")
+def _read_result(reader: Reader) -> Tuple[float, SeqResults]:
+    (elapsed,) = reader.unpack(_F64, "result elapsed")
+    (n_rows,) = reader.unpack(_U32, "result row count")
     rows: List[Any] = []
-    for tag, row_id, x, y in _ROW.iter_unpack(
-        payload[offset : offset + n_rows * _ROW.size]
+    for tag, row_id, x, y in ROW.iter_unpack(
+        reader.take(n_rows * ROW.size, "result row table")
     ):
-        if tag == _ROW_TAG_R:
-            rows.append(RTuple(row_id, x, y))
-        elif tag == _ROW_TAG_S:
-            rows.append(STuple(row_id, x, y))
-        else:
+        relation = _ROW_RELATIONS.get(tag)
+        if relation is None:
             raise FrameError(f"unknown result row tag {tag}")
-    offset += n_rows * _ROW.size
-    if offset + _U32.size > len(payload):
-        raise FrameError("truncated result group count")
-    (g,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    if offset + g * (8 + 8 + 1 + 4) + _U32.size > len(payload):
-        raise FrameError("truncated result delta columns")
-    seqs = struct.unpack_from(f"<{g}q", payload, offset)
-    offset += 8 * g
-    qids = struct.unpack_from(f"<{g}q", payload, offset)
-    offset += 8 * g
-    signs = struct.unpack_from(f"<{g}b", payload, offset)
-    offset += g
-    counts = struct.unpack_from(f"<{g}I", payload, offset)
-    offset += 4 * g
-    (total_refs,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    if offset + 4 * total_refs != len(payload):
-        raise FrameError("result refs array does not match frame length")
-    refs = struct.unpack_from(f"<{total_refs}I", payload, offset)
+        rows.append(ROW_TYPES[relation](row_id, x, y))
+    (g,) = reader.unpack(_U32, "result group count")
+    flat = reader.columns(f"{g}q{g}q{g}b{g}I", "result delta columns")
+    seqs, qids, signs = flat[:g], flat[g : 2 * g], flat[2 * g : 3 * g]
+    counts = flat[3 * g :]
+    (total_refs,) = reader.unpack(_U32, "result ref count")
+    refs = reader.columns(f"{total_refs}I", "result refs")
     if sum(counts) != total_refs:
         raise FrameError("result group counts do not sum to total refs")
     results: SeqResults = []
@@ -450,7 +398,7 @@ def decode_result_frame(payload: bytes) -> Tuple[float, SeqResults]:
 
 
 def encode_control_frame(event: object) -> bytes:
-    """Wrap one durability-codec record (SUB/UNSUB) as a control frame."""
+    """Wrap one wire record (SUB/UNSUB) as a control frame."""
     return _HDR.pack(FRAME_CONTROL, FRAME_VERSION) + encode_event(event)
 
 
@@ -504,16 +452,6 @@ def _pack_name(name: str) -> bytes:
     if len(encoded) > 0xFFFF:
         raise FrameError(f"name too long to encode ({len(encoded)} bytes)")
     return _U16.pack(len(encoded)) + encoded
-
-
-def _unpack_name(payload: bytes, offset: int) -> Tuple[str, int]:
-    if offset + _U16.size > len(payload):
-        raise FrameError("truncated telemetry name length")
-    (length,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    if offset + length > len(payload):
-        raise FrameError("truncated telemetry name")
-    return payload[offset : offset + length].decode("utf-8"), offset + length
 
 
 def encode_telemetry_frame(payload: TelemetryPayload) -> bytes:
@@ -574,100 +512,59 @@ def encode_telemetry_frame(payload: TelemetryPayload) -> bytes:
     return b"".join(parts)
 
 
-def decode_telemetry_frame(payload: bytes) -> TelemetryPayload:
-    """Decode a TELEMETRY frame body back into a :class:`TelemetryPayload`."""
-    offset = _HDR.size
-    if offset + _TELE_CTX.size + _U32.size > len(payload):
-        raise FrameError("truncated telemetry context header")
-    pid, shard, trace_id, spans_dropped = _TELE_CTX.unpack_from(payload, offset)
-    offset += _TELE_CTX.size
-    (n_spans,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
+def _read_telemetry(reader: Reader) -> TelemetryPayload:
+    pid, shard, trace_id, spans_dropped = reader.unpack(
+        _TELE_CTX, "telemetry context header"
+    )
+    (n_spans,) = reader.unpack(_U32, "telemetry span count")
     spans: List[SpanRecord] = []
     for _ in range(n_spans):
-        name, offset = _unpack_name(payload, offset)
-        if offset + _TELE_SPAN.size + _U32.size > len(payload):
-            raise FrameError("truncated telemetry span")
-        ts_ns, dur_ns, tid, span_id, parent_id, span_trace = _TELE_SPAN.unpack_from(
-            payload, offset
+        name = reader.text(_U16, "telemetry span name")
+        ts_ns, dur_ns, tid, span_id, parent_id, span_trace = reader.unpack(
+            _TELE_SPAN, "telemetry span"
         )
-        offset += _TELE_SPAN.size
-        (args_len,) = _U32.unpack_from(payload, offset)
-        offset += _U32.size
-        if offset + args_len > len(payload):
-            raise FrameError("truncated telemetry span args")
-        args: Optional[Dict[str, Any]] = None
-        if args_len:
-            try:
-                args = json.loads(payload[offset : offset + args_len])
-            except ValueError as exc:
-                raise FrameError(f"bad telemetry span args: {exc}") from None
-        offset += args_len
+        args_json = reader.text(_U32, "telemetry span args")
         spans.append(
             SpanRecord(
                 name=name,
                 ts_ns=ts_ns,
                 dur_ns=dur_ns,
                 tid=tid,
-                args=args,
+                args=reader.build(json.loads, args_json) if args_json else None,
                 pid=pid,
                 trace_id=span_trace,
                 span_id=span_id,
                 parent_id=parent_id,
             )
         )
-    if offset + _U32.size > len(payload):
-        raise FrameError("truncated telemetry counter section")
-    (n_counters,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
+    (n_counters,) = reader.unpack(_U32, "telemetry counter count")
     counters: Dict[str, int] = {}
     for _ in range(n_counters):
-        name, offset = _unpack_name(payload, offset)
-        if offset + _I64.size > len(payload):
-            raise FrameError("truncated telemetry counter")
-        (counters[name],) = _I64.unpack_from(payload, offset)
-        offset += _I64.size
-    if offset + _U32.size > len(payload):
-        raise FrameError("truncated telemetry gauge section")
-    (n_gauges,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
+        name = reader.text(_U16, "telemetry counter name")
+        (counters[name],) = reader.unpack(_I64, "telemetry counter")
+    (n_gauges,) = reader.unpack(_U32, "telemetry gauge count")
     gauges: Dict[str, float] = {}
     for _ in range(n_gauges):
-        name, offset = _unpack_name(payload, offset)
-        if offset + _F64.size > len(payload):
-            raise FrameError("truncated telemetry gauge")
-        (gauges[name],) = _F64.unpack_from(payload, offset)
-        offset += _F64.size
-    if offset + _U32.size > len(payload):
-        raise FrameError("truncated telemetry histogram section")
-    (n_histograms,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
+        name = reader.text(_U16, "telemetry gauge name")
+        (gauges[name],) = reader.unpack(_F64, "telemetry gauge")
+    (n_histograms,) = reader.unpack(_U32, "telemetry histogram count")
     histograms: Dict[str, HistogramDelta] = {}
     for _ in range(n_histograms):
-        name, offset = _unpack_name(payload, offset)
-        if offset + _TELE_HIST.size > len(payload):
-            raise FrameError("truncated telemetry histogram header")
-        count, total, min_value, max_value, n_buckets = _TELE_HIST.unpack_from(
-            payload, offset
+        name = reader.text(_U16, "telemetry histogram name")
+        count, total, min_value, max_value, n_buckets = reader.unpack(
+            _TELE_HIST, "telemetry histogram header"
         )
-        offset += _TELE_HIST.size
-        if offset + n_buckets * _TELE_BUCKET.size > len(payload):
-            raise FrameError("truncated telemetry histogram buckets")
-        buckets: List[Tuple[int, int]] = []
-        for _b in range(n_buckets):
-            index, added = _TELE_BUCKET.unpack_from(payload, offset)
-            offset += _TELE_BUCKET.size
-            buckets.append((index, added))
+        buckets = list(
+            _TELE_BUCKET.iter_unpack(
+                reader.take(n_buckets * _TELE_BUCKET.size, "telemetry histogram buckets")
+            )
+        )
         histograms[name] = HistogramDelta(
             count=count,
             total=total,
             min_value=min_value,
             max_value=max_value,
             buckets=buckets,
-        )
-    if offset != len(payload):
-        raise FrameError(
-            f"{len(payload) - offset} trailing byte(s) after telemetry sections"
         )
     return TelemetryPayload(
         pid=pid,
@@ -681,34 +578,48 @@ def decode_telemetry_frame(payload: bytes) -> TelemetryPayload:
     )
 
 
+def _read_error(reader: Reader) -> str:
+    message = reader.take(reader.remaining, "error message")
+    return message.decode("utf-8", errors="replace")
+
+
+def _read_nothing(reader: Reader) -> None:
+    reader.expect_end("the header of a frame type that carries no body")
+
+
+#: Frame type -> reader of its body.
+_BODY_READERS: Dict[int, Callable[[Reader], Any]] = {
+    FRAME_BATCH: _read_batch,
+    FRAME_RESULT: _read_result,
+    FRAME_CONTROL: read_record,
+    FRAME_ACK: _read_nothing,
+    FRAME_SHUTDOWN: _read_nothing,
+    FRAME_ERROR: _read_error,
+    FRAME_TELEMETRY: _read_telemetry,
+}
+
+
 def decode_frame(payload: bytes) -> Tuple[int, Any]:
     """Validate the frame header and decode the body.
 
     Returns ``(frame_type, body)`` where the body is: a
     :class:`DecodedBatch` for BATCH, ``(elapsed, results)`` for RESULT, a
-    durability :data:`~repro.durability.codec.DecodedRecord` for CONTROL,
-    a :class:`TelemetryPayload` for TELEMETRY, the message string for
-    ERROR, and ``None`` for ACK/SHUTDOWN.
+    :data:`~repro.wire.DecodedRecord` for CONTROL, a
+    :class:`TelemetryPayload` for TELEMETRY, the message string for
+    ERROR, and ``None`` for ACK/SHUTDOWN.  Anything else raises
+    :class:`FrameError`.
     """
     if len(payload) < _HDR.size:
         raise FrameError(f"frame of {len(payload)} byte(s) has no header")
-    frame_type, version = _HDR.unpack_from(payload, 0)
+    reader = Reader(payload, FrameError)
+    frame_type, version = reader.unpack(_HDR, "frame header")
     if version != FRAME_VERSION:
         raise FrameError(
             f"frame version {version} unsupported (expected {FRAME_VERSION})"
         )
-    if frame_type == FRAME_BATCH:
-        return frame_type, decode_batch_frame(payload)
-    if frame_type == FRAME_RESULT:
-        return frame_type, decode_result_frame(payload)
-    if frame_type == FRAME_CONTROL:
-        return frame_type, decode_record(payload[_HDR.size :])
-    if frame_type in (FRAME_ACK, FRAME_SHUTDOWN):
-        if len(payload) != _HDR.size:
-            raise FrameError(f"frame type {frame_type} carries no body")
-        return frame_type, None
-    if frame_type == FRAME_ERROR:
-        return frame_type, payload[_HDR.size :].decode("utf-8", errors="replace")
-    if frame_type == FRAME_TELEMETRY:
-        return frame_type, decode_telemetry_frame(payload)
-    raise FrameError(f"unknown frame type {frame_type}")
+    read_body = _BODY_READERS.get(frame_type)
+    if read_body is None:
+        raise FrameError(f"unknown frame type {frame_type}")
+    body = read_body(reader)
+    reader.expect_end(f"the body of frame type {frame_type}")
+    return frame_type, body

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 if TYPE_CHECKING:
     from multiprocessing.synchronize import Semaphore
 
-from repro.durability.codec import Unsubscribe
 from repro.engine.events import QueryEvent
 from repro.obs.remote import TelemetryCollector
 from repro.obs.tracing import NULL_TRACER, RingTracer
@@ -53,6 +52,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames
 from repro.runtime.transport.shm import ShmRing, TransportError
+from repro.wire import Unsubscribe
 
 __all__ = ["shard_worker_main"]
 
@@ -169,6 +169,7 @@ def shard_worker_main(
                 # The protocol is strictly one frame in flight, so a
                 # malformed request still gets its response — the pipeline
                 # re-raises it; only SHUTDOWN ends the loop.
+                registry.counter("transport/frame_errors").inc()
                 responses.send(
                     frames.encode_error_frame(
                         f"shard {index} worker: bad request frame: {exc}"

@@ -7,6 +7,7 @@ uninterrupted reference run over the same deterministic stream.
 """
 
 import shutil
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -52,21 +53,43 @@ def s_insert(sid, b, c):
 # -- codec --------------------------------------------------------------------
 
 
+# The TestCodec corpus with each record's bytes as the PR-20 encoder wrote
+# them (CODEC_VERSION 1): the format is pinned, not merely self-consistent.
+CODEC_CORPUS = [
+    (
+        r_insert(7, 1.5, -2.25),
+        "010700000000000000000000000000f83f00000000000002c0",
+    ),
+    (
+        DataEvent(EventKind.DELETE, "R", RTuple(7, 1.5, -2.25)),
+        "020700000000000000000000000000f83f00000000000002c0",
+    ),
+    (
+        s_insert(9, 3.0, 4.5),
+        "03090000000000000000000000000008400000000000001240",
+    ),
+    (
+        DataEvent(EventKind.DELETE, "S", STuple(9, 3.0, 4.5)),
+        "04090000000000000000000000000008400000000000001240",
+    ),
+    (
+        QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(-1.0, 2.0), qid=11)),
+        "050b00000000000000000000000000f0bf0000000000000040",
+    ),
+    (
+        QueryEvent(
+            EventKind.INSERT,
+            SelectJoinQuery(Interval(0.0, 5.0), Interval(2.0, 9.0), qid=12),
+        ),
+        "060c0000000000000000000000000000000000000000001440"
+        "00000000000000400000000000002240",
+    ),
+]
+UNSUB_GOLDEN = "070300000000000000"
+
+
 class TestCodec:
-    @pytest.mark.parametrize(
-        "event",
-        [
-            r_insert(7, 1.5, -2.25),
-            DataEvent(EventKind.DELETE, "R", RTuple(7, 1.5, -2.25)),
-            s_insert(9, 3.0, 4.5),
-            DataEvent(EventKind.DELETE, "S", STuple(9, 3.0, 4.5)),
-            QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(-1.0, 2.0), qid=11)),
-            QueryEvent(
-                EventKind.INSERT,
-                SelectJoinQuery(Interval(0.0, 5.0), Interval(2.0, 9.0), qid=12),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("event", [event for event, __ in CODEC_CORPUS])
     def test_round_trip(self, event):
         decoded = decode_record(encode_event(event))
         if isinstance(event, DataEvent):
@@ -79,6 +102,13 @@ class TestCodec:
     def test_unsubscribe_decodes_to_qid_marker(self):
         event = QueryEvent(EventKind.DELETE, BandJoinQuery(Interval(0, 1), qid=3))
         assert decode_record(encode_event(event)) == Unsubscribe(3)
+
+    def test_golden_bytes(self):
+        for event, golden in CODEC_CORPUS:
+            assert encode_event(event).hex() == golden
+        unsub = QueryEvent(EventKind.DELETE, BandJoinQuery(Interval(0, 1), qid=3))
+        assert encode_event(unsub).hex() == UNSUB_GOLDEN
+        assert decode_record(bytes.fromhex(UNSUB_GOLDEN)) == Unsubscribe(3)
 
     def test_select_query_ranges_survive(self):
         query = SelectJoinQuery(Interval(0.25, 5.5), Interval(2.125, 9.75), qid=4)
@@ -102,6 +132,16 @@ class TestCodec:
     def test_rejects_unsupported_event(self):
         with pytest.raises(CodecError):
             encode_event(object())
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (float("nan"), 1.0)])
+    def test_rejects_invalid_interval(self, lo, hi):
+        """A record the engine's value types refuse is a ``CodecError``
+        like any other malformed record, not their ``ValueError``."""
+        payload = struct.pack("<Bqdd", 5, 1, lo, hi)
+        with pytest.raises(CodecError):
+            decode_record(payload)
+        with pytest.raises(CodecError):
+            decode_stream(encode_event(r_insert(1, 1.0, 2.0)) + payload)
 
     def test_stream_round_trip(self):
         events = [r_insert(1, 1.0, 2.0), s_insert(2, 3.0, 4.0)]
@@ -339,6 +379,19 @@ OPS = [
 ]
 WANT = {"r": 1, "s": 1, "subs": 1}
 
+GOLDEN_WAL = (
+    "5257414c0100010000000000000000001900000030385d5b0000000000000000"
+    "05640000000000000000000000000000c0000000000000004029000000192d84"
+    "a001000000000000000665000000000000000000000000000000000000000000"
+    "494000000000000000000000000000004940190000002ad861f3020000000000"
+    "0000010100000000000000000000000000244000000000000014401900000090"
+    "28beb20300000000000000030100000000000000000000000000184000000000"
+    "0000344019000000007901070400000000000000030200000000000000000000"
+    "0000003e400000000000004440190000005b15a3ff0500000000000000040200"
+    "0000000000000000000000003e400000000000004440090000003d851b5e0600"
+    "000000000000076400000000000000"
+)
+
 
 def durable_per_event_pipeline(directory, **kwargs):
     """An attached durable pipeline applying each event as its own batch."""
@@ -457,6 +510,34 @@ class TestRecovery:
         assert recovered.alpha == 0.05
         assert recovered.epsilon == 2.0
 
+    def test_golden_segment_replays(self, tmp_path):
+        """``GOLDEN_WAL`` is the segment the PR-20 writer produced for
+        ``OPS``: today's writer produces the same bytes, and today's
+        reader and recovery replay them to the same state."""
+        with WriteAheadLog(tmp_path / "now", fsync="never") as wal:
+            append_events(wal, OPS)
+        (segment,) = list_segments(tmp_path / "now")
+        assert segment.read_bytes().hex() == GOLDEN_WAL
+
+        then = tmp_path / "then"
+        then.mkdir()
+        segment_path(then, 0).write_bytes(bytes.fromhex(GOLDEN_WAL))
+        scan = read_wal(then)
+        assert not scan.torn_tail
+        assert [rec.seq for rec in scan.records] == list(range(7))
+        records = [decode_record(rec.payload) for rec in scan.records]
+        assert records[2:6] == OPS[2:6]
+        assert [type(rec.query) for rec in records[:2]] == [
+            BandJoinQuery,
+            SelectJoinQuery,
+        ]
+        assert records[6] == Unsubscribe(100)
+        recovered, report = recover_system(then, num_shards=2)
+        assert report.replayed_events == 7 and report.next_seq == 7
+        assert state_of(recovered) == WANT
+        select = recovered.query_by_id(101)
+        assert (select.range_a, select.range_c) == (SELECT.range_a, SELECT.range_c)
+
     def test_unsub_of_unknown_query_raises(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             wal.append(
@@ -561,6 +642,10 @@ class TestKillAndRecover:
         manager2, pipeline2 = durable_pipeline(crash_dir)
         report = manager2.attach(pipeline2)
         assert report.next_seq <= crash_at
+        # The attach recovered across the cut, and says so in the metrics.
+        assert report.torn_tail or cut == "random"
+        torn = manager2.metrics.counter("durability/wal_torn_tail_total")
+        assert torn.value == int(report.torn_tail)
         got = normalized_outputs(pipeline2.run(stream[report.next_seq :]))
         pipeline2.close()
 

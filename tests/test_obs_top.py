@@ -87,6 +87,20 @@ class TestRenderDashboard:
         assert "(no samples yet)" in frame
         assert "throughput: - ev/s" in frame
 
+    def test_faults_line_sums_parent_and_worker_counters(self):
+        record = self.record()
+        record["metrics"]["counters"].update(
+            {
+                "transport/frame_errors": 2,
+                "shard/1/transport/frame_errors": 1,
+                "transport/ring_timeouts": 4,
+                "durability/wal_torn_tail_total": 1,
+            }
+        )
+        frame = render_dashboard(record)
+        assert "faults: frame errors 3   ring timeouts 4   torn WAL tails 1" in frame
+        assert "faults: frame errors 0" in render_dashboard({"metrics": {}})
+
     def test_dropped_spans_warning(self):
         record = self.record()
         record["spans_dropped"] = 12

@@ -18,13 +18,16 @@ The transport's contract (``docs/RUNTIME.md``) in test form:
 import contextlib
 import re
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.intervals import Interval
-from repro.engine.events import DataEvent, EventKind
+from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery
 from repro.engine.table import RTuple
 from repro.runtime.pipeline import EventPipeline
@@ -40,6 +43,9 @@ from repro.runtime.transport.shm import (
     ShmRing,
     TransportError,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _r_insert(rid, a=10.0, b=20.0):
@@ -247,22 +253,63 @@ class TestPipelineLifecycle:
             with pytest.raises(FileNotFoundError):
                 ShmRing.attach(name)
 
-    def test_worker_survives_bad_request_frame(self):
+    @pytest.mark.parametrize(
+        "bad_request",
+        [
+            frames._HDR.pack(frames.FRAME_BATCH, frames.FRAME_VERSION)
+            + b"\xff\xff\xff\xff",
+            frames.encode_control_frame(
+                QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3))
+            )[:-1],
+            frames._HDR.pack(frames.FRAME_CONTROL, frames.FRAME_VERSION)
+            + struct.pack("<Bqdd", 5, 3, 2.0, 1.0),
+        ],
+        ids=["garbage-batch", "control-cut-short", "control-lo-above-hi"],
+    )
+    def test_worker_survives_bad_request_frame(self, bad_request):
         # A decode error inside the worker must come back as an ERROR
-        # frame — the worker stays alive and the next request still works.
+        # frame — the worker stays alive and the next request still works —
+        # and both sides count it.
         pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend
-            garbage = frames._HDR.pack(frames.FRAME_BATCH, frames.FRAME_VERSION)
-            backend._send(0, garbage + b"\xff\xff\xff\xff")
+            backend._send(0, bad_request)
             with pytest.raises(TransportError, match="bad request frame"):
                 backend._expect_ack(0)
             assert _workers(pipe)[0].is_alive()
             pipe.subscribe(BandJoinQuery(Interval(0.0, 100.0), qid=7))
             out = pipe.run([_r_insert(0, 10.0, 12.0)])
             assert len(out) == 1
+            backend.drain_telemetry()
+            counters = pipe.metrics.snapshot()["counters"]
+            assert counters["transport/frame_errors"] == 1
+            assert counters["shard/0/transport/frame_errors"] == 1
         finally:
             pipe.close()
+
+    def test_response_deadline_raises_and_counts(self):
+        # Nothing was sent, so no response is coming: the backend's own
+        # deadline (not the ring's) must end the wait, visibly.
+        pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
+        try:
+            backend = pipe._backend
+            backend._timeout = 0.1
+            with pytest.raises(RingTimeoutError, match="no response from shard 0"):
+                backend._expect_ack(0)
+            assert pipe.metrics.counter("transport/ring_timeouts").value == 1
+            assert _workers(pipe)[0].is_alive()
+        finally:
+            pipe.close()
+
+
+def test_runtime_imports_without_durability():
+    """Dependency direction ``durability → runtime → wire``: importing the
+    runtime must not load any durability module."""
+    check = (
+        "import repro.runtime, sys; "
+        "assert not [m for m in sys.modules if m.startswith('repro.durability')]"
+    )
+    subprocess.run([sys.executable, "-c", check], check=True, cwd=SRC, timeout=60)
 
 
 class TestCrossProcessTelemetry:

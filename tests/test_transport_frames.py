@@ -11,8 +11,12 @@ The wire contract under test:
 * ``encode → decode → encode`` is a fixed point, which is how NaN-bearing
   payloads are compared (bytes are exact where ``==`` on floats is not);
 * every lifecycle frame survives ``decode_frame`` dispatch, and corrupted
-  headers, truncated frames and inconsistent BATCH segments fail as
-  :class:`FrameError`, never as another exception or a silent misdecode.
+  headers, truncated frames of every type (CONTROL included), inconsistent
+  BATCH segments, CONTROL records the engine's value types refuse and
+  non-UTF-8 names fail as :class:`FrameError`, never as another exception
+  or a silent misdecode;
+* the encoders' bytes are pinned against hex literals captured at PR 20
+  (``TestGoldenBytes``), so a refactor cannot move the format silently.
 """
 
 import math
@@ -25,7 +29,8 @@ import pytest
 
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.core.intervals import Interval
-from repro.engine.queries import BandJoinQuery
+from repro.engine.queries import BandJoinQuery, SelectJoinQuery
+from repro.obs.tracing import SpanRecord
 from repro.engine.table import RTuple, STuple
 from repro.runtime.transport import frames
 
@@ -257,8 +262,6 @@ u63 = st.integers(min_value=0, max_value=2**63 - 1)
 
 @st.composite
 def telemetry_payloads(draw):
-    from repro.obs.tracing import SpanRecord
-
     # One frame = one worker: every span shares the payload's pid (the
     # wire format carries it once in the header, not per span).
     pid = draw(st.integers(min_value=1, max_value=2**22))
@@ -378,10 +381,29 @@ class TestTelemetryFrameRoundTrip:
 
 _shared_row = RTuple(1, 2.0, 3.0)
 
+# Non-NaN, ordered endpoints: what a subscription can hold.
+intervals = st.tuples(
+    st.floats(allow_nan=False, width=64), st.floats(allow_nan=False, width=64)
+).map(lambda pair: Interval(min(pair), max(pair)))
+
+control_events = st.one_of(
+    st.builds(
+        QueryEvent,
+        st.sampled_from([EventKind.INSERT, EventKind.DELETE]),
+        st.builds(BandJoinQuery, intervals, qid=i64),
+    ),
+    st.builds(
+        QueryEvent,
+        st.just(EventKind.INSERT),
+        st.builds(SelectJoinQuery, intervals, intervals, qid=i64),
+    ),
+)
+
 encoded_frames = st.one_of(
     shard_entries(max_size=6).map(frames.encode_batch_frame),
     seq_results().map(lambda results: frames.encode_result_frame(0.5, results)),
     telemetry_payloads().map(frames.encode_telemetry_frame),
+    control_events.map(frames.encode_control_frame),
 )
 
 
@@ -401,3 +423,157 @@ class TestTruncation:
         for cut in range(len(payload)):
             with pytest.raises(frames.FrameError):
                 frames.decode_frame(payload[:cut])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            struct.pack("<Bqdd", 5, 1, 2.0, 1.0),  # SUB band, lo > hi
+            struct.pack("<Bqdd", 5, 1, float("nan"), 1.0),
+            struct.pack("<Bqdddd", 6, 1, 0.0, 1.0, 9.0, 3.0),  # SUB select
+            struct.pack("<Bqdddd", 6, 1, 0.0, float("nan"), 3.0, 9.0),
+            struct.pack("<Bq", 7, 1) + b"\x00",  # UNSUB + a trailing byte
+            bytes([9]) + b"\x00" * 8,  # no such record tag
+        ],
+        ids=[
+            "band-inverted",
+            "band-nan",
+            "select-inverted",
+            "select-nan",
+            "unsub-trailing-byte",
+            "unknown-tag",
+        ],
+    )
+    def test_malformed_control_record_raises_frame_error(self, record):
+        """The worker catches ``FrameError`` only: a CONTROL body the
+        record table or the engine's value types refuse must not surface
+        as ``CodecError`` or ``ValueError``."""
+        header = bytes([frames.FRAME_CONTROL, frames.FRAME_VERSION])
+        with pytest.raises(frames.FrameError):
+            frames.decode_frame(header + record)
+
+    def test_non_utf8_telemetry_name_raises_frame_error(self):
+        payload = frames.TelemetryPayload(pid=1, shard=0, counters={"abcd": 1})
+        encoded = frames.encode_telemetry_frame(payload)
+        assert encoded.count(b"abcd") == 1
+        with pytest.raises(frames.FrameError):
+            frames.decode_frame(encoded.replace(b"abcd", b"ab\xff\xfe"))
+
+
+# One frame of each body-carrying type as the PR-20 encoders wrote it
+# (FRAME_VERSION 3): the wire format is pinned, not merely self-consistent.
+GOLDEN_BATCH = (
+    "010301efcdab000000000034120000000000000500000001030000000a000000"
+    "000000000b000000000000000c00000000000000010000000000000002000000"
+    "000000000300000000000000000000000000e03f000000000000044000000000"
+    "000010c0000000000000f83f0000000000000c40000000000000204065000000"
+    "0000000066000000000000006700000000000000ffffffffffff04020000000d"
+    "000000000000000e000000000000000400000000000000050000000000000000"
+    "000000000018400000000000001a400000000000001c40000000000080514068"
+    "00000000000000690000000000000001000000"
+)
+GOLDEN_RESULT = (
+    "0203000000000000e03f02000000010100000000000000000000000000004000"
+    "000000000008400202000000000000000000000000000000000000000000f03f"
+    "0200000000000000000000000100000000000000070000000000000008000000"
+    "000000000101010000000200000003000000000000000000000001000000"
+)
+GOLDEN_CONTROL = (
+    "0303060c00000000000000000000000000000000000000000014400000000000"
+    "0000400000000000002240"
+)
+GOLDEN_TELEMETRY = (
+    "0703921000000000000001000000efcdab000000000002000000010000000c00"
+    "776f726b65722e6261746368e803000000000000fa000000000000004d000000"
+    "0000000009000000000000003412000000000000efcdab00000000000c000000"
+    "7b226576656e7473223a357d0100000016007472616e73706f72742f6672616d"
+    "655f6572726f72730300000000000000010000000c006f62732f68656164726f"
+    "6f6d000000000000d03f010000001d00776f726b65722f6532652f696e676573"
+    "745f746f5f6170706c795f757302000000000000000000000000003e40000000"
+    "0000002440000000000000344002000000040001000000000000000500010000"
+    "0000000000"
+)
+
+
+class TestGoldenBytes:
+    def test_batch(self):
+        entries = [
+            (10, DataEvent(EventKind.INSERT, "R", RTuple(1, 0.5, 1.5)), -1),
+            (11, DataEvent(EventKind.INSERT, "R", RTuple(2, 2.5, 3.5)), -1),
+            (12, DataEvent(EventKind.INSERT, "R", RTuple(3, -4.0, 8.0)), -1),
+            (13, DataEvent(EventKind.DELETE, "S", STuple(4, 6.0, 7.0)), 1),
+            (14, DataEvent(EventKind.DELETE, "S", STuple(5, 6.5, 70.0)), 0),
+        ]
+        encoded = frames.encode_batch_frame(
+            entries,
+            ingest_ns=[101, 102, 103, 104, 105],
+            trace_id=0xABCDEF,
+            parent_span_id=0x1234,
+            want_telemetry=True,
+        )
+        assert encoded.hex() == GOLDEN_BATCH
+        __, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_BATCH))
+        assert decoded.entries == entries
+        assert decoded.ingest_ns == (101, 102, 103, 104, 105)
+        assert (decoded.trace_id, decoded.parent_span_id) == (0xABCDEF, 0x1234)
+        assert decoded.want_telemetry is True
+
+    def test_result(self):
+        results = [
+            (0, {7: [_shared_row]}),
+            (1, {8: [_shared_row, STuple(2, 0.0, 1.0)]}),
+        ]
+        assert frames.encode_result_frame(0.5, results).hex() == GOLDEN_RESULT
+        assert frames.decode_frame(bytes.fromhex(GOLDEN_RESULT)) == (
+            frames.FRAME_RESULT,
+            (0.5, results),
+        )
+
+    def test_control(self):
+        query = SelectJoinQuery(Interval(0.0, 5.0), Interval(2.0, 9.0), qid=12)
+        event = QueryEvent(EventKind.INSERT, query)
+        assert frames.encode_control_frame(event).hex() == GOLDEN_CONTROL
+        frame_type, record = frames.decode_frame(bytes.fromhex(GOLDEN_CONTROL))
+        assert frame_type == frames.FRAME_CONTROL
+        assert record.kind is EventKind.INSERT and record.query.qid == 12
+        assert (record.query.range_a, record.query.range_c) == (
+            query.range_a,
+            query.range_c,
+        )
+
+    def test_telemetry(self):
+        payload = frames.TelemetryPayload(
+            pid=4242,
+            shard=1,
+            trace_id=0xABCDEF,
+            spans_dropped=2,
+            spans=[
+                SpanRecord(
+                    name="worker.batch",
+                    ts_ns=1000,
+                    dur_ns=250,
+                    tid=77,
+                    args={"events": 5},
+                    pid=4242,
+                    trace_id=0xABCDEF,
+                    span_id=9,
+                    parent_id=0x1234,
+                )
+            ],
+            counters={"transport/frame_errors": 3},
+            gauges={"obs/headroom": 0.25},
+            histograms={
+                "worker/e2e/ingest_to_apply_us": frames.HistogramDelta(
+                    count=2,
+                    total=30.0,
+                    min_value=10.0,
+                    max_value=20.0,
+                    buckets=[(4, 1), (5, 1)],
+                )
+            },
+        )
+        assert frames.encode_telemetry_frame(payload).hex() == GOLDEN_TELEMETRY
+        __, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_TELEMETRY))
+        assert decoded.counters == payload.counters
+        assert decoded.gauges == payload.gauges
+        assert decoded.histograms == payload.histograms
+        assert frames.encode_telemetry_frame(decoded).hex() == GOLDEN_TELEMETRY

@@ -2,9 +2,9 @@
 
 ``mypy --strict`` must pass on repro.core, repro.dstruct, repro.fastpath,
 repro.runtime, repro.analysis, repro.obs, repro.durability, repro.check,
-and repro.bench (configuration in pyproject.toml — the relaxed override
-loosens only ``disallow_untyped_calls`` for the packages that
-deliberately call the not-yet-annotated engine/operator layer through an
+repro.bench and the repro.wire module (configuration in pyproject.toml —
+the relaxed override loosens only ``disallow_untyped_calls`` for the
+packages that deliberately call the not-yet-annotated engine/operator layer through an
 ``Any`` boundary).  mypy is a CI-only dependency; locally the mypy run
 skips when it is not installed, and CI runs mypy directly as well.
 """
@@ -29,6 +29,9 @@ STRICT_PACKAGES = (
     "repro.bench",
 )
 
+#: Single modules under the same gate (``-m``, no ``.*`` glob).
+STRICT_MODULES = ("repro.wire",)
+
 #: Strict packages allowed to call into the unchecked engine/operator
 #: layer (``disallow_untyped_calls = false``); everything else in the
 #: gate must not grow such calls.
@@ -37,6 +40,7 @@ UNTYPED_CALL_CARVEOUT = (
     "repro.durability.*",
     "repro.check.*",
     "repro.bench.*",
+    "repro.wire",
 )
 
 
@@ -50,6 +54,8 @@ def test_mypy_config_declares_the_gate():
     strict = next(o for o in overrides if o.get("strict"))
     for pkg in STRICT_PACKAGES:
         assert f"{pkg}.*" in strict["module"], f"{pkg} fell out of the gate"
+    for mod in STRICT_MODULES:
+        assert mod in strict["module"], f"{mod} fell out of the gate"
     relaxed = next(
         o for o in overrides if o.get("disallow_untyped_calls") is False
     )
@@ -73,6 +79,7 @@ def test_mypy_config_declares_the_gate():
         "repro.runtime.transport.worker",
         "repro.durability.wal",
         "repro.durability.manager",
+        "repro.wire",
         "repro.check.runner",
         "repro.bench.batch_fastpath",
     ):
@@ -85,5 +92,7 @@ def test_strict_packages_pass_mypy():
     args = [sys.executable, "-m", "mypy"]
     for pkg in STRICT_PACKAGES:
         args += ["-p", pkg]
+    for mod in STRICT_MODULES:
+        args += ["-m", mod]
     proc = subprocess.run(args, cwd=REPO_ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
