@@ -22,7 +22,8 @@ construction):
   sequence plane.
 
 Metrics (registered under ``durability/``): ``wal_append_seconds``
-(histogram), ``wal_fsync_total`` (counter, incremented by the WAL),
+(histogram; folded in at :meth:`sync` and :meth:`close`, so it covers the
+appends up to the last batch boundary), ``wal_fsync_total`` (counter, by the WAL),
 ``checkpoint_duration_seconds`` (histogram), ``checkpoints_total``,
 ``recovered_events_total`` and ``wal_torn_tail_total`` (counters; the last
 counts attaches that recovered across a torn final record).
@@ -36,6 +37,7 @@ number.
 from __future__ import annotations
 
 import time
+from math import inf
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -77,6 +79,8 @@ class DurabilityManager:
         self._checkpoint_seconds = self.metrics.histogram(
             "durability/checkpoint_duration_seconds"
         )
+        # Sub-second append timings since the last sync: count, total, min, max.
+        self._appends = (0, 0.0, inf, 0.0)
         self._wal: Optional[WriteAheadLog] = None
         self._replaying = False
         self._events_since_checkpoint = 0
@@ -132,6 +136,7 @@ class DurabilityManager:
         if self._closed:
             return
         self._closed = True
+        self._fold_append_seconds()
         if self._wal is not None:
             self._wal.close()
 
@@ -156,13 +161,28 @@ class DurabilityManager:
         with self.tracer.span("wal.append"):
             start = time.perf_counter()
             seq = self._wal.append(payload)
-            self._append_seconds.observe(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+        if elapsed < 1.0:
+            # Log2 bucket 0 is [0, 1): count and extent say it all, per sync.
+            count, total, low, high = self._appends
+            self._appends = (count + 1, total + elapsed, min(low, elapsed), max(high, elapsed))
+        else:
+            self._append_seconds.observe(elapsed)
         self._events_since_checkpoint += 1
         return seq
+
+    def _fold_append_seconds(self) -> None:
+        count, total, low, high = self._appends
+        if count:
+            self._append_seconds.merge_delta(
+                count=count, total=total, min_value=low, max_value=high, buckets=[(0, count)]
+            )
+            self._appends = (0, 0.0, inf, 0.0)
 
     def sync(self) -> None:
         """Durability barrier before a batch is applied (fsync under the
         ``batch`` policy; no-op under ``never``)."""
+        self._fold_append_seconds()
         if self._wal is not None:
             with self.tracer.span("wal.sync"):
                 self._wal.sync()

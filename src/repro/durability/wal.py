@@ -254,9 +254,9 @@ class WriteAheadLog:
         self._next_seq += 1
         frame = _FRAME.pack(len(payload), _crc(seq, payload), seq)
         assert self._file is not None
-        self._file.write(frame)
-        self._file.write(payload)
-        self._active_bytes += len(frame) + len(payload)
+        record = frame + payload
+        self._file.write(record)
+        self._active_bytes += len(record)
         self._dirty = True
         if self.fsync_policy == "always":
             self._fsync()

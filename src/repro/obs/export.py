@@ -142,6 +142,7 @@ _HELP_RULES: Tuple[Tuple[str, str], ...] = (
     ("spans_dropped", "Tracing spans lost to ring-buffer overflow."),
     ("frame_errors", "Malformed frames or worker ERROR reports seen on the shm transport."),
     ("ring_timeouts", "Shm ring sends or response waits that hit their deadline."),
+    ("crc_retries", "Re-reads of a response frame whose bytes did not validate at first."),
     ("wal_torn_tail", "Recoveries that found and sealed a torn final WAL record."),
     ("queue_depth", "Pending events in the ingress micro-batcher."),
     ("batch_size", "Events per flushed micro-batch."),

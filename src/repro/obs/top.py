@@ -201,6 +201,7 @@ def render_dashboard(
         f"   ring timeouts {_counter(metrics, 'transport/ring_timeouts'):,}"
         f"   torn WAL tails {_counter(metrics, 'durability/wal_torn_tail_total'):,}"
         f"   dropped events {_counter(metrics, 'pipeline/events_dropped'):,}"
+        f"   crc retries {_counter(metrics, 'transport/crc_retries'):,}"
     )
 
     indices = shard_indices(metrics)

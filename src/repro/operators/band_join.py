@@ -40,6 +40,7 @@ from repro.dstruct.interval_tree import IntervalTree
 from repro.dstruct.sorted_list import SortedKeyList
 from repro.engine.queries import BandJoinQuery, band_interval
 from repro.engine.table import RTuple, STuple, TableR, TableS
+from repro.fastpath import band as band_probe
 
 BandResults = Dict[BandJoinQuery, List[STuple]]
 RBandResults = Dict[BandJoinQuery, List[RTuple]]
@@ -323,20 +324,18 @@ class BJSSI(BandJoinStrategy):
         """Batch fast path: probe a run of R-tuples against the current S
         state in one pass over the group table.  Delta-identical to calling
         :meth:`process_r` per tuple (against unchanged tables)."""
-        from repro.fastpath.band import batch_probe_band_r
-
         results: List[BandResults] = [{} for _ in rs]
-        points, structures = self._ssi.group_table()
-        batch_probe_band_r(self.table_s.by_b, rs, points, structures, results)
+        if self._queries:
+            points, structures = self._ssi.group_table()
+            band_probe.batch_probe_band_r(self.table_s.by_b, rs, points, structures, results)
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
         """Symmetric batch fast path for a run of S-tuples."""
-        from repro.fastpath.band import batch_probe_band_s
-
         results: List[RBandResults] = [{} for _ in ss]
-        points, structures = self._ssi.group_table()
-        batch_probe_band_s(self.table_r.by_b, ss, points, structures, results)
+        if self._queries:
+            points, structures = self._ssi.group_table()
+            band_probe.batch_probe_band_s(self.table_r.by_b, ss, points, structures, results)
         return results
 
 

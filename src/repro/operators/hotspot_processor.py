@@ -31,11 +31,14 @@ from repro.engine.queries import (
     range_c_interval,
 )
 from repro.engine.table import RTuple, STuple, TableR, TableS
+from repro.fastpath import band as band_probe
 from repro.fastpath import select as select_probe
 from repro.operators.band_join import (
     BandResults,
+    RBandResults,
     _BandGroupIndex,
     probe_band_group_r,
+    probe_band_group_s,
 )
 from repro.operators.select_join import (
     RSelectResults,
@@ -171,6 +174,8 @@ class HotspotSelectJoinProcessor:
         Delta-identical to per-event :meth:`process_r` against unchanged
         tables."""
         results: List[SelectResults] = [{} for _ in rs]
+        if not self._queries:
+            return results
         groups = self.tracker.hotspot_groups
         points = [group.stabbing_point for group in groups]
         columns = [self._hot_columns[id(group)] for group in groups]
@@ -183,9 +188,10 @@ class HotspotSelectJoinProcessor:
         """Batch S-arrival processing: the same probe with no groups (the
         tracker is keyed on rangeC) and every query in the columns."""
         results: List[RSelectResults] = [{} for _ in ss]
-        select_probe.batch_probe_select_s(
-            self.table_r.by_ba, ss, (), (), results, self._columns_s
-        )
+        if self._queries:
+            select_probe.batch_probe_select_s(
+                self.table_r.by_ba, ss, (), (), results, self._columns_s
+            )
         return results
 
     def validate(self) -> None:
@@ -310,11 +316,17 @@ class HotspotBandJoinProcessor:
                 results[query] = hits
         return results
 
-    def process_s(self, s: STuple):
-        """Symmetric S-arrival processing: per-query window scan over R
-        (traditional; the hotspot structures group R-side probes only)."""
-        results = {}
-        for query in self._queries.values():
+    def process_s(self, s: STuple) -> RBandResults:
+        """The mirror of :meth:`process_r`: one BJ-SSI group probe of R(B)
+        per hotspot (a band's stabbing group does not depend on which side
+        arrives), a window scan per scattered query."""
+        results: RBandResults = {}
+        for group in self.tracker.hotspot_groups:
+            probe_band_group_s(
+                self.table_r.by_b, s, group.stabbing_point,
+                self._hot_indexes[id(group)], results,
+            )
+        for query in self._scattered.values():
             window = query.r_window(s)
             hits = self.table_r.by_b.range_values(window.lo, window.hi)
             if hits:
@@ -326,35 +338,27 @@ class HotspotBandJoinProcessor:
         scattered queries run their window scans with per-query state
         hoisted.  Delta-identical to per-event :meth:`process_r` against
         unchanged tables."""
-        from repro.fastpath.band import batch_probe_band_r
+        return self._process_batch(rs, self.table_s.by_b, r_side=True)
 
-        results: List[BandResults] = [{} for _ in rs]
-        groups = self.tracker.hotspot_groups
+    def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
+        """The mirror of :meth:`process_r_batch` for a run of S-tuples,
+        delta-identical to per-event :meth:`process_s`."""
+        return self._process_batch(ss, self.table_r.by_b, r_side=False)
+
+    def _process_batch(self, rows: Sequence, by_b, *, r_side: bool) -> List:
+        results: List[Dict] = [{} for _ in rows]
+        groups = self.tracker.hotspot_groups if self._queries else ()
         if groups:
             points = [group.stabbing_point for group in groups]
             structures = [self._hot_indexes[id(group)] for group in groups]
-            batch_probe_band_r(self.table_s.by_b, rs, points, structures, results)
-        by_b = self.table_s.by_b
-        for query in self._scattered.values():
+            probe = band_probe.batch_probe_band_r if r_side else band_probe.batch_probe_band_s
+            probe(by_b, rows, points, structures, results)
+        for query in self._scattered.values():  # queries outer, rows inner
             band = query.band
-            lo = band.lo
-            hi = band.hi
-            for i, r in enumerate(rs):
-                hits = by_b.range_values(lo + r.b, hi + r.b)
-                if hits:
-                    results[i][query] = hits
-        return results
-
-    def process_s_batch(self, ss: Sequence[STuple]) -> List:
-        """Batch S-arrival processing: queries outer, rows inner."""
-        results: List[Dict] = [{} for _ in ss]
-        by_b = self.table_r.by_b
-        for query in self._queries.values():
-            band = query.band
-            lo = band.lo
-            hi = band.hi
-            for i, s in enumerate(ss):
-                hits = by_b.range_values(s.b - hi, s.b - lo)
+            # An S arrival scans [b - hi, b - lo]: the same sums, ends negated.
+            lo, hi = (band.lo, band.hi) if r_side else (-band.hi, -band.lo)
+            for i, row in enumerate(rows):
+                hits = by_b.range_values(lo + row.b, hi + row.b)
                 if hits:
                     results[i][query] = hits
         return results

@@ -282,8 +282,9 @@ class SJSSI(SelectJoinStrategy):
         state in one pass over the rangeC group table.  Delta-identical to
         calling :meth:`process_r` per tuple (against unchanged tables)."""
         results: List[SelectResults] = [{} for _ in rs]
-        points, groups = self._ssi_c.group_table()
-        select_probe.batch_probe_select_r(self.table_s.by_bc, rs, points, groups, results)
+        if self._queries:
+            points, groups = self._ssi_c.group_table()
+            select_probe.batch_probe_select_r(self.table_s.by_bc, rs, points, groups, results)
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RSelectResults]:
@@ -291,8 +292,9 @@ class SJSSI(SelectJoinStrategy):
         if self._ssi_a is None:
             raise RuntimeError("symmetric processing disabled for this SJSSI")
         results: List[RSelectResults] = [{} for _ in ss]
-        points, groups = self._ssi_a.group_table()
-        select_probe.batch_probe_select_s(self.table_r.by_ba, ss, points, groups, results)
+        if self._queries:
+            points, groups = self._ssi_a.group_table()
+            select_probe.batch_probe_select_s(self.table_r.by_ba, ss, points, groups, results)
         return results
 
     def validate(self) -> None:

@@ -217,20 +217,27 @@ class _ProcessShmBackend:
     def _await_raw(self, index: int) -> bytes:
         """Block for one response frame, failing fast if the worker died."""
         ring = self._responses[index]
+        retries = ring.crc_retries
         deadline = time.monotonic() + self._timeout
-        while True:
-            payload = ring.recv(timeout=0.05)
-            if payload is not None:
-                return payload
-            if not self._workers[index].is_alive():
-                raise TransportError(
-                    f"shard {index} worker exited "
-                    f"(exitcode {self._workers[index].exitcode}) mid-request"
-                )
-            if time.monotonic() >= deadline:
-                self.metrics.counter("transport/ring_timeouts").inc()
-                raise RingTimeoutError(
-                    f"no response from shard {index} within {self._timeout:.1f}s"
+        try:
+            while True:
+                payload = ring.recv(timeout=0.05)
+                if payload is not None:
+                    return payload
+                if not self._workers[index].is_alive():
+                    raise TransportError(
+                        f"shard {index} worker exited "
+                        f"(exitcode {self._workers[index].exitcode}) mid-request"
+                    )
+                if time.monotonic() >= deadline:
+                    self.metrics.counter("transport/ring_timeouts").inc()
+                    raise RingTimeoutError(
+                        f"no response from shard {index} within {self._timeout:.1f}s"
+                    )
+        finally:
+            if ring.crc_retries != retries:
+                self.metrics.counter("transport/crc_retries").inc(
+                    ring.crc_retries - retries
                 )
 
     def _decode(self, index: int, raw: bytes, expected: int) -> Any:
@@ -482,7 +489,10 @@ class EventPipeline:
         self._placements: Dict[int, List[int]] = {}
         self._callbacks: Dict[int, ResultCallback] = {}
         self._seq = 0
-        self._oldest_pending_at: Optional[float] = None
+        self._oldest_pending_at: Optional[float] = None  # only with max_delay
+        # Queue depth after each accepted event since the last fold (per
+        # flush); at most ``queue_capacity + 1`` ints, see ``submit``.
+        self._depths: List[int] = []
         self._sink: Optional[List[Tuple[int, DataEvent, Delta]]] = None
         self.dropped_seqs: List[int] = []
         self.rejected_seqs: List[int] = []
@@ -492,6 +502,23 @@ class EventPipeline:
         # the shards.  A successful re-submit of the insert clears the mark.
         # Assumes surrogate ids are not reused, as with the repo's generators.
         self._lost_rows: Set[Tuple[str, int]] = set()
+        # Resolved once: the data path never looks a metric up by name.
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._query_events = counter("pipeline/query_events")
+        self._events_submitted = counter("pipeline/events_submitted")
+        self._events_rejected = counter("pipeline/events_rejected")
+        self._events_dropped = counter("pipeline/events_dropped")
+        self._backpressure_blocks = counter("pipeline/backpressure_blocks")
+        self._results_produced = counter("pipeline/results_produced")
+        self._events_applied = counter("pipeline/events_applied")
+        self._batches = counter("pipeline/batches")
+        self._queue_depth = histogram("pipeline/queue_depth")
+        self._e2e_us = histogram("pipeline/e2e_us")
+        self._batch_size_hist = histogram("pipeline/batch_size")
+        self._shard_metrics = [
+            (histogram(f"shard/{i}/batch_us"), counter(f"shard/{i}/events"), histogram(f"shard/{i}/e2e_us"))
+            for i in range(num_shards)
+        ]
         per_shard_alpha = scaled_alpha(alpha, num_shards)
         self._backend: _Backend
         if mode == "inline":
@@ -524,7 +551,9 @@ class EventPipeline:
         if query.qid in self._placements:
             raise ValueError(f"duplicate query id {query.qid}")
         indices = self.router.shards_for_query(query)
-        self._log(QueryEvent(EventKind.INSERT, query))
+        # Validate-then-log: the WAL never sees a rejected subscription change.
+        if self.durability is not None:
+            self.durability.log_event(QueryEvent(EventKind.INSERT, query))
         self._backend.subscribe(indices, query)
         self._placements[query.qid] = indices
         self._queries[query.qid] = query
@@ -539,7 +568,8 @@ class EventPipeline:
         # copy, and the engine indexes subscriptions by object identity.
         query = self._queries.get(query.qid, query)
         indices = self._placements[query.qid]
-        self._log(QueryEvent(EventKind.DELETE, query))
+        if self.durability is not None:
+            self.durability.log_event(QueryEvent(EventKind.DELETE, query))
         self._backend.unsubscribe(indices, query)
         del self._placements[query.qid], self._queries[query.qid]
         self.router.note_query(query, indices, -1)
@@ -557,78 +587,82 @@ class EventPipeline:
     def submit(self, event: object) -> bool:
         """Enqueue one event.  Returns False iff the event was rejected by
         the ``reject`` backpressure policy."""
+        durability = self.durability
         if isinstance(event, QueryEvent):
-            self.metrics.counter("pipeline/query_events").inc()
+            self._query_events.inc()
             if event.kind is EventKind.INSERT:
                 self.subscribe(event.query)
             else:
                 self.unsubscribe(event.query)
-            self._maybe_checkpoint()
+            if durability is not None and durability.checkpoint_due:
+                durability.checkpoint(self)
             return True
         if not isinstance(event, DataEvent):
             raise TypeError(f"unsupported event type: {type(event).__name__}")
-        self._log(event)
+        if durability is not None:
+            # Log-before-apply (a no-op while recovery replays into us).
+            durability.log_event(event)
         seq = self._seq
         self._seq += 1
-        self.metrics.counter("pipeline/events_submitted").inc()
+        self._events_submitted.inc()
         if self._lost_rows and event.kind is EventKind.DELETE:
             key = _row_key(event)
             if key in self._lost_rows:
                 self._lost_rows.discard(key)
                 if self.backpressure is BackpressurePolicy.REJECT:
-                    self.metrics.counter("pipeline/events_rejected").inc()
+                    self._events_rejected.inc()
                     self.rejected_seqs.append(seq)
                     return False
-                self.metrics.counter("pipeline/events_dropped").inc()
+                self._events_dropped.inc()
                 self.dropped_seqs.append(seq)
                 return True
-        if len(self._batcher) >= self.queue_capacity:
+        batcher = self._batcher
+        pending = len(batcher)
+        if pending >= self.queue_capacity:
             if self.backpressure is BackpressurePolicy.REJECT:
                 if event.kind is EventKind.INSERT:
                     self._lost_rows.add(_row_key(event))
-                self.metrics.counter("pipeline/events_rejected").inc()
+                self._events_rejected.inc()
                 self.rejected_seqs.append(seq)
                 return False
             if self.backpressure is BackpressurePolicy.DROP_OLDEST:
-                dropped = self._batcher.drop_oldest()
+                dropped = batcher.drop_oldest()
                 if dropped is not None:
                     if dropped.event.kind is EventKind.INSERT:
                         self._lost_rows.add(_row_key(dropped.event))
-                    self.metrics.counter("pipeline/events_dropped").inc()
+                    self._events_dropped.inc()
                     self.dropped_seqs.append(dropped.seq)
+                if len(self._depths) > self.queue_capacity:
+                    # A queue that only ever evicts never flushes: fold
+                    # here so the depth list stays bounded.
+                    self._fold_depths()
             else:  # BLOCK: make room by processing a batch now.
-                self.metrics.counter("pipeline/backpressure_blocks").inc()
+                self._backpressure_blocks.inc()
                 self.flush()
+            pending = len(batcher)
         if self._lost_rows and event.kind is EventKind.INSERT:
             self._lost_rows.discard(_row_key(event))
-        if not len(self._batcher):
+        max_delay = self.max_delay
+        if max_delay is not None and not pending:
             self._oldest_pending_at = time.monotonic()
-        self._batcher.add(
-            BatchEntry(seq, event, ingest_ns=time.perf_counter_ns())
-        )
-        self.metrics.histogram("pipeline/queue_depth").observe(len(self._batcher))
-        if self._batcher.is_due or self._deadline_exceeded():
+        batcher.add(BatchEntry(seq, event, ingest_ns=time.perf_counter_ns()))
+        pending += 1
+        self._depths.append(pending)
+        if pending >= batcher.max_batch or (
+            max_delay is not None
+            and self._oldest_pending_at is not None
+            and time.monotonic() - self._oldest_pending_at >= max_delay
+        ):
             self.flush()
-        self._maybe_checkpoint()
+        if durability is not None and durability.checkpoint_due:
+            durability.checkpoint(self)
         return True
 
-    def _log(self, event: object) -> None:
-        """Log-before-apply: the WAL sees an accepted event before any
-        shard does, and never sees a rejected subscription change.  (The
-        manager ignores the call while recovery replays into this pipeline.)"""
-        if self.durability is not None:
-            self.durability.log_event(event)
-
-    def _maybe_checkpoint(self) -> None:
-        if self.durability is not None and self.durability.checkpoint_due:
-            self.durability.checkpoint(self)
-
-    def _deadline_exceeded(self) -> bool:
-        return (
-            self.max_delay is not None
-            and self._oldest_pending_at is not None
-            and time.monotonic() - self._oldest_pending_at >= self.max_delay
-        )
+    def _fold_depths(self) -> None:
+        """``pipeline/queue_depth`` catches up: one ``observe`` per event."""
+        if self._depths:
+            self._queue_depth.merge_delta(**_histogram_delta(self._depths))
+            self._depths.clear()
 
     @property
     def pending(self) -> int:
@@ -645,6 +679,7 @@ class EventPipeline:
         """Process one pending batch; returns ``(seq, event, deltas)`` in
         arrival order (empty if nothing was pending)."""
         batch = self._batcher.drain(coalesce=self.coalesce)
+        self._fold_depths()
         if not batch:
             return []
         with self.tracer.span("batch", events=len(batch)):
@@ -657,50 +692,63 @@ class EventPipeline:
             # Batch-boundary durability barrier: every event a shard is
             # about to apply is already on media (fsync policy permitting).
             self.durability.sync()
-        self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
+        if self.max_delay is not None:
+            self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
         route, note = self.router.route_event, self.router.note_event
         entries: List[ShardEntry] = []
         for entry in batch:
             owner = route(entry.event)
             note(owner)
             entries.append((entry.seq, entry.event, owner))
-        by_seq: Dict[int, List[Delta]] = {entry.seq: [] for entry in batch}
         applied = self._backend.apply_batch(
             entries, [entry.ingest_ns for entry in batch]
         )
+        # Only the parts that hold a delta: an event no shard answered
+        # (most of them, on most shards) needs no slot and no merge.
+        parts: Dict[int, List[Delta]] = {}
         for index, (elapsed, results) in sorted(applied.items()):
-            self.metrics.histogram(f"shard/{index}/batch_us").observe(elapsed * 1e6)
+            batch_us, events, __ = self._shard_metrics[index]
+            batch_us.observe(elapsed * 1e6)
             # Every data event reaches every shard.
-            self.metrics.counter(f"shard/{index}/events").inc(len(batch))
+            events.inc(len(batch))
             for seq, deltas in results:
-                by_seq[seq].append(deltas)
+                if deltas:
+                    parts.setdefault(seq, []).append(deltas)
         out: List[Tuple[int, DataEvent, Delta]] = []
         callbacks = self._callbacks
         result_rows = 0
         e2e_us: List[float] = []
+        # End-to-end latency: ingress stamp → delta emission, which moves
+        # only when a callback ran — one clock read per batch plus those.
+        now = time.perf_counter_ns()
         for entry in batch:
-            merged = merge_deltas(by_seq[entry.seq])
-            for query, matches in merged.items():
-                result_rows += len(matches)
-                callback = callbacks.get(query.qid)
-                if callback is not None:
-                    callback(query, entry.event.row, matches)
-            # End-to-end latency: ingress stamp → delta emission (now,
-            # after this event's callbacks ran).
+            merged: Delta = {}
+            answered = parts.get(entry.seq)
+            if answered is not None:
+                merged = merge_deltas(answered)
+                called = False
+                for query, matches in merged.items():
+                    result_rows += len(matches)
+                    callback = callbacks.get(query.qid)
+                    if callback is not None:
+                        callback(query, entry.event.row, matches)
+                        called = True
+                if called:
+                    now = time.perf_counter_ns()
             if entry.ingest_ns:
-                e2e_us.append((time.perf_counter_ns() - entry.ingest_ns) / 1_000.0)
+                e2e_us.append((now - entry.ingest_ns) / 1_000.0)
             out.append((entry.seq, entry.event, merged))
-        self.metrics.counter("pipeline/results_produced").inc(result_rows)
+        self._results_produced.inc(result_rows)
         if e2e_us:
             # One fold per batch, globally and per shard: an event's latency
             # is the same number on every shard it was routed to — all of them.
             e2e = _histogram_delta(e2e_us)
-            self.metrics.histogram("pipeline/e2e_us").merge_delta(**e2e)
+            self._e2e_us.merge_delta(**e2e)
             for index in applied:
-                self.metrics.histogram(f"shard/{index}/e2e_us").merge_delta(**e2e)
-        self.metrics.counter("pipeline/events_applied").inc(len(batch))
-        self.metrics.counter("pipeline/batches").inc()
-        self.metrics.histogram("pipeline/batch_size").observe(len(batch))
+                self._shard_metrics[index][2].merge_delta(**e2e)
+        self._events_applied.inc(len(batch))
+        self._batches.inc()
+        self._batch_size_hist.observe(len(batch))
         if self._sink is not None:
             self._sink.extend(out)
         return out

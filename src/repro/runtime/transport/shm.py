@@ -128,6 +128,7 @@ class ShmRing:
         "_next_tail",
         "_next_head",
         "_doorbell",
+        "crc_retries",
     )
 
     def __init__(
@@ -158,6 +159,8 @@ class ShmRing:
         # micro-benchmarks) works because the roles keep separate slots.
         self._next_tail = 0  # guarded-by: spsc:send
         self._next_head = 0  # guarded-by: spsc:recv
+        #: Re-reads ``recv`` made of a frame that did not validate yet.
+        self.crc_retries = 0  # guarded-by: spsc:recv
 
     # -- construction --------------------------------------------------------
 
@@ -345,6 +348,7 @@ class ShmRing:
                     f"frame at ring offset {head} failed validation "
                     f"(length={length}) for {_CORRUPTION_GRACE:.3f}s"
                 )
+            self.crc_retries += 1
             time.sleep(_WAIT_FLOOR)
         self._next_head = head + _FRAME.size + length
         _U64.pack_into(self._buf, _OFF_HEAD, self._next_head)

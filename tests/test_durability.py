@@ -519,6 +519,14 @@ class TestRecovery:
         (segment,) = list_segments(tmp_path / "now")
         assert segment.read_bytes().hex() == GOLDEN_WAL
 
+        # The same stream through the whole stack -- submit, log-before-apply,
+        # the manager's append -- leaves the same segment on disk.
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path / "stack", num_shards=2)
+        pipeline.run(OPS)
+        pipeline.close()
+        (segment,) = list_segments(tmp_path / "stack")
+        assert segment.read_bytes().hex() == GOLDEN_WAL
+
         then = tmp_path / "then"
         then.mkdir()
         segment_path(then, 0).write_bytes(bytes.fromhex(GOLDEN_WAL))

@@ -221,6 +221,134 @@ class TestHotspotBatch:
         assert_batches_match(processor.process_s_batch, processor.process_s, ss)
 
 
+def band_population(table_s, table_r, *, hot, scattered, alpha=0.1):
+    """A band processor with ``hot`` nested bands around difference 0 (one
+    stabbing group) and ``scattered`` disjoint ones; every endpoint is an
+    integer, so integer join keys land on closed endpoints exactly."""
+    processor = HotspotBandJoinProcessor(table_s, table_r, alpha=alpha)
+    for k in range(hot):
+        processor.add_query(BandJoinQuery(Interval(-1.0 - k, 2.0 + k)))
+    for k in range(scattered):
+        processor.add_query(BandJoinQuery(Interval(20.0 + 4 * k, 23.0 + 4 * k)))
+    return processor
+
+
+def integer_tables(rng, n_s=150, n_r=150):
+    table_s, table_r = TableS(), TableR()
+    for __ in range(n_s):
+        table_s.add(float(rng.randrange(0, 120)), rng.uniform(0, 100))
+    for __ in range(n_r):
+        table_r.add(rng.uniform(0, 100), float(rng.randrange(0, 120)))
+    return table_s, table_r
+
+
+def assert_band_runs_match(processor, rs, ss):
+    """Both sides of the band plane: batched deltas == the per-event probes'
+    (same queries, equally ordered row lists) == the brute-force oracle's."""
+    processor.validate()
+    r_deltas, s_deltas = processor.process_r_batch(rs), processor.process_s_batch(ss)
+    assert r_deltas == [processor.process_r(r) for r in rs]
+    assert s_deltas == [processor.process_s(s) for s in ss]
+    queries = list(processor._queries.values())
+    for r, delta in zip(rs, r_deltas):
+        want = {
+            q: sorted(s.sid for s in processor.table_s if q.band.contains(s.b - r.b))
+            for q in queries
+        }
+        got = {q: sorted(s.sid for s in hits) for q, hits in delta.items()}
+        assert got == {q: sids for q, sids in want.items() if sids}
+    for s, delta in zip(ss, s_deltas):
+        want = {
+            q: sorted(r.rid for r in processor.table_r if q.band.contains(s.b - r.b))
+            for q in queries
+        }
+        got = {q: sorted(r.rid for r in hits) for q, hits in delta.items()}
+        assert got == {q: rids for q, rids in want.items() if rids}
+
+
+class TestBandSymmetricProbe:
+    """The hotspot band plane probes per hot group on *both* sides: an S
+    arrival takes the BJ-SSI group probe of R(B) on the hotspots and the
+    window scan on the scattered remainder, like an R arrival of S(B)."""
+
+    def arrivals(self, rng, table_s, table_r, n=40):
+        rs = [table_r.new_row(rng.uniform(0, 100), float(rng.randrange(0, 120))) for __ in range(n)]
+        ss = [table_s.new_row(float(rng.randrange(0, 120)), rng.uniform(0, 100)) for __ in range(n)]
+        return rs, ss
+
+    @pytest.mark.parametrize(
+        "hot, scattered", [(12, 0), (0, 30), (12, 30)], ids=["hot-only", "scattered-only", "mixed"]
+    )
+    def test_populations_match_per_event_and_oracle(self, kernel, hot, scattered):
+        rng = random.Random(31)
+        table_s, table_r = integer_tables(rng)
+        processor = band_population(table_s, table_r, hot=hot, scattered=scattered)
+        assert bool(processor._hot_indexes) == bool(hot)
+        assert len(processor._scattered) == scattered
+        rs, ss = self.arrivals(rng, table_s, table_r)
+        assert_band_runs_match(processor, rs, ss)
+        for size in BATCH_SIZES:
+            assert processor.process_s_batch(ss[:size]) == [processor.process_s(s) for s in ss[:size]]
+
+    def test_across_a_promotion_and_a_demotion(self, kernel):
+        rng = random.Random(32)
+        table_s, table_r = integer_tables(rng)
+        processor = band_population(table_s, table_r, hot=0, scattered=30, alpha=0.2)
+        rs, ss = self.arrivals(rng, table_s, table_r)
+        cluster = [BandJoinQuery(Interval(-2.0 - k, 1.0 + k)) for k in range(12)]
+        assert not processor._hot_indexes
+        for query in cluster:
+            processor.add_query(query)
+        assert processor._hot_indexes, "the nested bands should have been promoted"
+        assert_band_runs_match(processor, rs, ss)
+        for query in cluster[:10]:
+            processor.remove_query(query)
+        assert not processor._hot_indexes, "the shrunken group should have been demoted"
+        assert_band_runs_match(processor, rs, ss)
+
+    def test_empty_tables(self, kernel):
+        processor = band_population(TableS(), TableR(), hot=12, scattered=12)
+        rs = [processor.table_r.new_row(1.0, float(b)) for b in range(5)]
+        ss = [processor.table_s.new_row(float(b), 1.0) for b in range(5)]
+        assert processor.process_s_batch(ss) == [{} for __ in ss]
+        assert_band_runs_match(processor, rs, ss)
+
+    def test_no_subscriptions(self, kernel):
+        rng = random.Random(33)
+        table_s, table_r = integer_tables(rng)
+        rs, ss = self.arrivals(rng, table_s, table_r, n=3)
+        for processor in (
+            HotspotBandJoinProcessor(table_s, table_r, alpha=0.1),
+            HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1),
+            BJSSI(table_s, table_r),
+            SJSSI(table_s, table_r),
+        ):
+            r_deltas, s_deltas = processor.process_r_batch(rs), processor.process_s_batch(ss)
+            assert r_deltas == [{}, {}, {}] and s_deltas == [{}, {}, {}]
+            assert len({id(d) for d in r_deltas + s_deltas}) == 6  # a fresh dict per row
+
+    @pytest.mark.parametrize("hot", [0, 12], ids=["scattered", "hot"])
+    def test_closed_band_endpoints_hit_exactly(self, kernel, hot):
+        # One band [-2, 3] among its group: s.b - r.b == 3 and == -2 match,
+        # one key further out on either side does not.
+        table_s, table_r = TableS(), TableR()
+        inside_hi, inside_lo = table_r.add(0.0, 7.0), table_r.add(0.0, 12.0)
+        table_r.add(0.0, 6.0)
+        table_r.add(0.0, 13.0)
+        processor = HotspotBandJoinProcessor(table_s, table_r, alpha=0.5)
+        band = BandJoinQuery(Interval(-2.0, 3.0))
+        processor.add_query(band)
+        for k in range(hot):  # narrower bands around 0: the group goes hot, they match nothing
+            processor.add_query(BandJoinQuery(Interval(-0.5 + k / 100, 0.5)))
+        for k in range(0 if hot else 4):  # far-off company: every group stays under alpha * n
+            processor.add_query(BandJoinQuery(Interval(100.0 + 10 * k, 101.0 + 10 * k)))
+        assert bool(processor._hot_indexes) == bool(hot)
+        s = table_s.new_row(10.0, 0.0)
+        assert processor.process_s(s) == {band: [inside_hi, inside_lo]}
+        assert processor.process_s_batch([s, s]) == [{band: [inside_hi, inside_lo]}] * 2
+        assert_band_runs_match(processor, [], [s])
+
+
 def hot_and_scattered(table_s, table_r, *, alpha=0.1, hot=12, scattered=12):
     """A processor with one hotspot on rangeC = [40, 60] and a scattered
     remainder of disjoint rangeC, every rangeA = [20, 50] or wider."""

@@ -13,6 +13,7 @@ from repro.engine.queries import (
     brute_force_select_join,
 )
 from repro.engine.table import TableR, TableS
+from repro.operators.band_join import BJQOuter
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
     HotspotSelectJoinProcessor,
@@ -166,3 +167,75 @@ class TestHotspotBandJoin:
     def test_coverage_reflects_clustering(self):
         __, __, __, processor, __ = self.make(seed=403)
         assert processor.hotspot_coverage > 0.5
+
+
+class TestHotspotBandJoinSSide:
+    """An S arrival probes per hot group too (the mirror of ``process_r``):
+    checked against a scan of R and against BJ-QOuter's per-query windows."""
+
+    def make(self, seed, *, clustered, alpha=0.05, n_queries=150, n_r=200):
+        rng = random.Random(seed)
+        table_s = TableS(order=4)
+        table_r = TableR(order=4)
+        for __ in range(n_r):
+            table_r.add(0.0, float(rng.randrange(0, 100)))
+        processor = HotspotBandJoinProcessor(table_s, table_r, alpha=alpha)
+        reference = BJQOuter(table_s, table_r)
+        for i in range(n_queries):
+            if rng.random() < clustered:
+                anchor = rng.choice([-5.0, 0.0, 5.0])
+                band = Interval(anchor - rng.randrange(0, 3), anchor + rng.randrange(0, 3))
+            else:  # pairwise disjoint: no stabbing group beyond one band
+                lo = -220.0 + 3 * i
+                band = Interval(lo, lo + rng.randrange(0, 3))
+            query = BandJoinQuery(band)
+            processor.add_query(query)
+            reference.add_query(query)
+        return rng, table_s, table_r, processor, reference
+
+    def check(self, rng, table_s, table_r, processor, reference, arrivals=25):
+        processor.validate()
+        for __ in range(arrivals):
+            s = table_s.new_row(float(rng.randrange(0, 100)), 0.0)
+            got = processor.process_s(s)
+            scan = {
+                query.qid: sorted(r.rid for r in table_r if query.band.contains(s.b - r.b))
+                for query in reference.queries
+            }
+            assert norm(got) == {qid: rids for qid, rids in scan.items() if rids}
+            # Equally ordered row lists, not just equal sets.
+            assert got == reference.process_s(s)
+            assert processor.process_s_batch([s]) == [got]
+
+    @pytest.mark.parametrize(
+        "clustered", [1.0, 0.0, 0.7], ids=["hot-only", "scattered-only", "mixed"]
+    )
+    def test_matches_scan_and_bj_qouter(self, clustered):
+        rng, table_s, table_r, processor, reference = self.make(411, clustered=clustered)
+        assert bool(processor._hot_indexes) == (clustered > 0)
+        assert bool(processor._scattered) == (clustered < 1)
+        self.check(rng, table_s, table_r, processor, reference)
+
+    def test_empty_r_table(self):
+        rng, table_s, table_r, processor, reference = self.make(412, clustered=0.7, n_r=0)
+        assert processor._hot_indexes and processor._scattered
+        s = table_s.new_row(50.0, 0.0)
+        assert processor.process_s(s) == {} == reference.process_s(s)
+        assert processor.process_s_batch([s, s]) == [{}, {}]
+
+    def test_across_promotions_and_demotions(self):
+        rng, table_s, table_r, processor, reference = self.make(
+            413, clustered=0.0, alpha=0.2, n_queries=30
+        )
+        assert not processor._hot_indexes
+        cluster = [BandJoinQuery(Interval(-2.0 - k, 1.0 + k)) for k in range(12)]
+        for query in cluster:
+            processor.add_query(query)
+            reference.add_query(query)
+        assert processor._hot_indexes
+        self.check(rng, table_s, table_r, processor, reference)
+        for query in cluster[:10]:
+            processor.remove_query(query)
+            reference.remove_query(query)
+        assert not processor._hot_indexes
+        self.check(rng, table_s, table_r, processor, reference)

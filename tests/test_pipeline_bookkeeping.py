@@ -1,0 +1,281 @@
+"""Bookkeeping on the data path is per batch, not per event.
+
+Two halves of one contract (``docs/RUNTIME.md`` § metrics):
+
+* **the rule, as a count** — registry look-ups by name and locked
+  ``Histogram.observe`` calls made while data events flow are bounded by a
+  small constant times the number of *batches*, never by the number of
+  events (host-speed independent: it counts calls, not seconds);
+* **equivalence** — folding per batch loses nothing: the final snapshot of
+  every pipeline metric equals what one recording per event gives, worked
+  out here from the stream and the batch boundaries by a model of the
+  ingress queue, under every backpressure policy.
+"""
+
+import random
+
+import pytest
+
+from repro.core.intervals import Interval
+from repro.durability import DurabilityManager
+from repro.engine.events import DataEvent, EventKind
+from repro.engine.queries import BandJoinQuery, SelectJoinQuery
+from repro.engine.table import RTuple, STuple
+from repro.runtime.metrics import Histogram, MetricsRegistry
+from repro.runtime.pipeline import EventPipeline
+
+FLUSH = None  # stream marker: the driver calls ``pipeline.flush()`` here
+
+
+def seeded_stream(seed, n, *, min_age=0, flush_every=0):
+    """``n`` data events: inserts into both relations and deletes of rows
+    inserted at least ``min_age`` events earlier (0 lets a delete meet its
+    own insert in the queue and coalesce), with a :data:`FLUSH` marker
+    after every ``flush_every`` events."""
+    rng = random.Random(seed)
+    live = []  # (position inserted, relation, row)
+    events = []
+    for position in range(n):
+        old = [item for item in live if position - item[0] >= min_age]
+        if old and rng.random() < 0.3:
+            item = rng.choice(old)
+            live.remove(item)
+            events.append(DataEvent(EventKind.DELETE, item[1], item[2]))
+        else:
+            b = float(rng.randrange(0, 200))
+            if rng.random() < 0.5:
+                relation, row = "R", RTuple(position, rng.uniform(0, 10_000), b)
+            else:
+                relation, row = "S", STuple(position, b, rng.uniform(0, 10_000))
+            live.append((position, relation, row))
+            events.append(DataEvent(EventKind.INSERT, relation, row))
+        if flush_every and (position + 1) % flush_every == 0:
+            events.append(FLUSH)
+    return events
+
+
+def subscribe_population(pipeline):
+    rng = random.Random(11)
+    for qid in range(4):
+        lo_a, lo_c = rng.uniform(0, 6_000), rng.uniform(0, 6_000)
+        pipeline.subscribe(
+            SelectJoinQuery(
+                Interval(lo_a, lo_a + 4_000), Interval(lo_c, lo_c + 4_000), qid=qid
+            )
+        )
+    for qid in range(4, 6):
+        pipeline.subscribe(BandJoinQuery(Interval(-3.0, 3.0 + qid), qid=qid))
+    return 6
+
+
+def drive(pipeline, events):
+    for event in events:
+        if event is FLUSH:
+            pipeline.flush()
+        else:
+            pipeline.submit(event)
+
+
+def row_key(event):
+    row = event.row
+    return (event.relation, row.rid if event.relation == "R" else row.sid)
+
+
+def per_event_model(events, *, policy, capacity, batch_size, flush_each=False):
+    """What the ingress queue does to ``events``, one event at a time.
+
+    Returns the queue depth after every accepted event (what a per-event
+    ``queue_depth.observe`` records) and the number of events evicted,
+    refused and handed to a flush.  A flush always empties the queue here:
+    every configuration below keeps it at or under one batch.
+    """
+    depths, queue, lost = [], [], set()
+    dropped = rejected = flushed = 0
+    for event in events:
+        if event is FLUSH:
+            flushed += len(queue)
+            queue = []
+            continue
+        key = row_key(event)
+        insert = event.kind is EventKind.INSERT
+        if not insert and key in lost:  # its insert never reached a shard
+            lost.discard(key)
+            if policy == "reject":
+                rejected += 1
+            else:
+                dropped += 1
+            continue
+        if len(queue) >= capacity:
+            if policy == "reject":
+                if insert:
+                    lost.add(key)
+                rejected += 1
+                continue
+            if policy == "drop-oldest":
+                evicted = queue.pop(0)
+                if evicted.kind is EventKind.INSERT:
+                    lost.add(row_key(evicted))
+                dropped += 1
+            else:  # block: the submit flushes to make room
+                flushed += len(queue)
+                queue = []
+        if insert:
+            lost.discard(key)
+        queue.append(event)
+        depths.append(len(queue))
+        if flush_each or len(queue) >= batch_size:
+            flushed += len(queue)
+            queue = []
+    return depths, dropped, rejected, flushed + len(queue)  # + the final drain
+
+
+def observed_per_event(values):
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    return histogram.snapshot()
+
+
+# -- the rule, as a count -------------------------------------------------------
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monkeypatch):
+    calls = {"lookup": 0, "observe": 0}
+
+    def counted(kind, original):
+        def wrapper(self, *args):
+            calls[kind] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(MetricsRegistry, "counter", counted("lookup", MetricsRegistry.counter))
+    monkeypatch.setattr(MetricsRegistry, "histogram", counted("lookup", MetricsRegistry.histogram))
+    monkeypatch.setattr(Histogram, "observe", counted("observe", Histogram.observe))
+
+    registry = MetricsRegistry()
+    manager = DurabilityManager(tmp_path, fsync="never", metrics=registry) if durable else None
+    events = seeded_stream(5, 2_000)
+    pipeline = EventPipeline(
+        num_shards=2, batch_size=64, mode="inline", metrics=registry, durability=manager
+    )
+    try:
+        if manager is not None:
+            manager.attach(pipeline)
+        subscribe_population(pipeline)
+        calls["lookup"] = calls["observe"] = 0
+        drive(pipeline, events)
+        pipeline.drain()
+        lookups, observes = calls["lookup"], calls["observe"]
+    finally:
+        pipeline.close()
+    counters = registry.snapshot()["counters"]
+    batches = counters["pipeline/batches"]
+    assert counters["pipeline/events_submitted"] == 2_000
+    assert 2_000 // 64 <= batches <= 2_000 // 64 + 1
+    # Per batch: a batch_us per shard and one batch_size; per event: nothing.
+    assert observes <= 4 * batches + 8, (observes, batches)
+    assert lookups <= 4 * batches + 8, (lookups, batches)
+
+
+# -- equivalence with per-event recording ------------------------------------------
+
+# Under drop-oldest and reject a delete targets a row from before the last
+# explicit flush (min_age > flush_every), so its insert was either applied
+# or refused by then -- never still queued, where an eviction could strand it.
+SCENARIOS = {
+    # name: (pipeline kwargs, stream kwargs)
+    "batches-of-64": (dict(batch_size=64), dict(min_age=0)),
+    "max-delay-0": (dict(batch_size=64, max_delay=0.0), dict(min_age=0)),
+    "block-on-full-queue": (
+        dict(batch_size=64, queue_capacity=5, backpressure="block"),
+        dict(min_age=8),
+    ),
+    "drop-oldest": (
+        dict(batch_size=64, queue_capacity=5, backpressure="drop-oldest"),
+        dict(min_age=40, flush_every=37),
+    ),
+    "reject": (
+        dict(batch_size=64, queue_capacity=5, backpressure="reject"),
+        dict(min_age=40, flush_every=37),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_final_snapshot_equals_per_event_recording(name):
+    pipeline_kwargs, stream_kwargs = SCENARIOS[name]
+    events = seeded_stream(9, 1_200, **stream_kwargs)
+    depths, dropped, rejected, flushed = per_event_model(
+        events,
+        policy=pipeline_kwargs.get("backpressure", "block"),
+        capacity=pipeline_kwargs.get("queue_capacity", 1024),
+        batch_size=pipeline_kwargs["batch_size"],
+        flush_each=pipeline_kwargs.get("max_delay") == 0.0,
+    )
+    if name in ("drop-oldest", "reject"):
+        assert dropped + rejected > 100  # the scenario does exercise its policy
+    registry = MetricsRegistry()
+    with EventPipeline(num_shards=2, mode="inline", metrics=registry, **pipeline_kwargs) as pipeline:
+        subscribe_population(pipeline)
+        drive(pipeline, events)
+        pipeline.drain()
+        applied = flushed - 2 * len(pipeline.cancelled_pairs)
+    snap = registry.snapshot()
+    counters, histograms = snap["counters"], snap["histograms"]
+    assert histograms["pipeline/queue_depth"] == observed_per_event(depths)
+    assert counters["pipeline/events_submitted"] == 1_200
+    assert counters.get("pipeline/events_dropped", 0) == dropped
+    assert counters.get("pipeline/events_rejected", 0) == rejected
+    assert counters["pipeline/events_applied"] == applied
+    assert histograms["pipeline/e2e_us"]["count"] == applied
+    assert histograms["pipeline/batch_size"]["count"] == counters["pipeline/batches"]
+    assert histograms["pipeline/batch_size"]["sum"] == applied
+    for index in range(2):
+        assert counters[f"shard/{index}/events"] == applied
+        assert histograms[f"shard/{index}/e2e_us"]["count"] == applied
+        assert histograms[f"shard/{index}/batch_us"]["count"] == counters["pipeline/batches"]
+
+
+def test_pending_depths_appear_with_the_flush_that_covers_them():
+    registry = MetricsRegistry()
+    events = seeded_stream(3, 70, min_age=100)  # inserts only: nothing coalesces
+    with EventPipeline(num_shards=2, batch_size=64, mode="inline", metrics=registry) as pipeline:
+        drive(pipeline, events[:10])
+        assert pipeline.pending == 10
+        # A reader between two flushes sees the previous batch boundary ...
+        assert registry.histogram("pipeline/queue_depth").count == 0
+        # ... except for what is counted as it happens.
+        assert registry.counter("pipeline/events_submitted").value == 10
+        drive(pipeline, events[10:])
+        assert pipeline.pending == 6
+        assert registry.histogram("pipeline/queue_depth").count == 64
+        pipeline.drain()
+        assert registry.histogram("pipeline/queue_depth").snapshot() == observed_per_event(
+            [*range(1, 65), *range(1, 7)]
+        )
+
+
+def test_wal_append_seconds_folds_at_sync_and_close(tmp_path):
+    registry = MetricsRegistry()
+    manager = DurabilityManager(tmp_path, fsync="never", metrics=registry)
+    events = seeded_stream(3, 70, min_age=100)
+    appends = registry.histogram("durability/wal_append_seconds")
+    pipeline = EventPipeline(
+        num_shards=2, batch_size=64, mode="inline", metrics=registry, durability=manager
+    )
+    try:
+        manager.attach(pipeline)
+        subscriptions = subscribe_population(pipeline)
+        drive(pipeline, events)
+        # The sync that opened the one flush so far covered every record
+        # logged before it: the subscriptions and the batch's 64 events.
+        assert appends.count == subscriptions + 64
+        assert manager.next_seq == subscriptions + 70
+    finally:
+        pipeline.close()
+    final = appends.snapshot()
+    assert final["count"] == subscriptions + 70  # one sample per logged record
+    assert 0.0 < final["min"] <= final["max"] <= final["sum"]
+    assert final["buckets"] == [[0, subscriptions + 70]]

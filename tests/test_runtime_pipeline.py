@@ -64,7 +64,7 @@ class TestBackpressure:
             pipeline.drain()
             snap = pipeline.metrics.snapshot()
             assert snap["counters"]["pipeline/backpressure_blocks"] == 1
-            # Lazily-created counters: never dropping means no counter at all.
+            # Resolved at construction: never dropping reads as zero.
             assert snap["counters"].get("pipeline/events_dropped", 0) == 0
             assert snap["counters"]["pipeline/events_applied"] == 8  # nothing lost
 

@@ -170,8 +170,11 @@ class TestRingValidation:
             _U64.pack_into(ring._shm.buf, _OFF_TAIL, _FRAME.size + len(payload))
             healer = threading.Thread(target=heal)
             healer.start()
+            assert ring.crc_retries == 0
             assert ring.recv(timeout=1.0) == payload
             healer.join()
+            # The re-reads that bridged the gap are counted, not silent.
+            assert ring.crc_retries >= 1
         finally:
             ring.close()
             ring.unlink()
@@ -298,6 +301,38 @@ class TestPipelineLifecycle:
                 backend._expect_ack(0)
             assert pipe.metrics.counter("transport/ring_timeouts").value == 1
             assert _workers(pipe)[0].is_alive()
+        finally:
+            pipe.close()
+
+
+    def test_transient_response_corruption_counts_crc_retries(self):
+        # A response whose bytes validate only on a re-read is delivered,
+        # and the re-reads surface as ``transport/crc_retries``.
+        pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
+        try:
+            backend = pipe._backend
+            ring = backend._responses[0]
+            query = BandJoinQuery(Interval(0.0, 1.0), qid=3)
+            backend._send(0, frames.encode_control_frame(QueryEvent(EventKind.INSERT, query)))
+            deadline = time.monotonic() + 10.0
+            while not ring.occupancy():  # the ACK is in the ring, unread
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            at = _DATA + ring._next_head % ring._capacity + _FRAME.size
+            good = ring._shm.buf[at]
+            ring._shm.buf[at] = good ^ 0xFF
+
+            def heal():
+                time.sleep(0.01)
+                ring._shm.buf[at] = good
+
+            healer = threading.Thread(target=heal)
+            healer.start()
+            backend._expect_ack(0)
+            healer.join(timeout=5.0)
+            assert not healer.is_alive()
+            assert ring.crc_retries >= 1
+            assert pipe.metrics.counter("transport/crc_retries").value == ring.crc_retries
         finally:
             pipe.close()
 
