@@ -17,7 +17,6 @@ import time
 
 from conftest import BASE
 
-from repro.bench.harness import emit_json
 from repro.engine.events import DataEvent, QueryEvent
 from repro.obs.tracing import NULL_TRACER, RingTracer
 from repro.runtime.pipeline import EventPipeline
@@ -79,13 +78,6 @@ def test_tracing_overhead_under_ten_percent():
         tracer = RingTracer()
         ring_best = max(ring_best, run_once(tracer))
         spans = tracer.recorded
-    for config, rate in (("null-tracer", null_best), ("ring-tracer", ring_best)):
-        emit_json(
-            "tracing_overhead",
-            {"config": config, "shards": 4, "batch_size": BATCH_SIZE,
-             "events": len(data_events), "events_per_sec": rate,
-             "spans_per_run": spans},
-        )
     print(
         f"tracing tax at B={BATCH_SIZE}: {ring_best:,.0f} vs {null_best:,.0f} "
         f"events/s ({ring_best / null_best:.2f}x, {spans} spans/run)"

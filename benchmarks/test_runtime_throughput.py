@@ -16,9 +16,6 @@ to 10k queries).  Micro-batching adds coalescing: with update churn,
 insert+delete pairs cancel before touching any shard.  The acceptance bar
 is the best sharded+batched configuration beating the unsharded baseline
 by >= 2x.
-
-Emits one BENCH-JSON line per grid cell via the bench harness
-(``REPRO_BENCH_JSON=/path/file.jsonl`` additionally appends them there).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import time
 
 from conftest import BASE
 
-from repro.bench.harness import Series, emit_json, print_figure
+from repro.bench.harness import Series, print_figure
 from repro.engine.events import DataEvent, QueryEvent
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.events import replay_data_events
@@ -68,11 +65,6 @@ def test_runtime_throughput_grid():
     start = time.perf_counter()
     replay_data_events(data_events, system)
     baseline = len(data_events) / (time.perf_counter() - start)
-    emit_json(
-        "runtime_throughput",
-        {"config": "unsharded", "shards": 0, "batch_size": 1,
-         "events": len(data_events), "events_per_sec": baseline},
-    )
 
     series = []
     best = 0.0
@@ -92,16 +84,8 @@ def test_runtime_throughput_grid():
             start = time.perf_counter()
             pipeline.run(data_events)
             rate = len(data_events) / (time.perf_counter() - start)
-            coalesced = len(pipeline.cancelled_pairs)
             pipeline.close()
             line.add(batch_size, rate)
-            emit_json(
-                "runtime_throughput",
-                {"config": f"sharded-K{num_shards}-B{batch_size}",
-                 "shards": num_shards, "batch_size": batch_size,
-                 "events": len(data_events), "events_per_sec": rate,
-                 "coalesced_pairs": coalesced},
-            )
             if rate > best:
                 best, best_config = rate, (num_shards, batch_size)
         series.append(line)
@@ -159,12 +143,6 @@ def test_durable_wal_overhead(tmp_path):
 
     plain = run_once(None)
     durable = run_once(DurabilityManager(tmp_path / "wal", fsync="batch"))
-    for config, rate in (("no-wal", plain), ("wal-fsync-batch", durable)):
-        emit_json(
-            "durable_wal_overhead",
-            {"config": config, "shards": 4, "batch_size": batch_size,
-             "events": len(data_events), "events_per_sec": rate},
-        )
     print(
         f"durability tax at B={batch_size}: {durable:,.0f} vs {plain:,.0f} "
         f"events/s ({durable / plain:.2f}x)"

@@ -14,8 +14,8 @@ The package implements the paper's full stack from scratch:
 * ``repro.histogram`` — SSI-HIST, EQW-HIST and the DP-optimal histogram for
   interval stabbing counts;
 * ``repro.workload`` — synthetic workload generators matching Table 1;
-* ``repro.bench`` — the throughput/maintenance measurement harness used by
-  the figure-reproduction benchmarks;
+* ``repro.bench`` — the figure-shape library (``Series``, ``measure_*``,
+  ``assert_*``, ``print_figure``) the ``benchmarks/`` figure files share;
 * ``repro.runtime`` — the sharded, micro-batched event-processing runtime
   (shard routing, backpressure, metrics, deterministic replay);
 * ``repro.durability`` — write-ahead log, checkpoints and crash recovery

@@ -1,11 +1,11 @@
-"""Throughput/maintenance measurement harness used by the benchmarks."""
+"""The figure-shape library the ``benchmarks/`` figure files share: series,
+throughput/maintenance timers, shape assertions and the figure printer."""
 
 from repro.bench.harness import (
     Series,
     assert_decreasing,
     assert_dominates,
     assert_flat,
-    emit_json,
     geometric_sweep,
     measure_amortized_update_ns,
     measure_event_time_us,
@@ -18,7 +18,6 @@ __all__ = [
     "assert_decreasing",
     "assert_dominates",
     "assert_flat",
-    "emit_json",
     "geometric_sweep",
     "measure_amortized_update_ns",
     "measure_event_time_us",

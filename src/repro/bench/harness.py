@@ -11,13 +11,9 @@ print the series each figure plots and to assert the qualitative shape
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -163,35 +159,6 @@ def print_figure(
             value = s.ys[i] if i < len(s.ys) else float("nan")
             row.append(y_format.format(value).rjust(w))
         print("  ".join(row))
-
-
-def bench_env() -> Dict[str, object]:
-    """Interpreter/platform metadata stamped into every benchmark record,
-    so BENCH_*.json numbers from different machines stay comparable."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
-    }
-
-
-def emit_json(tag: str, payload: Dict[str, Any]) -> None:
-    """Emit one machine-readable benchmark record.
-
-    Prints a single ``BENCH-JSON`` line (grep-friendly in pytest output) and,
-    when the ``REPRO_BENCH_JSON`` env var names a file, appends the record
-    there as JSON-lines, so sweeps can be collected across runs.  Records
-    carry :func:`bench_env` metadata under ``env``.
-    """
-    record = {"tag": tag, "env": bench_env(), **payload}
-    line = json.dumps(record, sort_keys=True, default=float)
-    print(f"BENCH-JSON {line}")
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if path:
-        with open(path, "a") as handle:
-            handle.write(line + "\n")
 
 
 def assert_dominates(

@@ -6,9 +6,6 @@ Self-contained utilities that do not require the repository checkout:
 * ``zipf``      — print the Figure 2 coverage curve for chosen parameters;
 * ``partition`` — read intervals ("lo hi" per line) from a file or stdin
   and print their canonical stabbing partition and hotspots;
-* ``validate``  — run a built-in randomized cross-validation sweep (every
-  join strategy against brute force) and report pass/fail, a quick
-  install smoke test;
 * ``fuzz``      — differential fuzzing of every maintained structure against
   brute-force oracles (``repro.check``), with delta-debugging shrinkage of
   failures into replayable JSON reproducers;
@@ -26,14 +23,10 @@ Self-contained utilities that do not require the repository checkout:
   ``--watch SECONDS`` re-renders on an interval like ``watch(1)``;
 * ``top``       — a refreshing terminal dashboard over the same sources:
   throughput, end-to-end latency quantiles, hotspot churn, and a per-shard
-  table (events, e2e/lag p95, ring occupancy, headroom);
+  table (events, lag p95, ring occupancy, headroom);
 * ``recover``   — rebuild an inline pipeline from a WAL directory (newest
   valid checkpoint + sequence-deduped WAL replay) and report what was
-  restored;
-* ``bench``     — run the batched-throughput benchmark (columnar batch fast
-  path vs per-event probing on the Fig-10(i) band-join workload) and write
-  the ``BENCH_batch_fastpath.json`` record at the repo root (the
-  ``BENCH_*.json`` convention in ``docs/RUNTIME.md``; ``--out`` overrides).
+  restored.
 
 Figure regeneration itself lives in ``benchmarks/`` (run with
 ``pytest benchmarks/ --benchmark-only`` from a checkout).
@@ -42,7 +35,6 @@ Figure regeneration itself lives in ``benchmarks/`` (run with
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import List, Optional, Sequence
 
@@ -68,6 +60,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.durability", "write-ahead log, checkpoints, crash recovery (serve --wal-dir, recover)"),
         ("repro.obs", "tracing spans, Prometheus/JSONL export, cross-process telemetry merge, dashboards (serve --trace-out, stats, top)"),
         ("repro.analysis", _analysis_summary()),
+        ("repro.bench", "figure-shape library for benchmarks/: Series, measure_*, assert_*, print_figure"),
     ]:
         print(f"  {name:<16} {what}")
     return 0
@@ -129,64 +122,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     covered = sum(group.size for group in hotspots) / len(intervals)
     print(f"{len(hotspots)} alpha={args.alpha:g} hotspots cover {covered:.0%} of intervals")
     return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.engine.queries import (
-        BandJoinQuery,
-        SelectJoinQuery,
-        brute_force_band_join,
-        brute_force_select_join,
-    )
-    from repro.engine.table import TableR, TableS
-    from repro.operators import make_band_strategies, make_select_strategies
-
-    rng = random.Random(args.seed)
-    failures = 0
-    for trial in range(args.trials):
-        table_s = TableS(order=4)
-        table_r = TableR(order=4)
-        for __ in range(150):
-            table_s.add(float(rng.randrange(12)), rng.uniform(0, 60))
-        band_queries = []
-        select_queries = []
-        for __ in range(60):
-            lo = rng.uniform(-8, 8)
-            band_queries.append(BandJoinQuery(Interval(lo, lo + rng.uniform(0, 4))))
-            a_lo, c_lo = rng.uniform(0, 50), rng.uniform(0, 50)
-            select_queries.append(
-                SelectJoinQuery(
-                    Interval(a_lo, a_lo + rng.uniform(0, 15)),
-                    Interval(c_lo, c_lo + rng.uniform(0, 15)),
-                )
-            )
-        band = make_band_strategies(table_s, table_r)
-        select = make_select_strategies(table_s, table_r)
-        for strategy in band.values():
-            for query in band_queries:
-                strategy.add_query(query)
-        for strategy in select.values():
-            for query in select_queries:
-                strategy.add_query(query)
-        for __ in range(5):
-            r = table_r.new_row(rng.uniform(0, 60), float(rng.randrange(12)))
-
-            def norm(results):
-                return {q.qid: sorted(s.sid for s in v) for q, v in results.items()}
-
-            want_band = norm(brute_force_band_join(band_queries, r, table_s))
-            want_select = norm(brute_force_select_join(select_queries, r, table_s))
-            for name, strategy in band.items():
-                if norm(strategy.process_r(r)) != want_band:
-                    print(f"MISMATCH: {name} trial {trial}", file=sys.stderr)
-                    failures += 1
-            for name, strategy in select.items():
-                if norm(strategy.process_r(r)) != want_select:
-                    print(f"MISMATCH: {name} trial {trial}", file=sys.stderr)
-                    failures += 1
-    total = args.trials * 5 * 8
-    print(f"validate: {total - failures}/{total} strategy evaluations matched brute force")
-    return 1 if failures else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -304,7 +239,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.engine.events import DataEvent
-    from repro.obs.export import MetricsServer, SnapshotWriter
+    from repro.obs.export import MetricsServer, SnapshotWriter, render_snapshot
     from repro.obs.tracing import NULL_TRACER, RingTracer, write_chrome_trace
     from repro.runtime.metrics import MetricsRegistry
     from repro.runtime.pipeline import EventPipeline
@@ -395,7 +330,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         rate = served / max(time.perf_counter() - start, 1e-9)
                         publish()
                         print(f"\n-- {served} events ({rate:,.0f} events/s) --")
-                        print(pipeline.metrics.render())
+                        print(render_snapshot(metrics.snapshot()))
             pipeline.drain()
         except KeyboardInterrupt:
             # Clean shutdown: drain what was accepted (close() below also
@@ -412,7 +347,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elapsed = max(time.perf_counter() - start, 1e-9)
     state = "interrupted after" if interrupted else "served"
     print(f"\n{state} {served} events in {elapsed:.2f}s ({served / elapsed:,.0f} events/s)")
-    print(pipeline.metrics.render())
+    print(render_snapshot(metrics.snapshot()))
     if args.trace_out is not None and isinstance(tracer, RingTracer):
         written = write_chrome_trace(args.trace_out, tracer)
         print(
@@ -552,29 +487,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         f"{pipeline.subscription_count} subscription(s) "
         f"across {len(tables.shards)} shard(s)"
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.batch_fastpath import (
-        format_record,
-        run_band_batch_benchmark,
-        write_bench_json,
-    )
-
-    record = run_band_batch_benchmark(
-        query_count=args.queries,
-        tau=args.tau,
-        event_count=args.events,
-        batch_sizes=tuple(args.batch_sizes),
-        repeats=args.repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    print(format_record(record))
-    if args.out:
-        write_bench_json(args.out, record)
-        print(f"record written to {args.out}")
     return 0
 
 
@@ -778,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--alpha", type=float, default=0.1, help="hotspot threshold")
     part.set_defaults(func=_cmd_partition)
 
-    validate = sub.add_parser("validate", help="randomized strategy cross-validation")
-    validate.add_argument("--trials", type=int, default=3)
-    validate.add_argument("--seed", type=int, default=0)
-    validate.set_defaults(func=_cmd_validate)
-
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: run randomized ops against every target "
@@ -948,26 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SSI epsilon when no checkpoint manifest records one",
     )
     recover.set_defaults(func=_cmd_recover)
-
-    bench = sub.add_parser(
-        "bench", help="batched vs per-event band-join throughput (batch fast path)"
-    )
-    bench.add_argument("--queries", type=int, default=20_000, help="registered band joins")
-    bench.add_argument("--tau", type=int, default=60, help="target stabbing number")
-    bench.add_argument("--events", type=int, default=200, help="R arrivals to probe")
-    bench.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[16, 64, 256], metavar="N"
-    )
-    bench.add_argument("--repeats", type=int, default=3, help="timed passes (best taken)")
-    bench.add_argument("--warmup", type=int, default=1, help="untimed warmup passes")
-    bench.add_argument("--seed", type=int, default=9)
-    bench.add_argument(
-        "--out", default="BENCH_batch_fastpath.json", metavar="FILE",
-        help="write the benchmark record as JSON; BENCH_*.json at the repo "
-        "root is the convention CI artifact globs pick up (see "
-        "docs/RUNTIME.md); pass --out '' to skip writing",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
         "lint",

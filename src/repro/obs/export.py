@@ -213,12 +213,9 @@ def render_prometheus(
 
 
 def render_snapshot(snapshot: Dict[str, Dict[str, Any]]) -> str:
-    """Aligned human-readable rendering of a registry snapshot dict.
-
-    Mirrors :meth:`MetricsRegistry.render` but works on exported data (a
-    parsed JSONL record), adding the interpolated p95 the live renderer
-    omits.
-    """
+    """Aligned human-readable rendering of a registry snapshot dict — a
+    live ``MetricsRegistry.snapshot()`` or a parsed JSONL record — with
+    interpolated p50/p95/p99 (:func:`estimate_quantiles`)."""
     lines: List[str] = []
     counters = sorted(snapshot.get("counters", {}).items())
     gauges = sorted(snapshot.get("gauges", {}).items())

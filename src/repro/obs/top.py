@@ -128,7 +128,7 @@ def _fmt(value: Optional[float], *, digits: int = 1) -> str:
     return f"{value:,.{digits}f}"
 
 
-def _e2e_cell(metrics: Dict[str, Any], name: str) -> str:
+def _p95_cell(metrics: Dict[str, Any], name: str) -> str:
     hist = _histogram(metrics, name)
     if hist is None:
         return "-"
@@ -208,15 +208,13 @@ def render_dashboard(
     if indices:
         lines.append("shards:")
         lines.append(
-            "  shard  events      e2e p95    lag p95    ring rq/rs      "
-            "headroom b/s"
+            "  shard  events      lag p95    ring rq/rs      headroom b/s"
         )
         for index in indices:
             events = _counter(metrics, f"shard/{index}/events")
-            e2e_cell = _e2e_cell(metrics, f"shard/{index}/e2e_us")
             # Worker-side apply lag (merged over the shm telemetry path);
             # inline mode has no worker registry, hence "-".
-            lag_cell = _e2e_cell(
+            lag_cell = _p95_cell(
                 metrics, f"shard/{index}/worker/e2e/ingest_to_apply_us"
             )
             ring_rq = _gauge(metrics, f"transport/ring/{index}/request_bytes")
@@ -234,7 +232,7 @@ def render_dashboard(
                 else "-"
             )
             lines.append(
-                f"  {index:<5}  {events:<10,}  {e2e_cell:<9}  {lag_cell:<9}"
+                f"  {index:<5}  {events:<10,}  {lag_cell:<9}"
                 f"  {ring_cell:<14}  {headroom_cell}"
             )
     dropped = record.get("spans_dropped")

@@ -94,6 +94,14 @@ class MicroBatcher:
             return None
         return self._pending.pop(0)
 
+    def drop_delete(self, key: Tuple[str, int]) -> Optional[BatchEntry]:
+        """Evict the pending DELETE of row ``key``, if one is queued (its
+        INSERT went with :meth:`drop_oldest`, so it has nothing to remove)."""
+        for pos, entry in enumerate(self._pending):
+            if entry.event.kind is EventKind.DELETE and _row_key(entry.event) == key:
+                return self._pending.pop(pos)
+        return None
+
     def coalesce_pending(self) -> List[Tuple[int, int]]:
         """Cancel insert+delete pairs among the pending events.
 

@@ -17,12 +17,12 @@ observe torn snapshots (e.g. a ``_sum`` that includes an observation
 ``repro racecheck`` witness can track the held-lock DAG.
 
 ``MetricsRegistry.snapshot()`` returns a plain nested dict (JSON-friendly);
-``render()`` formats it as aligned text for the CLI.
+``repro.obs.export.render_snapshot`` formats it as aligned text for the CLI.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.racecheck import guarded, new_lock
 
@@ -34,7 +34,6 @@ __all__ = [
     "HotspotMetricsListener",
     "N_HISTOGRAM_BUCKETS",
     "bucket_index",
-    "null_registry",
 ]
 
 #: Number of log2 buckets every histogram carries (bucket 63 saturates, so
@@ -222,7 +221,7 @@ class Histogram:
 
 @guarded
 class MetricsRegistry:
-    """Named counters/gauges/histograms with one-shot snapshot/rendering.
+    """Named counters/gauges/histograms with a one-shot snapshot.
 
     Names are slash-separated paths (``pipeline/events_in``,
     ``shard/3/latency_us``); creation is idempotent so producers can call
@@ -281,31 +280,6 @@ class MetricsRegistry:
             "histograms": {name: h.snapshot() for name, h in histograms},
         }
 
-    def render(self) -> str:
-        """Aligned text rendering of the current snapshot."""
-        counters, gauges, histograms = self._instruments()
-        lines: List[str] = []
-        if counters:
-            lines.append("counters:")
-            width = max(len(name) for name, _ in counters)
-            for name, counter in counters:
-                lines.append(f"  {name:<{width}}  {counter.value:>12,}")
-        if gauges:
-            lines.append("gauges:")
-            width = max(len(name) for name, _ in gauges)
-            for name, gauge in gauges:
-                lines.append(f"  {name:<{width}}  {gauge.value:>12,.1f}")
-        if histograms:
-            lines.append("histograms:")
-            width = max(len(name) for name, _ in histograms)
-            for name, histogram in histograms:
-                h = histogram.snapshot()
-                lines.append(
-                    f"  {name:<{width}}  count={h['count']:<8,} mean={h['mean']:<10.1f}"
-                    f" p50={h['p50']:<10.0f} p99={h['p99']:<10.0f} max={h['max']:,.0f}"
-                )
-        return "\n".join(lines) if lines else "(no metrics recorded)"
-
 
 class HotspotMetricsListener:
     """Tracker listener that counts hotspot boundary traffic.
@@ -354,8 +328,3 @@ class HotspotMetricsListener:
     @property
     def hot_items_removed(self) -> int:
         return self._hot_items_removed.value
-
-
-def null_registry() -> Optional[MetricsRegistry]:
-    """Placeholder for call sites that want metrics to be optional."""
-    return None

@@ -516,7 +516,7 @@ class EventPipeline:
         self._e2e_us = histogram("pipeline/e2e_us")
         self._batch_size_hist = histogram("pipeline/batch_size")
         self._shard_metrics = [
-            (histogram(f"shard/{i}/batch_us"), counter(f"shard/{i}/events"), histogram(f"shard/{i}/e2e_us"))
+            (histogram(f"shard/{i}/batch_us"), counter(f"shard/{i}/events"))
             for i in range(num_shards)
         ]
         per_shard_alpha = scaled_alpha(alpha, num_shards)
@@ -628,10 +628,23 @@ class EventPipeline:
             if self.backpressure is BackpressurePolicy.DROP_OLDEST:
                 dropped = batcher.drop_oldest()
                 if dropped is not None:
-                    if dropped.event.kind is EventKind.INSERT:
-                        self._lost_rows.add(_row_key(dropped.event))
                     self._events_dropped.inc()
                     self.dropped_seqs.append(dropped.seq)
+                    if dropped.event.kind is EventKind.INSERT:
+                        # The row reaches no shard, so neither may its
+                        # DELETE: the one queued behind it, this very
+                        # event, or (marked lost) one yet to come.
+                        key = _row_key(dropped.event)
+                        orphan = batcher.drop_delete(key)
+                        if orphan is not None:
+                            self._events_dropped.inc()
+                            self.dropped_seqs.append(orphan.seq)
+                        elif event.kind is EventKind.DELETE and _row_key(event) == key:
+                            self._events_dropped.inc()
+                            self.dropped_seqs.append(seq)
+                            return True
+                        else:
+                            self._lost_rows.add(key)
                 if len(self._depths) > self.queue_capacity:
                     # A queue that only ever evicts never flushes: fold
                     # here so the depth list stays bounded.
@@ -707,7 +720,7 @@ class EventPipeline:
         # (most of them, on most shards) needs no slot and no merge.
         parts: Dict[int, List[Delta]] = {}
         for index, (elapsed, results) in sorted(applied.items()):
-            batch_us, events, __ = self._shard_metrics[index]
+            batch_us, events = self._shard_metrics[index]
             batch_us.observe(elapsed * 1e6)
             # Every data event reaches every shard.
             events.inc(len(batch))
@@ -740,12 +753,8 @@ class EventPipeline:
             out.append((entry.seq, entry.event, merged))
         self._results_produced.inc(result_rows)
         if e2e_us:
-            # One fold per batch, globally and per shard: an event's latency
-            # is the same number on every shard it was routed to — all of them.
-            e2e = _histogram_delta(e2e_us)
-            self._e2e_us.merge_delta(**e2e)
-            for index in applied:
-                self._shard_metrics[index][2].merge_delta(**e2e)
+            # One fold per batch.
+            self._e2e_us.merge_delta(**_histogram_delta(e2e_us))
         self._events_applied.inc(len(batch))
         self._batches.inc()
         self._batch_size_hist.observe(len(batch))

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_info(capsys):
@@ -46,10 +48,25 @@ def test_partition_malformed(tmp_path):
         main(["partition", str(path)])
 
 
-def test_validate(capsys):
-    assert main(["validate", "--trials", "1", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "40/40" in out
+def test_verb_set_is_explicit():
+    """A verb can neither vanish nor come back unnoticed."""
+    (verbs,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(verbs) == [
+        "fuzz", "info", "lint", "partition", "racecheck", "recover",
+        "replay", "serve", "stats", "top", "zipf",
+    ]
+
+
+@pytest.mark.parametrize("verb", ["bench", "validate"])
+def test_removed_verbs_are_usage_errors(verb, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

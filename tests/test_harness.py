@@ -1,5 +1,10 @@
 """Tests for the benchmark measurement harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import (
@@ -9,6 +14,7 @@ from repro.bench.harness import (
     assert_flat,
     geometric_sweep,
     measure_amortized_update_ns,
+    measure_batched_throughput,
     measure_event_time_us,
     measure_throughput,
     print_figure,
@@ -34,6 +40,14 @@ class TestMeasurement:
     def test_throughput_requires_events(self):
         with pytest.raises(ValueError):
             measure_throughput(lambda e: e, [])
+
+    def test_batched_throughput_chunks_every_event(self):
+        chunks = []
+        rate = measure_batched_throughput(chunks.append, list(range(10)), batch_size=4)
+        assert rate > 0
+        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        with pytest.raises(ValueError):
+            measure_batched_throughput(chunks.append, [1], batch_size=0)
 
     def test_event_time_inverse_of_throughput(self):
         events = list(range(200))
@@ -94,3 +108,19 @@ def test_print_figure_smoke(capsys):
     print_figure("Demo", "x", series)
     out = capsys.readouterr().out
     assert "Demo" in out and "a" in out and "b" in out
+
+
+def test_every_figure_file_imports():
+    """The figure files are not tier-1; without this, an import of a helper
+    this library no longer has would surface only when a figure is next run."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "benchmarks", "--ignore=benchmarks/perf"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -187,7 +187,7 @@ class TestRenderSnapshot:
         registry.histogram("lat").observe(3.0)
         text = render_snapshot(registry.snapshot())
         assert "events" in text and "12" in text
-        assert "p95=" in text  # the live renderer omits p95; exposition adds it
+        assert "p95=" in text
 
 
 class TestSnapshotStream:

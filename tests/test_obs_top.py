@@ -27,7 +27,6 @@ def make_registry():
     m.counter("obs/shard/0/band/demotions").inc(2)
     for value in (50, 120, 300, 900, 2_500):
         m.histogram("pipeline/e2e_us").observe(float(value))
-    m.histogram("shard/0/e2e_us").observe(100.0)
     m.histogram("shard/1/worker/e2e/ingest_to_apply_us").observe(80.0)
     m.counter("shard/0/events").inc(600)
     m.gauge("transport/ring/0/request_bytes").set(0.0)
@@ -67,8 +66,12 @@ class TestRenderDashboard:
         assert any(line.strip().startswith("shard") for line in lines)
         shard_rows = [l for l in lines if l.startswith("  0") or l.startswith("  1")]
         assert len(shard_rows) == 2
+        # One latency column: the workers' lag.  The parent's e2e latency
+        # is one number for all shards and has its own line above.
+        assert "lag p95" in frame and "e2e p95" not in frame
         # shard 0 has parent-side data, shard 1 only merged worker lag
         assert "600" in shard_rows[0]
+        assert shard_rows[0].split()[2] == "-" and shard_rows[1].split()[2] != "-"
         assert "0/12" in shard_rows[0]
         assert "12.5/-" in shard_rows[0]
 

@@ -183,7 +183,9 @@ def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monk
 
 # Under drop-oldest and reject a delete targets a row from before the last
 # explicit flush (min_age > flush_every), so its insert was either applied
-# or refused by then -- never still queued, where an eviction could strand it.
+# or refused by then -- never still queued, where an eviction takes the delete
+# with it (TestBackpressure in test_runtime_pipeline.py), which the per-event
+# model above does not follow.
 SCENARIOS = {
     # name: (pipeline kwargs, stream kwargs)
     "batches-of-64": (dict(batch_size=64), dict(min_age=0)),
@@ -234,7 +236,6 @@ def test_final_snapshot_equals_per_event_recording(name):
     assert histograms["pipeline/batch_size"]["sum"] == applied
     for index in range(2):
         assert counters[f"shard/{index}/events"] == applied
-        assert histograms[f"shard/{index}/e2e_us"]["count"] == applied
         assert histograms[f"shard/{index}/batch_us"]["count"] == counters["pipeline/batches"]
 
 

@@ -8,13 +8,13 @@ import pytest
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
+from repro.obs.export import render_snapshot
 from repro.runtime.metrics import (
     Counter,
     Gauge,
     Histogram,
     HotspotMetricsListener,
     MetricsRegistry,
-    null_registry,
 )
 
 
@@ -168,16 +168,13 @@ class TestRegistry:
 
     def test_render(self):
         registry = MetricsRegistry()
-        assert registry.render() == "(no metrics recorded)"
+        assert render_snapshot(registry.snapshot()) == "(no metrics recorded)"
         registry.counter("pipeline/events").inc(1_234)
         registry.gauge("queue").set(5.0)
         registry.histogram("batch").observe(12.0)
-        text = registry.render()
+        text = render_snapshot(registry.snapshot())
         assert "pipeline/events" in text and "1,234" in text
         assert "queue" in text and "batch" in text
-
-    def test_null_registry(self):
-        assert null_registry() is None
 
 
 class TestHotspotMetricsListener:

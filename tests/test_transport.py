@@ -409,7 +409,6 @@ class TestCrossProcessTelemetry:
                 f"shard/{shard}/worker/e2e/ingest_to_apply_us"
             )
             assert merged is not None and merged["count"] > 0
-            assert snapshot["histograms"][f"shard/{shard}/e2e_us"]["count"] > 0
         # One shard namespace: nothing merges under the prefix-less form.
         assert not any(
             re.match(r"shard\d+/", name)

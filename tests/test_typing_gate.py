@@ -81,7 +81,7 @@ def test_mypy_config_declares_the_gate():
         "repro.durability.manager",
         "repro.wire",
         "repro.check.runner",
-        "repro.bench.batch_fastpath",
+        "repro.bench.harness",
     ):
         assert any(fnmatch.fnmatch(mod, g) for g in strict["module"]), mod
         assert not any(fnmatch.fnmatch(mod, g) for g in unchecked["module"]), mod
