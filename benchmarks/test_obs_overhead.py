@@ -6,9 +6,10 @@ method pays one attribute load, one ``span()`` call returning a shared
 singleton, and an inert ``with`` block — no clock reads, no allocation.
 The recording path adds two ``perf_counter_ns`` reads, one frozen
 dataclass, and one lock acquisition per span; spans are per *batch* and
-per shard per insert run (not per event), so at batch size 64 the
-per-event cost is a fraction of a span per shard.  Runs interleave best-of-3 so ambient machine
-noise hits both configurations equally.
+per shard (one ``shard.apply`` holding at most two ``fastpath.run``, not
+per event), so at batch size 64 the per-event cost is a twentieth of a
+span per shard.  Runs interleave best-of-3 so ambient machine noise hits
+both configurations equally.
 """
 
 from __future__ import annotations

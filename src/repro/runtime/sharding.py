@@ -54,9 +54,10 @@ all K shards, in a ``process-shm`` worker on a group of one.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from math import inf
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind
@@ -255,8 +256,9 @@ class Shard:
     tracker when ``alpha`` is set).  ``table_r`` and ``table_s_band`` are
     the process's shared relations — the :class:`ShardGroup` that built
     this shard is their one writer; ``table_s_select`` is the shard's own
-    C-slice of S, which only its select processor reads and only
-    :meth:`apply`/:meth:`apply_batch` write.
+    C-slice of S, which only its select processor reads and which the
+    group writes too (insertions in :meth:`ShardGroup.apply_batch`,
+    deletions through :meth:`apply`).
     """
 
     def __init__(
@@ -327,25 +329,25 @@ class Shard:
     def apply(self, event: DataEvent) -> None:
         """This shard's part of an S delete it owns (the event's
         select-plane shard, :meth:`ShardRouter.route_event`, is this one):
-        drop the row from its C-slice.  The shared tables are the group's
-        to write; insertions come through :meth:`apply_batch`."""
+        drop the row from its C-slice.  The shared tables and the C-slice
+        insertions are the group's to write."""
         self.table_s_select.delete(event.row)
 
     def apply_batch(
         self, entries: Sequence[ShardEntry], rows: Sequence[Any]
     ) -> List[Tuple[int, Delta]]:
-        """This shard's part of one run of same-relation INSERT entries
-        ``(seq, event, owner)`` — ``rows`` are their rows, extracted once
-        by the group for all shards: probe them against the shared tables
-        through the operators' batch fast path and keep the shard's own
-        C-slice, returning per-event deltas tagged with their sequence
-        numbers.
+        """This shard's probe of one relation's INSERT entries
+        ``(seq, event, owner)`` of a batch — ``rows`` are their rows,
+        extracted once by the group for all shards — through the
+        operators' batch fast path, returning per-event deltas tagged with
+        their sequence numbers.  Reads only; the group wrote the tables.
 
-        An R-arrival probe reads only S-side state and vice versa, and the
-        group installs the run's rows only after every shard has probed
-        it, so each row sees exactly the table state the per-event path
-        would have shown it.  The select plane is probed only for the S
-        rows this shard owns (rows of its C-slice).
+        The run is probed against **one** table state, the batch's
+        superset state (every insertion of the batch installed, no
+        deletion applied yet), so a hit list holds every row the event
+        sees under per-event application, in that order, plus the rows
+        :meth:`ShardGroup.apply_batch` then strikes.  The select plane is
+        probed only for the S rows this shard owns (rows of its C-slice).
         """
         relation = entries[0][1].relation
         index = self.index
@@ -365,18 +367,99 @@ class Shard:
                     own_rows = [rows[k] for k in mine]
                     for k, select_d in zip(mine, self.select.process_s_batch(own_rows)):
                         parts[k].update(select_d)
-                    for row in own_rows:
-                        self.table_s_select.insert(row)
             return [(entry[0], deltas) for entry, deltas in zip(entries, parts)]
+
+
+_SEQ = itemgetter(0)
+_RID = attrgetter("rid")
+_SID = attrgetter("sid")
+
+
+class _Touched:
+    """One relation's part of a batch segment: its INSERT entries in stream
+    order (``entries`` / ``rows`` / ``positions`` are parallel), its
+    deferred deletions as ``(event, owner)``, and for every row either kind
+    touched its in-batch **visibility interval** ``(insert position,
+    delete position)`` by row id — ``-1`` / ``inf`` for the end that lies
+    outside the segment.  An arrival of the other relation at position
+    ``p`` sees the row iff ``insert < p < delete``.  Rows are known by id,
+    never by identity: a worker decodes a DELETE's row into a new object.
+    """
+
+    __slots__ = ("row_id", "table", "entries", "rows", "positions", "deletes", "visible")
+
+    def __init__(self, row_id: Callable[[Any], int], table: Any) -> None:
+        self.row_id = row_id
+        self.table = table  # the group's shared table of this relation
+        self.entries: List[ShardEntry] = []
+        self.rows: List[Any] = []
+        self.positions: List[int] = []
+        self.deletes: List[Tuple[DataEvent, int]] = []
+        self.visible: Dict[int, Tuple[float, float]] = {}
+
+    def touched_bs(self) -> List[float]:
+        """The distinct join keys of the touched rows, ascending."""
+        keys = {row.b for row in self.rows}
+        keys.update(event.row.b for event, __ in self.deletes)
+        return sorted(keys)
+
+
+def _strike(
+    results: Sequence[Tuple[int, Delta]],
+    positions: Sequence[int],
+    other: _Touched,
+    touched_bs: Sequence[float],
+) -> int:
+    """Remove from the hit lists of ``results`` (one relation's run, probed
+    against the segment's superset state) every row of the ``other``
+    relation its event could not yet, or no longer, see; a query whose list
+    empties leaves the delta.  Returns the number of rows removed.
+
+    Removal is all it takes: equal keys keep insertion order in the trees
+    and their flat mirrors, and the superset state was built by the same
+    insertions in the same order, so what survives is already in the order
+    per-event application yields.  A hit list is sorted by join key —
+    a band window is a contiguous key range, a select list a single key —
+    so it can hold a touched row only if a touched key (``touched_bs``,
+    ascending) lies between its first and its last hit; every other list
+    is skipped on one bisect.
+    """
+    visible = other.visible
+    row_id = other.row_id
+    n_touched = len(touched_bs)
+    struck = 0
+    for (__, deltas), position in zip(results, positions):
+        if not deltas:
+            continue
+        emptied: List[Any] = []
+        for query, hits in deltas.items():
+            at = bisect_left(touched_bs, hits[0].b)
+            if at == n_touched or touched_bs[at] > hits[-1].b:
+                continue
+            kept = [
+                row for row in hits
+                if (span := visible.get(row_id(row))) is None
+                or span[0] < position < span[1]
+            ]
+            if len(kept) != len(hits):
+                struck += len(hits) - len(kept)
+                if kept:
+                    deltas[query] = kept
+                else:
+                    emptied.append(query)
+        for query in emptied:
+            del deltas[query]
+    return struck
 
 
 class ShardGroup:
     """The one table set of a process and the shards that read it.
 
     R and (band-plane) S are held **once**: every shard's processors probe
-    the same ``table_r``/``table_s`` and this class is their only writer.
-    ``mode="inline"`` builds one group over all K shards; a
-    ``process-shm`` worker builds the same group over its one shard.
+    the same ``table_r``/``table_s`` and this class is their only writer,
+    and the only writer of the shards' C-slices.  ``mode="inline"`` builds
+    one group over all K shards; a ``process-shm`` worker builds the same
+    group over its one shard.
     """
 
     def __init__(
@@ -397,62 +480,111 @@ class ShardGroup:
             for index in indices
         ]
         self._by_index = {shard.index: shard for shard in self.shards}
+        # Rows :func:`_strike` removed, per shard.
+        self._rows_struck = (
+            [metrics.counter(f"shard/{index}/runtime/rows_struck") for index in indices]
+            if metrics is not None
+            else None
+        )
 
     def apply_batch(self, entries: Sequence[ShardEntry]) -> ShardBatchResults:
         """Apply one batch of ``(seq, event, owner)`` entries and return
         per shard its probe seconds and the ``(seq, deltas)`` of the
-        insertions, in order.
+        insertions, in sequence order.
 
-        Every data event reaches every shard, so there is one entry list
-        and it is segmented **once**: maximal runs of consecutive
-        same-relation INSERTs, with deletes and relation switches as
-        boundaries.  Run by run, every shard probes the run against the
-        still-unchanged tables (:meth:`Shard.apply_batch`, a run of one
-        included), then the run's rows are installed a single time — so
-        run k+1 sees run k exactly as per-event application would.  A
-        delete touches the shared table and, for an S row, the C-slice of
-        its owner if that shard is here.
+        A batch is two runs, whatever its interleaving — the delta rule
+        Δ(R⋈S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, the last term in stream order:
+
+        1. **install** every insertion, in stream order, into the shared
+           tables and — an S row — its owner's C-slice if that shard is
+           here; every deletion is deferred.  The tables now hold a
+           superset of what any event of the batch may see;
+        2. **probe**: each shard answers all R insertions as one run and
+           all S insertions as another (:meth:`Shard.apply_batch`);
+        3. **strike** from an event's hit lists the touched rows whose
+           visibility interval does not contain the event's position —
+           inserted later, or deleted earlier (:func:`_strike`);
+        4. **delete** what was deferred.
+
+        The one boundary left is a row id deleted and then inserted again
+        in one batch: its second life cannot be installed before its
+        first has been deleted, so the batch is cut at that insertion and
+        the segments are applied in order.
         """
-        shards = self.shards
-        seconds = [0.0] * len(shards)
-        results: List[List[Tuple[int, Delta]]] = [[] for _ in shards]
+        seconds = [0.0] * len(self.shards)
+        results: List[List[Tuple[int, Delta]]] = [[] for _ in self.shards]
+        start = 0
+        while start < len(entries):
+            start = self._apply_segment(entries, start, seconds, results)
+        return {
+            shard.index: (seconds[k], results[k])
+            for k, shard in enumerate(self.shards)
+        }
+
+    def _apply_segment(
+        self,
+        entries: Sequence[ShardEntry],
+        start: int,
+        seconds: List[float],
+        results: List[List[Tuple[int, Delta]]],
+    ) -> int:
+        """Steps 1–4 of :meth:`apply_batch` for the entries from ``start``
+        up to the next cut; returns where the segment ended."""
+        r_side = _Touched(_RID, self.table_r)
+        s_side = _Touched(_SID, self.table_s)
+        by_index = self._by_index
+        stop = len(entries)
+        for position in range(start, stop):
+            entry = entries[position]
+            __, event, owner = entry
+            side = r_side if event.relation == "R" else s_side
+            row = event.row
+            key = side.row_id(row)
+            visible = side.visible
+            if event.kind is not EventKind.INSERT:
+                inserted = visible.get(key)
+                visible[key] = (-1 if inserted is None else inserted[0], position)
+                side.deletes.append((event, owner))
+                continue
+            if key in visible:
+                stop = position  # deleted above: the second life starts a segment
+                break
+            visible[key] = (position, inf)
+            side.entries.append(entry)
+            side.rows.append(row)
+            side.positions.append(position)
+            side.table.insert(row)
+            if owner in by_index:  # an S row of a C-slice held here
+                by_index[owner].table_s_select.insert(row)
+        runs = [
+            (side, other, other.touched_bs() if other.visible else ())
+            for side, other in ((r_side, s_side), (s_side, r_side))
+            if side.rows
+        ]
         span = self.tracer.span
         clock = time.perf_counter
-        n = len(entries)
-        i = 0
-        while i < n:
-            __, event, owner = entries[i]
-            if event.kind is not EventKind.INSERT:
-                if event.relation == "R":
-                    self.table_r.delete(event.row)
-                else:
-                    self.table_s.delete(event.row)
-                    shard = self._by_index.get(owner)
-                    if shard is not None:
-                        shard.apply(event)
-                i += 1
-                continue
-            relation = event.relation
-            j = i + 1
-            while j < n:
-                nxt = entries[j][1]
-                if nxt.kind is not EventKind.INSERT or nxt.relation != relation:
-                    break
-                j += 1
-            run = entries[i:j]
-            rows = [entry[1].row for entry in run]
-            for k, shard in enumerate(shards):
-                with span("shard.apply", shard=shard.index, events=j - i):
-                    start = clock()
-                    results[k].extend(shard.apply_batch(run, rows))
-                    seconds[k] += clock() - start
-            install = self.table_r.insert if relation == "R" else self.table_s.insert
-            for row in rows:
-                install(row)
-            i = j
-        return {
-            shard.index: (seconds[k], results[k]) for k, shard in enumerate(shards)
-        }
+        for k, shard in enumerate(self.shards if runs else ()):
+            with span("shard.apply", shard=shard.index, events=stop - start):
+                begin = clock()
+                answered: List[Tuple[int, Delta]] = []
+                struck = 0
+                for side, other, touched_bs in runs:
+                    run = shard.apply_batch(side.entries, side.rows)
+                    if touched_bs:
+                        struck += _strike(run, side.positions, other, touched_bs)
+                    answered.extend(run)
+                if len(runs) == 2:
+                    answered.sort(key=_SEQ)  # back to stream order
+                results[k].extend(answered)
+                if struck and self._rows_struck is not None:
+                    self._rows_struck[k].inc(struck)
+                seconds[k] += clock() - begin
+        for side in (r_side, s_side):
+            for event, owner in side.deletes:
+                side.table.delete(event.row)
+                if owner in by_index:  # an S row of a C-slice held here
+                    by_index[owner].apply(event)
+        return stop
 
 
 _S_ROW_ORDER = attrgetter("b", "c", "sid")

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from repro.check import FuzzConfig, fuzz
+from repro.check.targets import FastpathTarget
 from repro.core.intervals import Interval
 from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
-from repro.engine.table import TableR, TableS
+from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import KERNEL
 from repro.fastpath import kernels as kernel_mod
 from repro.operators.band_join import BJSSI
@@ -21,6 +22,7 @@ from repro.operators.hotspot_processor import (
 )
 from repro.operators.select_join import SJSSI
 from repro.runtime.pipeline import EventPipeline
+from repro.runtime.sharding import ShardGroup
 
 BATCH_SIZES = (1, 2, 7, 8, 23, 120)
 
@@ -687,11 +689,25 @@ class TestSelectColumnProbe:
         )
 
 
+def _insert(row):
+    return DataEvent(EventKind.INSERT, "R" if isinstance(row, RTuple) else "S", row)
+
+
+def _delete(row):
+    return DataEvent(EventKind.DELETE, "R" if isinstance(row, RTuple) else "S", row)
+
+
+def _rows_struck(pipeline):
+    """Rows the batch fix-up removed, over all shards."""
+    counters = pipeline.metrics.snapshot()["counters"]
+    return sum(
+        value for name, value in counters.items() if name.endswith("/runtime/rows_struck")
+    )
+
+
 def ordered_view(deltas):
     """qid -> row ids in result order: unlike ``normalize_deltas`` this keeps
     the enumeration order, so it also catches ordering regressions."""
-    from repro.engine.table import STuple
-
     return {
         q.qid: [row.sid if isinstance(row, STuple) else row.rid for row in rows]
         for q, rows in deltas.items()
@@ -707,15 +723,11 @@ class TestShardedBatch:
         for __ in range(count):
             roll = rng.random()
             if roll < 0.4 or not live_r and not live_s:
-                from repro.engine.table import RTuple
-
                 row = RTuple(rid, rng.uniform(0, 100), rng.uniform(0, 100))
                 rid += 1
                 live_r.append(row)
                 events.append(DataEvent(EventKind.INSERT, "R", row))
             elif roll < 0.8:
-                from repro.engine.table import STuple
-
                 row = STuple(sid, rng.uniform(0, 100), rng.uniform(0, 100))
                 sid += 1
                 live_s.append(row)
@@ -730,19 +742,10 @@ class TestShardedBatch:
                 )
         return events
 
-    @pytest.mark.parametrize("alpha", [0.05, None])
-    def test_batched_pipeline_matches_per_event_system(self, kernel, alpha):
-        rng = random.Random(6)
-        # coalesce=False: every event reports a delta, so the batched run
-        # lines up with the per-event reference one to one.
-        batched = EventPipeline(
-            num_shards=3, alpha=alpha, batch_size=37, coalesce=False
-        )
-        reference = ContinuousQuerySystem(alpha=alpha)
-        for query in band_queries(rng, 60) + select_queries(rng, 60):
-            batched.subscribe(query)
-            reference.subscribe(query)
-        events = self._stream(rng, 400)
+    @staticmethod
+    def _reference_views(reference, events):
+        """``ordered_view`` of what the per-event system answers, event by
+        event (a delete answers nothing)."""
         want = []
         for event in events:
             if event.kind is EventKind.INSERT:
@@ -756,23 +759,223 @@ class TestShardedBatch:
                 else:
                     reference.delete_s(event.row)
                 want.append({})
+        return want
+
+    @pytest.mark.parametrize("alpha", [0.05, None])
+    def test_batched_pipeline_matches_per_event_system(self, kernel, alpha):
+        rng = random.Random(6)
+        # coalesce=False: every event reports a delta, so the batched run
+        # lines up with the per-event reference one to one.
+        batched = EventPipeline(
+            num_shards=3, alpha=alpha, batch_size=37, coalesce=False
+        )
+        reference = ContinuousQuerySystem(alpha=alpha)
+        for query in band_queries(rng, 60) + select_queries(rng, 60):
+            batched.subscribe(query)
+            reference.subscribe(query)
+        events = self._stream(rng, 400)
+        want = self._reference_views(reference, events)
         got = [ordered_view(delta) for __, ___, delta in batched.run(events)]
         assert got == want
         batches = batched.metrics.counter("pipeline/batches").value
         assert batches == -(-len(events) // 37)  # really batched, not per event
+        assert _rows_struck(batched) > 0  # and interleaved: the fix-up ran
+
+    # -- the in-batch term: one batch, any interleaving ----------------------
+    #
+    # Each case is ONE micro-batch (after an optional preload batch) with
+    # coalescing off, compared event by event, order included, against the
+    # per-event system.  The pipeline's domain is [0, 10000], so at K = 3
+    # the C-slices meet at 3333.3 and 6666.7.
+
+    BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9001)
+    SELECT = SelectJoinQuery(Interval(0.0, 100.0), Interval(1000.0, 9000.0), qid=9002)
+
+    def _one_batch(self, events, *, num_shards, preload=(), mode="inline"):
+        """Run ``events`` as one batch; ``(raw results, rows struck)`` once
+        every delta equals the per-event system's."""
+        reference = ContinuousQuerySystem(alpha=0.05)
+        with EventPipeline(
+            num_shards=num_shards, alpha=0.05, batch_size=len(events) + len(preload),
+            coalesce=False, mode=mode,
+        ) as batched:
+            for query in (self.BAND, self.SELECT):
+                batched.subscribe(query)
+                reference.subscribe(query)
+            batched.run(list(preload))
+            self._reference_views(reference, preload)
+            before = batched.metrics.counter("pipeline/batches").value
+            results = batched.run(list(events))
+            assert batched.metrics.counter("pipeline/batches").value == before + 1
+            want = self._reference_views(reference, events)
+            assert [ordered_view(delta) for __, ___, delta in results] == want
+            if mode != "inline":
+                batched.sample_hotspots()  # ships the workers' counters
+            return results, _rows_struck(batched)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_alternating_pair_is_reported_once_on_the_later_event(self, kernel, num_shards):
+        r0, r1 = RTuple(0, 10.0, 50.0), RTuple(1, 20.0, 50.5)
+        s0, s1 = STuple(0, 50.0, 5000.0), STuple(1, 50.5, 2000.0)
+        events = [_insert(row) for row in (r0, s0, s1, r1)]
+        results, struck = self._one_batch(events, num_shards=num_shards)
+        views = [ordered_view(delta) for __, ___, delta in results]
+        # (r0, s0) joins on both queries: reported by s0, which came later;
+        # r0 sees nothing, s1 sees r0 in the band only.
+        assert views[0] == {}
+        assert views[1] == {9001: [0], 9002: [0]}
+        assert views[2] == {9001: [0]}
+        assert views[3] == {9001: [0, 1], 9002: [1]}
+        assert struck > 0  # r0 probed a table that already held s0 and s1
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_delete_before_and_after_a_matching_arrival(self, kernel, num_shards):
+        old = STuple(0, 50.0, 5000.0)  # from an earlier batch: (-1, delete)
+        new = STuple(1, 50.0, 7000.0)  # inserted and deleted here: (insert, delete)
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),  # sees old
+            _insert(new),                    # sees the first R row
+            _insert(RTuple(1, 10.0, 50.0)),  # sees old and new
+            _delete(old),
+            _insert(RTuple(2, 10.0, 50.0)),  # sees new only
+            _delete(new),
+            _insert(RTuple(3, 10.0, 50.0)),  # sees neither
+        ]
+        results, struck = self._one_batch(
+            events, num_shards=num_shards, preload=[_insert(old)]
+        )
+        seen = [ordered_view(delta).get(9002, []) for __, ___, delta in results]
+        assert seen == [[0], [0], [0, 1], [], [1], [], []]
+        assert struck > 0
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_equal_keys_inserted_in_one_batch_keep_their_order(self, kernel, num_shards):
+        # Equal b, and twice an equal (b, c): the trees keep insertion
+        # order among equals, and so must every struck hit list.
+        s_rows = [STuple(i, 50.0, c) for i, c in enumerate((2000.0, 2000.0, 5000.0, 5000.0, 8000.0))]
+        r_rows = [RTuple(i, 10.0 + i, 50.0) for i in range(5)]
+        events = [_insert(row) for pair in zip(s_rows, r_rows) for row in pair]
+        results, struck = self._one_batch(events, num_shards=num_shards)
+        last = ordered_view(results[-1][2])
+        assert last == {9001: [0, 1, 2, 3, 4], 9002: [0, 1, 2, 3, 4]}
+        assert struck > 0
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_select_join_spanning_c_slices(self, kernel, num_shards):
+        # SELECT's rangeC covers all three C-slices: an R arrival's delta is
+        # the union of three shards' partial lists, each struck on its own.
+        # (c rises with the stream, so merge_deltas' (b, c, id) order is
+        # also the band list's insertion order.)
+        s_rows = [STuple(i, 50.0, c) for i, c in enumerate((1500.0, 2500.0, 4500.0, 7500.0, 8500.0))]
+        events = [_insert(s_rows[0]), _insert(s_rows[1])]
+        events.append(_insert(RTuple(0, 10.0, 50.0)))  # sees 0, 1: one slice
+        events += [_insert(s_rows[2]), _delete(s_rows[0]), _insert(s_rows[3])]
+        events.append(_insert(RTuple(1, 10.0, 50.0)))  # sees 1, 2, 3: a row of each slice
+        events.append(_insert(s_rows[4]))
+        results, struck = self._one_batch(events, num_shards=num_shards)
+        assert ordered_view(results[2][2])[9002] == [0, 1]
+        assert ordered_view(results[6][2])[9002] == [1, 2, 3]
+        assert struck > 0
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_a_list_that_empties_removes_its_query(self, kernel, num_shards):
+        events = [_insert(RTuple(0, 10.0, 50.0)), _insert(STuple(0, 50.0, 5000.0))]
+        results, struck = self._one_batch(events, num_shards=num_shards)
+        assert results[0][2] == {}  # not {query: []}
+        assert struck == 2  # one band hit, one select hit
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_reinserted_row_id_cuts_the_batch(self, kernel, num_shards):
+        # A row id deleted and inserted again in one batch: its second life
+        # cannot be installed while the first is still in the tables.
+        first, second = STuple(0, 50.0, 5000.0), STuple(0, 50.5, 6000.0)
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),  # sees the first life
+            _delete(first),
+            _insert(RTuple(1, 10.0, 50.0)),  # sees neither
+            _insert(second),
+            _insert(RTuple(2, 10.0, 50.5)),  # sees the second life
+            _delete(second),
+            _insert(first),                  # a third life, another cut: R 0, 1
+            _insert(RTuple(3, 10.0, 50.0)),
+        ]
+        results, __ = self._one_batch(
+            events, num_shards=num_shards, preload=[_insert(first)]
+        )
+        seen = [ordered_view(delta).get(9002, []) for __, ___, delta in results]
+        assert seen == [[0], [], [], [], [0], [], [0, 1], [0]]
+
+    def test_batch_without_a_touched_row_of_the_other_relation_strikes_nothing(self, kernel):
+        preload = [_insert(STuple(i, 50.0, 5000.0)) for i in range(3)]
+        events = [_insert(RTuple(i, 10.0, 50.0)) for i in range(4)]
+        results, struck = self._one_batch(events, num_shards=3, preload=preload)
+        assert all(ordered_view(delta)[9002] == [0, 1, 2] for __, ___, delta in results)
+        assert struck == 0
+
+    def test_in_batch_term_in_process_shm(self):
+        # A worker decodes every row into a new object, a DELETE's too: the
+        # fix-up has to know rows by id.  Its counters ship with the rest.
+        old = STuple(0, 50.0, 5000.0)
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),
+            _insert(STuple(1, 50.0, 2000.0)),
+            _delete(old),
+            _insert(RTuple(1, 10.0, 50.0)),
+            _insert(STuple(2, 50.5, 8000.0)),
+            _insert(RTuple(2, 10.0, 50.5)),
+        ]
+        results, struck = self._one_batch(
+            events, num_shards=2, preload=[_insert(old)], mode="process-shm"
+        )
+        seen = [ordered_view(delta).get(9002, []) for __, ___, delta in results]
+        assert seen == [[0], [0], [], [1], [], [2]]
+        assert struck > 0
+
+    def test_shard_order_survives_without_the_merge(self, kernel):
+        """``merge_deltas`` sorts every list by row coordinates, which
+        would hide a fix-up that reordered equal keys: compare a group of
+        one shard, unmerged, with the per-event system."""
+        group = ShardGroup([0], alpha=0.05)
+        reference = ContinuousQuerySystem(alpha=0.05)
+        for query in (self.BAND, self.SELECT):
+            group.shards[0].subscribe(query)
+            reference.subscribe(query)
+        # Equal b with c falling as the ids rise: band lists keep insertion
+        # order, which no sort by (b, c, id) reproduces.
+        s_rows = [STuple(i, 50.0, 8000.0 - 1000.0 * i) for i in range(5)]
+        r_rows = [RTuple(i, 10.0, 50.0) for i in range(5)]
+        events = [_insert(row) for pair in zip(s_rows, r_rows) for row in pair]
+        events += [_delete(s_rows[1]), _insert(RTuple(5, 10.0, 50.0))]
+        entries = [(seq, event, 0 if event.relation == "S" else -1)
+                   for seq, event in enumerate(events)]
+        __, answered = group.apply_batch(entries)[0]
+        got = {seq: ordered_view(deltas) for seq, deltas in answered}
+        want = self._reference_views(reference, events)
+        assert [got.get(seq, {}) for seq in range(len(events))] == want
+        assert got[len(events) - 1][9001] == [0, 2, 3, 4]
+        assert [seq for seq, __ in answered] == sorted(got)  # stream order
 
     def test_empty_batch_and_singleton(self, kernel):
         pipeline = EventPipeline(num_shards=2, alpha=0.1, batch_size=37)
         assert pipeline.flush() == []
         assert pipeline.run([]) == []
         pipeline.subscribe(BandJoinQuery(Interval(-5, 5)))
-        from repro.engine.table import STuple
-
         event = DataEvent(EventKind.INSERT, "S", STuple(0, 3.0, 3.0))
         assert pipeline.run([event]) == [(0, event, {})]  # no R rows yet
 
 
 class TestFastpathFuzzTarget:
     def test_fuzz_smoke(self):
-        report = fuzz(FuzzConfig(seed=17, n_ops=400), targets=["fastpath"], shrink=False)
+        made = []
+
+        def factory():
+            made.append(FastpathTarget())
+            return made[-1]
+
+        report = fuzz(
+            FuzzConfig(seed=17, n_ops=400), targets=["fastpath"], shrink=False,
+            factories={"fastpath": factory},
+        )
         assert report.ok, report.outcome.divergence
+        # The key grid makes in-batch joins: the fix-up is what was fuzzed.
+        assert _rows_struck(made[0].batched) > 0
