@@ -39,7 +39,7 @@ from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_ev
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
-from repro.runtime.batching import BatchEntry, MicroBatcher
+from repro.runtime.batching import MicroBatcher
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import normalize_deltas
 from repro.runtime.sharding import ShardGroup
@@ -291,7 +291,7 @@ def _run_one(
     name: str, pipeline: EventPipeline, event: EngineEvent, label: str
 ) -> Deltas:
     """Push one event through ``pipeline`` and drain it; the normalized
-    deltas of that event (a query event is a barrier and produces none)."""
+    deltas of that event (a query event answers nothing)."""
     results = pipeline.run([event])
     expected = 1 if isinstance(event, DataEvent) else 0
     expect(
@@ -323,7 +323,7 @@ class BatcherTarget(FuzzTarget):
         assert isinstance(event, DataEvent)
         seq = self._seq
         self._seq += 1
-        self.batcher.add(BatchEntry(seq, event))
+        self.batcher.add((seq, event, 0))
         kind = "insert" if event.kind is EventKind.INSERT else "delete"
         self._shadow.append((seq, event.relation, op.key, kind))
         if self.batcher.is_due:
@@ -334,8 +334,8 @@ class BatcherTarget(FuzzTarget):
         pairs_seen = len(self.batcher.stats.cancelled)
         batch = self.batcher.drain()
         pairs = list(self.batcher.stats.cancelled[pairs_seen:])
-        drained = [entry.seq for entry in batch]
-        remaining = [entry.seq for entry in self.batcher._pending]
+        drained = [entry[0] for entry in batch]
+        remaining = [entry[0] for entry in self.batcher._pending]
         check_batcher_drain(
             self.name, before, drained, remaining, pairs, self.batcher.max_batch
         )
@@ -446,16 +446,16 @@ class EngineTarget(FuzzTarget):
 
 
 class FastpathTarget(FuzzTarget):
-    """Exercises the columnar batch fast path: data events are deferred into
-    a pending buffer and flushed through a batching pipeline
-    (``batch_size=max_batch``, coalescing off so every event reports a
+    """Exercises the columnar batch fast path: engine events — subscription
+    changes among the data events, in stream order — are deferred into a
+    pending buffer and flushed through a batching pipeline
+    (``batch_size=max_batch``, coalescing off so every data event reports a
     delta), whose per-event deltas must match both the per-event reference
     system and the model's nested-loop oracle.
 
     Oracle deltas are captured *at op arrival* (the runner applies the op to
     the model first, so the oracle sees exactly the state the batched system
-    will later replay against); query churn flushes the buffer so
-    subscriptions take effect in stream order.
+    will later replay against).
     """
 
     name = "fastpath"
@@ -477,19 +477,15 @@ class FastpathTarget(FuzzTarget):
         )
         self.reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
         self._ops = _EngineOps()
-        # Pending (event, label, reference deltas, oracle deltas).
-        self._pending: List[Tuple[DataEvent, str, Deltas, Deltas]] = []
+        # Pending (event, label, reference deltas, oracle deltas); a
+        # subscription change is an entry with empty deltas.
+        self._pending: List[Tuple[EngineEvent, str, Deltas, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
         event = self._ops.event(op)
         got_reference = _apply_reference(self.reference, event)
-        if isinstance(event, QueryEvent):
-            self.flush()
-            self.batched.run([event])
-            return
-        self._pending.append(
-            (event, _label(op), got_reference, _oracle_deltas(model, event))
-        )
+        want = _oracle_deltas(model, event) if isinstance(event, DataEvent) else {}
+        self._pending.append((event, _label(op), got_reference, want))
         if len(self._pending) >= self.batched.batch_size:
             self.flush()
 
@@ -498,6 +494,7 @@ class FastpathTarget(FuzzTarget):
             return
         pending, self._pending = self._pending, []
         results = self.batched.run([entry[0] for entry in pending])
+        pending = [entry for entry in pending if isinstance(entry[0], DataEvent)]
         # The batch probe reads each join-key tree's flat mirror; holding it
         # to the leaf chain here fuzzes its in-place insert/remove upkeep.
         tables = self.batched.shard_group
@@ -635,19 +632,18 @@ class DurabilityTarget(FuzzTarget):
 class TransportTarget(FuzzTarget):
     """Differential check of the shared-memory data plane.
 
-    Engine ops are buffered and periodically replayed through two
+    Engine ops — subscription changes among the data events, in stream
+    order — are buffered and periodically replayed through two
     :class:`~repro.runtime.pipeline.EventPipeline` instances that differ
     *only* in backend — ``mode="process-shm"`` (columnar frames over shm
     rings) vs ``mode="inline"`` — with coalescing off so every submitted
-    event produces a comparable ``(seq, deltas)`` entry.  Any divergence
-    means the frame codec or the ring dropped, duplicated, or reordered
-    something the in-process path did not.
+    data event produces a comparable ``(seq, deltas)`` entry.  Any
+    divergence means the frame codec or the ring dropped, duplicated, or
+    reordered something the in-process path did not.
 
-    Query churn flushes the buffer first so subscriptions take effect at
-    the same stream position on both sides.  This target spawns one worker
-    process per shard, so it is registered in :data:`TARGET_FACTORIES` for
-    explicit selection (``repro fuzz --targets transport``) but kept out of
-    :data:`DEFAULT_TARGETS`.
+    This target spawns one worker process per shard, so it is registered in
+    :data:`TARGET_FACTORIES` for explicit selection (``repro fuzz --targets
+    transport``) but kept out of :data:`DEFAULT_TARGETS`.
     """
 
     name = "transport"
@@ -672,17 +668,11 @@ class TransportTarget(FuzzTarget):
             for mode in ("process-shm", "inline")
         }
         self._ops = _EngineOps()
-        self._pending: List[Tuple[DataEvent, str]] = []
+        self._pending: List[Tuple[EngineEvent, str]] = []
         self._closed = False
 
     def apply(self, op: Op, model: ModelState) -> None:
-        event = self._ops.event(op)
-        if isinstance(event, DataEvent):
-            self._pending.append((event, _label(op)))
-            return
-        self._flush()
-        for pipe in self._pipes.values():
-            pipe.run([event])
+        self._pending.append((self._ops.event(op), _label(op)))
 
     def _flush(self) -> None:
         if not self._pending:
@@ -692,6 +682,7 @@ class TransportTarget(FuzzTarget):
         results = {
             mode: pipe.run(list(events)) for mode, pipe in self._pipes.items()
         }
+        pending = [entry for entry in pending if isinstance(entry[0], DataEvent)]
         shm_run, inline_run = results["process-shm"], results["inline"]
         expect(
             len(shm_run) == len(inline_run) == len(pending),

@@ -145,6 +145,7 @@ _HELP_RULES: Tuple[Tuple[str, str], ...] = (
     ("crc_retries", "Re-reads of a response frame whose bytes did not validate at first."),
     ("wal_torn_tail", "Recoveries that found and sealed a torn final WAL record."),
     ("rows_struck", "Hit-list rows the batch fix-up removed: not yet, or no longer, visible to their event."),
+    ("queries_struck", "Delta entries the batch fix-up removed: queries not yet, or no longer, subscribed at their event."),
     ("queue_depth", "Pending events in the ingress micro-batcher."),
     ("batch_size", "Events per flushed micro-batch."),
     ("batches", "Micro-batches flushed."),

@@ -1,4 +1,4 @@
-"""Micro-batching of pending data events.
+"""Micro-batching of pending events.
 
 The pipeline coalesces updates before they reach the shard workers: events
 accumulate in a :class:`MicroBatcher` up to a size bound (and, in the
@@ -12,17 +12,34 @@ preserved for everything that is actually applied.
 A delete whose insert already flushed in an earlier batch is *not*
 cancelled — it must reach the shards to remove installed state.
 
-The batcher knows nothing of shards: an entry is a sequence number, an
-event and its ingest stamp, and the pipeline routes the survivors when the
-batch flushes.
+Subscription changes are entries too (:meth:`MicroBatcher.add_query`), in
+stream order among the data events.  They count toward ``max_batch``, but
+nothing here removes one: coalescing and the backpressure evictions only
+ever touch data entries.
+
+The batcher knows nothing of shards: an entry (:data:`BatchEntry`) is a
+sequence number, an event and its ingest stamp, and the pipeline routes
+the survivors when the batch flushes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.events import DataEvent, EventKind
+
+#: One pending entry, ``(seq, event, stamp)`` — the shape of the
+#: ``(seq, event, owner)`` a shard reads, but routing happens at flush, once
+#: per event, not here.  A data event's ``seq`` is its global sequence
+#: number and its ``stamp`` the submitter's ``perf_counter_ns`` reading at
+#: ingress (0 = unknown): the anchor for end-to-end latency, carried
+#: through batching and across the shm transport so both the worker and
+#: the parent can measure against the same monotonic clock.  A
+#: subscription change (a :class:`QueryEvent`) has ``seq`` -1 — it answers
+#: nothing, and data events keep dense sequence numbers — and, as its
+#: stamp, its placement: the shard indices its query registers in.
+BatchEntry = Tuple[int, Any, Any]
 
 
 def _row_key(event: DataEvent) -> Tuple[str, int]:
@@ -30,22 +47,6 @@ def _row_key(event: DataEvent) -> Tuple[str, int]:
     row = event.row
     rid = row.rid if event.relation == "R" else row.sid
     return (event.relation, rid)
-
-
-@dataclass(slots=True)
-class BatchEntry:
-    """One pending event, tagged with its global sequence number (routing
-    happens at flush, once per event, not here).
-
-    ``ingest_ns`` is the submitter's ``perf_counter_ns`` reading at
-    ingress (0 = unknown) — the anchor for end-to-end latency, carried
-    through batching and across the shm transport so both the worker and
-    the parent can measure against the same monotonic clock.
-    """
-
-    seq: int
-    event: DataEvent
-    ingest_ns: int = 0
 
 
 @dataclass(slots=True)
@@ -60,25 +61,35 @@ class BatchStats:
 
 
 class MicroBatcher:
-    """Accumulates pending :class:`BatchEntry` items and drains them as
+    """Accumulates pending :data:`BatchEntry` items and drains them as
     coalesced batches.
 
     ``max_batch`` is the flush threshold (``is_due`` turns true);
     ``drain()`` returns up to ``max_batch`` oldest survivors after
     cancelling insert+delete pairs that are both still pending.
+    ``queries`` counts the pending subscription changes, so
+    ``len(batcher) - batcher.queries`` is the pending data events.
     """
 
-    __slots__ = ("max_batch", "_pending", "stats")
+    __slots__ = ("max_batch", "_pending", "queries", "stats")
 
     def __init__(self, max_batch: int = 64):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self._pending: List[BatchEntry] = []
+        self.queries = 0
         self.stats = BatchStats()
 
     def add(self, entry: BatchEntry) -> None:
+        """Queue a data event."""
         self._pending.append(entry)
+        self.stats.events_in += 1
+
+    def add_query(self, entry: BatchEntry) -> None:
+        """Queue a subscription change."""
+        self._pending.append(entry)
+        self.queries += 1
         self.stats.events_in += 1
 
     def __len__(self) -> int:
@@ -89,16 +100,17 @@ class MicroBatcher:
         return len(self._pending) >= self.max_batch
 
     def drop_oldest(self) -> Optional[BatchEntry]:
-        """Evict the oldest pending entry (drop-oldest backpressure)."""
-        if not self._pending:
-            return None
-        return self._pending.pop(0)
+        """Evict the oldest pending data event (drop-oldest backpressure)."""
+        for pos, entry in enumerate(self._pending):
+            if entry[0] >= 0:
+                return self._pending.pop(pos)
+        return None
 
     def drop_delete(self, key: Tuple[str, int]) -> Optional[BatchEntry]:
         """Evict the pending DELETE of row ``key``, if one is queued (its
         INSERT went with :meth:`drop_oldest`, so it has nothing to remove)."""
-        for pos, entry in enumerate(self._pending):
-            if entry.event.kind is EventKind.DELETE and _row_key(entry.event) == key:
+        for pos, (seq, event, __) in enumerate(self._pending):
+            if seq >= 0 and event.kind is EventKind.DELETE and _row_key(event) == key:
                 return self._pending.pop(pos)
         return None
 
@@ -112,18 +124,18 @@ class MicroBatcher:
         pending_inserts: Dict[Tuple[str, int], int] = {}
         cancelled_positions: Set[int] = set()
         pairs: List[Tuple[int, int]] = []
-        for pos, entry in enumerate(self._pending):
-            key = _row_key(entry.event)
-            if entry.event.kind is EventKind.INSERT:
+        for pos, (seq, event, __) in enumerate(self._pending):
+            if seq < 0:  # a subscription change
+                continue
+            key = _row_key(event)
+            if event.kind is EventKind.INSERT:
                 pending_inserts[key] = pos
             else:
                 insert_pos = pending_inserts.pop(key, None)
                 if insert_pos is not None:
                     cancelled_positions.add(insert_pos)
                     cancelled_positions.add(pos)
-                    pairs.append(
-                        (self._pending[insert_pos].seq, entry.seq)
-                    )
+                    pairs.append((self._pending[insert_pos][0], seq))
         if cancelled_positions:
             self._pending = [
                 entry
@@ -136,10 +148,11 @@ class MicroBatcher:
 
     def drain(self, *, coalesce: bool = True) -> List[BatchEntry]:
         """Remove and return the next batch (oldest-first survivors)."""
-        if coalesce:
+        if coalesce and self.queries < len(self._pending):
             self.coalesce_pending()
         batch = self._pending[: self.max_batch]
-        self._pending = self._pending[self.max_batch :]
+        self._pending = rest = self._pending[self.max_batch :]
+        self.queries = sum(entry[0] < 0 for entry in rest)
         if batch:
             self.stats.events_out += len(batch)
             self.stats.batches += 1

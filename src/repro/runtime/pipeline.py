@@ -3,14 +3,19 @@
 ``EventPipeline`` is the one host of :class:`~repro.runtime.sharding.Shard`\\ s;
 it stacks the runtime layers on top of them:
 
-1. **ingress** — submitted :class:`~repro.engine.events.DataEvent`\\ s queue
-   in a bounded :class:`~repro.runtime.batching.MicroBatcher`.  When the
-   queue is full the configured :class:`BackpressurePolicy` decides:
-   ``block`` flushes a batch immediately (the caller absorbs the latency),
-   ``drop-oldest`` evicts the oldest pending event, ``reject`` refuses the
-   new one (``submit`` returns False).  Every outcome is counted.
-2. **batching** — a batch flushes when ``batch_size`` events are pending or
-   the oldest pending event exceeds ``max_delay`` seconds.  Pending
+1. **ingress** — submitted events queue in a bounded
+   :class:`~repro.runtime.batching.MicroBatcher`, subscription changes
+   (:class:`~repro.engine.events.QueryEvent`\\ s) among the
+   :class:`~repro.engine.events.DataEvent`\\ s in stream order.  When
+   ``queue_capacity`` data events are pending the configured
+   :class:`BackpressurePolicy` decides: ``block`` flushes a batch
+   immediately (the caller absorbs the latency), ``drop-oldest`` evicts the
+   oldest pending data event, ``reject`` refuses the new one (``submit``
+   returns False).  Every outcome is counted.  Backpressure is data-only: a
+   subscription change is logged when it is submitted, so it is never
+   evicted or refused.
+2. **batching** — a batch flushes when ``batch_size`` entries are pending
+   or the oldest pending entry exceeds ``max_delay`` seconds.  Pending
    insert+delete pairs coalesce away before dispatch (batch-atomic
    visibility; see ``batching.py``).
 3. **execution** — every data event reaches every shard (each holds a
@@ -30,9 +35,14 @@ it stacks the runtime layers on top of them:
    per-event result dict, deterministically (sorted rows), then dispatched
    to subscription callbacks in arrival order.
 
-:class:`~repro.engine.events.QueryEvent`\\ s act as barriers: pending data
-events flush before a subscription change applies, preserving the exact
-stream order an unsharded system would see.
+A subscription change is not a barrier: it rides the batch as an entry,
+and each shard group installs it at its position, probes against the
+superset of subscriptions and strikes what an event could not yet, or no
+longer, see (:meth:`~repro.runtime.sharding.ShardGroup.apply_batch`) — the
+deltas are those of the exact stream order an unsharded system would see.
+The maps from qid to query and callback outlive an unsubscribe until the
+batch that applies it; the one barrier left is a subscribe whose qid still
+has an unsubscribe pending, which flushes first.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover — type only: runtime never imports durability
     from repro.durability.manager import DurabilityManager
@@ -53,7 +63,7 @@ from repro.obs.hotspot_telemetry import HeadroomSample
 from repro.obs.remote import merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
 from repro.runtime.batching import BatchEntry, MicroBatcher, _row_key
-from repro.runtime.metrics import MetricsRegistry, bucket_index
+from repro.runtime.metrics import MetricsRegistry, histogram_delta
 from repro.runtime.sharding import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -88,10 +98,6 @@ class _Backend(Protocol):
     measures end-to-end latency itself on the emission side.
     """
 
-    def subscribe(self, indices: Sequence[int], query: Any) -> None: ...
-
-    def unsubscribe(self, indices: Sequence[int], query: Any) -> None: ...
-
     def apply_batch(
         self, entries: List[ShardEntry], ingest_ns: List[int]
     ) -> ShardBatchResults: ...
@@ -106,14 +112,6 @@ class _InlineBackend:
 
     def __init__(self, group: ShardGroup):
         self.group = group
-
-    def subscribe(self, indices: Sequence[int], query: Any) -> None:
-        for index in indices:
-            self.group.shards[index].subscribe(query)
-
-    def unsubscribe(self, indices: Sequence[int], query: Any) -> None:
-        for index in indices:
-            self.group.shards[index].unsubscribe(query)
 
     def apply_batch(
         self, entries: List[ShardEntry], ingest_ns: List[int]
@@ -136,9 +134,10 @@ class _ProcessShmBackend:
     The process data plane (``docs/RUNTIME.md``): one persistent worker
     per shard, each owning a request ring and a response ring
     (:mod:`repro.runtime.transport`).  Batches cross the boundary as
-    columnar frames, results come back as row tables plus
+    columnar frames — subscription changes inside them, as entries in
+    stream order — and results come back as row tables plus
     (seq, qid, sign, row-ref) tuples resolved to the caller's query
-    objects; subscribe/unsubscribe travel as control frames with ACKs.
+    objects.
 
     The protocol is one frame in flight per shard, so dispatch sends every
     shard's batch first and only then collects responses — shard workers
@@ -257,9 +256,6 @@ class _ProcessShmBackend:
             )
         return body
 
-    def _expect_ack(self, index: int) -> None:
-        self._decode(index, self._await_raw(index), _frames.FRAME_ACK)
-
     def _send(self, index: int, payload: bytes) -> None:
         try:
             self._requests[index].send(payload, timeout=self._timeout)
@@ -272,18 +268,6 @@ class _ProcessShmBackend:
         )
 
     # -- backend protocol ----------------------------------------------------
-
-    def subscribe(self, indices: Sequence[int], query: Any) -> None:
-        payload = _frames.encode_control_frame(QueryEvent(EventKind.INSERT, query))
-        for index in indices:
-            self._send(index, payload)
-            self._expect_ack(index)
-
-    def unsubscribe(self, indices: Sequence[int], query: Any) -> None:
-        payload = _frames.encode_control_frame(QueryEvent(EventKind.DELETE, query))
-        for index in indices:
-            self._send(index, payload)
-            self._expect_ack(index)
 
     def _merge_telemetry_frame(self, index: int) -> None:
         """Read one TELEMETRY frame from a shard and fold it in."""
@@ -418,22 +402,6 @@ class _ProcessShmBackend:
 # -- the pipeline ------------------------------------------------------------
 
 
-def _histogram_delta(values: List[float]) -> Dict[str, Any]:
-    """Non-empty ``values`` as :meth:`Histogram.merge_delta` arguments —
-    what that many ``observe`` calls would have recorded."""
-    buckets: Dict[int, int] = {}
-    for value in values:
-        index = bucket_index(value)
-        buckets[index] = buckets.get(index, 0) + 1
-    return {
-        "count": len(values),
-        "total": sum(values),
-        "min_value": min(values),
-        "max_value": max(values),
-        "buckets": list(buckets.items()),
-    }
-
-
 class EventPipeline:
     """Sharded, micro-batched event processing with backpressure.
 
@@ -541,39 +509,67 @@ class EventPipeline:
         else:
             raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
 
-    # -- subscriptions (barrier semantics) -----------------------------------
+    # -- subscriptions (batch entries in stream order) ------------------------
 
     def subscribe(self, query: Any, on_results: Optional[ResultCallback] = None) -> Any:
-        """Register a continuous query.  Pending data events flush first so
-        the subscription observes exactly the prefix of the stream that
-        preceded it."""
-        self.drain()
-        if query.qid in self._placements:
-            raise ValueError(f"duplicate query id {query.qid}")
-        indices = self.router.shards_for_query(query)
-        # Validate-then-log: the WAL never sees a rejected subscription change.
-        if self.durability is not None:
-            self.durability.log_event(QueryEvent(EventKind.INSERT, query))
-        self._backend.subscribe(indices, query)
-        self._placements[query.qid] = indices
-        self._queries[query.qid] = query
-        self.router.note_query(query, indices, +1)
-        if on_results is not None:
-            self._callbacks[query.qid] = on_results
+        """Register a continuous query.  The subscription joins the pending
+        batch at its stream position: it answers exactly the data events
+        submitted after it, and joins every row inserted before it."""
+        self._subscribe(QueryEvent(EventKind.INSERT, query), on_results)
         return query
 
     def unsubscribe(self, query: Any) -> None:
-        self.drain()
-        # Resolve by qid: after recovery the registered instance is a decoded
-        # copy, and the engine indexes subscriptions by object identity.
-        query = self._queries.get(query.qid, query)
-        indices = self._placements[query.qid]
+        """Cancel a subscription at this stream position: it still answers
+        the data events submitted before it.  Its query and callback stay
+        resolvable by qid until the batch that applies the cancellation."""
+        self._unsubscribe(QueryEvent(EventKind.DELETE, query))
+
+    def _subscribe(
+        self, event: QueryEvent, on_results: Optional[ResultCallback] = None
+    ) -> None:
+        query = event.query
+        qid = query.qid
+        if qid in self._placements:
+            raise ValueError(f"duplicate query id {qid}")
+        indices = self.router.shards_for_query(query)
+        if qid in self._queries:
+            # Its unsubscribe is still pending: one batch holds one life
+            # of a qid, so this is the one barrier left.
+            self.drain()
+        # Validate-then-log: the WAL never sees a rejected subscription change.
         if self.durability is not None:
-            self.durability.log_event(QueryEvent(EventKind.DELETE, query))
-        self._backend.unsubscribe(indices, query)
-        del self._placements[query.qid], self._queries[query.qid]
-        self.router.note_query(query, indices, -1)
-        self._callbacks.pop(query.qid, None)
+            self.durability.log_event(event)
+        self._placements[qid] = indices
+        self._queries[qid] = query
+        self.router.note_query(query, indices, +1)
+        if on_results is not None:
+            self._callbacks[qid] = on_results
+        self._enqueue_query(event, indices)
+
+    def _unsubscribe(self, event: QueryEvent) -> None:
+        # Known by qid alone, everywhere downstream: after recovery the
+        # registered instance is a decoded copy of the caller's.
+        qid = event.query.qid
+        indices = self._placements[qid]
+        if self.durability is not None:
+            self.durability.log_event(event)
+        del self._placements[qid]
+        self.router.note_query(event.query, indices, -1)
+        self._enqueue_query(event, indices)
+
+    def _enqueue_query(self, event: QueryEvent, placement: List[int]) -> None:
+        """Queue a subscription change; it counts toward ``batch_size``."""
+        batcher = self._batcher
+        batcher.add_query((-1, event, placement))
+        max_delay = self.max_delay
+        if max_delay is not None:
+            if self._oldest_pending_at is None:
+                self._oldest_pending_at = time.monotonic()
+            if time.monotonic() - self._oldest_pending_at >= max_delay:
+                self.flush()
+                return
+        if len(batcher) >= batcher.max_batch:
+            self.flush()
 
     @property
     def subscription_count(self) -> int:
@@ -589,11 +585,10 @@ class EventPipeline:
         the ``reject`` backpressure policy."""
         durability = self.durability
         if isinstance(event, QueryEvent):
-            self._query_events.inc()
             if event.kind is EventKind.INSERT:
-                self.subscribe(event.query)
+                self._subscribe(event)
             else:
-                self.unsubscribe(event.query)
+                self._unsubscribe(event)
             if durability is not None and durability.checkpoint_due:
                 durability.checkpoint(self)
             return True
@@ -618,7 +613,7 @@ class EventPipeline:
                 return True
         batcher = self._batcher
         pending = len(batcher)
-        if pending >= self.queue_capacity:
+        if pending - batcher.queries >= self.queue_capacity:
             if self.backpressure is BackpressurePolicy.REJECT:
                 if event.kind is EventKind.INSERT:
                     self._lost_rows.add(_row_key(event))
@@ -628,17 +623,18 @@ class EventPipeline:
             if self.backpressure is BackpressurePolicy.DROP_OLDEST:
                 dropped = batcher.drop_oldest()
                 if dropped is not None:
+                    dropped_seq, dropped_event, __ = dropped
                     self._events_dropped.inc()
-                    self.dropped_seqs.append(dropped.seq)
-                    if dropped.event.kind is EventKind.INSERT:
+                    self.dropped_seqs.append(dropped_seq)
+                    if dropped_event.kind is EventKind.INSERT:
                         # The row reaches no shard, so neither may its
                         # DELETE: the one queued behind it, this very
                         # event, or (marked lost) one yet to come.
-                        key = _row_key(dropped.event)
+                        key = _row_key(dropped_event)
                         orphan = batcher.drop_delete(key)
                         if orphan is not None:
                             self._events_dropped.inc()
-                            self.dropped_seqs.append(orphan.seq)
+                            self.dropped_seqs.append(orphan[0])
                         elif event.kind is EventKind.DELETE and _row_key(event) == key:
                             self._events_dropped.inc()
                             self.dropped_seqs.append(seq)
@@ -656,9 +652,9 @@ class EventPipeline:
         if self._lost_rows and event.kind is EventKind.INSERT:
             self._lost_rows.discard(_row_key(event))
         max_delay = self.max_delay
-        if max_delay is not None and not pending:
+        if max_delay is not None and self._oldest_pending_at is None:
             self._oldest_pending_at = time.monotonic()
-        batcher.add(BatchEntry(seq, event, ingest_ns=time.perf_counter_ns()))
+        batcher.add((seq, event, time.perf_counter_ns()))
         pending += 1
         self._depths.append(pending)
         if pending >= batcher.max_batch or (
@@ -674,7 +670,7 @@ class EventPipeline:
     def _fold_depths(self) -> None:
         """``pipeline/queue_depth`` catches up: one ``observe`` per event."""
         if self._depths:
-            self._queue_depth.merge_delta(**_histogram_delta(self._depths))
+            self._queue_depth.merge_delta(**histogram_delta(self._depths))
             self._depths.clear()
 
     @property
@@ -709,13 +705,24 @@ class EventPipeline:
             self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
         route, note = self.router.route_event, self.router.note_event
         entries: List[ShardEntry] = []
+        ingest_ns: List[int] = []
+        data: List[BatchEntry] = []
+        retired: List[int] = []
+        cancel = EventKind.DELETE
         for entry in batch:
-            owner = route(entry.event)
+            seq, event, stamp = entry
+            if seq < 0:  # a subscription change: already a shard entry
+                entries.append(entry)
+                ingest_ns.append(0)
+                if event.kind is cancel:
+                    retired.append(event.query.qid)
+                continue
+            owner = route(event)
             note(owner)
-            entries.append((entry.seq, entry.event, owner))
-        applied = self._backend.apply_batch(
-            entries, [entry.ingest_ns for entry in batch]
-        )
+            entries.append((seq, event, owner))
+            ingest_ns.append(stamp)
+            data.append(entry)
+        applied = self._backend.apply_batch(entries, ingest_ns)
         # Only the parts that hold a delta: an event no shard answered
         # (most of them, on most shards) needs no slot and no merge.
         parts: Dict[int, List[Delta]] = {}
@@ -723,7 +730,7 @@ class EventPipeline:
             batch_us, events = self._shard_metrics[index]
             batch_us.observe(elapsed * 1e6)
             # Every data event reaches every shard.
-            events.inc(len(batch))
+            events.inc(len(data))
             for seq, deltas in results:
                 if deltas:
                     parts.setdefault(seq, []).append(deltas)
@@ -734,9 +741,9 @@ class EventPipeline:
         # End-to-end latency: ingress stamp → delta emission, which moves
         # only when a callback ran — one clock read per batch plus those.
         now = time.perf_counter_ns()
-        for entry in batch:
+        for seq, event, stamp in data:
             merged: Delta = {}
-            answered = parts.get(entry.seq)
+            answered = parts.get(seq)
             if answered is not None:
                 merged = merge_deltas(answered)
                 called = False
@@ -744,20 +751,26 @@ class EventPipeline:
                     result_rows += len(matches)
                     callback = callbacks.get(query.qid)
                     if callback is not None:
-                        callback(query, entry.event.row, matches)
+                        callback(query, event.row, matches)
                         called = True
                 if called:
                     now = time.perf_counter_ns()
-            if entry.ingest_ns:
-                e2e_us.append((now - entry.ingest_ns) / 1_000.0)
-            out.append((entry.seq, entry.event, merged))
+            if stamp:
+                e2e_us.append((now - stamp) / 1_000.0)
+            out.append((seq, event, merged))
+        # Retired only now: the batch's earlier events still answered them.
+        for qid in retired:
+            del self._queries[qid]
+            self._callbacks.pop(qid, None)
         self._results_produced.inc(result_rows)
         if e2e_us:
             # One fold per batch.
-            self._e2e_us.merge_delta(**_histogram_delta(e2e_us))
-        self._events_applied.inc(len(batch))
+            self._e2e_us.merge_delta(**histogram_delta(e2e_us))
+        self._events_applied.inc(len(data))
+        if len(data) < len(batch):
+            self._query_events.inc(len(batch) - len(data))
         self._batches.inc()
-        self._batch_size_hist.observe(len(batch))
+        self._batch_size_hist.observe(len(data))
         if self._sink is not None:
             self._sink.extend(out)
         return out
@@ -775,7 +788,7 @@ class EventPipeline:
         """Submit an event stream, drain, and return every applied event's
         ``(seq, event, deltas)`` in sequence order.
 
-        Every flush during the run (batch-size triggers, barriers,
+        Every flush during the run (batch-size triggers, a reused qid,
         backpressure blocks) feeds the same collection, so the caller sees
         one ordered result list for the whole stream."""
         collected: List[Tuple[int, DataEvent, Delta]] = []

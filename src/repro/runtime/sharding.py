@@ -33,9 +33,11 @@ A batch has **one view**: every data event reaches every shard, so routing
 an event is one integer — :meth:`ShardRouter.route_event` names the
 select-plane *owner* of an S row (-1 for an R row) — and a batch is one
 list of ``(seq, event, owner)`` entries (:data:`ShardEntry`) that every
-shard reads, in this process or, as one frame, in a worker.  The router is
-the only place that knows the placement policy; a shard decides "my
-C-slice?" as ``owner == self.index``.
+shard reads, in this process or, as one frame, in a worker.  A
+subscription change is an entry of the same list, in stream order, whose
+``owner`` is its query's placement.  The router is the only place that
+knows the placement policy; a shard decides "my C-slice?" as
+``owner == self.index`` and "my query?" as ``self.index in owner``.
 
 Every routing decision is **static**: it depends only on the coordinates of
 the row or query, never on the current subscription set.  That invariant is
@@ -79,9 +81,11 @@ DOMAIN_HI = 10_000.0
 # The operator layer (repro.operators / repro.engine) is typed ``Any`` at
 # the shard boundary: queries and rows flow through the runtime opaquely.
 Delta = Dict[Any, List[Any]]
-# One event of a batch: (seq, event, owner) — ``owner`` is the select-plane
-# shard of an S row (:meth:`ShardRouter.route_event`), -1 for an R row.
-ShardEntry = Tuple[int, DataEvent, int]
+# One entry of a batch: (seq, event, owner).  For a DataEvent ``owner`` is
+# the select-plane shard of an S row (:meth:`ShardRouter.route_event`), -1
+# for an R row; for a QueryEvent it is the placement (the shard indices its
+# query registers in, :meth:`ShardRouter.shards_for_query`) and seq is -1.
+ShardEntry = Tuple[int, Any, Any]
 # Per-shard batch outcome: probe seconds plus (seq, deltas) pairs.
 ShardBatchResults = Dict[int, Tuple[float, List[Tuple[int, Delta]]]]
 ResultCallback = Callable[[Any, Any, List[Any]], None]
@@ -371,6 +375,8 @@ class Shard:
 
 
 _SEQ = itemgetter(0)
+#: qid -> in-batch liveness interval (subscribe position, unsubscribe position).
+Liveness = Dict[int, Tuple[float, float]]
 _RID = attrgetter("rid")
 _SID = attrgetter("sid")
 
@@ -402,6 +408,31 @@ class _Touched:
         keys = {row.b for row in self.rows}
         keys.update(event.row.b for event, __ in self.deletes)
         return sorted(keys)
+
+
+def _strike_queries(
+    results: Sequence[Tuple[int, Delta]], positions: Sequence[int], live: Liveness
+) -> int:
+    """Remove from each delta of ``results`` (one relation's run, probed
+    against the segment's superset of subscriptions) every query whose
+    in-batch liveness interval does not contain the event's position —
+    subscribed later in the segment, or cancelled earlier.  Returns the
+    number of delta entries removed.  Queries are known by qid: a worker
+    knows a cancelled query by nothing else.
+    """
+    struck = 0
+    for (__, deltas), position in zip(results, positions):
+        if not deltas:
+            continue
+        gone = [
+            query for query in deltas
+            if (span := live.get(query.qid)) is not None
+            and not span[0] < position < span[1]
+        ]
+        for query in gone:
+            del deltas[query]
+        struck += len(gone)
+    return struck
 
 
 def _strike(
@@ -480,9 +511,17 @@ class ShardGroup:
             for index in indices
         ]
         self._by_index = {shard.index: shard for shard in self.shards}
-        # Rows :func:`_strike` removed, per shard.
-        self._rows_struck = (
-            [metrics.counter(f"shard/{index}/runtime/rows_struck") for index in indices]
+        # qid -> the query object this group's shards hold: an unsubscribe
+        # names its query by qid alone when it crossed a process boundary.
+        self._queries: Dict[int, Any] = {}
+        # Hit-list rows :func:`_strike` and delta entries
+        # :func:`_strike_queries` removed, per shard.
+        self._struck = (
+            [
+                (metrics.counter(f"shard/{index}/runtime/rows_struck"),
+                 metrics.counter(f"shard/{index}/runtime/queries_struck"))
+                for index in indices
+            ]
             if metrics is not None
             else None
         )
@@ -493,23 +532,31 @@ class ShardGroup:
         insertions, in sequence order.
 
         A batch is two runs, whatever its interleaving — the delta rule
-        Δ(R⋈S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, the last term in stream order:
+        Δ(R⋈S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, the last term in stream order — and
+        its subscription changes are catch-up, not barriers:
 
         1. **install** every insertion, in stream order, into the shared
            tables and — an S row — its owner's C-slice if that shard is
-           here; every deletion is deferred.  The tables now hold a
-           superset of what any event of the batch may see;
+           here, and every subscribe on the shards of its placement that
+           are here; every deletion and every unsubscribe is deferred.
+           The group now holds a superset of the rows and of the
+           subscriptions any event of the batch may see;
         2. **probe**: each shard answers all R insertions as one run and
            all S insertions as another (:meth:`Shard.apply_batch`);
-        3. **strike** from an event's hit lists the touched rows whose
-           visibility interval does not contain the event's position —
-           inserted later, or deleted earlier (:func:`_strike`);
-        4. **delete** what was deferred.
+        3. **strike** from an event's delta every query whose liveness
+           interval ``(subscribe position, unsubscribe position)`` does not
+           contain the event's position (:func:`_strike_queries`), then
+           from its hit lists the touched rows whose visibility interval
+           does not (:func:`_strike`);
+        4. **delete** the deferred rows, then **unsubscribe** the deferred
+           queries.
 
         The one boundary left is a row id deleted and then inserted again
         in one batch: its second life cannot be installed before its
         first has been deleted, so the batch is cut at that insertion and
-        the segments are applied in order.
+        the segments are applied in order.  A qid never lives twice in one
+        batch: the pipeline flushes before re-subscribing one whose
+        unsubscribe is still pending.
         """
         seconds = [0.0] * len(self.shards)
         results: List[List[Tuple[int, Delta]]] = [[] for _ in self.shards]
@@ -533,15 +580,33 @@ class ShardGroup:
         r_side = _Touched(_RID, self.table_r)
         s_side = _Touched(_SID, self.table_s)
         by_index = self._by_index
+        held = self._queries
+        live: Liveness = {}
+        cancels: List[Tuple[int, Sequence[int]]] = []
+        insert = EventKind.INSERT
         stop = len(entries)
         for position in range(start, stop):
             entry = entries[position]
-            __, event, owner = entry
+            seq, event, owner = entry
+            if seq < 0:  # a subscription change; owner is its placement
+                query = event.query
+                qid = query.qid
+                if event.kind is insert:
+                    live[qid] = (position, inf)
+                    for index in owner:
+                        if index in by_index:
+                            by_index[index].subscribe(query)
+                            held[qid] = query
+                else:
+                    subscribed = live.get(qid)
+                    live[qid] = (-1 if subscribed is None else subscribed[0], position)
+                    cancels.append((qid, owner))
+                continue
             side = r_side if event.relation == "R" else s_side
             row = event.row
             key = side.row_id(row)
             visible = side.visible
-            if event.kind is not EventKind.INSERT:
+            if event.kind is not insert:
                 inserted = visible.get(key)
                 visible[key] = (-1 if inserted is None else inserted[0], position)
                 side.deletes.append((event, owner))
@@ -567,23 +632,35 @@ class ShardGroup:
             with span("shard.apply", shard=shard.index, events=stop - start):
                 begin = clock()
                 answered: List[Tuple[int, Delta]] = []
-                struck = 0
+                rows_struck = queries_struck = 0
                 for side, other, touched_bs in runs:
                     run = shard.apply_batch(side.entries, side.rows)
+                    if live:
+                        queries_struck += _strike_queries(run, side.positions, live)
                     if touched_bs:
-                        struck += _strike(run, side.positions, other, touched_bs)
+                        rows_struck += _strike(run, side.positions, other, touched_bs)
                     answered.extend(run)
                 if len(runs) == 2:
                     answered.sort(key=_SEQ)  # back to stream order
                 results[k].extend(answered)
-                if struck and self._rows_struck is not None:
-                    self._rows_struck[k].inc(struck)
+                if self._struck is not None:
+                    rows, queries = self._struck[k]
+                    if rows_struck:
+                        rows.inc(rows_struck)
+                    if queries_struck:
+                        queries.inc(queries_struck)
                 seconds[k] += clock() - begin
         for side in (r_side, s_side):
             for event, owner in side.deletes:
                 side.table.delete(event.row)
                 if owner in by_index:  # an S row of a C-slice held here
                     by_index[owner].apply(event)
+        for qid, placement in cancels:
+            query = held.pop(qid, None)
+            if query is not None:  # subscribed on a shard held here
+                for index in placement:
+                    if index in by_index:
+                        by_index[index].unsubscribe(query)
         return stop
 
 

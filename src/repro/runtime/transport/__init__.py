@@ -12,9 +12,9 @@ shared memory instead:
   teardown/unlink semantics.
 * :mod:`repro.runtime.transport.frames` — a versioned columnar frame
   codec over the rows, records and reader of :mod:`repro.wire`:
-  insert runs travel as flat id/float arrays, deletes as compact
-  per-entry records, result deltas as (seq, qid, sign, row-ref) tuples
-  resolved against the frame's own row table.
+  data runs travel as flat id/float arrays, subscription changes as wire
+  records in their stream position, result deltas as (seq, qid, sign,
+  row-ref) tuples resolved against the frame's own row table.
 * :mod:`repro.runtime.transport.worker` — the persistent shard-worker
   loop: drain the request ring, apply, answer on the response ring, exit
   on a shutdown frame.
@@ -39,7 +39,6 @@ from repro.runtime.transport.frames import (
     TelemetryPayload,
     decode_frame,
     encode_batch_frame,
-    encode_control_frame,
     encode_result_frame,
     encode_telemetry_frame,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "TransportError",
     "decode_frame",
     "encode_batch_frame",
-    "encode_control_frame",
     "encode_result_frame",
     "encode_telemetry_frame",
 ]

@@ -1,7 +1,7 @@
 """Versioned columnar frame codec for the shard data plane.
 
 Built on :mod:`repro.wire` — its row primitive, its record table (a
-CONTROL body is one such record; layouts in ``docs/DURABILITY.md``
+query segment carries such records; layouts in ``docs/DURABILITY.md``
 § Codec) and its bounds-checked :class:`~repro.wire.Reader`, constructed
 here with :class:`FrameError` — but framed for *throughput* rather than
 durability: a micro-batch crosses the process boundary as a handful of
@@ -13,19 +13,22 @@ Every frame starts ``[u8 frame_type][u8 version]``.  Frame types::
 
     1  BATCH      trace context + ordered shard entries, columnar (below)
     2  RESULT     elapsed + row table + (seq, qid, sign, row-ref) deltas
-    3  CONTROL    one wire record (SUB band/select, UNSUB)
-    4  ACK        empty body — control acknowledged
     5  SHUTDOWN   empty body — worker drains and exits
     6  ERROR      utf-8 message — worker-side exception report
     7  TELEMETRY  worker span batch + metric deltas (return path)
 
-**BATCH** (version 3) — a trace-context header
+Types 3 and 4 (CONTROL and ACK, a subscription change and its answer
+until version 3) are retired: a subscription change is an entry of the
+BATCH it rides, and a decoder meets them as unknown types.
+
+**BATCH** (version 4) — a trace-context header
 ``[u8 flags][u64 trace_id][u64 parent_span_id]`` then ``u32 n_entries``
 and *segments*.  ``flags`` bit0 requests a TELEMETRY frame after the
 RESULT; ``trace_id``/``parent_span_id`` propagate the parent's trace so
 worker spans join it (zero means untraced).  The entry list is split
-into maximal runs of the same (kind, relation); each run is one segment
-``[u8 seg_tag][u32 count]`` followed by flat columns::
+into maximal runs of the same (kind, relation), or of subscription
+changes; each run is one segment ``[u8 seg_tag][u32 count]``.  A data
+segment is followed by flat columns::
 
     seqs    <{n}q    event sequence numbers
     ids     <{n}q    rid (R) or sid (S)
@@ -34,22 +37,35 @@ into maximal runs of the same (kind, relation); each run is one segment
     ingest  <{n}q    parent-side perf_counter_ns at ingest (0 = unknown)
     owner   <{n}h    select-plane shard of an S row, -1 for an R row
 
+and a query segment (tag 5) by its placements, then its records::
+
+    lo      <{n}h    first shard of the query's placement
+    hi      <{n}h    last shard of the query's placement (a contiguous range)
+    records          n wire records back to back: SUB band, SUB select, UNSUB
+
+A query entry decodes with seq -1 and ingest 0 (it answers nothing), its
+placement as ``range(lo, hi + 1)`` and an UNSUB as
+``QueryEvent(DELETE, Unsubscribe(qid))`` — the qid is all a worker needs
+to cancel what it holds.  A data-only batch is byte-identical to version
+3 but for the version byte.
+
 The frame says nothing about its recipient — ``owner`` is the router's
-one decision per event and each shard compares it with its own index —
-so a batch is encoded once and the same bytes go to every worker.
+one decision per event, a placement its one decision per query, and each
+shard compares them with its own index — so a batch is encoded once and
+the same bytes go to every worker.
 
 The ingest column carries CLOCK_MONOTONIC readings, which share an
 origin across processes on one host — the worker subtracts them from its
 own clock to produce end-to-end latency without any wall-clock exchange.
 
-Segment tags: 1 INSERT_R, 2 INSERT_S, 3 DELETE_R, 4 DELETE_S.  Columns
-are contiguous little-endian int64/float64, so a numpy consumer can
+Segment tags: 1 INSERT_R, 2 INSERT_S, 3 DELETE_R, 4 DELETE_S, 5 QUERY.
+Columns are contiguous little-endian int64/float64, so a numpy consumer can
 ``frombuffer`` them with zero copies (the worker's fastpath kernels
 consume exactly such flat columns); this module itself stays pure-``struct``
 — numpy imports are confined to the kernel allowlist (RA002).
 
 **TELEMETRY** — the worker-to-parent observability return path, carried
-over the same response ring as RESULT/ACK (strictly after a RESULT whose
+over the same response ring as RESULT (strictly after a RESULT whose
 BATCH requested it, so the one-frame-in-flight protocol is preserved).
 Body: ``[u64 pid][u32 shard][u64 trace_id][u32 spans_dropped]`` then
 three length-prefixed sections::
@@ -97,18 +113,24 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.events import DataEvent, EventKind
+from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.obs.tracing import SpanRecord
 from repro.runtime.sharding import ShardEntry
 from repro.runtime.transport.shm import TransportError
-from repro.wire import ROW, ROW_FIELDS, ROW_TYPES, Reader, encode_event, read_record
+from repro.wire import (
+    ROW,
+    ROW_FIELDS,
+    ROW_TYPES,
+    Reader,
+    Unsubscribe,
+    encode_event,
+    read_record,
+)
 
 __all__ = [
     "FRAME_VERSION",
     "FRAME_BATCH",
     "FRAME_RESULT",
-    "FRAME_CONTROL",
-    "FRAME_ACK",
     "FRAME_SHUTDOWN",
     "FRAME_ERROR",
     "FRAME_TELEMETRY",
@@ -120,20 +142,16 @@ __all__ = [
     "TelemetryPayload",
     "encode_batch_frame",
     "encode_result_frame",
-    "encode_control_frame",
-    "encode_ack_frame",
     "encode_shutdown_frame",
     "encode_error_frame",
     "encode_telemetry_frame",
     "decode_frame",
 ]
 
-FRAME_VERSION = 3
+FRAME_VERSION = 4
 
 FRAME_BATCH = 1
 FRAME_RESULT = 2
-FRAME_CONTROL = 3
-FRAME_ACK = 4
 FRAME_SHUTDOWN = 5
 FRAME_ERROR = 6
 FRAME_TELEMETRY = 7
@@ -145,6 +163,7 @@ _SEG_INSERT_R = 1
 _SEG_INSERT_S = 2
 _SEG_DELETE_R = 3
 _SEG_DELETE_S = 4
+_SEG_QUERY = 5
 
 _HDR = struct.Struct("<BB")
 _U32 = struct.Struct("<I")
@@ -186,7 +205,9 @@ _SEGMENTS = {
 }
 
 
-def _seg_tag(event: DataEvent) -> int:
+def _seg_tag(event: Any) -> int:
+    if isinstance(event, QueryEvent):
+        return _SEG_QUERY
     if event.relation == "R":
         return _SEG_INSERT_R if event.kind is EventKind.INSERT else _SEG_DELETE_R
     return _SEG_INSERT_S if event.kind is EventKind.INSERT else _SEG_DELETE_S
@@ -199,8 +220,8 @@ def _seg_tag(event: DataEvent) -> int:
 class DecodedBatch:
     """A decoded BATCH frame: the ordered entries plus trace context.
 
-    ``ingest_ns`` is parallel to ``entries`` (0 = ingest time unknown);
-    ``want_telemetry`` mirrors BATCH flag bit0.
+    ``ingest_ns`` is parallel to ``entries`` (0 = ingest time unknown,
+    and every query entry's); ``want_telemetry`` mirrors BATCH flag bit0.
     """
 
     entries: List[ShardEntry]
@@ -222,7 +243,8 @@ def encode_batch_frame(
 
     ``ingest_ns`` (parallel to ``entries``) stamps each entry's
     parent-side monotonic ingest time; omitted means "unknown" and
-    encodes as zeros.
+    encodes as zeros.  A query entry's seq and ingest stamp are not
+    encoded.
     """
     if ingest_ns is not None and len(ingest_ns) != len(entries):
         raise FrameError("ingest_ns must be parallel to entries")
@@ -240,17 +262,25 @@ def encode_batch_frame(
             j += 1
         n = j - i
         run = entries[i:j]
-        seqs = [entry[0] for entry in run]
-        fields = ROW_FIELDS[run[0][1].relation]
-        ids, xs, ys = zip(*[fields(entry[1].row) for entry in run])
-        ingest = ingest_ns[i:j] if ingest_ns is not None else [0] * n
         parts.append(_SEG.pack(tag, n))
-        parts.append(struct.pack(f"<{n}q", *seqs))
-        parts.append(struct.pack(f"<{n}q", *ids))
-        parts.append(struct.pack(f"<{n}d", *xs))
-        parts.append(struct.pack(f"<{n}d", *ys))
-        parts.append(struct.pack(f"<{n}q", *ingest))
-        parts.append(struct.pack(f"<{n}h", *[entry[2] for entry in run]))
+        if tag == _SEG_QUERY:
+            parts.append(struct.pack(
+                f"<{n}h{n}h",
+                *[entry[2][0] for entry in run],
+                *[entry[2][-1] for entry in run],
+            ))
+            parts.extend(encode_event(entry[1]) for entry in run)
+        else:
+            seqs = [entry[0] for entry in run]
+            fields = ROW_FIELDS[run[0][1].relation]
+            ids, xs, ys = zip(*[fields(entry[1].row) for entry in run])
+            ingest = ingest_ns[i:j] if ingest_ns is not None else [0] * n
+            parts.append(struct.pack(f"<{n}q", *seqs))
+            parts.append(struct.pack(f"<{n}q", *ids))
+            parts.append(struct.pack(f"<{n}d", *xs))
+            parts.append(struct.pack(f"<{n}d", *ys))
+            parts.append(struct.pack(f"<{n}q", *ingest))
+            parts.append(struct.pack(f"<{n}h", *[entry[2] for entry in run]))
         i = j
     return b"".join(parts)
 
@@ -265,14 +295,18 @@ def _read_batch(reader: Reader) -> DecodedBatch:
     while len(entries) < n_entries:
         tag, n = reader.unpack(_SEG, "batch segment header")
         segment = _SEGMENTS.get(tag)
-        if segment is None:
+        if segment is None and tag != _SEG_QUERY:
             raise FrameError(f"unknown batch segment tag {tag}")
-        kind, relation = segment
         if not 0 < n <= n_entries - len(entries):
             raise FrameError(
                 f"batch segment of {n} entries with {n_entries - len(entries)} "
                 f"of the header's {n_entries} left"
             )
+        if segment is None:
+            entries.extend(_read_queries(reader, n))
+            ingest_all.extend([0] * n)
+            continue
+        kind, relation = segment
         flat = reader.columns(f"{n}q{n}q{n}d{n}d{n}q{n}h", "batch segment columns")
         ingest_all.extend(flat[4 * n : 5 * n])
         owners = flat[5 * n :]
@@ -295,6 +329,27 @@ def _read_batch(reader: Reader) -> DecodedBatch:
         parent_span_id=parent_span_id,
         want_telemetry=bool(flags_byte & BATCH_FLAG_TELEMETRY),
     )
+
+
+def _read_queries(reader: Reader, n: int) -> List[ShardEntry]:
+    """The ``n`` entries of a query segment."""
+    flat = reader.columns(f"{n}h{n}h", "query segment placements")
+    entries: List[ShardEntry] = []
+    for lo, hi in zip(flat, flat[n:]):
+        if not 0 <= lo <= hi:
+            raise FrameError(
+                f"query segment placement [{lo}, {hi}] is not a shard range"
+            )
+        record = read_record(reader)
+        event: QueryEvent
+        if isinstance(record, Unsubscribe):
+            event = QueryEvent(EventKind.DELETE, record)
+        elif isinstance(record, QueryEvent):
+            event = record
+        else:
+            raise FrameError("query segment holds a data record")
+        entries.append((-1, event, range(lo, hi + 1)))
+    return entries
 
 
 # -- RESULT ------------------------------------------------------------------
@@ -394,16 +449,7 @@ def _read_result(reader: Reader) -> Tuple[float, SeqResults]:
     return elapsed, results
 
 
-# -- control / lifecycle frames ----------------------------------------------
-
-
-def encode_control_frame(event: object) -> bytes:
-    """Wrap one wire record (SUB/UNSUB) as a control frame."""
-    return _HDR.pack(FRAME_CONTROL, FRAME_VERSION) + encode_event(event)
-
-
-def encode_ack_frame() -> bytes:
-    return _HDR.pack(FRAME_ACK, FRAME_VERSION)
+# -- lifecycle frames --------------------------------------------------------
 
 
 def encode_shutdown_frame() -> bytes:
@@ -591,8 +637,6 @@ def _read_nothing(reader: Reader) -> None:
 _BODY_READERS: Dict[int, Callable[[Reader], Any]] = {
     FRAME_BATCH: _read_batch,
     FRAME_RESULT: _read_result,
-    FRAME_CONTROL: read_record,
-    FRAME_ACK: _read_nothing,
     FRAME_SHUTDOWN: _read_nothing,
     FRAME_ERROR: _read_error,
     FRAME_TELEMETRY: _read_telemetry,
@@ -604,9 +648,8 @@ def decode_frame(payload: bytes) -> Tuple[int, Any]:
 
     Returns ``(frame_type, body)`` where the body is: a
     :class:`DecodedBatch` for BATCH, ``(elapsed, results)`` for RESULT, a
-    :data:`~repro.wire.DecodedRecord` for CONTROL, a
     :class:`TelemetryPayload` for TELEMETRY, the message string for
-    ERROR, and ``None`` for ACK/SHUTDOWN.  Anything else raises
+    ERROR, and ``None`` for SHUTDOWN.  Anything else raises
     :class:`FrameError`.
     """
     if len(payload) < _HDR.size:

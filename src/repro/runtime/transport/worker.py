@@ -9,9 +9,11 @@ per shard — so worker-side ring sends can use a short deadline: a full
 response ring means the pipeline stopped consuming, and dying loudly beats
 blocking forever.
 
-Queries decode to fresh objects on every control frame and the engine
-tracks subscriptions by identity, so the worker keeps its own qid → object
-registry and unsubscribes by qid.
+A request is a BATCH frame (or SHUTDOWN).  Subscription changes ride
+inside it as entries in stream order, so the worker runs exactly the code
+the inline backend runs: :meth:`ShardGroup.apply_batch` installs a
+subscribe whose placement names this shard, and resolves an unsubscribe,
+which crosses as its qid alone, against the queries the group holds.
 
 Observability: the worker runs its *own*
 :class:`~repro.obs.tracing.RingTracer` and
@@ -22,10 +24,11 @@ open roundtrip span id; the worker adopts both so its spans join the
 parent's trace, and a zero trace id — an untraced parent, which would
 drop the spans on arrival — switches span recording off until a traced
 BATCH comes (:class:`_BatchTracer`), so tracing costs a worker nothing
-unless someone reads it.  Metrics are always kept: the worker observes
+unless someone reads it.  Metrics are always kept: the worker measures
 per-entry ingest-to-apply latency from the batch's monotonic ingest
-timestamps (CLOCK_MONOTONIC is shared across processes on one host).
-When a BATCH requests telemetry (flag bit0), the worker follows its
+timestamps (CLOCK_MONOTONIC is shared across processes on one host) and
+folds them into ``worker/e2e/ingest_to_apply_us`` once per batch.  When
+a BATCH requests telemetry (flag bit0), the worker follows its
 response with one TELEMETRY frame — deltas collected by
 :class:`~repro.obs.remote.TelemetryCollector` — preserving the
 one-request/one-logical-response protocol (the pipeline reads RESULT
@@ -40,19 +43,17 @@ exits on a SHUTDOWN frame or an unrecoverable transport failure.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 if TYPE_CHECKING:
     from multiprocessing.synchronize import Semaphore
 
-from repro.engine.events import QueryEvent
 from repro.obs.remote import TelemetryCollector
 from repro.obs.tracing import NULL_TRACER, RingTracer
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import Histogram, MetricsRegistry, histogram_delta
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames
 from repro.runtime.transport.shm import ShmRing, TransportError
-from repro.wire import Unsubscribe
 
 __all__ = ["shard_worker_main"]
 
@@ -88,7 +89,7 @@ def _apply_batch(
     group: ShardGroup,
     batch: frames.DecodedBatch,
     tracer: _BatchTracer,
-    registry: MetricsRegistry,
+    e2e: Histogram,
 ) -> Tuple[float, frames.SeqResults]:
     tracer.join(batch)
     (shard,) = group.shards
@@ -101,37 +102,23 @@ def _apply_batch(
             for seq, deltas in applied
         ]
     end_ns = time.perf_counter_ns()
-    if batch.ingest_ns:
-        e2e = registry.histogram("worker/e2e/ingest_to_apply_us")
-        for ingest in batch.ingest_ns:
-            if ingest > 0:
-                e2e.observe((end_ns - ingest) / 1_000.0)
+    # One locked fold per batch; a query entry (stamp 0) is not timed.
+    latencies = [(end_ns - ingest) / 1_000.0 for ingest in batch.ingest_ns if ingest > 0]
+    if latencies:
+        e2e.merge_delta(**histogram_delta(latencies))
     return (end_ns - start_ns) / 1e9, results
 
 
 def _handle(
     group: ShardGroup,
-    queries: Dict[int, Any],
     frame_type: int,
     body: Any,
     tracer: _BatchTracer,
-    registry: MetricsRegistry,
+    e2e: Histogram,
 ) -> bytes:
     if frame_type == frames.FRAME_BATCH:
-        elapsed, results = _apply_batch(group, body, tracer, registry)
+        elapsed, results = _apply_batch(group, body, tracer, e2e)
         return frames.encode_result_frame(elapsed, results)
-    if frame_type == frames.FRAME_CONTROL:
-        (shard,) = group.shards
-        if isinstance(body, Unsubscribe):
-            shard.unsubscribe(queries.pop(body.qid))
-        elif isinstance(body, QueryEvent):
-            queries[body.query.qid] = body.query
-            shard.subscribe(body.query)
-        else:
-            raise TransportError(
-                f"unsupported control record: {type(body).__name__}"
-            )
-        return frames.encode_ack_frame()
     raise TransportError(f"unexpected request frame type {frame_type}")
 
 
@@ -158,7 +145,7 @@ def shard_worker_main(
     group = ShardGroup([index], alpha=alpha, epsilon=epsilon, metrics=registry,
                        tracer=tracer)
     collector = TelemetryCollector(index, registry, tracer.ring)
-    queries: Dict[int, Any] = {}
+    e2e = registry.histogram("worker/e2e/ingest_to_apply_us")
     try:
         while True:
             payload = requests.recv(timeout=None)
@@ -180,9 +167,7 @@ def shard_worker_main(
             if frame_type == frames.FRAME_SHUTDOWN:
                 break
             try:
-                response = _handle(
-                    group, queries, frame_type, body, tracer, registry
-                )
+                response = _handle(group, frame_type, body, tracer, e2e)
             except Exception as exc:  # surfaced to the pipeline, not lost
                 response = frames.encode_error_frame(
                     f"shard {index} worker: {type(exc).__name__}: {exc}"

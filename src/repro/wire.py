@@ -1,9 +1,9 @@
 """The one wire layer under the WAL and the shard frames.
 
 Everything the runtime turns into bytes — a WAL record, a checkpoint
-snapshot, a CONTROL frame body, the row table of a RESULT frame — is built
-from the three things defined here, and nothing here knows which plane is
-asking:
+snapshot, the query segment of a BATCH frame, the row table of a RESULT
+frame — is built from the three things defined here, and nothing here
+knows which plane is asking:
 
 * the **row primitive**: a table row is ``(id, x, y)`` under its relation
   (``rid, a, b`` for R; ``sid, b, c`` for S) — :data:`ROW_FIELDS` reads

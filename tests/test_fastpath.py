@@ -9,7 +9,9 @@ import pytest
 from repro.check import FuzzConfig, fuzz
 from repro.check.targets import FastpathTarget
 from repro.core.intervals import Interval
-from repro.engine.events import DataEvent, EventKind
+from repro.durability import DurabilityManager
+from repro.durability.wal import read_wal
+from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple, TableR, TableS
@@ -23,6 +25,7 @@ from repro.operators.hotspot_processor import (
 from repro.operators.select_join import SJSSI
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup
+from repro.wire import encode_event
 
 BATCH_SIZES = (1, 2, 7, 8, 23, 120)
 
@@ -770,15 +773,17 @@ class TestShardedBatch:
             num_shards=3, alpha=alpha, batch_size=37, coalesce=False
         )
         reference = ContinuousQuerySystem(alpha=alpha)
-        for query in band_queries(rng, 60) + select_queries(rng, 60):
-            batched.subscribe(query)
+        population = band_queries(rng, 60) + select_queries(rng, 60)
+        for query in population:
+            batched.subscribe(query)  # an entry of the first batches
             reference.subscribe(query)
         events = self._stream(rng, 400)
         want = self._reference_views(reference, events)
         got = [ordered_view(delta) for __, ___, delta in batched.run(events)]
         assert got == want
         batches = batched.metrics.counter("pipeline/batches").value
-        assert batches == -(-len(events) // 37)  # really batched, not per event
+        # Really batched, not per event, and no subscription a barrier.
+        assert batches == -(-(len(population) + len(events)) // 37)
         assert _rows_struck(batched) > 0  # and interleaved: the fix-up ran
 
     # -- the in-batch term: one batch, any interleaving ----------------------
@@ -964,6 +969,262 @@ class TestShardedBatch:
         assert pipeline.run([event]) == [(0, event, {})]  # no R rows yet
 
 
+def _queries_struck(pipeline):
+    """Delta entries the batch fix-up removed, over all shards."""
+    counters = pipeline.metrics.snapshot()["counters"]
+    return sum(
+        value for name, value in counters.items() if name.endswith("/runtime/queries_struck")
+    )
+
+
+def _sub(query):
+    return QueryEvent(EventKind.INSERT, query)
+
+
+def _unsub(query):
+    return QueryEvent(EventKind.DELETE, query)
+
+
+class TestQueryEntries:
+    """Subscription changes are entries of a batch, in stream order: each
+    case is ONE micro-batch (after the batches that apply ``before``) with
+    coalescing off, compared data event by data event, order included,
+    against the per-event system.  At K = 3 the C-slices meet at 3333.3
+    and 6666.7."""
+
+    BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9101)
+
+    @staticmethod
+    def _select(qid=9102):
+        return SelectJoinQuery(Interval(0.0, 100.0), Interval(1000.0, 9000.0), qid=qid)
+
+    @staticmethod
+    def _reference_views(reference, events):
+        """``ordered_view`` of what the per-event system answers for each
+        data event of ``events``, subscription changes applied in place."""
+        want = []
+        for event in events:
+            if isinstance(event, DataEvent):
+                want += TestShardedBatch._reference_views(reference, [event])
+            elif event.kind is EventKind.INSERT:
+                reference.subscribe(event.query)
+            else:
+                reference.unsubscribe(event.query)
+        return want
+
+    def _one_batch(self, events, *, num_shards, before=(), mode="inline", on_results=None):
+        """Apply ``before`` (rows and subscriptions), then ``events`` as one
+        batch; ``(data results, queries struck, pipeline)`` once every
+        delta equals the per-event system's.  ``on_results`` maps a query
+        of ``before`` to the callback it subscribes with."""
+        on_results = on_results or {}
+        reference = ContinuousQuerySystem(alpha=0.05)
+        pipeline = EventPipeline(
+            num_shards=num_shards, alpha=0.05, batch_size=len(events),
+            coalesce=False, mode=mode,
+        )
+        try:
+            for event in before:
+                if isinstance(event, QueryEvent):
+                    pipeline.subscribe(event.query, on_results.get(event.query))
+                else:
+                    pipeline.submit(event)
+            pipeline.drain()
+            self._reference_views(reference, before)
+            batches = pipeline.metrics.counter("pipeline/batches").value
+            results = pipeline.run(list(events))
+            assert pipeline.metrics.counter("pipeline/batches").value == batches + 1
+            want = self._reference_views(reference, events)
+            assert [ordered_view(delta) for __, ___, delta in results] == want
+            if mode != "inline":
+                pipeline.sample_hotspots()  # ships the workers' counters
+            return results, _queries_struck(pipeline), pipeline
+        finally:
+            pipeline.close()
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_subscribe_mid_batch_sees_later_arrivals_and_earlier_rows(self, kernel, num_shards):
+        select = self._select()
+        events = [
+            _insert(STuple(0, 50.0, 5000.0)),
+            _insert(RTuple(0, 10.0, 50.0)),   # before: answers no one
+            _sub(select),
+            _insert(RTuple(1, 10.0, 50.0)),   # joins the S row inserted before it
+            _insert(STuple(1, 50.0, 2000.0)),  # joins both R rows
+        ]
+        results, struck, __ = self._one_batch(events, num_shards=num_shards)
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{}, {}, {9102: [0]}, {9102: [0, 1]}]
+        assert struck > 0  # R 0 was probed against the subscription, then struck
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_unsubscribe_mid_batch_keeps_earlier_answers_and_callbacks(self, kernel, num_shards):
+        select = self._select()
+        seen = []
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),  # still answered
+            _unsub(select),
+            _insert(RTuple(1, 10.0, 50.0)),  # no longer
+        ]
+        results, struck, pipeline = self._one_batch(
+            events, num_shards=num_shards,
+            before=[_insert(STuple(0, 50.0, 5000.0)), _sub(select), _sub(self.BAND)],
+            on_results={select: lambda query, row, matches: seen.append((query, row.rid))},
+        )
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{9101: [0], 9102: [0]}, {9101: [0]}]
+        assert seen == [(select, 0)]  # the callback outlived the unsubscribe
+        assert struck > 0
+        with pytest.raises(KeyError):  # retired with the batch that applied it
+            pipeline.query_by_id(select.qid)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_subscribe_and_unsubscribe_in_one_batch(self, kernel, num_shards):
+        band = BandJoinQuery(Interval(-5.0, 5.0), qid=9103)
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),    # before
+            _sub(band),
+            _insert(RTuple(1, 10.0, 51.0)),    # between
+            _unsub(band),
+            _insert(RTuple(2, 10.0, 52.0)),    # after
+            _insert(STuple(1, 52.0, 2000.0)),  # after: sees R 0, 1 and 2
+        ]
+        results, struck, __ = self._one_batch(
+            events, num_shards=num_shards, before=[_insert(STuple(0, 50.0, 5000.0))]
+        )
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{}, {9103: [0]}, {}, {}]
+        assert struck >= 3
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_select_join_spanning_c_slices_subscribed_mid_batch(self, kernel, num_shards):
+        # rangeC covers all three C-slices: each shard installs the query
+        # at its position and strikes it from its own partial lists.
+        select = self._select()
+        s_rows = [STuple(i, 50.0, c) for i, c in enumerate((1500.0, 4500.0, 7500.0))]
+        events = [
+            _insert(s_rows[0]),
+            _insert(RTuple(0, 10.0, 50.0)),  # before
+            _sub(select),
+            _insert(s_rows[1]),              # sees R 0 in its slice
+            _insert(RTuple(1, 10.0, 50.0)),  # sees S 0 and 1: two slices
+            _insert(s_rows[2]),              # sees R 0 and 1
+        ]
+        results, struck, __ = self._one_batch(events, num_shards=num_shards)
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{}, {}, {9102: [0]}, {9102: [0, 1]}, {9102: [0, 1]}]
+        assert struck > 0
+
+    def test_one_batch_of_query_entries_in_process_shm(self):
+        # A worker installs what its placement names and cancels by qid; the
+        # parent resolves a retiring query's qid until the batch is applied.
+        band, select = BandJoinQuery(Interval(-5.0, 5.0), qid=9103), self._select()
+        seen = []
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),
+            _sub(band),
+            _insert(RTuple(1, 10.0, 51.0)),
+            _unsub(select),
+            _insert(STuple(1, 52.0, 2000.0)),
+            _unsub(band),
+            _insert(RTuple(2, 10.0, 52.0)),
+        ]
+        results, struck, __ = self._one_batch(
+            events, num_shards=2, mode="process-shm",
+            before=[_insert(STuple(0, 50.0, 5000.0)), _sub(select)],
+            on_results={select: lambda query, row, matches: seen.append((query, row.rid))},
+        )
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{9102: [0]}, {9103: [0]}, {9103: [0, 1]}, {}]
+        assert seen == [(select, 0)]  # resolved to the caller's object
+        assert struck > 0
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_reused_qid_flushes_exactly_once(self, kernel, num_shards):
+        """Re-subscribing a qid whose unsubscribe is still pending is the
+        one barrier left: one batch holds one life of a qid."""
+        first, second = self._select(qid=77), BandJoinQuery(Interval(-5.0, 5.0), qid=77)
+        reference = ContinuousQuerySystem(alpha=0.05)
+        stream = [
+            _insert(STuple(0, 50.0, 5000.0)),
+            _insert(RTuple(0, 10.0, 50.0)),  # first answers
+            _unsub(first),
+            _insert(RTuple(1, 10.0, 50.0)),  # no one answers
+            _sub(second),                    # flushes the four entries above
+            _insert(RTuple(2, 10.0, 52.0)),  # second answers
+        ]
+        want = self._reference_views(reference, [_sub(first), *stream])
+        assert want == [{}, {77: [0]}, {}, {77: [0]}]
+        for stepwise in (False, True):
+            with EventPipeline(num_shards=num_shards, alpha=0.05, batch_size=64,
+                               coalesce=False) as pipeline:
+                pipeline.subscribe(first)
+                pipeline.drain()
+                batches = pipeline.metrics.counter("pipeline/batches")
+                before = batches.value
+                if not stepwise:
+                    results = pipeline.run(stream)
+                    assert [ordered_view(delta) for __, ___, delta in results] == want
+                    assert batches.value == before + 2  # the reuse, the final drain
+                    continue
+                for position, event in enumerate(stream):
+                    pipeline.submit(event)
+                    assert batches.value == before + (position >= 4)
+                assert pipeline.pending == 2  # the new life and the R after it
+                assert pipeline.query_by_id(77) is second
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("policy", ["drop-oldest", "reject"])
+    def test_a_query_entry_at_capacity_is_never_dropped_or_refused(
+        self, kernel, policy, num_shards
+    ):
+        """Backpressure is data-only: a subscription change is logged when
+        submitted, so it is queued even with the queue at capacity, and
+        neither policy evicts or refuses it."""
+        select = self._select()
+        reference = ContinuousQuerySystem(alpha=0.05)
+        r0, r1 = (_insert(RTuple(i, 10.0, 50.0)) for i in range(2))
+        s0 = _insert(STuple(0, 50.0, 5000.0))
+        with EventPipeline(num_shards=num_shards, alpha=0.05, batch_size=64,
+                           queue_capacity=2, backpressure=policy, coalesce=False) as pipeline:
+            assert pipeline.submit(r0) and pipeline.submit(r1)  # at capacity
+            assert pipeline.submit(_sub(select))  # queued all the same
+            assert pipeline.pending == 3
+            accepted = pipeline.submit(s0)
+            assert pipeline.subscription_count == 1
+            results = pipeline.drain()
+        if policy == "drop-oldest":
+            assert accepted and pipeline.dropped_seqs == [0]  # R 0, not the query
+            applied = [r1, _sub(select), s0]
+        else:
+            assert not accepted and pipeline.rejected_seqs == [2]
+            applied = [r0, r1, _sub(select)]
+        want = self._reference_views(reference, applied)
+        assert [ordered_view(delta) for __, ___, delta in results] == want
+        if policy == "drop-oldest":
+            assert want[-1] == {9102: [1]}  # the query answered, in order
+
+    def test_wal_order_is_submit_order(self, tmp_path):
+        """Subscription changes are logged at submit, in stream order among
+        the data events, however the batches then fall."""
+        manager = DurabilityManager(tmp_path, fsync="never")
+        select, band = self._select(), BandJoinQuery(Interval(-5.0, 5.0), qid=9103)
+        stream = [
+            _insert(RTuple(0, 10.0, 50.0)), _sub(select), _insert(STuple(0, 50.0, 5000.0)),
+            _sub(band), _unsub(select), _insert(RTuple(1, 10.0, 51.0)), _unsub(band),
+        ]
+        with EventPipeline(num_shards=2, batch_size=3, queue_capacity=1,
+                           durability=manager) as pipeline:
+            manager.attach(pipeline)
+            for event in stream:
+                pipeline.submit(event)
+            pipeline.drain()
+            blocks = pipeline.metrics.counter("pipeline/backpressure_blocks").value
+        logged = [record.payload for record in read_wal(tmp_path).records]
+        assert logged == [encode_event(event) for event in stream]
+        assert blocks >= 1  # capacity 1 blocked on a data event, never on a query
+
+
 class TestFastpathFuzzTarget:
     def test_fuzz_smoke(self):
         made = []
@@ -973,9 +1234,11 @@ class TestFastpathFuzzTarget:
             return made[-1]
 
         report = fuzz(
-            FuzzConfig(seed=17, n_ops=400), targets=["fastpath"], shrink=False,
+            FuzzConfig(seed=1, n_ops=400), targets=["fastpath"], shrink=False,
             factories={"fastpath": factory},
         )
         assert report.ok, report.outcome.divergence
-        # The key grid makes in-batch joins: the fix-up is what was fuzzed.
+        # The key grid makes in-batch joins, and subscription changes share
+        # the batches: both halves of the fix-up are what was fuzzed.
         assert _rows_struck(made[0].batched) > 0
+        assert _queries_struck(made[0].batched) > 0

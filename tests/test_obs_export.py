@@ -164,6 +164,7 @@ class TestPrometheusRendering:
         assert "latency" in metric_help("pipeline/e2e_us").lower()
         assert "promoted" in metric_help("obs/shard/0/band/promotions").lower()
         assert "fix-up" in metric_help("shard/2/runtime/rows_struck")
+        assert "subscribed" in metric_help("shard/2/runtime/queries_struck")
         # Unknown names fall back to a generic but well-formed line.
         fallback = metric_help("totally/unknown_metric")
         assert "totally/unknown_metric" in fallback

@@ -9,20 +9,24 @@ Two halves of one contract (``docs/RUNTIME.md`` § metrics):
 * **equivalence** — folding per batch loses nothing: the final snapshot of
   every pipeline metric equals what one recording per event gives, worked
   out here from the stream and the batch boundaries by a model of the
-  ingress queue, under every backpressure policy.
+  ingress queue, under every backpressure policy — and so does a shm
+  worker's ``worker/e2e/ingest_to_apply_us``, shipped to the parent.
 """
 
 import random
+import sys
 
 import pytest
 
 from repro.core.intervals import Interval
 from repro.durability import DurabilityManager
-from repro.engine.events import DataEvent, EventKind
+from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
 from repro.runtime.metrics import Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
+from repro.runtime.sharding import ShardGroup
+from repro.runtime.transport import frames, worker
 
 FLUSH = None  # stream marker: the driver calls ``pipeline.flush()`` here
 
@@ -55,6 +59,9 @@ def seeded_stream(seed, n, *, min_age=0, flush_every=0):
 
 
 def subscribe_population(pipeline):
+    """Six subscriptions, applied before the stream starts: pending, they
+    would share its first batch and move every queue depth the per-event
+    model below predicts."""
     rng = random.Random(11)
     for qid in range(4):
         lo_a, lo_c = rng.uniform(0, 6_000), rng.uniform(0, 6_000)
@@ -65,6 +72,7 @@ def subscribe_population(pipeline):
         )
     for qid in range(4, 6):
         pipeline.subscribe(BandJoinQuery(Interval(-3.0, 3.0 + qid), qid=qid))
+    pipeline.drain()
     return 6
 
 
@@ -164,6 +172,7 @@ def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monk
         if manager is not None:
             manager.attach(pipeline)
         subscribe_population(pipeline)
+        population_batches = registry.counter("pipeline/batches").value
         calls["lookup"] = calls["observe"] = 0
         drive(pipeline, events)
         pipeline.drain()
@@ -171,7 +180,7 @@ def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monk
     finally:
         pipeline.close()
     counters = registry.snapshot()["counters"]
-    batches = counters["pipeline/batches"]
+    batches = counters["pipeline/batches"] - population_batches
     assert counters["pipeline/events_submitted"] == 2_000
     assert 2_000 // 64 <= batches <= 2_000 // 64 + 1
     # Per batch: a batch_us per shard and one batch_size; per event: nothing.
@@ -237,6 +246,51 @@ def test_final_snapshot_equals_per_event_recording(name):
     for index in range(2):
         assert counters[f"shard/{index}/events"] == applied
         assert histograms[f"shard/{index}/batch_us"]["count"] == counters["pipeline/batches"]
+
+
+def test_worker_e2e_fold_equals_per_event_recording(monkeypatch):
+    """A worker folds each batch's ingest-to-apply latencies into
+    ``worker/e2e/ingest_to_apply_us`` with one ``merge_delta``: on a clock
+    the test controls, the snapshot equals one ``observe`` per data entry,
+    and a query entry (stamp 0) is not timed."""
+    observes = []
+    monkeypatch.setattr(Histogram, "observe", lambda self, value: observes.append(value))
+    monkeypatch.setattr(worker.time, "perf_counter_ns", lambda: 90_000_000)
+    stamps = [1, 60_000_000, 0, 89_999_000, 80_000_000]
+    entries = [
+        (i, DataEvent(EventKind.INSERT, "R", RTuple(i, 1.0, 2.0)), -1) for i in range(4)
+    ]
+    query = BandJoinQuery(Interval(-1.0, 1.0), qid=7)
+    entries.insert(2, (-1, QueryEvent(EventKind.INSERT, query), [0]))
+    registry = MetricsRegistry()
+    e2e = registry.histogram("worker/e2e/ingest_to_apply_us")
+    batch = frames.DecodedBatch(entries=entries, ingest_ns=tuple(stamps))
+    worker._apply_batch(ShardGroup([0]), batch, worker._BatchTracer(None), e2e)
+    assert observes == []  # one fold, no per-entry observe
+    monkeypatch.undo()
+    want = [(90_000_000 - stamp) / 1_000.0 for stamp in stamps if stamp]
+    assert e2e.snapshot() == observed_per_event(want)
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="fork-based workers")
+def test_worker_e2e_ships_one_sample_per_data_entry():
+    """In ``process-shm`` the folded histogram reaches the parent after
+    ``drain_telemetry()`` with one sample per data event per shard."""
+    registry = MetricsRegistry()
+    events = seeded_stream(4, 300, min_age=400)  # inserts only: nothing coalesces
+    with EventPipeline(
+        num_shards=2, batch_size=64, mode="process-shm", metrics=registry
+    ) as pipeline:
+        subscribe_population(pipeline)
+        drive(pipeline, events)
+        pipeline.drain()
+        pipeline._backend.drain_telemetry()
+        histograms = registry.snapshot()["histograms"]
+        for index in range(2):
+            merged = histograms[f"shard/{index}/worker/e2e/ingest_to_apply_us"]
+            assert merged["count"] == len(events)
+            assert sum(n for __, n in merged["buckets"]) == len(events)
+            assert 0.0 < merged["min"] <= merged["max"]
 
 
 def test_pending_depths_appear_with_the_flush_that_covers_them():

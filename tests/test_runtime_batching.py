@@ -2,20 +2,20 @@
 
 from repro.engine.events import DataEvent, EventKind
 from repro.engine.table import RTuple, STuple
-from repro.runtime.batching import BatchEntry, MicroBatcher
+from repro.runtime.batching import MicroBatcher
 from repro.runtime.replay import StreamProfile, generate_mixed_stream, run_replay
 
 
 def insert_r(seq, rid):
-    return BatchEntry(seq, DataEvent(EventKind.INSERT, "R", RTuple(rid, 1.0, 2.0)))
+    return (seq, DataEvent(EventKind.INSERT, "R", RTuple(rid, 1.0, 2.0)), 0)
 
 
 def delete_r(seq, rid):
-    return BatchEntry(seq, DataEvent(EventKind.DELETE, "R", RTuple(rid, 1.0, 2.0)))
+    return (seq, DataEvent(EventKind.DELETE, "R", RTuple(rid, 1.0, 2.0)), 0)
 
 
 def insert_s(seq, sid):
-    return BatchEntry(seq, DataEvent(EventKind.INSERT, "S", STuple(sid, 1.0, 2.0)))
+    return (seq, DataEvent(EventKind.INSERT, "S", STuple(sid, 1.0, 2.0)), 0)
 
 
 class TestCoalescing:
@@ -25,7 +25,7 @@ class TestCoalescing:
         batcher.add(insert_s(1, 3))
         batcher.add(delete_r(2, 7))
         batch = batcher.drain()
-        assert [entry.seq for entry in batch] == [1]
+        assert [entry[0] for entry in batch] == [1]
         assert batcher.stats.coalesced_pairs == 1
         assert batcher.stats.cancelled == [(0, 2)]
 
@@ -35,35 +35,35 @@ class TestCoalescing:
             batcher.add(insert_r(seq, seq))
         batcher.add(delete_r(5, 2))
         batch = batcher.drain()
-        assert [entry.seq for entry in batch] == [0, 1, 3, 4]
+        assert [entry[0] for entry in batch] == [0, 1, 3, 4]
 
     def test_delete_without_pending_insert_survives(self):
         """A delete of a row inserted in an *earlier* batch must be applied."""
         batcher = MicroBatcher(max_batch=16)
         batcher.add(insert_r(0, 7))
-        assert [e.seq for e in batcher.drain()] == [0]
+        assert [e[0] for e in batcher.drain()] == [0]
         batcher.add(delete_r(1, 7))
-        assert [e.seq for e in batcher.drain()] == [1]
+        assert [e[0] for e in batcher.drain()] == [1]
         assert batcher.stats.coalesced_pairs == 0
 
     def test_same_id_different_relation_does_not_cancel(self):
         batcher = MicroBatcher(max_batch=16)
         batcher.add(insert_s(0, 7))
         batcher.add(delete_r(1, 7))  # rid 7 != sid 7
-        assert [e.seq for e in batcher.drain()] == [0, 1]
+        assert [e[0] for e in batcher.drain()] == [0, 1]
 
     def test_coalesce_can_be_disabled(self):
         batcher = MicroBatcher(max_batch=16)
         batcher.add(insert_r(0, 7))
         batcher.add(delete_r(1, 7))
-        assert [e.seq for e in batcher.drain(coalesce=False)] == [0, 1]
+        assert [e[0] for e in batcher.drain(coalesce=False)] == [0, 1]
 
     def test_reinsert_after_cancelled_pair_survives(self):
         batcher = MicroBatcher(max_batch=16)
         batcher.add(insert_r(0, 7))
         batcher.add(delete_r(1, 7))
         batcher.add(insert_r(2, 7))  # same key re-inserted: must survive
-        assert [e.seq for e in batcher.drain()] == [2]
+        assert [e[0] for e in batcher.drain()] == [2]
         assert batcher.stats.coalesced_pairs == 1
 
 
@@ -73,17 +73,17 @@ class TestBatchLimits:
         for seq in range(5):
             batcher.add(insert_r(seq, seq))
         assert batcher.is_due
-        assert [e.seq for e in batcher.drain()] == [0, 1, 2]
+        assert [e[0] for e in batcher.drain()] == [0, 1, 2]
         assert len(batcher) == 2
-        assert [e.seq for e in batcher.drain()] == [3, 4]
+        assert [e[0] for e in batcher.drain()] == [3, 4]
 
     def test_drop_oldest(self):
         batcher = MicroBatcher(max_batch=8)
         for seq in range(3):
             batcher.add(insert_r(seq, seq))
         dropped = batcher.drop_oldest()
-        assert dropped.seq == 0
-        assert [e.seq for e in batcher.drain()] == [1, 2]
+        assert dropped[0] == 0
+        assert [e[0] for e in batcher.drain()] == [1, 2]
 
 
 class TestBatchedDeltaEquivalence:

@@ -1,5 +1,5 @@
 """Tests for the bounded event pipeline: backpressure, execution modes,
-metrics, and query-event barriers."""
+metrics, and query events in stream order (the one barrier left)."""
 
 import sys
 
@@ -169,21 +169,27 @@ class TestBatchTriggers:
 
 
 class TestQueryEventBarrier:
-    def test_subscribe_drains_pending_events_first(self):
-        """A mid-stream subscription must observe exactly the stream prefix
-        before it: pending inserts flush before the query registers, so
-        they produce no deltas for it, but their rows are installed."""
+    """Subscription changes ride the batch in stream order; the one
+    barrier left is a reused qid (``TestQueryEntries`` in
+    ``test_fastpath.py`` covers the rest)."""
+
+    def test_subscribe_rides_the_batch_in_stream_order(self):
+        """A mid-stream subscription observes exactly the stream prefix
+        before it: the insert queued ahead of it produces no delta for it,
+        but its row is installed and joins later arrivals."""
         with EventPipeline(
             num_shards=2, alpha=None, batch_size=64, mode="inline"
         ) as pipeline:
+            pipeline.run([r_insert(9)])  # an R row the S insert would join
             pipeline.submit(s_insert(0))
             assert pipeline.pending == 1
             query = wide_select()
             pipeline.submit(QueryEvent(EventKind.INSERT, query))
-            assert pipeline.pending == 0  # barrier flushed the S insert
+            assert pipeline.pending == 2  # queued behind the S insert, not a barrier
             results = pipeline.run([r_insert(0)])
-            (seq, __, deltas), = results
-            assert len(deltas[query]) == 1  # joins the pre-subscribe S row
+            (__, __, s_deltas), (__, __, r_deltas) = results
+            assert s_deltas == {}  # arrived before the subscription
+            assert len(r_deltas[query]) == 1  # joins the pre-subscribe S row
 
     def test_unsubscribe_stops_deltas(self):
         with EventPipeline(
@@ -244,19 +250,21 @@ class TestProcessBackend:
             assert got_query is query
             assert [row.sid for row in matches] == [0]
 
-    def test_mid_stream_subscribe_unsubscribe_barrier(self):
-        """QueryEvents act as barriers in process-shm mode too: the subscription
-        observes exactly the stream prefix before it, and unsubscribing by
-        qid stops deltas without disturbing other subscriptions."""
+    def test_mid_stream_subscribe_unsubscribe_in_stream_order(self):
+        """QueryEvents ride the batch in process-shm mode too: the
+        subscription observes exactly the stream prefix before it, and
+        unsubscribing by qid stops deltas without disturbing other
+        subscriptions."""
         with self.make() as pipeline:
             first = wide_select()
             second = wide_select()
             pipeline.submit(s_insert(0))
             pipeline.submit(QueryEvent(EventKind.INSERT, first))
-            assert pipeline.pending == 0  # barrier flushed the S insert
+            assert pipeline.pending == 2  # queued behind the S insert, not a barrier
             pipeline.submit(QueryEvent(EventKind.INSERT, second))
             results = pipeline.run([r_insert(0)])
-            (__, __, deltas), = results
+            (__, __, s_deltas), (__, __, deltas) = results
+            assert s_deltas == {}
             assert {q.qid for q in deltas} == {first.qid, second.qid}
             pipeline.submit(QueryEvent(EventKind.DELETE, first))
             results = pipeline.run([r_insert(1)])

@@ -210,6 +210,23 @@ def _workers(pipe):
     return list(pipe._backend._workers)
 
 
+def _answer(backend):
+    """Shard 0's response to the one request in flight: a BATCH's RESULT."""
+    return backend._decode(0, backend._await_raw(0), frames.FRAME_RESULT)
+
+
+def _query_batch(placement, record):
+    """A BATCH frame of one query segment: ``placement`` (lo, hi), then
+    ``record`` as it stands."""
+    return (
+        frames._HDR.pack(frames.FRAME_BATCH, frames.FRAME_VERSION)
+        + struct.pack("<BQQI", 0, 0, 0, 1)
+        + struct.pack("<BI", 5, 1)
+        + struct.pack("<hh", *placement)
+        + record
+    )
+
+
 class TestPipelineLifecycle:
     def test_close_idempotent_no_leaked_workers_or_segments(self):
         pipe = EventPipeline(num_shards=2, batch_size=8, mode="process-shm")
@@ -261,24 +278,24 @@ class TestPipelineLifecycle:
         [
             frames._HDR.pack(frames.FRAME_BATCH, frames.FRAME_VERSION)
             + b"\xff\xff\xff\xff",
-            frames.encode_control_frame(
-                QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3))
-            )[:-1],
-            frames._HDR.pack(frames.FRAME_CONTROL, frames.FRAME_VERSION)
-            + struct.pack("<Bqdd", 5, 3, 2.0, 1.0),
+            frames.encode_batch_frame([
+                (-1, QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3)), [0])
+            ])[:-1],
+            _query_batch((0, 0), struct.pack("<Bqdd", 5, 3, 2.0, 1.0)),
         ],
         ids=["garbage-batch", "control-cut-short", "control-lo-above-hi"],
     )
     def test_worker_survives_bad_request_frame(self, bad_request):
         # A decode error inside the worker must come back as an ERROR
         # frame — the worker stays alive and the next request still works —
-        # and both sides count it.
+        # and both sides count it.  The two ``control-`` cases are query
+        # segments whose subscription record is cut short or refused.
         pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend
             backend._send(0, bad_request)
             with pytest.raises(TransportError, match="bad request frame"):
-                backend._expect_ack(0)
+                _answer(backend)
             assert _workers(pipe)[0].is_alive()
             pipe.subscribe(BandJoinQuery(Interval(0.0, 100.0), qid=7))
             out = pipe.run([_r_insert(0, 10.0, 12.0)])
@@ -298,7 +315,7 @@ class TestPipelineLifecycle:
             backend = pipe._backend
             backend._timeout = 0.1
             with pytest.raises(RingTimeoutError, match="no response from shard 0"):
-                backend._expect_ack(0)
+                backend._await_raw(0)
             assert pipe.metrics.counter("transport/ring_timeouts").value == 1
             assert _workers(pipe)[0].is_alive()
         finally:
@@ -312,10 +329,9 @@ class TestPipelineLifecycle:
         try:
             backend = pipe._backend
             ring = backend._responses[0]
-            query = BandJoinQuery(Interval(0.0, 1.0), qid=3)
-            backend._send(0, frames.encode_control_frame(QueryEvent(EventKind.INSERT, query)))
+            backend._send(0, frames.encode_batch_frame([]))
             deadline = time.monotonic() + 10.0
-            while not ring.occupancy():  # the ACK is in the ring, unread
+            while not ring.occupancy():  # the RESULT is in the ring, unread
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             at = _DATA + ring._next_head % ring._capacity + _FRAME.size
@@ -328,7 +344,7 @@ class TestPipelineLifecycle:
 
             healer = threading.Thread(target=heal)
             healer.start()
-            backend._expect_ack(0)
+            _answer(backend)
             healer.join(timeout=5.0)
             assert not healer.is_alive()
             assert ring.crc_retries >= 1

@@ -2,21 +2,23 @@
 
 The wire contract under test:
 
-* BATCH frames round-trip arbitrary insert/delete interleavings over both
-  relations exactly — sequence numbers, row payloads (including NaN and
-  ±inf coordinates), and the per-entry select-plane owner;
+* BATCH frames round-trip arbitrary interleavings of inserts and deletes
+  over both relations and of subscription changes exactly — sequence
+  numbers, row payloads (including NaN and ±inf coordinates), the
+  per-entry select-plane owner, and a query entry's record and placement;
 * RESULT frames round-trip ``(seq, {qid: rows})`` deltas against the
   frame's own deduplicated row table, with the documented normalization
   that *empty* deltas are elided on encode;
 * ``encode → decode → encode`` is a fixed point, which is how NaN-bearing
   payloads are compared (bytes are exact where ``==`` on floats is not);
 * every lifecycle frame survives ``decode_frame`` dispatch, and corrupted
-  headers, truncated frames of every type (CONTROL included), inconsistent
-  BATCH segments, CONTROL records the engine's value types refuse and
-  non-UTF-8 names fail as :class:`FrameError`, never as another exception
-  or a silent misdecode;
-* the encoders' bytes are pinned against hex literals captured at PR 20
-  (``TestGoldenBytes``), so a refactor cannot move the format silently.
+  headers, truncated frames of every type (query segments included),
+  inconsistent BATCH segments, subscription records the engine's value
+  types refuse and non-UTF-8 names fail as :class:`FrameError`, never as
+  another exception or a silent misdecode;
+* the encoders' bytes are pinned against hex literals (``TestGoldenBytes``),
+  so a refactor cannot move the format silently: version 4 differs from
+  version 3 in the version byte alone wherever version 3 could say it.
 """
 
 import math
@@ -33,18 +35,47 @@ from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.obs.tracing import SpanRecord
 from repro.engine.table import RTuple, STuple
 from repro.runtime.transport import frames
+from repro.wire import Unsubscribe
 
 # Any IEEE double the tables can hold, NaN and infinities included.
 coords = st.floats(allow_nan=True, allow_infinity=True, width=64)
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
+# Non-NaN, ordered endpoints: what a subscription can hold.
+intervals = st.tuples(
+    st.floats(allow_nan=False, width=64), st.floats(allow_nan=False, width=64)
+).map(lambda pair: Interval(min(pair), max(pair)))
+
+control_events = st.one_of(
+    st.builds(
+        QueryEvent,
+        st.sampled_from([EventKind.INSERT, EventKind.DELETE]),
+        st.builds(BandJoinQuery, intervals, qid=i64),
+    ),
+    st.builds(
+        QueryEvent,
+        st.just(EventKind.INSERT),
+        st.builds(SelectJoinQuery, intervals, intervals, qid=i64),
+    ),
+)
+
+placements = st.tuples(st.integers(0, 2**15 - 1), st.integers(0, 64)).map(
+    lambda pair: range(pair[0], min(2**15, pair[0] + pair[1] + 1))
+)
+
+
 @st.composite
-def shard_entries(draw, min_size=0, max_size=40):
-    """Arbitrary interleavings of R/S inserts and deletes; an S row names
-    its select-plane owner, an R row has none (-1)."""
+def shard_entries(draw, min_size=0, max_size=40, queries=True):
+    """Arbitrary interleavings of R/S inserts and deletes and (unless
+    ``queries`` is off) subscription changes; an S row names its
+    select-plane owner, an R row has none (-1), a query entry has seq -1
+    and a placement."""
     out = []
     for _ in range(draw(st.integers(min_size, max_size))):
+        if queries and draw(st.integers(0, 4)) == 0:
+            out.append((-1, draw(control_events), draw(placements)))
+            continue
         relation = draw(st.sampled_from(["R", "S"]))
         kind = draw(st.sampled_from([EventKind.INSERT, EventKind.DELETE]))
         x, y = draw(coords), draw(coords)
@@ -75,11 +106,32 @@ def seq_results(draw):
     return out
 
 
+def _query_equal(got, want):
+    """A decoded query entry against the one encoded: an UNSUB decodes to
+    its qid alone, a SUB to a fresh query of the same qid and ranges."""
+    (g_seq, g_ev, g_placement), (w_seq, w_ev, w_placement) = got, want
+    if (g_seq, list(g_placement)) != (w_seq, list(w_placement)):
+        return False
+    if g_ev.kind is not w_ev.kind or g_ev.query.qid != w_ev.query.qid:
+        return False
+    if w_ev.kind is EventKind.DELETE:
+        return isinstance(g_ev.query, Unsubscribe)
+    ranges = ("band",) if isinstance(w_ev.query, BandJoinQuery) else ("range_a", "range_c")
+    return type(g_ev.query) is type(w_ev.query) and all(
+        getattr(g_ev.query, name) == getattr(w_ev.query, name) for name in ranges
+    )
+
+
 def _entries_equal(got, want):
     """Structural equality that treats NaN as equal to itself."""
     if len(got) != len(want):
         return False
-    for (g_seq, g_ev, g_owner), (w_seq, w_ev, w_owner) in zip(got, want):
+    for g_entry, w_entry in zip(got, want):
+        if isinstance(w_entry[1], QueryEvent):
+            if not _query_equal(g_entry, w_entry):
+                return False
+            continue
+        (g_seq, g_ev, g_owner), (w_seq, w_ev, w_owner) = g_entry, w_entry
         if (g_seq, g_owner) != (w_seq, w_owner):
             return False
         if g_ev.kind is not w_ev.kind or g_ev.relation != w_ev.relation:
@@ -150,7 +202,11 @@ class TestBatchFrameRoundTrip:
         assert decoded.trace_id == trace_id
         assert decoded.parent_span_id == parent
         assert decoded.want_telemetry is want
-        assert list(decoded.ingest_ns) == ingest
+        # A query entry's stamp does not cross: it answers nothing.
+        assert list(decoded.ingest_ns) == [
+            0 if isinstance(entry[1], QueryEvent) else stamp
+            for entry, stamp in zip(entries, ingest)
+        ]
         assert _entries_equal(decoded.entries, entries)
 
     def test_ingest_length_must_match_entries(self):
@@ -178,6 +234,15 @@ class TestBatchFrameRoundTrip:
             frames.decode_frame(
                 payload[:segments_at] + empty_segment + payload[segments_at:]
             )
+
+    def test_query_placement_must_be_a_shard_range(self):
+        query = QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3))
+        payload = frames.encode_batch_frame([(-1, query, [2])])
+        at = payload.index(struct.pack("<BI", 5, 1)) + 5
+        for lo, hi in [(3, 2), (-1, 0)]:
+            bad = payload[:at] + struct.pack("<hh", lo, hi) + payload[at + 4 :]
+            with pytest.raises(frames.FrameError, match="placement"):
+                frames.decode_frame(bad)
 
     def test_owner_must_fit_the_relation(self):
         r_row = DataEvent(EventKind.INSERT, "R", RTuple(1, 0.0, 0.0))
@@ -222,11 +287,7 @@ class TestResultFrameRoundTrip:
 
 
 class TestLifecycleFrames:
-    def test_ack_shutdown_error_roundtrip(self):
-        assert frames.decode_frame(frames.encode_ack_frame()) == (
-            frames.FRAME_ACK,
-            None,
-        )
+    def test_shutdown_error_roundtrip(self):
         assert frames.decode_frame(frames.encode_shutdown_frame()) == (
             frames.FRAME_SHUTDOWN,
             None,
@@ -237,22 +298,33 @@ class TestLifecycleFrames:
         assert frame_type == frames.FRAME_ERROR
         assert message == "shard 3 exploded: déjà vu"
 
-    def test_control_frame_roundtrip(self):
+    def test_query_segment_roundtrip(self):
+        """A subscription change is a BATCH entry: its record and placement
+        cross, its seq and ingest stamp do not (-1 and 0 on arrival)."""
         query = BandJoinQuery(Interval(5.0, 25.0), qid=42)
-        payload = frames.encode_control_frame(QueryEvent(EventKind.INSERT, query))
-        frame_type, record = frames.decode_frame(payload)
-        assert frame_type == frames.FRAME_CONTROL
-        assert record is not None
+        entries = [
+            (-1, QueryEvent(EventKind.INSERT, query), [1]),
+            (7, DataEvent(EventKind.INSERT, "R", RTuple(1, 0.0, 0.0)), -1),
+            (-1, QueryEvent(EventKind.DELETE, query), [1]),
+        ]
+        payload = frames.encode_batch_frame(entries, ingest_ns=[5, 6, 7])
+        frame_type, decoded = frames.decode_frame(payload)
+        assert frame_type == frames.FRAME_BATCH
+        assert _entries_equal(decoded.entries, entries)
+        assert decoded.ingest_ns == (0, 6, 0)
+        assert decoded.entries[2][1].query == Unsubscribe(42)
 
     def test_header_validation(self):
         with pytest.raises(frames.FrameError, match="no header"):
             frames.decode_frame(b"")
         with pytest.raises(frames.FrameError, match="version"):
-            frames.decode_frame(bytes([frames.FRAME_ACK, 99]))
-        with pytest.raises(frames.FrameError, match="unknown frame type"):
-            frames.decode_frame(bytes([250, frames.FRAME_VERSION]))
+            frames.decode_frame(bytes([frames.FRAME_SHUTDOWN, 99]))
+        # 3 and 4 (CONTROL and ACK until version 3) are retired.
+        for retired in (3, 4, 250):
+            with pytest.raises(frames.FrameError, match="unknown frame type"):
+                frames.decode_frame(bytes([retired, frames.FRAME_VERSION]))
         with pytest.raises(frames.FrameError, match="carries no body"):
-            frames.decode_frame(frames.encode_ack_frame() + b"junk")
+            frames.decode_frame(frames.encode_shutdown_frame() + b"junk")
 
 
 metric_names = st.text(min_size=1, max_size=40)
@@ -381,29 +453,13 @@ class TestTelemetryFrameRoundTrip:
 
 _shared_row = RTuple(1, 2.0, 3.0)
 
-# Non-NaN, ordered endpoints: what a subscription can hold.
-intervals = st.tuples(
-    st.floats(allow_nan=False, width=64), st.floats(allow_nan=False, width=64)
-).map(lambda pair: Interval(min(pair), max(pair)))
-
-control_events = st.one_of(
-    st.builds(
-        QueryEvent,
-        st.sampled_from([EventKind.INSERT, EventKind.DELETE]),
-        st.builds(BandJoinQuery, intervals, qid=i64),
-    ),
-    st.builds(
-        QueryEvent,
-        st.just(EventKind.INSERT),
-        st.builds(SelectJoinQuery, intervals, intervals, qid=i64),
-    ),
-)
-
 encoded_frames = st.one_of(
     shard_entries(max_size=6).map(frames.encode_batch_frame),
     seq_results().map(lambda results: frames.encode_result_frame(0.5, results)),
     telemetry_payloads().map(frames.encode_telemetry_frame),
-    control_events.map(frames.encode_control_frame),
+    st.tuples(control_events, placements).map(
+        lambda pair: frames.encode_batch_frame([(-1, *pair)])
+    ),
 )
 
 
@@ -433,6 +489,7 @@ class TestTruncation:
             struct.pack("<Bqdddd", 6, 1, 0.0, float("nan"), 3.0, 9.0),
             struct.pack("<Bq", 7, 1) + b"\x00",  # UNSUB + a trailing byte
             bytes([9]) + b"\x00" * 8,  # no such record tag
+            struct.pack("<Bqdd", 1, 1, 2.0, 1.0),  # a data record (INSERT R)
         ],
         ids=[
             "band-inverted",
@@ -441,13 +498,18 @@ class TestTruncation:
             "select-nan",
             "unsub-trailing-byte",
             "unknown-tag",
+            "data-record",
         ],
     )
     def test_malformed_control_record_raises_frame_error(self, record):
-        """The worker catches ``FrameError`` only: a CONTROL body the
-        record table or the engine's value types refuse must not surface
-        as ``CodecError`` or ``ValueError``."""
-        header = bytes([frames.FRAME_CONTROL, frames.FRAME_VERSION])
+        """The worker catches ``FrameError`` only: a query segment's
+        subscription record that the record table or the engine's value
+        types refuse must not surface as ``CodecError`` or ``ValueError``."""
+        header = b"".join([
+            bytes([frames.FRAME_BATCH, frames.FRAME_VERSION]),
+            struct.pack("<BQQI", 0, 0, 0, 1),  # context, one entry
+            struct.pack("<BIhh", 5, 1, 0, 0),  # a query segment of one, shard 0
+        ])
         with pytest.raises(frames.FrameError):
             frames.decode_frame(header + record)
 
@@ -461,6 +523,7 @@ class TestTruncation:
 
 # One frame of each body-carrying type as the PR-20 encoders wrote it
 # (FRAME_VERSION 3): the wire format is pinned, not merely self-consistent.
+# Version 4 writes the same bytes but for the version byte.
 GOLDEN_BATCH = (
     "010301efcdab000000000034120000000000000500000001030000000a000000"
     "000000000b000000000000000c00000000000000010000000000000002000000"
@@ -481,6 +544,15 @@ GOLDEN_CONTROL = (
     "0303060c00000000000000000000000000000000000000000014400000000000"
     "0000400000000000002240"
 )
+# Version 4: a SUB select on shards 1-2, an R insert, an UNSUB on shard 0.
+# The SUB record is the CONTROL body above, byte for byte.
+GOLDEN_QUERY = (
+    "0104000000000000000000000000000000000003000000050100000001000200"
+    "060c000000000000000000000000000000000000000000144000000000000000"
+    "4000000000000022400101000000140000000000000001000000000000000000"
+    "00000000e03f000000000000f83f6500000000000000ffff0501000000000000"
+    "00070700000000000000"
+)
 GOLDEN_TELEMETRY = (
     "0703921000000000000001000000efcdab000000000002000000010000000c00"
     "776f726b65722e6261746368e803000000000000fa000000000000004d000000"
@@ -492,6 +564,13 @@ GOLDEN_TELEMETRY = (
     "0000002440000000000000344002000000040001000000000000000500010000"
     "0000000000"
 )
+
+
+def _as_v3(frame):
+    """``frame`` with the version byte of version 3: the one byte in which
+    version 4 differs wherever version 3 could say the same thing."""
+    assert frame[1] == frames.FRAME_VERSION == 4
+    return frame[:1] + b"\x03" + frame[2:]
 
 
 class TestGoldenBytes:
@@ -510,8 +589,10 @@ class TestGoldenBytes:
             parent_span_id=0x1234,
             want_telemetry=True,
         )
-        assert encoded.hex() == GOLDEN_BATCH
-        __, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_BATCH))
+        # A data-only batch: the version-3 bytes, the version byte aside.
+        assert _as_v3(encoded).hex() == GOLDEN_BATCH
+        assert encoded[1:2] == b"\x04"
+        __, decoded = frames.decode_frame(encoded)
         assert decoded.entries == entries
         assert decoded.ingest_ns == (101, 102, 103, 104, 105)
         assert (decoded.trace_id, decoded.parent_span_id) == (0xABCDEF, 0x1234)
@@ -522,23 +603,30 @@ class TestGoldenBytes:
             (0, {7: [_shared_row]}),
             (1, {8: [_shared_row, STuple(2, 0.0, 1.0)]}),
         ]
-        assert frames.encode_result_frame(0.5, results).hex() == GOLDEN_RESULT
-        assert frames.decode_frame(bytes.fromhex(GOLDEN_RESULT)) == (
-            frames.FRAME_RESULT,
-            (0.5, results),
-        )
+        encoded = frames.encode_result_frame(0.5, results)
+        assert _as_v3(encoded).hex() == GOLDEN_RESULT
+        assert frames.decode_frame(encoded) == (frames.FRAME_RESULT, (0.5, results))
 
     def test_control(self):
+        """A subscription change rides the BATCH as a query segment whose
+        record is what a version-3 CONTROL frame carried."""
         query = SelectJoinQuery(Interval(0.0, 5.0), Interval(2.0, 9.0), qid=12)
-        event = QueryEvent(EventKind.INSERT, query)
-        assert frames.encode_control_frame(event).hex() == GOLDEN_CONTROL
-        frame_type, record = frames.decode_frame(bytes.fromhex(GOLDEN_CONTROL))
-        assert frame_type == frames.FRAME_CONTROL
-        assert record.kind is EventKind.INSERT and record.query.qid == 12
-        assert (record.query.range_a, record.query.range_c) == (
-            query.range_a,
-            query.range_c,
-        )
+        entries = [
+            (-1, QueryEvent(EventKind.INSERT, query), [1, 2]),
+            (20, DataEvent(EventKind.INSERT, "R", RTuple(1, 0.5, 1.5)), -1),
+            (-1, QueryEvent(EventKind.DELETE, BandJoinQuery(Interval(-1.0, 1.0), qid=7)), [0]),
+        ]
+        encoded = frames.encode_batch_frame(entries, ingest_ns=[0, 101, 0])
+        assert encoded.hex() == GOLDEN_QUERY
+        assert bytes.fromhex(GOLDEN_CONTROL)[2:] in encoded
+        frame_type, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_QUERY))
+        assert frame_type == frames.FRAME_BATCH
+        (__, sub, placement), __, (__, unsub, __) = decoded.entries
+        assert sub.kind is EventKind.INSERT and sub.query.qid == 12
+        assert (sub.query.range_a, sub.query.range_c) == (query.range_a, query.range_c)
+        assert placement == range(1, 3)
+        assert unsub.kind is EventKind.DELETE and unsub.query == Unsubscribe(7)
+        assert _entries_equal(decoded.entries, entries)
 
     def test_telemetry(self):
         payload = frames.TelemetryPayload(
@@ -571,9 +659,10 @@ class TestGoldenBytes:
                 )
             },
         )
-        assert frames.encode_telemetry_frame(payload).hex() == GOLDEN_TELEMETRY
-        __, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_TELEMETRY))
+        encoded = frames.encode_telemetry_frame(payload)
+        assert _as_v3(encoded).hex() == GOLDEN_TELEMETRY
+        __, decoded = frames.decode_frame(encoded)
         assert decoded.counters == payload.counters
         assert decoded.gauges == payload.gauges
         assert decoded.histograms == payload.histograms
-        assert frames.encode_telemetry_frame(decoded).hex() == GOLDEN_TELEMETRY
+        assert frames.encode_telemetry_frame(decoded) == encoded
