@@ -172,6 +172,16 @@ class MultidimTarget(FuzzTarget):
 
 
 class TrackerTarget(FuzzTarget):
+    """Drives the tracker through its bulk calls: consecutive same-kind
+    interval ops are buffered and applied as one ``insert(*items)`` or
+    ``delete(*items)``.  A run ends at a kind change, at a cap drawn per
+    run from 1–64 (fixed seed, so a sequence replays identically), or
+    before a SET op — never at ``check``.  A sweep probes I1/I2/I3 and the
+    oracle tau against the intervals the closed runs put into the tracker,
+    so the runs, and what each sweep sees, are the same at any check
+    stride.  The ops of a run still open when the sequence ends never
+    reach the tracker."""
+
     name = "tracker"
     kinds = INTERVAL_KINDS
 
@@ -181,6 +191,12 @@ class TrackerTarget(FuzzTarget):
         self._alpha = 0.2
         self._epsilon = 1.0
         self._tracker = self._build([])
+        self._rng = random.Random(0x7AC)
+        self._run_kind = ""
+        self._run: List[Tuple[int, Interval]] = []
+        self._run_cap = self._rng.randint(1, 64)
+        # The live set as of the last closed run: what the tracker holds.
+        self._applied = ModelState()
 
     def _build(self, items: List[Interval]) -> Any:
         return self._tracker_cls(items, alpha=self._alpha, epsilon=self._epsilon)
@@ -189,18 +205,42 @@ class TrackerTarget(FuzzTarget):
         if op.kind == op_mod.INSERT_INTERVAL:
             item = Interval(op.values[0], op.values[1])
             self._items[op.key] = item
-            self._tracker.insert(item)
+            self._buffer(op.kind, op.key, item)
         elif op.kind == op_mod.DELETE_INTERVAL:
-            self._tracker.delete(self._items.pop(op.key))
+            self._buffer(op.kind, op.key, self._items.pop(op.key))
         elif op.kind == op_mod.SET_EPSILON:
+            self._flush()
             self._epsilon = op.values[0]
             self._tracker = self._build(list(self._items.values()))
         elif op.kind == op_mod.SET_ALPHA:
+            self._flush()
             self._alpha = op.values[0]
             self._tracker = self._build(list(self._items.values()))
 
+    def _buffer(self, kind: str, key: int, item: Interval) -> None:
+        if kind != self._run_kind:
+            self._flush()
+            self._run_kind = kind
+        self._run.append((key, item))
+        if len(self._run) >= self._run_cap:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._run:
+            return
+        run, self._run = self._run, []
+        self._run_cap = self._rng.randint(1, 64)
+        applied = self._applied.intervals
+        if self._run_kind == op_mod.INSERT_INTERVAL:
+            self._tracker.insert(*(item for _, item in run))
+            applied.update((key, (item.lo, item.hi)) for key, item in run)
+        else:
+            self._tracker.delete(*(item for _, item in run))
+            for key, _ in run:
+                del applied[key]
+
     def check(self, model: ModelState) -> None:
-        check_tracker(self.name, self._tracker, model)
+        check_tracker(self.name, self._tracker, self._applied)
 
 
 # -- engine-domain targets ---------------------------------------------------
@@ -360,8 +400,8 @@ class BatcherTarget(FuzzTarget):
 
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     """The group holds each relation once, at the model's size; every shard
-    reads those very objects and its select processor validates; the
-    shards' select slices partition S."""
+    reads those very objects and each of its processors that can validate
+    itself does; the shards' select slices partition S."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -375,7 +415,10 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
             name,
             f"shard {shard.index} reads tables other than the group's one set",
         )
-        shard.select.validate()
+        for processor in (shard.band, shard.select):
+            validate = getattr(processor, "validate", None)
+            if validate is not None:
+                validate()
     select_total = sum(len(shard.table_s_select) for shard in group.shards)
     expect(
         select_total == n_s,

@@ -15,18 +15,25 @@ argument (invariant I3) shows the amortized number of items crossing the
 boundary is at most 5 per update; the tracker counts every crossing so the
 property tests can check the bound directly.
 
-Invariants maintained at all times (Theorem 1):
+Invariants maintained between calls (Theorem 1):
 
 * (I1) ``I_H`` contains every alpha-hotspot, only (alpha/2)-hotspots, hence
   at most ``2 / alpha`` groups;
 * (I2) the overall partition has at most ``(1 + eps) * tau(I) + 2 / alpha``
   groups;
 * (I3) amortized boundary crossings per update <= 5.
+
+``insert`` and ``delete`` take any number of items and check the
+thresholds **once per call**, after placing them all: I1 and I2 hold
+whenever the caller regains control, which is the only time anything
+reads the groups.  I3 still counts updates per item (``update_count``);
+``docs/ALGORITHMS.md`` §4 gives the argument.  The runtime makes one call
+per shard plane and batch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, Protocol
+from typing import Callable, Dict, Generic, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
@@ -43,16 +50,18 @@ class HotspotListener(Protocol[T]):
     """Callbacks fired as groups cross the hotspot/scattered boundary.
 
     The SSI-on-hotspots processors use these to build (on promote) and drop
-    (on demote) the per-hotspot index structures.
+    (on demote) the per-hotspot index structures.  Items that join or leave
+    an existing hotspot group arrive as one ``(group, item)`` list per
+    tracker call, so a counting listener pays one increment per call.
     """
 
     def on_promoted(self, group: DynamicGroup[T]) -> None: ...
 
     def on_demoted(self, group: DynamicGroup[T]) -> None: ...
 
-    def on_hot_item_added(self, group: DynamicGroup[T], item: T) -> None: ...
+    def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[T], T]]) -> None: ...
 
-    def on_hot_item_removed(self, group: DynamicGroup[T], item: T) -> None: ...
+    def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[T], T]]) -> None: ...
 
 
 def _default_partition_factory(
@@ -89,8 +98,7 @@ class HotspotTracker(Generic[T]):
         self.moves_into_scattered = 0
         self.moves_out_of_scattered = 0
         if items:
-            for item in items:
-                self.insert(item)
+            self.insert(*items)
 
     # -- listener plumbing --------------------------------------------------
 
@@ -138,41 +146,62 @@ class HotspotTracker(Generic[T]):
 
     # -- updates -----------------------------------------------------------------
 
-    def insert(self, item: T) -> None:
-        """Insert an item: into an overlapping hotspot group if one exists
+    def insert(self, *items: T) -> None:
+        """Insert ``items``: each into the first hotspot group it overlaps
         (O(|I_H|) = O(1/alpha) brute force, as the paper allows), otherwise
-        into the scattered partition."""
-        self._n += 1
-        self.update_count += 1
-        interval = self._interval_of(item)
-        target: Optional[DynamicGroup[T]] = None
-        for group in self._hot:
-            if group.would_remain_stabbed(interval):
-                target = group
-                break
-        if target is not None:
-            target.add(item)
-            self._hot_of[id(item)] = target
+        into the scattered partition; then rebalance once.
+
+        The listeners hear of every item that entered a hotspot group in
+        one ``on_hot_items_added`` call, before any promotion or demotion
+        the rebalance makes.  One item is the same call as many."""
+        hot = self._hot
+        hot_of = self._hot_of
+        interval_of = self._interval_of
+        added: List[Tuple[DynamicGroup[T], T]] = []
+        for item in items:
+            interval = interval_of(item)
+            for group in hot:
+                if group.would_remain_stabbed(interval):
+                    group.add(item)
+                    hot_of[id(item)] = group
+                    added.append((group, item))
+                    break
+            else:
+                self._scattered.insert(item)
+        self._n += len(items)
+        self.update_count += len(items)
+        if added:
             for listener in self._listeners:
-                listener.on_hot_item_added(target, item)
-        else:
-            self._scattered.insert(item)
+                listener.on_hot_items_added(added)
         self._rebalance()
 
-    def delete(self, item: T) -> None:
-        self._n -= 1
-        self.update_count += 1
-        group = self._hot_of.pop(id(item), None)
-        if group is not None:
+    def delete(self, *items: T) -> None:
+        """Delete ``items`` from their hotspot group or the scattered
+        partition, drop any hotspot group they empty, then rebalance once.
+
+        The listeners hear of every item that left a hotspot group in one
+        ``on_hot_items_removed`` call, then of each emptied group's
+        demotion."""
+        hot_of = self._hot_of
+        removed: List[Tuple[DynamicGroup[T], T]] = []
+        emptied: List[DynamicGroup[T]] = []
+        for item in items:
+            group = hot_of.pop(id(item), None)
+            if group is None:
+                self._scattered.delete(item)
+                continue
             group.remove(item)
-            for listener in self._listeners:
-                listener.on_hot_item_removed(group, item)
+            removed.append((group, item))
             if group.size == 0:
                 self._hot.remove(group)
-                for listener in self._listeners:
-                    listener.on_demoted(group)
-        else:
-            self._scattered.delete(item)
+                emptied.append(group)
+        self._n -= len(items)
+        self.update_count += len(items)
+        for listener in self._listeners:
+            if removed:
+                listener.on_hot_items_removed(removed)
+            for group in emptied:
+                listener.on_demoted(group)
         self._rebalance()
 
     # -- promote / demote -----------------------------------------------------------

@@ -16,7 +16,7 @@ distinct subscriptions), so they can key result dictionaries directly.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.intervals import Interval
 from repro.dstruct.rtree import Rect
@@ -81,6 +81,34 @@ class SelectJoinQuery:
             f"SelectJoinQuery(qid={self.qid}, rangeA={self.range_a}, "
             f"rangeC={self.range_c})"
         )
+
+
+def register_queries(registry: Dict[int, Any], queries: Sequence[Any]) -> None:
+    """Add ``queries`` to a processor's qid registry, all or none: a qid
+    already held, or repeated among ``queries``, raises ``ValueError``
+    before anything changes."""
+    seen: Set[int] = set()
+    for query in queries:
+        qid = query.qid
+        if qid in registry or qid in seen:
+            raise ValueError(f"duplicate query id {qid}")
+        seen.add(qid)
+    for query in queries:
+        registry[query.qid] = query
+
+
+def unregister_queries(registry: Dict[int, Any], queries: Sequence[Any]) -> None:
+    """Remove ``queries`` from a processor's qid registry, all or none: a
+    qid not held, or repeated among ``queries``, raises ``KeyError``
+    before anything changes."""
+    seen: Set[int] = set()
+    for query in queries:
+        qid = query.qid
+        if qid not in registry or qid in seen:
+            raise KeyError(qid)
+        seen.add(qid)
+    for query in queries:
+        del registry[query.qid]
 
 
 def band_interval(query: BandJoinQuery) -> Interval:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, ContextManager, List, Optional, Tuple
+from typing import Any, ContextManager, List, Optional, Sequence, Tuple
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.partition_base import DynamicStabbingPartitionBase, StabbingGroupView
@@ -82,11 +82,11 @@ class HotspotChurnTelemetry:
     def on_demoted(self, group: Any) -> None:
         self._demotions.inc()
 
-    def on_hot_item_added(self, group: Any, item: Any) -> None:
-        self._hot_items_added.inc()
+    def on_hot_items_added(self, added: Sequence[Any]) -> None:
+        self._hot_items_added.inc(len(added))
 
-    def on_hot_item_removed(self, group: Any, item: Any) -> None:
-        self._hot_items_removed.inc()
+    def on_hot_items_removed(self, removed: Sequence[Any]) -> None:
+        self._hot_items_removed.inc(len(removed))
 
 
 class ReconstructionTelemetry:

@@ -38,7 +38,12 @@ from repro.core.ssi import StabbingSetIndex
 from repro.dstruct.btree import Cursor
 from repro.dstruct.interval_tree import IntervalTree
 from repro.dstruct.sorted_list import SortedKeyList
-from repro.engine.queries import BandJoinQuery, band_interval
+from repro.engine.queries import (
+    BandJoinQuery,
+    band_interval,
+    register_queries,
+    unregister_queries,
+)
 from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import band as band_probe
 
@@ -56,15 +61,19 @@ class BandJoinStrategy:
         self.table_r = table_r if table_r is not None else TableR()
         self._queries: Dict[int, BandJoinQuery] = {}
 
-    def add_query(self, query: BandJoinQuery) -> None:
-        if query.qid in self._queries:
-            raise ValueError(f"duplicate query id {query.qid}")
-        self._queries[query.qid] = query
-        self._index_query(query)
+    def add_query(self, *queries: BandJoinQuery) -> None:
+        """Subscribe ``queries``; a qid already held, or repeated, raises
+        ``ValueError`` and changes nothing."""
+        register_queries(self._queries, queries)
+        for query in queries:
+            self._index_query(query)
 
-    def remove_query(self, query: BandJoinQuery) -> None:
-        del self._queries[query.qid]
-        self._unindex_query(query)
+    def remove_query(self, *queries: BandJoinQuery) -> None:
+        """Cancel ``queries``; a qid not held raises ``KeyError`` and
+        changes nothing."""
+        unregister_queries(self._queries, queries)
+        for query in queries:
+            self._unindex_query(query)
 
     @property
     def query_count(self) -> int:

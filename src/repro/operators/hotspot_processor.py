@@ -14,11 +14,17 @@ exactly the TRADITIONAL vs HOTSPOT-BASED comparison of Figure 9.  The
 per-hotspot index structures (the members' endpoint columns for
 select-joins, the two endpoint orders for band joins) are built on
 promotion and dropped on demotion via the tracker's listener callbacks.
+
+``add_query`` and ``remove_query`` take any number of queries and make one
+tracker call for all of them, so a batch's subscription changes cost one
+rebalance per plane; each new query is classified hot or scattered after
+that call.  Classification decides how a query's matches are found, never
+which they are.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.partition_base import DynamicGroup
@@ -29,6 +35,8 @@ from repro.engine.queries import (
     band_interval,
     range_a_interval,
     range_c_interval,
+    register_queries,
+    unregister_queries,
 )
 from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import band as band_probe
@@ -68,7 +76,10 @@ class HotspotSelectJoinProcessor:
         self._hot_columns: Dict[int, select_probe.SelectColumns] = {}
         # Scattered side: SJ-SelectFirst structures over scattered queries.
         self._scattered: Dict[int, SelectJoinQuery] = {}
-        self._scattered_a: IntervalTree[SelectJoinQuery] = IntervalTree()
+        # SelectFirst's rangeA tree over the scattered queries.  Only the
+        # per-event process_r reads it, so that builds it on first use; from
+        # then on it is kept in step with _scattered.
+        self._scattered_a: Optional[IntervalTree[SelectJoinQuery]] = None
         # Endpoint columns for the batch probe: every query for S arrivals
         # (select on rangeC, enumerate R by rangeA), the scattered ones for
         # R arrivals (select on rangeA, enumerate S by rangeC).
@@ -92,40 +103,49 @@ class HotspotSelectJoinProcessor:
         for query in group:
             self._add_scattered(query)
 
-    def on_hot_item_added(self, group: DynamicGroup[SelectJoinQuery], query: SelectJoinQuery) -> None:
-        self._hot_columns[id(group)].add(query, query.range_a, query.range_c)
+    def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[SelectJoinQuery], SelectJoinQuery]]) -> None:
+        for group, query in added:
+            self._hot_columns[id(group)].add(query, query.range_a, query.range_c)
 
-    def on_hot_item_removed(self, group: DynamicGroup[SelectJoinQuery], query: SelectJoinQuery) -> None:
-        self._hot_columns[id(group)].remove(query)
+    def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[SelectJoinQuery], SelectJoinQuery]]) -> None:
+        for group, query in removed:
+            self._hot_columns[id(group)].remove(query)
 
     def _add_scattered(self, query: SelectJoinQuery) -> None:
         if id(query) not in self._scattered:
             self._scattered[id(query)] = query
-            self._scattered_a.insert(query.range_a, query)
+            if self._scattered_a is not None:
+                self._scattered_a.insert(query.range_a, query)
             self._columns_r.add(query, query.range_a, query.range_c)
 
     def _drop_scattered(self, query: SelectJoinQuery) -> None:
         if id(query) in self._scattered:
             del self._scattered[id(query)]
-            self._scattered_a.remove(query.range_a, query)
+            if self._scattered_a is not None:
+                self._scattered_a.remove(query.range_a, query)
             self._columns_r.remove(query)
 
     # -- query maintenance -------------------------------------------------------
 
-    def add_query(self, query: SelectJoinQuery) -> None:
-        if query.qid in self._queries:
-            raise ValueError(f"duplicate query id {query.qid}")
-        self._queries[query.qid] = query
-        self._columns_s.add(query, query.range_c, query.range_a)
-        self.tracker.insert(query)
-        if not self.tracker.is_hotspot_item(query):
-            self._add_scattered(query)
+    def add_query(self, *queries: SelectJoinQuery) -> None:
+        """Subscribe ``queries`` with one tracker insert; a qid already
+        held, or repeated, raises ``ValueError`` and changes nothing."""
+        register_queries(self._queries, queries)
+        for query in queries:
+            self._columns_s.add(query, query.range_c, query.range_a)
+        self.tracker.insert(*queries)
+        for query in queries:
+            if not self.tracker.is_hotspot_item(query):
+                self._add_scattered(query)
 
-    def remove_query(self, query: SelectJoinQuery) -> None:
-        del self._queries[query.qid]
-        self._columns_s.remove(query)
-        self._drop_scattered(query)
-        self.tracker.delete(query)
+    def remove_query(self, *queries: SelectJoinQuery) -> None:
+        """Cancel ``queries`` with one tracker delete; a qid not held
+        raises ``KeyError`` and changes nothing."""
+        unregister_queries(self._queries, queries)
+        for query in queries:
+            self._columns_s.remove(query)
+            self._drop_scattered(query)
+        self.tracker.delete(*queries)
 
     @property
     def query_count(self) -> int:
@@ -146,7 +166,12 @@ class HotspotSelectJoinProcessor:
                 self._hot_columns[id(group)], results,
             )
         # Scattered queries: SJ-SelectFirst.
-        for __, query in self._scattered_a.iter_stab(r.a):
+        tree = self._scattered_a
+        if tree is None:
+            tree = self._scattered_a = IntervalTree()
+            for query in self._scattered.values():
+                tree.insert(query.range_a, query)
+        for __, query in tree.iter_stab(r.a):
             cur = self.table_s.by_bc.cursor_ge((r.b, query.range_c.lo))
             hits = cur.collect_forward_prefix_le(r.b, query.range_c.hi) if cur.valid else []
             if hits:
@@ -205,6 +230,11 @@ class HotspotSelectJoinProcessor:
             self._hot_columns[id(group)].check(group, range_a_interval, range_c_interval)
         self._columns_s.check(self._queries.values(), range_c_interval, range_a_interval)
         self._columns_r.check(self._scattered.values(), range_a_interval, range_c_interval)
+        if self._scattered_a is not None:
+            held = {id(query): interval for interval, query in self._scattered_a}
+            assert len(self._scattered_a) == len(self._scattered)
+            assert held.keys() == self._scattered.keys()
+            assert all(held[key] == query.range_a for key, query in self._scattered.items())
 
 
 class TraditionalSelectJoinProcessor:
@@ -271,26 +301,32 @@ class HotspotBandJoinProcessor:
         for query in group:
             self._scattered[id(query)] = query
 
-    def on_hot_item_added(self, group: DynamicGroup[BandJoinQuery], query: BandJoinQuery) -> None:
-        self._hot_indexes[id(group)].add(query)
+    def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[BandJoinQuery], BandJoinQuery]]) -> None:
+        for group, query in added:
+            self._hot_indexes[id(group)].add(query)
 
-    def on_hot_item_removed(self, group: DynamicGroup[BandJoinQuery], query: BandJoinQuery) -> None:
-        self._hot_indexes[id(group)].remove(query)
+    def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[BandJoinQuery], BandJoinQuery]]) -> None:
+        for group, query in removed:
+            self._hot_indexes[id(group)].remove(query)
 
     # -- query maintenance ------------------------------------------------------------
 
-    def add_query(self, query: BandJoinQuery) -> None:
-        if query.qid in self._queries:
-            raise ValueError(f"duplicate query id {query.qid}")
-        self._queries[query.qid] = query
-        self.tracker.insert(query)
-        if not self.tracker.is_hotspot_item(query):
-            self._scattered[id(query)] = query
+    def add_query(self, *queries: BandJoinQuery) -> None:
+        """Subscribe ``queries`` with one tracker insert; a qid already
+        held, or repeated, raises ``ValueError`` and changes nothing."""
+        register_queries(self._queries, queries)
+        self.tracker.insert(*queries)
+        for query in queries:
+            if not self.tracker.is_hotspot_item(query):
+                self._scattered[id(query)] = query
 
-    def remove_query(self, query: BandJoinQuery) -> None:
-        del self._queries[query.qid]
-        self._scattered.pop(id(query), None)
-        self.tracker.delete(query)
+    def remove_query(self, *queries: BandJoinQuery) -> None:
+        """Cancel ``queries`` with one tracker delete; a qid not held
+        raises ``KeyError`` and changes nothing."""
+        unregister_queries(self._queries, queries)
+        for query in queries:
+            self._scattered.pop(id(query), None)
+        self.tracker.delete(*queries)
 
     @property
     def query_count(self) -> int:

@@ -247,11 +247,13 @@ class HotspotRangeIndex(RangeIndexBase):
         for subscription in group:
             self._add_scattered(subscription)
 
-    def on_hot_item_added(self, group, subscription) -> None:
-        self._hot_structures[id(group)].add(subscription)
+    def on_hot_items_added(self, added) -> None:
+        for group, subscription in added:
+            self._hot_structures[id(group)].add(subscription)
 
-    def on_hot_item_removed(self, group, subscription) -> None:
-        self._hot_structures[id(group)].remove(subscription)
+    def on_hot_items_removed(self, removed) -> None:
+        for group, subscription in removed:
+            self._hot_structures[id(group)].remove(subscription)
 
     def _add_scattered(self, subscription: RangeSubscription) -> None:
         if id(subscription) not in self._scattered:

@@ -36,7 +36,13 @@ from repro.core.ssi import StabbingSetIndex
 from repro.dstruct.btree import BPlusTree, Cursor
 from repro.dstruct.interval_tree import IntervalTree
 from repro.dstruct.rtree import RTree
-from repro.engine.queries import SelectJoinQuery, range_a_interval, range_c_interval
+from repro.engine.queries import (
+    SelectJoinQuery,
+    range_a_interval,
+    range_c_interval,
+    register_queries,
+    unregister_queries,
+)
 from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import select as select_probe
 
@@ -54,15 +60,19 @@ class SelectJoinStrategy:
         self.table_r = table_r if table_r is not None else TableR()
         self._queries: Dict[int, SelectJoinQuery] = {}
 
-    def add_query(self, query: SelectJoinQuery) -> None:
-        if query.qid in self._queries:
-            raise ValueError(f"duplicate query id {query.qid}")
-        self._queries[query.qid] = query
-        self._index_query(query)
+    def add_query(self, *queries: SelectJoinQuery) -> None:
+        """Subscribe ``queries``; a qid already held, or repeated, raises
+        ``ValueError`` and changes nothing."""
+        register_queries(self._queries, queries)
+        for query in queries:
+            self._index_query(query)
 
-    def remove_query(self, query: SelectJoinQuery) -> None:
-        del self._queries[query.qid]
-        self._unindex_query(query)
+    def remove_query(self, *queries: SelectJoinQuery) -> None:
+        """Cancel ``queries``; a qid not held raises ``KeyError`` and
+        changes nothing."""
+        unregister_queries(self._queries, queries)
+        for query in queries:
+            self._unindex_query(query)
 
     @property
     def query_count(self) -> int:

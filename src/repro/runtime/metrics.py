@@ -22,7 +22,7 @@ observe torn snapshots (e.g. a ``_sum`` that includes an observation
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.racecheck import guarded, new_lock
 
@@ -304,10 +304,10 @@ class HotspotMetricsListener:
 
     Attach to any :class:`~repro.core.hotspot_tracker.HotspotTracker` via
     ``tracker.add_listener``.  Promotions and demotions are counted
-    symmetrically, as are the per-item add/remove callbacks on hotspot
-    groups — churn on either axis is one of the signals the runtime
-    surfaces (a thrashing tracker means alpha is mis-tuned for the
-    workload).  The read properties expose the counts directly for tests
+    symmetrically, as are the items added to and removed from hotspot
+    groups (one increment per tracker call) — churn on either axis is one
+    of the signals the runtime surfaces (a thrashing tracker means alpha
+    is mis-tuned for the workload).  The read properties expose the counts directly for tests
     and callers holding the listener rather than the registry.
     """
 
@@ -325,11 +325,11 @@ class HotspotMetricsListener:
     def on_demoted(self, group: Any) -> None:
         self._demotions.inc()
 
-    def on_hot_item_added(self, group: Any, item: Any) -> None:
-        self._hot_items_added.inc()
+    def on_hot_items_added(self, added: Sequence[Any]) -> None:
+        self._hot_items_added.inc(len(added))
 
-    def on_hot_item_removed(self, group: Any, item: Any) -> None:
-        self._hot_items_removed.inc()
+    def on_hot_items_removed(self, removed: Sequence[Any]) -> None:
+        self._hot_items_removed.inc(len(removed))
 
     @property
     def promotions(self) -> int:

@@ -35,8 +35,9 @@ select-plane *owner* of an S row (-1 for an R row) — and a batch is one
 list of ``(seq, event, owner)`` entries (:data:`ShardEntry`) that every
 shard reads, in this process or, as one frame, in a worker.  A
 subscription change is an entry of the same list, in stream order, whose
-``owner`` is its query's placement.  The router is the only place that
-knows the placement policy; a shard decides "my C-slice?" as
+``owner`` is its query's placement; a shard takes a batch's subscribes,
+and later its unsubscribes, in one call each.  The router is the only
+place that knows the placement policy; a shard decides "my C-slice?" as
 ``owner == self.index`` and "my query?" as ``self.index in owner``.
 
 Every routing decision is **static**: it depends only on the coordinates of
@@ -304,17 +305,22 @@ class Shard:
 
     # -- subscriptions -------------------------------------------------------
 
-    def subscribe(self, query: Any) -> None:
-        if isinstance(query, BandJoinQuery):
-            self.band.add_query(query)
-        else:
-            self.select.add_query(query)
+    def subscribe(self, *queries: Any) -> None:
+        """Register ``queries``: one ``add_query`` call per plane, so each
+        plane's tracker rebalances once for all of them."""
+        band, select = _by_plane(queries)
+        if band:
+            self.band.add_query(*band)
+        if select:
+            self.select.add_query(*select)
 
-    def unsubscribe(self, query: Any) -> None:
-        if isinstance(query, BandJoinQuery):
-            self.band.remove_query(query)
-        else:
-            self.select.remove_query(query)
+    def unsubscribe(self, *queries: Any) -> None:
+        """Cancel ``queries``: one ``remove_query`` call per plane."""
+        band, select = _by_plane(queries)
+        if band:
+            self.band.remove_query(*band)
+        if select:
+            self.select.remove_query(*select)
 
     @property
     def query_count(self) -> int:
@@ -372,6 +378,16 @@ class Shard:
                     for k, select_d in zip(mine, self.select.process_s_batch(own_rows)):
                         parts[k].update(select_d)
             return [(entry[0], deltas) for entry, deltas in zip(entries, parts)]
+
+
+def _by_plane(queries: Sequence[Any]) -> Tuple[List[Any], List[Any]]:
+    """``queries`` split into the band plane's and the select plane's, each
+    in the given order."""
+    band: List[Any] = []
+    select: List[Any] = []
+    for query in queries:
+        (band if isinstance(query, BandJoinQuery) else select).append(query)
+    return band, select
 
 
 _SEQ = itemgetter(0)
@@ -538,9 +554,11 @@ class ShardGroup:
         1. **install** every insertion, in stream order, into the shared
            tables and — an S row — its owner's C-slice if that shard is
            here, and every subscribe on the shards of its placement that
-           are here; every deletion and every unsubscribe is deferred.
-           The group now holds a superset of the rows and of the
-           subscriptions any event of the batch may see;
+           are here, as one :meth:`Shard.subscribe` call per shard (one
+           tracker call, so one rebalance, per shard plane); every
+           deletion and every unsubscribe is deferred.  The group now
+           holds a superset of the rows and of the subscriptions any event
+           of the batch may see;
         2. **probe**: each shard answers all R insertions as one run and
            all S insertions as another (:meth:`Shard.apply_batch`);
         3. **strike** from an event's delta every query whose liveness
@@ -549,7 +567,7 @@ class ShardGroup:
            from its hit lists the touched rows whose visibility interval
            does not (:func:`_strike`);
         4. **delete** the deferred rows, then **unsubscribe** the deferred
-           queries.
+           queries, again one :meth:`Shard.unsubscribe` call per shard.
 
         The one boundary left is a row id deleted and then inserted again
         in one batch: its second life cannot be installed before its
@@ -582,6 +600,7 @@ class ShardGroup:
         by_index = self._by_index
         held = self._queries
         live: Liveness = {}
+        subscribes: Dict[int, List[Any]] = {}  # shard index -> its new queries
         cancels: List[Tuple[int, Sequence[int]]] = []
         insert = EventKind.INSERT
         stop = len(entries)
@@ -595,7 +614,7 @@ class ShardGroup:
                     live[qid] = (position, inf)
                     for index in owner:
                         if index in by_index:
-                            by_index[index].subscribe(query)
+                            subscribes.setdefault(index, []).append(query)
                             held[qid] = query
                 else:
                     subscribed = live.get(qid)
@@ -621,6 +640,8 @@ class ShardGroup:
             side.table.insert(row)
             if owner in by_index:  # an S row of a C-slice held here
                 by_index[owner].table_s_select.insert(row)
+        for index, queries in subscribes.items():
+            by_index[index].subscribe(*queries)
         runs = [
             (side, other, other.touched_bs() if other.visible else ())
             for side, other in ((r_side, s_side), (s_side, r_side))
@@ -655,12 +676,15 @@ class ShardGroup:
                 side.table.delete(event.row)
                 if owner in by_index:  # an S row of a C-slice held here
                     by_index[owner].apply(event)
+        unsubscribes: Dict[int, List[Any]] = {}
         for qid, placement in cancels:
             query = held.pop(qid, None)
             if query is not None:  # subscribed on a shard held here
                 for index in placement:
                     if index in by_index:
-                        by_index[index].unsubscribe(query)
+                        unsubscribes.setdefault(index, []).append(query)
+        for index, queries in unsubscribes.items():
+            by_index[index].unsubscribe(*queries)
         return stop
 
 

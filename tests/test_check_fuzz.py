@@ -4,7 +4,7 @@ of a deliberately broken implementation, shrinking, and reproducer replay."""
 import pytest
 
 from repro.check import ops as op_mod
-from repro.check.ops import FuzzConfig, Op
+from repro.check.ops import FuzzConfig, Op, generate_ops
 from repro.check.runner import (
     fuzz,
     load_reproducer,
@@ -14,7 +14,8 @@ from repro.check.runner import (
     save_reproducer,
     shrink_ops,
 )
-from repro.check.targets import LazyTarget
+from repro.check.targets import LazyTarget, TrackerTarget
+from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.stabbing import canonical_stabbing_partition
 
@@ -38,6 +39,26 @@ class RecalOffByOne(LazyStabbingPartition):
 
 
 BUGGY_LAZY = {"lazy": lambda: LazyTarget(partition_cls=RecalOffByOne)}
+
+
+class BulkSkipsRebalance(HotspotTracker):
+    """A tracker whose calls of more than one item forget to rebalance, so
+    a bulk insert can leave a scattered group past the promotion bar (I1)."""
+
+    def insert(self, *items):
+        self._bulk = len(items) > 1
+        super().insert(*items)
+
+    def delete(self, *items):
+        self._bulk = len(items) > 1
+        super().delete(*items)
+
+    def _rebalance(self):
+        if not self._bulk:
+            super()._rebalance()
+
+
+BUGGY_TRACKER = {"tracker": lambda: TrackerTarget(tracker_cls=BulkSkipsRebalance)}
 
 # Interval-domain-only workload with wide uniform intervals and heavy churn:
 # deletions fragment groups (a wide member outlives its narrow co-members)
@@ -121,6 +142,44 @@ class TestInjectedBug:
         assert replayed.divergence is not None
         assert replayed.divergence.target == "lazy"
         assert replay_reproducer(str(path)).ok
+
+
+class TestBulkTracker:
+    """The tracker target applies each run of same-kind interval ops as one
+    bulk call whatever the check stride, so a bulk-only bug found at the
+    campaign stride is shrunk and replayed at stride 1."""
+
+    CONFIG = FuzzConfig(seed=1, n_ops=400, engine_fraction=0.0)
+
+    def test_bulk_path_clean_on_correct_code(self):
+        report = fuzz(self.CONFIG, targets=["tracker"])
+        assert report.ok, report.outcome.divergence
+
+    def test_bulk_call_without_rebalance_is_caught(self, tmp_path):
+        report = fuzz(self.CONFIG, targets=["tracker"], factories=BUGGY_TRACKER)
+        assert not report.ok, "the planted bulk-path bug escaped the fuzzer"
+        assert report.outcome.divergence.target == "tracker"
+        assert report.shrunk_ops is not None
+        assert len(report.shrunk_ops) <= 12
+        path = tmp_path / "repro.json"
+        save_reproducer(str(path), report.reproducer())
+        replayed = replay_reproducer(str(path), factories=BUGGY_TRACKER)
+        assert replayed.divergence is not None
+        assert replayed.divergence.target == "tracker"
+        assert replay_reproducer(str(path)).ok
+
+    def test_a_finer_stride_convicts_no_later(self):
+        # A sweep never cuts a run, so stride 1 sees every run a coarser
+        # stride sees, each as soon as it is applied.
+        ops = generate_ops(self.CONFIG)
+        found = {
+            stride: run_sequence(
+                ops, targets=["tracker"], check_every=stride, factories=BUGGY_TRACKER
+            ).divergence
+            for stride in (1, 32)
+        }
+        assert found[1] is not None and found[32] is not None
+        assert found[1].op_index <= found[32].op_index
 
 
 class TestShrinking:

@@ -12,7 +12,7 @@ from repro.engine.queries import (
     brute_force_band_join,
     brute_force_select_join,
 )
-from repro.engine.table import TableR, TableS
+from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.operators.band_join import BJQOuter
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
@@ -239,3 +239,169 @@ class TestHotspotBandJoinSSide:
             reference.remove_query(query)
         assert not processor._hot_indexes
         self.check(rng, table_s, table_r, processor, reference)
+
+
+class TestBulkSubscriptionChanges:
+    """``add_query`` / ``remove_query`` take any number of queries in one
+    tracker call; the answers are those of the same queries added one by
+    one, and a bad qid anywhere in a call changes nothing."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_churn_matches_bruteforce(self, chunk):
+        rng = random.Random(306)
+        table_s = TableS(order=4)
+        table_r = TableR(order=4)
+        for __ in range(200):
+            table_s.add(float(rng.randrange(12)), rng.uniform(0, 100))
+        select = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.05)
+        band = HotspotBandJoinProcessor(table_s, table_r, alpha=0.05)
+        live_select, live_band = [], []
+        for __ in range(6):
+            new_select = clustered_select_queries(rng, chunk)
+            new_band = [
+                BandJoinQuery(Interval(anchor - 1.0, anchor + rng.uniform(0, 2)))
+                for anchor in (rng.choice([-5.0, 0.0, 5.0]) for __ in range(chunk))
+            ]
+            select.add_query(*new_select)
+            band.add_query(*new_band)
+            live_select += new_select
+            live_band += new_band
+            gone_select = live_select[: chunk // 2]
+            gone_band = live_band[: chunk // 2]
+            live_select = live_select[chunk // 2 :]
+            live_band = live_band[chunk // 2 :]
+            select.remove_query(*gone_select)
+            band.remove_query(*gone_band)
+            select.validate()
+            band.validate()
+        assert select.query_count == len(live_select)
+        assert band.query_count == len(live_band)
+        for __ in range(10):
+            r = table_r.new_row(rng.uniform(0, 100), float(rng.randrange(12)))
+            assert norm(select.process_r(r)) == norm(
+                brute_force_select_join(live_select, r, table_s)
+            )
+            assert norm(band.process_r(r)) == norm(brute_force_band_join(live_band, r, table_s))
+
+    @pytest.mark.parametrize("kind", ["select", "band"])
+    def test_bad_qid_changes_nothing(self, kind):
+        table_s, table_r = TableS(order=4), TableR(order=4)
+        if kind == "select":
+            processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.2)
+            make = lambda lo, qid: SelectJoinQuery(Interval(0, 50), Interval(lo, lo + 5), qid=qid)
+        else:
+            processor = HotspotBandJoinProcessor(table_s, table_r, alpha=0.2)
+            make = lambda lo, qid: BandJoinQuery(Interval(lo, lo + 5), qid=qid)
+        held = [make(float(k % 3), k) for k in range(10)]
+        processor.add_query(*held)
+        fresh = make(1.0, 99)
+        for call in (
+            lambda: processor.add_query(fresh, make(2.0, 3)),  # qid 3 is held
+            lambda: processor.add_query(fresh, make(2.0, 99)),  # 99 twice
+        ):
+            with pytest.raises(ValueError):
+                call()
+            assert processor.query_count == len(processor.tracker) == 10
+            processor.validate()
+        for call in (
+            lambda: processor.remove_query(held[0], fresh),  # 99 is not held
+            lambda: processor.remove_query(held[0], held[0]),
+        ):
+            with pytest.raises(KeyError):
+                call()
+            assert processor.query_count == len(processor.tracker) == 10
+            processor.validate()
+
+
+class TestLazyScatteredTree:
+    """``HotspotSelectJoinProcessor._scattered_a`` serves only the per-event
+    ``process_r``: the batch path never builds it, the first ``process_r``
+    does, and from then on it follows ``_scattered``."""
+
+    def test_built_on_first_process_r_then_kept(self):
+        rng, table_s, table_r, processor, queries = TestHotspotSelectJoin().make(seed=307)
+        assert processor._scattered_a is None
+        processor.process_r_batch([table_r.new_row(50.0, 3.0)])
+        assert processor._scattered_a is None
+        r = table_r.new_row(rng.uniform(0, 100), float(rng.randrange(12)))
+        assert norm(processor.process_r(r)) == norm(brute_force_select_join(queries, r, table_s))
+        assert processor._scattered_a is not None
+        live = list(queries)
+        for __ in range(100):
+            if rng.random() < 0.5:
+                processor.remove_query(live.pop(rng.randrange(len(live))))
+            else:
+                live.append(clustered_select_queries(rng, 1)[0])
+                processor.add_query(live[-1])
+        processor.validate()
+        r = table_r.new_row(rng.uniform(0, 100), float(rng.randrange(12)))
+        assert norm(processor.process_r(r)) == norm(brute_force_select_join(live, r, table_s))
+        # validate() holds the built tree to exactly the scattered queries.
+        interval, query = next(iter(processor._scattered_a))
+        processor._scattered_a.remove(interval, query)
+        with pytest.raises(AssertionError):
+            processor.validate()
+
+    def test_inline_pipeline_never_builds_it(self):
+        from repro.engine.events import DataEvent, EventKind, QueryEvent
+        from repro.runtime.pipeline import EventPipeline
+
+        rng = random.Random(308)
+        queries = clustered_select_queries(rng, 120, hot_fraction=0.5)
+        events = [QueryEvent(EventKind.INSERT, query) for query in queries]
+        for rid in range(300):
+            b = float(rng.randrange(12))
+            if rng.random() < 0.5:
+                events.append(DataEvent(EventKind.INSERT, "R", RTuple(rid, rng.uniform(0, 100), b)))
+            else:
+                events.append(DataEvent(EventKind.INSERT, "S", STuple(rid, b, rng.uniform(0, 100))))
+        events += [QueryEvent(EventKind.DELETE, query) for query in queries[::3]]
+        with EventPipeline(num_shards=3, alpha=0.05, batch_size=32, mode="inline") as pipeline:
+            results = pipeline.run(events)
+            selects = [shard.select for shard in pipeline.shard_group.shards]
+        assert any(deltas for __, __, deltas in results)
+        assert any(select._scattered for select in selects)
+        assert all(select._scattered_a is None for select in selects)
+
+    def test_system_answers_alike_whenever_the_tree_is_built(self):
+        from repro.engine.system import ContinuousQuerySystem
+
+        rng = random.Random(309)
+        early, late = (ContinuousQuerySystem(alpha=0.05) for __ in range(2))
+        initial = clustered_select_queries(rng, 60)
+        for system in (early, late):
+            for query in initial:
+                system.subscribe(query)
+        # ``early`` answers a probe (then drops the row) before the churn, so
+        # it builds its tree now and keeps it through every change below.
+        probe = early.table_r.new_row(50.0, 3.0)
+        early.insert_r_row(probe)
+        early.delete_r(probe)
+        assert early._select._scattered_a is not None
+        live = list(initial)
+        steps = []
+        for sid in range(400):
+            roll = rng.random()
+            if roll < 0.3:
+                steps.append(("sub", clustered_select_queries(rng, 1)[0]))
+                live.append(steps[-1][1])
+            elif roll < 0.55 and live:
+                steps.append(("unsub", live.pop(rng.randrange(len(live)))))
+            else:
+                steps.append(("s", STuple(1_000 + sid, float(rng.randrange(12)), rng.uniform(0, 100))))
+        for system in (early, late):
+            for kind, item in steps:
+                if kind == "sub":
+                    system.subscribe(item)
+                elif kind == "unsub":
+                    system.unsubscribe(item)
+                else:
+                    system.insert_s_row(item)
+        assert late._select._scattered_a is None
+        for rid in range(40):
+            r = RTuple(10_000 + rid, rng.uniform(0, 100), float(rng.randrange(12)))
+            assert early.insert_r_row(r) == late.insert_r_row(r)
+        assert late._select._scattered_a is not None
+        assert early._select._scattered
+        early._select.validate()
+        late._select.validate()

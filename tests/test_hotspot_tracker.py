@@ -27,11 +27,11 @@ class RecordingHotspotListener:
     def on_demoted(self, group):
         self.demoted.append(group)
 
-    def on_hot_item_added(self, group, item):
-        self.hot_added.append(item)
+    def on_hot_items_added(self, added):
+        self.hot_added.extend(item for __, item in added)
 
-    def on_hot_item_removed(self, group, item):
-        self.hot_removed.append(item)
+    def on_hot_items_removed(self, removed):
+        self.hot_removed.extend(item for __, item in removed)
 
 
 class TestBasics:

@@ -11,19 +11,29 @@ Two halves of one contract (``docs/RUNTIME.md`` § metrics):
   out here from the stream and the batch boundaries by a model of the
   ingress queue, under every backpressure policy — and so does a shm
   worker's ``worker/e2e/ingest_to_apply_us``, shipped to the parent.
+
+The subscription-write path follows the same rule one level down: a hot-item
+counter takes one increment per tracker call, and its total still counts
+every item that entered or left a hotspot group.
 """
 
 import random
 import sys
+from collections import Counter as Tally
 
 import pytest
 
+from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
 from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
-from repro.runtime.metrics import Histogram, MetricsRegistry
+from repro.operators.hotspot_processor import (
+    HotspotBandJoinProcessor,
+    HotspotSelectJoinProcessor,
+)
+from repro.runtime.metrics import Counter, Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames, worker
@@ -334,3 +344,104 @@ def test_wal_append_seconds_folds_at_sync_and_close(tmp_path):
     assert final["count"] == subscriptions + 70  # one sample per logged record
     assert 0.0 < final["min"] <= final["max"] <= final["sum"]
     assert final["buckets"] == [[0, subscriptions + 70]]
+
+
+# -- hot-item counters fold per tracker call ---------------------------------------
+
+
+def churn_stream(seed, n):
+    """``n`` events, nine in ten a subscription change: queries clustered on
+    one anchor per plane (so hotspot groups form and take members) mixed
+    with scattered ones, cancelled at random, among R and S inserts."""
+    rng = random.Random(seed)
+    live, events = [], []
+    for qid in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            b = float(rng.randrange(0, 50))
+            if rng.random() < 0.5:
+                row = RTuple(qid, rng.uniform(0, 10_000), b)
+                events.append(DataEvent(EventKind.INSERT, "R", row))
+            else:
+                row = STuple(qid, b, rng.uniform(0, 10_000))
+                events.append(DataEvent(EventKind.INSERT, "S", row))
+        elif live and roll < 0.5:
+            query = live.pop(rng.randrange(len(live)))
+            events.append(QueryEvent(EventKind.DELETE, query))
+        else:
+            clustered = rng.random() < 0.7
+            if rng.random() < 0.5:
+                lo_a = rng.uniform(0, 8_000)
+                mid = rng.normalvariate(2_500, 20) if clustered else rng.uniform(0, 10_000)
+                query = SelectJoinQuery(
+                    Interval(lo_a, lo_a + 2_000), Interval(mid - 60, mid + 60), qid=qid
+                )
+            else:
+                mid = rng.normalvariate(0, 0.5) if clustered else rng.uniform(-50, 50)
+                query = BandJoinQuery(Interval(mid - 3, mid + 3), qid=qid)
+            live.append(query)
+            events.append(QueryEvent(EventKind.INSERT, query))
+    return events
+
+
+def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
+    """Within one tracker call no hot-item counter is incremented twice,
+    and each counter's total equals the items its processors wrote into
+    (or struck from) their hot columns."""
+    registry = MetricsRegistry()
+    pipeline = EventPipeline(
+        num_shards=2, batch_size=64, mode="inline", alpha=0.05, metrics=registry
+    )
+    planes = {
+        (shard.index, plane): getattr(shard, plane)
+        for shard in pipeline.shard_group.shards
+        for plane in ("band", "select")
+    }
+    names = [f"runtime/hotspot_items_{end}" for end in ("added", "removed")] + [
+        f"obs/shard/{index}/{plane}/hot_items_{end}"
+        for index, plane in planes
+        for end in ("added", "removed")
+    ]
+    hot_counters = {id(registry.counter(name)) for name in names}
+
+    incs = []
+    original_inc = Counter.inc
+    monkeypatch.setattr(
+        Counter, "inc", lambda self, n=1: (incs.append(id(self)), original_inc(self, n))[1]
+    )
+    # The items each processor wrote into, or struck from, its hot columns.
+    entered, left = Tally(), Tally()
+    for cls in (HotspotBandJoinProcessor, HotspotSelectJoinProcessor):
+        for name, tally in (("on_hot_items_added", entered), ("on_hot_items_removed", left)):
+
+            def columns_write(self, pairs, _original=getattr(cls, name), _tally=tally):
+                _tally[id(self)] += len(pairs)
+                return _original(self, pairs)
+
+            monkeypatch.setattr(cls, name, columns_write)
+    per_call = []  # the most increments any hot-item counter took in one call
+    for name in ("insert", "delete"):
+
+        def tracker_call(self, *items, _original=getattr(HotspotTracker, name)):
+            start = len(incs)
+            _original(self, *items)
+            hits = Tally(counter for counter in incs[start:] if counter in hot_counters)
+            per_call.append(max(hits.values(), default=0))
+
+        monkeypatch.setattr(HotspotTracker, name, tracker_call)
+
+    with pipeline:
+        drive(pipeline, churn_stream(3, 3_000))
+        pipeline.drain()
+        for processor in planes.values():
+            processor.validate()
+    counters = registry.snapshot()["counters"]
+
+    assert len(per_call) > 100 and max(per_call) == 1
+    assert sum(entered.values()) > 100 and sum(left.values()) > 100
+    assert counters["runtime/hotspot_items_added"] == sum(entered.values())
+    assert counters["runtime/hotspot_items_removed"] == sum(left.values())
+    for (index, plane), processor in planes.items():
+        prefix = f"obs/shard/{index}/{plane}"
+        assert counters.get(f"{prefix}/hot_items_added", 0) == entered[id(processor)]
+        assert counters.get(f"{prefix}/hot_items_removed", 0) == left[id(processor)]

@@ -228,10 +228,9 @@ class TestHotspotMetricsListener:
         listener = HotspotMetricsListener(registry, prefix="p")
         group = object()
         item = Interval(0.0, 1.0)
-        listener.on_hot_item_added(group, item)
-        listener.on_hot_item_added(group, item)
-        listener.on_hot_item_added(group, item)
-        listener.on_hot_item_removed(group, item)
+        listener.on_hot_items_added([(group, item), (group, item)])
+        listener.on_hot_items_added([(group, item)])
+        listener.on_hot_items_removed([(group, item)])
         counters = registry.snapshot()["counters"]
         assert counters["p/hotspot_items_added"] == 3
         assert counters["p/hotspot_items_removed"] == 1
