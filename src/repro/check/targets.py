@@ -18,7 +18,7 @@ import random
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro.check import ops as op_mod
 from repro.check.ops import ENGINE_KINDS, INTERVAL_KINDS, Op
@@ -562,21 +562,25 @@ class FastpathTarget(FuzzTarget):
 class DurabilityTarget(FuzzTarget):
     """Crash-injects the durability subsystem and checks exact recovery.
 
-    Engine ops drive a WAL-logged per-event pipeline (``batch_size=1``;
-    ``fsync="never"`` — the fuzzer simulates the crash by copying files, so
-    real fsyncs would only slow it down) while a journal records every
-    event with the normalized delta the live pipeline produced.  Because
-    each engine op logs exactly one WAL record, journal index == WAL
-    sequence number.
+    Engine ops drive a WAL-logged pipeline in micro-batches of
+    ``batch_size`` entries (coalescing off, so every data event reports a
+    delta; ``fsync="never"`` — the fuzzer simulates the crash by copying
+    files, so real fsyncs would only slow it down).  A journal records
+    every op; a data event's normalized delta joins it when the flush that
+    applied it returns, after a check against the oracle deltas captured
+    at op arrival.  Each engine op logs exactly one WAL record at submit,
+    so journal index == WAL sequence number.
 
-    Every ``check`` round simulates a crash: flush OS buffers, copy the
-    durability directory aside, truncate the newest WAL segment at a random
-    byte offset (possibly mid-record, possibly mid-header), recover a fresh
-    pipeline from the copy, then re-apply the journal suffix the truncation
-    lost.  The recovered run's deltas must be identical to what the
-    uninterrupted pipeline produced, and its final state must match the
-    model's — any divergence means recovery lost, duplicated, or reordered
-    an event.
+    Every ``check`` round simulates a crash between log and apply: the
+    ops still buffered are submitted — so logged — and, before the drain
+    that applies them, the WAL tail is flushed to the OS, the durability
+    directory copied aside and the newest WAL segment of the copy
+    truncated at a random byte offset (possibly mid-record, possibly
+    mid-header, possibly among records no shard has applied yet).  A fresh
+    pipeline recovered from the copy then re-applies the journal suffix
+    the truncation lost.  Its deltas must equal the uninterrupted
+    pipeline's, and its final state the model's — any divergence means
+    recovery lost, duplicated, or reordered an event.
     """
 
     name = "durability"
@@ -589,6 +593,7 @@ class DurabilityTarget(FuzzTarget):
         epsilon: float = 1.0,
         checkpoint_every: int = 64,
         crash_seed: int = 0xD0_0D,
+        batch_size: int = 24,
     ) -> None:
         from repro.durability import DurabilityManager
 
@@ -601,26 +606,56 @@ class DurabilityTarget(FuzzTarget):
             num_shards=num_shards,
             alpha=alpha,
             epsilon=epsilon,
-            batch_size=1,
+            batch_size=batch_size,
+            coalesce=False,
             durability=self.manager,
         )
         self.manager.attach(self.pipeline)
         self._rng = random.Random(crash_seed)
         self._ops = _EngineOps()
-        # One entry per engine op: (event, label, normalized live deltas).
-        self._journal: List[Tuple[EngineEvent, str, Deltas]] = []
+        # One entry per engine op: (event, label); a data event's
+        # normalized live deltas by journal index, once applied.
+        self._journal: List[Tuple[EngineEvent, str]] = []
+        self._recorded: Dict[int, Deltas] = {}
+        # Journal indices not yet submitted, with their oracle deltas.
+        self._pending: List[Tuple[int, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
-        event, label = self._ops.event(op), _label(op)
-        got = _run_one(self.name, self.pipeline, event, label)
-        if isinstance(event, DataEvent):
-            check_delta_equivalence(
-                self.name, label, got, got, _oracle_deltas(model, event)
-            )
-        self._journal.append((event, label, got))
+        event = self._ops.event(op)
+        want = _oracle_deltas(model, event) if isinstance(event, DataEvent) else {}
+        self._pending.append((len(self._journal), want))
+        self._journal.append((event, _label(op)))
+        if len(self._pending) >= self.pipeline.batch_size:
+            self._run_pending()
 
-    def check(self, model: ModelState) -> None:
-        from repro.durability import recover_system
+    def _run_pending(self, crash_dir: Optional[Path] = None) -> None:
+        """Submit the buffered ops and journal the deltas of the flushes
+        that apply them; with ``crash_dir``, take the crash copy once all
+        are submitted and before ``run``'s final drain."""
+        pending, self._pending = self._pending, []
+        journal = self._journal
+
+        def stream() -> Iterator[EngineEvent]:
+            for index, __ in pending:
+                yield journal[index][0]
+            if crash_dir is not None:
+                self._crash(crash_dir)
+
+        results = self.pipeline.run(stream())
+        data = [entry for entry in pending if isinstance(journal[entry[0]][0], DataEvent)]
+        expect(
+            len(results) == len(data),
+            self.name,
+            f"the pipeline applied {len(results)} of {len(data)} event(s)",
+        )
+        for (index, want), result in zip(data, results):
+            got = normalize_deltas(result[2])
+            check_delta_equivalence(self.name, journal[index][1], got, got, want)
+            self._recorded[index] = got
+
+    def _crash(self, crash_dir: Path) -> None:
+        """Freeze the durability directory as a crash would leave it, into
+        ``crash_dir``, with the newest WAL segment cut at a random byte."""
         from repro.durability.wal import list_segments
 
         expect(
@@ -631,7 +666,6 @@ class DurabilityTarget(FuzzTarget):
             "one record",
         )
         self.manager.wal.flush()
-        crash_dir = Path(self._tmp.name) / "crash"
         if crash_dir.exists():
             shutil.rmtree(crash_dir)
         shutil.copytree(self._wal_dir, crash_dir)
@@ -641,6 +675,13 @@ class DurabilityTarget(FuzzTarget):
             cut = self._rng.randrange(size + 1)
             with open(segments[-1], "r+b") as handle:
                 handle.truncate(cut)
+
+    def check(self, model: ModelState) -> None:
+        from repro.durability import recover_system
+
+        crash_dir = Path(self._tmp.name) / "crash"
+        self._run_pending(crash_dir)
+        _expect_table_set(self.name, self.pipeline.shard_group, model)
         # WAL-only recovery has no manifest to read the configuration from.
         recovered, report = recover_system(
             crash_dir,
@@ -655,7 +696,8 @@ class DurabilityTarget(FuzzTarget):
             f"but only {len(self._journal)} op(s) were ever logged",
         )
         for index in range(report.next_seq, len(self._journal)):
-            event, label, recorded = self._journal[index]
+            event, label = self._journal[index]
+            recorded = self._recorded.get(index, {})
             got = _run_one(self.name, recovered, event, label)
             expect(
                 got == recorded,
@@ -670,6 +712,10 @@ class DurabilityTarget(FuzzTarget):
             f"after crash-recovery + replay {recovered.subscription_count} "
             f"subscription(s) live, model {model.subscription_count()}",
         )
+
+    def close(self) -> None:
+        self.manager.close()
+        self._tmp.cleanup()
 
 
 class TransportTarget(FuzzTarget):

@@ -22,8 +22,9 @@ construction):
   sequence plane.
 
 Metrics (registered under ``durability/``): ``wal_append_seconds``
-(histogram; folded in at :meth:`sync` and :meth:`close`, so it covers the
-appends up to the last batch boundary), ``wal_fsync_total`` (counter, by the WAL),
+(histogram; one sample per :meth:`sync` that has records to write: the
+time to hand the batch's WAL tail to the OS, fsync excluded),
+``wal_fsync_total`` (counter, by the WAL),
 ``checkpoint_duration_seconds`` (histogram), ``checkpoints_total``,
 ``recovered_events_total`` and ``wal_torn_tail_total`` (counters; the last
 counts attaches that recovered across a torn final record).
@@ -37,7 +38,6 @@ number.
 from __future__ import annotations
 
 import time
-from math import inf
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -79,8 +79,6 @@ class DurabilityManager:
         self._checkpoint_seconds = self.metrics.histogram(
             "durability/checkpoint_duration_seconds"
         )
-        # Sub-second append timings since the last sync: count, total, min, max.
-        self._appends = (0, 0.0, inf, 0.0)
         self._wal: Optional[WriteAheadLog] = None
         self._replaying = False
         self._events_since_checkpoint = 0
@@ -136,7 +134,6 @@ class DurabilityManager:
         if self._closed:
             return
         self._closed = True
-        self._fold_append_seconds()
         if self._wal is not None:
             self._wal.close()
 
@@ -149,43 +146,33 @@ class DurabilityManager:
     # -- logging -------------------------------------------------------------
 
     def log_event(self, event: object) -> Optional[int]:
-        """Append one event to the WAL (log-before-apply); returns its
-        sequence number, or None while recovery replay is in flight (the
-        records being replayed are already durable)."""
+        """Append one event to the WAL's tail (log-before-apply: the tail
+        reaches the OS at the :meth:`sync` before its batch is applied);
+        returns its sequence number, or None while recovery replay is in
+        flight (the records being replayed are already durable)."""
         if self._replaying:
             return None
-        if self._wal is None:
+        wal = self._wal
+        if wal is None:
             raise DurabilityError("log_event before attach()")
-        payload = encode_event(event)
-        # Timing instrumentation only; nothing downstream reads this clock.
-        with self.tracer.span("wal.append"):
-            start = time.perf_counter()
-            seq = self._wal.append(payload)
-            elapsed = time.perf_counter() - start
-        if elapsed < 1.0:
-            # Log2 bucket 0 is [0, 1): count and extent say it all, per sync.
-            count, total, low, high = self._appends
-            self._appends = (count + 1, total + elapsed, min(low, elapsed), max(high, elapsed))
-        else:
-            self._append_seconds.observe(elapsed)
+        seq = wal.append(encode_event(event))
         self._events_since_checkpoint += 1
         return seq
 
-    def _fold_append_seconds(self) -> None:
-        count, total, low, high = self._appends
-        if count:
-            self._append_seconds.merge_delta(
-                count=count, total=total, min_value=low, max_value=high, buckets=[(0, count)]
-            )
-            self._appends = (0, 0.0, inf, 0.0)
-
     def sync(self) -> None:
-        """Durability barrier before a batch is applied (fsync under the
-        ``batch`` policy; no-op under ``never``)."""
-        self._fold_append_seconds()
-        if self._wal is not None:
-            with self.tracer.span("wal.sync"):
-                self._wal.sync()
+        """Durability barrier before a batch is applied: the WAL tail goes
+        to the OS in one write (the ``wal_append_seconds`` sample), then is
+        fsynced under the ``batch`` policy."""
+        wal = self._wal
+        if wal is None:
+            return
+        with self.tracer.span("wal.sync"):
+            if wal.buffered_bytes:
+                # Timing instrumentation only; nothing downstream reads this clock.
+                start = time.perf_counter()
+                wal.flush()
+                self._append_seconds.observe(time.perf_counter() - start)
+            wal.sync()
 
     # -- checkpointing -------------------------------------------------------
 

@@ -23,15 +23,20 @@ produce — a CRC mismatch on a complete frame, a short non-final segment, a
 bad magic — and raises :class:`WalCorruptionError` instead of being
 silently skipped.
 
-Fsync policy trades durability for throughput:
+Appends frame records into an in-memory **tail**; ``sync``, ``flush``,
+rotation and ``close`` hand the whole tail to the OS in one ``write``, so
+a micro-batch costs one system call, not one per record.  The bytes are
+those a record-at-a-time writer would produce.  Fsync policy trades
+durability for throughput:
 
-* ``always`` — flush + fsync after every append (no acknowledged record is
-  ever lost, slowest);
-* ``batch``  — fsync only at ``sync()`` boundaries; the pipeline syncs
-  per micro-batch, so a crash loses at most one batch of acknowledged
-  events;
-* ``never``  — leave flushing to the OS (tests/benchmarks; a crash may
-  lose anything after the last OS writeback).
+* ``always`` — write + fsync every append (no acknowledged record is ever
+  lost, even to a process crash; slowest);
+* ``batch``  — write + fsync at ``sync()`` boundaries; the pipeline syncs
+  per micro-batch before applying it, so a crash loses at most the batch
+  still pending (logged, not applied);
+* ``never``  — ``sync()`` writes but never fsyncs (tests/benchmarks); a
+  process crash loses the pending batch, a machine crash anything after
+  the last OS writeback.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from io import FileIO
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.runtime.metrics import MetricsRegistry
 from repro.wire import CODEC_VERSION, DurabilityError, Reader
@@ -69,6 +75,7 @@ MAX_PAYLOAD = 1 << 20
 
 _HEADER = struct.Struct("<4sHHQ")
 _FRAME = struct.Struct("<IIQ")
+_FRAME_SIZE = _FRAME.size
 _SEQ = struct.Struct("<Q")
 
 
@@ -187,6 +194,10 @@ class WriteAheadLog:
     to, so a torn tail left by a crash is sealed in place rather than
     overwritten, and the reader's last-segment tolerance still applies to
     the new active segment.
+
+    Framed records wait in ``_tail`` (a ``bytearray``) until the next
+    ``sync`` / ``flush`` / rotation / ``close`` writes it out, unbuffered,
+    in one call; rotation bounds the tail by ``segment_bytes``.
     """
 
     def __init__(
@@ -211,7 +222,8 @@ class WriteAheadLog:
             metrics.counter("durability/wal_fsync_total") if metrics else None
         )
         self._next_seq = start_seq
-        self._file = None
+        self._file: Optional[FileIO] = None
+        self._tail = bytearray()
         self._active: Optional[Path] = None
         self._active_bytes = 0
         self._dirty = False
@@ -226,11 +238,10 @@ class WriteAheadLog:
             # A crash directly after rotation can leave a same-named segment
             # holding only torn bytes past the recovery point; replace it.
             path.unlink()
-        self._file = open(path, "wb")
-        header = _HEADER.pack(WAL_MAGIC, WAL_VERSION, CODEC_VERSION, first_seq)
-        self._file.write(header)
+        self._file = open(path, "wb", buffering=0)
+        self._tail += _HEADER.pack(WAL_MAGIC, WAL_VERSION, CODEC_VERSION, first_seq)
         self._active = path
-        self._active_bytes = len(header)
+        self._active_bytes = _HEADER.size
         self._dirty = True
 
     @property
@@ -244,19 +255,24 @@ class WriteAheadLog:
 
     # -- appending -----------------------------------------------------------
 
+    @property
+    def buffered_bytes(self) -> int:
+        """Bytes appended but not yet handed to the OS."""
+        return len(self._tail)
+
     def append(self, payload: bytes) -> int:
-        """Frame and buffer one record; returns its sequence number."""
+        """Frame one record into the tail; returns its sequence number."""
         if self._closed:
             raise DurabilityError("append to a closed WAL")
-        if len(payload) > MAX_PAYLOAD:
-            raise DurabilityError(f"payload of {len(payload)} bytes exceeds bound")
+        size = len(payload)
+        if size > MAX_PAYLOAD:
+            raise DurabilityError(f"payload of {size} bytes exceeds bound")
         seq = self._next_seq
-        self._next_seq += 1
-        frame = _FRAME.pack(len(payload), _crc(seq, payload), seq)
-        assert self._file is not None
-        record = frame + payload
-        self._file.write(record)
-        self._active_bytes += len(record)
+        self._next_seq = seq + 1
+        tail = self._tail
+        tail += _FRAME.pack(size, _crc(seq, payload), seq)
+        tail += payload
+        self._active_bytes += _FRAME_SIZE + size
         self._dirty = True
         if self.fsync_policy == "always":
             self._fsync()
@@ -264,13 +280,25 @@ class WriteAheadLog:
             self._rotate()
         return seq
 
+    def _write_tail(self) -> None:
+        """Hand the tail to the OS in one ``write`` and empty it."""
+        tail = self._tail
+        if not tail:
+            return
+        assert self._file is not None
+        with memoryview(tail) as view:
+            done = self._file.write(view)
+            while done < len(view):  # a short write is legal, if rare
+                done += self._file.write(view[done:])
+        tail.clear()
+
     def _rotate(self) -> None:
         self._seal_active()
         self._open_segment(self._next_seq)
 
     def _seal_active(self) -> None:
         assert self._file is not None
-        self._file.flush()
+        self._write_tail()
         if self.fsync_policy != "never" and self._dirty:
             os.fsync(self._file.fileno())
             self._count_fsync()
@@ -279,7 +307,7 @@ class WriteAheadLog:
 
     def _fsync(self) -> None:
         assert self._file is not None
-        self._file.flush()
+        self._write_tail()
         os.fsync(self._file.fileno())
         self._dirty = False
         self._count_fsync()
@@ -289,10 +317,10 @@ class WriteAheadLog:
             self._fsync_counter.inc()
 
     def flush(self) -> None:
-        """Push buffered bytes to the OS without forcing them to media
-        (what a crashed process would have left behind at best)."""
-        if self._file is not None and not self._closed:
-            self._file.flush()
+        """Hand the tail to the OS without forcing it to media (what a
+        crashed process would have left behind at best)."""
+        if not self._closed:
+            self._write_tail()
 
     def sync(self) -> None:
         """Durability barrier: everything appended so far reaches media.

@@ -5,13 +5,23 @@ by standard B-trees": the join strategies probe ``S(B)`` (band joins) and the
 composite ``S(B, C)`` (select-joins), and symmetric processing of incoming
 S-tuples uses the mirrored indexes on R.  Rows are immutable value objects
 with surrogate ids so that streams can delete specific tuples.
+
+Which table holds which index follows from who reads it.  A standalone
+:class:`TableS` (and :class:`~repro.engine.system.ContinuousQuerySystem`'s,
+which serves both join families) keeps both S indexes.  The sharded
+runtime splits S by role, so each of its tables keeps one:
+:class:`~repro.runtime.sharding.ShardGroup`'s shared S table only
+``by_b`` (the band plane's probes), and each shard's C-slice only
+``by_bc`` (the select plane's).  An index nobody probes would cost two
+B+-tree writes per S row for nothing.  :class:`TableR` keeps both of its
+indexes everywhere: its one table serves both planes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Collection, Dict, Iterator, Optional
 
 from repro.dstruct.btree import BPlusTree
 
@@ -36,12 +46,33 @@ class STuple:
     c: float
 
 
-class TableS:
-    """S(B, C) with a B-tree on B and a composite B-tree on (B, C)."""
+#: The indexes a :class:`TableS` can keep: ``by_b`` on B, which band-join
+#: processors probe, and ``by_bc`` on (B, C), which select-join processors
+#: probe.
+S_INDEXES = frozenset({"by_b", "by_bc"})
 
-    def __init__(self, order: int = 64):
-        self.by_b: BPlusTree[STuple] = BPlusTree(order)
-        self.by_bc: BPlusTree[STuple] = BPlusTree(order)
+
+class TableS:
+    """S(B, C) with a B-tree on B and a composite B-tree on (B, C), or only
+    the ones named in ``indexes`` (a subset of :data:`S_INDEXES`).  An
+    index left out is not an attribute: reading it raises
+    ``AttributeError``."""
+
+    by_b: BPlusTree[STuple]
+    by_bc: BPlusTree[STuple]
+
+    def __init__(self, order: int = 64, indexes: Collection[str] = S_INDEXES):
+        if not indexes or not S_INDEXES.issuperset(indexes):
+            raise ValueError(
+                f"indexes must be a non-empty subset of {sorted(S_INDEXES)}, "
+                f"got {sorted(indexes)}"
+            )
+        self._keeps_b = "by_b" in indexes
+        self._keeps_bc = "by_bc" in indexes
+        if self._keeps_b:
+            self.by_b = BPlusTree(order)
+        if self._keeps_bc:
+            self.by_bc = BPlusTree(order)
         self._rows: Dict[int, STuple] = {}
         self._ids = itertools.count()
 
@@ -53,8 +84,10 @@ class TableS:
         if row.sid in self._rows:
             raise ValueError(f"duplicate sid {row.sid}")
         self._rows[row.sid] = row
-        self.by_b.insert(row.b, row)
-        self.by_bc.insert((row.b, row.c), row)
+        if self._keeps_b:
+            self.by_b.insert(row.b, row)
+        if self._keeps_bc:
+            self.by_bc.insert((row.b, row.c), row)
 
     def add(self, b: float, c: float) -> STuple:
         row = self.new_row(b, c)
@@ -63,8 +96,10 @@ class TableS:
 
     def delete(self, row: STuple) -> None:
         del self._rows[row.sid]
-        self.by_b.remove(row.b, row)
-        self.by_bc.remove((row.b, row.c), row)
+        if self._keeps_b:
+            self.by_b.remove(row.b, row)
+        if self._keeps_bc:
+            self.by_bc.remove((row.b, row.c), row)
 
     def get(self, sid: int) -> Optional[STuple]:
         return self._rows.get(sid)

@@ -1,7 +1,7 @@
 """Lightweight tracing spans for the runtime's phase breakdown.
 
-The runtime wants per-phase timing (``batch`` -> ``shard.apply`` ->
-``wal.append``) without paying for it when nobody is looking, so the API
+The runtime wants per-phase timing (``batch`` -> ``wal.sync`` ->
+``shard.apply``) without paying for it when nobody is looking, so the API
 is a two-implementation protocol:
 
 * :data:`NULL_TRACER` — the disabled default.  ``span()`` returns one

@@ -22,6 +22,7 @@ observe torn snapshots (e.g. a ``_sum`` that includes an observation
 
 from __future__ import annotations
 
+import collections
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.racecheck import guarded, new_lock
@@ -57,11 +58,17 @@ def bucket_index(value: float) -> int:
 def histogram_delta(values: List[float]) -> Dict[str, Any]:
     """Non-empty, non-negative ``values`` as :meth:`Histogram.merge_delta`
     arguments — what that many ``observe`` calls would have recorded, in
-    one locked fold instead of one per value."""
-    buckets: Dict[int, int] = {}
-    for value in values:
-        index = bucket_index(value)
-        buckets[index] = buckets.get(index, 0) + 1
+    one locked fold instead of one per value.
+
+    Binned as :func:`bucket_index` bins, without a call per value: for
+    ``v >= 0`` the bucket is ``int(v).bit_length()``, clamped to the
+    saturating last bucket.
+    """
+    buckets = collections.Counter([int(value).bit_length() for value in values])
+    top = N_HISTOGRAM_BUCKETS - 1
+    if max(buckets) > top:
+        for index in [index for index in buckets if index > top]:
+            buckets[top] += buckets.pop(index)
     return {
         "count": len(values),
         "total": sum(values),

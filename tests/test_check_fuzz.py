@@ -14,10 +14,12 @@ from repro.check.runner import (
     save_reproducer,
     shrink_ops,
 )
-from repro.check.targets import LazyTarget, TrackerTarget
+from repro.check.targets import DurabilityTarget, LazyTarget, TrackerTarget
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.stabbing import canonical_stabbing_partition
+from repro.durability import DurabilityManager
+from repro.engine.events import DataEvent
 
 
 class RecalOffByOne(LazyStabbingPartition):
@@ -102,6 +104,68 @@ class TestCleanRuns:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
             run_sequence([], targets=["warp-drive"])
+
+
+class LogsAtApply(DurabilityManager):
+    """A manager that writes a data event's record at the sync before its
+    batch is applied, not when it is submitted: log-at-apply, which a
+    pipeline of one-event batches cannot tell from log-before-apply."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._deferred = []
+
+    def log_event(self, event):
+        if isinstance(event, DataEvent) and not self.replaying:
+            self._deferred.append(event)
+            return None
+        return super().log_event(event)
+
+    def sync(self):
+        deferred, self._deferred = self._deferred, []
+        for event in deferred:
+            super().log_event(event)
+        super().sync()
+
+
+class TestDurabilityTarget:
+    """The crash-injection target at both batch sizes it is pinned to: one
+    event per batch, and the micro-batches a durable serve runs, where a
+    crash can cut among records logged but not yet applied."""
+
+    CONFIG = FuzzConfig(seed=3, n_ops=500, engine_fraction=1.0)
+
+    @staticmethod
+    def factories(batch_size):
+        return {"durability": lambda: DurabilityTarget(batch_size=batch_size)}
+
+    @pytest.mark.parametrize("batch_size", [1, 24])
+    def test_clean_on_correct_code(self, batch_size):
+        report = fuzz(
+            self.CONFIG, targets=["durability"], check_every=40,
+            factories=self.factories(batch_size),
+        )
+        assert report.ok, report.outcome.divergence
+        assert report.outcome.ops_applied == 500
+
+    def test_batches_of_24_by_default(self):
+        target = DurabilityTarget()
+        try:
+            assert target.pipeline.batch_size == 24
+            assert target.pipeline.coalesce is False
+        finally:
+            target.close()
+
+    @pytest.mark.parametrize("batch_size, caught", [(1, False), (24, True)])
+    def test_log_at_apply_is_caught_only_under_batches(self, monkeypatch, batch_size, caught):
+        monkeypatch.setattr("repro.durability.DurabilityManager", LogsAtApply)
+        report = fuzz(
+            self.CONFIG, targets=["durability"], check_every=40, shrink=False,
+            factories=self.factories(batch_size),
+        )
+        assert report.ok is not caught
+        if caught:
+            assert "every op must log exactly one record" in report.outcome.divergence.message
 
 
 class TestInjectedBug:

@@ -15,6 +15,7 @@ import pytest
 from repro.core.intervals import Interval
 from repro.durability import (
     CodecError,
+    DurabilityError,
     DurabilityManager,
     RecoveryError,
     Unsubscribe,
@@ -286,6 +287,68 @@ class TestWal:
     def test_rejects_unknown_fsync_policy(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(tmp_path, fsync="sometimes")
+
+    def test_per_append_and_per_batch_writes_are_byte_identical(self, tmp_path):
+        """The tail changes when bytes reach the OS, never which bytes: a
+        record written and fsynced at every append and the same stream
+        logged by a batching pipeline, written once per sync, leave the
+        same segments."""
+        stream = generate_mixed_stream(
+            StreamProfile(n_events=300, n_initial_queries=20, seed=4)
+        )
+        with WriteAheadLog(tmp_path / "always", fsync="always", segment_bytes=2048) as wal:
+            append_events(wal, stream)
+        manager = DurabilityManager(tmp_path / "batch", fsync="batch", segment_bytes=2048)
+        pipeline = EventPipeline(num_shards=2, batch_size=64, durability=manager)
+        manager.attach(pipeline)
+        pipeline.run(stream)
+        pipeline.close()
+        always, batch = list_segments(tmp_path / "always"), list_segments(tmp_path / "batch")
+        assert len(always) > 1
+        assert [path.name for path in always] == [path.name for path in batch]
+        for mine, theirs in zip(always, batch):
+            assert mine.read_bytes() == theirs.read_bytes()
+
+    def test_rotation_inside_a_batch_keeps_each_record_in_its_segment(self, tmp_path):
+        segment_bytes = 200
+        with WriteAheadLog(tmp_path / "wal", fsync="batch", segment_bytes=segment_bytes) as wal:
+            for i in range(40):  # one batch: no sync until all are appended
+                wal.append(encode_event(r_insert(i, 0.0, 0.0)))
+                assert wal.buffered_bytes < segment_bytes  # rotation drains the tail
+            wal.sync()
+        segments = list_segments(tmp_path / "wal")
+        assert len(segments) > 2
+        firsts = [int(path.name[4:-4]) for path in segments]
+        seqs = []
+        for k, path in enumerate(segments):
+            alone = tmp_path / f"alone-{k}"
+            alone.mkdir()
+            shutil.copy(path, alone)
+            records = read_wal(alone).records
+            bound = firsts[k + 1] if k + 1 < len(firsts) else 40
+            assert all(firsts[k] <= rec.seq < bound for rec in records)
+            seqs.extend(rec.seq for rec in records)
+        assert seqs == list(range(40))
+
+    def test_flush_between_appends_leaves_a_readable_prefix(self, tmp_path):
+        with WriteAheadLog(tmp_path, fsync="never") as wal:
+            append_events(wal, [r_insert(i, 0.0, 0.0) for i in range(3)])
+            assert read_wal(tmp_path).records == []  # still in the tail
+            wal.flush()
+            append_events(wal, [r_insert(i, 0.0, 0.0) for i in range(3, 5)])
+            result = read_wal(tmp_path)
+            assert [rec.seq for rec in result.records] == [0, 1, 2]
+            assert not result.torn_tail
+            wal.flush()
+            assert [rec.seq for rec in read_wal(tmp_path).records] == list(range(5))
+
+    def test_append_after_close_raises(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        append_events(wal, [r_insert(0, 0.0, 0.0)])
+        wal.close()
+        with pytest.raises(DurabilityError, match="closed"):
+            wal.append(encode_event(r_insert(1, 0.0, 0.0)))
+        assert [rec.seq for rec in read_wal(tmp_path).records] == [0]
 
 
 # -- checkpoints --------------------------------------------------------------

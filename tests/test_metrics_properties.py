@@ -7,12 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import bucket_bounds, estimate_quantile, estimate_quantiles
-from repro.runtime.metrics import N_HISTOGRAM_BUCKETS, Histogram, bucket_index
+from repro.runtime.metrics import (
+    N_HISTOGRAM_BUCKETS,
+    Histogram,
+    bucket_index,
+    histogram_delta,
+)
 
 values = st.floats(
     min_value=0.0, max_value=2.0**70, allow_nan=False, allow_infinity=False
 )
 quantiles = st.floats(min_value=0.0, max_value=1.0)
+# Bucket 0's [0, 1), the general range, and past 2**63, where
+# ``int(v).bit_length()`` exceeds the saturating bucket's index.
+edge_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    values,
+    st.floats(min_value=2.0**63, max_value=2.0**80),
+)
 
 
 class TestBucketIndex:
@@ -53,6 +65,21 @@ class TestBucketIndex:
         lo, hi = bucket_bounds(index)
         assert bucket_index(lo) == index
         assert bucket_index(math.nextafter(hi, 0.0)) == index
+
+
+class TestHistogramDelta:
+    @settings(max_examples=200)
+    @given(st.lists(edge_values, min_size=1, max_size=200))
+    def test_merge_equals_one_observe_per_value(self, observed):
+        merged, one_by_one = Histogram(), Histogram()
+        merged.merge_delta(**histogram_delta(observed))
+        for value in observed:
+            one_by_one.observe(value)
+        got, want = merged.snapshot(), one_by_one.snapshot()
+        # ``sum()`` and repeated ``+=`` may round the total differently.
+        assert math.isclose(got.pop("sum"), want.pop("sum"), rel_tol=1e-12)
+        got.pop("mean"), want.pop("mean")
+        assert got == want
 
 
 class TestEstimatorProperties:

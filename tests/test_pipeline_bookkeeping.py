@@ -322,11 +322,12 @@ def test_pending_depths_appear_with_the_flush_that_covers_them():
         )
 
 
-def test_wal_append_seconds_folds_at_sync_and_close(tmp_path):
+def test_wal_append_seconds_samples_once_per_sync(tmp_path):
     registry = MetricsRegistry()
     manager = DurabilityManager(tmp_path, fsync="never", metrics=registry)
     events = seeded_stream(3, 70, min_age=100)
     appends = registry.histogram("durability/wal_append_seconds")
+    batches = registry.counter("pipeline/batches")
     pipeline = EventPipeline(
         num_shards=2, batch_size=64, mode="inline", metrics=registry, durability=manager
     )
@@ -334,16 +335,18 @@ def test_wal_append_seconds_folds_at_sync_and_close(tmp_path):
         manager.attach(pipeline)
         subscriptions = subscribe_population(pipeline)
         drive(pipeline, events)
-        # The sync that opened the one flush so far covered every record
-        # logged before it: the subscriptions and the batch's 64 events.
-        assert appends.count == subscriptions + 64
+        # Two flushes so far, the subscriptions' and the first 64 events':
+        # the sync that opened each wrote its batch's records in one sample.
+        assert batches.value == 2
+        assert appends.count == 2
         assert manager.next_seq == subscriptions + 70
+        assert manager.wal.buffered_bytes > 0  # the last 6 wait in the tail
     finally:
         pipeline.close()
     final = appends.snapshot()
-    assert final["count"] == subscriptions + 70  # one sample per logged record
+    assert final["count"] == batches.value == 3  # the close's drain synced once more
     assert 0.0 < final["min"] <= final["max"] <= final["sum"]
-    assert final["buckets"] == [[0, subscriptions + 70]]
+    assert final["buckets"] == [[0, 3]]
 
 
 # -- hot-item counters fold per tracker call ---------------------------------------

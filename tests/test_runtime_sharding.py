@@ -295,3 +295,17 @@ class TestOneTableSet:
         assert all(shard.table_s_band is group.table_s for shard in group.shards)
         assert (len(group.table_r), len(group.table_s)) == (4, 1)
         assert sum(len(shard.table_s_select) for shard in group.shards) == 1
+
+    def test_each_s_table_keeps_only_the_index_its_plane_probes(self):
+        """The shared S table serves the band plane (``by_b``), each C-slice
+        the select plane (``by_bc``): one B+-tree write per S table, so
+        two per S row."""
+        group = EventPipeline(num_shards=3, batch_size=4).shard_group
+        assert hasattr(group.table_s, "by_b") and not hasattr(group.table_s, "by_bc")
+        for shard in group.shards:
+            assert hasattr(shard.table_s_select, "by_bc")
+            assert not hasattr(shard.table_s_select, "by_b")
+
+    def test_the_unsharded_system_keeps_both_s_indexes(self):
+        table_s = ContinuousQuerySystem().table_s
+        assert hasattr(table_s, "by_b") and hasattr(table_s, "by_bc")

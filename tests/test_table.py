@@ -58,6 +58,21 @@ class TestTableS:
         rows = {table.add(float(i), 0.0).sid for i in range(5)}
         assert {row.sid for row in table} == rows
 
+    @pytest.mark.parametrize("kept, dropped", [("by_b", "by_bc"), ("by_bc", "by_b")])
+    def test_one_index_table_keeps_only_that_index(self, kept, dropped):
+        table = TableS(indexes=(kept,))
+        keep = table.add(5.0, 1.0)
+        drop = table.add(5.0, 2.0)
+        table.delete(drop)
+        assert [row for __, row in getattr(table, kept).items()] == [keep]
+        assert not hasattr(table, dropped)
+        assert [row.sid for row in table] == [keep.sid]
+
+    @pytest.mark.parametrize("indexes", [(), ("by_a",), ("by_b", "by_c")])
+    def test_unknown_or_empty_index_set_rejected(self, indexes):
+        with pytest.raises(ValueError, match="indexes"):
+            TableS(indexes=indexes)
+
 
 class TestTableR:
     def test_mirror_of_table_s(self):
