@@ -170,6 +170,18 @@ class _ProcessShmBackend:
     ):
         self._resolve = resolve_query
         self.metrics = metrics
+        counter, gauge, histogram = metrics.counter, metrics.gauge, metrics.histogram
+        self._encode_us = histogram("transport/encode_us")
+        self._decode_us = histogram("transport/decode_us")
+        self._bytes_in = counter("transport/bytes_in")
+        self._bytes_out = counter("transport/bytes_out")
+        self._ring_timeouts = counter("transport/ring_timeouts")
+        self._request_bytes = [
+            gauge(f"transport/ring/{index}/request_bytes") for index in range(num_shards)
+        ]
+        self._response_bytes = [
+            gauge(f"transport/ring/{index}/response_bytes") for index in range(num_shards)
+        ]
         self.tracer = tracer
         self.telemetry_every = max(1, telemetry_every)
         self._round = 0
@@ -229,7 +241,7 @@ class _ProcessShmBackend:
                         f"(exitcode {self._workers[index].exitcode}) mid-request"
                     )
                 if time.monotonic() >= deadline:
-                    self.metrics.counter("transport/ring_timeouts").inc()
+                    self._ring_timeouts.inc()
                     raise RingTimeoutError(
                         f"no response from shard {index} within {self._timeout:.1f}s"
                     )
@@ -260,12 +272,10 @@ class _ProcessShmBackend:
         try:
             self._requests[index].send(payload, timeout=self._timeout)
         except RingTimeoutError:
-            self.metrics.counter("transport/ring_timeouts").inc()
+            self._ring_timeouts.inc()
             raise
-        self.metrics.counter("transport/bytes_out").inc(len(payload))
-        self.metrics.gauge(f"transport/ring/{index}/request_bytes").set(
-            self._requests[index].occupancy()
-        )
+        self._bytes_out.inc(len(payload))
+        self._request_bytes[index].set(self._requests[index].occupancy())
 
     # -- backend protocol ----------------------------------------------------
 
@@ -295,21 +305,15 @@ class _ProcessShmBackend:
                 parent_span_id=getattr(roundtrip, "span_id", 0),
                 want_telemetry=want_telemetry,
             )
-            self.metrics.histogram("transport/encode_us").observe(
-                (time.perf_counter() - start) * 1e6
-            )
+            self._encode_us.observe((time.perf_counter() - start) * 1e6)
             # Dispatch everything before collecting anything: one frame in
             # flight per shard, all shards in flight at once.
             for index in shards:
                 self._send(index, payload)
-            bytes_in = self.metrics.counter("transport/bytes_in")
-            decode_us = self.metrics.histogram("transport/decode_us")
             for index in shards:
                 raw = self._await_raw(index)
-                bytes_in.inc(len(raw))
-                self.metrics.gauge(f"transport/ring/{index}/response_bytes").set(
-                    self._responses[index].occupancy()
-                )
+                self._bytes_in.inc(len(raw))
+                self._response_bytes[index].set(self._responses[index].occupancy())
                 start = time.perf_counter()
                 try:
                     elapsed, results = self._decode(index, raw, _frames.FRAME_RESULT)
@@ -323,7 +327,7 @@ class _ProcessShmBackend:
                         except TransportError:
                             pass
                     raise
-                decode_us.observe((time.perf_counter() - start) * 1e6)
+                self._decode_us.observe((time.perf_counter() - start) * 1e6)
                 out[index] = (
                     elapsed,
                     [

@@ -1,7 +1,7 @@
 """Versioned columnar frame codec for the shard data plane.
 
 Built on :mod:`repro.wire` — its row primitive, its record table (a
-query segment carries such records; layouts in ``docs/DURABILITY.md``
+BATCH's query section carries such records; layouts in ``docs/DURABILITY.md``
 § Codec) and its bounds-checked :class:`~repro.wire.Reader`, constructed
 here with :class:`FrameError` — but framed for *throughput* rather than
 durability: a micro-batch crosses the process boundary as a handful of
@@ -21,15 +21,15 @@ Types 3 and 4 (CONTROL and ACK, a subscription change and its answer
 until version 3) are retired: a subscription change is an entry of the
 BATCH it rides, and a decoder meets them as unknown types.
 
-**BATCH** (version 4) — a trace-context header
+**BATCH** (version 5) — a trace-context header
 ``[u8 flags][u64 trace_id][u64 parent_span_id]`` then ``u32 n_entries``
-and *segments*.  ``flags`` bit0 requests a TELEMETRY frame after the
-RESULT; ``trace_id``/``parent_span_id`` propagate the parent's trace so
-worker spans join it (zero means untraced).  The entry list is split
-into maximal runs of the same (kind, relation), or of subscription
-changes; each run is one segment ``[u8 seg_tag][u32 count]``.  A data
-segment is followed by flat columns::
+and *one* set of flat columns over all n entries, in entry order, so a
+batch costs a fixed number of ``struct`` calls however its kinds and
+relations interleave.  ``flags`` bit0 requests a TELEMETRY frame after
+the RESULT; ``trace_id``/``parent_span_id`` propagate the parent's trace
+so worker spans join it (zero means untraced).  The columns::
 
+    tag     <{n}B    1 INSERT R, 2 INSERT S, 3 DELETE R, 4 DELETE S, 5 QUERY
     seqs    <{n}q    event sequence numbers
     ids     <{n}q    rid (R) or sid (S)
     x       <{n}d    a (R) or b (S)
@@ -37,17 +37,17 @@ segment is followed by flat columns::
     ingest  <{n}q    parent-side perf_counter_ns at ingest (0 = unknown)
     owner   <{n}h    select-plane shard of an S row, -1 for an R row
 
-and a query segment (tag 5) by its placements, then its records::
+then the *query section*: for the q entries tagged 5 (subscription
+changes), in entry order, their placements, then their records::
 
-    lo      <{n}h    first shard of the query's placement
-    hi      <{n}h    last shard of the query's placement (a contiguous range)
-    records          n wire records back to back: SUB band, SUB select, UNSUB
+    lo      <{q}h    first shard of the query's placement
+    hi      <{q}h    last shard of the query's placement (a contiguous range)
+    records          q wire records back to back: SUB band, SUB select, UNSUB
 
-A query entry decodes with seq -1 and ingest 0 (it answers nothing), its
-placement as ``range(lo, hi + 1)`` and an UNSUB as
-``QueryEvent(DELETE, Unsubscribe(qid))`` — the qid is all a worker needs
-to cancel what it holds.  A data-only batch is byte-identical to version
-3 but for the version byte.
+A query entry's data slots are written as zeros; it decodes with seq -1
+and ingest 0 (it answers nothing), its placement as ``range(lo, hi + 1)``
+and an UNSUB as ``QueryEvent(DELETE, Unsubscribe(qid))`` — the qid is
+all a worker needs to cancel what it holds.
 
 The frame says nothing about its recipient — ``owner`` is the router's
 one decision per event, a placement its one decision per query, and each
@@ -58,7 +58,6 @@ The ingest column carries CLOCK_MONOTONIC readings, which share an
 origin across processes on one host — the worker subtracts them from its
 own clock to produce end-to-end latency without any wall-clock exchange.
 
-Segment tags: 1 INSERT_R, 2 INSERT_S, 3 DELETE_R, 4 DELETE_S, 5 QUERY.
 Columns are contiguous little-endian int64/float64, so a numpy consumer can
 ``frombuffer`` them with zero copies (the worker's fastpath kernels
 consume exactly such flat columns); this module itself stays pure-``struct``
@@ -111,6 +110,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind, QueryEvent
@@ -148,7 +148,7 @@ __all__ = [
     "decode_frame",
 ]
 
-FRAME_VERSION = 4
+FRAME_VERSION = 5
 
 FRAME_BATCH = 1
 FRAME_RESULT = 2
@@ -159,19 +159,12 @@ FRAME_TELEMETRY = 7
 #: BATCH flags bit0: the worker should follow its RESULT with a TELEMETRY.
 BATCH_FLAG_TELEMETRY = 1
 
-_SEG_INSERT_R = 1
-_SEG_INSERT_S = 2
-_SEG_DELETE_R = 3
-_SEG_DELETE_S = 4
-_SEG_QUERY = 5
-
 _HDR = struct.Struct("<BB")
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
-_SEG = struct.Struct("<BI")
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
-_BATCH_CTX = struct.Struct("<BQQ")  # flags, trace_id, parent_span_id
+_BATCH_CTX = struct.Struct("<BQQI")  # flags, trace_id, parent_span_id, n_entries
 _TELE_CTX = struct.Struct("<QIQI")  # pid, shard, trace_id, spans_dropped
 _TELE_SPAN = struct.Struct("<qqQQQQ")  # ts, dur, tid, span_id, parent_id, trace_id
 _TELE_HIST = struct.Struct("<QdddI")  # count, sum, min, max, n_buckets
@@ -196,21 +189,18 @@ class FrameError(TransportError):
     """A frame does not match the wire format."""
 
 
-#: Segment tag -> (kind, relation) of every entry in the segment.
-_SEGMENTS = {
-    _SEG_INSERT_R: (EventKind.INSERT, "R"),
-    _SEG_INSERT_S: (EventKind.INSERT, "S"),
-    _SEG_DELETE_R: (EventKind.DELETE, "R"),
-    _SEG_DELETE_S: (EventKind.DELETE, "S"),
+#: BATCH entry tag of a subscription change; 1-4 are the data tags below.
+_TAG_QUERY = 5
+#: Relation -> (INSERT tag, DELETE tag) of its data entries.
+_TAGS = {"R": (1, 3), "S": (2, 4)}
+#: Data entry tag -> (kind, relation, row type).
+_DATA_TAGS = {
+    tags[deleting]: (kind, relation, ROW_TYPES[relation])
+    for relation, tags in _TAGS.items()
+    for deleting, kind in enumerate((EventKind.INSERT, EventKind.DELETE))
 }
-
-
-def _seg_tag(event: Any) -> int:
-    if isinstance(event, QueryEvent):
-        return _SEG_QUERY
-    if event.relation == "R":
-        return _SEG_INSERT_R if event.kind is EventKind.INSERT else _SEG_DELETE_R
-    return _SEG_INSERT_S if event.kind is EventKind.INSERT else _SEG_DELETE_S
+#: A query entry's column slots: tag, then zero seq/id/x/y/ingest/owner.
+_QUERY_SLOTS = (_TAG_QUERY, 0, 0, 0.0, 0.0, 0, 0)
 
 
 # -- BATCH -------------------------------------------------------------------
@@ -239,7 +229,7 @@ def encode_batch_frame(
     parent_span_id: int = 0,
     want_telemetry: bool = False,
 ) -> bytes:
-    """Encode an ordered shard batch as columnar run segments.
+    """Encode an ordered shard batch as one column set and a query section.
 
     ``ingest_ns`` (parallel to ``entries``) stamps each entry's
     parent-side monotonic ingest time; omitted means "unknown" and
@@ -248,83 +238,68 @@ def encode_batch_frame(
     """
     if ingest_ns is not None and len(ingest_ns) != len(entries):
         raise FrameError("ingest_ns must be parallel to entries")
-    flags_byte = BATCH_FLAG_TELEMETRY if want_telemetry else 0
-    parts: List[bytes] = [
-        _HDR.pack(FRAME_BATCH, FRAME_VERSION),
-        _BATCH_CTX.pack(flags_byte, trace_id, parent_span_id),
-        _U32.pack(len(entries)),
-    ]
-    i, total = 0, len(entries)
-    while i < total:
-        tag = _seg_tag(entries[i][1])
-        j = i + 1
-        while j < total and _seg_tag(entries[j][1]) == tag:
-            j += 1
-        n = j - i
-        run = entries[i:j]
-        parts.append(_SEG.pack(tag, n))
-        if tag == _SEG_QUERY:
-            parts.append(struct.pack(
-                f"<{n}h{n}h",
-                *[entry[2][0] for entry in run],
-                *[entry[2][-1] for entry in run],
-            ))
-            parts.extend(encode_event(entry[1]) for entry in run)
-        else:
-            seqs = [entry[0] for entry in run]
-            fields = ROW_FIELDS[run[0][1].relation]
-            ids, xs, ys = zip(*[fields(entry[1].row) for entry in run])
-            ingest = ingest_ns[i:j] if ingest_ns is not None else [0] * n
-            parts.append(struct.pack(f"<{n}q", *seqs))
-            parts.append(struct.pack(f"<{n}q", *ids))
-            parts.append(struct.pack(f"<{n}d", *xs))
-            parts.append(struct.pack(f"<{n}d", *ys))
-            parts.append(struct.pack(f"<{n}q", *ingest))
-            parts.append(struct.pack(f"<{n}h", *[entry[2] for entry in run]))
-        i = j
+    slots: List[Tuple[Any, ...]] = []
+    queries: List[Tuple[QueryEvent, Any]] = []
+    stamps = repeat(0) if ingest_ns is None else ingest_ns
+    for (seq, event, where), stamp in zip(entries, stamps):
+        if isinstance(event, QueryEvent):
+            slots.append(_QUERY_SLOTS)
+            queries.append((event, where))
+            continue
+        relation = event.relation
+        row_id, x, y = ROW_FIELDS[relation](event.row)
+        tag = _TAGS[relation][event.kind is EventKind.DELETE]
+        slots.append((tag, seq, row_id, x, y, stamp, where))
+    n, q = len(entries), len(queries)
+    parts = [struct.pack(
+        f"<BBBQQI{n}B{n}q{n}q{n}d{n}d{n}q{n}h",
+        FRAME_BATCH,
+        FRAME_VERSION,
+        BATCH_FLAG_TELEMETRY if want_telemetry else 0,
+        trace_id,
+        parent_span_id,
+        n,
+        *chain.from_iterable(zip(*slots)),
+    )]
+    if queries:
+        parts.append(struct.pack(
+            f"<{q}h{q}h",
+            *[where[0] for __, where in queries],
+            *[where[-1] for __, where in queries],
+        ))
+        parts.extend(encode_event(event) for event, __ in queries)
     return b"".join(parts)
 
 
 def _read_batch(reader: Reader) -> DecodedBatch:
-    flags_byte, trace_id, parent_span_id = reader.unpack(
-        _BATCH_CTX, "batch context header"
+    flags_byte, trace_id, parent_span_id, n = reader.unpack(
+        _BATCH_CTX, "batch header"
     )
-    (n_entries,) = reader.unpack(_U32, "batch entry count")
+    flat = reader.columns(f"{n}B{n}q{n}q{n}d{n}d{n}q{n}h", "batch columns")
+    tags = flat[:n]
+    queries = iter(_read_queries(reader, tags.count(_TAG_QUERY)))
     entries: List[ShardEntry] = []
-    ingest_all: List[int] = []
-    while len(entries) < n_entries:
-        tag, n = reader.unpack(_SEG, "batch segment header")
-        segment = _SEGMENTS.get(tag)
-        if segment is None and tag != _SEG_QUERY:
-            raise FrameError(f"unknown batch segment tag {tag}")
-        if not 0 < n <= n_entries - len(entries):
-            raise FrameError(
-                f"batch segment of {n} entries with {n_entries - len(entries)} "
-                f"of the header's {n_entries} left"
-            )
-        if segment is None:
-            entries.extend(_read_queries(reader, n))
-            ingest_all.extend([0] * n)
+    for tag, seq, row_id, x, y, owner in zip(
+        tags, flat[n:], flat[2 * n :], flat[3 * n :], flat[4 * n :], flat[6 * n :]
+    ):
+        data = _DATA_TAGS.get(tag)
+        if data is None:
+            if tag != _TAG_QUERY:
+                raise FrameError(f"unknown batch entry tag {tag}")
+            entries.append(next(queries))
             continue
-        kind, relation = segment
-        flat = reader.columns(f"{n}q{n}q{n}d{n}d{n}q{n}h", "batch segment columns")
-        ingest_all.extend(flat[4 * n : 5 * n])
-        owners = flat[5 * n :]
-        if (owners.count(-1) != n) if relation == "R" else (min(owners) < 0):
+        kind, relation, row_type = data
+        if (owner != -1) if relation == "R" else (owner < 0):
             raise FrameError(
-                f"batch segment (tag {tag}): owner must be -1 for an R row "
+                f"batch entry (tag {tag}): owner must be -1 for an R row "
                 "and a shard index for an S row"
             )
-        row_type = ROW_TYPES[relation]
-        for seq, row_id, x, y, owner in zip(
-            flat, flat[n:], flat[2 * n :], flat[3 * n :], owners
-        ):
-            entries.append(
-                (seq, DataEvent(kind, relation, row_type(row_id, x, y)), owner)
-            )
+        entries.append(
+            (seq, DataEvent(kind, relation, row_type(row_id, x, y)), owner)
+        )
     return DecodedBatch(
         entries=entries,
-        ingest_ns=tuple(ingest_all),
+        ingest_ns=flat[5 * n : 6 * n],
         trace_id=trace_id,
         parent_span_id=parent_span_id,
         want_telemetry=bool(flags_byte & BATCH_FLAG_TELEMETRY),
@@ -332,13 +307,13 @@ def _read_batch(reader: Reader) -> DecodedBatch:
 
 
 def _read_queries(reader: Reader, n: int) -> List[ShardEntry]:
-    """The ``n`` entries of a query segment."""
-    flat = reader.columns(f"{n}h{n}h", "query segment placements")
+    """The ``n`` entries of a query section."""
+    flat = reader.columns(f"{n}h{n}h", "query section placements")
     entries: List[ShardEntry] = []
     for lo, hi in zip(flat, flat[n:]):
         if not 0 <= lo <= hi:
             raise FrameError(
-                f"query segment placement [{lo}, {hi}] is not a shard range"
+                f"query section placement [{lo}, {hi}] is not a shard range"
             )
         record = read_record(reader)
         event: QueryEvent
@@ -347,7 +322,7 @@ def _read_queries(reader: Reader, n: int) -> List[ShardEntry]:
         elif isinstance(record, QueryEvent):
             event = record
         else:
-            raise FrameError("query segment holds a data record")
+            raise FrameError("query section holds a data record")
         entries.append((-1, event, range(lo, hi + 1)))
     return entries
 

@@ -1,7 +1,7 @@
 """The one wire layer under the WAL and the shard frames.
 
 Everything the runtime turns into bytes — a WAL record, a checkpoint
-snapshot, the query segment of a BATCH frame, the row table of a RESULT
+snapshot, the query section of a BATCH frame, the row table of a RESULT
 frame — is built from the three things defined here, and nothing here
 knows which plane is asking:
 

@@ -216,12 +216,12 @@ def _answer(backend):
 
 
 def _query_batch(placement, record):
-    """A BATCH frame of one query segment: ``placement`` (lo, hi), then
-    ``record`` as it stands."""
+    """A BATCH frame of one query entry: its zero column slots, then a
+    query section of ``placement`` (lo, hi) and ``record`` as it stands."""
     return (
         frames._HDR.pack(frames.FRAME_BATCH, frames.FRAME_VERSION)
         + struct.pack("<BQQI", 0, 0, 0, 1)
-        + struct.pack("<BI", 5, 1)
+        + struct.pack("<Bqqddqh", 5, 0, 0, 0.0, 0.0, 0, 0)
         + struct.pack("<hh", *placement)
         + record
     )
@@ -289,7 +289,7 @@ class TestPipelineLifecycle:
         # A decode error inside the worker must come back as an ERROR
         # frame — the worker stays alive and the next request still works —
         # and both sides count it.  The two ``control-`` cases are query
-        # segments whose subscription record is cut short or refused.
+        # entries whose subscription record is cut short or refused.
         pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend

@@ -3,22 +3,25 @@
 The wire contract under test:
 
 * BATCH frames round-trip arbitrary interleavings of inserts and deletes
-  over both relations and of subscription changes exactly — sequence
-  numbers, row payloads (including NaN and ±inf coordinates), the
-  per-entry select-plane owner, and a query entry's record and placement;
+  over both relations and of subscription changes (at any position among
+  the data entries) exactly — sequence numbers, row payloads (including
+  NaN and ±inf coordinates), the per-entry select-plane owner, and a
+  query entry's record and placement — as one column set of
+  ``HEADER + ROW_BYTES * n`` bytes plus the query section, however the
+  entries interleave;
 * RESULT frames round-trip ``(seq, {qid: rows})`` deltas against the
   frame's own deduplicated row table, with the documented normalization
   that *empty* deltas are elided on encode;
 * ``encode → decode → encode`` is a fixed point, which is how NaN-bearing
   payloads are compared (bytes are exact where ``==`` on floats is not);
 * every lifecycle frame survives ``decode_frame`` dispatch, and corrupted
-  headers, truncated frames of every type (query segments included),
-  inconsistent BATCH segments, subscription records the engine's value
-  types refuse and non-UTF-8 names fail as :class:`FrameError`, never as
-  another exception or a silent misdecode;
+  headers, truncated frames of every type (query sections included),
+  unknown BATCH entry tags, query sections that do not match the tags,
+  subscription records the engine's value types refuse and non-UTF-8
+  names fail as :class:`FrameError`, never as another exception or a
+  silent misdecode;
 * the encoders' bytes are pinned against hex literals (``TestGoldenBytes``),
-  so a refactor cannot move the format silently: version 4 differs from
-  version 3 in the version byte alone wherever version 3 could say it.
+  so a refactor cannot move the format silently.
 """
 
 import math
@@ -40,6 +43,24 @@ from repro.wire import Unsubscribe
 # Any IEEE double the tables can hold, NaN and infinities included.
 coords = st.floats(allow_nan=True, allow_infinity=True, width=64)
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+# A BATCH is the frame header, the trace context and entry count, then one
+# column slot per entry: tag, seq, id, x, y, ingest, owner.
+HEADER = 2 + struct.calcsize("<BQQI")
+ROW_BYTES = struct.calcsize("<Bqqddqh")
+assert (HEADER, ROW_BYTES) == (23, 43)
+
+
+def one_query_batch(placement, record):
+    """A BATCH of one query entry: its zero column slots, then a query
+    section of ``placement`` (lo, hi) and ``record`` as it stands."""
+    return b"".join([
+        bytes([frames.FRAME_BATCH, frames.FRAME_VERSION]),
+        struct.pack("<BQQI", 0, 0, 0, 1),
+        struct.pack("<Bqqddqh", 5, 0, 0, 0.0, 0.0, 0, 0),
+        struct.pack("<hh", *placement),
+        record,
+    ])
 
 
 # Non-NaN, ordered endpoints: what a subscription can hold.
@@ -154,9 +175,22 @@ def _entries_equal(got, want):
     return True
 
 
+_sub = QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3))
+_unsub = QueryEvent(EventKind.DELETE, BandJoinQuery(Interval(0.0, 1.0), qid=3))
+# Query entries first, between two data entries and last.
+_queries_anywhere = [
+    (-1, _sub, range(0, 2)),
+    (4, DataEvent(EventKind.DELETE, "S", STuple(1, 0.5, 2.0)), 1),
+    (-1, _sub, range(1, 2)),
+    (5, DataEvent(EventKind.INSERT, "R", RTuple(2, 0.0, 3.0)), -1),
+    (-1, _unsub, range(0, 1)),
+]
+
+
 class TestBatchFrameRoundTrip:
     @settings(max_examples=200)
     @given(shard_entries())
+    @example(_queries_anywhere)
     def test_roundtrip(self, entries):
         payload = frames.encode_batch_frame(entries)
         frame_type, decoded = frames.decode_frame(payload)
@@ -171,6 +205,7 @@ class TestBatchFrameRoundTrip:
 
     @settings(max_examples=100)
     @given(shard_entries())
+    @example(_queries_anywhere)
     def test_encode_decode_encode_fixed_point(self, entries):
         payload = frames.encode_batch_frame(entries)
         _, decoded = frames.decode_frame(payload)
@@ -214,31 +249,50 @@ class TestBatchFrameRoundTrip:
         with pytest.raises(frames.FrameError, match="parallel"):
             frames.encode_batch_frame([entry], ingest_ns=[1, 2])
 
-    def test_segments_must_add_up_to_the_header_count(self):
-        """The header's entry count is checked against the segments, not
-        used as a stop condition: a segment may not overshoot it, and an
-        empty segment is not a segment."""
-        n_entries_at = 2 + struct.calcsize("<BQQ")
-        segments_at = n_entries_at + 4
-        five = [
+    def test_a_batch_is_one_column_set_however_its_entries_interleave(self):
+        """A kind or relation change every entry costs no byte: 64 entries
+        cycling INSERT R / DELETE S / INSERT S / DELETE R are the header
+        and 64 column slots, nothing else."""
+        cycle = [(EventKind.INSERT, "R"), (EventKind.DELETE, "S"),
+                 (EventKind.INSERT, "S"), (EventKind.DELETE, "R")]
+        entries = []
+        for seq in range(64):
+            kind, relation = cycle[seq % 4]
+            row = (RTuple if relation == "R" else STuple)(seq, 1.0, 2.0)
+            entries.append((seq, DataEvent(kind, relation, row), -1 if relation == "R" else 0))
+        payload = frames.encode_batch_frame(entries, ingest_ns=range(64))
+        assert len(payload) == HEADER + ROW_BYTES * 64
+        assert payload[HEADER : HEADER + 64] == bytes([1, 4, 2, 3] * 16)
+        assert frames.decode_frame(payload)[1].entries == entries
+
+    @pytest.mark.parametrize(
+        "case", ["unknown-tag", "query-section-short", "query-section-extra", "version-4"]
+    )
+    def test_malformed_batch_raises_frame_error(self, case):
+        """Tags the decoder does not know, tag-5 entries the query section
+        does not hold, a query section no tag asks for, and a version-4
+        BATCH are all refused as ``FrameError``."""
+        three = [
             (seq, DataEvent(EventKind.INSERT, "R", RTuple(seq, 0.0, 0.0)), -1)
-            for seq in range(5)
+            for seq in range(3)
         ]
-        payload = bytearray(frames.encode_batch_frame(five))
-        struct.pack_into("<I", payload, n_entries_at, 1)
-        with pytest.raises(frames.FrameError, match="segment of 5"):
+        payload = bytearray(frames.encode_batch_frame(three))
+        if case == "unknown-tag":
+            payload[HEADER + 1], match = 6, "unknown batch entry tag 6"
+        elif case == "query-section-short":
+            payload[HEADER + 1], match = 5, "truncated query section"
+        elif case == "query-section-extra":
+            section = frames.encode_batch_frame([(-1, _sub, [0])])[HEADER + ROW_BYTES :]
+            payload += section
+            match = f"{len(section)} trailing byte"
+        else:
+            payload[1], match = 4, "frame version 4 unsupported"
+        with pytest.raises(frames.FrameError, match=match):
             frames.decode_frame(bytes(payload))
-        payload = frames.encode_batch_frame(five[:1])
-        empty_segment = struct.pack("<BI", 1, 0)
-        with pytest.raises(frames.FrameError, match="segment of 0"):
-            frames.decode_frame(
-                payload[:segments_at] + empty_segment + payload[segments_at:]
-            )
 
     def test_query_placement_must_be_a_shard_range(self):
-        query = QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0.0, 1.0), qid=3))
-        payload = frames.encode_batch_frame([(-1, query, [2])])
-        at = payload.index(struct.pack("<BI", 5, 1)) + 5
+        payload = frames.encode_batch_frame([(-1, _sub, [2])])
+        at = HEADER + ROW_BYTES
         for lo, hi in [(3, 2), (-1, 0)]:
             bad = payload[:at] + struct.pack("<hh", lo, hi) + payload[at + 4 :]
             with pytest.raises(frames.FrameError, match="placement"):
@@ -502,16 +556,11 @@ class TestTruncation:
         ],
     )
     def test_malformed_control_record_raises_frame_error(self, record):
-        """The worker catches ``FrameError`` only: a query segment's
+        """The worker catches ``FrameError`` only: a query section's
         subscription record that the record table or the engine's value
         types refuse must not surface as ``CodecError`` or ``ValueError``."""
-        header = b"".join([
-            bytes([frames.FRAME_BATCH, frames.FRAME_VERSION]),
-            struct.pack("<BQQI", 0, 0, 0, 1),  # context, one entry
-            struct.pack("<BIhh", 5, 1, 0, 0),  # a query segment of one, shard 0
-        ])
         with pytest.raises(frames.FrameError):
-            frames.decode_frame(header + record)
+            frames.decode_frame(one_query_batch((0, 0), record))
 
     def test_non_utf8_telemetry_name_raises_frame_error(self):
         payload = frames.TelemetryPayload(pid=1, shard=0, counters={"abcd": 1})
@@ -521,40 +570,43 @@ class TestTruncation:
             frames.decode_frame(encoded.replace(b"abcd", b"ab\xff\xfe"))
 
 
-# One frame of each body-carrying type as the PR-20 encoders wrote it
-# (FRAME_VERSION 3): the wire format is pinned, not merely self-consistent.
-# Version 4 writes the same bytes but for the version byte.
+# One frame of each body-carrying type at FRAME_VERSION 5: the wire format
+# is pinned, not merely self-consistent.  (RESULT and TELEMETRY bodies have
+# not changed since version 3.)
 GOLDEN_BATCH = (
-    "010301efcdab000000000034120000000000000500000001030000000a000000"
-    "000000000b000000000000000c00000000000000010000000000000002000000"
-    "000000000300000000000000000000000000e03f000000000000044000000000"
-    "000010c0000000000000f83f0000000000000c40000000000000204065000000"
-    "0000000066000000000000006700000000000000ffffffffffff04020000000d"
-    "000000000000000e000000000000000400000000000000050000000000000000"
-    "000000000018400000000000001a400000000000001c40000000000080514068"
-    "00000000000000690000000000000001000000"
+    "010501efcdab000000000034120000000000000500000001010104040a000000"
+    "000000000b000000000000000c000000000000000d000000000000000e000000"
+    "0000000001000000000000000200000000000000030000000000000004000000"
+    "000000000500000000000000000000000000e03f000000000000044000000000"
+    "000010c000000000000018400000000000001a40000000000000f83f00000000"
+    "00000c4000000000000020400000000000001c40000000000080514065000000"
+    "0000000066000000000000006700000000000000680000000000000069000000"
+    "00000000ffffffffffff01000000"
 )
 GOLDEN_RESULT = (
-    "0203000000000000e03f02000000010100000000000000000000000000004000"
+    "0205000000000000e03f02000000010100000000000000000000000000004000"
     "000000000008400202000000000000000000000000000000000000000000f03f"
     "0200000000000000000000000100000000000000070000000000000008000000"
     "000000000101010000000200000003000000000000000000000001000000"
 )
-GOLDEN_CONTROL = (
-    "0303060c00000000000000000000000000000000000000000014400000000000"
+# The wire record of SUB select qid 12, rangeA [0, 5], rangeC [2, 9].
+GOLDEN_SUB_SELECT = (
+    "060c00000000000000000000000000000000000000000014400000000000"
     "0000400000000000002240"
 )
-# Version 4: a SUB select on shards 1-2, an R insert, an UNSUB on shard 0.
-# The SUB record is the CONTROL body above, byte for byte.
+# A SUB select on shards 1-2, an R insert, an UNSUB on shard 0: three
+# column slots (the query entries' zero), then the query section.
 GOLDEN_QUERY = (
-    "0104000000000000000000000000000000000003000000050100000001000200"
+    "0105000000000000000000000000000000000003000000050105000000000000"
+    "0000140000000000000000000000000000000000000000000000010000000000"
+    "000000000000000000000000000000000000000000000000e03f000000000000"
+    "00000000000000000000000000000000f83f0000000000000000000000000000"
+    "0000650000000000000000000000000000000000ffff00000100000002000000"
     "060c000000000000000000000000000000000000000000144000000000000000"
-    "4000000000000022400101000000140000000000000001000000000000000000"
-    "00000000e03f000000000000f83f6500000000000000ffff0501000000000000"
-    "00070700000000000000"
+    "400000000000002240070700000000000000"
 )
 GOLDEN_TELEMETRY = (
-    "0703921000000000000001000000efcdab000000000002000000010000000c00"
+    "0705921000000000000001000000efcdab000000000002000000010000000c00"
     "776f726b65722e6261746368e803000000000000fa000000000000004d000000"
     "0000000009000000000000003412000000000000efcdab00000000000c000000"
     "7b226576656e7473223a357d0100000016007472616e73706f72742f6672616d"
@@ -564,13 +616,6 @@ GOLDEN_TELEMETRY = (
     "0000002440000000000000344002000000040001000000000000000500010000"
     "0000000000"
 )
-
-
-def _as_v3(frame):
-    """``frame`` with the version byte of version 3: the one byte in which
-    version 4 differs wherever version 3 could say the same thing."""
-    assert frame[1] == frames.FRAME_VERSION == 4
-    return frame[:1] + b"\x03" + frame[2:]
 
 
 class TestGoldenBytes:
@@ -589,9 +634,8 @@ class TestGoldenBytes:
             parent_span_id=0x1234,
             want_telemetry=True,
         )
-        # A data-only batch: the version-3 bytes, the version byte aside.
-        assert _as_v3(encoded).hex() == GOLDEN_BATCH
-        assert encoded[1:2] == b"\x04"
+        assert encoded.hex() == GOLDEN_BATCH
+        assert len(encoded) == HEADER + ROW_BYTES * len(entries)
         __, decoded = frames.decode_frame(encoded)
         assert decoded.entries == entries
         assert decoded.ingest_ns == (101, 102, 103, 104, 105)
@@ -604,12 +648,12 @@ class TestGoldenBytes:
             (1, {8: [_shared_row, STuple(2, 0.0, 1.0)]}),
         ]
         encoded = frames.encode_result_frame(0.5, results)
-        assert _as_v3(encoded).hex() == GOLDEN_RESULT
+        assert encoded.hex() == GOLDEN_RESULT
         assert frames.decode_frame(encoded) == (frames.FRAME_RESULT, (0.5, results))
 
     def test_control(self):
-        """A subscription change rides the BATCH as a query segment whose
-        record is what a version-3 CONTROL frame carried."""
+        """A subscription change rides the BATCH as a tag-5 entry whose
+        placement and wire record follow the columns, in the query section."""
         query = SelectJoinQuery(Interval(0.0, 5.0), Interval(2.0, 9.0), qid=12)
         entries = [
             (-1, QueryEvent(EventKind.INSERT, query), [1, 2]),
@@ -618,7 +662,9 @@ class TestGoldenBytes:
         ]
         encoded = frames.encode_batch_frame(entries, ingest_ns=[0, 101, 0])
         assert encoded.hex() == GOLDEN_QUERY
-        assert bytes.fromhex(GOLDEN_CONTROL)[2:] in encoded
+        assert encoded[HEADER + 3 * ROW_BYTES + 8 :].startswith(
+            bytes.fromhex(GOLDEN_SUB_SELECT)
+        )
         frame_type, decoded = frames.decode_frame(bytes.fromhex(GOLDEN_QUERY))
         assert frame_type == frames.FRAME_BATCH
         (__, sub, placement), __, (__, unsub, __) = decoded.entries
@@ -660,7 +706,7 @@ class TestGoldenBytes:
             },
         )
         encoded = frames.encode_telemetry_frame(payload)
-        assert _as_v3(encoded).hex() == GOLDEN_TELEMETRY
+        assert encoded.hex() == GOLDEN_TELEMETRY
         __, decoded = frames.decode_frame(encoded)
         assert decoded.counters == payload.counters
         assert decoded.gauges == payload.gauges
