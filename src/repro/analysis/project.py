@@ -45,7 +45,7 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     # The shared-memory data plane: frames must encode/decode bit-stably
     # and ring traffic must never depend on RNG or set order, or the
     # process-shm backend silently diverges from the inline reference the
-    # replay driver and the "transport" fuzz target compare it against.
+    # replay driver and the process-shm fuzz cell compare it against.
     "repro/runtime/transport/",
     # The wire layer under both: the bytes of a WAL record and of a frame.
     "repro/wire.py",

@@ -4,7 +4,8 @@
 simultaneously (sharing a single :class:`ModelState` as ground truth),
 applying per-op checks inline (delta equivalence, batch drains) and the
 expensive invariant probes every ``check_every`` ops.  The first
-:class:`~repro.check.probes.Divergence` stops the run.
+:class:`~repro.check.probes.Divergence`, or any other exception a target
+raises, stops the run as that target's divergence.
 
 ``shrink_ops`` reduces a failing sequence by delta debugging: truncate to
 the divergence point, ddmin over op subsets (re-normalizing candidates so
@@ -78,6 +79,13 @@ def _make_targets(
     return [registry[name]() for name in names]
 
 
+def _describe(exc: Exception) -> str:
+    """A target's own error, recorded as that target's divergence, so it
+    is shrunk and dumped like any other (a worker's ERROR answer, a
+    violated tree invariant)."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_sequence(
     ops: Sequence[Op],
     *,
@@ -113,11 +121,11 @@ def run_sequence(
                         check_rounds,
                         DivergenceRecord(index, exc.target, exc.message),
                     )
-                except AssertionError as exc:
+                except Exception as exc:
                     return RunOutcome(
                         applied,
                         check_rounds,
-                        DivergenceRecord(index, target.name, f"assertion: {exc}"),
+                        DivergenceRecord(index, target.name, _describe(exc)),
                     )
             if applied % check_every == 0 or index == len(ops) - 1:
                 check_rounds += 1
@@ -126,8 +134,9 @@ def run_sequence(
                     return RunOutcome(applied, check_rounds, failure)
         return RunOutcome(applied, check_rounds)
     finally:
-        # Targets may own processes or shm segments (e.g. "transport");
-        # release them whether the run passed, diverged, or raised.
+        # Targets may own processes, shm segments or temp directories (the
+        # process-shm and durable pipeline cells); release them whether the
+        # run passed, diverged, or raised.
         for target in live:
             target.close()
 
@@ -144,8 +153,8 @@ def _check_round(
             target.check(model)
         except Divergence as exc:
             return DivergenceRecord(op_index, exc.target, exc.message)
-        except AssertionError as exc:
-            return DivergenceRecord(op_index, target.name, f"assertion: {exc}")
+        except Exception as exc:
+            return DivergenceRecord(op_index, target.name, _describe(exc))
     return None
 
 

@@ -6,6 +6,10 @@ the runner's periodic invariant sweep.  Items are keyed by the op ``key``
 (partitions and trackers identify items by object identity, so each target
 materializes its *own* interval/row/query objects).
 
+The engine ops drive one target class, :class:`PipelineTarget`, registered
+once per cell of ``(mode, batch size, durability)`` as
+``pipeline/<mode>/<batch>/<volatile|durable>``.
+
 ``TARGET_FACTORIES`` is the registry the runner builds targets from; tests
 inject deliberately broken implementations by overriding an entry (e.g. a
 ``LazyStabbingPartition`` subclass with an off-by-one trigger) and checking
@@ -17,6 +21,7 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
@@ -299,10 +304,11 @@ def _label(op: Op) -> str:
     return f"{op.kind} #{op.key}"
 
 
-def _oracle_deltas(model: ModelState, event: DataEvent) -> Deltas:
+def _oracle_deltas(model: ModelState, event: EngineEvent) -> Deltas:
     """What the nested-loop oracle expects ``event`` to produce (the runner
-    has already applied the op to the model; deletes produce nothing)."""
-    if event.kind is EventKind.DELETE:
+    has already applied the op to the model; deletes and subscription
+    changes produce nothing)."""
+    if isinstance(event, QueryEvent) or event.kind is EventKind.DELETE:
         return {}
     row = event.row
     if event.relation == "R":
@@ -401,7 +407,9 @@ class BatcherTarget(FuzzTarget):
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     """The group holds each relation once, at the model's size; every shard
     reads those very objects and each of its processors that can validate
-    itself does; the shards' select slices partition S."""
+    itself does; the shards' select slices partition S; every tree a probe
+    reads (the group's ``by_b`` pair, each slice's ``by_bc``) holds its
+    B+-tree invariants, leaf chain included."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -426,6 +434,10 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
         f"S select partition holds {select_total} rows fleet-wide, "
         f"model {n_s} (slices must be disjoint and exhaustive)",
     )
+    group.table_r.by_b.check_invariants()
+    group.table_s.by_b.check_invariants()
+    for shard in group.shards:
+        shard.table_s_select.by_bc.check_invariants()
 
 
 def _expect_reference_tables(
@@ -440,203 +452,105 @@ def _expect_reference_tables(
     )
 
 
-class EngineTarget(FuzzTarget):
-    """Runs every engine op through a per-event sharded pipeline
-    (``batch_size=1``: each event is its own batch) *and* the unsharded
-    reference, comparing per-event deltas between the two and against the
-    model's nested-loop oracle."""
-
-    name = "sharded"
-    kinds = ENGINE_KINDS
-
-    def __init__(
-        self,
-        num_shards: int = 3,
-        alpha: Optional[float] = 0.2,
-        epsilon: float = 1.0,
-    ) -> None:
-        self.sharded = EventPipeline(
-            num_shards=num_shards, alpha=alpha, epsilon=epsilon, batch_size=1
-        )
-        self.reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
-        self._ops = _EngineOps()
-
-    def apply(self, op: Op, model: ModelState) -> None:
-        event, label = self._ops.event(op), _label(op)
-        got_reference = _apply_reference(self.reference, event)
-        got_sharded = _run_one(self.name, self.sharded, event, label)
-        if isinstance(event, DataEvent):
-            check_delta_equivalence(
-                self.name, label, got_sharded, got_reference, _oracle_deltas(model, event)
-            )
-
-    def check(self, model: ModelState) -> None:
-        n_queries = model.subscription_count()
-        expect(
-            self.reference.subscription_count == n_queries,
-            self.name,
-            f"reference holds {self.reference.subscription_count} "
-            f"subscription(s), model {n_queries}",
-        )
-        expect(
-            self.sharded.subscription_count == n_queries,
-            self.name,
-            f"sharded pipeline holds {self.sharded.subscription_count} "
-            f"subscription(s), model {n_queries}",
-        )
-        _expect_reference_tables(self.name, self.reference, model)
-        _expect_table_set(self.name, self.sharded.shard_group, model)
 
 
-class FastpathTarget(FuzzTarget):
-    """Exercises the columnar batch fast path: engine events — subscription
-    changes among the data events, in stream order — are deferred into a
-    pending buffer and flushed through a batching pipeline
-    (``batch_size=max_batch``, coalescing off so every data event reports a
-    delta), whose per-event deltas must match both the per-event reference
-    system and the model's nested-loop oracle.
+# -- the pipeline target -----------------------------------------------------
 
-    Oracle deltas are captured *at op arrival* (the runner applies the op to
-    the model first, so the oracle sees exactly the state the batched system
-    will later replay against).
+#: Fixed in every cell.  Three shards keep the router's odd-K split under
+#: fuzz; the crash seed draws a durable cell's truncation points.
+NUM_SHARDS = 3
+ALPHA = 0.2
+EPSILON = 1.0
+CHECKPOINT_EVERY = 64
+CRASH_SEED = 0xD0_0D
+
+
+def cell_name(mode: str, batch_size: int, durable: bool) -> str:
+    """A cell's registry name: ``pipeline/<mode>/<batch>/<volatile|durable>``."""
+    return f"pipeline/{mode}/{batch_size}/{'durable' if durable else 'volatile'}"
+
+
+class PipelineTarget(FuzzTarget):
+    """Runs every engine op through one :class:`EventPipeline` cell,
+    ``(mode, batch_size, durable)``, and through the unsharded reference.
+
+    Ops (subscription changes among the data events, in stream order) are
+    buffered and flushed every ``batch_size`` ops through ``run`` with
+    coalescing off, so every data event reports a delta; a batch of 1 is
+    strict per-event application.  Each data event's deltas must equal both
+    the reference's and the nested-loop oracle's, both captured when the op
+    arrives (the runner applies the op to the model first, so the oracle
+    sees exactly the state the batch later replays against).  A sweep
+    flushes, then holds the subscription counts and the reference tables to
+    the model; an inline cell also validates its one table set and every
+    tree a probe reads.
+
+    A durable cell logs to a real WAL (``fsync="never"``: the crash is
+    simulated by copying files).  Each engine op logs exactly one record at
+    submit, so journal index == WAL sequence number.  Every sweep simulates
+    a crash between log and apply: the buffered ops are submitted, so
+    logged, and before the drain that applies them the WAL tail is flushed
+    to the OS, the directory copied aside and the newest segment of the
+    copy cut at a random byte (possibly mid-record, possibly among records
+    no shard has applied yet).  A pipeline recovered from the copy then
+    re-applies the journal suffix the cut lost; its deltas must equal the
+    uninterrupted run's and its final state the model's.
     """
 
-    name = "fastpath"
     kinds = ENGINE_KINDS
 
-    def __init__(
-        self,
-        num_shards: int = 2,
-        alpha: Optional[float] = 0.2,
-        epsilon: float = 1.0,
-        max_batch: int = 24,
-    ) -> None:
-        self.batched = EventPipeline(
-            num_shards=num_shards,
-            alpha=alpha,
-            epsilon=epsilon,
-            batch_size=max_batch,
-            coalesce=False,
-        )
-        self.reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
-        self._ops = _EngineOps()
-        # Pending (event, label, reference deltas, oracle deltas); a
-        # subscription change is an entry with empty deltas.
-        self._pending: List[Tuple[EngineEvent, str, Deltas, Deltas]] = []
+    def __init__(self, mode: str, batch_size: int, durable: bool) -> None:
+        self.name = cell_name(mode, batch_size, durable)
+        self.manager: Any = None
+        self._tmp: Optional[tempfile.TemporaryDirectory[str]] = None
+        if durable:
+            from repro.durability import DurabilityManager
 
-    def apply(self, op: Op, model: ModelState) -> None:
-        event = self._ops.event(op)
-        got_reference = _apply_reference(self.reference, event)
-        want = _oracle_deltas(model, event) if isinstance(event, DataEvent) else {}
-        self._pending.append((event, _label(op), got_reference, want))
-        if len(self._pending) >= self.batched.batch_size:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        results = self.batched.run([entry[0] for entry in pending])
-        pending = [entry for entry in pending if isinstance(entry[0], DataEvent)]
-        # The batch probe reads each join-key tree's flat mirror; holding it
-        # to the leaf chain here fuzzes its in-place insert/remove upkeep.
-        tables = self.batched.shard_group
-        tables.table_r.by_b.check_invariants()
-        tables.table_s.by_b.check_invariants()
-        expect(
-            len(results) == len(pending),
-            self.name,
-            f"the pipeline applied {len(results)} of {len(pending)} event(s)",
-        )
-        for (_, label, got_reference, want), result in zip(pending, results):
-            check_delta_equivalence(
-                self.name, label, normalize_deltas(result[2]), got_reference, want
+            self._tmp = tempfile.TemporaryDirectory(prefix="repro-fuzz-durability-")
+            self.manager = DurabilityManager(
+                Path(self._tmp.name) / "wal",
+                fsync="never",
+                checkpoint_every=CHECKPOINT_EVERY,
             )
-
-    def check(self, model: ModelState) -> None:
-        self.flush()
-        _expect_reference_tables(self.name, self.reference, model)
-        _expect_table_set(self.name, self.batched.shard_group, model)
-
-
-class DurabilityTarget(FuzzTarget):
-    """Crash-injects the durability subsystem and checks exact recovery.
-
-    Engine ops drive a WAL-logged pipeline in micro-batches of
-    ``batch_size`` entries (coalescing off, so every data event reports a
-    delta; ``fsync="never"`` — the fuzzer simulates the crash by copying
-    files, so real fsyncs would only slow it down).  A journal records
-    every op; a data event's normalized delta joins it when the flush that
-    applied it returns, after a check against the oracle deltas captured
-    at op arrival.  Each engine op logs exactly one WAL record at submit,
-    so journal index == WAL sequence number.
-
-    Every ``check`` round simulates a crash between log and apply: the
-    ops still buffered are submitted — so logged — and, before the drain
-    that applies them, the WAL tail is flushed to the OS, the durability
-    directory copied aside and the newest WAL segment of the copy
-    truncated at a random byte offset (possibly mid-record, possibly
-    mid-header, possibly among records no shard has applied yet).  A fresh
-    pipeline recovered from the copy then re-applies the journal suffix
-    the truncation lost.  Its deltas must equal the uninterrupted
-    pipeline's, and its final state the model's — any divergence means
-    recovery lost, duplicated, or reordered an event.
-    """
-
-    name = "durability"
-    kinds = ENGINE_KINDS
-
-    def __init__(
-        self,
-        num_shards: int = 2,
-        alpha: Optional[float] = 0.2,
-        epsilon: float = 1.0,
-        checkpoint_every: int = 64,
-        crash_seed: int = 0xD0_0D,
-        batch_size: int = 24,
-    ) -> None:
-        from repro.durability import DurabilityManager
-
-        self._tmp = tempfile.TemporaryDirectory(prefix="repro-fuzz-durability-")
-        self._wal_dir = Path(self._tmp.name) / "wal"
-        self.manager = DurabilityManager(
-            self._wal_dir, fsync="never", checkpoint_every=checkpoint_every
-        )
         self.pipeline = EventPipeline(
-            num_shards=num_shards,
-            alpha=alpha,
-            epsilon=epsilon,
+            num_shards=NUM_SHARDS,
+            alpha=ALPHA,
+            epsilon=EPSILON,
             batch_size=batch_size,
+            mode=mode,
             coalesce=False,
             durability=self.manager,
         )
-        self.manager.attach(self.pipeline)
-        self._rng = random.Random(crash_seed)
+        if self.manager is not None:
+            self.manager.attach(self.pipeline)
+        self.reference = ContinuousQuerySystem(alpha=ALPHA, epsilon=EPSILON)
         self._ops = _EngineOps()
-        # One entry per engine op: (event, label); a data event's
-        # normalized live deltas by journal index, once applied.
+        self._rng = random.Random(CRASH_SEED)
+        # One (event, label) per engine op, and a durable cell's applied
+        # data events' normalized deltas by journal index.
         self._journal: List[Tuple[EngineEvent, str]] = []
         self._recorded: Dict[int, Deltas] = {}
-        # Journal indices not yet submitted, with their oracle deltas.
-        self._pending: List[Tuple[int, Deltas]] = []
+        # Journal indices not yet submitted, with the reference's and the
+        # oracle's deltas for them.
+        self._pending: List[Tuple[int, Deltas, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
         event = self._ops.event(op)
-        want = _oracle_deltas(model, event) if isinstance(event, DataEvent) else {}
-        self._pending.append((len(self._journal), want))
+        reference = _apply_reference(self.reference, event)
+        self._pending.append((len(self._journal), reference, _oracle_deltas(model, event)))
         self._journal.append((event, _label(op)))
         if len(self._pending) >= self.pipeline.batch_size:
             self._run_pending()
 
     def _run_pending(self, crash_dir: Optional[Path] = None) -> None:
-        """Submit the buffered ops and journal the deltas of the flushes
-        that apply them; with ``crash_dir``, take the crash copy once all
-        are submitted and before ``run``'s final drain."""
+        """Submit the buffered ops and check the deltas of the flushes that
+        apply them; with ``crash_dir``, take the crash copy once all are
+        submitted and before ``run``'s final drain."""
         pending, self._pending = self._pending, []
         journal = self._journal
 
         def stream() -> Iterator[EngineEvent]:
-            for index, __ in pending:
+            for index, __, ___ in pending:
                 yield journal[index][0]
             if crash_dir is not None:
                 self._crash(crash_dir)
@@ -648,10 +562,11 @@ class DurabilityTarget(FuzzTarget):
             self.name,
             f"the pipeline applied {len(results)} of {len(data)} event(s)",
         )
-        for (index, want), result in zip(data, results):
+        for (index, reference, oracle), result in zip(data, results):
             got = normalize_deltas(result[2])
-            check_delta_equivalence(self.name, journal[index][1], got, got, want)
-            self._recorded[index] = got
+            check_delta_equivalence(self.name, journal[index][1], got, reference, oracle)
+            if self.manager is not None:
+                self._recorded[index] = got
 
     def _crash(self, crash_dir: Path) -> None:
         """Freeze the durability directory as a crash would leave it, into
@@ -668,7 +583,7 @@ class DurabilityTarget(FuzzTarget):
         self.manager.wal.flush()
         if crash_dir.exists():
             shutil.rmtree(crash_dir)
-        shutil.copytree(self._wal_dir, crash_dir)
+        shutil.copytree(self.manager.directory, crash_dir)
         segments = list_segments(crash_dir)
         if segments:
             size = segments[-1].stat().st_size
@@ -677,17 +592,32 @@ class DurabilityTarget(FuzzTarget):
                 handle.truncate(cut)
 
     def check(self, model: ModelState) -> None:
+        crash_dir = None if self._tmp is None else Path(self._tmp.name) / "crash"
+        self._run_pending(crash_dir)
+        n_queries = model.subscription_count()
+        for holder, count in (
+            ("reference", self.reference.subscription_count),
+            ("pipeline", self.pipeline.subscription_count),
+        ):
+            expect(
+                count == n_queries,
+                self.name,
+                f"{holder} holds {count} subscription(s), model {n_queries}",
+            )
+        _expect_reference_tables(self.name, self.reference, model)
+        if self.pipeline.mode == "inline":
+            _expect_table_set(self.name, self.pipeline.shard_group, model)
+        if crash_dir is not None:
+            self._recover(crash_dir, model)
+
+    def _recover(self, crash_dir: Path, model: ModelState) -> None:
+        """Recover the crash copy, replay the journal suffix its cut lost,
+        and hold the result to the uninterrupted run and the model."""
         from repro.durability import recover_system
 
-        crash_dir = Path(self._tmp.name) / "crash"
-        self._run_pending(crash_dir)
-        _expect_table_set(self.name, self.pipeline.shard_group, model)
         # WAL-only recovery has no manifest to read the configuration from.
         recovered, report = recover_system(
-            crash_dir,
-            num_shards=self.pipeline.router.num_shards,
-            alpha=self.pipeline.alpha,
-            epsilon=self.pipeline.epsilon,
+            crash_dir, num_shards=NUM_SHARDS, alpha=ALPHA, epsilon=EPSILON
         )
         expect(
             report.next_seq <= len(self._journal),
@@ -714,99 +644,26 @@ class DurabilityTarget(FuzzTarget):
         )
 
     def close(self) -> None:
-        self.manager.close()
-        self._tmp.cleanup()
-
-
-class TransportTarget(FuzzTarget):
-    """Differential check of the shared-memory data plane.
-
-    Engine ops — subscription changes among the data events, in stream
-    order — are buffered and periodically replayed through two
-    :class:`~repro.runtime.pipeline.EventPipeline` instances that differ
-    *only* in backend — ``mode="process-shm"`` (columnar frames over shm
-    rings) vs ``mode="inline"`` — with coalescing off so every submitted
-    data event produces a comparable ``(seq, deltas)`` entry.  Any
-    divergence means the frame codec or the ring dropped, duplicated, or
-    reordered something the in-process path did not.
-
-    This target spawns one worker process per shard, so it is registered in
-    :data:`TARGET_FACTORIES` for explicit selection (``repro fuzz --targets
-    transport``) but kept out of :data:`DEFAULT_TARGETS`.
-    """
-
-    name = "transport"
-    kinds = ENGINE_KINDS
-
-    def __init__(
-        self,
-        num_shards: int = 2,
-        alpha: Optional[float] = 0.2,
-        epsilon: float = 1.0,
-        batch_size: int = 8,
-    ) -> None:
-        self._pipes = {
-            mode: EventPipeline(
-                num_shards=num_shards,
-                alpha=alpha,
-                epsilon=epsilon,
-                batch_size=batch_size,
-                mode=mode,
-                coalesce=False,
-            )
-            for mode in ("process-shm", "inline")
-        }
-        self._ops = _EngineOps()
-        self._pending: List[Tuple[EngineEvent, str]] = []
-        self._closed = False
-
-    def apply(self, op: Op, model: ModelState) -> None:
-        self._pending.append((self._ops.event(op), _label(op)))
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        events = [entry[0] for entry in pending]
-        results = {
-            mode: pipe.run(list(events)) for mode, pipe in self._pipes.items()
-        }
-        pending = [entry for entry in pending if isinstance(entry[0], DataEvent)]
-        shm_run, inline_run = results["process-shm"], results["inline"]
-        expect(
-            len(shm_run) == len(inline_run) == len(pending),
-            self.name,
-            f"process-shm applied {len(shm_run)} event(s), inline "
-            f"{len(inline_run)}, submitted {len(pending)}",
-        )
-        for (_, label), shm, inline in zip(pending, shm_run, inline_run):
-            got = normalize_deltas(shm[2])
-            want = normalize_deltas(inline[2])
-            expect(
-                got == want,
-                self.name,
-                f"{label}: process-shm deltas {got} != inline deltas {want}",
-            )
-
-    def check(self, model: ModelState) -> None:
-        self._flush()
-        for mode, pipe in self._pipes.items():
-            expect(
-                pipe.subscription_count == model.subscription_count(),
-                self.name,
-                f"{mode} pipeline holds {pipe.subscription_count} "
-                f"subscription(s), model {model.subscription_count()}",
-            )
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for pipe in self._pipes.values():
-            pipe.close()
+        try:
+            self.pipeline.close()
+        finally:
+            if self._tmp is not None:
+                self._tmp.cleanup()
 
 
 # -- registry ----------------------------------------------------------------
+
+#: The pipeline target's cells, ``(mode, batch size, durable)``.
+#: ``process-shm`` spawns a worker per shard, so its cell stays out of
+#: :data:`DEFAULT_TARGETS`; ``process-shm`` x durable is not a cell because
+#: :class:`EventPipeline` rejects durability outside ``inline``.
+PIPELINE_CELLS: Tuple[Tuple[str, int, bool], ...] = (
+    ("inline", 1, False),
+    ("inline", 24, False),
+    ("inline", 1, True),
+    ("inline", 24, True),
+    ("process-shm", 8, False),
+)
 
 TARGET_FACTORIES: Dict[str, Callable[[], FuzzTarget]] = {
     "lazy": LazyTarget,
@@ -814,13 +671,7 @@ TARGET_FACTORIES: Dict[str, Callable[[], FuzzTarget]] = {
     "multidim": MultidimTarget,
     "tracker": TrackerTarget,
     "batcher": BatcherTarget,
-    "sharded": EngineTarget,
-    "fastpath": FastpathTarget,
-    "durability": DurabilityTarget,
-    # Spawns worker processes + shm segments; select explicitly with
-    # ``repro fuzz --targets transport`` (deliberately not in
-    # DEFAULT_TARGETS so the default campaign stays in-process).
-    "transport": TransportTarget,
+    **{cell_name(*cell): partial(PipelineTarget, *cell) for cell in PIPELINE_CELLS},
 }
 
 DEFAULT_TARGETS = (
@@ -829,7 +680,5 @@ DEFAULT_TARGETS = (
     "multidim",
     "tracker",
     "batcher",
-    "sharded",
-    "fastpath",
-    "durability",
+    *(cell_name(*cell) for cell in PIPELINE_CELLS if cell[0] == "inline"),
 )

@@ -671,6 +671,23 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", choices=["block", "drop-oldest", "reject"], default="block")
 
 
+class _FuzzHelpFormatter(argparse.HelpFormatter):
+    """Names the fuzz targets from the registry in ``--targets``' help.
+    The registry loads the whole engine, so it is imported only when the
+    help is printed, not for every verb."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest != "targets":
+            return action.help
+        from repro.check import DEFAULT_TARGETS, TARGET_FACTORIES
+
+        opt_in = [name for name in TARGET_FACTORIES if name not in DEFAULT_TARGETS]
+        return (
+            f"{action.help} (default: all of {', '.join(DEFAULT_TARGETS)}; "
+            f"opt-in: {', '.join(opt_in)})"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Hotspot-tracking continuous query processing (VLDB 2006 reproduction)"
@@ -695,16 +712,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing: run randomized ops against every target "
         "with brute-force oracles, shrinking any divergence to a minimal "
         "reproducer",
+        formatter_class=_FuzzHelpFormatter,
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--ops", type=int, default=2_000, help="ops to generate")
     fuzz.add_argument(
         "--targets",
         default=None,
-        help="comma-separated target subset (default: all of "
-        "lazy,refined,multidim,tracker,batcher,sharded,fastpath,durability; "
-        "'transport' — the process-shm vs inline pipeline check — is "
-        "opt-in because it spawns worker processes)",
+        help="comma-separated target subset",  # completed by _FuzzHelpFormatter
     )
     fuzz.add_argument(
         "--shrink",

@@ -21,7 +21,7 @@ a micro-batch:
 Every batch probe is **delta-identical** to running the per-event probe
 once per tuple: the same queries are affected, the same result rows are
 enumerated, and the same floating-point expressions produce the bounds
-(``repro fuzz --targets fastpath`` checks this differentially).
+(the batched ``pipeline/...`` fuzz cells check this differentially).
 """
 
 from repro.fastpath.kernels import KERNEL, MIN_VECTOR, get_numpy

@@ -1,6 +1,8 @@
 """End-to-end tests for the differential fuzzer: clean campaigns, conviction
 of a deliberately broken implementation, shrinking, and reproducer replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import ops as op_mod
@@ -14,12 +16,20 @@ from repro.check.runner import (
     save_reproducer,
     shrink_ops,
 )
-from repro.check.targets import DurabilityTarget, LazyTarget, TrackerTarget
+from repro.check.targets import (
+    DEFAULT_TARGETS,
+    PIPELINE_CELLS,
+    TARGET_FACTORIES,
+    LazyTarget,
+    TrackerTarget,
+    cell_name,
+)
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.stabbing import canonical_stabbing_partition
 from repro.durability import DurabilityManager
-from repro.engine.events import DataEvent
+from repro.engine.events import DataEvent, EventKind
+from repro.runtime.transport import frames
 
 
 class RecalOffByOne(LazyStabbingPartition):
@@ -129,27 +139,24 @@ class LogsAtApply(DurabilityManager):
 
 
 class TestDurabilityTarget:
-    """The crash-injection target at both batch sizes it is pinned to: one
-    event per batch, and the micro-batches a durable serve runs, where a
-    crash can cut among records logged but not yet applied."""
+    """The durable cells at both batch sizes: one event per batch, and the
+    micro-batches a durable serve runs, where a crash can cut among records
+    logged but not yet applied."""
 
     CONFIG = FuzzConfig(seed=3, n_ops=500, engine_fraction=1.0)
-
-    @staticmethod
-    def factories(batch_size):
-        return {"durability": lambda: DurabilityTarget(batch_size=batch_size)}
 
     @pytest.mark.parametrize("batch_size", [1, 24])
     def test_clean_on_correct_code(self, batch_size):
         report = fuzz(
-            self.CONFIG, targets=["durability"], check_every=40,
-            factories=self.factories(batch_size),
+            self.CONFIG, targets=[cell_name("inline", batch_size, True)], check_every=40,
         )
         assert report.ok, report.outcome.divergence
         assert report.outcome.ops_applied == 500
 
     def test_batches_of_24_by_default(self):
-        target = DurabilityTarget()
+        name = cell_name("inline", 24, True)
+        assert name in DEFAULT_TARGETS
+        target = TARGET_FACTORIES[name]()
         try:
             assert target.pipeline.batch_size == 24
             assert target.pipeline.coalesce is False
@@ -160,12 +167,92 @@ class TestDurabilityTarget:
     def test_log_at_apply_is_caught_only_under_batches(self, monkeypatch, batch_size, caught):
         monkeypatch.setattr("repro.durability.DurabilityManager", LogsAtApply)
         report = fuzz(
-            self.CONFIG, targets=["durability"], check_every=40, shrink=False,
-            factories=self.factories(batch_size),
+            self.CONFIG, targets=[cell_name("inline", batch_size, True)], check_every=40,
+            shrink=False,
         )
         assert report.ok is not caught
         if caught:
             assert "every op must log exactly one record" in report.outcome.divergence.message
+
+
+def _struck(pipeline, counter):
+    """What the batch fix-up removed, over all shards: ``rows_struck`` or
+    ``queries_struck``."""
+    counters = pipeline.metrics.snapshot()["counters"]
+    return sum(value for name, value in counters.items() if name.endswith(f"/runtime/{counter}"))
+
+
+class TestBatchedCells:
+    """Every cell with batches of more than one event fuzzes both halves of
+    the batch fix-up: the key grid makes in-batch joins, and subscription
+    changes share the batches."""
+
+    @pytest.mark.parametrize(
+        "cell", [cell_name(*cell) for cell in PIPELINE_CELLS if cell[1] > 1]
+    )
+    def test_fuzz_smoke(self, cell):
+        made = []
+
+        def factory():
+            made.append(TARGET_FACTORIES[cell]())
+            return made[-1]
+
+        report = fuzz(
+            FuzzConfig(seed=1, n_ops=400), targets=[cell], shrink=False,
+            factories={cell: factory},
+        )
+        assert report.ok, report.outcome.divergence
+        # Read after the run closed the target, so a process-shm cell's
+        # workers have shipped their last counts.
+        assert _struck(made[0].pipeline, "rows_struck") > 0
+        assert _struck(made[0].pipeline, "queries_struck") > 0
+
+
+def _shift_r_inserts(encode):
+    """A parent-side BATCH encoder that moves every R insert's ``b`` by 1.0,
+    so the worker files the row where the matching delete cannot find it."""
+
+    def encode_batch_frame(entries, **kwargs):
+        shifted = [
+            (seq, DataEvent(event.kind, "R", replace(event.row, b=event.row.b + 1.0)), where)
+            if isinstance(event, DataEvent)
+            and event.relation == "R"
+            and event.kind is EventKind.INSERT
+            else (seq, event, where)
+            for seq, event, where in entries
+        ]
+        return encode(shifted, **kwargs)
+
+    return encode_batch_frame
+
+
+class TestProcessShmCell:
+    """A worker's ERROR answer surfaces in the parent as a TransportError;
+    the runner records it as the cell's divergence, so it is shrunk and
+    dumped like a delta mismatch."""
+
+    CELL = cell_name("process-shm", 8, False)
+
+    def test_encoder_bug_is_caught_and_shrunk(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            frames, "encode_batch_frame", _shift_r_inserts(frames.encode_batch_frame)
+        )
+        report = fuzz(
+            FuzzConfig(seed=1, n_ops=400, engine_fraction=1.0), targets=[self.CELL]
+        )
+        assert not report.ok, "the planted encoder bug escaped the fuzzer"
+        assert report.outcome.divergence.target == self.CELL
+        assert report.shrunk_ops is not None
+        assert len(report.shrunk_ops) <= 6
+        assert report.shrunk_divergence.target == self.CELL
+
+        path = tmp_path / "repro.json"
+        save_reproducer(str(path), report.reproducer())
+        replayed = replay_reproducer(str(path))
+        assert replayed.divergence is not None
+        assert replayed.divergence.target == self.CELL
+        monkeypatch.undo()
+        assert replay_reproducer(str(path)).ok
 
 
 class TestInjectedBug:

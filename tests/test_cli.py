@@ -112,6 +112,17 @@ def test_fuzz_target_subset(capsys):
     assert "lazy, tracker" in out
 
 
+def test_fuzz_help_names_every_target(capsys):
+    from repro.check import TARGET_FACTORIES
+
+    with pytest.raises(SystemExit):
+        main(["fuzz", "--help"])
+    # Wrapping may break a line at any space or after a hyphen.
+    text = "".join(capsys.readouterr().out.split())
+    for name in TARGET_FACTORIES:
+        assert name in text
+
+
 def test_fuzz_unknown_target_rejected():
     with pytest.raises(ValueError):
         main(["fuzz", "--ops", "10", "--targets", "quantum"])
@@ -200,6 +211,7 @@ def test_recover_empty_directory(tmp_path, capsys):
 
 def test_fuzz_durability_target(capsys):
     assert main([
-        "fuzz", "--ops", "120", "--targets", "durability", "--check-every", "24",
+        "fuzz", "--ops", "120", "--targets", "pipeline/inline/24/durable",
+        "--check-every", "24",
     ]) == 0
     assert "zero divergences" in capsys.readouterr().out

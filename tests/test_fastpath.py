@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-from repro.check import FuzzConfig, fuzz
-from repro.check.targets import FastpathTarget
 from repro.core.intervals import Interval
 from repro.durability import DurabilityManager
 from repro.durability.wal import read_wal
@@ -1224,21 +1222,3 @@ class TestQueryEntries:
         assert logged == [encode_event(event) for event in stream]
         assert blocks >= 1  # capacity 1 blocked on a data event, never on a query
 
-
-class TestFastpathFuzzTarget:
-    def test_fuzz_smoke(self):
-        made = []
-
-        def factory():
-            made.append(FastpathTarget())
-            return made[-1]
-
-        report = fuzz(
-            FuzzConfig(seed=1, n_ops=400), targets=["fastpath"], shrink=False,
-            factories={"fastpath": factory},
-        )
-        assert report.ok, report.outcome.divergence
-        # The key grid makes in-batch joins, and subscription changes share
-        # the batches: both halves of the fix-up are what was fuzzed.
-        assert _rows_struck(made[0].batched) > 0
-        assert _queries_struck(made[0].batched) > 0
