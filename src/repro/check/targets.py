@@ -654,7 +654,8 @@ class PipelineTarget(FuzzTarget):
 # -- registry ----------------------------------------------------------------
 
 #: The pipeline target's cells, ``(mode, batch size, durable)``.
-#: ``process-shm`` spawns a worker per shard, so its cell stays out of
+#: ``process-shm`` spawns a worker for every shard but shard 0, which runs
+#: in the parent, so its cell stays out of
 #: :data:`DEFAULT_TARGETS`; ``process-shm`` x durable is not a cell because
 #: :class:`EventPipeline` rejects durability outside ``inline``.
 PIPELINE_CELLS: Tuple[Tuple[str, int, bool], ...] = (

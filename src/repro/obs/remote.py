@@ -26,9 +26,10 @@ point-in-time and merge last-writer-wins.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import os
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.tracing import RingTracer
+from repro.obs.tracing import RingTracer, SpanRecord
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.transport.frames import HistogramDelta, TelemetryPayload
 
@@ -56,6 +57,10 @@ class TelemetryCollector:
     Each :meth:`collect` returns what changed since the previous call
     (first call: everything), advancing the collector's cursors.  Not
     thread-safe — the worker loop is single-threaded and owns it.
+
+    ``tracer`` is ``None`` for a shard whose spans already go straight to
+    the parent's tracer (``process-shm``'s shard 0, applied in the
+    parent): its payloads carry metrics only.
     """
 
     __slots__ = (
@@ -70,7 +75,7 @@ class TelemetryCollector:
     )
 
     def __init__(
-        self, shard: int, registry: MetricsRegistry, tracer: RingTracer
+        self, shard: int, registry: MetricsRegistry, tracer: Optional[RingTracer]
     ) -> None:
         self.shard = shard
         self.registry = registry
@@ -83,8 +88,13 @@ class TelemetryCollector:
 
     def collect(self) -> TelemetryPayload:
         """Everything recorded since the last collect, as one payload."""
-        spans, total = self.tracer.since(self._seen_spans)
-        self._seen_spans = total
+        tracer = self.tracer
+        if tracer is None:
+            spans: List[SpanRecord] = []
+            pid, trace_id, dropped = os.getpid(), 0, 0
+        else:
+            spans, self._seen_spans = tracer.since(self._seen_spans)
+            pid, trace_id, dropped = tracer.pid, tracer.trace_id, tracer.dropped
         snap = self.registry.snapshot()
         counters: Dict[str, int] = {}
         for name, value in snap["counters"].items():
@@ -123,10 +133,10 @@ class TelemetryCollector:
                 buckets=bucket_deltas,
             )
         return TelemetryPayload(
-            pid=self.tracer.pid,
+            pid=pid,
             shard=self.shard,
-            trace_id=self.tracer.trace_id,
-            spans_dropped=self.tracer.dropped,
+            trace_id=trace_id,
+            spans_dropped=dropped,
             spans=list(spans),
             counters=counters,
             gauges=gauges,

@@ -26,11 +26,12 @@ it stacks the runtime layers on top of them:
    shards through the batch on the caller's thread, over one shared table
    set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic, zero
    overhead, and the only mode the durable checkpointer can reach into.
-   ``mode="process-shm"`` pins each shard — a group of one — to a
-   persistent worker process behind a pair of shared-memory rings
-   (:mod:`repro.runtime.transport`) — real parallelism on CPython, with
-   batches and deltas crossing the boundary as columnar frames; a batch
-   is encoded once and the same frame goes to every worker.
+   ``mode="process-shm"`` applies shard 0 — a group of one — in this
+   process and pins each of shards 1…K−1 to a persistent worker process
+   behind a pair of shared-memory rings (:mod:`repro.runtime.transport`)
+   — real parallelism on CPython, with batches and deltas crossing the
+   boundary as columnar frames; a batch is encoded once, the same frame
+   goes to every worker, and the parent applies shard 0 while they run.
 4. **merge** — per-shard deltas are merged by sequence number into one
    per-event result dict, deterministically (sorted rows), then dispatched
    to subscription callbacks in arrival order.
@@ -50,7 +51,10 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, List, Optional, Protocol, Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover — type only: runtime never imports durability
     from repro.durability.manager import DurabilityManager
@@ -60,7 +64,7 @@ from repro.runtime.transport import frames as _frames
 from repro.runtime.transport.shm import RingTimeoutError, ShmRing, TransportError
 from repro.runtime.transport.worker import shard_worker_main
 from repro.obs.hotspot_telemetry import HeadroomSample
-from repro.obs.remote import merge_telemetry
+from repro.obs.remote import TelemetryCollector, merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
 from repro.runtime.batching import BatchEntry, MicroBatcher, _row_key
 from repro.runtime.metrics import MetricsRegistry, histogram_delta
@@ -108,7 +112,8 @@ class _Backend(Protocol):
 
 
 class _InlineBackend:
-    """One :class:`ShardGroup` over all K shards, on the calling thread."""
+    """One :class:`ShardGroup` on the calling thread: all K shards in
+    ``inline`` mode, shard 0 alone inside :class:`_ProcessShmBackend`."""
 
     def __init__(self, group: ShardGroup):
         self.group = group
@@ -129,21 +134,26 @@ class _InlineBackend:
 
 
 class _ProcessShmBackend:
-    """Shard state pinned to worker processes behind shared-memory rings.
+    """Shard 0 in this process, shards 1…K−1 in worker processes behind
+    shared-memory rings.
 
-    The process data plane (``docs/RUNTIME.md``): one persistent worker
-    per shard, each owning a request ring and a response ring
-    (:mod:`repro.runtime.transport`).  Batches cross the boundary as
+    The process data plane (``docs/RUNTIME.md``): shard 0 is an
+    :class:`_InlineBackend` over ``ShardGroup([0])`` — the code inline mode
+    runs — and every other shard a persistent worker owning a request ring
+    and a response ring (:mod:`repro.runtime.transport`).  Each process
+    holds one table set, with every row.  Batches cross the boundary as
     columnar frames — subscription changes inside them, as entries in
     stream order — and results come back as row tables plus
     (seq, qid, sign, row-ref) tuples resolved to the caller's query
     objects.
 
-    The protocol is one frame in flight per shard, so dispatch sends every
-    shard's batch first and only then collects responses — shard workers
-    overlap.  ``close()`` is idempotent and unlinks every segment even
-    after a worker crash (shutdown frame → join with timeout → kill →
-    unlink).
+    A batch is encoded once and sent to every worker; the parent then
+    applies shard 0 while the workers run, and only then collects their
+    responses (one frame in flight per worker).  Every response is read
+    before a failed batch raises, so the rings stay aligned for the next
+    one.  With K = 1 there is no frame, ring or process.  ``close()`` is
+    idempotent and unlinks every segment even after a worker crash
+    (shutdown frame → join with timeout → kill → unlink).
 
     Telemetry: every ``telemetry_every``-th batch roundtrip sets the
     BATCH telemetry flag, so each worker follows its RESULT with one
@@ -151,9 +161,12 @@ class _ProcessShmBackend:
     (``shard/<N>/`` prefixes for unscoped names), plus, when the parent
     tracer records (the BATCH trace id is nonzero — a worker records no
     spans otherwise), the spans since the last ship, which merge into one
-    unified trace with per-process lanes.  ``drain_telemetry()`` forces a ship
-    via empty flagged batches (used by the reporting interval and on
-    close, so the final stats include the workers' last increments).
+    unified trace with per-process lanes.  Shard 0 keeps a registry of its
+    own, folded the same way on the same rounds, so its metrics carry the
+    ``shard/0/`` names a worker's would; its spans go straight into the
+    parent tracer.  ``drain_telemetry()`` forces a ship via empty flagged
+    batches (used by the reporting interval and on close, so the final
+    stats include the workers' last increments).
     """
 
     def __init__(
@@ -176,12 +189,13 @@ class _ProcessShmBackend:
         self._bytes_in = counter("transport/bytes_in")
         self._bytes_out = counter("transport/bytes_out")
         self._ring_timeouts = counter("transport/ring_timeouts")
-        self._request_bytes = [
-            gauge(f"transport/ring/{index}/request_bytes") for index in range(num_shards)
-        ]
-        self._response_bytes = [
-            gauge(f"transport/ring/{index}/response_bytes") for index in range(num_shards)
-        ]
+        remote = range(1, num_shards)
+        self._request_bytes = {
+            index: gauge(f"transport/ring/{index}/request_bytes") for index in remote
+        }
+        self._response_bytes = {
+            index: gauge(f"transport/ring/{index}/response_bytes") for index in remote
+        }
         self.tracer = tracer
         self.telemetry_every = max(1, telemetry_every)
         self._round = 0
@@ -189,20 +203,22 @@ class _ProcessShmBackend:
         self._closed = False
         if isinstance(tracer, RingTracer):
             tracer.set_process_name(tracer.pid, "pipeline (parent)")
-        self._requests: List[ShmRing] = []
-        self._responses: List[ShmRing] = []
-        self._workers: List[multiprocessing.process.BaseProcess] = []
+        local_metrics = MetricsRegistry()
+        self._local = _InlineBackend(
+            ShardGroup([0], alpha=alpha, epsilon=epsilon, metrics=local_metrics,
+                       tracer=tracer)
+        )
+        self._local_telemetry = TelemetryCollector(0, local_metrics, None)
+        self._requests: Dict[int, ShmRing] = {}
+        self._responses: Dict[int, ShmRing] = {}
+        self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
         ctx = multiprocessing.get_context()
         try:
-            for index in range(num_shards):
+            for index in remote:
                 request_bell = ctx.Semaphore(0)
                 response_bell = ctx.Semaphore(0)
-                self._requests.append(
-                    ShmRing.create(ring_capacity, doorbell=request_bell)
-                )
-                self._responses.append(
-                    ShmRing.create(ring_capacity, doorbell=response_bell)
-                )
+                self._requests[index] = ShmRing.create(ring_capacity, doorbell=request_bell)
+                self._responses[index] = ShmRing.create(ring_capacity, doorbell=response_bell)
                 worker = ctx.Process(
                     target=shard_worker_main,
                     args=(
@@ -218,7 +234,7 @@ class _ProcessShmBackend:
                     daemon=True,
                 )
                 worker.start()
-                self._workers.append(worker)
+                self._workers[index] = worker
         except BaseException:
             self.close()
             raise
@@ -287,88 +303,111 @@ class _ProcessShmBackend:
             self._decode(index, self._await_raw(index), _frames.FRAME_TELEMETRY),
         )
 
-    def apply_batch(
-        self, entries: List[ShardEntry], ingest_ns: List[int]
-    ) -> ShardBatchResults:
-        out: ShardBatchResults = {}
-        self._round += 1
-        want_telemetry = self._round % self.telemetry_every == 0
-        trace_id = getattr(self.tracer, "trace_id", 0)
-        shards = range(len(self._workers))
-        with self.tracer.span("transport.roundtrip", shards=len(shards)) as roundtrip:
+    def _collect(
+        self, index: int, want_telemetry: bool
+    ) -> Tuple[float, List[Tuple[int, Delta]]]:
+        """One worker's RESULT, resolved to the caller's query objects.  A
+        telemetry follow-up is read and folded in before anything raises:
+        the worker sends it after a failed batch too."""
+        raw = self._await_raw(index)
+        self._bytes_in.inc(len(raw))
+        self._response_bytes[index].set(self._responses[index].occupancy())
+        try:
             start = time.perf_counter()
-            # Every worker reads the same batch: one frame, K rings.
+            elapsed, results = self._decode(index, raw, _frames.FRAME_RESULT)
+            self._decode_us.observe((time.perf_counter() - start) * 1e6)
+        finally:
+            if want_telemetry:
+                self._merge_telemetry_frame(index)
+        resolve = self._resolve
+        return elapsed, [
+            (seq, {resolve(qid): rows for qid, rows in deltas.items()})
+            for seq, deltas in results
+        ]
+
+    def _fold_local_telemetry(self) -> None:
+        """Shard 0's metric deltas into the parent registry, as a worker's
+        TELEMETRY frame brings its own; headroom is sampled first, as a
+        worker samples it before shipping."""
+        self._local.sample_hotspots()
+        merge_telemetry(self.metrics, None, self._local_telemetry.collect())
+
+    def _dispatch(
+        self,
+        entries: List[ShardEntry],
+        ingest_ns: List[int],
+        workers: Collection[int],
+        want_telemetry: bool,
+        parent_span_id: int = 0,
+    ) -> ShardBatchResults:
+        """Send one batch to ``workers``, apply it to shard 0 here while
+        they run, then collect their results.  Every worker's response is
+        read before the first failure — shard 0's included — is raised, so
+        no frame of this batch is left in a ring for the next to misread."""
+        if workers:
+            start = time.perf_counter()
+            # Every worker reads the same batch: one frame, K − 1 rings.
             payload = _frames.encode_batch_frame(
                 entries,
                 ingest_ns=ingest_ns,
-                trace_id=trace_id,
-                parent_span_id=getattr(roundtrip, "span_id", 0),
+                trace_id=getattr(self.tracer, "trace_id", 0),
+                parent_span_id=parent_span_id,
                 want_telemetry=want_telemetry,
             )
             self._encode_us.observe((time.perf_counter() - start) * 1e6)
-            # Dispatch everything before collecting anything: one frame in
-            # flight per shard, all shards in flight at once.
-            for index in shards:
+            for index in workers:
                 self._send(index, payload)
-            for index in shards:
-                raw = self._await_raw(index)
-                self._bytes_in.inc(len(raw))
-                self._response_bytes[index].set(self._responses[index].occupancy())
-                start = time.perf_counter()
-                try:
-                    elapsed, results = self._decode(index, raw, _frames.FRAME_RESULT)
-                except TransportError:
-                    # The worker sends its telemetry follow-up even after a
-                    # failed batch (frame alignment) — consume it so the
-                    # ring stays consistent for whoever catches this.
-                    if want_telemetry:
-                        try:
-                            self._merge_telemetry_frame(index)
-                        except TransportError:
-                            pass
-                    raise
-                self._decode_us.observe((time.perf_counter() - start) * 1e6)
-                out[index] = (
-                    elapsed,
-                    [
-                        (seq, {self._resolve(qid): rows for qid, rows in deltas.items()})
-                        for seq, deltas in results
-                    ],
-                )
-                if want_telemetry:
-                    self._merge_telemetry_frame(index)
+        out: ShardBatchResults = {}
+        failure: Optional[Exception] = None
+        # Timed whole, as a worker times its apply.
+        start = time.perf_counter()
+        try:
+            __, results = self._local.apply_batch(entries, ingest_ns)[0]
+            out[0] = (time.perf_counter() - start, results)
+        except Exception as exc:
+            failure = exc
+        for index in workers:
+            try:
+                out[index] = self._collect(index, want_telemetry)
+            except TransportError as exc:
+                failure = failure or exc
+        if want_telemetry:
+            self._fold_local_telemetry()
+        if failure is not None:
+            raise failure
         return out
 
-    def drain_telemetry(self) -> None:
-        """Pull every live worker's pending telemetry now.
+    def apply_batch(
+        self, entries: List[ShardEntry], ingest_ns: List[int]
+    ) -> ShardBatchResults:
+        self._round += 1
+        want_telemetry = self._round % self.telemetry_every == 0
+        workers = self._workers
+        with self.tracer.span("transport.roundtrip", shards=len(workers) + 1) as roundtrip:
+            return self._dispatch(
+                entries, ingest_ns, workers, want_telemetry,
+                getattr(roundtrip, "span_id", 0),
+            )
 
-        Sends an empty telemetry-flagged BATCH per shard (harmless: zero
-        entries apply nothing) and folds the responses in.  Used by the
-        reporting interval — worker gauges refresh on demand rather than
-        on the batch cadence — and by ``close()`` for the final merge.
+    def drain_telemetry(self) -> None:
+        """Pull every shard's pending telemetry now.
+
+        Folds shard 0's in and sends an empty telemetry-flagged BATCH to
+        every live worker (harmless: zero entries apply nothing), folding
+        the responses in.  Used by the reporting interval — worker gauges
+        refresh on demand rather than on the batch cadence — and by
+        ``close()`` for the final merge.
         """
         if self._closed:
             return
-        payload = _frames.encode_batch_frame(
-            [],
-            trace_id=getattr(self.tracer, "trace_id", 0),
-            want_telemetry=True,
-        )
-        live = [
-            index
-            for index, worker in enumerate(self._workers)
-            if worker.is_alive()
-        ]
-        for index in live:
-            self._send(index, payload)
-        for index in live:
-            self._decode(index, self._await_raw(index), _frames.FRAME_RESULT)
-            self._merge_telemetry_frame(index)
+        live = [index for index, worker in self._workers.items() if worker.is_alive()]
+        self._dispatch([], [], live, want_telemetry=True)
 
     def sample_hotspots(self) -> List[HeadroomSample]:
-        """Shard state lives in the workers, so there are no samples to
-        return — but each worker samples its own headroom before shipping,
-        so draining leaves the merged ``obs/shard/...`` gauges fresh."""
+        """Returns no samples: the workers' stay in the workers, and shard
+        0's alone would be a partial list.  Every shard samples its
+        headroom before its telemetry is folded, though, so draining
+        leaves the merged ``obs/shard/...`` gauges fresh."""
         self.drain_telemetry()
         return []
 
@@ -386,19 +425,20 @@ class _ProcessShmBackend:
             pass
         self._closed = True
         shutdown = _frames.encode_shutdown_frame()
-        for index, worker in enumerate(self._workers):
+        workers = self._workers
+        for index, worker in workers.items():
             if worker.is_alive():
                 try:
                     self._requests[index].send(shutdown, timeout=1.0)
                 except TransportError:
                     pass
-        for worker in self._workers:
+        for worker in workers.values():
             worker.join(timeout=5.0)
-        for worker in self._workers:
+        for worker in workers.values():
             if worker.is_alive():  # pragma: no cover — crash-path hammer
                 worker.kill()
                 worker.join(timeout=5.0)
-        for ring in (*self._requests, *self._responses):
+        for ring in (*self._requests.values(), *self._responses.values()):
             ring.close()
             ring.unlink()
 
@@ -499,9 +539,10 @@ class EventPipeline:
                            metrics=self.metrics, tracer=tracer)
             )
         elif mode == "process-shm":
-            # Shard spans and hotspot telemetry are recorded in the workers
-            # and merged back over TELEMETRY frames; caller-side transport
-            # metrics and the transport.roundtrip span are recorded here.
+            # Shards 1…K−1 record spans and hotspot telemetry in the workers,
+            # merged back over TELEMETRY frames; shard 0's spans, the
+            # transport metrics and the transport.roundtrip span are
+            # recorded here.
             self._backend = _ProcessShmBackend(
                 num_shards,
                 per_shard_alpha,
@@ -825,8 +866,9 @@ class EventPipeline:
 
         Each sample recomputes that plane's tau by a full sweep, so this
         belongs on the reporting interval, not the event path.  Returns
-        ``[]`` in ``process-shm`` mode (the workers' samples arrive as
-        merged ``obs/shard/...`` gauges instead) and when the hotspot
+        ``[]`` in ``process-shm`` mode (every shard's samples — shard 0's
+        from the parent's own group, the others' from the workers — arrive
+        as merged ``obs/shard/...`` gauges instead) and when the hotspot
         tracker is disabled (``alpha=None``).
         """
         return self._backend.sample_hotspots()

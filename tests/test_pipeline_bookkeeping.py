@@ -285,7 +285,8 @@ def test_worker_e2e_fold_equals_per_event_recording(monkeypatch):
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="fork-based workers")
 def test_worker_e2e_ships_one_sample_per_data_entry():
     """In ``process-shm`` the folded histogram reaches the parent after
-    ``drain_telemetry()`` with one sample per data event per shard."""
+    ``drain_telemetry()`` with one sample per data event per worker
+    (shard 0 runs in the parent and has none)."""
     registry = MetricsRegistry()
     events = seeded_stream(4, 300, min_age=400)  # inserts only: nothing coalesces
     with EventPipeline(
@@ -296,11 +297,11 @@ def test_worker_e2e_ships_one_sample_per_data_entry():
         pipeline.drain()
         pipeline._backend.drain_telemetry()
         histograms = registry.snapshot()["histograms"]
-        for index in range(2):
-            merged = histograms[f"shard/{index}/worker/e2e/ingest_to_apply_us"]
-            assert merged["count"] == len(events)
-            assert sum(n for __, n in merged["buckets"]) == len(events)
-            assert 0.0 < merged["min"] <= merged["max"]
+        merged = histograms["shard/1/worker/e2e/ingest_to_apply_us"]
+        assert merged["count"] == len(events)
+        assert sum(n for __, n in merged["buckets"]) == len(events)
+        assert 0.0 < merged["min"] <= merged["max"]
+        assert "shard/0/worker/e2e/ingest_to_apply_us" not in histograms
 
 
 def test_pending_depths_appear_with_the_flush_that_covers_them():

@@ -306,12 +306,14 @@ class TestProcessBackend:
         """alpha-enabled shards run the hotspot tracker inside the worker
         process; a pile of near-identical bands must still produce correct
         join results through promotion."""
-        with self.make(alpha=0.2, num_shards=1, batch_size=4) as pipeline:
+        with self.make(alpha=0.2, num_shards=2, batch_size=4) as pipeline:
+            # Midpoints >= 0: every band belongs to shard 1, the worker.
             queries = [
-                BandJoinQuery(Interval(-1.0 - 0.01 * i, 1.0)) for i in range(12)
+                BandJoinQuery(Interval(-1.0, 1.0 + 0.01 * i)) for i in range(12)
             ]
             for query in queries:
                 pipeline.subscribe(query)
+            assert pipeline.router.band_queries_per_shard == [0, len(queries)]
             pipeline.submit(r_insert(0, b=10.0))
             pipeline.drain()
             results = pipeline.run([s_insert(0, b=10.0)])
@@ -319,6 +321,9 @@ class TestProcessBackend:
             # |S.b - R.b| = 0 lies inside every band.
             assert len(deltas) == len(queries)
             assert all([row.rid for row in rows] == [0] for rows in deltas.values())
+            pipeline.sample_hotspots()  # drains the worker's telemetry
+            counters = pipeline.metrics.snapshot()["counters"]
+            assert counters["shard/1/runtime/hotspot_promotions"] >= 1
 
 
 class TestMetrics:

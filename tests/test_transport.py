@@ -16,6 +16,7 @@ The transport's contract (``docs/RUNTIME.md``) in test form:
 """
 
 import contextlib
+import multiprocessing
 import re
 import struct
 import subprocess
@@ -29,7 +30,7 @@ import pytest
 from repro.core.intervals import Interval
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery
-from repro.engine.table import RTuple
+from repro.engine.table import RTuple, STuple
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import StreamProfile, generate_mixed_stream, run_replay
 from repro.runtime.transport import frames
@@ -203,16 +204,23 @@ class TestRingLifecycle:
 
 def _segment_names(pipe):
     backend = pipe._backend
-    return [ring.name for ring in (*backend._requests, *backend._responses)]
+    return [
+        ring.name for ring in (*backend._requests.values(), *backend._responses.values())
+    ]
 
 
 def _workers(pipe):
-    return list(pipe._backend._workers)
+    """The worker processes, shard 1's first (shard 0 runs in the parent)."""
+    return list(pipe._backend._workers.values())
+
+
+def _by_qid(deltas):
+    return {query.qid: rows for query, rows in deltas.items()}
 
 
 def _answer(backend):
-    """Shard 0's response to the one request in flight: a BATCH's RESULT."""
-    return backend._decode(0, backend._await_raw(0), frames.FRAME_RESULT)
+    """Shard 1's response to the one request in flight: a BATCH's RESULT."""
+    return backend._decode(1, backend._await_raw(1), frames.FRAME_RESULT)
 
 
 def _query_batch(placement, record):
@@ -290,10 +298,10 @@ class TestPipelineLifecycle:
         # frame — the worker stays alive and the next request still works —
         # and both sides count it.  The two ``control-`` cases are query
         # entries whose subscription record is cut short or refused.
-        pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
+        pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend
-            backend._send(0, bad_request)
+            backend._send(1, bad_request)
             with pytest.raises(TransportError, match="bad request frame"):
                 _answer(backend)
             assert _workers(pipe)[0].is_alive()
@@ -303,19 +311,19 @@ class TestPipelineLifecycle:
             backend.drain_telemetry()
             counters = pipe.metrics.snapshot()["counters"]
             assert counters["transport/frame_errors"] == 1
-            assert counters["shard/0/transport/frame_errors"] == 1
+            assert counters["shard/1/transport/frame_errors"] == 1
         finally:
             pipe.close()
 
     def test_response_deadline_raises_and_counts(self):
         # Nothing was sent, so no response is coming: the backend's own
         # deadline (not the ring's) must end the wait, visibly.
-        pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
+        pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend
             backend._timeout = 0.1
-            with pytest.raises(RingTimeoutError, match="no response from shard 0"):
-                backend._await_raw(0)
+            with pytest.raises(RingTimeoutError, match="no response from shard 1"):
+                backend._await_raw(1)
             assert pipe.metrics.counter("transport/ring_timeouts").value == 1
             assert _workers(pipe)[0].is_alive()
         finally:
@@ -325,11 +333,11 @@ class TestPipelineLifecycle:
     def test_transient_response_corruption_counts_crc_retries(self):
         # A response whose bytes validate only on a re-read is delivered,
         # and the re-reads surface as ``transport/crc_retries``.
-        pipe = EventPipeline(num_shards=1, batch_size=4, mode="process-shm")
+        pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
             backend = pipe._backend
-            ring = backend._responses[0]
-            backend._send(0, frames.encode_batch_frame([]))
+            ring = backend._responses[1]
+            backend._send(1, frames.encode_batch_frame([]))
             deadline = time.monotonic() + 10.0
             while not ring.occupancy():  # the RESULT is in the ring, unread
                 assert time.monotonic() < deadline
@@ -352,6 +360,59 @@ class TestPipelineLifecycle:
         finally:
             pipe.close()
 
+    @pytest.mark.parametrize("telemetry_every", [1, 16])
+    def test_failed_batch_leaves_the_rings_aligned(self, telemetry_every):
+        # A DELETE of a row never inserted fails on every shard — shard 0
+        # in the parent, after the sends, and both workers.  Every worker's
+        # ERROR (and its telemetry follow-up) must be read before the
+        # failure is raised, or the next batches read stale frames.
+        def feed(mode):
+            with EventPipeline(num_shards=3, alpha=None, batch_size=1, mode=mode) as pipe:
+                if mode == "process-shm":
+                    pipe._backend.telemetry_every = telemetry_every
+                pipe.subscribe(BandJoinQuery(Interval(-5.0, 5.0), qid=1))
+                pipe.submit(DataEvent(EventKind.INSERT, "S", STuple(0, 20.0, 50.0)))
+                # Shard 0's KeyError, or a worker's report of one.
+                with pytest.raises((KeyError, TransportError), match="99"):
+                    pipe.submit(DataEvent(EventKind.DELETE, "R", RTuple(99, 1.0, 20.0)))
+                later = pipe.run([_r_insert(rid, 1.0, 20.0) for rid in range(3)])
+            return [(seq, _by_qid(deltas)) for seq, __, deltas in later]
+
+        inline = feed("inline")
+        assert [deltas for __, deltas in inline] == [{1: [STuple(0, 20.0, 50.0)]}] * 3
+        assert feed("process-shm") == inline
+
+    def test_one_shard_starts_no_process_and_matches_inline(self, monkeypatch):
+        # K = 1 is shard 0 in the parent alone: no frame, no ring, no worker.
+        from repro.runtime import pipeline as pipeline_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-shard pipeline used the transport")
+
+        monkeypatch.setattr(frames, "encode_batch_frame", refuse)
+        monkeypatch.setattr(pipeline_mod.ShmRing, "create", refuse)
+        stream = generate_mixed_stream(
+            StreamProfile(
+                n_events=600,
+                n_initial_queries=30,
+                query_event_fraction=0.03,
+                delete_fraction=0.25,
+                churn=0.0,
+                seed=9,
+            )
+        )
+        children = set(multiprocessing.active_children())
+        with EventPipeline(num_shards=1, batch_size=16, mode="process-shm") as pipe:
+            got = pipe.run(stream)
+            assert pipe._backend._workers == {}
+            assert set(multiprocessing.active_children()) == children
+        with EventPipeline(num_shards=1, batch_size=16, mode="inline") as pipe:
+            want = pipe.run(stream)
+        assert any(deltas for __, __, deltas in want)
+        assert [(seq, _by_qid(d)) for seq, __, d in got] == [
+            (seq, _by_qid(d)) for seq, __, d in want
+        ]
+
 
 def test_runtime_imports_without_durability():
     """Dependency direction ``durability → runtime → wire``: importing the
@@ -373,7 +434,7 @@ class TestCrossProcessTelemetry:
         registry = MetricsRegistry()
         tracer = RingTracer()
         pipe = EventPipeline(
-            num_shards=2,
+            num_shards=3,
             batch_size=8,
             mode="process-shm",
             metrics=registry,
@@ -388,12 +449,16 @@ class TestCrossProcessTelemetry:
         finally:
             pipe.close()
 
-        # One trace across processes: parent and both workers share the
-        # parent's trace id, and spans carry at least two distinct pids.
+        # One trace across processes: the parent (which applies shard 0)
+        # and both workers share the parent's trace id.
         spans = tracer.snapshot()
         pids = {s.pid for s in spans}
         assert os.getpid() in pids
-        assert len(pids) >= 2, f"expected worker spans, saw pids {pids}"
+        assert len(pids) >= 3, f"expected parent + 2 worker pids, saw {pids}"
+        assert any(
+            s.name == "shard.apply" and (s.args or {}).get("shard") == 0
+            for s in spans if s.pid == os.getpid()
+        ), "shard 0's spans belong in the parent's lane"
         worker_spans = [s for s in spans if s.pid != os.getpid()]
         batch_spans = [s for s in worker_spans if s.name == "worker.batch"]
         assert batch_spans, "no worker.batch spans merged"
@@ -417,14 +482,15 @@ class TestCrossProcessTelemetry:
         assert sum("worker" in name for name in meta.values()) >= 2
 
         # Worker metrics merged under shard prefixes; e2e histograms filled
-        # on both sides of the boundary.
+        # on both sides of the boundary, by the workers only.
         snapshot = registry.snapshot()
         assert snapshot["histograms"]["pipeline/e2e_us"]["count"] == 200
-        for shard in (0, 1):
+        for shard in (1, 2):
             merged = snapshot["histograms"].get(
                 f"shard/{shard}/worker/e2e/ingest_to_apply_us"
             )
             assert merged is not None and merged["count"] > 0
+        assert "shard/0/worker/e2e/ingest_to_apply_us" not in snapshot["histograms"]
         # One shard namespace: nothing merges under the prefix-less form.
         assert not any(
             re.match(r"shard\d+/", name)
@@ -461,14 +527,19 @@ class TestCrossProcessTelemetry:
             pipe.sample_hotspots()  # drains pending worker telemetry
         finally:
             pipe.close()
+        # Shard 0's fold in the parent goes through the same merge.
         assert {payload.shard for payload in payloads} == {0, 1}
         assert all(payload.spans == [] for payload in payloads)
         assert all(payload.spans_dropped == 0 for payload in payloads)
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["shard/1/runtime/hotspot_promotions"] >= 1
-        for shard in (0, 1):
-            merged = snapshot["histograms"][f"shard/{shard}/worker/e2e/ingest_to_apply_us"]
-            assert merged["count"] == 200
+        # Most bands sit on shard 0, one on shard 1: both trackers promote,
+        # and shard 0's count carries the name a worker's would.
+        counters = snapshot["counters"]
+        assert counters["shard/0/runtime/hotspot_promotions"] >= 1
+        assert counters["shard/1/runtime/hotspot_promotions"] >= 1
+        assert "runtime/hotspot_promotions" not in counters
+        merged = snapshot["histograms"]["shard/1/worker/e2e/ingest_to_apply_us"]
+        assert merged["count"] == 200
 
     def test_inline_mode_unchanged_by_telemetry_wiring(self):
         from repro.runtime.metrics import MetricsRegistry
@@ -507,7 +578,8 @@ class TestReplayEquivalence:
 
     def test_every_worker_reads_the_one_frame_of_a_batch(self, monkeypatch):
         """One ``encode_batch_frame`` call per roundtrip, the same bytes on
-        all K request rings — and the deltas still equal the unsharded
+        the request rings of shards 1…K−1 (shard 0 runs in the parent) —
+        and the deltas still equal the unsharded
         ``ContinuousQuerySystem``'s."""
         from repro.runtime import pipeline as pipeline_mod
 
@@ -540,5 +612,5 @@ class TestReplayEquivalence:
         assert report.equivalent, report.summary()
         assert len(encoded) > 600 // 16
         assert sent == [
-            (index, payload) for payload in encoded for index in range(3)
+            (index, payload) for payload in encoded for index in (1, 2)
         ]
