@@ -2,16 +2,11 @@
 
 An AST-based lint engine whose rules encode the contracts the rest of the
 system relies on but can only test dynamically: replay determinism
-(RA001), numpy kernel isolation (RA002), runtime lock discipline (RA003),
-snapshot immutability (RA004), exact-float endpoint comparison (RA005),
-``__slots__`` on the hot paths (RA006), generic hygiene (RA1xx), and
-concurrency safety (RA201–RA206: guarded-by lock discipline,
-shared-state escape analysis, lock-order checking — see
-``repro.analysis.concurrency``).  The dynamic counterpart is the
-``REPRO_RACECHECK=1`` lock-order witness in ``repro.analysis.racecheck``.
-Exposed as the ``repro lint`` and ``repro racecheck`` CLI verbs; see
-``docs/ANALYSIS.md`` for the rule catalog and the suppression/baseline
-workflow.
+(RA001), numpy kernel isolation (RA002), snapshot immutability (RA004),
+exact-float endpoint comparison (RA005), ``__slots__`` on the hot paths
+(RA006) and generic hygiene (RA1xx).  Exposed as the ``repro lint`` CLI
+verb; see ``docs/ANALYSIS.md`` for the rule catalog and the
+suppression/baseline workflow.
 """
 
 from repro.analysis.baseline import Baseline, BaselineDelta, DEFAULT_BASELINE_NAME

@@ -222,10 +222,9 @@ def rule_catalog() -> List[Dict[str, str]]:
 def _ensure_rules_loaded() -> None:
     # Rule modules self-register on import; importing here (not at module
     # top) keeps engine importable from the rule modules themselves.
-    from repro.analysis import concurrency as _concurrency  # noqa: F401
     from repro.analysis import rules as _rules  # noqa: F401
 
-    del _concurrency, _rules
+    del _rules
 
 
 def _suppressed_codes(text: str) -> Optional[frozenset[str]]:

@@ -19,10 +19,6 @@ __all__ = [
     "MONOTONIC_CLOCK_CALLS",
     "NUMPY_IMPORT_ALLOWLIST",
     "KERNEL_HANDLE_MODULE",
-    "LOCK_DISCIPLINE_SCOPE",
-    "CONCURRENCY_SCOPE",
-    "LOCK_FACTORY_NAMES",
-    "THREAD_SPAWN_CALLEES",
     "SNAPSHOT_METHODS",
     "FLOAT_EQ_ALLOWLIST",
     "CANONICAL_COMPARATORS",
@@ -116,35 +112,6 @@ NUMPY_IMPORT_ALLOWLIST: FrozenSet[str] = frozenset(
 #: RA002 also bans importing the private ``_np`` handle out of this module;
 #: consumers use :func:`repro.fastpath.kernels.get_numpy` instead.
 KERNEL_HANDLE_MODULE = "repro.fastpath.kernels"
-
-#: RA003 — packages whose classes are used across threads; attributes
-#: written under ``with self._lock`` must never be touched outside one.
-LOCK_DISCIPLINE_SCOPE: Tuple[str, ...] = ("repro/runtime/", "repro/obs/")
-
-#: RA201–RA206 — the concurrency-safety plane: every package whose objects
-#: are reachable from more than one thread or process (shard worker pools,
-#: the metrics HTTP server thread, WAL/checkpoint state shared with the
-#: serve loop, the SPSC shm rings).  The ``# guarded-by:`` annotation
-#: convention and the escape/lock-order passes apply here; see
-#: ``repro.analysis.concurrency``.  ``repro/runtime/transport/`` is covered
-#: via the ``repro/runtime/`` prefix.
-CONCURRENCY_SCOPE: Tuple[str, ...] = (
-    "repro/runtime/",
-    "repro/obs/",
-    "repro/durability/",
-)
-
-#: Callables recognized as lock constructors when inferring a class's lock
-#: attributes (RA003, RA201–RA206).  ``new_lock``/``new_rlock`` are the
-#: project factories from :mod:`repro.analysis.racecheck` — they return a
-#: plain lock normally and a witness-tracked lock under ``REPRO_RACECHECK=1``.
-LOCK_FACTORY_NAMES: FrozenSet[str] = frozenset(
-    {"Lock", "RLock", "Condition", "new_lock", "new_rlock"}
-)
-
-#: Callee names whose ``target=`` / first argument hands a bound method to
-#: another thread of control (RA202 escape analysis).
-THREAD_SPAWN_CALLEES: FrozenSet[str] = frozenset({"Thread", "Process", "Timer"})
 
 #: RA004 — methods whose return values are shared across calls:
 #: ``StabbingSetIndex.group_table`` hands out a cache (until a partition

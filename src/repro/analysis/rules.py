@@ -1,4 +1,5 @@
-"""The rule catalog: project invariants RA001–RA006 + generic hygiene.
+"""The rule catalog: project invariants RA001, RA002, RA004–RA006 + generic
+hygiene.
 
 Each rule encodes a contract the fuzzer (`repro.check`) can only probe
 dynamically; here the same contract is enforced structurally at review
@@ -15,7 +16,7 @@ to hold a set).  Justified exceptions use ``# repro: noqa[CODE]``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from repro.analysis import project
 from repro.analysis.engine import Finding, LintContext, Rule, Severity, register
@@ -23,7 +24,6 @@ from repro.analysis.engine import Finding, LintContext, Rule, Severity, register
 __all__ = [
     "DeterminismRule",
     "KernelIsolationRule",
-    "LockDisciplineRule",
     "SnapshotImmutabilityRule",
     "FloatEqualityRule",
     "SlotsRule",
@@ -72,15 +72,6 @@ def _qualname(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
         return None
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def _is_self_attr(node: ast.expr, attr: Optional[str] = None) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )
 
 
 def _decorator_name(dec: ast.expr) -> Optional[str]:
@@ -278,135 +269,6 @@ class KernelIsolationRule(Rule):
                                 f"{project.KERNEL_HANDLE_MODULE}; use the public "
                                 "get_numpy()/MIN_VECTOR API",
                             )
-
-
-# --------------------------------------------------------------------------
-# RA003 — lock discipline
-
-
-def _lock_attrs(cls: ast.ClassDef) -> Set[str]:
-    """Attribute names assigned a lock constructor in the class —
-    ``*.Lock()``/``*.RLock()``/``*.Condition()`` or the racecheck
-    factories ``new_lock()``/``new_rlock()`` (project.LOCK_FACTORY_NAMES)."""
-    locks: Set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = node.value.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else (
-                callee.id if isinstance(callee, ast.Name) else None
-            )
-            if name in project.LOCK_FACTORY_NAMES:
-                for target in node.targets:
-                    if _is_self_attr(target):
-                        assert isinstance(target, ast.Attribute)
-                        locks.add(target.attr)
-    return locks
-
-
-def _walk_lock_regions(
-    nodes: Iterable[ast.AST], locks: Set[str], in_lock: bool
-) -> Iterator[Tuple[ast.AST, bool]]:
-    """Yield (node, holds_lock) for every node in ``nodes`` and their
-    descendants, tracking ``with self.<lock>:`` regions.  Each node is
-    yielded exactly once; the ``with`` header itself (the lock-acquire
-    expression) counts as outside the region, its body as inside."""
-    for node in nodes:
-        yield (node, in_lock)
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            grabs = any(
-                isinstance(item.context_expr, ast.Attribute)
-                and _is_self_attr(item.context_expr)
-                and item.context_expr.attr in locks
-                for item in node.items
-            )
-            yield from _walk_lock_regions(node.items, locks, in_lock)
-            yield from _walk_lock_regions(node.body, locks, in_lock or grabs)
-        else:
-            yield from _walk_lock_regions(ast.iter_child_nodes(node), locks, in_lock)
-
-
-@register
-class LockDisciplineRule(Rule):
-    code = "RA003"
-    name = "lock-discipline"
-    severity = Severity.ERROR
-    description = (
-        "in runtime/, attributes written under `with self._lock` must not be "
-        "read or written outside a lock region (outside __init__)"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if not project.in_scope(ctx.module_path, project.LOCK_DISCIPLINE_SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node)
-
-    def _check_class(self, ctx: LintContext, cls: ast.ClassDef) -> Iterator[Finding]:
-        locks = _lock_attrs(cls)
-        if not locks:
-            return
-        methods = [
-            stmt
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        guarded: Set[str] = set()
-        for method in methods:
-            for node, in_lock in self._iter_method(method, locks):
-                if not in_lock:
-                    continue
-                # direct rebinds: `self.x = ...` under the lock
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, (ast.Store, ast.Del))
-                    and _is_self_attr(node)
-                    and node.attr not in locks
-                ):
-                    guarded.add(node.attr)
-                # container mutations: `self.x[k] = ...`, `self.x.append(...)`
-                elif (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, (ast.Store, ast.Del))
-                    and isinstance(node.value, ast.Attribute)
-                    and _is_self_attr(node.value)
-                    and node.value.attr not in locks
-                ):
-                    guarded.add(node.value.attr)
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATORS
-                    and isinstance(node.func.value, ast.Attribute)
-                    and _is_self_attr(node.func.value)
-                    and node.func.value.attr not in locks
-                ):
-                    guarded.add(node.func.value.attr)
-        if not guarded:
-            return
-        for method in methods:
-            if method.name == "__init__":
-                continue  # construction happens-before publication to other threads
-            for node, in_lock in self._iter_method(method, locks):
-                if (
-                    not in_lock
-                    and isinstance(node, ast.Attribute)
-                    and _is_self_attr(node)
-                    and node.attr in guarded
-                ):
-                    verb = "written" if isinstance(node.ctx, (ast.Store, ast.Del)) else "read"
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{cls.name}.{node.attr} is lock-guarded but {verb} outside "
-                        f"`with self.{sorted(locks)[0]}` in {method.name}()",
-                    )
-
-    @staticmethod
-    def _iter_method(
-        method: ast.FunctionDef | ast.AsyncFunctionDef, locks: Set[str]
-    ) -> Iterator[Tuple[ast.AST, bool]]:
-        return _walk_lock_regions(method.body, locks, False)
 
 
 # --------------------------------------------------------------------------

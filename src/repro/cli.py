@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import __version__
 from repro.core.intervals import Interval
@@ -307,15 +307,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"reporting every {args.report_every} events"
     )
 
-    def publish() -> None:
-        # Sampling sets the obs/ gauges, so it runs before any render or
-        # snapshot in the same interval sees them.
+    def publish() -> Dict[str, Dict[str, Any]]:
+        """One snapshot per interval, for the JSONL stream, the console
+        and the metrics server alike.  Sampling sets the obs/ gauges, so
+        it runs before the snapshot."""
         pipeline.sample_hotspots()
+        snapshot = metrics.snapshot()
+        traced = isinstance(tracer, RingTracer)
         if snapshots is not None:
             extra = None
-            if isinstance(tracer, RingTracer):
+            if traced:
                 extra = {"spans_recorded": tracer.recorded, "spans_dropped": tracer.dropped}
-            snapshots.write(metrics, extra)
+            snapshots.write(snapshot, extra)
+        if server is not None:
+            server.publish(snapshot, tracer.export_copy() if traced else None)
+        return snapshot
 
     start = time.perf_counter()
     served = 0
@@ -328,9 +334,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     served += 1
                     if served % args.report_every == 0:
                         rate = served / max(time.perf_counter() - start, 1e-9)
-                        publish()
+                        snapshot = publish()
                         print(f"\n-- {served} events ({rate:,.0f} events/s) --")
-                        print(render_snapshot(metrics.snapshot()))
+                        print(render_snapshot(snapshot))
             pipeline.drain()
         except KeyboardInterrupt:
             # Clean shutdown: drain what was accepted (close() below also
@@ -343,11 +349,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pipeline.close()
         if server is not None:
             server.close()
-    publish()
+    snapshot = publish()
     elapsed = max(time.perf_counter() - start, 1e-9)
     state = "interrupted after" if interrupted else "served"
     print(f"\n{state} {served} events in {elapsed:.2f}s ({served / elapsed:,.0f} events/s)")
-    print(render_snapshot(metrics.snapshot()))
+    print(render_snapshot(snapshot))
     if args.trace_out is not None and isinstance(tracer, RingTracer):
         written = write_chrome_trace(args.trace_out, tracer)
         print(
@@ -490,107 +496,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_racecheck(args: argparse.Namespace) -> int:
-    """Drive the inline pipeline under the dynamic race witness.
-
-    The writer is this thread; two reader threads hammer the snapshot
-    surface.  Lock-order and ``@guarded`` barrier checks are
-    acquisition-order checks, so one writer thread witnesses them all.
-
-    The environment variable must be set *before* the runtime modules are
-    imported (the ``@guarded`` write barriers install at class-definition
-    time), so all runtime imports live inside this function.
-    """
-    import os
-    import threading
-    import time
-
-    os.environ["REPRO_RACECHECK"] = "1"
-
-    from repro.analysis import racecheck
-    from repro.analysis.racecheck import RaceCheckError
-    from repro.runtime.metrics import MetricsRegistry
-    from repro.runtime.pipeline import EventPipeline
-    from repro.runtime.replay import StreamProfile, generate_mixed_stream
-    from repro.obs.tracing import RingTracer
-
-    racecheck.reset()
-    metrics = MetricsRegistry()
-    tracer = RingTracer()
-    pipeline = EventPipeline(
-        num_shards=args.shards,
-        batch_size=args.batch_size,
-        mode="inline",
-        metrics=metrics,
-        tracer=tracer,
-    )
-    stream = generate_mixed_stream(
-        StreamProfile(
-            n_events=args.events,
-            n_initial_queries=args.queries,
-            seed=args.seed,
-        )
-    )
-    print(
-        f"racecheck: {args.events} events on {args.shards} inline shard(s) "
-        f"with 2 concurrent snapshot readers (REPRO_RACECHECK=1)"
-    )
-
-    violations: list[str] = []
-    stop = threading.Event()
-
-    def reader() -> None:
-        # Hammer the cross-thread read surface while the pipeline writes.
-        while not stop.is_set():
-            try:
-                metrics.snapshot()
-                tracer.snapshot()
-                tracer.to_chrome_trace()
-            except RaceCheckError as exc:  # pragma: no cover - failure path
-                violations.append(str(exc))
-                return
-            time.sleep(0.001)
-
-    readers = [
-        threading.Thread(target=reader, name=f"racecheck-reader-{i}", daemon=True)
-        for i in range(2)
-    ]
-    for t in readers:
-        t.start()
-    try:
-        for event in stream:
-            pipeline.submit(event)
-        pipeline.drain()
-    except RaceCheckError as exc:  # pragma: no cover - failure path
-        violations.append(str(exc))
-    finally:
-        stop.set()
-        for t in readers:
-            t.join(timeout=5.0)
-        pipeline.close()
-
-    report = racecheck.report()
-    print(
-        f"locks created: {report['locks_created']}, "
-        f"acquisitions: {report['acquisitions']}, "
-        f"guard checks: {report['guard_checks']}"
-    )
-    edges = report["edges"]
-    if edges:
-        print("held-lock DAG edges:")
-        for edge in edges:
-            print(f"  {edge}")
-    else:
-        print("held-lock DAG: flat (no nested acquisitions observed)")
-    if violations:
-        print(f"\n{len(violations)} violation(s):", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
-    print("racecheck clean")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -618,10 +523,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
 
     select = args.select.split(",") if args.select else None
-    if getattr(args, "concurrency", False):
-        from repro.analysis.concurrency import CONCURRENCY_RULE_CODES
-
-        select = sorted(set(select or ()) | set(CONCURRENCY_RULE_CODES))
     try:
         rules = all_rules(select)
     except ValueError as exc:
@@ -873,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="project-aware static analysis: invariant rules RA001-RA006, "
-        "hygiene rules, and concurrency-safety rules RA201-RA206, with "
-        "noqa suppression and a baseline ratchet",
+        help="project-aware static analysis: invariant rules RA001, RA002 and "
+        "RA004-RA006 and hygiene rules, with noqa suppression and a "
+        "baseline ratchet",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -896,25 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline", action="store_true",
         help="write the ratcheted baseline (counts only ever shrink) and exit",
     )
-    lint.add_argument(
-        "--concurrency", action="store_true",
-        help="run the concurrency-safety rules (RA201-RA206); combines "
-        "with --select by union",
-    )
     lint.set_defaults(func=_cmd_lint)
 
-    racecheck = sub.add_parser(
-        "racecheck",
-        help="dynamic race witness: drive the inline pipeline with "
-        "concurrent metric/trace readers under REPRO_RACECHECK=1 and "
-        "report the observed lock-order DAG",
-    )
-    racecheck.add_argument("--events", type=int, default=2_000)
-    racecheck.add_argument("--queries", type=int, default=100)
-    racecheck.add_argument("--shards", type=int, default=4)
-    racecheck.add_argument("--batch-size", type=int, default=32)
-    racecheck.add_argument("--seed", type=int, default=0)
-    racecheck.set_defaults(func=_cmd_racecheck)
     return parser
 
 

@@ -4,13 +4,14 @@ The paper's contribution is visibility into *structure* — which query
 groups are hotspots, how much the maintained partition costs — and this
 package makes that visibility operational:
 
-* :mod:`repro.obs.tracing` — span context managers over a thread-safe
+* :mod:`repro.obs.tracing` — span context managers over a single-writer
   ring buffer, exportable as Chrome ``trace_event`` JSON; the
   :data:`~repro.obs.tracing.NULL_TRACER` default makes instrumentation
   free when disabled;
 * :mod:`repro.obs.export` — Prometheus text exposition, JSONL snapshot
   streams, interpolated p50/p95/p99 from the runtime's power-of-two
-  histograms, and a background HTTP endpoint;
+  histograms, and a background HTTP endpoint that serves the last
+  published snapshot;
 * :mod:`repro.obs.hotspot_telemetry` — tracker/partition listeners
   recording promotion/demotion churn, reconstruction durations, and the
   invariant I2 headroom ``(1 + eps) * tau + 2/alpha - |I|``;

@@ -2,9 +2,10 @@
 
 Everything here consumes the plain-dict output of
 :meth:`repro.runtime.metrics.MetricsRegistry.snapshot` — the exporters
-never hold references to live instruments, so a snapshot taken under the
-registry's locks can be rendered, written, or served without further
-synchronization.
+never hold references to live instruments.  The registry has one writer,
+the data path; a snapshot it took shares nothing with it, so the
+:class:`MetricsServer` thread renders the last *published* snapshot
+without touching the registry.
 
 Quantiles: the runtime's histograms are power-of-two bucketed (bucket 0
 is ``[0, 1)``, bucket ``i`` is ``[2**(i-1), 2**i)``).  The histogram's own
@@ -30,7 +31,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.tracing import RingTracer
+from repro.obs.tracing import RingTracer, TraceExport, chrome_trace_of_export
 from repro.runtime.metrics import MetricsRegistry, N_HISTOGRAM_BUCKETS
 
 __all__ = [
@@ -284,13 +285,15 @@ class SnapshotWriter:
 
     def write(
         self,
-        registry: MetricsRegistry,
+        snapshot: Dict[str, Dict[str, Any]],
         extra: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
+        """Append one record holding ``snapshot`` (a
+        :meth:`MetricsRegistry.snapshot` dict)."""
         record: Dict[str, Any] = {
             "seq": self._seq,
             "uptime_us": (time.perf_counter_ns() - self._start_ns) // 1_000,
-            "metrics": registry.snapshot(),
+            "metrics": snapshot,
         }
         if extra:
             record.update(extra)
@@ -345,12 +348,20 @@ def latest_snapshot(path: str) -> Dict[str, Any]:
 
 
 class MetricsServer:
-    """Serves live metrics over HTTP on a background thread.
+    """Serves the last published metrics over HTTP on a background thread.
 
     Routes: ``/metrics`` (Prometheus text), ``/metrics.json`` (the raw
-    snapshot dict), and — when a :class:`RingTracer` is attached —
-    ``/trace.json`` (Chrome trace of the spans currently retained).
-    Binding ``port=0`` picks an ephemeral port (see :attr:`port`).
+    snapshot dict), and — when the last publish carried spans —
+    ``/trace.json`` (Chrome trace of those spans).  Binding ``port=0``
+    picks an ephemeral port (see :attr:`port`).
+
+    The HTTP thread never touches a registry or a tracer: the data path
+    hands it copies through :meth:`publish`, and every response renders
+    the last one.  ``serve`` publishes every ``--report-every`` events,
+    so the endpoint is at most one interval stale.  Each response carries
+    the publish's ``seq`` and ``uptime_us`` as ``X-Repro-Seq`` and
+    ``X-Repro-Uptime-Us`` headers, so a poller can tell a fresh publish
+    from the same one fetched twice.
     """
 
     def __init__(
@@ -361,28 +372,38 @@ class MetricsServer:
         host: str = "127.0.0.1",
         tracer: Optional[RingTracer] = None,
     ) -> None:
-        self.registry = registry
-        self.tracer = tracer
+        self._start_ns = time.perf_counter_ns()
+        self._seq = -1
+        # (seq, uptime_us, snapshot, spans): replaced whole by publish(),
+        # read whole by the handler — one reference store, atomic under
+        # the GIL, is the only thing the two threads share.
+        self._published: Tuple[int, int, Dict[str, Any], Optional[TraceExport]]
+        self.publish(
+            registry.snapshot(),
+            tracer.export_copy() if tracer is not None else None,
+        )
         server = self
 
         class _Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:
+                seq, uptime_us, snapshot, spans = server._published
                 if self.path in ("/", "/metrics"):
-                    body = render_prometheus(server.registry.snapshot()).encode()
-                    self._reply(body, "text/plain; version=0.0.4; charset=utf-8")
+                    body = render_prometheus(snapshot).encode()
+                    content_type = "text/plain; version=0.0.4; charset=utf-8"
                 elif self.path == "/metrics.json":
-                    body = json.dumps(server.registry.snapshot(), sort_keys=True).encode()
-                    self._reply(body, "application/json")
-                elif self.path == "/trace.json" and server.tracer is not None:
-                    body = json.dumps(server.tracer.to_chrome_trace()).encode()
-                    self._reply(body, "application/json")
+                    body = json.dumps(snapshot, sort_keys=True).encode()
+                    content_type = "application/json"
+                elif self.path == "/trace.json" and spans is not None:
+                    body = json.dumps(chrome_trace_of_export(spans)).encode()
+                    content_type = "application/json"
                 else:
                     self.send_error(404)
-
-            def _reply(self, body: bytes, content_type: str) -> None:
+                    return
                 self.send_response(200)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
+                self.send_header("X-Repro-Seq", str(seq))
+                self.send_header("X-Repro-Uptime-Us", str(uptime_us))
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -396,6 +417,19 @@ class MetricsServer:
             target=self._httpd.serve_forever, name="repro-metrics", daemon=True
         )
         self._thread.start()
+
+    def publish(
+        self,
+        snapshot: Dict[str, Dict[str, Any]],
+        spans: Optional[TraceExport] = None,
+    ) -> None:
+        """Serve ``snapshot`` (a :meth:`MetricsRegistry.snapshot` dict) and
+        ``spans`` (a :meth:`RingTracer.export_copy`; ``None`` answers
+        ``/trace.json`` with 404) from now on.  Neither may be mutated
+        afterwards."""
+        self._seq += 1
+        uptime_us = (time.perf_counter_ns() - self._start_ns) // 1_000
+        self._published = (self._seq, uptime_us, snapshot, spans)
 
     @property
     def url(self) -> str:

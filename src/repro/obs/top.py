@@ -3,10 +3,10 @@
 Pure functions over snapshot records plus one small refresh loop —
 nothing here talks to a pipeline directly.  A *record* is one entry of
 the JSONL snapshot stream (``{"seq", "uptime_us", "metrics": {...}}``);
-the URL fetcher wraps a ``/metrics.json`` response in the same shape so
-both sources feed the same renderer.  Rates (throughput, churn) come
-from differencing two consecutive records, so the first frame of a
-session shows absolutes only.
+the URL fetcher wraps a ``/metrics.json`` response and its publish
+headers in the same shape so both sources feed the same renderer.
+Rates (throughput, churn) come from differencing two consecutive
+records, so the first frame of a session shows absolutes only.
 
 Shared with ``repro stats --watch``: both verbs loop
 :func:`watch` over a fetcher; ``top`` renders :func:`render_dashboard`,
@@ -52,18 +52,25 @@ def fetch_record_from_jsonl(path: str) -> Dict[str, Any]:
 
 
 def fetch_record_from_url(url: str, *, timeout: float = 5.0) -> Dict[str, Any]:
-    """One live snapshot from a :class:`MetricsServer`, as a record.
+    """The last published snapshot of a :class:`MetricsServer`, as a record.
 
-    Accepts the server base URL or the ``/metrics.json`` route itself;
-    ``seq``/``uptime_us`` are absent — the caller's monotonic fetch times
-    drive rate math instead.
+    Accepts the server base URL or the ``/metrics.json`` route itself.
+    ``seq`` and ``uptime_us`` come from the response headers: they stamp
+    the publish, not the fetch, so two fetches of one publish read the
+    same ``uptime_us`` and the dashboard shows no rate rather than 0.
     """
     target = url.rstrip("/")
     if not target.endswith("/metrics.json"):
         target += "/metrics.json"
     with urllib.request.urlopen(target, timeout=timeout) as response:
         snapshot = json.loads(response.read().decode("utf-8"))
-    return {"metrics": snapshot}
+        headers = response.headers
+    record: Dict[str, Any] = {"metrics": snapshot}
+    for key, header in (("seq", "X-Repro-Seq"), ("uptime_us", "X-Repro-Uptime-Us")):
+        value = headers.get(header)
+        if value is not None:
+            record[key] = int(value)
+    return record
 
 
 def shard_indices(metrics: Dict[str, Any]) -> List[int]:
@@ -112,13 +119,15 @@ def _elapsed_seconds(
     record: Dict[str, Any], previous: Optional[Dict[str, Any]]
 ) -> Optional[float]:
     """Wall-free elapsed time between two records: prefer the stream's
-    ``uptime_us``, fall back to fetch-time stamps the watch loop adds."""
+    ``uptime_us``, fall back to fetch-time stamps the watch loop adds.
+    ``None`` when the first clock both records carry did not advance —
+    the same snapshot read twice is no interval to take a rate over."""
     if previous is None:
         return None
     for key, scale in (("uptime_us", 1e6), ("_fetched_at_ns", 1e9)):
         now, then = record.get(key), previous.get(key)
-        if now is not None and then is not None and now > then:
-            return (float(now) - float(then)) / scale
+        if now is not None and then is not None:
+            return (float(now) - float(then)) / scale if now > then else None
     return None
 
 

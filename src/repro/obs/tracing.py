@@ -16,13 +16,14 @@ is a two-implementation protocol:
   package precisely because span durations never feed replay or recovery
   decisions (see ``repro.analysis.project.MONOTONIC_CLOCK_SCOPE``).
 
-Lock discipline follows RA003/RA201: the ring state (``_spans``,
-``_next``) declares ``guarded-by: _lock`` and is only ever touched under
-``self._lock``; snapshot readers copy under the lock and format outside
-it.  The lock comes from the project factory so ``repro racecheck`` can
-witness its acquisition order.  Span *objects* are thread-local by usage
-(created, entered and exited on one thread), so only the final
-``_record`` call synchronizes.
+Single writer, not thread-safe: a :class:`RingTracer` belongs to the one
+thread that runs the data path, like the metrics registry it sits beside.
+A reader on another thread gets a *published copy* —
+:meth:`RingTracer.export_copy`, frozen :class:`SpanRecord` s plus copied
+lane-name dicts, which ``serve`` hands to
+:meth:`repro.obs.export.MetricsServer.publish` — and renders it with
+:func:`chrome_trace_of_export` on its own thread.  ``threading.get_ident()``
+still stamps each span's ``tid``: it names the trace lane.
 
 Export is Chrome ``trace_event`` JSON ("X" complete events, microsecond
 timestamps) — load the file at ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -51,18 +52,28 @@ import threading
 import time
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Any, ContextManager, Dict, List, Optional, Protocol, Sequence, Tuple
-
-from repro.analysis.racecheck import guarded, new_lock
+from typing import (
+    Any,
+    ContextManager,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "SpanRecord",
     "Tracer",
     "NullTracer",
     "RingTracer",
+    "TraceExport",
     "NULL_TRACER",
     "new_trace_id",
     "to_chrome_trace",
+    "chrome_trace_of_export",
     "write_chrome_trace",
 ]
 
@@ -192,9 +203,21 @@ class _Span:
         )
 
 
-@guarded
+class TraceExport(NamedTuple):
+    """Everything a Chrome trace export reads from a :class:`RingTracer`,
+    copied: the retained spans oldest-first, the spans lost to ring
+    overflow, the process and thread lane names, and the trace id.  It
+    shares nothing with the tracer, so another thread may render it."""
+
+    records: List[SpanRecord]
+    dropped: int
+    process_names: Dict[int, str]
+    thread_names: Dict[Tuple[int, int], str]
+    trace_id: int
+
+
 class RingTracer:
-    """Thread-safe ring buffer of closed spans with bounded memory.
+    """Ring buffer of closed spans with bounded memory (single writer).
 
     ``capacity`` bounds resident records; overflow overwrites the oldest
     span rather than blocking or growing, and the overwritten count is
@@ -205,7 +228,6 @@ class RingTracer:
     __slots__ = (
         "capacity",
         "pid",
-        "_lock",
         "_spans",
         "_next",
         "_trace_id",
@@ -220,55 +242,48 @@ class RingTracer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.pid = os.getpid()
-        self._lock = new_lock("RingTracer._lock")
-        self._spans: List[Optional[SpanRecord]] = [None] * capacity  # guarded-by: _lock
-        self._next = 0  # total spans ever recorded  # guarded-by: _lock
-        self._trace_id = new_trace_id()  # guarded-by: _lock
-        self._remote_parent = 0  # cross-process parent span id  # guarded-by: _lock
-        self._span_seq = 0  # span ids allocated so far  # guarded-by: _lock
-        self._process_names: Dict[int, str] = {}  # guarded-by: _lock
-        self._thread_names: Dict[Tuple[int, int], str] = {}  # guarded-by: _lock
+        self._spans: List[Optional[SpanRecord]] = [None] * capacity
+        self._next = 0  # total spans ever recorded
+        self._trace_id = new_trace_id()
+        self._remote_parent = 0  # cross-process parent span id
+        self._span_seq = 0  # span ids allocated so far
+        self._process_names: Dict[int, str] = {}
+        self._thread_names: Dict[Tuple[int, int], str] = {}
 
     def span(self, name: str, **args: Any) -> _Span:
         return _Span(self, name, args or None)
 
     @property
     def trace_id(self) -> int:
-        with self._lock:
-            return self._trace_id
+        return self._trace_id
 
     def adopt_trace_id(self, trace_id: int) -> None:
         """Join a trace started elsewhere (a worker adopting the parent's
         id from an incoming BATCH frame).  Zero is ignored — untraced
         callers must not reset an adopted id."""
         if trace_id:
-            with self._lock:
-                self._trace_id = trace_id
+            self._trace_id = trace_id
 
     def set_remote_parent(self, parent_span_id: int) -> None:
         """Parent span id for subsequently *opened* spans whose caller is
         in another process.  Stamped on every recorded span until changed;
         zero clears it."""
-        with self._lock:
-            self._remote_parent = parent_span_id
+        self._remote_parent = parent_span_id
 
     def set_process_name(self, pid: int, name: str) -> None:
         """Label a process lane in the exported trace (``M`` metadata)."""
-        with self._lock:
-            self._process_names[pid] = name
+        self._process_names[pid] = name
 
     def set_thread_name(self, pid: int, tid: int, name: str) -> None:
         """Label a thread lane in the exported trace (``M`` metadata)."""
-        with self._lock:
-            self._thread_names[(pid, tid)] = name
+        self._thread_names[(pid, tid)] = name
 
     def _next_span_id(self) -> int:
         """Span ids unique across cooperating processes: pid in the high
         bits, a per-tracer counter in the low 24 (wrap is harmless — by
         then the early spans have long been overwritten in the ring)."""
-        with self._lock:
-            self._span_seq += 1
-            return (self.pid << 24) | (self._span_seq & 0xFF_FFFF)
+        self._span_seq += 1
+        return (self.pid << 24) | (self._span_seq & 0xFF_FFFF)
 
     def _record_closed(
         self,
@@ -280,12 +295,9 @@ class RingTracer:
         args: Optional[Dict[str, Any]],
         span_id: int,
     ) -> None:
-        """Close a locally opened span: stamp identity fields and store,
-        all under one lock acquisition (trace id / remote parent / ring
-        write must agree — two lock trips could interleave with an
-        ``adopt_trace_id`` and mix ids within one record)."""
-        with self._lock:
-            record = SpanRecord(
+        """Close a locally opened span: stamp identity fields and store."""
+        self.record(
+            SpanRecord(
                 name=name,
                 ts_ns=ts_ns,
                 dur_ns=dur_ns,
@@ -296,15 +308,13 @@ class RingTracer:
                 span_id=span_id,
                 parent_id=self._remote_parent,
             )
-            self._spans[self._next % self.capacity] = record
-            self._next += 1
+        )
 
     def record(self, record: SpanRecord) -> None:
-        """Merge an already-built record (a worker span shipped over the
-        telemetry frame) into the ring as-is."""
-        with self._lock:
-            self._spans[self._next % self.capacity] = record
-            self._next += 1
+        """Store a built record: a closed local span, or a worker span
+        shipped over the telemetry frame, as-is."""
+        self._spans[self._next % self.capacity] = record
+        self._next += 1
 
     def since(self, seen: int) -> Tuple[List[SpanRecord], int]:
         """Records closed after the first ``seen`` ever recorded, plus the
@@ -312,7 +322,7 @@ class RingTracer:
         collector uses.  Records that overflowed the ring before being
         read are silently absent (the ``dropped`` counter owns honesty
         about that)."""
-        records, total = self._ring_copy()
+        records, total = self.snapshot(), self._next
         fresh = total - seen
         if fresh <= 0:
             return [], total
@@ -321,67 +331,36 @@ class RingTracer:
     @property
     def recorded(self) -> int:
         """Total spans ever closed (including any since overwritten)."""
-        with self._lock:
-            return self._next
+        return self._next
 
     @property
     def dropped(self) -> int:
         """Spans lost to ring overflow."""
-        with self._lock:
-            return max(0, self._next - self.capacity)
+        return max(0, self._next - self.capacity)
 
     def snapshot(self) -> List[SpanRecord]:
-        """The retained spans, oldest first (a consistent copy)."""
-        records, _ = self._ring_copy()
-        return records
+        """The retained spans, oldest first (a copy)."""
+        total = self._next
+        if total <= self.capacity:
+            head = self._spans[:total]
+        else:
+            start = total % self.capacity
+            head = self._spans[start:] + self._spans[:start]
+        return [record for record in head if record is not None]
 
-    def _ring_copy(self) -> Tuple[List[SpanRecord], int]:
-        """(retained spans oldest-first, total ever recorded) from *one*
-        lock acquisition — exporters need both to agree, and reading them
-        via two separate properties is exactly the torn-read hazard RA203
-        exists to flag."""
-        records, total, _names, _threads, _tid = self._export_copy()
-        return records, total
-
-    def _export_copy(
-        self,
-    ) -> Tuple[List[SpanRecord], int, Dict[int, str], Dict[Tuple[int, int], str], int]:
-        """Everything an exporter reads, copied in one lock acquisition:
-        (spans oldest-first, total recorded, process lanes, thread lanes,
-        trace id)."""
-        with self._lock:
-            total = self._next
-            if total <= self.capacity:
-                head = self._spans[:total]
-            else:
-                start = total % self.capacity
-                head = self._spans[start:] + self._spans[:start]
-            process_names = dict(self._process_names)
-            thread_names = dict(self._thread_names)
-            trace_id = self._trace_id
-        records = [record for record in head if record is not None]
-        return records, total, process_names, thread_names, trace_id
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans = [None] * self.capacity
-            self._next = 0
+    def export_copy(self) -> TraceExport:
+        """Everything an exporter reads, as a copy another thread may
+        render (see :func:`chrome_trace_of_export`)."""
+        return TraceExport(
+            records=self.snapshot(),
+            dropped=self.dropped,
+            process_names=dict(self._process_names),
+            thread_names=dict(self._thread_names),
+            trace_id=self._trace_id,
+        )
 
     def to_chrome_trace(self, *, pid: int = 1) -> Dict[str, Any]:
-        records, total, process_names, thread_names, trace_id = (
-            self._export_copy()
-        )
-        trace = to_chrome_trace(
-            records,
-            pid=pid,
-            process_names=process_names,
-            thread_names=thread_names,
-        )
-        trace["otherData"] = {
-            "dropped_spans": max(0, total - self.capacity),
-            "trace_id": trace_id,
-        }
-        return trace
+        return chrome_trace_of_export(self.export_copy(), pid=pid)
 
 
 def to_chrome_trace(
@@ -442,6 +421,22 @@ def to_chrome_trace(
             event["args"] = args
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def chrome_trace_of_export(export: TraceExport, *, pid: int = 1) -> Dict[str, Any]:
+    """:func:`to_chrome_trace` of a :class:`TraceExport`, plus an
+    ``otherData`` block naming the dropped-span count and the trace id."""
+    trace = to_chrome_trace(
+        export.records,
+        pid=pid,
+        process_names=export.process_names,
+        thread_names=export.thread_names,
+    )
+    trace["otherData"] = {
+        "dropped_spans": export.dropped,
+        "trace_id": export.trace_id,
+    }
+    return trace
 
 
 def write_chrome_trace(

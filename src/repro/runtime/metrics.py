@@ -1,20 +1,17 @@
 """Cheap runtime metrics: counters, gauges and log-bucketed histograms.
 
 The pipeline instruments its hot path, so every primitive here is a few
-arithmetic operations under a small lock (shard workers run on threads).
-Histograms bucket observations by powers of two, which is precise enough
-for the latency/batch-size distributions the runtime reports and keeps
-``observe`` allocation-free.
+arithmetic operations with no lock.  Histograms bucket observations by
+powers of two, which is precise enough for the latency/batch-size
+distributions the runtime reports and keeps ``observe`` allocation-free.
 
-Lock discipline (enforced statically by lint rules RA003 and
-RA201–RA206, and dynamically under ``REPRO_RACECHECK=1``): every shared
-field declares its lock with a ``guarded-by`` annotation, and every
-access happens under ``with self._lock``.  Readers either return a
-single value from inside the lock or copy the fields into locals under
-the lock and compute outside it — multi-field reads without the lock can
-observe torn snapshots (e.g. a ``_sum`` that includes an observation
-``_count`` does not).  Locks come from the project factories so the
-``repro racecheck`` witness can track the held-lock DAG.
+Single writer, not thread-safe: a registry and its instruments belong to
+the one thread that runs the data path (the main thread of ``inline`` and
+of the ``process-shm`` parent, or the one thread of a shard worker
+process).  A reader on another thread gets a *published copy* instead —
+``serve`` hands :meth:`MetricsRegistry.snapshot` to
+:meth:`repro.obs.export.MetricsServer.publish` every ``--report-every``
+events — and never touches the live instruments.
 
 ``MetricsRegistry.snapshot()`` returns a plain nested dict (JSON-friendly);
 ``repro.obs.export.render_snapshot`` formats it as aligned text for the CLI.
@@ -24,8 +21,6 @@ from __future__ import annotations
 
 import collections
 from typing import Any, Dict, List, Sequence, Tuple
-
-from repro.analysis.racecheck import guarded, new_lock
 
 __all__ = [
     "Counter",
@@ -58,7 +53,7 @@ def bucket_index(value: float) -> int:
 def histogram_delta(values: List[float]) -> Dict[str, Any]:
     """Non-empty, non-negative ``values`` as :meth:`Histogram.merge_delta`
     arguments — what that many ``observe`` calls would have recorded, in
-    one locked fold instead of one per value.
+    one fold instead of one per value.
 
     Binned as :func:`bucket_index` bins, without a call per value: for
     ``v >= 0`` the bucket is ``int(v).bit_length()``, clamped to the
@@ -78,50 +73,42 @@ def histogram_delta(values: List[float]) -> Dict[str, Any]:
     }
 
 
-@guarded
 class Counter:
     """A monotonically increasing counter."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
-        self._lock = new_lock("Counter._lock")
-        self._value = 0  # guarded-by: _lock
+        self._value = 0
 
     def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
+        self._value += n
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        return self._value
 
 
-@guarded
 class Gauge:
     """A point-in-time value (e.g. current queue depth)."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self) -> None:
-        self._lock = new_lock("Gauge._lock")
-        self._value = 0.0  # guarded-by: _lock
+        self._value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
+        self._value = value
 
     @property
     def value(self) -> float:
-        with self._lock:
-            return self._value
+        return self._value
 
 
 def _bucket_quantile(
     buckets: List[int], count: int, max_value: float, q: float
 ) -> float:
-    """Approximate ``q``-quantile (upper bucket bound) from copied state."""
+    """Approximate ``q``-quantile (upper bucket bound)."""
     if count == 0:
         return 0.0
     rank = q * count
@@ -133,7 +120,6 @@ def _bucket_quantile(
     return max_value
 
 
-@guarded
 class Histogram:
     """Log2-bucketed histogram of non-negative observations.
 
@@ -143,56 +129,39 @@ class Histogram:
     factor of two — plenty for "did p99 latency explode" dashboards.
     """
 
-    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max", "_lock")
+    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
 
     N_BUCKETS = N_HISTOGRAM_BUCKETS
 
     def __init__(self) -> None:
-        self._lock = new_lock("Histogram._lock")
-        self._buckets: List[int] = [0] * self.N_BUCKETS  # guarded-by: _lock
-        self._count = 0  # guarded-by: _lock
-        self._sum = 0.0  # guarded-by: _lock
-        self._min = float("inf")  # guarded-by: _lock
-        self._max = 0.0  # guarded-by: _lock
+        self._buckets: List[int] = [0] * self.N_BUCKETS
+        self._count = 0
+        self._sum = 0.0
+        self._min = float("inf")
+        self._max = 0.0
 
     def observe(self, value: float) -> None:
         if value < 0:
             value = 0.0
-        index = bucket_index(value)
-        with self._lock:
-            self._buckets[index] += 1
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
-
-    def _copy_state(self) -> Tuple[List[int], int, float, float, float]:
-        """One consistent (buckets, count, sum, min, max) view."""
-        with self._lock:
-            return (
-                list(self._buckets),
-                self._count,
-                self._sum,
-                self._min,
-                self._max,
-            )
+        self._buckets[bucket_index(value)] += 1
+        self._count += 1
+        self._sum += value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
+        return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (upper bucket bound)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        buckets, count, _, _, max_value = self._copy_state()
-        return _bucket_quantile(buckets, count, max_value, q)
+        return _bucket_quantile(self._buckets, self._count, self._max, q)
 
     def merge_delta(
         self,
@@ -208,34 +177,36 @@ class Histogram:
         The shm-transport telemetry path ships worker-side histograms as
         bucket-wise deltas (``[index, added_count]`` pairs); merging is
         plain addition because log2 bucketing is identical in every
-        process.  ``min_value``/``max_value`` describe the remote
-        histogram's lifetime extremes, so they fold via min/max.  A
+        process.  Every index must be below :data:`N_HISTOGRAM_BUCKETS`
+        and the added counts must sum to ``count`` — the TELEMETRY decoder
+        rejects a frame that breaks either, and :func:`histogram_delta`
+        builds no other kind.  ``min_value``/``max_value`` describe the
+        remote histogram's lifetime extremes, so they fold via min/max.  A
         zero-count delta is a no-op (its min/max are meaningless).
         """
         if count <= 0:
             return
-        with self._lock:
-            for index, added in buckets:
-                if 0 <= index < self.N_BUCKETS:
-                    self._buckets[index] += added
-            self._count += count
-            self._sum += total
-            self._min = min(self._min, min_value)
-            self._max = max(self._max, max_value)
+        for index, added in buckets:
+            self._buckets[index] += added
+        self._count += count
+        self._sum += total
+        self._min = min(self._min, min_value)
+        self._max = max(self._max, max_value)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly state.  ``"buckets"`` lists the nonzero log2
         buckets as ``[index, count]`` pairs (ascending index) — the raw
         distribution the exposition layer's interpolated quantile
         estimator consumes (``repro.obs.export``)."""
-        buckets, count, total, min_value, max_value = self._copy_state()
+        count = self._count
         if count == 0:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
                     "p50": 0.0, "p99": 0.0, "buckets": []}
+        buckets, total, max_value = self._buckets, self._sum, self._max
         return {
             "count": count,
             "sum": total,
-            "min": min_value,
+            "min": self._min,
             "max": max_value,
             "mean": total / count,
             "p50": _bucket_quantile(buckets, count, max_value, 0.5),
@@ -244,7 +215,6 @@ class Histogram:
         }
 
 
-@guarded
 class MetricsRegistry:
     """Named counters/gauges/histograms with a one-shot snapshot.
 
@@ -253,56 +223,38 @@ class MetricsRegistry:
     ``counter(name)`` on the hot path without pre-registration.
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_lock")
+    __slots__ = ("_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
-        self._lock = new_lock("MetricsRegistry._lock")
-        self._counters: Dict[str, Counter] = {}  # guarded-by: _lock
-        self._gauges: Dict[str, Gauge] = {}  # guarded-by: _lock
-        self._histograms: Dict[str, Histogram] = {}  # guarded-by: _lock
+        self._counters: Dict[str, Counter] = {}
+        self._gauges: Dict[str, Gauge] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            if name not in self._counters:
-                self._counters[name] = Counter()
-            return self._counters[name]
+        if name not in self._counters:
+            self._counters[name] = Counter()
+        return self._counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            if name not in self._gauges:
-                self._gauges[name] = Gauge()
-            return self._gauges[name]
+        if name not in self._gauges:
+            self._gauges[name] = Gauge()
+        return self._gauges[name]
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram()
-            return self._histograms[name]
-
-    def _instruments(
-        self,
-    ) -> Tuple[
-        List[Tuple[str, Counter]],
-        List[Tuple[str, Gauge]],
-        List[Tuple[str, Histogram]],
-    ]:
-        """Sorted (name, instrument) views, taken under the registry lock.
-        The instruments themselves are thread-safe, so reading their values
-        after release is fine — only dict membership needs the lock."""
-        with self._lock:
-            return (
-                sorted(self._counters.items()),
-                sorted(self._gauges.items()),
-                sorted(self._histograms.items()),
-            )
+        if name not in self._histograms:
+            self._histograms[name] = Histogram()
+        return self._histograms[name]
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """All metrics as a plain (JSON-serializable) dict."""
-        counters, gauges, histograms = self._instruments()
+        """All metrics as a plain (JSON-serializable) dict, names sorted.
+        Nothing in it aliases a live instrument, so it may be handed to
+        another thread."""
         return {
-            "counters": {name: c.value for name, c in counters},
-            "gauges": {name: g.value for name, g in gauges},
-            "histograms": {name: h.snapshot() for name, h in histograms},
+            "counters": {name: c.value for name, c in sorted(self._counters.items())},
+            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
+            "histograms": {
+                name: h.snapshot() for name, h in sorted(self._histograms.items())
+            },
         }
 
 

@@ -115,6 +115,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.obs.tracing import SpanRecord
+from repro.runtime.metrics import N_HISTOGRAM_BUCKETS
 from repro.runtime.sharding import ShardEntry
 from repro.runtime.transport.shm import TransportError
 from repro.wire import (
@@ -580,6 +581,13 @@ def _read_telemetry(reader: Reader) -> TelemetryPayload:
                 reader.take(n_buckets * _TELE_BUCKET.size, "telemetry histogram buckets")
             )
         )
+        # Histogram.merge_delta adds these as they are: an index past the
+        # last bucket, or deltas that miss ``count``, would leave the
+        # merged count disagreeing with its buckets.
+        if any(index >= N_HISTOGRAM_BUCKETS for index, _ in buckets):
+            raise FrameError(f"histogram {name!r} has a bucket index out of range")
+        if sum(added for _, added in buckets) != count:
+            raise FrameError(f"histogram {name!r} bucket deltas do not sum to its count")
         histograms[name] = HistogramDelta(
             count=count,
             total=total,

@@ -157,10 +157,13 @@ class ShmRing:
         # so both shared counters are still zero here; same-process
         # loopback (one object sending to itself, handy in tests and
         # micro-benchmarks) works because the roles keep separate slots.
-        self._next_tail = 0  # guarded-by: spsc:send
-        self._next_head = 0  # guarded-by: spsc:recv
+        # Each cursor has one writer method, so the ring needs no lock:
+        # only ``send`` writes ``_next_tail``, only ``recv`` writes
+        # ``_next_head`` and ``crc_retries``.
+        self._next_tail = 0
+        self._next_head = 0
         #: Re-reads ``recv`` made of a frame that did not validate yet.
-        self.crc_retries = 0  # guarded-by: spsc:recv
+        self.crc_retries = 0
 
     # -- construction --------------------------------------------------------
 

@@ -30,7 +30,7 @@ def by_rule(findings, code):
 class TestRegistry:
     def test_catalog_contains_all_project_rules(self):
         codes = {entry["code"] for entry in rule_catalog()}
-        assert {"RA001", "RA002", "RA003", "RA004", "RA005", "RA006"} <= codes
+        assert {"RA001", "RA002", "RA004", "RA005", "RA006"} <= codes
         assert {"RA101", "RA102", "RA103"} <= codes
 
     def test_all_rules_sorted_and_instantiated(self):

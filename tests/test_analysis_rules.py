@@ -10,43 +10,9 @@ from repro.analysis import Baseline, all_rules, lint_source
 
 CORE = "src/repro/core/fake_module.py"
 OBS = "src/repro/obs/fake_module.py"
-RUNTIME = "src/repro/runtime/fake_worker.py"
 KERNELS = "src/repro/fastpath/kernels.py"
 HOTPATH = "src/repro/dstruct/treap.py"
 ELSEWHERE = "src/repro/workload/fake_gen.py"
-
-RA003_BAD = """\
-import threading
-
-class Worker:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.depth = 0
-
-    def push(self):
-        with self._lock:
-            self.depth += 1
-
-    def peek(self):
-        return self.depth
-"""
-
-RA003_GOOD = """\
-import threading
-
-class Worker:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.depth = 0
-
-    def push(self):
-        with self._lock:
-            self.depth += 1
-
-    def peek(self):
-        with self._lock:
-            return self.depth
-"""
 
 RA004_BAD = """\
 def drain(index):
@@ -117,14 +83,6 @@ CASES = [
         "from repro.fastpath.kernels import get_numpy\n",
         "private kernel handle",
         id="RA002-private-handle",
-    ),
-    pytest.param(
-        "RA003",
-        RUNTIME,
-        RA003_BAD,
-        RA003_GOOD,
-        "lock-guarded but read outside",
-        id="RA003-unguarded-read",
     ),
     pytest.param(
         "RA004",
@@ -330,16 +288,6 @@ class TestScoping:
         assert run("RA002", KERNELS, src) == []
         assert run("RA002", "src/repro/histogram/kmeans.py", src) == []
         assert run("RA002", CORE, src)
-
-    def test_ra003_only_in_runtime(self):
-        assert run("RA003", RUNTIME, RA003_BAD)
-        assert run("RA003", CORE, RA003_BAD) == []
-
-    def test_ra003_init_is_exempt(self):
-        src = RA003_BAD.replace(
-            "    def peek(self):\n        return self.depth\n", ""
-        )
-        assert run("RA003", RUNTIME, src) == []
 
     def test_ra005_intervals_module_is_allowlisted(self):
         src = "def f(iv, x):\n    return x == iv.lo\n"

@@ -58,19 +58,6 @@ class TestCliContract:
         seeded = {
             "RA001": ("core/t1.py", "import time\nstamp = time.time()\n"),
             "RA002": ("core/t2.py", "import numpy\n"),
-            "RA003": (
-                "runtime/t3.py",
-                "import threading\n"
-                "class W:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.n = 0\n"
-                "    def a(self):\n"
-                "        with self._lock:\n"
-                "            self.n = 1\n"
-                "    def b(self):\n"
-                "        return self.n\n",
-            ),
             "RA004": ("workload/t4.py", "t = x.group_table()\nt.append(1)\n"),
             "RA005": ("core/t5.py", "def f(iv, x):\n    return x == iv.lo\n"),
             "RA006": ("dstruct/treap.py", "class N:\n    pass\n"),
@@ -111,7 +98,7 @@ class TestCliContract:
     def test_list_rules_prints_catalog(self):
         proc = run_cli("lint", "--list-rules")
         assert proc.returncode == 0
-        for code in ("RA001", "RA002", "RA003", "RA004", "RA005", "RA006"):
+        for code in ("RA001", "RA002", "RA004", "RA005", "RA006"):
             assert code in proc.stdout
 
     def test_unknown_select_fails_loudly(self):

@@ -56,17 +56,24 @@ def test_verb_set_is_explicit():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert sorted(verbs) == [
-        "fuzz", "info", "lint", "partition", "racecheck", "recover",
+        "fuzz", "info", "lint", "partition", "recover",
         "replay", "serve", "stats", "top", "zipf",
     ]
 
 
-@pytest.mark.parametrize("verb", ["bench", "validate"])
+@pytest.mark.parametrize("verb", ["bench", "validate", "racecheck"])
 def test_removed_verbs_are_usage_errors(verb, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([verb])
     assert exit_info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_lint_concurrency_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", "--concurrency"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --concurrency" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

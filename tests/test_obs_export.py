@@ -198,9 +198,9 @@ class TestSnapshotStream:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         writer = SnapshotWriter(path)
-        writer.write(registry)
+        writer.write(registry.snapshot())
         registry.counter("c").inc()
-        writer.write(registry, extra={"spans_dropped": 0})
+        writer.write(registry.snapshot(), extra={"spans_dropped": 0})
         records = read_snapshots(path)
         assert [r["seq"] for r in records] == [0, 1]
         assert records[0]["metrics"]["counters"]["c"] == 1
@@ -216,7 +216,7 @@ class TestSnapshotStream:
         registry = MetricsRegistry()
         writer = SnapshotWriter(path)
         for _ in range(3):
-            writer.write(registry)
+            writer.write(registry.snapshot())
         assert latest_snapshot(path)["seq"] == 2
 
     def test_latest_snapshot_empty_stream_rejected(self, tmp_path):
@@ -237,7 +237,7 @@ class TestSnapshotRotation:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         probe = str(tmp_path / "probe.jsonl")
-        SnapshotWriter(probe).write(registry)
+        SnapshotWriter(probe).write(registry.snapshot())
         import os
 
         return os.path.getsize(probe)
@@ -251,7 +251,7 @@ class TestSnapshotRotation:
         # Room for ~3 records per generation.
         writer = SnapshotWriter(path, max_bytes=self._record_size(tmp_path) * 3 + 8)
         for _ in range(8):
-            writer.write(registry)
+            writer.write(registry.snapshot())
         assert writer.rotations >= 1
         assert os.path.exists(path + ".1")
         records = read_snapshots(path)
@@ -270,7 +270,7 @@ class TestSnapshotRotation:
         path = str(tmp_path / "snaps.jsonl")
         writer = SnapshotWriter(path, max_bytes=1)  # rotate on every write
         for _ in range(5):
-            writer.write(registry)
+            writer.write(registry.snapshot())
         assert writer.rotations == 5
         siblings = sorted(os.listdir(tmp_path))
         assert siblings == ["snaps.jsonl", "snaps.jsonl.1"]
@@ -282,7 +282,7 @@ class TestSnapshotRotation:
         path = str(tmp_path / "snaps.jsonl")
         writer = SnapshotWriter(path)
         for _ in range(50):
-            writer.write(registry)
+            writer.write(registry.snapshot())
         assert writer.rotations == 0
         assert not os.path.exists(path + ".1")
 
@@ -294,7 +294,7 @@ class TestSnapshotRotation:
         registry = MetricsRegistry()
         path = str(tmp_path / "snaps.jsonl")
         writer = SnapshotWriter(path, max_bytes=10_000_000)
-        writer.write(registry)
+        writer.write(registry.snapshot())
         assert [r["seq"] for r in read_snapshots(path)] == [0]
 
 
@@ -319,6 +319,55 @@ class TestMetricsServer:
             status, trace = self.fetch(server.url + "/trace.json")
             loaded = json.loads(trace)
             assert loaded["traceEvents"][0]["name"] == "probe"
+
+    def test_serves_the_published_copy_only(self):
+        registry = MetricsRegistry()
+        registry.counter("hits").inc(1)
+        tracer = RingTracer(capacity=8)
+        with tracer.span("first"):
+            pass
+        with MetricsServer(registry, port=0, tracer=tracer) as server:
+            # Writes after a publish stay invisible until the next one.
+            registry.counter("hits").inc(10)
+            with tracer.span("second"):
+                pass
+            _, raw = self.fetch(server.url + "/metrics.json")
+            assert json.loads(raw)["counters"]["hits"] == 1
+            _, trace = self.fetch(server.url + "/trace.json")
+            assert [e["name"] for e in json.loads(trace)["traceEvents"]] == ["first"]
+
+            server.publish(registry.snapshot(), tracer.export_copy())
+            _, raw = self.fetch(server.url + "/metrics.json")
+            assert json.loads(raw)["counters"]["hits"] == 11
+            _, prom = self.fetch(server.url + "/metrics")
+            assert "repro_hits_total 11" in prom
+            _, trace = self.fetch(server.url + "/trace.json")
+            loaded = json.loads(trace)
+            assert [e["name"] for e in loaded["traceEvents"]] == ["first", "second"]
+            assert loaded["otherData"] == {
+                "dropped_spans": 0, "trace_id": tracer.trace_id,
+            }
+
+            # A publish without spans withdraws the trace route.
+            server.publish(registry.snapshot())
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                self.fetch(server.url + "/trace.json")
+            assert exc_info.value.code == 404
+
+    def test_responses_carry_the_publish_stamp(self):
+        with MetricsServer(MetricsRegistry(), port=0) as server:
+            def stamp():
+                with urllib.request.urlopen(server.url + "/metrics.json") as response:
+                    return (
+                        int(response.headers["X-Repro-Seq"]),
+                        int(response.headers["X-Repro-Uptime-Us"]),
+                    )
+
+            first = stamp()
+            assert first[0] == 0 and stamp() == first
+            server.publish(MetricsRegistry().snapshot())
+            second = stamp()
+            assert second[0] == 1 and second[1] >= first[1]
 
     def test_unknown_route_404(self):
         with MetricsServer(MetricsRegistry(), port=0) as server:

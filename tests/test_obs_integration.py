@@ -144,14 +144,27 @@ class TestStatsLiveEndpoint:
 
 
 class TestServeMetricsPort:
-    def test_serve_exposes_live_endpoint(self, tmp_path, capsys):
+    def test_serve_exposes_live_endpoint(self, tmp_path, capsys, monkeypatch):
         """--metrics-port 0 binds an ephemeral port and prints its URL;
-        the endpoint serves while the run is in flight and the trace is
-        still written on exit."""
+        the endpoint serves what serve publishes while the run is in
+        flight, and the trace is still written on exit."""
+        publishes, fetched = [], []
+        publish = MetricsServer.publish
+
+        def publish_then_fetch(server, snapshot, spans=None):
+            publish(server, snapshot, spans)
+            publishes.append(snapshot)
+            # The constructor publishes once; the third call is the second
+            # --report-every boundary, with the run still in flight.
+            if len(publishes) == 3:
+                with urllib.request.urlopen(server.url + "/metrics.json") as response:
+                    fetched.append(json.loads(response.read().decode("utf-8")))
+
+        monkeypatch.setattr(MetricsServer, "publish", publish_then_fetch)
         trace_path = tmp_path / "trace.json"
         code = main([
             "serve",
-            "--events", "200", "--queries", "40", "--shards", "2",
+            "--events", "400", "--queries", "40", "--shards", "2",
             "--report-every", "100", "--seed", "5",
             "--metrics-port", "0",
             "--trace-out", str(trace_path),
@@ -159,6 +172,9 @@ class TestServeMetricsPort:
         out = capsys.readouterr().out
         assert code == 0
         assert "metrics server listening on http://127.0.0.1:" in out
+        assert len(fetched) == 1
+        assert fetched[0]["counters"]["pipeline/events_applied"] >= 100
+        assert fetched[0]["counters"]["pipeline/events_applied"] < 400
         assert trace_path.exists()
         names = {
             e["name"] for e in json.loads(trace_path.read_text())["traceEvents"]

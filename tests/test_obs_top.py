@@ -115,8 +115,8 @@ class TestFetchers:
         path = str(tmp_path / "snaps.jsonl")
         writer = SnapshotWriter(path)
         registry = make_registry()
-        writer.write(registry)
-        writer.write(registry)
+        writer.write(registry.snapshot())
+        writer.write(registry.snapshot())
         record = fetch_record_from_jsonl(path)
         assert record["seq"] == 1
         assert "pipeline/events_applied" in record["metrics"]["counters"]
@@ -127,17 +127,39 @@ class TestFetchers:
         try:
             record = fetch_record_from_url(server.url)
             assert record["metrics"]["counters"]["pipeline/events_applied"] == 1_000
-            # Accepts the explicit route too.
+            # Accepts the explicit route too; the publish stamp rides along.
             record = fetch_record_from_url(server.url + "/metrics.json")
-            assert "seq" not in record
+            assert record["seq"] == 0 and record["uptime_us"] >= 0
         finally:
             server.close()
+
+    def test_url_rates_span_publishes_not_fetches(self):
+        """Two fetches of one publish are no interval: the dashboard shows
+        no rate, not 0, and the next publish's rate is taken over the
+        publishes' own clock."""
+        registry = make_registry()
+        with MetricsServer(registry, port=0) as server:
+            first = fetch_record_from_url(server.url)
+            first["_fetched_at_ns"] = 1
+            again = fetch_record_from_url(server.url)
+            again["_fetched_at_ns"] = 2_000_000_000
+            assert again["uptime_us"] == first["uptime_us"]
+            assert "throughput: - ev/s" in render_dashboard(again, first)
+
+            registry.counter("pipeline/events_applied").inc(500)
+            server.publish(registry.snapshot())
+            fresh = fetch_record_from_url(server.url)
+            fresh["_fetched_at_ns"] = 3_000_000_000
+            assert fresh["seq"] == 1 and fresh["uptime_us"] > first["uptime_us"]
+            frame = render_dashboard(fresh, again)
+            assert "throughput: - ev/s" not in frame
+            assert "throughput: 0.0 ev/s" not in frame
 
 
 class TestWatchLoop:
     def test_renders_requested_iterations(self, tmp_path):
         path = str(tmp_path / "snaps.jsonl")
-        SnapshotWriter(path).write(make_registry())
+        SnapshotWriter(path).write(make_registry().snapshot())
         frames = []
         n = watch(
             lambda: fetch_record_from_jsonl(path),
@@ -153,7 +175,7 @@ class TestWatchLoop:
 
     def test_clear_mode_prefixes_ansi(self, tmp_path):
         path = str(tmp_path / "snaps.jsonl")
-        SnapshotWriter(path).write(make_registry())
+        SnapshotWriter(path).write(make_registry().snapshot())
         frames = []
         watch(
             lambda: fetch_record_from_jsonl(path),
@@ -181,12 +203,12 @@ class TestWatchLoop:
         path = str(tmp_path / "snaps.jsonl")
         writer = SnapshotWriter(path)
         registry = make_registry()
-        writer.write(registry)
+        writer.write(registry.snapshot())
         frames = []
 
         def fetch():
             registry.counter("pipeline/events_applied").inc(100)
-            writer.write(registry)
+            writer.write(registry.snapshot())
             return fetch_record_from_jsonl(path)
 
         watch(fetch, render_dashboard, interval=0.0, iterations=2,
@@ -206,7 +228,7 @@ class TestCli:
         from repro.cli import main
 
         path = str(tmp_path / "snaps.jsonl")
-        SnapshotWriter(path).write(make_registry())
+        SnapshotWriter(path).write(make_registry().snapshot())
         assert main(["top", "--jsonl", path, "--iterations", "1",
                      "--interval", "0", "--no-clear"]) == 0
         out = capsys.readouterr().out
@@ -217,7 +239,7 @@ class TestCli:
         from repro.cli import main
 
         path = str(tmp_path / "snaps.jsonl")
-        SnapshotWriter(path).write(make_registry())
+        SnapshotWriter(path).write(make_registry().snapshot())
         assert main(["stats", "--jsonl", path, "--watch", "0",
                      "--iterations", "1"]) == 0
         out = capsys.readouterr().out

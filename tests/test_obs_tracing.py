@@ -87,16 +87,6 @@ class TestRingTracer:
                 pass
         assert [r.name for r in tracer.snapshot()] == [f"s{i}" for i in range(5)]
 
-    def test_clear_resets_everything(self):
-        tracer = RingTracer(capacity=4)
-        for i in range(6):
-            with tracer.span(f"s{i}"):
-                pass
-        tracer.clear()
-        assert tracer.recorded == 0
-        assert tracer.dropped == 0
-        assert tracer.snapshot() == []
-
     def test_span_survives_exception(self):
         tracer = RingTracer(capacity=4)
         with pytest.raises(RuntimeError):

@@ -1,8 +1,5 @@
-"""Tests for the runtime metrics primitives: counters/gauges/histograms under
-concurrent writers, log2 bucketing, registry snapshots and the hotspot-churn
-listener."""
-
-import threading
+"""Tests for the runtime metrics primitives: counters/gauges/histograms,
+log2 bucketing, registry snapshots and the hotspot-churn listener."""
 
 import pytest
 
@@ -18,34 +15,12 @@ from repro.runtime.metrics import (
 )
 
 
-def hammer(n_threads, fn):
-    """Run ``fn`` concurrently from ``n_threads`` threads, all released at
-    once, and join them."""
-    barrier = threading.Barrier(n_threads)
-
-    def work():
-        barrier.wait()
-        fn()
-
-    threads = [threading.Thread(target=work) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-
 class TestCounter:
     def test_inc_and_value(self):
         c = Counter()
         c.inc()
         c.inc(4)
         assert c.value == 5
-
-    def test_concurrent_writers_lose_nothing(self):
-        c = Counter()
-        n_threads, per_thread = 8, 5_000
-        hammer(n_threads, lambda: [c.inc() for _ in range(per_thread)])
-        assert c.value == n_threads * per_thread
 
 
 class TestGauge:
@@ -54,20 +29,6 @@ class TestGauge:
         g.set(3.5)
         g.set(-1.0)
         assert g.value == -1.0
-
-    def test_concurrent_writers_leave_one_written_value(self):
-        g = Gauge()
-        values = [float(i) for i in range(16)]
-        counter = iter(values)
-        lock = threading.Lock()
-
-        def write():
-            with lock:
-                value = next(counter)
-            g.set(value)
-
-        hammer(len(values), write)
-        assert g.value in values
 
 
 class TestHistogram:
@@ -118,19 +79,6 @@ class TestHistogram:
         assert h.quantile(1.0) == 2.0**63  # clamped to the last bucket bound
         assert h.snapshot()["max"] == 2.0**100  # exact extremes still kept
 
-    def test_concurrent_observers_lose_nothing(self):
-        h = Histogram()
-        n_threads, per_thread = 8, 2_000
-        hammer(
-            n_threads,
-            lambda: [h.observe(float(i % 37)) for i in range(per_thread)],
-        )
-        total = n_threads * per_thread
-        assert h.count == total
-        assert h.snapshot()["sum"] == pytest.approx(
-            n_threads * sum(float(i % 37) for i in range(per_thread))
-        )
-
 
 class TestRegistry:
     def test_creation_is_idempotent(self):
@@ -138,21 +86,6 @@ class TestRegistry:
         assert registry.counter("a/b") is registry.counter("a/b")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_concurrent_creation_yields_one_instance(self):
-        registry = MetricsRegistry()
-        seen = []
-        lock = threading.Lock()
-
-        def create():
-            c = registry.counter("hot/path")
-            with lock:
-                seen.append(c)
-            c.inc()
-
-        hammer(16, create)
-        assert all(c is seen[0] for c in seen)
-        assert registry.counter("hot/path").value == 16
 
     def test_snapshot_shape_and_sorting(self):
         registry = MetricsRegistry()

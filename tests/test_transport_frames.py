@@ -387,6 +387,30 @@ u63 = st.integers(min_value=0, max_value=2**63 - 1)
 
 
 @st.composite
+def histogram_deltas(draw):
+    # What a worker ships: in-range bucket indices whose deltas sum to the
+    # count (the decoder refuses anything else).
+    buckets = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=63),
+                st.integers(min_value=1, max_value=2**40),
+            ),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    return frames.HistogramDelta(
+        count=sum(added for _, added in buckets),
+        total=draw(st.floats(allow_nan=False, allow_infinity=False, width=64)),
+        min_value=draw(st.floats(allow_nan=False, allow_infinity=True, width=64)),
+        max_value=draw(st.floats(allow_nan=False, allow_infinity=True, width=64)),
+        buckets=buckets,
+    )
+
+
+@st.composite
 def telemetry_payloads(draw):
     # One frame = one worker: every span shares the payload's pid (the
     # wire format carries it once in the header, not per span).
@@ -427,27 +451,7 @@ def telemetry_payloads(draw):
             max_size=5,
         )
     )
-    histograms = draw(
-        st.dictionaries(
-            metric_names,
-            st.builds(
-                frames.HistogramDelta,
-                count=st.integers(min_value=1, max_value=2**40),
-                total=st.floats(allow_nan=False, allow_infinity=False, width=64),
-                min_value=st.floats(allow_nan=False, allow_infinity=True, width=64),
-                max_value=st.floats(allow_nan=False, allow_infinity=True, width=64),
-                buckets=st.lists(
-                    st.tuples(
-                        st.integers(min_value=0, max_value=63),
-                        st.integers(min_value=1, max_value=2**40),
-                    ),
-                    max_size=6,
-                    unique_by=lambda pair: pair[0],
-                ),
-            ),
-            max_size=3,
-        )
-    )
+    histograms = draw(st.dictionaries(metric_names, histogram_deltas(), max_size=3))
     return frames.TelemetryPayload(
         pid=pid,
         shard=draw(st.integers(min_value=0, max_value=255)),
@@ -561,6 +565,25 @@ class TestTruncation:
         types refuse must not surface as ``CodecError`` or ``ValueError``."""
         with pytest.raises(frames.FrameError):
             frames.decode_frame(one_query_batch((0, 0), record))
+
+    @pytest.mark.parametrize(
+        "buckets, match",
+        [
+            ([(1, 2), (70, 3)], "bucket index out of range"),
+            ([(1, 2), (3, 2)], "do not sum to its count"),
+        ],
+        ids=["bucket-index-out-of-range", "buckets-miss-count"],
+    )
+    def test_malformed_histogram_delta_raises_frame_error(self, buckets, match):
+        """A delta whose buckets would disagree with its count once merged
+        (``Histogram.merge_delta`` adds them as they are) is refused at
+        the boundary."""
+        delta = frames.HistogramDelta(
+            count=5, total=9.0, min_value=1.0, max_value=3.0, buckets=buckets
+        )
+        payload = frames.TelemetryPayload(pid=1, shard=1, histograms={"h": delta})
+        with pytest.raises(frames.FrameError, match=match):
+            frames.decode_frame(frames.encode_telemetry_frame(payload))
 
     def test_non_utf8_telemetry_name_raises_frame_error(self):
         payload = frames.TelemetryPayload(pid=1, shard=0, counters={"abcd": 1})
