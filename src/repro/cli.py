@@ -368,30 +368,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.export import (
-        latest_snapshot,
-        read_snapshots,
-        render_prometheus,
-        render_snapshot,
-    )
+    from repro.obs import top as obs_top
+    from repro.obs.export import read_snapshots, render_prometheus, render_snapshot
 
     if (args.jsonl is None) == (args.url is None):
         print("stats: exactly one of --jsonl or --url is required", file=sys.stderr)
         return 2
+    source = args.jsonl if args.jsonl is not None else args.url
+    fetch = _record_fetcher(args)
     if args.watch is not None:
-        from repro.obs import top as obs_top
-
         if args.format != "text":
             print("stats: --watch implies --format text", file=sys.stderr)
             return 2
         if args.seq is not None:
             print("stats: --watch cannot be combined with --seq", file=sys.stderr)
             return 2
-        fetch = (
-            (lambda: obs_top.fetch_record_from_jsonl(args.jsonl))
-            if args.jsonl is not None
-            else (lambda: obs_top.fetch_record_from_url(args.url))
-        )
 
         def render_stats(record, previous):
             header = f"snapshot seq={record['seq']}" if "seq" in record else "live"
@@ -404,47 +395,41 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             iterations=args.iterations,
         )
         return 0
-    header = ""
-    if args.jsonl is not None:
-        try:
-            if args.seq is None:
-                record = latest_snapshot(args.jsonl)
-            else:
-                matches = [
-                    r for r in read_snapshots(args.jsonl) if r.get("seq") == args.seq
-                ]
-                if not matches:
-                    print(f"stats: no snapshot with seq={args.seq}", file=sys.stderr)
-                    return 1
-                record = matches[-1]
-        except (OSError, ValueError) as exc:
-            print(f"stats: {exc}", file=sys.stderr)
-            return 1
-        snapshot = record["metrics"]
-        header = (
-            f"snapshot seq={record['seq']} "
-            f"uptime={record.get('uptime_us', 0) / 1e6:.1f}s from {args.jsonl}"
-        )
-    else:
-        from urllib.error import URLError
-        from urllib.request import urlopen
-
-        url = args.url.rstrip("/") + "/metrics.json"
-        try:
-            with urlopen(url) as response:
-                snapshot = json.loads(response.read().decode("utf-8"))
-        except (OSError, URLError, ValueError) as exc:
-            print(f"stats: {url}: {exc}", file=sys.stderr)
-            return 1
-        header = f"live metrics from {url}"
+    try:
+        if args.seq is None or args.jsonl is None:
+            record = fetch()
+        else:
+            matches = [
+                r for r in read_snapshots(args.jsonl) if r.get("seq") == args.seq
+            ]
+            if not matches:
+                print(f"stats: no snapshot with seq={args.seq}", file=sys.stderr)
+                return 1
+            record = matches[-1]
+    except (OSError, ValueError) as exc:
+        print(f"stats: {source}: {exc}", file=sys.stderr)
+        return 1
+    snapshot = record["metrics"]
     if args.format == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     elif args.format == "prom":
         sys.stdout.write(render_prometheus(snapshot))
     else:
-        print(header)
+        print(
+            f"snapshot seq={record.get('seq', '-')} "
+            f"uptime={record.get('uptime_us', 0) / 1e6:.1f}s from {source}"
+        )
         print(render_snapshot(snapshot))
     return 0
+
+
+def _record_fetcher(args: argparse.Namespace):
+    """The newest record of ``--jsonl`` or of the server at ``--url``."""
+    from repro.obs import top as obs_top
+
+    if args.jsonl is not None:
+        return lambda: obs_top.fetch_record_from_jsonl(args.jsonl)
+    return lambda: obs_top.fetch_record_from_url(args.url)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -453,13 +438,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if (args.jsonl is None) == (args.url is None):
         print("top: exactly one of --jsonl or --url is required", file=sys.stderr)
         return 2
-    fetch = (
-        (lambda: obs_top.fetch_record_from_jsonl(args.jsonl))
-        if args.jsonl is not None
-        else (lambda: obs_top.fetch_record_from_url(args.url))
-    )
     obs_top.watch(
-        fetch,
+        _record_fetcher(args),
         obs_top.render_dashboard,
         interval=args.interval,
         iterations=args.iterations,

@@ -134,8 +134,8 @@ _HELP_RULES: Tuple[Tuple[str, str], ...] = (
     ("promoted_group_size", "Size of groups at hotspot promotion."),
     ("promotions", "Groups promoted to hotspot status."),
     ("demotions", "Groups demoted from hotspot status."),
-    ("hot_items_added", "Items added to hotspot groups."),
-    ("hot_items_removed", "Items removed from hotspot groups."),
+    ("hotspot_items_added", "Items added to hotspot groups."),
+    ("hotspot_items_removed", "Items removed from hotspot groups."),
     ("hotspot_coverage", "Fraction of items covered by hotspot groups."),
     ("headroom", "Invariant I2 slack: (1+eps)*tau + 2/alpha minus live groups."),
     ("groups", "Live partition groups (hotspot + scattered)."),

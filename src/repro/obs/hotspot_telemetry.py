@@ -3,8 +3,10 @@
 Three views, one per question an operator asks of the tracker:
 
 * **churn** — :class:`HotspotChurnTelemetry` counts promotions, demotions
-  and hot-item boundary traffic per plane (a thrashing tracker means
-  alpha is mis-tuned for the workload);
+  and hot-item boundary traffic once per tracker callback, into
+  ``shard/<i>/runtime/hotspot_*`` counters a shard's two planes share (a
+  thrashing tracker means alpha is mis-tuned for the workload), and the
+  size of each promoted group per plane;
 * **reconstruction cost** — :class:`ReconstructionTelemetry` pairs the
   partition's rebuild-started/rebuilt callbacks into a duration histogram
   and a ``partition.rebuild`` span, so lazy/refined reconstruction
@@ -57,7 +59,14 @@ class HeadroomSample:
 
 
 class HotspotChurnTelemetry:
-    """A :class:`HotspotListener` recording boundary churn per plane."""
+    """A :class:`HotspotListener` recording boundary churn.
+
+    ``plane`` is ``<scope>/<name>`` (``shard/3/band``).  The four churn
+    counters are the scope's, ``<scope>/runtime/hotspot_{promotions,
+    demotions,items_added,items_removed}``, so the listeners of one
+    shard's two planes increment the same counters; the promoted-group
+    size is the plane's own ``obs/<plane>/promoted_group_size``.
+    """
 
     __slots__ = (
         "_promotions",
@@ -68,12 +77,12 @@ class HotspotChurnTelemetry:
     )
 
     def __init__(self, registry: MetricsRegistry, plane: str) -> None:
-        prefix = f"obs/{plane}"
-        self._promotions = registry.counter(f"{prefix}/promotions")
-        self._demotions = registry.counter(f"{prefix}/demotions")
-        self._hot_items_added = registry.counter(f"{prefix}/hot_items_added")
-        self._hot_items_removed = registry.counter(f"{prefix}/hot_items_removed")
-        self._promoted_size = registry.histogram(f"{prefix}/promoted_group_size")
+        prefix = f"{plane.rpartition('/')[0]}/runtime/hotspot"
+        self._promotions = registry.counter(f"{prefix}_promotions")
+        self._demotions = registry.counter(f"{prefix}_demotions")
+        self._hot_items_added = registry.counter(f"{prefix}_items_added")
+        self._hot_items_removed = registry.counter(f"{prefix}_items_removed")
+        self._promoted_size = registry.histogram(f"obs/{plane}/promoted_group_size")
 
     def on_promoted(self, group: Any) -> None:
         self._promotions.inc()

@@ -11,44 +11,30 @@ deltas, packed as one TELEMETRY frame
 into its own registry and tracer, so ``/metrics``, ``repro stats`` and
 the exported Chrome trace show one unified view.
 
-Naming on merge: worker metric names that already embed their shard
-(``obs/shard/3/band/headroom``) merge verbatim — they are globally
-unique by construction.  Names that do not (``runtime/hotspot_promotions``,
-``worker/e2e/ingest_to_apply_us``) gain a ``shard/<N>/`` prefix — the
-namespace the pipeline's own per-shard instruments use — so two workers
-never collide on one parent instrument.
+Naming: there is no renaming on merge.  Every metric a worker keeps is
+named for its shard where it is created (``shard/3/runtime/
+hotspot_promotions``, ``obs/shard/3/band/headroom``), and the TELEMETRY
+decoder refuses a name without the sending shard's ``shard/<N>/`` path
+component, so two workers never collide on one parent instrument.
 
 Deltas, not absolutes, for counters and histograms: the parent may also
-increment the same merged name (it never does today, but addition makes
+increment the same name (it never does today, but addition makes
 the merge idempotent-by-construction against that future); gauges are
 point-in-time and merge last-writer-wins.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.obs.tracing import RingTracer, SpanRecord
+from repro.obs.tracing import RingTracer
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.transport.frames import HistogramDelta, TelemetryPayload
 
 __all__ = [
     "TelemetryCollector",
-    "merged_metric_name",
     "merge_telemetry",
 ]
-
-
-def merged_metric_name(name: str, shard: int) -> str:
-    """The parent-registry name for a worker metric.
-
-    Names already scoped to the shard (any ``shard/<N>/`` path component)
-    pass through unchanged; everything else gains a ``shard/<N>/`` prefix.
-    """
-    if f"/shard/{shard}/" in f"/{name}":
-        return name
-    return f"shard/{shard}/{name}"
 
 
 class TelemetryCollector:
@@ -57,10 +43,6 @@ class TelemetryCollector:
     Each :meth:`collect` returns what changed since the previous call
     (first call: everything), advancing the collector's cursors.  Not
     thread-safe — the worker loop is single-threaded and owns it.
-
-    ``tracer`` is ``None`` for a shard whose spans already go straight to
-    the parent's tracer (``process-shm``'s shard 0, applied in the
-    parent): its payloads carry metrics only.
     """
 
     __slots__ = (
@@ -74,9 +56,7 @@ class TelemetryCollector:
         "_hist_buckets_prev",
     )
 
-    def __init__(
-        self, shard: int, registry: MetricsRegistry, tracer: Optional[RingTracer]
-    ) -> None:
+    def __init__(self, shard: int, registry: MetricsRegistry, tracer: RingTracer) -> None:
         self.shard = shard
         self.registry = registry
         self.tracer = tracer
@@ -89,12 +69,7 @@ class TelemetryCollector:
     def collect(self) -> TelemetryPayload:
         """Everything recorded since the last collect, as one payload."""
         tracer = self.tracer
-        if tracer is None:
-            spans: List[SpanRecord] = []
-            pid, trace_id, dropped = os.getpid(), 0, 0
-        else:
-            spans, self._seen_spans = tracer.since(self._seen_spans)
-            pid, trace_id, dropped = tracer.pid, tracer.trace_id, tracer.dropped
+        spans, self._seen_spans = tracer.since(self._seen_spans)
         snap = self.registry.snapshot()
         counters: Dict[str, int] = {}
         for name, value in snap["counters"].items():
@@ -133,10 +108,10 @@ class TelemetryCollector:
                 buckets=bucket_deltas,
             )
         return TelemetryPayload(
-            pid=pid,
+            pid=tracer.pid,
             shard=self.shard,
-            trace_id=trace_id,
-            spans_dropped=dropped,
+            trace_id=tracer.trace_id,
+            spans_dropped=tracer.dropped,
             spans=list(spans),
             counters=counters,
             gauges=gauges,
@@ -148,27 +123,24 @@ def merge_telemetry(
     registry: MetricsRegistry,
     tracer: Optional[RingTracer],
     payload: TelemetryPayload,
-    *,
-    process_name: Optional[str] = None,
 ) -> None:
-    """Fold one worker payload into the parent's registry and tracer.
+    """Fold one worker payload into the parent's registry and tracer,
+    every metric under the name it arrived with.
 
     ``tracer`` may be ``None`` (metrics-only deployments) — spans are then
     dropped on the floor, matching what an untraced parent would export.
     """
     shard = payload.shard
     if tracer is not None:
-        tracer.set_process_name(
-            payload.pid, process_name or f"shard{shard} worker (pid {payload.pid})"
-        )
+        tracer.set_process_name(payload.pid, f"shard{shard} worker (pid {payload.pid})")
         for span in payload.spans:
             tracer.record(span)
     for name, delta in payload.counters.items():
-        registry.counter(merged_metric_name(name, shard)).inc(delta)
+        registry.counter(name).inc(delta)
     for name, value in payload.gauges.items():
-        registry.gauge(merged_metric_name(name, shard)).set(value)
+        registry.gauge(name).set(value)
     for name, hist in payload.histograms.items():
-        registry.histogram(merged_metric_name(name, shard)).merge_delta(
+        registry.histogram(name).merge_delta(
             count=hist.count,
             total=hist.total,
             min_value=hist.min_value,

@@ -99,11 +99,12 @@ def _histogram(metrics: Dict[str, Any], name: str) -> Optional[Dict[str, Any]]:
     return hist if hist and int(hist.get("count", 0)) > 0 else None
 
 
-def _sum_counters(metrics: Dict[str, Any], suffix: str, prefix: str = "obs/") -> int:
+def _sum_counters(metrics: Dict[str, Any], suffix: str) -> int:
+    """One counter summed over its parent copy and every shard's."""
     return sum(
         int(value)
         for name, value in metrics.get("counters", {}).items()
-        if name.startswith(prefix) and name.endswith(suffix)
+        if name.endswith(suffix)
     )
 
 
@@ -187,13 +188,13 @@ def render_dashboard(
     else:
         lines.append("e2e latency (us): (no samples yet)")
 
-    promotions = _sum_counters(metrics, "/promotions")
-    demotions = _sum_counters(metrics, "/demotions")
+    promotions = _sum_counters(metrics, "/runtime/hotspot_promotions")
+    demotions = _sum_counters(metrics, "/runtime/hotspot_demotions")
     churn_rate = _rate(
         promotions + demotions,
         (
-            _sum_counters(prev_metrics, "/promotions")
-            + _sum_counters(prev_metrics, "/demotions")
+            _sum_counters(prev_metrics, "/runtime/hotspot_promotions")
+            + _sum_counters(prev_metrics, "/runtime/hotspot_demotions")
         )
         if previous
         else None,
@@ -206,7 +207,7 @@ def render_dashboard(
 
     # Parent-side and worker-side (``shard/<i>/``) frame errors sum here.
     lines.append(
-        f"faults: frame errors {_sum_counters(metrics, 'transport/frame_errors', ''):,}"
+        f"faults: frame errors {_sum_counters(metrics, 'transport/frame_errors'):,}"
         f"   ring timeouts {_counter(metrics, 'transport/ring_timeouts'):,}"
         f"   torn WAL tails {_counter(metrics, 'durability/wal_torn_tail_total'):,}"
         f"   dropped events {_counter(metrics, 'pipeline/events_dropped'):,}"

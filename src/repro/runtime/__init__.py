@@ -9,13 +9,7 @@ that proves the whole stack equivalent to the unsharded facade
 """
 
 from repro.runtime.batching import BatchEntry, BatchStats, MicroBatcher
-from repro.runtime.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HotspotMetricsListener,
-    MetricsRegistry,
-)
+from repro.runtime.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.runtime.pipeline import BackpressurePolicy, EventPipeline
 from repro.runtime.replay import (
     ReplayReport,
@@ -41,7 +35,6 @@ __all__ = [
     "EventPipeline",
     "Gauge",
     "Histogram",
-    "HotspotMetricsListener",
     "MetricsRegistry",
     "MicroBatcher",
     "ReplayReport",

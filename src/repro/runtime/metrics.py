@@ -15,19 +15,26 @@ events — and never touches the live instruments.
 
 ``MetricsRegistry.snapshot()`` returns a plain nested dict (JSON-friendly);
 ``repro.obs.export.render_snapshot`` formats it as aligned text for the CLI.
+A histogram snapshot carries its raw buckets and no quantile:
+``repro.obs.export.estimate_quantile`` is the one estimator every surface
+prints.
+
+One metric namespace: an instrument gets its final name where it is
+created.  Whatever belongs to one shard is named ``shard/<i>/...`` (or
+``obs/shard/<i>/...``) by the shard that owns it, in every mode, so a
+worker's registry ships to the parent under the names the parent keeps.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "HotspotMetricsListener",
     "N_HISTOGRAM_BUCKETS",
     "bucket_index",
     "histogram_delta",
@@ -105,28 +112,13 @@ class Gauge:
         return self._value
 
 
-def _bucket_quantile(
-    buckets: List[int], count: int, max_value: float, q: float
-) -> float:
-    """Approximate ``q``-quantile (upper bucket bound)."""
-    if count == 0:
-        return 0.0
-    rank = q * count
-    seen = 0
-    for index, n in enumerate(buckets):
-        seen += n
-        if seen >= rank:
-            return float(2**index) if index else 1.0
-    return max_value
-
-
 class Histogram:
     """Log2-bucketed histogram of non-negative observations.
 
     Bucket ``i`` counts observations in ``[2**(i-1), 2**i)`` (bucket 0
-    holds ``[0, 1)``).  Quantiles are estimated by the upper bound of the
-    bucket containing the requested rank, so they are exact to within a
-    factor of two — plenty for "did p99 latency explode" dashboards.
+    holds ``[0, 1)``), so a quantile read from the buckets is exact to
+    within a factor of two — plenty for "did p99 latency explode"
+    dashboards (``repro.obs.export.estimate_quantile``).
     """
 
     __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
@@ -156,12 +148,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (upper bucket bound)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        return _bucket_quantile(self._buckets, self._count, self._max, q)
 
     def merge_delta(
         self,
@@ -201,17 +187,14 @@ class Histogram:
         count = self._count
         if count == 0:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
-                    "p50": 0.0, "p99": 0.0, "buckets": []}
-        buckets, total, max_value = self._buckets, self._sum, self._max
+                    "buckets": []}
         return {
             "count": count,
-            "sum": total,
+            "sum": self._sum,
             "min": self._min,
-            "max": max_value,
-            "mean": total / count,
-            "p50": _bucket_quantile(buckets, count, max_value, 0.5),
-            "p99": _bucket_quantile(buckets, count, max_value, 0.99),
-            "buckets": [[i, n] for i, n in enumerate(buckets) if n],
+            "max": self._max,
+            "mean": self._sum / count,
+            "buckets": [[i, n] for i, n in enumerate(self._buckets) if n],
         }
 
 
@@ -256,52 +239,3 @@ class MetricsRegistry:
                 name: h.snapshot() for name, h in sorted(self._histograms.items())
             },
         }
-
-
-class HotspotMetricsListener:
-    """Tracker listener that counts hotspot boundary traffic.
-
-    Attach to any :class:`~repro.core.hotspot_tracker.HotspotTracker` via
-    ``tracker.add_listener``.  Promotions and demotions are counted
-    symmetrically, as are the items added to and removed from hotspot
-    groups (one increment per tracker call) — churn on either axis is one
-    of the signals the runtime surfaces (a thrashing tracker means alpha
-    is mis-tuned for the workload).  The read properties expose the counts directly for tests
-    and callers holding the listener rather than the registry.
-    """
-
-    __slots__ = ("_promotions", "_demotions", "_hot_items_added", "_hot_items_removed")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str = "runtime") -> None:
-        self._promotions = registry.counter(f"{prefix}/hotspot_promotions")
-        self._demotions = registry.counter(f"{prefix}/hotspot_demotions")
-        self._hot_items_added = registry.counter(f"{prefix}/hotspot_items_added")
-        self._hot_items_removed = registry.counter(f"{prefix}/hotspot_items_removed")
-
-    def on_promoted(self, group: Any) -> None:
-        self._promotions.inc()
-
-    def on_demoted(self, group: Any) -> None:
-        self._demotions.inc()
-
-    def on_hot_items_added(self, added: Sequence[Any]) -> None:
-        self._hot_items_added.inc(len(added))
-
-    def on_hot_items_removed(self, removed: Sequence[Any]) -> None:
-        self._hot_items_removed.inc(len(removed))
-
-    @property
-    def promotions(self) -> int:
-        return self._promotions.value
-
-    @property
-    def demotions(self) -> int:
-        return self._demotions.value
-
-    @property
-    def hot_items_added(self) -> int:
-        return self._hot_items_added.value
-
-    @property
-    def hot_items_removed(self) -> int:
-        return self._hot_items_removed.value

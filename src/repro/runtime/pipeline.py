@@ -64,7 +64,7 @@ from repro.runtime.transport import frames as _frames
 from repro.runtime.transport.shm import RingTimeoutError, ShmRing, TransportError
 from repro.runtime.transport.worker import shard_worker_main
 from repro.obs.hotspot_telemetry import HeadroomSample
-from repro.obs.remote import TelemetryCollector, merge_telemetry
+from repro.obs.remote import merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
 from repro.runtime.batching import BatchEntry, MicroBatcher, _row_key
 from repro.runtime.metrics import MetricsRegistry, histogram_delta
@@ -158,15 +158,15 @@ class _ProcessShmBackend:
     Telemetry: every ``telemetry_every``-th batch roundtrip sets the
     BATCH telemetry flag, so each worker follows its RESULT with one
     TELEMETRY frame — metric deltas, which merge into the parent registry
-    (``shard/<N>/`` prefixes for unscoped names), plus, when the parent
-    tracer records (the BATCH trace id is nonzero — a worker records no
-    spans otherwise), the spans since the last ship, which merge into one
-    unified trace with per-process lanes.  Shard 0 keeps a registry of its
-    own, folded the same way on the same rounds, so its metrics carry the
-    ``shard/0/`` names a worker's would; its spans go straight into the
-    parent tracer.  ``drain_telemetry()`` forces a ship via empty flagged
-    batches (used by the reporting interval and on close, so the final
-    stats include the workers' last increments).
+    under the ``shard/<N>/`` names the worker gave them, plus, when the
+    parent tracer records (the BATCH trace id is nonzero — a worker records
+    no spans otherwise), the spans since the last ship, which merge into
+    one unified trace with per-process lanes.  Shard 0 writes straight
+    into the parent registry and tracer, under the ``shard/0/`` names a
+    worker would use; on the same rounds it samples its headroom, as a
+    worker does before it ships.  ``drain_telemetry()`` forces a ship via
+    empty flagged batches (used by the reporting interval and on close, so
+    the final stats include the workers' last increments).
     """
 
     def __init__(
@@ -203,12 +203,9 @@ class _ProcessShmBackend:
         self._closed = False
         if isinstance(tracer, RingTracer):
             tracer.set_process_name(tracer.pid, "pipeline (parent)")
-        local_metrics = MetricsRegistry()
         self._local = _InlineBackend(
-            ShardGroup([0], alpha=alpha, epsilon=epsilon, metrics=local_metrics,
-                       tracer=tracer)
+            ShardGroup([0], alpha=alpha, epsilon=epsilon, metrics=metrics, tracer=tracer)
         )
-        self._local_telemetry = TelemetryCollector(0, local_metrics, None)
         self._requests: Dict[int, ShmRing] = {}
         self._responses: Dict[int, ShmRing] = {}
         self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
@@ -325,13 +322,6 @@ class _ProcessShmBackend:
             for seq, deltas in results
         ]
 
-    def _fold_local_telemetry(self) -> None:
-        """Shard 0's metric deltas into the parent registry, as a worker's
-        TELEMETRY frame brings its own; headroom is sampled first, as a
-        worker samples it before shipping."""
-        self._local.sample_hotspots()
-        merge_telemetry(self.metrics, None, self._local_telemetry.collect())
-
     def _dispatch(
         self,
         entries: List[ShardEntry],
@@ -372,7 +362,7 @@ class _ProcessShmBackend:
             except TransportError as exc:
                 failure = failure or exc
         if want_telemetry:
-            self._fold_local_telemetry()
+            self._local.sample_hotspots()  # as a worker does before it ships
         if failure is not None:
             raise failure
         return out
@@ -392,8 +382,8 @@ class _ProcessShmBackend:
     def drain_telemetry(self) -> None:
         """Pull every shard's pending telemetry now.
 
-        Folds shard 0's in and sends an empty telemetry-flagged BATCH to
-        every live worker (harmless: zero entries apply nothing), folding
+        Samples shard 0's headroom and sends an empty telemetry-flagged
+        BATCH to every live worker (harmless: zero entries apply nothing), folding
         the responses in.  Used by the reporting interval — worker gauges
         refresh on demand rather than on the batch cadence — and by
         ``close()`` for the final merge.
@@ -406,8 +396,8 @@ class _ProcessShmBackend:
     def sample_hotspots(self) -> List[HeadroomSample]:
         """Returns no samples: the workers' stay in the workers, and shard
         0's alone would be a partial list.  Every shard samples its
-        headroom before its telemetry is folded, though, so draining
-        leaves the merged ``obs/shard/...`` gauges fresh."""
+        headroom on a telemetry round, though, so draining leaves the
+        ``obs/shard/...`` gauges fresh."""
         self.drain_telemetry()
         return []
 
@@ -867,8 +857,8 @@ class EventPipeline:
         Each sample recomputes that plane's tau by a full sweep, so this
         belongs on the reporting interval, not the event path.  Returns
         ``[]`` in ``process-shm`` mode (every shard's samples — shard 0's
-        from the parent's own group, the others' from the workers — arrive
-        as merged ``obs/shard/...`` gauges instead) and when the hotspot
+        from the parent's own group, the others' merged from the workers —
+        land in ``obs/shard/...`` gauges instead) and when the hotspot
         tracker is disabled (``alpha=None``).
         """
         return self._backend.sample_hotspots()

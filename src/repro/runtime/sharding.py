@@ -75,7 +75,7 @@ from repro.operators.hotspot_processor import (
 from repro.obs.hotspot_telemetry import HeadroomSample, HotspotTelemetry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.operators.select_join import SJSSI
-from repro.runtime.metrics import HotspotMetricsListener, MetricsRegistry
+from repro.runtime.metrics import MetricsRegistry
 
 DOMAIN_LO = 0.0
 DOMAIN_HI = 10_000.0
@@ -297,9 +297,7 @@ class Shard:
                 self.table_s_select, self.table_r, alpha=alpha, epsilon=epsilon
             )
             if metrics is not None:
-                listener = HotspotMetricsListener(metrics)
-                self.band.tracker.add_listener(listener)
-                self.select.tracker.add_listener(listener)
+                # Each plane's churn lands in shard/<index>/runtime/hotspot_*.
                 self.telemetry = HotspotTelemetry(metrics, tracer)
                 self.telemetry.attach(self.band.tracker, f"shard/{index}/band")
                 self.telemetry.attach(self.select.tracker, f"shard/{index}/select")

@@ -77,7 +77,9 @@ three length-prefixed sections::
                      n_buckets, then n_buckets x <HQ> (index, delta)
 
 Counter and histogram sections are *deltas* (merging is addition on the
-parent); gauges are last-writer-wins absolutes.  Span ``args`` ride as
+parent); gauges are last-writer-wins absolutes.  Every metric name holds
+the sending shard's ``shard/<N>/`` path component — the parent folds names
+unchanged — and the decoder refuses one that does not.  Span ``args`` ride as
 UTF-8 JSON (data, not code — unlike pickle nothing executes on load),
 with 0 length meaning no args.
 
@@ -538,6 +540,15 @@ def _read_telemetry(reader: Reader) -> TelemetryPayload:
     pid, shard, trace_id, spans_dropped = reader.unpack(
         _TELE_CTX, "telemetry context header"
     )
+    scope = f"/shard/{shard}/"
+
+    def scoped(name: str) -> str:
+        # The parent folds metric names as they arrive: a name outside the
+        # sending shard's scope would land in another shard's, or in none.
+        if scope not in f"/{name}":
+            raise FrameError(f"metric {name!r} lacks the shard/{shard}/ scope")
+        return name
+
     (n_spans,) = reader.unpack(_U32, "telemetry span count")
     spans: List[SpanRecord] = []
     for _ in range(n_spans):
@@ -562,17 +573,17 @@ def _read_telemetry(reader: Reader) -> TelemetryPayload:
     (n_counters,) = reader.unpack(_U32, "telemetry counter count")
     counters: Dict[str, int] = {}
     for _ in range(n_counters):
-        name = reader.text(_U16, "telemetry counter name")
+        name = scoped(reader.text(_U16, "telemetry counter name"))
         (counters[name],) = reader.unpack(_I64, "telemetry counter")
     (n_gauges,) = reader.unpack(_U32, "telemetry gauge count")
     gauges: Dict[str, float] = {}
     for _ in range(n_gauges):
-        name = reader.text(_U16, "telemetry gauge name")
+        name = scoped(reader.text(_U16, "telemetry gauge name"))
         (gauges[name],) = reader.unpack(_F64, "telemetry gauge")
     (n_histograms,) = reader.unpack(_U32, "telemetry histogram count")
     histograms: Dict[str, HistogramDelta] = {}
     for _ in range(n_histograms):
-        name = reader.text(_U16, "telemetry histogram name")
+        name = scoped(reader.text(_U16, "telemetry histogram name"))
         count, total, min_value, max_value, n_buckets = reader.unpack(
             _TELE_HIST, "telemetry histogram header"
         )

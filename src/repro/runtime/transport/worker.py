@@ -19,7 +19,9 @@ Observability: the worker runs its *own*
 :class:`~repro.obs.tracing.RingTracer` and
 :class:`~repro.runtime.metrics.MetricsRegistry` — the shard wires its
 hotspot telemetry and fastpath spans into them exactly as the inline
-backend would.  Each BATCH frame carries the parent's trace id and the
+backend would, and every metric in that registry is already named for its
+shard (``shard/<i>/...`` or ``obs/shard/<i>/...``), so the parent folds it
+under the same name.  Each BATCH frame carries the parent's trace id and the
 open roundtrip span id; the worker adopts both so its spans join the
 parent's trace, and a zero trace id — an untraced parent, which would
 drop the spans on arrival — switches span recording off until a traced
@@ -27,7 +29,7 @@ BATCH comes (:class:`_BatchTracer`), so tracing costs a worker nothing
 unless someone reads it.  Metrics are always kept: the worker measures
 per-entry ingest-to-apply latency from the batch's monotonic ingest
 timestamps (CLOCK_MONOTONIC is shared across processes on one host) and
-folds them into ``worker/e2e/ingest_to_apply_us`` once per batch.  When
+folds them into ``shard/<i>/worker/e2e/ingest_to_apply_us`` once per batch.  When
 a BATCH requests telemetry (flag bit0), the worker follows its
 response with one TELEMETRY frame — deltas collected by
 :class:`~repro.obs.remote.TelemetryCollector` — preserving the
@@ -145,7 +147,7 @@ def shard_worker_main(
     group = ShardGroup([index], alpha=alpha, epsilon=epsilon, metrics=registry,
                        tracer=tracer)
     collector = TelemetryCollector(index, registry, tracer.ring)
-    e2e = registry.histogram("worker/e2e/ingest_to_apply_us")
+    e2e = registry.histogram(f"shard/{index}/worker/e2e/ingest_to_apply_us")
     try:
         while True:
             payload = requests.recv(timeout=None)
@@ -156,7 +158,7 @@ def shard_worker_main(
                 # The protocol is strictly one frame in flight, so a
                 # malformed request still gets its response — the pipeline
                 # re-raises it; only SHUTDOWN ends the loop.
-                registry.counter("transport/frame_errors").inc()
+                registry.counter(f"shard/{index}/transport/frame_errors").inc()
                 responses.send(
                     frames.encode_error_frame(
                         f"shard {index} worker: bad request frame: {exc}"

@@ -73,7 +73,8 @@ class TestSnapshotsAndStats:
         record = latest_snapshot(str(served["snaps"]))
         metrics = record["metrics"]
         counter_names = set(metrics["counters"])
-        assert any(name.endswith("/promotions") for name in counter_names)
+        assert {"shard/0/runtime/hotspot_promotions",
+                "shard/1/runtime/hotspot_promotions"} <= counter_names
         assert any(name.endswith("/reconstructions") for name in counter_names)
         gauges = metrics["gauges"]
         for plane in ("shard/0/band", "shard/1/select"):
@@ -132,6 +133,13 @@ class TestStatsLiveEndpoint:
             assert "live/hits" in out and "41" in out
             assert main(["stats", "--url", server.url, "--format", "prom"]) == 0
             assert "repro_live_hits_total 41" in capsys.readouterr().out
+
+    def test_stats_url_header_shows_the_publish_seq(self, capsys):
+        registry = MetricsRegistry()
+        with MetricsServer(registry, port=0) as server:
+            server.publish(registry.snapshot())
+            assert main(["stats", "--url", server.url]) == 0
+            assert "snapshot seq=1 " in capsys.readouterr().out
 
     def test_stats_url_connection_error(self, capsys):
         # A closed server: pick a port by binding then closing.

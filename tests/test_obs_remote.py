@@ -3,32 +3,65 @@ collector and the parent-side merge (``repro.obs.remote``)."""
 
 import math
 
-from repro.obs.remote import TelemetryCollector, merge_telemetry, merged_metric_name
+import pytest
+
+from repro.core.intervals import Interval
+from repro.engine.queries import BandJoinQuery
+from repro.obs.remote import TelemetryCollector, merge_telemetry
 from repro.obs.tracing import RingTracer, SpanRecord
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.transport.frames import HistogramDelta, TelemetryPayload
+from repro.runtime.sharding import ShardGroup
+from repro.runtime.transport.frames import (
+    FrameError,
+    HistogramDelta,
+    TelemetryPayload,
+    decode_frame,
+    encode_telemetry_frame,
+)
+
+
+def ship(registry, payload):
+    """Send ``payload`` through a TELEMETRY frame and merge it."""
+    _, decoded = decode_frame(encode_telemetry_frame(payload))
+    merge_telemetry(registry, None, decoded)
 
 
 class TestMergedMetricName:
+    """The parent keeps every worker metric under the name it arrived with;
+    the worker gives it its shard's scope where it is created."""
+
     def test_unscoped_names_gain_shard_prefix(self):
-        assert merged_metric_name("runtime/hotspot_promotions", 3) == (
-            "shard/3/runtime/hotspot_promotions"
+        worker = MetricsRegistry()
+        group = ShardGroup([3], alpha=0.5, metrics=worker)
+        # Co-stabbed band queries form one dominant group -> promote.
+        group.shards[0].subscribe(
+            *(BandJoinQuery(Interval(-1.0, 1.0), qid=q) for q in range(12))
         )
-        assert merged_metric_name("worker/e2e/ingest_to_apply_us", 0) == (
-            "shard/0/worker/e2e/ingest_to_apply_us"
-        )
+        parent = MetricsRegistry()
+        ship(parent, TelemetryCollector(3, worker, RingTracer(capacity=8)).collect())
+        snap = parent.snapshot()
+        assert snap["counters"]["shard/3/runtime/hotspot_promotions"] >= 1
+        names = [name for section in snap.values() for name in section]
+        assert names and all("shard/3/" in f"/{name}" for name in names)
 
     def test_shard_scoped_names_pass_through(self):
-        assert merged_metric_name("obs/shard/3/band/headroom", 3) == (
-            "obs/shard/3/band/headroom"
-        )
-        assert merged_metric_name("shard/2/batch_us", 2) == "shard/2/batch_us"
+        parent = MetricsRegistry()
+        ship(parent, TelemetryPayload(
+            pid=1, shard=3, gauges={"obs/shard/3/band/headroom": 5.0}
+        ))
+        ship(parent, TelemetryPayload(pid=1, shard=2, counters={"shard/2/batch_us": 7}))
+        snap = parent.snapshot()
+        assert snap["gauges"]["obs/shard/3/band/headroom"] == 5.0
+        assert snap["counters"] == {"shard/2/batch_us": 7}
 
     def test_other_shards_number_still_prefixes(self):
-        # A name scoped to a DIFFERENT shard is not this worker's scope.
-        assert merged_metric_name("obs/shard/1/band/headroom", 2) == (
-            "shard/2/obs/shard/1/band/headroom"
+        # A name scoped to a DIFFERENT shard is not this worker's scope:
+        # the decoder refuses it before the parent could fold it.
+        payload = TelemetryPayload(
+            pid=1, shard=2, gauges={"obs/shard/1/band/headroom": 5.0}
         )
+        with pytest.raises(FrameError, match="shard/2/ scope"):
+            ship(MetricsRegistry(), payload)
 
 
 class TestTelemetryCollector:
@@ -95,10 +128,10 @@ class TestMergeTelemetry:
                     span_id=9, parent_id=2,
                 )
             ],
-            counters={"runtime/hotspot_promotions": 4},
+            counters={"shard/1/runtime/hotspot_promotions": 4},
             gauges={"obs/shard/1/band/headroom": 55.0},
             histograms={
-                "worker/e2e/ingest_to_apply_us": HistogramDelta(
+                "shard/1/worker/e2e/ingest_to_apply_us": HistogramDelta(
                     count=2, total=12.0, min_value=4.0, max_value=8.0,
                     buckets=[(3, 2)],
                 )
@@ -120,9 +153,9 @@ class TestMergeTelemetry:
         registry = MetricsRegistry()
         delta = TelemetryPayload(
             pid=1, shard=0,
-            counters={"runtime/x": 1},
+            counters={"shard/0/runtime/x": 1},
             histograms={
-                "h": HistogramDelta(
+                "shard/0/h": HistogramDelta(
                     count=1, total=3.0, min_value=3.0, max_value=3.0,
                     buckets=[(2, 1)],
                 )
@@ -140,7 +173,7 @@ class TestMergeTelemetry:
         payload = TelemetryPayload(
             pid=1, shard=0,
             spans=[SpanRecord(name="s", ts_ns=0, dur_ns=1, tid=1, pid=1)],
-            counters={"c": 1},
+            counters={"shard/0/c": 1},
         )
         merge_telemetry(registry, None, payload)
         assert registry.snapshot()["counters"]["shard/0/c"] == 1
@@ -150,14 +183,14 @@ class TestMergeTelemetry:
         worker_tracer = RingTracer(capacity=64)
         collector = TelemetryCollector(2, worker_registry, worker_tracer)
         for value in (10.0, 20.0, 500.0, 9_000.0):
-            worker_registry.histogram("worker/e2e/ingest_to_apply_us").observe(value)
+            worker_registry.histogram("shard/2/worker/e2e/ingest_to_apply_us").observe(value)
         parent = MetricsRegistry()
         merge_telemetry(parent, None, collector.collect())
         merged = parent.snapshot()["histograms"][
             "shard/2/worker/e2e/ingest_to_apply_us"
         ]
         original = worker_registry.snapshot()["histograms"][
-            "worker/e2e/ingest_to_apply_us"
+            "shard/2/worker/e2e/ingest_to_apply_us"
         ]
         assert merged["count"] == original["count"]
         assert math.isclose(merged["sum"], original["sum"])

@@ -33,24 +33,40 @@ class TestChurnTelemetry:
         for interval in hot:
             tracker.insert(interval)
         counters = registry.snapshot()["counters"]
-        assert counters["obs/t/band/promotions"] >= 1
-        assert counters["obs/t/band/hot_items_added"] >= 1
+        assert counters["t/runtime/hotspot_promotions"] >= 1
+        # Members present before the promotion fired are not counted.
+        assert 1 <= counters["t/runtime/hotspot_items_added"] <= len(hot)
         for interval in spread(8):
             tracker.insert(interval)
         for interval in hot[:10]:
             tracker.delete(interval)
         counters = registry.snapshot()["counters"]
-        assert counters["obs/t/band/demotions"] >= 1
-        assert counters["obs/t/band/hot_items_removed"] >= 1
+        assert counters["t/runtime/hotspot_demotions"] >= 1
+        assert counters["t/runtime/hotspot_items_removed"] >= 1
         tracker.validate()
+
+    def test_planes_share_their_shards_counters(self):
+        registry = MetricsRegistry()
+        for plane in ("band", "select"):
+            tracker = HotspotTracker(alpha=0.5)
+            tracker.add_listener(HotspotChurnTelemetry(registry, f"shard/3/{plane}"))
+            for interval in pile(8):
+                tracker.insert(interval)
+        snap = registry.snapshot()
+        per_plane = [
+            snap["histograms"][f"obs/shard/3/{plane}/promoted_group_size"]["count"]
+            for plane in ("band", "select")
+        ]
+        assert min(per_plane) >= 1
+        assert snap["counters"]["shard/3/runtime/hotspot_promotions"] == sum(per_plane)
 
     def test_promoted_group_size_observed(self):
         registry = MetricsRegistry()
         tracker = HotspotTracker(alpha=0.5)
-        tracker.add_listener(HotspotChurnTelemetry(registry, "t"))
+        tracker.add_listener(HotspotChurnTelemetry(registry, "t/band"))
         for interval in pile(12):
             tracker.insert(interval)
-        hist = registry.snapshot()["histograms"]["obs/t/promoted_group_size"]
+        hist = registry.snapshot()["histograms"]["obs/t/band/promoted_group_size"]
         assert hist["count"] >= 1
         assert hist["max"] >= 1
 
@@ -157,7 +173,7 @@ class TestHotspotTelemetryBundle:
         assert gauges["obs/shard/0/band/headroom"] == samples[0].headroom
         assert gauges["obs/shard/0/band/hotspot_coverage"] == samples[0].coverage
         # Churn flowed through the bundled listener too.
-        assert registry.snapshot()["counters"]["obs/shard/0/band/promotions"] >= 1
+        assert registry.snapshot()["counters"]["shard/0/runtime/hotspot_promotions"] >= 1
 
     def test_sample_tracks_multiple_planes(self):
         registry = MetricsRegistry()

@@ -23,8 +23,8 @@ def make_registry():
     m.counter("pipeline/events_applied").inc(1_000)
     m.counter("pipeline/results_produced").inc(250)
     m.counter("pipeline/batches").inc(40)
-    m.counter("obs/shard/0/band/promotions").inc(7)
-    m.counter("obs/shard/0/band/demotions").inc(2)
+    m.counter("shard/0/runtime/hotspot_promotions").inc(7)
+    m.counter("shard/0/runtime/hotspot_demotions").inc(2)
     for value in (50, 120, 300, 900, 2_500):
         m.histogram("pipeline/e2e_us").observe(float(value))
     m.histogram("shard/1/worker/e2e/ingest_to_apply_us").observe(80.0)

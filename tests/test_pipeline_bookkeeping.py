@@ -18,6 +18,7 @@ every item that entered or left a hotspot group.
 """
 
 import random
+import re
 import sys
 from collections import Counter as Tally
 
@@ -390,8 +391,8 @@ def churn_stream(seed, n):
 
 def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
     """Within one tracker call no hot-item counter is incremented twice,
-    and each counter's total equals the items its processors wrote into
-    (or struck from) their hot columns."""
+    and each shard's counter totals equal the items its two processors
+    wrote into (or struck from) their hot columns."""
     registry = MetricsRegistry()
     pipeline = EventPipeline(
         num_shards=2, batch_size=64, mode="inline", alpha=0.05, metrics=registry
@@ -401,9 +402,9 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
         for shard in pipeline.shard_group.shards
         for plane in ("band", "select")
     }
-    names = [f"runtime/hotspot_items_{end}" for end in ("added", "removed")] + [
-        f"obs/shard/{index}/{plane}/hot_items_{end}"
-        for index, plane in planes
+    names = [
+        f"shard/{index}/runtime/hotspot_items_{end}"
+        for index in (0, 1)
         for end in ("added", "removed")
     ]
     hot_counters = {id(registry.counter(name)) for name in names}
@@ -443,9 +444,34 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
 
     assert len(per_call) > 100 and max(per_call) == 1
     assert sum(entered.values()) > 100 and sum(left.values()) > 100
-    assert counters["runtime/hotspot_items_added"] == sum(entered.values())
-    assert counters["runtime/hotspot_items_removed"] == sum(left.values())
-    for (index, plane), processor in planes.items():
-        prefix = f"obs/shard/{index}/{plane}"
-        assert counters.get(f"{prefix}/hot_items_added", 0) == entered[id(processor)]
-        assert counters.get(f"{prefix}/hot_items_removed", 0) == left[id(processor)]
+    for index in (0, 1):
+        shard = [id(p) for (i, __), p in planes.items() if i == index]
+        prefix = f"shard/{index}/runtime/hotspot_items"
+        assert counters[f"{prefix}_added"] == sum(entered[p] for p in shard)
+        assert counters[f"{prefix}_removed"] == sum(left[p] for p in shard)
+
+
+def test_one_metric_namespace_in_every_mode():
+    """One churn stream through ``inline`` and ``process-shm`` at K = 2
+    ends with the same ``shard/<i>/runtime/hotspot_*`` counters, and no
+    metric of either mode is named outside the namespace roots."""
+    churn = {}
+    for mode in ("inline", "process-shm"):
+        registry = MetricsRegistry()
+        with EventPipeline(
+            num_shards=2, batch_size=64, mode=mode, alpha=0.05, metrics=registry
+        ) as pipeline:
+            drive(pipeline, churn_stream(3, 1_500))
+        snapshot = registry.snapshot()
+        roots = re.compile(r"(pipeline|transport|durability|shard/\d+|obs/shard/\d+)/")
+        assert not [name for kind in snapshot.values() for name in kind
+                    if not roots.match(name)]
+        churn[mode] = {name: value for name, value in snapshot["counters"].items()
+                       if "/runtime/hotspot_" in name}
+    assert sorted(churn["inline"]) == [
+        f"shard/{index}/runtime/hotspot_{what}"
+        for index in (0, 1)
+        for what in ("demotions", "items_added", "items_removed", "promotions")
+    ]
+    assert min(churn["inline"].values()) > 0
+    assert churn["process-shm"] == churn["inline"]

@@ -1,18 +1,16 @@
 """Tests for the runtime metrics primitives: counters/gauges/histograms,
 log2 bucketing, registry snapshots and the hotspot-churn listener."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
-from repro.obs.export import render_snapshot
-from repro.runtime.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HotspotMetricsListener,
-    MetricsRegistry,
-)
+from repro.obs.export import estimate_quantile, render_snapshot
+from repro.obs.hotspot_telemetry import HotspotChurnTelemetry
+from repro.runtime.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -35,10 +33,8 @@ class TestHistogram:
     def test_empty_snapshot(self):
         h = Histogram()
         assert h.count == 0 and h.mean == 0.0
-        assert h.quantile(0.99) == 0.0
         assert h.snapshot() == {
-            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
-            "p50": 0.0, "p99": 0.0, "buckets": [],
+            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0, "buckets": [],
         }
 
     def test_basic_stats(self):
@@ -57,26 +53,30 @@ class TestHistogram:
         assert h.snapshot()["min"] == 0.0 and h.snapshot()["max"] == 0.0
 
     def test_quantiles_within_factor_of_two(self):
-        """Log2 bucketing: the reported quantile is the upper bound of the
-        bucket holding the requested rank, so it overestimates the true
-        quantile by at most 2x and never underestimates it."""
+        """Log2 bucketing: a quantile read from the buckets lies in the
+        true quantile's bucket, so within a factor of two of it."""
         h = Histogram()
         values = [float(v) for v in range(1, 1_000)]
         for value in values:
             h.observe(value)
+        snap = h.snapshot()
         for q in (0.5, 0.9, 0.99):
-            true = values[int(q * len(values)) - 1]
-            got = h.quantile(q)
-            assert true <= got <= 2.0 * true
+            true = values[math.ceil(q * len(values)) - 1]
+            got = estimate_quantile(snap["buckets"], snap["count"], q)
+            assert true / 2 <= got < 2 * true
 
     def test_quantile_domain_checked(self):
-        with pytest.raises(ValueError):
-            Histogram().quantile(1.5)
+        h = Histogram()
+        h.observe(3.0)
+        snap = h.snapshot()
+        for q in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                estimate_quantile(snap["buckets"], snap["count"], q)
 
     def test_huge_values_saturate_last_bucket(self):
         h = Histogram()
         h.observe(2.0**100)
-        assert h.quantile(1.0) == 2.0**63  # clamped to the last bucket bound
+        assert h.snapshot()["buckets"] == [[63, 1]]  # clamped to the last bucket
         assert h.snapshot()["max"] == 2.0**100  # exact extremes still kept
 
 
@@ -111,16 +111,19 @@ class TestRegistry:
 
 
 class TestHotspotMetricsListener:
+    """The churn listener a shard attaches to each plane's tracker,
+    :class:`HotspotChurnTelemetry`, writing ``shard/<i>/runtime/hotspot_*``."""
+
     def test_promotions_and_demotions_counted(self):
         registry = MetricsRegistry()
         tracker = HotspotTracker(alpha=0.5)
-        tracker.add_listener(HotspotMetricsListener(registry))
+        tracker.add_listener(HotspotChurnTelemetry(registry, "shard/0/band"))
         # A pile of co-stabbed intervals forms one dominant group -> promote.
         pile = [Interval(0.0, 10.0) for _ in range(12)]
         for interval in pile:
             tracker.insert(interval)
         counters = registry.snapshot()["counters"]
-        assert counters["runtime/hotspot_promotions"] >= 1
+        assert counters["shard/0/runtime/hotspot_promotions"] >= 1
         # Scatter the set and delete most of the pile -> the group falls
         # below (alpha/2) * n and is demoted.
         spread = [Interval(100.0 * i, 100.0 * i + 1.0) for i in range(1, 9)]
@@ -129,61 +132,54 @@ class TestHotspotMetricsListener:
         for interval in pile[:10]:
             tracker.delete(interval)
         counters = registry.snapshot()["counters"]
-        assert counters["runtime/hotspot_demotions"] >= 1
+        assert counters["shard/0/runtime/hotspot_demotions"] >= 1
         tracker.validate()
 
-    def test_custom_prefix(self):
-        registry = MetricsRegistry()
-        tracker = HotspotTracker(alpha=0.5)
-        tracker.add_listener(HotspotMetricsListener(registry, prefix="shard/3"))
-        for _ in range(8):
-            tracker.insert(Interval(0.0, 1.0))
-        assert registry.snapshot()["counters"]["shard/3/hotspot_promotions"] >= 1
-
     def test_direct_callbacks_symmetric(self):
-        """Promotion and demotion are exposed symmetrically: each callback
-        increments exactly its own counter, and the read properties mirror
-        the registry values."""
+        """Promotion and demotion are counted symmetrically: each callback
+        increments exactly its own counter, whatever the group's type; a
+        promotion also records the promoted group's size."""
         registry = MetricsRegistry()
-        listener = HotspotMetricsListener(registry)
-        group = object()  # callbacks must not depend on the group's type
+        listener = HotspotChurnTelemetry(registry, "shard/3/band")
+        group = SimpleNamespace(size=4)
         listener.on_promoted(group)
         listener.on_promoted(group)
         listener.on_demoted(group)
-        counters = registry.snapshot()["counters"]
-        assert counters["runtime/hotspot_promotions"] == 2
-        assert counters["runtime/hotspot_demotions"] == 1
-        assert listener.promotions == 2
-        assert listener.demotions == 1
+        snap = registry.snapshot()
+        assert snap["counters"]["shard/3/runtime/hotspot_promotions"] == 2
+        assert snap["counters"]["shard/3/runtime/hotspot_demotions"] == 1
+        assert snap["histograms"]["obs/shard/3/band/promoted_group_size"]["sum"] == 8
 
     def test_hot_item_churn_counted(self):
         registry = MetricsRegistry()
-        listener = HotspotMetricsListener(registry, prefix="p")
-        group = object()
+        listener = HotspotChurnTelemetry(registry, "shard/3/band")
+        group = SimpleNamespace(size=2)
         item = Interval(0.0, 1.0)
         listener.on_hot_items_added([(group, item), (group, item)])
         listener.on_hot_items_added([(group, item)])
         listener.on_hot_items_removed([(group, item)])
-        counters = registry.snapshot()["counters"]
-        assert counters["p/hotspot_items_added"] == 3
-        assert counters["p/hotspot_items_removed"] == 1
-        assert listener.hot_items_added == 3
-        assert listener.hot_items_removed == 1
+        assert registry.snapshot()["counters"] == {
+            "shard/3/runtime/hotspot_demotions": 0,
+            "shard/3/runtime/hotspot_items_added": 3,
+            "shard/3/runtime/hotspot_items_removed": 1,
+            "shard/3/runtime/hotspot_promotions": 0,
+        }
 
     def test_tracker_hot_item_churn_flows_through(self):
         """Hot-item membership changes driven by a live tracker reach the
         listener's item counters, not just the promote/demote ones."""
         registry = MetricsRegistry()
         tracker = HotspotTracker(alpha=0.5)
-        listener = HotspotMetricsListener(registry)
-        tracker.add_listener(listener)
+        tracker.add_listener(HotspotChurnTelemetry(registry, "shard/0/band"))
         pile = [Interval(0.0, 10.0) for _ in range(12)]
         for interval in pile:
             tracker.insert(interval)
         # Inserts after promotion land on a hot group; members present
         # before the promotion fired are not retroactively counted.
-        assert 1 <= listener.hot_items_added <= len(pile)
+        added = registry.snapshot()["counters"]["shard/0/runtime/hotspot_items_added"]
+        assert 1 <= added <= len(pile)
         for interval in pile:
             tracker.delete(interval)
-        assert listener.hot_items_removed >= 1
+        counters = registry.snapshot()["counters"]
+        assert counters["shard/0/runtime/hotspot_items_removed"] >= 1
         tracker.validate()

@@ -368,4 +368,4 @@ class TestMetrics:
             # group, which the shard's tracker promotes to a hotspot.
             for i in range(30):
                 pipeline.subscribe(BandJoinQuery(Interval(-1.0 - 0.01 * i, 1.0)))
-            assert metrics.snapshot()["counters"]["runtime/hotspot_promotions"] >= 1
+            assert metrics.snapshot()["counters"]["shard/0/runtime/hotspot_promotions"] >= 1

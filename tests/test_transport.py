@@ -329,6 +329,19 @@ class TestPipelineLifecycle:
         finally:
             pipe.close()
 
+    def test_unscoped_worker_metric_is_a_counted_frame_error(self):
+        # The parent folds a worker's metric names unchanged, so one outside
+        # the sender's shard/<N>/ scope is refused at decode, and counted.
+        pipe = EventPipeline(num_shards=1, mode="process-shm")
+        try:
+            raw = frames.encode_telemetry_frame(frames.TelemetryPayload(
+                pid=1, shard=1, counters={"runtime/hotspot_promotions": 1}
+            ))
+            with pytest.raises(frames.FrameError, match="shard/1/ scope"):
+                pipe._backend._decode(1, raw, frames.FRAME_TELEMETRY)
+            assert pipe.metrics.counter("transport/frame_errors").value == 1
+        finally:
+            pipe.close()
 
     def test_transient_response_corruption_counts_crc_retries(self):
         # A response whose bytes validate only on a re-read is delivered,
@@ -506,9 +519,9 @@ class TestCrossProcessTelemetry:
 
         payloads = []
 
-        def recording_merge(registry, tracer, payload, **kwargs):
+        def recording_merge(registry, tracer, payload):
             payloads.append(payload)
-            merge_telemetry(registry, tracer, payload, **kwargs)
+            merge_telemetry(registry, tracer, payload)
 
         merge_telemetry = pipeline_mod.merge_telemetry
         monkeypatch.setattr(pipeline_mod, "merge_telemetry", recording_merge)
@@ -527,13 +540,13 @@ class TestCrossProcessTelemetry:
             pipe.sample_hotspots()  # drains pending worker telemetry
         finally:
             pipe.close()
-        # Shard 0's fold in the parent goes through the same merge.
-        assert {payload.shard for payload in payloads} == {0, 1}
+        # Shard 0 writes straight into the parent registry: no payload.
+        assert {payload.shard for payload in payloads} == {1}
         assert all(payload.spans == [] for payload in payloads)
         assert all(payload.spans_dropped == 0 for payload in payloads)
         snapshot = registry.snapshot()
         # Most bands sit on shard 0, one on shard 1: both trackers promote,
-        # and shard 0's count carries the name a worker's would.
+        # and each count carries its shard's name.
         counters = snapshot["counters"]
         assert counters["shard/0/runtime/hotspot_promotions"] >= 1
         assert counters["shard/1/runtime/hotspot_promotions"] >= 1

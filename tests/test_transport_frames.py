@@ -17,9 +17,10 @@ The wire contract under test:
 * every lifecycle frame survives ``decode_frame`` dispatch, and corrupted
   headers, truncated frames of every type (query sections included),
   unknown BATCH entry tags, query sections that do not match the tags,
-  subscription records the engine's value types refuse and non-UTF-8
-  names fail as :class:`FrameError`, never as another exception or a
-  silent misdecode;
+  subscription records the engine's value types refuse, non-UTF-8 names
+  and metric names outside the sending shard's ``shard/<N>/`` scope fail
+  as :class:`FrameError`, never as another exception or a silent
+  misdecode;
 * the encoders' bytes are pinned against hex literals (``TestGoldenBytes``),
   so a refactor cannot move the format silently.
 """
@@ -441,20 +442,23 @@ def telemetry_payloads(draw):
         )
         for _ in range(draw(st.integers(0, 6)))
     ]
+    shard = draw(st.integers(min_value=0, max_value=255))
+    # Every metric name carries the sending shard's scope.
+    scoped_names = metric_names.map(lambda name: f"shard/{shard}/{name}")
     counters = draw(
-        st.dictionaries(metric_names, st.integers(min_value=0, max_value=2**40), max_size=5)
+        st.dictionaries(scoped_names, st.integers(min_value=0, max_value=2**40), max_size=5)
     )
     gauges = draw(
         st.dictionaries(
-            metric_names,
+            scoped_names,
             st.floats(allow_nan=False, allow_infinity=True, width=64),
             max_size=5,
         )
     )
-    histograms = draw(st.dictionaries(metric_names, histogram_deltas(), max_size=3))
+    histograms = draw(st.dictionaries(scoped_names, histogram_deltas(), max_size=3))
     return frames.TelemetryPayload(
         pid=pid,
-        shard=draw(st.integers(min_value=0, max_value=255)),
+        shard=shard,
         trace_id=draw(u63),
         spans_dropped=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         spans=spans,
@@ -581,12 +585,24 @@ class TestTruncation:
         delta = frames.HistogramDelta(
             count=5, total=9.0, min_value=1.0, max_value=3.0, buckets=buckets
         )
-        payload = frames.TelemetryPayload(pid=1, shard=1, histograms={"h": delta})
+        payload = frames.TelemetryPayload(pid=1, shard=1, histograms={"shard/1/h": delta})
         with pytest.raises(frames.FrameError, match=match):
             frames.decode_frame(frames.encode_telemetry_frame(payload))
 
+    def test_unscoped_metric_name_raises_frame_error(self):
+        """The parent folds a worker's metric names unchanged, so each must
+        hold the sending shard's ``shard/<N>/`` path component."""
+        delta = frames.HistogramDelta(
+            count=1, total=1.0, min_value=1.0, max_value=1.0, buckets=[(1, 1)]
+        )
+        for name in ("runtime/hotspot_promotions", "obs/shard/2/band/tau", "shard/10/x"):
+            for section, value in (("counters", 1), ("gauges", 1.0), ("histograms", delta)):
+                payload = frames.TelemetryPayload(pid=1, shard=1, **{section: {name: value}})
+                with pytest.raises(frames.FrameError, match="shard/1/ scope"):
+                    frames.decode_frame(frames.encode_telemetry_frame(payload))
+
     def test_non_utf8_telemetry_name_raises_frame_error(self):
-        payload = frames.TelemetryPayload(pid=1, shard=0, counters={"abcd": 1})
+        payload = frames.TelemetryPayload(pid=1, shard=0, counters={"shard/0/abcd": 1})
         encoded = frames.encode_telemetry_frame(payload)
         assert encoded.count(b"abcd") == 1
         with pytest.raises(frames.FrameError):
@@ -632,12 +648,12 @@ GOLDEN_TELEMETRY = (
     "0705921000000000000001000000efcdab000000000002000000010000000c00"
     "776f726b65722e6261746368e803000000000000fa000000000000004d000000"
     "0000000009000000000000003412000000000000efcdab00000000000c000000"
-    "7b226576656e7473223a357d0100000016007472616e73706f72742f6672616d"
-    "655f6572726f72730300000000000000010000000c006f62732f68656164726f"
-    "6f6d000000000000d03f010000001d00776f726b65722f6532652f696e676573"
-    "745f746f5f6170706c795f757302000000000000000000000000003e40000000"
-    "0000002440000000000000344002000000040001000000000000000500010000"
-    "0000000000"
+    "7b226576656e7473223a357d010000001e0073686172642f312f7472616e7370"
+    "6f72742f6672616d655f6572726f727303000000000000000100000014006f62"
+    "732f73686172642f312f68656164726f6f6d000000000000d03f010000002500"
+    "73686172642f312f776f726b65722f6532652f696e676573745f746f5f617070"
+    "6c795f757302000000000000000000000000003e400000000000002440000000"
+    "0000003440020000000400010000000000000005000100000000000000"
 )
 
 
@@ -716,10 +732,10 @@ class TestGoldenBytes:
                     parent_id=0x1234,
                 )
             ],
-            counters={"transport/frame_errors": 3},
-            gauges={"obs/headroom": 0.25},
+            counters={"shard/1/transport/frame_errors": 3},
+            gauges={"obs/shard/1/headroom": 0.25},
             histograms={
-                "worker/e2e/ingest_to_apply_us": frames.HistogramDelta(
+                "shard/1/worker/e2e/ingest_to_apply_us": frames.HistogramDelta(
                     count=2,
                     total=30.0,
                     min_value=10.0,
