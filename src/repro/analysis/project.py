@@ -57,7 +57,7 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
 #: ``repro/durability/recovery.py``).
 WALLCLOCK_METADATA_ALLOWLIST: Dict[str, str] = {
     "repro/durability/checkpoint.py": (
-        "checkpoint manifests record a created_at_unix timestamp for "
+        "checkpoints record a created_at_unix timestamp for "
         "operator forensics only; recovery orders and selects checkpoints "
         "strictly by next_seq and never reads the timestamp"
     ),

@@ -615,7 +615,7 @@ class PipelineTarget(FuzzTarget):
         and hold the result to the uninterrupted run and the model."""
         from repro.durability import recover_system
 
-        # WAL-only recovery has no manifest to read the configuration from.
+        # WAL-only recovery has no checkpoint to read the configuration from.
         recovered, report = recover_system(
             crash_dir, num_shards=NUM_SHARDS, alpha=ALPHA, epsilon=EPSILON
         )
@@ -655,15 +655,14 @@ class PipelineTarget(FuzzTarget):
 
 #: The pipeline target's cells, ``(mode, batch size, durable)``.
 #: ``process-shm`` spawns a worker for every shard but shard 0, which runs
-#: in the parent, so its cell stays out of
-#: :data:`DEFAULT_TARGETS`; ``process-shm`` x durable is not a cell because
-#: :class:`EventPipeline` rejects durability outside ``inline``.
+#: in the parent, so its cells stay out of :data:`DEFAULT_TARGETS`.
 PIPELINE_CELLS: Tuple[Tuple[str, int, bool], ...] = (
     ("inline", 1, False),
     ("inline", 24, False),
     ("inline", 1, True),
     ("inline", 24, True),
     ("process-shm", 8, False),
+    ("process-shm", 8, True),
 )
 
 TARGET_FACTORIES: Dict[str, Callable[[], FuzzTarget]] = {

@@ -255,12 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.policy != "block":
             print("serve: --wal-dir requires --policy block", file=sys.stderr)
             return 2
-        if args.mode != "inline":
-            print(
-                f"serve: --wal-dir is not supported with --mode {args.mode}",
-                file=sys.stderr,
-            )
-            return 2
         durability = DurabilityManager(
             Path(args.wal_dir),
             fsync=args.fsync,
@@ -740,15 +734,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--shards", type=int, default=4,
-        help="shard count when no checkpoint manifest records one",
+        help="shard count when no checkpoint records one",
     )
     recover.add_argument(
         "--alpha", type=float, default=0.01,
-        help="hotspot threshold when no checkpoint manifest records one",
+        help="hotspot threshold when no checkpoint records one",
     )
     recover.add_argument(
         "--epsilon", type=float, default=1.0,
-        help="SSI epsilon when no checkpoint manifest records one",
+        help="SSI epsilon when no checkpoint records one",
     )
     recover.set_defaults(func=_cmd_recover)
 

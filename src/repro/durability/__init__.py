@@ -4,15 +4,16 @@ The subsystem gives :class:`~repro.runtime.pipeline.EventPipeline` — the
 one host of shard state — a crash story: every accepted event is logged to
 a segmented, CRC-framed write-ahead log *before* it is applied
 (:mod:`repro.durability.wal`, records in the shared :mod:`repro.wire`
-format), periodic per-shard checkpoints bound the replay tail (:mod:`repro.durability.checkpoint`), and recovery restores
-the newest valid checkpoint plus a sequence-deduped WAL replay, tolerating
-the torn final record a crash leaves behind
+format), periodic checkpoints — one file of every row and live query —
+bound the replay tail (:mod:`repro.durability.checkpoint`), and recovery
+restores the newest valid checkpoint plus a sequence-deduped WAL replay,
+tolerating the torn final record a crash leaves behind
 (:mod:`repro.durability.recovery`).  :class:`DurabilityManager` is the
 single handle the runtime wires in (:mod:`repro.durability.manager`).
 
 Everything on the recovery path runs on the deterministic sequence-number
 plane (lint rule RA001 covers this package); wall clocks appear only as
-checkpoint manifest metadata.  Entry points: ``repro serve --wal-dir`` and
+checkpoint metadata.  Entry points: ``repro serve --wal-dir`` and
 ``repro recover``.
 """
 

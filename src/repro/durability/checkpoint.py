@@ -1,34 +1,31 @@
-"""Per-shard checkpoints: atomic snapshots that bound WAL replay.
+"""Checkpoints: one atomic snapshot file that bounds WAL replay.
 
-A checkpoint is a directory ``checkpoint-<next_seq 20 digits>/`` holding
-one binary snapshot file per shard plus a JSON manifest::
+A checkpoint is one file, ``checkpoint-<next_seq 20 digits>.snap``::
 
-    checkpoint-00000000000000004096/
-        manifest.json
-        shard-0.snap
-        shard-1.snap
-        ...
+    header    <4sHHI>  magic b"RCKP", checkpoint version, codec version,
+                       crc32 of everything after the header
+    body      <QI>     next_seq, metadata length
+              metadata UTF-8 JSON {"config": {...}, "created_at_unix": ...}
+              records  every row (R by rid, then S by sid), then every
+                       live query (by qid), as repro.wire records
 
 ``next_seq`` is the first WAL sequence number *not* reflected in the
 snapshot; recovery restores the snapshot and replays the WAL from there.
-Each ``shard-k.snap`` is a concatenation of codec records covering shard
-``k``'s slice of the durable state, partitioned the same way the router
-partitions the select plane (R rows by ``B``, S rows by ``C``, queries by
-their first placement shard) — slices are disjoint, so restoring is the
-union of all files.  Within a file rows precede subscriptions, and
-recovery applies *all* rows before *any* subscription: a freshly
+Recovery applies *all* rows before *any* subscription: a freshly
 subscribed query emits no deltas for pre-existing rows, so restore order
 row-then-query reproduces exactly the structures an uninterrupted run
-would hold.
+would hold.  Nothing in the file depends on the shard count or the mode:
+restore re-routes every record through ``submit``.
 
-Writes are crash-safe by construction: everything is written into a
-``.tmp`` sibling, fsynced, then published with one atomic ``os.replace``.
-A reader either sees a complete checkpoint or none.  The manifest stores a
-CRC32 per snapshot file; validation failure (bad CRC, missing file, bad
-version) makes recovery skip that checkpoint and fall back to an older
-one — or to full-WAL replay.
+Writes are crash-safe by construction: the file is written to a ``.tmp``
+sibling, fsynced, published with one atomic ``os.replace``, and the
+directory is fsynced before the caller unlinks anything the checkpoint
+supersedes.  A reader either sees a complete checkpoint or none.  One
+that fails validation (bad magic, version or CRC, a malformed record, a
+file cut short) makes recovery skip it and fall back to an older one — or
+to full-WAL replay.
 
-The manifest's ``created_at_unix`` field is *metadata only* (operator
+The metadata's ``created_at_unix`` field is *metadata only* (operator
 forensics: "how stale is this snapshot?").  Nothing on the recovery or
 replay path reads it — progress is measured in sequence numbers — which is
 why the RA001 determinism rule allowlists wall-clock reads in exactly this
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -46,21 +44,27 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.events import DataEvent
-from repro.wire import CODEC_VERSION, DecodedRecord, DurabilityError, decode_stream
+from repro.wire import (
+    CODEC_VERSION, DecodedRecord, DurabilityError, Reader, decode_stream,
+)
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "LoadedCheckpoint",
-    "checkpoint_dirs",
+    "checkpoint_files",
     "write_checkpoint",
     "load_latest_checkpoint",
     "prune_checkpoints",
 ]
 
-CHECKPOINT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
+CHECKPOINT_MAGIC = b"RCKP"
+CHECKPOINT_VERSION = 2
 CHECKPOINT_PREFIX = "checkpoint-"
+CHECKPOINT_SUFFIX = ".snap"
+
+_HEADER = struct.Struct("<4sHHI")
+_BODY = struct.Struct("<QI")
 
 
 class CheckpointError(DurabilityError):
@@ -78,113 +82,68 @@ class LoadedCheckpoint:
     path: Optional[Path] = None
 
 
-def checkpoint_dirs(directory: Path) -> List[Path]:
-    """Checkpoint directories, oldest first (the name embeds next_seq)."""
-    return sorted(
-        p
-        for p in Path(directory).glob(f"{CHECKPOINT_PREFIX}*")
-        if p.is_dir() and not p.name.endswith(".tmp")
-    )
-
-
-def _dir_for(directory: Path, next_seq: int) -> Path:
-    return Path(directory) / f"{CHECKPOINT_PREFIX}{next_seq:020d}"
+def checkpoint_files(directory: Path) -> List[Path]:
+    """Checkpoint files, oldest first (the name embeds next_seq)."""
+    return sorted(Path(directory).glob(f"{CHECKPOINT_PREFIX}*{CHECKPOINT_SUFFIX}"))
 
 
 def write_checkpoint(
     directory: Path,
     *,
     next_seq: int,
-    shard_payloads: List[bytes],
+    payload: bytes,
     config: Dict[str, Any],
 ) -> Path:
-    """Write one checkpoint atomically; returns the published directory.
+    """Write one checkpoint atomically; returns the published file.
 
-    ``shard_payloads[k]`` is shard ``k``'s concatenated codec records.  The
-    temp directory is fully materialized (files fsynced) before the single
-    ``os.replace`` that makes it visible.
+    ``payload`` is the snapshot's concatenated wire records.  The file is
+    fsynced under its ``.tmp`` name, renamed into place, and the directory
+    fsynced, so the rename is durable before this returns.
     """
-    final = _dir_for(directory, next_seq)
+    # Metadata only: never read by recovery (see module docstring).
+    metadata = json.dumps(
+        {"config": dict(config), "created_at_unix": time.time()}, sort_keys=True
+    ).encode("utf-8")
+    body = _BODY.pack(next_seq, len(metadata)) + metadata + payload
+    final = Path(directory) / f"{CHECKPOINT_PREFIX}{next_seq:020d}{CHECKPOINT_SUFFIX}"
     tmp = final.with_name(final.name + ".tmp")
-    if tmp.exists():
-        _remove_tree(tmp)
-    tmp.mkdir(parents=True)
-    shard_entries: List[Dict[str, Any]] = []
-    for index, payload in enumerate(shard_payloads):
-        name = f"shard-{index}.snap"
-        _write_file(tmp / name, payload)
-        shard_entries.append(
-            {"file": name, "crc32": zlib.crc32(payload), "bytes": len(payload)}
+    with open(tmp, "wb") as handle:
+        handle.write(
+            _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CODEC_VERSION, zlib.crc32(body))
         )
-    manifest = {
-        "version": CHECKPOINT_VERSION,
-        "codec_version": CODEC_VERSION,
-        "next_seq": next_seq,
-        "num_shards": len(shard_payloads),
-        "shards": shard_entries,
-        "config": dict(config),
-        # Metadata only: never read by recovery (see module docstring).
-        "created_at_unix": time.time(),
-    }
-    _write_file(
-        tmp / MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-    )
-    if final.exists():
-        _remove_tree(final)
+        handle.write(body)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, final)
+    descriptor = os.open(final.parent, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
     return final
 
 
-def _write_file(path: Path, payload: bytes) -> None:
-    with open(path, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _remove_tree(path: Path) -> None:
-    for child in sorted(path.iterdir()):
-        child.unlink()
-    path.rmdir()
-
-
 def _load_one(path: Path) -> LoadedCheckpoint:
-    """Validate and decode one checkpoint directory; raises
-    :class:`CheckpointError` on any inconsistency."""
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CheckpointError(f"{path.name}: missing {MANIFEST_NAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise CheckpointError(f"{path.name}: unreadable manifest: {exc}") from exc
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path.name}: unsupported checkpoint version {manifest.get('version')}"
-        )
-    if manifest.get("codec_version") != CODEC_VERSION:
-        raise CheckpointError(
-            f"{path.name}: codec version {manifest.get('codec_version')}, "
-            f"expected {CODEC_VERSION}"
-        )
-    loaded = LoadedCheckpoint(
-        next_seq=int(manifest["next_seq"]),
-        config=dict(manifest.get("config", {})),
-        path=path,
-    )
-    for entry in manifest["shards"]:
-        snap = path / entry["file"]
-        if not snap.exists():
-            raise CheckpointError(f"{path.name}: missing snapshot {entry['file']}")
-        payload = snap.read_bytes()
-        if zlib.crc32(payload) != entry["crc32"]:
-            raise CheckpointError(f"{path.name}: CRC mismatch in {entry['file']}")
-        for record in decode_stream(payload):
-            if isinstance(record, DataEvent):
-                loaded.rows.append(record)
-            else:
-                loaded.subscriptions.append(record)
+    """Validate and decode one checkpoint file; raises a
+    :class:`~repro.wire.DurabilityError` on any inconsistency."""
+    reader = Reader(path.read_bytes(), CheckpointError)
+    magic, version, codec_version, crc = reader.unpack(_HEADER, "header")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if codec_version != CODEC_VERSION:
+        raise CheckpointError(f"codec version {codec_version}, expected {CODEC_VERSION}")
+    if zlib.crc32(reader.data[reader.offset :]) != crc:
+        raise CheckpointError("CRC mismatch")
+    next_seq, metadata_size = reader.unpack(_BODY, "body header")
+    metadata = reader.build(json.loads, reader.take(metadata_size, "metadata"))
+    loaded = LoadedCheckpoint(next_seq, dict(metadata["config"]), path=path)
+    for record in decode_stream(reader.take(reader.remaining, "records")):
+        if isinstance(record, DataEvent):
+            loaded.rows.append(record)
+        else:
+            loaded.subscriptions.append(record)
     return loaded
 
 
@@ -198,20 +157,18 @@ def load_latest_checkpoint(
     previous checkpoint (or a full WAL replay), never to a crash.
     """
     skipped: List[str] = []
-    for path in reversed(checkpoint_dirs(directory)):
+    for path in reversed(checkpoint_files(directory)):
         try:
             return _load_one(path), skipped
         except DurabilityError as exc:
-            skipped.append(str(exc))
+            skipped.append(f"{path.name}: {exc}")
     return None, skipped
 
 
 def prune_checkpoints(directory: Path, keep: Path) -> List[Path]:
-    """Remove every checkpoint directory other than ``keep`` (called after
-    a successful write; superseded snapshots only slow the next scan)."""
-    removed: List[Path] = []
-    for path in checkpoint_dirs(directory):
-        if path != keep:
-            _remove_tree(path)
-            removed.append(path)
+    """Remove every checkpoint file other than ``keep`` (called after a
+    successful write; superseded snapshots only slow the next scan)."""
+    removed = [path for path in checkpoint_files(directory) if path != keep]
+    for path in removed:
+        path.unlink()
     return removed

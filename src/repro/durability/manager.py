@@ -1,8 +1,8 @@
 """`DurabilityManager`: the runtime's one handle on the durability stack.
 
-Wiring contract (the host is an inline
-:class:`~repro.runtime.pipeline.EventPipeline`, which accepts a manager at
-construction):
+Wiring contract (the host is an
+:class:`~repro.runtime.pipeline.EventPipeline` in either mode, which
+accepts a manager at construction):
 
 * **log-before-apply** — the host calls :meth:`log_event` for every
   accepted event *before* any shard sees it, so the WAL is always a
@@ -16,10 +16,10 @@ construction):
   policy means: every event a shard has applied is already durable;
 * **checkpoint trigger** — after applying events the host checks
   :attr:`checkpoint_due` and calls :meth:`checkpoint`, which drains the
-  host, snapshots per-shard state atomically, and prunes covered WAL
-  segments.  The trigger is *count-based* (events since last checkpoint),
-  not time-based, keeping the whole subsystem on the deterministic
-  sequence plane.
+  host, snapshots its rows and queries into one file atomically, and
+  prunes covered WAL segments.  The trigger is *count-based* (events
+  since last checkpoint), not time-based, keeping the whole subsystem on
+  the deterministic sequence plane.
 
 Metrics (registered under ``durability/``): ``wal_append_seconds``
 (histogram; one sample per :meth:`sync` that has records to write: the
@@ -38,8 +38,9 @@ number.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.durability.checkpoint import prune_checkpoints, write_checkpoint
 from repro.durability.recovery import RecoveryReport, recover_into
@@ -189,8 +190,9 @@ class DurabilityManager:
 
         ``source`` is the attached host: it is drained first (pending
         micro-batches must reach the shards before the snapshot claims to
-        cover their sequence numbers), then its shard state is partitioned
-        into per-shard payloads along the router's select-plane split.
+        cover their sequence numbers).  ``write_checkpoint`` fsyncs the
+        directory after its rename, so nothing is unlinked before the new
+        checkpoint is durable.
         """
         if self._wal is None:
             raise DurabilityError("checkpoint before attach()")
@@ -202,7 +204,7 @@ class DurabilityManager:
             path = write_checkpoint(
                 self.directory,
                 next_seq=next_seq,
-                shard_payloads=self._shard_payloads(source),
+                payload=self._payload(source),
                 config=self._config_of(source),
             )
             prune_checkpoints(self.directory, keep=path)
@@ -213,29 +215,21 @@ class DurabilityManager:
             self._checkpoint_seconds.observe(elapsed)
             return path
 
-    def _shard_payloads(self, source: EventPipeline) -> List[bytes]:
-        """Partition live state into per-shard snapshot payloads.
-
-        The host's one table set is the row set; the payload partition
-        follows the router's value split (R by ``B``, S by ``C``, queries
-        by first placement shard) purely to bound per-file size — restore
-        unions all files, so the split never has to match a future shard
-        count.
-        """
-        router = source.router
-        tables = source.shard_group
-        chunks: List[List[bytes]] = [[] for _ in range(router.num_shards)]
-        for row in sorted(tables.table_r, key=lambda r: r.rid):
-            record = encode_event(DataEvent(EventKind.INSERT, "R", row))
-            chunks[router.shard_for_value(row.b)].append(record)
-        for row in sorted(tables.table_s, key=lambda s: s.sid):
-            record = encode_event(DataEvent(EventKind.INSERT, "S", row))
-            chunks[router.shard_for_value(row.c)].append(record)
-        for qid in sorted(source._queries):
-            query = source._queries[qid]
-            record = encode_event(QueryEvent(EventKind.INSERT, query))
-            chunks[router.shards_for_query(query)[0]].append(record)
-        return [b"".join(chunk) for chunk in chunks]
+    @staticmethod
+    def _payload(source: EventPipeline) -> bytes:
+        """Every row (R by rid, then S by sid), then every live query by
+        qid, as wire records: the one table set and query map the host
+        holds in either mode."""
+        tables = source.table_set
+        events = [
+            *(DataEvent(EventKind.INSERT, "R", row)
+              for row in sorted(tables.table_r, key=attrgetter("rid"))),
+            *(DataEvent(EventKind.INSERT, "S", row)
+              for row in sorted(tables.table_s, key=attrgetter("sid"))),
+            *(QueryEvent(EventKind.INSERT, source.query_by_id(qid))
+              for qid in sorted(source._queries)),
+        ]
+        return b"".join(map(encode_event, events))
 
     @staticmethod
     def _config_of(source: EventPipeline) -> Dict[str, Any]:

@@ -17,8 +17,12 @@ argument rests on two properties of the engine:
    restores a checkpoint covering ``[0, cp.next_seq)``, then replays only
    WAL records with ``seq >= cp.next_seq`` — records below that (retention
    prunes whole segments, so overlap is normal) are deduplicated by
-   sequence number, not re-applied.  No wall clock is consulted anywhere
-   on this path (lint rule RA001 enforces that structurally).
+   sequence number, not re-applied.  The records replayed must be exactly
+   ``cp.next_seq, cp.next_seq + 1, ...``: a gap (the checkpoint that
+   covered the pruned records failed validation, or is of a format this
+   reader does not know) raises :class:`RecoveryError` instead of
+   restoring a state that skips events.  No wall clock is consulted
+   anywhere on this path (lint rule RA001 enforces that structurally).
 
 A torn final record — the expected signature of a crash mid-write — is
 tolerated and reported; CRC damage elsewhere raises
@@ -100,18 +104,18 @@ def recover_into(target: EventPipeline, directory: Path) -> RecoveryReport:
 
     Phase 1 applies the newest valid checkpoint (all rows before any
     subscription — see ``checkpoint.py`` for why that order is exact);
-    phase 2 replays the WAL tail with sequence-number dedupe.  The caller
-    is responsible for suppressing re-logging while this runs (see
+    phase 2 replays the WAL tail with sequence-number dedupe, refusing a
+    gap in the sequence.  The caller is responsible for suppressing
+    re-logging while this runs (see
     :class:`~repro.durability.manager.DurabilityManager.attach`).
     """
     directory = Path(directory)
     report = RecoveryReport()
     loaded, skipped = load_latest_checkpoint(directory)
     report.skipped_checkpoints = skipped
-    replay_from = 0
+    next_seq = 0
     if loaded is not None:
-        report.checkpoint_seq = loaded.next_seq
-        replay_from = loaded.next_seq
+        report.checkpoint_seq = next_seq = loaded.next_seq
         for record in loaded.rows:
             apply_record(target, record)
         for record in loaded.subscriptions:
@@ -120,14 +124,22 @@ def recover_into(target: EventPipeline, directory: Path) -> RecoveryReport:
         report.checkpoint_subscriptions = len(loaded.subscriptions)
     scan = read_wal(directory)
     report.torn_tail = scan.torn_tail
+    # Seqs strictly increase (``read_wal`` enforces it), so only records
+    # the checkpoint covers fall below ``next_seq``.
     for wal_record in scan.records:
-        if wal_record.seq < replay_from:
+        if wal_record.seq < next_seq:
             report.deduped_records += 1
             continue
+        if wal_record.seq != next_seq:
+            raise RecoveryError(
+                f"WAL sequence gap: expected seq {next_seq}, found {wal_record.seq}"
+                + "".join(f"; skipped {note}" for note in skipped)
+            )
         apply_record(target, decode_record(wal_record.payload))
+        next_seq += 1
         report.replayed_events += 1
     target.drain()
-    report.next_seq = max(replay_from, scan.next_seq)
+    report.next_seq = next_seq
     return report
 
 
@@ -143,11 +155,12 @@ def recover_system(
     """Build an inline :class:`~repro.runtime.pipeline.EventPipeline` from
     durable state.
 
-    Construction parameters come from the checkpoint manifest's recorded
-    config when one exists (the snapshot partitioning assumes the same
-    routing), falling back to the keyword defaults for WAL-only
-    recovery.  Returns ``(pipeline, report)``; the pipeline has no
-    durability manager, so nothing it is fed afterwards is logged.
+    Construction parameters come from the checkpoint's recorded config
+    when one exists, falling back to the keyword defaults for WAL-only
+    recovery.  The config only picks them: restore re-routes every record
+    through ``submit``, so any shard count recovers the same state.
+    Returns ``(pipeline, report)``; the pipeline has no durability
+    manager, so nothing it is fed afterwards is logged.
     """
     loaded, __ = load_latest_checkpoint(Path(directory))
     config: Dict[str, Any] = loaded.config if loaded is not None else {}

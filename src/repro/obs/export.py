@@ -8,13 +8,13 @@ the data path; a snapshot it took shares nothing with it, so the
 without touching the registry.
 
 Quantiles: the runtime's histograms are power-of-two bucketed (bucket 0
-is ``[0, 1)``, bucket ``i`` is ``[2**(i-1), 2**i)``).  The histogram's own
-``p50``/``p99`` report the *upper* bucket bound (never underestimates —
-the right bias for "did latency explode" alerts).  Exposition wants a
-point estimate instead, so :func:`estimate_quantile` interpolates the
-requested rank's position inside its bucket; the estimate always lands
-strictly inside the true bucket's ``[lo, hi)`` range (property-tested in
-``tests/test_metrics_properties.py``).
+is ``[0, 1)``, bucket ``i`` is ``[2**(i-1), 2**i)``), and a histogram
+snapshot carries its count, sum, min, max, mean and nonzero buckets — no
+quantile.
+:func:`estimate_quantile` is the one place a quantile is computed: it
+interpolates the requested rank's position inside its bucket, so the
+estimate always lands strictly inside the true bucket's ``[lo, hi)``
+range (property-tested in ``tests/test_metrics_properties.py``).
 
 The JSONL snapshot stream (one JSON object per line, ``seq`` strictly
 increasing) is what ``repro serve --snapshot-out`` appends and

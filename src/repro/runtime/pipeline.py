@@ -24,8 +24,8 @@ it stacks the runtime layers on top of them:
    select-plane owner) and hands the backend one ``(seq, event, owner)``
    list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
    shards through the batch on the caller's thread, over one shared table
-   set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic, zero
-   overhead, and the only mode the durable checkpointer can reach into.
+   set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic and
+   zero overhead.
    ``mode="process-shm"`` applies shard 0 — a group of one — in this
    process and pins each of shards 1…K−1 to a persistent worker process
    behind a pair of shared-memory rings (:mod:`repro.runtime.transport`)
@@ -97,10 +97,14 @@ class BackpressurePolicy(str, enum.Enum):
 class _Backend(Protocol):
     """What the pipeline needs from an execution backend.
 
-    ``ingest_ns`` parallels the entry list with submitter-side monotonic
-    ingest timestamps; the inline backend ignores it — the pipeline
-    measures end-to-end latency itself on the emission side.
+    ``group`` is the in-process shard group; its tables hold every row in
+    either backend.  ``ingest_ns`` parallels the entry list with
+    submitter-side monotonic ingest timestamps; the inline backend ignores
+    it — the pipeline measures end-to-end latency itself on the emission
+    side.
     """
+
+    group: ShardGroup
 
     def apply_batch(
         self, entries: List[ShardEntry], ingest_ns: List[int]
@@ -206,6 +210,7 @@ class _ProcessShmBackend:
         self._local = _InlineBackend(
             ShardGroup([0], alpha=alpha, epsilon=epsilon, metrics=metrics, tracer=tracer)
         )
+        self.group = self._local.group
         self._requests: Dict[int, ShmRing] = {}
         self._responses: Dict[int, ShmRing] = {}
         self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
@@ -468,12 +473,9 @@ class EventPipeline:
         if durability is not None:
             # Log-before-apply assumes every logged event is eventually
             # applied; drop-oldest/reject would let the WAL diverge from
-            # shard state.  Worker processes keep shard state out of reach
-            # of the checkpointer.
+            # shard state.
             if BackpressurePolicy(backpressure) is not BackpressurePolicy.BLOCK:
                 raise ValueError("durability requires the 'block' backpressure policy")
-            if mode != "inline":
-                raise ValueError("durability is not supported in process-shm mode")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.router = ShardRouter(num_shards, domain_lo=domain_lo, domain_hi=domain_hi)
@@ -840,9 +842,16 @@ class EventPipeline:
         return collected
 
     @property
+    def table_set(self) -> ShardGroup:
+        """The in-process shard group, whose tables hold every row in
+        either mode: all K shards inline, shard 0 alone in ``process-shm``
+        (each process holds one full table set).  The durable
+        checkpointer snapshots its tables."""
+        return self._backend.group
+
+    @property
     def shard_group(self) -> ShardGroup:
-        """The in-process table set and its shards (inline backend; the
-        durable checkpointer snapshots the tables directly)."""
+        """The in-process table set and all K shards (inline backend)."""
         if not isinstance(self._backend, _InlineBackend):
             raise RuntimeError("shard state is not in-process in process-shm mode")
         return self._backend.group

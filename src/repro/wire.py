@@ -29,7 +29,7 @@ subscriptions across a restart or a process boundary.  ``UNSUB`` carries
 only the qid — the consumer resolves it against its live subscriptions.
 
 ``CODEC_VERSION`` is stamped into every WAL segment header and checkpoint
-manifest; readers refuse another version instead of misinterpreting it.
+header; readers refuse another version instead of misinterpreting it.
 Dependency direction: ``durability → runtime → wire``, never back — this
 module imports only ``struct``, ``core.intervals`` and ``engine`` types.
 """

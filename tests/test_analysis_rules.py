@@ -155,7 +155,7 @@ CASES.append(
         "src/repro/durability/checkpoint.py",
         "import random\nx = random.random()\n",
         # The metadata allowlist exempts exactly the wall-clock branch in
-        # this one module (manifest created_at_unix); RNG still fires.
+        # this one module (checkpoint created_at_unix); RNG still fires.
         "import time\nstamp = time.time()\n",
         "shared global RNG",
         id="RA001-durability-metadata-allowlist",

@@ -6,8 +6,11 @@ mid-record) recovers and then produces deltas byte-identical to an
 uninterrupted reference run over the same deterministic stream.
 """
 
+import os
 import shutil
+import stat
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -354,27 +357,35 @@ class TestWal:
 # -- checkpoints --------------------------------------------------------------
 
 
-def snapshot_payloads():
-    shard0 = b"".join(
-        [
-            encode_event(r_insert(1, 1.0, 2.0)),
-            encode_event(
-                QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0, 1), qid=5))
-            ),
-        ]
+def snapshot_payload():
+    return b"".join(
+        encode_event(event)
+        for event in (
+            r_insert(1, 1.0, 2.0),
+            s_insert(2, 3.0, 4.0),
+            QueryEvent(EventKind.INSERT, BandJoinQuery(Interval(0, 1), qid=5)),
+        )
     )
-    shard1 = encode_event(s_insert(2, 3.0, 4.0))
-    return [shard0, shard1]
+
+
+def write_two_checkpoints(directory):
+    """Checkpoints at seqs 10 and 20; returns the newer file."""
+    write_checkpoint(directory, next_seq=10, payload=snapshot_payload(), config={})
+    return write_checkpoint(
+        directory, next_seq=20, payload=snapshot_payload(), config={}
+    )
 
 
 class TestCheckpoint:
     def test_write_load_round_trip(self, tmp_path):
-        write_checkpoint(
+        path = write_checkpoint(
             tmp_path,
             next_seq=42,
-            shard_payloads=snapshot_payloads(),
+            payload=snapshot_payload(),
             config={"num_shards": 2},
         )
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.name == f"checkpoint-{42:020d}.snap"
         loaded, skipped = load_latest_checkpoint(tmp_path)
         assert skipped == []
         assert loaded.next_seq == 42
@@ -383,38 +394,25 @@ class TestCheckpoint:
         assert len(loaded.subscriptions) == 1
 
     def test_newest_valid_checkpoint_wins(self, tmp_path):
-        write_checkpoint(
-            tmp_path, next_seq=10, shard_payloads=snapshot_payloads(), config={}
-        )
-        write_checkpoint(
-            tmp_path, next_seq=20, shard_payloads=snapshot_payloads(), config={}
-        )
+        write_two_checkpoints(tmp_path)
         loaded, __ = load_latest_checkpoint(tmp_path)
         assert loaded.next_seq == 20
 
     def test_missing_snapshot_file_falls_back(self, tmp_path):
-        write_checkpoint(
-            tmp_path, next_seq=10, shard_payloads=snapshot_payloads(), config={}
-        )
-        newest = write_checkpoint(
-            tmp_path, next_seq=20, shard_payloads=snapshot_payloads(), config={}
-        )
-        (newest / "shard-1.snap").unlink()  # manifest now points at nothing
-        loaded, skipped = load_latest_checkpoint(tmp_path)
-        assert loaded.next_seq == 10
-        assert len(skipped) == 1 and "missing snapshot" in skipped[0]
+        """A checkpoint file cut short (records or header) is skipped."""
+        newest = write_two_checkpoints(tmp_path)
+        data = newest.read_bytes()
+        for size in (len(data) - 5, 6):
+            newest.write_bytes(data[:size])
+            loaded, skipped = load_latest_checkpoint(tmp_path)
+            assert loaded.next_seq == 10
+            assert len(skipped) == 1 and skipped[0].startswith(newest.name)
 
     def test_crc_damage_falls_back(self, tmp_path):
-        write_checkpoint(
-            tmp_path, next_seq=10, shard_payloads=snapshot_payloads(), config={}
-        )
-        newest = write_checkpoint(
-            tmp_path, next_seq=20, shard_payloads=snapshot_payloads(), config={}
-        )
-        snap = newest / "shard-0.snap"
-        data = bytearray(snap.read_bytes())
-        data[5] ^= 0xFF
-        snap.write_bytes(bytes(data))
+        newest = write_two_checkpoints(tmp_path)
+        data = bytearray(newest.read_bytes())
+        data[-5] ^= 0xFF
+        newest.write_bytes(bytes(data))
         loaded, skipped = load_latest_checkpoint(tmp_path)
         assert loaded.next_seq == 10
         assert any("CRC mismatch" in note for note in skipped)
@@ -422,6 +420,37 @@ class TestCheckpoint:
     def test_no_checkpoint_returns_none(self, tmp_path):
         loaded, skipped = load_latest_checkpoint(tmp_path)
         assert loaded is None and skipped == []
+
+    def test_directory_fsync_precedes_every_unlink(self, tmp_path, monkeypatch):
+        """The rename that publishes a checkpoint is durable before the
+        checkpoint and WAL segments it supersedes are unlinked."""
+        manager = DurabilityManager(tmp_path, fsync="never", segment_bytes=256)
+        pipeline = EventPipeline(num_shards=2, batch_size=8, durability=manager)
+        manager.attach(pipeline)
+        pipeline.run(OPS)
+        manager.checkpoint(pipeline)
+        pipeline.run([r_insert(i, float(i), 1.0) for i in range(10, 30)])
+        calls = []
+        real_fsync, real_unlink = os.fsync, os.unlink
+
+        def fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            real_fsync(fd)
+
+        def unlink(path, *args, **kwargs):
+            calls.append(f"unlink {Path(path).name}")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "unlink", unlink)
+        manager.checkpoint(pipeline)
+        monkeypatch.undo()
+        pipeline.close()
+        assert calls[:2] == ["fsync file", "fsync dir"]
+        unlinked = calls[2:]
+        assert all(call.startswith("unlink ") for call in unlinked)
+        assert any(call.startswith("unlink checkpoint-") for call in unlinked)
+        assert any(call.startswith("unlink wal-") for call in unlinked)
 
 
 # -- recovery -----------------------------------------------------------------
@@ -621,6 +650,32 @@ class TestRecovery:
         with pytest.raises(RecoveryError, match="unknown query id 77"):
             recover_into(EventPipeline(num_shards=2), tmp_path)
 
+    @pytest.mark.parametrize("damage", ["crc", "version-1-directory"])
+    def test_sequence_gap_raises(self, tmp_path, damage):
+        """With its one checkpoint unreadable (damaged, or a directory of
+        the earlier format), the WAL pruned behind it would restore a
+        state that skips every pruned event: recovery names the gap."""
+        manager = DurabilityManager(
+            tmp_path, fsync="never", checkpoint_every=100, segment_bytes=1024
+        )
+        pipeline = EventPipeline(num_shards=2, batch_size=16, durability=manager)
+        manager.attach(pipeline)
+        pipeline.run([r_insert(i, float(i), float(i % 7)) for i in range(250)])
+        pipeline.close()
+        (checkpoint,) = tmp_path.glob("checkpoint-*")
+        if damage == "crc":
+            data = bytearray(checkpoint.read_bytes())
+            data[-1] ^= 0xFF
+            checkpoint.write_bytes(bytes(data))
+        else:
+            checkpoint.unlink()
+            (tmp_path / checkpoint.stem).mkdir()
+            (tmp_path / checkpoint.stem / "manifest.json").write_text('{"version": 1}')
+        first = read_wal(tmp_path).records[0].seq
+        assert first > 0
+        with pytest.raises(RecoveryError, match=f"expected seq 0, found {first}"):
+            recover_system(tmp_path)
+
     def test_attach_recovers_then_resumes_logging(self, tmp_path):
         manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
         pipeline.run(OPS)
@@ -659,7 +714,7 @@ def normalized_outputs(results):
     ]
 
 
-def durable_pipeline(directory, metrics=None):
+def durable_pipeline(directory, metrics=None, mode="inline"):
     manager = DurabilityManager(
         directory, fsync="never", checkpoint_every=2_500, metrics=metrics
     )
@@ -667,16 +722,26 @@ def durable_pipeline(directory, metrics=None):
         num_shards=2,
         alpha=0.05,
         batch_size=64,
-        mode="inline",
+        mode=mode,
         metrics=metrics,
         durability=manager,
     )
     return manager, pipeline
 
 
+MODES = ("inline", "process-shm")
+
+
 class TestKillAndRecover:
-    @pytest.mark.parametrize("cut", ["mid-record", "random"])
-    def test_recovery_matches_uninterrupted_run(self, tmp_path, cut):
+    @pytest.mark.parametrize(
+        "mode, cut",
+        [
+            pytest.param(mode, cut, id=cut if mode == "inline" else f"{mode}-{cut}")
+            for mode in MODES
+            for cut in ("mid-record", "random")
+        ],
+    )
+    def test_recovery_matches_uninterrupted_run(self, tmp_path, mode, cut):
         stream = generate_mixed_stream(PROFILE)
         crash_at = int(len(stream) * 0.63)
 
@@ -687,7 +752,7 @@ class TestKillAndRecover:
         reference.close()
 
         wal_dir = tmp_path / "wal"
-        manager, pipeline = durable_pipeline(wal_dir)
+        manager, pipeline = durable_pipeline(wal_dir, mode=mode)
         manager.attach(pipeline)
         for event in stream[:crash_at]:
             pipeline.submit(event)
@@ -710,7 +775,7 @@ class TestKillAndRecover:
         with open(segment, "r+b") as handle:
             handle.truncate(offset)
 
-        manager2, pipeline2 = durable_pipeline(crash_dir)
+        manager2, pipeline2 = durable_pipeline(crash_dir, mode=mode)
         report = manager2.attach(pipeline2)
         assert report.next_seq <= crash_at
         # The attach recovered across the cut, and says so in the metrics.
@@ -728,17 +793,19 @@ class TestKillAndRecover:
         """The WAL holds every submitted event up to the torn tail."""
         stream = generate_mixed_stream(PROFILE)
         crash_at = 4_000
-        manager, pipeline = durable_pipeline(tmp_path / "wal")
-        manager.attach(pipeline)
-        for event in stream[:crash_at]:
-            pipeline.submit(event)
-        pipeline.drain()
-        manager.sync()
-        pipeline.close()
-        result = read_wal(tmp_path / "wal")
-        loaded, __ = load_latest_checkpoint(tmp_path / "wal")
-        assert result.next_seq == crash_at
-        assert loaded is not None and loaded.next_seq <= crash_at
+        for mode in MODES:
+            wal_dir = tmp_path / mode
+            manager, pipeline = durable_pipeline(wal_dir, mode=mode)
+            manager.attach(pipeline)
+            for event in stream[:crash_at]:
+                pipeline.submit(event)
+            pipeline.drain()
+            manager.sync()
+            pipeline.close()
+            result = read_wal(wal_dir)
+            loaded, __ = load_latest_checkpoint(wal_dir)
+            assert result.next_seq == crash_at
+            assert loaded is not None and loaded.next_seq <= crash_at
 
 
 # -- pipeline integration -----------------------------------------------------
@@ -750,10 +817,31 @@ class TestPipelineDurability:
         with pytest.raises(ValueError, match="block"):
             EventPipeline(backpressure="drop-oldest", durability=manager)
 
-    def test_rejects_process_mode(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        with pytest.raises(ValueError, match="process-shm"):
-            EventPipeline(mode="process-shm", durability=manager)
+    def test_process_shm_round_trip(self, tmp_path):
+        """A process-shm host checkpoints the rows its parent holds and the
+        queries it registered; an inline recovery reads them back."""
+        manager, pipeline = durable_pipeline(tmp_path, mode="process-shm")
+        manager.attach(pipeline)
+        with pytest.raises(RuntimeError):
+            pipeline.shards
+        stream = generate_mixed_stream(
+            StreamProfile(n_events=600, n_initial_queries=30, seed=2)
+        )
+        pipeline.run(stream)
+        path = manager.checkpoint(pipeline)
+        tables = pipeline.table_set
+        want = (len(tables.table_r), len(tables.table_s), pipeline.subscription_count)
+        pipeline.close()
+        assert want[0] and want[1] and want[2]
+
+        recovered, report = recover_system(tmp_path)
+        assert report.checkpoint_seq == len(stream) and report.replayed_events == 0
+        assert report.checkpoint_rows == want[0] + want[1]
+        tables = recovered.shard_group
+        assert (
+            len(tables.table_r), len(tables.table_s), recovered.subscription_count
+        ) == want
+        assert load_latest_checkpoint(tmp_path)[0].path == path
 
     def test_metrics_are_registered(self, tmp_path):
         metrics = MetricsRegistry()
