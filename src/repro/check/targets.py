@@ -407,9 +407,10 @@ class BatcherTarget(FuzzTarget):
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     """The group holds each relation once, at the model's size; every shard
     reads those very objects and each of its processors that can validate
-    itself does; the shards' select slices partition S; every tree a probe
-    reads (the group's ``by_b`` pair, each slice's ``by_bc``) holds its
-    B+-tree invariants, leaf chain included."""
+    itself does; the shards' select slices partition S; every index a read
+    has built, on the group's R and S and on each slice, holds its B+-tree
+    invariants, leaf chain included, and one entry per row of its table.
+    An index nobody has read stays unbuilt: checking it would build it."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -434,10 +435,16 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
         f"S select partition holds {select_total} rows fleet-wide, "
         f"model {n_s} (slices must be disjoint and exhaustive)",
     )
-    group.table_r.by_b.check_invariants()
-    group.table_s.by_b.check_invariants()
-    for shard in group.shards:
-        shard.table_s_select.by_bc.check_invariants()
+    tables: List[Tuple[str, Any]] = [("R", group.table_r), ("S", group.table_s)]
+    tables += [(f"slice {shard.index}", shard.table_s_select) for shard in group.shards]
+    for label, table in tables:
+        for index_name, tree in table.built_indexes().items():
+            tree.check_invariants()
+            expect(
+                len(tree) == len(table),
+                name,
+                f"{label}.{index_name} holds {len(tree)} entries, the table {len(table)} rows",
+            )
 
 
 def _expect_reference_tables(

@@ -378,13 +378,32 @@ class BPlusTree(Generic[V]):
     # -- insertion -----------------------------------------------------------
 
     def insert(self, key: Any, value: V) -> None:
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            sep, right = split
-            new_root = _Internal()
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
+        """Add an entry after every entry with an equal key: one descent,
+        then splits upward along the path only as far as a node overflows."""
+        node = self._root
+        path: List[Tuple[_Internal, int]] = []
+        while isinstance(node, _Internal):
+            idx = bisect.bisect_right(node.keys, key)
+            path.append((node, idx))
+            node = node.children[idx]
+        slot = bisect.bisect_right(node.keys, key)
+        node.keys.insert(slot, key)
+        node.values.insert(slot, value)
+        if len(node.keys) > self._max_keys:
+            right: Any
+            sep, right = self._split_leaf(node)
+            while path:
+                parent, idx = path.pop()
+                parent.keys.insert(idx, sep)
+                parent.children.insert(idx + 1, right)
+                if len(parent.keys) <= self._max_keys:
+                    break
+                sep, right = self._split_internal(parent)
+            else:  # the root split
+                new_root = _Internal()
+                new_root.keys = [sep]
+                new_root.children = [self._root, right]
+                self._root = new_root
         self._size += 1
         mirror = self._mirror
         if mirror is not None:
@@ -399,25 +418,6 @@ class BPlusTree(Generic[V]):
                 self._mirror = None
                 raise
             values.insert(slot, value)
-
-    def _insert(self, node: Any, key: Any, value: V) -> Optional[Tuple[Any, Any]]:
-        if isinstance(node, _Leaf):
-            slot = bisect.bisect_right(node.keys, key)
-            node.keys.insert(slot, key)
-            node.values.insert(slot, value)
-            if len(node.keys) > self._max_keys:
-                return self._split_leaf(node)
-            return None
-        idx = bisect.bisect_right(node.keys, key)
-        split = self._insert(node.children[idx], key, value)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right)
-        if len(node.keys) > self._max_keys:
-            return self._split_internal(node)
-        return None
 
     def _split_leaf(self, leaf: _Leaf[V]) -> Tuple[Any, _Leaf[V]]:
         mid = len(leaf.keys) // 2
@@ -448,10 +448,36 @@ class BPlusTree(Generic[V]):
     def remove(self, key: Any, value: Optional[V] = None) -> V:
         """Remove one entry with ``key`` (matching ``value`` if given).
 
-        Values are matched with ``is`` first, then ``==``.  Returns the
-        removed value; raises KeyError when no entry matches.
+        Values are matched with ``is`` first, then ``==``, leaf by leaf in
+        key order.  Returns the removed value; raises KeyError when no entry
+        matches.
+
+        One descent to the first leaf that can hold ``key``, then
+        rebalancing upward along the path only as far as a node underflows.
+        Only when the entry is not in that leaf and the run of equal keys
+        may continue past it (it crosses a separator) does the removal fall
+        back to searching every candidate subtree.
         """
-        removed = self._remove(self._root, key, value)
+        node = self._root
+        path: List[Tuple[_Internal, int]] = []
+        while isinstance(node, _Internal):
+            idx = bisect.bisect_left(node.keys, key)
+            path.append((node, idx))
+            node = node.children[idx]
+        found = self._find_entry(node, key, value)
+        if found is not None:
+            node.keys.pop(found)
+            removed = node.values.pop(found)
+            min_keys = self._min_keys
+            while path:
+                parent, idx = path.pop()
+                if len(parent.children[idx].keys) >= min_keys:
+                    break
+                self._rebalance_child(parent, idx)
+        elif node.next is not None and node.keys[-1] <= key:
+            removed = self._remove(self._root, key, value)
+        else:
+            removed = _MISSING
         if removed is _MISSING:
             raise KeyError(key)
         if isinstance(self._root, _Internal) and len(self._root.children) == 1:
@@ -583,6 +609,13 @@ class BPlusTree(Generic[V]):
         leaves: List[_Leaf[V]] = []
 
         def _walk(node: Any, lo: Any, hi: Any, depth: int) -> int:
+            # Every node but the root is at least half full (a removal
+            # stops rebalancing at the first node that is); an internal
+            # root has two children or more.
+            assert depth == 0 or len(node.keys) >= self._min_keys, "underfull node"
+            assert depth > 0 or isinstance(node, _Leaf) or len(node.children) >= 2, (
+                "root with one child"
+            )
             if isinstance(node, _Leaf):
                 # Duplicates may straddle separators, so bounds are inclusive
                 # on both sides.

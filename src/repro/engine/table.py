@@ -6,24 +6,25 @@ composite ``S(B, C)`` (select-joins), and symmetric processing of incoming
 S-tuples uses the mirrored indexes on R.  Rows are immutable value objects
 with surrogate ids so that streams can delete specific tuples.
 
-Which table holds which index follows from who reads it.  A standalone
-:class:`TableS` (and :class:`~repro.engine.system.ContinuousQuerySystem`'s,
-which serves both join families) keeps both S indexes.  The sharded
-runtime splits S by role, so each of its tables keeps one:
-:class:`~repro.runtime.sharding.ShardGroup`'s shared S table only
-``by_b`` (the band plane's probes), and each shard's C-slice only
-``by_bc`` (the select plane's).  An index nobody probes would cost two
-B+-tree writes per S row for nothing.  :class:`TableR` keeps both of its
-indexes everywhere: its one table serves both planes.
+Every index is **built on first read**.  A table starts with its rows in a
+dict by id and no tree; the first read of ``by_b``, ``by_ba`` or ``by_bc``
+builds that tree from the rows, and from then on :meth:`insert` and
+:meth:`delete` keep it.  So a row write pays only for the indexes some
+query has read: a select-only stream never builds the band joins' ``by_b``
+on either relation, and the sharded runtime's shared S table and C-slices
+each build the one index their plane probes.  Processors therefore read an
+index only once they hold a query of the family that probes it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterator, Optional
+from functools import cached_property
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.dstruct.btree import BPlusTree
+from repro.dstruct.btree import DEFAULT_ORDER, BPlusTree
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,125 +47,124 @@ class STuple:
     c: float
 
 
-#: The indexes a :class:`TableS` can keep: ``by_b`` on B, which band-join
-#: processors probe, and ``by_bc`` on (B, C), which select-join processors
-#: probe.
-S_INDEXES = frozenset({"by_b", "by_bc"})
+Row = TypeVar("Row", RTuple, STuple)
+#: The key of a row in one index.
+IndexKey = Callable[[Any], Any]
+
+_B: IndexKey = attrgetter("b")
 
 
-class TableS:
-    """S(B, C) with a B-tree on B and a composite B-tree on (B, C), or only
-    the ones named in ``indexes`` (a subset of :data:`S_INDEXES`).  An
-    index left out is not an attribute: reading it raises
-    ``AttributeError``."""
+class _Table(Generic[Row]):
+    """What R and S share: the rows by surrogate id, the B-tree on B, and
+    the upkeep of every index a read has built."""
 
-    by_b: BPlusTree[STuple]
-    by_bc: BPlusTree[STuple]
+    #: The surrogate-id attribute of a row.
+    _ID: ClassVar[str]
 
-    def __init__(self, order: int = 64, indexes: Collection[str] = S_INDEXES):
-        if not indexes or not S_INDEXES.issuperset(indexes):
-            raise ValueError(
-                f"indexes must be a non-empty subset of {sorted(S_INDEXES)}, "
-                f"got {sorted(indexes)}"
-            )
-        self._keeps_b = "by_b" in indexes
-        self._keeps_bc = "by_bc" in indexes
-        if self._keeps_b:
-            self.by_b = BPlusTree(order)
-        if self._keeps_bc:
-            self.by_bc = BPlusTree(order)
-        self._rows: Dict[int, STuple] = {}
+    def __init__(self, order: int = DEFAULT_ORDER) -> None:
+        self._order = order
+        self._rows: Dict[int, Row] = {}
         self._ids = itertools.count()
+        self._row_id: IndexKey = attrgetter(self._ID)
+        # (name, tree, key) of every index built so far, in build order.
+        self._built: List[Tuple[str, BPlusTree[Row], IndexKey]] = []
+
+    def _build(self, name: str, key: IndexKey) -> BPlusTree[Row]:
+        """The index ``name`` on ``key``, built from the rows.  The sort is
+        stable over insertion order (a dict's), so equal keys sit in
+        insertion order, as in a tree kept from the first row on."""
+        tree: BPlusTree[Row] = BPlusTree(self._order)
+        for row in sorted(self._rows.values(), key=key):
+            tree.insert(key(row), row)
+        self._built.append((name, tree, key))
+        return tree
+
+    @cached_property
+    def by_b(self) -> BPlusTree[Row]:
+        """The B-tree on the join attribute B (the band joins' probe)."""
+        return self._build("by_b", _B)
+
+    def built_indexes(self) -> Dict[str, BPlusTree[Row]]:
+        """Every index built so far, by name; builds none."""
+        return {name: tree for name, tree, __ in self._built}
+
+    def insert(self, row: Row) -> None:
+        row_id = self._row_id(row)
+        if row_id in self._rows:
+            raise ValueError(f"duplicate {self._ID} {row_id}")
+        self._rows[row_id] = row
+        for __, tree, key in self._built:
+            tree.insert(key(row), row)
+
+    def delete(self, row: Row) -> None:
+        """Delete the stored row with ``row``'s id, which must equal
+        ``row`` (``is``, then ``==``: a row decoded from a frame or a log
+        is a new object); else raise ``KeyError`` and change nothing."""
+        row_id = self._row_id(row)
+        stored = self._rows.get(row_id)
+        if stored is None or (stored is not row and stored != row):
+            raise KeyError(row_id)
+        del self._rows[row_id]
+        for __, tree, key in self._built:
+            tree.remove(key(stored), stored)
+
+    def get(self, row_id: int) -> Optional[Row]:
+        return self._rows.get(row_id)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._rows.values())
+
+    def scan_by_b(self) -> Iterator[Row]:
+        """All rows in increasing B order (BJ-MJ's sorted scan)."""
+        for __, row in self.by_b.items():
+            yield row
+
+    def joining(self, b: float) -> List[Row]:
+        """All rows with exactly this join-attribute value."""
+        return self.by_b.get_all(b)
+
+
+class TableS(_Table[STuple]):
+    """S(B, C) with a B-tree on B and a composite B-tree on (B, C)."""
+
+    _ID = "sid"
+
+    @cached_property
+    def by_bc(self) -> BPlusTree[STuple]:
+        """The composite B-tree on (B, C) (the select-joins' probe)."""
+        return self._build("by_bc", attrgetter("b", "c"))
 
     def new_row(self, b: float, c: float) -> STuple:
         """Create (but do not insert) a row with a fresh surrogate id."""
         return STuple(next(self._ids), b, c)
-
-    def insert(self, row: STuple) -> None:
-        if row.sid in self._rows:
-            raise ValueError(f"duplicate sid {row.sid}")
-        self._rows[row.sid] = row
-        if self._keeps_b:
-            self.by_b.insert(row.b, row)
-        if self._keeps_bc:
-            self.by_bc.insert((row.b, row.c), row)
 
     def add(self, b: float, c: float) -> STuple:
         row = self.new_row(b, c)
         self.insert(row)
         return row
 
-    def delete(self, row: STuple) -> None:
-        del self._rows[row.sid]
-        if self._keeps_b:
-            self.by_b.remove(row.b, row)
-        if self._keeps_bc:
-            self.by_bc.remove((row.b, row.c), row)
 
-    def get(self, sid: int) -> Optional[STuple]:
-        return self._rows.get(sid)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[STuple]:
-        return iter(self._rows.values())
-
-    def scan_by_b(self) -> Iterator[STuple]:
-        """All rows in increasing B order (BJ-MJ's sorted scan)."""
-        for __, row in self.by_b.items():
-            yield row
-
-    def joining(self, b: float) -> list:
-        """All rows with exactly this join-attribute value."""
-        return self.by_b.get_all(b)
-
-
-class TableR:
+class TableR(_Table[RTuple]):
     """R(A, B) with a B-tree on B and a composite B-tree on (B, A).
 
     Mirrors :class:`TableS` so that incoming S-tuples can be processed
     symmetrically ("the case in which a new S-tuple arrives is symmetric").
     """
 
-    def __init__(self, order: int = 64):
-        self.by_b: BPlusTree[RTuple] = BPlusTree(order)
-        self.by_ba: BPlusTree[RTuple] = BPlusTree(order)
-        self._rows: Dict[int, RTuple] = {}
-        self._ids = itertools.count()
+    _ID = "rid"
+
+    @cached_property
+    def by_ba(self) -> BPlusTree[RTuple]:
+        """The composite B-tree on (B, A) (S arrivals' select-join probe)."""
+        return self._build("by_ba", attrgetter("b", "a"))
 
     def new_row(self, a: float, b: float) -> RTuple:
         return RTuple(next(self._ids), a, b)
-
-    def insert(self, row: RTuple) -> None:
-        if row.rid in self._rows:
-            raise ValueError(f"duplicate rid {row.rid}")
-        self._rows[row.rid] = row
-        self.by_b.insert(row.b, row)
-        self.by_ba.insert((row.b, row.a), row)
 
     def add(self, a: float, b: float) -> RTuple:
         row = self.new_row(a, b)
         self.insert(row)
         return row
-
-    def delete(self, row: RTuple) -> None:
-        del self._rows[row.rid]
-        self.by_b.remove(row.b, row)
-        self.by_ba.remove((row.b, row.a), row)
-
-    def get(self, rid: int) -> Optional[RTuple]:
-        return self._rows.get(rid)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[RTuple]:
-        return iter(self._rows.values())
-
-    def scan_by_b(self) -> Iterator[RTuple]:
-        for __, row in self.by_b.items():
-            yield row
-
-    def joining(self, b: float) -> list:
-        return self.by_b.get_all(b)

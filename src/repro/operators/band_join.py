@@ -145,6 +145,8 @@ class BJDOuter(BandJoinStrategy):
 
     def process_r(self, r: RTuple) -> BandResults:
         results: BandResults = {}
+        if not self._queries:
+            return results  # and S(B) stays unbuilt
         for s in self.table_s.scan_by_b():
             for __, query in self._bands.iter_stab(s.b - r.b):
                 results.setdefault(query, []).append(s)
@@ -152,6 +154,8 @@ class BJDOuter(BandJoinStrategy):
 
     def process_s(self, s: STuple) -> RBandResults:
         results: RBandResults = {}
+        if not self._queries:
+            return results
         for r in self.table_r.scan_by_b():
             for __, query in self._bands.iter_stab(s.b - r.b):
                 results.setdefault(query, []).append(r)
@@ -178,6 +182,8 @@ class BJMergeJoin(BandJoinStrategy):
 
     def process_r(self, r: RTuple) -> BandResults:
         results: BandResults = {}
+        if not self._queries:
+            return results
         idx = 0
         n = len(self._by_lo)
         # Active windows currently containing the sweep point, keyed by
@@ -200,6 +206,8 @@ class BJMergeJoin(BandJoinStrategy):
         # decreases, so windows enter in descending-right-endpoint order and
         # expire once their left endpoint exceeds the point.
         results: RBandResults = {}
+        if not self._queries:
+            return results
         idx = 0
         n = len(self._by_hi_desc)
         active: List = []

@@ -208,6 +208,8 @@ class BSJSSI(BandSelectStrategy):
 
     def process_r(self, r: RTuple) -> BandSelectResults:
         results: BandSelectResults = {}
+        if not self._queries:
+            return results  # and S(B) stays unbuilt
         tree = self.table_s.by_b
         for point, structure in self._ssi.groups():
             pred, succ = tree.surrounding(point + r.b)

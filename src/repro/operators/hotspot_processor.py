@@ -374,16 +374,19 @@ class HotspotBandJoinProcessor:
         scattered queries run their window scans with per-query state
         hoisted.  Delta-identical to per-event :meth:`process_r` against
         unchanged tables."""
-        return self._process_batch(rs, self.table_s.by_b, r_side=True)
+        return self._process_batch(rs, self.table_s, r_side=True)
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
         """The mirror of :meth:`process_r_batch` for a run of S-tuples,
         delta-identical to per-event :meth:`process_s`."""
-        return self._process_batch(ss, self.table_r.by_b, r_side=False)
+        return self._process_batch(ss, self.table_r, r_side=False)
 
-    def _process_batch(self, rows: Sequence, by_b, *, r_side: bool) -> List:
+    def _process_batch(self, rows: Sequence, table, *, r_side: bool) -> List:
         results: List[Dict] = [{} for _ in rows]
-        groups = self.tracker.hotspot_groups if self._queries else ()
+        if not self._queries:
+            return results  # and the index stays unbuilt
+        by_b = table.by_b
+        groups = self.tracker.hotspot_groups
         if groups:
             points = [group.stabbing_point for group in groups]
             structures = [self._hot_indexes[id(group)] for group in groups]

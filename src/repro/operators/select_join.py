@@ -127,6 +127,8 @@ class SJNaive(SelectJoinStrategy):
         pass
 
     def process_r(self, r: RTuple) -> SelectResults:
+        if not self._queries:
+            return {}  # and S(B, C) stays unbuilt
         intermediate = self._joining_s(r.b)
         if not intermediate:
             return {}
@@ -142,6 +144,8 @@ class SJNaive(SelectJoinStrategy):
         return results
 
     def process_s(self, s: STuple) -> RSelectResults:
+        if not self._queries:
+            return {}
         intermediate = self._joining_r(s.b)
         if not intermediate:
             return {}
@@ -174,6 +178,8 @@ class SJJoinFirst(SelectJoinStrategy):
 
     def process_r(self, r: RTuple) -> SelectResults:
         results: SelectResults = {}
+        if not self._queries:
+            return results
         for s in self._joining_s(r.b):
             for __, query in self._rects.stab(s.c, r.a):
                 results.setdefault(query, []).append(s)
@@ -181,6 +187,8 @@ class SJJoinFirst(SelectJoinStrategy):
 
     def process_s(self, s: STuple) -> RSelectResults:
         results: RSelectResults = {}
+        if not self._queries:
+            return results
         for r in self._joining_r(s.b):
             for __, query in self._rects.stab(s.c, r.a):
                 results.setdefault(query, []).append(r)

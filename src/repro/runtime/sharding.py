@@ -13,8 +13,9 @@ different attributes:
   subscriptions are routed by their ``rangeC`` selection over the value
   domain, to *every* shard their range overlaps.  Each shard also keeps a
   C-slice of S (``table_s_select``: an S row lives in exactly one slice)
-  for its select processor.  Each S table keeps only the index its plane
-  probes: a C-slice (B, C), the shared table B.  An incoming S-tuple therefore probes the
+  for its select processor.  A table builds an index on its first read,
+  so each S table ends up with the one index its plane probes: a C-slice
+  (B, C), the shared table B.  An incoming S-tuple therefore probes the
   select queries of a **single** shard — the unsharded processors scan all
   select queries per S-arrival, so this is where sharding buys real
   per-event work reduction.  An incoming R-tuple probes every shard, and
@@ -282,7 +283,7 @@ class Shard:
         self.tracer = tracer
         self.table_r = table_r
         self.table_s_band = table_s_band
-        self.table_s_select = TableS(indexes=("by_bc",))  # the select plane's probe
+        self.table_s_select = TableS()  # the select plane reads by_bc alone
         self.band: Any
         self.select: Any
         self.telemetry: Optional[HotspotTelemetry] = None
@@ -519,7 +520,7 @@ class ShardGroup:
     ):
         self.tracer = tracer
         self.table_r = TableR()
-        self.table_s = TableS(indexes=("by_b",))  # the band plane's probe
+        self.table_s = TableS()  # the band plane reads by_b alone
         self.shards = [
             Shard(index, self.table_r, self.table_s, alpha=alpha, epsilon=epsilon,
                   metrics=metrics, tracer=tracer)

@@ -300,3 +300,77 @@ def test_irange_bounds():
     assert [k for k, __ in tree.irange(None, 15)] == [0, 10]
     assert [k for k, __ in tree.irange(95, None)] == []
     assert [k for k, __ in tree.irange()] == list(range(0, 100, 10))
+
+
+def height(tree):
+    levels, node = 1, tree._root
+    while hasattr(node, "children"):
+        levels, node = levels + 1, node.children[0]
+    return levels
+
+
+def leaves(tree):
+    node = tree._root
+    while hasattr(node, "children"):
+        node = node.children[0]
+    out = []
+    while node is not None:
+        out.append(node)
+        node = node.next
+    return out
+
+
+class TestSingleDescent:
+    """A write descends once; these are the cases where one leaf is not
+    the whole story."""
+
+    def test_removal_from_a_run_of_equal_keys_past_a_separator(self):
+        tree = BPlusTree(4)
+        payloads = [object() for __ in range(20)]
+        tree.insert(1, "low")
+        for p in payloads:
+            tree.insert(5, p)
+        tree.insert(9, "high")
+        # The run of 5s spans several leaves; the last payload is not in
+        # the first leaf a descent for 5 reaches.
+        assert payloads[-1] not in leaves(tree)[0].values
+        for p in reversed(payloads):
+            assert tree.remove(5, p) is p
+            tree.check_invariants()
+        assert [v for __, v in tree.items()] == ["low", "high"]
+
+    def test_removal_of_a_key_that_starts_the_next_leaf(self):
+        # Ascending inserts split at the middle, so each separator is the
+        # first key of its right leaf and a descent for it lands one leaf
+        # to the left, where the key is not.
+        tree = build(range(30))
+        key = leaves(tree)[1].keys[0]
+        assert key not in leaves(tree)[0].keys
+        assert tree.remove(key) == f"v{key}"
+        tree.check_invariants()
+        assert [k for k, __ in tree.items()] == [k for k in range(30) if k != key]
+
+    def test_removal_by_an_equal_value_prefers_the_identical_one(self):
+        tree = BPlusTree(4)
+        first, second, third = [1], [1], [2]
+        for value in (first, second, third):
+            tree.insert(7, value)
+        assert tree.remove(7, [2]) is third  # equal, not identical
+        assert tree.remove(7, second) is second  # identical beats an earlier equal
+        assert tree.get_all(7) == [first] and tree.get_all(7)[0] is first
+        with pytest.raises(KeyError):
+            tree.remove(7, [3])
+        tree.check_invariants()
+
+    def test_underflow_cascades_to_a_root_collapse(self):
+        tree = build(range(60))
+        assert height(tree) >= 3
+        heights = []
+        for key in range(60):
+            tree.remove(key)
+            tree.check_invariants()  # every node but the root half full
+            heights.append(height(tree))
+        assert heights == sorted(heights, reverse=True) and heights[-1] == 1
+        # A single removal took the tree down a level: merges ran up to
+        # the root, which collapsed into its one remaining child.
+        assert len(set(heights)) >= 3

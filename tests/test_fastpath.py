@@ -784,6 +784,38 @@ class TestShardedBatch:
         assert batches == -(-(len(population) + len(events)) // 37)
         assert _rows_struck(batched) > 0  # and interleaved: the fix-up ran
 
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_a_select_only_stream_builds_no_band_index(self, kernel, num_shards):
+        """With no band query nothing reads R(B) or the shared S(B), so
+        neither is built; a band query subscribed mid-stream builds them
+        from the rows so far and answers as the per-event system does."""
+        rng = random.Random(11)
+        batched = EventPipeline(
+            num_shards=num_shards, alpha=0.05, batch_size=16, coalesce=False,
+            domain_lo=0.0, domain_hi=100.0,
+        )
+        reference = ContinuousQuerySystem(alpha=0.05)
+
+        def subscribe(queries):
+            for query in queries:
+                batched.subscribe(query)
+                reference.subscribe(query)
+
+        def run(events):
+            want = self._reference_views(reference, events)
+            assert [ordered_view(delta) for __, ___, delta in batched.run(events)] == want
+
+        events = self._stream(rng, 300)
+        subscribe(select_queries(rng, 40))
+        run(events[:150])
+        group = batched.shard_group
+        assert list(group.table_r.built_indexes()) == ["by_ba"]
+        assert group.table_s.built_indexes() == {}
+        subscribe(band_queries(rng, 20))
+        run(events[150:])
+        assert sorted(group.table_r.built_indexes()) == ["by_b", "by_ba"]
+        assert list(group.table_s.built_indexes()) == ["by_b"]
+
     # -- the in-batch term: one batch, any interleaving ----------------------
     #
     # Each case is ONE micro-batch (after an optional preload batch) with

@@ -296,15 +296,25 @@ class TestOneTableSet:
         assert (len(group.table_r), len(group.table_s)) == (4, 1)
         assert sum(len(shard.table_s_select) for shard in group.shards) == 1
 
-    def test_each_s_table_keeps_only_the_index_its_plane_probes(self):
+    def test_each_s_table_builds_only_the_index_its_plane_probes(self):
         """The shared S table serves the band plane (``by_b``), each C-slice
-        the select plane (``by_bc``): one B+-tree write per S table, so
-        two per S row."""
-        group = EventPipeline(num_shards=3, batch_size=4).shard_group
-        assert hasattr(group.table_s, "by_b") and not hasattr(group.table_s, "by_bc")
+        the select plane (``by_bc``), R both: with both families live and
+        both relations probed, that is what each table has built — one
+        B+-tree write per S table, so two per S row."""
+        pipeline = EventPipeline(
+            num_shards=3, alpha=None, batch_size=4, domain_lo=0.0, domain_hi=100.0
+        )
+        pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
+        pipeline.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 3 slices
+        pipeline.run(
+            [DataEvent(EventKind.INSERT, "R", RTuple(0, 1.0, 50.0))]
+            + [DataEvent(EventKind.INSERT, "S", STuple(i, 50.0, 30.0 * i)) for i in range(4)]
+        )
+        group = pipeline.shard_group
+        assert sorted(group.table_r.built_indexes()) == ["by_b", "by_ba"]
+        assert list(group.table_s.built_indexes()) == ["by_b"]
         for shard in group.shards:
-            assert hasattr(shard.table_s_select, "by_bc")
-            assert not hasattr(shard.table_s_select, "by_b")
+            assert list(shard.table_s_select.built_indexes()) == ["by_bc"]
 
     def test_the_unsharded_system_keeps_both_s_indexes(self):
         table_s = ContinuousQuerySystem().table_s
