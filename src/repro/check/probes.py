@@ -247,11 +247,14 @@ def check_batcher_drain(
 def check_delta_equivalence(
     target_name: str,
     op_description: str,
-    sharded: Dict[int, Tuple[int, ...]],
-    reference: Dict[int, Tuple[int, ...]],
+    sharded: Dict[int, List[int]],
+    reference: Dict[int, List[int]],
     oracle: Dict[int, Tuple[int, ...]],
 ) -> None:
-    """Merged sharded deltas == unsharded deltas == nested-loop oracle."""
+    """Merged sharded deltas == unsharded deltas == nested-loop oracle.  The
+    first two are row ids in list order, the reference's with no empty
+    list, so a sharded list must hold a row and keep the reference's
+    order; the oracle's ids are sorted."""
     expect(
         sharded == reference,
         target_name,
@@ -259,14 +262,14 @@ def check_delta_equivalence(
         f"unsharded reference {_fmt(reference)}",
     )
     expect(
-        reference == oracle,
+        {qid: tuple(sorted(ids)) for qid, ids in reference.items()} == oracle,
         target_name,
         f"{op_description}: engine deltas {_fmt(reference)} != "
         f"nested-loop oracle {_fmt(oracle)}",
     )
 
 
-def _fmt(deltas: Dict[int, Tuple[int, ...]], limit: int = 6) -> str:
+def _fmt(deltas: Dict[int, Sequence[int]], limit: int = 6) -> str:
     entries = sorted(deltas.items())
     text = ", ".join(f"q{qid}:{list(ids)}" for qid, ids in entries[:limit])
     if len(entries) > limit:

@@ -46,7 +46,7 @@ from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.pipeline import EventPipeline
-from repro.runtime.replay import normalize_deltas
+from repro.runtime.replay import delta_row_ids, normalize_deltas
 from repro.runtime.sharding import ShardGroup
 
 
@@ -252,6 +252,7 @@ class TrackerTarget(FuzzTarget):
 
 EngineEvent = Union[DataEvent, QueryEvent]
 Deltas = Dict[int, Tuple[int, ...]]  # normalized: qid -> sorted row ids
+RowIds = Dict[int, List[int]]  # qid -> row ids in the delta's order
 
 _ROW_OPS = {
     op_mod.INSERT_R: (EventKind.INSERT, "R"),
@@ -318,19 +319,18 @@ def _oracle_deltas(model: ModelState, event: EngineEvent) -> Deltas:
 
 def _apply_reference(
     reference: ContinuousQuerySystem, event: EngineEvent
-) -> Deltas:
-    """Apply one event to the unsharded reference; its normalized deltas."""
+) -> RowIds:
+    """Apply one event to the unsharded reference; its non-empty lists'
+    row ids, in order."""
     if isinstance(event, QueryEvent):
         if event.kind is EventKind.INSERT:
             reference.subscribe(event.query)
         else:
             reference.unsubscribe(event.query)
         return {}
-    got: Deltas = {}
-    replay_data_events(
-        [event], reference, on_result=lambda _, d: got.update(normalize_deltas(d))
-    )
-    return got
+    got: Dict[Any, List[Any]] = {}
+    replay_data_events([event], reference, on_result=lambda _, d: got.update(d))
+    return {qid: ids for qid, ids in delta_row_ids(got).items() if ids}
 
 
 def _run_one(
@@ -487,10 +487,11 @@ class PipelineTarget(FuzzTarget):
     strict per-event application.  Each data event's deltas must equal both
     the reference's and the nested-loop oracle's, both captured when the op
     arrives (the runner applies the op to the model first, so the oracle
-    sees exactly the state the batch later replays against).  A sweep
-    flushes, then holds the subscription counts and the reference tables to
-    the model; an inline cell also validates its one table set and every
-    tree a probe reads.
+    sees exactly the state the batch later replays against), and against
+    the reference list by list, in order: an empty or reordered list fails.
+    A sweep flushes, then holds the subscription counts and the reference
+    tables to the model; an inline cell also validates its one table set
+    and every tree a probe reads.
 
     A durable cell logs to a real WAL (``fsync="never"``: the crash is
     simulated by copying files).  Each engine op logs exactly one record at
@@ -539,7 +540,7 @@ class PipelineTarget(FuzzTarget):
         self._recorded: Dict[int, Deltas] = {}
         # Journal indices not yet submitted, with the reference's and the
         # oracle's deltas for them.
-        self._pending: List[Tuple[int, Deltas, Deltas]] = []
+        self._pending: List[Tuple[int, RowIds, Deltas]] = []
 
     def apply(self, op: Op, model: ModelState) -> None:
         event = self._ops.event(op)
@@ -570,10 +571,11 @@ class PipelineTarget(FuzzTarget):
             f"the pipeline applied {len(results)} of {len(data)} event(s)",
         )
         for (index, reference, oracle), result in zip(data, results):
-            got = normalize_deltas(result[2])
-            check_delta_equivalence(self.name, journal[index][1], got, reference, oracle)
+            check_delta_equivalence(
+                self.name, journal[index][1], delta_row_ids(result[2]), reference, oracle
+            )
             if self.manager is not None:
-                self._recorded[index] = got
+                self._recorded[index] = normalize_deltas(result[2])
 
     def _crash(self, crash_dir: Path) -> None:
         """Freeze the durability directory as a crash would leave it, into

@@ -33,8 +33,9 @@ it stacks the runtime layers on top of them:
    boundary as columnar frames; a batch is encoded once, the same frame
    goes to every worker, and the parent applies shard 0 while they run.
 4. **merge** — per-shard deltas are merged by sequence number into one
-   per-event result dict, deterministically (sorted rows), then dispatched
-   to subscription callbacks in arrival order.
+   per-event result dict whose lists equal the per-event reference's,
+   order included (:func:`~repro.runtime.sharding.merge_deltas`), then
+   dispatched to subscription callbacks in arrival order.
 
 A subscription change is not a barrier: it rides the batch as an entry,
 and each shard group installs it at its position, probes against the
@@ -760,8 +761,8 @@ class EventPipeline:
             ingest_ns.append(stamp)
             data.append(entry)
         applied = self._backend.apply_batch(entries, ingest_ns)
-        # Only the parts that hold a delta: an event no shard answered
-        # (most of them, on most shards) needs no slot and no merge.
+        # Only the parts that hold a delta, in shard-index order (the order
+        # merge_deltas keeps): an event no shard answered needs no slot.
         parts: Dict[int, List[Delta]] = {}
         for index, (elapsed, results) in sorted(applied.items()):
             batch_us, events = self._shard_metrics[index]
@@ -783,15 +784,16 @@ class EventPipeline:
             answered = parts.get(seq)
             if answered is not None:
                 merged = merge_deltas(answered)
-                called = False
-                for query, matches in merged.items():
-                    result_rows += len(matches)
-                    callback = callbacks.get(query.qid)
-                    if callback is not None:
-                        callback(query, event.row, matches)
-                        called = True
-                if called:
-                    now = time.perf_counter_ns()
+                result_rows += sum(map(len, merged.values()))
+                if callbacks:
+                    called = False
+                    for query, matches in merged.items():
+                        callback = callbacks.get(query.qid)
+                        if callback is not None:
+                            callback(query, event.row, matches)
+                            called = True
+                    if called:
+                        now = time.perf_counter_ns()
             if stamp:
                 e2e_us.append((now - stamp) / 1_000.0)
             out.append((seq, event, merged))

@@ -149,17 +149,18 @@ def generate_mixed_stream(
 # -- equivalence -------------------------------------------------------------
 
 
+def delta_row_ids(deltas: Dict[Any, List[Any]]) -> Dict[int, List[int]]:
+    """qid -> row ids in list order, an empty list kept."""
+    return {
+        query.qid: [row.sid if isinstance(row, STuple) else row.rid for row in rows]
+        for query, rows in deltas.items()
+    }
+
+
 def normalize_deltas(deltas: Dict[Any, List[Any]]) -> Dict[int, Tuple[int, ...]]:
-    """Canonical form for comparison: qid -> sorted row ids."""
-    out: Dict[int, Tuple[int, ...]] = {}
-    for query, rows in deltas.items():
-        if not rows:
-            continue
-        ids = sorted(
-            row.sid if isinstance(row, STuple) else row.rid for row in rows
-        )
-        out[query.qid] = tuple(ids)
-    return out
+    """Canonical form for comparison: qid -> sorted row ids, empty lists
+    dropped."""
+    return {qid: tuple(sorted(ids)) for qid, ids in delta_row_ids(deltas).items() if ids}
 
 
 @dataclass

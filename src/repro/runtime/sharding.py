@@ -67,7 +67,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
-from repro.engine.table import STuple, TableR, TableS
+from repro.engine.table import TableR, TableS
 from repro.operators.band_join import BJSSI
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
@@ -688,30 +688,19 @@ class ShardGroup:
         return stop
 
 
-_S_ROW_ORDER = attrgetter("b", "c", "sid")
-_R_ROW_ORDER = attrgetter("b", "a", "rid")
-
-
 def merge_deltas(parts: Sequence[Delta]) -> Delta:
-    """Merge per-shard delta dicts into one, deterministically.
-
-    Partial match lists for the same query (a select-join spanning several
-    C-slices) are concatenated and sorted by row coordinates, so the merged
-    result is independent of shard evaluation order.  One event's matches
-    are all rows of the *other* relation, so the order is chosen per list.
+    """One event's delta from the parts of the shards that answered it, in
+    shard-index order.  One part passes through uncopied.  Several (a
+    select-join spanning C-slices) are concatenated: a query answered once
+    keeps its list, a shared one gets a new list of its parts in index
+    order.  The slices partition C in ascending index order, so every list
+    equals the per-event reference's, order included; nothing sorts.
     """
-    merged: Delta = {}
-    for part in parts:
-        for query, rows in part.items():
-            if not rows:
-                continue
-            if query in merged:
-                merged[query].extend(rows)
-            else:
-                merged[query] = list(rows)
-    for rows in merged.values():
-        if len(rows) > 1:
-            rows.sort(
-                key=_S_ROW_ORDER if isinstance(rows[0], STuple) else _R_ROW_ORDER
-            )
+    if len(parts) == 1:
+        return parts[0]
+    merged = dict(parts[0])
+    for part in parts[1:]:
+        shared = {query: merged[query] + part[query] for query in merged.keys() & part.keys()}
+        merged.update(part)
+        merged.update(shared)
     return merged

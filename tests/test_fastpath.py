@@ -784,6 +784,118 @@ class TestShardedBatch:
         assert batches == -(-(len(population) + len(events)) // 37)
         assert _rows_struck(batched) > 0  # and interleaved: the fix-up ran
 
+    @staticmethod
+    def _grid_stream(rng, count):
+        """Inserts and deletes on an integer grid: join keys 0-9 and
+        attributes on a step of 5, so equal b and equal (b, c) abound."""
+        events, live = [], []
+        rid = sid = 0
+        for __ in range(count):
+            if live and rng.random() < 0.15:
+                row = live.pop(rng.randrange(len(live)))
+                events.append(_delete(row))
+                continue
+            if rng.random() < 0.5:
+                row = RTuple(rid, float(rng.randrange(0, 100, 5)), float(rng.randrange(10)))
+                rid += 1
+            else:
+                row = STuple(sid, float(rng.randrange(10)), float(rng.randrange(0, 100, 5)))
+                sid += 1
+            live.append(row)
+            events.append(_insert(row))
+        return events
+
+    @staticmethod
+    def _grid_queries(rng):
+        """Band and select queries on the grid of :meth:`_grid_stream`; the
+        last is a select query whose rangeC spans every C-slice."""
+        population = [
+            BandJoinQuery(Interval(float(lo), float(lo + rng.randrange(4))))
+            for lo in rng.choices(range(-5, 5), k=20)
+        ]
+        population += [
+            SelectJoinQuery(
+                Interval(float(a_lo), float(a_lo + 40)), Interval(float(c_lo), float(c_lo + 30))
+            )
+            for a_lo, c_lo in zip(rng.choices(range(0, 60, 5), k=20),
+                                  rng.choices(range(0, 70, 5), k=20))
+        ]
+        population.append(SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 100.0)))
+        return population
+
+    @pytest.mark.parametrize(
+        "num_shards,batch_size,mode",
+        [(1, 1, "inline"), (1, 16, "inline"), (3, 1, "inline"), (3, 16, "inline"),
+         (3, 16, "process-shm")],
+    )
+    def test_delta_lists_keep_the_per_event_order_under_ties(
+        self, kernel, num_shards, batch_size, mode
+    ):
+        """Every list equals the per-event system's, unsorted: band lists
+        in (b, insertion) order, select lists in (c, insertion) or
+        (a, insertion) order, and a select query spanning every C-slice
+        answers an R arrival with its shards' parts in index order.  Keys
+        tie in b, (b, a) and (b, c), where no sort by row coordinates keeps
+        the insertion order."""
+        rng = random.Random(37)
+        reference = ContinuousQuerySystem(alpha=0.05)
+        population = self._grid_queries(rng)
+        spanning = population[-1]
+        events = self._grid_stream(rng, 400)
+        with EventPipeline(
+            num_shards=num_shards, alpha=0.05, batch_size=batch_size, coalesce=False,
+            domain_lo=0.0, domain_hi=100.0, mode=mode,
+        ) as batched:
+            for query in population:
+                batched.subscribe(query)
+                reference.subscribe(query)
+            results = batched.run(events)
+        want = self._reference_views(reference, events)
+        assert [ordered_view(delta) for __, ___, delta in results] == want
+        assert all(rows for __, ___, delta in results for rows in delta.values())
+        # The stream really has lists several rows long, and R arrivals
+        # whose spanning list holds S rows of more than one C-slice.
+        assert max(len(rows) for view in want for rows in view.values()) > 5
+        assert sum(
+            len({int(row.c * 3 // 100) for row in delta[spanning]}) > 1
+            for __, event, delta in results
+            if event.relation == "R" and spanning in delta
+        ) > 10
+
+    @pytest.mark.parametrize(
+        "num_shards,mode", [(1, "inline"), (3, "inline"), (3, "process-shm")]
+    )
+    def test_clearing_emitted_lists_changes_no_later_delta(self, kernel, num_shards, mode):
+        """A delta hands over the lists the shards built, uncopied.  A
+        caller that clears them, returned or passed to a callback, after
+        each flush must reach no state a later event reads, and no two
+        (event, query) entries of one flush may share a list."""
+        rng = random.Random(41)
+        reference = ContinuousQuerySystem(alpha=0.05)
+        received = []
+
+        def keep(query, row, matches):
+            received.append(matches)
+
+        events = self._grid_stream(rng, 400)
+        with EventPipeline(
+            num_shards=num_shards, alpha=0.05, batch_size=16, coalesce=False,
+            domain_lo=0.0, domain_hi=100.0, mode=mode,
+        ) as batched:
+            for k, query in enumerate(self._grid_queries(rng)):
+                batched.subscribe(query, keep if k % 2 else None)
+                reference.subscribe(query)
+            for start in range(0, len(events), 16):
+                chunk = events[start : start + 16]
+                results = batched.run(chunk)
+                want = self._reference_views(reference, chunk)
+                assert [ordered_view(delta) for __, ___, delta in results] == want
+                lists = [rows for __, ___, delta in results for rows in delta.values()]
+                assert len({id(rows) for rows in lists}) == len(lists)
+                for rows in lists + received:
+                    rows.clear()
+                received.clear()
+
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_a_select_only_stream_builds_no_band_index(self, kernel, num_shards):
         """With no band query nothing reads R(B) or the shared S(B), so
@@ -898,9 +1010,8 @@ class TestShardedBatch:
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_select_join_spanning_c_slices(self, kernel, num_shards):
         # SELECT's rangeC covers all three C-slices: an R arrival's delta is
-        # the union of three shards' partial lists, each struck on its own.
-        # (c rises with the stream, so merge_deltas' (b, c, id) order is
-        # also the band list's insertion order.)
+        # three shards' partial lists, each struck on its own, concatenated
+        # in shard-index order, which is ascending c.
         s_rows = [STuple(i, 50.0, c) for i, c in enumerate((1500.0, 2500.0, 4500.0, 7500.0, 8500.0))]
         events = [_insert(s_rows[0]), _insert(s_rows[1])]
         events.append(_insert(RTuple(0, 10.0, 50.0)))  # sees 0, 1: one slice
@@ -967,9 +1078,9 @@ class TestShardedBatch:
         assert struck > 0
 
     def test_shard_order_survives_without_the_merge(self, kernel):
-        """``merge_deltas`` sorts every list by row coordinates, which
-        would hide a fix-up that reordered equal keys: compare a group of
-        one shard, unmerged, with the per-event system."""
+        """A group of one shard, with no pipeline and no merge around it,
+        answers in the per-event system's order: a fix-up that reordered
+        equal keys shows here before any merge could move it."""
         group = ShardGroup([0], alpha=0.05)
         reference = ContinuousQuerySystem(alpha=0.05)
         for query in (self.BAND, self.SELECT):

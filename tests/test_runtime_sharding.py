@@ -117,12 +117,28 @@ def test_scaled_alpha_keeps_absolute_threshold():
     assert scaled_alpha(None, 8) is None
 
 
-def test_merge_deltas_is_order_independent():
-    q = select_query(0, 10)
-    a = {q: [STuple(2, 5.0, 3.0)]}
-    b = {q: [STuple(1, 4.0, 2.0)]}
-    assert merge_deltas([a, b]) == merge_deltas([b, a])
-    assert [row.sid for row in merge_deltas([a, b])[q]] == [1, 2]
+def test_merge_deltas_passes_one_part_through():
+    q, other = select_query(0, 10), select_query(20, 30)
+    # Out of (b, c, id) order on purpose: one part is never sorted.
+    rows = [STuple(2, 5.0, 3.0), STuple(1, 4.0, 2.0)]
+    part = {q: rows, other: rows[:1]}
+    merged = merge_deltas([part])
+    assert merged[q] is rows and merged[other] is part[other]
+    assert [row.sid for row in merged[q]] == [2, 1]
+
+
+def test_merge_deltas_concatenates_shared_queries_in_part_order():
+    q, only_first, only_second = (select_query(0, 10) for __ in range(3))
+    first = {q: [STuple(2, 5.0, 3.0)], only_first: [STuple(3, 5.0, 1.0)]}
+    second = {q: [STuple(1, 4.0, 2.0)], only_second: [STuple(4, 6.0, 9.0)]}
+    merged = merge_deltas([first, second])
+    assert [row.sid for row in merged[q]] == [2, 1]  # part order, no sort
+    assert [row.sid for row in merge_deltas([second, first])[q]] == [1, 2]
+    # A query one part answered keeps that part's list; a shared one gets
+    # a new list, so neither part is changed.
+    assert merged[only_first] is first[only_first]
+    assert merged[only_second] is second[only_second]
+    assert [len(first[q]), len(second[q])] == [1, 1]
 
 
 def per_event_pipeline(**kwargs):
