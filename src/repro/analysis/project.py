@@ -113,12 +113,13 @@ NUMPY_IMPORT_ALLOWLIST: FrozenSet[str] = frozenset(
 #: consumers use :func:`repro.fastpath.kernels.get_numpy` instead.
 KERNEL_HANDLE_MODULE = "repro.fastpath.kernels"
 
-#: RA004 — methods whose return values are shared across calls:
-#: ``StabbingSetIndex.group_table`` hands out a cache (until a partition
-#: callback invalidates it) and ``BPlusTree.flat_snapshot`` the tree's live
-#: key/value mirror, which the tree itself keeps patching in place.  A
-#: caller mutating either corrupts every later reader.
-SNAPSHOT_METHODS: FrozenSet[str] = frozenset({"group_table", "flat_snapshot"})
+#: RA004 — methods whose return values are shared across calls, and
+#: attributes that are live indexes: ``StabbingSetIndex.group_table`` hands
+#: out a cache (until a partition callback invalidates it), and a table's
+#: sorted columns are patched in place by every row write.  A caller
+#: mutating either corrupts every later reader.  (``flat_snapshot`` is a copy.)
+SNAPSHOT_METHODS: FrozenSet[str] = frozenset({"group_table"})
+SNAPSHOT_ATTRIBUTES: FrozenSet[str] = frozenset({"col_b", "cols_ba", "cols_bc"})
 
 #: RA005 — modules allowed to compare ``.lo``/``.hi`` with ``==``/``!=``,
 #: each with the exactness argument that justifies it.  The rule points

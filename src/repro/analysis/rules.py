@@ -300,9 +300,9 @@ class SnapshotImmutabilityRule(Rule):
     name = "snapshot-immutability"
     severity = Severity.ERROR
     description = (
-        "group_table() returns a shared cache and flat_snapshot() the tree's "
-        "live key/value index; mutating either (append/sort/item assignment/"
-        "...) corrupts every later reader"
+        "group_table() returns a shared cache and a table's col_b/cols_ba/"
+        "cols_bc are its live sorted columns; mutating either (append/sort/"
+        "item assignment/...) corrupts every later reader"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -326,17 +326,18 @@ class SnapshotImmutabilityRule(Rule):
             yield from SnapshotImmutabilityRule._local_walk(child)
 
     def _check_scope(self, ctx: LintContext, scope: ast.AST) -> Iterator[Finding]:
-        # pass 1: any name ever bound to a snapshot call in this scope is
-        # tainted for the whole scope (conservative: no kill on rebind)
+        # pass 1: any name ever bound to a snapshot call or a live column
+        # (or a part of one, or an alias) in this scope is tainted for the
+        # whole scope (conservative: no kill on rebind)
         tainted: Set[str] = set()
         for node in self._local_walk(scope):
-            if isinstance(node, ast.Assign) and self._returns_snapshot(node.value):
+            if isinstance(node, ast.Assign) and self._is_snapshot_expr(node.value, tainted):
                 for target in node.targets:
                     self._taint_target(target, tainted)
             elif (
                 isinstance(node, ast.AnnAssign)
                 and node.value is not None
-                and self._returns_snapshot(node.value)
+                and self._is_snapshot_expr(node.value, tainted)
             ):
                 self._taint_target(node.target, tainted)
         # pass 2: flag mutations of tainted names or of snapshot calls
@@ -348,9 +349,9 @@ class SnapshotImmutabilityRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        f".{node.func.attr}() mutates a shared snapshot returned by "
-                        "group_table()/flat_snapshot() (a cache, resp. the tree's "
-                        "live index); copy it first",
+                        f".{node.func.attr}() mutates a shared snapshot: "
+                        "group_table()'s cache or a table's live sorted column; "
+                        "copy it first",
                     )
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.ctx, (ast.Store, ast.Del)
@@ -359,16 +360,10 @@ class SnapshotImmutabilityRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        "item assignment into a shared snapshot returned by "
-                        "group_table()/flat_snapshot() (a cache, resp. the tree's "
-                        "live index); copy it first",
+                        "item assignment into a shared snapshot: "
+                        "group_table()'s cache or a table's live sorted column; "
+                        "copy it first",
                     )
-
-    @staticmethod
-    def _returns_snapshot(value: ast.expr) -> bool:
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-            return value.func.attr in project.SNAPSHOT_METHODS
-        return False
 
     @staticmethod
     def _taint_target(target: ast.expr, tainted: Set[str]) -> None:
@@ -385,6 +380,8 @@ class SnapshotImmutabilityRule(Rule):
             return node.id in tainted
         if isinstance(node, ast.Subscript):
             return cls._is_snapshot_expr(node.value, tainted)
+        if isinstance(node, ast.Attribute):
+            return node.attr in project.SNAPSHOT_ATTRIBUTES
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             return node.func.attr in project.SNAPSHOT_METHODS
         return False

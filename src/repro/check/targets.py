@@ -404,13 +404,21 @@ class BatcherTarget(FuzzTarget):
             self._drain_once()
 
 
+def _column_image(col: Any) -> Dict[Any, Tuple[List[float], List[int]]]:
+    """A sorted column, or each bucket of a keyed one, as (keys, row ids)."""
+    runs = col.items() if isinstance(col, dict) else [(None, col)]
+    return {b: (list(keys), list(map(id, rows))) for b, (keys, rows) in runs}
+
+
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     """The group holds each relation once, at the model's size; every shard
     reads those very objects and each of its processors that can validate
-    itself does; the shards' select slices partition S; every index a read
-    has built, on the group's R and S and on each slice, holds its B+-tree
-    invariants, leaf chain included, and one entry per row of its table.
-    An index nobody has read stays unbuilt: checking it would build it."""
+    itself does; the shards' select slices partition S; no table of the
+    group builds a B+-tree, and every sorted column a read has built, on
+    the group's R and S and on each slice, equals one built now from the
+    table's rows: the same keys and the very row objects, in order, and no
+    empty bucket.  A column nobody has read stays unbuilt: checking it
+    would build it."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -438,12 +446,16 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     tables: List[Tuple[str, Any]] = [("R", group.table_r), ("S", group.table_s)]
     tables += [(f"slice {shard.index}", shard.table_s_select) for shard in group.shards]
     for label, table in tables:
-        for index_name, tree in table.built_indexes().items():
-            tree.check_invariants()
+        expect(not table.built_indexes(), name, f"{label} built {sorted(table.built_indexes())}")
+        fresh = type(table)()  # its columns: the rows stable-sorted on each key
+        for row in table:
+            fresh.insert(row)
+        for col_name, col in table.built_columns().items():
             expect(
-                len(tree) == len(table),
+                _column_image(col) == _column_image(getattr(fresh, col_name)),
                 name,
-                f"{label}.{index_name} holds {len(tree)} entries, the table {len(table)} rows",
+                f"{label}.{col_name} is not its rows stable-sorted on its key "
+                f"(or keeps an empty bucket)",
             )
 
 

@@ -4,7 +4,9 @@ This is the ordered-index substrate the paper assumes everywhere: the
 ``S(B)`` index probed by every band-join strategy, the composite ``S(B, C)``
 index probed by SJ-SelectFirst and SJ-SSI, and the base-table indexes of the
 experimental setup ("each table contains 100,000 tuples indexed by standard
-B-trees").
+B-trees").  The per-event processors walk it; the batch kernels read the
+tables' sorted columns instead (:mod:`repro.engine.table`), which tests
+check against :meth:`BPlusTree.flat_snapshot`.
 
 Design notes
 ------------
@@ -174,33 +176,6 @@ class Cursor(Generic[V]):
         self._tree.scan_steps += len(out) + 1
         return out
 
-    def collect_prefix(self, prefix: Any) -> Tuple[array[float], List[V]]:
-        """Composite-key walk: every entry at and after this position while
-        key == (prefix, x), as the sorted ``array('d')`` column of the x and
-        the parallel value list (leaf order, so equal keys keep insertion
-        order).  The select batch probe takes this once per distinct join
-        key and answers every per-query range scan by bisecting the column
-        and slicing the list."""
-        seconds: array[float] = array("d")
-        out: List[V] = []
-        leaf, slot = self._leaf, self._slot
-        while leaf is not None:
-            keys = leaf.keys
-            n = len(keys)
-            end = n
-            if keys[n - 1][0] != prefix or keys[slot][0] != prefix:
-                end = slot  # the run ends inside this leaf
-                while end < n and keys[end][0] == prefix:
-                    end += 1
-            seconds.extend([key[1] for key in keys[slot:end]])
-            out.extend(leaf.values[slot:end])
-            if end < n:
-                break
-            leaf = leaf.next
-            slot = 0
-        self._tree.scan_steps += len(out) + 1
-        return seconds, out
-
     def collect_backward_prefix_ge(self, prefix: Any, bound: Any) -> List[V]:
         """Composite-key walk backwards: values while key == (prefix, c)
         with c >= bound, returned in ascending key order."""
@@ -234,7 +209,6 @@ class BPlusTree(Generic[V]):
         "_size",
         "probe_count",
         "scan_steps",
-        "_mirror",
     )
 
     def __init__(self, order: int = DEFAULT_ORDER):
@@ -246,9 +220,6 @@ class BPlusTree(Generic[V]):
         self._size = 0
         self.probe_count = 0
         self.scan_steps = 0
-        # The flat (key column, value list) mirror of the leaf chain; None
-        # until flat_snapshot() first asks for it.
-        self._mirror: Optional[Tuple[array[float], List[V]]] = None
 
     # -- lookup ------------------------------------------------------------
 
@@ -344,36 +315,12 @@ class BPlusTree(Generic[V]):
         return self.irange()
 
     def flat_snapshot(self) -> Tuple[array[float], List[V]]:
-        """The tree's flat mirror: a sorted ``array('d')`` key column and the
-        parallel value list, every entry in leaf-chain order.
-
-        Materialised by one walk of the leaf chain on the first call; from
-        then on :meth:`insert` and :meth:`remove` patch it in place, so
-        every later call returns the *same two objects*, always current, in
-        O(1).  A tree that is never asked holds no mirror and pays one
-        ``is None`` test per write.  The batch fast path runs
-        ``searchsorted``/``bisect`` directly on the key column instead of
-        descending the tree per probe.
-
-        Float keys only (composite-key trees cannot be mirrored).  This is
-        the live index, not a copy: callers must not mutate either object,
-        and must drop any buffer view of the key column (``np.frombuffer``,
-        ``memoryview``) before the next write --- an ``array`` cannot resize
-        while its buffer is exported.
-        """
-        mirror = self._mirror
-        if mirror is None:
-            keys: array[float] = array("d")
-            values: List[V] = []
-            node = self._root
-            while isinstance(node, _Internal):
-                node = node.children[0]
-            while node is not None:
-                keys.extend(node.keys)
-                values.extend(node.values)
-                node = node.next
-            mirror = self._mirror = (keys, values)
-        return mirror
+        """A sorted ``array('d')`` of the keys and the parallel value list,
+        every entry in leaf-chain order: one walk of the leaves into fresh
+        objects, so equal keys keep insertion order.  Float keys only.
+        Tests check the tables' sorted columns against it."""
+        entries = list(self.items())
+        return array("d", [key for key, __ in entries]), [value for __, value in entries]
 
     # -- insertion -----------------------------------------------------------
 
@@ -405,19 +352,6 @@ class BPlusTree(Generic[V]):
                 new_root.children = [self._root, right]
                 self._root = new_root
         self._size += 1
-        mirror = self._mirror
-        if mirror is not None:
-            # bisect_right: after every equal key, where the tree put it.
-            keys, values = mirror
-            try:
-                slot = bisect.bisect_right(keys, key)
-                keys.insert(slot, key)
-            except BaseException:
-                # Non-float key or a still-exported buffer: the tree holds
-                # the entry, so drop the mirror rather than leave it stale.
-                self._mirror = None
-                raise
-            values.insert(slot, value)
 
     def _split_leaf(self, leaf: _Leaf[V]) -> Tuple[Any, _Leaf[V]]:
         mid = len(leaf.keys) // 2
@@ -483,20 +417,6 @@ class BPlusTree(Generic[V]):
         if isinstance(self._root, _Internal) and len(self._root.children) == 1:
             self._root = self._root.children[0]
         self._size -= 1
-        mirror = self._mirror
-        if mirror is not None:
-            # The tree chose the entry (``is`` before ``==``, leaf by leaf);
-            # the mirror drops that same object from the run of equal keys.
-            keys, values = mirror
-            try:
-                slot = bisect.bisect_left(keys, key)
-                while values[slot] is not removed:
-                    slot += 1
-                del keys[slot]
-            except BaseException:
-                self._mirror = None  # as in insert: never leave it stale
-                raise
-            del values[slot]
         return removed  # type: ignore[return-value]
 
     def _remove(self, node: Any, key: Any, value: Optional[V]) -> Any:
@@ -648,13 +568,6 @@ class BPlusTree(Generic[V]):
         assert chain == leaves, "leaf chain disagrees with tree order"
         total = sum(len(leaf.keys) for leaf in leaves)
         assert total == self._size, f"size mismatch: {total} != {self._size}"
-        if self._mirror is not None:
-            keys, values = self._mirror
-            assert list(keys) == [k for leaf in leaves for k in leaf.keys], "mirror key column is stale"
-            # Same objects in the same order, not merely equal ones.
-            assert [id(v) for v in values] == [id(v) for leaf in leaves for v in leaf.values], (
-                "mirror value column is stale"
-            )
 
 
 class _Missing:

@@ -14,8 +14,8 @@ a micro-batch:
   arrivals are sorted once by join key, then merged against every SSI
   group in a single pass over the dense group table;
 * :mod:`repro.fastpath.select` — the columnar batch probe for
-  equality-joins-with-selections: one composite-index walk per join key,
-  then the stabbing groups and the ungrouped queries, both kept as
+  equality-joins-with-selections: one lookup of the table's keyed columns
+  per join key, then the stabbing groups and the ungrouped queries, both kept as
   endpoint columns (``SelectColumns``), results by slice.
 
 Every batch probe is **delta-identical** to running the per-event probe

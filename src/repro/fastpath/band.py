@@ -5,14 +5,14 @@ B-tree descent per (group, tuple), an ``Interval`` allocation and a cursor
 clone per affected query, and a leaf walk per enumeration.  The batch probe
 amortizes all of it over a micro-batch using flat columns:
 
-* the S(B) index is read through its flat mirror
-  (:meth:`~repro.dstruct.btree.BPlusTree.flat_snapshot`): a sorted
-  ``array('d')`` key column and a parallel value list that the tree
-  materialises once and then maintains in place, so a probe pays nothing
-  in the size of the table.  The numpy kernel wraps the key column
-  zero-copy (``np.frombuffer``); that view must not outlive the call ---
-  an ``array`` cannot resize while exported --- so it lives in locals
-  only, never on the tree, a group structure or a closure;
+* the probed table is read through its sorted column ``col_b``
+  (:attr:`~repro.engine.table._Table.col_b`): a sorted ``array('d')`` of B
+  and the rows in the same order, which the table keeps in place on every
+  write, so a probe pays nothing in the size of the table.  The numpy
+  kernel wraps the key column zero-copy (``np.frombuffer``); that view must
+  not outlive the call --- an ``array`` cannot resize while exported --- so
+  it lives in locals only, never on the table, a group structure or a
+  closure;
 * the ``surrounding`` probes of the whole batch against *every* group
   collapse into one vectorized ``searchsorted`` of the (groups x rows)
   matrix of shifted join keys against the key column (succ = first index
@@ -27,8 +27,8 @@ amortizes all of it over a micro-batch using flat columns:
   ``bisect_right`` per columnar ``array('d')`` endpoint order --- the
   per-event linear scan with an early ``break`` counts exactly that
   prefix;
-* STEP 2 (enumerate results) becomes a contiguous slice of the mirror's
-  value list: the per-event outward leaf walk collects precisely the
+* STEP 2 (enumerate results) becomes a contiguous slice of the row
+  list: the per-event outward leaf walk collects precisely the
   entries with ``window.lo <= key <= window.hi`` (the probe key
   ``p_j + b`` lies inside the instantiated window because the stabbing
   point lies inside the band), i.e.
@@ -55,7 +55,7 @@ from repro.fastpath.kernels import MIN_VECTOR, get_numpy
 
 
 def batch_probe_band_r(
-    by_b: Any,
+    col_b: Any,
     rows: Sequence[Any],
     points: Sequence[float],
     structures: Sequence[Any],
@@ -63,29 +63,30 @@ def batch_probe_band_r(
 ) -> None:
     """Probe a batch of R-tuples against every band-join group.
 
-    ``rows`` is the micro-batch (any order); ``points``/``structures`` the
-    dense group table; ``results`` a parallel list of per-row dicts, updated
-    in place.  All rows are probed against the *same* S-table state, so this
-    is only valid for a run of R-inserts with no interleaved S-change.
+    ``col_b`` is S's sorted column of B and its rows; ``rows`` the
+    micro-batch (any order); ``points``/``structures`` the dense group
+    table; ``results`` a parallel list of per-row dicts, updated in place.
+    All rows are probed against the *same* S-table state, so this is only
+    valid for a run of R-inserts with no interleaved S-change.
     """
-    _batch_probe(by_b, rows, points, structures, results, r_side=True)
+    _batch_probe(col_b, rows, points, structures, results, r_side=True)
 
 
 def batch_probe_band_s(
-    by_b: Any,
+    col_b: Any,
     rows: Sequence[Any],
     points: Sequence[float],
     structures: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
 ) -> None:
-    """Symmetric batch probe for S-tuples against R(B): the probe key is
-    ``s.b - p_j`` and the two endpoint orders swap roles, exactly as in the
-    per-event ``probe_band_group_s``."""
-    _batch_probe(by_b, rows, points, structures, results, r_side=False)
+    """Symmetric batch probe for S-tuples against R's ``col_b``: the probe
+    key is ``s.b - p_j`` and the two endpoint orders swap roles, exactly as
+    in the per-event ``probe_band_group_s``."""
+    _batch_probe(col_b, rows, points, structures, results, r_side=False)
 
 
 def _batch_probe(
-    by_b: Any,
+    col_b: Any,
     rows: Sequence[Any],
     points: Sequence[float],
     structures: Sequence[Any],
@@ -96,7 +97,7 @@ def _batch_probe(
     live = [(point, st) for point, st in zip(points, structures) if st.by_lo]
     if not rows or not live:
         return
-    keys, values = by_b.flat_snapshot()
+    keys, values = col_b
     m = len(keys)
     if m == 0:
         return  # the probed table is empty: no results possible
@@ -191,7 +192,7 @@ def _batch_probe(
                     t_append((res, by_lo[k]))
                     lo_append(b - hi)
                     hi_append(b - lo_keys[k])
-        # STEP 2: enumerate each window as one contiguous slice of the mirror.
+        # STEP 2: enumerate each window as one contiguous slice of the rows.
         if use_np and len(targets) >= MIN_VECTOR:
             starts = _np.searchsorted(kb, _np.array(w_lo), side="left").tolist()
             ends = _np.searchsorted(kb, _np.array(w_hi), side="right").tolist()

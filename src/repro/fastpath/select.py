@@ -5,32 +5,31 @@ probe on both sides, S arrivals at the hotspot processor, and the scattered
 remainder of its R arrivals --- with the roles of the columns swapped
 (``sel``/``rng``), not separate code paths.  For a run of arriving rows it
 
-* walks the composite index **once per distinct join key** of the run
-  (``cursor_ge((b,))`` + :meth:`~repro.dstruct.btree.Cursor.collect_prefix`):
-  the joining rows in leaf order and the sorted ``array('d')`` column of
-  their second key component.  The walk is made when a probe first needs
-  the key --- a row no query selects never causes one --- and a key
-  nothing joins with costs one descent;
+* reads the joining rows of a join key from the probed table's keyed
+  columns (``cols_bc`` / ``cols_ba``, see :mod:`repro.engine.table`): one
+  dict lookup gives the sorted ``array('d')`` column of the second key
+  and the rows in that order, with equal keys in insertion order;
 * probes the **stabbing groups** (``points``/``groups``, the dense group
   table; a group is the :class:`SelectColumns` of its members):
   ``surrounding((b, p_j))`` is ``bisect_left`` of the point in that column
   --- for all groups at once under numpy --- :func:`stab_group` is the
   member test the per-event ``probe_select_group`` runs too, and the
-  outward leaf walks are one slice of the joined list, bounded by the same
+  outward leaf walks are one slice of the joined rows, bounded by the same
   pred/succ position the cursors start from;
 * probes the **endpoint columns** of a query population that has no groups
   (also a :class:`SelectColumns`): the closed-interval selection test of all
   queries against the whole run is one ``(rows x queries)`` comparison,
   and each surviving pair becomes one ``searchsorted`` pair on the joined
-  column and a slice of the joined list --- the rows, in the order,
+  column and a slice of the joined rows --- the rows, in the order,
   ``cursor_ge((b, lo)).collect_forward_prefix_le(b, hi)`` yields per event.
 
 numpy views of the columns (``np.frombuffer``) live in locals only: an
-``array`` cannot resize while its buffer is exported, and the columns are
-appended to and swap-removed from on every subscription change.  The
-pure-Python kernel bisects the same columns; so does a population of fewer
-than ``MIN_VECTOR`` queries, where numpy dispatch costs more than the loop
-it replaces.
+``array`` cannot resize while its buffer is exported, the query columns
+are appended to and swap-removed from on every subscription change, and
+the table's columns are written on every row write.  The pure-Python
+kernel bisects the same columns; so does a population of fewer than
+``MIN_VECTOR`` queries, where numpy dispatch costs more than the loop it
+replaces.
 
 Batched deltas are identical to the per-event probes' as dicts --- the same
 queries, each with the same rows in the same order.  The insertion order of
@@ -127,14 +126,14 @@ class SelectColumns:
 
 
 def batch_probe_select_r(
-    by_bc: Any,
+    cols_bc: Any,
     rows: Sequence[Any],
     points: Sequence[float],
     groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns] = None,
 ) -> None:
-    """Probe a batch of R-tuples against S(B, C).
+    """Probe a batch of R-tuples against S's keyed columns ``cols_bc``.
 
     ``points``/``groups`` is the dense table of the rangeC stabbing groups;
     they and ``columns``, an ungrouped population, select on ``rangeA``
@@ -143,25 +142,25 @@ def batch_probe_select_r(
     against the same S(B, C) state, so this is only valid for a run of
     R-inserts with no interleaved S-change.
     """
-    _batch_probe(by_bc, rows, [row.a for row in rows], points, groups, results, columns)
+    _batch_probe(cols_bc, rows, [row.a for row in rows], points, groups, results, columns)
 
 
 def batch_probe_select_s(
-    by_ba: Any,
+    cols_ba: Any,
     rows: Sequence[Any],
     points: Sequence[float],
     groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns] = None,
 ) -> None:
-    """Symmetric batch probe for S-tuples against R(B, A): groups are on
-    rangeA; they and ``columns`` select on ``rangeC`` and enumerate by
-    ``rangeA``."""
-    _batch_probe(by_ba, rows, [row.c for row in rows], points, groups, results, columns)
+    """Symmetric batch probe for S-tuples against R's ``cols_ba``: groups
+    are on rangeA; they and ``columns`` select on ``rangeC`` and enumerate
+    by ``rangeA``."""
+    _batch_probe(cols_ba, rows, [row.c for row in rows], points, groups, results, columns)
 
 
 def _batch_probe(
-    index: Any,
+    cols: Dict[float, Tuple[Any, List[Any]]],
     rows: Sequence[Any],
     xs: List[float],
     points: Sequence[float],
@@ -169,33 +168,14 @@ def _batch_probe(
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns],
 ) -> None:
-    """``xs`` is the selection attribute of the arriving rows."""
+    """``xs`` is the selection attribute of the arriving rows; ``cols``
+    maps a join key to (second-key column, joined rows)."""
     if not rows or not (points or columns):
         return
-    joined = _JoinedRows(index)
     if points:
-        _probe_groups(joined, rows, xs, points, groups, results)
+        _probe_groups(cols, rows, xs, points, groups, results)
     if columns:
-        _probe_columns(joined, rows, xs, columns, results)
-
-
-class _JoinedRows(Dict[float, Optional[Tuple[Any, List[Any]]]]):
-    """Join key -> (second-component column, joined rows in leaf order), or
-    ``None`` when nothing joins: one walk of the composite index per
-    distinct key of the run, made when a probe first asks for the key."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: Any) -> None:
-        self._index = index
-
-    def __missing__(self, b: float) -> Optional[Tuple[Any, List[Any]]]:
-        cur = self._index.cursor_ge((b,))
-        run = cur.collect_prefix(b) if cur.valid else None
-        if run is not None and not run[1]:
-            run = None
-        self[b] = run
-        return run
+        _probe_columns(cols, rows, xs, columns, results)
 
 
 def stab_group(
@@ -230,7 +210,7 @@ def stab_group(
 
 
 def _probe_groups(
-    joined: _JoinedRows,
+    cols: Dict[float, Tuple[Any, List[Any]]],
     rows: Sequence[Any],
     xs: List[float],
     points: Sequence[float],
@@ -244,7 +224,7 @@ def _probe_groups(
     _np = get_numpy()
     pts = _np.array(points) if _np is not None and len(points) >= MIN_VECTOR else None
     for b, idx in by_key.items():
-        run = joined[b]
+        run = cols.get(b)
         if run is None:
             continue  # nothing joins with these rows
         seconds, hits_of_key = run
@@ -271,14 +251,14 @@ def _probe_groups(
 
 
 def _probe_columns(
-    joined: _JoinedRows,
+    cols: Dict[float, Tuple[Any, List[Any]]],
     rows: Sequence[Any],
     xs: List[float],
     columns: SelectColumns,
     results: List[Dict[Any, List[Any]]],
 ) -> None:
     """SelectFirst over endpoint columns: select, then enumerate by slice.
-    Only the join keys of rows that pass some selection are walked."""
+    Only the join keys of rows that pass some selection are looked up."""
     queries = columns.queries
     _np = get_numpy()
     if _np is None or len(queries) < MIN_VECTOR:
@@ -287,7 +267,7 @@ def _probe_columns(
         ):
             for i, x in enumerate(xs):
                 if sel_lo <= x <= sel_hi:
-                    run = joined[rows[i].b]
+                    run = cols.get(rows[i].b)
                     if run is not None:
                         seconds, hits_of_key = run
                         start = bisect_left(seconds, rng_lo)
@@ -310,7 +290,7 @@ def _probe_columns(
         c1 = cuts[i + 1]
         if c0 == c1:
             continue
-        run = joined[rows[i].b]
+        run = cols.get(rows[i].b)
         if run is None:
             continue
         col = _np.frombuffer(run[0])

@@ -344,7 +344,7 @@ class BJSSI(BandJoinStrategy):
         results: List[BandResults] = [{} for _ in rs]
         if self._queries:
             points, structures = self._ssi.group_table()
-            band_probe.batch_probe_band_r(self.table_s.by_b, rs, points, structures, results)
+            band_probe.batch_probe_band_r(self.table_s.col_b, rs, points, structures, results)
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
@@ -352,7 +352,7 @@ class BJSSI(BandJoinStrategy):
         results: List[RBandResults] = [{} for _ in ss]
         if self._queries:
             points, structures = self._ssi.group_table()
-            band_probe.batch_probe_band_s(self.table_r.by_b, ss, points, structures, results)
+            band_probe.batch_probe_band_s(self.table_r.col_b, ss, points, structures, results)
         return results
 
 

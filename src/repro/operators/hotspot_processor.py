@@ -24,6 +24,7 @@ which they are.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hotspot_tracker import HotspotTracker
@@ -205,7 +206,7 @@ class HotspotSelectJoinProcessor:
         points = [group.stabbing_point for group in groups]
         columns = [self._hot_columns[id(group)] for group in groups]
         select_probe.batch_probe_select_r(
-            self.table_s.by_bc, rs, points, columns, results, self._columns_r
+            self.table_s.cols_bc, rs, points, columns, results, self._columns_r
         )
         return results
 
@@ -215,7 +216,7 @@ class HotspotSelectJoinProcessor:
         results: List[RSelectResults] = [{} for _ in ss]
         if self._queries:
             select_probe.batch_probe_select_s(
-                self.table_r.by_ba, ss, (), (), results, self._columns_s
+                self.table_r.cols_ba, ss, (), (), results, self._columns_s
             )
         return results
 
@@ -371,9 +372,9 @@ class HotspotBandJoinProcessor:
 
     def process_r_batch(self, rs: Sequence[RTuple]) -> List[BandResults]:
         """Batch fast path: hotspot groups take the batched BJ-SSI probe;
-        scattered queries run their window scans with per-query state
-        hoisted.  Delta-identical to per-event :meth:`process_r` against
-        unchanged tables."""
+        a scattered query's window scan is a slice of the probed table's
+        ``col_b`` between two bisects.  Delta-identical to per-event
+        :meth:`process_r` against unchanged tables."""
         return self._process_batch(rs, self.table_s, r_side=True)
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
@@ -385,19 +386,20 @@ class HotspotBandJoinProcessor:
         results: List[Dict] = [{} for _ in rows]
         if not self._queries:
             return results  # and the index stays unbuilt
-        by_b = table.by_b
+        col_b = table.col_b
         groups = self.tracker.hotspot_groups
         if groups:
             points = [group.stabbing_point for group in groups]
             structures = [self._hot_indexes[id(group)] for group in groups]
             probe = band_probe.batch_probe_band_r if r_side else band_probe.batch_probe_band_s
-            probe(by_b, rows, points, structures, results)
+            probe(col_b, rows, points, structures, results)
+        keys, values = col_b
         for query in self._scattered.values():  # queries outer, rows inner
             band = query.band
             # An S arrival scans [b - hi, b - lo]: the same sums, ends negated.
             lo, hi = (band.lo, band.hi) if r_side else (-band.hi, -band.lo)
             for i, row in enumerate(rows):
-                hits = by_b.range_values(lo + row.b, hi + row.b)
+                hits = values[bisect_left(keys, lo + row.b) : bisect_right(keys, hi + row.b)]
                 if hits:
                     results[i][query] = hits
         return results

@@ -302,7 +302,7 @@ class SJSSI(SelectJoinStrategy):
         results: List[SelectResults] = [{} for _ in rs]
         if self._queries:
             points, groups = self._ssi_c.group_table()
-            select_probe.batch_probe_select_r(self.table_s.by_bc, rs, points, groups, results)
+            select_probe.batch_probe_select_r(self.table_s.cols_bc, rs, points, groups, results)
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RSelectResults]:
@@ -312,7 +312,7 @@ class SJSSI(SelectJoinStrategy):
         results: List[RSelectResults] = [{} for _ in ss]
         if self._queries:
             points, groups = self._ssi_a.group_table()
-            select_probe.batch_probe_select_s(self.table_r.by_ba, ss, points, groups, results)
+            select_probe.batch_probe_select_s(self.table_r.cols_ba, ss, points, groups, results)
         return results
 
     def validate(self) -> None:

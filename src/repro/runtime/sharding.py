@@ -283,7 +283,7 @@ class Shard:
         self.tracer = tracer
         self.table_r = table_r
         self.table_s_band = table_s_band
-        self.table_s_select = TableS()  # the select plane reads by_bc alone
+        self.table_s_select = TableS()  # the select plane reads cols_bc alone
         self.band: Any
         self.select: Any
         self.telemetry: Optional[HotspotTelemetry] = None
@@ -462,8 +462,8 @@ def _strike(
     relation its event could not yet, or no longer, see; a query whose list
     empties leaves the delta.  Returns the number of rows removed.
 
-    Removal is all it takes: equal keys keep insertion order in the trees
-    and their flat mirrors, and the superset state was built by the same
+    Removal is all it takes: equal keys keep insertion order in the
+    tables' sorted columns, and the superset state was built by the same
     insertions in the same order, so what survives is already in the order
     per-event application yields.  A hit list is sorted by join key —
     a band window is a contiguous key range, a select list a single key —
@@ -520,7 +520,7 @@ class ShardGroup:
     ):
         self.tracer = tracer
         self.table_r = TableR()
-        self.table_s = TableS()  # the band plane reads by_b alone
+        self.table_s = TableS()  # the band plane reads col_b alone
         self.shards = [
             Shard(index, self.table_r, self.table_s, alpha=alpha, epsilon=epsilon,
                   metrics=metrics, tracer=tracer)

@@ -57,9 +57,9 @@ def _interval(params: WorkloadParams, mid: float, length: float) -> Interval:
 
 def make_tables(params: WorkloadParams, rng: Optional[random.Random] = None) -> Tuple[TableR, TableS]:
     """Base tables per Table 1: R.A, R.B, S.C uniform; S.B discretized
-    normal (the join-selectivity knob).  Every index is built before the
+    normal (the join-selectivity knob).  Every B+-tree is built before the
     tables are returned, as the paper's are before it measures, so no
-    measured call pays for the build."""
+    measured per-event call pays for the build."""
     rng = rng if rng is not None else random.Random(params.seed)
     table_r = TableR()
     table_s = TableS()

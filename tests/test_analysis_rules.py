@@ -95,10 +95,27 @@ CASES = [
     pytest.param(
         "RA004",
         ELSEWHERE,
-        "snap = tree.flat_snapshot()\nsnap[0] = None\n",
-        "snap = list(tree.flat_snapshot())\nsnap[0] = None\n",
+        "keys, rows = table.col_b\nrows[0] = None\n",
+        "rows = list(table.col_b[1])\nrows[0] = None\n",
         "item assignment into a shared snapshot",
         id="RA004-setitem",
+    ),
+    pytest.param(
+        "RA004",
+        ELSEWHERE,
+        "def f(table, b):\n    xs, rows = table.cols_bc[b]\n    xs.insert(0, b)\n",
+        "def f(table, b):\n    xs = list(table.cols_bc[b][0])\n    xs.insert(0, b)\n",
+        "mutates a shared snapshot",
+        id="RA004-column-bucket",
+    ),
+    pytest.param(
+        "RA004",
+        ELSEWHERE,
+        "table.cols_ba[1.0] = None\n",
+        # flat_snapshot() returns a fresh copy: nothing to protect.
+        "snap = tree.flat_snapshot()\nsnap[1].append(None)\n",
+        "item assignment into a shared snapshot",
+        id="RA004-live-column-not-flat-snapshot",
     ),
     pytest.param(
         "RA005",

@@ -209,32 +209,15 @@ def test_invariants_across_orders(order, keys):
 
 # Few distinct keys, so runs of equal keys straddle the order-4 leaves;
 # 0.0 and -0.0 compare equal but must each keep their own sign.
-MIRROR_KEYS = st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, float("inf"), float("-inf")])
+SNAPSHOT_KEYS = st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, float("inf"), float("-inf")])
 
 
-def assert_mirror_matches(tree, mirror):
-    keys, values = tree.flat_snapshot()
-    assert keys is mirror[0] and values is mirror[1], "mirror objects were replaced"
-    items = list(tree.items())
-    assert [repr(k) for k in keys] == [repr(k) for k, __ in items]
-    assert len(values) == len(items)
-    assert all(got is want for got, (__, want) in zip(values, items))
-    tree.check_invariants()
-
-
-@given(st.lists(st.tuples(MIRROR_KEYS, st.integers(0, 2)), max_size=120), st.data())
+@given(st.lists(st.tuples(SNAPSHOT_KEYS, st.integers(0, 2)), max_size=120), st.data())
 @settings(max_examples=80, deadline=None)
-def test_flat_snapshot_mirror_tracks_inserts_and_removes(inserts, data):
+def test_flat_snapshot_is_a_fresh_copy_in_leaf_order(inserts, data):
     tree = BPlusTree(4)
     live = []  # (key, value) entries currently in the tree
-    # Materialise the mirror somewhere mid-stream: before it the tree must
-    # hold none, after it every write must patch it in place.
-    materialise_at = data.draw(st.integers(0, len(inserts)))
-    mirror = None
-    for step, (key, tag) in enumerate(inserts):
-        if step == materialise_at:
-            assert tree._mirror is None
-            mirror = tree.flat_snapshot()
+    for key, tag in inserts:
         value = [tag]  # a fresh list: equal to, never identical with, others
         tree.insert(key, value)
         live.append((key, value))
@@ -245,21 +228,13 @@ def test_flat_snapshot_mirror_tracks_inserts_and_removes(inserts, data):
             how = data.draw(st.sampled_from(["identical", "equal", "any"]))
             removed = tree.remove(key, {"identical": value, "equal": list(value), "any": None}[how])
             del live[next(i for i, e in enumerate(live) if e[1] is removed)]
-        if mirror is not None:
-            assert_mirror_matches(tree, mirror)
-    if mirror is None:
-        mirror = tree.flat_snapshot()
-    assert_mirror_matches(tree, mirror)
-    assert len(mirror[0]) == len(live)
-
-
-def test_tree_never_snapshotted_holds_no_mirror():
-    tree = BPlusTree(8)
-    for i in range(700):
-        tree.insert(float(i % 97), i)
-    for i in range(300):
-        tree.remove(float(i % 97), i)
-    assert tree._mirror is None
+    keys, values = tree.flat_snapshot()
+    items = list(tree.items())
+    assert [repr(k) for k in keys] == [repr(k) for k, __ in items]
+    assert len(values) == len(items) == len(live)
+    assert all(got is want for got, (__, want) in zip(values, items))
+    again = tree.flat_snapshot()
+    assert again[0] is not keys and again[1] is not values
     tree.check_invariants()
 
 
@@ -268,30 +243,6 @@ def test_flat_snapshot_rejects_composite_keys():
     tree.insert((1.0, 2.0), "x")
     with pytest.raises(TypeError):
         tree.flat_snapshot()
-    assert tree._mirror is None
-
-
-def test_check_invariants_catches_a_stale_mirror():
-    tree = build([1.0, 2.0, 3.0])
-    keys, values = tree.flat_snapshot()
-    tree.check_invariants()
-    values[0], values[1] = values[1], values[0]
-    with pytest.raises(AssertionError, match="mirror"):
-        tree.check_invariants()
-
-
-@pytest.mark.parametrize("write", ["insert", "remove"])
-def test_a_failed_mirror_patch_drops_the_mirror(write):
-    # An exported key column cannot resize: the write lands in the tree, the
-    # patch raises, and the mirror must be rebuilt rather than stay stale.
-    tree = build([1.0, 2.0, 3.0])
-    with memoryview(tree.flat_snapshot()[0]):
-        with pytest.raises(BufferError):
-            tree.insert(2.5, 2.5) if write == "insert" else tree.remove(2.0)
-    assert tree._mirror is None
-    expected = [1.0, 2.0, 2.5, 3.0] if write == "insert" else [1.0, 3.0]
-    assert list(tree.flat_snapshot()[0]) == expected
-    tree.check_invariants()
 
 
 def test_irange_bounds():

@@ -127,7 +127,7 @@ class TestBandBatch:
 
     @pytest.mark.skipif(KERNEL != "numpy", reason="only numpy exports array buffers")
     def test_probe_leaves_no_exported_buffer_behind(self):
-        """The numpy kernel reads a tree's key column through a zero-copy
+        """The numpy kernel reads a table's key column through a zero-copy
         ``frombuffer`` view, and an ``array`` with a live export refuses to
         resize (``BufferError``).  Interleave probes with every kind of
         write to the key columns and to the groups' endpoint columns."""
@@ -160,8 +160,9 @@ class TestBandBatch:
         for query in band_queries(rng, 50):
             strategy.add_query(query)
         probe()
-        table_r.by_b.check_invariants()
-        table_s.by_b.check_invariants()
+        for table in (table_r, table_s):
+            keys, rows = table.by_b.flat_snapshot()
+            assert table.col_b == (keys, rows)
 
     def test_result_order_is_preserved(self, kernel):
         """Batched result lists must keep the per-event enumeration order
@@ -898,9 +899,10 @@ class TestShardedBatch:
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_a_select_only_stream_builds_no_band_index(self, kernel, num_shards):
-        """With no band query nothing reads R(B) or the shared S(B), so
-        neither is built; a band query subscribed mid-stream builds them
-        from the rows so far and answers as the per-event system does."""
+        """With no band query nothing reads R's or the shared S's
+        ``col_b``, so neither is built; a band query subscribed mid-stream
+        builds them from the rows so far and answers as the per-event
+        system does.  No table of the group ever builds a B+-tree."""
         rng = random.Random(11)
         batched = EventPipeline(
             num_shards=num_shards, alpha=0.05, batch_size=16, coalesce=False,
@@ -921,12 +923,45 @@ class TestShardedBatch:
         subscribe(select_queries(rng, 40))
         run(events[:150])
         group = batched.shard_group
-        assert list(group.table_r.built_indexes()) == ["by_ba"]
-        assert group.table_s.built_indexes() == {}
+        tables = [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
+        assert list(group.table_r.built_columns()) == ["cols_ba"]
+        assert group.table_s.built_columns() == {}
         subscribe(band_queries(rng, 20))
         run(events[150:])
-        assert sorted(group.table_r.built_indexes()) == ["by_b", "by_ba"]
-        assert list(group.table_s.built_indexes()) == ["by_b"]
+        assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
+        assert list(group.table_s.built_columns()) == ["col_b"]
+        assert all(table.built_indexes() == {} for table in tables)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_a_band_stream_never_rebuilds_a_key_column(self, kernel, num_shards):
+        """The band_probe shape: band queries only (pure BJ-SSI) and
+        batches of inserts and deletes on both relations.  The first
+        probing batch builds R's and the shared S's ``col_b``, and those
+        very objects serve every later batch: a rebuild (a write that met
+        a buffer view a probe left behind drops the column) shows as a new
+        object."""
+        rng = random.Random(12)
+        batched = EventPipeline(
+            num_shards=num_shards, alpha=None, batch_size=64, coalesce=False,
+            domain_lo=0.0, domain_hi=100.0,
+        )
+        reference = ContinuousQuerySystem(alpha=None)
+        for query in band_queries(rng, 40):
+            batched.subscribe(query)
+            reference.subscribe(query)
+        group = batched.shard_group
+        events = self._stream(rng, 640)
+        first = None
+        for start in range(0, len(events), 64):
+            chunk = events[start : start + 64]
+            want = self._reference_views(reference, chunk)
+            assert [ordered_view(delta) for __, ___, delta in batched.run(chunk)] == want
+            columns = [table.built_columns() for table in (group.table_r, group.table_s)]
+            assert all(list(built) == ["col_b"] for built in columns)
+            first = first or [built["col_b"] for built in columns]
+            assert all(built["col_b"] is col for built, col in zip(columns, first))
+        assert [len(col[1]) for col in first] == [len(group.table_r), len(group.table_s)]
+        assert all(shard.table_s_select.built_columns() == {} for shard in group.shards)
 
     # -- the in-batch term: one batch, any interleaving ----------------------
     #

@@ -242,6 +242,11 @@ class TestShardedPipeline:
         assert all(len(shard.table_r) == 0 for shard in sharded.shards)
 
 
+def group_tables(group):
+    """Every table of a shard group: R, the shared S and each C-slice."""
+    return [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
+
+
 class TestOneTableSet:
     """R and band-plane S exist once per process, whatever K is."""
 
@@ -313,10 +318,11 @@ class TestOneTableSet:
         assert sum(len(shard.table_s_select) for shard in group.shards) == 1
 
     def test_each_s_table_builds_only_the_index_its_plane_probes(self):
-        """The shared S table serves the band plane (``by_b``), each C-slice
-        the select plane (``by_bc``), R both: with both families live and
+        """The shared S table serves the band plane (``col_b``), each C-slice
+        the select plane (``cols_bc``), R both: with both families live and
         both relations probed, that is what each table has built — one
-        B+-tree write per S table, so two per S row."""
+        column write per S table, so two per S row — and no table builds a
+        B+-tree (the trees serve the per-event references)."""
         pipeline = EventPipeline(
             num_shards=3, alpha=None, batch_size=4, domain_lo=0.0, domain_hi=100.0
         )
@@ -327,10 +333,43 @@ class TestOneTableSet:
             + [DataEvent(EventKind.INSERT, "S", STuple(i, 50.0, 30.0 * i)) for i in range(4)]
         )
         group = pipeline.shard_group
-        assert sorted(group.table_r.built_indexes()) == ["by_b", "by_ba"]
-        assert list(group.table_s.built_indexes()) == ["by_b"]
+        assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
+        assert list(group.table_s.built_columns()) == ["col_b"]
         for shard in group.shards:
-            assert list(shard.table_s_select.built_indexes()) == ["by_bc"]
+            assert list(shard.table_s_select.built_columns()) == ["cols_bc"]
+        for table in group_tables(group):
+            assert table.built_indexes() == {}
+
+    def test_the_process_shm_parent_group_builds_no_tree(self):
+        """In ``process-shm`` the parent applies shard 0 through its own
+        group, which holds every row: a mixed band and select stream builds
+        columns there and no B+-tree."""
+        rng = random.Random(3)
+        pipeline = EventPipeline(
+            num_shards=3, alpha=0.05, batch_size=8, domain_lo=0.0, domain_hi=100.0,
+            mode="process-shm",
+        )
+        try:
+            for lo in (-60.0, -5.0, 40.0):
+                pipeline.subscribe(BandJoinQuery(Interval(lo, lo + 20.0)))
+            pipeline.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 3 slices
+            pipeline.run(
+                [
+                    DataEvent(EventKind.INSERT, "R", RTuple(i, rng.uniform(0, 100), float(i % 7)))
+                    for i in range(20)
+                ]
+                + [
+                    DataEvent(EventKind.INSERT, "S", STuple(i, float(i % 7), rng.uniform(0, 100)))
+                    for i in range(20)
+                ]
+            )
+            group = pipeline.table_set
+            assert "cols_ba" in group.table_r.built_columns()
+            assert list(group.shards[0].table_s_select.built_columns()) == ["cols_bc"]
+            for table in group_tables(group):
+                assert table.built_indexes() == {}
+        finally:
+            pipeline.close()
 
     def test_the_unsharded_system_keeps_both_s_indexes(self):
         table_s = ContinuousQuerySystem().table_s

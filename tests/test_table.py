@@ -116,14 +116,33 @@ def test_tuples_are_frozen():
 
 
 TABLES = {
-    "R": (TableR, RTuple, ("by_b", "by_ba")),
-    "S": (TableS, STuple, ("by_b", "by_bc")),
+    "R": (TableR, RTuple, "a"),
+    "S": (TableS, STuple, "c"),
 }
+
+
+def trees(relation):
+    return ("by_b", "by_b" + TABLES[relation][2])
+
+
+def columns(relation):
+    return ("col_b", "cols_b" + TABLES[relation][2])
 
 
 def copy_of(row):
     """An equal row that is a new object, as a decoded DELETE carries."""
     return type(row)(*astuple(row))
+
+
+def index_rows(table, name):
+    """The rows of the index ``name`` in index order (a keyed column's
+    buckets in key order)."""
+    index = getattr(table, name)
+    if isinstance(index, BPlusTree):
+        return [row for __, row in index.items()]
+    if name == "col_b":
+        return list(index[1])
+    return [row for b in sorted(index) for row in index[b][1]]
 
 
 @pytest.mark.parametrize("relation", sorted(TABLES))
@@ -132,7 +151,8 @@ def test_a_mismatched_delete_is_refused_and_changes_nothing(relation, built):
     """A delete names its row by id but must carry that row: another row
     under a stored id raises ``KeyError`` before any write, so the table
     and every index still hold the stored row."""
-    make, cls, names = TABLES[relation]
+    make, cls, __ = TABLES[relation]
+    names = trees(relation) + columns(relation)
     table = make()
     row = table.add(1.0, 2.0)
     row_id = astuple(row)[0]
@@ -144,11 +164,12 @@ def test_a_mismatched_delete_is_refused_and_changes_nothing(relation, built):
             table.delete(wrong)
     assert len(table) == 1 and table.get(row_id) is row
     for name in names:
-        assert [value for __, value in getattr(table, name).items()] == [row]
+        assert index_rows(table, name) == [row]
     table.delete(copy_of(row))  # deletes the stored object
     assert len(table) == 0 and table.get(row_id) is None
     for name in names:
-        assert len(getattr(table, name)) == 0
+        assert index_rows(table, name) == []
+    assert getattr(table, columns(relation)[1]) == {}  # the emptied bucket is gone
 
 
 @pytest.mark.parametrize("relation", sorted(TABLES))
@@ -156,13 +177,13 @@ def test_a_mismatched_delete_is_refused_and_changes_nothing(relation, built):
 @settings(max_examples=60, deadline=None)
 def test_an_index_built_late_equals_one_kept_from_the_start(relation, data):
     """Interleave inserts and deletes over few distinct values (duplicate
-    B, equal composite keys) and read the indexes at a random point: each
+    B, equal composite keys) and read the trees at a random point: each
     must hold the keys and the very row objects, in order, of a tree kept
-    from the first write, and so must a flat snapshot of B taken then."""
-    make, cls, names = TABLES[relation]
+    from the first write."""
+    make, cls, second = TABLES[relation]
+    names = trees(relation)
     table = make(order=4)  # small leaves, so the built tree splits too
-    second = attrgetter("a" if cls is RTuple else "c")
-    key_of = {names[0]: attrgetter("b"), names[1]: lambda row: (row.b, second(row))}
+    key_of = {names[0]: attrgetter("b"), names[1]: attrgetter("b", second)}
     eager = {name: BPlusTree(4) for name in names}
     live = []
     steps = data.draw(st.integers(0, 80))
@@ -173,7 +194,6 @@ def test_an_index_built_late_equals_one_kept_from_the_start(relation, data):
             assert table.built_indexes() == {}
             for name in names:
                 getattr(table, name)
-            mirror, eager_mirror = table.by_b.flat_snapshot(), eager["by_b"].flat_snapshot()
         if step == steps:
             break
         if live and data.draw(st.booleans()):
@@ -193,5 +213,103 @@ def test_an_index_built_late_equals_one_kept_from_the_start(relation, data):
         assert [(k, id(v)) for k, v in tree.items()] == [
             (k, id(v)) for k, v in eager[name].items()
         ]
-    assert list(mirror[0]) == list(eager_mirror[0])
-    assert [id(v) for v in mirror[1]] == [id(v) for v in eager_mirror[1]]
+
+
+GRID = st.integers(0, 2).map(float)
+WRITE = st.one_of(
+    st.tuples(st.just("insert"), GRID, GRID),
+    # Delete the first, middle or last row of the tie run (equal B, or
+    # equal B and second key) of some live row.
+    st.tuples(
+        st.just("delete"), st.integers(0, 999),
+        st.sampled_from(["b", "b+second"]), st.sampled_from(["first", "middle", "last"]),
+    ),
+)
+
+
+def assert_columns_match(table, second, eager):
+    """``col_b`` equals the eager ``by_b``'s flat snapshot and the keyed
+    columns its ``(b, second)`` tree's prefix runs: the same keys and the
+    very row objects, in order, with no empty bucket."""
+    keys, rows = table.col_b
+    want_keys, want_rows = eager["b"].flat_snapshot()
+    assert list(keys) == list(want_keys)
+    assert [id(row) for row in rows] == [id(row) for row in want_rows]
+    runs = {}
+    for (b, x), row in eager["b+second"].items():
+        run = runs.setdefault(b, ([], []))
+        run[0].append(x)
+        run[1].append(id(row))
+    cols = getattr(table, "cols_b" + second)
+    assert sorted(cols) == sorted(runs)
+    for b, (xs, row_list) in cols.items():
+        assert (list(xs), [id(row) for row in row_list]) == runs[b]
+
+
+@pytest.mark.parametrize("relation", sorted(TABLES))
+@pytest.mark.parametrize("build", ["before", "middle", "after"])
+@given(writes=st.lists(WRITE, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_columns_equal_an_eager_tree_under_inserts_and_deletes(relation, build, writes):
+    """Integer-grid keys tie in B and in the second key; a column built
+    before, in the middle of, or after the writes is kept by every later
+    write exactly as an eager B+-tree keeps its entries."""
+    make, __, second = TABLES[relation]
+    x_of = attrgetter(second)
+    table = make()
+    eager = {"b": BPlusTree(4), "b+second": BPlusTree(4)}
+    key_of = {"b": attrgetter("b"), "b+second": attrgetter("b", second)}
+    build_at = {"before": 0, "middle": len(writes) // 2, "after": len(writes)}[build]
+    live = []  # in insertion order
+    for step, write in enumerate(writes + [None]):
+        if step == build_at:
+            assert table.built_columns() == {}
+            getattr(table, "col_b"), getattr(table, "cols_b" + second)
+        if write is None:
+            break
+        if write[0] == "insert":
+            __, b, x = write
+            row = table.add(x, b) if relation == "R" else table.add(b, x)
+            live.append(row)
+            for name, tree in eager.items():
+                tree.insert(key_of[name](row), row)
+        elif live:
+            __, pick, tie, at = write
+            probe = live[pick % len(live)]
+            run = [
+                row for row in live
+                if row.b == probe.b and (tie == "b" or x_of(row) == x_of(probe))
+            ]
+            row = run[{"first": 0, "middle": len(run) // 2, "last": -1}[at]]
+            live.remove(row)
+            table.delete(copy_of(row))
+            for name, tree in eager.items():
+                tree.remove(key_of[name](row), row)
+        if step >= build_at:
+            assert_columns_match(table, second, eager)
+    assert_columns_match(table, second, eager)
+    assert table.built_indexes() == {}
+
+
+@pytest.mark.parametrize("write", ["insert", "delete"])
+@pytest.mark.parametrize("column", ["col_b", "cols_bc"])
+def test_a_failed_column_write_drops_the_column(column, write):
+    """A held buffer view makes the column's ``array`` refuse to resize
+    (``BufferError``): the row write lands in the table, every built index
+    is forgotten, and the next read builds each from the rows.  A
+    mismatched delete raises ``KeyError`` before it touches a column."""
+    table = TableS()
+    rows = [table.add(b, c) for b, c in [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 1.0)]]
+    built = {"col_b": table.col_b, "cols_bc": table.cols_bc}
+    index = built[column]
+    keys = index[0] if column == "col_b" else index[2.0][0]
+    with memoryview(keys):
+        with pytest.raises(KeyError):
+            table.delete(STuple(rows[2].sid, 2.0, 9.0))
+        assert table.built_columns() == built
+        with pytest.raises(BufferError):
+            table.add(2.0, 1.5) if write == "insert" else table.delete(rows[2])
+    assert table.built_columns() == {} and not {"col_b", "cols_bc"} & set(vars(table))
+    for name in ("col_b", "cols_bc"):
+        eager = {"col_b": attrgetter("b"), "cols_bc": attrgetter("b", "c")}[name]
+        assert index_rows(table, name) == sorted(table, key=eager)
