@@ -56,7 +56,6 @@ def test_tracing_overhead_under_ten_percent():
             num_shards=4,
             alpha=ALPHA,
             batch_size=BATCH_SIZE,
-            queue_capacity=1024,
             mode="inline",
             tracer=tracer,
         )

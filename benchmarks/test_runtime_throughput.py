@@ -76,7 +76,6 @@ def test_runtime_throughput_grid():
                 num_shards=num_shards,
                 alpha=ALPHA,
                 batch_size=batch_size,
-                queue_capacity=max(batch_size, 1024),
                 mode="inline",
             )
             for query in queries:
@@ -127,7 +126,6 @@ def test_durable_wal_overhead(tmp_path):
             num_shards=4,
             alpha=ALPHA,
             batch_size=batch_size,
-            queue_capacity=1024,
             mode="inline",
             durability=durability,
         )

@@ -54,7 +54,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.histogram", "EQW-HIST, SSI-HIST, OPTIMAL"),
         ("repro.workload", "Table 1 generators, Zipf popularity"),
         ("repro.fastpath", "columnar batch probes: flat snapshots, vectorized sort-merge kernels"),
-        ("repro.runtime", "sharded micro-batched pipeline: routing, backpressure, metrics, replay"),
+        ("repro.runtime", "sharded micro-batched pipeline: routing, coalescing, metrics, replay"),
         ("repro.check", "differential fuzzing: brute-force oracles, invariant probes, shrinking"),
         ("repro.wire", "the one binary layer under WAL records and shard frames: record table, rows, bounds-checked reader"),
         ("repro.durability", "write-ahead log, checkpoints, crash recovery (serve --wal-dir, recover)"),
@@ -213,7 +213,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         alpha=args.alpha,
         mode=args.mode,
-        backpressure=args.policy,
     )
     elapsed = time.perf_counter() - start
     print(report.summary())
@@ -252,9 +251,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.wal_dir is not None:
         from repro.durability import DurabilityManager
 
-        if args.policy != "block":
-            print("serve: --wal-dir requires --policy block", file=sys.stderr)
-            return 2
         durability = DurabilityManager(
             Path(args.wal_dir),
             fsync=args.fsync,
@@ -267,8 +263,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         batch_size=args.batch_size,
         max_delay=args.max_delay,
-        queue_capacity=args.queue_capacity,
-        backpressure=args.policy,
         mode=args.mode,
         metrics=metrics,
         durability=durability,
@@ -297,7 +291,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"resuming the deterministic stream at event {resume_at}/{len(stream)}")
     print(
         f"serving {args.events} synthetic events on {args.shards} shard(s) "
-        f"(batch={args.batch_size}, policy={args.policy}, mode={args.mode}); "
+        f"(batch={args.batch_size}, mode={args.mode}); "
         f"reporting every {args.report_every} events"
     )
 
@@ -526,11 +520,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if delta.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an int >= 1, or a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events", type=int, default=5_000, help="data events to generate")
     parser.add_argument("--queries", type=int, default=200, help="initial subscriptions")
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--batch-size", type=int, default=64)
+    parser.add_argument("--shards", type=_positive_int, default=4)
+    parser.add_argument("--batch-size", type=_positive_int, default=64)
     parser.add_argument("--alpha", type=float, default=0.01, help="hotspot threshold")
     parser.add_argument("--band-fraction", type=float, default=0.3,
                         help="fraction of subscriptions that are band joins")
@@ -543,7 +545,6 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
         choices=["inline", "process-shm"],
         default="inline",
     )
-    parser.add_argument("--policy", choices=["block", "drop-oldest", "reject"], default="block")
 
 
 class _FuzzHelpFormatter(argparse.HelpFormatter):
@@ -628,10 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the runtime pipeline over a synthetic stream with periodic metrics"
     )
     _add_runtime_args(serve)
-    serve.add_argument("--report-every", type=int, default=2_000)
+    serve.add_argument("--report-every", type=_positive_int, default=2_000)
     serve.add_argument("--max-delay", type=float, default=None,
                        help="flush a partial batch after this many seconds")
-    serve.add_argument("--queue-capacity", type=int, default=1024)
     serve.add_argument(
         "--wal-dir", default=None, metavar="DIR",
         help="write-ahead log directory: log every event before applying it "

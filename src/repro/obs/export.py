@@ -150,11 +150,8 @@ _HELP_RULES: Tuple[Tuple[str, str], ...] = (
     ("queue_depth", "Pending events in the ingress micro-batcher."),
     ("batch_size", "Events per flushed micro-batch."),
     ("batches", "Micro-batches flushed."),
-    ("backpressure_blocks", "Submissions that blocked on a full ingress queue."),
     ("events_submitted", "Events accepted by submit()."),
     ("events_applied", "Events applied to shards."),
-    ("events_dropped", "Events evicted by the drop-oldest backpressure policy."),
-    ("events_rejected", "Events refused by the reject backpressure policy."),
     ("results_produced", "Delta rows delivered to subscriptions."),
     ("query_events", "Subscription changes processed."),
     ("events", "Events routed to this shard."),

@@ -210,7 +210,6 @@ def render_dashboard(
         f"faults: frame errors {_sum_counters(metrics, 'transport/frame_errors'):,}"
         f"   ring timeouts {_counter(metrics, 'transport/ring_timeouts'):,}"
         f"   torn WAL tails {_counter(metrics, 'durability/wal_torn_tail_total'):,}"
-        f"   dropped events {_counter(metrics, 'pipeline/events_dropped'):,}"
         f"   crc retries {_counter(metrics, 'transport/crc_retries'):,}"
     )
 

@@ -1,8 +1,8 @@
 """Sharded, micro-batched event-processing runtime.
 
 The scaling layer above the engine: shard routing over the attribute
-domain (``sharding``), micro-batch coalescing (``batching``), the bounded
-pipeline with backpressure and worker-per-shard execution (``pipeline``),
+domain (``sharding``), micro-batch coalescing (``batching``), the
+pipeline with worker-per-shard execution (``pipeline``),
 cheap runtime metrics (``metrics``), and the deterministic replay driver
 that proves the whole stack equivalent to the unsharded facade
 (``replay``).  See ``docs/RUNTIME.md`` for the architecture.
@@ -10,7 +10,7 @@ that proves the whole stack equivalent to the unsharded facade
 
 from repro.runtime.batching import BatchEntry, BatchStats, MicroBatcher
 from repro.runtime.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.runtime.pipeline import BackpressurePolicy, EventPipeline
+from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import (
     ReplayReport,
     StreamProfile,
@@ -28,7 +28,6 @@ from repro.runtime.sharding import (
 )
 
 __all__ = [
-    "BackpressurePolicy",
     "BatchEntry",
     "BatchStats",
     "Counter",

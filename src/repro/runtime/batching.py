@@ -12,10 +12,9 @@ preserved for everything that is actually applied.
 A delete whose insert already flushed in an earlier batch is *not*
 cancelled — it must reach the shards to remove installed state.
 
-Subscription changes are entries too (:meth:`MicroBatcher.add_query`), in
-stream order among the data events.  They count toward ``max_batch``, but
-nothing here removes one: coalescing and the backpressure evictions only
-ever touch data entries.
+Subscription changes are entries too (``seq`` -1), in stream order among
+the data events.  They count toward ``max_batch``, but nothing here removes
+one: coalescing only ever touches data entries.
 
 The batcher knows nothing of shards: an entry (:data:`BatchEntry`) is a
 sequence number, an event and its ingest stamp, and the pipeline routes
@@ -25,7 +24,7 @@ the survivors when the batch flushes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.engine.events import DataEvent, EventKind
 
@@ -67,29 +66,20 @@ class MicroBatcher:
     ``max_batch`` is the flush threshold (``is_due`` turns true);
     ``drain()`` returns up to ``max_batch`` oldest survivors after
     cancelling insert+delete pairs that are both still pending.
-    ``queries`` counts the pending subscription changes, so
-    ``len(batcher) - batcher.queries`` is the pending data events.
     """
 
-    __slots__ = ("max_batch", "_pending", "queries", "stats")
+    __slots__ = ("max_batch", "_pending", "stats")
 
     def __init__(self, max_batch: int = 64):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self._pending: List[BatchEntry] = []
-        self.queries = 0
         self.stats = BatchStats()
 
     def add(self, entry: BatchEntry) -> None:
-        """Queue a data event."""
+        """Queue a data event or a subscription change."""
         self._pending.append(entry)
-        self.stats.events_in += 1
-
-    def add_query(self, entry: BatchEntry) -> None:
-        """Queue a subscription change."""
-        self._pending.append(entry)
-        self.queries += 1
         self.stats.events_in += 1
 
     def __len__(self) -> int:
@@ -98,21 +88,6 @@ class MicroBatcher:
     @property
     def is_due(self) -> bool:
         return len(self._pending) >= self.max_batch
-
-    def drop_oldest(self) -> Optional[BatchEntry]:
-        """Evict the oldest pending data event (drop-oldest backpressure)."""
-        for pos, entry in enumerate(self._pending):
-            if entry[0] >= 0:
-                return self._pending.pop(pos)
-        return None
-
-    def drop_delete(self, key: Tuple[str, int]) -> Optional[BatchEntry]:
-        """Evict the pending DELETE of row ``key``, if one is queued (its
-        INSERT went with :meth:`drop_oldest`, so it has nothing to remove)."""
-        for pos, (seq, event, __) in enumerate(self._pending):
-            if seq >= 0 and event.kind is EventKind.DELETE and _row_key(event) == key:
-                return self._pending.pop(pos)
-        return None
 
     def coalesce_pending(self) -> List[Tuple[int, int]]:
         """Cancel insert+delete pairs among the pending events.
@@ -148,11 +123,10 @@ class MicroBatcher:
 
     def drain(self, *, coalesce: bool = True) -> List[BatchEntry]:
         """Remove and return the next batch (oldest-first survivors)."""
-        if coalesce and self.queries < len(self._pending):
+        if coalesce and len(self._pending) > 1:  # a pair needs two entries
             self.coalesce_pending()
         batch = self._pending[: self.max_batch]
-        self._pending = rest = self._pending[self.max_batch :]
-        self.queries = sum(entry[0] < 0 for entry in rest)
+        self._pending = self._pending[self.max_batch :]
         if batch:
             self.stats.events_out += len(batch)
             self.stats.batches += 1

@@ -1,19 +1,15 @@
-"""The event-processing pipeline: bounded ingress, micro-batches, workers.
+"""The event-processing pipeline: ingress, micro-batches, workers.
 
 ``EventPipeline`` is the one host of :class:`~repro.runtime.sharding.Shard`\\ s;
 it stacks the runtime layers on top of them:
 
-1. **ingress** — submitted events queue in a bounded
+1. **ingress** — submitted events queue in a
    :class:`~repro.runtime.batching.MicroBatcher`, subscription changes
    (:class:`~repro.engine.events.QueryEvent`\\ s) among the
-   :class:`~repro.engine.events.DataEvent`\\ s in stream order.  When
-   ``queue_capacity`` data events are pending the configured
-   :class:`BackpressurePolicy` decides: ``block`` flushes a batch
-   immediately (the caller absorbs the latency), ``drop-oldest`` evicts the
-   oldest pending data event, ``reject`` refuses the new one (``submit``
-   returns False).  Every outcome is counted.  Backpressure is data-only: a
-   subscription change is logged when it is submitted, so it is never
-   evicted or refused.
+   :class:`~repro.engine.events.DataEvent`\\ s in stream order.  The
+   queue is bounded by ``batch_size``, because the submit that fills it
+   flushes it; nothing is ever dropped or refused, and pacing a slow
+   consumer is the caller's job.
 2. **batching** — a batch flushes when ``batch_size`` entries are pending
    or the oldest pending entry exceeds ``max_delay`` seconds.  Pending
    insert+delete pairs coalesce away before dispatch (batch-atomic
@@ -49,12 +45,10 @@ has an unsubscribe pending, which flushes first.
 
 from __future__ import annotations
 
-import enum
 import multiprocessing
 import time
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, List, Optional, Protocol, Set,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, List, Optional, Protocol, Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — type only: runtime never imports durability
@@ -67,7 +61,7 @@ from repro.runtime.transport.worker import shard_worker_main
 from repro.obs.hotspot_telemetry import HeadroomSample
 from repro.obs.remote import merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
-from repro.runtime.batching import BatchEntry, MicroBatcher, _row_key
+from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.metrics import MetricsRegistry, histogram_delta
 from repro.runtime.sharding import (
     DOMAIN_HI,
@@ -82,14 +76,6 @@ from repro.runtime.sharding import (
     scaled_alpha,
     merge_deltas,
 )
-
-
-class BackpressurePolicy(str, enum.Enum):
-    """What ``submit`` does when the ingress queue is at capacity."""
-
-    BLOCK = "block"
-    DROP_OLDEST = "drop-oldest"
-    REJECT = "reject"
 
 
 # -- execution backends ------------------------------------------------------
@@ -443,7 +429,7 @@ class _ProcessShmBackend:
 
 
 class EventPipeline:
-    """Sharded, micro-batched event processing with backpressure.
+    """Sharded, micro-batched event processing.
 
     Parameters mirror the knobs documented in ``docs/RUNTIME.md``.  Results
     are delivered through per-subscription callbacks (``subscribe``) and/or
@@ -461,29 +447,17 @@ class EventPipeline:
         domain_hi: float = DOMAIN_HI,
         batch_size: int = 32,
         max_delay: Optional[float] = None,
-        queue_capacity: int = 1024,
-        backpressure: BackpressurePolicy | str = BackpressurePolicy.BLOCK,
         mode: str = "inline",
         coalesce: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         durability: Optional["DurabilityManager"] = None,
         tracer: Tracer = NULL_TRACER,
     ):
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if durability is not None:
-            # Log-before-apply assumes every logged event is eventually
-            # applied; drop-oldest/reject would let the WAL diverge from
-            # shard state.
-            if BackpressurePolicy(backpressure) is not BackpressurePolicy.BLOCK:
-                raise ValueError("durability requires the 'block' backpressure policy")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.router = ShardRouter(num_shards, domain_lo=domain_lo, domain_hi=domain_hi)
         self.batch_size = batch_size
         self.max_delay = max_delay
-        self.queue_capacity = queue_capacity
-        self.backpressure = BackpressurePolicy(backpressure)
         self.coalesce = coalesce
         self.mode = mode
         self.alpha = alpha
@@ -495,25 +469,14 @@ class EventPipeline:
         self._callbacks: Dict[int, ResultCallback] = {}
         self._seq = 0
         self._oldest_pending_at: Optional[float] = None  # only with max_delay
-        # Queue depth after each accepted event since the last fold (per
-        # flush); at most ``queue_capacity + 1`` ints, see ``submit``.
+        # Queue depth after each submitted event since the last fold (per
+        # flush); at most ``batch_size`` ints, see ``submit``.
         self._depths: List[int] = []
         self._sink: Optional[List[Tuple[int, DataEvent, Delta]]] = None
-        self.dropped_seqs: List[int] = []
-        self.rejected_seqs: List[int] = []
-        # Rows whose INSERT was refused (evicted by drop-oldest or rejected):
-        # the row never reached any shard, so a later DELETE of it must be
-        # refused too — deleting state that was never installed would corrupt
-        # the shards.  A successful re-submit of the insert clears the mark.
-        # Assumes surrogate ids are not reused, as with the repo's generators.
-        self._lost_rows: Set[Tuple[str, int]] = set()
         # Resolved once: the data path never looks a metric up by name.
         counter, histogram = self.metrics.counter, self.metrics.histogram
         self._query_events = counter("pipeline/query_events")
         self._events_submitted = counter("pipeline/events_submitted")
-        self._events_rejected = counter("pipeline/events_rejected")
-        self._events_dropped = counter("pipeline/events_dropped")
-        self._backpressure_blocks = counter("pipeline/backpressure_blocks")
         self._results_produced = counter("pipeline/results_produced")
         self._events_applied = counter("pipeline/events_applied")
         self._batches = counter("pipeline/batches")
@@ -598,7 +561,7 @@ class EventPipeline:
     def _enqueue_query(self, event: QueryEvent, placement: List[int]) -> None:
         """Queue a subscription change; it counts toward ``batch_size``."""
         batcher = self._batcher
-        batcher.add_query((-1, event, placement))
+        batcher.add((-1, event, placement))
         max_delay = self.max_delay
         if max_delay is not None:
             if self._oldest_pending_at is None:
@@ -619,8 +582,10 @@ class EventPipeline:
     # -- ingress -------------------------------------------------------------
 
     def submit(self, event: object) -> bool:
-        """Enqueue one event.  Returns False iff the event was rejected by
-        the ``reject`` backpressure policy."""
+        """Enqueue one event; flush once ``batch_size`` entries are pending.
+
+        Always returns True: nothing is ever refused.  The return value is
+        kept for callers that still count a falsy one as a refusal."""
         durability = self.durability
         if isinstance(event, QueryEvent):
             if event.kind is EventKind.INSERT:
@@ -638,62 +603,12 @@ class EventPipeline:
         seq = self._seq
         self._seq += 1
         self._events_submitted.inc()
-        if self._lost_rows and event.kind is EventKind.DELETE:
-            key = _row_key(event)
-            if key in self._lost_rows:
-                self._lost_rows.discard(key)
-                if self.backpressure is BackpressurePolicy.REJECT:
-                    self._events_rejected.inc()
-                    self.rejected_seqs.append(seq)
-                    return False
-                self._events_dropped.inc()
-                self.dropped_seqs.append(seq)
-                return True
         batcher = self._batcher
-        pending = len(batcher)
-        if pending - batcher.queries >= self.queue_capacity:
-            if self.backpressure is BackpressurePolicy.REJECT:
-                if event.kind is EventKind.INSERT:
-                    self._lost_rows.add(_row_key(event))
-                self._events_rejected.inc()
-                self.rejected_seqs.append(seq)
-                return False
-            if self.backpressure is BackpressurePolicy.DROP_OLDEST:
-                dropped = batcher.drop_oldest()
-                if dropped is not None:
-                    dropped_seq, dropped_event, __ = dropped
-                    self._events_dropped.inc()
-                    self.dropped_seqs.append(dropped_seq)
-                    if dropped_event.kind is EventKind.INSERT:
-                        # The row reaches no shard, so neither may its
-                        # DELETE: the one queued behind it, this very
-                        # event, or (marked lost) one yet to come.
-                        key = _row_key(dropped_event)
-                        orphan = batcher.drop_delete(key)
-                        if orphan is not None:
-                            self._events_dropped.inc()
-                            self.dropped_seqs.append(orphan[0])
-                        elif event.kind is EventKind.DELETE and _row_key(event) == key:
-                            self._events_dropped.inc()
-                            self.dropped_seqs.append(seq)
-                            return True
-                        else:
-                            self._lost_rows.add(key)
-                if len(self._depths) > self.queue_capacity:
-                    # A queue that only ever evicts never flushes: fold
-                    # here so the depth list stays bounded.
-                    self._fold_depths()
-            else:  # BLOCK: make room by processing a batch now.
-                self._backpressure_blocks.inc()
-                self.flush()
-            pending = len(batcher)
-        if self._lost_rows and event.kind is EventKind.INSERT:
-            self._lost_rows.discard(_row_key(event))
         max_delay = self.max_delay
         if max_delay is not None and self._oldest_pending_at is None:
             self._oldest_pending_at = time.monotonic()
         batcher.add((seq, event, time.perf_counter_ns()))
-        pending += 1
+        pending = len(batcher)
         self._depths.append(pending)
         if pending >= batcher.max_batch or (
             max_delay is not None
@@ -827,8 +742,8 @@ class EventPipeline:
         """Submit an event stream, drain, and return every applied event's
         ``(seq, event, deltas)`` in sequence order.
 
-        Every flush during the run (batch-size triggers, a reused qid,
-        backpressure blocks) feeds the same collection, so the caller sees
+        Every flush during the run (batch-size and delay triggers, a
+        reused qid) feeds the same collection, so the caller sees
         one ordered result list for the whole stream."""
         collected: List[Tuple[int, DataEvent, Delta]] = []
         outer_sink, self._sink = self._sink, collected

@@ -29,7 +29,7 @@ from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_ev
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
-from repro.runtime.pipeline import BackpressurePolicy, EventPipeline
+from repro.runtime.pipeline import EventPipeline
 from repro.workload.generator import make_band_join_queries, make_select_join_queries
 from repro.workload.params import WorkloadParams
 
@@ -200,8 +200,6 @@ def run_replay(
     alpha: Optional[float] = 0.01,
     epsilon: float = 1.0,
     mode: str = "inline",
-    backpressure: BackpressurePolicy | str = BackpressurePolicy.BLOCK,
-    queue_capacity: int = 4096,
     coalesce: bool = True,
     domain_lo: float = 0.0,
     domain_hi: float = 10_000.0,
@@ -240,8 +238,6 @@ def run_replay(
         domain_lo=domain_lo,
         domain_hi=domain_hi,
         batch_size=batch_size,
-        queue_capacity=queue_capacity,
-        backpressure=backpressure,
         mode=mode,
         coalesce=coalesce,
     ) as pipeline:

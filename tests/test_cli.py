@@ -201,12 +201,34 @@ def test_serve_wal_resumes_completed_stream(tmp_path, capsys):
     assert "served 0 events" in out
 
 
-def test_serve_wal_rejects_non_block_policy(tmp_path, capsys):
-    assert main([
-        "serve", "--events", "10", "--wal-dir", str(tmp_path / "wal"),
-        "--policy", "reject",
-    ]) == 2
-    assert "requires --policy block" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag", [["--policy", "block"], ["--queue-capacity", "8"]],
+    ids=["--policy", "--queue-capacity"],
+)
+def test_removed_runtime_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--events", "10", *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--batch-size", "0"],
+        ["serve", "--batch-size", "0"],
+        ["replay", "--shards", "0"],
+        ["serve", "--shards", "-1"],
+        ["serve", "--report-every", "0"],
+    ],
+    ids=["replay-batch-size", "serve-batch-size", "replay-shards", "serve-shards",
+         "serve-report-every"],
+)
+def test_out_of_range_runtime_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--events", "10"])
+    assert exit_info.value.code == 2
+    assert f"argument {argv[1]}: must be >= 1" in capsys.readouterr().err
 
 
 def test_recover_empty_directory(tmp_path, capsys):

@@ -812,11 +812,6 @@ class TestKillAndRecover:
 
 
 class TestPipelineDurability:
-    def test_requires_block_backpressure(self, tmp_path):
-        manager = DurabilityManager(tmp_path, fsync="never")
-        with pytest.raises(ValueError, match="block"):
-            EventPipeline(backpressure="drop-oldest", durability=manager)
-
     def test_process_shm_round_trip(self, tmp_path):
         """A process-shm host checkpoints the rows its parent holds and the
         queries it registered; an inline recovery reads them back."""

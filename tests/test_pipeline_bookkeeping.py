@@ -9,7 +9,7 @@ Two halves of one contract (``docs/RUNTIME.md`` § metrics):
 * **equivalence** — folding per batch loses nothing: the final snapshot of
   every pipeline metric equals what one recording per event gives, worked
   out here from the stream and the batch boundaries by a model of the
-  ingress queue, under every backpressure policy — and so does a shm
+  ingress queue — and so does a shm
   worker's ``worker/e2e/ingest_to_apply_us``, shipped to the parent.
 
 The subscription-write path follows the same rule one level down: a hot-item
@@ -39,14 +39,10 @@ from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames, worker
 
-FLUSH = None  # stream marker: the driver calls ``pipeline.flush()`` here
-
-
-def seeded_stream(seed, n, *, min_age=0, flush_every=0):
+def seeded_stream(seed, n, *, min_age=0):
     """``n`` data events: inserts into both relations and deletes of rows
     inserted at least ``min_age`` events earlier (0 lets a delete meet its
-    own insert in the queue and coalesce), with a :data:`FLUSH` marker
-    after every ``flush_every`` events."""
+    own insert in the queue and coalesce)."""
     rng = random.Random(seed)
     live = []  # (position inserted, relation, row)
     events = []
@@ -64,8 +60,6 @@ def seeded_stream(seed, n, *, min_age=0, flush_every=0):
                 relation, row = "S", STuple(position, b, rng.uniform(0, 10_000))
             live.append((position, relation, row))
             events.append(DataEvent(EventKind.INSERT, relation, row))
-        if flush_every and (position + 1) % flush_every == 0:
-            events.append(FLUSH)
     return events
 
 
@@ -89,63 +83,25 @@ def subscribe_population(pipeline):
 
 def drive(pipeline, events):
     for event in events:
-        if event is FLUSH:
-            pipeline.flush()
-        else:
-            pipeline.submit(event)
+        pipeline.submit(event)
 
 
-def row_key(event):
-    row = event.row
-    return (event.relation, row.rid if event.relation == "R" else row.sid)
-
-
-def per_event_model(events, *, policy, capacity, batch_size, flush_each=False):
+def per_event_model(events, *, batch_size, flush_each=False):
     """What the ingress queue does to ``events``, one event at a time.
 
-    Returns the queue depth after every accepted event (what a per-event
-    ``queue_depth.observe`` records) and the number of events evicted,
-    refused and handed to a flush.  A flush always empties the queue here:
-    every configuration below keeps it at or under one batch.
+    Returns the queue depth after every submitted event (what a per-event
+    ``queue_depth.observe`` records) and the number of events handed to a
+    flush.  A flush always empties the queue here: a submit flushes once
+    ``batch_size`` events are pending, so it never holds more than a batch.
     """
-    depths, queue, lost = [], [], set()
-    dropped = rejected = flushed = 0
-    for event in events:
-        if event is FLUSH:
-            flushed += len(queue)
-            queue = []
-            continue
-        key = row_key(event)
-        insert = event.kind is EventKind.INSERT
-        if not insert and key in lost:  # its insert never reached a shard
-            lost.discard(key)
-            if policy == "reject":
-                rejected += 1
-            else:
-                dropped += 1
-            continue
-        if len(queue) >= capacity:
-            if policy == "reject":
-                if insert:
-                    lost.add(key)
-                rejected += 1
-                continue
-            if policy == "drop-oldest":
-                evicted = queue.pop(0)
-                if evicted.kind is EventKind.INSERT:
-                    lost.add(row_key(evicted))
-                dropped += 1
-            else:  # block: the submit flushes to make room
-                flushed += len(queue)
-                queue = []
-        if insert:
-            lost.discard(key)
-        queue.append(event)
-        depths.append(len(queue))
-        if flush_each or len(queue) >= batch_size:
-            flushed += len(queue)
-            queue = []
-    return depths, dropped, rejected, flushed + len(queue)  # + the final drain
+    depths, queue, flushed = [], 0, 0
+    for __ in events:
+        queue += 1
+        depths.append(queue)
+        if flush_each or queue >= batch_size:
+            flushed += queue
+            queue = 0
+    return depths, flushed + queue  # + the final drain
 
 
 def observed_per_event(values):
@@ -201,27 +157,11 @@ def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monk
 
 # -- equivalence with per-event recording ------------------------------------------
 
-# Under drop-oldest and reject a delete targets a row from before the last
-# explicit flush (min_age > flush_every), so its insert was either applied
-# or refused by then -- never still queued, where an eviction takes the delete
-# with it (TestBackpressure in test_runtime_pipeline.py), which the per-event
-# model above does not follow.
 SCENARIOS = {
     # name: (pipeline kwargs, stream kwargs)
     "batches-of-64": (dict(batch_size=64), dict(min_age=0)),
     "max-delay-0": (dict(batch_size=64, max_delay=0.0), dict(min_age=0)),
-    "block-on-full-queue": (
-        dict(batch_size=64, queue_capacity=5, backpressure="block"),
-        dict(min_age=8),
-    ),
-    "drop-oldest": (
-        dict(batch_size=64, queue_capacity=5, backpressure="drop-oldest"),
-        dict(min_age=40, flush_every=37),
-    ),
-    "reject": (
-        dict(batch_size=64, queue_capacity=5, backpressure="reject"),
-        dict(min_age=40, flush_every=37),
-    ),
+    "batches-of-5": (dict(batch_size=5), dict(min_age=8)),
 }
 
 
@@ -229,15 +169,10 @@ SCENARIOS = {
 def test_final_snapshot_equals_per_event_recording(name):
     pipeline_kwargs, stream_kwargs = SCENARIOS[name]
     events = seeded_stream(9, 1_200, **stream_kwargs)
-    depths, dropped, rejected, flushed = per_event_model(
-        events,
-        policy=pipeline_kwargs.get("backpressure", "block"),
-        capacity=pipeline_kwargs.get("queue_capacity", 1024),
-        batch_size=pipeline_kwargs["batch_size"],
-        flush_each=pipeline_kwargs.get("max_delay") == 0.0,
+    batch_size = pipeline_kwargs["batch_size"]
+    depths, flushed = per_event_model(
+        events, batch_size=batch_size, flush_each=pipeline_kwargs.get("max_delay") == 0.0
     )
-    if name in ("drop-oldest", "reject"):
-        assert dropped + rejected > 100  # the scenario does exercise its policy
     registry = MetricsRegistry()
     with EventPipeline(num_shards=2, mode="inline", metrics=registry, **pipeline_kwargs) as pipeline:
         subscribe_population(pipeline)
@@ -247,9 +182,9 @@ def test_final_snapshot_equals_per_event_recording(name):
     snap = registry.snapshot()
     counters, histograms = snap["counters"], snap["histograms"]
     assert histograms["pipeline/queue_depth"] == observed_per_event(depths)
+    # The bound the queue rests on: a submit that fills a batch flushes it.
+    assert histograms["pipeline/queue_depth"]["max"] <= batch_size
     assert counters["pipeline/events_submitted"] == 1_200
-    assert counters.get("pipeline/events_dropped", 0) == dropped
-    assert counters.get("pipeline/events_rejected", 0) == rejected
     assert counters["pipeline/events_applied"] == applied
     assert histograms["pipeline/e2e_us"]["count"] == applied
     assert histograms["pipeline/batch_size"]["count"] == counters["pipeline/batches"]

@@ -77,14 +77,6 @@ class TestBatchLimits:
         assert len(batcher) == 2
         assert [e[0] for e in batcher.drain()] == [3, 4]
 
-    def test_drop_oldest(self):
-        batcher = MicroBatcher(max_batch=8)
-        for seq in range(3):
-            batcher.add(insert_r(seq, seq))
-        dropped = batcher.drop_oldest()
-        assert dropped[0] == 0
-        assert [e[0] for e in batcher.drain()] == [1, 2]
-
 
 class TestBatchedDeltaEquivalence:
     def test_batched_equals_single_event_processing(self):

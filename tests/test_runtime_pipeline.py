@@ -1,4 +1,4 @@
-"""Tests for the bounded event pipeline: backpressure, execution modes,
+"""Tests for the event pipeline: batch triggers, execution modes,
 metrics, and query events in stream order (the one barrier left)."""
 
 import sys
@@ -11,15 +11,11 @@ from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
 from repro.obs.export import render_snapshot
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.pipeline import BackpressurePolicy, EventPipeline
+from repro.runtime.pipeline import EventPipeline
 
 
 def r_insert(rid, a=5.0, b=10.0):
     return DataEvent(EventKind.INSERT, "R", RTuple(rid, a, b))
-
-
-def r_delete(rid, a=5.0, b=10.0):
-    return DataEvent(EventKind.DELETE, "R", RTuple(rid, a, b))
 
 
 def s_insert(sid, b=10.0, c=50.0):
@@ -28,126 +24,6 @@ def s_insert(sid, b=10.0, c=50.0):
 
 def wide_select():
     return SelectJoinQuery(Interval(0.0, 10_000.0), Interval(0.0, 10_000.0))
-
-
-class TestBackpressure:
-    def make(self, policy):
-        # batch_size larger than capacity so auto-flush never makes room.
-        return EventPipeline(
-            num_shards=2,
-            alpha=None,
-            batch_size=64,
-            queue_capacity=5,
-            backpressure=policy,
-            mode="inline",
-        )
-
-    def test_reject_returns_false_and_counts(self):
-        with self.make("reject") as pipeline:
-            accepted = [pipeline.submit(r_insert(i)) for i in range(8)]
-            assert accepted == [True] * 5 + [False] * 3
-            assert pipeline.rejected_seqs == [5, 6, 7]
-            snap = pipeline.metrics.snapshot()
-            assert snap["counters"]["pipeline/events_rejected"] == 3
-            assert snap["counters"]["pipeline/events_submitted"] == 8
-            applied = pipeline.drain()
-            assert [seq for seq, __, __ in applied] == [0, 1, 2, 3, 4]
-
-    def test_drop_oldest_evicts_and_counts(self):
-        with self.make("drop-oldest") as pipeline:
-            for i in range(8):
-                assert pipeline.submit(r_insert(i))
-            assert pipeline.dropped_seqs == [0, 1, 2]
-            assert pipeline.metrics.snapshot()["counters"]["pipeline/events_dropped"] == 3
-            applied = pipeline.drain()
-            assert [seq for seq, __, __ in applied] == [3, 4, 5, 6, 7]
-
-    def test_block_flushes_to_make_room(self):
-        with self.make(BackpressurePolicy.BLOCK) as pipeline:
-            for i in range(8):
-                assert pipeline.submit(r_insert(i))
-            pipeline.drain()
-            snap = pipeline.metrics.snapshot()
-            assert snap["counters"]["pipeline/backpressure_blocks"] == 1
-            # Resolved at construction: never dropping reads as zero.
-            assert snap["counters"].get("pipeline/events_dropped", 0) == 0
-            assert snap["counters"]["pipeline/events_applied"] == 8  # nothing lost
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            EventPipeline(backpressure="nonsense")
-
-    def test_drop_oldest_suppresses_delete_of_evicted_insert(self):
-        # Seqs 0-2 are evicted before ever reaching a shard; their deletes
-        # must be refused too, not applied against never-installed state.
-        with self.make("drop-oldest") as pipeline:
-            for i in range(8):
-                assert pipeline.submit(r_insert(i))
-            assert pipeline.dropped_seqs == [0, 1, 2]
-            for i in range(3):
-                assert pipeline.submit(
-                    DataEvent(EventKind.DELETE, "R", RTuple(i, 5.0, 10.0))
-                )
-            assert pipeline.dropped_seqs == [0, 1, 2, 8, 9, 10]
-            applied = pipeline.drain()
-            assert [seq for seq, __, __ in applied] == [3, 4, 5, 6, 7]
-            snap = pipeline.metrics.snapshot()
-            assert snap["counters"]["pipeline/events_dropped"] == 6
-
-    @pytest.mark.parametrize(
-        "events, suppressed",
-        [
-            # Row 0 is installed (seq 0, flushed); capacity is 2.
-            # The DELETE of row 1 is queued behind its INSERT when seq 3 evicts it.
-            ([r_insert(1), r_delete(1), r_insert(2)], [1, 2]),
-            # The DELETE of row 1 (seq 3) is the very submit that evicts its INSERT.
-            ([r_insert(1), r_delete(0), r_delete(1)], [1, 3]),
-            # The DELETE of row 1 arrives after the eviction (seq 3 evicted seq 1).
-            ([r_insert(1), r_insert(2), r_insert(3), r_delete(1)], [1, 4]),
-        ],
-        ids=["delete-queued-before", "delete-evicts-its-insert", "delete-after"],
-    )
-    def test_drop_oldest_drops_the_delete_of_an_evicted_insert(self, events, suppressed):
-        with EventPipeline(
-            num_shards=2, alpha=None, batch_size=64, queue_capacity=2,
-            backpressure="drop-oldest", mode="inline",
-        ) as pipeline:
-            pipeline.submit(r_insert(0))
-            pipeline.flush()
-            for event in events:
-                assert pipeline.submit(event)
-            pipeline.drain()  # an orphan DELETE would raise KeyError here
-            assert pipeline.dropped_seqs == suppressed
-            counters = pipeline.metrics.snapshot()["counters"]
-            assert counters["pipeline/events_dropped"] == len(suppressed)
-            rows = {0}
-            for seq, event in enumerate(events, start=1):
-                if seq not in suppressed:
-                    (rows.add if event.kind is EventKind.INSERT else rows.remove)(event.row.rid)
-            table_r = pipeline.shard_group.table_r
-            assert sorted(row.rid for row in table_r) == sorted(rows)
-            assert len(pipeline.shard_group.table_s) == 0
-
-    def test_reject_suppresses_delete_of_rejected_insert(self):
-        with self.make("reject") as pipeline:
-            accepted = [pipeline.submit(r_insert(i)) for i in range(8)]
-            assert accepted == [True] * 5 + [False] * 3
-            pipeline.flush()  # make room so the deletes are not capacity-rejected
-            # Deleting a row whose insert was rejected is itself rejected ...
-            assert not pipeline.submit(
-                DataEvent(EventKind.DELETE, "R", RTuple(6, 5.0, 10.0))
-            )
-            assert pipeline.rejected_seqs == [5, 6, 7, 8]
-            # ... but a successful re-submit of the insert clears the mark,
-            # after which its delete flows through normally.
-            assert pipeline.submit(r_insert(7))
-            pipeline.flush()  # keep the pair in separate batches (no coalescing)
-            assert pipeline.submit(
-                DataEvent(EventKind.DELETE, "R", RTuple(7, 5.0, 10.0))
-            )
-            pipeline.drain()
-            snap = pipeline.metrics.snapshot()
-            assert snap["counters"]["pipeline/events_applied"] == 7
 
 
 class TestBatchTriggers:
