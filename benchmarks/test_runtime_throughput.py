@@ -12,8 +12,9 @@ select plane probes a single shard per S event — the router acts as a
 coarse partition index over ``rangeC``.  The win therefore grows with the
 subscription count while the per-event routing/broadcast overhead stays
 O(K), so the sweep runs at a paper-like query population (Table 1 defaults
-to 10k queries).  Micro-batching adds coalescing: with update churn,
-insert+delete pairs cancel before touching any shard.  The acceptance bar
+to 10k queries).  With update churn a row is often inserted and deleted
+inside one batch, which the shards answer by striking it from the events
+outside its lifetime.  The acceptance bar
 is the best sharded+batched configuration beating the unsharded baseline
 by >= 2x.
 """
@@ -45,7 +46,7 @@ def build_workload():
         band_fraction=0.0,          # select-join runs, as in Figures 7/8
         query_event_fraction=0.0,   # measure the data path only
         delete_fraction=0.3,
-        churn=0.5,                  # half the deletes hit fresh rows -> coalescing
+        churn=0.5,                  # half the deletes hit fresh rows in their batch
         min_delete_age=64,
         recent_window=32,
         seed=1106,

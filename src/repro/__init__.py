@@ -17,7 +17,7 @@ The package implements the paper's full stack from scratch:
 * ``repro.bench`` — the figure-shape library (``Series``, ``measure_*``,
   ``assert_*``, ``print_figure``) the ``benchmarks/`` figure files share;
 * ``repro.runtime`` — the sharded, micro-batched event-processing runtime
-  (shard routing, coalescing, metrics, deterministic replay);
+  (shard routing, micro-batches, metrics, deterministic replay);
 * ``repro.durability`` — write-ahead log, checkpoints and crash recovery
   for that runtime;
 * ``repro.wire`` — the one binary record/row/reader layer under both

@@ -6,16 +6,16 @@ of two domains:
 * the **interval domain** — insert/delete intervals, change epsilon/alpha —
   drives the stabbing-partition maintainers and the hotspot tracker;
 * the **engine domain** — insert/delete R and S rows, subscribe/unsubscribe
-  band and select-join queries — drives the micro-batcher, the sharded
-  pipeline and the unsharded reference.
+  band and select-join queries — drives the sharded pipeline and the
+  unsharded reference.
 
 :func:`generate_ops` produces a deterministic sequence per seed, reusing
 the :mod:`repro.workload` generators (Table 1 distributions, anchored
 clustering, Zipf popularity) so fuzzed inputs look like the paper's
 workloads rather than uniform noise.  Churn (deletions targeting recently
 inserted items) and live-set caps keep sequences in the regime where the
-dynamic maintainers actually reconstruct and the batcher actually
-coalesces.
+dynamic maintainers actually reconstruct and a batch often holds a row's
+insert and its delete.
 
 Every generated sequence is *well-formed*: ids are never reused, deletes
 only target live ids, unsubscribes only live subscriptions.  The shrinker
@@ -118,8 +118,8 @@ class FuzzConfig:
     reaches its cap, the generator forces deletions until it shrinks.
     ``churn`` is the fraction of deletions that target a recently inserted
     item (within ``recent_window`` ops of the same domain) — the knob that
-    exercises partition reconstruction under turnover and gives the
-    micro-batcher insert+delete pairs to cancel.
+    exercises partition reconstruction under turnover and puts a row's
+    insert and delete into one pipeline batch.
     """
 
     seed: int = 0

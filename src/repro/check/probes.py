@@ -14,9 +14,6 @@ Each probe inspects one target against the ground-truth
 * **tracker** — invariants I1/I2 via ``HotspotTracker.validate()``, the I3
   amortized crossing bound, membership, and the (1 + eps) * tau + 2/alpha
   group bound against the oracle tau;
-* **batcher** — batch-atomic visibility: exactly the insert+delete pairs
-  co-pending at drain time cancel, survivors keep arrival order, and the
-  stats ledger adds up;
 * **sharded runtime** — per-event merged deltas equal the unsharded
   reference's, which equal the nested-loop oracle's.
 """
@@ -181,64 +178,6 @@ def check_tracker(target_name: str, tracker: Any, model: ModelState) -> None:
             target_name,
             f"is_hotspot_item({item}) = {hot} but membership says {in_hot}",
         )
-
-
-# -- micro-batcher -----------------------------------------------------------
-
-
-def check_batcher_drain(
-    target_name: str,
-    pending_before: List[Tuple[int, str, int, str]],  # (seq, relation, row_id, kind)
-    drained_seqs: List[int],
-    remaining_seqs: List[int],
-    cancelled_pairs: List[Tuple[int, int]],
-    max_batch: int,
-) -> None:
-    """Batch-atomic visibility, checked against a naive cancellation model.
-
-    ``pending_before`` is the shadow copy of the queue at drain time.  Row
-    ids are never reused, so the expected cancellation is simply: an
-    insert+delete pair of the same row with both events still pending.
-    Survivors must keep arrival order and split into (first max_batch
-    drained, rest remaining).
-    """
-    by_row: Dict[Tuple[str, int], List[Tuple[int, str]]] = {}
-    for seq, relation, row_id, kind in pending_before:
-        by_row.setdefault((relation, row_id), []).append((seq, kind))
-    expected_cancelled: set[int] = set()
-    expected_pairs: set[Tuple[int, int]] = set()
-    for events in by_row.values():
-        kinds = [kind for __, kind in events]
-        if "insert" in kinds and "delete" in kinds:
-            insert_seq = next(seq for seq, kind in events if kind == "insert")
-            delete_seq = next(seq for seq, kind in events if kind == "delete")
-            expect(
-                insert_seq < delete_seq,
-                target_name,
-                f"delete seq {delete_seq} precedes insert seq {insert_seq} "
-                "for the same row",
-            )
-            expected_cancelled.update((insert_seq, delete_seq))
-            expected_pairs.add((insert_seq, delete_seq))
-    survivors = [
-        seq for seq, __, __, __ in pending_before if seq not in expected_cancelled
-    ]
-    expect(
-        set(cancelled_pairs) == expected_pairs,
-        target_name,
-        f"coalesced pairs {sorted(cancelled_pairs)} != naive model "
-        f"{sorted(expected_pairs)}",
-    )
-    expect(
-        drained_seqs == survivors[:max_batch],
-        target_name,
-        f"drained {drained_seqs} != oldest surviving {survivors[:max_batch]}",
-    )
-    expect(
-        remaining_seqs == survivors[max_batch:],
-        target_name,
-        f"left pending {remaining_seqs} != surviving tail {survivors[max_batch:]}",
-    )
 
 
 # -- sharded runtime ---------------------------------------------------------

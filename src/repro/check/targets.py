@@ -29,7 +29,6 @@ from repro.check import ops as op_mod
 from repro.check.ops import ENGINE_KINDS, INTERVAL_KINDS, Op
 from repro.check.oracles import ModelState
 from repro.check.probes import (
-    check_batcher_drain,
     check_delta_equivalence,
     check_partition,
     check_tracker,
@@ -44,7 +43,6 @@ from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_ev
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
-from repro.runtime.batching import MicroBatcher
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import delta_row_ids, normalize_deltas
 from repro.runtime.sharding import ShardGroup
@@ -349,61 +347,6 @@ def _run_one(
     return normalize_deltas(results[0][2]) if results else {}
 
 
-class BatcherTarget(FuzzTarget):
-    """Feeds row events through a :class:`MicroBatcher`, draining whenever
-    it is due and fully at every check round, verifying each drain against
-    the naive pair-cancellation model."""
-
-    name = "batcher"
-    kinds = frozenset(_ROW_OPS)
-
-    def __init__(self, max_batch: int = 16) -> None:
-        self.batcher = MicroBatcher(max_batch)
-        self._ops = _EngineOps()
-        self._seq = 0
-        # Shadow of the pending queue: (seq, relation, row_id, kind).
-        self._shadow: List[Tuple[Any, ...]] = []
-
-    def apply(self, op: Op, model: ModelState) -> None:
-        event = self._ops.event(op)
-        assert isinstance(event, DataEvent)
-        seq = self._seq
-        self._seq += 1
-        self.batcher.add((seq, event, 0))
-        kind = "insert" if event.kind is EventKind.INSERT else "delete"
-        self._shadow.append((seq, event.relation, op.key, kind))
-        if self.batcher.is_due:
-            self._drain_once()
-
-    def _drain_once(self) -> None:
-        before = list(self._shadow)
-        pairs_seen = len(self.batcher.stats.cancelled)
-        batch = self.batcher.drain()
-        pairs = list(self.batcher.stats.cancelled[pairs_seen:])
-        drained = [entry[0] for entry in batch]
-        remaining = [entry[0] for entry in self.batcher._pending]
-        check_batcher_drain(
-            self.name, before, drained, remaining, pairs, self.batcher.max_batch
-        )
-        gone = set(drained)
-        for insert_seq, delete_seq in pairs:
-            gone.add(insert_seq)
-            gone.add(delete_seq)
-        self._shadow = [entry for entry in self._shadow if entry[0] not in gone]
-        stats = self.batcher.stats
-        expect(
-            stats.events_in
-            == stats.events_out + 2 * stats.coalesced_pairs + len(self.batcher),
-            self.name,
-            f"stats ledger drift: in={stats.events_in} out={stats.events_out} "
-            f"pairs={stats.coalesced_pairs} pending={len(self.batcher)}",
-        )
-
-    def check(self, model: ModelState) -> None:
-        while len(self.batcher):
-            self._drain_once()
-
-
 def _column_image(col: Any) -> Dict[Any, Tuple[List[float], List[int]]]:
     """A sorted column, or each bucket of a keyed one, as (keys, row ids)."""
     runs = col.items() if isinstance(col, dict) else [(None, col)]
@@ -494,9 +437,9 @@ class PipelineTarget(FuzzTarget):
     ``(mode, batch_size, durable)``, and through the unsharded reference.
 
     Ops (subscription changes among the data events, in stream order) are
-    buffered and flushed every ``batch_size`` ops through ``run`` with
-    coalescing off, so every data event reports a delta; a batch of 1 is
-    strict per-event application.  Each data event's deltas must equal both
+    buffered and flushed every ``batch_size`` ops through ``run``, so every
+    data event reports a delta; a batch of 1 is strict per-event
+    application.  Each data event's deltas must equal both
     the reference's and the nested-loop oracle's, both captured when the op
     arrives (the runner applies the op to the model first, so the oracle
     sees exactly the state the batch later replays against), and against
@@ -538,7 +481,6 @@ class PipelineTarget(FuzzTarget):
             epsilon=EPSILON,
             batch_size=batch_size,
             mode=mode,
-            coalesce=False,
             durability=self.manager,
         )
         if self.manager is not None:
@@ -691,7 +633,6 @@ TARGET_FACTORIES: Dict[str, Callable[[], FuzzTarget]] = {
     "refined": RefinedTarget,
     "multidim": MultidimTarget,
     "tracker": TrackerTarget,
-    "batcher": BatcherTarget,
     **{cell_name(*cell): partial(PipelineTarget, *cell) for cell in PIPELINE_CELLS},
 }
 
@@ -700,6 +641,5 @@ DEFAULT_TARGETS = (
     "refined",
     "multidim",
     "tracker",
-    "batcher",
     *(cell_name(*cell) for cell in PIPELINE_CELLS if cell[0] == "inline"),
 )

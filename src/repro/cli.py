@@ -54,7 +54,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.histogram", "EQW-HIST, SSI-HIST, OPTIMAL"),
         ("repro.workload", "Table 1 generators, Zipf popularity"),
         ("repro.fastpath", "columnar batch probes: flat snapshots, vectorized sort-merge kernels"),
-        ("repro.runtime", "sharded micro-batched pipeline: routing, coalescing, metrics, replay"),
+        ("repro.runtime", "sharded micro-batched pipeline: routing, batches, metrics, replay"),
         ("repro.check", "differential fuzzing: brute-force oracles, invariant probes, shrinking"),
         ("repro.wire", "the one binary layer under WAL records and shard frames: record table, rows, bounds-checked reader"),
         ("repro.durability", "write-ahead log, checkpoints, crash recovery (serve --wal-dir, recover)"),
@@ -538,7 +538,8 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
                         help="fraction of subscriptions that are band joins")
     parser.add_argument("--delete-fraction", type=float, default=0.2)
     parser.add_argument("--churn", type=float, default=0.0,
-                        help="fraction of deletions targeting just-inserted rows")
+                        help="fraction of deletions targeting just-inserted rows "
+                             "(a row inserted and deleted in one batch)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--mode",

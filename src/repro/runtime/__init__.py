@@ -1,14 +1,14 @@
 """Sharded, micro-batched event-processing runtime.
 
 The scaling layer above the engine: shard routing over the attribute
-domain (``sharding``), micro-batch coalescing (``batching``), the
+domain (``sharding``), micro-batching (``batching``), the
 pipeline with worker-per-shard execution (``pipeline``),
 cheap runtime metrics (``metrics``), and the deterministic replay driver
 that proves the whole stack equivalent to the unsharded facade
 (``replay``).  See ``docs/RUNTIME.md`` for the architecture.
 """
 
-from repro.runtime.batching import BatchEntry, BatchStats, MicroBatcher
+from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.replay import (
@@ -29,7 +29,6 @@ from repro.runtime.sharding import (
 
 __all__ = [
     "BatchEntry",
-    "BatchStats",
     "Counter",
     "EventPipeline",
     "Gauge",

@@ -11,9 +11,9 @@ it stacks the runtime layers on top of them:
    flushes it; nothing is ever dropped or refused, and pacing a slow
    consumer is the caller's job.
 2. **batching** — a batch flushes when ``batch_size`` entries are pending
-   or the oldest pending entry exceeds ``max_delay`` seconds.  Pending
-   insert+delete pairs coalesce away before dispatch (batch-atomic
-   visibility; see ``batching.py``).
+   or the oldest pending entry exceeds ``max_delay`` seconds.  Every
+   submitted event is applied; an insert and a delete of the same row in
+   one batch are answered exactly as the per-event reference answers them.
 3. **execution** — every data event reaches every shard (each holds a
    partition of the queries), so a flush routes each event once
    (:meth:`~repro.runtime.sharding.ShardRouter.route_event` → its
@@ -448,7 +448,6 @@ class EventPipeline:
         batch_size: int = 32,
         max_delay: Optional[float] = None,
         mode: str = "inline",
-        coalesce: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         durability: Optional["DurabilityManager"] = None,
         tracer: Tracer = NULL_TRACER,
@@ -458,7 +457,6 @@ class EventPipeline:
         self.router = ShardRouter(num_shards, domain_lo=domain_lo, domain_hi=domain_hi)
         self.batch_size = batch_size
         self.max_delay = max_delay
-        self.coalesce = coalesce
         self.mode = mode
         self.alpha = alpha
         self.epsilon = epsilon
@@ -632,15 +630,16 @@ class EventPipeline:
 
     @property
     def cancelled_pairs(self) -> List[Tuple[int, int]]:
-        """All ``(insert_seq, delete_seq)`` pairs coalesced away so far."""
-        return self._batcher.stats.cancelled
+        """Always empty: every submitted event is applied.  Kept for
+        callers that still subtract cancelled insert+delete pairs."""
+        return []
 
     # -- batch execution -----------------------------------------------------
 
     def flush(self) -> List[Tuple[int, DataEvent, Delta]]:
         """Process one pending batch; returns ``(seq, event, deltas)`` in
         arrival order (empty if nothing was pending)."""
-        batch = self._batcher.drain(coalesce=self.coalesce)
+        batch = self._batcher.drain()
         self._fold_depths()
         if not batch:
             return []

@@ -11,12 +11,10 @@ systems apply bit-identical tuples (via the row-level
 ``insert_r_row``/``insert_s_row`` API and
 :func:`~repro.engine.events.replay_data_events`).
 
-Equivalence contract: for every applied event the merged sharded deltas
-must equal the unsharded deltas exactly.  Events coalesced away by the
-micro-batcher (an insert+delete pair pending in the same batch) are
-exempt — under batch-atomic visibility that row was never exposed, so the
-reference deltas it produced are transient by construction; the report
-counts these separately rather than hiding them.
+Equivalence contract: every data event is applied, and its merged sharded
+deltas equal the unsharded deltas exactly — the same queries, each with
+the same row ids in the same order — including an insert and a delete of
+the same row inside one batch.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TypeVar
 
 from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_events
-from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
 from repro.runtime.pipeline import EventPipeline
@@ -34,6 +31,8 @@ from repro.workload.generator import make_band_join_queries, make_select_join_qu
 from repro.workload.params import WorkloadParams
 
 _Row = TypeVar("_Row")
+#: qid -> row ids, in list order.
+RowIds = Dict[int, List[int]]
 
 
 @dataclass
@@ -42,11 +41,11 @@ class StreamProfile:
 
     ``delete_fraction`` of data events remove a previously inserted row;
     ``churn`` of those deletions target a *recent* row (inserted within the
-    last ``recent_window`` events), which is what gives the micro-batcher
-    insert+delete pairs to cancel.  With ``churn=0`` deletions only touch
-    rows older than ``min_delete_age`` events, so no pair is ever
-    co-pending and the batched pipeline must match the unsharded reference
-    delta-for-delta on the full stream.
+    last ``recent_window`` events), so a row's insert and delete often
+    share a batch and the shards must strike the row from the events
+    outside its visibility interval.  With ``churn=0`` deletions only touch
+    rows older than ``min_delete_age`` events, so no row is inserted and
+    deleted inside one batch.
     """
 
     n_events: int = 10_000
@@ -149,12 +148,17 @@ def generate_mixed_stream(
 # -- equivalence -------------------------------------------------------------
 
 
-def delta_row_ids(deltas: Dict[Any, List[Any]]) -> Dict[int, List[int]]:
+def delta_row_ids(deltas: Dict[Any, List[Any]]) -> RowIds:
     """qid -> row ids in list order, an empty list kept."""
     return {
         query.qid: [row.sid if isinstance(row, STuple) else row.rid for row in rows]
         for query, rows in deltas.items()
     }
+
+
+def _nonempty_row_ids(deltas: Dict[Any, List[Any]]) -> RowIds:
+    """qid -> row ids in list order, empty lists dropped."""
+    return {qid: ids for qid, ids in delta_row_ids(deltas).items() if ids}
 
 
 def normalize_deltas(deltas: Dict[Any, List[Any]]) -> Dict[int, Tuple[int, ...]]:
@@ -170,7 +174,6 @@ class ReplayReport:
     events: int = 0
     data_events: int = 0
     applied: int = 0
-    coalesced_pairs: int = 0
     compared: int = 0
     mismatches: List[str] = field(default_factory=list)
     reference_results: int = 0
@@ -186,7 +189,7 @@ class ReplayReport:
         status = "EQUIVALENT" if self.equivalent else f"{len(self.mismatches)} MISMATCHES"
         return (
             f"replay: {status} — {self.data_events} data events "
-            f"({self.applied} applied, {self.coalesced_pairs} pairs coalesced), "
+            f"({self.applied} applied), "
             f"{self.compared} compared, "
             f"{self.pipeline_results} result rows (reference {self.reference_results})"
         )
@@ -200,25 +203,23 @@ def run_replay(
     alpha: Optional[float] = 0.01,
     epsilon: float = 1.0,
     mode: str = "inline",
-    coalesce: bool = True,
     domain_lo: float = 0.0,
     domain_hi: float = 10_000.0,
     max_mismatches: int = 20,
 ) -> ReplayReport:
     """Replay ``stream`` through a pipeline and the unsharded reference and
-    compare per-event deltas.  Deterministic given the stream."""
+    compare every data event's deltas, list by list in order.
+    Deterministic given the stream."""
     report = ReplayReport(events=len(stream))
 
-    # Reference pass: per-data-event normalized deltas, in stream order.
+    # Reference pass: per-data-event row ids, in stream order.
     reference = ContinuousQuerySystem(alpha=alpha, epsilon=epsilon)
-    reference_deltas: List[Dict[int, Tuple[int, ...]]] = []
-    data_events: List[DataEvent] = []
+    reference_deltas: List[RowIds] = []
 
     def record(event: DataEvent, deltas: Dict[Any, List[Any]]) -> None:
-        normalized = normalize_deltas(deltas)
-        reference_deltas.append(normalized)
-        data_events.append(event)
-        report.reference_results += sum(len(ids) for ids in normalized.values())
+        ids = _nonempty_row_ids(deltas)
+        reference_deltas.append(ids)
+        report.reference_results += sum(map(len, ids.values()))
 
     for event in stream:
         if isinstance(event, QueryEvent):
@@ -239,54 +240,18 @@ def run_replay(
         domain_hi=domain_hi,
         batch_size=batch_size,
         mode=mode,
-        coalesce=coalesce,
     ) as pipeline:
         results = pipeline.run(stream)
-        cancelled = {seq for pair in pipeline.cancelled_pairs for seq in pair}
-        # A coalesced row is invisible to the whole batch, including events
-        # *between* its insert and delete; the strict per-event reference
-        # saw it there, so its matches are filtered out before comparing
-        # (this is exactly the batch-atomic visibility contract).
-        windows = [
-            (i, d, data_events[i].relation,
-             data_events[i].row.rid if data_events[i].relation == "R"
-             else data_events[i].row.sid)
-            for i, d in pipeline.cancelled_pairs
-        ]
-        report.coalesced_pairs = len(pipeline.cancelled_pairs)
         report.applied = len(results)
-        got: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        got: Dict[int, RowIds] = {}
         for seq, __, deltas in results:
-            normalized = normalize_deltas(deltas)
-            got[seq] = normalized
-            report.pipeline_results += sum(len(ids) for ids in normalized.values())
-
-        def visible_reference(
-            seq: int, want: Dict[int, Tuple[int, ...]]
-        ) -> Dict[int, Tuple[int, ...]]:
-            """Reference deltas minus matches against rows coalesced away
-            while this event was co-pending with them."""
-            event = data_events[seq]
-            hidden = {
-                row_id
-                for i, d, relation, row_id in windows
-                if i < seq < d and relation != event.relation
-            }
-            if not hidden:
-                return want
-            out: Dict[int, Tuple[int, ...]] = {}
-            for qid, ids in want.items():
-                kept = tuple(x for x in ids if x not in hidden)
-                if kept:
-                    out[qid] = kept
-            return out
+            ids = _nonempty_row_ids(deltas)
+            got[seq] = ids
+            report.pipeline_results += sum(map(len, ids.values()))
 
         for seq, want in enumerate(reference_deltas):
-            if seq in cancelled:
-                continue  # never visible under batch-atomic coalescing
             report.compared += 1
             have = got.get(seq, {})
-            want = visible_reference(seq, want)
             if have != want:
                 if len(report.mismatches) < max_mismatches:
                     report.mismatches.append(

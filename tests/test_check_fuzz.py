@@ -159,7 +159,6 @@ class TestDurabilityTarget:
         target = TARGET_FACTORIES[name]()
         try:
             assert target.pipeline.batch_size == 24
-            assert target.pipeline.coalesce is False
         finally:
             target.close()
 

@@ -766,11 +766,9 @@ class TestShardedBatch:
     @pytest.mark.parametrize("alpha", [0.05, None])
     def test_batched_pipeline_matches_per_event_system(self, kernel, alpha):
         rng = random.Random(6)
-        # coalesce=False: every event reports a delta, so the batched run
-        # lines up with the per-event reference one to one.
-        batched = EventPipeline(
-            num_shards=3, alpha=alpha, batch_size=37, coalesce=False
-        )
+        # Every event reports a delta, so the batched run lines up with the
+        # per-event reference one to one.
+        batched = EventPipeline(num_shards=3, alpha=alpha, batch_size=37)
         reference = ContinuousQuerySystem(alpha=alpha)
         population = band_queries(rng, 60) + select_queries(rng, 60)
         for query in population:
@@ -844,7 +842,7 @@ class TestShardedBatch:
         spanning = population[-1]
         events = self._grid_stream(rng, 400)
         with EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=batch_size, coalesce=False,
+            num_shards=num_shards, alpha=0.05, batch_size=batch_size,
             domain_lo=0.0, domain_hi=100.0, mode=mode,
         ) as batched:
             for query in population:
@@ -880,7 +878,7 @@ class TestShardedBatch:
 
         events = self._grid_stream(rng, 400)
         with EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=16, coalesce=False,
+            num_shards=num_shards, alpha=0.05, batch_size=16,
             domain_lo=0.0, domain_hi=100.0, mode=mode,
         ) as batched:
             for k, query in enumerate(self._grid_queries(rng)):
@@ -905,7 +903,7 @@ class TestShardedBatch:
         system does.  No table of the group ever builds a B+-tree."""
         rng = random.Random(11)
         batched = EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=16, coalesce=False,
+            num_shards=num_shards, alpha=0.05, batch_size=16,
             domain_lo=0.0, domain_hi=100.0,
         )
         reference = ContinuousQuerySystem(alpha=0.05)
@@ -942,7 +940,7 @@ class TestShardedBatch:
         object."""
         rng = random.Random(12)
         batched = EventPipeline(
-            num_shards=num_shards, alpha=None, batch_size=64, coalesce=False,
+            num_shards=num_shards, alpha=None, batch_size=64,
             domain_lo=0.0, domain_hi=100.0,
         )
         reference = ContinuousQuerySystem(alpha=None)
@@ -965,9 +963,9 @@ class TestShardedBatch:
 
     # -- the in-batch term: one batch, any interleaving ----------------------
     #
-    # Each case is ONE micro-batch (after an optional preload batch) with
-    # coalescing off, compared event by event, order included, against the
-    # per-event system.  The pipeline's domain is [0, 10000], so at K = 3
+    # Each case is ONE micro-batch (after an optional preload batch),
+    # compared event by event, order included, against the per-event
+    # system.  The pipeline's domain is [0, 10000], so at K = 3
     # the C-slices meet at 3333.3 and 6666.7.
 
     BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9001)
@@ -979,7 +977,7 @@ class TestShardedBatch:
         reference = ContinuousQuerySystem(alpha=0.05)
         with EventPipeline(
             num_shards=num_shards, alpha=0.05, batch_size=len(events) + len(preload),
-            coalesce=False, mode=mode,
+            mode=mode,
         ) as batched:
             for query in (self.BAND, self.SELECT):
                 batched.subscribe(query)
@@ -1163,9 +1161,9 @@ def _unsub(query):
 
 class TestQueryEntries:
     """Subscription changes are entries of a batch, in stream order: each
-    case is ONE micro-batch (after the batches that apply ``before``) with
-    coalescing off, compared data event by data event, order included,
-    against the per-event system.  At K = 3 the C-slices meet at 3333.3
+    case is ONE micro-batch (after the batches that apply ``before``),
+    compared data event by data event, order included, against the
+    per-event system.  At K = 3 the C-slices meet at 3333.3
     and 6666.7."""
 
     BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9101)
@@ -1196,8 +1194,7 @@ class TestQueryEntries:
         on_results = on_results or {}
         reference = ContinuousQuerySystem(alpha=0.05)
         pipeline = EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=len(events),
-            coalesce=False, mode=mode,
+            num_shards=num_shards, alpha=0.05, batch_size=len(events), mode=mode,
         )
         try:
             for event in before:
@@ -1332,8 +1329,7 @@ class TestQueryEntries:
         want = self._reference_views(reference, [_sub(first), *stream])
         assert want == [{}, {77: [0]}, {}, {77: [0]}]
         for stepwise in (False, True):
-            with EventPipeline(num_shards=num_shards, alpha=0.05, batch_size=64,
-                               coalesce=False) as pipeline:
+            with EventPipeline(num_shards=num_shards, alpha=0.05, batch_size=64) as pipeline:
                 pipeline.subscribe(first)
                 pipeline.drain()
                 batches = pipeline.metrics.counter("pipeline/batches")

@@ -42,7 +42,7 @@ from repro.runtime.transport import frames, worker
 def seeded_stream(seed, n, *, min_age=0):
     """``n`` data events: inserts into both relations and deletes of rows
     inserted at least ``min_age`` events earlier (0 lets a delete meet its
-    own insert in the queue and coalesce)."""
+    own insert in one batch)."""
     rng = random.Random(seed)
     live = []  # (position inserted, relation, row)
     events = []
@@ -90,18 +90,17 @@ def per_event_model(events, *, batch_size, flush_each=False):
     """What the ingress queue does to ``events``, one event at a time.
 
     Returns the queue depth after every submitted event (what a per-event
-    ``queue_depth.observe`` records) and the number of events handed to a
-    flush.  A flush always empties the queue here: a submit flushes once
-    ``batch_size`` events are pending, so it never holds more than a batch.
+    ``queue_depth.observe`` records).  A flush always empties the queue
+    here: a submit flushes once ``batch_size`` events are pending, so it
+    never holds more than a batch.
     """
-    depths, queue, flushed = [], 0, 0
+    depths, queue = [], 0
     for __ in events:
         queue += 1
         depths.append(queue)
         if flush_each or queue >= batch_size:
-            flushed += queue
             queue = 0
-    return depths, flushed + queue  # + the final drain
+    return depths
 
 
 def observed_per_event(values):
@@ -170,7 +169,7 @@ def test_final_snapshot_equals_per_event_recording(name):
     pipeline_kwargs, stream_kwargs = SCENARIOS[name]
     events = seeded_stream(9, 1_200, **stream_kwargs)
     batch_size = pipeline_kwargs["batch_size"]
-    depths, flushed = per_event_model(
+    depths = per_event_model(
         events, batch_size=batch_size, flush_each=pipeline_kwargs.get("max_delay") == 0.0
     )
     registry = MetricsRegistry()
@@ -178,19 +177,19 @@ def test_final_snapshot_equals_per_event_recording(name):
         subscribe_population(pipeline)
         drive(pipeline, events)
         pipeline.drain()
-        applied = flushed - 2 * len(pipeline.cancelled_pairs)
     snap = registry.snapshot()
     counters, histograms = snap["counters"], snap["histograms"]
     assert histograms["pipeline/queue_depth"] == observed_per_event(depths)
     # The bound the queue rests on: a submit that fills a batch flushes it.
     assert histograms["pipeline/queue_depth"]["max"] <= batch_size
     assert counters["pipeline/events_submitted"] == 1_200
-    assert counters["pipeline/events_applied"] == applied
-    assert histograms["pipeline/e2e_us"]["count"] == applied
+    # Every submitted event is applied, an in-batch insert+delete pair too.
+    assert counters["pipeline/events_applied"] == 1_200
+    assert histograms["pipeline/e2e_us"]["count"] == 1_200
     assert histograms["pipeline/batch_size"]["count"] == counters["pipeline/batches"]
-    assert histograms["pipeline/batch_size"]["sum"] == applied
+    assert histograms["pipeline/batch_size"]["sum"] == 1_200
     for index in range(2):
-        assert counters[f"shard/{index}/events"] == applied
+        assert counters[f"shard/{index}/events"] == 1_200
         assert histograms[f"shard/{index}/batch_us"]["count"] == counters["pipeline/batches"]
 
 
@@ -224,7 +223,7 @@ def test_worker_e2e_ships_one_sample_per_data_entry():
     ``drain_telemetry()`` with one sample per data event per worker
     (shard 0 runs in the parent and has none)."""
     registry = MetricsRegistry()
-    events = seeded_stream(4, 300, min_age=400)  # inserts only: nothing coalesces
+    events = seeded_stream(4, 300, min_age=400)  # inserts only
     with EventPipeline(
         num_shards=2, batch_size=64, mode="process-shm", metrics=registry
     ) as pipeline:
@@ -242,7 +241,7 @@ def test_worker_e2e_ships_one_sample_per_data_entry():
 
 def test_pending_depths_appear_with_the_flush_that_covers_them():
     registry = MetricsRegistry()
-    events = seeded_stream(3, 70, min_age=100)  # inserts only: nothing coalesces
+    events = seeded_stream(3, 70, min_age=100)  # inserts only
     with EventPipeline(num_shards=2, batch_size=64, mode="inline", metrics=registry) as pipeline:
         drive(pipeline, events[:10])
         assert pipeline.pending == 10

@@ -6,12 +6,14 @@ import sys
 import pytest
 
 from repro.core.intervals import Interval
-from repro.engine.events import DataEvent, EventKind, QueryEvent
+from repro.engine.events import DataEvent, EventKind, QueryEvent, replay_data_events
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
+from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple
 from repro.obs.export import render_snapshot
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
+from repro.runtime.replay import delta_row_ids
 
 
 def r_insert(rid, a=5.0, b=10.0):
@@ -164,20 +166,6 @@ class TestProcessBackend:
         assert len(seen) == 1
         assert seen[0][1:] == (7, 2)
 
-    def test_metrics_and_coalescing(self):
-        with self.make(batch_size=64) as pipeline:
-            pipeline.subscribe(wide_select())
-            pipeline.submit(r_insert(0))
-            pipeline.submit(DataEvent(EventKind.DELETE, "R", RTuple(0, 5.0, 10.0)))
-            pipeline.submit(s_insert(0))
-            results = pipeline.drain()
-            # The insert+delete pair coalesced away before any worker saw it.
-            assert pipeline.cancelled_pairs == [(0, 1)]
-            assert [seq for seq, __, __ in results] == [2]
-            snap = pipeline.metrics.snapshot()
-            assert snap["counters"]["pipeline/events_applied"] == 1
-            assert any(name.startswith("shard/") for name in snap["histograms"])
-
     def test_hotspot_path_in_workers(self):
         """alpha-enabled shards run the hotspot tracker inside the worker
         process; a pile of near-identical bands must still produce correct
@@ -200,6 +188,46 @@ class TestProcessBackend:
             pipeline.sample_hotspots()  # drains the worker's telemetry
             counters = pipeline.metrics.snapshot()["counters"]
             assert counters["shard/1/runtime/hotspot_promotions"] >= 1
+
+
+class TestInBatchInsertDelete:
+    """A row inserted and deleted inside one batch is applied like any
+    other event: each event's delta is the per-event reference's."""
+
+    @pytest.mark.parametrize("mode", [
+        "inline",
+        pytest.param("process-shm", marks=pytest.mark.skipif(
+            sys.platform.startswith("win"), reason="fork-based workers")),
+    ])
+    def test_every_event_is_applied_and_answered(self, mode):
+        query = wide_select()
+        stream = [
+            r_insert(0),
+            s_insert(0),  # joins R row 0
+            DataEvent(EventKind.DELETE, "R", RTuple(0, 5.0, 10.0)),
+            s_insert(1),  # R row 0 is gone
+        ]
+        reference = ContinuousQuerySystem(alpha=None)
+        reference.subscribe(query)
+        want = []
+        replay_data_events(stream, reference, on_result=lambda __, d: want.append(d))
+        with EventPipeline(
+            num_shards=2, alpha=None, batch_size=8, mode=mode
+        ) as pipeline:
+            pipeline.subscribe(query)
+            results = pipeline.run(stream)
+            snap = pipeline.metrics.snapshot()
+        assert [seq for seq, __, __ in results] == [0, 1, 2, 3]
+        assert snap["counters"]["pipeline/batches"] == 1
+        got = [delta_row_ids(deltas) for __, __, deltas in results]
+        assert got == [
+            {qid: ids for qid, ids in delta_row_ids(deltas).items() if ids}
+            for deltas in want
+        ]
+        assert got[1] == {query.qid: [0]}  # the S insert joins the live R row
+        assert got[3] == {}  # the second S insert does not see the deleted row
+        assert snap["counters"]["pipeline/events_applied"] == 4
+        assert any(name.startswith("shard/") for name in snap["histograms"])
 
 
 class TestMetrics:

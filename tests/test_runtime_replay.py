@@ -82,12 +82,13 @@ class TestReplayEquivalence:
         report = run_replay(stream, num_shards=4, batch_size=64)
         assert report.data_events == 10_000
         assert report.equivalent, report.summary()
-        # churn=0: no co-pending pairs, so every event is compared strictly.
-        assert report.coalesced_pairs == 0
         assert report.compared == 10_000
         assert report.pipeline_results == report.reference_results > 0
 
-    def test_churn_stream_with_coalescing_stays_equivalent(self):
+    def test_churn_stream_is_strictly_equivalent(self):
+        """Under churn a row is often inserted and deleted inside one
+        batch: every data event is still applied and compared, in order,
+        and the shards strike the row outside its lifetime."""
         profile = StreamProfile(
             n_events=1_500,
             n_initial_queries=80,
@@ -99,9 +100,11 @@ class TestReplayEquivalence:
         )
         stream = generate_mixed_stream(profile)
         report = run_replay(stream, num_shards=4, batch_size=32)
-        assert report.coalesced_pairs > 0
         assert report.equivalent, report.summary()
-        assert report.applied == report.data_events - 2 * report.coalesced_pairs
+        assert report.compared == report.applied == report.data_events == 1_500
+        assert report.pipeline_results == report.reference_results > 0
+        counters = report.metrics["counters"]
+        assert sum(counters[f"shard/{i}/runtime/rows_struck"] for i in range(4)) > 0
 
     def test_report_carries_metrics_and_router_stats(self):
         profile = StreamProfile(n_events=300, n_initial_queries=20, seed=4)

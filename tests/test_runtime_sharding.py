@@ -256,7 +256,7 @@ class TestOneTableSet:
         minus the deleted one — delta for delta the unsharded engine."""
         plain = ContinuousQuerySystem(alpha=None)
         sharded = EventPipeline(
-            num_shards=4, alpha=None, batch_size=64, coalesce=False,
+            num_shards=4, alpha=None, batch_size=64,
             domain_lo=0.0, domain_hi=100.0,
         )
         for system in (plain, sharded):
