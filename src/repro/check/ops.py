@@ -227,9 +227,9 @@ def generate_ops(config: FuzzConfig) -> List[Op]:
         return op
 
     def engine_query_op(position: int) -> Op:
-        if live_queries and (
-            len(live_queries) >= config.max_live_queries or rng.random() < 0.5
-        ):
+        # Cancelled at the row delete rate: the population climbs to its cap.
+        over = len(live_queries) >= config.max_live_queries
+        if live_queries and (over or rng.random() < config.delete_fraction):
             victim = live_queries.pick_victim(rng, position, 0.0, 0)
             if victim is not None:
                 return Op(UNSUB, victim)
@@ -238,7 +238,11 @@ def generate_ops(config: FuzzConfig) -> List[Op]:
         if rng.random() < 0.5:
             band = make_band_join_queries(params, 1, rng)[0].band
             return Op(SUB_BAND, key, (band.lo, band.hi))
-        query = make_select_join_queries(params, 1, rng)[0]
+        # rangeC on the interval ops' anchors: the hot groups grow large
+        # enough to take the kernel's vectorised member test.
+        query = make_select_join_queries(
+            params, 1, rng, range_c_anchors=anchors, anchor_sampler=sampler
+        )[0]
         return Op(
             SUB_SELECT,
             key,

@@ -10,11 +10,14 @@ remainder of its R arrivals --- with the roles of the columns swapped
   dict lookup gives the sorted ``array('d')`` column of the second key
   and the rows in that order, with equal keys in insertion order;
 * probes the **stabbing groups** (``points``/``groups``, the dense group
-  table; a group is the :class:`SelectColumns` of its members):
-  ``surrounding((b, p_j))`` is ``bisect_left`` of the point in that column
-  --- for all groups at once under numpy --- :func:`stab_group` is the
-  member test the per-event ``probe_select_group`` runs too, and the
-  outward leaf walks are one slice of the joined rows, bounded by the same
+  table; a group is the :class:`SelectColumns` of its members) group by
+  group: ``surrounding((b, p_j))`` is ``bisect_left`` of the point in each
+  joining row's column, the group's extent rejects the rows neither of
+  whose neighbours it covers, and :func:`stab_group` --- the member test
+  the per-event ``probe_select_group`` runs too, on one row --- tests the
+  rest in one pass, a single ``(rows x members)`` mask under numpy.  So a
+  group costs one member test per run, not one per join key.  The outward
+  leaf walks are one slice of the joined rows, bounded by the same
   pred/succ position the cursors start from;
 * probes the **endpoint columns** of a query population that has no groups
   (also a :class:`SelectColumns`): the closed-interval selection test of all
@@ -55,8 +58,8 @@ class SelectColumns:
     are enumerated from; ``queries`` is the parallel query list.  Appended
     to and swap-removed from in O(1), so the columns are always current ---
     there is nothing to rebuild and no dirty flag.  ``rng_min``/``rng_max``
-    is the extent ``[min(rng_lo), max(rng_hi)]`` :func:`stab_group` rejects
-    against before it reads a column.
+    is the extent ``[min(rng_lo), max(rng_hi)]`` the probes reject a row
+    against before :func:`stab_group` reads a column.
     """
 
     __slots__ = ("sel_lo", "sel_hi", "rng_lo", "rng_hi", "rng_min", "rng_max", "queries", "_slot")
@@ -179,34 +182,37 @@ def _batch_probe(
 
 
 def stab_group(
-    group: SelectColumns, xs: Sequence[float], y1: float, y2: float
+    group: SelectColumns, xs: Sequence[float], y1s: Sequence[float], y2s: Sequence[float]
 ) -> List[List[int]]:
     """The SJ-SSI member test, for the per-event and the batch probes alike.
 
-    ``y1 < p <= y2`` are the second components of the joined entries next
-    to the group's stabbing point ``p``; a missing neighbour is NaN, which
-    every comparison below is false for.  Every member's ``rng`` contains
-    ``p``, so it contains ``y1`` iff ``rng_lo <= y1`` and ``y2`` iff
-    ``y2 <= rng_hi``.  Returns, per ``x``, the slots of the members with
-    ``x`` in their ``sel`` and a neighbour in their ``rng`` (no lists at
-    all when the group's extent rules every member out).
+    Row ``j`` arrives with selection attribute ``xs[j]``, and ``y1s[j] < p
+    <= y2s[j]`` are the second components of its joined entries next to the
+    group's stabbing point ``p``; a missing neighbour is NaN, which every
+    comparison below is false for.  Every member's ``rng`` contains ``p``,
+    so it contains ``y1`` iff ``rng_lo <= y1`` and ``y2`` iff ``y2 <=
+    rng_hi``.  Returns, per row, the slots of the members with ``x`` in
+    their ``sel`` and a neighbour in their ``rng``.  Callers pass only the
+    rows the group's extent keeps.
     """
-    # Neither neighbour inside the group's extent: no member contains one.
-    if not (y1 >= group.rng_min or y2 <= group.rng_max):
-        return []
+    sel_lo, sel_hi, rng_lo, rng_hi = group.sel_lo, group.sel_hi, group.rng_lo, group.rng_hi
     _np = get_numpy()
     if _np is None or len(group) < MIN_VECTOR:
-        sel_lo, sel_hi = group.sel_lo, group.sel_hi
-        near = [
-            slot
-            for slot, (rng_lo, rng_hi) in enumerate(zip(group.rng_lo, group.rng_hi))
-            if rng_lo <= y1 or y2 <= rng_hi
+        slots = range(len(group))
+        return [
+            [
+                slot
+                for slot in slots
+                if (rng_lo[slot] <= y1 or y2 <= rng_hi[slot]) and sel_lo[slot] <= x <= sel_hi[slot]
+            ]
+            for x, y1, y2 in zip(xs, y1s, y2s)
         ]
-        return [[slot for slot in near if sel_lo[slot] <= x <= sel_hi[slot]] for x in xs]
-    # These views export the columns' buffers and must die with this frame.
-    near = (_np.frombuffer(group.rng_lo) <= y1) | (y2 <= _np.frombuffer(group.rng_hi))
-    sel_lo, sel_hi = _np.frombuffer(group.sel_lo), _np.frombuffer(group.sel_hi)
-    return [(near & (sel_lo <= x) & (x <= sel_hi)).nonzero()[0].tolist() for x in xs]
+    # One (rows x members) mask.  These views export the columns' buffers
+    # and must die with this frame.
+    x, y1, y2 = _np.array([*xs, *y1s, *y2s]).reshape(3, -1, 1)
+    mask = (_np.frombuffer(rng_lo) <= y1) | (y2 <= _np.frombuffer(rng_hi))
+    mask &= (_np.frombuffer(sel_lo) <= x) & (x <= _np.frombuffer(sel_hi))
+    return [row.nonzero()[0].tolist() for row in mask]
 
 
 def _probe_groups(
@@ -217,37 +223,39 @@ def _probe_groups(
     groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
 ) -> None:
-    """SJ-SSI group probes of the run against the dense group table."""
-    by_key: Dict[float, List[int]] = {}
-    for i, row in enumerate(rows):
-        by_key.setdefault(row.b, []).append(i)
-    _np = get_numpy()
-    pts = _np.array(points) if _np is not None and len(points) >= MIN_VECTOR else None
-    for b, idx in by_key.items():
-        run = cols.get(b)
-        if run is None:
-            continue  # nothing joins with these rows
-        seconds, hits_of_key = run
+    """SJ-SSI group probes of the run against the dense group table: the
+    extent pre-reject per (joining row, group), then one member test per
+    group over the rows it kept."""
+    joined = [(i, cols[row.b]) for i, row in enumerate(rows) if row.b in cols]
+    extents = [(group.rng_min, group.rng_max) for group in groups]
+    # Per group, its kept (row, succ, y1, y2).  succ = the first joined entry
+    # at or after the stabbing point, pred the one before: the cursor pair
+    # of ``surrounding((b, p_j))``.
+    kept: Dict[int, List[Tuple[int, int, float, float]]] = {}
+    for j, (__, (seconds, ___)) in enumerate(joined):
         n = len(seconds)
-        xs_of_key = [xs[i] for i in idx]
-        # succ = the first joined entry at or after the stabbing point, pred
-        # the one before: the cursor pair of ``surrounding((b, p_j))``.
-        if pts is not None:
-            succs = _np.searchsorted(_np.frombuffer(seconds), pts, side="left").tolist()
-        else:
-            succs = [bisect_left(seconds, point) for point in points]
-        for succ, group in zip(succs, groups):
+        for g, (point, (rng_min, rng_max)) in enumerate(zip(points, extents)):
+            succ = bisect_left(seconds, point)
             y1 = seconds[succ - 1] if succ else nan
             y2 = seconds[succ] if succ < n else nan
-            for i, slots in zip(idx, stab_group(group, xs_of_key, y1, y2)):
-                res = results[i]
-                for slot in slots:
-                    # The outward walks: back from pred while >= lo, on
-                    # from succ while <= hi.
-                    start = bisect_left(seconds, group.rng_lo[slot], 0, succ)
-                    hits = hits_of_key[start : bisect_right(seconds, group.rng_hi[slot], succ)]
-                    assert hits, "affected select-join produced no result"
-                    res[group.queries[slot]] = hits
+            # Neither neighbour inside the extent: no member contains one.
+            if y1 >= rng_min or y2 <= rng_max:
+                kept.setdefault(g, []).append((j, succ, y1, y2))
+    for g in sorted(kept):
+        group = groups[g]
+        rng_lo, rng_hi, queries = group.rng_lo, group.rng_hi, group.queries
+        js, succs, y1s, y2s = zip(*kept[g])
+        xs_kept = [xs[joined[j][0]] for j in js]
+        for j, succ, slots in zip(js, succs, stab_group(group, xs_kept, y1s, y2s)):
+            i, (seconds, hits_of_key) = joined[j]
+            res = results[i]
+            for slot in slots:
+                # The outward walks: back from pred while >= lo, on from
+                # succ while <= hi.
+                start = bisect_left(seconds, rng_lo[slot], 0, succ)
+                hits = hits_of_key[start : bisect_right(seconds, rng_hi[slot], succ)]
+                assert hits, "affected select-join produced no result"
+                res[queries[slot]] = hits
 
 
 def _probe_columns(

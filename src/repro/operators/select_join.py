@@ -361,11 +361,14 @@ def probe_select_group(
     # NaN where no tuple with this join key lies on that side of the point.
     y1 = pred.key[1] if pred.valid and pred.key[0] == b else nan
     y2 = succ.key[1] if succ.valid and succ.key[0] == b else nan
-    for slots in select_probe.stab_group(columns, (x,), y1, y2):
-        for slot in slots:
-            hits = _enumerate_outward(pred, succ, b, columns.rng_lo[slot], columns.rng_hi[slot])
-            assert hits, "affected select-join produced no result"
-            results[columns.queries[slot]] = hits
+    # Neither neighbour inside the group's extent: no member contains one.
+    if not (y1 >= columns.rng_min or y2 <= columns.rng_max):
+        return
+    (slots,) = select_probe.stab_group(columns, (x,), (y1,), (y2,))
+    for slot in slots:
+        hits = _enumerate_outward(pred, succ, b, columns.rng_lo[slot], columns.rng_hi[slot])
+        assert hits, "affected select-join produced no result"
+        results[columns.queries[slot]] = hits
 
 
 def _enumerate_outward(pred: Cursor, succ: Cursor, b: float, lo: float, hi: float) -> List:

@@ -29,6 +29,8 @@ from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.stabbing import canonical_stabbing_partition
 from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind
+from repro.fastpath import kernels
+from repro.fastpath import select as select_probe
 from repro.runtime.transport import frames
 
 
@@ -205,6 +207,26 @@ class TestBatchedCells:
         # workers have shipped their last counts.
         assert _struck(made[0].pipeline, "rows_struck") > 0
         assert _struck(made[0].pipeline, "queries_struck") > 0
+
+    def test_hot_groups_reach_the_vector_member_test(self, monkeypatch):
+        """Select-join rangeC clusters on the interval ops' anchors, so a
+        default-config run grows hot groups of ``MIN_VECTOR`` members and
+        the kernel runs their numpy member test."""
+        if kernels.get_numpy() is None:
+            pytest.skip("numpy is not importable")
+        vector_tests = 0
+        stab_group = select_probe.stab_group
+
+        def counting(group, xs, y1s, y2s):
+            nonlocal vector_tests
+            vector_tests += len(group) >= kernels.MIN_VECTOR
+            return stab_group(group, xs, y1s, y2s)
+
+        monkeypatch.setattr(select_probe, "stab_group", counting)
+        cell = cell_name("inline", 24, False)
+        report = fuzz(FuzzConfig(seed=3, n_ops=3000), targets=[cell], shrink=False)
+        assert report.ok, report.outcome.divergence
+        assert vector_tests > 0
 
 
 def _shift_r_inserts(encode):

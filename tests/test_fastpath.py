@@ -15,6 +15,7 @@ from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import KERNEL
 from repro.fastpath import kernels as kernel_mod
+from repro.fastpath import select as select_probe
 from repro.operators.band_join import BJSSI
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
@@ -621,6 +622,84 @@ class TestSelectColumnProbe:
             assert processor.tracker.hotspot_groups == [group] and len(columns) == target
             assert_runs_match(processor, rs, ss)
             assert any(q in delta for delta in processor.process_r_batch(rs) for q in columns.queries)
+
+    def test_group_major_runs_over_mixed_keys(self, kernel, monkeypatch):
+        """Runs of MIN_VECTOR+ rows with repeated keys, a key the probed
+        table lacks, and key columns wholly below or above a group's point,
+        against three hot groups on each side, smaller and larger than
+        MIN_VECTOR: batched == per-event, and each group's member test (the
+        numpy mask, when it is built) runs at most once per run."""
+        limit = kernel_mod.MIN_VECTOR
+        sizes = (limit - 3, limit + 4, limit + 1)
+        queries = [
+            SelectJoinQuery(
+                Interval(centre + 5 - 2 - m, centre + 5 + 2 + m),
+                Interval(centre - 2 - m / 2, centre + 2 + m / 2),
+            )
+            for centre, size in zip((20.0, 50.0, 80.0), sizes)
+            for m in range(size)
+        ]
+        scattered = [
+            SelectJoinQuery(Interval(0, 100), Interval(150, 160)),
+            SelectJoinQuery(Interval(0, 100), Interval(200, 205)),
+        ]
+        # Per join key, the second keys of its joined rows: spanning every
+        # group, wholly below or above the points, and between two groups.
+        seconds = {
+            1.0: (10, 19, 21, 35, 49, 51, 65, 79, 81, 95, 155),
+            2.0: (5, 8),
+            3.0: (47, 48),
+            4.0: (83, 90, 202),
+        }
+        table_s, table_r = TableS(), TableR()
+        for b, values in seconds.items():
+            for value in values:
+                table_s.add(b, float(value))
+                table_r.add(float(value), b)
+        keys = (1.0, 3.0, 2.0, 9.0, 4.0, 1.0, 3.0, 4.0, 1.0)
+        xs = (24.0, 55.0, 85.0, 55.0, 87.0, 52.0, 20.0, 60.0, 83.0)
+        rs = [table_r.new_row(x, b) for b, x in zip(keys, xs)]
+        ss = [table_s.new_row(b, x - 5) for b, x in zip(keys, xs)]
+        assert len(rs) >= limit and 9.0 not in seconds
+
+        tests = []  # per member test: (group, rows tested)
+        stab_group = select_probe.stab_group
+
+        def counting(group, xs, y1s, y2s):
+            tests.append((group, len(xs)))
+            return stab_group(group, xs, y1s, y2s)
+
+        monkeypatch.setattr(select_probe, "stab_group", counting)
+        pure_ssi = SJSSI(table_s, table_r)
+        hotspot = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1)
+        for query in queries + scattered:
+            pure_ssi.add_query(query)
+            hotspot.add_query(query)
+        assert len(hotspot.tracker.hotspot_groups) == 3
+        assert sorted(map(len, hotspot._hot_columns.values())) == sorted(sizes)
+        joining = [seconds[b] for b in keys if b in seconds]
+        runs = [
+            (hotspot.process_r_batch, hotspot.process_r, rs,
+             [group.stabbing_point for group in hotspot.tracker.hotspot_groups]),
+            (pure_ssi.process_r_batch, pure_ssi.process_r, rs, pure_ssi._ssi_c.group_table()[0]),
+            (pure_ssi.process_s_batch, pure_ssi.process_s, ss, pure_ssi._ssi_a.group_table()[0]),
+        ]  # fmt: skip
+        for process_batch, process_one, rows, points in runs:
+            # Some joining row has no succ of some point, and some no pred.
+            assert any(max(column) < point for column in joining for point in points)
+            assert any(min(column) >= point for column in joining for point in points)
+            tests.clear()
+            deltas = process_batch(rows)
+            batch_tests = list(tests)
+            assert deltas == [process_one(row) for row in rows] and any(deltas)
+            groups = [id(group) for group, __ in batch_tests]
+            assert len(groups) == len(set(groups)) >= 3, "one member test per group per run"
+            # Groups on both sides of MIN_VECTOR, so the numpy kernel builds
+            # masks and runs the scalar loop.
+            assert {len(group) < limit for group, __ in batch_tests} == {False, True}
+            # The extent pre-reject drops some (row, group) pairs, not all.
+            assert 0 < sum(tested for __, tested in batch_tests) < len(joining) * len(points)
+        assert hotspot.process_s_batch(ss) == [hotspot.process_s(s) for s in ss]
 
     def test_promotion_demotion_promotion_of_the_same_queries(self, kernel):
         rng = random.Random(11)
