@@ -6,10 +6,9 @@ system relies on but can only test dynamically: replay determinism
 exact-float endpoint comparison (RA005), ``__slots__`` on the hot paths
 (RA006) and generic hygiene (RA1xx).  Exposed as the ``repro lint`` CLI
 verb; see ``docs/ANALYSIS.md`` for the rule catalog and the
-suppression/baseline workflow.
+suppression workflow.
 """
 
-from repro.analysis.baseline import Baseline, BaselineDelta, DEFAULT_BASELINE_NAME
 from repro.analysis.engine import (
     Finding,
     LintContext,
@@ -24,9 +23,6 @@ from repro.analysis.engine import (
 from repro.analysis.report import render_catalog, render_human, render_json
 
 __all__ = [
-    "Baseline",
-    "BaselineDelta",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "LintContext",
     "Rule",

@@ -56,8 +56,8 @@ class Severity(enum.Enum):
 class Finding:
     """One diagnostic: a rule firing at a position in a file.
 
-    ``path`` is repo-relative with forward slashes so fingerprints (and the
-    baseline file keyed by them) are stable across checkouts and platforms.
+    ``path`` is repo-relative with forward slashes so fingerprints are
+    stable across checkouts and platforms.
     """
 
     rule: str
@@ -69,10 +69,10 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Identity used by the baseline ratchet.
+        """A finding's identity across runs, for matching JSON artifacts.
 
         Line/column are deliberately excluded: unrelated edits move code
-        around, and a baseline keyed on positions would rot instantly.
+        around, and an identity keyed on positions would rot instantly.
         """
         return f"{self.rule}::{self.path}::{self.message}"
 

@@ -2,85 +2,64 @@
 
 The JSON document is the CI artifact (uploaded by the ``lint`` job), so
 its shape is part of the tool's contract: ``findings`` carries every
-finding with its baselined flag, ``summary`` the counts the gate is
-decided on, ``rules`` the catalog the run used.
+finding, ``summary`` the counts the gate is decided on, ``rules`` the
+catalog the run used.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.analysis.baseline import BaselineDelta
-from repro.analysis.engine import Severity, rule_catalog
+from repro.analysis.engine import Finding, Severity, rule_catalog
 
 __all__ = ["render_human", "render_json", "render_catalog", "summarize"]
 
 
-def summarize(delta: BaselineDelta) -> Dict[str, int]:
-    new_errors = sum(1 for f in delta.new if f.severity is Severity.ERROR)
+def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     return {
-        "new": len(delta.new),
-        "new_errors": new_errors,
-        "new_warnings": len(delta.new) - new_errors,
-        "baselined": len(delta.baselined),
-        "stale_baseline_entries": len(delta.stale),
+        "findings": len(findings),
+        "errors": errors,
+        "warnings": len(findings) - errors,
     }
 
 
-def render_human(delta: BaselineDelta) -> str:
-    """Compiler-style lines for new findings, then a one-line summary."""
-    lines: List[str] = [f.render() for f in delta.new]
-    summary = summarize(delta)
-    if delta.baselined:
-        lines.append(f"({summary['baselined']} pre-existing finding(s) baselined)")
-    if delta.stale:
-        total = sum(delta.stale.values())
+def render_human(findings: Sequence[Finding]) -> str:
+    """Compiler-style lines for the findings, then a one-line summary."""
+    lines: List[str] = [f.render() for f in findings]
+    if findings:
+        summary = summarize(findings)
         lines.append(
-            f"baseline is stale: {total} finding(s) fixed — run "
-            "`repro lint --update-baseline` to ratchet the debt down"
-        )
-    if delta.new:
-        lines.append(
-            f"{summary['new']} new finding(s) "
-            f"({summary['new_errors']} error(s), {summary['new_warnings']} warning(s))"
+            f"{summary['findings']} finding(s) "
+            f"({summary['errors']} error(s), {summary['warnings']} warning(s))"
         )
     else:
         lines.append("lint clean")
     return "\n".join(lines)
 
 
-def render_json(delta: BaselineDelta, files_checked: int) -> str:
-    findings: List[Dict[str, object]] = []
-    for f in delta.new:
-        entry = f.to_json()
-        entry["baselined"] = False
-        findings.append(entry)
-    for f in delta.baselined:
-        entry = f.to_json()
-        entry["baselined"] = True
-        findings.append(entry)
+def render_json(findings: Sequence[Finding], files_checked: int) -> str:
     # Total order on every key the entries can differ in — the JSON is a
     # CI artifact diffed across runs, so two runs over the same tree must
-    # be byte-identical (dict iteration order of the merged new+baselined
-    # lists is an implementation detail, never the output order).
-    findings.sort(
+    # be byte-identical whatever order the findings arrive in.
+    entries = sorted(
+        (f.to_json() for f in findings),
         key=lambda e: (
             str(e["path"]),
             int(str(e["line"])),
             str(e["rule"]),
             int(str(e["col"])),
             str(e["message"]),
-        )
+        ),
     )
     payload: Dict[str, object] = {
         "tool": "repro lint",
         "version": 1,
         "files_checked": files_checked,
-        "summary": summarize(delta),
-        "stale_baseline": dict(sorted(delta.stale.items())),
+        "summary": summarize(findings),
         "rules": rule_catalog(),
-        "findings": findings,
+        "findings": entries,
     }
     return json.dumps(payload, indent=2)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import __version__
 from repro.core.intervals import Interval
@@ -71,7 +71,7 @@ def _analysis_summary() -> str:
 
     return (
         "project-aware static analysis: invariant lint engine "
-        f"({len(rule_catalog())} rules), baseline ratchet, typing gate"
+        f"({len(rule_catalog())} rules), typing gate"
     )
 
 
@@ -262,14 +262,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         alpha=args.alpha,
         batch_size=args.batch_size,
-        max_delay=args.max_delay,
         mode=args.mode,
         metrics=metrics,
         durability=durability,
         tracer=tracer,
     )
     snapshots = (
-        SnapshotWriter(args.snapshot_out, max_bytes=args.snapshot_max_bytes or None)
+        SnapshotWriter(args.snapshot_out, max_bytes=args.snapshot_max_bytes)
         if args.snapshot_out
         else None
     )
@@ -468,8 +467,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        DEFAULT_BASELINE_NAME,
-        Baseline,
         all_rules,
         lint_paths,
         render_catalog,
@@ -499,33 +496,29 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     findings = lint_paths(paths, root, rules)
     files_checked = sum(1 for _ in iter_python_files(paths))
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    )
-    baseline = Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-    if args.update_baseline:
-        updated = baseline.ratchet(findings)
-        updated.save(baseline_path)
-        print(
-            f"baseline written to {baseline_path} "
-            f"({len(updated.counts)} fingerprint(s))"
-        )
-        return 0
-    delta = baseline.check(findings)
-
     if args.format == "json":
-        print(render_json(delta, files_checked))
+        print(render_json(findings, files_checked))
     else:
-        print(render_human(delta))
-    return 0 if delta.ok else 1
+        print(render_human(findings))
+    return 1 if findings else 0
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an int >= 1, or a usage error (exit 2)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(lo: int, hi: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an int in ``[lo, hi]``, or a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_in(1)
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
@@ -631,15 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runtime_args(serve)
     serve.add_argument("--report-every", type=_positive_int, default=2_000)
-    serve.add_argument("--max-delay", type=float, default=None,
-                       help="flush a partial batch after this many seconds")
     serve.add_argument(
         "--wal-dir", default=None, metavar="DIR",
         help="write-ahead log directory: log every event before applying it "
         "and recover/resume from this directory on startup",
     )
     serve.add_argument(
-        "--checkpoint-every", type=int, default=5_000, metavar="N",
+        "--checkpoint-every", type=_int_in(0), default=5_000, metavar="N",
         help="events between checkpoints when --wal-dir is set (0 disables)",
     )
     serve.add_argument(
@@ -652,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on exit (load in chrome://tracing or Perfetto)",
     )
     serve.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
+        "--metrics-port", type=_int_in(0, 65_535), default=None, metavar="PORT",
         help="serve live metrics over HTTP on this port (0 = ephemeral): "
         "/metrics (Prometheus), /metrics.json, /trace.json",
     )
@@ -662,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(read back with: repro stats --jsonl FILE)",
     )
     serve.add_argument(
-        "--snapshot-max-bytes", type=int, default=None, metavar="BYTES",
+        "--snapshot-max-bytes", type=_positive_int, default=None, metavar="BYTES",
         help="rotate --snapshot-out once it exceeds this size (the previous "
         "generation is kept at FILE.1; readers see both)",
     )
@@ -750,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="project-aware static analysis: invariant rules RA001, RA002 and "
-        "RA004-RA006 and hygiene rules, with noqa suppression and a "
-        "baseline ratchet",
+        "RA004-RA006 and hygiene rules, with noqa suppression; exits 1 on "
+        "any finding",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -763,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file (default: <root>/.repro-lint-baseline.json if present)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the ratcheted baseline (counts only ever shrink) and exit",
     )
     lint.set_defaults(func=_cmd_lint)
 

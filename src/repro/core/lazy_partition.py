@@ -27,7 +27,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.intervals import Interval
 from repro.core.partition_base import DynamicGroup, DynamicStabbingPartitionBase
-from repro.core.stabbing import StabbingPartition, canonical_stabbing_partition, identity_interval
+from repro.core.stabbing import (
+    StabbingPartition, canonical_stabbing_partition, identity_interval, stabbing_number,
+)
 from repro.core.partition_base import T
 
 
@@ -138,7 +140,7 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         assert set(self._item_epoch) == set(self._group_of), (
             "epoch records out of sync with live items"
         )
-        tau = self._sweep_tau(self._all_items())
+        tau = stabbing_number(self._all_items(), self._interval_of)
         assert len(self._groups) <= (1.0 + self._epsilon) * tau + 1e-9, (
             f"{len(self._groups)} groups > (1 + {self._epsilon}) * tau "
             f"where tau = {tau}"
@@ -187,7 +189,7 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         rebuild it from the canonical partition.
         """
         items = self._all_items()
-        tau = self._sweep_tau(items)
+        tau = stabbing_number(items, self._interval_of)
         self.recalibration_count += 1
         if len(self._groups) <= (1.0 + self._epsilon) * tau:
             self._tau0 = tau
@@ -196,22 +198,6 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
             self._updates_since_recon = 0
             return
         self._rebuild(items)
-
-    def _sweep_tau(self, items: List[T]) -> int:
-        """tau(I) by the greedy sweep, without materializing groups."""
-        interval_of = self._interval_of
-        intervals = sorted(
-            ((iv.lo, iv.hi) for iv in map(interval_of, items))
-        )
-        tau = 0
-        hi: Optional[float] = None
-        for lo, item_hi in intervals:
-            if hi is None or lo > hi:
-                tau += 1
-                hi = item_hi
-            elif item_hi < hi:
-                hi = item_hi
-        return tau
 
     def _rebuild(self, items: List[T]) -> None:
         self._notify_rebuild_started()

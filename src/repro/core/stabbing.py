@@ -136,8 +136,21 @@ def stabbing_number(
     items: Iterable[T],
     interval_of: Callable[[T], Interval] = identity_interval,
 ) -> int:
-    """tau(I): the size of the smallest stabbing partition of the items."""
-    return canonical_stabbing_partition(items, interval_of).size
+    """tau(I): the size of the smallest stabbing partition of the items.
+
+    The canonical sweep without its groups: it only counts where one
+    closes.  Ties in the left endpoint cannot change the count (a tied
+    interval's hi is at least the shared lo), so a plain tuple sort does.
+    """
+    tau = 0
+    hi = 0.0
+    for lo, item_hi in sorted((iv.lo, iv.hi) for iv in map(interval_of, items)):
+        if not tau or lo > hi:
+            tau += 1
+            hi = item_hi
+        elif item_hi < hi:
+            hi = item_hi
+    return tau
 
 
 def minimum_stabbing_set(

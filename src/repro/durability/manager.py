@@ -233,11 +233,8 @@ class DurabilityManager:
 
     @staticmethod
     def _config_of(source: EventPipeline) -> Dict[str, Any]:
-        router = source.router
         return {
-            "num_shards": router.num_shards,
+            "num_shards": source.router.num_shards,
             "alpha": source.alpha,
             "epsilon": source.epsilon,
-            "domain_lo": router.domain_lo,
-            "domain_hi": router.domain_hi,
         }

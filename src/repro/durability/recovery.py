@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.durability.checkpoint import load_latest_checkpoint
 from repro.durability.wal import read_wal
 from repro.runtime.pipeline import EventPipeline
-from repro.runtime.sharding import DOMAIN_HI, DOMAIN_LO
 from repro.wire import DecodedRecord, DurabilityError, Unsubscribe, decode_record
 
 __all__ = ["RecoveryError", "RecoveryReport", "apply_record", "recover_into", "recover_system"]
@@ -149,8 +148,6 @@ def recover_system(
     num_shards: int = 4,
     alpha: Optional[float] = 0.01,
     epsilon: float = 1.0,
-    domain_lo: Optional[float] = None,
-    domain_hi: Optional[float] = None,
 ) -> Tuple[EventPipeline, RecoveryReport]:
     """Build an inline :class:`~repro.runtime.pipeline.EventPipeline` from
     durable state.
@@ -158,7 +155,8 @@ def recover_system(
     Construction parameters come from the checkpoint's recorded config
     when one exists, falling back to the keyword defaults for WAL-only
     recovery.  The config only picks them: restore re-routes every record
-    through ``submit``, so any shard count recovers the same state.
+    through ``submit``, so any shard count recovers the same state — and
+    the routing domain an older checkpoint records is ignored.
     Returns ``(pipeline, report)``; the pipeline has no durability
     manager, so nothing it is fed afterwards is logged.
     """
@@ -168,12 +166,6 @@ def recover_system(
         num_shards=int(config.get("num_shards", num_shards)),
         alpha=config.get("alpha", alpha),
         epsilon=float(config.get("epsilon", epsilon)),
-        domain_lo=float(
-            config.get("domain_lo", DOMAIN_LO if domain_lo is None else domain_lo)
-        ),
-        domain_hi=float(
-            config.get("domain_hi", DOMAIN_HI if domain_hi is None else domain_hi)
-        ),
     )
     report = recover_into(pipeline, directory)
     return pipeline, report

@@ -10,14 +10,13 @@ it stacks the runtime layers on top of them:
    queue is bounded by ``batch_size``, because the submit that fills it
    flushes it; nothing is ever dropped or refused, and pacing a slow
    consumer is the caller's job.
-2. **batching** — a batch flushes when ``batch_size`` entries are pending
-   or the oldest pending entry exceeds ``max_delay`` seconds.  Every
-   submitted event is applied; an insert and a delete of the same row in
+2. **batching** — a batch flushes when ``batch_size`` entries are pending.
+   Every submitted event is applied; an insert and a delete of the same row in
    one batch are answered exactly as the per-event reference answers them.
 3. **execution** — every data event reaches every shard (each holds a
    partition of the queries), so a flush routes each event once
    (:meth:`~repro.runtime.sharding.ShardRouter.route_event` → its
-   select-plane owner) and hands the backend one ``(seq, event, owner)``
+   select-plane owner) and hands its shards one ``(seq, event, owner)``
    list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
    shards through the batch on the caller's thread, over one shared table
    set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic and
@@ -48,7 +47,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, List, Optional, Protocol, Tuple,
+    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, List, Optional, Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — type only: runtime never imports durability
@@ -64,8 +63,6 @@ from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
 from repro.runtime.batching import BatchEntry, MicroBatcher
 from repro.runtime.metrics import MetricsRegistry, histogram_delta
 from repro.runtime.sharding import (
-    DOMAIN_HI,
-    DOMAIN_LO,
     Delta,
     ResultCallback,
     Shard,
@@ -78,86 +75,42 @@ from repro.runtime.sharding import (
 )
 
 
-# -- execution backends ------------------------------------------------------
+# -- worker lanes (process-shm) --------------------------------------------
+
+#: Bytes of each shared-memory ring, one per direction per worker.
+RING_CAPACITY = 4 << 20
+#: Seconds a send may block, or a response take, before the round fails.
+RESPONSE_TIMEOUT = 60.0
+#: Every this-many-th ``process-shm`` batch is a telemetry round.
+TELEMETRY_EVERY = 16
 
 
-class _Backend(Protocol):
-    """What the pipeline needs from an execution backend.
+class _ShmWorkers:
+    """Shards 1…K−1 of a ``process-shm`` pipeline (K ≥ 2), each in a
+    persistent worker process behind a request ring and a response ring
+    (:mod:`repro.runtime.transport`).  The pipeline applies shard 0
+    itself; each process holds one table set, with every row.
 
-    ``group`` is the in-process shard group; its tables hold every row in
-    either backend.  ``ingest_ns`` parallels the entry list with
-    submitter-side monotonic ingest timestamps; the inline backend ignores
-    it — the pipeline measures end-to-end latency itself on the emission
-    side.
-    """
+    Batches cross the boundary as columnar frames — subscription changes
+    inside them, as entries in stream order — and results come back as row
+    tables plus (seq, qid, sign, row-ref) tuples resolved to the caller's
+    query objects.  A batch is encoded once and sent to every worker
+    (:meth:`send`); the pipeline applies shard 0 while they run and only
+    then reads their responses (:meth:`collect`, one frame in flight per
+    worker).  ``close()`` is idempotent and unlinks every segment even
+    after a worker crash (shutdown frame → join with timeout → kill →
+    unlink).
 
-    group: ShardGroup
-
-    def apply_batch(
-        self, entries: List[ShardEntry], ingest_ns: List[int]
-    ) -> ShardBatchResults: ...
-
-    def sample_hotspots(self) -> List[HeadroomSample]: ...
-
-    def close(self) -> None: ...
-
-
-class _InlineBackend:
-    """One :class:`ShardGroup` on the calling thread: all K shards in
-    ``inline`` mode, shard 0 alone inside :class:`_ProcessShmBackend`."""
-
-    def __init__(self, group: ShardGroup):
-        self.group = group
-
-    def apply_batch(
-        self, entries: List[ShardEntry], ingest_ns: List[int]
-    ) -> ShardBatchResults:
-        return self.group.apply_batch(entries)
-
-    def sample_hotspots(self) -> List[HeadroomSample]:
-        samples: List[HeadroomSample] = []
-        for shard in self.group.shards:
-            samples.extend(shard.sample_telemetry())
-        return samples
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessShmBackend:
-    """Shard 0 in this process, shards 1…K−1 in worker processes behind
-    shared-memory rings.
-
-    The process data plane (``docs/RUNTIME.md``): shard 0 is an
-    :class:`_InlineBackend` over ``ShardGroup([0])`` — the code inline mode
-    runs — and every other shard a persistent worker owning a request ring
-    and a response ring (:mod:`repro.runtime.transport`).  Each process
-    holds one table set, with every row.  Batches cross the boundary as
-    columnar frames — subscription changes inside them, as entries in
-    stream order — and results come back as row tables plus
-    (seq, qid, sign, row-ref) tuples resolved to the caller's query
-    objects.
-
-    A batch is encoded once and sent to every worker; the parent then
-    applies shard 0 while the workers run, and only then collects their
-    responses (one frame in flight per worker).  Every response is read
-    before a failed batch raises, so the rings stay aligned for the next
-    one.  With K = 1 there is no frame, ring or process.  ``close()`` is
-    idempotent and unlinks every segment even after a worker crash
-    (shutdown frame → join with timeout → kill → unlink).
-
-    Telemetry: every ``telemetry_every``-th batch roundtrip sets the
-    BATCH telemetry flag, so each worker follows its RESULT with one
-    TELEMETRY frame — metric deltas, which merge into the parent registry
-    under the ``shard/<N>/`` names the worker gave them, plus, when the
-    parent tracer records (the BATCH trace id is nonzero — a worker records
-    no spans otherwise), the spans since the last ship, which merge into
-    one unified trace with per-process lanes.  Shard 0 writes straight
-    into the parent registry and tracer, under the ``shard/0/`` names a
-    worker would use; on the same rounds it samples its headroom, as a
-    worker does before it ships.  ``drain_telemetry()`` forces a ship via
-    empty flagged batches (used by the reporting interval and on close, so
-    the final stats include the workers' last increments).
+    Telemetry: a BATCH with the telemetry flag set (every
+    :data:`TELEMETRY_EVERY`-th round) makes each worker follow its RESULT
+    with one TELEMETRY frame — metric deltas, which merge into the parent
+    registry under the ``shard/<N>/`` names the worker gave them, plus,
+    when the parent tracer records (the BATCH trace id is nonzero — a
+    worker records no spans otherwise), the spans since the last ship,
+    which merge into one unified trace with per-process lanes.
+    ``drain_telemetry()`` forces a ship via an empty flagged batch (used by
+    the reporting interval and on close, so the final stats include the
+    workers' last increments).
     """
 
     def __init__(
@@ -167,10 +120,7 @@ class _ProcessShmBackend:
         epsilon: float,
         resolve_query: Callable[[int], Any],
         metrics: MetricsRegistry,
-        tracer: Tracer = NULL_TRACER,
-        ring_capacity: int = 4 << 20,
-        timeout: float = 60.0,
-        telemetry_every: int = 16,
+        tracer: Tracer,
     ):
         self._resolve = resolve_query
         self.metrics = metrics
@@ -188,26 +138,17 @@ class _ProcessShmBackend:
             index: gauge(f"transport/ring/{index}/response_bytes") for index in remote
         }
         self.tracer = tracer
-        self.telemetry_every = max(1, telemetry_every)
-        self._round = 0
-        self._timeout = timeout
         self._closed = False
-        if isinstance(tracer, RingTracer):
-            tracer.set_process_name(tracer.pid, "pipeline (parent)")
-        self._local = _InlineBackend(
-            ShardGroup([0], alpha=alpha, epsilon=epsilon, metrics=metrics, tracer=tracer)
-        )
-        self.group = self._local.group
         self._requests: Dict[int, ShmRing] = {}
         self._responses: Dict[int, ShmRing] = {}
-        self._workers: Dict[int, multiprocessing.process.BaseProcess] = {}
+        self._processes: Dict[int, multiprocessing.process.BaseProcess] = {}
         ctx = multiprocessing.get_context()
         try:
             for index in remote:
                 request_bell = ctx.Semaphore(0)
                 response_bell = ctx.Semaphore(0)
-                self._requests[index] = ShmRing.create(ring_capacity, doorbell=request_bell)
-                self._responses[index] = ShmRing.create(ring_capacity, doorbell=response_bell)
+                self._requests[index] = ShmRing.create(RING_CAPACITY, doorbell=request_bell)
+                self._responses[index] = ShmRing.create(RING_CAPACITY, doorbell=response_bell)
                 worker = ctx.Process(
                     target=shard_worker_main,
                     args=(
@@ -223,7 +164,7 @@ class _ProcessShmBackend:
                     daemon=True,
                 )
                 worker.start()
-                self._workers[index] = worker
+                self._processes[index] = worker
         except BaseException:
             self.close()
             raise
@@ -234,21 +175,22 @@ class _ProcessShmBackend:
         """Block for one response frame, failing fast if the worker died."""
         ring = self._responses[index]
         retries = ring.crc_retries
-        deadline = time.monotonic() + self._timeout
+        timeout = RESPONSE_TIMEOUT
+        deadline = time.monotonic() + timeout
         try:
             while True:
                 payload = ring.recv(timeout=0.05)
                 if payload is not None:
                     return payload
-                if not self._workers[index].is_alive():
+                if not self._processes[index].is_alive():
                     raise TransportError(
                         f"shard {index} worker exited "
-                        f"(exitcode {self._workers[index].exitcode}) mid-request"
+                        f"(exitcode {self._processes[index].exitcode}) mid-request"
                     )
                 if time.monotonic() >= deadline:
                     self._ring_timeouts.inc()
                     raise RingTimeoutError(
-                        f"no response from shard {index} within {self._timeout:.1f}s"
+                        f"no response from shard {index} within {timeout:.1f}s"
                     )
         finally:
             if ring.crc_retries != retries:
@@ -275,14 +217,12 @@ class _ProcessShmBackend:
 
     def _send(self, index: int, payload: bytes) -> None:
         try:
-            self._requests[index].send(payload, timeout=self._timeout)
+            self._requests[index].send(payload, timeout=RESPONSE_TIMEOUT)
         except RingTimeoutError:
             self._ring_timeouts.inc()
             raise
         self._bytes_out.inc(len(payload))
         self._request_bytes[index].set(self._requests[index].occupancy())
-
-    # -- backend protocol ----------------------------------------------------
 
     def _merge_telemetry_frame(self, index: int) -> None:
         """Read one TELEMETRY frame from a shard and fold it in."""
@@ -314,84 +254,60 @@ class _ProcessShmBackend:
             for seq, deltas in results
         ]
 
-    def _dispatch(
+    # -- one round -------------------------------------------------------------
+
+    def send(
         self,
         entries: List[ShardEntry],
         ingest_ns: List[int],
-        workers: Collection[int],
         want_telemetry: bool,
         parent_span_id: int = 0,
-    ) -> ShardBatchResults:
-        """Send one batch to ``workers``, apply it to shard 0 here while
-        they run, then collect their results.  Every worker's response is
-        read before the first failure — shard 0's included — is raised, so
-        no frame of this batch is left in a ring for the next to misread."""
-        if workers:
-            start = time.perf_counter()
-            # Every worker reads the same batch: one frame, K − 1 rings.
-            payload = _frames.encode_batch_frame(
-                entries,
-                ingest_ns=ingest_ns,
-                trace_id=getattr(self.tracer, "trace_id", 0),
-                parent_span_id=parent_span_id,
-                want_telemetry=want_telemetry,
-            )
-            self._encode_us.observe((time.perf_counter() - start) * 1e6)
-            for index in workers:
-                self._send(index, payload)
-        out: ShardBatchResults = {}
-        failure: Optional[Exception] = None
-        # Timed whole, as a worker times its apply.
+        lanes: Optional[Collection[int]] = None,
+    ) -> None:
+        """Encode one BATCH frame and send it to every worker (or to
+        ``lanes``): every worker reads the same batch."""
         start = time.perf_counter()
-        try:
-            __, results = self._local.apply_batch(entries, ingest_ns)[0]
-            out[0] = (time.perf_counter() - start, results)
-        except Exception as exc:
-            failure = exc
-        for index in workers:
+        payload = _frames.encode_batch_frame(
+            entries,
+            ingest_ns=ingest_ns,
+            trace_id=getattr(self.tracer, "trace_id", 0),
+            parent_span_id=parent_span_id,
+            want_telemetry=want_telemetry,
+        )
+        self._encode_us.observe((time.perf_counter() - start) * 1e6)
+        for index in self._processes if lanes is None else lanes:
+            self._send(index, payload)
+
+    def collect(
+        self,
+        out: ShardBatchResults,
+        want_telemetry: bool,
+        lanes: Optional[Collection[int]] = None,
+    ) -> Optional[TransportError]:
+        """Read the response of every worker (or of ``lanes``) into
+        ``out``.  Every one is read before the first failure is returned,
+        so no frame of this round is left in a ring for the next to
+        misread."""
+        failure: Optional[TransportError] = None
+        for index in self._processes if lanes is None else lanes:
             try:
                 out[index] = self._collect(index, want_telemetry)
             except TransportError as exc:
                 failure = failure or exc
-        if want_telemetry:
-            self._local.sample_hotspots()  # as a worker does before it ships
-        if failure is not None:
-            raise failure
-        return out
-
-    def apply_batch(
-        self, entries: List[ShardEntry], ingest_ns: List[int]
-    ) -> ShardBatchResults:
-        self._round += 1
-        want_telemetry = self._round % self.telemetry_every == 0
-        workers = self._workers
-        with self.tracer.span("transport.roundtrip", shards=len(workers) + 1) as roundtrip:
-            return self._dispatch(
-                entries, ingest_ns, workers, want_telemetry,
-                getattr(roundtrip, "span_id", 0),
-            )
+        return failure
 
     def drain_telemetry(self) -> None:
-        """Pull every shard's pending telemetry now.
-
-        Samples shard 0's headroom and sends an empty telemetry-flagged
-        BATCH to every live worker (harmless: zero entries apply nothing), folding
-        the responses in.  Used by the reporting interval — worker gauges
-        refresh on demand rather than on the batch cadence — and by
-        ``close()`` for the final merge.
-        """
+        """Pull every live worker's pending telemetry now, with an empty
+        telemetry-flagged BATCH (harmless: zero entries apply nothing)."""
         if self._closed:
             return
-        live = [index for index, worker in self._workers.items() if worker.is_alive()]
-        self._dispatch([], [], live, want_telemetry=True)
-
-    def sample_hotspots(self) -> List[HeadroomSample]:
-        """Returns no samples: the workers' stay in the workers, and shard
-        0's alone would be a partial list.  Every shard samples its
-        headroom on a telemetry round, though, so draining leaves the
-        ``obs/shard/...`` gauges fresh."""
-        self.drain_telemetry()
-        return []
+        live = [index for index, worker in self._processes.items() if worker.is_alive()]
+        if not live:
+            return
+        self.send([], [], True, lanes=live)
+        failure = self.collect({}, True, lanes=live)
+        if failure is not None:
+            raise failure
 
     def close(self) -> None:
         """Stop workers and unlink every segment.  Idempotent; tolerates
@@ -407,7 +323,7 @@ class _ProcessShmBackend:
             pass
         self._closed = True
         shutdown = _frames.encode_shutdown_frame()
-        workers = self._workers
+        workers = self._processes
         for index, worker in workers.items():
             if worker.is_alive():
                 try:
@@ -443,10 +359,7 @@ class EventPipeline:
         num_shards: int = 4,
         alpha: Optional[float] = 0.01,
         epsilon: float = 1.0,
-        domain_lo: float = DOMAIN_LO,
-        domain_hi: float = DOMAIN_HI,
         batch_size: int = 32,
-        max_delay: Optional[float] = None,
         mode: str = "inline",
         metrics: Optional[MetricsRegistry] = None,
         durability: Optional["DurabilityManager"] = None,
@@ -454,9 +367,8 @@ class EventPipeline:
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.router = ShardRouter(num_shards, domain_lo=domain_lo, domain_hi=domain_hi)
+        self.router = ShardRouter(num_shards)
         self.batch_size = batch_size
-        self.max_delay = max_delay
         self.mode = mode
         self.alpha = alpha
         self.epsilon = epsilon
@@ -466,7 +378,6 @@ class EventPipeline:
         self._placements: Dict[int, List[int]] = {}
         self._callbacks: Dict[int, ResultCallback] = {}
         self._seq = 0
-        self._oldest_pending_at: Optional[float] = None  # only with max_delay
         # Queue depth after each submitted event since the last fold (per
         # flush); at most ``batch_size`` ints, see ``submit``.
         self._depths: List[int] = []
@@ -485,28 +396,26 @@ class EventPipeline:
             (histogram(f"shard/{i}/batch_us"), counter(f"shard/{i}/events"))
             for i in range(num_shards)
         ]
-        per_shard_alpha = scaled_alpha(alpha, num_shards)
-        self._backend: _Backend
-        if mode == "inline":
-            self._backend = _InlineBackend(
-                ShardGroup(range(num_shards), alpha=per_shard_alpha, epsilon=epsilon,
-                           metrics=self.metrics, tracer=tracer)
-            )
-        elif mode == "process-shm":
-            # Shards 1…K−1 record spans and hotspot telemetry in the workers,
-            # merged back over TELEMETRY frames; shard 0's spans, the
-            # transport metrics and the transport.roundtrip span are
-            # recorded here.
-            self._backend = _ProcessShmBackend(
-                num_shards,
-                per_shard_alpha,
-                epsilon,
-                self._queries.__getitem__,
-                self.metrics,
-                tracer,
-            )
-        else:
+        if mode not in ("inline", "process-shm"):
             raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
+        per_shard_alpha = scaled_alpha(alpha, num_shards)
+        # process-shm: this process applies shard 0 and K − 1 workers the
+        # rest.  Their spans and hotspot telemetry merge back over
+        # TELEMETRY frames; shard 0's spans, the transport metrics and the
+        # transport.roundtrip span are recorded here.
+        if mode == "process-shm" and isinstance(tracer, RingTracer):
+            tracer.set_process_name(tracer.pid, "pipeline (parent)")
+        self._group = ShardGroup(
+            range(num_shards) if mode == "inline" else [0],
+            alpha=per_shard_alpha, epsilon=epsilon, metrics=self.metrics, tracer=tracer,
+        )
+        self._round = 0
+        self._workers: Optional[_ShmWorkers] = None
+        if mode == "process-shm" and num_shards > 1:
+            self._workers = _ShmWorkers(
+                num_shards, per_shard_alpha, epsilon, self._queries.__getitem__,
+                self.metrics, tracer,
+            )
 
     # -- subscriptions (batch entries in stream order) ------------------------
 
@@ -560,13 +469,6 @@ class EventPipeline:
         """Queue a subscription change; it counts toward ``batch_size``."""
         batcher = self._batcher
         batcher.add((-1, event, placement))
-        max_delay = self.max_delay
-        if max_delay is not None:
-            if self._oldest_pending_at is None:
-                self._oldest_pending_at = time.monotonic()
-            if time.monotonic() - self._oldest_pending_at >= max_delay:
-                self.flush()
-                return
         if len(batcher) >= batcher.max_batch:
             self.flush()
 
@@ -602,17 +504,10 @@ class EventPipeline:
         self._seq += 1
         self._events_submitted.inc()
         batcher = self._batcher
-        max_delay = self.max_delay
-        if max_delay is not None and self._oldest_pending_at is None:
-            self._oldest_pending_at = time.monotonic()
         batcher.add((seq, event, time.perf_counter_ns()))
         pending = len(batcher)
         self._depths.append(pending)
-        if pending >= batcher.max_batch or (
-            max_delay is not None
-            and self._oldest_pending_at is not None
-            and time.monotonic() - self._oldest_pending_at >= max_delay
-        ):
+        if pending >= batcher.max_batch:
             self.flush()
         if durability is not None and durability.checkpoint_due:
             durability.checkpoint(self)
@@ -653,8 +548,6 @@ class EventPipeline:
             # Batch-boundary durability barrier: every event a shard is
             # about to apply is already on media (fsync policy permitting).
             self.durability.sync()
-        if self.max_delay is not None:
-            self._oldest_pending_at = time.monotonic() if len(self._batcher) else None
         route, note = self.router.route_event, self.router.note_event
         entries: List[ShardEntry] = []
         ingest_ns: List[int] = []
@@ -674,7 +567,7 @@ class EventPipeline:
             entries.append((seq, event, owner))
             ingest_ns.append(stamp)
             data.append(entry)
-        applied = self._backend.apply_batch(entries, ingest_ns)
+        applied = self._apply(entries, ingest_ns)
         # Only the parts that hold a delta, in shard-index order (the order
         # merge_deltas keeps): an event no shard answered needs no slot.
         parts: Dict[int, List[Delta]] = {}
@@ -728,6 +621,45 @@ class EventPipeline:
             self._sink.extend(out)
         return out
 
+    def _apply(
+        self, entries: List[ShardEntry], ingest_ns: List[int]
+    ) -> ShardBatchResults:
+        """Every shard's (seconds, results) for one batch.  Inline, the
+        group steps all K shards.  In ``process-shm`` the batch goes to the
+        workers first; shard 0 applies here while they run, and every
+        worker's response is read before the first failure — shard 0's
+        included — is raised."""
+        if self.mode == "inline":
+            return self._group.apply_batch(entries)
+        self._round += 1
+        want_telemetry = self._round % TELEMETRY_EVERY == 0
+        workers = self._workers
+        with self.tracer.span(
+            "transport.roundtrip", shards=self.router.num_shards
+        ) as roundtrip:
+            if workers is not None:
+                workers.send(
+                    entries, ingest_ns, want_telemetry, getattr(roundtrip, "span_id", 0)
+                )
+            out: ShardBatchResults = {}
+            failure: Optional[Exception] = None
+            # Timed whole, as a worker times its apply.
+            start = time.perf_counter()
+            try:
+                __, results = self._group.apply_batch(entries)[0]
+                out[0] = (time.perf_counter() - start, results)
+            except Exception as exc:
+                failure = exc
+            if workers is not None:
+                # Read every response, even after shard 0 failed.
+                transport_failure = workers.collect(out, want_telemetry)
+                failure = failure or transport_failure
+            if want_telemetry:
+                self._sample_group()  # as a worker does before it ships
+            if failure is not None:
+                raise failure
+            return out
+
     def drain(self) -> List[Tuple[int, DataEvent, Delta]]:
         """Flush until no events are pending."""
         out: List[Tuple[int, DataEvent, Delta]] = []
@@ -741,9 +673,9 @@ class EventPipeline:
         """Submit an event stream, drain, and return every applied event's
         ``(seq, event, deltas)`` in sequence order.
 
-        Every flush during the run (batch-size and delay triggers, a
-        reused qid) feeds the same collection, so the caller sees
-        one ordered result list for the whole stream."""
+        Every flush during the run (a full batch, a reused qid) feeds the
+        same collection, so the caller sees one ordered result list for the
+        whole stream."""
         collected: List[Tuple[int, DataEvent, Delta]] = []
         outer_sink, self._sink = self._sink, collected
         try:
@@ -763,18 +695,25 @@ class EventPipeline:
         either mode: all K shards inline, shard 0 alone in ``process-shm``
         (each process holds one full table set).  The durable
         checkpointer snapshots its tables."""
-        return self._backend.group
+        return self._group
 
     @property
     def shard_group(self) -> ShardGroup:
-        """The in-process table set and all K shards (inline backend)."""
-        if not isinstance(self._backend, _InlineBackend):
+        """The in-process table set and all K shards (inline mode)."""
+        if self.mode != "inline":
             raise RuntimeError("shard state is not in-process in process-shm mode")
-        return self._backend.group
+        return self._group
 
     @property
     def shards(self) -> List[Shard]:
         return self.shard_group.shards
+
+    def _sample_group(self) -> List[HeadroomSample]:
+        """The in-process shards' samples; each also sets its gauges."""
+        samples: List[HeadroomSample] = []
+        for shard in self._group.shards:
+            samples.extend(shard.sample_telemetry())
+        return samples
 
     def sample_hotspots(self) -> List[HeadroomSample]:
         """Refresh and return every shard plane's I2 headroom sample.
@@ -782,16 +721,21 @@ class EventPipeline:
         Each sample recomputes that plane's tau by a full sweep, so this
         belongs on the reporting interval, not the event path.  Returns
         ``[]`` in ``process-shm`` mode (every shard's samples — shard 0's
-        from the parent's own group, the others' merged from the workers —
-        land in ``obs/shard/...`` gauges instead) and when the hotspot
+        from the parent's own group, the others' drained from the workers
+        — land in ``obs/shard/...`` gauges instead) and when the hotspot
         tracker is disabled (``alpha=None``).
         """
-        return self._backend.sample_hotspots()
+        samples = self._sample_group()
+        if self.mode == "inline":
+            return samples
+        if self._workers is not None:
+            self._workers.drain_telemetry()
+        return []
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain, then release durability and the backend — also when the
+        """Drain, then release durability and the workers — also when the
         drain raises (a dead worker), so no segment or process leaks."""
         try:
             self.drain()
@@ -801,7 +745,8 @@ class EventPipeline:
                     self.durability.sync()
                     self.durability.close()
             finally:
-                self._backend.close()
+                if self._workers is not None:
+                    self._workers.close()
 
     def __enter__(self) -> "EventPipeline":
         return self

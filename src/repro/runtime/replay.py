@@ -203,8 +203,6 @@ def run_replay(
     alpha: Optional[float] = 0.01,
     epsilon: float = 1.0,
     mode: str = "inline",
-    domain_lo: float = 0.0,
-    domain_hi: float = 10_000.0,
     max_mismatches: int = 20,
 ) -> ReplayReport:
     """Replay ``stream`` through a pipeline and the unsharded reference and
@@ -236,8 +234,6 @@ def run_replay(
         num_shards=num_shards,
         alpha=alpha,
         epsilon=epsilon,
-        domain_lo=domain_lo,
-        domain_hi=domain_hi,
         batch_size=batch_size,
         mode=mode,
     ) as pipeline:

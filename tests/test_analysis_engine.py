@@ -1,5 +1,5 @@
 """Engine-level tests for the lint framework: registry, suppression,
-fingerprints, baseline ratchet, file walking.  Rule *behaviour* is covered
+fingerprints, file walking, the JSON artifact.  Rule *behaviour* is covered
 per-rule in test_analysis_rules.py; here we exercise the machinery the
 rules plug into."""
 
@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.analysis import (
-    Baseline,
     Finding,
     Severity,
     all_rules,
@@ -83,58 +82,6 @@ class TestFingerprints:
         assert a.fingerprint != Finding("RA001", "p.py", 1, 0, "msg").fingerprint
 
 
-class TestBaseline:
-    def _finding(self, msg="import of numpy outside the kernel allowlist", n=1):
-        return [Finding("RA002", VIRTUAL, i + 1, 0, msg) for i in range(n)]
-
-    def test_baselined_findings_do_not_fail(self):
-        findings = self._finding(n=2)
-        baseline = Baseline.from_findings(findings)
-        delta = baseline.check(findings)
-        assert delta.ok and len(delta.baselined) == 2 and not delta.new
-
-    def test_count_beyond_baseline_fails(self):
-        baseline = Baseline.from_findings(self._finding(n=1))
-        delta = baseline.check(self._finding(n=2))
-        assert not delta.ok and len(delta.new) == 1 and len(delta.baselined) == 1
-
-    def test_ratchet_never_grows_a_count(self):
-        baseline = Baseline.from_findings(self._finding(n=1))
-        updated = baseline.ratchet(self._finding(n=3))
-        # regression stays capped at the old ceiling
-        assert list(updated.counts.values()) == [1]
-
-    def test_ratchet_shrinks_paid_down_debt_and_drops_fixed(self):
-        two = Baseline.from_findings(self._finding(n=2))
-        updated = two.ratchet(self._finding(n=1))
-        assert list(updated.counts.values()) == [1]
-        assert two.ratchet([]).counts == {}
-
-    def test_ratchet_absorbs_new_fingerprints_only_explicitly(self):
-        baseline = Baseline()
-        delta = baseline.check(self._finding(n=1))
-        assert not delta.ok  # a plain check never absorbs
-        updated = baseline.ratchet(self._finding(n=1))
-        assert updated.check(self._finding(n=1)).ok
-
-    def test_stale_entries_reported(self):
-        baseline = Baseline.from_findings(self._finding(n=3))
-        delta = baseline.check(self._finding(n=1))
-        assert delta.ok and sum(delta.stale.values()) == 2
-
-    def test_save_load_roundtrip(self, tmp_path):
-        baseline = Baseline.from_findings(self._finding(n=2))
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        assert Baseline.load(path).counts == baseline.counts
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestDriver:
     def test_lint_paths_walks_directories(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "core"
@@ -155,12 +102,11 @@ class TestDriver:
 
     def test_render_json_is_the_ci_contract(self):
         findings = [Finding("RA002", VIRTUAL, 1, 0, "import of numpy")]
-        baseline = Baseline()
-        payload = json.loads(render_json(baseline.check(findings), 5))
+        payload = json.loads(render_json(findings, 5))
         assert payload["tool"] == "repro lint"
         assert payload["files_checked"] == 5
-        assert payload["summary"]["new"] == 1
-        assert payload["findings"][0]["baselined"] is False
+        assert payload["summary"] == {"findings": 1, "errors": 1, "warnings": 0}
+        assert payload["findings"][0]["fingerprint"] == findings[0].fingerprint
         assert {r["code"] for r in payload["rules"]} >= {"RA001", "RA006"}
 
     def test_render_json_order_is_deterministic(self):
@@ -175,9 +121,8 @@ class TestDriver:
         ]
         import itertools
 
-        baseline = Baseline()
         rendered = {
-            render_json(baseline.check(list(perm)), 2)
+            render_json(list(perm), 2)
             for perm in itertools.permutations(findings)
         }
         assert len(rendered) == 1, "output depends on input order"

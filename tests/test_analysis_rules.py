@@ -1,12 +1,12 @@
 """Per-rule fixture tests: every project rule must (a) fire on a seeded
-violation, (b) stay quiet on the idiomatic counterpart, (c) be suppressible
-with an inline ``# repro: noqa[CODE]``, and (d) ride the baseline ratchet.
+violation, (b) stay quiet on the idiomatic counterpart and (c) be
+suppressible with an inline ``# repro: noqa[CODE]``.
 Fixtures lint in-memory sources under virtual paths, exercising exactly the
 entry point (``lint_source``) production runs use."""
 
 import pytest
 
-from repro.analysis import Baseline, all_rules, lint_source
+from repro.analysis import all_rules, lint_source
 
 CORE = "src/repro/core/fake_module.py"
 OBS = "src/repro/obs/fake_module.py"
@@ -210,19 +210,6 @@ class TestEveryRule:
         for f in findings:
             lines[f.line - 1] += f"  # repro: noqa[{code}]"
         assert run(code, path, "\n".join(lines) + "\n") == []
-
-    def test_baseline_ratchet_round_trip(self, code, path, bad, good, fragment):
-        findings = run(code, path, bad)
-        # absorbing the debt makes the same run pass ...
-        baseline = Baseline().ratchet(findings)
-        assert baseline.check(findings).ok
-        # ... fixing it leaves stale entries a re-ratchet reclaims ...
-        clean = baseline.check(run(code, path, good))
-        assert clean.ok and clean.stale
-        assert baseline.ratchet([]).counts == {}
-        # ... and doubling the debt still fails against the old ceiling.
-        doubled = findings + findings
-        assert not baseline.check(doubled).ok
 
 
 class TestScoping:

@@ -1,8 +1,7 @@
 """Self-check: the shipped tree must satisfy its own lint gate.
 
 This is the test that keeps ``repro lint`` honest — every rule runs over
-``src/repro`` exactly as CI does, and any finding not in the committed
-baseline fails the suite.  It also pins the CLI contract the CI job and
+``src/repro`` exactly as CI does, and any finding fails the suite.  It also pins the CLI contract the CI job and
 docs rely on (exit codes, --list-rules, JSON shape)."""
 
 import json
@@ -13,12 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    all_rules,
-    lint_paths,
-)
+from repro.analysis import all_rules, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -38,19 +32,14 @@ def run_cli(*argv, cwd=REPO_ROOT):
 class TestRepoIsClean:
     def test_tree_passes_its_own_gate(self):
         findings = lint_paths([SRC], REPO_ROOT)
-        baseline_path = REPO_ROOT / DEFAULT_BASELINE_NAME
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-        )
-        delta = baseline.check(findings)
-        assert delta.ok, "new lint findings:\n" + "\n".join(
-            f.render() for f in delta.new
+        assert not findings, "lint findings:\n" + "\n".join(
+            f.render() for f in findings
         )
 
     def test_cli_exits_zero_on_head(self):
         proc = run_cli("lint")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "lint clean" in proc.stdout or "baselined" in proc.stdout
+        assert "lint clean" in proc.stdout
 
 
 class TestCliContract:
@@ -82,18 +71,8 @@ class TestCliContract:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["tool"] == "repro lint"
-        assert payload["summary"]["new"] >= 1
+        assert payload["summary"]["findings"] >= 1
         assert any(f["rule"] == "RA002" for f in payload["findings"])
-
-    def test_update_baseline_then_clean(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import numpy\n")
-        assert run_cli("lint", "--root", str(tmp_path)).returncode == 1
-        proc = run_cli("lint", "--root", str(tmp_path), "--update-baseline")
-        assert proc.returncode == 0
-        assert (tmp_path / DEFAULT_BASELINE_NAME).exists()
-        assert run_cli("lint", "--root", str(tmp_path)).returncode == 0
 
     def test_list_rules_prints_catalog(self):
         proc = run_cli("lint", "--list-rules")

@@ -26,7 +26,7 @@ from repro.check.targets import (
 )
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.lazy_partition import LazyStabbingPartition
-from repro.core.stabbing import canonical_stabbing_partition
+from repro.core.stabbing import canonical_stabbing_partition, stabbing_number
 from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind
 from repro.fastpath import kernels
@@ -41,7 +41,7 @@ class RecalOffByOne(LazyStabbingPartition):
 
     def _recalibrate_or_rebuild(self):
         items = self._all_items()
-        tau = self._sweep_tau(items)
+        tau = stabbing_number(items, self._interval_of)
         self.recalibration_count += 1
         if len(self._groups) <= (1.0 + self._epsilon) * tau + 1:  # off by one
             self._tau0 = tau

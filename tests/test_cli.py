@@ -202,8 +202,8 @@ def test_serve_wal_resumes_completed_stream(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--policy", "block"], ["--queue-capacity", "8"]],
-    ids=["--policy", "--queue-capacity"],
+    "flag", [["--policy", "block"], ["--queue-capacity", "8"], ["--max-delay", "0.5"]],
+    ids=["--policy", "--queue-capacity", "--max-delay"],
 )
 def test_removed_runtime_flags_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -213,22 +213,27 @@ def test_removed_runtime_flags_are_usage_errors(flag, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,bound",
     [
-        ["replay", "--batch-size", "0"],
-        ["serve", "--batch-size", "0"],
-        ["replay", "--shards", "0"],
-        ["serve", "--shards", "-1"],
-        ["serve", "--report-every", "0"],
+        (["replay", "--batch-size", "0"], ">= 1"),
+        (["serve", "--batch-size", "0"], ">= 1"),
+        (["replay", "--shards", "0"], ">= 1"),
+        (["serve", "--shards", "-1"], ">= 1"),
+        (["serve", "--report-every", "0"], ">= 1"),
+        (["serve", "--checkpoint-every", "-1"], ">= 0"),
+        (["serve", "--snapshot-max-bytes", "-5"], ">= 1"),
+        (["serve", "--metrics-port", "70000"], "<= 65535"),
+        (["serve", "--metrics-port", "-1"], ">= 0"),
     ],
     ids=["replay-batch-size", "serve-batch-size", "replay-shards", "serve-shards",
-         "serve-report-every"],
+         "serve-report-every", "serve-checkpoint-every", "serve-snapshot-max-bytes",
+         "serve-metrics-port", "serve-metrics-port-negative"],
 )
-def test_out_of_range_runtime_arguments_are_usage_errors(argv, capsys):
+def test_out_of_range_runtime_arguments_are_usage_errors(argv, bound, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--events", "10"])
     assert exit_info.value.code == 2
-    assert f"argument {argv[1]}: must be >= 1" in capsys.readouterr().err
+    assert f"argument {argv[1]}: must be {bound}, got {argv[2]}" in capsys.readouterr().err
 
 
 def test_recover_empty_directory(tmp_path, capsys):

@@ -602,6 +602,37 @@ class TestRecovery:
         assert recovered.alpha == 0.05
         assert recovered.epsilon == 2.0
 
+    def test_a_checkpoint_that_records_a_routing_domain_recovers(self, tmp_path, monkeypatch):
+        """Older checkpoints record the routing domain (``domain_lo`` /
+        ``domain_hi``) in their config.  Routing picks no state, so
+        recovery ignores those keys and restores the same rows and
+        subscriptions."""
+        config_of = DurabilityManager._config_of
+        monkeypatch.setattr(DurabilityManager, "_config_of", staticmethod(
+            lambda source: {**config_of(source), "domain_lo": 0.0, "domain_hi": 1.0}
+        ))
+        manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
+        pipeline.run(OPS)
+        manager.checkpoint(pipeline)
+        manager.close()
+        loaded, __ = load_latest_checkpoint(tmp_path)
+        assert (loaded.config["domain_lo"], loaded.config["domain_hi"]) == (0.0, 1.0)
+
+        recovered, report = recover_system(tmp_path)
+        assert (report.checkpoint_seq, report.replayed_events) == (7, 0)
+
+        def contents(system):
+            tables = system.table_set
+            return (
+                sorted(tables.table_r, key=lambda row: row.rid),
+                sorted(tables.table_s, key=lambda row: row.sid),
+                system.subscription_count,
+                repr(system.query_by_id(101)),
+            )
+
+        assert contents(recovered) == contents(pipeline)
+        assert recovered.router.value_ranges()[-1].hi == 10_000.0
+
     def test_golden_segment_replays(self, tmp_path):
         """``GOLDEN_WAL`` is the segment the PR-20 writer produced for
         ``OPS``: today's writer produces the same bytes, and today's

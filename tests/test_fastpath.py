@@ -60,17 +60,32 @@ def band_queries(rng, count):
     return queries
 
 
-def select_queries(rng, count):
+def select_queries(rng, count, c_scale=1.0):
+    """Select-joins on ``[0, 110]`` in A and ``[0, 110 * c_scale]`` in C."""
     queries = []
     for __ in range(count):
         a_lo = rng.uniform(0, 90)
-        c_lo = rng.uniform(0, 90)
+        c_lo = rng.uniform(0, 90) * c_scale
         queries.append(
             SelectJoinQuery(
                 Interval(a_lo, a_lo + rng.uniform(0, 20)),
-                Interval(c_lo, c_lo + rng.uniform(0, 20)),
+                Interval(c_lo, c_lo + rng.uniform(0, 20) * c_scale),
             )
         )
+    return queries
+
+
+def spread_band_queries(rng, count):
+    """``band_queries`` with every third band stretched 8000 to the left and
+    every third to the right: each still covers the small b-differences it
+    did, and their midpoints fall in every band slice of the routing domain."""
+    queries = band_queries(rng, count)
+    for k in range(0, count, 3):
+        band = queries[k].band
+        queries[k] = BandJoinQuery(Interval(band.lo - 8_000.0, band.hi))
+    for k in range(2, count, 3):
+        band = queries[k].band
+        queries[k] = BandJoinQuery(Interval(band.lo, band.hi + 8_000.0))
     return queries
 
 
@@ -797,7 +812,9 @@ def ordered_view(deltas):
 
 
 class TestShardedBatch:
-    def _stream(self, rng, count):
+    def _stream(self, rng, count, c_scale=1.0):
+        """Inserts and deletes with attributes on ``[0, 100]``, S.c on
+        ``[0, 100 * c_scale]``."""
         events = []
         live_r, live_s = [], []
         rid = sid = 0
@@ -809,7 +826,7 @@ class TestShardedBatch:
                 live_r.append(row)
                 events.append(DataEvent(EventKind.INSERT, "R", row))
             elif roll < 0.8:
-                row = STuple(sid, rng.uniform(0, 100), rng.uniform(0, 100))
+                row = STuple(sid, rng.uniform(0, 100), rng.uniform(0, 100) * c_scale)
                 sid += 1
                 live_s.append(row)
                 events.append(DataEvent(EventKind.INSERT, "S", row))
@@ -864,8 +881,9 @@ class TestShardedBatch:
 
     @staticmethod
     def _grid_stream(rng, count):
-        """Inserts and deletes on an integer grid: join keys 0-9 and
-        attributes on a step of 5, so equal b and equal (b, c) abound."""
+        """Inserts and deletes on an integer grid: join keys 0-9, R.a on a
+        step of 5 and S.c on a step of 500 (every C-slice of the routing
+        domain), so equal b and equal (b, c) abound."""
         events, live = [], []
         rid = sid = 0
         for __ in range(count):
@@ -877,7 +895,7 @@ class TestShardedBatch:
                 row = RTuple(rid, float(rng.randrange(0, 100, 5)), float(rng.randrange(10)))
                 rid += 1
             else:
-                row = STuple(sid, float(rng.randrange(10)), float(rng.randrange(0, 100, 5)))
+                row = STuple(sid, float(rng.randrange(10)), float(rng.randrange(0, 10_000, 500)))
                 sid += 1
             live.append(row)
             events.append(_insert(row))
@@ -893,12 +911,13 @@ class TestShardedBatch:
         ]
         population += [
             SelectJoinQuery(
-                Interval(float(a_lo), float(a_lo + 40)), Interval(float(c_lo), float(c_lo + 30))
+                Interval(float(a_lo), float(a_lo + 40)),
+                Interval(float(c_lo), float(c_lo + 3_000)),
             )
             for a_lo, c_lo in zip(rng.choices(range(0, 60, 5), k=20),
-                                  rng.choices(range(0, 70, 5), k=20))
+                                  rng.choices(range(0, 7_000, 500), k=20))
         ]
-        population.append(SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 100.0)))
+        population.append(SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0)))
         return population
 
     @pytest.mark.parametrize(
@@ -921,8 +940,7 @@ class TestShardedBatch:
         spanning = population[-1]
         events = self._grid_stream(rng, 400)
         with EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=batch_size,
-            domain_lo=0.0, domain_hi=100.0, mode=mode,
+            num_shards=num_shards, alpha=0.05, batch_size=batch_size, mode=mode,
         ) as batched:
             for query in population:
                 batched.subscribe(query)
@@ -935,7 +953,7 @@ class TestShardedBatch:
         # whose spanning list holds S rows of more than one C-slice.
         assert max(len(rows) for view in want for rows in view.values()) > 5
         assert sum(
-            len({int(row.c * 3 // 100) for row in delta[spanning]}) > 1
+            len({int(row.c * 3 // 10_000) for row in delta[spanning]}) > 1
             for __, event, delta in results
             if event.relation == "R" and spanning in delta
         ) > 10
@@ -957,8 +975,7 @@ class TestShardedBatch:
 
         events = self._grid_stream(rng, 400)
         with EventPipeline(
-            num_shards=num_shards, alpha=0.05, batch_size=16,
-            domain_lo=0.0, domain_hi=100.0, mode=mode,
+            num_shards=num_shards, alpha=0.05, batch_size=16, mode=mode,
         ) as batched:
             for k, query in enumerate(self._grid_queries(rng)):
                 batched.subscribe(query, keep if k % 2 else None)
@@ -983,7 +1000,6 @@ class TestShardedBatch:
         rng = random.Random(11)
         batched = EventPipeline(
             num_shards=num_shards, alpha=0.05, batch_size=16,
-            domain_lo=0.0, domain_hi=100.0,
         )
         reference = ContinuousQuerySystem(alpha=0.05)
 
@@ -996,14 +1012,18 @@ class TestShardedBatch:
             want = self._reference_views(reference, events)
             assert [ordered_view(delta) for __, ___, delta in batched.run(events)] == want
 
-        events = self._stream(rng, 300)
-        subscribe(select_queries(rng, 40))
+        events = self._stream(rng, 300, c_scale=100.0)
+        subscribe(select_queries(rng, 40, c_scale=100.0))
         run(events[:150])
         group = batched.shard_group
+        # Every C-slice holds S rows and select queries.
+        assert all(len(shard.table_s_select) for shard in group.shards)
+        assert all(shard.select.query_count for shard in group.shards)
         tables = [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
         assert list(group.table_r.built_columns()) == ["cols_ba"]
         assert group.table_s.built_columns() == {}
-        subscribe(band_queries(rng, 20))
+        subscribe(spread_band_queries(rng, 20))
+        assert all(batched.router.band_queries_per_shard)
         run(events[150:])
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
         assert list(group.table_s.built_columns()) == ["col_b"]
@@ -1020,14 +1040,15 @@ class TestShardedBatch:
         rng = random.Random(12)
         batched = EventPipeline(
             num_shards=num_shards, alpha=None, batch_size=64,
-            domain_lo=0.0, domain_hi=100.0,
         )
         reference = ContinuousQuerySystem(alpha=None)
-        for query in band_queries(rng, 40):
+        for query in spread_band_queries(rng, 40):
             batched.subscribe(query)
             reference.subscribe(query)
         group = batched.shard_group
-        events = self._stream(rng, 640)
+        # Every shard probes the shared tables for its slice of the bands.
+        assert all(batched.router.band_queries_per_shard)
+        events = self._stream(rng, 640, c_scale=100.0)
         first = None
         for start in range(0, len(events), 64):
             chunk = events[start : start + 64]

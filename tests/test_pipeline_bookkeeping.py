@@ -86,7 +86,7 @@ def drive(pipeline, events):
         pipeline.submit(event)
 
 
-def per_event_model(events, *, batch_size, flush_each=False):
+def per_event_model(events, *, batch_size):
     """What the ingress queue does to ``events``, one event at a time.
 
     Returns the queue depth after every submitted event (what a per-event
@@ -98,7 +98,7 @@ def per_event_model(events, *, batch_size, flush_each=False):
     for __ in events:
         queue += 1
         depths.append(queue)
-        if flush_each or queue >= batch_size:
+        if queue >= batch_size:
             queue = 0
     return depths
 
@@ -159,7 +159,7 @@ def test_bookkeeping_calls_scale_with_batches_not_events(durable, tmp_path, monk
 SCENARIOS = {
     # name: (pipeline kwargs, stream kwargs)
     "batches-of-64": (dict(batch_size=64), dict(min_age=0)),
-    "max-delay-0": (dict(batch_size=64, max_delay=0.0), dict(min_age=0)),
+    "batches-of-1": (dict(batch_size=1), dict(min_age=0)),
     "batches-of-5": (dict(batch_size=5), dict(min_age=8)),
 }
 
@@ -169,9 +169,7 @@ def test_final_snapshot_equals_per_event_recording(name):
     pipeline_kwargs, stream_kwargs = SCENARIOS[name]
     events = seeded_stream(9, 1_200, **stream_kwargs)
     batch_size = pipeline_kwargs["batch_size"]
-    depths = per_event_model(
-        events, batch_size=batch_size, flush_each=pipeline_kwargs.get("max_delay") == 0.0
-    )
+    depths = per_event_model(events, batch_size=batch_size)
     registry = MetricsRegistry()
     with EventPipeline(num_shards=2, mode="inline", metrics=registry, **pipeline_kwargs) as pipeline:
         subscribe_population(pipeline)
@@ -230,7 +228,7 @@ def test_worker_e2e_ships_one_sample_per_data_entry():
         subscribe_population(pipeline)
         drive(pipeline, events)
         pipeline.drain()
-        pipeline._backend.drain_telemetry()
+        pipeline._workers.drain_telemetry()
         histograms = registry.snapshot()["histograms"]
         merged = histograms["shard/1/worker/e2e/ingest_to_apply_us"]
         assert merged["count"] == len(events)

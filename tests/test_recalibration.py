@@ -7,7 +7,7 @@ import random
 from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.ssi import StabbingSetIndex
-from repro.core.stabbing import stabbing_number
+from repro.core.stabbing import canonical_stabbing_partition, stabbing_number
 
 
 def churn(partition, rounds, seed, anchors):
@@ -93,11 +93,12 @@ def test_ssi_structures_consistent_across_recalibrations():
 
 
 def test_sweep_tau_matches_canonical():
+    """The recalibration's tau (the bare sweep) counts the groups the
+    canonical partition builds."""
     rng = random.Random(11)
-    partition = LazyStabbingPartition(epsilon=1.0)
     items = [
         Interval(lo, lo + rng.uniform(0, 10))
         for lo in (rng.uniform(0, 100) for __ in range(300))
     ]
-    assert partition._sweep_tau(items) == stabbing_number(items)
-    assert partition._sweep_tau([]) == 0
+    assert stabbing_number(items) == canonical_stabbing_partition(items).size
+    assert stabbing_number([]) == 0

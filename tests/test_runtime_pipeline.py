@@ -38,13 +38,6 @@ class TestBatchTriggers:
             assert pipeline.pending == 0  # size bound flushed the batch
             assert pipeline.metrics.snapshot()["counters"]["pipeline/batches"] == 1
 
-    def test_max_delay_zero_flushes_every_event(self):
-        with EventPipeline(
-            num_shards=2, alpha=None, batch_size=64, max_delay=0.0, mode="inline"
-        ) as pipeline:
-            pipeline.submit(r_insert(0))
-            assert pipeline.pending == 0
-
 
 class TestQueryEventBarrier:
     """Subscription changes ride the batch in stream order; the one

@@ -9,6 +9,7 @@ from repro.runtime.replay import (
     normalize_deltas,
     run_replay,
 )
+from repro.workload.params import WorkloadParams
 
 
 class TestStreamGenerator:
@@ -115,10 +116,15 @@ class TestReplayEquivalence:
         assert "EQUIVALENT" in report.summary()
 
     def test_degenerate_routing_domain_is_correctness_neutral(self):
-        """Routing only affects load balance: even a domain that funnels
-        every value into the edge shards must reproduce identical deltas."""
+        """Routing only affects load balance: a stream whose values all
+        fall in one slice of the routing domain, so every select query and
+        S row lands on shard 0 and every band query on shard 2, must
+        reproduce identical deltas."""
         profile = StreamProfile(n_events=200, n_initial_queries=25, seed=12)
-        stream = generate_mixed_stream(profile)
-        report = run_replay(stream, num_shards=5, batch_size=8,
-                            domain_lo=0.0, domain_hi=1.0)
+        params = WorkloadParams(seed=12, domain_hi=1_000.0, range_a_mid_mean=500.0)
+        report = run_replay(generate_mixed_stream(profile, params), num_shards=5, batch_size=8)
         assert report.equivalent, report.summary()
+        assert report.reference_results > 0
+        stats = report.router_stats
+        assert stats["select_probes_per_shard"][1:] == [0, 0, 0, 0]
+        assert [n for i, n in enumerate(stats["band_queries_per_shard"]) if i != 2] == [0] * 4

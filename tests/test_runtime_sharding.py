@@ -166,18 +166,16 @@ class TestShardedPipeline:
     def test_matches_unsharded_system(self, num_shards, alpha):
         rng = random.Random(42)
         plain = ContinuousQuerySystem(alpha=alpha)
-        sharded = per_event_pipeline(
-            num_shards=num_shards, alpha=alpha, domain_lo=0.0, domain_hi=1000.0
-        )
+        sharded = per_event_pipeline(num_shards=num_shards, alpha=alpha)
         for qid in range(60):
             if qid % 3 == 0:
                 band_lo = rng.uniform(-40, 40)
                 band = Interval(band_lo, band_lo + rng.uniform(0, 30))
                 make = lambda: BandJoinQuery(band)
             else:
-                c_lo, a_lo = rng.uniform(0, 1000), rng.uniform(0, 1000)
-                range_a = Interval(a_lo, a_lo + 300)
-                range_c = Interval(c_lo, c_lo + rng.uniform(0, 200))
+                c_lo, a_lo = rng.uniform(0, 10_000), rng.uniform(0, 10_000)
+                range_a = Interval(a_lo, a_lo + 3_000)
+                range_c = Interval(c_lo, c_lo + rng.uniform(0, 2_000))
                 make = lambda: SelectJoinQuery(range_a, range_c)
             q1, q2 = make(), make()
             plain.subscribe(q1)
@@ -195,13 +193,13 @@ class TestShardedPipeline:
                 plain.delete_s(row)
                 assert apply(sharded, EventKind.DELETE, "S", row) == {}
             elif roll < 0.65:
-                row = RTuple(step, rng.uniform(0, 1000), rng.uniform(0, 1000))
+                row = RTuple(step, rng.uniform(0, 10_000), rng.uniform(0, 1000))
                 live_r.append(row)
                 assert norm(plain.insert_r_row(row)) == norm(
                     apply(sharded, EventKind.INSERT, "R", row)
                 )
             else:
-                row = STuple(step, rng.uniform(0, 1000), rng.uniform(0, 1000))
+                row = STuple(step, rng.uniform(0, 1000), rng.uniform(0, 10_000))
                 live_s.append(row)
                 assert norm(plain.insert_s_row(row)) == norm(
                     apply(sharded, EventKind.INSERT, "S", row)
@@ -210,27 +208,23 @@ class TestShardedPipeline:
         assert applied == plain.events_processed == 250
 
     def test_mid_stream_subscribe_sees_prior_state(self):
-        sharded = per_event_pipeline(
-            num_shards=4, alpha=None, domain_lo=0.0, domain_hi=100.0
-        )
+        sharded = per_event_pipeline(num_shards=4, alpha=None)
         # Two S rows in different C-slices, installed before the query exists.
-        apply(sharded, EventKind.INSERT, "S", STuple(0, 10.0, 50.0))
-        apply(sharded, EventKind.INSERT, "S", STuple(1, 10.0, 75.0))
-        query = sharded.subscribe(select_query(0.0, 100.0, 0.0, 100.0))
+        apply(sharded, EventKind.INSERT, "S", STuple(0, 10.0, 5_000.0))
+        apply(sharded, EventKind.INSERT, "S", STuple(1, 10.0, 7_500.0))
+        query = sharded.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))
         deltas = apply(sharded, EventKind.INSERT, "R", RTuple(0, 5.0, 10.0))
         assert len(deltas[query]) == 2  # both pre-subscribe S rows join
 
     def test_unsubscribe_removes_from_all_shards(self):
-        sharded = per_event_pipeline(
-            num_shards=4, alpha=None, domain_lo=0.0, domain_hi=100.0
-        )
-        query = sharded.subscribe(select_query(0.0, 100.0, 0.0, 100.0))
+        sharded = per_event_pipeline(num_shards=4, alpha=None)
+        query = sharded.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))
         assert sharded.subscription_count == 1
         assert all(shard.query_count == 1 for shard in sharded.shards)
         sharded.unsubscribe(query)
         assert sharded.subscription_count == 0
         assert all(shard.query_count == 0 for shard in sharded.shards)
-        apply(sharded, EventKind.INSERT, "S", STuple(0, 1.0, 50.0))
+        apply(sharded, EventKind.INSERT, "S", STuple(0, 1.0, 5_000.0))
         assert apply(sharded, EventKind.INSERT, "R", RTuple(0, 1.0, 1.0)) == {}
 
     def test_deletions_count_as_applied_events(self):
@@ -255,17 +249,14 @@ class TestOneTableSet:
         must see the first R-run's rows, the last R-run the S-run's rows
         minus the deleted one — delta for delta the unsharded engine."""
         plain = ContinuousQuerySystem(alpha=None)
-        sharded = EventPipeline(
-            num_shards=4, alpha=None, batch_size=64,
-            domain_lo=0.0, domain_hi=100.0,
-        )
+        sharded = EventPipeline(num_shards=4, alpha=None, batch_size=64)
         for system in (plain, sharded):
             system.subscribe(BandJoinQuery(Interval(-1.0, 1.0)))
-            system.subscribe(BandJoinQuery(Interval(40.0, 60.0)))
-            system.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 4 slices
-            system.subscribe(select_query(30.0, 45.0, 0.0, 50.0))
+            system.subscribe(BandJoinQuery(Interval(-3.0, 12_000.0)))
+            system.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # all 4 slices
+            system.subscribe(select_query(3_000.0, 4_500.0, 0.0, 50.0))
         r_rows = [RTuple(i, 10.0 * i, 10.0 + i) for i in range(6)]
-        s_rows = [STuple(i, 10.0 + i, 20.0 * i) for i in range(5)]
+        s_rows = [STuple(i, 10.0 + i, 2_000.0 * i) for i in range(5)]
         events = (
             [DataEvent(EventKind.INSERT, "R", row) for row in r_rows[:3]]
             + [DataEvent(EventKind.INSERT, "S", row) for row in s_rows]
@@ -283,6 +274,7 @@ class TestOneTableSet:
                 want.append(norm(plain.insert_s_row(event.row)))
         got = [norm(deltas) for __, ___, deltas in sharded.run(events)]
         assert sharded.metrics.counter("pipeline/batches").value == 1
+        assert sharded.router.band_queries_per_shard == [0, 0, 1, 1]
         assert got == want
         assert any(want[3:8]) and any(want[9:])  # later runs did match earlier rows
 
@@ -323,14 +315,12 @@ class TestOneTableSet:
         both relations probed, that is what each table has built — one
         column write per S table, so two per S row — and no table builds a
         B+-tree (the trees serve the per-event references)."""
-        pipeline = EventPipeline(
-            num_shards=3, alpha=None, batch_size=4, domain_lo=0.0, domain_hi=100.0
-        )
+        pipeline = EventPipeline(num_shards=3, alpha=None, batch_size=4)
         pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
-        pipeline.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 3 slices
+        pipeline.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # all 3 slices
         pipeline.run(
             [DataEvent(EventKind.INSERT, "R", RTuple(0, 1.0, 50.0))]
-            + [DataEvent(EventKind.INSERT, "S", STuple(i, 50.0, 30.0 * i)) for i in range(4)]
+            + [DataEvent(EventKind.INSERT, "S", STuple(i, 50.0, 3_000.0 * i)) for i in range(4)]
         )
         group = pipeline.shard_group
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
@@ -345,26 +335,26 @@ class TestOneTableSet:
         group, which holds every row: a mixed band and select stream builds
         columns there and no B+-tree."""
         rng = random.Random(3)
-        pipeline = EventPipeline(
-            num_shards=3, alpha=0.05, batch_size=8, domain_lo=0.0, domain_hi=100.0,
-            mode="process-shm",
-        )
+        pipeline = EventPipeline(num_shards=3, alpha=0.05, batch_size=8, mode="process-shm")
         try:
-            for lo in (-60.0, -5.0, 40.0):
-                pipeline.subscribe(BandJoinQuery(Interval(lo, lo + 20.0)))
-            pipeline.subscribe(select_query(0.0, 100.0, 0.0, 100.0))  # all 3 slices
+            # One band per band slice, each covering the small b-differences.
+            for lo, hi in ((-8_000.0, 100.0), (-5.0, 15.0), (-100.0, 8_000.0)):
+                pipeline.subscribe(BandJoinQuery(Interval(lo, hi)))
+            assert pipeline.router.band_queries_per_shard == [1, 1, 1]
+            pipeline.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # all 3 slices
             pipeline.run(
                 [
                     DataEvent(EventKind.INSERT, "R", RTuple(i, rng.uniform(0, 100), float(i % 7)))
                     for i in range(20)
                 ]
                 + [
-                    DataEvent(EventKind.INSERT, "S", STuple(i, float(i % 7), rng.uniform(0, 100)))
+                    DataEvent(EventKind.INSERT, "S", STuple(i, float(i % 7), rng.uniform(0, 10_000)))
                     for i in range(20)
                 ]
             )
             group = pipeline.table_set
-            assert "cols_ba" in group.table_r.built_columns()
+            assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
+            assert list(group.table_s.built_columns()) == ["col_b"]
             assert list(group.shards[0].table_s_select.built_columns()) == ["cols_bc"]
             for table in group_tables(group):
                 assert table.built_indexes() == {}

@@ -11,8 +11,8 @@ The transport's contract (``docs/RUNTIME.md``) in test form:
   forged all-zero headers (the transient-zero-page hazard the seeded CRC
   exists for), and worker-side decode errors all surface as typed
   ``TransportError`` subclasses rather than hangs or silent drops;
-* the process-shm data plane is delta-for-delta equivalent to the inline
-  backend on a mixed insert/delete/subscribe stream.
+* the process-shm data plane is delta-for-delta equivalent to inline mode
+  on a mixed insert/delete/subscribe stream.
 """
 
 import contextlib
@@ -203,24 +203,24 @@ class TestRingLifecycle:
 
 
 def _segment_names(pipe):
-    backend = pipe._backend
+    workers = pipe._workers
     return [
-        ring.name for ring in (*backend._requests.values(), *backend._responses.values())
+        ring.name for ring in (*workers._requests.values(), *workers._responses.values())
     ]
 
 
 def _workers(pipe):
     """The worker processes, shard 1's first (shard 0 runs in the parent)."""
-    return list(pipe._backend._workers.values())
+    return list(pipe._workers._processes.values())
 
 
 def _by_qid(deltas):
     return {query.qid: rows for query, rows in deltas.items()}
 
 
-def _answer(backend):
+def _answer(workers):
     """Shard 1's response to the one request in flight: a BATCH's RESULT."""
-    return backend._decode(1, backend._await_raw(1), frames.FRAME_RESULT)
+    return workers._decode(1, workers._await_raw(1), frames.FRAME_RESULT)
 
 
 def _query_batch(placement, record):
@@ -300,30 +300,31 @@ class TestPipelineLifecycle:
         # entries whose subscription record is cut short or refused.
         pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
-            backend = pipe._backend
-            backend._send(1, bad_request)
+            workers = pipe._workers
+            workers._send(1, bad_request)
             with pytest.raises(TransportError, match="bad request frame"):
-                _answer(backend)
+                _answer(workers)
             assert _workers(pipe)[0].is_alive()
             pipe.subscribe(BandJoinQuery(Interval(0.0, 100.0), qid=7))
             out = pipe.run([_r_insert(0, 10.0, 12.0)])
             assert len(out) == 1
-            backend.drain_telemetry()
+            workers.drain_telemetry()
             counters = pipe.metrics.snapshot()["counters"]
             assert counters["transport/frame_errors"] == 1
             assert counters["shard/1/transport/frame_errors"] == 1
         finally:
             pipe.close()
 
-    def test_response_deadline_raises_and_counts(self):
-        # Nothing was sent, so no response is coming: the backend's own
+    def test_response_deadline_raises_and_counts(self, monkeypatch):
+        # Nothing was sent, so no response is coming: the pipeline's own
         # deadline (not the ring's) must end the wait, visibly.
+        from repro.runtime import pipeline as pipeline_mod
+
         pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
-            backend = pipe._backend
-            backend._timeout = 0.1
+            monkeypatch.setattr(pipeline_mod, "RESPONSE_TIMEOUT", 0.1)
             with pytest.raises(RingTimeoutError, match="no response from shard 1"):
-                backend._await_raw(1)
+                pipe._workers._await_raw(1)
             assert pipe.metrics.counter("transport/ring_timeouts").value == 1
             assert _workers(pipe)[0].is_alive()
         finally:
@@ -332,13 +333,13 @@ class TestPipelineLifecycle:
     def test_unscoped_worker_metric_is_a_counted_frame_error(self):
         # The parent folds a worker's metric names unchanged, so one outside
         # the sender's shard/<N>/ scope is refused at decode, and counted.
-        pipe = EventPipeline(num_shards=1, mode="process-shm")
+        pipe = EventPipeline(num_shards=2, mode="process-shm")
         try:
             raw = frames.encode_telemetry_frame(frames.TelemetryPayload(
                 pid=1, shard=1, counters={"runtime/hotspot_promotions": 1}
             ))
             with pytest.raises(frames.FrameError, match="shard/1/ scope"):
-                pipe._backend._decode(1, raw, frames.FRAME_TELEMETRY)
+                pipe._workers._decode(1, raw, frames.FRAME_TELEMETRY)
             assert pipe.metrics.counter("transport/frame_errors").value == 1
         finally:
             pipe.close()
@@ -348,9 +349,9 @@ class TestPipelineLifecycle:
         # and the re-reads surface as ``transport/crc_retries``.
         pipe = EventPipeline(num_shards=2, batch_size=4, mode="process-shm")
         try:
-            backend = pipe._backend
-            ring = backend._responses[1]
-            backend._send(1, frames.encode_batch_frame([]))
+            workers = pipe._workers
+            ring = workers._responses[1]
+            workers._send(1, frames.encode_batch_frame([]))
             deadline = time.monotonic() + 10.0
             while not ring.occupancy():  # the RESULT is in the ring, unread
                 assert time.monotonic() < deadline
@@ -365,7 +366,7 @@ class TestPipelineLifecycle:
 
             healer = threading.Thread(target=heal)
             healer.start()
-            _answer(backend)
+            _answer(workers)
             healer.join(timeout=5.0)
             assert not healer.is_alive()
             assert ring.crc_retries >= 1
@@ -374,15 +375,17 @@ class TestPipelineLifecycle:
             pipe.close()
 
     @pytest.mark.parametrize("telemetry_every", [1, 16])
-    def test_failed_batch_leaves_the_rings_aligned(self, telemetry_every):
+    def test_failed_batch_leaves_the_rings_aligned(self, telemetry_every, monkeypatch):
         # A DELETE of a row never inserted fails on every shard — shard 0
         # in the parent, after the sends, and both workers.  Every worker's
         # ERROR (and its telemetry follow-up) must be read before the
         # failure is raised, or the next batches read stale frames.
+        from repro.runtime import pipeline as pipeline_mod
+
+        monkeypatch.setattr(pipeline_mod, "TELEMETRY_EVERY", telemetry_every)
+
         def feed(mode):
             with EventPipeline(num_shards=3, alpha=None, batch_size=1, mode=mode) as pipe:
-                if mode == "process-shm":
-                    pipe._backend.telemetry_every = telemetry_every
                 pipe.subscribe(BandJoinQuery(Interval(-5.0, 5.0), qid=1))
                 pipe.submit(DataEvent(EventKind.INSERT, "S", STuple(0, 20.0, 50.0)))
                 # Shard 0's KeyError, or a worker's report of one.
@@ -417,7 +420,7 @@ class TestPipelineLifecycle:
         children = set(multiprocessing.active_children())
         with EventPipeline(num_shards=1, batch_size=16, mode="process-shm") as pipe:
             got = pipe.run(stream)
-            assert pipe._backend._workers == {}
+            assert pipe._workers is None
             assert set(multiprocessing.active_children()) == children
         with EventPipeline(num_shards=1, batch_size=16, mode="inline") as pipe:
             want = pipe.run(stream)
@@ -598,19 +601,19 @@ class TestReplayEquivalence:
 
         encoded, sent = [], []
         encode = frames.encode_batch_frame
-        send = pipeline_mod._ProcessShmBackend._send
+        send = pipeline_mod._ShmWorkers._send
 
         def recording_encode(*args, **kwargs):
             encoded.append(encode(*args, **kwargs))
             return encoded[-1]
 
-        def recording_send(backend, index, payload):
+        def recording_send(workers, index, payload):
             if payload[0] == frames.FRAME_BATCH:
                 sent.append((index, payload))
-            send(backend, index, payload)
+            send(workers, index, payload)
 
         monkeypatch.setattr(frames, "encode_batch_frame", recording_encode)
-        monkeypatch.setattr(pipeline_mod._ProcessShmBackend, "_send", recording_send)
+        monkeypatch.setattr(pipeline_mod._ShmWorkers, "_send", recording_send)
         stream = generate_mixed_stream(
             StreamProfile(
                 n_events=600,
