@@ -1,7 +1,9 @@
 """Micro-batching of pending events.
 
-Events accumulate in a :class:`MicroBatcher` up to a size bound (and, in
-the pipeline, a latency bound), then flush as one batch in arrival order.
+Events accumulate in a :class:`MicroBatcher` up to a size bound, then
+flush as one batch in arrival order.  The size bound is the pipeline's
+only trigger (the submit that fills a batch flushes it), besides a
+caller's own ``flush`` or ``drain``.
 Nothing is removed on the way: every submitted data event reaches the
 shards, and its delta is the per-event reference's — an insert and a
 delete of the same row inside one batch are answered exactly by the

@@ -63,7 +63,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.events import DataEvent, EventKind
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
@@ -345,39 +345,37 @@ class Shard:
 
     def apply_batch(
         self, entries: Sequence[ShardEntry], rows: Sequence[Any]
-    ) -> List[Tuple[int, Delta]]:
+    ) -> Tuple[List[Delta], List[Delta], Optional[List[int]]]:
         """This shard's probe of one relation's INSERT entries
         ``(seq, event, owner)`` of a batch — ``rows`` are their rows,
         extracted once by the group for all shards — through the
-        operators' batch fast path, returning per-event deltas tagged with
-        their sequence numbers.  Reads only; the group wrote the tables.
+        operators' batch fast path.  Reads only; the group wrote the tables.
+
+        Returns each plane's per-event deltas apart, for the group to
+        strike before it merges them: the band part, one delta per entry;
+        the select part; and, for an S run, the indices into ``entries``
+        of the rows this shard owns (rows of its C-slice), the only rows
+        its select plane probes and so the ones the select part answers,
+        in order — ``None`` for an R run, whose select part is one delta
+        per entry too.
 
         The run is probed against **one** table state, the batch's
         superset state (every insertion of the batch installed, no
         deletion applied yet), so a hit list holds every row the event
         sees under per-event application, in that order, plus the rows
-        :meth:`ShardGroup.apply_batch` then strikes.  The select plane is
-        probed only for the S rows this shard owns (rows of its C-slice).
+        :meth:`ShardGroup.apply_batch` then strikes.
         """
         relation = entries[0][1].relation
         index = self.index
         with self.tracer.span(
             "fastpath.run", shard=index, relation=relation, rows=len(rows)
         ):
-            # Both planes answer with a fresh dict per row and a query
-            # lives on one plane, so the select part folds into the band's.
             if relation == "R":
-                parts = self.band.process_r_batch(rows)
-                for deltas, select_d in zip(parts, self.select.process_r_batch(rows)):
-                    deltas.update(select_d)
-            else:
-                parts = self.band.process_s_batch(rows)
-                mine = [k for k, entry in enumerate(entries) if entry[2] == index]
-                if mine:
-                    own_rows = [rows[k] for k in mine]
-                    for k, select_d in zip(mine, self.select.process_s_batch(own_rows)):
-                        parts[k].update(select_d)
-            return [(entry[0], deltas) for entry, deltas in zip(entries, parts)]
+                return self.band.process_r_batch(rows), self.select.process_r_batch(rows), None
+            band = self.band.process_s_batch(rows)
+            owned = [k for k, entry in enumerate(entries) if entry[2] == index]
+            select = self.select.process_s_batch([rows[k] for k in owned]) if owned else []
+            return band, select, owned
 
 
 def _by_plane(queries: Sequence[Any]) -> Tuple[List[Any], List[Any]]:
@@ -395,6 +393,8 @@ _SEQ = itemgetter(0)
 Liveness = Dict[int, Tuple[float, float]]
 _RID = attrgetter("rid")
 _SID = attrgetter("sid")
+#: The visibility bounds of a join key no touched row has.
+_UNTOUCHED = (-1, inf)
 
 
 class _Touched:
@@ -406,9 +406,15 @@ class _Touched:
     outside the segment.  An arrival of the other relation at position
     ``p`` sees the row iff ``insert < p < delete``.  Rows are known by id,
     never by identity: a worker decodes a DELETE's row into a new object.
+
+    The two summaries the strikes read are built on first use, once per
+    segment for all shards, and not at all when no delta needs them.
     """
 
-    __slots__ = ("row_id", "table", "entries", "rows", "positions", "deletes", "visible")
+    __slots__ = (
+        "row_id", "table", "entries", "rows", "positions", "deletes", "visible",
+        "_touched_bs", "_key_bounds",
+    )
 
     def __init__(self, row_id: Callable[[Any], int], table: Any) -> None:
         self.row_id = row_id
@@ -418,84 +424,180 @@ class _Touched:
         self.positions: List[int] = []
         self.deletes: List[Tuple[DataEvent, int]] = []
         self.visible: Dict[int, Tuple[float, float]] = {}
+        self._touched_bs: Optional[List[float]] = None
+        self._key_bounds: Optional[Dict[float, Tuple[float, float]]] = None
 
     def touched_bs(self) -> List[float]:
         """The distinct join keys of the touched rows, ascending."""
-        keys = {row.b for row in self.rows}
-        keys.update(event.row.b for event, __ in self.deletes)
-        return sorted(keys)
+        if self._touched_bs is None:
+            keys = {row.b for row in self.rows}
+            keys.update(event.row.b for event, __ in self.deletes)
+            self._touched_bs = sorted(keys)
+        return self._touched_bs
+
+    def key_bounds(self) -> Dict[float, Tuple[float, float]]:
+        """Join key -> ``(last insert position, first delete position)``
+        over the touched rows with that key, ``-1`` / ``inf`` where no such
+        row was inserted / deleted in the segment.  A row of key ``b`` is
+        hidden at ``p`` only if it was inserted after ``p`` or deleted
+        before it, so an arrival at ``p`` inside its key's bounds sees
+        every row of that key the superset state holds."""
+        if self._key_bounds is None:
+            # Positions ascend, so the last insertion of a key wins here
+            # and, walking the deletions backwards, the first deletion.
+            bounds: Dict[float, Tuple[float, float]] = {
+                row.b: (position, inf) for row, position in zip(self.rows, self.positions)
+            }
+            visible = self.visible
+            row_id = self.row_id
+            for event, __ in reversed(self.deletes):
+                row = event.row
+                inserted = bounds.get(row.b, _UNTOUCHED)[0]
+                bounds[row.b] = (inserted, visible[row_id(row)][1])
+            self._key_bounds = bounds
+        return self._key_bounds
 
 
-def _strike_queries(
-    results: Sequence[Tuple[int, Delta]], positions: Sequence[int], live: Liveness
-) -> int:
-    """Remove from each delta of ``results`` (one relation's run, probed
-    against the segment's superset of subscriptions) every query whose
-    in-batch liveness interval does not contain the event's position —
-    subscribed later in the segment, or cancelled earlier.  Returns the
-    number of delta entries removed.  Queries are known by qid: a worker
-    knows a cancelled query by nothing else.
-    """
-    struck = 0
-    for (__, deltas), position in zip(results, positions):
-        if not deltas:
-            continue
-        gone = [
-            query for query in deltas
-            if (span := live.get(query.qid)) is not None
-            and not span[0] < position < span[1]
-        ]
-        for query in gone:
-            del deltas[query]
-        struck += len(gone)
-    return struck
+class _Changes:
+    """A segment's subscription changes (``live``), and the same changes
+    resolved to the query objects this group's shards hold
+    (``ShardGroup._queries``, in a worker too): the queries subscribed in
+    the segment and the queries cancelled in it, each in position order,
+    built on first use.  An event at position ``p`` is answered by every
+    query it was probed against except those subscribed after ``p`` or
+    cancelled before it — a suffix of the one list and a prefix of the
+    other, two bisects away."""
+
+    __slots__ = ("live", "held", "_lists")
+
+    def __init__(self, live: Liveness, held: Dict[int, Any]) -> None:
+        self.live = live
+        self.held = held
+        self._lists: Optional[Tuple[List[float], List[Any], List[float], List[Any]]] = None
+
+    def _build(self) -> Tuple[List[float], List[Any], List[float], List[Any]]:
+        subscribed: List[Tuple[float, Any]] = []
+        cancelled: List[Tuple[float, Any]] = []
+        for qid, (begin, end) in self.live.items():
+            query = self.held.get(qid)
+            if query is None:  # placed on no shard held here
+                continue
+            if begin >= 0:
+                subscribed.append((begin, query))
+            if end < inf:
+                cancelled.append((end, query))
+        subscribed.sort(key=_SEQ)
+        cancelled.sort(key=_SEQ)
+        return (
+            [at for at, __ in subscribed], [query for __, query in subscribed],
+            [at for at, __ in cancelled], [query for __, query in cancelled],
+        )
+
+    def strike(self, parts: Sequence[Delta], positions: Sequence[int]) -> int:
+        """Remove from each delta of ``parts`` (one plane's answers to one
+        relation's run, probed against the segment's superset of
+        subscriptions; ``positions`` parallel) every query whose liveness
+        interval does not contain the event's position.  An event walks
+        the smaller set: a delta no larger than the segment's changes
+        checks each of its entries, a larger one only the changes that
+        exclude it.  Returns the number of delta entries removed."""
+        live = self.live
+        n_changes = len(live)
+        struck = 0
+        for deltas, position in zip(parts, positions):
+            if not deltas:
+                continue
+            if len(deltas) <= n_changes:
+                gone = [
+                    query for query in deltas
+                    if (span := live.get(query.qid)) is not None
+                    and not span[0] < position < span[1]
+                ]
+            else:
+                if self._lists is None:
+                    self._lists = self._build()
+                sub_at, subscribed, cancel_at, cancelled = self._lists
+                excluded = (
+                    *subscribed[bisect_left(sub_at, position):],
+                    *cancelled[:bisect_left(cancel_at, position)],
+                )
+                gone = [query for query in excluded if query in deltas]
+            for query in gone:
+                del deltas[query]
+            struck += len(gone)
+        return struck
 
 
-def _strike(
-    results: Sequence[Tuple[int, Delta]],
-    positions: Sequence[int],
-    other: _Touched,
-    touched_bs: Sequence[float],
-) -> int:
-    """Remove from the hit lists of ``results`` (one relation's run, probed
-    against the segment's superset state) every row of the ``other``
-    relation its event could not yet, or no longer, see; a query whose list
-    empties leaves the delta.  Returns the number of rows removed.
+def _drop_hidden(deltas: Delta, queries: Iterable[Any], position: int, other: _Touched) -> int:
+    """Remove from the hit lists of ``queries`` in ``deltas`` every row of
+    the ``other`` relation an event at ``position`` could not yet, or no
+    longer, see; a query whose list empties leaves the delta.  Returns the
+    number of rows removed.
 
     Removal is all it takes: equal keys keep insertion order in the
     tables' sorted columns, and the superset state was built by the same
     insertions in the same order, so what survives is already in the order
-    per-event application yields.  A hit list is sorted by join key —
-    a band window is a contiguous key range, a select list a single key —
-    so it can hold a touched row only if a touched key (``touched_bs``,
-    ascending) lies between its first and its last hit; every other list
-    is skipped on one bisect.
+    per-event application yields.
     """
     visible = other.visible
     row_id = other.row_id
+    struck = 0
+    emptied: List[Any] = []
+    for query in queries:
+        hits = deltas[query]
+        kept = [
+            row for row in hits
+            if (span := visible.get(row_id(row))) is None or span[0] < position < span[1]
+        ]
+        if len(kept) != len(hits):
+            struck += len(hits) - len(kept)
+            if kept:
+                deltas[query] = kept
+            else:
+                emptied.append(query)
+    for query in emptied:
+        del deltas[query]
+    return struck
+
+
+def _strike_band(parts: Sequence[Delta], positions: Sequence[int], other: _Touched) -> int:
+    """The row strike of a band part (``positions`` parallel).  A band
+    window is a key range, so its hit list, sorted by join key, can hold a
+    touched row only if a touched key lies between its first and its last
+    hit: each list pays one bisect, and only the lists that pass are
+    scanned.  Returns the number of rows removed."""
+    touched_bs = other.touched_bs()
     n_touched = len(touched_bs)
     struck = 0
-    for (__, deltas), position in zip(results, positions):
+    for deltas, position in zip(parts, positions):
         if not deltas:
             continue
-        emptied: List[Any] = []
-        for query, hits in deltas.items():
-            at = bisect_left(touched_bs, hits[0].b)
-            if at == n_touched or touched_bs[at] > hits[-1].b:
-                continue
-            kept = [
-                row for row in hits
-                if (span := visible.get(row_id(row))) is None
-                or span[0] < position < span[1]
-            ]
-            if len(kept) != len(hits):
-                struck += len(hits) - len(kept)
-                if kept:
-                    deltas[query] = kept
-                else:
-                    emptied.append(query)
-        for query in emptied:
-            del deltas[query]
+        suspects = [
+            query for query, hits in deltas.items()
+            if (at := bisect_left(touched_bs, hits[0].b)) < n_touched
+            and touched_bs[at] <= hits[-1].b
+        ]
+        if suspects:
+            struck += _drop_hidden(deltas, suspects, position, other)
+    return struck
+
+
+def _strike_select(
+    parts: Sequence[Delta], rows: Sequence[Any], positions: Sequence[int], other: _Touched
+) -> int:
+    """The row strike of a select part (``rows`` / ``positions`` are the
+    probed rows, parallel).  Every hit of a select delta has its event's
+    join key, so the event pays one lookup of that key's bounds
+    (:meth:`_Touched.key_bounds`), and its lists are scanned only when a
+    row of that key may be hidden at its position.  Returns the number of
+    rows removed."""
+    bounds = other.key_bounds()
+    struck = 0
+    for deltas, row, position in zip(parts, rows, positions):
+        if deltas:
+            lo, hi = bounds.get(row.b, _UNTOUCHED)
+            if not lo < position < hi:
+                struck += _drop_hidden(deltas, deltas, position, other)
     return struck
 
 
@@ -530,8 +632,8 @@ class ShardGroup:
         # qid -> the query object this group's shards hold: an unsubscribe
         # names its query by qid alone when it crossed a process boundary.
         self._queries: Dict[int, Any] = {}
-        # Hit-list rows :func:`_strike` and delta entries
-        # :func:`_strike_queries` removed, per shard.
+        # Hit-list rows the row strikes and delta entries the query strike
+        # removed, per shard.
         self._struck = (
             [
                 (metrics.counter(f"shard/{index}/runtime/rows_struck"),
@@ -561,11 +663,16 @@ class ShardGroup:
            of the batch may see;
         2. **probe**: each shard answers all R insertions as one run and
            all S insertions as another (:meth:`Shard.apply_batch`);
-        3. **strike** from an event's delta every query whose liveness
-           interval ``(subscribe position, unsubscribe position)`` does not
-           contain the event's position (:func:`_strike_queries`), then
-           from its hit lists the touched rows whose visibility interval
-           does not (:func:`_strike`);
+        3. **strike**, each plane's part of a delta on its own before the
+           two are merged: first every query whose liveness interval
+           ``(subscribe position, unsubscribe position)`` does not contain
+           the event's position (:meth:`_Changes.strike`), then from the
+           hit lists the touched rows whose visibility interval does not
+           (:func:`_strike_band`, :func:`_strike_select`).  What a strike
+           costs follows what it can remove: an event walks the smaller of
+           its delta and the subscription changes that exclude it, a band
+           list pays one bisect, and a select part one lookup of its join
+           key;
         4. **delete** the deferred rows, then **unsubscribe** the deferred
            queries, again one :meth:`Shard.unsubscribe` call per shard.
 
@@ -643,10 +750,11 @@ class ShardGroup:
         for index, queries in subscribes.items():
             by_index[index].subscribe(*queries)
         runs = [
-            (side, other, other.touched_bs() if other.visible else ())
+            (side, other)
             for side, other in ((r_side, s_side), (s_side, r_side))
             if side.rows
         ]
+        changes = _Changes(live, held) if live else None
         span = self.tracer.span
         clock = time.perf_counter
         for k, shard in enumerate(self.shards if runs else ()):
@@ -654,13 +762,31 @@ class ShardGroup:
                 begin = clock()
                 answered: List[Tuple[int, Delta]] = []
                 rows_struck = queries_struck = 0
-                for side, other, touched_bs in runs:
-                    run = shard.apply_batch(side.entries, side.rows)
-                    if live:
-                        queries_struck += _strike_queries(run, side.positions, live)
-                    if touched_bs:
-                        rows_struck += _strike(run, side.positions, other, touched_bs)
-                    answered.extend(run)
+                for side, other in runs:
+                    band, select, owned = shard.apply_batch(side.entries, side.rows)
+                    positions = side.positions
+                    if owned is None:
+                        select_rows, select_positions, select_band = side.rows, positions, band
+                    else:
+                        select_rows = [side.rows[i] for i in owned]
+                        select_positions = [positions[i] for i in owned]
+                        select_band = [band[i] for i in owned]
+                    if changes is not None:
+                        queries_struck += changes.strike(band, positions)
+                        queries_struck += changes.strike(select, select_positions)
+                    if other.visible:
+                        if any(band):
+                            rows_struck += _strike_band(band, positions, other)
+                        if any(select):
+                            rows_struck += _strike_select(
+                                select, select_rows, select_positions, other
+                            )
+                    # Both planes answer with a fresh dict per row and a
+                    # query lives on one plane: the select part folds into
+                    # the band's.
+                    for deltas, part in zip(select_band, select):
+                        deltas.update(part)
+                    answered.extend(zip(map(_SEQ, side.entries), band))
                 if len(runs) == 2:
                     answered.sort(key=_SEQ)  # back to stream order
                 results[k].extend(answered)

@@ -31,6 +31,7 @@ from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind
 from repro.fastpath import kernels
 from repro.fastpath import select as select_probe
+from repro.runtime import sharding
 from repro.runtime.transport import frames
 
 
@@ -227,6 +228,25 @@ class TestBatchedCells:
         report = fuzz(FuzzConfig(seed=3, n_ops=3000), targets=[cell], shrink=False)
         assert report.ok, report.outcome.divergence
         assert vector_tests > 0
+
+    def test_the_select_plane_row_strike_removes_rows(self, monkeypatch):
+        """The key grid makes select joins inside a batch, so the select
+        plane's row strike (one key lookup per event, a scan only when a
+        row of that key may be hidden) is reached and removes rows."""
+        struck = 0
+        strike_select = sharding._strike_select
+
+        def counting(parts, rows, positions, other):
+            nonlocal struck
+            removed = strike_select(parts, rows, positions, other)
+            struck += removed
+            return removed
+
+        monkeypatch.setattr(sharding, "_strike_select", counting)
+        cell = cell_name("inline", 24, False)
+        report = fuzz(FuzzConfig(seed=3, n_ops=3000), targets=[cell], shrink=False)
+        assert report.ok, report.outcome.divergence
+        assert struck > 0
 
 
 def _shift_r_inserts(encode):

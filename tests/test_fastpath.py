@@ -22,6 +22,7 @@ from repro.operators.hotspot_processor import (
     HotspotSelectJoinProcessor,
 )
 from repro.operators.select_join import SJSSI
+from repro.runtime import sharding
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup
 from repro.wire import encode_event
@@ -801,6 +802,40 @@ def _rows_struck(pipeline):
     )
 
 
+def spy_row_strikes(monkeypatch):
+    """Count what the row strikes do: the rows each plane's strike removed,
+    and of the select plane the events with a non-empty part and the
+    events whose lists it scanned."""
+    seen = {"band_struck": 0, "select_struck": 0, "select_events": 0, "select_scanned": 0}
+    strike_band, strike_select = sharding._strike_band, sharding._strike_select
+    drop_hidden = sharding._drop_hidden
+    in_select = []
+
+    def band(*args):
+        struck = strike_band(*args)
+        seen["band_struck"] += struck
+        return struck
+
+    def select(parts, *args):
+        seen["select_events"] += sum(1 for deltas in parts if deltas)
+        in_select.append(True)
+        try:
+            struck = strike_select(parts, *args)
+        finally:
+            in_select.pop()
+        seen["select_struck"] += struck
+        return struck
+
+    def drop(*args):
+        seen["select_scanned"] += bool(in_select)
+        return drop_hidden(*args)
+
+    monkeypatch.setattr(sharding, "_strike_band", band)
+    monkeypatch.setattr(sharding, "_strike_select", select)
+    monkeypatch.setattr(sharding, "_drop_hidden", drop)
+    return seen
+
+
 def ordered_view(deltas):
     """qid -> row ids in result order: unlike ``normalize_deltas`` this keeps
     the enumeration order, so it also catches ordering regressions."""
@@ -842,11 +877,17 @@ class TestShardedBatch:
 
     @staticmethod
     def _reference_views(reference, events):
-        """``ordered_view`` of what the per-event system answers, event by
-        event (a delete answers nothing)."""
+        """``ordered_view`` of what the per-event system answers, data
+        event by data event (a delete answers nothing), subscription
+        changes applied in place."""
         want = []
         for event in events:
-            if event.kind is EventKind.INSERT:
+            if isinstance(event, QueryEvent):
+                if event.kind is EventKind.INSERT:
+                    reference.subscribe(event.query)
+                else:
+                    reference.unsubscribe(event.query)
+            elif event.kind is EventKind.INSERT:
                 if event.relation == "R":
                     want.append(ordered_view(reference.insert_r_row(event.row)))
                 else:
@@ -1157,6 +1198,100 @@ class TestShardedBatch:
         assert struck > 0
 
     @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_select_strike_keeps_only_the_visible_row_of_a_shared_key(
+        self, kernel, num_shards, monkeypatch
+    ):
+        # Three S rows share the R arrival's join key: one visible, one
+        # deleted before it and one inserted after it.  At K = 3 they lie
+        # in three C-slices, each struck by its own shard.
+        seen = spy_row_strikes(monkeypatch)
+        visible, gone = STuple(0, 50.0, 5000.0), STuple(1, 50.0, 7000.0)
+        later = STuple(2, 50.0, 2000.0)
+        events = [_delete(gone), _insert(RTuple(0, 10.0, 50.0)), _insert(later)]
+        results, struck = self._one_batch(
+            events, num_shards=num_shards, preload=[_insert(visible), _insert(gone)]
+        )
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{}, {9001: [0], 9002: [0]}, {9001: [0], 9002: [0]}]
+        assert seen["select_struck"] == 2 and seen["band_struck"] == 2
+        assert struck == 4
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_select_strike_on_the_s_run_maps_owned_rows_to_their_positions(
+        self, kernel, num_shards, monkeypatch
+    ):
+        """S arrivals of every C-slice interleave around two R deletes and
+        an R insert of their join key.  A shard's select part answers only
+        the S rows it owns, so each must be struck at its own stream
+        position: read at the position of the run's k-th S row instead,
+        the rows after the first delete would still see R 1 (and those
+        before the insert would see R 2).  S 4 lies between the two
+        deletes and after the insert, so only the key's first delete
+        tells it that a row of its key may be hidden."""
+        seen = spy_row_strikes(monkeypatch)
+        r_rows = [RTuple(i, 10.0, 50.0) for i in range(4)]
+        s_rows = [STuple(i, 50.0, c) for i, c in enumerate((2000.0, 8000.0, 5000.0, 2500.0, 7000.0))]
+        events = [
+            _insert(s_rows[0]),  # slice 0: sees R 0, 1 and 3
+            _insert(s_rows[1]),  # slice 2: sees R 0, 1 and 3
+            _delete(r_rows[1]),
+            _insert(s_rows[2]),  # slice 1: sees R 0 and 3
+            _insert(s_rows[3]),  # slice 0: sees R 0 and 3
+            _insert(r_rows[2]),  # sees S 0-3, in c order
+            _insert(s_rows[4]),  # slice 2: sees R 0, 3 and 2
+            _delete(r_rows[3]),
+        ]
+        preload = [_insert(r_rows[0]), _insert(r_rows[1]), _insert(r_rows[3])]
+        results, __ = self._one_batch(events, num_shards=num_shards, preload=preload)
+        seen_by_select = [ordered_view(delta).get(9002) for __, ___, delta in results]
+        assert seen_by_select == [
+            [0, 1, 3], [0, 1, 3], None, [0, 3], [0, 3], [0, 3, 2, 1], [0, 3, 2], None,
+        ]
+        # R 2 hides from S 0-3, R 1 from S 2-4, S 4 from R 2.
+        assert seen["select_struck"] == 8
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_band_part_is_struck_while_the_select_part_is_not_scanned(
+        self, kernel, num_shards, monkeypatch
+    ):
+        # R 0's band window holds S 1, inserted after it; no hidden row
+        # shares R 0's join key, so its select part costs one lookup and
+        # keeps S 0.
+        seen = spy_row_strikes(monkeypatch)
+        events = [_insert(RTuple(0, 10.0, 50.0)), _insert(STuple(1, 50.5, 5000.0))]
+        results, struck = self._one_batch(
+            events, num_shards=num_shards, preload=[_insert(STuple(0, 50.0, 5000.0))]
+        )
+        views = [ordered_view(delta) for __, ___, delta in results]
+        assert views == [{9001: [0], 9002: [0]}, {9001: [0]}]
+        assert seen["band_struck"] == struck == 1
+        assert seen["select_events"] > 0
+        assert seen["select_scanned"] == seen["select_struck"] == 0
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_select_join_spanning_c_slices_subscribed_and_cancelled_in_one_batch(
+        self, kernel, num_shards
+    ):
+        # ``span`` answers only the arrivals between its subscribe and its
+        # cancel, with the rows of every C-slice; both relations arrive
+        # before, between and after.
+        span = SelectJoinQuery(Interval(0.0, 100.0), Interval(500.0, 9500.0), qid=9003)
+        events = [
+            _insert(RTuple(0, 10.0, 50.0)),     # before
+            _insert(STuple(2, 50.0, 4500.0)),   # before
+            _sub(span),
+            _insert(RTuple(1, 10.0, 50.0)),     # between: S 0, 2 and 1
+            _insert(STuple(3, 50.0, 7500.0)),   # between: R 0 and 1
+            _unsub(span),
+            _insert(RTuple(2, 10.0, 50.0)),     # after
+            _insert(STuple(4, 50.0, 2000.0)),   # after
+        ]
+        preload = [_insert(STuple(0, 50.0, 1500.0)), _insert(STuple(1, 50.0, 8500.0))]
+        results, __ = self._one_batch(events, num_shards=num_shards, preload=preload)
+        by_span = [ordered_view(delta).get(9003) for __, ___, delta in results]
+        assert by_span == [None, None, [0, 2, 1], [0, 1], None, None]
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
     def test_a_list_that_empties_removes_its_query(self, kernel, num_shards):
         events = [_insert(RTuple(0, 10.0, 50.0)), _insert(STuple(0, 50.0, 5000.0))]
         results, struck = self._one_batch(events, num_shards=num_shards)
@@ -1272,20 +1407,6 @@ class TestQueryEntries:
     def _select(qid=9102):
         return SelectJoinQuery(Interval(0.0, 100.0), Interval(1000.0, 9000.0), qid=qid)
 
-    @staticmethod
-    def _reference_views(reference, events):
-        """``ordered_view`` of what the per-event system answers for each
-        data event of ``events``, subscription changes applied in place."""
-        want = []
-        for event in events:
-            if isinstance(event, DataEvent):
-                want += TestShardedBatch._reference_views(reference, [event])
-            elif event.kind is EventKind.INSERT:
-                reference.subscribe(event.query)
-            else:
-                reference.unsubscribe(event.query)
-        return want
-
     def _one_batch(self, events, *, num_shards, before=(), mode="inline", on_results=None):
         """Apply ``before`` (rows and subscriptions), then ``events`` as one
         batch; ``(data results, queries struck, pipeline)`` once every
@@ -1303,11 +1424,11 @@ class TestQueryEntries:
                 else:
                     pipeline.submit(event)
             pipeline.drain()
-            self._reference_views(reference, before)
+            TestShardedBatch._reference_views(reference, before)
             batches = pipeline.metrics.counter("pipeline/batches").value
             results = pipeline.run(list(events))
             assert pipeline.metrics.counter("pipeline/batches").value == batches + 1
-            want = self._reference_views(reference, events)
+            want = TestShardedBatch._reference_views(reference, events)
             assert [ordered_view(delta) for __, ___, delta in results] == want
             if mode != "inline":
                 pipeline.sample_hotspots()  # ships the workers' counters
@@ -1426,7 +1547,7 @@ class TestQueryEntries:
             _sub(second),                    # flushes the four entries above
             _insert(RTuple(2, 10.0, 52.0)),  # second answers
         ]
-        want = self._reference_views(reference, [_sub(first), *stream])
+        want = TestShardedBatch._reference_views(reference, [_sub(first), *stream])
         assert want == [{}, {77: [0]}, {}, {77: [0]}]
         for stepwise in (False, True):
             with EventPipeline(num_shards=num_shards, alpha=0.05, batch_size=64) as pipeline:
