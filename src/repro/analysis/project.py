@@ -154,7 +154,7 @@ HOTPATH_MODULES: FrozenSet[str] = frozenset(
         "repro/core/partition_base.py",
         "repro/dstruct/btree.py",
         "repro/dstruct/treap.py",
-        "repro/dstruct/sorted_list.py",
+        "repro/dstruct/endpoint_orders.py",
         "repro/dstruct/interval_tree.py",
         "repro/dstruct/rtree.py",
         "repro/fastpath/kernels.py",

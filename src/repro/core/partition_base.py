@@ -13,11 +13,12 @@ queries may carry equal ranges.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Protocol, TypeVar
 
 from repro.core.intervals import Interval, endpoints_equal
 from repro.core.stabbing import identity_interval
-from repro.dstruct.sorted_list import SortedKeyList
 
 T = TypeVar("T")
 
@@ -25,8 +26,8 @@ T = TypeVar("T")
 class StabbingGroupView(Protocol[T]):
     """Structural interface of a maintained stabbing group.
 
-    Both maintainers expose groups through this shape — the endpoint-
-    multiset :class:`DynamicGroup` here and the treap-backed
+    Both maintainers expose groups through this shape — the sorted-
+    endpoint-array :class:`DynamicGroup` here and the treap-backed
     ``RefinedGroup`` of the Appendix B algorithm — so listeners and the
     SSI layer are typed against the protocol, not a concrete class.
     """
@@ -75,9 +76,10 @@ class DynamicGroup(Generic[T]):
     """A mutable stabbing group: members plus their maintained intersection.
 
     The common intersection is kept exactly (not just a stabbing point) via
-    sorted multisets of left and right endpoints, so deletions that *widen*
-    the intersection are handled in O(log g).  This is the "more careful
-    implementation" the paper recommends for the insertion refinement.
+    sorted arrays of left and right endpoints, so a deletion that *widens*
+    the intersection finds the new extreme at an array end.  This is the
+    "more careful implementation" the paper recommends for the insertion
+    refinement.
     """
 
     __slots__ = ("_items", "size", "_los", "_his", "_interval_of", "_max_lo", "_min_hi")
@@ -86,8 +88,8 @@ class DynamicGroup(Generic[T]):
         self._items: Dict[int, T] = {}
         # len(_items) as a plain attribute: the tracker reads it per update.
         self.size = 0
-        self._los: SortedKeyList[float] = SortedKeyList()
-        self._his: SortedKeyList[float] = SortedKeyList()
+        self._los = array("d")
+        self._his = array("d")
         self._interval_of = interval_of
         # Cached intersection endpoints (= max lo / min hi of members);
         # the insertion path tests every group against a new interval, so
@@ -102,8 +104,8 @@ class DynamicGroup(Generic[T]):
         interval = self._interval_of(item)
         self._items[key] = item
         self.size += 1
-        self._los.add(interval.lo)
-        self._his.add(interval.hi)
+        insort(self._los, interval.lo)
+        insort(self._his, interval.hi)
         if interval.lo > self._max_lo:
             self._max_lo = interval.lo
         if interval.hi < self._min_hi:
@@ -113,8 +115,8 @@ class DynamicGroup(Generic[T]):
         interval = self._interval_of(item)
         del self._items[id(item)]
         self.size -= 1
-        self._los.remove(interval.lo)
-        self._his.remove(interval.hi)
+        _remove_endpoint(self._los, interval.lo)
+        _remove_endpoint(self._his, interval.hi)
         if not self._items:
             self._max_lo = float("-inf")
             self._min_hi = float("inf")
@@ -124,7 +126,7 @@ class DynamicGroup(Generic[T]):
             # have *been* the cached extreme if its endpoint is bit-identical
             # to it (see endpoints_equal for the full argument).
             if endpoints_equal(interval.lo, self._max_lo):
-                self._max_lo = self._los[len(self._los) - 1]
+                self._max_lo = self._los[-1]
             if endpoints_equal(interval.hi, self._min_hi):
                 self._min_hi = self._his[0]
 
@@ -162,6 +164,15 @@ class DynamicGroup(Generic[T]):
         # Inlined overlap check against [max lo, min hi]; this runs once per
         # existing group on every insertion, so it avoids building objects.
         return self._max_lo <= interval.hi and interval.lo <= self._min_hi
+
+
+def _remove_endpoint(endpoints: array[float], value: float) -> None:
+    """Delete one copy of ``value`` from the sorted ``endpoints``; raises
+    ``ValueError`` if it holds none."""
+    idx = bisect_left(endpoints, value)
+    if idx == len(endpoints) or endpoints[idx] != value:
+        raise ValueError(f"endpoint not found: {value!r}")
+    del endpoints[idx]
 
 
 class DynamicStabbingPartitionBase(Generic[T]):

@@ -8,22 +8,24 @@
   over intervals (BJ-DOuter, SJ-SelectFirst).
 * :class:`~repro.dstruct.treap.Treap` — balanced BST with SPLIT/JOIN and a
   bottom-up aggregate (Appendix B refined stabbing-partition maintenance).
-* :class:`~repro.dstruct.sorted_list.SortedKeyList` — bisect-backed sorted
-  sequence (BJ-MJ window list, SSI group endpoint orders).
+* :class:`~repro.dstruct.endpoint_orders.EndpointOrders` — a group's
+  members in ascending-left and descending-right endpoint order, as item
+  lists with parallel ``array('d')`` key columns (the SSI band, band-select
+  and range groups, and BJ-MJ's window list).
 """
 
 from repro.dstruct.btree import BPlusTree, Cursor
+from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.dstruct.interval_tree import IntervalTree
 from repro.dstruct.rtree import Rect, RTree
-from repro.dstruct.sorted_list import SortedKeyList
 from repro.dstruct.treap import Treap
 
 __all__ = [
     "BPlusTree",
     "Cursor",
+    "EndpointOrders",
     "IntervalTree",
     "Rect",
     "RTree",
-    "SortedKeyList",
     "Treap",
 ]

@@ -97,18 +97,19 @@ def register_queries(registry: Dict[int, Any], queries: Sequence[Any]) -> None:
         registry[query.qid] = query
 
 
-def unregister_queries(registry: Dict[int, Any], queries: Sequence[Any]) -> None:
+def unregister_queries(registry: Dict[int, Any], queries: Sequence[Any]) -> List[Any]:
     """Remove ``queries`` from a processor's qid registry, all or none: a
     qid not held, or repeated among ``queries``, raises ``KeyError``
-    before anything changes."""
+    before anything changes.  Returns the held objects, in order: a
+    cancellation names a query by qid, so the caller unindexes these, not
+    ``queries``, which may be same-qid copies."""
     seen: Set[int] = set()
     for query in queries:
         qid = query.qid
         if qid not in registry or qid in seen:
             raise KeyError(qid)
         seen.add(qid)
-    for query in queries:
-        del registry[query.qid]
+    return [registry.pop(query.qid) for query in queries]
 
 
 def band_interval(query: BandJoinQuery) -> Interval:

@@ -27,8 +27,6 @@ of them.
 from __future__ import annotations
 
 import heapq
-from array import array
-from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.intervals import Interval
@@ -37,7 +35,7 @@ from repro.core.partition_base import DynamicStabbingPartitionBase
 from repro.core.ssi import StabbingSetIndex
 from repro.dstruct.btree import Cursor
 from repro.dstruct.interval_tree import IntervalTree
-from repro.dstruct.sorted_list import SortedKeyList
+from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.engine.queries import (
     BandJoinQuery,
     band_interval,
@@ -71,8 +69,7 @@ class BandJoinStrategy:
     def remove_query(self, *queries: BandJoinQuery) -> None:
         """Cancel ``queries``; a qid not held raises ``KeyError`` and
         changes nothing."""
-        unregister_queries(self._queries, queries)
-        for query in queries:
+        for query in unregister_queries(self._queries, queries):
             self._unindex_query(query)
 
     @property
@@ -169,31 +166,31 @@ class BJMergeJoin(BandJoinStrategy):
 
     def __init__(self, table_s: TableS, table_r: Optional[TableR] = None):
         super().__init__(table_s, table_r)
-        self._by_lo: SortedKeyList[BandJoinQuery] = SortedKeyList(key=lambda q: q.band.lo)
-        self._by_hi_desc: SortedKeyList[BandJoinQuery] = SortedKeyList(key=lambda q: -q.band.hi)
+        self._orders: EndpointOrders[BandJoinQuery] = EndpointOrders()
 
     def _index_query(self, query: BandJoinQuery) -> None:
-        self._by_lo.add(query)
-        self._by_hi_desc.add(query)
+        self._orders.add(query, query.band)
 
     def _unindex_query(self, query: BandJoinQuery) -> None:
-        self._by_lo.remove(query)
-        self._by_hi_desc.remove(query)
+        self._orders.remove(query, query.band)
 
     def process_r(self, r: RTuple) -> BandResults:
         results: BandResults = {}
         if not self._queries:
             return results
+        by_lo = self._orders.by_lo
+        lo_keys = self._orders.lo_keys
+        hi_by_lo = self._orders.hi_by_lo
         idx = 0
-        n = len(self._by_lo)
+        n = len(by_lo)
         # Active windows currently containing the sweep point, keyed by
         # right endpoint so expired windows pop cheaply.
         active: List = []
         for __, s in self.table_s.by_b.items():
             point = s.b - r.b
-            while idx < n and self._by_lo[idx].band.lo <= point:
-                query = self._by_lo[idx]
-                heapq.heappush(active, (query.band.hi, query.qid, query))
+            while idx < n and lo_keys[idx] <= point:
+                query = by_lo[idx]
+                heapq.heappush(active, (hi_by_lo[idx], query.qid, query))
                 idx += 1
             while active and active[0][0] < point:
                 heapq.heappop(active)
@@ -208,70 +205,23 @@ class BJMergeJoin(BandJoinStrategy):
         results: RBandResults = {}
         if not self._queries:
             return results
+        by_hi_desc = self._orders.by_hi_desc
+        neg_hi_keys = self._orders.neg_hi_keys
+        lo_by_hi = self._orders.lo_by_hi
         idx = 0
-        n = len(self._by_hi_desc)
+        n = len(by_hi_desc)
         active: List = []
         for __, r in self.table_r.by_b.items():
             point = s.b - r.b
-            while idx < n and self._by_hi_desc[idx].band.hi >= point:
-                query = self._by_hi_desc[idx]
-                heapq.heappush(active, (-query.band.lo, query.qid, query))
+            while idx < n and -neg_hi_keys[idx] >= point:
+                query = by_hi_desc[idx]
+                heapq.heappush(active, (-lo_by_hi[idx], query.qid, query))
                 idx += 1
             while active and -active[0][0] > point:
                 heapq.heappop(active)
             for __, __, query in active:
                 results.setdefault(query, []).append(r)
         return results
-
-
-class _BandGroupIndex:
-    """Per-group SSI structure: member windows in ascending-left-endpoint
-    and descending-right-endpoint order (the sequences I^l_j and I^r_j).
-
-    Stored columnar: plain query lists parallel to ``array('d')`` endpoint
-    columns (left endpoints ascending; right endpoints negated so they too
-    sort ascending).  The per-event probes iterate the query lists exactly
-    as they iterated the former :class:`SortedKeyList`; the batch fast path
-    runs vectorized ``searchsorted`` directly over the key columns.
-    """
-
-    __slots__ = ("by_lo", "lo_keys", "hi_by_lo", "by_hi_desc", "neg_hi_keys", "lo_by_hi")
-
-    def __init__(self) -> None:
-        self.by_lo: List[BandJoinQuery] = []
-        self.lo_keys = array("d")
-        self.hi_by_lo = array("d")  # band.hi, parallel to by_lo
-        self.by_hi_desc: List[BandJoinQuery] = []
-        self.neg_hi_keys = array("d")
-        self.lo_by_hi = array("d")  # band.lo, parallel to by_hi_desc
-
-    def add(self, query: BandJoinQuery) -> None:
-        lo = query.band.lo
-        hi = query.band.hi
-        idx = bisect_right(self.lo_keys, lo)
-        self.by_lo.insert(idx, query)
-        self.lo_keys.insert(idx, lo)
-        self.hi_by_lo.insert(idx, hi)
-        idx = bisect_right(self.neg_hi_keys, -hi)
-        self.by_hi_desc.insert(idx, query)
-        self.neg_hi_keys.insert(idx, -hi)
-        self.lo_by_hi.insert(idx, lo)
-
-    def remove(self, query: BandJoinQuery) -> None:
-        self._remove(self.lo_keys, self.by_lo, self.hi_by_lo, query.band.lo, query)
-        self._remove(self.neg_hi_keys, self.by_hi_desc, self.lo_by_hi, -query.band.hi, query)
-
-    @staticmethod
-    def _remove(keys, queries, other_keys, key: float, query: BandJoinQuery) -> None:
-        idx = bisect_left(keys, key)
-        while idx < len(keys) and keys[idx] == key:
-            if queries[idx] is query:
-                del queries[idx]
-                del keys[idx]
-                del other_keys[idx]
-                return
-            idx += 1
-        raise ValueError(f"query not found: {query!r}")
 
 
 class BJSSI(BandJoinStrategy):
@@ -298,11 +248,13 @@ class BJSSI(BandJoinStrategy):
         super().__init__(table_s, table_r)
         if partition is None:
             partition = LazyStabbingPartition(epsilon=epsilon, interval_of=band_interval)
-        self._ssi: StabbingSetIndex[BandJoinQuery, _BandGroupIndex] = StabbingSetIndex(
-            partition,
-            make_structure=_BandGroupIndex,
-            add_item=lambda st, q: st.add(q),
-            remove_item=lambda st, q: st.remove(q),
+        self._ssi: StabbingSetIndex[BandJoinQuery, EndpointOrders[BandJoinQuery]] = (
+            StabbingSetIndex(
+                partition,
+                make_structure=EndpointOrders,
+                add_item=lambda st, q: st.add(q, q.band),
+                remove_item=lambda st, q: st.remove(q, q.band),
+            )
         )
 
     @property
@@ -357,7 +309,7 @@ class BJSSI(BandJoinStrategy):
 
 
 def probe_band_group_r(
-    by_b, r: RTuple, point: float, structure: _BandGroupIndex, results: BandResults
+    by_b, r: RTuple, point: float, structure: EndpointOrders[BandJoinQuery], results: BandResults
 ) -> None:
     """The BJ-SSI per-group probe for an incoming R-tuple (STEPs 1 and 2 of
     Section 3.1).  Shared between :class:`BJSSI` (applied to every group)
@@ -385,7 +337,7 @@ def probe_band_group_r(
 
 
 def probe_band_group_s(
-    by_b, s: STuple, point: float, structure: _BandGroupIndex, results: RBandResults
+    by_b, s: STuple, point: float, structure: EndpointOrders[BandJoinQuery], results: RBandResults
 ) -> None:
     """Symmetric per-group probe for an incoming S-tuple: with r1/r2 the
     R(B) entries surrounding ``s.b - p_j``, the two endpoint orders swap

@@ -31,7 +31,7 @@ from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.partition_base import DynamicStabbingPartitionBase
 from repro.core.ssi import StabbingSetIndex
-from repro.dstruct.sorted_list import SortedKeyList
+from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.engine.table import RTuple, STuple, TableR, TableS
 
 BandSelectResults = Dict["BandSelectJoinQuery", List[STuple]]
@@ -105,8 +105,8 @@ class BandSelectStrategy:
         self._index_query(query)
 
     def remove_query(self, query: BandSelectJoinQuery) -> None:
-        del self._queries[query.qid]
-        self._unindex_query(query)
+        # Unindex the held object: ``query`` may be a same-qid copy.
+        self._unindex_query(self._queries.pop(query.qid))
 
     @property
     def query_count(self) -> int:
@@ -149,28 +149,6 @@ class BSJPerQuery(BandSelectStrategy):
         return results
 
 
-class _BandSelectGroup:
-    """Per-group structure: both endpoint orders of the band windows."""
-
-    __slots__ = ("by_lo", "by_hi_desc")
-
-    def __init__(self) -> None:
-        self.by_lo: SortedKeyList[BandSelectJoinQuery] = SortedKeyList(
-            key=lambda q: q.band.lo
-        )
-        self.by_hi_desc: SortedKeyList[BandSelectJoinQuery] = SortedKeyList(
-            key=lambda q: -q.band.hi
-        )
-
-    def add(self, query: BandSelectJoinQuery) -> None:
-        self.by_lo.add(query)
-        self.by_hi_desc.add(query)
-
-    def remove(self, query: BandSelectJoinQuery) -> None:
-        self.by_lo.remove(query)
-        self.by_hi_desc.remove(query)
-
-
 class BSJSSI(BandSelectStrategy):
     """SSI on the band windows; selections applied during the group probe."""
 
@@ -187,12 +165,12 @@ class BSJSSI(BandSelectStrategy):
         super().__init__(table_s, table_r)
         if partition is None:
             partition = LazyStabbingPartition(epsilon=epsilon, interval_of=band_of)
-        self._ssi: StabbingSetIndex[BandSelectJoinQuery, _BandSelectGroup] = (
+        self._ssi: StabbingSetIndex[BandSelectJoinQuery, EndpointOrders[BandSelectJoinQuery]] = (
             StabbingSetIndex(
                 partition,
-                make_structure=_BandSelectGroup,
-                add_item=lambda g, q: g.add(q),
-                remove_item=lambda g, q: g.remove(q),
+                make_structure=EndpointOrders,
+                add_item=lambda g, q: g.add(q, q.band),
+                remove_item=lambda g, q: g.remove(q, q.band),
             )
         )
 

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.partition_base import DynamicGroup
+from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.dstruct.interval_tree import IntervalTree
 from repro.engine.queries import (
     BandJoinQuery,
@@ -45,7 +46,6 @@ from repro.fastpath import select as select_probe
 from repro.operators.band_join import (
     BandResults,
     RBandResults,
-    _BandGroupIndex,
     probe_band_group_r,
     probe_band_group_s,
 )
@@ -142,11 +142,11 @@ class HotspotSelectJoinProcessor:
     def remove_query(self, *queries: SelectJoinQuery) -> None:
         """Cancel ``queries`` with one tracker delete; a qid not held
         raises ``KeyError`` and changes nothing."""
-        unregister_queries(self._queries, queries)
-        for query in queries:
+        held = unregister_queries(self._queries, queries)
+        for query in held:
             self._columns_s.remove(query)
             self._drop_scattered(query)
-        self.tracker.delete(*queries)
+        self.tracker.delete(*held)
 
     @property
     def query_count(self) -> int:
@@ -281,7 +281,7 @@ class HotspotBandJoinProcessor:
         self.table_s = table_s
         self.table_r = table_r if table_r is not None else TableR()
         self._queries: Dict[int, BandJoinQuery] = {}
-        self._hot_indexes: Dict[int, _BandGroupIndex] = {}
+        self._hot_indexes: Dict[int, EndpointOrders[BandJoinQuery]] = {}
         self._scattered: Dict[int, BandJoinQuery] = {}
         self.tracker: HotspotTracker[BandJoinQuery] = HotspotTracker(
             alpha=alpha, epsilon=epsilon, interval_of=band_interval
@@ -291,9 +291,9 @@ class HotspotBandJoinProcessor:
     # -- tracker listener callbacks ---------------------------------------------
 
     def on_promoted(self, group: DynamicGroup[BandJoinQuery]) -> None:
-        index = _BandGroupIndex()
+        index: EndpointOrders[BandJoinQuery] = EndpointOrders()
         for query in group:
-            index.add(query)
+            index.add(query, query.band)
             self._scattered.pop(id(query), None)
         self._hot_indexes[id(group)] = index
 
@@ -304,11 +304,11 @@ class HotspotBandJoinProcessor:
 
     def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[BandJoinQuery], BandJoinQuery]]) -> None:
         for group, query in added:
-            self._hot_indexes[id(group)].add(query)
+            self._hot_indexes[id(group)].add(query, query.band)
 
     def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[BandJoinQuery], BandJoinQuery]]) -> None:
         for group, query in removed:
-            self._hot_indexes[id(group)].remove(query)
+            self._hot_indexes[id(group)].remove(query, query.band)
 
     # -- query maintenance ------------------------------------------------------------
 
@@ -324,10 +324,10 @@ class HotspotBandJoinProcessor:
     def remove_query(self, *queries: BandJoinQuery) -> None:
         """Cancel ``queries`` with one tracker delete; a qid not held
         raises ``KeyError`` and changes nothing."""
-        unregister_queries(self._queries, queries)
-        for query in queries:
+        held = unregister_queries(self._queries, queries)
+        for query in held:
             self._scattered.pop(id(query), None)
-        self.tracker.delete(*queries)
+        self.tracker.delete(*held)
 
     @property
     def query_count(self) -> int:

@@ -70,8 +70,8 @@ class MultiAttributeIndexBase:
         self._index(subscription)
 
     def remove(self, subscription: BoxSubscription) -> None:
-        del self._subscriptions[subscription.qid]
-        self._unindex(subscription)
+        # Unindex the held object: ``subscription`` may be a same-qid copy.
+        self._unindex(self._subscriptions.pop(subscription.qid))
 
     def __len__(self) -> int:
         return len(self._subscriptions)

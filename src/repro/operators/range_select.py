@@ -30,8 +30,8 @@ from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.partition_base import DynamicStabbingPartitionBase
 from repro.core.ssi import StabbingSetIndex
+from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.dstruct.interval_tree import IntervalTree
-from repro.dstruct.sorted_list import SortedKeyList
 
 
 class RangeSubscription:
@@ -71,8 +71,8 @@ class RangeIndexBase:
         self._index(subscription)
 
     def remove(self, subscription: RangeSubscription) -> None:
-        del self._subscriptions[subscription.qid]
-        self._unindex(subscription)
+        # Unindex the held object: ``subscription`` may be a same-qid copy.
+        self._unindex(self._subscriptions.pop(subscription.qid))
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -121,28 +121,6 @@ class IntervalTreeRangeIndex(RangeIndexBase):
         return [s for __, s in self._tree.iter_stab(x)]
 
 
-class _RangeGroup:
-    """Per-group structure: both endpoint orders."""
-
-    __slots__ = ("by_lo", "by_hi_desc")
-
-    def __init__(self) -> None:
-        self.by_lo: SortedKeyList[RangeSubscription] = SortedKeyList(
-            key=lambda s: s.range.lo
-        )
-        self.by_hi_desc: SortedKeyList[RangeSubscription] = SortedKeyList(
-            key=lambda s: -s.range.hi
-        )
-
-    def add(self, subscription: RangeSubscription) -> None:
-        self.by_lo.add(subscription)
-        self.by_hi_desc.add(subscription)
-
-    def remove(self, subscription: RangeSubscription) -> None:
-        self.by_lo.remove(subscription)
-        self.by_hi_desc.remove(subscription)
-
-
 class SSIRangeIndex(RangeIndexBase):
     """SSI group processing applied to *every* group: O(tau + k) per event.
 
@@ -164,11 +142,13 @@ class SSIRangeIndex(RangeIndexBase):
             partition = LazyStabbingPartition(
                 epsilon=epsilon, interval_of=subscription_interval
             )
-        self._ssi: StabbingSetIndex[RangeSubscription, _RangeGroup] = StabbingSetIndex(
-            partition,
-            make_structure=_RangeGroup,
-            add_item=lambda g, s: g.add(s),
-            remove_item=lambda g, s: g.remove(s),
+        self._ssi: StabbingSetIndex[RangeSubscription, EndpointOrders[RangeSubscription]] = (
+            StabbingSetIndex(
+                partition,
+                make_structure=EndpointOrders,
+                add_item=lambda g, s: g.add(s, s.range),
+                remove_item=lambda g, s: g.remove(s, s.range),
+            )
         )
 
     @property
@@ -190,7 +170,12 @@ class SSIRangeIndex(RangeIndexBase):
         return out
 
 
-def _match_group(structure: _RangeGroup, common: Interval, x: float, out: List[RangeSubscription]) -> None:
+def _match_group(
+    structure: EndpointOrders[RangeSubscription],
+    common: Interval,
+    x: float,
+    out: List[RangeSubscription],
+) -> None:
     """The per-group decision shared by the SSI and hotspot range indexes."""
     if common.lo <= x <= common.hi:
         # x stabs the common intersection: every member matches.
@@ -227,16 +212,16 @@ class HotspotRangeIndex(RangeIndexBase):
             alpha=alpha, epsilon=epsilon, interval_of=subscription_interval
         )
         self._tracker.add_listener(self)
-        self._hot_structures: Dict[int, _RangeGroup] = {}
+        self._hot_structures: Dict[int, EndpointOrders[RangeSubscription]] = {}
         self._scattered: Dict[int, RangeSubscription] = {}
         self._scattered_tree: IntervalTree[RangeSubscription] = IntervalTree()
 
     # -- tracker listener callbacks -------------------------------------
 
     def on_promoted(self, group) -> None:
-        structure = _RangeGroup()
+        structure: EndpointOrders[RangeSubscription] = EndpointOrders()
         for subscription in group:
-            structure.add(subscription)
+            structure.add(subscription, subscription.range)
             if id(subscription) in self._scattered:
                 del self._scattered[id(subscription)]
                 self._scattered_tree.remove(subscription.range, subscription)
@@ -249,11 +234,11 @@ class HotspotRangeIndex(RangeIndexBase):
 
     def on_hot_items_added(self, added) -> None:
         for group, subscription in added:
-            self._hot_structures[id(group)].add(subscription)
+            self._hot_structures[id(group)].add(subscription, subscription.range)
 
     def on_hot_items_removed(self, removed) -> None:
         for group, subscription in removed:
-            self._hot_structures[id(group)].remove(subscription)
+            self._hot_structures[id(group)].remove(subscription, subscription.range)
 
     def _add_scattered(self, subscription: RangeSubscription) -> None:
         if id(subscription) not in self._scattered:

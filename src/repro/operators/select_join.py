@@ -70,8 +70,7 @@ class SelectJoinStrategy:
     def remove_query(self, *queries: SelectJoinQuery) -> None:
         """Cancel ``queries``; a qid not held raises ``KeyError`` and
         changes nothing."""
-        unregister_queries(self._queries, queries)
-        for query in queries:
+        for query in unregister_queries(self._queries, queries):
             self._unindex_query(query)
 
     @property

@@ -42,6 +42,17 @@ class TestMembership:
         assert a in group
         assert b not in group
 
+    def test_remove_of_unheld_endpoint_raises(self):
+        # The endpoint arrays refuse a value they do not hold instead of
+        # deleting a neighbour.
+        item = [Interval(0, 10)]
+        group = DynamicGroup(lambda held: held[0])
+        group.add(item)
+        group.add([Interval(5, 10)])
+        item[0] = Interval(3, 10)
+        with pytest.raises(ValueError):
+            group.remove(item)
+
     def test_items_and_iter(self):
         intervals = [Interval(0, 10), Interval(5, 15)]
         group = make_group(intervals)

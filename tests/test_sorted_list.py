@@ -1,113 +1,95 @@
-"""Tests for the bisect-backed SortedKeyList."""
+"""Tests for the two sorted endpoint lists an EndpointOrders keeps."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dstruct.sorted_list import SortedKeyList
+from repro.core.intervals import Interval
+from repro.dstruct.endpoint_orders import EndpointOrders
+
+
+class Item:
+    """Every Item equals every other: only identity tells two apart."""
+
+    def __init__(self, name=""):
+        self.name = name
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+
+def names(items):
+    return [item.name for item in items]
 
 
 class TestBasics:
-    def test_initial_items_sorted(self):
-        sl = SortedKeyList([3, 1, 2])
-        assert list(sl) == [1, 2, 3]
-
-    def test_add_returns_index(self):
-        sl = SortedKeyList([1, 3])
-        assert sl.add(2) == 1
-        assert list(sl) == [1, 2, 3]
-
-    def test_key_function(self):
-        sl = SortedKeyList(["bbb", "a", "cc"], key=len)
-        assert list(sl) == ["a", "cc", "bbb"]
-
     def test_duplicates_keep_insertion_order(self):
-        sl = SortedKeyList(key=lambda pair: pair[0])
-        sl.add((1, "first"))
-        sl.add((1, "second"))
-        sl.add((0, "zero"))
-        assert list(sl) == [(0, "zero"), (1, "first"), (1, "second")]
+        orders = EndpointOrders()
+        orders.add(Item("first"), Interval(1.0, 2.0))
+        orders.add(Item("second"), Interval(1.0, 2.0))
+        orders.add(Item("zero"), Interval(0.0, 3.0))
+        assert names(orders.by_lo) == ["zero", "first", "second"]
+        assert names(orders.by_hi_desc) == ["zero", "first", "second"]
 
     def test_len_and_contains(self):
-        sl = SortedKeyList([5, 5, 7])
-        assert len(sl) == 3
-        assert 5 in sl
-        assert 6 not in sl
-
-    def test_getitem(self):
-        sl = SortedKeyList([4, 2, 9])
-        assert sl[0] == 2
-        assert sl[2] == 9
+        orders = EndpointOrders()
+        a, b, c = Item("a"), Item("b"), Item("c")
+        orders.add(a, Interval(5.0, 5.0))
+        orders.add(b, Interval(5.0, 5.0))
+        orders.add(c, Interval(7.0, 8.0))
+        assert len(orders) == 3
+        orders.remove(b, Interval(5.0, 5.0))
+        assert len(orders) == 2
+        assert [x is b for x in orders.by_lo] == [False, False]
+        assert [x is b for x in orders.by_hi_desc] == [False, False]
 
 
 class TestRemove:
     def test_remove_one_duplicate(self):
-        sl = SortedKeyList([2, 2, 3])
-        sl.remove(2)
-        assert list(sl) == [2, 3]
+        orders = EndpointOrders()
+        orders.add(Item("x"), Interval(2.0, 2.0))
+        orders.add(Item("y"), Interval(2.0, 2.0))
+        orders.add(Item("z"), Interval(3.0, 3.0))
+        orders.remove(orders.by_lo[0], Interval(2.0, 2.0))
+        assert list(orders.lo_keys) == [2.0, 3.0]
+        assert list(orders.neg_hi_keys) == [-3.0, -2.0]
 
     def test_remove_missing_raises(self):
-        sl = SortedKeyList([1])
+        orders = EndpointOrders()
+        orders.add(Item(), Interval(1.0, 1.0))
         with pytest.raises(ValueError):
-            sl.remove(9)
+            orders.remove(Item(), Interval(9.0, 9.0))
+        assert len(orders) == 1
 
     def test_remove_by_identity_prefers_same_object(self):
-        a = [1]
-        b = [1]  # equal but distinct
-        sl = SortedKeyList(key=lambda item: item[0])
-        sl.add(a)
-        sl.add(b)
-        sl.remove(b)
-        assert sl[0] is a
-
-    def test_remove_equal_when_identity_absent(self):
-        sl = SortedKeyList([(1, "x")], key=lambda pair: pair[0])
-        sl.remove((1, "x"))
-        assert len(sl) == 0
+        a = Item("a")
+        b = Item("b")  # equal but distinct
+        orders = EndpointOrders()
+        orders.add(a, Interval(1.0, 1.0))
+        orders.add(b, Interval(1.0, 1.0))
+        orders.remove(b, Interval(1.0, 1.0))
+        assert orders.by_lo[0] is a
+        assert orders.by_hi_desc[0] is a
 
 
-class TestSearch:
-    def test_bisect_bounds(self):
-        sl = SortedKeyList([1, 3, 3, 5])
-        assert sl.bisect_left(3) == 1
-        assert sl.bisect_right(3) == 3
-        assert sl.bisect_left(0) == 0
-        assert sl.bisect_right(9) == 4
-
-    def test_irange(self):
-        sl = SortedKeyList(range(10))
-        assert list(sl.irange(3, 6)) == [3, 4, 5, 6]
-        assert list(sl.irange(None, 2)) == [0, 1, 2]
-        assert list(sl.irange(8, None)) == [8, 9]
-
-    def test_count_in_range(self):
-        sl = SortedKeyList([1, 2, 2, 2, 5])
-        assert sl.count_in_range(2, 2) == 3
-        assert sl.count_in_range(0, 10) == 5
-        assert sl.count_in_range(3, 4) == 0
-
-
-@given(st.lists(st.integers(-50, 50)), st.lists(st.integers(0, 100)))
+@given(
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 10))),
+    st.lists(st.integers(0, 100)),
+)
 def test_matches_sorted_list_oracle(additions, removal_picks):
-    sl = SortedKeyList()
-    oracle = []
-    for value in additions:
-        sl.add(value)
-        oracle.append(value)
-        oracle.sort()
-        assert list(sl) == oracle
+    orders = EndpointOrders()
+    live = []
+    for lo, width in additions:
+        pair = (Item(), Interval(float(lo), float(lo + width)))
+        orders.add(*pair)
+        live.append(pair)
+        assert list(orders.lo_keys) == sorted(iv.lo for __, iv in live)
+        assert list(orders.neg_hi_keys) == sorted(-iv.hi for __, iv in live)
     for pick in removal_picks:
-        if not oracle:
+        if not live:
             break
-        value = oracle[pick % len(oracle)]
-        sl.remove(value)
-        oracle.remove(value)
-        assert list(sl) == oracle
-
-
-@given(st.lists(st.integers(-20, 20), min_size=1), st.integers(-25, 25), st.integers(-25, 25))
-def test_irange_matches_filter(values, a, b):
-    lo, hi = min(a, b), max(a, b)
-    sl = SortedKeyList(values)
-    assert list(sl.irange(lo, hi)) == sorted(v for v in values if lo <= v <= hi)
-    assert sl.count_in_range(lo, hi) == len([v for v in values if lo <= v <= hi])
+        orders.remove(*live.pop(pick % len(live)))
+        assert list(orders.lo_keys) == sorted(iv.lo for __, iv in live)
+        assert list(orders.neg_hi_keys) == sorted(-iv.hi for __, iv in live)
