@@ -117,7 +117,7 @@ def test_select_batch_fastpath_speedup():
     )
     load_queries(processor, clustered + uniform)
     # Both halves of the R-side probe are live: hot groups and a scattered remainder.
-    assert processor.tracker.hotspot_groups and processor._scattered
+    assert processor.tracker.hotspot_groups and processor._hot.scattered
 
     speedups = measure_speedups(
         processor,

@@ -15,10 +15,8 @@ from conftest import BASE, r_events
 from repro.bench.harness import Series, measure_event_time_us, print_figure
 from repro.core.intervals import Interval
 from repro.engine.queries import SelectJoinQuery
-from repro.operators.hotspot_processor import (
-    HotspotSelectJoinProcessor,
-    TraditionalSelectJoinProcessor,
-)
+from repro.operators.hotspot_processor import HotspotSelectJoinProcessor
+from repro.operators.select_join import SJSelectFirst
 from repro.workload import ZipfSampler, make_tables, spread_anchors
 
 QUERIES = 20_000
@@ -61,7 +59,7 @@ def test_fig9_hotspot_based_processing(benchmark):
     last_processor = None
     for target in COVERAGES:
         queries = make_queries(params, target, QUERIES, seed=900 + int(target * 100))
-        trad = TraditionalSelectJoinProcessor(table_s, table_r)
+        trad = SJSelectFirst(table_s, table_r)
         hot = HotspotSelectJoinProcessor(table_s, table_r, alpha=ALPHA)
         for query in queries:
             trad.add_query(query)

@@ -17,7 +17,7 @@ from repro.core.stabbing import (
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.refined_partition import RefinedStabbingPartition
 from repro.core.hotspot_tracker import HotspotTracker
-from repro.core.ssi import StabbingSetIndex
+from repro.core.ssi import HotspotIndex, StabbingSetIndex
 
 __all__ = [
     "Interval",
@@ -32,4 +32,5 @@ __all__ = [
     "RefinedStabbingPartition",
     "HotspotTracker",
     "StabbingSetIndex",
+    "HotspotIndex",
 ]

@@ -49,8 +49,8 @@ from repro.core.stabbing import identity_interval
 class HotspotListener(Protocol[T]):
     """Callbacks fired as groups cross the hotspot/scattered boundary.
 
-    The SSI-on-hotspots processors use these to build (on promote) and drop
-    (on demote) the per-hotspot index structures.  Items that join or leave
+    :class:`~repro.core.ssi.HotspotIndex` uses these to build (on promote)
+    and drop (on demote) the per-hotspot structures.  Items that join or leave
     an existing hotspot group arrive as one ``(group, item)`` list per
     tracker call, so a counting listener pays one increment per call.
     """

@@ -16,7 +16,9 @@ axis-aligned boxes:
 * :class:`DynamicBoxPartition`, the lazy maintenance strategy of Section
   2.3 transplanted to boxes (insert into the first compatible group or as a
   singleton, rebuild with the sweep when the group count drifts past
-  ``(1 + eps)`` times the sweep's size).
+  ``(1 + eps)`` times the sweep's size).  It notifies listeners as the 1-D
+  partitions do, so a :class:`~repro.core.ssi.StabbingSetIndex` keeps
+  per-group structures over boxes too.
 
 Section 3-style group processing for multi-attribute subscriptions lives in
 :mod:`repro.operators.multi_attribute`.
@@ -26,23 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
-    Generic,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
+    cast,
 )
 
-if TYPE_CHECKING:
-    from repro.core.intervals import Interval
-
-T = TypeVar("T")
+from repro.core.intervals import Interval
+from repro.core.partition_base import DynamicStabbingPartitionBase, T
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +197,7 @@ def sweep_box_partition(
     return groups
 
 
-class DynamicBoxPartition(Generic[T]):
+class DynamicBoxPartition(DynamicStabbingPartitionBase[T]):
     """Lazy (Section 2.3 style) maintenance of a box stabbing partition.
 
     The ``(1 + eps)`` budget is measured against the sweep heuristic's
@@ -216,14 +214,15 @@ class DynamicBoxPartition(Generic[T]):
     ):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        # A box answers ``contains(point)`` as an interval does, which is
+        # all the base class and the listeners ask of ``interval_of``.
+        super().__init__(cast("Callable[[T], Interval]", box_of))
         self._epsilon = epsilon
         self._box_of = box_of
         self._groups: List[BoxGroup[T]] = []
         self._group_of: Dict[int, BoxGroup[T]] = {}
         self._tau0 = 0
         self._deletions = 0
-        self.reconstruction_count = 0
-        self.update_count = 0
         if items:
             self._rebuild(list(items))
             self.reconstruction_count = 0
@@ -231,18 +230,6 @@ class DynamicBoxPartition(Generic[T]):
     @property
     def groups(self) -> List[BoxGroup[T]]:
         return list(self._groups)
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def total_items(self) -> int:
-        return sum(group.size for group in self._groups)
-
-    def group_of(self, item: T) -> BoxGroup[T]:
-        return self._group_of[id(item)]
-
-    def __contains__(self, item: T) -> bool:
-        return id(item) in self._group_of
 
     def insert(self, item: T) -> None:
         if id(item) in self._group_of:
@@ -253,18 +240,24 @@ class DynamicBoxPartition(Generic[T]):
             if group.would_remain_stabbed(box):
                 target = group
                 break
+        created = target is None
         if target is None:
             target = BoxGroup(self._box_of)
             self._groups.append(target)
         target.add(item)
         self._group_of[id(item)] = target
+        if created:
+            self._notify_group_created(target)
+        self._notify_item_added(target, item)
         self._after_update()
 
     def delete(self, item: T) -> None:
         group = self._group_of.pop(id(item))
         group.remove(item)
+        self._notify_item_removed(group, item)
         if group.size == 0:
             self._groups.remove(group)
+            self._notify_group_destroyed(group)
         self._deletions += 1
         self._after_update()
 
@@ -278,6 +271,7 @@ class DynamicBoxPartition(Generic[T]):
             self._rebuild(items)
 
     def _rebuild(self, items: List[T]) -> None:
+        self._notify_rebuild_started()
         self._groups = []
         self._group_of = {}
         for members in sweep_box_partition(items, self._box_of):
@@ -289,11 +283,8 @@ class DynamicBoxPartition(Generic[T]):
         self._tau0 = len(self._groups)
         self._deletions = 0
         self.reconstruction_count += 1
+        self._notify_rebuilt()
 
     def validate(self) -> None:
-        for group in self._groups:
-            assert group.size > 0
-            point = group.stabbing_point
-            for item in group:
-                assert self._box_of(item).contains(point)
+        super().validate()
         assert sum(g.size for g in self._groups) == len(self._group_of)

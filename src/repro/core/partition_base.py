@@ -26,10 +26,13 @@ T = TypeVar("T")
 class StabbingGroupView(Protocol[T]):
     """Structural interface of a maintained stabbing group.
 
-    Both maintainers expose groups through this shape — the sorted-
-    endpoint-array :class:`DynamicGroup` here and the treap-backed
-    ``RefinedGroup`` of the Appendix B algorithm — so listeners and the
-    SSI layer are typed against the protocol, not a concrete class.
+    Every maintainer exposes groups through this shape — the sorted-
+    endpoint-array :class:`DynamicGroup` here, the treap-backed
+    ``RefinedGroup`` of the Appendix B algorithm and the box partition's
+    ``BoxGroup`` — so listeners and the SSI layer are typed against the
+    protocol, not a concrete class.  ``common`` is the members'
+    intersection (an :class:`Interval`, or a ``Box``) and
+    ``stabbing_point`` a point inside it (a number, or a tuple).
     """
 
     @property
@@ -39,10 +42,10 @@ class StabbingGroupView(Protocol[T]):
     def items(self) -> List[T]: ...
 
     @property
-    def common(self) -> Optional[Interval]: ...
+    def common(self) -> Any: ...
 
     @property
-    def stabbing_point(self) -> float: ...
+    def stabbing_point(self) -> Any: ...
 
     def add(self, item: T) -> None: ...
 

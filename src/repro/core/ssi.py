@@ -1,29 +1,52 @@
-"""The stabbing set index (SSI) framework (Section 2.1).
+"""The stabbing set index (SSI) framework (Sections 2.1 and 2.2).
 
 An SSI derives one interval per continuous query, maintains a stabbing
 partition of those intervals, and attaches a *per-group data structure* to
 every group: "SSI is completely agnostic about the underlying data structure
-used" --- a pair of sorted endpoint sequences for band joins (Section 3.1),
-the members' endpoint columns for select-joins (Section 3.2).
+used" --- a pair of sorted endpoint sequences for band joins (Section 3.1,
+the default), the members' endpoint columns for select-joins (Section 3.2),
+an R-tree per box group.
 
-This class supplies the agnostic plumbing: it listens to a dynamic stabbing
-partition and keeps exactly one user-built structure per live group, adding
-and removing member queries as the partition evolves and rebuilding
-everything after a reconstruction stage.  The join processors iterate
-``(stabbing_point, structure)`` pairs and never touch partition internals.
+This module is the one keeper of those structures, whoever owns the groups.
+:class:`StabbingSetIndex` listens to a dynamic stabbing partition (of
+intervals or boxes), adds and removes members as the partition evolves and
+rebuilds everything after a reconstruction stage.  :class:`HotspotIndex` is
+Section 2.2's SSI on the hotspots: the same index over a
+:class:`~repro.core.hotspot_tracker.HotspotTracker`'s hotspot groups, plus
+the scattered remainder the caller indexes traditionally.  The join
+processors iterate ``(stabbing_point, structure)`` pairs and never touch
+partition or tracker internals.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
+from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.partition_base import (
+    DynamicGroup,
     DynamicStabbingPartitionBase,
     StabbingGroupView,
     T,
 )
+from repro.dstruct.endpoint_orders import EndpointOrders
 
 S = TypeVar("S")
+
+
+def _ignore(item: Any) -> None:
+    pass
+
+
+def _endpoint_orders(interval_of: Callable[[Any], Any]) -> Any:
+    """The default per-group structure: the members' two endpoint orders."""
+    return (
+        EndpointOrders,
+        lambda orders, item: orders.add(item, interval_of(item)),
+        lambda orders, item: orders.remove(item, interval_of(item)),
+    )
 
 
 class StabbingSetIndex(Generic[T, S]):
@@ -32,69 +55,87 @@ class StabbingSetIndex(Generic[T, S]):
     Parameters
     ----------
     partition:
-        The dynamic stabbing partition over the continuous queries (any of
-        :class:`~repro.core.lazy_partition.LazyStabbingPartition` or
-        :class:`~repro.core.refined_partition.RefinedStabbingPartition`).
-    make_structure:
-        Builds an empty per-group structure.
-    add_item / remove_item:
-        Maintain a structure as members join or leave its group.
+        The dynamic stabbing partition over the continuous queries (a
+        :class:`~repro.core.lazy_partition.LazyStabbingPartition`,
+        :class:`~repro.core.refined_partition.RefinedStabbingPartition` or
+        :class:`~repro.core.multidim.DynamicBoxPartition`).
+    make_structure, add_item, remove_item:
+        Build an empty per-group structure, and maintain it as members join
+        or leave its group.  Omitted, each group keeps its members'
+        :class:`~repro.dstruct.endpoint_orders.EndpointOrders` under the
+        partition's ``interval_of``.
     """
 
     def __init__(
         self,
         partition: DynamicStabbingPartitionBase[T],
         *,
-        make_structure: Callable[[], S],
-        add_item: Callable[[S, T], None],
-        remove_item: Callable[[S, T], None],
+        make_structure: Optional[Callable[[], S]] = None,
+        add_item: Optional[Callable[[S, T], None]] = None,
+        remove_item: Optional[Callable[[S, T], None]] = None,
     ):
+        self._init_structures(partition.interval_of, make_structure, add_item, remove_item)
         self._partition = partition
+        self.rebuild_count = 0
+        partition.add_listener(self)
+        self._bootstrap()
+
+    def _init_structures(
+        self,
+        interval_of: Callable[[T], Any],
+        make_structure: Optional[Callable[[], S]],
+        add_item: Optional[Callable[[S, T], None]],
+        remove_item: Optional[Callable[[S, T], None]],
+    ) -> None:
+        if make_structure is None:
+            make_structure, add_item, remove_item = _endpoint_orders(interval_of)
+        assert make_structure and add_item and remove_item
         self._make = make_structure
         self._add = add_item
         self._remove = remove_item
-        self._structures: Dict[int, S] = {}
-        self._group_refs: Dict[int, StabbingGroupView[T]] = {}
-        self._snapshot: Optional[Tuple[List[float], List[S]]] = None
-        partition.add_listener(self)
-        self.rebuild_count = 0
+        # id(group) -> (group, structure), in the order the groups arrived.
+        self._groups: Dict[int, Tuple[Any, S]] = {}
+        self._snapshot: Optional[Tuple[List[Any], List[S]]] = None
         self.snapshot_builds = 0
-        self._bootstrap()
 
     def _bootstrap(self) -> None:
-        self._structures = {}
-        self._group_refs = {}
-        self._snapshot = None
+        self._groups = {}
         for group in self._partition.groups:
-            structure = self._make()
-            for item in group:
-                self._add(structure, item)
-            self._structures[id(group)] = structure
-            self._group_refs[id(group)] = group
+            self._attach(group)
+        self._snapshot = None
+
+    def _attach(self, group: Any) -> None:
+        structure = self._make()
+        for item in group:
+            self._add(structure, item)
+        self._groups[id(group)] = (group, structure)
+        self._snapshot = None
+
+    def _detach(self, group: Any) -> None:
+        del self._groups[id(group)]
+        self._snapshot = None
 
     # -- partition listener callbacks ---------------------------------------
     #
-    # A group's stabbing point only ever changes through these callbacks
-    # (membership change, group creation/destruction, or a full rebuild), so
-    # invalidating the dense snapshot here is sufficient for it never to go
-    # stale.
+    # A group's stabbing point only ever changes through the listener
+    # callbacks (membership change, group creation/destruction, or a full
+    # rebuild), so invalidating the dense snapshot in each is sufficient for
+    # it never to go stale.
 
     def on_group_created(self, group: StabbingGroupView[T]) -> None:
-        self._structures[id(group)] = self._make()
-        self._group_refs[id(group)] = group
+        # The partition announces the group's first member separately.
+        self._groups[id(group)] = (group, self._make())
         self._snapshot = None
 
     def on_group_destroyed(self, group: StabbingGroupView[T]) -> None:
-        self._structures.pop(id(group), None)
-        self._group_refs.pop(id(group), None)
-        self._snapshot = None
+        self._detach(group)
 
     def on_item_added(self, group: StabbingGroupView[T], item: T) -> None:
-        self._add(self._structures[id(group)], item)
+        self._add(self._groups[id(group)][1], item)
         self._snapshot = None
 
     def on_item_removed(self, group: StabbingGroupView[T], item: T) -> None:
-        self._remove(self._structures[id(group)], item)
+        self._remove(self._groups[id(group)][1], item)
         self._snapshot = None
 
     def on_rebuilt(self, partition: DynamicStabbingPartitionBase[T]) -> None:
@@ -107,39 +148,40 @@ class StabbingSetIndex(Generic[T, S]):
     def partition(self) -> DynamicStabbingPartitionBase[T]:
         return self._partition
 
-    def insert(self, item: T) -> None:
-        """Insert a continuous query (delegates to the partition)."""
-        self._partition.insert(item)
+    def insert(self, *items: T) -> None:
+        """Insert continuous queries (delegates to the partition)."""
+        for item in items:
+            self._partition.insert(item)
 
-    def delete(self, item: T) -> None:
-        """Delete a continuous query (delegates to the partition)."""
-        self._partition.delete(item)
+    def delete(self, *items: T) -> None:
+        """Delete continuous queries (delegates to the partition)."""
+        for item in items:
+            self._partition.delete(item)
 
     def structure_of(self, group: Any) -> S:
-        return self._structures[id(group)]
+        return self._groups[id(group)][1]
 
-    def group_table(self) -> Tuple[List[float], List[S]]:
+    def group_table(self) -> Tuple[List[Any], List[S]]:
         """Dense snapshot of the live groups: parallel lists of stabbing
         points and per-group structures.
 
-        Built lazily and cached; every partition listener callback
-        invalidates it, so the cache is patched exactly as often as the
-        partition actually changes rather than per probe.  Callers must not
-        mutate the returned lists.
+        Built lazily and cached; every listener callback invalidates it, so
+        the cache is patched exactly as often as the groups actually change
+        rather than per probe.  Callers must not mutate the returned lists.
         """
         snapshot = self._snapshot
         if snapshot is None:
-            points: List[float] = []
+            points: List[Any] = []
             structures: List[S] = []
-            for key, group in self._group_refs.items():
+            for group, structure in self._groups.values():
                 points.append(group.stabbing_point)
-                structures.append(self._structures[key])
+                structures.append(structure)
             snapshot = (points, structures)
             self._snapshot = snapshot
             self.snapshot_builds += 1
         return snapshot
 
-    def groups(self) -> Iterator[Tuple[float, S]]:
+    def groups(self) -> Iterator[Tuple[Any, S]]:
         """Iterate (stabbing point, per-group structure) pairs.
 
         This is the loop every SSI join processor runs per incoming tuple;
@@ -149,7 +191,115 @@ class StabbingSetIndex(Generic[T, S]):
         return zip(points, structures)
 
     def group_count(self) -> int:
-        return len(self._structures)
+        return len(self._groups)
 
     def __len__(self) -> int:
         return self._partition.total_items()
+
+    def validate(self, check: Callable[[Any, S], None]) -> None:
+        """Assert the partition's invariants, one structure per live group,
+        and ``check(group, structure)`` for every group (tests, fuzz)."""
+        self._partition.validate()
+        groups = self._partition.groups
+        assert self._groups.keys() == {id(group) for group in groups}, "structures drifted"
+        for group in groups:
+            check(group, self._groups[id(group)][1])
+
+
+class HotspotIndex(StabbingSetIndex[T, S]):
+    """Per-group structures over a :class:`HotspotTracker`'s hotspot groups.
+
+    A promotion builds the group's structure, a demotion drops it, and
+    items that join or leave a hot group patch it; ``groups()``,
+    ``group_table()`` and ``structure_of()`` read as over a partition, in
+    promotion order.  :attr:`scattered` maps ``id(item)`` to each item in
+    no hot group, in the order they became scattered; ``scatter(item)`` and
+    ``gather(item)`` fire as an item enters or leaves it, so the caller can
+    keep a traditional index of the scattered items.
+
+    The tracker must be fresh.  :meth:`insert` and :meth:`delete` make one
+    tracker call each, however many items they take.
+    """
+
+    def __init__(
+        self,
+        tracker: HotspotTracker[T],
+        *,
+        make_structure: Optional[Callable[[], S]] = None,
+        add_item: Optional[Callable[[S, T], None]] = None,
+        remove_item: Optional[Callable[[S, T], None]] = None,
+        scatter: Callable[[T], None] = _ignore,
+        gather: Callable[[T], None] = _ignore,
+    ):
+        if len(tracker):
+            raise ValueError("a HotspotIndex needs a fresh tracker")
+        self._init_structures(tracker.interval_of, make_structure, add_item, remove_item)
+        self.tracker = tracker
+        self.scattered: Dict[int, T] = {}
+        self._scatter = scatter
+        self._gather = gather
+        tracker.add_listener(self)
+
+    # -- tracker listener callbacks ----------------------------------------
+
+    def on_promoted(self, group: DynamicGroup[T]) -> None:
+        self._attach(group)
+        for item in group:
+            if self.scattered.pop(id(item), None) is not None:
+                self._gather(item)
+
+    def on_demoted(self, group: DynamicGroup[T]) -> None:
+        self._detach(group)
+        for item in group:
+            self._scatter_one(item)
+
+    def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[T], T]]) -> None:
+        for group, item in added:
+            self._add(self._groups[id(group)][1], item)
+        self._snapshot = None
+
+    def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[T], T]]) -> None:
+        for group, item in removed:
+            self._remove(self._groups[id(group)][1], item)
+        self._snapshot = None
+
+    def _scatter_one(self, item: T) -> None:
+        # A new item that a demotion in its own insert call scattered
+        # keeps the place that demotion gave it.
+        if id(item) not in self.scattered:
+            self.scattered[id(item)] = item
+            self._scatter(item)
+
+    # -- updates ---------------------------------------------------------------
+
+    def insert(self, *items: T) -> None:
+        """Insert ``items`` with one tracker call; each is then hot or
+        scattered."""
+        tracker = self.tracker
+        tracker.insert(*items)
+        for item in items:
+            if not tracker.is_hotspot_item(item):
+                self._scatter_one(item)
+
+    def delete(self, *items: T) -> None:
+        """Delete ``items`` with one tracker call."""
+        for item in items:
+            if self.scattered.pop(id(item), None) is not None:
+                self._gather(item)
+        self.tracker.delete(*items)
+
+    def __len__(self) -> int:
+        return len(self.tracker)
+
+    def validate(self, check: Callable[[Any, S], None]) -> None:
+        """Assert the tracker's invariants, that :attr:`scattered` is the
+        tracker's scattered items, one structure per hot group in promotion
+        order, and ``check(group, structure)`` for each (tests, fuzz)."""
+        tracker = self.tracker
+        tracker.validate()
+        scattered = {id(item) for group in tracker.scattered.groups for item in group}
+        assert self.scattered.keys() == scattered, "scattered items drifted"
+        hot = tracker.hotspot_groups
+        assert list(self._groups) == [id(group) for group in hot], "structures drifted"
+        for group in hot:
+            check(group, self._groups[id(group)][1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Generic, List, TypeVar
+from typing import Callable, Generic, Iterable, List, TypeVar
 
 from repro.core.intervals import Interval
 
@@ -62,6 +62,22 @@ class EndpointOrders(Generic[T]):
         j = _find(self.neg_hi_keys, self.by_hi_desc, -interval.hi, item)
         del self.by_lo[i], self.lo_keys[i], self.hi_by_lo[i]
         del self.by_hi_desc[j], self.neg_hi_keys[j], self.lo_by_hi[j]
+
+    def check(self, members: Iterable[T], interval_of: Callable[[T], Interval]) -> None:
+        """Assert both orders hold exactly ``members``, each once, sorted,
+        with every key column parallel to its list."""
+        expected = {id(item) for item in members}
+        for items in (self.by_lo, self.by_hi_desc):
+            held = {id(item) for item in items} & expected
+            assert len(items) == len(expected) == len(held), "the orders hold other items"
+        by_lo = [interval_of(item) for item in self.by_lo]
+        by_hi = [interval_of(item) for item in self.by_hi_desc]
+        assert list(self.lo_keys) == sorted(self.lo_keys) == [i.lo for i in by_lo], "lo_keys drifted"
+        assert list(self.hi_by_lo) == [i.hi for i in by_lo], "hi_by_lo drifted"
+        assert list(self.neg_hi_keys) == sorted(self.neg_hi_keys) == [-i.hi for i in by_hi], (
+            "neg_hi_keys drifted"
+        )
+        assert list(self.lo_by_hi) == [i.lo for i in by_hi], "lo_by_hi drifted"
 
 
 def _find(keys: array[float], items: List[T], key: float, item: T) -> int:

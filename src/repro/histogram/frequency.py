@@ -27,11 +27,6 @@ class IntervalFrequency:
             raise ValueError("need at least one interval")
         self._los = sorted(interval.lo for interval in intervals)
         self._his = sorted(interval.hi for interval in intervals)
-        self._count = len(intervals)
-
-    @property
-    def interval_count(self) -> int:
-        return self._count
 
     @property
     def domain(self) -> Tuple[float, float]:

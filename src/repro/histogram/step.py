@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class StepFunction:
             vals.append(value)
         bounds.append(self.boundaries[-1])
         return StepFunction(tuple(bounds), tuple(vals))
-
-    @staticmethod
-    def from_lists(boundaries: Sequence[float], values: Sequence[float]) -> "StepFunction":
-        return StepFunction(tuple(boundaries), tuple(values))
 
     @staticmethod
     def sum_of(functions: Iterable["StepFunction"]) -> "StepFunction":

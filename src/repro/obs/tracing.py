@@ -20,7 +20,7 @@ Single writer, not thread-safe: a :class:`RingTracer` belongs to the one
 thread that runs the data path, like the metrics registry it sits beside.
 A reader on another thread gets a *published copy* —
 :meth:`RingTracer.export_copy`, frozen :class:`SpanRecord` s plus copied
-lane-name dicts, which ``serve`` hands to
+lane-name dict, which ``serve`` hands to
 :meth:`repro.obs.export.MetricsServer.publish` — and renders it with
 :func:`chrome_trace_of_export` on its own thread.  ``threading.get_ident()``
 still stamps each span's ``tid``: it names the trace lane.
@@ -38,7 +38,7 @@ trace id and stamps the remote id as ``parent_id`` on every span it
 records, and the worker ships its closed spans back as TELEMETRY frames.
 :meth:`RingTracer.record` merges such foreign records — each carries its
 own ``pid`` — and the Chrome export renders one lane per process via
-``M`` (``process_name``/``thread_name``) metadata events, so a single
+``M`` (``process_name``) metadata events, so a single
 trace.json shows the parent and every worker on a shared clock
 (``perf_counter_ns`` reads CLOCK_MONOTONIC, whose origin is per-host,
 not per-process, on every platform CPython supports).
@@ -206,13 +206,12 @@ class _Span:
 class TraceExport(NamedTuple):
     """Everything a Chrome trace export reads from a :class:`RingTracer`,
     copied: the retained spans oldest-first, the spans lost to ring
-    overflow, the process and thread lane names, and the trace id.  It
+    overflow, the process lane names, and the trace id.  It
     shares nothing with the tracer, so another thread may render it."""
 
     records: List[SpanRecord]
     dropped: int
     process_names: Dict[int, str]
-    thread_names: Dict[Tuple[int, int], str]
     trace_id: int
 
 
@@ -234,7 +233,6 @@ class RingTracer:
         "_remote_parent",
         "_span_seq",
         "_process_names",
-        "_thread_names",
     )
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -248,7 +246,6 @@ class RingTracer:
         self._remote_parent = 0  # cross-process parent span id
         self._span_seq = 0  # span ids allocated so far
         self._process_names: Dict[int, str] = {}
-        self._thread_names: Dict[Tuple[int, int], str] = {}
 
     def span(self, name: str, **args: Any) -> _Span:
         return _Span(self, name, args or None)
@@ -273,10 +270,6 @@ class RingTracer:
     def set_process_name(self, pid: int, name: str) -> None:
         """Label a process lane in the exported trace (``M`` metadata)."""
         self._process_names[pid] = name
-
-    def set_thread_name(self, pid: int, tid: int, name: str) -> None:
-        """Label a thread lane in the exported trace (``M`` metadata)."""
-        self._thread_names[(pid, tid)] = name
 
     def _next_span_id(self) -> int:
         """Span ids unique across cooperating processes: pid in the high
@@ -355,7 +348,6 @@ class RingTracer:
             records=self.snapshot(),
             dropped=self.dropped,
             process_names=dict(self._process_names),
-            thread_names=dict(self._thread_names),
             trace_id=self._trace_id,
         )
 
@@ -368,16 +360,15 @@ def to_chrome_trace(
     *,
     pid: int = 1,
     process_names: Optional[Dict[int, str]] = None,
-    thread_names: Optional[Dict[Tuple[int, int], str]] = None,
 ) -> Dict[str, Any]:
     """Render spans as a Chrome ``trace_event`` document.
 
     Each span becomes one "X" (complete) event; timestamps and durations
     are microseconds, rebased so the earliest span starts at 0.  Records
     with ``pid == 0`` fall back to the ``pid`` argument, so single-process
-    traces keep their historical shape.  ``process_names`` /
-    ``thread_names`` become ``M`` (metadata) events, which trace viewers
-    use to label per-process/per-thread lanes.
+    traces keep their historical shape.  Each ``process_names`` entry
+    becomes an ``M`` (metadata) event, which trace viewers use to label
+    the process's lane.
     """
     base_ns = min((record.ts_ns for record in spans), default=0)
     events: List[Dict[str, Any]] = []
@@ -388,16 +379,6 @@ def to_chrome_trace(
                 "ph": "M",
                 "pid": record_pid,
                 "tid": 0,
-                "args": {"name": name},
-            }
-        )
-    for (record_pid, tid), name in sorted((thread_names or {}).items()):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": record_pid,
-                "tid": tid,
                 "args": {"name": name},
             }
         )
@@ -430,7 +411,6 @@ def chrome_trace_of_export(export: TraceExport, *, pid: int = 1) -> Dict[str, An
         export.records,
         pid=pid,
         process_names=export.process_names,
-        thread_names=export.thread_names,
     )
     trace["otherData"] = {
         "dropped_spans": export.dropped,

@@ -20,7 +20,6 @@ from repro.operators.band_select_join import (
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
     HotspotSelectJoinProcessor,
-    TraditionalSelectJoinProcessor,
 )
 from repro.operators.multi_attribute import (
     BoxSubscription,
@@ -70,7 +69,6 @@ __all__ = [
     "ScanBoxIndex",
     "ScanRangeIndex",
     "SelectJoinStrategy",
-    "TraditionalSelectJoinProcessor",
     "brute_force_band_select_join",
     "make_band_strategies",
     "make_select_strategies",

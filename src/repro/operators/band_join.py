@@ -249,12 +249,7 @@ class BJSSI(BandJoinStrategy):
         if partition is None:
             partition = LazyStabbingPartition(epsilon=epsilon, interval_of=band_interval)
         self._ssi: StabbingSetIndex[BandJoinQuery, EndpointOrders[BandJoinQuery]] = (
-            StabbingSetIndex(
-                partition,
-                make_structure=EndpointOrders,
-                add_item=lambda st, q: st.add(q, q.band),
-                remove_item=lambda st, q: st.remove(q, q.band),
-            )
+            StabbingSetIndex(partition)
         )
 
     @property

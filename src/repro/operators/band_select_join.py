@@ -166,12 +166,7 @@ class BSJSSI(BandSelectStrategy):
         if partition is None:
             partition = LazyStabbingPartition(epsilon=epsilon, interval_of=band_of)
         self._ssi: StabbingSetIndex[BandSelectJoinQuery, EndpointOrders[BandSelectJoinQuery]] = (
-            StabbingSetIndex(
-                partition,
-                make_structure=EndpointOrders,
-                add_item=lambda g, q: g.add(q, q.band),
-                remove_item=lambda g, q: g.remove(q, q.band),
-            )
+            StabbingSetIndex(partition)
         )
 
     @property

@@ -24,12 +24,13 @@ Baselines with the same interface: :class:`IntervalTreeRangeIndex`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.partition_base import DynamicStabbingPartitionBase
-from repro.core.ssi import StabbingSetIndex
+from repro.core.ssi import HotspotIndex, StabbingSetIndex
 from repro.dstruct.endpoint_orders import EndpointOrders
 from repro.dstruct.interval_tree import IntervalTree
 
@@ -57,49 +58,45 @@ def subscription_interval(subscription: RangeSubscription) -> Interval:
 
 
 class RangeIndexBase:
-    """Interface shared by the range-subscription indexes."""
+    """The subscription registry every range and box index shares.
+
+    It holds each subscription under its qid; a subclass indexes what it
+    holds.  Unindexed, it matches by testing every subscription, which is
+    the brute-force oracle.
+    """
 
     name = "abstract"
 
     def __init__(self) -> None:
-        self._subscriptions: Dict[int, RangeSubscription] = {}
+        self._subscriptions: Dict[int, Any] = {}
 
-    def add(self, subscription: RangeSubscription) -> None:
+    def add(self, subscription: Any) -> None:
         if subscription.qid in self._subscriptions:
             raise ValueError(f"duplicate subscription id {subscription.qid}")
         self._subscriptions[subscription.qid] = subscription
         self._index(subscription)
 
-    def remove(self, subscription: RangeSubscription) -> None:
+    def remove(self, subscription: Any) -> None:
         # Unindex the held object: ``subscription`` may be a same-qid copy.
         self._unindex(self._subscriptions.pop(subscription.qid))
 
     def __len__(self) -> int:
         return len(self._subscriptions)
 
-    def match(self, x: float) -> List[RangeSubscription]:
-        raise NotImplementedError
+    def match(self, event: Any) -> List[Any]:
+        return [s for s in self._subscriptions.values() if s.matches(event)]
 
-    def _index(self, subscription: RangeSubscription) -> None:
-        raise NotImplementedError
+    def _index(self, subscription: Any) -> None:
+        pass
 
-    def _unindex(self, subscription: RangeSubscription) -> None:
-        raise NotImplementedError
+    def _unindex(self, subscription: Any) -> None:
+        pass
 
 
 class ScanRangeIndex(RangeIndexBase):
     """Brute-force oracle: test every subscription."""
 
     name = "SCAN"
-
-    def _index(self, subscription: RangeSubscription) -> None:
-        pass
-
-    def _unindex(self, subscription: RangeSubscription) -> None:
-        pass
-
-    def match(self, x: float) -> List[RangeSubscription]:
-        return [s for s in self._subscriptions.values() if s.matches(x)]
 
 
 class IntervalTreeRangeIndex(RangeIndexBase):
@@ -143,12 +140,7 @@ class SSIRangeIndex(RangeIndexBase):
                 epsilon=epsilon, interval_of=subscription_interval
             )
         self._ssi: StabbingSetIndex[RangeSubscription, EndpointOrders[RangeSubscription]] = (
-            StabbingSetIndex(
-                partition,
-                make_structure=EndpointOrders,
-                add_item=lambda g, s: g.add(s, s.range),
-                remove_item=lambda g, s: g.remove(s, s.range),
-            )
+            StabbingSetIndex(partition)
         )
 
     @property
@@ -163,24 +155,23 @@ class SSIRangeIndex(RangeIndexBase):
 
     def match(self, x: float) -> List[RangeSubscription]:
         out: List[RangeSubscription] = []
+        structure_of = self._ssi.structure_of
         for group in self._ssi.partition.groups:
-            common = group.common
-            structure = self._ssi.structure_of(group)
-            _match_group(structure, common, x, out)
+            _match_group(structure_of(group), x, out)
         return out
 
 
 def _match_group(
-    structure: EndpointOrders[RangeSubscription],
-    common: Interval,
-    x: float,
-    out: List[RangeSubscription],
+    structure: EndpointOrders[RangeSubscription], x: float, out: List[RangeSubscription]
 ) -> None:
-    """The per-group decision shared by the SSI and hotspot range indexes."""
-    if common.lo <= x <= common.hi:
+    """The per-group decision shared by the SSI and hotspot range indexes.
+    The members' common intersection is [largest lo, smallest hi], read
+    at the tail of each order."""
+    common_lo = structure.lo_keys[-1]
+    if common_lo <= x <= -structure.neg_hi_keys[-1]:
         # x stabs the common intersection: every member matches.
         out.extend(structure.by_lo)
-    elif x < common.lo:
+    elif x < common_lo:
         # Members reach x iff they start at or before it.
         for subscription in structure.by_lo:
             if subscription.range.lo > x:
@@ -206,71 +197,34 @@ class HotspotRangeIndex(RangeIndexBase):
 
     def __init__(self, *, alpha: float = 0.01, epsilon: float = 1.0):
         super().__init__()
-        from repro.core.hotspot_tracker import HotspotTracker
-
-        self._tracker: "HotspotTracker[RangeSubscription]" = HotspotTracker(
-            alpha=alpha, epsilon=epsilon, interval_of=subscription_interval
-        )
-        self._tracker.add_listener(self)
-        self._hot_structures: Dict[int, EndpointOrders[RangeSubscription]] = {}
-        self._scattered: Dict[int, RangeSubscription] = {}
         self._scattered_tree: IntervalTree[RangeSubscription] = IntervalTree()
-
-    # -- tracker listener callbacks -------------------------------------
-
-    def on_promoted(self, group) -> None:
-        structure: EndpointOrders[RangeSubscription] = EndpointOrders()
-        for subscription in group:
-            structure.add(subscription, subscription.range)
-            if id(subscription) in self._scattered:
-                del self._scattered[id(subscription)]
-                self._scattered_tree.remove(subscription.range, subscription)
-        self._hot_structures[id(group)] = structure
-
-    def on_demoted(self, group) -> None:
-        del self._hot_structures[id(group)]
-        for subscription in group:
-            self._add_scattered(subscription)
-
-    def on_hot_items_added(self, added) -> None:
-        for group, subscription in added:
-            self._hot_structures[id(group)].add(subscription, subscription.range)
-
-    def on_hot_items_removed(self, removed) -> None:
-        for group, subscription in removed:
-            self._hot_structures[id(group)].remove(subscription, subscription.range)
-
-    def _add_scattered(self, subscription: RangeSubscription) -> None:
-        if id(subscription) not in self._scattered:
-            self._scattered[id(subscription)] = subscription
-            self._scattered_tree.insert(subscription.range, subscription)
-
-    # -- index interface --------------------------------------------------
+        self._hot: HotspotIndex[RangeSubscription, EndpointOrders[RangeSubscription]]
+        self._hot = HotspotIndex(
+            HotspotTracker(alpha=alpha, epsilon=epsilon, interval_of=subscription_interval),
+            scatter=lambda s: self._scattered_tree.insert(s.range, s),
+            gather=lambda s: self._scattered_tree.remove(s.range, s),
+        )
 
     def _index(self, subscription: RangeSubscription) -> None:
-        self._tracker.insert(subscription)
-        if not self._tracker.is_hotspot_item(subscription):
-            self._add_scattered(subscription)
+        self._hot.insert(subscription)
 
     def _unindex(self, subscription: RangeSubscription) -> None:
-        if id(subscription) in self._scattered:
-            del self._scattered[id(subscription)]
-            self._scattered_tree.remove(subscription.range, subscription)
-        self._tracker.delete(subscription)
+        self._hot.delete(subscription)
 
     @property
     def hotspot_coverage(self) -> float:
-        return self._tracker.hotspot_coverage
+        return self._hot.tracker.hotspot_coverage
 
     def match(self, x: float) -> List[RangeSubscription]:
         out: List[RangeSubscription] = []
-        for group in self._tracker.hotspot_groups:
-            _match_group(self._hot_structures[id(group)], group.common, x, out)
+        for structure in self._hot.group_table()[1]:
+            _match_group(structure, x, out)
         out.extend(s for __, s in self._scattered_tree.iter_stab(x))
         return out
 
     def validate(self) -> None:
-        self._tracker.validate()
-        hot = {id(s) for g in self._tracker.hotspot_groups for s in g}
-        assert hot.isdisjoint(self._scattered.keys())
-        assert len(hot) + len(self._scattered) == len(self._subscriptions)
+        self._hot.validate(lambda group, orders: orders.check(group, subscription_interval))
+        assert len(self._hot) == len(self._subscriptions)
+        held = {id(s): interval for interval, s in self._scattered_tree}
+        assert len(self._scattered_tree) == len(held) and held.keys() == self._hot.scattered.keys()
+        assert all(held[key] == s.range for key, s in self._hot.scattered.items())

@@ -321,9 +321,7 @@ class SJSSI(SelectJoinStrategy):
             (self._ssi_a, range_c_interval, range_a_interval),
         ):
             if ssi is not None:
-                ssi.partition.validate()
-                for group in ssi.partition.groups:
-                    ssi.structure_of(group).check(group, sel_of, rng_of)
+                ssi.validate(lambda group, columns: columns.check(group, sel_of, rng_of))
 
 
 def _columns_ssi(

@@ -304,8 +304,8 @@ class TestBandSymmetricProbe:
         rng = random.Random(31)
         table_s, table_r = integer_tables(rng)
         processor = band_population(table_s, table_r, hot=hot, scattered=scattered)
-        assert bool(processor._hot_indexes) == bool(hot)
-        assert len(processor._scattered) == scattered
+        assert bool(processor._hot.group_count()) == bool(hot)
+        assert len(processor._hot.scattered) == scattered
         rs, ss = self.arrivals(rng, table_s, table_r)
         assert_band_runs_match(processor, rs, ss)
         for size in BATCH_SIZES:
@@ -317,14 +317,14 @@ class TestBandSymmetricProbe:
         processor = band_population(table_s, table_r, hot=0, scattered=30, alpha=0.2)
         rs, ss = self.arrivals(rng, table_s, table_r)
         cluster = [BandJoinQuery(Interval(-2.0 - k, 1.0 + k)) for k in range(12)]
-        assert not processor._hot_indexes
+        assert not processor._hot.group_count()
         for query in cluster:
             processor.add_query(query)
-        assert processor._hot_indexes, "the nested bands should have been promoted"
+        assert processor._hot.group_count(), "the nested bands should have been promoted"
         assert_band_runs_match(processor, rs, ss)
         for query in cluster[:10]:
             processor.remove_query(query)
-        assert not processor._hot_indexes, "the shrunken group should have been demoted"
+        assert not processor._hot.group_count(), "the shrunken group should have been demoted"
         assert_band_runs_match(processor, rs, ss)
 
     def test_empty_tables(self, kernel):
@@ -363,7 +363,7 @@ class TestBandSymmetricProbe:
             processor.add_query(BandJoinQuery(Interval(-0.5 + k / 100, 0.5)))
         for k in range(0 if hot else 4):  # far-off company: every group stays under alpha * n
             processor.add_query(BandJoinQuery(Interval(100.0 + 10 * k, 101.0 + 10 * k)))
-        assert bool(processor._hot_indexes) == bool(hot)
+        assert bool(processor._hot.group_count()) == bool(hot)
         s = table_s.new_row(10.0, 0.0)
         assert processor.process_s(s) == {band: [inside_hi, inside_lo]}
         assert processor.process_s_batch([s, s]) == [{band: [inside_hi, inside_lo]}] * 2
@@ -378,7 +378,7 @@ def hot_and_scattered(table_s, table_r, *, alpha=0.1, hot=12, scattered=12):
         processor.add_query(SelectJoinQuery(Interval(20, 50 + k), Interval(40 - k, 60 + k)))
     for k in range(scattered):
         processor.add_query(SelectJoinQuery(Interval(20 - k, 50), Interval(100 + 10 * k, 105 + 10 * k)))
-    assert processor.tracker.hotspot_groups and processor._scattered, "want both probe paths live"
+    assert processor.tracker.hotspot_groups and processor._hot.scattered, "want both probe paths live"
     return processor
 
 
@@ -587,7 +587,7 @@ class TestSelectColumnProbe:
             table_r.add(30.0, 1.0)
         processor = hot_and_scattered(table_s, table_r)
         (group,) = processor.tracker.hotspot_groups
-        columns = processor._hot_columns[id(group)]
+        columns = processor._hot.structure_of(group)
         rs = [table_r.new_row(30, 1.0)]
         ss = [table_s.new_row(1.0, 50.0)]
         narrow, *__, wide, widest = columns.queries  # rangeC [40, 60] ... [30, 70], [29, 71]
@@ -625,7 +625,7 @@ class TestSelectColumnProbe:
         limit = kernel_mod.MIN_VECTOR
         processor = hot_and_scattered(table_s, table_r, hot=limit - 2, scattered=20)
         (group,) = processor.tracker.hotspot_groups
-        columns = processor._hot_columns[id(group)]
+        columns = processor._hot.structure_of(group)
         extra = []
         for target in (limit - 1, limit, limit + 3, limit - 1, limit - 2, limit + 1):
             while len(columns) < target:
@@ -692,7 +692,7 @@ class TestSelectColumnProbe:
             pure_ssi.add_query(query)
             hotspot.add_query(query)
         assert len(hotspot.tracker.hotspot_groups) == 3
-        assert sorted(map(len, hotspot._hot_columns.values())) == sorted(sizes)
+        assert sorted(map(len, hotspot._hot.group_table()[1])) == sorted(sizes)
         joining = [seconds[b] for b in keys if b in seconds]
         runs = [
             (hotspot.process_r_batch, hotspot.process_r, rs,
@@ -736,8 +736,8 @@ class TestSelectColumnProbe:
         crowd = [SelectJoinQuery(Interval(0, 90), Interval(300 + 10 * k, 305 + 10 * k)) for k in range(60)]
         for query in crowd:
             processor.add_query(query)
-        assert not processor._hot_columns and tracker.moves_into_scattered == 6
-        assert all(id(q) in processor._scattered for q in cluster)
+        assert not processor._hot.group_count() and tracker.moves_into_scattered == 6
+        assert all(id(q) in processor._hot.scattered for q in cluster)
         assert_runs_match(processor, rs, ss)
         assert processor.process_r_batch(rs) == hot_deltas
         # ... and back over alpha n once the crowd has left.
@@ -745,7 +745,7 @@ class TestSelectColumnProbe:
             processor.remove_query(query)
         assert tracker.moves_out_of_scattered == promoted + 6
         (group,) = tracker.hotspot_groups
-        assert sorted(map(id, processor._hot_columns[id(group)].queries)) == sorted(map(id, cluster))
+        assert sorted(map(id, processor._hot.structure_of(group).queries)) == sorted(map(id, cluster))
         assert_runs_match(processor, rs, ss)
         assert processor.process_r_batch(rs) == hot_deltas
 
@@ -759,7 +759,7 @@ class TestSelectColumnProbe:
         def check():
             ids = lambda queries: sorted(id(q) for q in queries)
             assert ids(processor._columns_s.queries) == ids(processor._queries.values())
-            assert ids(processor._columns_r.queries) == ids(processor._scattered.values())
+            assert ids(processor._columns_r.queries) == ids(processor._hot.scattered.values())
             assert_runs_match(processor, rs, ss)
 
         live = []

@@ -17,8 +17,8 @@ from repro.operators.band_join import BJQOuter
 from repro.operators.hotspot_processor import (
     HotspotBandJoinProcessor,
     HotspotSelectJoinProcessor,
-    TraditionalSelectJoinProcessor,
 )
+from repro.operators.select_join import SJSelectFirst
 
 
 def norm(results):
@@ -74,7 +74,7 @@ class TestHotspotSelectJoin:
 
     def test_matches_traditional_baseline(self):
         rng, table_s, table_r, processor, queries = self.make(seed=302)
-        baseline = TraditionalSelectJoinProcessor(table_s, table_r)
+        baseline = SJSelectFirst(table_s, table_r)
         for query in queries:
             baseline.add_query(query)
         for __ in range(10):
@@ -212,13 +212,13 @@ class TestHotspotBandJoinSSide:
     )
     def test_matches_scan_and_bj_qouter(self, clustered):
         rng, table_s, table_r, processor, reference = self.make(411, clustered=clustered)
-        assert bool(processor._hot_indexes) == (clustered > 0)
-        assert bool(processor._scattered) == (clustered < 1)
+        assert bool(processor._hot.group_count()) == (clustered > 0)
+        assert bool(processor._hot.scattered) == (clustered < 1)
         self.check(rng, table_s, table_r, processor, reference)
 
     def test_empty_r_table(self):
         rng, table_s, table_r, processor, reference = self.make(412, clustered=0.7, n_r=0)
-        assert processor._hot_indexes and processor._scattered
+        assert processor._hot.group_count() and processor._hot.scattered
         s = table_s.new_row(50.0, 0.0)
         assert processor.process_s(s) == {} == reference.process_s(s)
         assert processor.process_s_batch([s, s]) == [{}, {}]
@@ -227,17 +227,17 @@ class TestHotspotBandJoinSSide:
         rng, table_s, table_r, processor, reference = self.make(
             413, clustered=0.0, alpha=0.2, n_queries=30
         )
-        assert not processor._hot_indexes
+        assert not processor._hot.group_count()
         cluster = [BandJoinQuery(Interval(-2.0 - k, 1.0 + k)) for k in range(12)]
         for query in cluster:
             processor.add_query(query)
             reference.add_query(query)
-        assert processor._hot_indexes
+        assert processor._hot.group_count()
         self.check(rng, table_s, table_r, processor, reference)
         for query in cluster[:10]:
             processor.remove_query(query)
             reference.remove_query(query)
-        assert not processor._hot_indexes
+        assert not processor._hot.group_count()
         self.check(rng, table_s, table_r, processor, reference)
 
 
@@ -316,7 +316,7 @@ class TestBulkSubscriptionChanges:
 class TestLazyScatteredTree:
     """``HotspotSelectJoinProcessor._scattered_a`` serves only the per-event
     ``process_r``: the batch path never builds it, the first ``process_r``
-    does, and from then on it follows ``_scattered``."""
+    does, and from then on it follows ``_hot.scattered``."""
 
     def test_built_on_first_process_r_then_kept(self):
         rng, table_s, table_r, processor, queries = TestHotspotSelectJoin().make(seed=307)
@@ -360,7 +360,7 @@ class TestLazyScatteredTree:
             results = pipeline.run(events)
             selects = [shard.select for shard in pipeline.shard_group.shards]
         assert any(deltas for __, __, deltas in results)
-        assert any(select._scattered for select in selects)
+        assert any(select._hot.scattered for select in selects)
         assert all(select._scattered_a is None for select in selects)
 
     def test_system_answers_alike_whenever_the_tree_is_built(self):
@@ -402,6 +402,6 @@ class TestLazyScatteredTree:
             r = RTuple(10_000 + rid, rng.uniform(0, 100), float(rng.randrange(12)))
             assert early.insert_r_row(r) == late.insert_r_row(r)
         assert late._select._scattered_a is not None
-        assert early._select._scattered
+        assert early._select._hot.scattered
         early._select.validate()
         late._select.validate()

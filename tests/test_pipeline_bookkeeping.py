@@ -26,14 +26,11 @@ import pytest
 
 from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
+from repro.core.ssi import HotspotIndex
 from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
-from repro.operators.hotspot_processor import (
-    HotspotBandJoinProcessor,
-    HotspotSelectJoinProcessor,
-)
 from repro.runtime.metrics import Counter, Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup
@@ -346,16 +343,16 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
     monkeypatch.setattr(
         Counter, "inc", lambda self, n=1: (incs.append(id(self)), original_inc(self, n))[1]
     )
-    # The items each processor wrote into, or struck from, its hot columns.
+    # The items each processor's hotspot index wrote into, or struck from,
+    # its hot structures.
     entered, left = Tally(), Tally()
-    for cls in (HotspotBandJoinProcessor, HotspotSelectJoinProcessor):
-        for name, tally in (("on_hot_items_added", entered), ("on_hot_items_removed", left)):
+    for name, tally in (("on_hot_items_added", entered), ("on_hot_items_removed", left)):
 
-            def columns_write(self, pairs, _original=getattr(cls, name), _tally=tally):
-                _tally[id(self)] += len(pairs)
-                return _original(self, pairs)
+        def columns_write(self, pairs, _original=getattr(HotspotIndex, name), _tally=tally):
+            _tally[id(self)] += len(pairs)
+            return _original(self, pairs)
 
-            monkeypatch.setattr(cls, name, columns_write)
+        monkeypatch.setattr(HotspotIndex, name, columns_write)
     per_call = []  # the most increments any hot-item counter took in one call
     for name in ("insert", "delete"):
 
@@ -377,7 +374,7 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
     assert len(per_call) > 100 and max(per_call) == 1
     assert sum(entered.values()) > 100 and sum(left.values()) > 100
     for index in (0, 1):
-        shard = [id(p) for (i, __), p in planes.items() if i == index]
+        shard = [id(p._hot) for (i, __), p in planes.items() if i == index]
         prefix = f"shard/{index}/runtime/hotspot_items"
         assert counters[f"{prefix}_added"] == sum(entered[p] for p in shard)
         assert counters[f"{prefix}_removed"] == sum(left[p] for p in shard)
