@@ -94,6 +94,14 @@ def _gauge(metrics: Dict[str, Any], name: str) -> Optional[float]:
     return None if value is None else float(value)
 
 
+def _headroom(metrics: Dict[str, Any], plane: str) -> Optional[float]:
+    """A plane's I2 headroom; ``None`` for a plane that holds no query
+    (no group), whose 2/alpha budget says nothing."""
+    if _gauge(metrics, f"{plane}/groups") == 0:
+        return None
+    return _gauge(metrics, f"{plane}/headroom")
+
+
 def _histogram(metrics: Dict[str, Any], name: str) -> Optional[Dict[str, Any]]:
     hist = metrics.get("histograms", {}).get(name)
     return hist if hist and int(hist.get("count", 0)) > 0 else None
@@ -233,8 +241,8 @@ def render_dashboard(
                 if ring_rq is not None and ring_rs is not None
                 else "-"
             )
-            band = _gauge(metrics, f"obs/shard/{index}/band/headroom")
-            select = _gauge(metrics, f"obs/shard/{index}/select/headroom")
+            band = _headroom(metrics, f"obs/shard/{index}/band")
+            select = _headroom(metrics, f"obs/shard/{index}/select")
             headroom_cell = (
                 f"{_fmt(band)}/{_fmt(select)}"
                 if band is not None or select is not None

@@ -20,7 +20,9 @@ it stacks the runtime layers on top of them:
    list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
    shards through the batch on the caller's thread, over one shared table
    set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic and
-   zero overhead.
+   zero overhead.  Inline, every band query lives on shard 0: a band
+   plane probes the full tables whatever its share of the bands, so there
+   is one per process.
    ``mode="process-shm"`` applies shard 0 — a group of one — in this
    process and pins each of shards 1…K−1 to a persistent worker process
    behind a pair of shared-memory rings (:mod:`repro.runtime.transport`)
@@ -367,7 +369,10 @@ class EventPipeline:
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.router = ShardRouter(num_shards)
+        # The band plane probes the full tables whatever its share of the
+        # bands, so it is split over the processes: one inline, on shard 0.
+        band_partitions = 1 if mode == "inline" else num_shards
+        self.router = ShardRouter(num_shards, band_partitions=band_partitions)
         self.batch_size = batch_size
         self.mode = mode
         self.alpha = alpha
@@ -407,7 +412,8 @@ class EventPipeline:
             tracer.set_process_name(tracer.pid, "pipeline (parent)")
         self._group = ShardGroup(
             range(num_shards) if mode == "inline" else [0],
-            alpha=per_shard_alpha, epsilon=epsilon, metrics=self.metrics, tracer=tracer,
+            alpha=per_shard_alpha, band_alpha=scaled_alpha(alpha, band_partitions),
+            epsilon=epsilon, metrics=self.metrics, tracer=tracer,
         )
         self._round = 0
         self._workers: Optional[_ShmWorkers] = None

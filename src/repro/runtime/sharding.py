@@ -24,12 +24,17 @@ different attributes:
   the unsharded delta.
 
 * **band plane** — :class:`~repro.engine.queries.BandJoinQuery`
-  subscriptions are routed by band midpoint over the *difference* domain
-  (``S.B - R.B``) to exactly one shard.  A band match depends on the
+  subscriptions live on exactly one shard.  A band match depends on the
   difference of two join keys, so no single-attribute partition of the
-  base tables can localize it: every data event reaches every shard, and
-  each shard probes the full shared tables for its slice of the bands
-  (with its own hotspot tracker).
+  base tables can localize it: a band plane probes the full shared tables
+  for every data event, and splitting the bands among the shards of one
+  process leaves the groups probed per event (τ) unchanged and multiplies
+  only the fixed cost of a kernel call.  So the band plane is split over
+  the *processes*, not the shards: the router cuts the difference domain
+  (``S.B - R.B``) into ``band_partitions`` slices by band midpoint — one
+  inline, where shard 0 holds every band query, and K under
+  ``process-shm``, one per process.  A shard whose band plane holds no
+  query skips it (:meth:`Shard.apply_batch`).
 
 A batch has **one view**: every data event reaches every shard, so routing
 an event is one integer — :meth:`ShardRouter.route_event` names the
@@ -95,17 +100,20 @@ ResultCallback = Callable[[Any, Any, List[Any]], None]
 
 
 def scaled_alpha(alpha: Optional[float], num_shards: int) -> Optional[float]:
-    """Per-shard hotspot threshold keeping the *absolute* promotion bar
-    constant across the fleet.
+    """Per-shard hotspot threshold of a plane split ``num_shards`` ways,
+    keeping the *absolute* promotion bar constant across the fleet.
 
-    Each shard's :class:`~repro.core.hotspot_tracker.HotspotTracker`
+    Each shard plane's :class:`~repro.core.hotspot_tracker.HotspotTracker`
     promotes a stabbing group once it holds ``alpha * n_shard`` items.  With
     queries split ``K`` ways, an unscaled alpha would drop the absolute bar
     by ``K`` and promote up to ``K * 2/alpha`` groups fleet-wide — and every
     broadcast R-arrival would pay a group probe for each of them, erasing
     the sharding win.  Scaling to ``alpha * K`` (capped at 1) restores the
     unsharded bar ``alpha * n_total``, so the fleet-wide group count (and
-    hence broadcast probe cost) matches the unsharded processor's.
+    hence broadcast probe cost) matches the unsharded processor's.  The
+    select plane is split over the K shards; the band plane over its
+    :attr:`ShardRouter.band_partitions` — inline one, so its one plane
+    promotes at ``alpha`` itself.
     """
     if alpha is None:
         return None
@@ -128,23 +136,31 @@ class ShardRouter:
 
     The value domain ``[domain_lo, domain_hi]`` is split into ``num_shards``
     contiguous ranges for the select plane; the difference domain
-    ``[-(width), +width]`` is split likewise for the band plane.  Routing
-    clamps out-of-domain coordinates into the edge shards, which affects
-    load balance only, never correctness.
+    ``[-(width), +width]`` is split likewise into ``band_partitions``
+    ranges for the band plane, on shards ``0 … band_partitions − 1``
+    (default: all ``num_shards``; the inline pipeline passes 1, so shard
+    0 holds every band).  Routing clamps out-of-domain coordinates into
+    the edge shards, which affects load balance only, never correctness.
     """
 
     def __init__(
         self,
         num_shards: int,
         *,
+        band_partitions: Optional[int] = None,
         domain_lo: float = DOMAIN_LO,
         domain_hi: float = DOMAIN_HI,
     ):
+        if band_partitions is None:
+            band_partitions = num_shards
         if num_shards < 1:
             raise ValueError("need at least one shard")
+        if not 1 <= band_partitions <= num_shards:
+            raise ValueError("band_partitions must lie in [1, num_shards]")
         if domain_lo >= domain_hi:
             raise ValueError("domain_lo must be < domain_hi")
         self.num_shards = num_shards
+        self.band_partitions = band_partitions
         self.domain_lo = domain_lo
         self.domain_hi = domain_hi
         width = domain_hi - domain_lo
@@ -152,7 +168,7 @@ class ShardRouter:
             domain_lo + width * i / num_shards for i in range(1, num_shards)
         ]
         self._band_bounds = [
-            -width + 2 * width * i / num_shards for i in range(1, num_shards)
+            -width + 2 * width * i / band_partitions for i in range(1, band_partitions)
         ]
         # Rebalancing stats: query placements and event routing per shard.
         self.select_queries_per_shard = [0] * num_shards
@@ -169,7 +185,7 @@ class ShardRouter:
     def band_ranges(self) -> List[ShardRange]:
         width = self.domain_hi - self.domain_lo
         bounds = [-width, *self._band_bounds, width]
-        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.num_shards)]
+        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.band_partitions)]
 
     # -- query routing -------------------------------------------------------
 
@@ -186,8 +202,9 @@ class ShardRouter:
 
         Select-joins go to every shard their ``rangeC`` overlaps (their
         partial results partition along the S-row C-partition); band joins
-        go to the single shard containing their band midpoint (every shard
-        probes the full tables, so multi-registration would duplicate deltas).
+        go to the single band partition containing their band midpoint
+        (every shard probes the full tables, so multi-registration would
+        duplicate deltas) — shard 0 when there is one partition.
         """
         if isinstance(query, SelectJoinQuery):
             lo = self.shard_for_value(query.range_c.lo)
@@ -240,17 +257,22 @@ class ShardRouter:
         return max(loads) / (total / len(loads))
 
     def stats(self) -> Dict[str, object]:
-        """Load distribution snapshot; ``*_imbalance`` is max-shard load over
-        mean-shard load (1.0 = perfectly balanced), the signal a rebalancer
-        would act on by re-splitting the domain."""
+        """Load distribution snapshot; ``*_imbalance`` is max-partition
+        load over mean-partition load (1.0 = perfectly balanced), the
+        signal a rebalancer would act on by re-splitting the domain.  The
+        band plane's partitions are its ``band_partitions`` shards, so an
+        inline band plane — all of it on shard 0 — reads 1.0."""
         return {
             "num_shards": self.num_shards,
+            "band_partitions": self.band_partitions,
             "select_queries_per_shard": list(self.select_queries_per_shard),
             "band_queries_per_shard": list(self.band_queries_per_shard),
             "events_per_shard": self.events_per_shard,
             "select_probes_per_shard": list(self.select_probes_per_shard),
             "select_query_imbalance": self._imbalance(self.select_queries_per_shard),
-            "band_query_imbalance": self._imbalance(self.band_queries_per_shard),
+            "band_query_imbalance": self._imbalance(
+                self.band_queries_per_shard[: self.band_partitions]
+            ),
             "select_probe_imbalance": self._imbalance(self.select_probes_per_shard),
         }
 
@@ -260,7 +282,8 @@ class Shard:
     writes.
 
     Holds a band-join and a select-join processor (each with its own
-    tracker when ``alpha`` is set).  ``table_r`` and ``table_s_band`` are
+    tracker when ``alpha`` is set; the band plane's promotes at
+    ``band_alpha``, ``alpha`` when not given).  ``table_r`` and ``table_s_band`` are
     the process's shared relations — the :class:`ShardGroup` that built
     this shard is their one writer; ``table_s_select`` is the shard's own
     C-slice of S, which only its select processor reads and which the
@@ -275,6 +298,7 @@ class Shard:
         table_s_band: TableS,
         *,
         alpha: Optional[float] = 0.01,
+        band_alpha: Optional[float] = None,
         epsilon: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Tracer = NULL_TRACER,
@@ -292,7 +316,8 @@ class Shard:
             self.select = SJSSI(self.table_s_select, self.table_r, epsilon=epsilon)
         else:
             self.band = HotspotBandJoinProcessor(
-                self.table_s_band, self.table_r, alpha=alpha, epsilon=epsilon
+                self.table_s_band, self.table_r,
+                alpha=alpha if band_alpha is None else band_alpha, epsilon=epsilon,
             )
             self.select = HotspotSelectJoinProcessor(
                 self.table_s_select, self.table_r, alpha=alpha, epsilon=epsilon
@@ -345,7 +370,7 @@ class Shard:
 
     def apply_batch(
         self, entries: Sequence[ShardEntry], rows: Sequence[Any]
-    ) -> Tuple[List[Delta], List[Delta], Optional[List[int]]]:
+    ) -> Tuple[Optional[List[Delta]], Optional[List[Delta]], Optional[List[int]]]:
         """This shard's probe of one relation's INSERT entries
         ``(seq, event, owner)`` of a batch — ``rows`` are their rows,
         extracted once by the group for all shards — through the
@@ -357,7 +382,8 @@ class Shard:
         of the rows this shard owns (rows of its C-slice), the only rows
         its select plane probes and so the ones the select part answers,
         in order — ``None`` for an R run, whose select part is one delta
-        per entry too.
+        per entry too.  A plane that holds no query is not probed, and
+        its part is ``None``.
 
         The run is probed against **one** table state, the batch's
         superset state (every insertion of the batch installed, no
@@ -365,14 +391,24 @@ class Shard:
         sees under per-event application, in that order, plus the rows
         :meth:`ShardGroup.apply_batch` then strikes.
         """
+        band_live = self.band.query_count > 0
+        select_live = self.select.query_count > 0
+        if not (band_live or select_live):
+            return None, None, None
         relation = entries[0][1].relation
         index = self.index
         with self.tracer.span(
             "fastpath.run", shard=index, relation=relation, rows=len(rows)
         ):
             if relation == "R":
-                return self.band.process_r_batch(rows), self.select.process_r_batch(rows), None
-            band = self.band.process_s_batch(rows)
+                return (
+                    self.band.process_r_batch(rows) if band_live else None,
+                    self.select.process_r_batch(rows) if select_live else None,
+                    None,
+                )
+            band = self.band.process_s_batch(rows) if band_live else None
+            if not select_live:
+                return band, None, None
             owned = [k for k, entry in enumerate(entries) if entry[2] == index]
             select = self.select.process_s_batch([rows[k] for k in owned]) if owned else []
             return band, select, owned
@@ -608,7 +644,9 @@ class ShardGroup:
     the same ``table_r``/``table_s`` and this class is their only writer,
     and the only writer of the shards' C-slices.  ``mode="inline"`` builds
     one group over all K shards; a ``process-shm`` worker builds the same
-    group over its one shard.
+    group over its one shard.  ``alpha`` is the shards' select-plane
+    threshold and ``band_alpha`` (``alpha`` when not given) their band
+    plane's (:func:`scaled_alpha`).
     """
 
     def __init__(
@@ -616,6 +654,7 @@ class ShardGroup:
         indices: Sequence[int],
         *,
         alpha: Optional[float] = 0.01,
+        band_alpha: Optional[float] = None,
         epsilon: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Tracer = NULL_TRACER,
@@ -624,8 +663,8 @@ class ShardGroup:
         self.table_r = TableR()
         self.table_s = TableS()  # the band plane reads col_b alone
         self.shards = [
-            Shard(index, self.table_r, self.table_s, alpha=alpha, epsilon=epsilon,
-                  metrics=metrics, tracer=tracer)
+            Shard(index, self.table_r, self.table_s, alpha=alpha, band_alpha=band_alpha,
+                  epsilon=epsilon, metrics=metrics, tracer=tracer)
             for index in indices
         ]
         self._by_index = {shard.index: shard for shard in self.shards}
@@ -662,7 +701,9 @@ class ShardGroup:
            holds a superset of the rows and of the subscriptions any event
            of the batch may see;
         2. **probe**: each shard answers all R insertions as one run and
-           all S insertions as another (:meth:`Shard.apply_batch`);
+           all S insertions as another (:meth:`Shard.apply_batch`), each
+           with the planes that hold a query — a plane that holds none is
+           neither probed nor struck, and yields no delta;
         3. **strike**, each plane's part of a delta on its own before the
            two are merged: first every query whose liveness interval
            ``(subscribe position, unsubscribe position)`` does not contain
@@ -764,29 +805,37 @@ class ShardGroup:
                 rows_struck = queries_struck = 0
                 for side, other in runs:
                     band, select, owned = shard.apply_batch(side.entries, side.rows)
-                    positions = side.positions
-                    if owned is None:
-                        select_rows, select_positions, select_band = side.rows, positions, band
-                    else:
-                        select_rows = [side.rows[i] for i in owned]
-                        select_positions = [positions[i] for i in owned]
-                        select_band = [band[i] for i in owned]
-                    if changes is not None:
-                        queries_struck += changes.strike(band, positions)
-                        queries_struck += changes.strike(select, select_positions)
-                    if other.visible:
-                        if any(band):
+                    run_entries, positions = side.entries, side.positions
+                    if band is not None:
+                        if changes is not None:
+                            queries_struck += changes.strike(band, positions)
+                        if other.visible and any(band):
                             rows_struck += _strike_band(band, positions, other)
-                        if any(select):
+                        answered.extend(zip(map(_SEQ, run_entries), band))
+                    if select is not None:
+                        if owned is None:
+                            select_rows, select_positions = side.rows, positions
+                        else:
+                            select_rows = [side.rows[i] for i in owned]
+                            select_positions = [positions[i] for i in owned]
+                        if changes is not None:
+                            queries_struck += changes.strike(select, select_positions)
+                        if other.visible and any(select):
                             rows_struck += _strike_select(
                                 select, select_rows, select_positions, other
                             )
-                    # Both planes answer with a fresh dict per row and a
-                    # query lives on one plane: the select part folds into
-                    # the band's.
-                    for deltas, part in zip(select_band, select):
-                        deltas.update(part)
-                    answered.extend(zip(map(_SEQ, side.entries), band))
+                        if band is None:
+                            select_entries = (
+                                run_entries if owned is None else [run_entries[i] for i in owned]
+                            )
+                            answered.extend(zip(map(_SEQ, select_entries), select))
+                        else:
+                            # Both planes answer with a fresh dict per row
+                            # and a query lives on one plane: the select
+                            # part folds into the band's.
+                            select_band = band if owned is None else [band[i] for i in owned]
+                            for deltas, part in zip(select_band, select):
+                                deltas.update(part)
                 if len(runs) == 2:
                     answered.sort(key=_SEQ)  # back to stream order
                 results[k].extend(answered)

@@ -1064,7 +1064,7 @@ class TestShardedBatch:
         assert list(group.table_r.built_columns()) == ["cols_ba"]
         assert group.table_s.built_columns() == {}
         subscribe(spread_band_queries(rng, 20))
-        assert all(batched.router.band_queries_per_shard)
+        assert batched.router.band_queries_per_shard == [20] + [0] * (num_shards - 1)
         run(events[150:])
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
         assert list(group.table_s.built_columns()) == ["col_b"]
@@ -1087,8 +1087,8 @@ class TestShardedBatch:
             batched.subscribe(query)
             reference.subscribe(query)
         group = batched.shard_group
-        # Every shard probes the shared tables for its slice of the bands.
-        assert all(batched.router.band_queries_per_shard)
+        # Inline, shard 0 holds every band and probes the shared tables.
+        assert batched.router.band_queries_per_shard == [40] + [0] * (num_shards - 1)
         events = self._stream(rng, 640, c_scale=100.0)
         first = None
         for start in range(0, len(events), 64):
@@ -1101,6 +1101,43 @@ class TestShardedBatch:
             assert all(built["col_b"] is col for built, col in zip(columns, first))
         assert [len(col[1]) for col in first] == [len(group.table_r), len(group.table_s)]
         assert all(shard.table_s_select.built_columns() == {} for shard in group.shards)
+
+    def test_inline_band_plane_probes_once_per_relation_run(self, kernel, monkeypatch):
+        """Inline at K = 3, shard 0 holds every band and shards 1 and 2
+        skip their empty band planes: each batch's R run and S run reach
+        the band kernel once, not once per shard, and every delta is the
+        per-event system's."""
+        from repro.fastpath import band as band_kernels
+
+        calls = {"R": [], "S": []}
+        for relation, name in (("R", "batch_probe_band_r"), ("S", "batch_probe_band_s")):
+            def spy(col_b, rows, *args, _inner=getattr(band_kernels, name), _log=calls[relation]):
+                _log.append(len(rows))
+                return _inner(col_b, rows, *args)
+            monkeypatch.setattr(band_kernels, name, spy)
+        rng = random.Random(21)
+        batched = EventPipeline(num_shards=3, alpha=None, batch_size=32)
+        reference = ContinuousQuerySystem(alpha=None)
+        for query in spread_band_queries(rng, 30) + select_queries(rng, 20, c_scale=100.0):
+            batched.subscribe(query)
+            reference.subscribe(query)
+        batched.drain()
+        events = self._stream(rng, 320, c_scale=100.0)
+        want = self._reference_views(reference, events)
+        runs = {"R": [], "S": []}
+        got = []
+        for start in range(0, len(events), 32):
+            chunk = events[start : start + 32]
+            for relation in runs:
+                n = sum(
+                    1 for e in chunk if e.relation == relation and e.kind is EventKind.INSERT
+                )
+                if n:
+                    runs[relation].append(n)
+            got.extend(ordered_view(delta) for __, ___, delta in batched.run(chunk))
+        assert got == want
+        assert any(want)
+        assert calls == runs
 
     # -- the in-batch term: one batch, any interleaving ----------------------
     #

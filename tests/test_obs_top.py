@@ -15,7 +15,10 @@ from repro.obs.top import (
     shard_indices,
     watch,
 )
+from repro.core.intervals import Interval
+from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.pipeline import EventPipeline
 
 
 def make_registry():
@@ -74,6 +77,29 @@ class TestRenderDashboard:
         assert shard_rows[0].split()[2] == "-" and shard_rows[1].split()[2] != "-"
         assert "0/12" in shard_rows[0]
         assert "12.5/-" in shard_rows[0]
+
+    def test_a_plane_without_queries_shows_no_headroom(self):
+        """An empty tracker's I2 budget is 2/alpha with nothing under it:
+        inline, shard 1's band plane holds no band (shard 0 holds them
+        all), so its cell reads ``-``, while its select plane has a number."""
+        registry = MetricsRegistry()
+        with EventPipeline(num_shards=2, alpha=0.05, metrics=registry) as pipeline:
+            pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
+            pipeline.subscribe(
+                SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0))
+            )
+            pipeline.drain()
+            pipeline.sample_hotspots()
+        frame = render_dashboard({"metrics": registry.snapshot()})
+        rows = {
+            line.split()[0]: line.split()[-1]
+            for line in frame.splitlines()
+            if line.startswith("  0 ") or line.startswith("  1 ")
+        }
+        band, select = rows["0"].split("/")
+        assert band != "-" and select != "-"
+        band, select = rows["1"].split("/")
+        assert band == "-" and select != "-"
 
     def test_rates_need_a_previous_record(self):
         record = self.record()

@@ -33,7 +33,7 @@ from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
 from repro.runtime.metrics import Counter, Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
-from repro.runtime.sharding import ShardGroup
+from repro.runtime.sharding import ShardGroup, scaled_alpha
 from repro.runtime.transport import frames, worker
 
 def seeded_stream(seed, n, *, min_age=0):
@@ -380,27 +380,70 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
         assert counters[f"{prefix}_removed"] == sum(left[p] for p in shard)
 
 
-def test_one_metric_namespace_in_every_mode():
-    """One churn stream through ``inline`` and ``process-shm`` at K = 2
-    ends with the same ``shard/<i>/runtime/hotspot_*`` counters, and no
-    metric of either mode is named outside the namespace roots."""
-    churn = {}
-    for mode in ("inline", "process-shm"):
+def test_one_metric_namespace_in_every_mode(monkeypatch):
+    """One churn stream through ``inline`` and ``process-shm`` at K = 2:
+    no metric of either mode is named outside the namespace roots, and
+    each shard's ``shard/<i>/runtime/hotspot_*`` counters equal those of a
+    ``ShardGroup([i])`` built with the mode's thresholds and fed the
+    batches the pipeline applied.  The band plane is placed per mode
+    (inline, shard 0 holds every band; under ``process-shm`` each process
+    holds a midpoint slice), so a worker's band-plane churn is checked by
+    value as it reaches the parent: the same batches without their band
+    subscriptions give each shard's select-plane share, and the rest must
+    be nonzero on every shard that holds bands."""
+    roots = re.compile(r"(pipeline|transport|durability|shard/\d+|obs/shard/\d+)/")
+    names = [
+        f"shard/{index}/runtime/hotspot_{what}"
+        for index in (0, 1)
+        for what in ("demotions", "items_added", "items_removed", "promotions")
+    ]
+    applied = []
+    original_apply = EventPipeline._apply
+    monkeypatch.setattr(
+        EventPipeline, "_apply",
+        lambda self, entries, ingest_ns: (
+            applied.append(list(entries)), original_apply(self, entries, ingest_ns)
+        )[1],
+    )
+
+    def hotspot_counters(registry):
+        return {name: value for name, value in registry.snapshot()["counters"].items()
+                if "/runtime/hotspot_" in name}
+
+    def reference(batches, band_partitions):
+        registry = MetricsRegistry()
+        for index in (0, 1):
+            group = ShardGroup(
+                [index], alpha=scaled_alpha(0.05, 2),
+                band_alpha=scaled_alpha(0.05, band_partitions), metrics=registry,
+            )
+            for entries in batches:
+                group.apply_batch(entries)
+        return hotspot_counters(registry)
+
+    def is_band_change(entry):
+        return entry[0] < 0 and isinstance(entry[1].query, BandJoinQuery)
+
+    for mode, band_shards in (("inline", {0}), ("process-shm", {0, 1})):
+        applied.clear()
         registry = MetricsRegistry()
         with EventPipeline(
             num_shards=2, batch_size=64, mode=mode, alpha=0.05, metrics=registry
         ) as pipeline:
             drive(pipeline, churn_stream(3, 1_500))
         snapshot = registry.snapshot()
-        roots = re.compile(r"(pipeline|transport|durability|shard/\d+|obs/shard/\d+)/")
         assert not [name for kind in snapshot.values() for name in kind
                     if not roots.match(name)]
-        churn[mode] = {name: value for name, value in snapshot["counters"].items()
-                       if "/runtime/hotspot_" in name}
-    assert sorted(churn["inline"]) == [
-        f"shard/{index}/runtime/hotspot_{what}"
-        for index in (0, 1)
-        for what in ("demotions", "items_added", "items_removed", "promotions")
-    ]
-    assert min(churn["inline"].values()) > 0
-    assert churn["process-shm"] == churn["inline"]
+        churn = hotspot_counters(registry)
+        assert sorted(churn) == names
+        assert min(churn.values()) > 0
+        assert churn == reference(applied, len(band_shards))
+        select = reference(
+            [[entry for entry in entries if not is_band_change(entry)] for entries in applied],
+            len(band_shards),
+        )
+        for index in (0, 1):
+            for what in ("items_added", "promotions"):
+                name = f"shard/{index}/runtime/hotspot_{what}"
+                band = churn[name] - select[name]
+                assert band > 0 if index in band_shards else band == 0, (mode, name)

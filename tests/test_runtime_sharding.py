@@ -236,6 +236,52 @@ class TestShardedPipeline:
         assert all(len(shard.table_r) == 0 for shard in sharded.shards)
 
 
+class TestBandPlane:
+    """The band plane is split over the processes, not the shards."""
+
+    # Midpoints -4000, 0 and +4000: one per band slice at K = 3.
+    BANDS = ((-8_000.0, 0.0), (-5.0, 5.0), (0.0, 8_000.0))
+
+    def test_inline_places_every_band_on_shard_0_and_shm_by_midpoint(self):
+        queries = [BandJoinQuery(Interval(lo, hi)) for lo, hi in self.BANDS]
+        with EventPipeline(num_shards=3, alpha=0.05, mode="inline") as inline:
+            assert [inline.router.shards_for_query(q) for q in queries] == [[0]] * 3
+            for query in queries:
+                inline.subscribe(query)
+            inline.drain()
+            assert [shard.band.query_count for shard in inline.shards] == [3, 0, 0]
+            stats = inline.router.stats()
+            assert stats["band_partitions"] == 1
+            assert stats["band_queries_per_shard"] == [3, 0, 0]
+            assert stats["band_query_imbalance"] == 1.0
+        with EventPipeline(num_shards=3, alpha=0.05, mode="process-shm") as shm:
+            assert [shm.router.shards_for_query(q) for q in queries] == [[0], [1], [2]]
+            assert [r.index for r in shm.router.band_ranges()] == [0, 1, 2]
+            assert shm.router.stats()["band_partitions"] == 3
+
+    def test_a_band_cluster_of_30_percent_is_hot_at_alpha_quarter(self):
+        """Inline, the shard holding the bands promotes at the workload's
+        alpha over all of them: 30 co-stabbed bands of 100 clear
+        ``0.25 * 100``.  Split four ways at ``scaled_alpha(0.25, 4) = 1``,
+        the cluster would share its shard with other bands and stay cold."""
+        cluster = [BandJoinQuery(Interval(-1.0 - 0.01 * i, 1.0 + 0.01 * i)) for i in range(30)]
+        # Narrow, pairwise disjoint bands clear of the cluster, spread over
+        # the whole difference domain.
+        others = [
+            BandJoinQuery(Interval(lo, lo + 1.0))
+            for lo in (-9_000.0 + 260.0 * k for k in range(70))
+        ]
+        pipeline = EventPipeline(num_shards=4, alpha=0.25, batch_size=128)
+        for query in cluster + others:
+            pipeline.subscribe(query)
+        pipeline.drain()
+        (index,) = pipeline.router.shards_for_query(cluster[0])
+        tracker = pipeline.shards[index].band.tracker
+        assert all(tracker.is_hotspot_item(query) for query in cluster)
+        assert not any(tracker.is_hotspot_item(query) for query in others)
+        pipeline.shards[index].band.validate()
+
+
 def group_tables(group):
     """Every table of a shard group: R, the shared S and each C-slice."""
     return [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
@@ -274,7 +320,7 @@ class TestOneTableSet:
                 want.append(norm(plain.insert_s_row(event.row)))
         got = [norm(deltas) for __, ___, deltas in sharded.run(events)]
         assert sharded.metrics.counter("pipeline/batches").value == 1
-        assert sharded.router.band_queries_per_shard == [0, 0, 1, 1]
+        assert sharded.router.band_queries_per_shard == [2, 0, 0, 0]  # inline: shard 0
         assert got == want
         assert any(want[3:8]) and any(want[9:])  # later runs did match earlier rows
 
