@@ -129,7 +129,7 @@ SNAPSHOT_ATTRIBUTES: FrozenSet[str] = frozenset({"col_b", "cols_ba", "cols_bc"})
 #: The argument that makes those comparators correct (and that any new
 #: allowlist entry must reproduce): interval endpoints in this codebase are
 #: only ever *copied*, never derived by arithmetic — ``Interval`` is frozen,
-#: and values such as ``DynamicGroup._max_lo`` / ``_min_hi`` are assigned
+#: and values such as ``DynamicGroup.max_lo`` / ``min_hi`` are assigned
 #: verbatim from a member interval's ``lo``/``hi`` (see
 #: ``core/partition_base.py``), so an ``==`` there compares bit-identical
 #: IEEE doubles and is exact.  Derived quantities (``s.b - r.b``, shifted

@@ -356,7 +356,8 @@ def _column_image(col: Any) -> Dict[Any, Tuple[List[float], List[int]]]:
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
     """The group holds each relation once, at the model's size; every shard
     reads those very objects and each of its processors that can validate
-    itself does; the shards' select slices partition S; no table of the
+    itself does; the shards' select slices, where the plane is sliced,
+    partition S, and a whole plane reads the group's S; no table of the
     group builds a B+-tree, and every sorted column a read has built, on
     the group's R and S and on each slice, equals one built now from the
     table's rows: the same keys and the very row objects, in order, and no
@@ -379,15 +380,23 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
             validate = getattr(processor, "validate", None)
             if validate is not None:
                 validate()
-    select_total = sum(len(shard.table_s_select) for shard in group.shards)
-    expect(
-        select_total == n_s,
-        name,
-        f"S select partition holds {select_total} rows fleet-wide, "
-        f"model {n_s} (slices must be disjoint and exhaustive)",
-    )
+    sliced = [shard for shard in group.shards if shard.sliced]
+    if sliced:
+        select_total = sum(len(shard.table_s_select) for shard in sliced)
+        expect(
+            select_total == n_s,
+            name,
+            f"S select partition holds {select_total} rows fleet-wide, "
+            f"model {n_s} (slices must be disjoint and exhaustive)",
+        )
+    else:
+        expect(
+            all(shard.table_s_select is group.table_s for shard in group.shards),
+            name,
+            "a whole select plane reads an S table other than the group's",
+        )
     tables: List[Tuple[str, Any]] = [("R", group.table_r), ("S", group.table_s)]
-    tables += [(f"slice {shard.index}", shard.table_s_select) for shard in group.shards]
+    tables += [(f"slice {shard.index}", shard.table_s_select) for shard in sliced]
     for label, table in tables:
         expect(not table.built_indexes(), name, f"{label} built {sorted(table.built_indexes())}")
         fresh = type(table)()  # its columns: the rows stable-sorted on each key

@@ -221,7 +221,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(
         f"router: select queries/shard {stats['select_queries_per_shard']}, "
         f"band queries/shard {stats['band_queries_per_shard']} "
-        f"over {stats['band_partitions']} band partition(s), "
+        f"over {stats['partitions']} partition(s), "
         f"S-probe imbalance {stats['select_probe_imbalance']:.2f}"
     )
     if args.verbose:

@@ -160,8 +160,11 @@ class HotspotTracker(Generic[T]):
         added: List[Tuple[DynamicGroup[T], T]] = []
         for item in items:
             interval = interval_of(item)
+            lo, hi = interval.lo, interval.hi
             for group in hot:
-                if group.would_remain_stabbed(interval):
+                # would_remain_stabbed, inline: the first fit against the
+                # cached [max lo, min hi] (an empty group's ±inf pass).
+                if group.max_lo <= hi and lo <= group.min_hi:
                     group.add(item)
                     hot_of[id(item)] = group
                     added.append((group, item))

@@ -80,7 +80,7 @@ def endpoints_equal(a: float, b: float) -> bool:
     This is deliberately *exact* IEEE equality, not a tolerance test.  It
     is sound because endpoints in this codebase are only ever **copied**,
     never derived by arithmetic: ``Interval`` is frozen, and cached values
-    such as ``DynamicGroup._max_lo`` / ``_min_hi`` are assigned verbatim
+    such as ``DynamicGroup.max_lo`` / ``min_hi`` are assigned verbatim
     from a member interval's ``lo``/``hi``, so the comparison is between
     bit-identical doubles.  Derived quantities (``s.b - r.b``, shifted
     windows) must not be compared with this helper — use an interval

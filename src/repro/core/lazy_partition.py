@@ -91,8 +91,10 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         interval = self._interval_of(item)
         target: Optional[DynamicGroup[T]] = None
         if self._reuse:
+            lo, hi = interval.lo, interval.hi
             for group in self._groups:
-                if group.would_remain_stabbed(interval):
+                # would_remain_stabbed, inline (see HotspotTracker.insert).
+                if group.max_lo <= hi and lo <= group.min_hi:
                     target = group
                     break
         self._item_epoch[id(item)] = self._epoch

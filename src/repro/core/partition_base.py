@@ -85,7 +85,7 @@ class DynamicGroup(Generic[T]):
     refinement.
     """
 
-    __slots__ = ("_items", "size", "_los", "_his", "_interval_of", "_max_lo", "_min_hi")
+    __slots__ = ("_items", "size", "_los", "_his", "_interval_of", "max_lo", "min_hi")
 
     def __init__(self, interval_of: Callable[[T], Interval]):
         self._items: Dict[int, T] = {}
@@ -94,11 +94,12 @@ class DynamicGroup(Generic[T]):
         self._los = array("d")
         self._his = array("d")
         self._interval_of = interval_of
-        # Cached intersection endpoints (= max lo / min hi of members);
-        # the insertion path tests every group against a new interval, so
-        # these keep that test to two attribute reads.
-        self._max_lo = float("-inf")
-        self._min_hi = float("inf")
+        # Cached intersection endpoints (= max lo / min hi of members; read
+        # only outside this class): the first-fit loops of the tracker and
+        # the lazy partition test every group against a new interval with
+        # these two attribute reads, inline.
+        self.max_lo = float("-inf")
+        self.min_hi = float("inf")
 
     def add(self, item: T) -> None:
         key = id(item)
@@ -109,10 +110,10 @@ class DynamicGroup(Generic[T]):
         self.size += 1
         insort(self._los, interval.lo)
         insort(self._his, interval.hi)
-        if interval.lo > self._max_lo:
-            self._max_lo = interval.lo
-        if interval.hi < self._min_hi:
-            self._min_hi = interval.hi
+        if interval.lo > self.max_lo:
+            self.max_lo = interval.lo
+        if interval.hi < self.min_hi:
+            self.min_hi = interval.hi
 
     def remove(self, item: T) -> None:
         interval = self._interval_of(item)
@@ -121,17 +122,17 @@ class DynamicGroup(Generic[T]):
         _remove_endpoint(self._los, interval.lo)
         _remove_endpoint(self._his, interval.hi)
         if not self._items:
-            self._max_lo = float("-inf")
-            self._min_hi = float("inf")
+            self.max_lo = float("-inf")
+            self.min_hi = float("inf")
         else:
-            # Exact comparisons are sound here: _max_lo/_min_hi are copied
+            # Exact comparisons are sound here: max_lo/min_hi are copied
             # verbatim from member endpoints, so a departing member can only
             # have *been* the cached extreme if its endpoint is bit-identical
             # to it (see endpoints_equal for the full argument).
-            if endpoints_equal(interval.lo, self._max_lo):
-                self._max_lo = self._los[-1]
-            if endpoints_equal(interval.hi, self._min_hi):
-                self._min_hi = self._his[0]
+            if endpoints_equal(interval.lo, self.max_lo):
+                self.max_lo = self._los[-1]
+            if endpoints_equal(interval.hi, self.min_hi):
+                self.min_hi = self._his[0]
 
     def __contains__(self, item: T) -> bool:
         return id(item) in self._items
@@ -151,8 +152,8 @@ class DynamicGroup(Generic[T]):
         """Common intersection of all members (None iff empty group)."""
         if not self._items:
             return None
-        assert self._max_lo <= self._min_hi, "group invariant violated"
-        return Interval(self._max_lo, self._min_hi)
+        assert self.max_lo <= self.min_hi, "group invariant violated"
+        return Interval(self.max_lo, self.min_hi)
 
     @property
     def stabbing_point(self) -> float:
@@ -166,7 +167,7 @@ class DynamicGroup(Generic[T]):
             return True
         # Inlined overlap check against [max lo, min hi]; this runs once per
         # existing group on every insertion, so it avoids building objects.
-        return self._max_lo <= interval.hi and interval.lo <= self._min_hi
+        return self.max_lo <= interval.hi and interval.lo <= self.min_hi
 
 
 def _remove_endpoint(endpoints: array[float], value: float) -> None:

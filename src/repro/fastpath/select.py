@@ -1,8 +1,8 @@
 """Columnar batch probe for equality joins with selections (Section 3.2).
 
 One kernel serves every select-join batch entry point --- the SJ-SSI group
-probe on both sides, S arrivals at the hotspot processor, and the scattered
-remainder of its R arrivals --- with the roles of the columns swapped
+probe on both sides, and the hot groups and scattered remainder of the
+hotspot processor on both sides --- with the roles of the columns swapped
 (``sel``/``rng``), not separate code paths.  For a run of arriving rows it
 
 * reads the joining rows of a join key from the probed table's keyed
@@ -24,7 +24,13 @@ remainder of its R arrivals --- with the roles of the columns swapped
   queries against the whole run is one ``(rows x queries)`` comparison,
   and each surviving pair becomes one ``searchsorted`` pair on the joined
   column and a slice of the joined rows --- the rows, in the order,
-  ``cursor_ge((b, lo)).collect_forward_prefix_le(b, hi)`` yields per event.
+  ``cursor_ge((b, lo)).collect_forward_prefix_le(b, hi)`` yields per event;
+* reads the hotspot processor's rangeC groups and scattered columns, kept
+  for R arrivals, with the roles swapped for S arrivals (``swapped=True``):
+  an S row *selects* on rangeC, the attribute those groups are stabbed on,
+  so a group whose extent holds no joining row's ``c`` is rejected whole,
+  and the rows inside it are selected and enumerated as the endpoint
+  columns are.
 
 numpy views of the columns (``np.frombuffer``) live in locals only: an
 ``array`` cannot resize while its buffer is exported, the query columns
@@ -44,6 +50,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from math import inf, nan
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.fastpath.kernels import MIN_VECTOR, get_numpy
@@ -155,11 +162,24 @@ def batch_probe_select_s(
     groups: Sequence[SelectColumns],
     results: List[Dict[Any, List[Any]]],
     columns: Optional[SelectColumns] = None,
+    *,
+    swapped: bool = False,
 ) -> None:
     """Symmetric batch probe for S-tuples against R's ``cols_ba``: groups
     are on rangeA; they and ``columns`` select on ``rangeC`` and enumerate
-    by ``rangeA``."""
-    _batch_probe(cols_ba, rows, [row.c for row in rows], points, groups, results, columns)
+    by ``rangeA``.
+
+    ``swapped=True`` reads populations laid out for R arrivals instead ---
+    the hotspot processor's rangeC groups and its scattered columns, which
+    select on ``rangeA`` (``sel``) and enumerate by ``rangeC`` (``rng``) ---
+    with the roles swapped (:func:`_probe_swapped`); ``points`` is unused
+    then.
+    """
+    xs = [row.c for row in rows]
+    if swapped:
+        _probe_swapped(cols_ba, rows, xs, groups, columns, results)
+    else:
+        _batch_probe(cols_ba, rows, xs, points, groups, results, columns)
 
 
 def _batch_probe(
@@ -178,7 +198,68 @@ def _batch_probe(
     if points:
         _probe_groups(cols, rows, xs, points, groups, results)
     if columns:
-        _probe_columns(cols, rows, xs, columns, results)
+        joined = _joined(cols, rows, xs)
+        _probe_columns(
+            joined, columns.sel_lo, columns.sel_hi, columns.rng_lo, columns.rng_hi,
+            columns.queries, results,
+        )
+
+
+#: A joining arrival: (its index in the run, its selection value, the
+#: second-key column of its join key, the joined rows in that order).
+Joined = Tuple[int, float, Any, List[Any]]
+
+
+def _joined(
+    cols: Dict[float, Tuple[Any, List[Any]]], rows: Sequence[Any], xs: List[float]
+) -> List[Joined]:
+    """The rows of the run whose join key the probed table holds, in run
+    order: a row without one joins nothing, whatever it selects."""
+    get = cols.get
+    return [
+        (i, x, run[0], run[1]) for i, (row, x) in enumerate(zip(rows, xs))
+        if (run := get(row.b)) is not None
+    ]
+
+
+def _probe_swapped(
+    cols: Dict[float, Tuple[Any, List[Any]]],
+    rows: Sequence[Any],
+    xs: List[float],
+    groups: Sequence[SelectColumns],
+    columns: Optional[SelectColumns],
+    results: List[Dict[Any, List[Any]]],
+) -> None:
+    """S arrivals against populations kept for R arrivals: every query
+    selects on ``rng`` (rangeC) and enumerates by ``sel`` (rangeA).
+
+    Group-major: a stabbing group's members all contain its point, so its
+    ``[rng_min, rng_max]`` extent bounds every member's rangeC, and a
+    group whose extent holds no joining row's ``c`` costs two bisects over
+    the run's sorted ``c`` values.  The rows inside the extent are tested
+    on the members' rangeC in one pass and enumerated on rangeA, as the
+    scattered ``columns`` are with every joining row."""
+    if not rows or not (groups or columns):
+        return
+    joined = _joined(cols, rows, xs)
+    if not joined:
+        return
+    if groups:
+        by_x = sorted(joined, key=itemgetter(1))
+        sorted_xs = [entry[1] for entry in by_x]
+        for group in groups:
+            lo = bisect_left(sorted_xs, group.rng_min)
+            hi = bisect_right(sorted_xs, group.rng_max, lo)
+            if lo < hi:
+                _probe_columns(
+                    by_x[lo:hi], group.rng_lo, group.rng_hi, group.sel_lo, group.sel_hi,
+                    group.queries, results,
+                )
+    if columns:
+        _probe_columns(
+            joined, columns.rng_lo, columns.rng_hi, columns.sel_lo, columns.sel_hi,
+            columns.queries, results,
+        )
 
 
 def stab_group(
@@ -259,50 +340,43 @@ def _probe_groups(
 
 
 def _probe_columns(
-    cols: Dict[float, Tuple[Any, List[Any]]],
-    rows: Sequence[Any],
-    xs: List[float],
-    columns: SelectColumns,
+    joined: Sequence[Joined],
+    sel_lo: Any,
+    sel_hi: Any,
+    rng_lo: Any,
+    rng_hi: Any,
+    queries: List[Any],
     results: List[Dict[Any, List[Any]]],
 ) -> None:
-    """SelectFirst over endpoint columns: select, then enumerate by slice.
-    Only the join keys of rows that pass some selection are looked up."""
-    queries = columns.queries
+    """SelectFirst over endpoint columns: select each joining row's ``x``
+    on ``[sel_lo, sel_hi]``, then enumerate its key's rows on ``[rng_lo,
+    rng_hi]`` by slice.  The four columns are a population's, in either
+    role (:func:`_probe_swapped` passes them swapped)."""
     _np = get_numpy()
     if _np is None or len(queries) < MIN_VECTOR:
-        for sel_lo, sel_hi, rng_lo, rng_hi, query in zip(
-            columns.sel_lo, columns.sel_hi, columns.rng_lo, columns.rng_hi, queries
-        ):
-            for i, x in enumerate(xs):
-                if sel_lo <= x <= sel_hi:
-                    run = cols.get(rows[i].b)
-                    if run is not None:
-                        seconds, hits_of_key = run
-                        start = bisect_left(seconds, rng_lo)
-                        end = bisect_right(seconds, rng_hi, start)
-                        if end > start:
-                            results[i][query] = hits_of_key[start:end]
+        for s_lo, s_hi, r_lo, r_hi, query in zip(sel_lo, sel_hi, rng_lo, rng_hi, queries):
+            for i, x, seconds, hits_of_key in joined:
+                if s_lo <= x <= s_hi:
+                    start = bisect_left(seconds, r_lo)
+                    end = bisect_right(seconds, r_hi, start)
+                    if end > start:
+                        results[i][query] = hits_of_key[start:end]
         return
     # These views export the columns' buffers: they and everything sliced
     # from them must die with this frame (fancy indexing copies).
-    xv = _np.array(xs)[:, None]
-    selected = (_np.frombuffer(columns.sel_lo) <= xv) & (xv <= _np.frombuffer(columns.sel_hi))
-    jv, qv = _np.nonzero(selected)  # (row, query) pairs, row-major
+    xv = _np.array([entry[1] for entry in joined])[:, None]
+    selected = (_np.frombuffer(sel_lo) <= xv) & (xv <= _np.frombuffer(sel_hi))
+    jv, qv = _np.nonzero(selected)  # (joined row, query) pairs, row-major
     if not len(jv):
         return
-    lo_v = _np.frombuffer(columns.rng_lo)[qv]
-    hi_v = _np.frombuffer(columns.rng_hi)[qv]
-    cuts = _np.searchsorted(jv, _np.arange(len(xs) + 1), side="left").tolist()
+    lo_v = _np.frombuffer(rng_lo)[qv]
+    hi_v = _np.frombuffer(rng_hi)[qv]
+    cuts = _np.searchsorted(jv, _np.arange(len(joined) + 1), side="left").tolist()
     ql = qv.tolist()
-    for i, c0 in enumerate(cuts[:-1]):
-        c1 = cuts[i + 1]
+    for (i, __, seconds, hits_of_key), c0, c1 in zip(joined, cuts, cuts[1:]):
         if c0 == c1:
             continue
-        run = cols.get(rows[i].b)
-        if run is None:
-            continue
-        col = _np.frombuffer(run[0])
-        hits_of_key = run[1]
+        col = _np.frombuffer(seconds)
         starts = _np.searchsorted(col, lo_v[c0:c1], side="left").tolist()
         ends = _np.searchsorted(col, hi_v[c0:c1], side="right").tolist()
         res = results[i]

@@ -16,6 +16,14 @@ exactly the TRADITIONAL vs HOTSPOT-BASED comparison of Figure 9.  A
 for band joins) and the scattered remainder; the select-join processor's
 scatter/gather hooks keep its traditional structures of that remainder.
 
+The select-join tracker is keyed on rangeC, and both of its batch paths
+read it: an R arrival probes each hot group at its stabbing point
+(SJ-SSI), and an S arrival, which selects on rangeC, skips every hot
+group whose rangeC extent holds no arriving ``c`` and tests the members
+of the rest (heavy-light: the hot groups are the heavy part on both
+sides, the scattered columns the light part).  Each query has one set of
+endpoint columns, its group's or the scattered ones.
+
 ``add_query`` and ``remove_query`` take any number of queries and make one
 tracker call for all of them, so a batch's subscription changes cost one
 rebalance per plane; each new query is classified hot or scattered after
@@ -78,10 +86,9 @@ class HotspotSelectJoinProcessor:
         # per-event process_r reads it, so that builds it on first use; from
         # then on it is kept in step with the scattered queries.
         self._scattered_a: Optional[IntervalTree[SelectJoinQuery]] = None
-        # Endpoint columns for the batch probe: every query for S arrivals
-        # (select on rangeC, enumerate R by rangeA), the scattered ones for
-        # R arrivals (select on rangeA, enumerate S by rangeC).
-        self._columns_s = select_probe.SelectColumns()
+        # The scattered queries' endpoint columns for the batch probes, laid
+        # out for R arrivals (select on rangeA, enumerate S by rangeC); S
+        # arrivals read them, and the hot groups', with the roles swapped.
         self._columns_r = select_probe.SelectColumns()
         self.tracker: HotspotTracker[SelectJoinQuery] = HotspotTracker(
             alpha=alpha, epsilon=epsilon, interval_of=range_c_interval
@@ -112,17 +119,12 @@ class HotspotSelectJoinProcessor:
         """Subscribe ``queries`` with one tracker insert; a qid already
         held, or repeated, raises ``ValueError`` and changes nothing."""
         register_queries(self._queries, queries)
-        for query in queries:
-            self._columns_s.add(query, query.range_c, query.range_a)
         self._hot.insert(*queries)
 
     def remove_query(self, *queries: SelectJoinQuery) -> None:
         """Cancel ``queries`` with one tracker delete; a qid not held
         raises ``KeyError`` and changes nothing."""
-        held = unregister_queries(self._queries, queries)
-        for query in held:
-            self._columns_s.remove(query)
-        self._hot.delete(*held)
+        self._hot.delete(*unregister_queries(self._queries, queries))
 
     @property
     def query_count(self) -> int:
@@ -153,9 +155,9 @@ class HotspotSelectJoinProcessor:
         return results
 
     def process_s(self, s: STuple):
-        """Symmetric S-arrival processing, one composite-index scan per
-        query passing the C selection (traditional; the hotspot tracker is
-        keyed on rangeC projections, which group R-side probes only)."""
+        """Per-event S-arrival processing, one composite-index scan per
+        query passing the C selection (traditional).  The reference the
+        batch path, which reads the hot groups, is checked against."""
         results = {}
         for query in self._queries.values():
             if not query.range_c.contains(s.c):
@@ -182,12 +184,19 @@ class HotspotSelectJoinProcessor:
         return results
 
     def process_s_batch(self, ss: Sequence[STuple]) -> List[RSelectResults]:
-        """Batch S-arrival processing: the same probe with no groups (the
-        tracker is keyed on rangeC) and every query in the columns."""
+        """Batch S-arrival processing through the same hot groups and
+        scattered columns, read with the roles swapped (§3.2: an S arrival
+        is symmetric).  The tracker is keyed on rangeC, which an S row
+        selects on, so a hot group whose rangeC extent holds no arriving
+        ``c`` is skipped whole; the rest select on rangeC and enumerate R
+        by rangeA.  Delta-identical to per-event :meth:`process_s` against
+        unchanged tables."""
         results: List[RSelectResults] = [{} for _ in ss]
         if self._queries:
+            points, columns = self._hot.group_table()
             select_probe.batch_probe_select_s(
-                self.table_r.cols_ba, ss, (), (), results, self._columns_s
+                self.table_r.cols_ba, ss, points, columns, results, self._columns_r,
+                swapped=True,
             )
         return results
 
@@ -198,7 +207,6 @@ class HotspotSelectJoinProcessor:
         )
         assert len(self._hot) == len(self._queries)
         scattered = self._hot.scattered
-        self._columns_s.check(self._queries.values(), range_c_interval, range_a_interval)
         self._columns_r.check(scattered.values(), range_a_interval, range_c_interval)
         if self._scattered_a is not None:
             held = {id(query): interval for interval, query in self._scattered_a}

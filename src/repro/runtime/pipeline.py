@@ -20,9 +20,9 @@ it stacks the runtime layers on top of them:
    list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
    shards through the batch on the caller's thread, over one shared table
    set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic and
-   zero overhead.  Inline, every band query lives on shard 0: a band
-   plane probes the full tables whatever its share of the bands, so there
-   is one per process.
+   zero overhead.  Inline, every query lives on shard 0: a plane probes
+   the full tables whatever its share of the queries, so there is one of
+   each per process.
    ``mode="process-shm"`` applies shard 0 — a group of one — in this
    process and pins each of shards 1…K−1 to a persistent worker process
    behind a pair of shared-memory rings (:mod:`repro.runtime.transport`)
@@ -155,6 +155,7 @@ class _ShmWorkers:
                     target=shard_worker_main,
                     args=(
                         index,
+                        num_shards,  # the partitions: one per process
                         alpha,
                         epsilon,
                         self._requests[index].name,
@@ -369,10 +370,11 @@ class EventPipeline:
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        # The band plane probes the full tables whatever its share of the
-        # bands, so it is split over the processes: one inline, on shard 0.
-        band_partitions = 1 if mode == "inline" else num_shards
-        self.router = ShardRouter(num_shards, band_partitions=band_partitions)
+        # A plane probes the process's full tables whatever its share of the
+        # queries, so both are split over the processes: one inline, on
+        # shard 0.
+        partitions = 1 if mode == "inline" else num_shards
+        self.router = ShardRouter(num_shards, partitions=partitions)
         self.batch_size = batch_size
         self.mode = mode
         self.alpha = alpha
@@ -403,7 +405,7 @@ class EventPipeline:
         ]
         if mode not in ("inline", "process-shm"):
             raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
-        per_shard_alpha = scaled_alpha(alpha, num_shards)
+        per_shard_alpha = scaled_alpha(alpha, partitions)
         # process-shm: this process applies shard 0 and K − 1 workers the
         # rest.  Their spans and hotspot telemetry merge back over
         # TELEMETRY frames; shard 0's spans, the transport metrics and the
@@ -412,7 +414,7 @@ class EventPipeline:
             tracer.set_process_name(tracer.pid, "pipeline (parent)")
         self._group = ShardGroup(
             range(num_shards) if mode == "inline" else [0],
-            alpha=per_shard_alpha, band_alpha=scaled_alpha(alpha, band_partitions),
+            partitions=partitions, alpha=per_shard_alpha,
             epsilon=epsilon, metrics=self.metrics, tracer=tracer,
         )
         self._round = 0
@@ -578,9 +580,10 @@ class EventPipeline:
         # merge_deltas keeps): an event no shard answered needs no slot.
         parts: Dict[int, List[Delta]] = {}
         for index, (elapsed, results) in sorted(applied.items()):
+            # Every data event reaches every shard that holds a query (a
+            # shard that holds none is not in ``applied``).
             batch_us, events = self._shard_metrics[index]
             batch_us.observe(elapsed * 1e6)
-            # Every data event reaches every shard.
             events.inc(len(data))
             for seq, deltas in results:
                 if deltas:
@@ -652,8 +655,9 @@ class EventPipeline:
             # Timed whole, as a worker times its apply.
             start = time.perf_counter()
             try:
-                __, results = self._group.apply_batch(entries)[0]
-                out[0] = (time.perf_counter() - start, results)
+                applied = self._group.apply_batch(entries).get(0)
+                if applied is not None:  # shard 0 held a query
+                    out[0] = (time.perf_counter() - start, applied[1])
             except Exception as exc:
                 failure = exc
             if workers is not None:

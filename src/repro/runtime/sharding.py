@@ -11,30 +11,34 @@ different attributes:
 
 * **select plane** — :class:`~repro.engine.queries.SelectJoinQuery`
   subscriptions are routed by their ``rangeC`` selection over the value
-  domain, to *every* shard their range overlaps.  Each shard also keeps a
-  C-slice of S (``table_s_select``: an S row lives in exactly one slice)
-  for its select processor.  A table builds an index on its first read,
-  so each S table ends up with the one index its plane probes: a C-slice
-  (B, C), the shared table B.  An incoming S-tuple therefore probes the
-  select queries of a **single** shard — the unsharded processors scan all
-  select queries per S-arrival, so this is where sharding buys real
-  per-event work reduction.  An incoming R-tuple probes every shard, and
+  domain, to *every* C-slice their range overlaps.  With one partition
+  the plane is whole and reads the shared S table, whose ``cols_bc`` its
+  S-side arrivals are answered from through the hot groups
+  (:meth:`~repro.operators.hotspot_processor.HotspotSelectJoinProcessor.process_s_batch`).
+  Under ``process-shm`` each shard also keeps a C-slice of S
+  (``table_s_select``: an S row lives in exactly one slice) for its
+  select processor, so an incoming S-tuple probes the select queries of
+  a **single** process.  An incoming R-tuple probes every slice, and
   because the slices are disjoint, the per-shard deltas for a query
-  spanning several shards are disjoint partial results whose union equals
-  the unsharded delta.
+  spanning several slices are disjoint partial results whose union
+  equals the unsharded delta.  A table builds an index on its first
+  read, so each S table ends up with the indexes its planes probe.
 
 * **band plane** — :class:`~repro.engine.queries.BandJoinQuery`
-  subscriptions live on exactly one shard.  A band match depends on the
-  difference of two join keys, so no single-attribute partition of the
-  base tables can localize it: a band plane probes the full shared tables
-  for every data event, and splitting the bands among the shards of one
-  process leaves the groups probed per event (τ) unchanged and multiplies
-  only the fixed cost of a kernel call.  So the band plane is split over
-  the *processes*, not the shards: the router cuts the difference domain
-  (``S.B - R.B``) into ``band_partitions`` slices by band midpoint — one
-  inline, where shard 0 holds every band query, and K under
-  ``process-shm``, one per process.  A shard whose band plane holds no
-  query skips it (:meth:`Shard.apply_batch`).
+  subscriptions live on exactly one shard, the partition of the
+  difference domain (``S.B - R.B``) holding their band midpoint.  A band
+  match depends on the difference of two join keys, so no
+  single-attribute partition of the base tables can localize it: a band
+  plane probes the full shared tables for every data event.
+
+Both planes are split over the *processes*, not the shards: the router
+cuts each into ``partitions`` ranges (:class:`ShardRouter`) — one
+inline, where shard 0 holds every query, and K under ``process-shm``,
+one per process.  Within one process a plane probes the same shared
+tables whatever its share of the queries, so splitting it among shards
+leaves the groups probed per event (τ) unchanged and multiplies only the
+fixed cost of a kernel call.  A shard skips a plane that holds no query
+(:meth:`Shard.apply_batch`), and the group skips a shard that holds none.
 
 A batch has **one view**: every data event reaches every shard, so routing
 an event is one integer — :meth:`ShardRouter.route_event` names the
@@ -110,10 +114,10 @@ def scaled_alpha(alpha: Optional[float], num_shards: int) -> Optional[float]:
     broadcast R-arrival would pay a group probe for each of them, erasing
     the sharding win.  Scaling to ``alpha * K`` (capped at 1) restores the
     unsharded bar ``alpha * n_total``, so the fleet-wide group count (and
-    hence broadcast probe cost) matches the unsharded processor's.  The
-    select plane is split over the K shards; the band plane over its
-    :attr:`ShardRouter.band_partitions` — inline one, so its one plane
-    promotes at ``alpha`` itself.
+    hence broadcast probe cost) matches the unsharded processor's.  Both
+    planes are split over the router's :attr:`ShardRouter.partitions` —
+    inline one, so shard 0's planes promote at ``alpha`` itself, and K
+    under ``process-shm`` — so one threshold serves both.
     """
     if alpha is None:
         return None
@@ -134,41 +138,41 @@ class ShardRange:
 class ShardRouter:
     """Routes queries and data events to shard indices.
 
-    The value domain ``[domain_lo, domain_hi]`` is split into ``num_shards``
-    contiguous ranges for the select plane; the difference domain
-    ``[-(width), +width]`` is split likewise into ``band_partitions``
-    ranges for the band plane, on shards ``0 … band_partitions − 1``
-    (default: all ``num_shards``; the inline pipeline passes 1, so shard
-    0 holds every band).  Routing clamps out-of-domain coordinates into
-    the edge shards, which affects load balance only, never correctness.
+    Both planes are cut into ``partitions`` ranges, on shards ``0 …
+    partitions − 1`` (default: all ``num_shards``; the inline pipeline
+    passes 1, so shard 0 holds every query): the value domain
+    ``[domain_lo, domain_hi]`` into C-slices for the select plane, the
+    difference domain ``[-(width), +width]`` for the band plane.  Routing
+    clamps out-of-domain coordinates into the edge partitions, which
+    affects load balance only, never correctness.
     """
 
     def __init__(
         self,
         num_shards: int,
         *,
-        band_partitions: Optional[int] = None,
+        partitions: Optional[int] = None,
         domain_lo: float = DOMAIN_LO,
         domain_hi: float = DOMAIN_HI,
     ):
-        if band_partitions is None:
-            band_partitions = num_shards
+        if partitions is None:
+            partitions = num_shards
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if not 1 <= band_partitions <= num_shards:
-            raise ValueError("band_partitions must lie in [1, num_shards]")
+        if not 1 <= partitions <= num_shards:
+            raise ValueError("partitions must lie in [1, num_shards]")
         if domain_lo >= domain_hi:
             raise ValueError("domain_lo must be < domain_hi")
         self.num_shards = num_shards
-        self.band_partitions = band_partitions
+        self.partitions = partitions
         self.domain_lo = domain_lo
         self.domain_hi = domain_hi
         width = domain_hi - domain_lo
         self._value_bounds = [
-            domain_lo + width * i / num_shards for i in range(1, num_shards)
+            domain_lo + width * i / partitions for i in range(1, partitions)
         ]
         self._band_bounds = [
-            -width + 2 * width * i / band_partitions for i in range(1, band_partitions)
+            -width + 2 * width * i / partitions for i in range(1, partitions)
         ]
         # Rebalancing stats: query placements and event routing per shard.
         self.select_queries_per_shard = [0] * num_shards
@@ -180,12 +184,12 @@ class ShardRouter:
 
     def value_ranges(self) -> List[ShardRange]:
         bounds = [self.domain_lo, *self._value_bounds, self.domain_hi]
-        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.num_shards)]
+        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.partitions)]
 
     def band_ranges(self) -> List[ShardRange]:
         width = self.domain_hi - self.domain_lo
         bounds = [-width, *self._band_bounds, width]
-        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.band_partitions)]
+        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.partitions)]
 
     # -- query routing -------------------------------------------------------
 
@@ -200,11 +204,11 @@ class ShardRouter:
     def shards_for_query(self, query: Any) -> List[int]:
         """All shard indices a subscription registers in.
 
-        Select-joins go to every shard their ``rangeC`` overlaps (their
+        Select-joins go to every C-slice their ``rangeC`` overlaps (their
         partial results partition along the S-row C-partition); band joins
         go to the single band partition containing their band midpoint
         (every shard probes the full tables, so multi-registration would
-        duplicate deltas) — shard 0 when there is one partition.
+        duplicate deltas).  With one partition both are shard 0.
         """
         if isinstance(query, SelectJoinQuery):
             lo = self.shard_for_value(query.range_c.lo)
@@ -221,8 +225,9 @@ class ShardRouter:
 
         Every data event reaches every shard's band plane (band matches
         cannot be localized) and, for R events, every select plane; an S
-        event probes and is stored on exactly one select plane — the shard
-        owning ``row.c``, which is the whole routing decision.
+        event probes exactly one select plane — the partition owning
+        ``row.c``, shard 0 when there is one, which is the whole routing
+        decision — and is stored in its C-slice when the plane is sliced.
         """
         if event.relation == "S":
             return self.shard_for_value(event.row.c)
@@ -259,21 +264,24 @@ class ShardRouter:
     def stats(self) -> Dict[str, object]:
         """Load distribution snapshot; ``*_imbalance`` is max-partition
         load over mean-partition load (1.0 = perfectly balanced), the
-        signal a rebalancer would act on by re-splitting the domain.  The
-        band plane's partitions are its ``band_partitions`` shards, so an
-        inline band plane — all of it on shard 0 — reads 1.0."""
+        signal a rebalancer would act on by re-splitting the domain.  A
+        plane's partitions are shards ``0 … partitions − 1``, so an inline
+        plane — all of it on shard 0 — reads 1.0."""
+        partitions = self.partitions
         return {
             "num_shards": self.num_shards,
-            "band_partitions": self.band_partitions,
+            "partitions": partitions,
             "select_queries_per_shard": list(self.select_queries_per_shard),
             "band_queries_per_shard": list(self.band_queries_per_shard),
             "events_per_shard": self.events_per_shard,
             "select_probes_per_shard": list(self.select_probes_per_shard),
-            "select_query_imbalance": self._imbalance(self.select_queries_per_shard),
-            "band_query_imbalance": self._imbalance(
-                self.band_queries_per_shard[: self.band_partitions]
+            "select_query_imbalance": self._imbalance(
+                self.select_queries_per_shard[:partitions]
             ),
-            "select_probe_imbalance": self._imbalance(self.select_probes_per_shard),
+            "band_query_imbalance": self._imbalance(self.band_queries_per_shard[:partitions]),
+            "select_probe_imbalance": self._imbalance(
+                self.select_probes_per_shard[:partitions]
+            ),
         }
 
 
@@ -282,13 +290,14 @@ class Shard:
     writes.
 
     Holds a band-join and a select-join processor (each with its own
-    tracker when ``alpha`` is set; the band plane's promotes at
-    ``band_alpha``, ``alpha`` when not given).  ``table_r`` and ``table_s_band`` are
-    the process's shared relations — the :class:`ShardGroup` that built
-    this shard is their one writer; ``table_s_select`` is the shard's own
-    C-slice of S, which only its select processor reads and which the
-    group writes too (insertions in :meth:`ShardGroup.apply_batch`,
-    deletions through :meth:`apply`).
+    tracker, promoting at ``alpha``, when ``alpha`` is set).  ``table_r``
+    and ``table_s_band`` are the process's shared relations — the
+    :class:`ShardGroup` that built this shard is their one writer.
+    ``table_s_select`` is the S table the select processor reads: the
+    shared one, unless the select plane is ``sliced`` into C-slices
+    (``process-shm``), where it is the shard's own slice, which the group
+    writes too (insertions in :meth:`ShardGroup.apply_batch`, deletions
+    through :meth:`apply`).
     """
 
     def __init__(
@@ -297,8 +306,8 @@ class Shard:
         table_r: TableR,
         table_s_band: TableS,
         *,
+        sliced: bool = False,
         alpha: Optional[float] = 0.01,
-        band_alpha: Optional[float] = None,
         epsilon: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Tracer = NULL_TRACER,
@@ -307,7 +316,9 @@ class Shard:
         self.tracer = tracer
         self.table_r = table_r
         self.table_s_band = table_s_band
-        self.table_s_select = TableS()  # the select plane reads cols_bc alone
+        self.sliced = sliced
+        # A slice's select plane reads its cols_bc alone.
+        self.table_s_select = TableS() if sliced else table_s_band
         self.band: Any
         self.select: Any
         self.telemetry: Optional[HotspotTelemetry] = None
@@ -316,8 +327,7 @@ class Shard:
             self.select = SJSSI(self.table_s_select, self.table_r, epsilon=epsilon)
         else:
             self.band = HotspotBandJoinProcessor(
-                self.table_s_band, self.table_r,
-                alpha=alpha if band_alpha is None else band_alpha, epsilon=epsilon,
+                self.table_s_band, self.table_r, alpha=alpha, epsilon=epsilon
             )
             self.select = HotspotSelectJoinProcessor(
                 self.table_s_select, self.table_r, alpha=alpha, epsilon=epsilon
@@ -363,9 +373,10 @@ class Shard:
 
     def apply(self, event: DataEvent) -> None:
         """This shard's part of an S delete it owns (the event's
-        select-plane shard, :meth:`ShardRouter.route_event`, is this one):
-        drop the row from its C-slice.  The shared tables and the C-slice
-        insertions are the group's to write."""
+        select-plane shard, :meth:`ShardRouter.route_event`, is this one)
+        when its select plane is sliced: drop the row from its C-slice.
+        The shared tables and the C-slice insertions are the group's to
+        write."""
         self.table_s_select.delete(event.row)
 
     def apply_batch(
@@ -378,12 +389,13 @@ class Shard:
 
         Returns each plane's per-event deltas apart, for the group to
         strike before it merges them: the band part, one delta per entry;
-        the select part; and, for an S run, the indices into ``entries``
-        of the rows this shard owns (rows of its C-slice), the only rows
-        its select plane probes and so the ones the select part answers,
-        in order — ``None`` for an R run, whose select part is one delta
-        per entry too.  A plane that holds no query is not probed, and
-        its part is ``None``.
+        the select part; and, for an S run of a sliced select plane, the
+        indices into ``entries`` of the rows this shard owns (rows of its
+        C-slice), the only rows its select plane probes and so the ones
+        the select part answers, in order — ``None`` for an R run or a
+        whole select plane, whose select part is one delta per entry too.
+        A plane that holds no query is not probed, and its part is
+        ``None``.
 
         The run is probed against **one** table state, the batch's
         superset state (every insertion of the batch installed, no
@@ -393,8 +405,6 @@ class Shard:
         """
         band_live = self.band.query_count > 0
         select_live = self.select.query_count > 0
-        if not (band_live or select_live):
-            return None, None, None
         relation = entries[0][1].relation
         index = self.index
         with self.tracer.span(
@@ -409,6 +419,8 @@ class Shard:
             band = self.band.process_s_batch(rows) if band_live else None
             if not select_live:
                 return band, None, None
+            if not self.sliced:
+                return band, self.select.process_s_batch(rows), None
             owned = [k for k, entry in enumerate(entries) if entry[2] == index]
             select = self.select.process_s_batch([rows[k] for k in owned]) if owned else []
             return band, select, owned
@@ -640,34 +652,38 @@ def _strike_select(
 class ShardGroup:
     """The one table set of a process and the shards that read it.
 
-    R and (band-plane) S are held **once**: every shard's processors probe
-    the same ``table_r``/``table_s`` and this class is their only writer,
-    and the only writer of the shards' C-slices.  ``mode="inline"`` builds
-    one group over all K shards; a ``process-shm`` worker builds the same
-    group over its one shard.  ``alpha`` is the shards' select-plane
-    threshold and ``band_alpha`` (``alpha`` when not given) their band
-    plane's (:func:`scaled_alpha`).
+    R and S are held **once**: every shard's processors probe the same
+    ``table_r``/``table_s`` and this class is their only writer, and the
+    only writer of the shards' C-slices.  ``partitions`` is the router's
+    (:attr:`ShardRouter.partitions`): with one, the select plane is whole
+    and reads the shared ``table_s`` (``mode="inline"``, one group over
+    all K shards); with more, each shard keeps the C-slice of S its select
+    plane reads (a ``process-shm`` process, a group of its one shard).
+    ``alpha`` is both planes' threshold (:func:`scaled_alpha`).
     """
 
     def __init__(
         self,
         indices: Sequence[int],
         *,
+        partitions: int = 1,
         alpha: Optional[float] = 0.01,
-        band_alpha: Optional[float] = None,
         epsilon: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Tracer = NULL_TRACER,
     ):
         self.tracer = tracer
         self.table_r = TableR()
-        self.table_s = TableS()  # the band plane reads col_b alone
+        self.table_s = TableS()
         self.shards = [
-            Shard(index, self.table_r, self.table_s, alpha=alpha, band_alpha=band_alpha,
+            Shard(index, self.table_r, self.table_s, sliced=partitions > 1, alpha=alpha,
                   epsilon=epsilon, metrics=metrics, tracer=tracer)
             for index in indices
         ]
         self._by_index = {shard.index: shard for shard in self.shards}
+        # The shards that keep a C-slice, by index: an S row's owner writes
+        # its slice only here.
+        self._slices = self._by_index if partitions > 1 else {}
         # qid -> the query object this group's shards hold: an unsubscribe
         # names its query by qid alone when it crossed a process boundary.
         self._queries: Dict[int, Any] = {}
@@ -684,9 +700,10 @@ class ShardGroup:
         )
 
     def apply_batch(self, entries: Sequence[ShardEntry]) -> ShardBatchResults:
-        """Apply one batch of ``(seq, event, owner)`` entries and return
-        per shard its probe seconds and the ``(seq, deltas)`` of the
-        insertions, in sequence order.
+        """Apply one batch of ``(seq, event, owner)`` entries and return,
+        per shard that held a query in it, its probe seconds and the
+        ``(seq, deltas)`` of the insertions, in sequence order.  A shard
+        that held none did no work: it has no entry, and no span.
 
         A batch is two runs, whatever its interleaving — the delta rule
         Δ(R⋈S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, the last term in stream order — and
@@ -700,10 +717,11 @@ class ShardGroup:
            deletion and every unsubscribe is deferred.  The group now
            holds a superset of the rows and of the subscriptions any event
            of the batch may see;
-        2. **probe**: each shard answers all R insertions as one run and
-           all S insertions as another (:meth:`Shard.apply_batch`), each
-           with the planes that hold a query — a plane that holds none is
-           neither probed nor struck, and yields no delta;
+        2. **probe**: each shard that holds a query answers all R
+           insertions as one run and all S insertions as another
+           (:meth:`Shard.apply_batch`), each with the planes that hold a
+           query — a plane that holds none is neither probed nor struck,
+           and yields no delta;
         3. **strike**, each plane's part of a delta on its own before the
            two are merged: first every query whose liveness interval
            ``(subscribe position, unsubscribe position)`` does not contain
@@ -724,28 +742,31 @@ class ShardGroup:
         batch: the pipeline flushes before re-subscribing one whose
         unsubscribe is still pending.
         """
-        seconds = [0.0] * len(self.shards)
+        seconds: List[Optional[float]] = [None] * len(self.shards)
         results: List[List[Tuple[int, Delta]]] = [[] for _ in self.shards]
         start = 0
         while start < len(entries):
             start = self._apply_segment(entries, start, seconds, results)
         return {
-            shard.index: (seconds[k], results[k])
-            for k, shard in enumerate(self.shards)
+            shard.index: (elapsed, results[k])
+            for k, (shard, elapsed) in enumerate(zip(self.shards, seconds))
+            if elapsed is not None
         }
 
     def _apply_segment(
         self,
         entries: Sequence[ShardEntry],
         start: int,
-        seconds: List[float],
+        seconds: List[Optional[float]],
         results: List[List[Tuple[int, Delta]]],
     ) -> int:
         """Steps 1–4 of :meth:`apply_batch` for the entries from ``start``
-        up to the next cut; returns where the segment ended."""
+        up to the next cut; returns where the segment ended.  ``seconds``
+        stays ``None`` for a shard that held no query."""
         r_side = _Touched(_RID, self.table_r)
         s_side = _Touched(_SID, self.table_s)
         by_index = self._by_index
+        slices = self._slices
         held = self._queries
         live: Liveness = {}
         subscribes: Dict[int, List[Any]] = {}  # shard index -> its new queries
@@ -786,8 +807,8 @@ class ShardGroup:
             side.rows.append(row)
             side.positions.append(position)
             side.table.insert(row)
-            if owner in by_index:  # an S row of a C-slice held here
-                by_index[owner].table_s_select.insert(row)
+            if owner in slices:  # an S row of a C-slice held here
+                slices[owner].table_s_select.insert(row)
         for index, queries in subscribes.items():
             by_index[index].subscribe(*queries)
         runs = [
@@ -798,7 +819,13 @@ class ShardGroup:
         changes = _Changes(live, held) if live else None
         span = self.tracer.span
         clock = time.perf_counter
-        for k, shard in enumerate(self.shards if runs else ()):
+        for k, shard in enumerate(self.shards):
+            if not shard.query_count:
+                continue
+            elapsed = seconds[k] or 0.0
+            seconds[k] = elapsed
+            if not runs:
+                continue
             with span("shard.apply", shard=shard.index, events=stop - start):
                 begin = clock()
                 answered: List[Tuple[int, Delta]] = []
@@ -845,12 +872,12 @@ class ShardGroup:
                         rows.inc(rows_struck)
                     if queries_struck:
                         queries.inc(queries_struck)
-                seconds[k] += clock() - begin
+                seconds[k] = elapsed + clock() - begin
         for side in (r_side, s_side):
             for event, owner in side.deletes:
                 side.table.delete(event.row)
-                if owner in by_index:  # an S row of a C-slice held here
-                    by_index[owner].apply(event)
+                if owner in slices:  # an S row of a C-slice held here
+                    slices[owner].apply(event)
         unsubscribes: Dict[int, List[Any]] = {}
         for qid, placement in cancels:
             query = held.pop(qid, None)

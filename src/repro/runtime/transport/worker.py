@@ -98,7 +98,8 @@ def _apply_batch(
     index = shard.index
     start_ns = time.perf_counter_ns()
     with tracer.span("worker.batch", shard=index, events=len(batch.entries)):
-        __, applied = group.apply_batch(batch.entries)[index]
+        # A shard that held no query applied nothing and has no entry.
+        __, applied = group.apply_batch(batch.entries).get(index, (0.0, []))
         results: frames.SeqResults = [
             (seq, {query.qid: rows for query, rows in deltas.items()})
             for seq, deltas in applied
@@ -126,6 +127,7 @@ def _handle(
 
 def shard_worker_main(
     index: int,
+    partitions: int,
     alpha: Optional[float],
     epsilon: float,
     request_ring: str,
@@ -144,8 +146,8 @@ def shard_worker_main(
     responses = ShmRing.attach(response_ring, doorbell=response_doorbell)
     registry = MetricsRegistry()
     tracer = _BatchTracer(RingTracer(capacity=_WORKER_TRACE_CAPACITY))
-    group = ShardGroup([index], alpha=alpha, epsilon=epsilon, metrics=registry,
-                       tracer=tracer)
+    group = ShardGroup([index], partitions=partitions, alpha=alpha, epsilon=epsilon,
+                       metrics=registry, tracer=tracer)
     collector = TelemetryCollector(index, registry, tracer.ring)
     e2e = registry.histogram(f"shard/{index}/worker/e2e/ingest_to_apply_us")
     try:

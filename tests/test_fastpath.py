@@ -442,7 +442,13 @@ class TestSelectColumnProbe:
             for k in range(extra):
                 processor.add_query(SelectJoinQuery(Interval(20, 50), Interval(100, 105)))
             assert processor.tracker.is_hotspot_item(query) == hot
-            assert (len(processor._columns_s) >= kernel_mod.MIN_VECTOR) == bool(extra)
+            # An S run reads the query from its hot group's columns, else
+            # from the scattered ones: vector-sized iff the extra members.
+            held = next(
+                (c for c in processor._hot.group_table()[1] if any(q is query for q in c.queries)),
+                processor._columns_r,
+            )
+            assert (len(held) >= kernel_mod.MIN_VECTOR) == bool(extra)
             rs = [table_r.new_row(a, 7.0) for a in (19.5, 20.0, 50.0, 50.5)]
             ss = [table_s.new_row(7.0, c) for c in (99.5, 100.0, 105.0, 105.5)]
             assert_runs_match(processor, rs, ss)
@@ -517,7 +523,7 @@ class TestSelectColumnProbe:
             while len(live) > target:
                 pool.append(live.pop(rng.randrange(len(live))))
                 processor.remove_query(pool[-1])
-            assert len(processor._columns_s) == len(processor._columns_r) == target
+            assert len(processor._columns_r) == target
             sizes.append(target)
             assert_runs_match(processor, rs, ss)
         assert min(sizes) < limit <= max(sizes)
@@ -758,7 +764,10 @@ class TestSelectColumnProbe:
 
         def check():
             ids = lambda queries: sorted(id(q) for q in queries)
-            assert ids(processor._columns_s.queries) == ids(processor._queries.values())
+            # Each query sits in one set of columns, its hot group's or the
+            # scattered ones, which both relations' runs read.
+            grouped = [q for c in processor._hot.group_table()[1] for q in c.queries]
+            assert ids(grouped + processor._columns_r.queries) == ids(processor._queries.values())
             assert ids(processor._columns_r.queries) == ids(processor._hot.scattered.values())
             assert_runs_match(processor, rs, ss)
 
@@ -784,6 +793,61 @@ class TestSelectColumnProbe:
         assert tracker.moves_out_of_scattered and tracker.moves_into_scattered, (
             "the stream must promote and demote"
         )
+
+    def test_s_runs_read_the_hot_groups_on_range_c(self, kernel, monkeypatch):
+        """An S run reads the hotspot processor's rangeC groups with the
+        roles swapped: a hot group whose rangeC extent holds some row's
+        ``c`` has its members tested on rangeC, one whose extent the run
+        misses is skipped whole, and the scattered columns are read too.
+        Three hot groups (two of ``MIN_VECTOR``+ members and one below it,
+        the scalar branch) and a scattered remainder: batched == per-event
+        ``process_s`` == the oracle."""
+        limit = kernel_mod.MIN_VECTOR
+        rng = random.Random(23)
+        table_s, table_r = TableS(), TableR()
+        keys = [float(b) for b in range(6)]
+        for __ in range(120):
+            table_r.add(rng.uniform(0, 100), rng.choice(keys))
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1)
+        sizes = {100.0: limit + 4, 300.0: limit - 3, 500.0: limit + 4}
+        for centre, size in sizes.items():
+            for m in range(size):
+                a = rng.uniform(0, 60)
+                processor.add_query(
+                    SelectJoinQuery(Interval(a, a + 40), Interval(centre - 5 - m, centre + 5 + m))
+                )
+        for k in range(10):  # pairwise disjoint, far from every group
+            a = rng.uniform(0, 60)
+            processor.add_query(SelectJoinQuery(Interval(a, a + 30), Interval(700 + 20 * k, 710 + 20 * k)))
+        groups = {
+            centre: columns
+            for columns in processor._hot.group_table()[1]
+            for centre in sizes
+            if columns.rng_min <= centre <= columns.rng_max
+        }
+        assert sorted(groups) == sorted(sizes) and len(processor._columns_r) == 10
+        assert [len(groups[centre]) for centre in sizes] == list(sizes.values())
+        # The run reaches the groups at 100 and 300 and the scattered
+        # queries, never the extent of the group at 500; one key is absent.
+        cs = [100.0, 96.0, 112.0, 300.0, 294.0, 305.0, 705.0, 745.0, 800.0, 50.0]
+        ss = [table_s.new_row(rng.choice(keys + [9.0]), c) for c in cs for __ in range(2)]
+        assert not any(groups[500.0].rng_min <= s.c <= groups[500.0].rng_max for s in ss)
+        read = []
+        probe_columns = select_probe._probe_columns
+
+        def spy(joined, sel_lo, sel_hi, rng_lo, rng_hi, queries, results):
+            read.append(queries)
+            return probe_columns(joined, sel_lo, sel_hi, rng_lo, rng_hi, queries, results)
+
+        monkeypatch.setattr(select_probe, "_probe_columns", spy)
+        assert_runs_match(processor, [], ss)
+        deltas = processor.process_s_batch(ss)
+        read_ids = [id(queries) for queries in read]
+        for centre, reached in ((100.0, True), (300.0, True), (500.0, False)):
+            assert (id(groups[centre].queries) in read_ids) == reached, centre
+            assert any(q in delta for delta in deltas for q in groups[centre].queries) == reached
+        assert id(processor._columns_r.queries) in read_ids
+        assert any(q in delta for delta in deltas for q in processor._columns_r.queries)
 
 
 def _insert(row):
@@ -834,6 +898,15 @@ def spy_row_strikes(monkeypatch):
     monkeypatch.setattr(sharding, "_strike_select", select)
     monkeypatch.setattr(sharding, "_drop_hidden", drop)
     return seen
+
+
+#: Where a C-slice case runs: inline the select plane is whole at any K;
+#: under ``process-shm`` at K = 3 it is cut into three C-slices.
+SLICINGS = [
+    pytest.param("inline", 1, id="1"),
+    pytest.param("inline", 3, id="3"),
+    pytest.param("process-shm", 3, id="shm-3"),
+]
 
 
 def ordered_view(deltas):
@@ -1057,17 +1130,19 @@ class TestShardedBatch:
         subscribe(select_queries(rng, 40, c_scale=100.0))
         run(events[:150])
         group = batched.shard_group
-        # Every C-slice holds S rows and select queries.
-        assert all(len(shard.table_s_select) for shard in group.shards)
-        assert all(shard.select.query_count for shard in group.shards)
-        tables = [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
+        # Inline, shard 0 holds the whole select plane, over the shared S.
+        assert [bool(shard.select.query_count) for shard in group.shards] == (
+            [True] + [False] * (num_shards - 1)
+        )
+        assert all(shard.table_s_select is group.table_s for shard in group.shards)
+        tables = [group.table_r, group.table_s]
         assert list(group.table_r.built_columns()) == ["cols_ba"]
-        assert group.table_s.built_columns() == {}
+        assert list(group.table_s.built_columns()) == ["cols_bc"]
         subscribe(spread_band_queries(rng, 20))
         assert batched.router.band_queries_per_shard == [20] + [0] * (num_shards - 1)
         run(events[150:])
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
-        assert list(group.table_s.built_columns()) == ["col_b"]
+        assert sorted(group.table_s.built_columns()) == ["col_b", "cols_bc"]
         assert all(table.built_indexes() == {} for table in tables)
 
     @pytest.mark.parametrize("num_shards", [1, 3])
@@ -1100,7 +1175,8 @@ class TestShardedBatch:
             first = first or [built["col_b"] for built in columns]
             assert all(built["col_b"] is col for built, col in zip(columns, first))
         assert [len(col[1]) for col in first] == [len(group.table_r), len(group.table_s)]
-        assert all(shard.table_s_select.built_columns() == {} for shard in group.shards)
+        # Inline there is no C-slice: every select plane reads the one S.
+        assert all(shard.table_s_select is group.table_s for shard in group.shards)
 
     def test_inline_band_plane_probes_once_per_relation_run(self, kernel, monkeypatch):
         """Inline at K = 3, shard 0 holds every band and shards 1 and 2
@@ -1139,12 +1215,61 @@ class TestShardedBatch:
         assert any(want)
         assert calls == runs
 
+    def test_inline_select_plane_probes_once_per_relation_run(self, kernel, monkeypatch):
+        """Inline at K = 3, shard 0 holds every select-join over the shared
+        S table and shards 1 and 2 hold none: each batch's R run and S run
+        reach the select kernel once, not once per C-slice, and every
+        delta is the per-event system's."""
+        calls = {"R": [], "S": []}
+        for relation, name in (("R", "batch_probe_select_r"), ("S", "batch_probe_select_s")):
+            def spy(cols, rows, *args, _inner=getattr(select_probe, name), _log=calls[relation], **kw):
+                _log.append(len(rows))
+                return _inner(cols, rows, *args, **kw)
+            monkeypatch.setattr(select_probe, name, spy)
+        rng = random.Random(22)
+        batched = EventPipeline(num_shards=3, alpha=0.05, batch_size=32)
+        reference = ContinuousQuerySystem(alpha=0.05)
+        # rangeC on [0, 10000] and S.c up to 10000: at the parent's K = 3
+        # C-slices every slice holds select-joins and S rows.
+        selects = select_queries(rng, 40, c_scale=100.0)
+        for query in spread_band_queries(rng, 10) + selects:
+            batched.subscribe(query)
+            reference.subscribe(query)
+        batched.drain()
+        assert [shard.select.query_count > 0 for shard in batched.shards] == [True, False, False]
+        # Five join keys, so that the equality join matches.
+        stream = self._stream(rng, 320, c_scale=100.0)
+        keyed = {}
+        for event in stream:
+            row = event.row
+            if id(row) not in keyed:
+                b = float(int(row.b) % 5)
+                keyed[id(row)] = (
+                    RTuple(row.rid, row.a, b) if event.relation == "R" else STuple(row.sid, b, row.c)
+                )
+        events = [DataEvent(e.kind, e.relation, keyed[id(e.row)]) for e in stream]
+        want = self._reference_views(reference, events)
+        runs = {"R": [], "S": []}
+        got = []
+        for start in range(0, len(events), 32):
+            chunk = events[start : start + 32]
+            for relation in runs:
+                n = sum(
+                    1 for e in chunk if e.relation == relation and e.kind is EventKind.INSERT
+                )
+                if n:
+                    runs[relation].append(n)
+            got.extend(ordered_view(delta) for __, ___, delta in batched.run(chunk))
+        assert got == want
+        assert any(query.qid in view for view in want for query in selects)
+        assert calls == runs
+
     # -- the in-batch term: one batch, any interleaving ----------------------
     #
     # Each case is ONE micro-batch (after an optional preload batch),
     # compared event by event, order included, against the per-event
-    # system.  The pipeline's domain is [0, 10000], so at K = 3
-    # the C-slices meet at 3333.3 and 6666.7.
+    # system.  The pipeline's domain is [0, 10000], so under process-shm
+    # at K = 3 the C-slices meet at 3333.3 and 6666.7.
 
     BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9001)
     SELECT = SelectJoinQuery(Interval(0.0, 100.0), Interval(1000.0, 9000.0), qid=9002)
@@ -1218,18 +1343,18 @@ class TestShardedBatch:
         assert last == {9001: [0, 1, 2, 3, 4], 9002: [0, 1, 2, 3, 4]}
         assert struck > 0
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_select_join_spanning_c_slices(self, kernel, num_shards):
-        # SELECT's rangeC covers all three C-slices: an R arrival's delta is
-        # three shards' partial lists, each struck on its own, concatenated
-        # in shard-index order, which is ascending c.
+    @pytest.mark.parametrize("mode, num_shards", SLICINGS)
+    def test_select_join_spanning_c_slices(self, kernel, mode, num_shards):
+        # SELECT's rangeC covers all three C-slices: under process-shm an R
+        # arrival's delta is three shards' partial lists, each struck on its
+        # own, concatenated in shard-index order, which is ascending c.
         s_rows = [STuple(i, 50.0, c) for i, c in enumerate((1500.0, 2500.0, 4500.0, 7500.0, 8500.0))]
         events = [_insert(s_rows[0]), _insert(s_rows[1])]
         events.append(_insert(RTuple(0, 10.0, 50.0)))  # sees 0, 1: one slice
         events += [_insert(s_rows[2]), _delete(s_rows[0]), _insert(s_rows[3])]
         events.append(_insert(RTuple(1, 10.0, 50.0)))  # sees 1, 2, 3: a row of each slice
         events.append(_insert(s_rows[4]))
-        results, struck = self._one_batch(events, num_shards=num_shards)
+        results, struck = self._one_batch(events, num_shards=num_shards, mode=mode)
         assert ordered_view(results[2][2])[9002] == [0, 1]
         assert ordered_view(results[6][2])[9002] == [1, 2, 3]
         assert struck > 0
@@ -1239,8 +1364,7 @@ class TestShardedBatch:
         self, kernel, num_shards, monkeypatch
     ):
         # Three S rows share the R arrival's join key: one visible, one
-        # deleted before it and one inserted after it.  At K = 3 they lie
-        # in three C-slices, each struck by its own shard.
+        # deleted before it and one inserted after it.
         seen = spy_row_strikes(monkeypatch)
         visible, gone = STuple(0, 50.0, 5000.0), STuple(1, 50.0, 7000.0)
         later = STuple(2, 50.0, 2000.0)
@@ -1253,13 +1377,13 @@ class TestShardedBatch:
         assert seen["select_struck"] == 2 and seen["band_struck"] == 2
         assert struck == 4
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("mode, num_shards", SLICINGS)
     def test_select_strike_on_the_s_run_maps_owned_rows_to_their_positions(
-        self, kernel, num_shards, monkeypatch
+        self, kernel, mode, num_shards, monkeypatch
     ):
         """S arrivals of every C-slice interleave around two R deletes and
-        an R insert of their join key.  A shard's select part answers only
-        the S rows it owns, so each must be struck at its own stream
+        an R insert of their join key.  A C-slice's select part answers
+        only the S rows it owns, so each must be struck at its own stream
         position: read at the position of the run's k-th S row instead,
         the rows after the first delete would still see R 1 (and those
         before the insert would see R 2).  S 4 lies between the two
@@ -1279,13 +1403,20 @@ class TestShardedBatch:
             _delete(r_rows[3]),
         ]
         preload = [_insert(r_rows[0]), _insert(r_rows[1]), _insert(r_rows[3])]
-        results, __ = self._one_batch(events, num_shards=num_shards, preload=preload)
+        results, struck = self._one_batch(
+            events, num_shards=num_shards, preload=preload, mode=mode
+        )
         seen_by_select = [ordered_view(delta).get(9002) for __, ___, delta in results]
         assert seen_by_select == [
             [0, 1, 3], [0, 1, 3], None, [0, 3], [0, 3], [0, 3, 2, 1], [0, 3, 2], None,
         ]
-        # R 2 hides from S 0-3, R 1 from S 2-4, S 4 from R 2.
-        assert seen["select_struck"] == 8
+        # R 2 hides from S 0-3, R 1 from S 2-4, S 4 from R 2, in each plane
+        # (the band joins equal keys too).  A worker's strikes reach the
+        # spy of no process but its own, so under process-shm only the
+        # shipped counters count them.
+        assert struck == 16
+        if mode == "inline":
+            assert seen["select_struck"] == seen["band_struck"] == 8
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_band_part_is_struck_while_the_select_part_is_not_scanned(
@@ -1305,9 +1436,9 @@ class TestShardedBatch:
         assert seen["select_events"] > 0
         assert seen["select_scanned"] == seen["select_struck"] == 0
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("mode, num_shards", SLICINGS)
     def test_select_join_spanning_c_slices_subscribed_and_cancelled_in_one_batch(
-        self, kernel, num_shards
+        self, kernel, mode, num_shards
     ):
         # ``span`` answers only the arrivals between its subscribe and its
         # cancel, with the rows of every C-slice; both relations arrive
@@ -1324,7 +1455,9 @@ class TestShardedBatch:
             _insert(STuple(4, 50.0, 2000.0)),   # after
         ]
         preload = [_insert(STuple(0, 50.0, 1500.0)), _insert(STuple(1, 50.0, 8500.0))]
-        results, __ = self._one_batch(events, num_shards=num_shards, preload=preload)
+        results, __ = self._one_batch(
+            events, num_shards=num_shards, preload=preload, mode=mode
+        )
         by_span = [ordered_view(delta).get(9003) for __, ___, delta in results]
         assert by_span == [None, None, [0, 2, 1], [0, 1], None, None]
 
@@ -1435,8 +1568,8 @@ class TestQueryEntries:
     """Subscription changes are entries of a batch, in stream order: each
     case is ONE micro-batch (after the batches that apply ``before``),
     compared data event by data event, order included, against the
-    per-event system.  At K = 3 the C-slices meet at 3333.3
-    and 6666.7."""
+    per-event system.  Under ``process-shm`` at K = 3 the C-slices meet at
+    3333.3 and 6666.7."""
 
     BAND = BandJoinQuery(Interval(-1.0, 1.0), qid=9101)
 
@@ -1527,10 +1660,11 @@ class TestQueryEntries:
         assert views == [{}, {9103: [0]}, {}, {}]
         assert struck >= 3
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_select_join_spanning_c_slices_subscribed_mid_batch(self, kernel, num_shards):
-        # rangeC covers all three C-slices: each shard installs the query
-        # at its position and strikes it from its own partial lists.
+    @pytest.mark.parametrize("mode, num_shards", SLICINGS)
+    def test_select_join_spanning_c_slices_subscribed_mid_batch(self, kernel, mode, num_shards):
+        # rangeC covers all three C-slices: under process-shm each shard
+        # installs the query at its position and strikes it from its own
+        # partial lists.
         select = self._select()
         s_rows = [STuple(i, 50.0, c) for i, c in enumerate((1500.0, 4500.0, 7500.0))]
         events = [
@@ -1541,7 +1675,7 @@ class TestQueryEntries:
             _insert(RTuple(1, 10.0, 50.0)),  # sees S 0 and 1: two slices
             _insert(s_rows[2]),              # sees R 0 and 1
         ]
-        results, struck, __ = self._one_batch(events, num_shards=num_shards)
+        results, struck, __ = self._one_batch(events, num_shards=num_shards, mode=mode)
         views = [ordered_view(delta) for __, ___, delta in results]
         assert views == [{}, {}, {9102: [0]}, {9102: [0, 1]}, {9102: [0, 1]}]
         assert struck > 0

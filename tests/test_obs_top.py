@@ -79,26 +79,34 @@ class TestRenderDashboard:
         assert "12.5/-" in shard_rows[0]
 
     def test_a_plane_without_queries_shows_no_headroom(self):
-        """An empty tracker's I2 budget is 2/alpha with nothing under it:
-        inline, shard 1's band plane holds no band (shard 0 holds them
-        all), so its cell reads ``-``, while its select plane has a number."""
-        registry = MetricsRegistry()
-        with EventPipeline(num_shards=2, alpha=0.05, metrics=registry) as pipeline:
-            pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
-            pipeline.subscribe(
-                SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0))
-            )
-            pipeline.drain()
-            pipeline.sample_hotspots()
-        frame = render_dashboard({"metrics": registry.snapshot()})
-        rows = {
-            line.split()[0]: line.split()[-1]
-            for line in frame.splitlines()
-            if line.startswith("  0 ") or line.startswith("  1 ")
-        }
+        """An empty tracker's I2 budget is 2/alpha with nothing under it,
+        so a plane that holds no query reads ``-``: inline, shard 0 holds
+        every query and shard 1 none, so shard 1's whole cell is ``-``;
+        with no band query at all, shard 0's band plane reads ``-`` beside
+        its select plane's number."""
+
+        def headroom_cells(with_band):
+            registry = MetricsRegistry()
+            with EventPipeline(num_shards=2, alpha=0.05, metrics=registry) as pipeline:
+                if with_band:
+                    pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
+                pipeline.subscribe(
+                    SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0))
+                )
+                pipeline.drain()
+                pipeline.sample_hotspots()
+            frame = render_dashboard({"metrics": registry.snapshot()})
+            return {
+                line.split()[0]: line.split()[-1]
+                for line in frame.splitlines()
+                if line.startswith("  0 ") or line.startswith("  1 ")
+            }
+
+        rows = headroom_cells(with_band=True)
         band, select = rows["0"].split("/")
         assert band != "-" and select != "-"
-        band, select = rows["1"].split("/")
+        assert rows["1"] == "-"
+        band, select = headroom_cells(with_band=False)["0"].split("/")
         assert band == "-" and select != "-"
 
     def test_rates_need_a_previous_record(self):

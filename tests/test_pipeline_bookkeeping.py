@@ -31,6 +31,7 @@ from repro.durability import DurabilityManager
 from repro.engine.events import DataEvent, EventKind, QueryEvent
 from repro.engine.queries import BandJoinQuery, SelectJoinQuery
 from repro.engine.table import RTuple, STuple
+from repro.obs.tracing import RingTracer
 from repro.runtime.metrics import Counter, Histogram, MetricsRegistry
 from repro.runtime.pipeline import EventPipeline
 from repro.runtime.sharding import ShardGroup, scaled_alpha
@@ -183,9 +184,40 @@ def test_final_snapshot_equals_per_event_recording(name):
     assert histograms["pipeline/e2e_us"]["count"] == 1_200
     assert histograms["pipeline/batch_size"]["count"] == counters["pipeline/batches"]
     assert histograms["pipeline/batch_size"]["sum"] == 1_200
-    for index in range(2):
-        assert counters[f"shard/{index}/events"] == 1_200
-        assert histograms[f"shard/{index}/batch_us"]["count"] == counters["pipeline/batches"]
+    # Inline, shard 0 holds every query and shard 1 none: only shard 0
+    # counts the events and times the batches.
+    assert counters["shard/0/events"] == 1_200
+    assert histograms["shard/0/batch_us"]["count"] == counters["pipeline/batches"]
+    assert counters["shard/1/events"] == 0
+    assert histograms["shard/1/batch_us"]["count"] == 0
+
+
+def test_a_shard_without_queries_records_no_work():
+    """Inline at K = 4 every query lives on shard 0, and shards 1-3 hold
+    none: on a mixed band and select stream they count no events, time no
+    batch and open no ``shard.apply`` span, while shard 0 does all three
+    for every batch."""
+    registry = MetricsRegistry()
+    tracer = RingTracer()
+    with EventPipeline(
+        num_shards=4, batch_size=32, mode="inline", metrics=registry, tracer=tracer
+    ) as pipeline:
+        subscribe_population(pipeline)
+        drive(pipeline, seeded_stream(4, 600))
+        pipeline.drain()
+        assert [shard.query_count > 0 for shard in pipeline.shards] == [True] + [False] * 3
+    snap = registry.snapshot()
+    counters, histograms = snap["counters"], snap["histograms"]
+    assert counters["pipeline/results_produced"] > 0
+    assert counters["shard/0/events"] == 600
+    assert histograms["shard/0/batch_us"]["count"] == counters["pipeline/batches"]
+    for index in (1, 2, 3):
+        assert counters[f"shard/{index}/events"] == 0
+        assert histograms[f"shard/{index}/batch_us"]["count"] == 0
+    applies = Tally(
+        (span.args or {}).get("shard") for span in tracer.snapshot() if span.name == "shard.apply"
+    )
+    assert set(applies) == {0} and applies[0] >= 600 // 32
 
 
 def test_worker_e2e_fold_equals_per_event_recording(monkeypatch):
@@ -385,12 +417,13 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
     no metric of either mode is named outside the namespace roots, and
     each shard's ``shard/<i>/runtime/hotspot_*`` counters equal those of a
     ``ShardGroup([i])`` built with the mode's thresholds and fed the
-    batches the pipeline applied.  The band plane is placed per mode
-    (inline, shard 0 holds every band; under ``process-shm`` each process
-    holds a midpoint slice), so a worker's band-plane churn is checked by
-    value as it reaches the parent: the same batches without their band
-    subscriptions give each shard's select-plane share, and the rest must
-    be nonzero on every shard that holds bands."""
+    batches the pipeline applied.  Both planes are placed per mode
+    (inline, shard 0 holds every query and shard 1 none; under
+    ``process-shm`` each process holds a C-slice and a midpoint slice), so
+    a worker's churn is checked by value as it reaches the parent: the
+    same batches without their band subscriptions give each shard's
+    select-plane share, and the rest must be nonzero on every shard that
+    holds bands."""
     roots = re.compile(r"(pipeline|transport|durability|shard/\d+|obs/shard/\d+)/")
     names = [
         f"shard/{index}/runtime/hotspot_{what}"
@@ -410,12 +443,12 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
         return {name: value for name, value in registry.snapshot()["counters"].items()
                 if "/runtime/hotspot_" in name}
 
-    def reference(batches, band_partitions):
+    def reference(batches, partitions):
         registry = MetricsRegistry()
         for index in (0, 1):
             group = ShardGroup(
-                [index], alpha=scaled_alpha(0.05, 2),
-                band_alpha=scaled_alpha(0.05, band_partitions), metrics=registry,
+                [index], partitions=partitions, alpha=scaled_alpha(0.05, partitions),
+                metrics=registry,
             )
             for entries in batches:
                 group.apply_batch(entries)
@@ -424,7 +457,7 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
     def is_band_change(entry):
         return entry[0] < 0 and isinstance(entry[1].query, BandJoinQuery)
 
-    for mode, band_shards in (("inline", {0}), ("process-shm", {0, 1})):
+    for mode, shards in (("inline", {0}), ("process-shm", {0, 1})):
         applied.clear()
         registry = MetricsRegistry()
         with EventPipeline(
@@ -436,14 +469,17 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
                     if not roots.match(name)]
         churn = hotspot_counters(registry)
         assert sorted(churn) == names
-        assert min(churn.values()) > 0
-        assert churn == reference(applied, len(band_shards))
+        # Every counter of a shard that holds queries moved; shard 1's
+        # stayed 0 inline, where it holds none.
+        held = {name: int(name.split("/")[1]) in shards for name in names}
+        assert {name: value > 0 for name, value in churn.items()} == held, mode
+        assert churn == reference(applied, len(shards))
         select = reference(
             [[entry for entry in entries if not is_band_change(entry)] for entries in applied],
-            len(band_shards),
+            len(shards),
         )
         for index in (0, 1):
             for what in ("items_added", "promotions"):
                 name = f"shard/{index}/runtime/hotspot_{what}"
                 band = churn[name] - select[name]
-                assert band > 0 if index in band_shards else band == 0, (mode, name)
+                assert band > 0 if index in shards else band == 0, (mode, name)

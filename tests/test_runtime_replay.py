@@ -117,15 +117,27 @@ class TestReplayEquivalence:
 
     def test_degenerate_routing_domain_is_correctness_neutral(self):
         """Routing only affects load balance: a stream whose values all
-        fall in one slice of the routing domain, so every select query and
-        S row lands on shard 0 (as every band query does inline), must
-        reproduce identical deltas."""
+        fall in one C-slice of the routing domain, so under ``process-shm``
+        every select query and S row lands on shard 0, must reproduce
+        identical deltas; inline, every query is on shard 0 by design."""
         profile = StreamProfile(n_events=200, n_initial_queries=25, seed=12)
         params = WorkloadParams(seed=12, domain_hi=1_000.0, range_a_mid_mean=500.0)
-        report = run_replay(generate_mixed_stream(profile, params), num_shards=5, batch_size=8)
+        stream = generate_mixed_stream(profile, params)
+        report = run_replay(stream, num_shards=5, batch_size=8)
         assert report.equivalent, report.summary()
         assert report.reference_results > 0
         stats = report.router_stats
+        assert stats["partitions"] == 1
         assert stats["select_probes_per_shard"][1:] == [0, 0, 0, 0]
+        assert stats["select_queries_per_shard"][1:] == [0, 0, 0, 0]
         assert stats["band_queries_per_shard"][1:] == [0] * 4
-        assert stats["band_query_imbalance"] == 1.0  # one band partition inline
+        # One partition inline: both planes read 1.0.
+        assert stats["band_query_imbalance"] == stats["select_query_imbalance"] == 1.0
+        report = run_replay(stream, num_shards=3, batch_size=8, mode="process-shm")
+        assert report.equivalent, report.summary()
+        stats = report.router_stats
+        assert stats["partitions"] == 3
+        assert stats["select_probes_per_shard"][0] > 0
+        assert stats["select_probes_per_shard"][1:] == [0, 0]
+        assert stats["select_queries_per_shard"][0] > 0
+        assert stats["select_queries_per_shard"][1:] == [0, 0]

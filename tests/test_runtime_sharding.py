@@ -220,7 +220,8 @@ class TestShardedPipeline:
         sharded = per_event_pipeline(num_shards=4, alpha=None)
         query = sharded.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))
         assert sharded.subscription_count == 1
-        assert all(shard.query_count == 1 for shard in sharded.shards)
+        # Inline, the whole select plane is shard 0's.
+        assert [shard.query_count for shard in sharded.shards] == [1, 0, 0, 0]
         sharded.unsubscribe(query)
         assert sharded.subscription_count == 0
         assert all(shard.query_count == 0 for shard in sharded.shards)
@@ -251,13 +252,13 @@ class TestBandPlane:
             inline.drain()
             assert [shard.band.query_count for shard in inline.shards] == [3, 0, 0]
             stats = inline.router.stats()
-            assert stats["band_partitions"] == 1
+            assert stats["partitions"] == 1
             assert stats["band_queries_per_shard"] == [3, 0, 0]
             assert stats["band_query_imbalance"] == 1.0
         with EventPipeline(num_shards=3, alpha=0.05, mode="process-shm") as shm:
             assert [shm.router.shards_for_query(q) for q in queries] == [[0], [1], [2]]
             assert [r.index for r in shm.router.band_ranges()] == [0, 1, 2]
-            assert shm.router.stats()["band_partitions"] == 3
+            assert shm.router.stats()["partitions"] == 3
 
     def test_a_band_cluster_of_30_percent_is_hot_at_alpha_quarter(self):
         """Inline, the shard holding the bands promotes at the workload's
@@ -282,13 +283,64 @@ class TestBandPlane:
         pipeline.shards[index].band.validate()
 
 
+class TestSelectPlane:
+    """The select plane is split over the processes too: one partition
+    inline, C-slices only under ``process-shm``."""
+
+    # rangeC inside slice 0, 1 and 2 at K = 3, and one across all three.
+    RANGES_C = ((100.0, 200.0), (4_000.0, 5_000.0), (7_000.0, 9_000.0), (0.0, 10_000.0))
+
+    def test_inline_places_every_select_on_shard_0_and_shm_by_c_slice(self):
+        queries = [select_query(lo, hi) for lo, hi in self.RANGES_C]
+        s_rows = [STuple(i, 1.0, c) for i, c in enumerate((150.0, 4_500.0, 8_000.0))]
+        with EventPipeline(num_shards=3, alpha=0.05, mode="inline") as inline:
+            router = inline.router
+            assert [router.shards_for_query(q) for q in queries] == [[0]] * 4
+            assert [router.route_event(_event("S", row)) for row in s_rows] == [0, 0, 0]
+            assert [r.index for r in router.value_ranges()] == [0]
+            for query in queries:
+                inline.subscribe(query)
+            inline.drain()
+            assert [shard.select.query_count for shard in inline.shards] == [4, 0, 0]
+            assert not any(shard.sliced for shard in inline.shards)
+            stats = router.stats()
+            assert stats["select_queries_per_shard"] == [4, 0, 0]
+            assert stats["select_query_imbalance"] == 1.0
+        with EventPipeline(num_shards=3, alpha=0.05, mode="process-shm") as shm:
+            router = shm.router
+            assert [router.shards_for_query(q) for q in queries] == [[0], [1], [2], [0, 1, 2]]
+            assert [router.route_event(_event("S", row)) for row in s_rows] == [0, 1, 2]
+            assert [r.index for r in router.value_ranges()] == [0, 1, 2]
+            for query in queries:
+                shm.subscribe(query)
+            shm.drain()
+            assert router.stats()["select_queries_per_shard"] == [2, 2, 2]
+            assert shm.table_set.shards[0].sliced
+            assert shm.table_set.shards[0].select.query_count == 2
+
+    def test_one_threshold_serves_both_planes(self):
+        """Inline, shard 0's two trackers promote at the pipeline's alpha;
+        under ``process-shm`` both at ``scaled_alpha(alpha, K)``."""
+        with EventPipeline(num_shards=4, alpha=0.05, mode="inline") as inline:
+            shard = inline.shards[0]
+            assert shard.band.tracker.alpha == shard.select.tracker.alpha == 0.05
+        with EventPipeline(num_shards=2, alpha=0.05, mode="process-shm") as shm:
+            shard = shm.table_set.shards[0]
+            assert shard.band.tracker.alpha == shard.select.tracker.alpha == scaled_alpha(0.05, 2)
+
+
+def _event(relation, row):
+    return DataEvent(EventKind.INSERT, relation, row)
+
+
 def group_tables(group):
     """Every table of a shard group: R, the shared S and each C-slice."""
-    return [group.table_r, group.table_s] + [shard.table_s_select for shard in group.shards]
+    slices = [shard.table_s_select for shard in group.shards if shard.sliced]
+    return [group.table_r, group.table_s] + slices
 
 
 class TestOneTableSet:
-    """R and band-plane S exist once per process, whatever K is."""
+    """R and S exist once per process, whatever K is."""
 
     def test_runs_in_one_batch_see_each_other_like_per_event(self):
         """R-run, S-run, delete, R-run inside one 64-event batch: the S-run
@@ -299,7 +351,7 @@ class TestOneTableSet:
         for system in (plain, sharded):
             system.subscribe(BandJoinQuery(Interval(-1.0, 1.0)))
             system.subscribe(BandJoinQuery(Interval(-3.0, 12_000.0)))
-            system.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # all 4 slices
+            system.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # the whole C domain
             system.subscribe(select_query(3_000.0, 4_500.0, 0.0, 50.0))
         r_rows = [RTuple(i, 10.0 * i, 10.0 + i) for i in range(6)]
         s_rows = [STuple(i, 10.0 + i, 2_000.0 * i) for i in range(5)]
@@ -325,8 +377,9 @@ class TestOneTableSet:
         assert any(want[3:8]) and any(want[9:])  # later runs did match earlier rows
 
     def test_a_data_event_writes_each_table_once(self, monkeypatch):
-        """One TableR write per R event; two TableS writes per S event (the
-        shared table and the owning C-slice) — not K and K+1."""
+        """One TableR write per R event and one TableS write per S event:
+        inline, the whole select plane reads the shared S table, so no
+        C-slice is written — not K and K+1, and not two."""
         writes = {}
         for cls in (TableR, TableS):
             for op in ("insert", "delete"):
@@ -346,33 +399,33 @@ class TestOneTableSet:
             + [DataEvent(EventKind.DELETE, "S", row) for row in s_rows[:3]]
         )
         assert writes == {
-            ("TableR", "insert"): 5, ("TableS", "insert"): 8,
-            ("TableR", "delete"): 1, ("TableS", "delete"): 6,
+            ("TableR", "insert"): 5, ("TableS", "insert"): 4,
+            ("TableR", "delete"): 1, ("TableS", "delete"): 3,
         }
         group = sharded.shard_group
         assert all(shard.table_r is group.table_r for shard in group.shards)
         assert all(shard.table_s_band is group.table_s for shard in group.shards)
+        assert all(shard.table_s_select is group.table_s for shard in group.shards)
         assert (len(group.table_r), len(group.table_s)) == (4, 1)
-        assert sum(len(shard.table_s_select) for shard in group.shards) == 1
 
     def test_each_s_table_builds_only_the_index_its_plane_probes(self):
-        """The shared S table serves the band plane (``col_b``), each C-slice
-        the select plane (``cols_bc``), R both: with both families live and
-        both relations probed, that is what each table has built — one
-        column write per S table, so two per S row — and no table builds a
-        B+-tree (the trees serve the per-event references)."""
+        """Inline, the shared S table serves the band plane (``col_b``) and
+        the whole select plane (``cols_bc``), R both: with both families
+        live and both relations probed, that is what each table has built,
+        there is no C-slice, and no table builds a B+-tree (the trees
+        serve the per-event references)."""
         pipeline = EventPipeline(num_shards=3, alpha=None, batch_size=4)
         pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
-        pipeline.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # all 3 slices
+        pipeline.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))  # the whole C domain
         pipeline.run(
             [DataEvent(EventKind.INSERT, "R", RTuple(0, 1.0, 50.0))]
             + [DataEvent(EventKind.INSERT, "S", STuple(i, 50.0, 3_000.0 * i)) for i in range(4)]
         )
         group = pipeline.shard_group
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
-        assert list(group.table_s.built_columns()) == ["col_b"]
-        for shard in group.shards:
-            assert list(shard.table_s_select.built_columns()) == ["cols_bc"]
+        assert sorted(group.table_s.built_columns()) == ["col_b", "cols_bc"]
+        assert not any(shard.sliced for shard in group.shards)
+        assert group_tables(group) == [group.table_r, group.table_s]
         for table in group_tables(group):
             assert table.built_indexes() == {}
 

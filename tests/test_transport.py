@@ -458,6 +458,9 @@ class TestCrossProcessTelemetry:
         )
         try:
             pipe.subscribe(BandJoinQuery(Interval(0.0, 100.0), qid=1))
+            # Shard 0 records no span for a batch in which it holds no
+            # query: this band's midpoint places it there.
+            pipe.subscribe(BandJoinQuery(Interval(-8_000.0, -7_000.0), qid=2))
             for i in range(200):
                 pipe.submit(_r_insert(i, float(i % 50), 1.0))
             pipe.drain()
