@@ -129,9 +129,9 @@ SNAPSHOT_ATTRIBUTES: FrozenSet[str] = frozenset({"col_b", "cols_ba", "cols_bc"})
 #: The argument that makes those comparators correct (and that any new
 #: allowlist entry must reproduce): interval endpoints in this codebase are
 #: only ever *copied*, never derived by arithmetic — ``Interval`` is frozen,
-#: and values such as ``DynamicGroup.max_lo`` / ``min_hi`` are assigned
-#: verbatim from a member interval's ``lo``/``hi`` (see
-#: ``core/partition_base.py``), so an ``==`` there compares bit-identical
+#: and values such as ``DynamicGroup.max_lo`` / ``min_hi`` are copied from
+#: a member's ``lo``/``hi`` or the ends of its ``EndpointOrders`` columns
+#: (see ``core/partition_base.py``), so an ``==`` there compares bit-identical
 #: IEEE doubles and is exact.  Derived quantities (``s.b - r.b``, shifted
 #: windows) must never be equality-compared against endpoints.
 FLOAT_EQ_ALLOWLIST: Dict[str, str] = {

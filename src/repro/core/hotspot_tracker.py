@@ -42,6 +42,7 @@ from repro.core.partition_base import (
     DynamicStabbingPartitionBase,
     StabbingGroupView,
     T,
+    check_groups,
 )
 from repro.core.stabbing import identity_interval
 
@@ -130,7 +131,7 @@ class HotspotTracker(Generic[T]):
 
     @property
     def hotspot_item_count(self) -> int:
-        return sum(group.size for group in self._hot)
+        return len(self._hot_of)
 
     @property
     def hotspot_coverage(self) -> float:
@@ -153,9 +154,15 @@ class HotspotTracker(Generic[T]):
 
         The listeners hear of every item that entered a hotspot group in
         one ``on_hot_items_added`` call, before any promotion or demotion
-        the rebalance makes.  One item is the same call as many."""
+        the rebalance makes.  One item is the same call as many.  An item
+        already held, hot or scattered, or repeated in ``items`` raises
+        ``ValueError`` before any is placed."""
         hot = self._hot
         hot_of = self._hot_of
+        scattered = self._scattered
+        keys = {id(item) for item in items}
+        if len(keys) < len(items) or not hot_of.keys().isdisjoint(keys) or scattered.holds_any(keys):
+            raise ValueError("item already present or repeated")
         interval_of = self._interval_of
         added: List[Tuple[DynamicGroup[T], T]] = []
         for item in items:
@@ -170,7 +177,7 @@ class HotspotTracker(Generic[T]):
                     added.append((group, item))
                     break
             else:
-                self._scattered.insert(item)
+                scattered.insert(item)
         self._n += len(items)
         self.update_count += len(items)
         if added:
@@ -271,12 +278,10 @@ class HotspotTracker(Generic[T]):
         """Assert invariants I1 and I2 plus structural consistency (tests)."""
         from repro.core.stabbing import stabbing_number
 
-        # Structural: every hotspot group stabbed; counts consistent.
+        # Structural: hot groups stabbed, sound, and matching _hot_of.
+        check_groups(self._hot, self._hot_of, self._interval_of)
         for group in self._hot:
-            assert group.size > 0
-            point = group.stabbing_point
-            for item in group:
-                assert self._interval_of(item).contains(point)
+            group.check()
         self._scattered.validate()
         total = self.hotspot_item_count + self._scattered.total_items()
         assert total == self._n, f"item count drift: {total} != {self._n}"

@@ -79,9 +79,11 @@ def endpoints_equal(a: float, b: float) -> bool:
 
     This is deliberately *exact* IEEE equality, not a tolerance test.  It
     is sound because endpoints in this codebase are only ever **copied**,
-    never derived by arithmetic: ``Interval`` is frozen, and cached values
-    such as ``DynamicGroup.max_lo`` / ``min_hi`` are assigned verbatim
-    from a member interval's ``lo``/``hi``, so the comparison is between
+    never derived by arithmetic: ``Interval`` is frozen, an
+    ``EndpointOrders`` key column stores a member's ``lo`` (or its negated
+    ``hi``, and negation is exact) verbatim, and cached values such as
+    ``DynamicGroup.max_lo`` / ``min_hi`` are copied from a member's
+    endpoint or from those columns' ends, so the comparison is between
     bit-identical doubles.  Derived quantities (``s.b - r.b``, shifted
     windows) must not be compared with this helper — use an interval
     membership test instead, whose ``<=`` bounds are well-defined under

@@ -66,6 +66,8 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         self._updates_since_recon = 0
         self.recalibration_count = 0
         if items:
+            if len({id(item) for item in items}) < len(items):
+                raise ValueError("item repeated")
             self._rebuild(list(items))
             self.reconstruction_count = 0  # the initial build is not a rebuild
 
@@ -78,12 +80,6 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
     @property
     def groups(self) -> List[DynamicGroup[T]]:
         return list(self._groups)
-
-    def group_of(self, item: T) -> DynamicGroup[T]:
-        return self._group_of[id(item)]
-
-    def __contains__(self, item: T) -> bool:
-        return id(item) in self._group_of
 
     def insert(self, item: T) -> None:
         if id(item) in self._group_of:
@@ -101,14 +97,10 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         if target is None:
             target = DynamicGroup(self._interval_of)
             self._groups.append(target)
-            target.add(item)
-            self._group_of[id(item)] = target
             self._notify_group_created(target)
-            self._notify_item_added(target, item)
-        else:
-            target.add(item)
-            self._group_of[id(item)] = target
-            self._notify_item_added(target, item)
+        target.add(item)
+        self._group_of[id(item)] = target
+        self._notify_item_added(target, item)
         self._after_update()
 
     def delete(self, item: T) -> None:
@@ -127,18 +119,12 @@ class LazyStabbingPartition(DynamicStabbingPartitionBase[T]):
         return (1.0 + self._epsilon) * max(self._tau0 - self._original_deletions, 0)
 
     def validate(self) -> None:
-        """Stabbing validity plus the lazy strategy's own contracts:
-        item-to-group bookkeeping, epoch records, and the Lemma 3 bound
+        """Stabbing validity and item-to-group bookkeeping, each group's
+        orders, the epoch records, and the Lemma 3 bound
         ``|P| <= (1 + eps) * tau(I)`` against the true current tau."""
         super().validate()
-        mapped = sum(group.size for group in self._groups)
-        assert mapped == len(self._group_of), (
-            f"group membership ({mapped}) and group_of ({len(self._group_of)}) "
-            "disagree"
-        )
         for group in self._groups:
-            for item in group:
-                assert self._group_of[id(item)] is group, "stale group_of entry"
+            group.check()
         assert set(self._item_epoch) == set(self._group_of), (
             "epoch records out of sync with live items"
         )

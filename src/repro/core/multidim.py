@@ -240,14 +240,12 @@ class DynamicBoxPartition(DynamicStabbingPartitionBase[T]):
             if group.would_remain_stabbed(box):
                 target = group
                 break
-        created = target is None
         if target is None:
             target = BoxGroup(self._box_of)
             self._groups.append(target)
+            self._notify_group_created(target)
         target.add(item)
         self._group_of[id(item)] = target
-        if created:
-            self._notify_group_created(target)
         self._notify_item_added(target, item)
         self._after_update()
 
@@ -284,7 +282,3 @@ class DynamicBoxPartition(DynamicStabbingPartitionBase[T]):
         self._deletions = 0
         self.reconstruction_count += 1
         self._notify_rebuilt()
-
-    def validate(self) -> None:
-        super().validate()
-        assert sum(g.size for g in self._groups) == len(self._group_of)

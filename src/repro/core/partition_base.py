@@ -8,17 +8,20 @@ structures, the hotspot tracker) can stay synchronized.
 
 Items are arbitrary objects mapped to intervals by an ``interval_of``
 function; they are identified by object identity, so two distinct continuous
-queries may carry equal ranges.
+queries may carry equal ranges.  A maintainer keeps ``id(item)`` -> group
+(``_group_of``) and rejects an item it holds; a :class:`DynamicGroup` is
+its members' two endpoint orders and their default SSI structure.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, insort
-from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Protocol, TypeVar
+from typing import (
+    AbstractSet, Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Protocol, TypeVar,
+)
 
-from repro.core.intervals import Interval, endpoints_equal
+from repro.core.intervals import Interval
 from repro.core.stabbing import identity_interval
+from repro.dstruct.endpoint_orders import EndpointOrders
 
 T = TypeVar("T")
 
@@ -26,8 +29,9 @@ T = TypeVar("T")
 class StabbingGroupView(Protocol[T]):
     """Structural interface of a maintained stabbing group.
 
-    Every maintainer exposes groups through this shape — the sorted-
-    endpoint-array :class:`DynamicGroup` here, the treap-backed
+    Every maintainer exposes groups through this shape — the
+    :class:`DynamicGroup` here (an ``EndpointOrders``, read in place by
+    the SSI layer through its ``orders``), the treap-backed
     ``RefinedGroup`` of the Appendix B algorithm and the box partition's
     ``BoxGroup`` — so listeners and the SSI layer are typed against the
     protocol, not a concrete class.  ``common`` is the members'
@@ -59,8 +63,10 @@ class StabbingGroupView(Protocol[T]):
 class PartitionListener(Protocol[T]):
     """Callbacks fired by a dynamic partition as its groups evolve.
 
-    ``on_rebuilt`` replaces the per-item callbacks during a reconstruction
-    stage: listeners should drop all per-group state and rebuild from the
+    ``on_group_created`` announces a group while it is still empty; its
+    first member follows through ``on_item_added``.  ``on_rebuilt``
+    replaces the per-item callbacks during a reconstruction stage:
+    listeners should drop all per-group state and rebuild from the
     partition's current groups.
     """
 
@@ -76,81 +82,61 @@ class PartitionListener(Protocol[T]):
 
 
 class DynamicGroup(Generic[T]):
-    """A mutable stabbing group: members plus their maintained intersection.
+    """A mutable stabbing group: its members' two endpoint orders.
 
-    The common intersection is kept exactly (not just a stabbing point) via
-    sorted arrays of left and right endpoints, so a deletion that *widens*
-    the intersection finds the new extreme at an array end.  This is the
-    "more careful implementation" the paper recommends for the insertion
-    refinement.
+    The members live only in an :class:`EndpointOrders` (Section 3.1's
+    I^l_j and I^r_j; also the group's SSI structure) and iterate in
+    ascending-lo order.  The common intersection [largest lo, smallest hi]
+    is read at the tail of each order, so a deletion that *widens* it finds
+    the new extreme there: the "more careful implementation" the paper
+    recommends for the insertion refinement.  The owning maintainer, not
+    the group, rejects an item already held.
     """
 
-    __slots__ = ("_items", "size", "_los", "_his", "_interval_of", "max_lo", "min_hi")
+    __slots__ = ("orders", "size", "_interval_of", "max_lo", "min_hi")
 
     def __init__(self, interval_of: Callable[[T], Interval]):
-        self._items: Dict[int, T] = {}
-        # len(_items) as a plain attribute: the tracker reads it per update.
-        self.size = 0
-        self._los = array("d")
-        self._his = array("d")
+        self.orders: EndpointOrders[T] = EndpointOrders()
         self._interval_of = interval_of
-        # Cached intersection endpoints (= max lo / min hi of members; read
-        # only outside this class): the first-fit loops of the tracker and
-        # the lazy partition test every group against a new interval with
-        # these two attribute reads, inline.
+        # len(orders) and the intersection's ends as plain attributes: the
+        # first-fit loops of the tracker and the lazy partition test every
+        # group against a new interval with two attribute reads, inline.
+        self.size = 0
         self.max_lo = float("-inf")
         self.min_hi = float("inf")
 
     def add(self, item: T) -> None:
-        key = id(item)
-        if key in self._items:
-            raise ValueError("item already present in group")
         interval = self._interval_of(item)
-        self._items[key] = item
+        self.orders.add(item, interval)
         self.size += 1
-        insort(self._los, interval.lo)
-        insort(self._his, interval.hi)
         if interval.lo > self.max_lo:
             self.max_lo = interval.lo
         if interval.hi < self.min_hi:
             self.min_hi = interval.hi
 
     def remove(self, item: T) -> None:
-        interval = self._interval_of(item)
-        del self._items[id(item)]
+        """Remove ``item``; raises ``ValueError``, changing nothing, if the
+        group does not hold it under its current interval."""
+        orders = self.orders
+        orders.remove(item, self._interval_of(item))
         self.size -= 1
-        _remove_endpoint(self._los, interval.lo)
-        _remove_endpoint(self._his, interval.hi)
-        if not self._items:
-            self.max_lo = float("-inf")
-            self.min_hi = float("inf")
-        else:
-            # Exact comparisons are sound here: max_lo/min_hi are copied
-            # verbatim from member endpoints, so a departing member can only
-            # have *been* the cached extreme if its endpoint is bit-identical
-            # to it (see endpoints_equal for the full argument).
-            if endpoints_equal(interval.lo, self.max_lo):
-                self.max_lo = self._los[-1]
-            if endpoints_equal(interval.hi, self.min_hi):
-                self.min_hi = self._his[0]
-
-    def __contains__(self, item: T) -> bool:
-        return id(item) in self._items
+        self.max_lo = orders.lo_keys[-1] if self.size else float("-inf")
+        self.min_hi = -orders.neg_hi_keys[-1] if self.size else float("inf")
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self.size
 
     def __iter__(self) -> Iterator[T]:
-        return iter(self._items.values())
+        return iter(self.orders.by_lo)
 
     @property
     def items(self) -> List[T]:
-        return list(self._items.values())
+        return list(self.orders.by_lo)
 
     @property
     def common(self) -> Optional[Interval]:
         """Common intersection of all members (None iff empty group)."""
-        if not self._items:
+        if not self.size:
             return None
         assert self.max_lo <= self.min_hi, "group invariant violated"
         return Interval(self.max_lo, self.min_hi)
@@ -162,21 +148,18 @@ class DynamicGroup(Generic[T]):
         return common.hi
 
     def would_remain_stabbed(self, interval: Interval) -> bool:
-        """True if adding ``interval`` keeps the common intersection nonempty."""
-        if not self._items:
-            return True
-        # Inlined overlap check against [max lo, min hi]; this runs once per
-        # existing group on every insertion, so it avoids building objects.
+        """True if adding ``interval`` keeps the common intersection
+        nonempty (an empty group's [-inf, inf] meets every interval)."""
         return self.max_lo <= interval.hi and interval.lo <= self.min_hi
 
-
-def _remove_endpoint(endpoints: array[float], value: float) -> None:
-    """Delete one copy of ``value`` from the sorted ``endpoints``; raises
-    ``ValueError`` if it holds none."""
-    idx = bisect_left(endpoints, value)
-    if idx == len(endpoints) or endpoints[idx] != value:
-        raise ValueError(f"endpoint not found: {value!r}")
-    del endpoints[idx]
+    def check(self) -> None:
+        """Assert the orders are sound and ``size`` and the cached extremes
+        agree with them (tests, fuzz)."""
+        orders = self.orders
+        orders.check(orders.by_lo, self._interval_of)
+        assert self.size == len(orders), f"size drift: {self.size} != {len(orders)}"
+        ends = Interval(orders.lo_keys[-1], -orders.neg_hi_keys[-1]) if orders else None
+        assert self.common == ends, "cached extremes drifted"
 
 
 class DynamicStabbingPartitionBase(Generic[T]):
@@ -184,7 +167,9 @@ class DynamicStabbingPartitionBase(Generic[T]):
 
     __slots__ = ("_interval_of", "_listeners", "reconstruction_count", "update_count")
 
-    _groups: List[Any]  # the live groups, owned by the maintainer
+    # Owned by the maintainer: the live groups, and id(item) -> its group.
+    _groups: List[Any]
+    _group_of: Dict[int, Any]
 
     def __init__(self, interval_of: Callable[[T], Interval] = identity_interval):
         self._interval_of = interval_of
@@ -245,6 +230,16 @@ class DynamicStabbingPartitionBase(Generic[T]):
     def groups(self) -> Iterable[StabbingGroupView[T]]:
         raise NotImplementedError
 
+    def group_of(self, item: T) -> Any:
+        return self._group_of[id(item)]
+
+    def __contains__(self, item: T) -> bool:
+        return id(item) in self._group_of
+
+    def holds_any(self, keys: AbstractSet[int]) -> bool:
+        """True if an item whose ``id`` is in ``keys`` is held."""
+        return not self._group_of.keys().isdisjoint(keys)
+
     def iter_groups(self) -> Iterator[StabbingGroupView[T]]:
         """The groups without the copy ``groups`` makes; the partition must
         not be updated while the iterator is in use."""
@@ -259,14 +254,25 @@ class DynamicStabbingPartitionBase(Generic[T]):
         return len(self._groups)
 
     def total_items(self) -> int:
-        return sum(group.size for group in self.groups)
+        return len(self._group_of)
 
     def validate(self) -> None:
-        """Assert every group is stabbed by its stabbing point (tests only)."""
-        for group in self.groups:
-            assert group.size > 0, "empty group retained"
-            point = group.stabbing_point
-            for item in group:
-                assert self._interval_of(item).contains(point), (
-                    f"{self._interval_of(item)} not stabbed by {point}"
-                )
+        """Assert :func:`check_groups` on the groups (tests, fuzz)."""
+        check_groups(self._groups, self._group_of, self._interval_of)
+
+
+def check_groups(
+    groups: Iterable[Any], group_of: Dict[int, Any], interval_of: Callable[[Any], Any]
+) -> None:
+    """Assert every group is nonempty and stabbed by its stabbing point,
+    and that the groups hold exactly the items ``group_of`` (``id(item)``
+    to group) sends to them."""
+    held = 0
+    for group in groups:
+        assert group.size > 0, "empty group retained"
+        point = group.stabbing_point
+        for item in group:
+            assert interval_of(item).contains(point), f"{interval_of(item)} not stabbed by {point}"
+            assert group_of.get(id(item)) is group, "stale group_of entry"
+            held += 1
+    assert held == len(group_of), f"group membership ({held}) != group_of ({len(group_of)})"

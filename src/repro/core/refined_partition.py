@@ -128,21 +128,15 @@ class RefinedStabbingPartition(DynamicStabbingPartitionBase[T]):
     def groups(self) -> List[RefinedGroup[T]]:
         return list(self._groups)
 
-    def group_of(self, item: T) -> RefinedGroup[T]:
-        return self._group_of[id(item)]
-
-    def __contains__(self, item: T) -> bool:
-        return id(item) in self._group_of
-
     def insert(self, item: T) -> None:
         """Insert as a singleton group; touches no existing group."""
         if id(item) in self._group_of:
             raise ValueError("item already present")
         group = RefinedGroup(self._new_treap(), self._interval_of, fresh=True)
-        group.add(item)
         self._groups.append(group)
-        self._group_of[id(item)] = group
         self._notify_group_created(group)
+        group.add(item)
+        self._group_of[id(item)] = group
         self._notify_item_added(group, item)
         self._after_update()
 
@@ -163,11 +157,6 @@ class RefinedStabbingPartition(DynamicStabbingPartitionBase[T]):
         reconstruction), bookkeeping is consistent, and the partition obeys
         the Theorem 2 bound ``|P| <= (1 + eps) * tau(I)``."""
         super().validate()
-        mapped = sum(group.size for group in self._groups)
-        assert mapped == len(self._group_of), (
-            f"group membership ({mapped}) and group_of ({len(self._group_of)}) "
-            "disagree"
-        )
         for group in self._groups:
             if group.fresh:
                 assert group.size == 1, (
@@ -181,8 +170,6 @@ class RefinedStabbingPartition(DynamicStabbingPartitionBase[T]):
                 f"treap aggregate {group.common} != recomputed intersection "
                 f"{recomputed}"
             )
-            for item in group:
-                assert self._group_of[id(item)] is group, "stale group_of entry"
         items = [item for group in self._groups for item in group]
         tau = stabbing_number(items, self._interval_of)
         assert len(self._groups) <= (1.0 + self._epsilon) * tau + 1e-9, (

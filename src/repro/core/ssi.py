@@ -16,12 +16,15 @@ Section 2.2's SSI on the hotspots: the same index over a
 the scattered remainder the caller indexes traditionally.  The join
 processors iterate ``(stabbing_point, structure)`` pairs and never touch
 partition or tracker internals.
+
+A lazy or hot group is its members' ``EndpointOrders``, the default
+structure, read in place; a group without orders (a treap) gets a copy.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+    Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
 )
 
 from repro.core.hotspot_tracker import HotspotTracker
@@ -61,9 +64,9 @@ class StabbingSetIndex(Generic[T, S]):
         :class:`~repro.core.multidim.DynamicBoxPartition`).
     make_structure, add_item, remove_item:
         Build an empty per-group structure, and maintain it as members join
-        or leave its group.  Omitted, each group keeps its members'
-        :class:`~repro.dstruct.endpoint_orders.EndpointOrders` under the
-        partition's ``interval_of``.
+        or leave its group.  Omitted, it is the members'
+        :class:`~repro.dstruct.endpoint_orders.EndpointOrders`: the
+        group's own ``orders`` when it has them, else a copy.
     """
 
     def __init__(
@@ -87,6 +90,7 @@ class StabbingSetIndex(Generic[T, S]):
         add_item: Optional[Callable[[S, T], None]],
         remove_item: Optional[Callable[[S, T], None]],
     ) -> None:
+        self._in_place = make_structure is None  # a group's orders serve
         if make_structure is None:
             make_structure, add_item, remove_item = _endpoint_orders(interval_of)
         assert make_structure and add_item and remove_item
@@ -105,9 +109,13 @@ class StabbingSetIndex(Generic[T, S]):
         self._snapshot = None
 
     def _attach(self, group: Any) -> None:
-        structure = self._make()
-        for item in group:
-            self._add(structure, item)
+        """Give ``group`` its structure: its own orders when they serve,
+        else a new structure holding its members."""
+        structure = getattr(group, "orders", None) if self._in_place else None
+        if structure is None:
+            structure = self._make()
+            for item in group:
+                self._add(structure, item)
         self._groups[id(group)] = (group, structure)
         self._snapshot = None
 
@@ -123,19 +131,25 @@ class StabbingSetIndex(Generic[T, S]):
     # it never to go stale.
 
     def on_group_created(self, group: StabbingGroupView[T]) -> None:
-        # The partition announces the group's first member separately.
-        self._groups[id(group)] = (group, self._make())
-        self._snapshot = None
+        self._attach(group)  # still empty: its first member follows
 
     def on_group_destroyed(self, group: StabbingGroupView[T]) -> None:
         self._detach(group)
 
     def on_item_added(self, group: StabbingGroupView[T], item: T) -> None:
-        self._add(self._groups[id(group)][1], item)
-        self._snapshot = None
+        self._patch(((group, item),), self._add)
 
     def on_item_removed(self, group: StabbingGroupView[T], item: T) -> None:
-        self._remove(self._groups[id(group)][1], item)
+        self._patch(((group, item),), self._remove)
+
+    def _patch(self, changes: Iterable[Tuple[Any, T]], write: Callable[[S, T], None]) -> None:
+        """Apply member changes to their groups' structures; a structure
+        that is the group's own orders already holds them."""
+        groups = self._groups
+        for group, item in changes:
+            structure = groups[id(group)][1]
+            if structure is not getattr(group, "orders", None):
+                write(structure, item)
         self._snapshot = None
 
     def on_rebuilt(self, partition: DynamicStabbingPartitionBase[T]) -> None:
@@ -209,8 +223,9 @@ class StabbingSetIndex(Generic[T, S]):
 class HotspotIndex(StabbingSetIndex[T, S]):
     """Per-group structures over a :class:`HotspotTracker`'s hotspot groups.
 
-    A promotion builds the group's structure, a demotion drops it, and
-    items that join or leave a hot group patch it; ``groups()``,
+    A promotion attaches the group's structure (its own orders by
+    default), a demotion drops it, and items that join or leave a hot group
+    patch a structure that is not the group's orders; ``groups()``,
     ``group_table()`` and ``structure_of()`` read as over a partition, in
     promotion order.  :attr:`scattered` maps ``id(item)`` to each item in
     no hot group, in the order they became scattered; ``scatter(item)`` and
@@ -254,14 +269,10 @@ class HotspotIndex(StabbingSetIndex[T, S]):
             self._scatter_one(item)
 
     def on_hot_items_added(self, added: Sequence[Tuple[DynamicGroup[T], T]]) -> None:
-        for group, item in added:
-            self._add(self._groups[id(group)][1], item)
-        self._snapshot = None
+        self._patch(added, self._add)
 
     def on_hot_items_removed(self, removed: Sequence[Tuple[DynamicGroup[T], T]]) -> None:
-        for group, item in removed:
-            self._remove(self._groups[id(group)][1], item)
-        self._snapshot = None
+        self._patch(removed, self._remove)
 
     def _scatter_one(self, item: T) -> None:
         # A new item that a demotion in its own insert call scattered

@@ -5,7 +5,9 @@ descending-right-endpoint order (the sequences I^l_j and I^r_j): a group
 probe walks one order from its head and stops at the first member whose
 endpoint misses.  :class:`EndpointOrders` is that structure for every
 operator that needs it (the band-join, band-select-join and range-selection
-groups, and BJ-MJ's window list).
+groups, and BJ-MJ's window list).  A lazy or hotspot
+:class:`~repro.core.partition_base.DynamicGroup` keeps its members in one
+and nowhere else, so that object is both the group and its SSI structure.
 """
 
 from __future__ import annotations

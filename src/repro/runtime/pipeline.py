@@ -46,6 +46,7 @@ has an unsubscribe pending, which flushes first.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from typing import (
@@ -288,13 +289,15 @@ class _ShmWorkers:
         lanes: Optional[Collection[int]] = None,
     ) -> Optional[TransportError]:
         """Read the response of every worker (or of ``lanes``) into
-        ``out``.  Every one is read before the first failure is returned,
-        so no frame of this round is left in a ring for the next to
-        misread."""
+        ``out``, but for a shard that held no query.  Every one is read
+        before the first failure is returned, so no frame of this round is
+        left in a ring for the next to misread."""
         failure: Optional[TransportError] = None
         for index in self._processes if lanes is None else lanes:
             try:
-                out[index] = self._collect(index, want_telemetry)
+                elapsed, results = self._collect(index, want_telemetry)
+                if not math.isnan(elapsed):  # NaN: the shard held no query
+                    out[index] = (elapsed, results)
             except TransportError as exc:
                 failure = failure or exc
         return failure

@@ -83,7 +83,8 @@ unchanged — and the decoder refuses one that does not.  Span ``args`` ride as
 UTF-8 JSON (data, not code — unlike pickle nothing executes on load),
 with 0 length meaning no args.
 
-**RESULT** — ``f64 elapsed``, a deduplicated row table of ``u32 n_rows``
+**RESULT** — ``f64 elapsed`` (NaN: the shard held no query and applied
+nothing), a deduplicated row table of ``u32 n_rows``
 records ``<Bqdd>`` (tag 1 = R row rid/a/b, tag 2 = S row sid/b/c), then
 the delta tuples as flat columns — one *group* per (seq, qid) pair with a
 non-empty delta, groups in sequence order::

@@ -44,6 +44,7 @@ exits on a SHUTDOWN frame or an unrecoverable transport failure.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
@@ -99,17 +100,18 @@ def _apply_batch(
     start_ns = time.perf_counter_ns()
     with tracer.span("worker.batch", shard=index, events=len(batch.entries)):
         # A shard that held no query applied nothing and has no entry.
-        __, applied = group.apply_batch(batch.entries).get(index, (0.0, []))
+        applied = group.apply_batch(batch.entries).get(index)
         results: frames.SeqResults = [
             (seq, {query.qid: rows for query, rows in deltas.items()})
-            for seq, deltas in applied
+            for seq, deltas in (applied[1] if applied is not None else [])
         ]
     end_ns = time.perf_counter_ns()
     # One locked fold per batch; a query entry (stamp 0) is not timed.
     latencies = [(end_ns - ingest) / 1_000.0 for ingest in batch.ingest_ns if ingest > 0]
     if latencies:
         e2e.merge_delta(**histogram_delta(latencies))
-    return (end_ns - start_ns) / 1e9, results
+    # NaN elapsed tells the parent the shard did no work.
+    return (end_ns - start_ns) / 1e9 if applied is not None else math.nan, results
 
 
 def _handle(

@@ -71,6 +71,25 @@ class TestBasics:
         assert listener.hot_added == [extra]
         assert tracker.is_hotspot_item(extra)
 
+    def test_insert_rejects_a_held_or_repeated_item(self):
+        # A held item, hot or scattered, or one repeated within the call,
+        # raises before any item of the call is placed or announced.
+        tracker = HotspotTracker(alpha=0.5)
+        hot = [Interval(0.0, 10.0) for __ in range(3)]
+        scattered = Interval(100.0, 101.0)
+        tracker.insert(*hot, scattered)
+        listener = RecordingHotspotListener()
+        tracker.add_listener(listener)
+        assert tracker.is_hotspot_item(hot[0]) and scattered in tracker.scattered
+        new = Interval(5.0, 20.0)  # would join the hot group
+        for items in ((new, hot[0]), (new, scattered), (new, new)):
+            with pytest.raises(ValueError):
+                tracker.insert(*items)
+            assert len(tracker) == 4 and tracker.hotspot_item_count == 3
+            assert not tracker.is_hotspot_item(new) and new not in tracker.scattered
+            assert (listener.promoted, listener.demoted, listener.hot_added) == ([], [], [])
+            tracker.validate()
+
     def test_delete_hot_item(self):
         tracker = HotspotTracker(alpha=0.2)
         items = [Interval(0.0, 10.0) for __ in range(10)]

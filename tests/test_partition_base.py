@@ -25,33 +25,24 @@ class TestMembership:
         assert len(group) == 2
         assert group.size == 2
 
-    def test_duplicate_object_rejected(self):
-        interval = Interval(0, 1)
-        group = make_group([interval])
-        with pytest.raises(ValueError):
-            group.add(interval)
-
     def test_equal_but_distinct_objects_allowed(self):
         group = make_group([Interval(0, 1), Interval(0, 1)])
         assert group.size == 2
 
-    def test_contains_by_identity(self):
-        a = Interval(0, 1)
-        b = Interval(0, 1)
-        group = make_group([a])
-        assert a in group
-        assert b not in group
-
     def test_remove_of_unheld_endpoint_raises(self):
-        # The endpoint arrays refuse a value they do not hold instead of
-        # deleting a neighbour.
+        # The orders refuse an item they do not hold under its interval
+        # instead of deleting a neighbour, and the group is left unchanged.
         item = [Interval(0, 10)]
+        other = [Interval(5, 10)]
         group = DynamicGroup(lambda held: held[0])
         group.add(item)
-        group.add([Interval(5, 10)])
+        group.add(other)
         item[0] = Interval(3, 10)
         with pytest.raises(ValueError):
             group.remove(item)
+        assert group.size == len(group) == 2
+        assert group.common == Interval(5, 10)
+        assert [id(member) for member in group] == [id(item), id(other)]
 
     def test_items_and_iter(self):
         intervals = [Interval(0, 10), Interval(5, 15)]

@@ -220,6 +220,33 @@ def test_a_shard_without_queries_records_no_work():
     assert set(applies) == {0} and applies[0] >= 600 // 32
 
 
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="fork-based workers")
+def test_a_worker_without_queries_records_no_work():
+    """In ``process-shm`` at K = 3 one band lives on shard 1: a worker
+    whose shard holds no query (shard 2) answers each batch with a NaN
+    elapsed and the parent leaves it out, as the parent's shard 0 and
+    every empty inline shard are left out."""
+    registry = MetricsRegistry()
+    band = BandJoinQuery(Interval(-3.0, 3.0), qid=1)
+    rows = [DataEvent(EventKind.INSERT, "R", RTuple(i, 1.0, float(i))) for i in range(64)]
+    with EventPipeline(
+        num_shards=3, batch_size=8, mode="process-shm", metrics=registry
+    ) as pipeline:
+        assert pipeline.router.shards_for_query(band) == [1]
+        pipeline.subscribe(band)
+        pipeline.drain()
+        drive(pipeline, rows)
+        pipeline.drain()
+    snap = registry.snapshot()
+    counters, histograms = snap["counters"], snap["histograms"]
+    assert counters["shard/1/events"] == 64
+    # The subscription's batch and the eight batches of rows.
+    assert histograms["shard/1/batch_us"]["count"] == counters["pipeline/batches"] == 9
+    for index in (0, 2):
+        assert counters[f"shard/{index}/events"] == 0
+        assert histograms[f"shard/{index}/batch_us"]["count"] == 0
+
+
 def test_worker_e2e_fold_equals_per_event_recording(monkeypatch):
     """A worker folds each batch's ingest-to-apply latencies into
     ``worker/e2e/ingest_to_apply_us`` with one ``merge_delta``: on a clock
