@@ -354,15 +354,13 @@ def _column_image(col: Any) -> Dict[Any, Tuple[List[float], List[int]]]:
 
 
 def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
-    """The group holds each relation once, at the model's size; every shard
-    reads those very objects and each of its processors that can validate
-    itself does; the shards' select slices, where the plane is sliced,
-    partition S, and a whole plane reads the group's S; no table of the
+    """The inline group holds each relation once, at the model's size; its
+    shard reads those very objects, its whole select plane included, and
+    each of its processors that can validate itself does; no table of the
     group builds a B+-tree, and every sorted column a read has built, on
-    the group's R and S and on each slice, equals one built now from the
-    table's rows: the same keys and the very row objects, in order, and no
-    empty bucket.  A column nobody has read stays unbuilt: checking it
-    would build it."""
+    the group's R and S, equals one built now from the table's rows: the
+    same keys and the very row objects, in order, and no empty bucket.  A
+    column nobody has read stays unbuilt: checking it would build it."""
     n_r, n_s = len(model.r_rows), len(model.s_rows)
     expect(
         len(group.table_r) == n_r and len(group.table_s) == n_s,
@@ -370,34 +368,19 @@ def _expect_table_set(name: str, group: ShardGroup, model: ModelState) -> None:
         f"the table set holds {len(group.table_r)}R/{len(group.table_s)}S, "
         f"model {n_r}R/{n_s}S",
     )
-    for shard in group.shards:
-        expect(
-            shard.table_r is group.table_r and shard.table_s_band is group.table_s,
-            name,
-            f"shard {shard.index} reads tables other than the group's one set",
-        )
-        for processor in (shard.band, shard.select):
-            validate = getattr(processor, "validate", None)
-            if validate is not None:
-                validate()
-    sliced = [shard for shard in group.shards if shard.sliced]
-    if sliced:
-        select_total = sum(len(shard.table_s_select) for shard in sliced)
-        expect(
-            select_total == n_s,
-            name,
-            f"S select partition holds {select_total} rows fleet-wide, "
-            f"model {n_s} (slices must be disjoint and exhaustive)",
-        )
-    else:
-        expect(
-            all(shard.table_s_select is group.table_s for shard in group.shards),
-            name,
-            "a whole select plane reads an S table other than the group's",
-        )
-    tables: List[Tuple[str, Any]] = [("R", group.table_r), ("S", group.table_s)]
-    tables += [(f"slice {shard.index}", shard.table_s_select) for shard in sliced]
-    for label, table in tables:
+    shard = group.shard
+    expect(
+        shard.table_r is group.table_r
+        and shard.table_s_band is group.table_s
+        and shard.table_s_select is group.table_s,
+        name,
+        "the shard reads tables other than the group's one set",
+    )
+    for processor in (shard.band, shard.select):
+        validate = getattr(processor, "validate", None)
+        if validate is not None:
+            validate()
+    for label, table in (("R", group.table_r), ("S", group.table_s)):
         expect(not table.built_indexes(), name, f"{label} built {sorted(table.built_indexes())}")
         fresh = type(table)()  # its columns: the rows stable-sorted on each key
         for row in table:
@@ -423,12 +406,11 @@ def _expect_reference_tables(
     )
 
 
-
-
 # -- the pipeline target -----------------------------------------------------
 
 #: Fixed in every cell.  Three shards keep the router's odd-K split under
-#: fuzz; the crash seed draws a durable cell's truncation points.
+#: fuzz in the process-shm cells (an inline pipeline has one shard); the
+#: crash seed draws a durable cell's truncation points.
 NUM_SHARDS = 3
 ALPHA = 0.2
 EPSILON = 1.0
@@ -588,9 +570,7 @@ class PipelineTarget(FuzzTarget):
         from repro.durability import recover_system
 
         # WAL-only recovery has no checkpoint to read the configuration from.
-        recovered, report = recover_system(
-            crash_dir, num_shards=NUM_SHARDS, alpha=ALPHA, epsilon=EPSILON
-        )
+        recovered, report = recover_system(crash_dir, alpha=ALPHA, epsilon=EPSILON)
         expect(
             report.next_seq <= len(self._journal),
             self.name,

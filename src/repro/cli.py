@@ -203,8 +203,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     data_events = sum(isinstance(e, DataEvent) for e in stream)
     print(
         f"replaying {data_events} data events / "
-        f"{len(stream) - data_events} query events "
-        f"through {args.shards} shard(s), batch={args.batch_size}, mode={args.mode}"
+        f"{len(stream) - data_events} query events, "
+        f"batch={args.batch_size}, mode={args.mode}"
     )
     start = time.perf_counter()
     report = run_replay(
@@ -219,9 +219,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"both passes took {elapsed:.2f}s total")
     stats = report.router_stats
     print(
-        f"router: select queries/shard {stats['select_queries_per_shard']}, "
-        f"band queries/shard {stats['band_queries_per_shard']} "
-        f"over {stats['partitions']} partition(s), "
+        f"router: {stats['num_shards']} shard(s), "
+        f"select queries/shard {stats['select_queries_per_shard']}, "
+        f"band queries/shard {stats['band_queries_per_shard']}, "
         f"S-probe imbalance {stats['select_probe_imbalance']:.2f}"
     )
     if args.verbose:
@@ -290,7 +290,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if resume_at:
         print(f"resuming the deterministic stream at event {resume_at}/{len(stream)}")
     print(
-        f"serving {args.events} synthetic events on {args.shards} shard(s) "
+        f"serving {args.events} synthetic events on "
+        f"{pipeline.router.num_shards} shard(s) "
         f"(batch={args.batch_size}, mode={args.mode}); "
         f"reporting every {args.report_every} events"
     )
@@ -444,7 +445,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     try:
         pipeline, report = recover_system(
             Path(args.wal_dir),
-            num_shards=args.shards,
             alpha=args.alpha,
             epsilon=args.epsilon,
         )
@@ -458,8 +458,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(
         f"recovered state: {len(tables.table_r)} R row(s), "
         f"{len(tables.table_s)} S row(s), "
-        f"{pipeline.subscription_count} subscription(s) "
-        f"across {len(tables.shards)} shard(s)"
+        f"{pipeline.subscription_count} subscription(s)"
     )
     return 0
 
@@ -525,7 +524,10 @@ _positive_int = _int_in(1)
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events", type=int, default=5_000, help="data events to generate")
     parser.add_argument("--queries", type=int, default=200, help="initial subscriptions")
-    parser.add_argument("--shards", type=_positive_int, default=4)
+    parser.add_argument(
+        "--shards", type=_positive_int, default=4,
+        help="process-shm processes, one shard each (inline builds one shard)",
+    )
     parser.add_argument("--batch-size", type=_positive_int, default=64)
     parser.add_argument("--alpha", type=float, default=0.01, help="hotspot threshold")
     parser.add_argument("--band-fraction", type=float, default=0.3,
@@ -724,10 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--wal-dir", required=True, metavar="DIR",
         help="durability directory written by serve --wal-dir",
-    )
-    recover.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count when no checkpoint records one",
     )
     recover.add_argument(
         "--alpha", type=float, default=0.01,

@@ -234,7 +234,6 @@ class DurabilityManager:
     @staticmethod
     def _config_of(source: EventPipeline) -> Dict[str, Any]:
         return {
-            "num_shards": source.router.num_shards,
             "alpha": source.alpha,
             "epsilon": source.epsilon,
         }

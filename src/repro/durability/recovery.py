@@ -145,25 +145,24 @@ def recover_into(target: EventPipeline, directory: Path) -> RecoveryReport:
 def recover_system(
     directory: Path,
     *,
-    num_shards: int = 4,
     alpha: Optional[float] = 0.01,
     epsilon: float = 1.0,
 ) -> Tuple[EventPipeline, RecoveryReport]:
     """Build an inline :class:`~repro.runtime.pipeline.EventPipeline` from
     durable state.
 
-    Construction parameters come from the checkpoint's recorded config
+    ``alpha`` and ``epsilon`` come from the checkpoint's recorded config
     when one exists, falling back to the keyword defaults for WAL-only
-    recovery.  The config only picks them: restore re-routes every record
-    through ``submit``, so any shard count recovers the same state — and
-    the routing domain an older checkpoint records is ignored.
+    recovery.  The pipeline is inline, so it has one shard whatever
+    produced the directory: restore re-routes every record through
+    ``submit``, and the shard count and routing domain an older
+    checkpoint records are ignored.
     Returns ``(pipeline, report)``; the pipeline has no durability
     manager, so nothing it is fed afterwards is logged.
     """
     loaded, __ = load_latest_checkpoint(Path(directory))
     config: Dict[str, Any] = loaded.config if loaded is not None else {}
     pipeline = EventPipeline(
-        num_shards=int(config.get("num_shards", num_shards)),
         alpha=config.get("alpha", alpha),
         epsilon=float(config.get("epsilon", epsilon)),
     )

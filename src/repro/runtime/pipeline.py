@@ -13,22 +13,25 @@ it stacks the runtime layers on top of them:
 2. **batching** — a batch flushes when ``batch_size`` entries are pending.
    Every submitted event is applied; an insert and a delete of the same row in
    one batch are answered exactly as the per-event reference answers them.
-3. **execution** — every data event reaches every shard (each holds a
-   partition of the queries), so a flush routes each event once
+3. **execution** — there is one shard per process, each holding a
+   partition of the queries over its process's one table set
+   (:class:`~repro.runtime.sharding.ShardGroup`), and every data event
+   reaches every shard, so a flush routes each event once
    (:meth:`~repro.runtime.sharding.ShardRouter.route_event` → its
    select-plane owner) and hands its shards one ``(seq, event, owner)``
-   list, never a copy per shard.  ``mode="inline"`` (the default) steps all K
-   shards through the batch on the caller's thread, over one shared table
-   set (:class:`~repro.runtime.sharding.ShardGroup`): deterministic and
-   zero overhead.  Inline, every query lives on shard 0: a plane probes
-   the full tables whatever its share of the queries, so there is one of
-   each per process.
-   ``mode="process-shm"`` applies shard 0 — a group of one — in this
-   process and pins each of shards 1…K−1 to a persistent worker process
-   behind a pair of shared-memory rings (:mod:`repro.runtime.transport`)
-   — real parallelism on CPython, with batches and deltas crossing the
-   boundary as columnar frames; a batch is encoded once, the same frame
-   goes to every worker, and the parent applies shard 0 while they run.
+   list, never a copy per shard.  ``mode="inline"`` (the default) steps
+   its one shard, which holds every query, through the batch on the
+   caller's thread: deterministic and zero overhead.  A plane probes the
+   full tables whatever its share of the queries, so more shards in one
+   process would only repeat the fixed cost of a probe, and inline
+   ``num_shards`` is ignored.
+   ``mode="process-shm"`` runs ``num_shards`` processes: it applies shard
+   0 in this process and pins each of shards 1…K−1 to a persistent worker
+   process behind a pair of shared-memory rings
+   (:mod:`repro.runtime.transport`) — real parallelism on CPython, with
+   batches and deltas crossing the boundary as columnar frames; a batch
+   is encoded once, the same frame goes to every worker, and the parent
+   applies shard 0 while they run.
 4. **merge** — per-shard deltas are merged by sequence number into one
    per-event result dict whose lists equal the per-event reference's,
    order included (:func:`~repro.runtime.sharding.merge_deltas`), then
@@ -156,7 +159,6 @@ class _ShmWorkers:
                     target=shard_worker_main,
                     args=(
                         index,
-                        num_shards,  # the partitions: one per process
                         alpha,
                         epsilon,
                         self._requests[index].name,
@@ -353,10 +355,11 @@ class _ShmWorkers:
 class EventPipeline:
     """Sharded, micro-batched event processing.
 
-    Parameters mirror the knobs documented in ``docs/RUNTIME.md``.  Results
-    are delivered through per-subscription callbacks (``subscribe``) and/or
-    returned by ``flush``/``run`` as ``(seq, event, deltas)`` triples in
-    arrival order.
+    Parameters mirror the knobs documented in ``docs/RUNTIME.md``;
+    ``num_shards`` is the process count of ``process-shm`` and ignored
+    inline, which builds one shard.  Results are delivered through
+    per-subscription callbacks (``subscribe``) and/or returned by
+    ``flush``/``run`` as ``(seq, event, deltas)`` triples in arrival order.
     """
 
     def __init__(
@@ -371,13 +374,16 @@ class EventPipeline:
         durability: Optional["DurabilityManager"] = None,
         tracer: Tracer = NULL_TRACER,
     ):
+        if mode not in ("inline", "process-shm"):
+            raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
+        if num_shards < 1:
+            raise ValueError("need at least one shard")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         # A plane probes the process's full tables whatever its share of the
-        # queries, so both are split over the processes: one inline, on
-        # shard 0.
-        partitions = 1 if mode == "inline" else num_shards
-        self.router = ShardRouter(num_shards, partitions=partitions)
+        # queries, so there is one shard per process: one inline.
+        shards = num_shards if mode == "process-shm" else 1
+        self.router = ShardRouter(shards)
         self.batch_size = batch_size
         self.mode = mode
         self.alpha = alpha
@@ -404,11 +410,9 @@ class EventPipeline:
         self._batch_size_hist = histogram("pipeline/batch_size")
         self._shard_metrics = [
             (histogram(f"shard/{i}/batch_us"), counter(f"shard/{i}/events"))
-            for i in range(num_shards)
+            for i in range(shards)
         ]
-        if mode not in ("inline", "process-shm"):
-            raise ValueError(f"unknown mode {mode!r} (inline|process-shm)")
-        per_shard_alpha = scaled_alpha(alpha, partitions)
+        per_shard_alpha = scaled_alpha(alpha, shards)
         # process-shm: this process applies shard 0 and K − 1 workers the
         # rest.  Their spans and hotspot telemetry merge back over
         # TELEMETRY frames; shard 0's spans, the transport metrics and the
@@ -416,15 +420,14 @@ class EventPipeline:
         if mode == "process-shm" and isinstance(tracer, RingTracer):
             tracer.set_process_name(tracer.pid, "pipeline (parent)")
         self._group = ShardGroup(
-            range(num_shards) if mode == "inline" else [0],
-            partitions=partitions, alpha=per_shard_alpha,
+            0, sliced=shards > 1, alpha=per_shard_alpha,
             epsilon=epsilon, metrics=self.metrics, tracer=tracer,
         )
         self._round = 0
         self._workers: Optional[_ShmWorkers] = None
-        if mode == "process-shm" and num_shards > 1:
+        if shards > 1:
             self._workers = _ShmWorkers(
-                num_shards, per_shard_alpha, epsilon, self._queries.__getitem__,
+                shards, per_shard_alpha, epsilon, self._queries.__getitem__,
                 self.metrics, tracer,
             )
 
@@ -636,13 +639,14 @@ class EventPipeline:
     def _apply(
         self, entries: List[ShardEntry], ingest_ns: List[int]
     ) -> ShardBatchResults:
-        """Every shard's (seconds, results) for one batch.  Inline, the
-        group steps all K shards.  In ``process-shm`` the batch goes to the
-        workers first; shard 0 applies here while they run, and every
-        worker's response is read before the first failure — shard 0's
-        included — is raised."""
+        """Every shard's (seconds, results) for one batch, but for a shard
+        that held no query.  Inline, the group applies its one shard.  In
+        ``process-shm`` the batch goes to the workers first; shard 0
+        applies here while they run, and every worker's response is read
+        before the first failure — shard 0's included — is raised."""
         if self.mode == "inline":
-            return self._group.apply_batch(entries)
+            applied = self._group.apply_batch(entries)
+            return {} if applied is None else {0: applied}
         self._round += 1
         want_telemetry = self._round % TELEMETRY_EVERY == 0
         workers = self._workers
@@ -658,7 +662,7 @@ class EventPipeline:
             # Timed whole, as a worker times its apply.
             start = time.perf_counter()
             try:
-                applied = self._group.apply_batch(entries).get(0)
+                applied = self._group.apply_batch(entries)
                 if applied is not None:  # shard 0 held a query
                     out[0] = (time.perf_counter() - start, applied[1])
             except Exception as exc:
@@ -704,29 +708,26 @@ class EventPipeline:
 
     @property
     def table_set(self) -> ShardGroup:
-        """The in-process shard group, whose tables hold every row in
-        either mode: all K shards inline, shard 0 alone in ``process-shm``
-        (each process holds one full table set).  The durable
-        checkpointer snapshots its tables."""
+        """The in-process shard group, shard 0's, whose tables hold every
+        row in either mode (each ``process-shm`` process holds one full
+        table set).  The durable checkpointer snapshots its tables."""
         return self._group
 
     @property
     def shard_group(self) -> ShardGroup:
-        """The in-process table set and all K shards (inline mode)."""
+        """The in-process table set and its shard, all of it (inline mode)."""
         if self.mode != "inline":
             raise RuntimeError("shard state is not in-process in process-shm mode")
         return self._group
 
     @property
     def shards(self) -> List[Shard]:
-        return self.shard_group.shards
+        """The pipeline's one shard (inline mode)."""
+        return [self.shard_group.shard]
 
     def _sample_group(self) -> List[HeadroomSample]:
-        """The in-process shards' samples; each also sets its gauges."""
-        samples: List[HeadroomSample] = []
-        for shard in self._group.shards:
-            samples.extend(shard.sample_telemetry())
-        return samples
+        """The in-process shard's samples; it also sets its gauges."""
+        return self._group.shard.sample_telemetry()
 
     def sample_hotspots(self) -> List[HeadroomSample]:
         """Refresh and return every shard plane's I2 headroom sample.

@@ -1,18 +1,18 @@
 """Domain sharding for the continuous-query runtime.
 
-The runtime splits the **subscriptions** across ``K`` shards; the base
-relations are not split, and not copied either: a process holds one
-``TableR`` and one ``TableS`` (:class:`ShardGroup`), written once per data
-event, and every shard's processors probe those same two objects.  A shard
-is a partition of the queries — the paper's hotspot groups are the heavy
-side, so they are what gets partitioned.  Queries are placed on two
+The runtime splits the **subscriptions** across shards, one per process;
+the base relations are not split, and not copied either: a process holds
+one ``TableR`` and one ``TableS`` (:class:`ShardGroup`), written once per
+data event, and its shard's processors probe those same two objects.  A
+shard is a partition of the queries — the paper's hotspot groups are the
+heavy side, so they are what gets partitioned.  Queries are placed on two
 *planes*, one per query template, because the two templates constrain
 different attributes:
 
 * **select plane** — :class:`~repro.engine.queries.SelectJoinQuery`
   subscriptions are routed by their ``rangeC`` selection over the value
-  domain, to *every* C-slice their range overlaps.  With one partition
-  the plane is whole and reads the shared S table, whose ``cols_bc`` its
+  domain, to *every* C-slice their range overlaps.  With one shard the
+  plane is whole and reads the shared S table, whose ``cols_bc`` its
   S-side arrivals are answered from through the hot groups
   (:meth:`~repro.operators.hotspot_processor.HotspotSelectJoinProcessor.process_s_batch`).
   Under ``process-shm`` each shard also keeps a C-slice of S
@@ -31,14 +31,13 @@ different attributes:
   single-attribute partition of the base tables can localize it: a band
   plane probes the full shared tables for every data event.
 
-Both planes are split over the *processes*, not the shards: the router
-cuts each into ``partitions`` ranges (:class:`ShardRouter`) — one
-inline, where shard 0 holds every query, and K under ``process-shm``,
-one per process.  Within one process a plane probes the same shared
-tables whatever its share of the queries, so splitting it among shards
-leaves the groups probed per event (τ) unchanged and multiplies only the
-fixed cost of a kernel call.  A shard skips a plane that holds no query
-(:meth:`Shard.apply_batch`), and the group skips a shard that holds none.
+There is one shard per process — one inline, K under ``process-shm`` —
+because within one process a plane probes the same shared tables
+whatever its share of the queries: splitting it among shards would leave
+the groups probed per event (τ) unchanged and multiply only the fixed
+cost of a kernel call.  A shard skips a plane that holds no query
+(:meth:`Shard.apply_batch`), and the group skips its shard when that
+holds none.
 
 A batch has **one view**: every data event reaches every shard, so routing
 an event is one integer — :meth:`ShardRouter.route_event` names the
@@ -61,8 +60,8 @@ mid-stream finds all prior state already in the tables it reads.
 This module is the router, the shard and the table-set owner, nothing that
 drives them: :class:`~repro.runtime.pipeline.EventPipeline` is the one
 owner of placements, and its backends make every
-:meth:`ShardGroup.apply_batch` call — in ``inline`` mode on one group of
-all K shards, in a ``process-shm`` worker on a group of one.
+:meth:`ShardGroup.apply_batch` call — on the pipeline's own group of
+shard 0 in either mode, and in each ``process-shm`` worker on its group.
 """
 
 from __future__ import annotations
@@ -98,8 +97,10 @@ Delta = Dict[Any, List[Any]]
 # for an R row; for a QueryEvent it is the placement (the shard indices its
 # query registers in, :meth:`ShardRouter.shards_for_query`) and seq is -1.
 ShardEntry = Tuple[int, Any, Any]
-# Per-shard batch outcome: probe seconds plus (seq, deltas) pairs.
-ShardBatchResults = Dict[int, Tuple[float, List[Tuple[int, Delta]]]]
+# One shard's batch outcome: probe seconds plus (seq, deltas) pairs.
+ShardBatch = Tuple[float, List[Tuple[int, Delta]]]
+# The outcomes of a round's shards, by index: those that held a query.
+ShardBatchResults = Dict[int, ShardBatch]
 ResultCallback = Callable[[Any, Any, List[Any]], None]
 
 
@@ -115,9 +116,9 @@ def scaled_alpha(alpha: Optional[float], num_shards: int) -> Optional[float]:
     the sharding win.  Scaling to ``alpha * K`` (capped at 1) restores the
     unsharded bar ``alpha * n_total``, so the fleet-wide group count (and
     hence broadcast probe cost) matches the unsharded processor's.  Both
-    planes are split over the router's :attr:`ShardRouter.partitions` —
-    inline one, so shard 0's planes promote at ``alpha`` itself, and K
-    under ``process-shm`` — so one threshold serves both.
+    planes are split over the router's shards — one inline, whose planes
+    promote at ``alpha`` itself, and K under ``process-shm`` — so one
+    threshold serves both.
     """
     if alpha is None:
         return None
@@ -138,41 +139,34 @@ class ShardRange:
 class ShardRouter:
     """Routes queries and data events to shard indices.
 
-    Both planes are cut into ``partitions`` ranges, on shards ``0 …
-    partitions − 1`` (default: all ``num_shards``; the inline pipeline
-    passes 1, so shard 0 holds every query): the value domain
-    ``[domain_lo, domain_hi]`` into C-slices for the select plane, the
-    difference domain ``[-(width), +width]`` for the band plane.  Routing
-    clamps out-of-domain coordinates into the edge partitions, which
-    affects load balance only, never correctness.
+    Both planes are cut into ``num_shards`` ranges, one per shard: the
+    value domain ``[domain_lo, domain_hi]`` into C-slices for the select
+    plane, the difference domain ``[-(width), +width]`` for the band
+    plane.  With one shard (the inline pipeline) shard 0 holds every
+    query.  Routing clamps out-of-domain coordinates into the edge
+    shards, which affects load balance only, never correctness.
     """
 
     def __init__(
         self,
         num_shards: int,
         *,
-        partitions: Optional[int] = None,
         domain_lo: float = DOMAIN_LO,
         domain_hi: float = DOMAIN_HI,
     ):
-        if partitions is None:
-            partitions = num_shards
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if not 1 <= partitions <= num_shards:
-            raise ValueError("partitions must lie in [1, num_shards]")
         if domain_lo >= domain_hi:
             raise ValueError("domain_lo must be < domain_hi")
         self.num_shards = num_shards
-        self.partitions = partitions
         self.domain_lo = domain_lo
         self.domain_hi = domain_hi
         width = domain_hi - domain_lo
         self._value_bounds = [
-            domain_lo + width * i / partitions for i in range(1, partitions)
+            domain_lo + width * i / num_shards for i in range(1, num_shards)
         ]
         self._band_bounds = [
-            -width + 2 * width * i / partitions for i in range(1, partitions)
+            -width + 2 * width * i / num_shards for i in range(1, num_shards)
         ]
         # Rebalancing stats: query placements and event routing per shard.
         self.select_queries_per_shard = [0] * num_shards
@@ -184,12 +178,12 @@ class ShardRouter:
 
     def value_ranges(self) -> List[ShardRange]:
         bounds = [self.domain_lo, *self._value_bounds, self.domain_hi]
-        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.partitions)]
+        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.num_shards)]
 
     def band_ranges(self) -> List[ShardRange]:
         width = self.domain_hi - self.domain_lo
         bounds = [-width, *self._band_bounds, width]
-        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.partitions)]
+        return [ShardRange(i, bounds[i], bounds[i + 1]) for i in range(self.num_shards)]
 
     # -- query routing -------------------------------------------------------
 
@@ -208,7 +202,7 @@ class ShardRouter:
         partial results partition along the S-row C-partition); band joins
         go to the single band partition containing their band midpoint
         (every shard probes the full tables, so multi-registration would
-        duplicate deltas).  With one partition both are shard 0.
+        duplicate deltas).  With one shard both are shard 0.
         """
         if isinstance(query, SelectJoinQuery):
             lo = self.shard_for_value(query.range_c.lo)
@@ -226,8 +220,9 @@ class ShardRouter:
         Every data event reaches every shard's band plane (band matches
         cannot be localized) and, for R events, every select plane; an S
         event probes exactly one select plane — the partition owning
-        ``row.c``, shard 0 when there is one, which is the whole routing
-        decision — and is stored in its C-slice when the plane is sliced.
+        ``row.c``, shard 0 when there is one shard, which is the whole
+        routing decision — and is stored in its C-slice when the plane is
+        sliced.
         """
         if event.relation == "S":
             return self.shard_for_value(event.row.c)
@@ -262,26 +257,19 @@ class ShardRouter:
         return max(loads) / (total / len(loads))
 
     def stats(self) -> Dict[str, object]:
-        """Load distribution snapshot; ``*_imbalance`` is max-partition
-        load over mean-partition load (1.0 = perfectly balanced), the
-        signal a rebalancer would act on by re-splitting the domain.  A
-        plane's partitions are shards ``0 … partitions − 1``, so an inline
-        plane — all of it on shard 0 — reads 1.0."""
-        partitions = self.partitions
+        """Load distribution snapshot; ``*_imbalance`` is max-shard load
+        over mean-shard load (1.0 = perfectly balanced), the signal a
+        rebalancer would act on by re-splitting the domain.  One shard —
+        the inline pipeline's — reads 1.0."""
         return {
             "num_shards": self.num_shards,
-            "partitions": partitions,
             "select_queries_per_shard": list(self.select_queries_per_shard),
             "band_queries_per_shard": list(self.band_queries_per_shard),
             "events_per_shard": self.events_per_shard,
             "select_probes_per_shard": list(self.select_probes_per_shard),
-            "select_query_imbalance": self._imbalance(
-                self.select_queries_per_shard[:partitions]
-            ),
-            "band_query_imbalance": self._imbalance(self.band_queries_per_shard[:partitions]),
-            "select_probe_imbalance": self._imbalance(
-                self.select_probes_per_shard[:partitions]
-            ),
+            "select_query_imbalance": self._imbalance(self.select_queries_per_shard),
+            "band_query_imbalance": self._imbalance(self.band_queries_per_shard),
+            "select_probe_imbalance": self._imbalance(self.select_probes_per_shard),
         }
 
 
@@ -384,8 +372,8 @@ class Shard:
     ) -> Tuple[Optional[List[Delta]], Optional[List[Delta]], Optional[List[int]]]:
         """This shard's probe of one relation's INSERT entries
         ``(seq, event, owner)`` of a batch — ``rows`` are their rows,
-        extracted once by the group for all shards — through the
-        operators' batch fast path.  Reads only; the group wrote the tables.
+        extracted once by the group — through the operators' batch fast
+        path.  Reads only; the group wrote the tables.
 
         Returns each plane's per-event deltas apart, for the group to
         strike before it merges them: the band part, one delta per entry;
@@ -456,7 +444,7 @@ class _Touched:
     never by identity: a worker decodes a DELETE's row into a new object.
 
     The two summaries the strikes read are built on first use, once per
-    segment for all shards, and not at all when no delta needs them.
+    segment, and not at all when no delta needs them.
     """
 
     __slots__ = (
@@ -508,7 +496,7 @@ class _Touched:
 
 class _Changes:
     """A segment's subscription changes (``live``), and the same changes
-    resolved to the query objects this group's shards hold
+    resolved to the query objects this group's shard holds
     (``ShardGroup._queries``, in a worker too): the queries subscribed in
     the segment and the queries cancelled in it, each in position order,
     built on first use.  An event at position ``p`` is answered by every
@@ -528,7 +516,7 @@ class _Changes:
         cancelled: List[Tuple[float, Any]] = []
         for qid, (begin, end) in self.live.items():
             query = self.held.get(qid)
-            if query is None:  # placed on no shard held here
+            if query is None:  # not placed on this group's shard
                 continue
             if begin >= 0:
                 subscribed.append((begin, query))
@@ -650,23 +638,22 @@ def _strike_select(
 
 
 class ShardGroup:
-    """The one table set of a process and the shards that read it.
+    """The one table set of a process and the one shard that reads it.
 
-    R and S are held **once**: every shard's processors probe the same
+    R and S are held **once**: the shard's processors probe the group's
     ``table_r``/``table_s`` and this class is their only writer, and the
-    only writer of the shards' C-slices.  ``partitions`` is the router's
-    (:attr:`ShardRouter.partitions`): with one, the select plane is whole
-    and reads the shared ``table_s`` (``mode="inline"``, one group over
-    all K shards); with more, each shard keeps the C-slice of S its select
-    plane reads (a ``process-shm`` process, a group of its one shard).
+    only writer of the shard's C-slice.  Unless ``sliced``, the select
+    plane is whole and reads the shared ``table_s`` (the inline pipeline,
+    and ``process-shm`` at K = 1); ``sliced``, the shard keeps the C-slice
+    of S its select plane reads (a ``process-shm`` process of K ≥ 2).
     ``alpha`` is both planes' threshold (:func:`scaled_alpha`).
     """
 
     def __init__(
         self,
-        indices: Sequence[int],
+        index: int = 0,
         *,
-        partitions: int = 1,
+        sliced: bool = False,
         alpha: Optional[float] = 0.01,
         epsilon: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
@@ -675,50 +662,39 @@ class ShardGroup:
         self.tracer = tracer
         self.table_r = TableR()
         self.table_s = TableS()
-        self.shards = [
-            Shard(index, self.table_r, self.table_s, sliced=partitions > 1, alpha=alpha,
-                  epsilon=epsilon, metrics=metrics, tracer=tracer)
-            for index in indices
-        ]
-        self._by_index = {shard.index: shard for shard in self.shards}
-        # The shards that keep a C-slice, by index: an S row's owner writes
-        # its slice only here.
-        self._slices = self._by_index if partitions > 1 else {}
-        # qid -> the query object this group's shards hold: an unsubscribe
-        # names its query by qid alone when it crossed a process boundary.
+        self.shard = Shard(index, self.table_r, self.table_s, sliced=sliced, alpha=alpha,
+                           epsilon=epsilon, metrics=metrics, tracer=tracer)
+        # qid -> the query object the shard holds: an unsubscribe names its
+        # query by qid alone when it crossed a process boundary.
         self._queries: Dict[int, Any] = {}
         # Hit-list rows the row strikes and delta entries the query strike
-        # removed, per shard.
+        # removed.
         self._struck = (
-            [
-                (metrics.counter(f"shard/{index}/runtime/rows_struck"),
-                 metrics.counter(f"shard/{index}/runtime/queries_struck"))
-                for index in indices
-            ]
+            (metrics.counter(f"shard/{index}/runtime/rows_struck"),
+             metrics.counter(f"shard/{index}/runtime/queries_struck"))
             if metrics is not None
             else None
         )
 
-    def apply_batch(self, entries: Sequence[ShardEntry]) -> ShardBatchResults:
-        """Apply one batch of ``(seq, event, owner)`` entries and return,
-        per shard that held a query in it, its probe seconds and the
-        ``(seq, deltas)`` of the insertions, in sequence order.  A shard
-        that held none did no work: it has no entry, and no span.
+    def apply_batch(self, entries: Sequence[ShardEntry]) -> Optional[ShardBatch]:
+        """Apply one batch of ``(seq, event, owner)`` entries and return the
+        shard's probe seconds and the ``(seq, deltas)`` of the insertions,
+        in sequence order — ``None`` when the shard held no query in it: it
+        probed nothing and recorded no span.
 
         A batch is two runs, whatever its interleaving — the delta rule
         Δ(R⋈S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, the last term in stream order — and
         its subscription changes are catch-up, not barriers:
 
         1. **install** every insertion, in stream order, into the shared
-           tables and — an S row — its owner's C-slice if that shard is
-           here, and every subscribe on the shards of its placement that
-           are here, as one :meth:`Shard.subscribe` call per shard (one
-           tracker call, so one rebalance, per shard plane); every
-           deletion and every unsubscribe is deferred.  The group now
-           holds a superset of the rows and of the subscriptions any event
-           of the batch may see;
-        2. **probe**: each shard that holds a query answers all R
-           insertions as one run and all S insertions as another
+           tables and — an S row the shard owns — its C-slice, and every
+           subscribe whose placement names the shard, as one
+           :meth:`Shard.subscribe` call (one tracker call, so one
+           rebalance, per plane); every deletion and every unsubscribe is
+           deferred.  The group now holds a superset of the rows and of
+           the subscriptions any event of the batch may see;
+        2. **probe**: a shard that holds a query answers all R insertions
+           as one run and all S insertions as another
            (:meth:`Shard.apply_batch`), each with the planes that hold a
            query — a plane that holds none is neither probed nor struck,
            and yields no delta;
@@ -733,7 +709,7 @@ class ShardGroup:
            list pays one bisect, and a select part one lookup of its join
            key;
         4. **delete** the deferred rows, then **unsubscribe** the deferred
-           queries, again one :meth:`Shard.unsubscribe` call per shard.
+           queries, again in one :meth:`Shard.unsubscribe` call.
 
         The one boundary left is a row id deleted and then inserted again
         in one batch: its second life cannot be installed before its
@@ -742,35 +718,35 @@ class ShardGroup:
         batch: the pipeline flushes before re-subscribing one whose
         unsubscribe is still pending.
         """
-        seconds: List[Optional[float]] = [None] * len(self.shards)
-        results: List[List[Tuple[int, Delta]]] = [[] for _ in self.shards]
+        seconds: Optional[float] = None
+        results: List[Tuple[int, Delta]] = []
         start = 0
         while start < len(entries):
-            start = self._apply_segment(entries, start, seconds, results)
-        return {
-            shard.index: (elapsed, results[k])
-            for k, (shard, elapsed) in enumerate(zip(self.shards, seconds))
-            if elapsed is not None
-        }
+            start, elapsed = self._apply_segment(entries, start, results)
+            if elapsed is not None:
+                seconds = elapsed + (seconds or 0.0)
+        return None if seconds is None else (seconds, results)
 
     def _apply_segment(
         self,
         entries: Sequence[ShardEntry],
         start: int,
-        seconds: List[Optional[float]],
-        results: List[List[Tuple[int, Delta]]],
-    ) -> int:
+        results: List[Tuple[int, Delta]],
+    ) -> Tuple[int, Optional[float]]:
         """Steps 1–4 of :meth:`apply_batch` for the entries from ``start``
-        up to the next cut; returns where the segment ended.  ``seconds``
-        stays ``None`` for a shard that held no query."""
+        up to the next cut, the answers appended to ``results``; returns
+        where the segment ended and its probe seconds, ``None`` when the
+        shard held no query."""
+        shard = self.shard
+        index = shard.index
+        # Only a sliced shard keeps a C-slice: the S rows it owns.
+        slice_owner = index if shard.sliced else None
         r_side = _Touched(_RID, self.table_r)
         s_side = _Touched(_SID, self.table_s)
-        by_index = self._by_index
-        slices = self._slices
         held = self._queries
         live: Liveness = {}
-        subscribes: Dict[int, List[Any]] = {}  # shard index -> its new queries
-        cancels: List[Tuple[int, Sequence[int]]] = []
+        subscribes: List[Any] = []
+        cancels: List[int] = []
         insert = EventKind.INSERT
         stop = len(entries)
         for position in range(start, stop):
@@ -781,14 +757,13 @@ class ShardGroup:
                 qid = query.qid
                 if event.kind is insert:
                     live[qid] = (position, inf)
-                    for index in owner:
-                        if index in by_index:
-                            subscribes.setdefault(index, []).append(query)
-                            held[qid] = query
+                    if index in owner:
+                        subscribes.append(query)
+                        held[qid] = query
                 else:
                     subscribed = live.get(qid)
                     live[qid] = (-1 if subscribed is None else subscribed[0], position)
-                    cancels.append((qid, owner))
+                    cancels.append(qid)
                 continue
             side = r_side if event.relation == "R" else s_side
             row = event.row
@@ -807,87 +782,90 @@ class ShardGroup:
             side.rows.append(row)
             side.positions.append(position)
             side.table.insert(row)
-            if owner in slices:  # an S row of a C-slice held here
-                slices[owner].table_s_select.insert(row)
-        for index, queries in subscribes.items():
-            by_index[index].subscribe(*queries)
-        runs = [
-            (side, other)
-            for side, other in ((r_side, s_side), (s_side, r_side))
-            if side.rows
-        ]
-        changes = _Changes(live, held) if live else None
-        span = self.tracer.span
-        clock = time.perf_counter
-        for k, shard in enumerate(self.shards):
-            if not shard.query_count:
-                continue
-            elapsed = seconds[k] or 0.0
-            seconds[k] = elapsed
-            if not runs:
-                continue
-            with span("shard.apply", shard=shard.index, events=stop - start):
-                begin = clock()
-                answered: List[Tuple[int, Delta]] = []
-                rows_struck = queries_struck = 0
-                for side, other in runs:
-                    band, select, owned = shard.apply_batch(side.entries, side.rows)
-                    run_entries, positions = side.entries, side.positions
-                    if band is not None:
-                        if changes is not None:
-                            queries_struck += changes.strike(band, positions)
-                        if other.visible and any(band):
-                            rows_struck += _strike_band(band, positions, other)
-                        answered.extend(zip(map(_SEQ, run_entries), band))
-                    if select is not None:
-                        if owned is None:
-                            select_rows, select_positions = side.rows, positions
-                        else:
-                            select_rows = [side.rows[i] for i in owned]
-                            select_positions = [positions[i] for i in owned]
-                        if changes is not None:
-                            queries_struck += changes.strike(select, select_positions)
-                        if other.visible and any(select):
-                            rows_struck += _strike_select(
-                                select, select_rows, select_positions, other
-                            )
-                        if band is None:
-                            select_entries = (
-                                run_entries if owned is None else [run_entries[i] for i in owned]
-                            )
-                            answered.extend(zip(map(_SEQ, select_entries), select))
-                        else:
-                            # Both planes answer with a fresh dict per row
-                            # and a query lives on one plane: the select
-                            # part folds into the band's.
-                            select_band = band if owned is None else [band[i] for i in owned]
-                            for deltas, part in zip(select_band, select):
-                                deltas.update(part)
-                if len(runs) == 2:
-                    answered.sort(key=_SEQ)  # back to stream order
-                results[k].extend(answered)
-                if self._struck is not None:
-                    rows, queries = self._struck[k]
-                    if rows_struck:
-                        rows.inc(rows_struck)
-                    if queries_struck:
-                        queries.inc(queries_struck)
-                seconds[k] = elapsed + clock() - begin
+            if owner == slice_owner:  # an S row of the shard's C-slice
+                shard.table_s_select.insert(row)
+        if subscribes:
+            shard.subscribe(*subscribes)
+        elapsed: Optional[float] = None
+        if shard.query_count:
+            elapsed = 0.0
+            runs = [
+                (side, other)
+                for side, other in ((r_side, s_side), (s_side, r_side))
+                if side.rows
+            ]
+            if runs:
+                elapsed = self._probe(runs, _Changes(live, held) if live else None,
+                                      stop - start, results)
         for side in (r_side, s_side):
             for event, owner in side.deletes:
                 side.table.delete(event.row)
-                if owner in slices:  # an S row of a C-slice held here
-                    slices[owner].apply(event)
-        unsubscribes: Dict[int, List[Any]] = {}
-        for qid, placement in cancels:
-            query = held.pop(qid, None)
-            if query is not None:  # subscribed on a shard held here
-                for index in placement:
-                    if index in by_index:
-                        unsubscribes.setdefault(index, []).append(query)
-        for index, queries in unsubscribes.items():
-            by_index[index].unsubscribe(*queries)
-        return stop
+                if owner == slice_owner:  # an S row of the shard's C-slice
+                    shard.apply(event)
+        unsubscribes = [query for qid in cancels if (query := held.pop(qid, None)) is not None]
+        if unsubscribes:  # the cancelled queries the shard held
+            shard.unsubscribe(*unsubscribes)
+        return stop, elapsed
+
+    def _probe(
+        self,
+        runs: Sequence[Tuple[_Touched, _Touched]],
+        changes: Optional[_Changes],
+        events: int,
+        results: List[Tuple[int, Delta]],
+    ) -> float:
+        """Steps 2–3 of :meth:`apply_batch`: probe and strike each run of a
+        segment of ``events`` entries, the answers appended to ``results``
+        in stream order; returns the seconds it took."""
+        shard = self.shard
+        clock = time.perf_counter
+        with self.tracer.span("shard.apply", shard=shard.index, events=events):
+            begin = clock()
+            answered: List[Tuple[int, Delta]] = []
+            rows_struck = queries_struck = 0
+            for side, other in runs:
+                band, select, owned = shard.apply_batch(side.entries, side.rows)
+                run_entries, positions = side.entries, side.positions
+                if band is not None:
+                    if changes is not None:
+                        queries_struck += changes.strike(band, positions)
+                    if other.visible and any(band):
+                        rows_struck += _strike_band(band, positions, other)
+                    answered.extend(zip(map(_SEQ, run_entries), band))
+                if select is not None:
+                    if owned is None:
+                        select_rows, select_positions = side.rows, positions
+                    else:
+                        select_rows = [side.rows[i] for i in owned]
+                        select_positions = [positions[i] for i in owned]
+                    if changes is not None:
+                        queries_struck += changes.strike(select, select_positions)
+                    if other.visible and any(select):
+                        rows_struck += _strike_select(
+                            select, select_rows, select_positions, other
+                        )
+                    if band is None:
+                        select_entries = (
+                            run_entries if owned is None else [run_entries[i] for i in owned]
+                        )
+                        answered.extend(zip(map(_SEQ, select_entries), select))
+                    else:
+                        # Both planes answer with a fresh dict per row and
+                        # a query lives on one plane: the select part
+                        # folds into the band's.
+                        select_band = band if owned is None else [band[i] for i in owned]
+                        for deltas, part in zip(select_band, select):
+                            deltas.update(part)
+            if len(runs) == 2:
+                answered.sort(key=_SEQ)  # back to stream order
+            results.extend(answered)
+            if self._struck is not None:
+                rows, queries = self._struck
+                if rows_struck:
+                    rows.inc(rows_struck)
+                if queries_struck:
+                    queries.inc(queries_struck)
+            return clock() - begin
 
 
 def merge_deltas(parts: Sequence[Delta]) -> Delta:

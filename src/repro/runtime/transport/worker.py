@@ -1,8 +1,9 @@
 """The persistent shard-worker loop for ``mode="process-shm"``.
 
 One worker process owns one :class:`~repro.runtime.sharding.ShardGroup`
-— the same table-set owner the inline backend builds, over one shard — and
-a pair of rings: it blocks on the *request* ring, applies whatever arrives,
+— the same table-set owner the inline backend builds, its one shard a
+C-slice of the select plane (a worker exists only at K ≥ 2) — and a pair
+of rings: it blocks on the *request* ring, applies whatever arrives,
 and answers on the *response* ring.  The protocol is strictly
 request/response — the pipeline never has more than one frame in flight
 per shard — so worker-side ring sends can use a short deadline: a full
@@ -29,7 +30,9 @@ BATCH comes (:class:`_BatchTracer`), so tracing costs a worker nothing
 unless someone reads it.  Metrics are always kept: the worker measures
 per-entry ingest-to-apply latency from the batch's monotonic ingest
 timestamps (CLOCK_MONOTONIC is shared across processes on one host) and
-folds them into ``shard/<i>/worker/e2e/ingest_to_apply_us`` once per batch.  When
+folds them into ``shard/<i>/worker/e2e/ingest_to_apply_us`` once per batch
+its shard probed — a batch met by a shard that holds no query is not
+timed.  When
 a BATCH requests telemetry (flag bit0), the worker follows its
 response with one TELEMETRY frame — deltas collected by
 :class:`~repro.obs.remote.TelemetryCollector` — preserving the
@@ -95,23 +98,23 @@ def _apply_batch(
     e2e: Histogram,
 ) -> Tuple[float, frames.SeqResults]:
     tracer.join(batch)
-    (shard,) = group.shards
-    index = shard.index
     start_ns = time.perf_counter_ns()
-    with tracer.span("worker.batch", shard=index, events=len(batch.entries)):
-        # A shard that held no query applied nothing and has no entry.
-        applied = group.apply_batch(batch.entries).get(index)
+    with tracer.span("worker.batch", shard=group.shard.index, events=len(batch.entries)):
+        applied = group.apply_batch(batch.entries)
         results: frames.SeqResults = [
             (seq, {query.qid: rows for query, rows in deltas.items()})
             for seq, deltas in (applied[1] if applied is not None else [])
         ]
     end_ns = time.perf_counter_ns()
-    # One locked fold per batch; a query entry (stamp 0) is not timed.
+    if applied is None:
+        # NaN elapsed tells the parent the shard held no query: it probed
+        # nothing, so no entry is timed.
+        return math.nan, results
+    # One fold per batch; a query entry (stamp 0) is not timed.
     latencies = [(end_ns - ingest) / 1_000.0 for ingest in batch.ingest_ns if ingest > 0]
     if latencies:
         e2e.merge_delta(**histogram_delta(latencies))
-    # NaN elapsed tells the parent the shard did no work.
-    return (end_ns - start_ns) / 1e9 if applied is not None else math.nan, results
+    return (end_ns - start_ns) / 1e9, results
 
 
 def _handle(
@@ -129,7 +132,6 @@ def _handle(
 
 def shard_worker_main(
     index: int,
-    partitions: int,
     alpha: Optional[float],
     epsilon: float,
     request_ring: str,
@@ -148,7 +150,7 @@ def shard_worker_main(
     responses = ShmRing.attach(response_ring, doorbell=response_doorbell)
     registry = MetricsRegistry()
     tracer = _BatchTracer(RingTracer(capacity=_WORKER_TRACE_CAPACITY))
-    group = ShardGroup([index], partitions=partitions, alpha=alpha, epsilon=epsilon,
+    group = ShardGroup(index, sliced=True, alpha=alpha, epsilon=epsilon,
                        metrics=registry, tracer=tracer)
     collector = TelemetryCollector(index, registry, tracer.ring)
     e2e = registry.histogram(f"shard/{index}/worker/e2e/ingest_to_apply_us")
@@ -188,7 +190,7 @@ def shard_worker_main(
                 and isinstance(body, frames.DecodedBatch)
                 and body.want_telemetry
             ):
-                group.shards[0].sample_telemetry()  # refresh headroom gauges
+                group.shard.sample_telemetry()  # refresh headroom gauges
                 responses.send(
                     frames.encode_telemetry_frame(collector.collect()),
                     timeout=_RESPONSE_TIMEOUT,

@@ -528,7 +528,7 @@ class TestRecovery:
         pipeline.run(OPS)
         manager.close()
 
-        recovered, report = recover_system(tmp_path, num_shards=2)
+        recovered, report = recover_system(tmp_path)
         assert report.checkpoint_seq is None
         assert report.replayed_events == 7
         assert report.next_seq == 7
@@ -551,7 +551,7 @@ class TestRecovery:
         assert manager.next_seq == 7
         manager.close()
 
-        recovered, report = recover_system(tmp_path, num_shards=2)
+        recovered, report = recover_system(tmp_path)
         assert report.replayed_events == 7
         assert state_of(recovered) == WANT
         assert type(recovered.query_by_id(101)) is SelectJoinQuery
@@ -566,7 +566,7 @@ class TestRecovery:
         assert manager.next_seq == 3
         manager.close()
 
-        recovered, __ = recover_system(tmp_path, num_shards=2)
+        recovered, __ = recover_system(tmp_path)
         assert recovered.subscription_count == 1
         assert type(recovered.query_by_id(101)) is SelectJoinQuery
 
@@ -597,19 +597,25 @@ class TestRecovery:
         manager.checkpoint(pipeline)
         manager.close()
 
-        recovered, __ = recover_system(tmp_path, num_shards=7)  # kwarg ignored
-        assert len(recovered.shards) == 3
+        # The manifest's values win over the keyword fallbacks.
+        recovered, __ = recover_system(tmp_path, alpha=0.3, epsilon=0.5)
         assert recovered.alpha == 0.05
         assert recovered.epsilon == 2.0
+        # An inline recovery has one shard, and the manifest records no count.
+        assert len(recovered.shards) == 1
+        assert "num_shards" not in load_latest_checkpoint(tmp_path)[0].config
 
     def test_a_checkpoint_that_records_a_routing_domain_recovers(self, tmp_path, monkeypatch):
         """Older checkpoints record the routing domain (``domain_lo`` /
-        ``domain_hi``) in their config.  Routing picks no state, so
-        recovery ignores those keys and restores the same rows and
+        ``domain_hi``) and the shard count (``num_shards``) in their
+        config.  Routing picks no state, so recovery ignores those keys,
+        builds its one inline shard and restores the same rows and
         subscriptions."""
         config_of = DurabilityManager._config_of
         monkeypatch.setattr(DurabilityManager, "_config_of", staticmethod(
-            lambda source: {**config_of(source), "domain_lo": 0.0, "domain_hi": 1.0}
+            lambda source: {
+                **config_of(source), "domain_lo": 0.0, "domain_hi": 1.0, "num_shards": 3,
+            }
         ))
         manager, pipeline, __ = durable_per_event_pipeline(tmp_path, num_shards=2)
         pipeline.run(OPS)
@@ -632,6 +638,7 @@ class TestRecovery:
 
         assert contents(recovered) == contents(pipeline)
         assert recovered.router.value_ranges()[-1].hi == 10_000.0
+        assert recovered.router.num_shards == 1
 
     def test_golden_segment_replays(self, tmp_path):
         """``GOLDEN_WAL`` is the segment the PR-20 writer produced for
@@ -663,7 +670,7 @@ class TestRecovery:
             SelectJoinQuery,
         ]
         assert records[6] == Unsubscribe(100)
-        recovered, report = recover_system(then, num_shards=2)
+        recovered, report = recover_system(then)
         assert report.replayed_events == 7 and report.next_seq == 7
         assert state_of(recovered) == WANT
         select = recovered.query_by_id(101)

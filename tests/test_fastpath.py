@@ -1130,16 +1130,15 @@ class TestShardedBatch:
         subscribe(select_queries(rng, 40, c_scale=100.0))
         run(events[:150])
         group = batched.shard_group
-        # Inline, shard 0 holds the whole select plane, over the shared S.
-        assert [bool(shard.select.query_count) for shard in group.shards] == (
-            [True] + [False] * (num_shards - 1)
-        )
-        assert all(shard.table_s_select is group.table_s for shard in group.shards)
+        # Inline, the one shard holds the whole select plane, over the shared S.
+        assert batched.shards == [group.shard]
+        assert group.shard.select.query_count == 40
+        assert group.shard.table_s_select is group.table_s
         tables = [group.table_r, group.table_s]
         assert list(group.table_r.built_columns()) == ["cols_ba"]
         assert list(group.table_s.built_columns()) == ["cols_bc"]
         subscribe(spread_band_queries(rng, 20))
-        assert batched.router.band_queries_per_shard == [20] + [0] * (num_shards - 1)
+        assert batched.router.band_queries_per_shard == [20]
         run(events[150:])
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
         assert sorted(group.table_s.built_columns()) == ["col_b", "cols_bc"]
@@ -1162,8 +1161,8 @@ class TestShardedBatch:
             batched.subscribe(query)
             reference.subscribe(query)
         group = batched.shard_group
-        # Inline, shard 0 holds every band and probes the shared tables.
-        assert batched.router.band_queries_per_shard == [40] + [0] * (num_shards - 1)
+        # Inline, the one shard holds every band and probes the shared tables.
+        assert batched.router.band_queries_per_shard == [40]
         events = self._stream(rng, 640, c_scale=100.0)
         first = None
         for start in range(0, len(events), 64):
@@ -1175,14 +1174,13 @@ class TestShardedBatch:
             first = first or [built["col_b"] for built in columns]
             assert all(built["col_b"] is col for built, col in zip(columns, first))
         assert [len(col[1]) for col in first] == [len(group.table_r), len(group.table_s)]
-        # Inline there is no C-slice: every select plane reads the one S.
-        assert all(shard.table_s_select is group.table_s for shard in group.shards)
+        # Inline there is no C-slice: the select plane reads the one S.
+        assert group.shard.table_s_select is group.table_s
 
     def test_inline_band_plane_probes_once_per_relation_run(self, kernel, monkeypatch):
-        """Inline at K = 3, shard 0 holds every band and shards 1 and 2
-        skip their empty band planes: each batch's R run and S run reach
-        the band kernel once, not once per shard, and every delta is the
-        per-event system's."""
+        """Inline, ``num_shards=3`` builds one shard, which holds every
+        band: each batch's R run and S run reach the band kernel once, and
+        every delta is the per-event system's."""
         from repro.fastpath import band as band_kernels
 
         calls = {"R": [], "S": []}
@@ -1216,8 +1214,8 @@ class TestShardedBatch:
         assert calls == runs
 
     def test_inline_select_plane_probes_once_per_relation_run(self, kernel, monkeypatch):
-        """Inline at K = 3, shard 0 holds every select-join over the shared
-        S table and shards 1 and 2 hold none: each batch's R run and S run
+        """Inline, ``num_shards=3`` builds one shard, which holds every
+        select-join over the shared S table: each batch's R run and S run
         reach the select kernel once, not once per C-slice, and every
         delta is the per-event system's."""
         calls = {"R": [], "S": []}
@@ -1229,14 +1227,14 @@ class TestShardedBatch:
         rng = random.Random(22)
         batched = EventPipeline(num_shards=3, alpha=0.05, batch_size=32)
         reference = ContinuousQuerySystem(alpha=0.05)
-        # rangeC on [0, 10000] and S.c up to 10000: at the parent's K = 3
-        # C-slices every slice holds select-joins and S rows.
+        # rangeC on [0, 10000] and S.c up to 10000: at K = 3 C-slices
+        # every slice would hold select-joins and S rows.
         selects = select_queries(rng, 40, c_scale=100.0)
         for query in spread_band_queries(rng, 10) + selects:
             batched.subscribe(query)
             reference.subscribe(query)
         batched.drain()
-        assert [shard.select.query_count > 0 for shard in batched.shards] == [True, False, False]
+        assert [shard.select.query_count for shard in batched.shards] == [40]
         # Five join keys, so that the equality join matches.
         stream = self._stream(rng, 320, c_scale=100.0)
         keyed = {}
@@ -1519,10 +1517,10 @@ class TestShardedBatch:
         """A group of one shard, with no pipeline and no merge around it,
         answers in the per-event system's order: a fix-up that reordered
         equal keys shows here before any merge could move it."""
-        group = ShardGroup([0], alpha=0.05)
+        group = ShardGroup(0, alpha=0.05)
         reference = ContinuousQuerySystem(alpha=0.05)
         for query in (self.BAND, self.SELECT):
-            group.shards[0].subscribe(query)
+            group.shard.subscribe(query)
             reference.subscribe(query)
         # Equal b with c falling as the ids rise: band lists keep insertion
         # order, which no sort by (b, c, id) reproduces.
@@ -1532,7 +1530,7 @@ class TestShardedBatch:
         events += [_delete(s_rows[1]), _insert(RTuple(5, 10.0, 50.0))]
         entries = [(seq, event, 0 if event.relation == "S" else -1)
                    for seq, event in enumerate(events)]
-        __, answered = group.apply_batch(entries)[0]
+        __, answered = group.apply_batch(entries)
         got = {seq: ordered_view(deltas) for seq, deltas in answered}
         want = self._reference_views(reference, events)
         assert [got.get(seq, {}) for seq in range(len(events))] == want

@@ -358,7 +358,7 @@ class TestLazyScatteredTree:
         events += [QueryEvent(EventKind.DELETE, query) for query in queries[::3]]
         with EventPipeline(num_shards=3, alpha=0.05, batch_size=32, mode="inline") as pipeline:
             results = pipeline.run(events)
-            selects = [shard.select for shard in pipeline.shard_group.shards]
+            selects = [shard.select for shard in pipeline.shards]
         assert any(deltas for __, __, deltas in results)
         assert any(select._hot.scattered for select in selects)
         assert all(select._scattered_a is None for select in selects)

@@ -64,7 +64,7 @@ class TestServeTrace:
 
         for apply_event in applies:
             assert any(inside(apply_event, b) for b in batches)
-            assert apply_event["args"]["shard"] in (0, 1)
+            assert apply_event["args"]["shard"] == 0
             assert apply_event["args"]["events"] >= 1
 
 
@@ -73,11 +73,15 @@ class TestSnapshotsAndStats:
         record = latest_snapshot(str(served["snaps"]))
         metrics = record["metrics"]
         counter_names = set(metrics["counters"])
-        assert {"shard/0/runtime/hotspot_promotions",
-                "shard/1/runtime/hotspot_promotions"} <= counter_names
+        assert "shard/0/runtime/hotspot_promotions" in counter_names
         assert any(name.endswith("/reconstructions") for name in counter_names)
         gauges = metrics["gauges"]
-        for plane in ("shard/0/band", "shard/1/select"):
+        # Inline, --shards 2 builds one shard: nothing is named for shard 1.
+        assert not [
+            name for section in metrics.values() for name in section
+            if name.startswith(("shard/1/", "obs/shard/1/"))
+        ]
+        for plane in ("shard/0/band", "shard/0/select"):
             assert f"obs/{plane}/tau" in gauges
             assert gauges[f"obs/{plane}/headroom"] >= 0.0
         # Reconstruction durations are a first-class histogram.

@@ -32,9 +32,9 @@ class TestMergedMetricName:
 
     def test_unscoped_names_gain_shard_prefix(self):
         worker = MetricsRegistry()
-        group = ShardGroup([3], alpha=0.5, metrics=worker)
+        group = ShardGroup(3, alpha=0.5, metrics=worker)
         # Co-stabbed band queries form one dominant group -> promote.
-        group.shards[0].subscribe(
+        group.shard.subscribe(
             *(BandJoinQuery(Interval(-1.0, 1.0), qid=q) for q in range(12))
         )
         parent = MetricsRegistry()

@@ -80,34 +80,34 @@ class TestRenderDashboard:
 
     def test_a_plane_without_queries_shows_no_headroom(self):
         """An empty tracker's I2 budget is 2/alpha with nothing under it,
-        so a plane that holds no query reads ``-``: inline, shard 0 holds
-        every query and shard 1 none, so shard 1's whole cell is ``-``;
-        with no band query at all, shard 0's band plane reads ``-`` beside
-        its select plane's number."""
+        so a plane that holds no query reads ``-``: with no band query,
+        the one inline shard's band plane reads ``-`` beside its select
+        plane's number, and with no query at all its whole cell is ``-``.
+        Inline, ``num_shards=2`` builds one shard, so there is no row 1."""
+        band_query = BandJoinQuery(Interval(-5.0, 5.0))
+        select_query = SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0))
 
-        def headroom_cells(with_band):
+        def headroom_cells(*queries):
             registry = MetricsRegistry()
             with EventPipeline(num_shards=2, alpha=0.05, metrics=registry) as pipeline:
-                if with_band:
-                    pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
-                pipeline.subscribe(
-                    SelectJoinQuery(Interval(0.0, 100.0), Interval(0.0, 10_000.0))
-                )
+                for query in queries:
+                    pipeline.subscribe(query)
                 pipeline.drain()
                 pipeline.sample_hotspots()
             frame = render_dashboard({"metrics": registry.snapshot()})
-            return {
+            rows = {
                 line.split()[0]: line.split()[-1]
                 for line in frame.splitlines()
                 if line.startswith("  0 ") or line.startswith("  1 ")
             }
+            assert list(rows) == ["0"]
+            return rows["0"]
 
-        rows = headroom_cells(with_band=True)
-        band, select = rows["0"].split("/")
+        band, select = headroom_cells(band_query, select_query).split("/")
         assert band != "-" and select != "-"
-        assert rows["1"] == "-"
-        band, select = headroom_cells(with_band=False)["0"].split("/")
+        band, select = headroom_cells(select_query).split("/")
         assert band == "-" and select != "-"
+        assert headroom_cells() == "-"
 
     def test_rates_need_a_previous_record(self):
         record = self.record()

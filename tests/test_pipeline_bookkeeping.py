@@ -184,36 +184,38 @@ def test_final_snapshot_equals_per_event_recording(name):
     assert histograms["pipeline/e2e_us"]["count"] == 1_200
     assert histograms["pipeline/batch_size"]["count"] == counters["pipeline/batches"]
     assert histograms["pipeline/batch_size"]["sum"] == 1_200
-    # Inline, shard 0 holds every query and shard 1 none: only shard 0
+    # Inline, num_shards=2 builds one shard, which holds every query: it
     # counts the events and times the batches.
     assert counters["shard/0/events"] == 1_200
     assert histograms["shard/0/batch_us"]["count"] == counters["pipeline/batches"]
-    assert counters["shard/1/events"] == 0
-    assert histograms["shard/1/batch_us"]["count"] == 0
+    assert "shard/1/events" not in counters
 
 
 def test_a_shard_without_queries_records_no_work():
-    """Inline at K = 4 every query lives on shard 0, and shards 1-3 hold
-    none: on a mixed band and select stream they count no events, time no
-    batch and open no ``shard.apply`` span, while shard 0 does all three
-    for every batch."""
+    """Inline, the one shard holds no query until the population is
+    subscribed: the 320 events before count nowhere, time no batch and
+    open no ``shard.apply`` span, while each of the 600 after does all
+    three."""
     registry = MetricsRegistry()
     tracer = RingTracer()
+    stream = seeded_stream(4, 920, min_age=1_000)  # inserts only
     with EventPipeline(
         num_shards=4, batch_size=32, mode="inline", metrics=registry, tracer=tracer
     ) as pipeline:
-        subscribe_population(pipeline)
-        drive(pipeline, seeded_stream(4, 600))
+        drive(pipeline, stream[:320])
         pipeline.drain()
-        assert [shard.query_count > 0 for shard in pipeline.shards] == [True] + [False] * 3
+        idle = registry.counter("pipeline/batches").value
+        assert idle == 10
+        subscribe_population(pipeline)
+        drive(pipeline, stream[320:])
+        pipeline.drain()
+        busy = registry.counter("pipeline/batches").value - idle
     snap = registry.snapshot()
     counters, histograms = snap["counters"], snap["histograms"]
     assert counters["pipeline/results_produced"] > 0
+    assert counters["pipeline/events_applied"] == 920
     assert counters["shard/0/events"] == 600
-    assert histograms["shard/0/batch_us"]["count"] == counters["pipeline/batches"]
-    for index in (1, 2, 3):
-        assert counters[f"shard/{index}/events"] == 0
-        assert histograms[f"shard/{index}/batch_us"]["count"] == 0
+    assert histograms["shard/0/batch_us"]["count"] == busy
     applies = Tally(
         (span.args or {}).get("shard") for span in tracer.snapshot() if span.name == "shard.apply"
     )
@@ -224,8 +226,10 @@ def test_a_shard_without_queries_records_no_work():
 def test_a_worker_without_queries_records_no_work():
     """In ``process-shm`` at K = 3 one band lives on shard 1: a worker
     whose shard holds no query (shard 2) answers each batch with a NaN
-    elapsed and the parent leaves it out, as the parent's shard 0 and
-    every empty inline shard are left out."""
+    elapsed and the parent leaves it out, as it leaves out its own shard
+    0, and the worker times no entry it did not apply: its
+    ingest-to-apply histogram stays empty, while shard 1's holds one
+    sample per row."""
     registry = MetricsRegistry()
     band = BandJoinQuery(Interval(-3.0, 3.0), qid=1)
     rows = [DataEvent(EventKind.INSERT, "R", RTuple(i, 1.0, float(i))) for i in range(64)]
@@ -237,6 +241,13 @@ def test_a_worker_without_queries_records_no_work():
         pipeline.drain()
         drive(pipeline, rows)
         pipeline.drain()
+        pipeline._workers.drain_telemetry()
+        histograms = registry.snapshot()["histograms"]
+        e2e = {
+            index: histograms.get(f"shard/{index}/worker/e2e/ingest_to_apply_us", {}).get("count", 0)
+            for index in (1, 2)
+        }
+        assert e2e == {1: 64, 2: 0}
     snap = registry.snapshot()
     counters, histograms = snap["counters"], snap["histograms"]
     assert counters["shard/1/events"] == 64
@@ -264,7 +275,7 @@ def test_worker_e2e_fold_equals_per_event_recording(monkeypatch):
     registry = MetricsRegistry()
     e2e = registry.histogram("worker/e2e/ingest_to_apply_us")
     batch = frames.DecodedBatch(entries=entries, ingest_ns=tuple(stamps))
-    worker._apply_batch(ShardGroup([0]), batch, worker._BatchTracer(None), e2e)
+    worker._apply_batch(ShardGroup(0), batch, worker._BatchTracer(None), e2e)
     assert observes == []  # one fold, no per-entry observe
     monkeypatch.undo()
     want = [(90_000_000 - stamp) / 1_000.0 for stamp in stamps if stamp]
@@ -379,22 +390,16 @@ def churn_stream(seed, n):
 
 def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
     """Within one tracker call no hot-item counter is incremented twice,
-    and each shard's counter totals equal the items its two processors
+    and the shard's counter totals equal the items its two processors
     wrote into (or struck from) their hot columns."""
     registry = MetricsRegistry()
     pipeline = EventPipeline(
         num_shards=2, batch_size=64, mode="inline", alpha=0.05, metrics=registry
     )
-    planes = {
-        (shard.index, plane): getattr(shard, plane)
-        for shard in pipeline.shard_group.shards
-        for plane in ("band", "select")
-    }
-    names = [
-        f"shard/{index}/runtime/hotspot_items_{end}"
-        for index in (0, 1)
-        for end in ("added", "removed")
-    ]
+    (shard,) = pipeline.shards
+    planes = [shard.band, shard.select]
+    prefix = "shard/0/runtime/hotspot_items"
+    names = [f"{prefix}_{end}" for end in ("added", "removed")]
     hot_counters = {id(registry.counter(name)) for name in names}
 
     incs = []
@@ -426,37 +431,29 @@ def test_hot_item_counters_fold_once_per_tracker_call(monkeypatch):
     with pipeline:
         drive(pipeline, churn_stream(3, 3_000))
         pipeline.drain()
-        for processor in planes.values():
+        for processor in planes:
             processor.validate()
     counters = registry.snapshot()["counters"]
 
     assert len(per_call) > 100 and max(per_call) == 1
     assert sum(entered.values()) > 100 and sum(left.values()) > 100
-    for index in (0, 1):
-        shard = [id(p._hot) for (i, __), p in planes.items() if i == index]
-        prefix = f"shard/{index}/runtime/hotspot_items"
-        assert counters[f"{prefix}_added"] == sum(entered[p] for p in shard)
-        assert counters[f"{prefix}_removed"] == sum(left[p] for p in shard)
+    hot = [id(p._hot) for p in planes]
+    assert counters[f"{prefix}_added"] == sum(entered[p] for p in hot)
+    assert counters[f"{prefix}_removed"] == sum(left[p] for p in hot)
 
 
 def test_one_metric_namespace_in_every_mode(monkeypatch):
-    """One churn stream through ``inline`` and ``process-shm`` at K = 2:
-    no metric of either mode is named outside the namespace roots, and
-    each shard's ``shard/<i>/runtime/hotspot_*`` counters equal those of a
-    ``ShardGroup([i])`` built with the mode's thresholds and fed the
-    batches the pipeline applied.  Both planes are placed per mode
-    (inline, shard 0 holds every query and shard 1 none; under
+    """One churn stream through ``inline`` and ``process-shm`` at
+    ``num_shards=2``: no metric of either mode is named outside the
+    namespace roots, and each shard's ``shard/<i>/runtime/hotspot_*``
+    counters equal those of a ``ShardGroup(i)`` built with the mode's
+    thresholds and fed the batches the pipeline applied.  Both planes are
+    placed per mode (inline, the one shard holds every query; under
     ``process-shm`` each process holds a C-slice and a midpoint slice), so
     a worker's churn is checked by value as it reaches the parent: the
     same batches without their band subscriptions give each shard's
-    select-plane share, and the rest must be nonzero on every shard that
-    holds bands."""
+    select-plane share, and the rest must be nonzero on every shard."""
     roots = re.compile(r"(pipeline|transport|durability|shard/\d+|obs/shard/\d+)/")
-    names = [
-        f"shard/{index}/runtime/hotspot_{what}"
-        for index in (0, 1)
-        for what in ("demotions", "items_added", "items_removed", "promotions")
-    ]
     applied = []
     original_apply = EventPipeline._apply
     monkeypatch.setattr(
@@ -470,12 +467,11 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
         return {name: value for name, value in registry.snapshot()["counters"].items()
                 if "/runtime/hotspot_" in name}
 
-    def reference(batches, partitions):
+    def reference(batches, shards):
         registry = MetricsRegistry()
-        for index in (0, 1):
+        for index in range(shards):
             group = ShardGroup(
-                [index], partitions=partitions, alpha=scaled_alpha(0.05, partitions),
-                metrics=registry,
+                index, sliced=shards > 1, alpha=scaled_alpha(0.05, shards), metrics=registry,
             )
             for entries in batches:
                 group.apply_batch(entries)
@@ -484,7 +480,7 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
     def is_band_change(entry):
         return entry[0] < 0 and isinstance(entry[1].query, BandJoinQuery)
 
-    for mode, shards in (("inline", {0}), ("process-shm", {0, 1})):
+    for mode, shards in (("inline", 1), ("process-shm", 2)):
         applied.clear()
         registry = MetricsRegistry()
         with EventPipeline(
@@ -495,18 +491,19 @@ def test_one_metric_namespace_in_every_mode(monkeypatch):
         assert not [name for kind in snapshot.values() for name in kind
                     if not roots.match(name)]
         churn = hotspot_counters(registry)
-        assert sorted(churn) == names
-        # Every counter of a shard that holds queries moved; shard 1's
-        # stayed 0 inline, where it holds none.
-        held = {name: int(name.split("/")[1]) in shards for name in names}
-        assert {name: value > 0 for name, value in churn.items()} == held, mode
-        assert churn == reference(applied, len(shards))
+        assert sorted(churn) == [
+            f"shard/{index}/runtime/hotspot_{what}"
+            for index in range(shards)
+            for what in ("demotions", "items_added", "items_removed", "promotions")
+        ]
+        # Every counter of every shard moved.
+        assert all(value > 0 for value in churn.values()), mode
+        assert churn == reference(applied, shards)
         select = reference(
             [[entry for entry in entries if not is_band_change(entry)] for entries in applied],
-            len(shards),
+            shards,
         )
-        for index in (0, 1):
+        for index in range(shards):
             for what in ("items_added", "promotions"):
                 name = f"shard/{index}/runtime/hotspot_{what}"
-                band = churn[name] - select[name]
-                assert band > 0 if index in shards else band == 0, (mode, name)
+                assert churn[name] - select[name] > 0, (mode, name)

@@ -252,7 +252,7 @@ class TestMetrics:
             whole = histograms["pipeline/e2e_us"]
             assert whole["count"] == 10 and whole["min"] <= whole["max"]
             assert sum(n for __, n in whole["buckets"]) == 10
-            assert pipeline.router.events_per_shard == [10, 10, 10]
+            assert pipeline.router.events_per_shard == [10]  # inline: one shard
             assert not [name for name in histograms if name.endswith("/e2e_us")
                         and name != "pipeline/e2e_us"]
 

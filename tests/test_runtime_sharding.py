@@ -2,6 +2,7 @@
 one event per batch (the unsharded system's per-event counterpart)."""
 
 import random
+import re
 
 import pytest
 
@@ -220,13 +221,48 @@ class TestShardedPipeline:
         sharded = per_event_pipeline(num_shards=4, alpha=None)
         query = sharded.subscribe(select_query(0.0, 10_000.0, 0.0, 100.0))
         assert sharded.subscription_count == 1
-        # Inline, the whole select plane is shard 0's.
-        assert [shard.query_count for shard in sharded.shards] == [1, 0, 0, 0]
+        # Inline, the whole select plane is the one shard's.
+        assert [shard.query_count for shard in sharded.shards] == [1]
         sharded.unsubscribe(query)
         assert sharded.subscription_count == 0
         assert all(shard.query_count == 0 for shard in sharded.shards)
         apply(sharded, EventKind.INSERT, "S", STuple(0, 1.0, 5_000.0))
         assert apply(sharded, EventKind.INSERT, "R", RTuple(0, 1.0, 1.0)) == {}
+
+    def test_inline_builds_one_shard_and_process_shm_one_per_process(self):
+        """Inline, ``num_shards`` is ignored: the pipeline builds one shard,
+        the router counts one, and no metric is named for a shard i >= 1.
+        Under ``process-shm`` it is the process count, and every shard's
+        metrics appear."""
+        named = re.compile(r"(?:obs/)?shard/(\d+)/")
+
+        def shards_named(pipeline):
+            pipeline.subscribe(BandJoinQuery(Interval(-5.0, 5.0)))
+            pipeline.subscribe(select_query(0.0, 10_000.0))
+            pipeline.run([
+                DataEvent(EventKind.INSERT, "R", RTuple(0, 1.0, 2.0)),
+                DataEvent(EventKind.INSERT, "S", STuple(0, 2.0, 5_000.0)),
+            ])
+            pipeline.sample_hotspots()
+            return {
+                int(match.group(1))
+                for section in pipeline.metrics.snapshot().values()
+                for name in section
+                if (match := named.match(name))
+            }
+
+        with EventPipeline(num_shards=4, alpha=0.05, batch_size=4) as inline:
+            assert len(inline.shards) == 1
+            assert inline.router.stats()["num_shards"] == 1
+            assert shards_named(inline) == {0}
+        with EventPipeline(num_shards=3, alpha=0.05, batch_size=4, mode="process-shm") as shm:
+            assert shm.router.stats()["num_shards"] == 3
+            assert shards_named(shm) == {0, 1, 2}
+
+    @pytest.mark.parametrize("mode", ["inline", "process-shm"])
+    def test_a_shard_count_below_one_is_rejected(self, mode):
+        with pytest.raises(ValueError, match="at least one shard"):
+            EventPipeline(num_shards=0, mode=mode)
 
     def test_deletions_count_as_applied_events(self):
         sharded = per_event_pipeline(num_shards=2, alpha=None)
@@ -238,7 +274,7 @@ class TestShardedPipeline:
 
 
 class TestBandPlane:
-    """The band plane is split over the processes, not the shards."""
+    """The band plane is split over the processes, one shard each."""
 
     # Midpoints -4000, 0 and +4000: one per band slice at K = 3.
     BANDS = ((-8_000.0, 0.0), (-5.0, 5.0), (0.0, 8_000.0))
@@ -250,15 +286,15 @@ class TestBandPlane:
             for query in queries:
                 inline.subscribe(query)
             inline.drain()
-            assert [shard.band.query_count for shard in inline.shards] == [3, 0, 0]
+            assert [shard.band.query_count for shard in inline.shards] == [3]
             stats = inline.router.stats()
-            assert stats["partitions"] == 1
-            assert stats["band_queries_per_shard"] == [3, 0, 0]
+            assert stats["num_shards"] == 1
+            assert stats["band_queries_per_shard"] == [3]
             assert stats["band_query_imbalance"] == 1.0
         with EventPipeline(num_shards=3, alpha=0.05, mode="process-shm") as shm:
             assert [shm.router.shards_for_query(q) for q in queries] == [[0], [1], [2]]
             assert [r.index for r in shm.router.band_ranges()] == [0, 1, 2]
-            assert shm.router.stats()["partitions"] == 3
+            assert shm.router.stats()["num_shards"] == 3
 
     def test_a_band_cluster_of_30_percent_is_hot_at_alpha_quarter(self):
         """Inline, the shard holding the bands promotes at the workload's
@@ -284,7 +320,7 @@ class TestBandPlane:
 
 
 class TestSelectPlane:
-    """The select plane is split over the processes too: one partition
+    """The select plane is split over the processes too: one shard
     inline, C-slices only under ``process-shm``."""
 
     # rangeC inside slice 0, 1 and 2 at K = 3, and one across all three.
@@ -301,10 +337,10 @@ class TestSelectPlane:
             for query in queries:
                 inline.subscribe(query)
             inline.drain()
-            assert [shard.select.query_count for shard in inline.shards] == [4, 0, 0]
-            assert not any(shard.sliced for shard in inline.shards)
+            assert [shard.select.query_count for shard in inline.shards] == [4]
+            assert not inline.shards[0].sliced
             stats = router.stats()
-            assert stats["select_queries_per_shard"] == [4, 0, 0]
+            assert stats["select_queries_per_shard"] == [4]
             assert stats["select_query_imbalance"] == 1.0
         with EventPipeline(num_shards=3, alpha=0.05, mode="process-shm") as shm:
             router = shm.router
@@ -315,8 +351,8 @@ class TestSelectPlane:
                 shm.subscribe(query)
             shm.drain()
             assert router.stats()["select_queries_per_shard"] == [2, 2, 2]
-            assert shm.table_set.shards[0].sliced
-            assert shm.table_set.shards[0].select.query_count == 2
+            assert shm.table_set.shard.sliced
+            assert shm.table_set.shard.select.query_count == 2
 
     def test_one_threshold_serves_both_planes(self):
         """Inline, shard 0's two trackers promote at the pipeline's alpha;
@@ -325,7 +361,7 @@ class TestSelectPlane:
             shard = inline.shards[0]
             assert shard.band.tracker.alpha == shard.select.tracker.alpha == 0.05
         with EventPipeline(num_shards=2, alpha=0.05, mode="process-shm") as shm:
-            shard = shm.table_set.shards[0]
+            shard = shm.table_set.shard
             assert shard.band.tracker.alpha == shard.select.tracker.alpha == scaled_alpha(0.05, 2)
 
 
@@ -334,8 +370,8 @@ def _event(relation, row):
 
 
 def group_tables(group):
-    """Every table of a shard group: R, the shared S and each C-slice."""
-    slices = [shard.table_s_select for shard in group.shards if shard.sliced]
+    """Every table of a shard group: R, the shared S and its C-slice."""
+    slices = [group.shard.table_s_select] if group.shard.sliced else []
     return [group.table_r, group.table_s] + slices
 
 
@@ -372,7 +408,7 @@ class TestOneTableSet:
                 want.append(norm(plain.insert_s_row(event.row)))
         got = [norm(deltas) for __, ___, deltas in sharded.run(events)]
         assert sharded.metrics.counter("pipeline/batches").value == 1
-        assert sharded.router.band_queries_per_shard == [2, 0, 0, 0]  # inline: shard 0
+        assert sharded.router.band_queries_per_shard == [2]  # inline: one shard
         assert got == want
         assert any(want[3:8]) and any(want[9:])  # later runs did match earlier rows
 
@@ -403,9 +439,8 @@ class TestOneTableSet:
             ("TableR", "delete"): 1, ("TableS", "delete"): 3,
         }
         group = sharded.shard_group
-        assert all(shard.table_r is group.table_r for shard in group.shards)
-        assert all(shard.table_s_band is group.table_s for shard in group.shards)
-        assert all(shard.table_s_select is group.table_s for shard in group.shards)
+        assert group.shard.table_r is group.table_r
+        assert group.shard.table_s_band is group.shard.table_s_select is group.table_s
         assert (len(group.table_r), len(group.table_s)) == (4, 1)
 
     def test_each_s_table_builds_only_the_index_its_plane_probes(self):
@@ -424,7 +459,7 @@ class TestOneTableSet:
         group = pipeline.shard_group
         assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
         assert sorted(group.table_s.built_columns()) == ["col_b", "cols_bc"]
-        assert not any(shard.sliced for shard in group.shards)
+        assert not group.shard.sliced
         assert group_tables(group) == [group.table_r, group.table_s]
         for table in group_tables(group):
             assert table.built_indexes() == {}
@@ -454,7 +489,7 @@ class TestOneTableSet:
             group = pipeline.table_set
             assert sorted(group.table_r.built_columns()) == ["col_b", "cols_ba"]
             assert list(group.table_s.built_columns()) == ["col_b"]
-            assert list(group.shards[0].table_s_select.built_columns()) == ["cols_bc"]
+            assert list(group.shard.table_s_select.built_columns()) == ["cols_bc"]
             for table in group_tables(group):
                 assert table.built_indexes() == {}
         finally:

@@ -461,6 +461,9 @@ class TestCrossProcessTelemetry:
             # Shard 0 records no span for a batch in which it holds no
             # query: this band's midpoint places it there.
             pipe.subscribe(BandJoinQuery(Interval(-8_000.0, -7_000.0), qid=2))
+            # And this one on shard 2: a worker whose shard holds no query
+            # times no entry.
+            pipe.subscribe(BandJoinQuery(Interval(7_000.0, 8_000.0), qid=3))
             for i in range(200):
                 pipe.submit(_r_insert(i, float(i % 50), 1.0))
             pipe.drain()
