@@ -45,11 +45,17 @@ def _ignore(item: Any) -> None:
 
 def _endpoint_orders(interval_of: Callable[[Any], Any]) -> Any:
     """The default per-group structure: the members' two endpoint orders."""
-    return (
-        EndpointOrders,
-        lambda orders, item: orders.add(item, interval_of(item)),
-        lambda orders, item: orders.remove(item, interval_of(item)),
-    )
+
+    def add(orders: EndpointOrders, item: Any) -> None:
+        orders.add(item, interval_of(item))
+
+    def make(members: Iterable[Any]) -> EndpointOrders:
+        orders: EndpointOrders = EndpointOrders()
+        for item in members:
+            add(orders, item)
+        return orders
+
+    return make, add, lambda orders, item: orders.remove(item, interval_of(item))
 
 
 class StabbingSetIndex(Generic[T, S]):
@@ -63,8 +69,10 @@ class StabbingSetIndex(Generic[T, S]):
         :class:`~repro.core.refined_partition.RefinedStabbingPartition` or
         :class:`~repro.core.multidim.DynamicBoxPartition`).
     make_structure, add_item, remove_item:
-        Build an empty per-group structure, and maintain it as members join
-        or leave its group.  Omitted, it is the members'
+        Build a group's structure from its members (a promotion or a
+        rebuild attaches whole groups, so a structure that sorts can sort
+        once), and maintain it as members join or leave the group.
+        Omitted, it is the members'
         :class:`~repro.dstruct.endpoint_orders.EndpointOrders`: the
         group's own ``orders`` when it has them, else a copy.
     """
@@ -73,7 +81,7 @@ class StabbingSetIndex(Generic[T, S]):
         self,
         partition: DynamicStabbingPartitionBase[T],
         *,
-        make_structure: Optional[Callable[[], S]] = None,
+        make_structure: Optional[Callable[[Iterable[T]], S]] = None,
         add_item: Optional[Callable[[S, T], None]] = None,
         remove_item: Optional[Callable[[S, T], None]] = None,
     ):
@@ -86,7 +94,7 @@ class StabbingSetIndex(Generic[T, S]):
     def _init_structures(
         self,
         interval_of: Callable[[T], Any],
-        make_structure: Optional[Callable[[], S]],
+        make_structure: Optional[Callable[[Iterable[T]], S]],
         add_item: Optional[Callable[[S, T], None]],
         remove_item: Optional[Callable[[S, T], None]],
     ) -> None:
@@ -113,9 +121,7 @@ class StabbingSetIndex(Generic[T, S]):
         else a new structure holding its members."""
         structure = getattr(group, "orders", None) if self._in_place else None
         if structure is None:
-            structure = self._make()
-            for item in group:
-                self._add(structure, item)
+            structure = self._make(group)
         self._groups[id(group)] = (group, structure)
         self._snapshot = None
 
@@ -240,7 +246,7 @@ class HotspotIndex(StabbingSetIndex[T, S]):
         self,
         tracker: HotspotTracker[T],
         *,
-        make_structure: Optional[Callable[[], S]] = None,
+        make_structure: Optional[Callable[[Iterable[T]], S]] = None,
         add_item: Optional[Callable[[S, T], None]] = None,
         remove_item: Optional[Callable[[S, T], None]] = None,
         scatter: Callable[[T], None] = _ignore,

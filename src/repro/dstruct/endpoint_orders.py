@@ -60,8 +60,8 @@ class EndpointOrders(Generic[T]):
     def remove(self, item: T, interval: Interval) -> None:
         """Remove ``item``; raises ``ValueError``, changing nothing, if it
         is not held under ``interval``."""
-        i = _find(self.lo_keys, self.by_lo, interval.lo, item)
-        j = _find(self.neg_hi_keys, self.by_hi_desc, -interval.hi, item)
+        i = find_slot(self.lo_keys, self.by_lo, interval.lo, item)
+        j = find_slot(self.neg_hi_keys, self.by_hi_desc, -interval.hi, item)
         del self.by_lo[i], self.lo_keys[i], self.hi_by_lo[i]
         del self.by_hi_desc[j], self.neg_hi_keys[j], self.lo_by_hi[j]
 
@@ -82,7 +82,10 @@ class EndpointOrders(Generic[T]):
         assert list(self.lo_by_hi) == [i.lo for i in by_hi], "lo_by_hi drifted"
 
 
-def _find(keys: array[float], items: List[T], key: float, item: T) -> int:
+def find_slot(keys: array[float], items: List[T], key: float, item: T) -> int:
+    """The position of ``item`` among the entries of sorted ``keys`` equal to
+    ``key`` (``items`` parallel to ``keys``, matched by identity); raises
+    ``ValueError`` if it is not there."""
     idx = bisect_left(keys, key)
     while idx < len(keys) and keys[idx] == key:
         if items[idx] is item:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
-__all__ = ["KERNEL", "MIN_VECTOR", "get_numpy"]
+__all__ = ["KERNEL", "MIN_CANDIDATES", "MIN_VECTOR", "get_numpy"]
 
 _np: Optional[Any] = None
 _choice = os.environ.get("REPRO_FASTPATH_KERNEL", "auto").strip().lower()
@@ -39,6 +39,11 @@ KERNEL = "numpy" if _np is not None else "python"
 #: Below this many bounds the numpy call overhead (array conversion, ufunc
 #: dispatch) exceeds the bisect loop it replaces.
 MIN_VECTOR = 8
+
+#: Below this many candidate members in a run, the select group probe tests
+#: its candidate windows in a Python loop: the numpy pass's fixed cost (the
+#: ragged expansion, about twenty array calls) exceeds the loop it replaces.
+MIN_CANDIDATES = 256
 
 
 def get_numpy() -> Optional[Any]:

@@ -96,9 +96,11 @@ class HotspotSelectJoinProcessor:
         # Each hotspot group's members, laid out as _columns_r.
         self._hot: HotspotIndex[SelectJoinQuery, select_probe.SelectColumns] = HotspotIndex(
             self.tracker,
-            make_structure=select_probe.SelectColumns,
+            make_structure=lambda members: select_probe.SelectColumns.of(
+                members, range_a_interval, range_c_interval
+            ),
             add_item=lambda columns, q: columns.add(q, q.range_a, q.range_c),
-            remove_item=select_probe.SelectColumns.remove,
+            remove_item=lambda columns, q: columns.remove(q, q.range_a),
             scatter=self._scatter,
             gather=self._gather,
         )
@@ -111,7 +113,7 @@ class HotspotSelectJoinProcessor:
     def _gather(self, query: SelectJoinQuery) -> None:
         if self._scattered_a is not None:
             self._scattered_a.remove(query.range_a, query)
-        self._columns_r.remove(query)
+        self._columns_r.remove(query, query.range_a)
 
     # -- query maintenance -------------------------------------------------------
 

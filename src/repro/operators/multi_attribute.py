@@ -17,7 +17,7 @@ O(g(n) + k) for one flat R-tree over all subscriptions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.multidim import Box, DynamicBoxPartition
 from repro.core.ssi import StabbingSetIndex
@@ -50,6 +50,13 @@ def _subscription_box(subscription: BoxSubscription) -> Box:
 def _as_rect(box: Box) -> Rect:
     assert box.dimensions == 2
     return Rect(box.lo[0], box.lo[1], box.hi[0], box.hi[1])
+
+
+def _rtree_of(members: Iterable[BoxSubscription], fanout: int) -> RTree[BoxSubscription]:
+    rtree: RTree[BoxSubscription] = RTree(fanout)
+    for subscription in members:
+        rtree.insert(_as_rect(subscription.box), subscription)
+    return rtree
 
 
 class MultiAttributeIndexBase(RangeIndexBase):
@@ -115,7 +122,7 @@ class SSIBoxIndex(MultiAttributeIndexBase):
         if dimensions == 2:
             self._ssi = StabbingSetIndex(
                 self._partition,
-                make_structure=lambda: RTree(fanout),
+                make_structure=lambda members: _rtree_of(members, fanout),
                 add_item=lambda rtree, s: rtree.insert(_as_rect(s.box), s),
                 remove_item=lambda rtree, s: rtree.remove(_as_rect(s.box), s),
             )

@@ -330,9 +330,9 @@ def _columns_ssi(
     """An SSI whose groups keep their members' endpoint columns."""
     return StabbingSetIndex(
         partition,
-        make_structure=select_probe.SelectColumns,
+        make_structure=lambda members: select_probe.SelectColumns.of(members, sel_of, rng_of),
         add_item=lambda columns, q: columns.add(q, sel_of(q), rng_of(q)),
-        remove_item=select_probe.SelectColumns.remove,
+        remove_item=lambda columns, q: columns.remove(q, sel_of(q)),
     )
 
 
@@ -361,8 +361,7 @@ def probe_select_group(
     # Neither neighbour inside the group's extent: no member contains one.
     if not (y1 >= columns.rng_min or y2 <= columns.rng_max):
         return
-    (slots,) = select_probe.stab_group(columns, (x,), (y1,), (y2,))
-    for slot in slots:
+    for slot in select_probe.stab_group(columns, x, y1, y2):
         hits = _enumerate_outward(pred, succ, b, columns.rng_lo[slot], columns.rng_hi[slot])
         assert hits, "affected select-join produced no result"
         results[columns.queries[slot]] = hits

@@ -211,23 +211,25 @@ class TestBatchedCells:
 
     def test_hot_groups_reach_the_vector_member_test(self, monkeypatch):
         """Select-join rangeC clusters on the interval ops' anchors, so a
-        default-config run grows hot groups of ``MIN_VECTOR`` members and
-        the kernel runs their numpy member test."""
+        default-config run grows hot groups whose candidate windows reach
+        the numpy window pass once its floor is lowered to ``MIN_VECTOR``
+        (fuzz runs are far shorter than the floor's measured runs)."""
         if kernels.get_numpy() is None:
             pytest.skip("numpy is not importable")
-        vector_tests = 0
-        stab_group = select_probe.stab_group
+        vector_passes = 0
+        stab_windows = select_probe._stab_windows
 
-        def counting(group, xs, y1s, y2s):
-            nonlocal vector_tests
-            vector_tests += len(group) >= kernels.MIN_VECTOR
-            return stab_group(group, xs, y1s, y2s)
+        def counting(joined, kept, candidates, results):
+            nonlocal vector_passes
+            vector_passes += candidates >= select_probe.MIN_CANDIDATES
+            return stab_windows(joined, kept, candidates, results)
 
-        monkeypatch.setattr(select_probe, "stab_group", counting)
+        monkeypatch.setattr(select_probe, "_stab_windows", counting)
+        monkeypatch.setattr(select_probe, "MIN_CANDIDATES", kernels.MIN_VECTOR)
         cell = cell_name("inline", 24, False)
         report = fuzz(FuzzConfig(seed=3, n_ops=3000), targets=[cell], shrink=False)
         assert report.ok, report.outcome.divergence
-        assert vector_tests > 0
+        assert vector_passes > 0
 
     def test_the_select_plane_row_strike_removes_rows(self, monkeypatch):
         """The key grid makes select joins inside a batch, so the select

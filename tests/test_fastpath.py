@@ -2,6 +2,7 @@
 delta-identical to its per-event counterpart — same affected queries, same
 result rows, same order — on both the numpy and pure-Python kernels."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,12 @@ from repro.core.intervals import Interval
 from repro.durability import DurabilityManager
 from repro.durability.wal import read_wal
 from repro.engine.events import DataEvent, EventKind, QueryEvent
-from repro.engine.queries import BandJoinQuery, SelectJoinQuery
+from repro.engine.queries import (
+    BandJoinQuery,
+    SelectJoinQuery,
+    range_a_interval,
+    range_c_interval,
+)
 from repro.engine.system import ContinuousQuerySystem
 from repro.engine.table import RTuple, STuple, TableR, TableS
 from repro.fastpath import KERNEL
@@ -24,7 +30,7 @@ from repro.operators.hotspot_processor import (
 from repro.operators.select_join import SJSSI
 from repro.runtime import sharding
 from repro.runtime.pipeline import EventPipeline
-from repro.runtime.sharding import ShardGroup
+from repro.runtime.sharding import DOMAIN_HI, DOMAIN_LO, ShardGroup
 from repro.wire import encode_event
 
 BATCH_SIZES = (1, 2, 7, 8, 23, 120)
@@ -587,38 +593,56 @@ class TestSelectColumnProbe:
                 assert [s.c for s in hits] == sorted(s.c for s in hits)
 
     def test_extent_follows_swap_removes_and_refills(self, kernel):
+        """A hot group's columns stay sorted by rangeA's low end while
+        members leave from the end, the front and the middle; the extent
+        and ``reach`` are recomputed only when the member holding one
+        leaves, and start over once the columns are emptied and refilled."""
         table_s, table_r = TableS(), TableR()
         for c in (20.0, 30.5, 69.5, 80.0):
             table_s.add(1.0, c)
             table_r.add(30.0, 1.0)
-        processor = hot_and_scattered(table_s, table_r)
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1)
+        # Member k: rangeA [30 - k, 50 + k], rangeC [40 - k, 60 + k].
+        members = [SelectJoinQuery(Interval(30 - k, 50 + k), Interval(40 - k, 60 + k)) for k in range(12)]
+        for k in range(12):
+            processor.add_query(members[k])
+            processor.add_query(SelectJoinQuery(Interval(20 - k, 50), Interval(100 + 10 * k, 105 + 10 * k)))
         (group,) = processor.tracker.hotspot_groups
         columns = processor._hot.structure_of(group)
-        rs = [table_r.new_row(30, 1.0)]
+        rs = [table_r.new_row(30, 1.0), table_r.new_row(58.0, 1.0)]
         ss = [table_s.new_row(1.0, 50.0)]
-        narrow, *__, wide, widest = columns.queries  # rangeC [40, 60] ... [30, 70], [29, 71]
-        assert (columns.rng_min, columns.rng_max) == (29, 71)
+        narrow, middle, wide, widest = members[0], members[5], members[10], members[11]
+        assert columns.queries == members[::-1]  # ascending rangeA low end
+        assert (columns.rng_min, columns.rng_max, columns.reach) == (29, 71, 42)
         assert set(processor.process_r_batch(rs)[0]) == {wide, widest}  # c = 30.5 and 69.5
-        # A member that never held an extreme leaves the extent alone (and
-        # hands its slot, the first, to the widest member).
+        # A member that holds no extreme leaves the extent and reach alone.
         processor.remove_query(narrow)
-        assert (columns.rng_min, columns.rng_max) == (29, 71) and columns.queries[0] is widest
+        assert (columns.rng_min, columns.rng_max, columns.reach) == (29, 71, 42)
+        assert columns.queries == members[11:0:-1]
         assert_runs_match(processor, rs, ss)
-        # Both extremes leave from the middle of the columns.
+        # The member holding both extremes and the reach leaves the front.
         processor.remove_query(widest)
-        assert (columns.rng_min, columns.rng_max) == (30, 70) and columns.queries[0] is wide
+        assert (columns.rng_min, columns.rng_max, columns.reach) == (30, 70, 40)
+        assert columns.queries[0] is wide
         assert_runs_match(processor, rs, ss)
         assert set(processor.process_r_batch(rs)[0]) == {wide}
+        processor.remove_query(middle)
+        assert columns.queries == [members[k] for k in (10, 9, 8, 7, 6, 4, 3, 2, 1)]
+        assert list(columns.sel_lo) == sorted(columns.sel_lo) and columns.reach == 40
         processor.remove_query(wide)
-        assert (columns.rng_min, columns.rng_max) == (31, 69)
+        assert (columns.rng_min, columns.rng_max, columns.reach) == (31, 69, 38)
         assert_runs_match(processor, rs, ss)
-        assert processor.process_r_batch(rs) == [{}]
-        # Empty the columns and refill them: the extent starts over.
+        assert processor.process_r_batch(rs) == [{}, {}]
+        # Empty the columns and refill them: the extent and reach start over.
         for query in list(columns.queries):
-            columns.remove(query)
-        assert (len(columns), columns.rng_min, columns.rng_max) == (0, float("inf"), float("-inf"))
+            columns.remove(query, query.range_a)
+        assert (len(columns), columns.rng_min, columns.rng_max, columns.reach) == (
+            0, float("inf"), float("-inf"), 0.0,
+        )
         columns.add(narrow, narrow.range_a, narrow.range_c)
-        assert (columns.rng_min, columns.rng_max) == (40, 60)
+        assert (columns.rng_min, columns.rng_max, columns.reach) == (40, 60, 20)
+        with pytest.raises(ValueError):
+            columns.remove(wide, wide.range_a)
 
     def test_group_crossing_min_vector(self, kernel):
         rng = random.Random(10)
@@ -648,9 +672,9 @@ class TestSelectColumnProbe:
     def test_group_major_runs_over_mixed_keys(self, kernel, monkeypatch):
         """Runs of MIN_VECTOR+ rows with repeated keys, a key the probed
         table lacks, and key columns wholly below or above a group's point,
-        against three hot groups on each side, smaller and larger than
-        MIN_VECTOR: batched == per-event, and each group's member test (the
-        numpy mask, when it is built) runs at most once per run."""
+        against three hot groups on each side: batched == per-event, with
+        the numpy window pass and with the loop, and each run makes one
+        candidate-window pass that reads each group it kept once."""
         limit = kernel_mod.MIN_VECTOR
         sizes = (limit - 3, limit + 4, limit + 1)
         queries = [
@@ -684,14 +708,14 @@ class TestSelectColumnProbe:
         ss = [table_s.new_row(b, x - 5) for b, x in zip(keys, xs)]
         assert len(rs) >= limit and 9.0 not in seconds
 
-        tests = []  # per member test: (group, rows tested)
-        stab_group = select_probe.stab_group
+        passes = []  # per candidate-window pass: its (group, windows) pairs and candidates
+        stab_windows = select_probe._stab_windows
 
-        def counting(group, xs, y1s, y2s):
-            tests.append((group, len(xs)))
-            return stab_group(group, xs, y1s, y2s)
+        def counting(joined, kept, candidates, results):
+            passes.append((kept, candidates))
+            return stab_windows(joined, kept, candidates, results)
 
-        monkeypatch.setattr(select_probe, "stab_group", counting)
+        monkeypatch.setattr(select_probe, "_stab_windows", counting)
         pure_ssi = SJSSI(table_s, table_r)
         hotspot = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1)
         for query in queries + scattered:
@@ -706,22 +730,191 @@ class TestSelectColumnProbe:
             (pure_ssi.process_r_batch, pure_ssi.process_r, rs, pure_ssi._ssi_c.group_table()[0]),
             (pure_ssi.process_s_batch, pure_ssi.process_s, ss, pure_ssi._ssi_a.group_table()[0]),
         ]  # fmt: skip
-        for process_batch, process_one, rows, points in runs:
+        for (process_batch, process_one, rows, points), floor in itertools.product(
+            runs, (0, kernel_mod.MIN_CANDIDATES)
+        ):
             # Some joining row has no succ of some point, and some no pred.
             assert any(max(column) < point for column in joining for point in points)
             assert any(min(column) >= point for column in joining for point in points)
-            tests.clear()
+            monkeypatch.setattr(select_probe, "MIN_CANDIDATES", floor)
+            passes.clear()
             deltas = process_batch(rows)
-            batch_tests = list(tests)
             assert deltas == [process_one(row) for row in rows] and any(deltas)
-            groups = [id(group) for group, __ in batch_tests]
-            assert len(groups) == len(set(groups)) >= 3, "one member test per group per run"
-            # Groups on both sides of MIN_VECTOR, so the numpy kernel builds
-            # masks and runs the scalar loop.
-            assert {len(group) < limit for group, __ in batch_tests} == {False, True}
-            # The extent pre-reject drops some (row, group) pairs, not all.
-            assert 0 < sum(tested for __, tested in batch_tests) < len(joining) * len(points)
+            (kept, candidates), = passes  # one candidate-window pass per run
+            groups = [id(group) for group, __ in kept]
+            assert len(groups) == len(set(groups)) >= 3, "one window pass per group per run"
+            # Below the default floor: the loop, or the numpy pass at 0.
+            assert 0 < candidates < kernel_mod.MIN_CANDIDATES
+            windows = [window for __, group_windows in kept for window in group_windows]
+            assert candidates == sum(end - start for *__, start, end in windows)
+            # The extent pre-reject drops some (row, group) pairs, not all,
+            # and a window holds fewer members than its group.
+            assert 0 < len(windows) < len(joining) * len(points)
+            assert candidates < sum(len(group) * len(ws) for group, ws in kept)
         assert hotspot.process_s_batch(ss) == [hotspot.process_s(s) for s in ss]
+
+    def test_check_convicts_an_unsorted_column_and_a_stale_reach(self):
+        """``SelectColumns.check`` (and so ``validate()``) convicts columns
+        whose members each keep their own endpoints but are out of
+        ``sel_lo`` order, and a ``reach`` that is not the longest
+        selection."""
+
+        def fresh():
+            queries = [
+                SelectJoinQuery(Interval(a, a + w), Interval(40 - w, 60 + w))
+                for a, w in ((30, 5), (10, 20), (20, 1), (20, 3))
+            ]
+            columns = select_probe.SelectColumns.of(queries, range_a_interval, range_c_interval)
+            return queries, columns
+
+        queries, columns = fresh()
+        columns.check(queries, range_a_interval, range_c_interval)
+        assert list(columns.sel_lo) == [10, 20, 20, 30] and columns.reach == 20
+        assert columns.queries[1:3] == queries[2:4]  # equal keys keep their order
+        queries, unsorted = fresh()
+        for column in (unsorted.queries, unsorted.sel_lo, unsorted.sel_hi, unsorted.rng_lo, unsorted.rng_hi):
+            column[0], column[3] = column[3], column[0]
+        with pytest.raises(AssertionError, match="sel_lo is not sorted"):
+            unsorted.check(queries, range_a_interval, range_c_interval)
+        # The widest member leaves without a recompute; or reach undershoots.
+        queries, stale = fresh()
+        del stale.queries[0], stale.sel_lo[0], stale.sel_hi[0], stale.rng_lo[0], stale.rng_hi[0]
+        stale.rng_min, stale.rng_max = min(stale.rng_lo), max(stale.rng_hi)
+        with pytest.raises(AssertionError, match="kept reach drifted"):
+            stale.check(queries[:1] + queries[2:], range_a_interval, range_c_interval)
+        queries, short = fresh()
+        short.reach = 5
+        with pytest.raises(AssertionError, match="kept reach drifted"):
+            short.check(queries, range_a_interval, range_c_interval)
+        # validate() runs the check on every group of both SSIs.
+        pure_ssi = SJSSI(TableS(), TableR())
+        pure_ssi.add_query(*queries)
+        pure_ssi.validate()
+        for ssi in (pure_ssi._ssi_c, pure_ssi._ssi_a):
+            group = ssi.group_table()[1][0]
+            group.reach += 1
+            with pytest.raises(AssertionError, match="kept reach drifted"):
+                pure_ssi.validate()
+            group.reach -= 1
+
+    def test_a_domain_wide_member_widens_its_groups_window(self, kernel, monkeypatch):
+        """One member whose rangeA spans the routing domain raises its
+        group's ``reach`` to the domain width, so the window is every member
+        with ``sel_lo <= x`` (the whole-group cost of a member mask).
+        Deltas equal the per-event reference throughout, and ``reach``
+        shrinks back when that member leaves."""
+        rng = random.Random(31)
+        table_s, table_r = TableS(), TableR()
+        keys = [float(b) for b in range(8)]
+        for __ in range(200):
+            table_s.add(rng.choice(keys), rng.uniform(30, 70))
+            table_r.add(rng.uniform(DOMAIN_LO, DOMAIN_HI), rng.choice(keys))
+        narrow = [
+            SelectJoinQuery(Interval(a, a + 50), Interval(45 - w, 55 + w))
+            for a, w in ((rng.uniform(DOMAIN_LO, DOMAIN_HI - 50), rng.uniform(0, 10)) for __ in range(40))
+        ]
+        wide = SelectJoinQuery(Interval(DOMAIN_LO, DOMAIN_HI), Interval(45, 55))
+        xs = [rng.uniform(DOMAIN_LO, DOMAIN_HI) for __ in range(30)] + [narrow[0].range_a.hi, DOMAIN_HI]
+        rs = [table_r.new_row(x, rng.choice(keys)) for x in xs]
+        ss = [table_s.new_row(rng.choice(keys), c) for c in (40.0, 50.0, 60.0)]
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.1)
+        pure_ssi = SJSSI(table_s, table_r)
+        processor.add_query(*narrow)
+        pure_ssi.add_query(*narrow)
+        (group,) = processor.tracker.hotspot_groups
+        columns = processor._hot.structure_of(group)
+        tested = []
+        stab_windows = select_probe._stab_windows
+
+        def counting(joined, kept, candidates, results):
+            tested.append(candidates)
+            return stab_windows(joined, kept, candidates, results)
+
+        monkeypatch.setattr(select_probe, "_stab_windows", counting)
+
+        def candidates_per_run():
+            tested.clear()
+            for strategy in (processor, pure_ssi):
+                assert_batches_match(strategy.process_r_batch, strategy.process_r, rs)
+                assert_batches_match(strategy.process_s_batch, strategy.process_s, ss)
+            assert_runs_match(processor, rs, ss)
+            pure_ssi.validate()
+            tested.clear()
+            processor.process_r_batch(rs)
+            return sum(tested)
+
+        assert columns.reach == 50
+        few = candidates_per_run()
+        processor.add_query(wide)
+        pure_ssi.add_query(wide)
+        assert columns.reach == DOMAIN_HI - DOMAIN_LO
+        many = candidates_per_run()
+        assert many > few + len(rs)
+        processor.remove_query(wide)
+        pure_ssi.remove_query(wide)
+        assert columns.reach == 50
+        assert candidates_per_run() == few
+
+    def test_the_window_holds_a_member_across_rounding(self, kernel):
+        """rangeA = [0.1, 1000.3] holds x = 1000.3, yet ``x - reach``
+        rounds to just above 0.1: the window's low end keeps a slack, so
+        the member that sets ``reach`` is still a candidate."""
+        widest = Interval(0.1, 1000.3)
+        assert widest.hi - (widest.hi - widest.lo) > widest.lo
+        table_s, table_r = TableS(), TableR()
+        table_s.add(1.0, 50.0)
+        queries = [SelectJoinQuery(widest, Interval(40, 60))] + [
+            SelectJoinQuery(Interval(500.0 + k, 1000.3), Interval(45 - k, 55 + k)) for k in range(10)
+        ]
+        rs = [table_r.new_row(1000.3, 1.0), table_r.new_row(0.1, 1.0)]
+        pure_ssi = SJSSI(table_s, table_r)
+        pure_ssi.add_query(*queries)
+        (columns,) = pure_ssi._ssi_c.group_table()[1]
+        assert columns.reach == widest.hi - widest.lo
+        for rows in (rs, rs[:1]):
+            assert pure_ssi.process_r_batch(rows) == [pure_ssi.process_r(r) for r in rows]
+        assert set(pure_ssi.process_r_batch(rs)[0]) == set(queries)
+
+    def test_runs_above_and_below_the_floor_match_per_event(self, kernel, monkeypatch):
+        """A run whose windows hold ``MIN_CANDIDATES`` or more candidates
+        takes the numpy pass (on the numpy kernel), a short run the loop:
+        both equal ``process_r`` per tuple."""
+        rng = random.Random(37)
+        table_s, table_r = TableS(), TableR()
+        keys = [float(b) for b in range(10)]
+        for __ in range(300):
+            table_s.add(rng.choice(keys), rng.uniform(0, 100))
+        processor = HotspotSelectJoinProcessor(table_s, table_r, alpha=0.2)
+        for centre in (30.0, 70.0):
+            for __ in range(60):
+                a, w = rng.uniform(0, 80), rng.uniform(0, 15)
+                processor.add_query(SelectJoinQuery(Interval(a, a + 20), Interval(centre - w, centre + w)))
+        assert len(processor.tracker.hotspot_groups) == 2 and not processor._hot.scattered
+        # x >= 50 keeps every window off each group's first members, so a
+        # window's slots are shifted into the concatenated columns.
+        long_run = [table_r.new_row(rng.uniform(50, 100), rng.choice(keys)) for __ in range(64)]
+        short_run = long_run[:2]
+        seen = []  # per run: (candidates, numpy window steps)
+        stab_windows, emit = select_probe._stab_windows, select_probe._emit
+
+        def counting(joined, kept, candidates, results):
+            seen.append([candidates, 0])
+            return stab_windows(joined, kept, candidates, results)
+
+        def counting_emit(*args):
+            seen[-1][1] += 1
+            return emit(*args)
+
+        monkeypatch.setattr(select_probe, "_stab_windows", counting)
+        monkeypatch.setattr(select_probe, "_emit", counting_emit)
+        for rows in (long_run, short_run):
+            seen.clear()
+            assert processor.process_r_batch(rows) == [processor.process_r(r) for r in rows]
+            ((candidates, numpy_steps),) = seen
+            above = candidates >= kernel_mod.MIN_CANDIDATES
+            assert above == (rows is long_run)
+            assert numpy_steps == (above and kernel == "native" and KERNEL == "numpy")
+        assert_runs_match(processor, long_run, [])
 
     def test_promotion_demotion_promotion_of_the_same_queries(self, kernel):
         rng = random.Random(11)

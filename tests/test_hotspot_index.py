@@ -17,10 +17,10 @@ def select_case():
     processor.add_query(*queries)
 
     def drop(columns, query):
-        columns.remove(query)
+        columns.remove(query, query.range_a)
 
     def swap(columns, query):
-        columns.remove(query)
+        columns.remove(query, query.range_a)
         columns.add(SelectJoinQuery(query.range_a, query.range_c), query.range_a, query.range_c)
 
     return processor, drop, swap
