@@ -33,10 +33,21 @@ amortizes all of it over a micro-batch using flat columns:
   ``p_j + b`` lies inside the instantiated window because the stabbing
   point lies inside the band), i.e.
   ``values[bisect_left(keys, lo) : bisect_right(keys, hi)]`` in the same
-  ascending-key order, located by one ``searchsorted`` pair per group.
-  The windows are gathered and enumerated group by group, not batch-wide:
-  at 20k queries and 256 rows a batch-wide list holds ~46k live tuples,
-  and the collector's passes over them halved throughput.
+  ascending-key order.  Every group's targets are gathered first, into
+  four parallel flat columns (row index, query, and the window ends as
+  ``array('d')``) that hold no per-result tuple, so the run pays one
+  ``searchsorted`` pair, not one per group, and the collector has no new
+  containers to scan.  The step used to run group by group because a
+  batch-wide list of ``(dict, query)`` tuples (~46k at 20k queries and
+  256 rows) halved throughput under the collector's passes.  Measured
+  with these columns on a shared 2-vCPU host: 16x ``band_probe`` (32k
+  bands) +23% to +29% events/s over the group-by-group step with peak
+  RSS +0.2% to +0.8% (4 pairs), and at 20k bands the batch-64 and
+  batch-256 runs of ``benchmarks/test_batch_fastpath.py``'s set-up
+  within noise of it (2,200 to 2,800 events/s either way);
+* a run handed the other relation's touched join keys names, in the same
+  pass, each (row, query) whose window holds one: the only hit lists the
+  batch fix-up may have to strike a row from.
 
 The pure-Python kernel runs the same phases with ``bisect`` on the same
 ``array('d')`` columns.  Every bound evaluates to the exact IEEE double the
@@ -48,8 +59,9 @@ running the per-event probe once per tuple against the same table state.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.fastpath.kernels import MIN_VECTOR, get_numpy
 
@@ -60,6 +72,8 @@ def batch_probe_band_r(
     points: Sequence[float],
     structures: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
+    touched: Optional[Sequence[float]] = None,
+    suspects: Optional[Dict[int, List[Any]]] = None,
 ) -> None:
     """Probe a batch of R-tuples against every band-join group.
 
@@ -68,8 +82,13 @@ def batch_probe_band_r(
     table; ``results`` a parallel list of per-row dicts, updated in place.
     All rows are probed against the *same* S-table state, so this is only
     valid for a run of R-inserts with no interleaved S-change.
+
+    ``touched`` (sorted join keys of S rows that ``col_b`` holds) and
+    ``suspects`` (a ``row index -> [query]`` dict) go together: every
+    (row, query) result whose window holds a touched key is appended to
+    ``suspects``, in result order.
     """
-    _batch_probe(col_b, rows, points, structures, results, r_side=True)
+    _batch_probe(col_b, rows, points, structures, results, touched, suspects, r_side=True)
 
 
 def batch_probe_band_s(
@@ -78,11 +97,13 @@ def batch_probe_band_s(
     points: Sequence[float],
     structures: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
+    touched: Optional[Sequence[float]] = None,
+    suspects: Optional[Dict[int, List[Any]]] = None,
 ) -> None:
     """Symmetric batch probe for S-tuples against R's ``col_b``: the probe
     key is ``s.b - p_j`` and the two endpoint orders swap roles, exactly as
     in the per-event ``probe_band_group_s``."""
-    _batch_probe(col_b, rows, points, structures, results, r_side=False)
+    _batch_probe(col_b, rows, points, structures, results, touched, suspects, r_side=False)
 
 
 def _batch_probe(
@@ -91,6 +112,8 @@ def _batch_probe(
     points: Sequence[float],
     structures: Sequence[Any],
     results: List[Dict[Any, List[Any]]],
+    touched: Optional[Sequence[float]],
+    suspects: Optional[Dict[int, List[Any]]],
     *,
     r_side: bool,
 ) -> None:
@@ -125,6 +148,21 @@ def _batch_probe(
         cuts = _np.searchsorted(gv, _np.arange(len(live) + 1)).tolist()
         jl = jv.tolist()
         sl = sv[gv, jv].tolist()
+    # Phases 2+3, every group: STEP-1 affected-prefix lengths per
+    # candidate, then the run's affected (row, query) targets and their
+    # windows, group-major, in four parallel flat columns.  The pred-side
+    # prefix comes first (per-event dedup order); a succ-side entry
+    # duplicates a pred-side one exactly when its other endpoint also
+    # clears the pred-side bound, so dedup is a columnar threshold test,
+    # not a qid set.
+    t_rows: List[int] = []
+    t_queries: List[Any] = []
+    w_lo: array[float] = array("d")
+    w_hi: array[float] = array("d")
+    row_append = t_rows.append
+    query_append = t_queries.append
+    lo_append = w_lo.append
+    hi_append = w_hi.append
     for g, (point, structure) in enumerate(live):
         if use_np:
             if cuts[g] == cuts[g + 1]:
@@ -144,18 +182,6 @@ def _batch_probe(
         first_col, second_col = (lo_keys, neg_hi_keys) if r_side else (neg_hi_keys, lo_keys)
         hi_by_lo = structure.hi_by_lo
         lo_by_hi = structure.lo_by_hi
-        # Phases 2+3: STEP-1 affected-prefix lengths per candidate, then the
-        # (row, query) windows of the affected queries.  The pred-side
-        # prefix comes first (per-event dedup order); a succ-side entry
-        # duplicates a pred-side one exactly when its other endpoint also
-        # clears the pred-side bound, so dedup is a columnar threshold test,
-        # not a qid set.  The window lists are per group (module docstring).
-        targets: List[Tuple[Dict[Any, List[Any]], Any]] = []
-        w_lo: List[float] = []
-        w_hi: List[float] = []
-        t_append = targets.append
-        lo_append = w_lo.append
-        hi_append = w_hi.append
         for j, sidx in pairs:
             b = bs[j]
             if sidx:
@@ -166,22 +192,25 @@ def _batch_probe(
             n2 = bisect_right(second_col, b - keys[sidx]) if sidx < m else 0
             if not (n1 or n2):
                 continue
-            res = results[order[j]]
+            i = order[j]
             if r_side:
                 for k in range(n1):
-                    t_append((res, by_lo[k]))
+                    row_append(i)
+                    query_append(by_lo[k])
                     lo_append(lo_keys[k] + b)
                     hi_append(hi_by_lo[k] + b)
                 for k in range(n2):
                     lo = lo_by_hi[k]
                     if n1 and lo <= bound1:  # already in the by_lo prefix
                         continue
-                    t_append((res, by_hi_desc[k]))
+                    row_append(i)
+                    query_append(by_hi_desc[k])
                     lo_append(lo + b)
                     hi_append(b - neg_hi_keys[k])  # band.hi + b
             else:
                 for k in range(n1):
-                    t_append((res, by_hi_desc[k]))
+                    row_append(i)
+                    query_append(by_hi_desc[k])
                     lo_append(b + neg_hi_keys[k])  # b - band.hi
                     hi_append(b - lo_by_hi[k])
                 neg_bound1 = -bound1
@@ -189,17 +218,59 @@ def _batch_probe(
                     hi = hi_by_lo[k]
                     if n1 and hi >= neg_bound1:  # already in the by_hi prefix
                         continue
-                    t_append((res, by_lo[k]))
+                    row_append(i)
+                    query_append(by_lo[k])
                     lo_append(b - hi)
                     hi_append(b - lo_keys[k])
-        # STEP 2: enumerate each window as one contiguous slice of the rows.
-        if use_np and len(targets) >= MIN_VECTOR:
-            starts = _np.searchsorted(kb, _np.array(w_lo), side="left").tolist()
-            ends = _np.searchsorted(kb, _np.array(w_hi), side="right").tolist()
-        else:
-            starts = [bisect_left(keys, x) for x in w_lo]
-            ends = [bisect_right(keys, x) for x in w_hi]
-        for (res, query), start, end in zip(targets, starts, ends):
-            hits = values[start:end]
-            assert hits, "affected band join produced no result"
-            res[query] = hits
+    if t_rows:
+        _emit(keys, values, t_rows, t_queries, w_lo, w_hi, results, touched, suspects)
+
+
+def _emit(
+    keys: Any,
+    values: Sequence[Any],
+    t_rows: List[int],
+    t_queries: List[Any],
+    w_lo: array[float],
+    w_hi: array[float],
+    results: List[Dict[Any, List[Any]]],
+    touched: Optional[Sequence[float]],
+    suspects: Optional[Dict[int, List[Any]]],
+) -> None:
+    """STEP 2 of a kernel call, once for the whole run: every target's
+    window ``[w_lo, w_hi]`` becomes one contiguous slice of the rows,
+    ``values[bisect_left(keys, lo) : bisect_right(keys, hi)]``, stored
+    under its row's dict in target order.  With ``touched`` (the sorted
+    join keys of the other relation's rows a strike may hide, each still
+    in ``keys``), a target whose window holds one is appended to
+    ``suspects[row]``: that closed interval holds a touched key exactly
+    when the hit list does."""
+    _np = get_numpy()
+    vector = _np is not None and len(w_lo) >= MIN_VECTOR
+    if vector:
+        kb = _np.frombuffer(keys, dtype=_np.float64)
+        lo_v = _np.frombuffer(w_lo, dtype=_np.float64)
+        hi_v = _np.frombuffer(w_hi, dtype=_np.float64)
+        starts = kb.searchsorted(lo_v, "left").tolist()
+        ends = kb.searchsorted(hi_v, "right").tolist()
+    else:
+        starts = [bisect_left(keys, x) for x in w_lo]
+        ends = [bisect_right(keys, x) for x in w_hi]
+    for i, query, start, end in zip(t_rows, t_queries, starts, ends):
+        hits = values[start:end]
+        assert hits, "affected band join produced no result"
+        results[i][query] = hits
+    if not touched or suspects is None:
+        return
+    if vector:
+        tv = _np.array(touched)
+        flagged = (tv.searchsorted(lo_v, "left") < tv.searchsorted(hi_v, "right")).nonzero()[0]
+        marks: Any = flagged.tolist()
+    else:
+        n_touched = len(touched)
+        marks = (
+            t for t, (lo, hi) in enumerate(zip(w_lo, w_hi))
+            if (at := bisect_left(touched, lo)) < n_touched and touched[at] <= hi
+        )
+    for t in marks:
+        suspects.setdefault(t_rows[t], []).append(t_queries[t])

@@ -284,22 +284,40 @@ class BJSSI(BandJoinStrategy):
             probe_band_group_s(self.table_r.by_b, s, point, structure, results)
         return results
 
-    def process_r_batch(self, rs: Sequence[RTuple]) -> List[BandResults]:
+    def process_r_batch(
+        self,
+        rs: Sequence[RTuple],
+        touched: Optional[Sequence[float]] = None,
+        suspects: Optional[Dict[int, List[BandJoinQuery]]] = None,
+    ) -> List[BandResults]:
         """Batch fast path: probe a run of R-tuples against the current S
         state in one pass over the group table.  Delta-identical to calling
-        :meth:`process_r` per tuple (against unchanged tables)."""
+        :meth:`process_r` per tuple (against unchanged tables).  Given the
+        sorted join keys of ``touched`` S rows, each (row index, query)
+        whose window holds one is appended to ``suspects``: the only hit
+        lists a touched row can be in."""
         results: List[BandResults] = [{} for _ in rs]
         if self._queries:
             points, structures = self._ssi.group_table()
-            band_probe.batch_probe_band_r(self.table_s.col_b, rs, points, structures, results)
+            band_probe.batch_probe_band_r(
+                self.table_s.col_b, rs, points, structures, results, touched, suspects
+            )
         return results
 
-    def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
-        """Symmetric batch fast path for a run of S-tuples."""
+    def process_s_batch(
+        self,
+        ss: Sequence[STuple],
+        touched: Optional[Sequence[float]] = None,
+        suspects: Optional[Dict[int, List[BandJoinQuery]]] = None,
+    ) -> List[RBandResults]:
+        """Symmetric batch fast path for a run of S-tuples (``touched``:
+        R's join keys)."""
         results: List[RBandResults] = [{} for _ in ss]
         if self._queries:
             points, structures = self._ssi.group_table()
-            band_probe.batch_probe_band_s(self.table_r.col_b, ss, points, structures, results)
+            band_probe.batch_probe_band_s(
+                self.table_r.col_b, ss, points, structures, results, touched, suspects
+            )
         return results
 
 

@@ -289,19 +289,39 @@ class HotspotBandJoinProcessor:
                 results[query] = hits
         return results
 
-    def process_r_batch(self, rs: Sequence[RTuple]) -> List[BandResults]:
+    def process_r_batch(
+        self,
+        rs: Sequence[RTuple],
+        touched: Optional[Sequence[float]] = None,
+        suspects: Optional[Dict[int, List[BandJoinQuery]]] = None,
+    ) -> List[BandResults]:
         """Batch fast path: hotspot groups take the batched BJ-SSI probe;
         a scattered query's window scan is a slice of the probed table's
         ``col_b`` between two bisects.  Delta-identical to per-event
-        :meth:`process_r` against unchanged tables."""
-        return self._process_batch(rs, self.table_s, r_side=True)
+        :meth:`process_r` against unchanged tables.  ``touched`` /
+        ``suspects`` as in :meth:`~repro.operators.band_join.BJSSI.process_r_batch`:
+        a scattered query tests its own window too."""
+        return self._process_batch(rs, self.table_s, touched, suspects, r_side=True)
 
-    def process_s_batch(self, ss: Sequence[STuple]) -> List[RBandResults]:
+    def process_s_batch(
+        self,
+        ss: Sequence[STuple],
+        touched: Optional[Sequence[float]] = None,
+        suspects: Optional[Dict[int, List[BandJoinQuery]]] = None,
+    ) -> List[RBandResults]:
         """The mirror of :meth:`process_r_batch` for a run of S-tuples,
         delta-identical to per-event :meth:`process_s`."""
-        return self._process_batch(ss, self.table_r, r_side=False)
+        return self._process_batch(ss, self.table_r, touched, suspects, r_side=False)
 
-    def _process_batch(self, rows: Sequence, table, *, r_side: bool) -> List:
+    def _process_batch(
+        self,
+        rows: Sequence,
+        table,
+        touched: Optional[Sequence[float]],
+        suspects: Optional[Dict[int, List[BandJoinQuery]]],
+        *,
+        r_side: bool,
+    ) -> List:
         results: List[Dict] = [{} for _ in rows]
         if not self._queries:
             return results  # and the index stays unbuilt
@@ -309,16 +329,22 @@ class HotspotBandJoinProcessor:
         if self._hot.group_count():
             points, structures = self._hot.group_table()
             probe = band_probe.batch_probe_band_r if r_side else band_probe.batch_probe_band_s
-            probe(col_b, rows, points, structures, results)
+            probe(col_b, rows, points, structures, results, touched, suspects)
         keys, values = col_b
+        # A scattered window is flagged as the kernel flags a group's.
+        marks = touched if touched and suspects is not None else ()
+        n_marks = len(marks)
         for query in self._hot.scattered.values():  # queries outer, rows inner
             band = query.band
             # An S arrival scans [b - hi, b - lo]: the same sums, ends negated.
             lo, hi = (band.lo, band.hi) if r_side else (-band.hi, -band.lo)
             for i, row in enumerate(rows):
-                hits = values[bisect_left(keys, lo + row.b) : bisect_right(keys, hi + row.b)]
+                w_lo, w_hi = lo + row.b, hi + row.b
+                hits = values[bisect_left(keys, w_lo) : bisect_right(keys, w_hi)]
                 if hits:
                     results[i][query] = hits
+                    if n_marks and (at := bisect_left(marks, w_lo)) < n_marks and marks[at] <= w_hi:
+                        suspects.setdefault(i, []).append(query)
         return results
 
     def validate(self) -> None:

@@ -368,12 +368,19 @@ class Shard:
         self.table_s_select.delete(event.row)
 
     def apply_batch(
-        self, entries: Sequence[ShardEntry], rows: Sequence[Any]
+        self,
+        entries: Sequence[ShardEntry],
+        rows: Sequence[Any],
+        touched: Optional[Sequence[float]] = None,
+        suspects: Optional[Dict[int, List[Any]]] = None,
     ) -> Tuple[Optional[List[Delta]], Optional[List[Delta]], Optional[List[int]]]:
         """This shard's probe of one relation's INSERT entries
         ``(seq, event, owner)`` of a batch — ``rows`` are their rows,
         extracted once by the group — through the operators' batch fast
-        path.  Reads only; the group wrote the tables.
+        path.  Reads only; the group wrote the tables.  ``touched`` and
+        ``suspects`` pass to the band plane: the sorted join keys of the
+        other relation's touched rows, and the dict it fills with each
+        (entry index, query) whose band window holds one.
 
         Returns each plane's per-event deltas apart, for the group to
         strike before it merges them: the band part, one delta per entry;
@@ -400,11 +407,11 @@ class Shard:
         ):
             if relation == "R":
                 return (
-                    self.band.process_r_batch(rows) if band_live else None,
+                    self.band.process_r_batch(rows, touched, suspects) if band_live else None,
                     self.select.process_r_batch(rows) if select_live else None,
                     None,
                 )
-            band = self.band.process_s_batch(rows) if band_live else None
+            band = self.band.process_s_batch(rows, touched, suspects) if band_live else None
             if not select_live:
                 return band, None, None
             if not self.sliced:
@@ -443,8 +450,9 @@ class _Touched:
     ``p`` sees the row iff ``insert < p < delete``.  Rows are known by id,
     never by identity: a worker decodes a DELETE's row into a new object.
 
-    The two summaries the strikes read are built on first use, once per
-    segment, and not at all when no delta needs them.
+    The two summaries the row strikes read are built on first use, once
+    per segment: the touched join keys when the band plane holds a query
+    (its kernel reads them), the key bounds when a select delta needs them.
     """
 
     __slots__ = (
@@ -596,25 +604,24 @@ def _drop_hidden(deltas: Delta, queries: Iterable[Any], position: int, other: _T
     return struck
 
 
-def _strike_band(parts: Sequence[Delta], positions: Sequence[int], other: _Touched) -> int:
+def _strike_band(
+    parts: Sequence[Delta],
+    positions: Sequence[int],
+    suspects: Dict[int, List[Any]],
+    other: _Touched,
+) -> int:
     """The row strike of a band part (``positions`` parallel).  A band
-    window is a key range, so its hit list, sorted by join key, can hold a
-    touched row only if a touched key lies between its first and its last
-    hit: each list pays one bisect, and only the lists that pass are
-    scanned.  Returns the number of rows removed."""
-    touched_bs = other.touched_bs()
-    n_touched = len(touched_bs)
+    window is a key range, so its hit list can hold a touched row only if
+    a touched key lies in the window: the kernel named those (entry
+    index, query) pairs in ``suspects``, and only the ones the query
+    strike left in the delta are scanned.  Returns the number of rows
+    removed."""
     struck = 0
-    for deltas, position in zip(parts, positions):
-        if not deltas:
-            continue
-        suspects = [
-            query for query, hits in deltas.items()
-            if (at := bisect_left(touched_bs, hits[0].b)) < n_touched
-            and touched_bs[at] <= hits[-1].b
-        ]
-        if suspects:
-            struck += _drop_hidden(deltas, suspects, position, other)
+    for i, queries in suspects.items():
+        deltas = parts[i]
+        left = [query for query in queries if query in deltas]
+        if left:
+            struck += _drop_hidden(deltas, left, positions[i], other)
     return struck
 
 
@@ -705,9 +712,10 @@ class ShardGroup:
            hit lists the touched rows whose visibility interval does not
            (:func:`_strike_band`, :func:`_strike_select`).  What a strike
            costs follows what it can remove: an event walks the smaller of
-           its delta and the subscription changes that exclude it, a band
-           list pays one bisect, and a select part one lookup of its join
-           key;
+           its delta and the subscription changes that exclude it, the
+           band strike scans only the lists whose window the kernel found
+           to hold a touched key (with numpy, one vector test per run),
+           and a select part pays one lookup of its join key;
         4. **delete** the deferred rows, then **unsubscribe** the deferred
            queries, again in one :meth:`Shard.unsubscribe` call.
 
@@ -823,14 +831,18 @@ class ShardGroup:
             begin = clock()
             answered: List[Tuple[int, Delta]] = []
             rows_struck = queries_struck = 0
+            # Only a band plane that holds a query reads the touched keys.
+            band_live = shard.band.query_count > 0
             for side, other in runs:
-                band, select, owned = shard.apply_batch(side.entries, side.rows)
+                touched = other.touched_bs() if band_live and other.visible else None
+                suspects: Dict[int, List[Any]] = {}
+                band, select, owned = shard.apply_batch(side.entries, side.rows, touched, suspects)
                 run_entries, positions = side.entries, side.positions
                 if band is not None:
                     if changes is not None:
                         queries_struck += changes.strike(band, positions)
-                    if other.visible and any(band):
-                        rows_struck += _strike_band(band, positions, other)
+                    if suspects:
+                        rows_struck += _strike_band(band, positions, suspects, other)
                     answered.extend(zip(map(_SEQ, run_entries), band))
                 if select is not None:
                     if owned is None:

@@ -1043,6 +1043,186 @@ class TestSelectColumnProbe:
         assert any(q in delta for delta in deltas for q in processor._columns_r.queries)
 
 
+def install_band_batch(rng, table_r, table_s, events):
+    """A random interleaved batch of R and S inserts and deletes over
+    integer join keys, installed as ``ShardGroup`` installs one: every
+    insert goes into its table, every delete is deferred (its row stays).
+    A delete may take a row of an earlier batch or one inserted in this
+    one.  Returns the inserted rows and the touched join keys (sorted,
+    distinct), by relation."""
+    tables = {"R": table_r, "S": table_s}
+    inserted = {"R": [], "S": []}
+    touched = {"R": set(), "S": set()}
+    deletable = {relation: list(table) for relation, table in tables.items()}
+    for __ in range(events):
+        relation = rng.choice("RS")
+        if deletable[relation] and rng.random() < 0.3:
+            row = deletable[relation].pop(rng.randrange(len(deletable[relation])))
+        else:
+            key, other = float(rng.randrange(0, 60)), rng.uniform(0, 100)
+            table = tables[relation]
+            row = table.new_row(other, key) if relation == "R" else table.new_row(key, other)
+            table.insert(row)
+            inserted[relation].append(row)
+            deletable[relation].append(row)
+        touched[relation].add(row.b)
+    return inserted, {relation: sorted(keys) for relation, keys in touched.items()}
+
+
+def hit_range_suspects(deltas, touched):
+    """The strike's former test, on its own: a (row index, qid) whose hit
+    list has a touched key between its first and its last hit."""
+    return {
+        (i, query.qid)
+        for i, delta in enumerate(deltas)
+        for query, hits in delta.items()
+        if any(hits[0].b <= key <= hits[-1].b for key in touched)
+    }
+
+
+class TestBandSuspects:
+    """A band kernel handed the other relation's touched join keys names
+    every (row, query) whose window holds one: exactly the hit lists that
+    have a touched key between their first and last hit."""
+
+    @staticmethod
+    def _bjssi(rng):
+        table_s, table_r = integer_tables(rng, n_s=80, n_r=80)
+        strategy = BJSSI(table_s, table_r)
+        for __ in range(60):
+            lo = float(rng.randrange(-40, 40))
+            strategy.add_query(BandJoinQuery(Interval(lo, lo + rng.randrange(0, 8))))
+        return strategy
+
+    @staticmethod
+    def _hotspot(rng):
+        table_s, table_r = integer_tables(rng, n_s=80, n_r=80)
+        return band_population(table_s, table_r, hot=12, scattered=6)
+
+    @pytest.mark.parametrize("make", ["_bjssi", "_hotspot"])
+    def test_suspects_equal_the_hit_range_test(self, kernel, make):
+        rng = random.Random(31)
+        flagged = {"R": 0, "S": 0}
+        scattered_flagged = False
+        for __ in range(6):
+            processor = getattr(self, make)(rng)
+            inserted, touched = install_band_batch(
+                rng, processor.table_r, processor.table_s, 40
+            )
+            scattered = set(processor._hot.scattered.values()) if make == "_hotspot" else set()
+            runs = (
+                ("R", processor.process_r_batch, inserted["R"], touched["S"]),
+                ("S", processor.process_s_batch, inserted["S"], touched["R"]),
+            )
+            for relation, probe, rows, keys in runs:
+                suspects = {}
+                deltas = probe(rows, keys, suspects)
+                assert deltas == probe(rows)  # the keys change no delta
+                got = [(i, query.qid) for i, queries in suspects.items() for query in queries]
+                assert len(got) == len(set(got))
+                assert set(got) == hit_range_suspects(deltas, keys)
+                flagged[relation] += len(got)
+                scattered_flagged |= any(
+                    query in scattered for queries in suspects.values() for query in queries
+                )
+        assert all(flagged.values()), flagged
+        assert scattered_flagged == (make == "_hotspot")
+
+    def test_a_run_makes_one_window_step_whatever_its_groups(self, kernel, monkeypatch):
+        """Twelve disjoint bands are twelve stabbing groups; each run still
+        enumerates every result of every group in one window step."""
+        from repro.fastpath import band as band_kernels
+
+        rng = random.Random(33)
+        table_s, table_r = make_tables(rng)
+        strategy = BJSSI(table_s, table_r)
+        for k in range(12):
+            strategy.add_query(BandJoinQuery(Interval(-60.0 + 10 * k, -55.0 + 10 * k)))
+        assert strategy.group_count >= 10
+        steps = []
+        emit = band_kernels._emit
+
+        def counted(keys, values, rows, *args):
+            steps.append(len(rows))
+            return emit(keys, values, rows, *args)
+
+        monkeypatch.setattr(band_kernels, "_emit", counted)
+        rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(30)]
+        ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(30)]
+        r_deltas, s_deltas = strategy.process_r_batch(rs), strategy.process_s_batch(ss)
+        assert r_deltas == [strategy.process_r(r) for r in rs]
+        assert s_deltas == [strategy.process_s(s) for s in ss]
+        results = [sum(map(len, deltas)) for deltas in (r_deltas, s_deltas)]
+        assert steps == results and all(results)
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_rows_hidden_inside_a_window_are_struck(self, kernel, alpha, monkeypatch):
+        """An R arrival's hot and scattered windows each hold, strictly
+        between two visible rows, an S row deleted before it and one
+        inserted after it: both are struck, from the kernel's suspects."""
+        seen = spy_row_strikes(monkeypatch)
+        group = ShardGroup(0, alpha=alpha)
+        reference = ContinuousQuerySystem(alpha=alpha)
+        # Four nested bands around 0 (hot at alpha 0.5) and one far band.
+        queries = [BandJoinQuery(Interval(-10.0 + k, 10.0 - k), qid=9201 + k) for k in range(4)]
+        queries.append(BandJoinQuery(Interval(30.0, 40.0), qid=9205))
+        for query in queries:
+            group.shard.subscribe(query)
+            reference.subscribe(query)
+        if alpha is not None:
+            assert group.shard.band._hot.group_count() and group.shard.band._hot.scattered
+        keys = (42.0, 45.0, 55.0, 58.0, 81.0, 83.0, 86.0, 89.0)
+        s_rows = {key: STuple(sid, key, 5000.0) for sid, key in enumerate(keys)}
+        preload = [_insert(s_rows[key]) for key in (42.0, 55.0, 58.0, 81.0, 83.0, 89.0)]
+        events = [
+            _delete(s_rows[55.0]),          # hot window, deleted before R 0
+            _delete(s_rows[83.0]),          # far window, deleted before R 0
+            _insert(RTuple(0, 10.0, 50.0)),
+            _insert(s_rows[45.0]),          # hot window, inserted after R 0
+            _insert(s_rows[86.0]),          # far window, inserted after R 0
+        ]
+        for batch in (preload, events):
+            entries = [(seq, event, -1 if event.relation == "R" else 0)
+                       for seq, event in enumerate(batch)]
+            answered = group.apply_batch(entries)
+            got = dict(answered[1]) if answered else {}
+            want = TestShardedBatch._reference_views(reference, batch)
+            assert [ordered_view(got.get(seq, {})) for seq in range(len(batch))] == want
+        r_view = want[2]
+        assert r_view[9201] == [0, 3] and r_view[9205] == [4, 7]
+        assert seen["band_struck"] == 4 * 2 + 2  # each nested band: 45, 55; the far one: 83, 86
+
+    def test_a_select_only_pipeline_never_reads_the_touched_keys(self, kernel, monkeypatch):
+        """The touched keys are the band kernel's: a pipeline whose band
+        plane holds no query never builds them, however its batches
+        interleave; one band query makes it build them."""
+        calls = []
+        touched_bs = sharding._Touched.touched_bs
+
+        def counted(self):
+            calls.append(True)
+            return touched_bs(self)
+
+        monkeypatch.setattr(sharding._Touched, "touched_bs", counted)
+        rng = random.Random(34)
+        events = []
+        for i in range(200):  # join keys on 0..19, so select-joins match
+            r = RTuple(i, rng.uniform(0, 100), float(rng.randrange(20)))
+            s = STuple(i, float(rng.randrange(20)), rng.uniform(0, 100))
+            events += [_insert(r), _insert(s)]
+            if i % 4 == 3:
+                events += [_delete(r), _delete(s)]
+        pipeline = EventPipeline(alpha=0.05, batch_size=32)
+        for query in select_queries(rng, 40):
+            pipeline.subscribe(query)
+        half = len(events) // 2
+        results = pipeline.run(events[:half])
+        assert any(delta for __, ___, delta in results) and calls == []
+        pipeline.subscribe(BandJoinQuery(Interval(-1.0, 1.0)))
+        pipeline.run(events[half:])
+        assert calls
+
+
 def _insert(row):
     return DataEvent(EventKind.INSERT, "R" if isinstance(row, RTuple) else "S", row)
 
@@ -1068,8 +1248,8 @@ def spy_row_strikes(monkeypatch):
     drop_hidden = sharding._drop_hidden
     in_select = []
 
-    def band(*args):
-        struck = strike_band(*args)
+    def band(parts, positions, suspects, other):
+        struck = strike_band(parts, positions, suspects, other)
         seen["band_struck"] += struck
         return struck
 
