@@ -143,9 +143,11 @@ class DynamicGroup(Generic[T]):
 
     @property
     def stabbing_point(self) -> float:
-        common = self.common
-        assert common is not None, "empty group has no stabbing point"
-        return common.hi
+        """The common intersection's right end, read from the cached
+        extremes (no ``Interval`` is built)."""
+        assert self.size, "empty group has no stabbing point"
+        assert self.max_lo <= self.min_hi, "group invariant violated"
+        return self.min_hi
 
     def would_remain_stabbed(self, interval: Interval) -> bool:
         """True if adding ``interval`` keeps the common intersection

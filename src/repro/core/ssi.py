@@ -108,6 +108,8 @@ class StabbingSetIndex(Generic[T, S]):
         # id(group) -> (group, structure), in the order the groups arrived.
         self._groups: Dict[int, Tuple[Any, S]] = {}
         self._snapshot: Optional[Tuple[List[Any], List[S]]] = None
+        # id(group) -> the stabbing point the snapshot holds for it.
+        self._snapshot_points: Dict[int, Any] = {}
         self.snapshot_builds = 0
 
     def _bootstrap(self) -> None:
@@ -133,8 +135,10 @@ class StabbingSetIndex(Generic[T, S]):
     #
     # A group's stabbing point only ever changes through the listener
     # callbacks (membership change, group creation/destruction, or a full
-    # rebuild), so invalidating the dense snapshot in each is sufficient for
-    # it never to go stale.
+    # rebuild).  The dense snapshot holds the live structures, so a member
+    # change alone leaves it valid: it is dropped when a group is attached
+    # or detached, and when a patched group's point is no longer the one
+    # the snapshot holds.
 
     def on_group_created(self, group: StabbingGroupView[T]) -> None:
         self._attach(group)  # still empty: its first member follows
@@ -156,7 +160,13 @@ class StabbingSetIndex(Generic[T, S]):
             structure = groups[id(group)][1]
             if structure is not getattr(group, "orders", None):
                 write(structure, item)
-        self._snapshot = None
+        if self._snapshot is not None:
+            held = self._snapshot_points
+            for group, __ in changes:
+                # An emptied group is detached next; its point is gone.
+                if not group.size or group.stabbing_point != held[id(group)]:
+                    self._snapshot = None
+                    break
 
     def on_rebuilt(self, partition: DynamicStabbingPartitionBase[T]) -> None:
         self.rebuild_count += 1
@@ -185,19 +195,20 @@ class StabbingSetIndex(Generic[T, S]):
         """Dense snapshot of the live groups: parallel lists of stabbing
         points and per-group structures.
 
-        Built lazily and cached; every listener callback invalidates it, so
-        the cache is patched exactly as often as the groups actually change
-        rather than per probe.  Callers must not mutate the returned lists.
+        Built lazily and cached.  The cache is dropped, and the next call
+        publishes new lists, only when a group is attached or detached
+        (created, destroyed, promoted, demoted, or a rebuild) or a member
+        change moves a group's stabbing point; a member change that leaves
+        every point in place keeps it, since it holds the live structures.
+        Callers must not mutate the returned lists.
         """
         snapshot = self._snapshot
         if snapshot is None:
-            points: List[Any] = []
-            structures: List[S] = []
-            for group, structure in self._groups.values():
-                points.append(group.stabbing_point)
-                structures.append(structure)
-            snapshot = (points, structures)
+            groups = self._groups
+            held = {key: group.stabbing_point for key, (group, __) in groups.items()}
+            snapshot = (list(held.values()), [structure for __, structure in groups.values()])
             self._snapshot = snapshot
+            self._snapshot_points = held
             self.snapshot_builds += 1
         return snapshot
 
@@ -222,8 +233,21 @@ class StabbingSetIndex(Generic[T, S]):
         self._partition.validate()
         groups = self._partition.groups
         assert self._groups.keys() == {id(group) for group in groups}, "structures drifted"
+        self._check_snapshot()
         for group in groups:
             check(group, self._groups[id(group)][1])
+
+    def _check_snapshot(self) -> None:
+        """Assert a cached group table still holds every live group's
+        structure and current stabbing point, in order."""
+        if self._snapshot is None:
+            return
+        points, structures = self._snapshot
+        live = list(self._groups.values())
+        assert points == [group.stabbing_point for group, __ in live], "group table points drifted"
+        assert len(structures) == len(live) and all(
+            structure is held for structure, (__, held) in zip(structures, live)
+        ), "group table structures drifted"
 
 
 class HotspotIndex(StabbingSetIndex[T, S]):
@@ -318,5 +342,6 @@ class HotspotIndex(StabbingSetIndex[T, S]):
         assert self.scattered.keys() == scattered, "scattered items drifted"
         hot = tracker.hotspot_groups
         assert list(self._groups) == [id(group) for group in hot], "structures drifted"
+        self._check_snapshot()
         for group in hot:
             check(group, self._groups[id(group)][1])

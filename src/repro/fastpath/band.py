@@ -13,16 +13,20 @@ amortizes all of it over a micro-batch using flat columns:
   not outlive the call --- an ``array`` cannot resize while exported --- so
   it lives in locals only, never on the table, a group structure or a
   closure;
-* the ``surrounding`` probes of the whole batch against *every* group
-  collapse into one vectorized ``searchsorted`` of the (groups x rows)
-  matrix of shifted join keys against the key column (succ = first index
-  with key >= probe, pred = the one before --- exactly the cursor pair the
-  per-event probe derives);
+* from ``MIN_CANDIDATES`` (row, group) pairs up, the ``surrounding``
+  probes of the whole batch against *every* group collapse into one
+  vectorized ``searchsorted`` of the (groups x rows) matrix of shifted
+  join keys against the key column (succ = first index with key >= probe,
+  pred = the one before --- exactly the cursor pair the per-event probe
+  derives).  A run with fewer pairs finds the same succ index with one
+  ``bisect_left`` per pair: numpy's fixed cost per call is larger than
+  that loop, and the small subscription-heavy batches of ``query_churn``
+  (10 to 96 pairs per call) would pay it on every call;
 * a (group, row) pair has an affected query iff the *first* entry of one
   of the group's endpoint columns clears the bound its pred/succ key sets;
-  that test is vectorized too (the first endpoints are read from the live
-  structures per call, so nothing is cached), and Python only loops over
-  the surviving pairs;
+  above the floor that test is vectorized too (the first endpoints are
+  read from the live structures per call, so nothing is cached), and
+  Python only loops over the surviving pairs;
 * STEP 1 (find affected queries) for a surviving pair is one
   ``bisect_right`` per columnar ``array('d')`` endpoint order --- the
   per-event linear scan with an early ``break`` counts exactly that
@@ -61,9 +65,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.fastpath.kernels import MIN_VECTOR, get_numpy
+from repro.fastpath.kernels import MIN_CANDIDATES, MIN_VECTOR, get_numpy
 
 
 def batch_probe_band_r(
@@ -127,27 +131,12 @@ def _batch_probe(
     order = sorted(range(len(rows)), key=lambda i: rows[i].b)
     bs = [rows[i].b for i in order]
     # Phase 1: per group, the candidate (row, succ index) pairs; the succ
-    # index is the first flat key >= the probe key.
+    # index is the first flat key >= the probe key.  Below the pair floor
+    # numpy's fixed cost per call exceeds the bisects it would save.
     _np = get_numpy()
-    use_np = _np is not None and len(live) * len(bs) >= MIN_VECTOR
+    use_np = _np is not None and len(live) * len(bs) >= MIN_CANDIDATES
     if use_np:
-        # ``kb`` exports the key column's buffer: it and everything sliced
-        # from it must die with this frame (fancy indexing copies).
-        kb = _np.frombuffer(keys, dtype=_np.float64)
-        bv = _np.array(bs)
-        pts = _np.array([point for point, __ in live])[:, None]
-        sv = _np.searchsorted(kb, pts + bv if r_side else bv - pts, side="left")
-        # Quick reject: a prefix is non-empty iff the column's first
-        # endpoint clears the bound (s1 - b, resp. -(s2 - b), for R).
-        lo0 = _np.array([st.lo_keys[0] for __, st in live])[:, None]
-        neg_hi0 = _np.array([st.neg_hi_keys[0] for __, st in live])[:, None]
-        first0, second0 = (lo0, neg_hi0) if r_side else (neg_hi0, lo0)
-        hit = (sv > 0) & (first0 <= kb[_np.maximum(sv - 1, 0)] - bv)
-        hit |= (sv < m) & (second0 <= bv - kb[_np.minimum(sv, m - 1)])
-        gv, jv = _np.nonzero(hit)  # group-major
-        cuts = _np.searchsorted(gv, _np.arange(len(live) + 1)).tolist()
-        jl = jv.tolist()
-        sl = sv[gv, jv].tolist()
+        cuts, jl, sl = _vector_candidates(_np, keys, bs, live, r_side)
     # Phases 2+3, every group: STEP-1 affected-prefix lengths per
     # candidate, then the run's affected (row, query) targets and their
     # windows, group-major, in four parallel flat columns.  The pred-side
@@ -224,6 +213,32 @@ def _batch_probe(
                     hi_append(b - lo_keys[k])
     if t_rows:
         _emit(keys, values, t_rows, t_queries, w_lo, w_hi, results, touched, suspects)
+
+
+def _vector_candidates(
+    _np: Any, keys: Any, bs: List[float], live: List[Tuple[float, Any]], r_side: bool
+) -> Tuple[List[int], List[int], List[int]]:
+    """Phase 1 in numpy: one ``searchsorted`` of the (groups x rows)
+    matrix of shifted join keys and a vectorized quick reject.  Returns
+    the surviving pairs group-major, as per-group cut offsets into the
+    row indices (into ``bs``) and their succ indices."""
+    m = len(keys)
+    # ``kb`` exports the key column's buffer: it and everything sliced
+    # from it must die with this frame (fancy indexing copies).
+    kb = _np.frombuffer(keys, dtype=_np.float64)
+    bv = _np.array(bs)
+    pts = _np.array([point for point, __ in live])[:, None]
+    sv = _np.searchsorted(kb, pts + bv if r_side else bv - pts, side="left")
+    # Quick reject: a prefix is non-empty iff the column's first
+    # endpoint clears the bound (s1 - b, resp. -(s2 - b), for R).
+    lo0 = _np.array([st.lo_keys[0] for __, st in live])[:, None]
+    neg_hi0 = _np.array([st.neg_hi_keys[0] for __, st in live])[:, None]
+    first0, second0 = (lo0, neg_hi0) if r_side else (neg_hi0, lo0)
+    hit = (sv > 0) & (first0 <= kb[_np.maximum(sv - 1, 0)] - bv)
+    hit |= (sv < m) & (second0 <= bv - kb[_np.minimum(sv, m - 1)])
+    gv, jv = _np.nonzero(hit)  # group-major
+    cuts = _np.searchsorted(gv, _np.arange(len(live) + 1)).tolist()
+    return cuts, jv.tolist(), sv[gv, jv].tolist()
 
 
 def _emit(

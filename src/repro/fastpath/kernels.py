@@ -15,8 +15,9 @@ the container may not ship it), ``python``, or ``auto`` (the default).
 
 This module is the **only** fastpath module allowed to import numpy (lint
 rule RA002): consumers obtain the handle via :func:`get_numpy` and the
-vectorization threshold via :data:`MIN_VECTOR`, so swapping or disabling
-the backend stays a one-module decision.
+vectorization thresholds via :data:`MIN_VECTOR` (bounds per call) and
+:data:`MIN_CANDIDATES` (pairs per run), so swapping or disabling the
+backend stays a one-module decision.
 """
 
 from __future__ import annotations
@@ -40,9 +41,16 @@ KERNEL = "numpy" if _np is not None else "python"
 #: dispatch) exceeds the bisect loop it replaces.
 MIN_VECTOR = 8
 
-#: Below this many candidate members in a run, the select group probe tests
-#: its candidate windows in a Python loop: the numpy pass's fixed cost (the
-#: ragged expansion, about twenty array calls) exceeds the loop it replaces.
+#: The pair/candidate floor both kernels share: below this many (row,
+#: group) pairs in a band run, or candidate members in a select run, the
+#: probe's first phase loops in Python, because numpy's fixed cost per call
+#: (array builds and about twenty ufunc dispatches) exceeds the loop it
+#: replaces.  Measured per call inside the pipeline on a shared 2-vCPU
+#: host, not in a hot loop (which flatters numpy): ``query_churn``'s band
+#: calls of 16-31 pairs took ~100 us through numpy and ~60 us through
+#: ``bisect``, and the loop's cost, ~1.2 us a pair, met numpy's near 64.
+#: ``band_probe``'s calls of 1,440 pairs and more took 1.3 ms through
+#: numpy, 3.5 ms through the loop.
 MIN_CANDIDATES = 256
 
 

@@ -1155,6 +1155,59 @@ class TestBandSuspects:
         results = [sum(map(len, deltas)) for deltas in (r_deltas, s_deltas)]
         assert steps == results and all(results)
 
+    def test_runs_above_and_below_the_floor_match_per_event(self, kernel, monkeypatch):
+        """A run of ``MIN_CANDIDATES`` or more (row, group) pairs takes the
+        numpy phase 1 (on the numpy kernel), a short run the bisect loop:
+        both equal ``process_r``/``process_s`` per tuple and name the
+        suspects the hit-range test does.  Fuzz batches of 24 rarely reach
+        the floor, so this run keeps the numpy phase 1 covered."""
+        from repro.fastpath import band as band_kernels
+
+        rng = random.Random(41)
+        table_s, table_r = integer_tables(rng, n_s=80, n_r=80)
+        strategy = BJSSI(table_s, table_r)
+        for k in range(12):  # twelve disjoint bands: twelve groups
+            strategy.add_query(BandJoinQuery(Interval(-60.0 + 10 * k, -55.0 + 10 * k)))
+        groups = strategy.group_count
+        assert groups == 12
+        inserted, touched = install_band_batch(rng, table_r, table_s, 160)
+        seen = []  # per kernel call: [(row, group) pairs, numpy phase 1 taken]
+        batch_probe, vector_candidates = band_kernels._batch_probe, band_kernels._vector_candidates
+
+        def counted_probe(col_b, rows, points, structures, *args, **kwargs):
+            seen.append([len(rows) * sum(1 for st in structures if st.by_lo), False])
+            return batch_probe(col_b, rows, points, structures, *args, **kwargs)
+
+        def counted_candidates(*args):
+            seen[-1][1] = True
+            return vector_candidates(*args)
+
+        monkeypatch.setattr(band_kernels, "_batch_probe", counted_probe)
+        monkeypatch.setattr(band_kernels, "_vector_candidates", counted_candidates)
+        sides = (
+            (strategy.process_r_batch, strategy.process_r, inserted["R"], touched["S"]),
+            (strategy.process_s_batch, strategy.process_s, inserted["S"], touched["R"]),
+        )
+        for probe, probe_one, rows, keys in sides:
+            singles = [probe_one(row) for row in rows]
+            # One row whose hit list holds a touched key: a short run with
+            # a result and a suspect.
+            short_run = [
+                row for row, delta in zip(rows, singles) if hit_range_suspects([delta], keys)
+            ][:1]
+            assert short_run and len(rows) * groups >= kernel_mod.MIN_CANDIDATES
+            for run in (rows, short_run):
+                seen.clear()
+                suspects = {}
+                deltas = probe(run, keys, suspects)
+                assert deltas == [probe_one(row) for row in run]
+                got = [(i, query.qid) for i, queries in suspects.items() for query in queries]
+                assert got and set(got) == hit_range_suspects(deltas, keys)
+                ((pairs, numpy_phase_1),) = seen
+                above = pairs >= kernel_mod.MIN_CANDIDATES
+                assert above == (run is rows)
+                assert numpy_phase_1 == (above and kernel == "native" and KERNEL == "numpy")
+
     @pytest.mark.parametrize("alpha", [None, 0.5])
     def test_rows_hidden_inside_a_window_are_struck(self, kernel, alpha, monkeypatch):
         """An R arrival's hot and scattered windows each hold, strictly

@@ -1,13 +1,18 @@
 """Tests for the SSI's dense group-table snapshot: the cached parallel
 (points, structures) arrays the batch fast path iterates must always agree
-with the live partition, and every mutation path must invalidate them."""
+with the live partition.  A group attached or detached, or a member change
+that moves a stabbing point, drops them; a member change that moves no
+point keeps them."""
 
 import random
 
+import pytest
+
+from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.refined_partition import RefinedStabbingPartition
-from repro.core.ssi import StabbingSetIndex
+from repro.core.ssi import HotspotIndex, StabbingSetIndex
 
 
 def make_ssi(partition):
@@ -19,10 +24,16 @@ def make_ssi(partition):
     )
 
 
+def live_groups(ssi):
+    if isinstance(ssi, HotspotIndex):
+        return ssi.tracker.hotspot_groups
+    return ssi.partition.groups
+
+
 def assert_snapshot_synchronized(ssi):
     points, structures = ssi.group_table()
     assert len(points) == len(structures) == ssi.group_count()
-    live = {group.stabbing_point: ssi.structure_of(group) for group in ssi.partition.groups}
+    live = {group.stabbing_point: ssi.structure_of(group) for group in live_groups(ssi)}
     assert len(live) == len(points), "duplicate stabbing points in group table"
     for point, structure in zip(points, structures):
         assert live[point] is structure, "snapshot structure is not the live one"
@@ -53,8 +64,7 @@ class TestGroupTableCache:
         a = Interval(0, 10)
         ssi.insert(a)
         before = ssi.group_table()
-        # A disjoint interval forces a new group; same-group inserts only
-        # mutate an existing structure but must still refresh the table.
+        # A disjoint interval forces a new group, which drops the table.
         b = Interval(50, 60)
         ssi.insert(b)
         after = ssi.group_table()
@@ -83,6 +93,9 @@ class TestGroupTableCache:
         points, structures = ssi.group_table()
         assert len(points) == 1
         ssi.insert(b)  # joins the existing group: on_item_added only
+        # min_hi stays 10, so the kept table already shows b through the
+        # live structure.
+        assert ssi.group_table()[1] is structures
         assert b in ssi.group_table()[1][0]
         assert_snapshot_synchronized(ssi)
 
@@ -123,3 +136,101 @@ class TestGroupTableCache:
             if step % 5 == 0:
                 assert_snapshot_synchronized(ssi)
         assert ssi.rebuild_count > 0
+
+
+def disjoint(count, start=100.0):
+    return [Interval(start + 10 * k, start + 10 * k + 1) for k in range(count)]
+
+
+class TestSnapshotRebuildsOnlyWhenAPointMoves:
+    """Each index starts with one group of the six nested intervals
+    ``[-k - 1, k + 2]`` (k = 0..5; its stabbing point is its ``min_hi``,
+    2.0) among disjoint singletons.
+    A change that keeps every point keeps the cached table; one that moves
+    a point, or attaches or detaches a group, costs exactly one build."""
+
+    @staticmethod
+    def _lazy():
+        nested = [Interval(-k - 1.0, k + 2.0) for k in range(6)]
+        return make_ssi(LazyStabbingPartition(nested + disjoint(10), epsilon=100.0))
+
+    @staticmethod
+    def _refined():
+        # Fifty groups at the last reconstruction: no reconstruction in the
+        # few updates a test makes.
+        nested = [Interval(-k - 1.0, k + 2.0) for k in range(6)]
+        return make_ssi(RefinedStabbingPartition(nested + disjoint(50), epsilon=1.0, seed=3))
+
+    @staticmethod
+    def _hotspot():
+        ssi = HotspotIndex(HotspotTracker(alpha=0.25, epsilon=100.0))
+        ssi.insert(*[Interval(-k - 1.0, k + 2.0) for k in range(6)], *disjoint(10))
+        assert [group.size for group in ssi.tracker.hotspot_groups] == [6]
+        return ssi
+
+    @staticmethod
+    def _group_at(ssi, point):
+        (group,) = [group for group in live_groups(ssi) if group.stabbing_point == point]
+        return group
+
+    def _builds(self, ssi, change):
+        """``change(ssi)``, then the table read twice: the builds it cost."""
+        before = ssi.group_table()
+        builds, rebuilds = ssi.snapshot_builds, getattr(ssi, "rebuild_count", 0)
+        change(ssi)
+        after = ssi.group_table()
+        assert ssi.group_table() is after
+        assert getattr(ssi, "rebuild_count", 0) == rebuilds, "a reconstruction rebuilds anyway"
+        assert_snapshot_synchronized(ssi)
+        assert (after is before) == (ssi.snapshot_builds == builds)
+        return ssi.snapshot_builds - builds
+
+    @pytest.mark.parametrize("make", ["_lazy", "_refined", "_hotspot"])
+    def test_a_member_change_that_keeps_the_point_keeps_the_table(self, make):
+        ssi = getattr(self, make)()
+        group = self._group_at(ssi, 2.0)
+        size = group.size
+        if make == "_refined":
+            # A refined insert is always a new singleton group: the member
+            # change that keeps the point is a delete of a wide member.
+            widest = max(group, key=lambda item: item.hi)
+            assert self._builds(ssi, lambda ssi: ssi.delete(widest)) == 0
+            assert group.size == size - 1
+        else:
+            assert self._builds(ssi, lambda ssi: ssi.insert(Interval(-3.0, 5.0))) == 0
+            assert group.size == size + 1
+        assert group.stabbing_point == 2.0
+
+    @pytest.mark.parametrize("make", ["_lazy", "_refined", "_hotspot"])
+    def test_a_member_change_that_moves_the_point_rebuilds_once(self, make):
+        ssi = getattr(self, make)()
+        group = self._group_at(ssi, 2.0)
+        if make == "_refined":
+            # Deleting the member that sets min_hi raises the point.
+            (narrowest,) = [item for item in group if item.hi == 2.0]
+            assert self._builds(ssi, lambda ssi: ssi.delete(narrowest)) == 1
+            assert group.stabbing_point == 3.0
+        else:
+            assert self._builds(ssi, lambda ssi: ssi.insert(Interval(0.0, 1.0))) == 1
+            assert group.stabbing_point == 1.0
+
+    @pytest.mark.parametrize("make", ["_lazy", "_refined"])
+    def test_a_group_created_or_destroyed_rebuilds_once(self, make):
+        ssi = getattr(self, make)()
+        lone = Interval(-50.0, -49.0)
+        count = ssi.group_count()
+        assert self._builds(ssi, lambda ssi: ssi.insert(lone)) == 1
+        assert ssi.group_count() == count + 1
+        assert self._builds(ssi, lambda ssi: ssi.delete(lone)) == 1
+        assert ssi.group_count() == count
+
+    def test_a_promotion_and_a_demotion_each_rebuild_once(self):
+        ssi = self._hotspot()
+        # Six more copies of the first singleton: 7 of 22 items reach the
+        # promotion threshold (alpha * n = 5.5).
+        copies = [Interval(100.0, 101.0) for __ in range(6)]
+        assert self._builds(ssi, lambda ssi: ssi.insert(*copies)) == 1
+        assert [group.size for group in ssi.tracker.hotspot_groups] == [6, 7]
+        # Five of them gone: 2 of 17 items fall below alpha / 2 * n.
+        assert self._builds(ssi, lambda ssi: ssi.delete(*copies[:5])) == 1
+        assert [group.size for group in ssi.tracker.hotspot_groups] == [6]
