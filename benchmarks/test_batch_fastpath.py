@@ -5,8 +5,10 @@ window enumerations of a micro-batch into column scans.
 
 * **Band joins** (``BJSSI.process_r_batch``): on the Figure 10(i)
   workload's largest point (20k band joins, tau ~ 60) it must beat the
-  per-event probe by at least 3x for some batch size >= 64, and by > 1.3x
-  at every batch size.
+  per-event probe by at least 4.2x for some batch size >= 64, and by
+  > 1.3x at every batch size.  Ten runs on a shared 2-vCPU host measured
+  5.2x to 8.0x (median 5.9x); the floor keeps the headroom the former 3x
+  floor had below its own lowest run there (3.0 / 3.66 = 0.82 of 5.2x).
 * **Select joins** (``HotspotSelectJoinProcessor.process_r_batch``): on a
   clustered population (4k queries, 80% of rangeC on 20 Zipf anchors, the
   rest uniform) it must beat the per-event probe by at least 2.5x for some
@@ -97,7 +99,7 @@ def test_batch_fastpath_speedup(benchmark):
     speedups = measure_speedups(
         strategy, events, "Batch fast path: band-join probe throughput vs batch size (events/s)"
     )
-    assert_speedup_floor(speedups, 3.0)
+    assert_speedup_floor(speedups, 4.2)
 
     # Per-op number for pytest-benchmark's table: one 64-event batch.
     batch = events[:64]

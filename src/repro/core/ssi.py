@@ -8,12 +8,16 @@ the default), the members' endpoint columns for select-joins (Section 3.2),
 an R-tree per box group.
 
 This module is the one keeper of those structures, whoever owns the groups.
-:class:`StabbingSetIndex` listens to a dynamic stabbing partition (of
-intervals or boxes), adds and removes members as the partition evolves and
-rebuilds everything after a reconstruction stage.  :class:`HotspotIndex` is
-Section 2.2's SSI on the hotspots: the same index over a
+:class:`GroupStructures` is the bookkeeping every index shares: one
+structure per live group, patched as members come and go, and the cached
+dense group table the batch kernels read.  :class:`StabbingSetIndex`
+listens to a dynamic stabbing partition (of intervals or boxes), adds and
+removes members as the partition evolves and rebuilds everything after a
+reconstruction stage.  :class:`HotspotIndex` is Section 2.2's SSI on the
+hotspots: the same bookkeeping over a
 :class:`~repro.core.hotspot_tracker.HotspotTracker`'s hotspot groups, plus
-the scattered remainder the caller indexes traditionally.  The join
+the scattered remainder the caller indexes traditionally; it has no
+partition, so no reconstruction either.  The join
 processors iterate ``(stabbing_point, structure)`` pairs and never touch
 partition or tracker internals.
 
@@ -58,16 +62,14 @@ def _endpoint_orders(interval_of: Callable[[Any], Any]) -> Any:
     return make, add, lambda orders, item: orders.remove(item, interval_of(item))
 
 
-class StabbingSetIndex(Generic[T, S]):
-    """Per-group structures synchronized with a dynamic stabbing partition.
+class GroupStructures(Generic[T, S]):
+    """One structure per live group, synchronized by the subclass's
+    listener callbacks, and the dense group table over them.
 
     Parameters
     ----------
-    partition:
-        The dynamic stabbing partition over the continuous queries (a
-        :class:`~repro.core.lazy_partition.LazyStabbingPartition`,
-        :class:`~repro.core.refined_partition.RefinedStabbingPartition` or
-        :class:`~repro.core.multidim.DynamicBoxPartition`).
+    interval_of:
+        The interval (or box) of an item, for the default structure.
     make_structure, add_item, remove_item:
         Build a group's structure from its members (a promotion or a
         rebuild attaches whole groups, so a structure that sorts can sort
@@ -78,20 +80,6 @@ class StabbingSetIndex(Generic[T, S]):
     """
 
     def __init__(
-        self,
-        partition: DynamicStabbingPartitionBase[T],
-        *,
-        make_structure: Optional[Callable[[Iterable[T]], S]] = None,
-        add_item: Optional[Callable[[S, T], None]] = None,
-        remove_item: Optional[Callable[[S, T], None]] = None,
-    ):
-        self._init_structures(partition.interval_of, make_structure, add_item, remove_item)
-        self._partition = partition
-        self.rebuild_count = 0
-        partition.add_listener(self)
-        self._bootstrap()
-
-    def _init_structures(
         self,
         interval_of: Callable[[T], Any],
         make_structure: Optional[Callable[[Iterable[T]], S]],
@@ -112,12 +100,6 @@ class StabbingSetIndex(Generic[T, S]):
         self._snapshot_points: Dict[int, Any] = {}
         self.snapshot_builds = 0
 
-    def _bootstrap(self) -> None:
-        self._groups = {}
-        for group in self._partition.groups:
-            self._attach(group)
-        self._snapshot = None
-
     def _attach(self, group: Any) -> None:
         """Give ``group`` its structure: its own orders when they serve,
         else a new structure holding its members."""
@@ -131,26 +113,12 @@ class StabbingSetIndex(Generic[T, S]):
         del self._groups[id(group)]
         self._snapshot = None
 
-    # -- partition listener callbacks ---------------------------------------
-    #
     # A group's stabbing point only ever changes through the listener
-    # callbacks (membership change, group creation/destruction, or a full
-    # rebuild).  The dense snapshot holds the live structures, so a member
-    # change alone leaves it valid: it is dropped when a group is attached
-    # or detached, and when a patched group's point is no longer the one
-    # the snapshot holds.
-
-    def on_group_created(self, group: StabbingGroupView[T]) -> None:
-        self._attach(group)  # still empty: its first member follows
-
-    def on_group_destroyed(self, group: StabbingGroupView[T]) -> None:
-        self._detach(group)
-
-    def on_item_added(self, group: StabbingGroupView[T], item: T) -> None:
-        self._patch(((group, item),), self._add)
-
-    def on_item_removed(self, group: StabbingGroupView[T], item: T) -> None:
-        self._patch(((group, item),), self._remove)
+    # callbacks (membership change, group creation/destruction, promotion,
+    # demotion, or a full rebuild).  The dense snapshot holds the live
+    # structures, so a member change alone leaves it valid: it is dropped
+    # when a group is attached or detached, and when a patched group's
+    # point is no longer the one the snapshot holds.
 
     def _patch(self, changes: Iterable[Tuple[Any, T]], write: Callable[[S, T], None]) -> None:
         """Apply member changes to their groups' structures; a structure
@@ -168,25 +136,10 @@ class StabbingSetIndex(Generic[T, S]):
                     self._snapshot = None
                     break
 
-    def on_rebuilt(self, partition: DynamicStabbingPartitionBase[T]) -> None:
-        self.rebuild_count += 1
-        self._bootstrap()
-
-    # -- query-side API ----------------------------------------------------
-
-    @property
-    def partition(self) -> DynamicStabbingPartitionBase[T]:
-        return self._partition
-
-    def insert(self, *items: T) -> None:
-        """Insert continuous queries (delegates to the partition)."""
-        for item in items:
-            self._partition.insert(item)
-
-    def delete(self, *items: T) -> None:
-        """Delete continuous queries (delegates to the partition)."""
-        for item in items:
-            self._partition.delete(item)
+    def live_groups(self) -> Iterable[Any]:
+        """The groups that carry a structure: the partition's groups, or
+        the tracker's hotspot groups."""
+        raise NotImplementedError
 
     def structure_of(self, group: Any) -> S:
         return self._groups[id(group)][1]
@@ -224,19 +177,6 @@ class StabbingSetIndex(Generic[T, S]):
     def group_count(self) -> int:
         return len(self._groups)
 
-    def __len__(self) -> int:
-        return self._partition.total_items()
-
-    def validate(self, check: Callable[[Any, S], None]) -> None:
-        """Assert the partition's invariants, one structure per live group,
-        and ``check(group, structure)`` for every group (tests, fuzz)."""
-        self._partition.validate()
-        groups = self._partition.groups
-        assert self._groups.keys() == {id(group) for group in groups}, "structures drifted"
-        self._check_snapshot()
-        for group in groups:
-            check(group, self._groups[id(group)][1])
-
     def _check_snapshot(self) -> None:
         """Assert a cached group table still holds every live group's
         structure and current stabbing point, in order."""
@@ -250,7 +190,92 @@ class StabbingSetIndex(Generic[T, S]):
         ), "group table structures drifted"
 
 
-class HotspotIndex(StabbingSetIndex[T, S]):
+class StabbingSetIndex(GroupStructures[T, S]):
+    """Per-group structures synchronized with a dynamic stabbing partition.
+
+    Parameters
+    ----------
+    partition:
+        The dynamic stabbing partition over the continuous queries (a
+        :class:`~repro.core.lazy_partition.LazyStabbingPartition`,
+        :class:`~repro.core.refined_partition.RefinedStabbingPartition` or
+        :class:`~repro.core.multidim.DynamicBoxPartition`).
+    make_structure, add_item, remove_item:
+        As for :class:`GroupStructures`.
+    """
+
+    def __init__(
+        self,
+        partition: DynamicStabbingPartitionBase[T],
+        *,
+        make_structure: Optional[Callable[[Iterable[T]], S]] = None,
+        add_item: Optional[Callable[[S, T], None]] = None,
+        remove_item: Optional[Callable[[S, T], None]] = None,
+    ):
+        super().__init__(partition.interval_of, make_structure, add_item, remove_item)
+        self._partition = partition
+        self.rebuild_count = 0
+        partition.add_listener(self)
+        self._bootstrap()
+
+    def _bootstrap(self) -> None:
+        self._groups = {}
+        for group in self.live_groups():
+            self._attach(group)
+        self._snapshot = None
+
+    # -- partition listener callbacks ---------------------------------------
+
+    def on_group_created(self, group: StabbingGroupView[T]) -> None:
+        self._attach(group)  # still empty: its first member follows
+
+    def on_group_destroyed(self, group: StabbingGroupView[T]) -> None:
+        self._detach(group)
+
+    def on_item_added(self, group: StabbingGroupView[T], item: T) -> None:
+        self._patch(((group, item),), self._add)
+
+    def on_item_removed(self, group: StabbingGroupView[T], item: T) -> None:
+        self._patch(((group, item),), self._remove)
+
+    def on_rebuilt(self, partition: DynamicStabbingPartitionBase[T]) -> None:
+        self.rebuild_count += 1
+        self._bootstrap()
+
+    # -- query-side API ----------------------------------------------------
+
+    @property
+    def partition(self) -> DynamicStabbingPartitionBase[T]:
+        return self._partition
+
+    def live_groups(self) -> Iterable[Any]:
+        return self._partition.groups
+
+    def insert(self, *items: T) -> None:
+        """Insert continuous queries (delegates to the partition)."""
+        for item in items:
+            self._partition.insert(item)
+
+    def delete(self, *items: T) -> None:
+        """Delete continuous queries (delegates to the partition)."""
+        for item in items:
+            self._partition.delete(item)
+
+    def __len__(self) -> int:
+        return self._partition.total_items()
+
+    def validate(self, check: Callable[[Any, S], None]) -> None:
+        """Assert the partition's invariants, one structure per live group,
+        and ``check(group, structure)`` for every group (tests, fuzz)."""
+        self._partition.validate()
+        groups = self.live_groups()
+        assert self._groups.keys() == {id(group) for group in groups}, "structures drifted"
+        self._check_snapshot()
+        for group in groups:
+            check(group, self._groups[id(group)][1])
+
+
+class HotspotIndex(GroupStructures[T, S]):
     """Per-group structures over a :class:`HotspotTracker`'s hotspot groups.
 
     A promotion attaches the group's structure (its own orders by
@@ -278,7 +303,7 @@ class HotspotIndex(StabbingSetIndex[T, S]):
     ):
         if len(tracker):
             raise ValueError("a HotspotIndex needs a fresh tracker")
-        self._init_structures(tracker.interval_of, make_structure, add_item, remove_item)
+        super().__init__(tracker.interval_of, make_structure, add_item, remove_item)
         self.tracker = tracker
         self.scattered: Dict[int, T] = {}
         self._scatter = scatter
@@ -329,6 +354,9 @@ class HotspotIndex(StabbingSetIndex[T, S]):
                 self._gather(item)
         self.tracker.delete(*items)
 
+    def live_groups(self) -> Iterable[Any]:
+        return self.tracker.hotspot_groups
+
     def __len__(self) -> int:
         return len(self.tracker)
 
@@ -340,7 +368,7 @@ class HotspotIndex(StabbingSetIndex[T, S]):
         tracker.validate()
         scattered = {id(item) for group in tracker.scattered.groups for item in group}
         assert self.scattered.keys() == scattered, "scattered items drifted"
-        hot = tracker.hotspot_groups
+        hot = self.live_groups()
         assert list(self._groups) == [id(group) for group in hot], "structures drifted"
         self._check_snapshot()
         for group in hot:

@@ -1080,6 +1080,124 @@ def hit_range_suspects(deltas, touched):
     }
 
 
+class TestBandDuplicateMasking:
+    """Phase 2 of the band kernel copies each STEP-1 prefix whole; the
+    window step drops a succ-side target that repeats a pred-side one of
+    its pair (R: ``lo <= pred.key - b``; S: ``hi >= -(pred.key - b)``).
+    Integer keys and integer band ends put runs on the edges of that mask:
+    bands sharing a ``lo`` or a ``hi``, a succ-side member whose other
+    endpoint equals the pred-side bound exactly (dropped: ``<=``), and
+    pairs with a succ-side prefix only.  Every run, above and below the
+    pair floor and the window step's vector floor, equals the per-event
+    probe, query order and hit-list order included."""
+
+    CENTRES = (0, 40, 80, 120, 160, 200, 240, 280)  # one stabbing group each
+
+    @classmethod
+    def _populate(cls, processor, rng):
+        bands = [
+            Interval(float(centre - rng.randrange(0, 5)), float(centre + rng.randrange(1, 5)))
+            for centre in cls.CENTRES
+            for __ in range(6)
+        ]
+        los, his = [band.lo for band in bands], [band.hi for band in bands]
+        assert len(set(los)) < len(los) and len(set(his)) < len(his), "want shared ends"
+        for band in bands:
+            processor.add_query(BandJoinQuery(band))
+        return processor
+
+    @classmethod
+    def _bjssi(cls, rng, table_s, table_r):
+        return cls._populate(BJSSI(table_s, table_r), rng)
+
+    @classmethod
+    def _hotspot(cls, rng, table_s, table_r):
+        processor = cls._populate(HotspotBandJoinProcessor(table_s, table_r, alpha=0.05), rng)
+        for k in range(4):  # far-off singletons stay scattered
+            processor.add_query(BandJoinQuery(Interval(1000.0 + 50 * k, 1001.0 + 50 * k)))
+        assert processor._hot.group_count() == len(cls.CENTRES)
+        assert len(processor._hot.scattered) == 4
+        return processor
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Per kernel call: (row, group) pairs, targets, and the mask's
+        edges the gathered targets reach."""
+        from repro.fastpath import band as band_kernels
+
+        calls = []
+        batch_probe, emit = band_kernels._batch_probe, band_kernels._emit
+
+        def probe(col_b, rows, points, structures, *args, **kwargs):
+            calls.append({"side": "R" if kwargs["r_side"] else "S", "targets": 0,
+                          "pairs": len(rows) * sum(1 for st in structures if st.by_lo),
+                          "succ_only": 0, "edge": 0, "dropped": 0})
+            return batch_probe(col_b, rows, points, structures, *args, **kwargs)
+
+        def counted(keys, values, targets, *args, r_side):
+            seen = calls[-1]
+            seen["targets"] = len(targets.queries)
+            t = 0
+            segments = zip(targets.seg_len, targets.seg_succ, targets.seg_cut)
+            for n, succ, cut in segments:
+                if succ and cut != cut:  # NaN: the pair has no pred-side prefix
+                    seen["succ_only"] += 1
+                elif succ:
+                    for k in range(t, t + n):
+                        low = targets.raw_lo[k] if r_side else -targets.raw_lo[k]
+                        seen["edge"] += low == cut
+                        seen["dropped"] += low <= cut
+                t += n
+            written = emit(keys, values, targets, *args, r_side=r_side)
+            assert written == len(targets.queries) - seen["dropped"]
+            return written
+
+        monkeypatch.setattr(band_kernels, "_batch_probe", probe)
+        monkeypatch.setattr(band_kernels, "_emit", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", ["_bjssi", "_hotspot"])
+    def test_runs_on_the_mask_edges_match_per_event(self, kernel, make, monkeypatch):
+        rng = random.Random(57)
+        table_s, table_r = TableS(), TableR()
+        for __ in range(120):
+            table_s.add(float(rng.randrange(0, 400)), rng.uniform(0, 100))
+            table_r.add(rng.uniform(0, 100), float(rng.randrange(0, 120)))
+        processor = getattr(self, make)(rng, table_s, table_r)
+        calls = self._spy(monkeypatch)
+        rs = [table_r.new_row(rng.uniform(0, 100), float(rng.randrange(0, 120))) for __ in range(40)]
+        ss = [table_s.new_row(float(rng.randrange(0, 400)), rng.uniform(0, 100)) for __ in range(40)]
+        # A row past the end of the other relation's keys whose windows
+        # hold few of them: a run below the vector floor (a pair has at
+        # most two targets per result).
+        lone_r = next(
+            row for row in (table_r.new_row(50.0, float(b)) for b in range(380, 420))
+            if 0 < 2 * len(processor.process_r(row)) < kernel_mod.MIN_VECTOR
+        )
+        lone_s = next(
+            row for row in (table_s.new_row(float(b), 50.0) for b in range(30, -10, -1))
+            if 0 < 2 * len(processor.process_s(row)) < kernel_mod.MIN_VECTOR
+        )
+        for probe, probe_one, rows, lone in (
+            (processor.process_r_batch, processor.process_r, rs, lone_r),
+            (processor.process_s_batch, processor.process_s, ss, lone_s),
+        ):
+            for run in (rows, rows[:1], rows[1:3], rows[3:], [lone]):
+                deltas = probe(run)
+                want = [probe_one(row) for row in run]
+                assert [list(delta.items()) for delta in deltas] == [
+                    list(delta.items()) for delta in want
+                ]
+        floor, vector = kernel_mod.MIN_CANDIDATES, kernel_mod.MIN_VECTOR
+        for side in "RS":
+            mine = [call for call in calls if call["side"] == side]
+            assert len(mine) == 5
+            assert {call["pairs"] >= floor for call in mine} == {True, False}
+            assert {call["targets"] >= vector for call in mine} == {True, False}
+            for edge in ("succ_only", "edge", "dropped"):
+                assert sum(call[edge] for call in mine), (side, edge)
+
+
 class TestBandSuspects:
     """A band kernel handed the other relation's touched join keys names
     every (row, query) whose window holds one: exactly the hit lists that
@@ -1142,9 +1260,10 @@ class TestBandSuspects:
         steps = []
         emit = band_kernels._emit
 
-        def counted(keys, values, rows, *args):
-            steps.append(len(rows))
-            return emit(keys, values, rows, *args)
+        def counted(*args, **kwargs):
+            written = emit(*args, **kwargs)  # the results it wrote
+            steps.append(written)
+            return written
 
         monkeypatch.setattr(band_kernels, "_emit", counted)
         rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(30)]

@@ -12,7 +12,7 @@ from repro.core.hotspot_tracker import HotspotTracker
 from repro.core.intervals import Interval
 from repro.core.lazy_partition import LazyStabbingPartition
 from repro.core.refined_partition import RefinedStabbingPartition
-from repro.core.ssi import HotspotIndex, StabbingSetIndex
+from repro.core.ssi import GroupStructures, HotspotIndex, StabbingSetIndex
 
 
 def make_ssi(partition):
@@ -24,16 +24,10 @@ def make_ssi(partition):
     )
 
 
-def live_groups(ssi):
-    if isinstance(ssi, HotspotIndex):
-        return ssi.tracker.hotspot_groups
-    return ssi.partition.groups
-
-
 def assert_snapshot_synchronized(ssi):
     points, structures = ssi.group_table()
     assert len(points) == len(structures) == ssi.group_count()
-    live = {group.stabbing_point: ssi.structure_of(group) for group in live_groups(ssi)}
+    live = {group.stabbing_point: ssi.structure_of(group) for group in ssi.live_groups()}
     assert len(live) == len(points), "duplicate stabbing points in group table"
     for point, structure in zip(points, structures):
         assert live[point] is structure, "snapshot structure is not the live one"
@@ -149,88 +143,125 @@ class TestSnapshotRebuildsOnlyWhenAPointMoves:
     A change that keeps every point keeps the cached table; one that moves
     a point, or attaches or detaches a group, costs exactly one build."""
 
+    # Each maker returns the index and a reader of its reconstructions: a
+    # reconstruction rebuilds the table whatever changed.  A hotspot index
+    # has no partition to reconstruct.
+
     @staticmethod
     def _lazy():
         nested = [Interval(-k - 1.0, k + 2.0) for k in range(6)]
-        return make_ssi(LazyStabbingPartition(nested + disjoint(10), epsilon=100.0))
+        ssi = make_ssi(LazyStabbingPartition(nested + disjoint(10), epsilon=100.0))
+        return ssi, lambda: ssi.rebuild_count
 
     @staticmethod
     def _refined():
         # Fifty groups at the last reconstruction: no reconstruction in the
         # few updates a test makes.
         nested = [Interval(-k - 1.0, k + 2.0) for k in range(6)]
-        return make_ssi(RefinedStabbingPartition(nested + disjoint(50), epsilon=1.0, seed=3))
+        ssi = make_ssi(RefinedStabbingPartition(nested + disjoint(50), epsilon=1.0, seed=3))
+        return ssi, lambda: ssi.rebuild_count
 
     @staticmethod
     def _hotspot():
         ssi = HotspotIndex(HotspotTracker(alpha=0.25, epsilon=100.0))
         ssi.insert(*[Interval(-k - 1.0, k + 2.0) for k in range(6)], *disjoint(10))
         assert [group.size for group in ssi.tracker.hotspot_groups] == [6]
-        return ssi
+        return ssi, lambda: 0
 
     @staticmethod
     def _group_at(ssi, point):
-        (group,) = [group for group in live_groups(ssi) if group.stabbing_point == point]
+        (group,) = [group for group in ssi.live_groups() if group.stabbing_point == point]
         return group
 
-    def _builds(self, ssi, change):
+    @staticmethod
+    def _builds(ssi, reconstructions, change):
         """``change(ssi)``, then the table read twice: the builds it cost."""
         before = ssi.group_table()
-        builds, rebuilds = ssi.snapshot_builds, getattr(ssi, "rebuild_count", 0)
+        builds, rebuilds = ssi.snapshot_builds, reconstructions()
         change(ssi)
         after = ssi.group_table()
         assert ssi.group_table() is after
-        assert getattr(ssi, "rebuild_count", 0) == rebuilds, "a reconstruction rebuilds anyway"
+        assert reconstructions() == rebuilds, "a reconstruction rebuilds anyway"
         assert_snapshot_synchronized(ssi)
         assert (after is before) == (ssi.snapshot_builds == builds)
         return ssi.snapshot_builds - builds
 
     @pytest.mark.parametrize("make", ["_lazy", "_refined", "_hotspot"])
     def test_a_member_change_that_keeps_the_point_keeps_the_table(self, make):
-        ssi = getattr(self, make)()
+        ssi, reconstructions = getattr(self, make)()
         group = self._group_at(ssi, 2.0)
         size = group.size
         if make == "_refined":
             # A refined insert is always a new singleton group: the member
             # change that keeps the point is a delete of a wide member.
             widest = max(group, key=lambda item: item.hi)
-            assert self._builds(ssi, lambda ssi: ssi.delete(widest)) == 0
+            assert self._builds(ssi, reconstructions, lambda ssi: ssi.delete(widest)) == 0
             assert group.size == size - 1
         else:
-            assert self._builds(ssi, lambda ssi: ssi.insert(Interval(-3.0, 5.0))) == 0
+            wide = Interval(-3.0, 5.0)
+            assert self._builds(ssi, reconstructions, lambda ssi: ssi.insert(wide)) == 0
             assert group.size == size + 1
         assert group.stabbing_point == 2.0
 
     @pytest.mark.parametrize("make", ["_lazy", "_refined", "_hotspot"])
     def test_a_member_change_that_moves_the_point_rebuilds_once(self, make):
-        ssi = getattr(self, make)()
+        ssi, reconstructions = getattr(self, make)()
         group = self._group_at(ssi, 2.0)
         if make == "_refined":
             # Deleting the member that sets min_hi raises the point.
             (narrowest,) = [item for item in group if item.hi == 2.0]
-            assert self._builds(ssi, lambda ssi: ssi.delete(narrowest)) == 1
+            assert self._builds(ssi, reconstructions, lambda ssi: ssi.delete(narrowest)) == 1
             assert group.stabbing_point == 3.0
         else:
-            assert self._builds(ssi, lambda ssi: ssi.insert(Interval(0.0, 1.0))) == 1
+            narrow = Interval(0.0, 1.0)
+            assert self._builds(ssi, reconstructions, lambda ssi: ssi.insert(narrow)) == 1
             assert group.stabbing_point == 1.0
 
     @pytest.mark.parametrize("make", ["_lazy", "_refined"])
     def test_a_group_created_or_destroyed_rebuilds_once(self, make):
-        ssi = getattr(self, make)()
+        ssi, reconstructions = getattr(self, make)()
         lone = Interval(-50.0, -49.0)
         count = ssi.group_count()
-        assert self._builds(ssi, lambda ssi: ssi.insert(lone)) == 1
+        assert self._builds(ssi, reconstructions, lambda ssi: ssi.insert(lone)) == 1
         assert ssi.group_count() == count + 1
-        assert self._builds(ssi, lambda ssi: ssi.delete(lone)) == 1
+        assert self._builds(ssi, reconstructions, lambda ssi: ssi.delete(lone)) == 1
         assert ssi.group_count() == count
 
     def test_a_promotion_and_a_demotion_each_rebuild_once(self):
-        ssi = self._hotspot()
+        ssi, reconstructions = self._hotspot()
         # Six more copies of the first singleton: 7 of 22 items reach the
         # promotion threshold (alpha * n = 5.5).
         copies = [Interval(100.0, 101.0) for __ in range(6)]
-        assert self._builds(ssi, lambda ssi: ssi.insert(*copies)) == 1
+        assert self._builds(ssi, reconstructions, lambda ssi: ssi.insert(*copies)) == 1
         assert [group.size for group in ssi.tracker.hotspot_groups] == [6, 7]
         # Five of them gone: 2 of 17 items fall below alpha / 2 * n.
-        assert self._builds(ssi, lambda ssi: ssi.delete(*copies[:5])) == 1
+        assert self._builds(ssi, reconstructions, lambda ssi: ssi.delete(*copies[:5])) == 1
         assert [group.size for group in ssi.tracker.hotspot_groups] == [6]
+
+
+class TestIndexMembers:
+    """A hotspot index shares the structure bookkeeping with a partition's
+    index but has no partition: it lists none of the partition's members,
+    and every member it lists works."""
+
+    PARTITION_ONLY = (
+        "partition", "rebuild_count", "on_rebuilt", "on_group_created",
+        "on_group_destroyed", "on_item_added", "on_item_removed",
+    )
+
+    def test_only_a_partition_index_lists_the_partition_members(self):
+        partition = LazyStabbingPartition([Interval(0, 10), Interval(20, 30)])
+        ssi = make_ssi(partition)
+        hot = HotspotIndex(HotspotTracker(alpha=0.25, epsilon=100.0))
+        hot.insert(*[Interval(-k - 1.0, k + 2.0) for k in range(6)], *disjoint(10))
+        assert not isinstance(hot, StabbingSetIndex)
+        assert isinstance(ssi, GroupStructures) and isinstance(hot, GroupStructures)
+        for name in self.PARTITION_ONLY:
+            assert name in dir(ssi) and name not in dir(hot), name
+        assert ssi.partition is partition and ssi.rebuild_count == 0
+        for index in (ssi, hot):
+            # Every public member a hotspot index lists can be read.
+            public = [name for name in dir(index) if not name.startswith("_")]
+            assert all(hasattr(index, name) for name in public)
+            assert index.group_count() == len(index.live_groups()) == len(index.group_table()[0])
+            assert_snapshot_synchronized(index)
