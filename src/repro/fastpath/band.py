@@ -49,11 +49,13 @@ amortizes all of it over a micro-batch using flat columns:
   pair for the run.  Each segment's results go into its row's dict by one
   ``dict.update`` whose slices and writes run in C, so Python pays per
   segment here too and never per result.  The target columns hold no
-  per-result tuple, so the collector has no new containers to scan: the
-  step used to run group by group because a batch-wide list of
-  ``(dict, query)`` tuples (~46k at 20k queries and 256 rows) halved
-  throughput under the collector's passes.  Below ``MIN_VECTOR`` targets
-  the bound arithmetic is a Python loop over the same columns;
+  per-result tuple.  The step used to run group by group because a
+  batch-wide list of ``(dict, query)`` tuples (~46k at 20k queries and
+  256 rows) halved throughput under the collector's passes; no pass runs
+  inside a pipeline batch now (``runtime.batching.pauses_collector``), and
+  a direct caller gets no container per result but its hit list.  Below
+  ``MIN_VECTOR`` targets the bound arithmetic is a Python loop over the
+  same columns;
 * a run handed the other relation's touched join keys names, in the same
   pass, each (row, query) whose window holds one: the only hit lists the
   batch fix-up may have to strike a row from.

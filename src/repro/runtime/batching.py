@@ -19,7 +19,11 @@ it when the batch flushes.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import functools
+import gc
+from typing import Any, Callable, List, Tuple, TypeVar, cast
+
+_F = TypeVar("_F", bound=Callable[..., Any])
 
 #: One pending entry, ``(seq, event, stamp)`` — the shape of the
 #: ``(seq, event, owner)`` a shard reads, but routing happens at flush, once
@@ -58,3 +62,26 @@ class MicroBatcher:
         batch = self._pending[: self.max_batch]
         self._pending = self._pending[self.max_batch :]
         return batch
+
+
+def pauses_collector(fn: _F) -> _F:
+    """Run each call of ``fn`` with the cyclic garbage collector paused.
+
+    A batch's results (dicts of hit lists, which form no cycle) live until
+    it returns, so every collector pass inside it walks them again and
+    promotes them toward the oldest generation.  Reference counting still
+    frees what the batch drops; a cycle waits for the first pass after it.
+    A caller that disabled the collector finds it disabled afterwards.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return cast(_F, paused)

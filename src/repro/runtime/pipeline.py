@@ -66,7 +66,7 @@ from repro.runtime.transport.worker import shard_worker_main
 from repro.obs.hotspot_telemetry import HeadroomSample
 from repro.obs.remote import merge_telemetry
 from repro.obs.tracing import NULL_TRACER, RingTracer, Tracer
-from repro.runtime.batching import BatchEntry, MicroBatcher
+from repro.runtime.batching import BatchEntry, MicroBatcher, pauses_collector
 from repro.runtime.metrics import MetricsRegistry, histogram_delta
 from repro.runtime.sharding import (
     Delta,
@@ -545,9 +545,11 @@ class EventPipeline:
 
     # -- batch execution -----------------------------------------------------
 
+    @pauses_collector
     def flush(self) -> List[Tuple[int, DataEvent, Delta]]:
         """Process one pending batch; returns ``(seq, event, deltas)`` in
-        arrival order (empty if nothing was pending)."""
+        arrival order (empty if nothing was pending).  Result callbacks
+        run with the cyclic collector paused."""
         batch = self._batcher.drain()
         self._fold_depths()
         if not batch:

@@ -56,6 +56,7 @@ if TYPE_CHECKING:
 
 from repro.obs.remote import TelemetryCollector
 from repro.obs.tracing import NULL_TRACER, RingTracer
+from repro.runtime.batching import pauses_collector
 from repro.runtime.metrics import Histogram, MetricsRegistry, histogram_delta
 from repro.runtime.sharding import ShardGroup
 from repro.runtime.transport import frames
@@ -117,6 +118,8 @@ def _apply_batch(
     return (end_ns - start_ns) / 1e9, results
 
 
+# The deltas live until the result frame encodes them: both run paused.
+@pauses_collector
 def _handle(
     group: ShardGroup,
     frame_type: int,

@@ -96,10 +96,23 @@ def spread_band_queries(rng, count):
     return queries
 
 
-def assert_batches_match(process_batch, process_one, rows):
+def in_order(deltas):
+    """Each row's delta as its ``(query, hits)`` pairs in order: dict ``==``
+    ignores the query order, list ``==`` does not."""
+    return [list(delta.items()) for delta in deltas]
+
+
+def assert_batches_match(process_batch, process_one, rows, ordered=False):
+    """Batched deltas equal the per-event ones at every batch size.
+
+    A band delta (``ordered=True``) must also list its queries in the
+    per-event order; query order inside a select delta is not part of the
+    contract (``repro.fastpath.select``), so select call sites compare dicts.
+    """
+    view = in_order if ordered else list
     for size in BATCH_SIZES:
         chunk = rows[:size]
-        assert process_batch(chunk) == [process_one(row) for row in chunk], (
+        assert view(process_batch(chunk)) == view([process_one(row) for row in chunk]), (
             f"batch size {size} diverged"
         )
 
@@ -118,8 +131,8 @@ class TestBandBatch:
             strategy.add_query(query)
         rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(120)]
         ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(120)]
-        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs)
-        assert_batches_match(strategy.process_s_batch, strategy.process_s, ss)
+        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs, ordered=True)
+        assert_batches_match(strategy.process_s_batch, strategy.process_s, ss, ordered=True)
 
     def test_batch_against_empty_tables(self, kernel):
         strategy = BJSSI(TableS(), TableR())
@@ -136,7 +149,7 @@ class TestBandBatch:
         for query in queries:
             strategy.add_query(query)
         rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(60)]
-        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs)
+        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs, ordered=True)
         # Mutate the probed table and the query set; snapshots must refresh.
         for row in rs[:30]:
             table_r.insert(row)
@@ -144,9 +157,9 @@ class TestBandBatch:
             table_s.add(rng.uniform(0, 100), rng.uniform(0, 100))
         for query in queries[::3]:
             strategy.remove_query(query)
-        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs)
+        assert_batches_match(strategy.process_r_batch, strategy.process_r, rs, ordered=True)
         ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(60)]
-        assert_batches_match(strategy.process_s_batch, strategy.process_s, ss)
+        assert_batches_match(strategy.process_s_batch, strategy.process_s, ss, ordered=True)
 
     @pytest.mark.skipif(KERNEL != "numpy", reason="only numpy exports array buffers")
     def test_probe_leaves_no_exported_buffer_behind(self):
@@ -164,8 +177,8 @@ class TestBandBatch:
         def probe():
             rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(23)]
             ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(23)]
-            assert strategy.process_r_batch(rs) == [strategy.process_r(r) for r in rs]
-            assert strategy.process_s_batch(ss) == [strategy.process_s(s) for s in ss]
+            assert in_order(strategy.process_r_batch(rs)) == in_order(map(strategy.process_r, rs))
+            assert in_order(strategy.process_s_batch(ss)) == in_order(map(strategy.process_s, ss))
             return rs, ss
 
         rs, ss = probe()
@@ -232,8 +245,8 @@ class TestHotspotBatch:
         assert len(processor.tracker.hotspot_groups) > 0, "want both probe paths live"
         rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(80)]
         ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(80)]
-        assert_batches_match(processor.process_r_batch, processor.process_r, rs)
-        assert_batches_match(processor.process_s_batch, processor.process_s, ss)
+        assert_batches_match(processor.process_r_batch, processor.process_r, rs, ordered=True)
+        assert_batches_match(processor.process_s_batch, processor.process_s, ss, ordered=True)
 
     def test_select_processor_matches_per_event(self, kernel):
         rng = random.Random(5)
@@ -271,11 +284,12 @@ def integer_tables(rng, n_s=150, n_r=150):
 
 def assert_band_runs_match(processor, rs, ss):
     """Both sides of the band plane: batched deltas == the per-event probes'
-    (same queries, equally ordered row lists) == the brute-force oracle's."""
+    (the same queries in the same order, equally ordered row lists) == the
+    brute-force oracle's."""
     processor.validate()
     r_deltas, s_deltas = processor.process_r_batch(rs), processor.process_s_batch(ss)
-    assert r_deltas == [processor.process_r(r) for r in rs]
-    assert s_deltas == [processor.process_s(s) for s in ss]
+    assert in_order(r_deltas) == in_order(map(processor.process_r, rs))
+    assert in_order(s_deltas) == in_order(map(processor.process_s, ss))
     queries = list(processor._queries.values())
     for r, delta in zip(rs, r_deltas):
         want = {
@@ -315,7 +329,9 @@ class TestBandSymmetricProbe:
         rs, ss = self.arrivals(rng, table_s, table_r)
         assert_band_runs_match(processor, rs, ss)
         for size in BATCH_SIZES:
-            assert processor.process_s_batch(ss[:size]) == [processor.process_s(s) for s in ss[:size]]
+            assert in_order(processor.process_s_batch(ss[:size])) == in_order(
+                map(processor.process_s, ss[:size])
+            )
 
     def test_across_a_promotion_and_a_demotion(self, kernel):
         rng = random.Random(32)
@@ -1235,7 +1251,7 @@ class TestBandSuspects:
             for relation, probe, rows, keys in runs:
                 suspects = {}
                 deltas = probe(rows, keys, suspects)
-                assert deltas == probe(rows)  # the keys change no delta
+                assert in_order(deltas) == in_order(probe(rows))  # the keys change no delta
                 got = [(i, query.qid) for i, queries in suspects.items() for query in queries]
                 assert len(got) == len(set(got))
                 assert set(got) == hit_range_suspects(deltas, keys)
@@ -1269,8 +1285,8 @@ class TestBandSuspects:
         rs = [table_r.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(30)]
         ss = [table_s.new_row(rng.uniform(0, 100), rng.uniform(0, 100)) for __ in range(30)]
         r_deltas, s_deltas = strategy.process_r_batch(rs), strategy.process_s_batch(ss)
-        assert r_deltas == [strategy.process_r(r) for r in rs]
-        assert s_deltas == [strategy.process_s(s) for s in ss]
+        assert in_order(r_deltas) == in_order(map(strategy.process_r, rs))
+        assert in_order(s_deltas) == in_order(map(strategy.process_s, ss))
         results = [sum(map(len, deltas)) for deltas in (r_deltas, s_deltas)]
         assert steps == results and all(results)
 
@@ -1319,7 +1335,7 @@ class TestBandSuspects:
                 seen.clear()
                 suspects = {}
                 deltas = probe(run, keys, suspects)
-                assert deltas == [probe_one(row) for row in run]
+                assert in_order(deltas) == in_order(map(probe_one, run))
                 got = [(i, query.qid) for i, queries in suspects.items() for query in queries]
                 assert got and set(got) == hit_range_suspects(deltas, keys)
                 ((pairs, numpy_phase_1),) = seen

@@ -1,6 +1,7 @@
 """Tests for the event pipeline: batch triggers, execution modes,
 metrics, and query events in stream order (the one barrier left)."""
 
+import gc
 import sys
 
 import pytest
@@ -221,6 +222,83 @@ class TestInBatchInsertDelete:
         assert got[3] == {}  # the second S insert does not see the deleted row
         assert snap["counters"]["pipeline/events_applied"] == 4
         assert any(name.startswith("shard/") for name in snap["histograms"])
+
+
+@pytest.fixture
+def collector():
+    """Yields a setter for the collector's state; re-enables it afterwards."""
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+    try:
+        yield set_state
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """A batch runs with the cyclic collector paused and leaves it in the
+    state it found: on for a caller that had it on, off for one that
+    turned it off, whether the batch returns or raises."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_flush_that_returns_leaves_the_state_it_found(self, collector, enabled):
+        seen = []
+        collector(enabled)
+        with EventPipeline(alpha=None, batch_size=4) as pipeline:
+            pipeline.subscribe(wide_select(), lambda *args: seen.append(gc.isenabled()))
+            results = pipeline.run([s_insert(0), r_insert(0), r_insert(1)])
+            assert gc.isenabled() is enabled
+        assert seen == [False, False]  # result callbacks run paused
+        assert [bool(deltas) for __, __, deltas in results] == [False, True, True]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_flush_that_raises_leaves_the_state_it_found(self, collector, enabled):
+        collector(enabled)
+        with EventPipeline(alpha=None, batch_size=1) as pipeline:
+            query = pipeline.subscribe(wide_select())
+            pipeline.submit(s_insert(0))
+            with pytest.raises(KeyError, match="99"):  # an R row never inserted
+                pipeline.submit(DataEvent(EventKind.DELETE, "R", RTuple(99, 5.0, 10.0)))
+            assert gc.isenabled() is enabled
+            later = pipeline.run([r_insert(rid) for rid in range(3)])
+        assert [delta_row_ids(deltas) for __, __, deltas in later] == [{query.qid: [0]}] * 3
+        assert gc.isenabled() is enabled
+
+    def test_a_batch_of_thousands_of_hit_lists_runs_no_collector_pass(self, collector):
+        collector(True)
+        queries = [BandJoinQuery(Interval(-60.0 - k, 60.0 + k), qid=7000 + k) for k in range(80)]
+        preload = [s_insert(sid, b=float(sid), c=50.0) for sid in range(100)]
+        batch = [r_insert(rid, b=50.0 + rid % 7) for rid in range(63)]
+        reference = ContinuousQuerySystem(alpha=0.2)
+        for query in queries:
+            reference.subscribe(query)
+        replay_data_events(preload, reference)
+        want = []
+        replay_data_events(batch, reference, on_result=lambda __, deltas: want.append(deltas))
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        with EventPipeline(alpha=0.2, batch_size=64) as pipeline:
+            for query in queries:
+                pipeline.subscribe(query)
+            pipeline.run(preload)
+            for event in batch:
+                pipeline.submit(event)
+            assert pipeline.pending == len(batch)
+            gc.callbacks.append(count)
+            try:
+                results = pipeline.flush()
+            finally:
+                gc.callbacks.remove(count)
+        hit_lists = sum(len(deltas) for __, __, deltas in results)
+        assert hit_lists == len(batch) * len(queries)
+        assert passes == []
+        def in_order(deltas):  # query order and hit-list order both compared
+            return list(delta_row_ids(deltas).items())
+        assert [in_order(deltas) for __, __, deltas in results] == list(map(in_order, want))
 
 
 class TestMetrics:
